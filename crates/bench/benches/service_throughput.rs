@@ -16,7 +16,7 @@
 //! Worker-pool width is clamped to the `CACQR_THREADS` budget (default: the
 //! machine's parallelism); run e.g.
 //! `CACQR_THREADS=4 cargo bench -p bench --bench service_throughput` to pin
-//! the budget. The `factor_batch/4_workers` line should reach ≥2× the
+//! the budget. The `factor_many/4_workers` line should reach ≥2× the
 //! `sequential_loop` throughput on ≥4 available cores. Labels carry the
 //! *actual* (post-clamp) pool width so a constrained box is visible in the
 //! output.
@@ -72,8 +72,8 @@ fn service_throughput(c: &mut Criterion) {
         } else {
             format!("{requested}_workers_clamped_to_{}", service.workers())
         };
-        group.bench_with_input(BenchmarkId::new("factor_batch", label), &batch, |b, batch| {
-            b.iter(|| black_box(service.factor_batch(&spec, batch).unwrap()))
+        group.bench_with_input(BenchmarkId::new("factor_many", label), &batch, |b, batch| {
+            b.iter(|| black_box(service.factor_many(&spec, batch.clone()).unwrap()))
         });
     }
     group.finish();

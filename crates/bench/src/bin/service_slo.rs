@@ -5,15 +5,10 @@
 //! dispatch and data movement, not flops — and measures the two
 //! quantities the service layer promises:
 //!
-//! 1. **Throughput** — sustained jobs/sec of three dispatch schemes over
-//!    identical kernels: the *legacy* per-job path with the single-rank
-//!    inline fast path disabled (faithfully the pre-scale-out service:
-//!    per-job FIFO dispatch plus a thread spawn-and-join inside every
-//!    factor), the current per-job path, and the one-dispatch
-//!    `factor_many` batch path. The batched path must beat the legacy
-//!    path by ≥ 3x at an 8-wide pool (the PR's acceptance floor): that
-//!    ratio *is* the work-stealing + amortized-dispatch + inline-rank
-//!    story, since all three schemes produce bitwise-identical factors.
+//! 1. **Throughput** — probe-normalized wall time (and jobs/sec) of the
+//!    two ways to serve a batch over identical kernels: a per-job `submit`
+//!    loop, and the one-dispatch `factor_many` path. Both produce
+//!    bitwise-identical factors.
 //! 2. **Tail latency** — p50/p99 end-to-end latency of a sustained
 //!    zero-copy `submit_ref` stream under backpressure, read from the
 //!    service's own lock-free `ServiceStats` recorder.
@@ -22,38 +17,30 @@
 //! `stream_update`):
 //!
 //! * `--smoke` — small batches, fast: what CI's `check` job runs on every
-//!   push. The 3x floor still applies when the pool is 8 wide.
-//! * `--gate <baseline.json>` — compares normalized times/latencies and
-//!   the batch speedup against the checked-in baseline's top-level
-//!   `"service"` array and exits non-zero on regression (> 1.4x slower,
-//!   or speedup shrunk > 1.4x). Entries recorded under a different thread
-//!   budget are skipped, like every other gate.
+//!   push.
+//! * `--gate <baseline.json>` — compares normalized times/latencies
+//!   against the checked-in baseline's top-level `"service"` array and
+//!   exits non-zero on regression (> 1.4x slower). Entries recorded under
+//!   a different thread budget are skipped, like every other gate.
 //! * `--out <path>` — artifact path (default `BENCH_PR9.json`).
 //!   Regenerate the baseline section by pasting the `"service"` array
 //!   from the artifact (recorded with `CACQR_THREADS=8`).
 //!
 //! Run: `CACQR_THREADS=8 cargo run --release -p bench --bin service_slo`
 
+use bench_harness::{gate, time_best, timed_entry, write_artifact, Flags};
 use cacqr::service::{JobSpec, QrService};
-use cacqr::tuner::json::{self, JsonValue};
+use cacqr::tuner::json::JsonValue;
 use cacqr::{Algorithm, RetryPolicy, ServiceError, SubmitOptions};
 use dense::random::{matrix_with_condition, well_conditioned};
 use pargrid::GridShape;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Normalized times and latencies may regress by at most this factor —
-/// and the batch speedup may shrink by at most this factor — before the
-/// gate fails. Matches `stream_update`: these are microsecond-scale
-/// quantities, noisier than the collective benchmarks.
+/// Normalized times and latencies may regress by at most this factor
+/// before the gate fails. Matches `stream_update`: these are
+/// microsecond-scale quantities, noisier than the collective benchmarks.
 const GATE_TOLERANCE: f64 = 1.4;
-
-/// The acceptance floor: `factor_many` throughput over the legacy
-/// per-job dispatch, required whenever the pool is at least this wide
-/// (the floor is a statement about amortized dispatch at scale, not
-/// about narrow pools).
-const SPEEDUP_FLOOR: f64 = 3.0;
-const FLOOR_POOL_WIDTH: usize = 8;
 
 /// The small-panel shape: single-rank 1D-CQR2, a few microseconds per
 /// factor — the regime where dispatch dominates and the service layer is
@@ -63,49 +50,10 @@ const FLOOR_POOL_WIDTH: usize = 8;
 const PANEL_M: usize = 16;
 const PANEL_N: usize = 4;
 
-struct Entry {
-    name: String,
-    entry: JsonValue,
-    normalized: Option<f64>,
-    speedup: Option<f64>,
-}
-
-fn service_entry(name: &str, threads: usize, wall: f64, normalized: f64, speedup: Option<f64>) -> JsonValue {
-    let mut fields = vec![
-        ("name".to_string(), JsonValue::String(name.to_string())),
-        ("threads".to_string(), JsonValue::Number(threads as f64)),
-        ("wall_seconds".to_string(), JsonValue::Number(wall)),
-        ("normalized".to_string(), JsonValue::Number(normalized)),
-    ];
-    if let Some(s) = speedup {
-        fields.push(("speedup".to_string(), JsonValue::Number(s)));
-    }
-    JsonValue::Object(fields)
-}
-
-/// Best-of-`reps` wall seconds of `op` after one untimed warm run.
-fn time_best(reps: usize, mut op: impl FnMut()) -> f64 {
-    op();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        op();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best.max(1e-9)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR9.json".to_string());
-    let gate_path = flag_value("--gate");
+    let flags = Flags::from_env();
+    let smoke = flags.has("--smoke");
+    let out_path = flags.value("--out").unwrap_or_else(|| "BENCH_PR9.json".to_string());
 
     let threads = dense::max_threads();
     let batch_jobs = if smoke { 256 } else { 2048 };
@@ -124,7 +72,7 @@ fn main() {
         probe.gflops(),
     );
 
-    let mut results: Vec<Entry> = Vec::new();
+    let mut results: Vec<JsonValue> = Vec::new();
 
     // ---- Phase 1: throughput — per-job dispatch vs one-dispatch batch.
     let service = QrService::builder().build();
@@ -137,49 +85,30 @@ fn main() {
     let plan = service.plan(&spec).expect("valid spec");
     plan.warm_up(&batch[0]).expect("well-conditioned panel");
 
-    // Legacy dispatch: per-job submission with the single-rank inline
-    // fast path off, so every factor pays the spawn-and-join the old
-    // single-FIFO service paid. Same pool, same kernels, same results.
-    simgrid::set_inline_single_rank(false);
-    let wall_legacy = time_best(3, || {
-        let reports = service.factor_batch(&spec, &batch).expect("panels factor");
-        assert_eq!(reports.len(), batch_jobs);
+    // The two ways to serve a batch: one submission (and one handle) per
+    // panel, or the whole batch as one dispatched job.
+    let wall_submit = time_best(1, 3, || {
+        let handles: Vec<_> = batch
+            .iter()
+            .map(|a| service.submit(&spec, a.clone()).expect("accepting"))
+            .collect();
+        for h in handles {
+            h.wait().expect("panels factor");
+        }
     });
-    simgrid::set_inline_single_rank(true);
-    let wall_submit = time_best(3, || {
-        let reports = service.factor_batch(&spec, &batch).expect("panels factor");
-        assert_eq!(reports.len(), batch_jobs);
-    });
-    let wall_many = time_best(3, || {
+    let wall_many = time_best(1, 3, || {
         let reports = service.factor_many(&spec, batch.clone()).expect("panels factor");
         assert_eq!(reports.len(), batch_jobs);
     });
-    let legacy_rate = batch_jobs as f64 / wall_legacy;
     let submit_rate = batch_jobs as f64 / wall_submit;
     let many_rate = batch_jobs as f64 / wall_many;
-    let speedup = many_rate / legacy_rate;
-    println!("workload            wall_s      normalized  jobs/s      speedup");
-    for (name, wall, rate, sp) in [
-        (format!("service-legacy-{shape}"), wall_legacy, legacy_rate, None),
-        (
-            format!("service-submit-{shape}"),
-            wall_submit,
-            submit_rate,
-            Some(submit_rate / legacy_rate),
-        ),
-        (format!("service-many-{shape}"), wall_many, many_rate, Some(speedup)),
+    println!("workload            wall_s      normalized  jobs/s");
+    for (name, wall, rate) in [
+        (format!("service-submit-{shape}"), wall_submit, submit_rate),
+        (format!("service-many-{shape}"), wall_many, many_rate),
     ] {
-        let norm = wall / probe.seconds;
-        println!(
-            "{name:<19} {wall:<11.4e} {norm:<11.3} {rate:<11.0} {}",
-            sp.map(|s| format!("{s:.2}x")).unwrap_or_default()
-        );
-        results.push(Entry {
-            entry: service_entry(&name, threads, wall, norm, sp),
-            name,
-            normalized: Some(norm),
-            speedup: sp,
-        });
+        println!("{name:<19} {wall:<11.4e} {:<11.3} {rate:<11.0}", wall / probe.seconds);
+        results.push(timed_entry(&name, threads, wall, probe.seconds, vec![]));
     }
     drop(service);
 
@@ -213,14 +142,8 @@ fn main() {
         (format!("service-e2e-p50-{shape}"), stats.end_to_end.p50.as_secs_f64()),
         (format!("service-e2e-p99-{shape}"), stats.end_to_end.p99.as_secs_f64()),
     ] {
-        let norm = wall / probe.seconds;
-        println!("{name:<19} {wall:<11.4e} {norm:<11.3}");
-        results.push(Entry {
-            entry: service_entry(&name, threads, wall, norm, None),
-            name,
-            normalized: Some(norm),
-            speedup: None,
-        });
+        println!("{name:<19} {wall:<11.4e} {:<11.3}", wall / probe.seconds);
+        results.push(timed_entry(&name, threads, wall, probe.seconds, vec![]));
     }
     drop(service);
 
@@ -277,120 +200,31 @@ fn main() {
     );
     drop(service);
 
-    let artifact = JsonValue::Object(vec![
-        ("version".to_string(), JsonValue::Number(1.0)),
-        (
-            "mode".to_string(),
-            JsonValue::String(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("probe_gflops".to_string(), JsonValue::Number(probe.gflops())),
-        ("probe_seconds".to_string(), JsonValue::Number(probe.seconds)),
-        ("pool_workers".to_string(), JsonValue::Number(workers as f64)),
-        ("batch_jobs".to_string(), JsonValue::Number(batch_jobs as f64)),
-        ("legacy_jobs_per_sec".to_string(), JsonValue::Number(legacy_rate)),
-        ("submit_jobs_per_sec".to_string(), JsonValue::Number(submit_rate)),
-        ("many_jobs_per_sec".to_string(), JsonValue::Number(many_rate)),
-        ("many_speedup".to_string(), JsonValue::Number(speedup)),
-        (
-            "resilience_retries".to_string(),
-            JsonValue::Number(rstats.retries as f64),
-        ),
-        (
-            "resilience_escalations".to_string(),
-            JsonValue::Number(rstats.escalations as f64),
-        ),
-        ("resilience_shed".to_string(), JsonValue::Number(rstats.shed as f64)),
-        (
-            "service".to_string(),
-            JsonValue::Array(results.iter().map(|r| r.entry.clone()).collect()),
-        ),
-    ]);
-    std::fs::write(&out_path, artifact.to_pretty()).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("# wrote {out_path}");
+    let num = JsonValue::Number;
+    write_artifact(
+        &out_path,
+        vec![
+            ("version", num(1.0)),
+            (
+                "mode",
+                JsonValue::String(if smoke { "smoke" } else { "full" }.to_string()),
+            ),
+            ("probe_gflops", num(probe.gflops())),
+            ("probe_seconds", num(probe.seconds)),
+            ("pool_workers", num(workers as f64)),
+            ("batch_jobs", num(batch_jobs as f64)),
+            ("submit_jobs_per_sec", num(submit_rate)),
+            ("many_jobs_per_sec", num(many_rate)),
+            ("resilience_retries", num(rstats.retries as f64)),
+            ("resilience_escalations", num(rstats.escalations as f64)),
+            ("resilience_shed", num(rstats.shed as f64)),
+        ],
+        "service",
+        &results,
+    );
 
-    // The acceptance floor stands on its own, baseline or not — whenever
-    // the pool is wide enough for the claim to be about scale.
-    if workers >= FLOOR_POOL_WIDTH {
-        if speedup < SPEEDUP_FLOOR {
-            eprintln!(
-                "# service gate: FAILED — factor_many throughput is only {speedup:.2}x the \
-                 legacy per-job dispatch at a {workers}-wide pool (< {SPEEDUP_FLOOR}x floor)"
-            );
-            std::process::exit(1);
-        }
-        println!("# service floor: OK — {speedup:.2}x ≥ {SPEEDUP_FLOOR}x at {workers} workers");
-    } else {
-        println!("# service floor: skipped (pool width {workers} < {FLOOR_POOL_WIDTH}; set CACQR_THREADS=8)");
-    }
-
-    if let Some(path) = gate_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline = json::parse(&text).unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-        let all = baseline
-            .get("service")
-            .and_then(JsonValue::as_array)
-            .unwrap_or_else(|| panic!("baseline {path} has no \"service\" array"));
-        let tracked: Vec<&JsonValue> = all
-            .iter()
-            .filter(|e| {
-                e.get("name")
-                    .and_then(JsonValue::as_str)
-                    .is_some_and(|n| n.starts_with("service-"))
-            })
-            .collect();
-        let mut regressions = Vec::new();
-        let mut skipped = 0usize;
-        for entry in &tracked {
-            let name = entry.get("name").and_then(JsonValue::as_str).unwrap_or("<unnamed>");
-            let base_threads = entry.get("threads").and_then(JsonValue::as_usize);
-            let Some(current) = results.iter().find(|r| r.name == name) else {
-                regressions.push(format!("{name}: tracked entry missing from this run"));
-                continue;
-            };
-            // Normalization cancels machine speed, not parallelism: skip
-            // entries recorded under a different thread budget.
-            if base_threads.is_some_and(|t| t != threads) {
-                println!(
-                    "# service gate: skipping {name} (baseline threads={}, this run threads={threads})",
-                    base_threads.unwrap(),
-                );
-                skipped += 1;
-                continue;
-            }
-            match (entry.get("normalized").and_then(JsonValue::as_f64), current.normalized) {
-                (Some(base), Some(now)) if now > base * GATE_TOLERANCE => {
-                    regressions.push(format!(
-                        "{name}: normalized {now:.3} vs baseline {base:.3} (> {GATE_TOLERANCE}x)"
-                    ));
-                }
-                _ => {}
-            }
-            match (entry.get("speedup").and_then(JsonValue::as_f64), current.speedup) {
-                (Some(base), Some(now)) if now < base / GATE_TOLERANCE => {
-                    regressions.push(format!(
-                        "{name}: speedup {now:.2}x vs baseline {base:.2}x (shrunk > {GATE_TOLERANCE}x)"
-                    ));
-                }
-                _ => {}
-            }
-        }
-        if skipped == tracked.len() && !tracked.is_empty() {
-            regressions.push(format!(
-                "all {skipped} tracked entries skipped (thread-budget mismatch): \
-                 re-record the baseline under this budget or set CACQR_THREADS to match"
-            ));
-        }
-        if regressions.is_empty() {
-            println!(
-                "# service gate: OK ({} tracked entries within {GATE_TOLERANCE}x; batch speedup {speedup:.2}x)",
-                tracked.len()
-            );
-        } else {
-            eprintln!("# service gate: FAILED");
-            for r in &regressions {
-                eprintln!("#   {r}");
-            }
-            std::process::exit(1);
-        }
+    if let Some(path) = flags.value("--gate") {
+        let tracks = |name: &str| name.starts_with("service-");
+        gate("service gate", &path, "service", tracks, &results, GATE_TOLERANCE, "");
     }
 }

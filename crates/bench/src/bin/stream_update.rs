@@ -19,12 +19,12 @@
 //!
 //! Run: `cargo run --release -p bench --bin stream_update`
 
+use bench_harness::{entry_field, gate, time_best, timed_entry, write_artifact, Flags};
 use cacqr::stream::StreamingQr;
-use cacqr::tuner::json::{self, JsonValue};
+use cacqr::tuner::json::JsonValue;
 use cacqr::{Algorithm, QrPlan};
 use dense::random::{gaussian_matrix, well_conditioned};
 use pargrid::GridShape;
-use std::time::Instant;
 
 /// Normalized times may regress by at most this factor — and measured
 /// speedups may shrink by at most this factor — before the gate fails.
@@ -50,50 +50,9 @@ const APPEND_REPS: usize = 15;
 /// passes spread the sampling window wide enough to dodge it.
 const PASSES: usize = 3;
 
-struct Entry {
-    name: String,
-    entry: JsonValue,
-    normalized: Option<f64>,
-    speedup: Option<f64>,
-}
-
-/// Best-of-`reps` wall seconds of `op` after `warm` untimed runs.
-fn time_best(warm: usize, reps: usize, mut op: impl FnMut()) -> f64 {
-    for _ in 0..warm {
-        op();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        op();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best.max(1e-9)
-}
-
-fn stream_entry(name: &str, threads: usize, wall: f64, normalized: f64, speedup: Option<f64>) -> JsonValue {
-    let mut fields = vec![
-        ("name".to_string(), JsonValue::String(name.to_string())),
-        ("threads".to_string(), JsonValue::Number(threads as f64)),
-        ("wall_seconds".to_string(), JsonValue::Number(wall)),
-        ("normalized".to_string(), JsonValue::Number(normalized)),
-    ];
-    if let Some(s) = speedup {
-        fields.push(("speedup".to_string(), JsonValue::Number(s)));
-    }
-    JsonValue::Object(fields)
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR7.json".to_string());
-    let gate_path = flag_value("--gate");
+    let flags = Flags::from_env();
+    let out_path = flags.value("--out").unwrap_or_else(|| "BENCH_PR7.json".to_string());
 
     // The tall-skinny ladder: the regime where m ≫ n makes the refresh's
     // O(mn²) Gram pass expensive and the update's O(kn² + n³) cheap.
@@ -114,7 +73,7 @@ fn main() {
     );
     println!("shape          op          wall_s      normalized  speedup");
 
-    let mut results: Vec<Entry> = Vec::new();
+    let mut results: Vec<JsonValue> = Vec::new();
     let mut worst_orth = 0.0_f64;
     let mut worst_resid = 0.0_f64;
     for &(m0, n) in &shapes {
@@ -169,35 +128,16 @@ fn main() {
 
         let norm_refresh = wall_refresh / probe.seconds;
         println!("{name:<14} refresh     {wall_refresh:<11.4e} {norm_refresh:<11.3}");
-        results.push(Entry {
-            name: format!("stream-refresh-{name}"),
-            entry: stream_entry(
-                &format!("stream-refresh-{name}"),
-                threads,
-                wall_refresh,
-                norm_refresh,
-                None,
-            ),
-            normalized: Some(norm_refresh),
-            speedup: None,
-        });
+        let entry_name = format!("stream-refresh-{name}");
+        results.push(timed_entry(&entry_name, threads, wall_refresh, probe.seconds, vec![]));
         for (j, &k) in UPDATE_WIDTHS.iter().enumerate() {
             let wall = wall_append[j];
             let norm = wall / probe.seconds;
             let speedup = wall_refresh / wall;
             println!("{name:<14} append-k{k:<4}{wall:<11.4e} {norm:<11.3} {speedup:.2}x");
-            results.push(Entry {
-                name: format!("stream-append-{name}-k{k}"),
-                entry: stream_entry(
-                    &format!("stream-append-{name}-k{k}"),
-                    threads,
-                    wall,
-                    norm,
-                    Some(speedup),
-                ),
-                normalized: Some(norm),
-                speedup: Some(speedup),
-            });
+            let entry_name = format!("stream-append-{name}-k{k}");
+            let extra = vec![("speedup", JsonValue::Number(speedup))];
+            results.push(timed_entry(&entry_name, threads, wall, probe.seconds, extra));
         }
 
         // The stream must still be *correct* after all the timed traffic:
@@ -220,33 +160,24 @@ fn main() {
         worst_resid = worst_resid.max(resid);
     }
 
-    let artifact = JsonValue::Object(vec![
-        ("version".to_string(), JsonValue::Number(1.0)),
-        ("probe_gflops".to_string(), JsonValue::Number(probe.gflops())),
-        ("probe_seconds".to_string(), JsonValue::Number(probe.seconds)),
-        (
-            "append_probe_gflops".to_string(),
-            JsonValue::Number(append_probe.gflops()),
-        ),
-        (
-            "snapshot_orthogonality_worst".to_string(),
-            JsonValue::Number(worst_orth),
-        ),
-        ("snapshot_residual_worst".to_string(), JsonValue::Number(worst_resid)),
-        (
-            "stream".to_string(),
-            JsonValue::Array(results.iter().map(|r| r.entry.clone()).collect()),
-        ),
-    ]);
-    std::fs::write(&out_path, artifact.to_pretty()).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("# wrote {out_path}");
+    let num = JsonValue::Number;
+    write_artifact(
+        &out_path,
+        vec![
+            ("version", num(1.0)),
+            ("probe_gflops", num(probe.gflops())),
+            ("probe_seconds", num(probe.seconds)),
+            ("append_probe_gflops", num(append_probe.gflops())),
+            ("snapshot_orthogonality_worst", num(worst_orth)),
+            ("snapshot_residual_worst", num(worst_resid)),
+        ],
+        "stream",
+        &results,
+    );
 
     // The acceptance floor stands on its own, baseline or not.
-    let headline = results
-        .iter()
-        .find(|r| r.name == "stream-append-8192x128-k64")
-        .and_then(|r| r.speedup)
-        .expect("headline shape is always measured");
+    let headline =
+        entry_field(&results, "stream-append-8192x128-k64", "speedup").expect("headline shape is always measured");
     if headline < HEADLINE_FLOOR {
         eprintln!(
             "# stream gate: FAILED — rank-64 append speedup over refresh at 8192x128 is \
@@ -255,76 +186,19 @@ fn main() {
         std::process::exit(1);
     }
 
-    if let Some(path) = gate_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline = json::parse(&text).unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-        let all = baseline
-            .get("stream")
-            .and_then(JsonValue::as_array)
-            .unwrap_or_else(|| panic!("baseline {path} has no \"stream\" array"));
+    if let Some(path) = flags.value("--gate") {
         // The `"stream"` array is shared with `stream_solve`: each bin
         // gates only the entries it produces, keyed by name prefix.
-        let tracked: Vec<&JsonValue> = all
-            .iter()
-            .filter(|e| {
-                e.get("name")
-                    .and_then(JsonValue::as_str)
-                    .is_some_and(|n| n.starts_with("stream-refresh-") || n.starts_with("stream-append-"))
-            })
-            .collect();
-        let mut regressions = Vec::new();
-        let mut skipped = 0usize;
-        for entry in &tracked {
-            let name = entry.get("name").and_then(JsonValue::as_str).unwrap_or("<unnamed>");
-            let base_threads = entry.get("threads").and_then(JsonValue::as_usize);
-            let Some(current) = results.iter().find(|r| r.name == name) else {
-                regressions.push(format!("{name}: tracked entry missing from this run"));
-                continue;
-            };
-            // Normalization cancels machine speed, not parallelism: skip
-            // entries recorded under a different thread budget.
-            if base_threads.is_some_and(|t| t != threads) {
-                println!(
-                    "# stream gate: skipping {name} (baseline threads={}, this run threads={threads})",
-                    base_threads.unwrap(),
-                );
-                skipped += 1;
-                continue;
-            }
-            match (entry.get("normalized").and_then(JsonValue::as_f64), current.normalized) {
-                (Some(base), Some(now)) if now > base * GATE_TOLERANCE => {
-                    regressions.push(format!(
-                        "{name}: normalized {now:.3} vs baseline {base:.3} (> {GATE_TOLERANCE}x)"
-                    ));
-                }
-                _ => {}
-            }
-            match (entry.get("speedup").and_then(JsonValue::as_f64), current.speedup) {
-                (Some(base), Some(now)) if now < base / GATE_TOLERANCE => {
-                    regressions.push(format!(
-                        "{name}: speedup {now:.2}x vs baseline {base:.2}x (shrunk > {GATE_TOLERANCE}x)"
-                    ));
-                }
-                _ => {}
-            }
-        }
-        if skipped == tracked.len() && !tracked.is_empty() {
-            regressions.push(format!(
-                "all {skipped} tracked entries skipped (thread-budget mismatch): \
-                 re-record the baseline under this budget or set CACQR_THREADS to match"
-            ));
-        }
-        if regressions.is_empty() {
-            println!(
-                "# stream gate: OK ({} tracked entries within {GATE_TOLERANCE}x; headline speedup {headline:.2}x)",
-                tracked.len()
-            );
-        } else {
-            eprintln!("# stream gate: FAILED");
-            for r in &regressions {
-                eprintln!("#   {r}");
-            }
-            std::process::exit(1);
-        }
+        let tracks = |name: &str| name.starts_with("stream-refresh-") || name.starts_with("stream-append-");
+        let summary = format!("; headline speedup {headline:.2}x");
+        gate(
+            "stream gate",
+            &path,
+            "stream",
+            tracks,
+            &results,
+            GATE_TOLERANCE,
+            &summary,
+        );
     }
 }

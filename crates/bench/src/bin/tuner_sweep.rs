@@ -26,7 +26,8 @@
 //!
 //! Run: `cargo run --release -p bench --bin tuner_sweep -- --smoke`
 
-use cacqr::tuner::json::{self, JsonValue};
+use bench_harness::{gate, object, timed_entry, write_artifact, Flags};
+use cacqr::tuner::json::JsonValue;
 use cacqr::tuner::{Tuner, TuningProfile};
 use dense::random::well_conditioned;
 use simgrid::Machine;
@@ -35,13 +36,6 @@ use std::time::Instant;
 /// Normalized times may regress by at most this factor before the gate
 /// fails the build.
 const GATE_TOLERANCE: f64 = 1.25;
-
-struct ShapeResult {
-    name: String,
-    entry: JsonValue,
-    normalized: f64,
-    threads: usize,
-}
 
 /// Appends the kernel-level gate entries: `syrk-<m>x<n>` (the
 /// symmetry-aware blocked SYRK, with its speedup over the gemm-based Gram
@@ -57,30 +51,13 @@ fn kernel_entries(
     probe: &dense::ProbeReport,
     syrk_probe: &dense::ProbeReport,
     reps: usize,
-    results: &mut Vec<ShapeResult>,
+    results: &mut Vec<JsonValue>,
 ) {
     use cacqr::{Algorithm, QrPlan};
     use pargrid::GridShape;
 
     let threads = dense::max_threads();
     let be = dense::BackendKind::Blocked.get();
-    let mut push = |name: String, wall: f64, basis_seconds: f64, extra: Vec<(String, JsonValue)>| {
-        let normalized = wall / basis_seconds;
-        let mut fields = vec![
-            ("name".to_string(), JsonValue::String(name.clone())),
-            ("threads".to_string(), JsonValue::Number(threads as f64)),
-            ("wall_seconds".to_string(), JsonValue::Number(wall)),
-            ("normalized".to_string(), JsonValue::Number(normalized)),
-        ];
-        fields.extend(extra);
-        results.push(ShapeResult {
-            name,
-            entry: JsonValue::Object(fields),
-            normalized,
-            threads,
-        });
-    };
-
     for (m, n) in [(4096usize, 64usize), (8192, 128)] {
         let a = dense::random::well_conditioned(m, n, 7);
         let mut c = dense::Matrix::zeros(n, n);
@@ -99,18 +76,12 @@ fn kernel_entries(
             "syrk-{m}x{n}     blocked syrk {best_syrk:.4e}s vs gemm path {best_gemm:.4e}s  ({:.2}x)",
             best_gemm / best_syrk
         );
-        push(
-            format!("syrk-{m}x{n}"),
-            best_syrk,
-            syrk_probe.seconds,
-            vec![
-                ("gemm_path_seconds".to_string(), JsonValue::Number(best_gemm)),
-                (
-                    "speedup_vs_gemm_path".to_string(),
-                    JsonValue::Number(best_gemm / best_syrk),
-                ),
-            ],
-        );
+        let extra = vec![
+            ("gemm_path_seconds", JsonValue::Number(best_gemm)),
+            ("speedup_vs_gemm_path", JsonValue::Number(best_gemm / best_syrk)),
+        ];
+        let name = format!("syrk-{m}x{n}");
+        results.push(timed_entry(&name, threads, best_syrk, syrk_probe.seconds, extra));
     }
 
     let (m, n) = (2048usize, 64usize);
@@ -140,15 +111,11 @@ fn kernel_entries(
         let wall = measure_plan(&plan, &a, reps.max(3));
         let steady_allocs = plan.workspace().heap_allocations() - allocs_before;
         println!("{name}  {wall:.4e}s  (arena allocations during timing: {steady_allocs})");
-        push(
-            name,
-            wall,
-            probe.seconds,
-            vec![(
-                "steady_state_arena_allocations".to_string(),
-                JsonValue::Number(steady_allocs as f64),
-            )],
-        );
+        let extra = vec![(
+            "steady_state_arena_allocations",
+            JsonValue::Number(steady_allocs as f64),
+        )];
+        results.push(timed_entry(&name, threads, wall, probe.seconds, extra));
     }
 }
 
@@ -163,18 +130,10 @@ fn measure_plan(plan: &cacqr::QrPlan, a: &dense::Matrix, reps: usize) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let exhaustive = args.iter().any(|a| a == "--exhaustive");
-    let flag_value = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR4.json".to_string());
-    let gate_path = flag_value("--gate");
-    let profile_path = flag_value("--profile");
+    let flags = Flags::from_env();
+    let smoke = flags.has("--smoke");
+    let exhaustive = flags.has("--exhaustive");
+    let out_path = flags.value("--out").unwrap_or_else(|| "BENCH_PR4.json".to_string());
 
     // The shape ladder: m/n from extremely tall-skinny down to square.
     let shapes: Vec<(usize, usize)> = if smoke {
@@ -209,7 +168,7 @@ fn main() {
     );
     println!("shape          chosen configuration                predicted_s  wall_s     normalized");
 
-    let mut results: Vec<ShapeResult> = Vec::new();
+    let mut results: Vec<JsonValue> = Vec::new();
     let mut profile = TuningProfile::new();
     for &(m, n) in &shapes {
         let report = Tuner::new(m, n)
@@ -249,43 +208,29 @@ fn main() {
                 .unwrap_or_default(),
         );
 
-        let entry = JsonValue::Object(vec![
-            ("name".to_string(), JsonValue::String(name.clone())),
-            ("m".to_string(), JsonValue::Number(m as f64)),
-            ("n".to_string(), JsonValue::Number(n as f64)),
-            ("processors".to_string(), JsonValue::Number(report.processors as f64)),
-            ("threads".to_string(), JsonValue::Number(report.threads as f64)),
+        let num = JsonValue::Number;
+        results.push(object(vec![
+            ("name", JsonValue::String(name)),
+            ("m", num(m as f64)),
+            ("n", num(n as f64)),
+            ("processors", num(report.processors as f64)),
+            ("threads", num(report.threads as f64)),
+            ("algorithm", JsonValue::String(best.algorithm().name().to_string())),
+            ("config", JsonValue::String(best.config.to_string())),
+            ("backend", JsonValue::String(best.backend.to_string())),
             (
-                "algorithm".to_string(),
-                JsonValue::String(best.algorithm().name().to_string()),
-            ),
-            ("config".to_string(), JsonValue::String(best.config.to_string())),
-            ("backend".to_string(), JsonValue::String(best.backend.to_string())),
-            (
-                "predicted_cost".to_string(),
-                JsonValue::Object(vec![
-                    ("alpha".to_string(), JsonValue::Number(best.predicted.alpha)),
-                    ("beta".to_string(), JsonValue::Number(best.predicted.beta)),
-                    ("gamma".to_string(), JsonValue::Number(best.predicted.gamma)),
+                "predicted_cost",
+                object(vec![
+                    ("alpha", num(best.predicted.alpha)),
+                    ("beta", num(best.predicted.beta)),
+                    ("gamma", num(best.predicted.gamma)),
                 ]),
             ),
-            (
-                "predicted_seconds".to_string(),
-                JsonValue::Number(best.predicted_seconds),
-            ),
-            ("wall_seconds".to_string(), JsonValue::Number(wall)),
-            ("normalized".to_string(), JsonValue::Number(normalized)),
-            (
-                "within_best_ratio".to_string(),
-                within_best.map(JsonValue::Number).unwrap_or(JsonValue::Null),
-            ),
-        ]);
-        results.push(ShapeResult {
-            name,
-            entry,
-            normalized,
-            threads: report.threads,
-        });
+            ("predicted_seconds", num(best.predicted_seconds)),
+            ("wall_seconds", num(wall)),
+            ("normalized", num(normalized)),
+            ("within_best_ratio", within_best.map(num).unwrap_or(JsonValue::Null)),
+        ]));
     }
 
     // Kernel-level trajectory entries, gated like the shapes: the
@@ -295,84 +240,31 @@ fn main() {
     // free.
     kernel_entries(&probe, &syrk_probe, reps, &mut results);
 
-    let artifact = JsonValue::Object(vec![
-        ("version".to_string(), JsonValue::Number(2.0)),
-        (
-            "mode".to_string(),
-            JsonValue::String(if smoke { "smoke" } else { "full" }.to_string()),
-        ),
-        ("probe_gflops".to_string(), JsonValue::Number(probe.gflops())),
-        ("probe_seconds".to_string(), JsonValue::Number(probe.seconds)),
-        ("syrk_gflops".to_string(), JsonValue::Number(syrk_probe.gflops())),
-        ("syrk_probe_seconds".to_string(), JsonValue::Number(syrk_probe.seconds)),
-        (
-            "shapes".to_string(),
-            JsonValue::Array(results.iter().map(|r| r.entry.clone()).collect()),
-        ),
-    ]);
-    std::fs::write(&out_path, artifact.to_pretty()).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("# wrote {out_path}");
-    if let Some(path) = profile_path {
+    let num = JsonValue::Number;
+    write_artifact(
+        &out_path,
+        vec![
+            ("version", num(2.0)),
+            (
+                "mode",
+                JsonValue::String(if smoke { "smoke" } else { "full" }.to_string()),
+            ),
+            ("probe_gflops", num(probe.gflops())),
+            ("probe_seconds", num(probe.seconds)),
+            ("syrk_gflops", num(syrk_probe.gflops())),
+            ("syrk_probe_seconds", num(syrk_probe.seconds)),
+        ],
+        "shapes",
+        &results,
+    );
+    if let Some(path) = flags.value("--profile") {
         profile.probe_gemm_seconds_per_flop = Some(probe.seconds_per_flop);
         profile.probe_syrk_seconds_per_flop = Some(syrk_probe.seconds_per_flop);
         std::fs::write(&path, profile.to_json()).unwrap_or_else(|e| panic!("cannot write profile {path}: {e}"));
         println!("# wrote tuning profile {path} ({} entries)", profile.len());
     }
 
-    if let Some(path) = gate_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline = json::parse(&text).unwrap_or_else(|e| panic!("baseline {path} is not valid JSON: {e}"));
-        let tracked = baseline
-            .get("shapes")
-            .and_then(JsonValue::as_array)
-            .unwrap_or_else(|| panic!("baseline {path} has no \"shapes\" array"));
-        let mut regressions = Vec::new();
-        let mut skipped = 0usize;
-        for entry in tracked {
-            let name = entry.get("name").and_then(JsonValue::as_str).unwrap_or("<unnamed>");
-            let base = entry.get("normalized").and_then(JsonValue::as_f64);
-            let base_threads = entry.get("threads").and_then(JsonValue::as_usize);
-            let current = results.iter().find(|r| r.name == name);
-            match (base, current) {
-                (Some(base), Some(current)) => {
-                    // Normalization cancels machine speed, not parallelism:
-                    // a baseline recorded under a different thread budget is
-                    // not comparable, so say so instead of mis-gating.
-                    if base_threads.is_some_and(|t| t != current.threads) {
-                        println!(
-                            "# perf gate: skipping {name} (baseline threads={}, this run threads={})",
-                            base_threads.unwrap(),
-                            current.threads
-                        );
-                        skipped += 1;
-                    } else if current.normalized > base * GATE_TOLERANCE {
-                        regressions.push(format!(
-                            "{name}: normalized {:.3} vs baseline {base:.3} (> {GATE_TOLERANCE}x)",
-                            current.normalized
-                        ));
-                    }
-                }
-                (Some(_), None) => regressions.push(format!("{name}: tracked kernel missing from this run")),
-                (None, _) => regressions.push(format!("{name}: baseline entry has no \"normalized\" field")),
-            }
-        }
-        if skipped == tracked.len() && !tracked.is_empty() {
-            regressions.push(format!(
-                "all {skipped} tracked kernels skipped (thread-budget mismatch): \
-                 re-record the baseline under this budget or set CACQR_THREADS to match"
-            ));
-        }
-        if regressions.is_empty() {
-            println!(
-                "# perf gate: OK ({} tracked kernels within {GATE_TOLERANCE}x)",
-                tracked.len()
-            );
-        } else {
-            eprintln!("# perf gate: FAILED");
-            for r in &regressions {
-                eprintln!("#   {r}");
-            }
-            std::process::exit(1);
-        }
+    if let Some(path) = flags.value("--gate") {
+        gate("perf gate", &path, "shapes", |_| true, &results, GATE_TOLERANCE, "");
     }
 }

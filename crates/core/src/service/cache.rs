@@ -1,0 +1,217 @@
+//! The sharded plan cache: a keyed map `JobSpec → Arc<QrPlan>` split into
+//! independently locked shards, so repeat shapes never rebuild or
+//! revalidate and concurrent lookups of different keys never serialize on
+//! one `RwLock`.
+
+use super::spec::JobSpec;
+use super::{QrService, ServiceError};
+use crate::driver::{PlanError, QrPlan};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, RwLock};
+
+/// Shard count of the plan cache. A small power of two: plenty of
+/// independence for realistic spec diversity, negligible footprint.
+const PLAN_SHARDS: usize = 16;
+
+/// The cached plans, plus the memoized cost-model tuning results behind
+/// [`QrService::plan_auto`]: shape → winning spec, so repeat shapes skip
+/// re-enumeration (the installed-profile check stays per-call — it is
+/// cheap and the profile can change).
+pub(super) struct PlanCache {
+    shards: Vec<RwLock<HashMap<JobSpec, Arc<QrPlan>>>>,
+    auto_specs: RwLock<HashMap<(usize, usize), JobSpec>>,
+}
+
+/// FNV-1a over the spec's derived `Hash`. `HashMap`'s own `RandomState` is
+/// seeded per process, which would make shard assignment unstable across
+/// runs; FNV is fixed, so a spec lands on the same shard every time —
+/// which keeps shard-level behavior (contention, eviction) reproducible.
+fn shard_index(key: &JobSpec) -> usize {
+    struct Fnv(u64);
+    impl Hasher for Fnv {
+        fn finish(&self) -> u64 {
+            self.0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 ^= u64::from(b);
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    key.hash(&mut h);
+    (h.finish() as usize) % PLAN_SHARDS
+}
+
+impl PlanCache {
+    pub(super) fn new() -> PlanCache {
+        PlanCache {
+            shards: (0..PLAN_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            auto_specs: RwLock::new(HashMap::new()),
+        }
+    }
+
+    fn shard(&self, key: &JobSpec) -> &RwLock<HashMap<JobSpec, Arc<QrPlan>>> {
+        &self.shards[shard_index(key)]
+    }
+}
+
+impl QrService {
+    /// Number of distinct plans currently cached, across all shards.
+    pub fn plan_cache_len(&self) -> usize {
+        let shards = &self.shared.cache.shards;
+        shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
+            .sum()
+    }
+
+    /// Evicts the cached plan for `spec`, returning whether one was
+    /// cached. Touches only the spec's shard. Jobs already holding the
+    /// `Arc<QrPlan>` keep running — the plan is dropped when the last
+    /// holder finishes — so eviction bounds the cache without invalidating
+    /// in-flight work.
+    pub fn evict(&self, spec: &JobSpec) -> bool {
+        let key = spec.cache_key(self.shared.default_backend);
+        let mut shard = self.shared.cache.shard(&key).write().unwrap_or_else(|e| e.into_inner());
+        shard.remove(&key).is_some()
+    }
+
+    /// Resolves the plan for `(m, n)` by autotuning: the
+    /// [`Tuner`](crate::tuner::Tuner) picks the configuration
+    /// (cost-model-only, so this is cheap and deterministic), and the
+    /// winning spec becomes the cache key — repeat shapes reuse the tuned
+    /// plan without re-tuning validation.
+    pub fn plan_auto(&self, m: usize, n: usize) -> Result<Arc<QrPlan>, ServiceError> {
+        // Honor the process-wide installed profile exactly like
+        // `QrPlan::auto` does: the two auto front doors must agree.
+        if let Some(entry) = crate::tuner::installed_entry(m, n) {
+            return self.plan(&entry.spec()?);
+        }
+        // Cost-model tuning is deterministic per shape, so memoize the
+        // winning spec: repeat shapes skip re-enumeration entirely.
+        let auto_specs = &self.shared.cache.auto_specs;
+        if let Some(spec) = auto_specs.read().unwrap_or_else(|e| e.into_inner()).get(&(m, n)) {
+            return self.plan(spec);
+        }
+        let report = crate::tuner::Tuner::new(m, n)
+            .backends(&[self.shared.default_backend])
+            .report()
+            .map_err(PlanError::from)?;
+        let spec = report.best_spec();
+        auto_specs
+            .write()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert((m, n), spec);
+        self.plan(&spec)
+    }
+
+    /// Preloads every entry of a [`TuningProfile`](crate::tuner::TuningProfile)
+    /// into the plan cache, so the first request of each profiled shape
+    /// never pays planning. Returns how many plans were newly built;
+    /// entries already cached (or normalizing to an already-cached key)
+    /// are skipped for free. Any invalid entry aborts with its typed
+    /// error. Observe and bound the result via
+    /// [`QrService::plan_cache_len`] / [`QrService::evict`].
+    pub fn preload_profile(&self, profile: &crate::tuner::TuningProfile) -> Result<usize, ServiceError> {
+        let mut built = 0;
+        for entry in profile.entries() {
+            let (_, inserted) = self.plan_tracking_insert(&entry.spec()?)?;
+            built += usize::from(inserted);
+        }
+        Ok(built)
+    }
+
+    /// Resolves (building and caching on first use) the plan for `spec`.
+    ///
+    /// Equal specs return pointer-equal `Arc<QrPlan>`s for the lifetime of
+    /// the service; repeat shapes never pay validation again.
+    pub fn plan(&self, spec: &JobSpec) -> Result<Arc<QrPlan>, ServiceError> {
+        Ok(self.plan_tracking_insert(spec)?.0)
+    }
+
+    /// [`QrService::plan`] plus whether this call inserted a new cache
+    /// entry (exact even under concurrent cache churn). Only the key's own
+    /// shard is locked: a plan build for one spec never blocks lookups of
+    /// specs hashing elsewhere.
+    fn plan_tracking_insert(&self, spec: &JobSpec) -> Result<(Arc<QrPlan>, bool), ServiceError> {
+        let shared = &self.shared;
+        let key = spec.cache_key(shared.default_backend);
+        let shard = shared.cache.shard(&key);
+        if let Some(plan) = shard.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
+            return Ok((Arc::clone(plan), false));
+        }
+        let mut cache = shard.write().unwrap_or_else(|e| e.into_inner());
+        if let Some(plan) = cache.get(&key) {
+            return Ok((Arc::clone(plan), false)); // lost the build race: reuse the winner
+        }
+        let plan = Arc::new(key.build_plan_on(shared.machine, shared.default_backend, shared.runtime)?);
+        cache.insert(key, Arc::clone(&plan));
+        Ok((plan, true))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::service::tests::spec_64x16;
+    use crate::service::{JobSpec, QrService};
+    use dense::BackendKind;
+    use pargrid::GridShape;
+    use std::sync::Arc;
+
+    #[test]
+    fn cache_is_pointer_stable_per_key() {
+        let service = QrService::builder().workers(1).build();
+        let spec = spec_64x16();
+        let p1 = service.plan(&spec).unwrap();
+        let p2 = service.plan(&spec).unwrap();
+        assert!(Arc::ptr_eq(&p1, &p2));
+        assert_eq!(service.plan_cache_len(), 1);
+        // Explicitly pinning the service default backend is the same key.
+        let p3 = service.plan(&spec.backend(BackendKind::default_kind())).unwrap();
+        assert!(Arc::ptr_eq(&p1, &p3));
+        assert_eq!(service.plan_cache_len(), 1);
+        // A different base size is a different plan.
+        let p4 = service.plan(&spec.base_size(8)).unwrap();
+        assert!(!Arc::ptr_eq(&p1, &p4));
+        assert_eq!(service.plan_cache_len(), 2);
+    }
+
+    #[test]
+    fn sharded_cache_counts_and_evicts_across_shards() {
+        let service = QrService::builder().workers(1).build();
+        // Distinct shapes hash to assorted shards; len() must see all of
+        // them and evict() must find each in its own shard.
+        let specs: Vec<_> = (0..24)
+            .map(|i| JobSpec::new(64 * (i + 1), 16).grid(GridShape::new(2, 2).unwrap()))
+            .collect();
+        for s in &specs {
+            service.plan(s).unwrap();
+        }
+        assert_eq!(service.plan_cache_len(), 24);
+        for s in &specs {
+            assert!(service.evict(s));
+        }
+        assert_eq!(service.plan_cache_len(), 0);
+        assert!(!service.evict(&specs[0]), "evicting twice finds nothing");
+    }
+
+    #[test]
+    fn spec_level_retry_policy_is_part_of_the_cache_key() {
+        let service = QrService::builder().workers(1).build();
+        let base = spec_64x16();
+        let escalating = base.retry(crate::RetryPolicy::escalate());
+        let p1 = service.plan(&base).unwrap();
+        let p2 = service.plan(&escalating).unwrap();
+        assert!(!Arc::ptr_eq(&p1, &p2), "policies cache separate plans");
+        assert_eq!(service.plan_cache_len(), 2);
+        assert!(p2.retry_policy().is_enabled());
+        // Jobs through the escalating spec recover without any per-job
+        // options.
+        let hard = dense::random::matrix_with_condition(64, 16, 1e9, 41);
+        let report = service.submit(&escalating, hard).unwrap().wait().unwrap();
+        assert!(report.escalation.expect("recorded").escalated());
+    }
+}

@@ -36,10 +36,10 @@ pub enum ServiceError {
         /// Panic message, or `"<non-string panic payload>"`.
         message: String,
     },
-    /// One job of a [`factor_batch`](super::QrService::factor_batch) call
+    /// One panel of a [`factor_many`](super::QrService::factor_many) call
     /// failed; carries which input and why. Use
-    /// [`try_factor_batch`](super::QrService::try_factor_batch) to keep the
-    /// other jobs' reports instead.
+    /// [`try_factor_many`](super::QrService::try_factor_many) to keep the
+    /// other panels' reports instead.
     BatchJobFailed {
         /// Index of the failing matrix within the submitted batch.
         index: usize,
@@ -71,10 +71,15 @@ pub enum ServiceError {
         /// The deadline budget the submission carried.
         budget: std::time::Duration,
     },
-    /// The job was cancelled via [`JobHandle::cancel`](super::JobHandle::cancel)
-    /// (or [`StreamHandle::cancel`](super::StreamHandle::cancel)) before a
-    /// worker dequeued it. Like an expired deadline, the job never ran.
+    /// The job was cancelled via [`Handle::cancel`](super::Handle::cancel)
+    /// before a worker dequeued it. Like an expired deadline, the job never
+    /// ran.
     Cancelled,
+    /// The handle's outcome was already delivered by an earlier
+    /// [`wait_timeout`](super::Handle::wait_timeout): an outcome is
+    /// redeemed once, and asking again fails with this instead of waiting
+    /// for a completion that already happened.
+    AlreadyRedeemed,
     /// Admission control rejected the submission: the pool's observed p99
     /// queue wait already exceeds the job's deadline budget, so accepting
     /// it would almost certainly waste a queue slot on a job that expires
@@ -114,6 +119,7 @@ impl std::fmt::Display for ServiceError {
                 )
             }
             ServiceError::Cancelled => write!(f, "job was cancelled before execution"),
+            ServiceError::AlreadyRedeemed => write!(f, "the handle's outcome was already redeemed"),
             ServiceError::Overloaded { queue_p99, budget } => {
                 write!(
                     f,

@@ -1,0 +1,265 @@
+//! The two halves of one submitted unit: the [`Handle`] the caller redeems
+//! and the [`Ticket`] the queued work carries.
+//!
+//! Every submission — a factorization, a stream operation, a whole
+//! `factor_many` batch — is admitted by [`Ticket::admit`] and checked at
+//! dequeue by [`Ticket::dequeue_reject`], so admission control, lazy
+//! cancellation and deadline expiry each live in exactly one place. The
+//! completion [`Slot`] is likewise one generic: [`JobHandle`] and
+//! [`StreamHandle`] are aliases of the same [`Handle`].
+
+use super::stats::Recorder;
+use super::stream::StreamOutcome;
+use super::ServiceError;
+use crate::driver::QrReport;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// A slot's life: empty, holding the outcome, or already handed out.
+/// `Redeemed` is distinct from `Pending` so a second redemption fails typed
+/// instead of waiting for a completion that already happened.
+enum State<T> {
+    Pending,
+    Ready(Result<T, ServiceError>),
+    Redeemed,
+}
+
+/// Completion slot shared between a worker and a handle.
+pub(super) struct Slot<T> {
+    state: Mutex<State<T>>,
+    done: Condvar,
+}
+
+impl<T> Slot<T> {
+    /// Delivers the outcome and wakes every waiter.
+    pub(super) fn complete(&self, outcome: Result<T, ServiceError>) {
+        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = State::Ready(outcome);
+        self.done.notify_all();
+    }
+
+    /// Takes the outcome, waiting at most `budget` for it (`None`: as long
+    /// as it takes). Returns `None` only when the budget ran out with the
+    /// job still pending — the outcome stays in the slot for a later call.
+    fn redeem(&self, budget: Option<Duration>) -> Option<Result<T, ServiceError>> {
+        // A budget too large to represent as an instant is no budget.
+        let deadline = budget.and_then(|b| Instant::now().checked_add(b));
+        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            match std::mem::replace(&mut *g, State::Redeemed) {
+                State::Ready(outcome) => return Some(outcome),
+                State::Redeemed => return Some(Err(ServiceError::AlreadyRedeemed)),
+                State::Pending => *g = State::Pending,
+            }
+            g = match deadline {
+                None => self.done.wait(g).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let remaining = deadline.saturating_duration_since(Instant::now());
+                    if remaining.is_zero() {
+                        return None;
+                    }
+                    self.done
+                        .wait_timeout(g, remaining)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
+        }
+    }
+}
+
+/// Handle to one submitted unit of work; redeem it with [`Handle::wait`] or
+/// poll it with [`Handle::wait_timeout`]. Callers name it through its
+/// aliases: [`JobHandle`] for factorizations, [`StreamHandle`] for stream
+/// operations.
+#[must_use = "a submitted job's outcome is only observable through its handle"]
+pub struct Handle<T> {
+    slot: Arc<Slot<T>>,
+    cancel: Arc<AtomicBool>,
+}
+
+/// Handle to one submitted factorization, delivering its [`QrReport`].
+pub type JobHandle = Handle<QrReport>;
+
+/// Handle to one submitted stream operation, delivering its
+/// [`StreamOutcome`]. Typed stream failures (indefinite downdate, shape
+/// mismatch, history mismatch, …) surface from [`Handle::wait`] as
+/// [`ServiceError::Plan`]-wrapped [`PlanError`](crate::PlanError)s.
+pub type StreamHandle = Handle<StreamOutcome>;
+
+impl<T> std::fmt::Debug for Handle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Handle").field("finished", &self.is_finished()).finish()
+    }
+}
+
+impl<T> Handle<T> {
+    /// Blocks until the job completes, returning its outcome or error.
+    pub fn wait(self) -> Result<T, ServiceError> {
+        self.slot
+            .redeem(None)
+            .expect("an unbounded wait returns only with an outcome")
+    }
+
+    /// Blocks at most `budget`. `Some` delivers the job's outcome exactly
+    /// like [`wait`](Handle::wait); `None` means the job is still pending —
+    /// the handle stays redeemable, so the caller can poll again, block
+    /// with `wait`, or [`cancel`](Handle::cancel). Never blocks past the
+    /// budget, even against a wedged pool. The outcome is delivered once:
+    /// redeeming again after a `Some` yields
+    /// [`ServiceError::AlreadyRedeemed`] instead of waiting forever.
+    pub fn wait_timeout(&self, budget: Duration) -> Option<Result<T, ServiceError>> {
+        self.slot.redeem(Some(budget))
+    }
+
+    /// Requests cancellation. Lazy, like deadlines: if the job is still
+    /// queued when a worker pops it, the handle resolves to
+    /// [`ServiceError::Cancelled`] without executing; a job already
+    /// running (or already finished) is unaffected and delivers its real
+    /// outcome. A cancelled stream operation still consumes its turnstile
+    /// slot (so later operations on the stream are not wedged) but leaves
+    /// the stream's factor untouched, exactly as if it had never been
+    /// submitted. Idempotent, callable from any thread holding the handle.
+    pub fn cancel(&self) {
+        self.cancel.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the job has already completed (non-blocking). Stays `true`
+    /// after the outcome has been redeemed.
+    pub fn is_finished(&self) -> bool {
+        !matches!(
+            *self.slot.state.lock().unwrap_or_else(|e| e.into_inner()),
+            State::Pending
+        )
+    }
+}
+
+/// What every queued unit carries from admission to dequeue: when it was
+/// admitted, the deadline budget it must start within, and the
+/// cancellation flag it shares with its [`Handle`].
+pub(super) struct Ticket {
+    pub(super) enqueued: Instant,
+    deadline: Option<Duration>,
+    cancel: Arc<AtomicBool>,
+}
+
+impl Ticket {
+    /// Admission control, the single entry for every submission: a
+    /// deadline the pool's observed p99 queue wait already exceeds is shed
+    /// with [`ServiceError::Overloaded`] — it would almost certainly expire
+    /// at dequeue anyway, and shedding keeps the injector slot for work
+    /// that can still meet its deadline. Everything else is stamped and
+    /// admitted.
+    pub(super) fn admit(stats: &Recorder, deadline: Option<Duration>) -> Result<Ticket, ServiceError> {
+        if let Some(budget) = deadline {
+            let queue_p99 = stats.queue_wait.summary().p99;
+            if queue_p99 > budget {
+                stats.shed_one();
+                return Err(ServiceError::Overloaded { queue_p99, budget });
+            }
+        }
+        Ok(Ticket {
+            enqueued: Instant::now(),
+            deadline,
+            cancel: Arc::new(AtomicBool::new(false)),
+        })
+    }
+
+    /// The caller's half of this ticket, with the slot the worker will
+    /// complete.
+    pub(super) fn handle<T>(&self) -> (Arc<Slot<T>>, Handle<T>) {
+        let slot = Arc::new(Slot {
+            state: Mutex::new(State::Pending),
+            done: Condvar::new(),
+        });
+        let handle = Handle {
+            slot: Arc::clone(&slot),
+            cancel: Arc::clone(&self.cancel),
+        };
+        (slot, handle)
+    }
+
+    /// The single dequeue-time check, run by the worker that picked the
+    /// unit up at `picked`: records the queue wait, then returns the typed
+    /// error to deliver instead of executing — cancellation first, then an
+    /// expired deadline — or `None` when the unit should run.
+    pub(super) fn dequeue_reject(&self, stats: &Recorder, picked: Instant) -> Option<ServiceError> {
+        let waited = picked.duration_since(self.enqueued);
+        stats.queue_wait.record(waited);
+        if self.cancel.load(Ordering::Relaxed) {
+            stats.cancelled_one();
+            return Some(ServiceError::Cancelled);
+        }
+        match self.deadline {
+            Some(budget) if waited >= budget => {
+                stats.expired_one();
+                Some(ServiceError::DeadlineExceeded { waited, budget })
+            }
+            _ => None,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pending() -> (Arc<Slot<u32>>, Handle<u32>) {
+        Ticket::admit(&Recorder::new(), None).unwrap().handle()
+    }
+
+    #[test]
+    fn wait_timeout_honors_its_budget_and_keeps_the_handle_redeemable() {
+        // A handle whose job never completes must come back `None` within
+        // its budget, and still redeem later.
+        let (slot, handle) = pending();
+        let budget = Duration::from_millis(20);
+        let t0 = Instant::now();
+        assert!(handle.wait_timeout(budget).is_none());
+        let waited = t0.elapsed();
+        assert!(waited >= budget, "returned early: {waited:?}");
+        assert!(waited < budget + Duration::from_secs(2), "overslept: {waited:?}");
+        // Zero budget never blocks at all.
+        assert!(handle.wait_timeout(Duration::ZERO).is_none());
+        assert!(!handle.is_finished());
+        // Once completed, the same handle delivers the outcome.
+        slot.complete(Err(ServiceError::Cancelled));
+        assert!(handle.is_finished());
+        assert_eq!(handle.wait_timeout(Duration::ZERO), Some(Err(ServiceError::Cancelled)));
+    }
+
+    #[test]
+    fn a_redeemed_slot_stays_finished_and_refuses_a_second_redemption() {
+        let (slot, handle) = pending();
+        slot.complete(Ok(7));
+        assert_eq!(
+            handle.wait_timeout(Duration::MAX),
+            Some(Ok(7)),
+            "an unrepresentable budget is no budget"
+        );
+        assert!(handle.is_finished());
+        assert_eq!(
+            handle.wait_timeout(Duration::ZERO),
+            Some(Err(ServiceError::AlreadyRedeemed))
+        );
+        assert_eq!(handle.wait(), Err(ServiceError::AlreadyRedeemed));
+    }
+
+    #[test]
+    fn dequeue_reject_prefers_cancellation_and_counts_each_rejection_once() {
+        let stats = Recorder::new();
+        let ticket = Ticket::admit(&stats, Some(Duration::from_secs(1))).unwrap();
+        let (_slot, handle) = ticket.handle::<u32>();
+        assert!(ticket.dequeue_reject(&stats, ticket.enqueued).is_none());
+        let late = ticket.enqueued + Duration::from_secs(2);
+        assert!(matches!(
+            ticket.dequeue_reject(&stats, late),
+            Some(ServiceError::DeadlineExceeded { waited, budget })
+                if waited == Duration::from_secs(2) && budget == Duration::from_secs(1)
+        ));
+        handle.cancel();
+        assert_eq!(ticket.dequeue_reject(&stats, late), Some(ServiceError::Cancelled));
+        let snap = stats.snapshot();
+        assert_eq!((snap.expired, snap.cancelled, snap.queue_wait.count), (1, 1, 3));
+    }
+}

@@ -1,0 +1,242 @@
+//! What a submission says: the plan-cache key ([`JobSpec`]), the operand
+//! ([`JobInput`]) and the per-submission quality-of-service knobs
+//! ([`SubmitOptions`]).
+
+use crate::driver::{Algorithm, PlanError, QrPlan, RetryPolicy};
+use baseline::BlockCyclic;
+use dense::{BackendKind, Matrix};
+use pargrid::GridShape;
+use simgrid::{Machine, RuntimeKind};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// A hashable description of *what* to factor: the plan-cache key.
+///
+/// Mirrors the [`QrPlanBuilder`](crate::driver::QrPlanBuilder) knobs that
+/// affect the schedule — shape, [`Algorithm`], grid or block-cyclic layout,
+/// kernel backend, CFR3D base size and inverse depth — but not the machine
+/// model, which is a property of the whole service. Two jobs with equal
+/// specs share one cached [`QrPlan`]; the same derived `Hash` that keys the
+/// cache map also picks the cache *shard* (via a fixed FNV-1a, so shard
+/// assignment is stable across runs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[must_use = "a JobSpec does nothing until submitted to a QrService"]
+pub struct JobSpec {
+    m: usize,
+    n: usize,
+    algorithm: Algorithm,
+    grid: Option<GridShape>,
+    block_cyclic: Option<BlockCyclic>,
+    backend: Option<BackendKind>,
+    base_size: Option<usize>,
+    inverse_depth: usize,
+    retry: RetryPolicy,
+}
+
+impl JobSpec {
+    /// Starts a spec for factoring `m × n` matrices with the defaults of
+    /// [`QrPlan::new`]: algorithm [`Algorithm::CaCqr2`], the service's
+    /// backend, the paper's base size, `inverse_depth = 0`.
+    pub fn new(m: usize, n: usize) -> JobSpec {
+        JobSpec {
+            m,
+            n,
+            algorithm: Algorithm::CaCqr2,
+            grid: None,
+            block_cyclic: None,
+            backend: None,
+            base_size: None,
+            inverse_depth: 0,
+            retry: RetryPolicy::none(),
+        }
+    }
+
+    /// Chooses the QR variant.
+    pub fn algorithm(mut self, algorithm: Algorithm) -> JobSpec {
+        self.algorithm = algorithm;
+        self
+    }
+
+    /// Sets the `c × d × c` processor grid (CA family and 1D-CQR2).
+    pub fn grid(mut self, grid: GridShape) -> JobSpec {
+        self.grid = Some(grid);
+        self
+    }
+
+    /// Sets the 2D block-cyclic layout ([`Algorithm::Pgeqrf`]).
+    pub fn block_cyclic(mut self, block_cyclic: BlockCyclic) -> JobSpec {
+        self.block_cyclic = Some(block_cyclic);
+        self
+    }
+
+    /// Pins the kernel backend (default: the service's backend).
+    pub fn backend(mut self, backend: BackendKind) -> JobSpec {
+        self.backend = Some(backend);
+        self
+    }
+
+    /// Overrides the CFR3D base-case size `n₀` (CA family).
+    pub fn base_size(mut self, base_size: usize) -> JobSpec {
+        self.base_size = Some(base_size);
+        self
+    }
+
+    /// Sets the paper's `InverseDepth` knob (CA family).
+    pub fn inverse_depth(mut self, inverse_depth: usize) -> JobSpec {
+        self.inverse_depth = inverse_depth;
+        self
+    }
+
+    /// Sets the default [`RetryPolicy`] of this spec's plan: every job
+    /// factored through it escalates on Cholesky breakdown or a failed
+    /// condition gate (see [`QrPlan::factor_with_policy`]). Part of the
+    /// cache key — specs differing only in policy cache separate plans.
+    /// Per-job overrides via [`SubmitOptions::retry`] don't need this.
+    pub fn retry(mut self, retry: RetryPolicy) -> JobSpec {
+        self.retry = retry;
+        self
+    }
+
+    /// Row count of matrices this spec factors.
+    pub fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Column count of matrices this spec factors.
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Builds the validated plan this spec describes, under the given
+    /// simulated machine model; an unset backend resolves to
+    /// `default_backend`. Services do this internally (and cache the
+    /// result); tuner callers use it to build plans straight from
+    /// [`TunerCandidate`](crate::tuner::TunerCandidate) specs.
+    pub fn build_plan(&self, machine: Machine, default_backend: BackendKind) -> Result<QrPlan, PlanError> {
+        self.build_plan_on(machine, default_backend, RuntimeKind::from_env())
+    }
+
+    /// [`JobSpec::build_plan`] with an explicit execution backend instead of
+    /// the process-wide default — how a service (or tuner) pins all its
+    /// plans to one runtime.
+    pub fn build_plan_on(
+        &self,
+        machine: Machine,
+        default_backend: BackendKind,
+        runtime: RuntimeKind,
+    ) -> Result<QrPlan, PlanError> {
+        let mut b = QrPlan::new(self.m, self.n)
+            .algorithm(self.algorithm)
+            .machine(machine)
+            .runtime(runtime)
+            .backend(self.backend.unwrap_or(default_backend))
+            .inverse_depth(self.inverse_depth)
+            .retry(self.retry);
+        if let Some(grid) = self.grid {
+            b = b.grid(grid);
+        }
+        if let Some(bc) = self.block_cyclic {
+            b = b.block_cyclic(bc);
+        }
+        if let Some(base) = self.base_size {
+            b = b.base_size(base);
+        }
+        b.build()
+    }
+
+    /// Normalizes the spec into its cache key: the one knob the service
+    /// defaults (the backend) is resolved, so "default" and "explicitly the
+    /// default" share one cache entry (and one shard).
+    pub(super) fn cache_key(mut self, default_backend: BackendKind) -> JobSpec {
+        self.backend = Some(self.backend.unwrap_or(default_backend));
+        self
+    }
+}
+
+/// A job's operand: owned outright, or shared behind an `Arc` so submission
+/// copies a pointer instead of the matrix.
+///
+/// Built implicitly — [`QrService::submit`](super::QrService::submit) takes
+/// `impl Into<JobInput>`, so `submit(&spec, matrix)` moves the operand in
+/// while `submit(&spec, arc)` (or the
+/// [`submit_ref`](super::QrService::submit_ref) convenience) shares it
+/// zero-copy.
+pub enum JobInput {
+    /// The job owns its operand (moved in; freed when the job completes).
+    Owned(Matrix),
+    /// The operand is shared; the caller keeps its `Arc` and the service
+    /// clones only the pointer.
+    Shared(Arc<Matrix>),
+}
+
+impl JobInput {
+    /// The operand, however it is held.
+    pub fn matrix(&self) -> &Matrix {
+        match self {
+            JobInput::Owned(m) => m,
+            JobInput::Shared(m) => m,
+        }
+    }
+}
+
+impl From<Matrix> for JobInput {
+    fn from(m: Matrix) -> JobInput {
+        JobInput::Owned(m)
+    }
+}
+
+impl From<Arc<Matrix>> for JobInput {
+    fn from(m: Arc<Matrix>) -> JobInput {
+        JobInput::Shared(m)
+    }
+}
+
+impl From<&Arc<Matrix>> for JobInput {
+    fn from(m: &Arc<Matrix>) -> JobInput {
+        JobInput::Shared(Arc::clone(m))
+    }
+}
+
+/// Per-submission quality-of-service knobs, taken by
+/// [`QrService::submit_with`](super::QrService::submit_with) and
+/// [`QrService::stream_submit`](super::QrService::stream_submit).
+///
+/// The default (`SubmitOptions::new()`) is exactly the plain `submit`
+/// behavior: no deadline, no cancellation pressure, the plan's own retry
+/// policy.
+#[derive(Clone, Copy, Debug, Default)]
+#[must_use = "options do nothing until passed to a submission"]
+pub struct SubmitOptions {
+    pub(super) deadline: Option<Duration>,
+    pub(super) retry: Option<RetryPolicy>,
+}
+
+impl SubmitOptions {
+    /// No deadline, no retry override.
+    pub fn new() -> SubmitOptions {
+        SubmitOptions::default()
+    }
+
+    /// Gives the job `budget` from submission to *start of execution*.
+    /// Deadlines are enforced lazily at dequeue: a worker that pops an
+    /// expired job fulfills its handle with
+    /// [`DeadlineExceeded`](super::ServiceError::DeadlineExceeded) without
+    /// executing it. A job already running when its budget lapses runs to
+    /// completion — kernels are never interrupted mid-factorization.
+    /// Submissions with a deadline also pass admission control: when the
+    /// pool's observed p99 queue wait already exceeds `budget`, the
+    /// submission is shed with
+    /// [`Overloaded`](super::ServiceError::Overloaded) instead of queued.
+    pub fn deadline(mut self, budget: Duration) -> SubmitOptions {
+        self.deadline = Some(budget);
+        self
+    }
+
+    /// Overrides the plan's [`RetryPolicy`] for this job only — e.g.
+    /// enabling escalation for one suspect input without re-keying the
+    /// plan cache.
+    pub fn retry(mut self, retry: RetryPolicy) -> SubmitOptions {
+        self.retry = Some(retry);
+        self
+    }
+}

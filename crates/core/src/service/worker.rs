@@ -1,0 +1,235 @@
+//! The worker side of the pool: the loop that drains the queue, `factor_many`
+//! chunk shattering, and the one execute-and-settle epilogue every executed
+//! unit — factorization, batch panel, stream operation — passes through.
+
+use super::handle::{Slot, Ticket};
+use super::spec::JobInput;
+use super::stream::{run_stream_job, StreamJob};
+use super::{ServiceError, Shared};
+use crate::driver::{PlanError, QrPlan, QrReport, RetryPolicy};
+use dense::Matrix;
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// One unit of queued work. Factorizations and stream operations enter
+/// through the bounded injector (sharing backpressure), as does the root
+/// chunk of a [`factor_many`](super::QrService::factor_many) batch; the
+/// chunks it splits into travel through the stealable per-worker deques.
+pub(super) enum Work {
+    Factor(FactorJob),
+    Stream(StreamJob),
+    /// The index range `[lo, hi)` of an admitted batch.
+    Many {
+        batch: Arc<ManyBatch>,
+        lo: usize,
+        hi: usize,
+    },
+}
+
+/// One queued factorization: its ticket, the resolved plan, the operand,
+/// the per-job retry override, and the slot the worker completes.
+pub(super) struct FactorJob {
+    pub(super) ticket: Ticket,
+    pub(super) plan: Arc<QrPlan>,
+    pub(super) input: JobInput,
+    pub(super) retry: Option<RetryPolicy>,
+    pub(super) slot: Arc<Slot<QrReport>>,
+}
+
+/// An admitted `factor_many` batch: one dispatch covering many panels.
+/// Workers split index ranges onto their local deques; each completed
+/// panel decrements `remaining`, and the worker that retires the last
+/// panel completes the slot with all results in submission order.
+pub(super) struct ManyBatch {
+    pub(super) ticket: Ticket,
+    pub(super) plan: Arc<QrPlan>,
+    pub(super) inputs: Vec<Matrix>,
+    /// Largest range a worker factors without splitting further. Sized at
+    /// submission so the batch shatters into a few chunks per worker —
+    /// enough to steal, not so many that deque traffic dominates.
+    pub(super) leaf: usize,
+    pub(super) results: Mutex<Vec<Option<Result<QrReport, ServiceError>>>>,
+    pub(super) remaining: AtomicUsize,
+    pub(super) slot: Arc<Slot<Vec<Result<QrReport, ServiceError>>>>,
+}
+
+/// Worker body: drain work until the queue closes, surviving job panics.
+///
+/// The consumer guard deregisters this worker on *any* exit — normal
+/// shutdown or a panic that escapes a job guard — so producers blocked on
+/// a full injector fail with [`ServiceError::ShuttingDown`] instead of
+/// waiting on a pool that will never drain. While parked, the worker
+/// marks itself idle ([`dense::pool_worker_idle`]) so its kernel-thread
+/// share flows to the workers still running jobs.
+pub(super) fn worker_loop(shared: &Shared, worker: usize) {
+    let _consumer = shared.queue.consumer();
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (worker as u64 + 1);
+    while let Some(work) = shared.queue.pop(worker, &mut rng, dense::pool_worker_idle) {
+        dense::fault::maybe_delay(dense::fault::DEQUEUE);
+        match work {
+            Work::Factor(job) => {
+                let outcome = factor_panel(
+                    shared,
+                    &job.ticket,
+                    Instant::now(),
+                    &job.plan,
+                    job.input.matrix(),
+                    job.retry,
+                );
+                job.slot.complete(outcome);
+            }
+            Work::Stream(job) => run_stream_job(shared, job),
+            Work::Many { batch, lo, hi } => run_many_chunk(shared, worker, batch, lo, hi),
+        }
+    }
+}
+
+/// The one execute-and-settle epilogue. Runs `exec` behind the worker
+/// fault site and the panic-isolation boundary, converts its failure modes
+/// into typed [`ServiceError`]s, and records the execution and end-to-end
+/// latencies and the completion — identically for every kind of unit, so a
+/// `CACQR_FAULTS` `worker=` schedule reaches all served traffic and every
+/// executed unit is counted once.
+pub(super) fn execute<T>(
+    shared: &Shared,
+    ticket: &Ticket,
+    exec: impl FnOnce() -> Result<T, PlanError>,
+) -> Result<T, ServiceError> {
+    let t0 = Instant::now();
+    let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| {
+        dense::faultpoint!(dense::fault::WORKER, {
+            panic!("injected worker fault (CACQR_FAULTS site `worker`)");
+        });
+        exec()
+    })) {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err(ServiceError::Plan(e)),
+        Err(payload) => Err(ServiceError::WorkerPanicked {
+            message: panic_message(payload.as_ref()),
+        }),
+    };
+    shared.stats.execution.record(t0.elapsed());
+    shared.stats.end_to_end.record(ticket.enqueued.elapsed());
+    shared.stats.complete(1);
+    outcome
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    }
+}
+
+/// Factors one panel picked up at `picked`, unless its ticket was cancelled
+/// or expired in the queue (then the kernels never run). A completed
+/// report's escalation record feeds the service counters: each rung beyond
+/// the first is a retry; an accepted non-primary rung is an escalation.
+fn factor_panel(
+    shared: &Shared,
+    ticket: &Ticket,
+    picked: Instant,
+    plan: &QrPlan,
+    a: &Matrix,
+    retry: Option<RetryPolicy>,
+) -> Result<QrReport, ServiceError> {
+    if let Some(err) = ticket.dequeue_reject(&shared.stats, picked) {
+        return Err(err);
+    }
+    let policy = retry.unwrap_or_else(|| plan.retry_policy());
+    let report = execute(shared, ticket, || plan.factor_with_policy(a, policy))?;
+    if let Some(esc) = &report.escalation {
+        shared.stats.retried(esc.attempts.len().saturating_sub(1) as u64);
+        if esc.escalated() {
+            shared.stats.escalated();
+        }
+    }
+    Ok(report)
+}
+
+/// Processes one `factor_many` range: shatter it to leaf granularity
+/// (pushing the far halves onto this worker's deque, where siblings steal
+/// them), factor the local leaf, and deliver the batch when its last
+/// panel retires.
+fn run_many_chunk(shared: &Shared, worker: usize, batch: Arc<ManyBatch>, lo: usize, mut hi: usize) {
+    while hi - lo > batch.leaf {
+        let mid = lo + (hi - lo) / 2;
+        let batch = Arc::clone(&batch);
+        shared.queue.push_local(worker, Work::Many { batch, lo: mid, hi });
+        hi = mid;
+    }
+    let picked = Instant::now();
+    for i in lo..hi {
+        let outcome = factor_panel(shared, &batch.ticket, picked, &batch.plan, &batch.inputs[i], None);
+        batch.results.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(outcome);
+    }
+    let done = hi - lo;
+    if batch.remaining.fetch_sub(done, Ordering::SeqCst) == done {
+        // This leaf retired the batch's last panel: deliver everything in
+        // submission order.
+        let results = std::mem::take(&mut *batch.results.lock().unwrap_or_else(|e| e.into_inner()));
+        batch.slot.complete(Ok(results
+            .into_iter()
+            .map(|r| r.expect("every panel index was factored exactly once"))
+            .collect()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::driver::{Algorithm, PlanError};
+    use crate::service::tests::spec_64x16;
+    use crate::service::{QrService, ServiceError, SubmitOptions};
+    use dense::random::well_conditioned;
+    use std::time::Duration;
+
+    #[test]
+    fn expired_factor_job_never_executes() {
+        let service = QrService::builder().workers(1).build();
+        let spec = spec_64x16();
+        let handle = service
+            .submit_with(
+                &spec,
+                well_conditioned(64, 16, 9),
+                SubmitOptions::new().deadline(Duration::ZERO),
+            )
+            .unwrap();
+        assert!(matches!(handle.wait(), Err(ServiceError::DeadlineExceeded { .. })));
+        let stats = service.stats();
+        assert_eq!(stats.expired, 1);
+        assert_eq!(stats.execution.count, 0, "an expired job must never reach the kernels");
+    }
+
+    #[test]
+    fn per_job_retry_override_escalates_without_rekeying_the_cache() {
+        let service = QrService::builder().workers(2).build();
+        let spec = spec_64x16();
+        let hard = dense::random::matrix_with_condition(64, 16, 1e9, 41);
+        // Under the spec's default policy the squared conditioning kills
+        // CQR2.
+        let err = service.submit(&spec, hard.clone()).unwrap().wait().unwrap_err();
+        assert!(matches!(err, ServiceError::Plan(PlanError::NotPositiveDefinite(_))));
+        // The same spec (same cached plan) with a per-job override walks
+        // the ladder instead.
+        let report = service
+            .submit_with(&spec, hard, SubmitOptions::new().retry(crate::RetryPolicy::escalate()))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let esc = report
+            .escalation
+            .as_ref()
+            .expect("policy-enabled run records its ladder");
+        assert!(esc.escalated(), "kappa 1e9 must escalate past CQR2");
+        assert_ne!(report.algorithm, Algorithm::CaCqr2);
+        assert_eq!(service.plan_cache_len(), 1, "the override must not re-key the cache");
+        let stats = service.stats();
+        assert!(stats.retries >= 1);
+        assert_eq!(stats.escalations, 1);
+    }
+}

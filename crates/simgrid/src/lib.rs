@@ -58,4 +58,4 @@ pub use comm::Comm;
 pub use cost::CostLedger;
 pub use machine::Machine;
 pub use probe::{probe_shm_alpha_beta, probe_shm_alpha_beta_with, ShmProbe};
-pub use runtime::{run_spmd, run_spmd_pooled, set_inline_single_rank, Rank, RuntimeKind, SimConfig, SimReport};
+pub use runtime::{run_spmd, run_spmd_pooled, Rank, RuntimeKind, SimConfig, SimReport};

@@ -5,7 +5,6 @@ use crate::machine::Machine;
 use crate::mailbox::{Envelope, Mailbox};
 use crate::shm::ShmShared;
 use dense::{Workspace, WorkspacePool};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Which execution backend [`run_spmd`] uses.
@@ -451,23 +450,6 @@ where
     run_spmd_inner(p, cfg, Some(pool), f)
 }
 
-/// Whether single-rank `Simulated` runs take the inline fast path
-/// (default) or the general spawn-a-scope path. See
-/// [`set_inline_single_rank`].
-static INLINE_SINGLE_RANK: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the single-rank inline fast path, returning the
-/// previous setting. Results are bitwise identical either way — the knob
-/// only selects dispatch machinery. It exists for measurement: disabling
-/// it restores the legacy spawn-per-run dispatch so benchmarks (e.g.
-/// `service_slo`) can quantify what the fast path and batched serving
-/// save against a faithful baseline, instead of guessing. Process-global
-/// and racy-by-design (`Relaxed`); don't toggle it while runs are in
-/// flight expecting a clean cut.
-pub fn set_inline_single_rank(enabled: bool) -> bool {
-    INLINE_SINGLE_RANK.swap(enabled, Ordering::Relaxed)
-}
-
 fn run_spmd_inner<T, F>(p: usize, cfg: SimConfig, pool: Option<&WorkspacePool>, f: F) -> SimReport<T>
 where
     T: Send,
@@ -482,7 +464,7 @@ where
     // path: same Rank construction, same closure, same ledger. The shm
     // runtime keeps the spawned path even at p = 1 because it pins ranks to
     // cores, and pinning the *caller's* thread would outlive the run.
-    if p == 1 && matches!(cfg.runtime, RuntimeKind::Simulated) && INLINE_SINGLE_RANK.load(Ordering::Relaxed) {
+    if p == 1 && matches!(cfg.runtime, RuntimeKind::Simulated) {
         let start = std::time::Instant::now();
         let comm_ws = match pool {
             Some(pool) => pool.take_at(1),

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|s| ca_cqr2::dense::random::well_conditioned(m, n, s))
         .collect();
     let spec = reloaded.lookup(m, n).expect("we just tuned this shape").spec()?;
-    let reports = service.factor_batch(&spec, &batch)?;
+    let reports = service.factor_many(&spec, batch)?;
     println!(
         "service: factored a batch of {} through the preloaded plan",
         reports.len()

@@ -37,13 +37,14 @@ fn main() -> Result<(), ServiceError> {
 
     // ---- Batch path: many same-shape matrices, one spec. ------------------
     //
-    // The first job builds and caches the plan; the other 31 reuse it.
+    // One plan, built and cached once, factors all 32; the batch is one
+    // dispatched job whose panel ranges the workers steal between them.
     let spec = JobSpec::new(512, 32)
         .algorithm(Algorithm::CaCqr2)
         .grid(GridShape::new(2, 8)?);
     let batch: Vec<_> = (0..32).map(|seed| well_conditioned(512, 32, seed)).collect();
     let t0 = Instant::now();
-    let reports = service.factor_batch(&spec, &batch)?;
+    let reports = service.factor_many(&spec, batch)?;
     let dt = t0.elapsed().as_secs_f64();
     let worst = reports.iter().map(|r| r.orthogonality_error).fold(0.0, f64::max);
     println!(
@@ -95,7 +96,7 @@ fn main() -> Result<(), ServiceError> {
     }
     println!(
         "plans cached: {} (one per distinct spec, across 16 shards; repeat shapes never rebuilt)",
-        service.cached_plans()
+        service.plan_cache_len()
     );
 
     // ---- Zero-copy fan-out: one operand, many jobs, no clones. ------------

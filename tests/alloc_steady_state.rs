@@ -18,13 +18,17 @@
 //!    must be exactly zero.
 //!
 //! This file is its own test binary because a `#[global_allocator]` is
-//! per-binary state.
+//! per-binary state — and because that state is process-wide, every test
+//! here holds [`serial`] for its whole body: a sibling test (or the rank
+//! threads it spawns) allocating inside another test's measured window
+//! would be charged to that window.
 
 use cacqr::{Algorithm, QrPlan};
 use dense::random::{gaussian_matrix, well_conditioned};
 use pargrid::GridShape;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// A counting wrapper over the system allocator.
 struct CountingAllocator;
@@ -64,6 +68,13 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Serializes the tests of this binary on the process-wide counters. One
+/// failed test must not fail the rest, so a poisoned lock is still a lock.
+fn serial() -> MutexGuard<'static, ()> {
+    static COUNTERS: Mutex<()> = Mutex::new(());
+    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Factor repeatedly, returning per-call global allocation counts after the
@@ -119,6 +130,7 @@ fn check_plan(name: &str, plan: QrPlan, a: &dense::Matrix) {
 /// zero-copy contract, measured with the counting global allocator.
 #[test]
 fn shm_collectives_hot_path_is_allocation_free() {
+    let _serial = serial();
     use simgrid::{run_spmd_pooled, Rank, RuntimeKind, SimConfig};
 
     fn rounds(rank: &mut Rank, world: &simgrid::Comm, n: usize) {
@@ -166,6 +178,7 @@ fn shm_collectives_hot_path_is_allocation_free() {
 /// arena contract as the simulated backend.
 #[test]
 fn shm_factor_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let a = well_conditioned(256, 32, 19);
     let plan = QrPlan::new(256, 32)
         .algorithm(Algorithm::CaCqr2)
@@ -197,6 +210,7 @@ fn shm_factor_is_allocation_free_at_steady_state() {
 
 #[test]
 fn cqr2_1d_factor_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let a = well_conditioned(256, 32, 11);
     let plan = QrPlan::new(256, 32)
         .algorithm(Algorithm::Cqr2_1d)
@@ -208,6 +222,7 @@ fn cqr2_1d_factor_is_allocation_free_at_steady_state() {
 
 #[test]
 fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let a = well_conditioned(256, 32, 13);
     let plan = QrPlan::new(256, 32)
         .algorithm(Algorithm::CaCqr2)
@@ -226,6 +241,7 @@ fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
 /// `potrf_ws`) are covered.
 #[test]
 fn warm_stream_appends_are_allocation_free() {
+    let _serial = serial();
     for &(n, name) in &[(32usize, "unblocked"), (96, "blocked")] {
         let (m0, k) = (256usize, 8usize);
         let a0 = well_conditioned(m0, n, 29);
@@ -273,6 +289,7 @@ fn warm_stream_appends_are_allocation_free() {
 /// residual row, both drawn from the plan's pooled arenas.
 #[test]
 fn warm_stream_solves_are_allocation_free() {
+    let _serial = serial();
     let (m0, n, k, nrhs) = (256usize, 32usize, 8usize, 2usize);
     let a0 = well_conditioned(m0, n, 43);
     let b0 = gaussian_matrix(m0, nrhs, 44);
@@ -327,6 +344,7 @@ fn warm_stream_solves_are_allocation_free() {
 /// test allocates buffers in this size class.
 #[test]
 fn submit_ref_performs_no_operand_clone() {
+    let _serial = serial();
     use cacqr::service::{JobSpec, QrService};
 
     let (m, n) = (136usize, 8usize);
@@ -375,6 +393,7 @@ fn submit_ref_performs_no_operand_clone() {
 /// plan's whole scratch footprint, visible and bounded.
 #[test]
 fn workspace_footprint_is_observable_and_bounded() {
+    let _serial = serial();
     let (m, n) = (256usize, 32usize);
     let a = well_conditioned(m, n, 17);
     let plan = QrPlan::new(m, n).grid(GridShape::new(2, 4).unwrap()).build().unwrap();

@@ -205,6 +205,20 @@ fn injected_worker_panics_stay_isolated_and_the_pool_survives() {
         }
         assert!(fault::injected(fault::WORKER) >= 1);
 
+        // Batched panels pass the same fault site, one injection per panel:
+        // every index comes back `WorkerPanicked`, none is skipped.
+        let before = fault::injected(fault::WORKER);
+        let panels: Vec<_> = (0..6).map(|s| well_conditioned(64, 16, 10 + s)).collect();
+        let outcomes = service.try_factor_many(&spec, panels).expect("admitted");
+        assert_eq!(outcomes.len(), 6);
+        for (index, outcome) in outcomes.iter().enumerate() {
+            assert!(
+                matches!(outcome, Err(ServiceError::WorkerPanicked { .. })),
+                "panel {index} must hit the worker fault, got {outcome:?}"
+            );
+        }
+        assert!(fault::injected(fault::WORKER) - before >= 6);
+
         // Lift the schedule: the panicked-through workers are still alive.
         fault::install(None);
         let report = service
@@ -213,6 +227,10 @@ fn injected_worker_panics_stay_isolated_and_the_pool_survives() {
             .wait()
             .expect("the pool must survive isolated panics");
         assert!(report.orthogonality_error < 1e-12);
+        let served = service
+            .factor_many(&spec, vec![well_conditioned(64, 16, 3), well_conditioned(64, 16, 4)])
+            .expect("batches are served normally once the plan is lifted");
+        assert_eq!(served.len(), 2);
     });
 }
 

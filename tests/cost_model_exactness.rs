@@ -135,7 +135,7 @@ fn cached_plan_reuse_preserves_cost_ledgers_exactly() {
     let service = QrService::builder().workers(2).machine(machine).build();
     let spec = JobSpec::new(m, n).grid(shape);
     let cold = service.plan(&spec).unwrap(); // first build populates the cache
-    let batch = service.factor_batch(&spec, &[a.clone(), a.clone()]).unwrap();
+    let batch = service.factor_many(&spec, vec![a.clone(), a.clone()]).unwrap();
     let warm = service.plan(&spec).unwrap();
     assert!(Arc::ptr_eq(&cold, &warm), "reuse must hit the cache, not rebuild");
 
@@ -156,7 +156,7 @@ fn cached_plan_reuse_preserves_cost_ledgers_exactly() {
     // the β-clock critical path match costmodel::ca_cqr2 under β-only
     // accounting, so the cache cannot mask a model drift either.
     let beta_service = QrService::builder().workers(1).machine(Machine::beta_only()).build();
-    let beta_reports = beta_service.factor_batch(&spec, &[a]).unwrap();
+    let beta_reports = beta_service.factor_many(&spec, vec![a]).unwrap();
     let beta_report = &beta_reports[0];
     let params = CfrParams::default_for(n, shape.c);
     let model = costmodel::ca_cqr2(m, n, shape.c, shape.d, params.base_size, params.inverse_depth);

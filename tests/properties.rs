@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core invariants: collective
 //! semantics, distribution round-trips, QR invariants over random shapes and
 //! grids, the partial-inverse solver, and the batch-service equivalence
-//! (`factor_batch` is bit-identical to a sequential `plan.factor` loop).
+//! (`factor_many` is bit-identical to a sequential `plan.factor` loop).
 
 use cacqr::service::{JobSpec, QrService};
 use cacqr::{Algorithm, CfrParams, QrPlan};
@@ -163,7 +163,7 @@ proptest! {
     }
 
     #[test]
-    fn factor_batch_is_bit_identical_to_sequential_loop(
+    fn factor_many_is_bit_identical_to_sequential_loop(
         batch_size in 1usize..9,
         n in pow2_in(2, 4),
         d_exp in 0u32..3,
@@ -179,7 +179,7 @@ proptest! {
             .map(|i| well_conditioned(m, n, seed * 31 + i as u64))
             .collect();
         let service = QrService::builder().workers(workers).queue_capacity(4).build();
-        let reports = service.factor_batch(&spec, &batch).unwrap();
+        let reports = service.factor_many(&spec, batch.clone()).unwrap();
         let plan = service.plan(&spec).unwrap();
         prop_assert_eq!(reports.len(), batch.len());
         for (a, report) in batch.iter().zip(&reports) {
@@ -223,7 +223,7 @@ proptest! {
             prop_assert_eq!(&report.q, &expect.q);
             prop_assert_eq!(&report.r, &expect.r);
         }
-        prop_assert_eq!(service.cached_plans(), specs.len().min(jobs));
+        prop_assert_eq!(service.plan_cache_len(), specs.len().min(jobs));
     }
 
     #[test]

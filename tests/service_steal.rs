@@ -1,12 +1,14 @@
 //! Edge-case coverage for the work-stealing `QrService` scheduler: queue
 //! admission (full injector, empty batches), shutdown semantics
-//! (`close`, handles outliving accepted work), zero-copy submission, and
+//! (`close`, handles outliving accepted work), once-only redemption of a
+//! handle's outcome, zero-copy submission, and
 //! `factor_many`'s equivalence to the per-job path at every pool width.
 
-use cacqr::service::{JobSpec, QrService, ServiceError};
-use dense::random::well_conditioned;
+use cacqr::service::{Handle, JobSpec, QrService, ServiceError};
+use dense::random::{gaussian_matrix, well_conditioned};
 use pargrid::GridShape;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn spec() -> JobSpec {
     JobSpec::new(64, 16).grid(GridShape::new(2, 2).unwrap())
@@ -41,9 +43,7 @@ fn try_submit_on_a_full_queue_refuses_without_blocking() {
 fn empty_batches_complete_without_touching_the_pool() {
     let service = QrService::builder().workers(1).build();
     let s = spec();
-    assert!(service.factor_batch(&s, &[]).unwrap().is_empty());
     assert!(service.factor_many(&s, Vec::new()).unwrap().is_empty());
-    assert!(service.try_factor_batch(&s, &[]).unwrap().is_empty());
     assert!(service.try_factor_many(&s, Vec::new()).unwrap().is_empty());
     // No work units were dispatched for the empty batches.
     assert_eq!(service.stats().completed, 0);
@@ -143,4 +143,28 @@ fn stats_expose_latency_quantiles_and_throughput() {
     // median kernel time.
     assert!(stats.end_to_end.p99 >= stats.execution.p50);
     assert!(stats.uptime.as_nanos() > 0);
+}
+
+/// One outcome per handle: once `wait_timeout` has delivered it, the handle
+/// stays finished and redeeming it again is a typed error well within the
+/// budget — never an endless wait for a completion that already happened.
+fn assert_redeems_exactly_once<T: std::fmt::Debug>(handle: Handle<T>) {
+    let first = handle.wait_timeout(Duration::from_secs(60));
+    first.expect("the job completes").expect("a well-formed job succeeds");
+    assert!(handle.is_finished(), "a redeemed handle is still a finished one");
+    let again = handle.wait_timeout(Duration::from_millis(10));
+    assert!(
+        matches!(again, Some(Err(ServiceError::AlreadyRedeemed))),
+        "got {again:?}"
+    );
+    assert!(matches!(handle.wait(), Err(ServiceError::AlreadyRedeemed)));
+}
+
+#[test]
+fn job_and_stream_handles_deliver_their_outcome_exactly_once() {
+    let service = QrService::builder().workers(2).build();
+    let s = spec();
+    assert_redeems_exactly_once(service.submit(&s, well_conditioned(64, 16, 1)).unwrap());
+    service.stream_open("live", &s, &well_conditioned(64, 16, 2)).unwrap();
+    assert_redeems_exactly_once(service.append_rows("live", gaussian_matrix(2, 16, 3)).unwrap());
 }

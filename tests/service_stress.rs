@@ -75,7 +75,7 @@ fn concurrent_mixed_load_holds_numerical_invariants() {
         }
     });
     // One cached plan per distinct spec, regardless of contention.
-    assert_eq!(service.cached_plans(), specs.len());
+    assert_eq!(service.plan_cache_len(), specs.len());
 }
 
 #[test]
@@ -127,7 +127,7 @@ fn cache_returns_pointer_equal_plans_under_contention() {
             "every thread must receive the same cached Arc<QrPlan>"
         );
     }
-    assert_eq!(service.cached_plans(), 1);
+    assert_eq!(service.plan_cache_len(), 1);
     // And the key distinguishes every knob that changes the schedule. The
     // backend variant must differ from the process default — pinning the
     // default explicitly is, by design, the *same* cache key.
@@ -149,7 +149,7 @@ fn cache_returns_pointer_equal_plans_under_contention() {
             "distinct spec {v:?} must build a distinct plan"
         );
     }
-    assert_eq!(service.cached_plans(), 1 + variants.len());
+    assert_eq!(service.plan_cache_len(), 1 + variants.len());
 }
 
 #[test]
@@ -246,8 +246,14 @@ fn batch_order_is_submission_order_under_load() {
         .algorithm(Algorithm::Cqr2_1d)
         .grid(GridShape::one_d(4).unwrap());
     let batch: Vec<_> = (0..16).map(|s| input_for(&spec, s)).collect();
-    let reports = service.factor_batch(&spec, &batch).unwrap();
-    assert_eq!(reports.len(), batch.len());
+    // More jobs than injector slots: submissions block under backpressure
+    // while earlier jobs drain, and every handle still resolves to its own
+    // input's report.
+    let handles: Vec<_> = batch
+        .iter()
+        .map(|a| service.submit(&spec, a.clone()).unwrap())
+        .collect();
+    let reports: Vec<_> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
     let plan = service.plan(&spec).unwrap();
     for (a, report) in batch.iter().zip(&reports) {
         let expect = plan.factor(a).unwrap();
