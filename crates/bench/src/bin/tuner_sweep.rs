@@ -38,8 +38,8 @@ use std::time::Instant;
 const GATE_TOLERANCE: f64 = 1.25;
 
 /// Appends the kernel-level gate entries: `syrk-<m>x<n>` (the
-/// symmetry-aware blocked SYRK, with its speedup over the gemm-based Gram
-/// path recorded) and `steady-{1d,ca}-<m>x<n>` (warm-plan factor latency).
+/// symmetry-aware blocked SYRK) and `steady-{1d,ca}-<m>x<n>` (warm-plan
+/// factor latency).
 ///
 /// The syrk entries are normalized by the *syrk probe* — the syrk-to-gemm
 /// rate ratio is itself machine-dependent (ISA mix, cache geometry), so
@@ -62,26 +62,18 @@ fn kernel_entries(
         let a = dense::random::well_conditioned(m, n, 7);
         let mut c = dense::Matrix::zeros(n, n);
         let mut best_syrk = f64::INFINITY;
-        let mut best_gemm = f64::INFINITY;
         be.syrk_into(a.as_ref(), c.as_mut()); // warm packs + dispatch
         for _ in 0..reps.max(3) {
             let t = Instant::now();
             be.syrk_into(a.as_ref(), c.as_mut());
             best_syrk = best_syrk.min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            dense::syrk_via_gemm(be, a.as_ref(), c.as_mut());
-            best_gemm = best_gemm.min(t.elapsed().as_secs_f64());
         }
         println!(
-            "syrk-{m}x{n}     blocked syrk {best_syrk:.4e}s vs gemm path {best_gemm:.4e}s  ({:.2}x)",
-            best_gemm / best_syrk
+            "syrk-{m}x{n}     blocked syrk {best_syrk:.4e}s  ({:.2}x the syrk probe)",
+            best_syrk / syrk_probe.seconds
         );
-        let extra = vec![
-            ("gemm_path_seconds", JsonValue::Number(best_gemm)),
-            ("speedup_vs_gemm_path", JsonValue::Number(best_gemm / best_syrk)),
-        ];
         let name = format!("syrk-{m}x{n}");
-        results.push(timed_entry(&name, threads, best_syrk, syrk_probe.seconds, extra));
+        results.push(timed_entry(&name, threads, best_syrk, syrk_probe.seconds, vec![]));
     }
 
     let (m, n) = (2048usize, 64usize);
@@ -234,10 +226,9 @@ fn main() {
     }
 
     // Kernel-level trajectory entries, gated like the shapes: the
-    // symmetry-aware blocked SYRK against the gemm-based Gram path it
-    // replaced, and the steady-state (warm-plan) factor latency for the 1D
-    // and CA paths, which the plan-owned workspace pool keeps allocation
-    // free.
+    // symmetry-aware blocked SYRK against the syrk probe, and the
+    // steady-state (warm-plan) factor latency for the 1D and CA paths, which
+    // the plan-owned workspace pool keeps allocation free.
     kernel_entries(&probe, &syrk_probe, reps, &mut results);
 
     let num = JsonValue::Number;

@@ -88,15 +88,23 @@ fn potrf_unblocked(mut a: MatMut<'_>, index_offset: usize) -> Result<(), Cholesk
 }
 
 /// Blocked right-looking Cholesky: factors `A = LLᵀ` in place, returning the
-/// lower factor in `a` (strict upper triangle zeroed). Uses the process
-/// default backend ([`BackendKind::default_kind`]).
+/// lower factor in `a` (strict upper triangle zeroed). [`potrf_ws`] on the
+/// process default backend ([`BackendKind::default_kind`]) with a throwaway
+/// arena — not the thread-local one, which the blocked gemm borrows for its
+/// pack buffers.
 pub fn potrf(a: MatMut<'_>) -> Result<(), CholeskyError> {
-    potrf_with(a, BackendKind::default_kind().get())
+    potrf_ws(a, BackendKind::default_kind().get(), &mut Workspace::new())
 }
 
-/// [`potrf`] with an explicit kernel backend for the panel solve and
-/// trailing update.
-pub fn potrf_with(mut a: MatMut<'_>, backend: &dyn Backend) -> Result<(), CholeskyError> {
+/// Blocked right-looking Cholesky with an explicit kernel backend for the
+/// panel solve and trailing update, drawing the panel copy from a
+/// [`Workspace`] arena.
+///
+/// The blocked trailing update needs a stable copy of the just-solved `L21`
+/// panel (the gemm reads and writes overlapping storage otherwise). The copy
+/// is taken from `ws` and recycled, so warm calls perform no heap
+/// allocations — the streaming path's zero-steady-state-allocation contract.
+pub fn potrf_ws(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) -> Result<(), CholeskyError> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "Cholesky input must be square");
     const NB: usize = 64;
@@ -116,55 +124,6 @@ pub fn potrf_with(mut a: MatMut<'_>, backend: &dyn Backend) -> Result<(), Choles
             // Trailing update: A22 ← A22 − L21·L21ᵀ (lower triangle suffices,
             // but a full gemm keeps the kernel simple; the strict upper part
             // of the trailing block is rewritten symmetrically).
-            let l21 = a.rb().sub(k + nb, k, rest, nb);
-            let l21_copy = l21.to_owned();
-            let a22 = a.rb_mut().sub(k + nb, k + nb, rest, rest);
-            backend.gemm(
-                -1.0,
-                l21_copy.as_ref(),
-                Trans::No,
-                l21_copy.as_ref(),
-                Trans::Yes,
-                1.0,
-                a22,
-            );
-        }
-        k += nb;
-    }
-    // The block loop only zeroes the strict upper triangle inside each
-    // diagonal block; clear the rest so the result is exactly L.
-    for i in 0..n {
-        let row = a.row_mut(i);
-        for v in &mut row[i + 1..] {
-            *v = 0.0;
-        }
-    }
-    Ok(())
-}
-
-/// [`potrf_with`] drawing the panel copy from a [`Workspace`] arena.
-///
-/// The blocked trailing update needs a stable copy of the just-solved `L21`
-/// panel (the gemm reads and writes overlapping storage otherwise);
-/// [`potrf_with`] allocates that copy per call, which is fine for one-shot
-/// factorizations but breaks the streaming path's zero-steady-state-allocation
-/// contract. This variant takes the copy from `ws` and recycles it, so warm
-/// calls perform no heap allocations.
-pub fn potrf_ws(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) -> Result<(), CholeskyError> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "Cholesky input must be square");
-    const NB: usize = 64;
-    if n <= NB {
-        return potrf_unblocked(a, 0);
-    }
-    let mut k = 0;
-    while k < n {
-        let nb = NB.min(n - k);
-        potrf_unblocked(a.rb_mut().sub(k, k, nb, nb), k)?;
-        if k + nb < n {
-            let rest = n - k - nb;
-            let (diag_rows, below) = a.rb_mut().sub(k, k, n - k, nb).split_rows(nb);
-            backend.trsm_right_lower_trans(diag_rows.rb(), below);
             let l21_copy = ws.take_copy(a.rb().sub(k + nb, k, rest, nb));
             let a22 = a.rb_mut().sub(k + nb, k + nb, rest, rest);
             backend.gemm(
@@ -180,6 +139,8 @@ pub fn potrf_ws(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) ->
         }
         k += nb;
     }
+    // The block loop only zeroes the strict upper triangle inside each
+    // diagonal block; clear the rest so the result is exactly L.
     for i in 0..n {
         let row = a.row_mut(i);
         for v in &mut row[i + 1..] {
@@ -358,7 +319,7 @@ mod tests {
         let mut ws = Workspace::new();
         let mut got = a.clone();
         potrf_ws(got.as_mut(), backend, &mut ws).unwrap();
-        assert_eq!(want.data(), got.data(), "arena copy must not change the arithmetic");
+        assert_eq!(want.data(), got.data(), "the wrapper must be the core, bit for bit");
         assert_eq!(ws.takes(), ws.recycles(), "every take recycled");
         let cold = ws.heap_allocations();
         let mut warm = a.clone();

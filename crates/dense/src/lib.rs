@@ -72,7 +72,7 @@ pub mod workspace;
 pub use backend::{
     kernel_threads, max_threads, pool_worker_idle, thread_budget, Backend, BackendKind, PoolIdleGuard, PoolReservation,
 };
-pub use cholesky::{cholinv, cholinv_with, potrf, potrf_with, potrf_ws, trtri_lower, trtri_lower_with, CholeskyError};
+pub use cholesky::{cholinv, cholinv_with, potrf, potrf_ws, trtri_lower, trtri_lower_with, CholeskyError};
 pub use cond::cond_estimate;
 pub use fault::FaultPlan;
 pub use gemm::{gemm, matmul, Trans};
@@ -83,7 +83,7 @@ pub use probe::{
     default_append_probe, default_probe, default_syrk_probe, probe_append, probe_gemm, probe_syrk, ProbeKernel,
     ProbeReport,
 };
-pub use syrk::{syrk, syrk_into, syrk_via_gemm};
+pub use syrk::{syrk, syrk_into};
 pub use trsm::{trmm_upper_upper, trsm_left_lower_trans, trsm_left_upper, trsm_right_lower_trans, trsm_right_upper};
 pub use update::{rank_k_append, rank_k_downdate, UpdateError};
 pub use workspace::{PooledWorkspace, Workspace, WorkspacePool};

@@ -56,27 +56,6 @@ pub fn syrk(a: MatRef<'_>) -> Matrix {
     c
 }
 
-/// The gemm-based Gram path the symmetry-aware blocked SYRK replaced:
-/// `C ← gemm(1, Aᵀ, A)` followed by the lower→upper mirror.
-///
-/// Kept as the **shared comparison baseline** for the `syrk` criterion
-/// bench and the perf gate's `syrk-*` entries — both gates must time the
-/// identical reference or the recorded ≥1.5× acceptance bar drifts. By the
-/// ascending-`k` accumulation argument this produces bits identical to the
-/// backend's own `syrk`, just without the tile skipping.
-pub fn syrk_via_gemm(backend: &dyn crate::Backend, a: MatRef<'_>, mut c: MatMut<'_>) {
-    use crate::gemm::Trans;
-    let n = a.cols();
-    assert_eq!((c.rows(), c.cols()), (n, n), "syrk output must be n x n");
-    backend.gemm(1.0, a, Trans::Yes, a, Trans::No, 0.0, c.rb_mut());
-    for i in 0..n {
-        for j in 0..i {
-            let v = c.at(i, j);
-            c.set(j, i, v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,8 +18,9 @@
 //!   allocations. [`SimReport::wall_seconds`] is then a real measurement,
 //!   and [`probe_shm_alpha_beta`] calibrates the machine model's α and β
 //!   from live transport microprobes. Both backends execute the *same*
-//!   schedules — results, ledgers, and virtual clocks are bitwise
-//!   identical across them.
+//!   schedule code — only the transport under each round differs — so
+//!   results, ledgers, and virtual clocks are bitwise identical across
+//!   them.
 //!
 //! In either mode:
 //!
@@ -51,6 +52,7 @@ pub mod cost;
 pub mod machine;
 pub mod mailbox;
 pub mod probe;
+mod round;
 pub mod runtime;
 mod shm;
 

@@ -1,0 +1,102 @@
+//! The round primitive: the one place the two transports differ.
+//!
+//! Every schedule in [`crate::collectives`] is a sequence of rounds, and a
+//! round is "optionally post this slice to a peer, optionally receive from a
+//! peer, hand the received words to a closure". The schedules (virtual
+//! ranks, block ranges, reduction orders, tag draws, flop charges) are
+//! written once against [`Comm::round`]; this module moves the words.
+//!
+//! * **Mailbox** (simulated runtime): [`Rank::send`], then [`Rank::recv`].
+//!   A round that neither sends nor receives is free.
+//! * **Shared windows** (shm runtime): charge the send and publish the
+//!   slice, first crossing, read the peer's window in place and charge the
+//!   receive, second crossing.
+//!
+//! Both paths charge through [`Rank::charge_send`]/[`Rank::charge_recv`] in
+//! the same order, so results, ledgers and virtual clocks agree across
+//! runtimes by construction.
+//!
+//! # The two-crossing invariant
+//!
+//! On the shm transport a window may be read only between the crossing that
+//! follows its publish and the crossing after that. Three things uphold it,
+//! all visible here:
+//!
+//! 1. Everyone named by the [`Crossing`] calls `round` the same number of
+//!    times — including rounds in which it moves no data — so the crossings
+//!    pair up. This is the SPMD discipline tag matching already relies on;
+//!    it is why the schedules have no early exits.
+//! 2. A sender's `round` call holds a shared borrow of the published slice
+//!    from the publish to its own second crossing, so the owner cannot write
+//!    it (its `on_recv` closure cannot capture an overlapping `&mut`) or
+//!    free it while a peer may still read.
+//! 3. A receiver touches the peer's window only inside `on_recv`, which runs
+//!    between its two crossings.
+
+use crate::comm::Comm;
+use crate::runtime::Rank;
+
+/// Who meets at a round's two crossings on the shm transport.
+#[derive(Clone, Copy)]
+pub(crate) enum Crossing {
+    /// Every member of the communicator, at the group's barrier.
+    Group,
+    /// This rank and the given global rank only, by pair-epoch handshake —
+    /// for [`Comm::sendrecv`], which self-paired members never enter, so a
+    /// communicator-wide barrier could deadlock.
+    Pair(usize),
+}
+
+impl Comm {
+    /// One round of a schedule: posts `send = (dst, words)` and hands the
+    /// words received from `recv` to `on_recv` (called iff `recv` is `Some`).
+    /// Peers are global rank ids; a round's sender and receiver must name
+    /// each other, with the same `tag`.
+    pub(crate) fn round(
+        &self,
+        rank: &mut Rank,
+        tag: u64,
+        crossing: Crossing,
+        send: Option<(usize, &[f64])>,
+        recv: Option<usize>,
+        on_recv: impl FnOnce(&[f64]),
+    ) {
+        if !rank.is_shm() {
+            if let Some((dst, words)) = send {
+                rank.send(dst, tag, words);
+            }
+            if let Some(src) = recv {
+                on_recv(&rank.recv(src, tag));
+            }
+            return;
+        }
+        if let Some((_, words)) = send {
+            rank.charge_send(words.len());
+            rank.shm().publish(rank.id(), words, rank.clock());
+        }
+        self.cross(rank, crossing);
+        if let Some(src) = recv {
+            // SAFETY: the two-crossing invariant (module docs). `src` sends
+            // to this rank this round, so it published before the crossing
+            // above and keeps the slice borrowed, unwritten, until it passes
+            // the crossing below — which it cannot before this rank arrives
+            // there, after `on_recv` has returned.
+            let (words, depart) = unsafe { rank.shm().peer_slice(src) };
+            let n = words.len();
+            on_recv(words);
+            rank.charge_recv(n, depart);
+        }
+        self.cross(rank, crossing);
+    }
+
+    fn cross(&self, rank: &Rank, crossing: Crossing) {
+        match crossing {
+            Crossing::Group => self.shm_barrier(),
+            Crossing::Pair(peer) => {
+                let shm = rank.shm();
+                let step = shm.pair_advance(rank.id(), peer);
+                shm.pair_wait(peer, rank.id(), step);
+            }
+        }
+    }
+}

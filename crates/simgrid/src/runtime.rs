@@ -266,10 +266,7 @@ impl Rank {
     pub fn send(&mut self, dst: usize, tag: u64, data: &[f64]) {
         debug_assert!(dst < self.p);
         debug_assert_ne!(dst, self.id, "self-sends must be short-circuited by the caller");
-        let n = data.len();
-        self.clock += self.machine.alpha + n as f64 * self.machine.beta;
-        self.ledger.msgs_sent += 1;
-        self.ledger.words_sent += n as u64;
+        self.charge_send(data.len());
         self.boxes[dst].post(
             self.id,
             tag,
@@ -280,32 +277,12 @@ impl Rank {
         );
     }
 
-    /// Like [`Rank::send`] but consumes the buffer, avoiding a copy.
-    pub fn send_vec(&mut self, dst: usize, tag: u64, data: Vec<f64>) {
-        debug_assert!(dst < self.p);
-        debug_assert_ne!(dst, self.id, "self-sends must be short-circuited by the caller");
-        let n = data.len();
-        self.clock += self.machine.alpha + n as f64 * self.machine.beta;
-        self.ledger.msgs_sent += 1;
-        self.ledger.words_sent += n as u64;
-        self.boxes[dst].post(
-            self.id,
-            tag,
-            Envelope {
-                data,
-                depart: self.clock,
-            },
-        );
-    }
-
     /// Receives the message from global rank `src` with tag `tag`, blocking
     /// until it arrives. Synchronizes the virtual clock to the arrival time.
     pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
         debug_assert!(src < self.p);
         let env = self.boxes[self.id].take(src, tag);
-        self.clock = self.clock.max(env.depart);
-        self.ledger.msgs_recv += 1;
-        self.ledger.words_recv += env.data.len() as u64;
+        self.charge_recv(env.data.len(), env.depart);
         env.data
     }
 
@@ -348,28 +325,16 @@ impl Rank {
             .expect("shared-memory transport state on the shm backend")
     }
 
-    /// A clone of the transport handle — lets a collective hold the state
-    /// across `&mut self` accounting calls (one refcount bump per
-    /// collective, nothing per round).
-    #[inline]
-    pub(crate) fn shm_arc(&self) -> Arc<ShmShared> {
-        Arc::clone(
-            self.shm
-                .as_ref()
-                .expect("shared-memory transport state on the shm backend"),
-        )
-    }
-
-    /// Accounting twin of [`Rank::send`] for transports that move no
-    /// envelope: charges `α + n·β` and counts the message.
+    /// The α-β charge of one outgoing message, on either transport:
+    /// advances the clock by `α + n·β` and counts the message.
     pub(crate) fn charge_send(&mut self, n: usize) {
         self.clock += self.machine.alpha + n as f64 * self.machine.beta;
         self.ledger.msgs_sent += 1;
         self.ledger.words_sent += n as u64;
     }
 
-    /// Accounting twin of [`Rank::recv`]: synchronizes the clock to the
-    /// sender's departure time and counts the message.
+    /// The receive side of [`charge_send`](Rank::charge_send): synchronizes
+    /// the clock to the sender's departure time and counts the message.
     pub(crate) fn charge_recv(&mut self, n: usize, depart: f64) {
         self.clock = self.clock.max(depart);
         self.ledger.msgs_recv += 1;

@@ -27,10 +27,11 @@
 //! crosses a second barrier before any window is republished or any read
 //! region is mutated. The barrier's acquire/release pairs make each round's
 //! writes visible to the next round's readers; disjointness makes the
-//! concurrent access race-free. Every `unsafe` block below relies on that
-//! two-barrier bracket, which the collective schedules in
-//! `collectives` maintain by construction (every member executes every
-//! round's barriers, even in rounds where it neither sends nor receives).
+//! concurrent access race-free. The one caller of [`ShmShared::peer_slice`]
+//! outside this module's tests is the round primitive in `round`, which
+//! states how that two-crossing bracket is upheld (every member executes
+//! every round's crossings, even in rounds where it neither sends nor
+//! receives).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

@@ -2,13 +2,16 @@
 //! measured shared-memory runtime must be *indistinguishable* in every
 //! model-level output.
 //!
-//! The shared-memory collectives mirror the simulator's butterfly schedules
-//! exactly — same virtual ranks, same block orders, same reduction orders,
-//! same α-β-γ charges — so for every algorithm and shape the two backends
-//! must agree **bitwise** on the factors, and exactly on the virtual clocks
-//! and per-rank ledgers. Anything less would mean the wall-clock numbers
-//! measured on the shm backend describe a different computation than the
-//! one the cost model prices.
+//! Both runtimes run the one butterfly schedule `simgrid::collectives` has
+//! per collective — virtual ranks, block orders, reduction orders and
+//! α-β-γ charges are shared code; only the transport under each round
+//! differs — so for every algorithm and shape the two backends must agree
+//! **bitwise** on the factors, and exactly on the virtual clocks and
+//! per-rank ledgers. `simgrid`'s unit tests check that per collective; this
+//! suite checks it through whole factorizations (grids, nested
+//! sub-communicators, transposes). Anything less would mean the wall-clock
+//! numbers measured on the shm backend describe a different computation than
+//! the one the cost model prices.
 
 use baseline::BlockCyclic;
 use cacqr::driver::{Algorithm, QrPlan, QrPlanBuilder, QrReport};
