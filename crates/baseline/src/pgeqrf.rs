@@ -341,15 +341,18 @@ pub fn pgeqrf_form_q(
     e
 }
 
-/// A completed PGEQRF run on the simulator.
+/// A completed distributed QR run with global factors and cost accounting
+/// (`cacqr::validate::QrRun` is this type: every global driver returns it).
 pub struct PgeqrfRun {
-    /// Assembled `m × n` orthonormal factor.
+    /// The assembled `m × n` orthonormal factor.
     pub q: Matrix,
-    /// Assembled `n × n` upper-triangular factor.
+    /// The assembled `n × n` upper-triangular factor.
     pub r: Matrix,
-    /// Simulated elapsed time.
+    /// Simulated elapsed time under the machine model used for the run.
     pub elapsed: f64,
-    /// Measured wall-clock seconds of the SPMD region.
+    /// Measured wall-clock seconds of the SPMD region. Meaningful for the
+    /// shared-memory runtime; on the simulated backend it mostly measures
+    /// mailbox traffic and is not a model quantity.
     pub wall_seconds: f64,
     /// Per-rank cost ledgers.
     pub ledgers: Vec<simgrid::CostLedger>,

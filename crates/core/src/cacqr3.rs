@@ -43,8 +43,7 @@ pub fn ca_cqr3(
     comms.ygroup.allreduce(rank, &mut norm2);
     comms.ystride.allreduce(rank, &mut norm2);
     comms.row.allreduce(rank, &mut norm2);
-    let eps = f64::EPSILON;
-    let mut sigma = 11.0 * ((m * n) as f64 + (n * (n + 1)) as f64) * eps * norm2[0];
+    let mut sigma = crate::cqr::fukaya_shift(m, n, norm2[0]);
 
     // Pass 1: shifted CA-CQR, retrying with a grown shift on pathological
     // input (consistent across ranks: sigma derives from allreduced data).

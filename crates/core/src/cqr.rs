@@ -44,11 +44,18 @@ pub fn cqr2(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), Choles
     Ok((q, trmm_upper_upper(r2.as_ref(), r1.as_ref())))
 }
 
+/// The Gram shift of Fukaya et al. for an `m × n` matrix with squared
+/// Frobenius norm `frob_sq`: `σ = 11·(mn + n(n+1))·ε·‖A‖₂²`, bounding
+/// `‖A‖₂ ≤ ‖A‖_F`. `AᵀA + σI` is positive definite in floating point for
+/// any numerically full-rank `A`.
+pub(crate) fn fukaya_shift(m: usize, n: usize, frob_sq: f64) -> f64 {
+    11.0 * ((m * n) as f64 + (n * (n + 1)) as f64) * f64::EPSILON * frob_sq
+}
+
 /// Shifted CholeskyQR3: unconditionally stable QR for numerically
 /// full-rank `A`.
 ///
-/// The first pass factors `AᵀA + σI` with the shift of Fukaya et al.,
-/// `σ = 11·(mn + n(n+1))·ε·‖A‖₂²` (we bound `‖A‖₂ ≤ ‖A‖_F`), which is
+/// The first pass factors `AᵀA + σI` with the shift of Fukaya et al., which is
 /// guaranteed positive definite in floating point; the resulting `Q₁` has
 /// `κ(Q₁) = O(1)` and two further CholeskyQR passes (CQR2) finish the job.
 /// If the shifted Cholesky still fails (pathological input), the shift is
@@ -56,12 +63,8 @@ pub fn cqr2(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), Choles
 pub fn shifted_cqr3(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), CholeskyError> {
     let be = backend.get();
     let (m, n) = (a.rows(), a.cols());
-    let norm2_bound = {
-        let f = dense::norms::frobenius(a.as_ref());
-        f * f
-    };
-    let eps = f64::EPSILON;
-    let mut sigma = 11.0 * ((m * n) as f64 + (n * (n + 1)) as f64) * eps * norm2_bound;
+    let frob = dense::norms::frobenius(a.as_ref());
+    let mut sigma = fukaya_shift(m, n, frob * frob);
     let mut last_err = CholeskyError { index: 0, pivot: 0.0 };
     for _ in 0..4 {
         let mut w = workspace::with_thread_local(|ws| ws.take_matrix_stale(n, n));

@@ -16,7 +16,7 @@
 //!    once, and returns a typed [`PlanError`] (never a `panic!` or a
 //!    `String`): power-of-two and divisibility constraints,
 //!    `inverse_depth ≤ φ`, grid-vs-algorithm compatibility, `nb | n` for
-//!    the baseline.
+//!    the baseline (see "One validator" below).
 //! 2. **Execute** — [`QrPlan::factor`] borrows the plan (`&self`), runs the
 //!    simulator, and returns a unified [`QrReport`]: global `Q`/`R`, the
 //!    simulated elapsed time, the per-rank α-β-γ [`CostLedger`]s, and
@@ -24,6 +24,22 @@
 //!    across any number of same-shape matrices — the batching primitive
 //!    for high-throughput workloads — and comparing algorithms is a loop
 //!    over [`Algorithm::ALL`] instead of four bespoke call sites.
+//!
+//! # One validator
+//!
+//! "What runs" has one resolved description, [`costmodel::CandidateConfig`]
+//! (an [`Algorithm`] plus exactly that algorithm's schedule knobs), and one
+//! rule for "is this config runnable for `m × n`": [`validate`]. Its callers:
+//! [`QrPlanBuilder::build`], after resolving the optional knobs into a
+//! config (the only place [`PlanError::MissingGrid`] /
+//! [`PlanError::MissingBlockCyclic`] arise); the escalation ladder, which
+//! proposes a shifted-CQR3 and a Householder config and keeps what
+//! validates; the [`Tuner`](crate::tuner::Tuner), which hands it to
+//! [`costmodel::enumerate`] as the acceptance predicate, so every ranked
+//! candidate builds by construction; and
+//! [`ProfileEntry::spec`](crate::tuner::ProfileEntry::spec), for configs
+//! read back from a profile file. A built plan stores the validated config
+//! (and its ladder as a list of configs); `factor` never revalidates.
 //!
 //! # Which layer to use when
 //!
@@ -68,81 +84,20 @@
 
 mod error;
 
+pub use costmodel::Algorithm;
 pub use error::PlanError;
 
 use crate::config::CfrParams;
+use crate::service::JobSpec;
 use crate::validate::{run_cacqr2_global, run_cacqr3_global, run_cqr2_1d_global, QrRun};
 use baseline::{run_pgeqrf_global, BlockCyclic, PgeqrfConfig};
+use costmodel::CandidateConfig;
+use dense::cholesky::CholeskyError;
 use dense::norms;
 use dense::{BackendKind, Matrix, WorkspacePool};
 use pargrid::GridShape;
 use simgrid::{CostLedger, Machine, RuntimeKind, SimConfig};
 use std::sync::Arc;
-
-/// The QR variants the workspace implements, as data.
-///
-/// Cross-algorithm comparisons iterate [`Algorithm::ALL`] and build one
-/// [`QrPlan`] per variant from the same builder configuration.
-#[allow(non_camel_case_types)] // `Cqr2_1d` mirrors the paper's "1D-CQR2" naming
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// Algorithm 7: 1D-CholeskyQR2 over a flat row partition (`P` ranks).
-    Cqr2_1d,
-    /// Algorithm 9: CA-CQR2 over the tunable `c × d × c` grid — the paper's
-    /// headline algorithm. `c = d` gives 3D-CQR2, `c = 1` matches
-    /// [`Algorithm::Cqr2_1d`] bitwise.
-    CaCqr2,
-    /// Shifted CA-CQR3 (the paper's §V extension): one shifted pass then
-    /// CA-CQR2; unconditionally stable for numerically full-rank input.
-    CaCqr3,
-    /// The ScaLAPACK-`PGEQRF`-like 2D block-cyclic Householder baseline.
-    Pgeqrf,
-}
-
-impl Algorithm {
-    /// Every variant, in the order the paper presents them.
-    pub const ALL: [Algorithm; 4] = [
-        Algorithm::Cqr2_1d,
-        Algorithm::CaCqr2,
-        Algorithm::CaCqr3,
-        Algorithm::Pgeqrf,
-    ];
-
-    /// Short display name (`"1d-cqr2"`, `"ca-cqr2"`, `"ca-cqr3"`,
-    /// `"pgeqrf"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Cqr2_1d => "1d-cqr2",
-            Algorithm::CaCqr2 => "ca-cqr2",
-            Algorithm::CaCqr3 => "ca-cqr3",
-            Algorithm::Pgeqrf => "pgeqrf",
-        }
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Algorithm {
-    type Err = String;
-
-    /// Parses the stable short names emitted by [`Algorithm::name`] (the
-    /// tuning-profile and CLI spelling).
-    fn from_str(s: &str) -> Result<Algorithm, String> {
-        Algorithm::ALL
-            .into_iter()
-            .find(|a| a.name() == s)
-            .ok_or_else(|| format!("unknown algorithm {s:?} (expected one of: 1d-cqr2, ca-cqr2, ca-cqr3, pgeqrf)"))
-    }
-}
-
-/// The global driver a CA-family plan executes: [`run_cacqr2_global`] or
-/// [`run_cacqr3_global`], resolved once at build time.
-type CaDriver =
-    fn(&Matrix, GridShape, CfrParams, SimConfig, &WorkspacePool) -> Result<QrRun, dense::cholesky::CholeskyError>;
 
 /// When and how far a plan may escalate to a more stable algorithm after a
 /// failed or condition-rejected attempt.
@@ -272,20 +227,60 @@ impl EscalationReport {
     }
 }
 
-/// The resolved per-algorithm execution recipe of a built plan.
-#[derive(Clone, Copy, Debug)]
-enum Exec {
-    /// 1D-CQR2 on `p` ranks.
-    Cqr1d { p: usize },
-    /// CA-CQR2 / CA-CQR3 on the tunable grid; `run` is the matching global
-    /// driver, chosen at build time so execution has one source of truth.
-    Ca {
-        shape: GridShape,
-        params: CfrParams,
-        run: CaDriver,
-    },
-    /// The block-cyclic Householder baseline.
-    Pgeqrf { config: PgeqrfConfig },
+/// The one rule for "is `config` runnable for `m × n` matrices" (callers:
+/// [module docs](self#one-validator)). The 1D partition is the `1 × p × 1`
+/// grid, so it shares the CA family's checks. The butterfly collectives
+/// only handle power-of-two communicators: the grid shape enforces that for
+/// the CA family, the baseline checks its column (`pr`) and row (`pc`)
+/// groups here instead of letting the runtime assert mid-factorization.
+pub fn validate(m: usize, n: usize, config: &CandidateConfig) -> Result<(), PlanError> {
+    if m < n {
+        return Err(PlanError::NotTall { m, n });
+    }
+    let (c, d, cfr) = match *config {
+        CandidateConfig::Pgeqrf { pr, pc, nb } => {
+            if pr == 0 || pc == 0 || nb == 0 {
+                return Err(PlanError::BlockCyclicZero { pr, pc, nb });
+            }
+            if !n.is_multiple_of(nb) {
+                return Err(PlanError::BlockSizeMismatch { n, nb });
+            }
+            for (what, size) in [("pr", pr), ("pc", pc)] {
+                if !size.is_power_of_two() {
+                    return Err(PlanError::CommNotPowerOfTwo { what, size });
+                }
+            }
+            return Ok(());
+        }
+        CandidateConfig::Cqr1d { p } => (1, p, None),
+        CandidateConfig::CaCqr2 {
+            c,
+            d,
+            base_size,
+            inverse_depth,
+        }
+        | CandidateConfig::CaCqr3 {
+            c,
+            d,
+            base_size,
+            inverse_depth,
+        } => (c, d, Some((base_size, inverse_depth))),
+    };
+    GridShape::new(c, d)?;
+    if !m.is_multiple_of(d) {
+        return Err(PlanError::RowsNotDivisible {
+            m,
+            divisor: d,
+            algorithm: config.algorithm(),
+        });
+    }
+    if !n.is_multiple_of(c) {
+        return Err(PlanError::ColsNotDivisible { n, divisor: c });
+    }
+    if let Some((base_size, inverse_depth)) = cfr {
+        CfrParams::validated(n, c, base_size, inverse_depth)?;
+    }
+    Ok(())
 }
 
 /// A validated, reusable recipe for factoring `m × n` matrices.
@@ -304,16 +299,16 @@ enum Exec {
 pub struct QrPlan {
     m: usize,
     n: usize,
-    algorithm: Algorithm,
     machine: Machine,
     runtime: RuntimeKind,
     backend: BackendKind,
-    exec: Exec,
+    /// What `factor` runs: validated once, at build.
+    config: CandidateConfig,
     retry: RetryPolicy,
-    /// Escalation rungs strictly above the primary algorithm, resolved and
-    /// validated at build time (unviable rungs — e.g. no grid shape that
-    /// satisfies a rung's divisibility — are simply absent).
-    ladder: Vec<(Algorithm, Exec)>,
+    /// Escalation rungs strictly above the primary algorithm, validated at
+    /// build time (unviable rungs — e.g. no grid shape that satisfies a
+    /// rung's divisibility — are simply absent).
+    ladder: Vec<CandidateConfig>,
     pool: Arc<WorkspacePool>,
 }
 
@@ -328,17 +323,11 @@ pub struct QrPlan {
 #[derive(Clone, Copy, Debug)]
 #[must_use = "a builder does nothing until .build() is called"]
 pub struct QrPlanBuilder {
-    m: usize,
-    n: usize,
-    algorithm: Algorithm,
-    grid: Option<GridShape>,
-    block_cyclic: Option<BlockCyclic>,
-    machine: Machine,
-    runtime: RuntimeKind,
-    backend: BackendKind,
-    base_size: Option<usize>,
-    inverse_depth: usize,
-    retry: RetryPolicy,
+    /// Shape, schedule knobs, backend and retry policy — the part of the
+    /// configuration a service keys its plan cache on.
+    pub(crate) spec: JobSpec,
+    pub(crate) machine: Machine,
+    pub(crate) runtime: RuntimeKind,
 }
 
 impl QrPlan {
@@ -346,17 +335,9 @@ impl QrPlan {
     #[allow(clippy::new_ret_no_self)] // the builder idiom the ISSUE-facing API specifies
     pub fn new(m: usize, n: usize) -> QrPlanBuilder {
         QrPlanBuilder {
-            m,
-            n,
-            algorithm: Algorithm::CaCqr2,
-            grid: None,
-            block_cyclic: None,
+            spec: JobSpec::new(m, n),
             machine: Machine::zero(),
             runtime: RuntimeKind::from_env(),
-            backend: BackendKind::default_kind(),
-            base_size: None,
-            inverse_depth: 0,
-            retry: RetryPolicy::none(),
         }
     }
 
@@ -399,7 +380,7 @@ impl QrPlan {
 
     /// The algorithm this plan runs.
     pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+        self.config.algorithm()
     }
 
     /// The simulated machine model charged during [`QrPlan::factor`].
@@ -427,7 +408,7 @@ impl QrPlan {
     /// The escalation rungs available above the primary algorithm, in the
     /// order a policy-enabled factorization would try them.
     pub fn escalation_rungs(&self) -> Vec<Algorithm> {
-        self.ladder.iter().map(|&(a, _)| a).collect()
+        self.ladder.iter().map(CandidateConfig::algorithm).collect()
     }
 
     /// The plan's scratch-arena pool: one warm arena per simulated rank
@@ -470,11 +451,7 @@ impl QrPlan {
 
     /// Number of simulated ranks a factorization occupies.
     pub fn processors(&self) -> usize {
-        match self.exec {
-            Exec::Cqr1d { p } => p,
-            Exec::Ca { shape, .. } => shape.p(),
-            Exec::Pgeqrf { config } => config.grid.pr * config.grid.pc,
-        }
+        self.config.processors()
     }
 
     /// Factors `a`, returning the unified report.
@@ -520,22 +497,22 @@ impl QrPlan {
         }
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         if !policy.is_enabled() {
-            let run = self.run_exec(self.exec, a, cfg)?;
-            return Ok(QrReport::from_run(self.algorithm, a, run));
+            let run = self.run_config(self.config, a, cfg)?;
+            return Ok(QrReport::from_run(self.algorithm(), a, run));
         }
-        let rungs: Vec<(Algorithm, Exec)> = std::iter::once((self.algorithm, self.exec))
+        let rungs = std::iter::once(self.config)
             .chain(self.ladder.iter().copied())
-            .take(policy.max_attempts)
-            .collect();
+            .take(policy.max_attempts);
         // Index of the ladder's true terminal rung in the chained walk. A
         // policy whose attempt cap truncates the ladder *before* the
         // terminal rung keeps the gate on every attempted rung: accepting
         // whatever the cap happened to land on would silently violate the
         // caller's κ threshold.
         let terminal = self.ladder.len();
-        let mut attempts: Vec<EscalationAttempt> = Vec::with_capacity(rungs.len());
-        for (i, (algorithm, exec)) in rungs.into_iter().enumerate() {
-            match self.run_exec(exec, a, cfg) {
+        let mut attempts: Vec<EscalationAttempt> = Vec::new();
+        for (i, config) in rungs.enumerate() {
+            let algorithm = config.algorithm();
+            match self.run_config(config, a, cfg) {
                 Ok(run) => {
                     let kappa = dense::cond_estimate(run.r.as_ref());
                     // The terminal rung is accepted unconditionally — there
@@ -567,32 +544,49 @@ impl QrPlan {
         Err(PlanError::EscalationExhausted { attempts })
     }
 
-    /// Runs one execution recipe against the plan's pooled arenas. The
+    /// Runs one validated config against the plan's pooled arenas. The
     /// chaos faultpoint here injects a typed breakdown *upstream* of rank
     /// dispatch, so every simulated rank observes one consistent failure
     /// (the in-kernel pivot faultpoint is suppressed inside SPMD regions
     /// for exactly that reason).
-    fn run_exec(&self, exec: Exec, a: &Matrix, cfg: SimConfig) -> Result<QrRun, dense::cholesky::CholeskyError> {
+    fn run_config(&self, config: CandidateConfig, a: &Matrix, cfg: SimConfig) -> Result<QrRun, CholeskyError> {
         dense::faultpoint!(dense::fault::CHOLESKY, {
-            return Err(dense::cholesky::CholeskyError {
+            return Err(CholeskyError {
                 index: 0,
                 pivot: f64::NEG_INFINITY,
             });
         });
-        Ok(match exec {
-            Exec::Cqr1d { p } => run_cqr2_1d_global(a, p, self.backend, cfg, &self.pool)?,
-            Exec::Ca { shape, params, run } => run(a, shape, params, cfg, &self.pool)?,
-            Exec::Pgeqrf { config } => {
-                let run = run_pgeqrf_global(a, config, cfg);
-                QrRun {
-                    q: run.q,
-                    r: run.r,
-                    elapsed: run.elapsed,
-                    wall_seconds: run.wall_seconds,
-                    ledgers: run.ledgers,
+        let backend = self.backend;
+        match config {
+            CandidateConfig::Cqr1d { p } => run_cqr2_1d_global(a, p, backend, cfg, &self.pool),
+            CandidateConfig::CaCqr2 {
+                c,
+                d,
+                base_size,
+                inverse_depth,
+            }
+            | CandidateConfig::CaCqr3 {
+                c,
+                d,
+                base_size,
+                inverse_depth,
+            } => {
+                let shape = GridShape { c, d };
+                let params = CfrParams {
+                    base_size,
+                    inverse_depth,
+                    backend,
+                };
+                match config.algorithm() {
+                    Algorithm::CaCqr3 => run_cacqr3_global(a, shape, params, cfg, &self.pool),
+                    _ => run_cacqr2_global(a, shape, params, cfg, &self.pool),
                 }
             }
-        })
+            CandidateConfig::Pgeqrf { pr, pc, nb } => {
+                let grid = BlockCyclic { pr, pc, nb };
+                Ok(run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg))
+            }
+        }
     }
 
     /// Opens a [`StreamingQr`](crate::stream::StreamingQr) seeded by
@@ -626,7 +620,7 @@ impl QrPlan {
 impl QrPlanBuilder {
     /// Chooses the QR variant (default [`Algorithm::CaCqr2`]).
     pub fn algorithm(mut self, algorithm: Algorithm) -> QrPlanBuilder {
-        self.algorithm = algorithm;
+        self.spec = self.spec.algorithm(algorithm);
         self
     }
 
@@ -634,13 +628,13 @@ impl QrPlanBuilder {
     /// [`Algorithm::Cqr2_1d`] the grid contributes its total rank count
     /// `P = c²·d` (the 1D row partition ignores the shape).
     pub fn grid(mut self, shape: GridShape) -> QrPlanBuilder {
-        self.grid = Some(shape);
+        self.spec = self.spec.grid(shape);
         self
     }
 
     /// Sets the 2D block-cyclic layout used by [`Algorithm::Pgeqrf`].
     pub fn block_cyclic(mut self, grid: BlockCyclic) -> QrPlanBuilder {
-        self.block_cyclic = Some(grid);
+        self.spec = self.spec.block_cyclic(grid);
         self
     }
 
@@ -664,195 +658,87 @@ impl QrPlanBuilder {
     /// default, see [`BackendKind::default_kind`]). The choice survives
     /// validation — it is never silently reset.
     pub fn backend(mut self, backend: BackendKind) -> QrPlanBuilder {
-        self.backend = backend;
+        self.spec = self.spec.backend(backend);
         self
     }
 
     /// Overrides the CFR3D base-case size `n₀` (default: the paper's
     /// bandwidth-minimizing `n/c²`, clamped to `[c, n]`). CA family only.
     pub fn base_size(mut self, base_size: usize) -> QrPlanBuilder {
-        self.base_size = Some(base_size);
+        self.spec = self.spec.base_size(base_size);
         self
     }
 
     /// Sets the paper's `InverseDepth` knob (default 0: full explicit
     /// inverse). Must satisfy `inverse_depth ≤ log₂(n/n₀)`. CA family only.
     pub fn inverse_depth(mut self, inverse_depth: usize) -> QrPlanBuilder {
-        self.inverse_depth = inverse_depth;
+        self.spec = self.spec.inverse_depth(inverse_depth);
         self
     }
 
     /// Sets the plan's default [`RetryPolicy`] (default
     /// [`RetryPolicy::none`]: no escalation, classic error surfacing).
     pub fn retry(mut self, retry: RetryPolicy) -> QrPlanBuilder {
-        self.retry = retry;
+        self.spec = self.spec.retry(retry);
         self
     }
 
     /// Validates the configuration and returns the reusable plan.
     ///
-    /// Every constraint is checked here, once, so [`QrPlan::factor`] cannot
-    /// trip an `assert!` in the layers below.
+    /// The optional knobs resolve into one [`CandidateConfig`] and
+    /// [`validate`] checks every constraint on it here, once, so
+    /// [`QrPlan::factor`] cannot trip an `assert!` in the layers below.
     pub fn build(self) -> Result<QrPlan, PlanError> {
-        let (m, n) = (self.m, self.n);
-        if m < n {
-            return Err(PlanError::NotTall { m, n });
-        }
-        let exec = match self.algorithm {
-            Algorithm::Cqr2_1d => {
-                let shape = self.grid.ok_or(PlanError::MissingGrid {
-                    algorithm: self.algorithm,
-                })?;
-                let p = shape.p();
-                if m % p != 0 {
-                    return Err(PlanError::RowsNotDivisible {
-                        m,
-                        divisor: p,
-                        algorithm: self.algorithm,
-                    });
-                }
-                Exec::Cqr1d { p }
-            }
-            Algorithm::CaCqr2 | Algorithm::CaCqr3 => {
-                let shape = self.grid.ok_or(PlanError::MissingGrid {
-                    algorithm: self.algorithm,
-                })?;
-                let (c, d) = (shape.c, shape.d);
-                if m % d != 0 {
-                    return Err(PlanError::RowsNotDivisible {
-                        m,
-                        divisor: d,
-                        algorithm: self.algorithm,
-                    });
-                }
-                if n % c != 0 {
-                    return Err(PlanError::ColsNotDivisible { n, divisor: c });
-                }
-                let base_size = self.base_size.unwrap_or_else(|| CfrParams::default_for(n, c).base_size);
-                let params = CfrParams {
-                    base_size,
-                    inverse_depth: self.inverse_depth,
-                    backend: self.backend,
-                }
-                .validate(n, c)?;
-                let run: CaDriver = match self.algorithm {
-                    Algorithm::CaCqr3 => run_cacqr3_global,
-                    _ => run_cacqr2_global,
-                };
-                Exec::Ca { shape, params, run }
-            }
-            Algorithm::Pgeqrf => {
-                let grid = self.block_cyclic.ok_or(PlanError::MissingBlockCyclic)?;
-                if grid.pr == 0 || grid.pc == 0 || grid.nb == 0 {
-                    return Err(PlanError::BlockCyclicZero {
-                        pr: grid.pr,
-                        pc: grid.pc,
-                        nb: grid.nb,
-                    });
-                }
-                if n % grid.nb != 0 {
-                    return Err(PlanError::BlockSizeMismatch { n, nb: grid.nb });
-                }
-                // The butterfly collectives (both backends) only handle
-                // power-of-two communicators; the panel allreduce runs over
-                // a grid column (pr ranks) and the trailing-matrix broadcast
-                // over a grid row (pc ranks). Reject here instead of letting
-                // the runtime assert mid-factorization.
-                for (what, size) in [("pr", grid.pr), ("pc", grid.pc)] {
-                    if !size.is_power_of_two() {
-                        return Err(PlanError::CommNotPowerOfTwo { what, size });
-                    }
-                }
-                Exec::Pgeqrf {
-                    config: PgeqrfConfig {
-                        grid,
-                        backend: self.backend,
-                    },
-                }
-            }
-        };
-        let ladder = self.escalation_ladder(exec);
+        let spec = self.spec;
+        let config = spec.resolve()?;
+        validate(spec.m, spec.n, &config)?;
         Ok(QrPlan {
-            m,
-            n,
-            algorithm: self.algorithm,
+            m: spec.m,
+            n: spec.n,
             machine: self.machine,
             runtime: self.runtime,
-            backend: self.backend,
-            exec,
-            retry: self.retry,
-            ladder,
+            backend: spec.backend.unwrap_or_else(BackendKind::default_kind),
+            config,
+            retry: spec.retry,
+            ladder: self.escalation_ladder(&config),
             pool: Arc::new(WorkspacePool::new()),
         })
     }
 
     /// Resolves the escalation rungs above the chosen algorithm. The ladder
     /// is always built (it is nearly free) so a per-call policy can enable
-    /// escalation on a plan whose default policy is `none`. Rungs whose
-    /// constraints cannot be met from this builder's configuration are
-    /// skipped, never errored — a shorter ladder, not a failed build.
-    fn escalation_ladder(&self, exec: Exec) -> Vec<(Algorithm, Exec)> {
-        let (m, n) = (self.m, self.n);
+    /// escalation on a plan whose default policy is `none`. Rungs are
+    /// proposed from this builder's configuration and kept when they
+    /// [`validate`] — a shorter ladder, never a failed build.
+    fn escalation_ladder(&self, primary: &CandidateConfig) -> Vec<CandidateConfig> {
+        let (m, n, algorithm) = (self.spec.m, self.spec.n, self.spec.algorithm);
+        let runnable = |config: &CandidateConfig| validate(m, n, config).is_ok();
         let mut rungs = Vec::new();
-        // Shifted CA-CQR3: the stability escalation within the Gram family.
-        if matches!(self.algorithm, Algorithm::Cqr2_1d | Algorithm::CaCqr2) {
-            if let Some(shape) = self.grid {
-                let (c, d) = (shape.c, shape.d);
-                if m % d == 0 && n % c == 0 {
-                    let params = CfrParams {
-                        base_size: CfrParams::default_for(n, c).base_size,
-                        inverse_depth: 0,
-                        backend: self.backend,
-                    };
-                    if let Ok(params) = params.validate(n, c) {
-                        rungs.push((
-                            Algorithm::CaCqr3,
-                            Exec::Ca {
-                                shape,
-                                params,
-                                run: run_cacqr3_global,
-                            },
-                        ));
-                    }
-                }
-            }
+        // Shifted CA-CQR3 on the same grid at the default `n₀`: the
+        // stability escalation within the Gram family.
+        if matches!(algorithm, Algorithm::Cqr2_1d | Algorithm::CaCqr2) {
+            let knobs = JobSpec {
+                algorithm: Algorithm::CaCqr3,
+                base_size: None,
+                inverse_depth: 0,
+                ..self.spec
+            };
+            rungs.extend(knobs.resolve().ok().filter(runnable));
         }
         // Householder Pgeqrf: the terminal rung — no Gram matrix, no κ²
-        // squeeze. Use the builder's block-cyclic layout when it satisfies
-        // the baseline's constraints, else derive a single-column grid:
-        // one n-wide panel (nb = n divides n trivially), pr = the largest
-        // power of two that keeps every rank holding at least one row
-        // block, capped by the primary plan's rank count.
-        if self.algorithm != Algorithm::Pgeqrf && n > 0 {
-            let grid = self
-                .block_cyclic
-                .filter(|g| {
-                    g.pr > 0
-                        && g.pc > 0
-                        && g.nb > 0
-                        && n % g.nb == 0
-                        && g.pr.is_power_of_two()
-                        && g.pc.is_power_of_two()
-                })
-                .unwrap_or_else(|| {
-                    let p = match exec {
-                        Exec::Cqr1d { p } => p,
-                        Exec::Ca { shape, .. } => shape.p(),
-                        Exec::Pgeqrf { config } => config.grid.pr * config.grid.pc,
-                    };
-                    let cap = p.min((m / n).max(1)).max(1);
-                    let pr = 1usize << (usize::BITS - 1 - cap.leading_zeros());
-                    BlockCyclic { pr, pc: 1, nb: n }
-                });
-            rungs.push((
-                Algorithm::Pgeqrf,
-                Exec::Pgeqrf {
-                    config: PgeqrfConfig {
-                        grid,
-                        backend: self.backend,
-                    },
-                },
-            ));
+        // squeeze. Use the builder's block-cyclic layout when it is
+        // runnable, else a single-column grid: one n-wide panel, pr = the
+        // largest power of two that keeps every rank holding at least one
+        // row block, capped by the primary plan's rank count.
+        if algorithm != Algorithm::Pgeqrf {
+            let cap = primary.processors().min((m / n.max(1)).max(1)).max(1);
+            let derived = CandidateConfig::Pgeqrf {
+                pr: 1 << cap.ilog2(),
+                pc: 1,
+                nb: n,
+            };
+            let own = self.spec.algorithm(Algorithm::Pgeqrf).resolve().ok();
+            rungs.extend(own.into_iter().chain([derived]).find(runnable));
         }
         rungs
     }

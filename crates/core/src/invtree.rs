@@ -76,14 +76,6 @@ impl InvTree {
         }
     }
 
-    /// The local piece of `Y` if fully inverted.
-    pub fn full_y(&self) -> Option<&Matrix> {
-        match self {
-            InvTree::Full { y, .. } => Some(y),
-            InvTree::Split { .. } => None,
-        }
-    }
-
     /// Consumes the tree, parking every matrix it owns back into the
     /// workspace. Call this when a factorization pass is done with its
     /// inverse — the storage funds the next pass's temporaries.

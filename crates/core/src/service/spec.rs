@@ -2,8 +2,10 @@
 //! ([`JobInput`]) and the per-submission quality-of-service knobs
 //! ([`SubmitOptions`]).
 
-use crate::driver::{Algorithm, PlanError, QrPlan, RetryPolicy};
+use crate::config::CfrParams;
+use crate::driver::{Algorithm, PlanError, QrPlan, QrPlanBuilder, RetryPolicy};
 use baseline::BlockCyclic;
+use costmodel::CandidateConfig;
 use dense::{BackendKind, Matrix};
 use pargrid::GridShape;
 use simgrid::{Machine, RuntimeKind};
@@ -12,25 +14,26 @@ use std::time::Duration;
 
 /// A hashable description of *what* to factor: the plan-cache key.
 ///
-/// Mirrors the [`QrPlanBuilder`](crate::driver::QrPlanBuilder) knobs that
-/// affect the schedule — shape, [`Algorithm`], grid or block-cyclic layout,
-/// kernel backend, CFR3D base size and inverse depth — but not the machine
-/// model, which is a property of the whole service. Two jobs with equal
-/// specs share one cached [`QrPlan`]; the same derived `Hash` that keys the
-/// cache map also picks the cache *shard* (via a fixed FNV-1a, so shard
-/// assignment is stable across runs).
+/// These are the [`QrPlanBuilder`] knobs that affect the schedule — shape,
+/// [`Algorithm`], grid or block-cyclic layout, kernel backend, CFR3D base
+/// size and inverse depth (the builder carries one `JobSpec` plus the
+/// machine model and runtime, which are properties of the whole service).
+/// Knobs left unset are resolved into a [`CandidateConfig`] when the plan
+/// is built. Two jobs with equal specs share one cached [`QrPlan`]; the
+/// same derived `Hash` that keys the cache map also picks the cache *shard*
+/// (via a fixed FNV-1a, so shard assignment is stable across runs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[must_use = "a JobSpec does nothing until submitted to a QrService"]
 pub struct JobSpec {
-    m: usize,
-    n: usize,
-    algorithm: Algorithm,
-    grid: Option<GridShape>,
-    block_cyclic: Option<BlockCyclic>,
-    backend: Option<BackendKind>,
-    base_size: Option<usize>,
-    inverse_depth: usize,
-    retry: RetryPolicy,
+    pub(crate) m: usize,
+    pub(crate) n: usize,
+    pub(crate) algorithm: Algorithm,
+    pub(crate) grid: Option<GridShape>,
+    pub(crate) block_cyclic: Option<BlockCyclic>,
+    pub(crate) backend: Option<BackendKind>,
+    pub(crate) base_size: Option<usize>,
+    pub(crate) inverse_depth: usize,
+    pub(crate) retry: RetryPolicy,
 }
 
 impl JobSpec {
@@ -107,6 +110,68 @@ impl JobSpec {
         self.n
     }
 
+    /// The spec that asks for exactly `config` on `m × n` matrices — every
+    /// schedule knob set, backend and retry policy at their defaults. Does
+    /// not check that `config` is runnable: building the plan does.
+    pub(crate) fn from_config(m: usize, n: usize, config: &CandidateConfig) -> JobSpec {
+        let spec = JobSpec::new(m, n).algorithm(config.algorithm());
+        match *config {
+            CandidateConfig::Cqr1d { p } => spec.grid(GridShape { c: 1, d: p }),
+            CandidateConfig::CaCqr2 {
+                c,
+                d,
+                base_size,
+                inverse_depth,
+            }
+            | CandidateConfig::CaCqr3 {
+                c,
+                d,
+                base_size,
+                inverse_depth,
+            } => spec
+                .grid(GridShape { c, d })
+                .base_size(base_size)
+                .inverse_depth(inverse_depth),
+            CandidateConfig::Pgeqrf { pr, pc, nb } => spec.block_cyclic(BlockCyclic { pr, pc, nb }),
+        }
+    }
+
+    /// Resolves the optional knobs into the [`CandidateConfig`] this spec
+    /// asks for: the 1D partition takes its rank count from the grid, an
+    /// unset base size becomes the paper's `n/c²`, knobs irrelevant to the
+    /// algorithm are dropped. Errors only when the layout knob is unset;
+    /// runnability is [`driver::validate`](crate::driver::validate)'s call.
+    pub(crate) fn resolve(&self) -> Result<CandidateConfig, PlanError> {
+        let algorithm = self.algorithm;
+        if algorithm == Algorithm::Pgeqrf {
+            let BlockCyclic { pr, pc, nb } = self.block_cyclic.ok_or(PlanError::MissingBlockCyclic)?;
+            return Ok(CandidateConfig::Pgeqrf { pr, pc, nb });
+        }
+        let grid = self.grid.ok_or(PlanError::MissingGrid { algorithm })?;
+        if algorithm == Algorithm::Cqr2_1d {
+            return Ok(CandidateConfig::Cqr1d { p: grid.p() });
+        }
+        let GridShape { c, d } = grid;
+        let base_size = self
+            .base_size
+            .unwrap_or_else(|| CfrParams::default_for(self.n, c).base_size);
+        let inverse_depth = self.inverse_depth;
+        Ok(match algorithm {
+            Algorithm::CaCqr3 => CandidateConfig::CaCqr3 {
+                c,
+                d,
+                base_size,
+                inverse_depth,
+            },
+            _ => CandidateConfig::CaCqr2 {
+                c,
+                d,
+                base_size,
+                inverse_depth,
+            },
+        })
+    }
+
     /// Builds the validated plan this spec describes, under the given
     /// simulated machine model; an unset backend resolves to
     /// `default_backend`. Services do this internally (and cache the
@@ -125,23 +190,12 @@ impl JobSpec {
         default_backend: BackendKind,
         runtime: RuntimeKind,
     ) -> Result<QrPlan, PlanError> {
-        let mut b = QrPlan::new(self.m, self.n)
-            .algorithm(self.algorithm)
-            .machine(machine)
-            .runtime(runtime)
-            .backend(self.backend.unwrap_or(default_backend))
-            .inverse_depth(self.inverse_depth)
-            .retry(self.retry);
-        if let Some(grid) = self.grid {
-            b = b.grid(grid);
+        QrPlanBuilder {
+            spec: self.cache_key(default_backend),
+            machine,
+            runtime,
         }
-        if let Some(bc) = self.block_cyclic {
-            b = b.block_cyclic(bc);
-        }
-        if let Some(base) = self.base_size {
-            b = b.base_size(base);
-        }
-        b.build()
+        .build()
     }
 
     /// Normalizes the spec into its cache key: the one knob the service

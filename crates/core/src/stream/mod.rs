@@ -298,11 +298,6 @@ impl StreamingQr {
         self.rhs.as_ref().map(|t| t.nrhs)
     }
 
-    /// The live projection `d = Aᵀb` (`None` for factor-only streams).
-    pub fn rhs_projection(&self) -> Option<&Matrix> {
-        self.rhs.as_ref().map(|t| &t.d)
-    }
-
     /// The typed cause of the most recent refresh failure, `None` once a
     /// refresh succeeds again. Populated when a drift-triggered refresh
     /// fails after its update committed (the status-level signal is
@@ -720,10 +715,10 @@ impl StreamingQr {
     }
 
     /// Second escalation rung: sequential R-only *shifted* CholeskyQR3
-    /// (Fukaya et al.). The Gram matrix is regularized with
-    /// `σ = 11(mn + n(n+1))·ε·‖A‖²_F` before the first Cholesky — enough to
-    /// keep `G + σI` positive definite for any numerically full-rank `A` —
-    /// and two unshifted correction passes restore orthogonality:
+    /// (Fukaya et al.). The Gram matrix is regularized with the Fukaya shift
+    /// before the first Cholesky — enough to keep `G + σI` positive definite
+    /// for any numerically full-rank `A` — and two unshifted correction
+    /// passes restore orthogonality:
     /// `R = (L₁·L₂·L₃)ᵀ`. All three factors come from one Gram product; no
     /// `Q` is materialized.
     fn refresh_sequential_shifted(&mut self) -> Result<(), PlanError> {
@@ -735,7 +730,7 @@ impl StreamingQr {
         let mut g = ws.take_matrix_stale(n, n);
         backend.syrk_into(a.as_ref(), g.as_mut());
         let frob_sq: f64 = (0..n).map(|i| g.as_ref().at(i, i)).sum();
-        let shift = 11.0 * ((self.live * n + n * (n + 1)) as f64) * f64::EPSILON * frob_sq;
+        let shift = crate::cqr::fukaya_shift(self.live, n, frob_sq);
         let mut l1 = ws.take_copy(g.as_ref());
         for i in 0..n {
             let v = l1.as_ref().at(i, i) + shift;

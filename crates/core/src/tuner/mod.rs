@@ -8,9 +8,10 @@
 //! hand. This module closes the loop:
 //!
 //! 1. **Enumerate** — [`Tuner::report`] lists every runnable configuration
-//!    for `(m, n, P)` via [`costmodel::candidates`]: all four
-//!    [`Algorithm`]s, every valid grid split, a base-size/panel-width
-//!    sweep, each kernel backend.
+//!    for `(m, n, P)`: the proposals of [`costmodel::enumerate`] (all four
+//!    [`Algorithm`]s, every grid split, a base-size/panel-width sweep) that
+//!    the plan validator [`driver::validate`](crate::driver::validate)
+//!    accepts — so every candidate builds — on each kernel backend.
 //! 2. **Score** — each candidate is priced with the exact closed-form cost
 //!    models on a [`MachineCal`] profile. The default profile models *this
 //!    process*: nominal per-backend flop rates, per-message software
@@ -55,13 +56,11 @@ mod profile;
 pub use error::TunerError;
 pub use profile::{ProfileEntry, TuningProfile, PROFILE_VERSION};
 
-use crate::driver::{Algorithm, PlanError, QrPlan};
+use crate::driver::{validate, Algorithm, PlanError, QrPlan};
 use crate::service::JobSpec;
-use baseline::BlockCyclic;
 use costmodel::{CandidateConfig, Cost, MachineCal};
 use dense::random::well_conditioned;
 use dense::BackendKind;
-use pargrid::GridShape;
 use simgrid::{Machine, RuntimeKind};
 use std::time::Instant;
 
@@ -155,7 +154,7 @@ pub struct TunerCandidate {
 impl TunerCandidate {
     /// The candidate's algorithm.
     pub fn algorithm(&self) -> Algorithm {
-        algorithm_of(&self.config)
+        self.config.algorithm()
     }
 
     /// The seconds this candidate is ranked by: measured when available,
@@ -230,33 +229,13 @@ impl TunerReport {
     /// The winner as a persistable [`ProfileEntry`].
     pub fn profile_entry(&self) -> ProfileEntry {
         let best = self.best();
-        let (grid, block_cyclic, base_size, inverse_depth) = match best.config {
-            CandidateConfig::Cqr1d { p } => (Some((1, p)), None, None, 0),
-            CandidateConfig::CaCqr2 {
-                c,
-                d,
-                base_size,
-                inverse_depth,
-            }
-            | CandidateConfig::CaCqr3 {
-                c,
-                d,
-                base_size,
-                inverse_depth,
-            } => (Some((c, d)), None, Some(base_size), inverse_depth),
-            CandidateConfig::Pgeqrf { pr, pc, nb } => (None, Some((pr, pc, nb)), None, 0),
-        };
         ProfileEntry {
             m: self.m,
             n: self.n,
             processors: self.processors,
             threads: self.threads,
-            algorithm: best.algorithm(),
+            config: best.config,
             backend: best.backend,
-            grid,
-            block_cyclic,
-            base_size,
-            inverse_depth,
             predicted_seconds: best.predicted_seconds,
             // A failed calibration run "measures" +∞, which is not a
             // number the canonical JSON round trip can carry — record the
@@ -388,10 +367,7 @@ impl Tuner {
             Some(p) => p,
             None => self.pick_processors(),
         };
-        let configs: Vec<CandidateConfig> = costmodel::enumerate(self.m, self.n, processors)
-            .into_iter()
-            .filter(|c| self.algorithms.contains(&algorithm_of(c)))
-            .collect();
+        let configs = self.runnable_configs(processors);
         // Running P simulated ranks on `threads` real cores serializes the
         // surplus: all candidates share the factor, so it scales the
         // predicted seconds into wall-clock territory without moving ranks.
@@ -438,13 +414,10 @@ impl Tuner {
                 if !cal.candidate_fits(self.m, self.n, config) {
                     continue;
                 }
-                let Ok(spec) = spec_for(self.m, self.n, config, backend) else {
-                    continue; // unreachable for enumerated configs, but never panic
-                };
                 candidates.push(TunerCandidate {
                     config: *config,
                     backend,
-                    spec,
+                    spec: JobSpec::from_config(self.m, self.n, config).backend(backend),
                     predicted: costmodel::predicted_cost(self.m, self.n, config),
                     predicted_seconds: cal.time_candidate(self.m, self.n, config) * oversubscription,
                     measured_seconds: None,
@@ -506,6 +479,15 @@ impl Tuner {
         })
     }
 
+    /// The searched configurations for `processors` ranks: every proposal of
+    /// [`costmodel::enumerate`] that belongs to an enabled algorithm and
+    /// that the plan validator accepts for this shape.
+    fn runnable_configs(&self, processors: usize) -> Vec<CandidateConfig> {
+        costmodel::enumerate(self.n, processors, |config| {
+            self.algorithms.contains(&config.algorithm()) && validate(self.m, self.n, config).is_ok()
+        })
+    }
+
     /// The default rank count: the first of a fixed preference order that
     /// yields at least one runnable candidate under the same filters
     /// `report` applies (algorithm set *and* the scoring profile's memory
@@ -519,9 +501,10 @@ impl Tuner {
             .profile
             .unwrap_or_else(|| host_profile(nominal_seconds_per_flop(BackendKind::default_kind())));
         for p in [16usize, 8, 4, 32, 64, 2, 1] {
-            if costmodel::enumerate(self.m, self.n, p)
+            if self
+                .runnable_configs(p)
                 .iter()
-                .any(|c| self.algorithms.contains(&algorithm_of(c)) && cal.candidate_fits(self.m, self.n, c))
+                .any(|c| cal.candidate_fits(self.m, self.n, c))
             {
                 return p;
             }
@@ -544,11 +527,9 @@ impl Tuner {
             rows += divisor;
         }
         if rows > self.m {
-            rows = self.m; // enumeration guarantees divisor | m
+            rows = self.m; // the candidate validated for m, so divisor | m
         }
-        let Ok(spec) = spec_for(rows, self.n, &cand.config, cand.backend) else {
-            return f64::INFINITY;
-        };
+        let spec = JobSpec::from_config(rows, self.n, &cand.config);
         let Ok(plan) = spec.build_plan_on(Machine::zero(), cand.backend, self.runtime) else {
             return f64::INFINITY;
         };
@@ -563,48 +544,6 @@ impl Tuner {
         }
         best
     }
-}
-
-/// The [`Algorithm`] a cost-model candidate belongs to.
-fn algorithm_of(config: &CandidateConfig) -> Algorithm {
-    match config {
-        CandidateConfig::Cqr1d { .. } => Algorithm::Cqr2_1d,
-        CandidateConfig::CaCqr2 { .. } => Algorithm::CaCqr2,
-        CandidateConfig::CaCqr3 { .. } => Algorithm::CaCqr3,
-        CandidateConfig::Pgeqrf { .. } => Algorithm::Pgeqrf,
-    }
-}
-
-/// Translates a cost-model candidate into a service-layer [`JobSpec`].
-fn spec_for(m: usize, n: usize, config: &CandidateConfig, backend: BackendKind) -> Result<JobSpec, PlanError> {
-    let spec = JobSpec::new(m, n).backend(backend);
-    Ok(match *config {
-        CandidateConfig::Cqr1d { p } => spec.algorithm(Algorithm::Cqr2_1d).grid(GridShape::one_d(p)?),
-        CandidateConfig::CaCqr2 {
-            c,
-            d,
-            base_size,
-            inverse_depth,
-        } => spec
-            .algorithm(Algorithm::CaCqr2)
-            .grid(GridShape::new(c, d)?)
-            .base_size(base_size)
-            .inverse_depth(inverse_depth),
-        CandidateConfig::CaCqr3 {
-            c,
-            d,
-            base_size,
-            inverse_depth,
-        } => spec
-            .algorithm(Algorithm::CaCqr3)
-            .grid(GridShape::new(c, d)?)
-            .base_size(base_size)
-            .inverse_depth(inverse_depth),
-        CandidateConfig::Pgeqrf { pr, pc, nb } => {
-            spec.algorithm(Algorithm::Pgeqrf)
-                .block_cyclic(BlockCyclic { pr, pc, nb })
-        }
-    })
 }
 
 #[cfg(test)]
@@ -642,6 +581,42 @@ mod tests {
                 processors: 64
             }
         );
+    }
+
+    #[test]
+    fn runnable_configs_cover_all_families_on_exactly_p_ranks() {
+        let cands = Tuner::new(1 << 12, 1 << 6).runnable_configs(64);
+        for algorithm in Algorithm::ALL {
+            assert!(cands.iter().any(|c| c.algorithm() == algorithm), "{algorithm}");
+        }
+        assert!(cands.iter().any(|c| matches!(c, CandidateConfig::CaCqr2 { c: 2, .. })));
+        // Every candidate occupies exactly the requested rank count.
+        assert!(cands.iter().all(|c| c.processors() == 64));
+    }
+
+    #[test]
+    fn enumeration_respects_divisibility() {
+        // m = 100 excludes d = 64 CA grids and p = 64 1D; a prime n excludes
+        // every CA grid with c > 1 and clamps the baseline to nb = n.
+        let cands = Tuner::new(100, 7).runnable_configs(64);
+        assert!(!cands.iter().any(|c| matches!(c, CandidateConfig::Cqr1d { .. })));
+        assert!(!cands.iter().any(|c| matches!(c, CandidateConfig::CaCqr2 { .. })));
+        assert!(cands.iter().all(|c| matches!(c, CandidateConfig::Pgeqrf { nb: 7, .. })));
+        assert!(!cands.is_empty());
+    }
+
+    #[test]
+    fn wide_matrices_enumerate_nothing() {
+        assert!(Tuner::new(8, 16).runnable_configs(4).is_empty());
+    }
+
+    #[test]
+    fn costs_are_positive_and_finite() {
+        for cand in Tuner::new(1 << 10, 1 << 5).runnable_configs(16) {
+            let cost = costmodel::predicted_cost(1 << 10, 1 << 5, &cand);
+            assert!(cost.gamma > 0.0 && cost.gamma.is_finite(), "{cand}: {cost:?}");
+            assert!(cost.alpha >= 0.0 && cost.beta >= 0.0);
+        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 
 use super::error::TunerError;
 use super::json::{self, JsonValue};
-use crate::driver::{Algorithm, PlanError};
+use crate::driver::{validate, Algorithm, PlanError};
 use crate::service::JobSpec;
 use baseline::BlockCyclic;
+use costmodel::CandidateConfig;
 use dense::BackendKind;
 use pargrid::GridShape;
 
@@ -36,7 +37,11 @@ use pargrid::GridShape;
 /// (`tuner_sweep --profile`).
 pub const PROFILE_VERSION: u64 = 2;
 
-/// One tuned configuration: the key it was tuned for and the winning knobs.
+/// One tuned configuration: the key it was tuned for and the winning config.
+///
+/// On disk the config is spelled as the knobs of the [`JobSpec`] that asks
+/// for it (`algorithm`, `grid`, `block_cyclic`, `base_size`,
+/// `inverse_depth`, with `null` for the knobs the algorithm does not use).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProfileEntry {
     /// Global row count of the tuned shape.
@@ -47,18 +52,10 @@ pub struct ProfileEntry {
     pub processors: usize,
     /// Process thread budget the tuning ran under (`dense::max_threads`).
     pub threads: usize,
-    /// The winning algorithm.
-    pub algorithm: Algorithm,
+    /// The winning algorithm and its schedule knobs.
+    pub config: CandidateConfig,
     /// The winning kernel backend.
     pub backend: BackendKind,
-    /// The winning `c × d × c` grid (CA family and 1D-CQR2).
-    pub grid: Option<(usize, usize)>,
-    /// The winning `(pr, pc, nb)` block-cyclic layout (`pgeqrf`).
-    pub block_cyclic: Option<(usize, usize, usize)>,
-    /// The winning CFR3D base-case size (CA family).
-    pub base_size: Option<usize>,
-    /// The winning `InverseDepth` (CA family).
-    pub inverse_depth: usize,
     /// Cost-model-predicted seconds for the winner.
     pub predicted_seconds: f64,
     /// Measured calibration seconds for the winner, when the tuning ran
@@ -72,77 +69,51 @@ impl ProfileEntry {
         (self.m, self.n, self.processors, self.threads)
     }
 
-    /// Reconstructs the [`JobSpec`] this entry records, revalidating the
-    /// grid shape (a hand-edited profile can name an invalid grid; that
+    /// The [`JobSpec`] that asks for this entry's config, validated for its
+    /// shape (a hand-edited profile can name an unrunnable config; that
     /// surfaces as a typed [`PlanError`], never a panic).
     pub fn spec(&self) -> Result<JobSpec, PlanError> {
-        let mut spec = JobSpec::new(self.m, self.n)
-            .algorithm(self.algorithm)
-            .backend(self.backend)
-            .inverse_depth(self.inverse_depth);
-        if let Some((c, d)) = self.grid {
-            spec = spec.grid(GridShape::new(c, d)?);
-        }
-        if let Some((pr, pc, nb)) = self.block_cyclic {
-            spec = spec.block_cyclic(BlockCyclic { pr, pc, nb });
-        }
-        if let Some(base_size) = self.base_size {
-            spec = spec.base_size(base_size);
-        }
-        Ok(spec)
+        validate(self.m, self.n, &self.config)?;
+        Ok(JobSpec::from_config(self.m, self.n, &self.config).backend(self.backend))
     }
 
     fn to_json(self) -> JsonValue {
-        let opt_usize = |v: Option<usize>| match v {
-            Some(x) => JsonValue::Number(x as f64),
-            None => JsonValue::Null,
+        let num = |v: usize| JsonValue::Number(v as f64);
+        let object = |fields: &[(&str, usize)]| {
+            JsonValue::Object(fields.iter().map(|&(k, v)| (k.to_string(), num(v))).collect())
         };
+        let knobs = JobSpec::from_config(self.m, self.n, &self.config);
         JsonValue::Object(vec![
-            ("m".to_string(), JsonValue::Number(self.m as f64)),
-            ("n".to_string(), JsonValue::Number(self.n as f64)),
-            ("processors".to_string(), JsonValue::Number(self.processors as f64)),
-            ("threads".to_string(), JsonValue::Number(self.threads as f64)),
+            ("m".to_string(), num(self.m)),
+            ("n".to_string(), num(self.n)),
+            ("processors".to_string(), num(self.processors)),
+            ("threads".to_string(), num(self.threads)),
             (
                 "algorithm".to_string(),
-                JsonValue::String(self.algorithm.name().to_string()),
+                JsonValue::String(knobs.algorithm.name().to_string()),
             ),
             ("backend".to_string(), JsonValue::String(self.backend.to_string())),
             (
                 "grid".to_string(),
-                match self.grid {
-                    Some((c, d)) => JsonValue::Object(vec![
-                        ("c".to_string(), JsonValue::Number(c as f64)),
-                        ("d".to_string(), JsonValue::Number(d as f64)),
-                    ]),
-                    None => JsonValue::Null,
-                },
+                knobs
+                    .grid
+                    .map_or(JsonValue::Null, |g| object(&[("c", g.c), ("d", g.d)])),
             ),
             (
                 "block_cyclic".to_string(),
-                match self.block_cyclic {
-                    Some((pr, pc, nb)) => JsonValue::Object(vec![
-                        ("pr".to_string(), JsonValue::Number(pr as f64)),
-                        ("pc".to_string(), JsonValue::Number(pc as f64)),
-                        ("nb".to_string(), JsonValue::Number(nb as f64)),
-                    ]),
-                    None => JsonValue::Null,
-                },
+                knobs
+                    .block_cyclic
+                    .map_or(JsonValue::Null, |b| object(&[("pr", b.pr), ("pc", b.pc), ("nb", b.nb)])),
             ),
-            ("base_size".to_string(), opt_usize(self.base_size)),
-            (
-                "inverse_depth".to_string(),
-                JsonValue::Number(self.inverse_depth as f64),
-            ),
+            ("base_size".to_string(), knobs.base_size.map_or(JsonValue::Null, num)),
+            ("inverse_depth".to_string(), num(knobs.inverse_depth)),
             (
                 "predicted_seconds".to_string(),
                 JsonValue::Number(self.predicted_seconds),
             ),
             (
                 "measured_seconds".to_string(),
-                match self.measured_seconds {
-                    Some(s) => JsonValue::Number(s),
-                    None => JsonValue::Null,
-                },
+                self.measured_seconds.map_or(JsonValue::Null, JsonValue::Number),
             ),
         ])
     }
@@ -158,19 +129,21 @@ impl ProfileEntry {
                 message: format!("entry field {key:?} must be a non-negative integer"),
             })
         };
-        let opt_pair = |key: &str, a: &str, b: &str| -> Result<Option<(usize, usize)>, TunerError> {
+        // An optional object of integer fields: `null`, or all of `keys`.
+        let opt_object = |key: &str, keys: &[&str]| -> Result<Option<Vec<usize>>, TunerError> {
             match field(key)? {
                 JsonValue::Null => Ok(None),
-                v => {
-                    let get = |k: &str| {
+                v => keys
+                    .iter()
+                    .map(|k| {
                         v.get(k)
                             .and_then(JsonValue::as_usize)
                             .ok_or_else(|| TunerError::ProfileSchema {
                                 message: format!("entry field {key:?} must carry integer {k:?}"),
                             })
-                    };
-                    Ok(Some((get(a)?, get(b)?)))
-                }
+                    })
+                    .collect::<Result<Vec<usize>, TunerError>>()
+                    .map(Some),
             }
         };
         let algorithm_name = field("algorithm")?.as_str().ok_or_else(|| TunerError::ProfileSchema {
@@ -185,19 +158,6 @@ impl ProfileEntry {
         let backend = backend_name
             .parse::<BackendKind>()
             .map_err(|e| TunerError::ProfileSchema { message: e })?;
-        let block_cyclic = match field("block_cyclic")? {
-            JsonValue::Null => None,
-            v => {
-                let get = |k: &str| {
-                    v.get(k)
-                        .and_then(JsonValue::as_usize)
-                        .ok_or_else(|| TunerError::ProfileSchema {
-                            message: format!("entry field \"block_cyclic\" must carry integer {k:?}"),
-                        })
-                };
-                Some((get("pr")?, get("pc")?, get("nb")?))
-            }
-        };
         let base_size = match field("base_size")? {
             JsonValue::Null => None,
             v => Some(v.as_usize().ok_or_else(|| TunerError::ProfileSchema {
@@ -215,17 +175,37 @@ impl ProfileEntry {
                 message: "entry field \"measured_seconds\" must be a number or null".to_string(),
             })?),
         };
-        Ok(ProfileEntry {
-            m: num("m")?,
-            n: num("n")?,
-            processors: num("processors")?,
-            threads: num("threads")?,
+        let (m, n) = (num("m")?, num("n")?);
+        // The recorded knobs resolve into the config exactly as a plan
+        // builder's would.
+        let grid = opt_object("grid", &["c", "d"])?
+            .map(|v| GridShape::new(v[0], v[1]))
+            .transpose()
+            .map_err(|e| TunerError::ProfileSchema {
+                message: format!("entry field \"grid\": {e}"),
+            })?;
+        let knobs = JobSpec {
             algorithm,
-            backend,
-            grid: opt_pair("grid", "c", "d")?,
-            block_cyclic,
+            grid,
+            block_cyclic: opt_object("block_cyclic", &["pr", "pc", "nb"])?.map(|v| BlockCyclic {
+                pr: v[0],
+                pc: v[1],
+                nb: v[2],
+            }),
             base_size,
             inverse_depth: num("inverse_depth")?,
+            ..JobSpec::new(m, n)
+        };
+        let config = knobs.resolve().map_err(|e| TunerError::ProfileSchema {
+            message: format!("entry does not name a configuration: {e}"),
+        })?;
+        Ok(ProfileEntry {
+            m,
+            n,
+            processors: num("processors")?,
+            threads: num("threads")?,
+            config,
+            backend,
             predicted_seconds,
             measured_seconds,
         })
@@ -377,12 +357,13 @@ mod tests {
             n: 64,
             processors: 16,
             threads: 4,
-            algorithm: Algorithm::CaCqr2,
+            config: CandidateConfig::CaCqr2 {
+                c: 2,
+                d: 4,
+                base_size: 16,
+                inverse_depth: 0,
+            },
             backend: BackendKind::Blocked,
-            grid: Some((2, 4)),
-            block_cyclic: None,
-            base_size: Some(16),
-            inverse_depth: 0,
             predicted_seconds: 1.0 / 3.0,
             measured_seconds: Some(2.5e-4),
         }
@@ -398,10 +379,7 @@ mod tests {
         profile.insert(ProfileEntry {
             m: 512,
             n: 512,
-            algorithm: Algorithm::Pgeqrf,
-            grid: None,
-            block_cyclic: Some((8, 2, 32)),
-            base_size: None,
+            config: CandidateConfig::Pgeqrf { pr: 8, pc: 2, nb: 32 },
             measured_seconds: None,
             predicted_seconds: 7.000000000000001e-2,
             ..sample_entry()
@@ -421,14 +399,14 @@ mod tests {
             ..sample_entry()
         });
         profile.insert(ProfileEntry {
-            inverse_depth: 1,
+            backend: BackendKind::Naive,
             ..sample_entry()
         });
         assert_eq!(profile.len(), 2);
         assert_eq!(profile.entries()[0].m, 64, "entries stay sorted");
         assert_eq!(
-            profile.lookup_exact(4096, 64, 16, 4).unwrap().inverse_depth,
-            1,
+            profile.lookup_exact(4096, 64, 16, 4).unwrap().backend,
+            BackendKind::Naive,
             "same key replaces"
         );
         assert!(profile.lookup(4096, 64).is_some());
@@ -500,7 +478,12 @@ mod tests {
         assert_eq!(spec.n(), 64);
         // An invalid hand-edited grid surfaces as a typed error.
         let bad = ProfileEntry {
-            grid: Some((3, 4)),
+            config: CandidateConfig::CaCqr2 {
+                c: 3,
+                d: 4,
+                base_size: 16,
+                inverse_depth: 0,
+            },
             ..sample_entry()
         };
         assert!(matches!(bad.spec(), Err(PlanError::Grid(_))));

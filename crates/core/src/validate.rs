@@ -29,7 +29,7 @@ use crate::config::CfrParams;
 use dense::cholesky::CholeskyError;
 use dense::{BackendKind, Matrix, Workspace, WorkspacePool};
 use pargrid::{DistMatrix, GridShape, TunableComms};
-use simgrid::{run_spmd_pooled, CostLedger, Rank, SimConfig};
+use simgrid::{run_spmd_pooled, Rank, SimConfig};
 
 /// Per-rank body of one CA-family algorithm, as consumed by
 /// [`run_ca_family`]: `(rank, comms, a_local, m, n, params, ws) → output`.
@@ -43,21 +43,9 @@ type CaAlgorithm = fn(
     &mut Workspace,
 ) -> Result<CaCqr2Output, CholeskyError>;
 
-/// A completed distributed QR run with global factors and cost accounting.
-pub struct QrRun {
-    /// The assembled `m × n` orthonormal factor.
-    pub q: Matrix,
-    /// The assembled `n × n` upper-triangular factor.
-    pub r: Matrix,
-    /// Simulated elapsed time under the machine model used for the run.
-    pub elapsed: f64,
-    /// Measured wall-clock seconds of the SPMD region. Meaningful for the
-    /// shared-memory runtime; on the simulated backend it mostly measures
-    /// mailbox traffic and is not a model quantity.
-    pub wall_seconds: f64,
-    /// Per-rank cost ledgers.
-    pub ledgers: Vec<CostLedger>,
-}
+/// A completed distributed QR run with global factors and cost accounting —
+/// the same struct every global driver returns, the baseline's included.
+pub type QrRun = baseline::PgeqrfRun;
 
 /// Runs CA-CQR2 on the simulator for a global input `a`, asserting the
 /// replication invariants (identical pieces across depth layers and across

@@ -1,24 +1,85 @@
-//! Candidate-configuration enumeration for the autotuner.
+//! Candidate configurations: the one resolved description of "what runs".
 //!
 //! The paper's central claim is that the right algorithm *and* the right
 //! grid flip with the matrix shape: tall-skinny wants 1D-ish grids (small
 //! `c`), squarer shapes want replication (large `c`), and past a latency
 //! threshold the Householder baseline wins outright. This module turns that
-//! search space into data: [`enumerate`] lists every configuration the
-//! workspace can actually run for a given `(m, n, P)` — all four algorithms,
-//! every valid `c × d × c` split, a block-size sweep — and
-//! [`predicted_cost`] prices each one with the crate's exact closed-form
-//! models, so a tuner can rank them on any machine profile without touching
-//! the simulator.
+//! search space into data. A [`CandidateConfig`] is an [`Algorithm`] plus
+//! exactly that algorithm's schedule knobs — the value the plan builder
+//! resolves its optional knobs into, a built plan executes, the tuner ranks
+//! and a tuning profile records. [`enumerate`] *proposes* configurations
+//! for `(n, P)` — every split of `P`, a base-size sweep, a block-size sweep
+//! — and keeps the ones its caller's predicate accepts; [`predicted_cost`]
+//! prices each one with the crate's exact closed-form models, so a tuner
+//! can rank them on any machine profile without touching the simulator.
 //!
-//! Validity rules mirror the `QrPlan` builder exactly (divisibility,
-//! power-of-two constraints, `d ≥ c`, `inverse_depth ≤ φ`): every candidate
-//! returned here builds into a runnable plan.
+//! Whether a configuration is *runnable* for an `m × n` matrix is not
+//! decided here: that rule lives in one place, `cacqr::driver::validate`,
+//! which the tuner passes to [`enumerate`] as the predicate.
 
 use crate::cost::Cost;
 
-/// One runnable configuration, as the cost model sees it: algorithm plus
-/// every knob that changes the schedule.
+/// The QR variants the workspace implements, as data.
+///
+/// Cross-algorithm comparisons iterate [`Algorithm::ALL`] and build one
+/// plan per variant from the same builder configuration.
+#[allow(non_camel_case_types)] // `Cqr2_1d` mirrors the paper's "1D-CQR2" naming
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Algorithm {
+    /// Algorithm 7: 1D-CholeskyQR2 over a flat row partition (`P` ranks).
+    Cqr2_1d,
+    /// Algorithm 9: CA-CQR2 over the tunable `c × d × c` grid — the paper's
+    /// headline algorithm. `c = d` gives 3D-CQR2, `c = 1` matches
+    /// [`Algorithm::Cqr2_1d`] bitwise.
+    CaCqr2,
+    /// Shifted CA-CQR3 (the paper's §V extension): one shifted pass then
+    /// CA-CQR2; unconditionally stable for numerically full-rank input.
+    CaCqr3,
+    /// The ScaLAPACK-`PGEQRF`-like 2D block-cyclic Householder baseline.
+    Pgeqrf,
+}
+
+impl Algorithm {
+    /// Every variant, in the order the paper presents them.
+    pub const ALL: [Algorithm; 4] = [
+        Algorithm::Cqr2_1d,
+        Algorithm::CaCqr2,
+        Algorithm::CaCqr3,
+        Algorithm::Pgeqrf,
+    ];
+
+    /// Short display name (`"1d-cqr2"`, `"ca-cqr2"`, `"ca-cqr3"`,
+    /// `"pgeqrf"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::Cqr2_1d => "1d-cqr2",
+            Algorithm::CaCqr2 => "ca-cqr2",
+            Algorithm::CaCqr3 => "ca-cqr3",
+            Algorithm::Pgeqrf => "pgeqrf",
+        }
+    }
+}
+
+impl std::fmt::Display for Algorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    /// Parses the stable short names emitted by [`Algorithm::name`] (the
+    /// tuning-profile and CLI spelling).
+    fn from_str(s: &str) -> Result<Algorithm, String> {
+        Algorithm::ALL
+            .into_iter()
+            .find(|a| a.name() == s)
+            .ok_or_else(|| format!("unknown algorithm {s:?} (expected one of: 1d-cqr2, ca-cqr2, ca-cqr3, pgeqrf)"))
+    }
+}
+
+/// One configuration: algorithm plus every knob that changes the schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CandidateConfig {
     /// 1D-CholeskyQR2 over a flat row partition of `p` ranks.
@@ -69,34 +130,35 @@ impl CandidateConfig {
         }
     }
 
-    /// Short display name of the algorithm family.
-    pub fn algorithm_name(&self) -> &'static str {
+    /// The algorithm the configuration runs.
+    pub fn algorithm(&self) -> Algorithm {
         match self {
-            CandidateConfig::Cqr1d { .. } => "1d-cqr2",
-            CandidateConfig::CaCqr2 { .. } => "ca-cqr2",
-            CandidateConfig::CaCqr3 { .. } => "ca-cqr3",
-            CandidateConfig::Pgeqrf { .. } => "pgeqrf",
+            CandidateConfig::Cqr1d { .. } => Algorithm::Cqr2_1d,
+            CandidateConfig::CaCqr2 { .. } => Algorithm::CaCqr2,
+            CandidateConfig::CaCqr3 { .. } => Algorithm::CaCqr3,
+            CandidateConfig::Pgeqrf { .. } => Algorithm::Pgeqrf,
         }
     }
 }
 
 impl std::fmt::Display for CandidateConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} ", self.algorithm())?;
         match *self {
-            CandidateConfig::Cqr1d { p } => write!(f, "1d-cqr2 p={p}"),
+            CandidateConfig::Cqr1d { p } => write!(f, "p={p}"),
             CandidateConfig::CaCqr2 {
                 c,
                 d,
                 base_size,
                 inverse_depth,
-            } => write!(f, "ca-cqr2 c={c} d={d} n0={base_size} id={inverse_depth}"),
-            CandidateConfig::CaCqr3 {
+            }
+            | CandidateConfig::CaCqr3 {
                 c,
                 d,
                 base_size,
                 inverse_depth,
-            } => write!(f, "ca-cqr3 c={c} d={d} n0={base_size} id={inverse_depth}"),
-            CandidateConfig::Pgeqrf { pr, pc, nb } => write!(f, "pgeqrf pr={pr} pc={pc} nb={nb}"),
+            } => write!(f, "c={c} d={d} n0={base_size} id={inverse_depth}"),
+            CandidateConfig::Pgeqrf { pr, pc, nb } => write!(f, "pr={pr} pc={pc} nb={nb}"),
         }
     }
 }
@@ -122,93 +184,66 @@ pub fn predicted_cost(m: usize, n: usize, config: &CandidateConfig) -> Cost {
     }
 }
 
-/// Valid CFR3D base-case sizes to sweep for a CA-family grid: the paper's
-/// bandwidth-minimizing default `n/c²` (clamped to `[c, n]`) plus one step
-/// down and one step up, deduplicated, all powers of two.
-fn base_sizes(n: usize, c: usize) -> Vec<usize> {
-    let default = (n / (c * c)).max(c).min(n);
-    let mut out = Vec::with_capacity(3);
-    for cand in [default / 2, default, default * 2] {
-        if cand.is_power_of_two() && cand >= c && cand <= n && !out.contains(&cand) {
-            out.push(cand);
-        }
-    }
-    out
-}
-
-/// Column block widths to sweep for the Householder baseline: the usual
-/// ScaLAPACK panel widths that divide `n`, falling back to `n` itself (which
-/// always divides) when none do.
-fn panel_widths(n: usize) -> Vec<usize> {
-    let mut out: Vec<usize> = [4usize, 8, 16, 32, 64]
-        .into_iter()
-        .filter(|&nb| nb <= n && n.is_multiple_of(nb))
-        .collect();
-    if out.is_empty() {
-        out.push(n);
-    }
-    out
-}
-
-/// Enumerates every runnable configuration for factoring an `m × n` matrix
-/// (`m ≥ n`) on `p` simulated ranks, in a deterministic order: 1D-CQR2
-/// first, then the CA family over growing `c`, then the baseline over
-/// shrinking `pr`. Returns an empty vector when nothing fits (e.g. `m < n`);
-/// the caller decides whether that is an error.
-pub fn enumerate(m: usize, n: usize, p: usize) -> Vec<CandidateConfig> {
+/// Proposes every configuration of the search space for an `n`-column
+/// factorization on `p` ranks and returns the ones `runnable` accepts, in a
+/// deterministic order: 1D-CQR2 first, then the CA family over growing `c`,
+/// then the baseline over shrinking `pr`.
+///
+/// The proposals are the splits of `p` (`c²·d` with `c` a power of two;
+/// `pr × pc` with `pc` a power of two and `pr ≥ pc`, since tall matrices
+/// want tall grids) crossed with the knob sweeps: the paper's
+/// bandwidth-minimizing base size `n₀ = n/c²` (clamped to `[c, n]`) plus
+/// one step down and one step up, `InverseDepth ∈ {0, 1}`, and the usual
+/// ScaLAPACK panel widths with a single `n`-wide panel as the fallback when
+/// `runnable` accepts none of them. Returns an empty vector when nothing is
+/// accepted; the caller decides whether that is an error.
+pub fn enumerate(n: usize, p: usize, runnable: impl Fn(&CandidateConfig) -> bool) -> Vec<CandidateConfig> {
     let mut out = Vec::new();
-    if m < n || p == 0 {
-        return out;
-    }
+    let mut propose = |config: CandidateConfig| {
+        let accepted = runnable(&config);
+        if accepted {
+            out.push(config);
+        }
+        accepted
+    };
 
-    // 1D-CQR2: the flat row partition needs p | m, and the `1 × p × 1` grid
-    // it runs on needs p to be a power of two.
-    if p.is_power_of_two() && m.is_multiple_of(p) {
-        out.push(CandidateConfig::Cqr1d { p });
-    }
+    propose(CandidateConfig::Cqr1d { p });
 
-    // CA family: c, d powers of two, d ≥ c, P = c²d, d | m, c | n, and the
-    // CFR3D recursion needs n itself to be a power of two.
-    if n.is_power_of_two() {
-        let mut c = 1usize;
-        while c * c * c <= p {
-            if p.is_multiple_of(c * c) {
-                let d = p / (c * c);
-                if d.is_power_of_two() && d >= c && m.is_multiple_of(d) && n.is_multiple_of(c) {
-                    for base_size in base_sizes(n, c) {
-                        let levels = (n / base_size).trailing_zeros() as usize;
-                        for inverse_depth in [0usize, 1] {
-                            if inverse_depth > levels {
-                                continue;
-                            }
-                            out.push(CandidateConfig::CaCqr2 {
-                                c,
-                                d,
-                                base_size,
-                                inverse_depth,
-                            });
-                            out.push(CandidateConfig::CaCqr3 {
-                                c,
-                                d,
-                                base_size,
-                                inverse_depth,
-                            });
-                        }
-                    }
+    let mut c = 1usize;
+    while c * c * c <= p {
+        if p.is_multiple_of(c * c) {
+            let d = p / (c * c);
+            let default = (n / (c * c)).max(c).min(n);
+            for base_size in [default / 2, default, default * 2] {
+                for inverse_depth in [0usize, 1] {
+                    propose(CandidateConfig::CaCqr2 {
+                        c,
+                        d,
+                        base_size,
+                        inverse_depth,
+                    });
+                    propose(CandidateConfig::CaCqr3 {
+                        c,
+                        d,
+                        base_size,
+                        inverse_depth,
+                    });
                 }
             }
-            c *= 2;
         }
+        c *= 2;
     }
 
-    // Baseline: pr × pc = p with pr ≥ pc (tall matrices want tall grids),
-    // sweeping the panel width.
     let mut pc = 1usize;
     while pc * pc <= p {
         if p.is_multiple_of(pc) {
             let pr = p / pc;
-            for nb in panel_widths(n) {
-                out.push(CandidateConfig::Pgeqrf { pr, pc, nb });
+            let mut any_standard = false;
+            for nb in [4usize, 8, 16, 32, 64] {
+                any_standard |= propose(CandidateConfig::Pgeqrf { pr, pc, nb });
+            }
+            if !any_standard {
+                propose(CandidateConfig::Pgeqrf { pr, pc, nb: n });
             }
         }
         pc *= 2;
@@ -222,43 +257,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enumerates_all_families_for_nice_shapes() {
-        let cands = enumerate(1 << 12, 1 << 6, 64);
-        assert!(cands.iter().any(|c| matches!(c, CandidateConfig::Cqr1d { .. })));
+    fn proposals_cover_all_families() {
+        let cands = enumerate(1 << 6, 64, |_| true);
+        assert!(cands.iter().any(|c| matches!(c, CandidateConfig::Cqr1d { p: 64 })));
         assert!(cands.iter().any(|c| matches!(c, CandidateConfig::CaCqr2 { c: 2, .. })));
         assert!(cands.iter().any(|c| matches!(c, CandidateConfig::CaCqr3 { .. })));
         assert!(cands.iter().any(|c| matches!(c, CandidateConfig::Pgeqrf { .. })));
-        // Every candidate occupies exactly the requested rank count.
+        // Every proposal is a split of exactly the requested rank count.
         assert!(cands.iter().all(|c| c.processors() == 64));
     }
 
     #[test]
-    fn enumeration_respects_divisibility() {
-        // m = 100 excludes d = 64 CA grids and p = 64 1D; a prime n excludes
-        // every CA grid with c > 1 and clamps the baseline to nb = n.
-        let cands = enumerate(100, 7, 64);
-        assert!(!cands.iter().any(|c| matches!(c, CandidateConfig::Cqr1d { .. })));
-        assert!(!cands.iter().any(|c| matches!(c, CandidateConfig::CaCqr2 { .. })));
-        assert!(cands.iter().all(|c| matches!(c, CandidateConfig::Pgeqrf { nb: 7, .. })));
+    fn only_accepted_proposals_are_returned() {
+        let cands = enumerate(32, 16, |c| c.algorithm() == Algorithm::CaCqr3);
         assert!(!cands.is_empty());
+        assert!(cands.iter().all(|c| c.algorithm() == Algorithm::CaCqr3));
+        assert!(enumerate(32, 16, |_| false).is_empty());
     }
 
     #[test]
-    fn wide_matrices_enumerate_nothing() {
-        assert!(enumerate(8, 16, 4).is_empty());
+    fn n_wide_panel_is_proposed_only_when_no_standard_width_is_accepted() {
+        let pgeqrf_widths = |accept: &dyn Fn(usize) -> bool| -> Vec<usize> {
+            enumerate(7, 1, |c| matches!(*c, CandidateConfig::Pgeqrf { nb, .. } if accept(nb)))
+                .iter()
+                .map(|c| match *c {
+                    CandidateConfig::Pgeqrf { nb, .. } => nb,
+                    _ => unreachable!(),
+                })
+                .collect()
+        };
+        assert_eq!(pgeqrf_widths(&|nb| nb == 7), [7]);
+        assert_eq!(pgeqrf_widths(&|nb| nb == 7 || nb == 8), [8]);
     }
 
     #[test]
     fn enumeration_is_deterministic() {
-        assert_eq!(enumerate(1 << 10, 1 << 5, 16), enumerate(1 << 10, 1 << 5, 16));
+        assert_eq!(enumerate(1 << 5, 16, |_| true), enumerate(1 << 5, 16, |_| true));
     }
 
     #[test]
-    fn costs_are_positive_and_finite() {
-        for cand in enumerate(1 << 10, 1 << 5, 16) {
-            let cost = predicted_cost(1 << 10, 1 << 5, &cand);
-            assert!(cost.gamma > 0.0 && cost.gamma.is_finite(), "{cand}: {cost:?}");
-            assert!(cost.alpha >= 0.0 && cost.beta >= 0.0);
+    fn algorithm_names_parse_back_and_lead_the_config_display() {
+        for a in Algorithm::ALL {
+            assert_eq!(a.name().parse::<Algorithm>(), Ok(a));
         }
+        assert_eq!(
+            CandidateConfig::Pgeqrf { pr: 4, pc: 2, nb: 8 }.to_string(),
+            "pgeqrf pr=4 pc=2 nb=8"
+        );
     }
 }

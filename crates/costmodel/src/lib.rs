@@ -34,7 +34,7 @@ pub mod table1;
 
 pub use cacqr2::{ca_cqr, ca_cqr2};
 pub use cacqr3::ca_cqr3;
-pub use candidates::{enumerate, predicted_cost, CandidateConfig};
+pub use candidates::{enumerate, predicted_cost, Algorithm, CandidateConfig};
 pub use cfr3d::{apply_rinv, cfr3d};
 pub use cost::Cost;
 pub use cqr1d::{cqr1d, cqr2_1d};

@@ -126,13 +126,6 @@ impl MachineCal {
         self
     }
 
-    /// Same machine with a re-measured Householder-baseline flop rate
-    /// (s/flop).
-    pub fn with_gamma_pgeqrf(mut self, seconds_per_flop: f64) -> MachineCal {
-        self.gamma_pgeqrf = seconds_per_flop;
-        self
-    }
-
     /// Predicted time of one tuner candidate on this machine: routes the
     /// candidate's closed-form cost through the per-family effective flop
     /// rate, charging the CQR2 family's fast-memory residency penalty from

@@ -40,14 +40,6 @@ pub fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
     acc.iter().sum::<f64>() + tail
 }
 
-/// `x ← a·x`.
-#[inline]
-pub fn scal(a: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= a;
-    }
-}
-
 /// Euclidean norm with scaling to avoid overflow on extreme inputs.
 pub fn nrm2(x: &[f64]) -> f64 {
     let amax = x.iter().fold(0.0f64, |m, &v| m.max(v.abs()));

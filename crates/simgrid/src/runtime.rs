@@ -183,18 +183,6 @@ pub struct SimReport<T> {
     pub wall_seconds: f64,
 }
 
-impl<T> SimReport<T> {
-    /// Maximum per-rank value of a ledger field, e.g. words sent.
-    pub fn max_over_ranks(&self, f: impl Fn(&CostLedger) -> f64) -> f64 {
-        self.ledgers.iter().map(&f).fold(0.0, f64::max)
-    }
-
-    /// Sum over ranks of a ledger field.
-    pub fn total_over_ranks(&self, f: impl Fn(&CostLedger) -> f64) -> f64 {
-        self.ledgers.iter().map(&f).sum()
-    }
-}
-
 /// One simulated process. Owns its mailbox handle, virtual clock, and ledger.
 ///
 /// All communication goes through [`crate::Comm`] (created from
@@ -361,12 +349,6 @@ impl Rank {
     /// communication path allocation-free.
     pub fn recycle_comm(&mut self, buf: Vec<f64>) {
         self.comm_ws.recycle_vec(buf);
-    }
-
-    /// Fresh heap allocations the communication arena has performed (flat
-    /// across calls ⇔ the communication layer reached steady state).
-    pub fn comm_heap_allocations(&self) -> usize {
-        self.comm_ws.heap_allocations()
     }
 }
 

@@ -3,8 +3,9 @@
 //! ranking, and the service-layer preloading/eviction surface.
 
 use ca_cqr2::cacqr::tuner::{self, Tuner};
-use ca_cqr2::costmodel::MachineCal;
+use ca_cqr2::costmodel::{CandidateConfig, MachineCal};
 use ca_cqr2::dense::random::well_conditioned;
+use ca_cqr2::simgrid::Machine;
 use ca_cqr2::{Algorithm, PlanError, QrPlan, QrService, ServiceError, TunerError, TuningProfile};
 use std::sync::Mutex;
 
@@ -138,7 +139,7 @@ fn table1_shapes_prefer_cacqr2_over_1d_at_small_aspect_ratios() {
         assert!(speedup > 1.5, "replication should pay substantially, got {speedup:.2}x");
     }
     match report.best().config {
-        ca_cqr2::costmodel::CandidateConfig::CaCqr2 { c, .. } => {
+        CandidateConfig::CaCqr2 { c, .. } => {
             assert!(c >= 4, "small aspect ratio wants real replication, got c={c}")
         }
         ref other => panic!("expected a CA-CQR2 winner, got {other}"),
@@ -152,10 +153,10 @@ fn table1_shapes_prefer_cacqr2_over_1d_at_small_aspect_ratios() {
         .report()
         .unwrap();
     match tall.best().config {
-        ca_cqr2::costmodel::CandidateConfig::CaCqr2 { c, .. } => {
+        CandidateConfig::CaCqr2 { c, .. } => {
             assert!(c <= 2, "tall-skinny wants a 1D-like grid, got c={c}")
         }
-        ca_cqr2::costmodel::CandidateConfig::Cqr1d { .. } => {}
+        CandidateConfig::Cqr1d { .. } => {}
         ref other => panic!("unexpected winner {other}"),
     }
 }
@@ -176,6 +177,38 @@ fn empty_candidate_sets_surface_as_typed_errors() {
         err,
         ServiceError::Plan(PlanError::Tuning(TunerError::NoCandidates { .. }))
     ));
+}
+
+/// Every ranked candidate builds — awkward shapes, every rank count, powers
+/// of two or not — because the tuner keeps exactly the proposals the plan
+/// validator accepts; and a search space with nothing runnable is
+/// `NoCandidates`, not a ranking of unbuildable winners.
+#[test]
+fn every_candidate_builds_and_unrunnable_search_spaces_are_typed() {
+    for (m, n) in [(768usize, 32usize), (512, 256), (16384, 64), (100, 7)] {
+        for p in 1..=64usize {
+            match Tuner::new(m, n).processors(p).report() {
+                Ok(report) => {
+                    for cand in &report.candidates {
+                        assert_eq!(cand.config.processors(), p, "{m}x{n}: {}", cand.config);
+                        if let Err(e) = cand.spec.build_plan(Machine::zero(), cand.backend) {
+                            panic!("{m}x{n} p={p}: ranked candidate {} does not build: {e}", cand.config);
+                        }
+                    }
+                }
+                Err(e) => assert_eq!(e, TunerError::NoCandidates { m, n, processors: p }),
+            }
+        }
+    }
+    // 12 ranks admit no power-of-two communicator split for any algorithm.
+    assert_eq!(
+        Tuner::new(768, 32).processors(12).report().unwrap_err(),
+        TunerError::NoCandidates {
+            m: 768,
+            n: 32,
+            processors: 12
+        }
+    );
 }
 
 /// Profile preloading is observable (`plan_cache_len`) and bounded
@@ -219,7 +252,12 @@ fn service_preloads_profiles_into_an_observable_cache() {
     // A hand-corrupted profile entry fails preloading with a typed error.
     let mut bad = TuningProfile::new();
     let mut entry = profile.lookup(512, 64).copied().unwrap();
-    entry.grid = Some((3, 5)); // not powers of two
+    entry.config = CandidateConfig::CaCqr2 {
+        c: 3, // not a power of two
+        d: 5,
+        base_size: 16,
+        inverse_depth: 0,
+    };
     bad.insert(entry);
     assert!(matches!(
         service.preload_profile(&bad).unwrap_err(),
