@@ -290,7 +290,8 @@ pub fn validate(m: usize, n: usize, config: &CandidateConfig) -> Result<(), Plan
 ///
 /// A plan owns a [`WorkspacePool`]: the first `factor` warms one scratch
 /// arena per simulated rank (Gram matrices, broadcast buffers, recursion
-/// temporaries, output pieces), and every later `factor` — from any thread;
+/// temporaries, output pieces) plus one for the report diagnostics (a Gram
+/// matrix and one row panel), and every later `factor` — from any thread;
 /// clones share the pool — reuses that storage with **zero arena
 /// allocations**. This is the steady-state contract the batching layers
 /// ([`crate::service::QrService`]) build their throughput on, and the
@@ -411,8 +412,9 @@ impl QrPlan {
         self.ladder.iter().map(CandidateConfig::algorithm).collect()
     }
 
-    /// The plan's scratch-arena pool: one warm arena per simulated rank
-    /// after the first [`factor`](QrPlan::factor). Exposed for observability
+    /// The plan's scratch-arena pool: one warm arena per simulated rank,
+    /// and the diagnostics' one, after the first
+    /// [`factor`](QrPlan::factor). Exposed for observability
     /// — [`WorkspacePool::heap_allocations`] going flat across calls is the
     /// zero-steady-state-allocation guarantee, and
     /// [`WorkspacePool::parked_capacity`] is the plan's resident scratch
@@ -463,11 +465,17 @@ impl QrPlan {
     /// ([`PlanError::NotPositiveDefinite`] — see [`Algorithm::CaCqr3`] for
     /// the unconditionally stable variant).
     ///
-    /// The returned report carries *computed* diagnostics — one `m × n × n`
-    /// gemm for the residual and one `n × n` Gram product for
-    /// orthogonality. That is a small constant factor next to the simulated
-    /// execution itself (which performs all `P` ranks' arithmetic in this
-    /// process), and it keeps the report self-contained: the alternative —
+    /// The returned report carries *computed* diagnostics
+    /// ([`dense::norms::qr_diagnostics`]): `‖QᵀQ − I‖_F` from one
+    /// symmetry-aware SYRK (`mn²` flops) and `‖A − QR‖_F / ‖A‖_F` from
+    /// `A − QR` streamed through a 256-row scratch panel (`2mn²` flops), on
+    /// the plan's kernel backend and from a pooled arena of the plan's
+    /// workspace — no `m × n` temporary, no allocation once warm. That is
+    /// `3mn²` flops next to CQR2's `≈4mn²`, run once on the calling thread
+    /// rather than spread over `P` ranks: on the two-core reference box,
+    /// ≈ 10 ms of a ≈ 30 ms 16384 × 64 factor on 2 shared-memory ranks and
+    /// ≈ 4 ms of ≈ 31 ms for 512 × 256 on 8 (README, "Performance"). It
+    /// keeps the report self-contained: the alternative —
     /// lazy diagnostics — would have to retain a copy of `a` inside every
     /// report, which is strictly worse for the batching path. Callers that
     /// need the factors with *no* post-processing at all belong on the
@@ -489,6 +497,16 @@ impl QrPlan {
     /// produced the factors. If every rung fails, the full chain comes
     /// back as [`PlanError::EscalationExhausted`].
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
+        let accepted = self.run_accepted(a, policy)?;
+        Ok(QrReport::from_run(self, a, accepted))
+    }
+
+    /// [`factor_with_policy`](QrPlan::factor_with_policy) up to, but not
+    /// including, the report diagnostics: the run, the algorithm that
+    /// produced it and the escalation chain. For callers that keep only
+    /// `R` (the stream's open and refresh) or time the algorithm alone
+    /// (the tuner's calibration runs).
+    pub(crate) fn run_accepted(&self, a: &Matrix, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
         if (a.rows(), a.cols()) != (self.m, self.n) {
             return Err(PlanError::InputShapeMismatch {
                 expected: (self.m, self.n),
@@ -497,8 +515,11 @@ impl QrPlan {
         }
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         if !policy.is_enabled() {
-            let run = self.run_config(self.config, a, cfg)?;
-            return Ok(QrReport::from_run(self.algorithm(), a, run));
+            return Ok(AcceptedRun {
+                algorithm: self.algorithm(),
+                run: self.run_config(self.config, a, cfg)?,
+                escalation: None,
+            });
         }
         let rungs = std::iter::once(self.config)
             .chain(self.ladder.iter().copied())
@@ -520,12 +541,14 @@ impl QrPlan {
                     // does not degrade with κ the way the Gram path does.
                     if kappa <= policy.kappa_max || i == terminal {
                         attempts.push(EscalationAttempt { algorithm, error: None });
-                        let mut report = QrReport::from_run(algorithm, a, run);
-                        report.escalation = Some(EscalationReport {
-                            attempts,
-                            condition_estimate: kappa,
+                        return Ok(AcceptedRun {
+                            algorithm,
+                            run,
+                            escalation: Some(EscalationReport {
+                                attempts,
+                                condition_estimate: kappa,
+                            }),
                         });
-                        return Ok(report);
                     }
                     attempts.push(EscalationAttempt {
                         algorithm,
@@ -775,10 +798,28 @@ pub struct QrReport {
     pub escalation: Option<EscalationReport>,
 }
 
+/// What [`QrPlan::run_accepted`] hands back: the accepted attempt's factors
+/// and ledgers, still without diagnostics.
+pub(crate) struct AcceptedRun {
+    pub(crate) algorithm: Algorithm,
+    pub(crate) run: QrRun,
+    pub(crate) escalation: Option<EscalationReport>,
+}
+
 impl QrReport {
-    fn from_run(algorithm: Algorithm, a: &Matrix, run: QrRun) -> QrReport {
-        let orthogonality_error = norms::orthogonality_error(run.q.as_ref());
-        let residual_error = norms::residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref());
+    fn from_run(plan: &QrPlan, a: &Matrix, accepted: AcceptedRun) -> QrReport {
+        let AcceptedRun {
+            algorithm,
+            run,
+            escalation,
+        } = accepted;
+        let (orthogonality_error, residual_error) = norms::qr_diagnostics(
+            a.as_ref(),
+            run.q.as_ref(),
+            run.r.as_ref(),
+            plan.backend,
+            &mut plan.pool.checkout(),
+        );
         QrReport {
             algorithm,
             q: run.q,
@@ -788,7 +829,7 @@ impl QrReport {
             ledgers: run.ledgers,
             orthogonality_error,
             residual_error,
-            escalation: None,
+            escalation,
         }
     }
 

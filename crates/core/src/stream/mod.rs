@@ -177,13 +177,13 @@ pub struct StreamSnapshot {
 impl StreamingQr {
     /// Opens a stream; called through [`QrPlan::stream`].
     pub(crate) fn open(plan: QrPlan, initial: &Matrix) -> Result<StreamingQr, PlanError> {
-        let report = plan.factor(initial)?;
+        let r = plan.run_accepted(initial, plan.retry_policy())?.run.r;
         let n = plan.n();
         let mut history = Vec::new();
         history.extend_from_slice(initial.data());
         Ok(StreamingQr {
             n,
-            r: report.r,
+            r,
             history,
             start: 0,
             live: initial.rows(),
@@ -578,7 +578,7 @@ impl StreamingQr {
     }
 
     /// The retained rows as an owned matrix (refresh/snapshot path only —
-    /// this allocates).
+    /// this allocates; the snapshot's copy becomes its `Q`).
     fn history_matrix(&self) -> Matrix {
         Matrix::from_vec(self.live, self.n, self.history[self.start * self.n..].to_vec())
     }
@@ -605,9 +605,9 @@ impl StreamingQr {
             return Err(PlanError::StreamHistoryRequired { op: "refresh" });
         }
         let result = if self.live == self.plan.m() {
-            self.plan.factor(&self.history_matrix()).map(|report| {
-                self.r = report.r;
-            })
+            self.plan
+                .run_accepted(&self.history_matrix(), self.plan.retry_policy())
+                .map(|accepted| self.r = accepted.run.r)
         } else {
             let policy = self.plan.retry_policy();
             let mut result = self.refresh_sequential();
@@ -920,12 +920,11 @@ impl StreamingQr {
                 refreshes: self.refreshes,
             });
         }
-        let a = self.history_matrix();
-        let mut q = a.clone();
-        trsm::trsm_right_upper(self.r.as_ref(), q.as_mut());
+        let backend = self.plan.backend().get();
+        let mut q = self.history_matrix();
+        backend.trsm_right_upper(self.r.as_ref(), q.as_mut());
         // Second pass: repair Q₁'s orthogonality and fold R₂ into R.
         let (r2, repaired) = {
-            let backend = self.plan.backend().get();
             let mut ws = self.plan.workspace().checkout();
             let mut g = ws.take_matrix_stale(self.n, self.n);
             backend.syrk_into(q.as_ref(), g.as_mut());
@@ -938,15 +937,20 @@ impl StreamingQr {
             ws.recycle(g);
             out.map_err(PlanError::NotPositiveDefinite)?
         };
-        trsm::trsm_right_upper(r2.as_ref(), q.as_mut());
+        backend.trsm_right_upper(r2.as_ref(), q.as_mut());
         self.r = repaired;
         self.recompute_d();
         self.drift = 0.0;
         self.updates_since_refresh = 0;
         self.refreshes += 1;
         self.last_refresh_error = None;
-        let orthogonality = norms::orthogonality_error(q.as_ref());
-        let residual = norms::residual_error(a.as_ref(), q.as_ref(), self.r.as_ref());
+        let (orthogonality, residual) = norms::qr_diagnostics(
+            MatRef::from_slice(&self.history[self.start * self.n..], self.live, self.n),
+            q.as_ref(),
+            self.r.as_ref(),
+            self.plan.backend(),
+            &mut self.plan.workspace().checkout(),
+        );
         Ok(StreamSnapshot {
             q: Some(q),
             r: self.r.clone(),
@@ -992,6 +996,32 @@ mod tests {
         assert!(snap.residual_error.unwrap() < 1e-13);
         let q = snap.q.as_ref().unwrap();
         assert_eq!((q.rows(), q.cols()), (m0 + 15, n));
+    }
+
+    /// Open and the plan-shape refresh skip the report diagnostics; the `R`
+    /// they keep is still bit for bit the one `factor` reports, escalated
+    /// or not.
+    #[test]
+    fn open_and_plan_shape_refresh_keep_the_r_factor_reports() {
+        use crate::driver::RetryPolicy;
+        let (m0, n) = (64usize, 8usize);
+        let escalating = QrPlan::new(m0, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(4).unwrap())
+            .retry(RetryPolicy::escalate().with_kappa_max(1.0))
+            .build()
+            .unwrap();
+        for plan in [plan(m0, n), escalating] {
+            let a0 = well_conditioned(m0, n, 17);
+            let mut s = plan.stream(&a0).unwrap();
+            assert_eq!(s.r(), &plan.factor(&a0).unwrap().r);
+            // Slide the window by four rows, then re-derive R at plan shape.
+            s.append_rows(gaussian_matrix(4, n, 18).as_ref()).unwrap();
+            s.downdate_rows(a0.view(0, 0, 4, n)).unwrap();
+            let window = s.history_matrix();
+            s.refresh().unwrap();
+            assert_eq!(s.r(), &plan.factor(&window).unwrap().r);
+        }
     }
 
     #[test]

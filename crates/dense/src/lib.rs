@@ -31,7 +31,9 @@
 //! * [`svd`] — one-sided Jacobi SVD, used to measure condition numbers.
 //!   (Pure BLAS-1 column rotations — there is no BLAS-3 call to route
 //!   through a backend.)
-//! * [`norms`] — error metrics (orthogonality, residual, triangularity).
+//! * [`norms`] — error metrics (orthogonality, residual, triangularity);
+//!   [`norms::qr_diagnostics`] computes a factorization's two report
+//!   diagnostics on a backend's kernels, streamed, from arena scratch.
 //! * [`probe`] — timed microkernel probes measuring the live machine's
 //!   effective flop rate per backend (the autotuner's calibration input).
 //! * [`random`] — seeded Gaussian matrices and prescribed-κ test matrices.

@@ -188,6 +188,19 @@ unsafe impl Send for MatRef<'_> {}
 unsafe impl Sync for MatRef<'_> {}
 
 impl<'a> MatRef<'a> {
+    /// Views a row-major slice of exactly `rows · cols` elements as a
+    /// contiguous matrix.
+    pub fn from_slice(data: &'a [f64], rows: usize, cols: usize) -> MatRef<'a> {
+        assert_eq!(data.len(), rows * cols, "slice length must be rows x cols");
+        MatRef {
+            ptr: data.as_ptr(),
+            rows,
+            cols,
+            stride: cols,
+            _life: PhantomData,
+        }
+    }
+
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

@@ -1,7 +1,42 @@
-//! Error metrics used by the correctness tests and the stability experiments.
+//! Error metrics used by the correctness tests, the stability experiments
+//! and every `cacqr::QrReport`.
+//!
+//! # The factorization diagnostics
+//!
+//! [`qr_diagnostics`] computes the two numbers the CholeskyQR2 literature
+//! reports — `‖QᵀQ − I‖_F` and `‖A − QR‖_F / ‖A‖_F` — and is the only
+//! implementation of either; [`orthogonality_error`] and [`residual_error`]
+//! are its two halves behind the process-default backend. Together they are
+//! another `≈3mn²` flops — most of the `≈4mn²` of the CholeskyQR2 they
+//! check — so they run on the same [`Backend`] kernels the factorization
+//! does:
+//!
+//! * orthogonality is one symmetry-aware [`Backend::syrk_into`] into an
+//!   `n × n` scratch Gram matrix, then one pass over it;
+//! * the residual streams the tall operands through fast memory once, in
+//!   [`PANEL_ROWS`]-row panels (the sequential-TSQR access pattern of
+//!   Demmel, Grigori, Hoemmen & Langou): `D_b ← A_b − Q_b·R` by one
+//!   [`Backend::gemm`] into a single reused scratch panel, with `‖A_b‖²`
+//!   accumulated while `A_b` is copied in and `‖D_b‖²` while the panel is
+//!   still in cache. No `m × n` temporary exists at any point.
+//!
+//! The only scratch is that Gram matrix and that panel, both drawn from the
+//! caller's [`Workspace`]: a warm arena makes the whole computation
+//! allocation-free (the blocked kernels' pack buffers come from the calling
+//! thread's own arena, warm after its first call).
+//!
+//! **`BackendKind::Naive` is the oracle form.** With it the two products are
+//! the audited loop nests of [`mod@crate::syrk`] and [`mod@crate::gemm`] —
+//! every element accumulated in ascending-`k` order starting from `A`'s
+//! entry, exactly the textbook `A − QR` — and the property tests compare
+//! the blocked form against it. There is no size- or caller-keyed choice
+//! between the two: the backend argument is the whole selection.
 
-use crate::gemm::{gemm, matmul, Trans};
+use crate::backend::{Backend, BackendKind};
+use crate::blas1::dot_lanes;
+use crate::gemm::Trans;
 use crate::matrix::{MatRef, Matrix};
+use crate::workspace::Workspace;
 
 /// Frobenius norm `‖A‖_F`.
 pub fn frobenius(a: MatRef<'_>) -> f64 {
@@ -25,26 +60,98 @@ pub fn max_abs(a: MatRef<'_>) -> f64 {
     m
 }
 
+/// Height of the row panels the residual streams `A` and `Q` through: tall
+/// enough that one panel's `2·rows·n²` flops dwarf re-packing `R` for it,
+/// short enough that the `rows × n` scratch panel stays cache-resident
+/// between the gemm that writes it and the sweep that sums it.
+pub const PANEL_ROWS: usize = 256;
+
+/// `‖QᵀQ − I‖_F` from one `syrk_into` into arena scratch.
+fn gram_deviation(q: MatRef<'_>, kernels: &dyn Backend, ws: &mut Workspace) -> f64 {
+    let n = q.cols();
+    let mut g = ws.take_matrix_stale(n, n);
+    kernels.syrk_into(q, g.as_mut());
+    let mut s = 0.0;
+    for i in 0..n {
+        for (j, &v) in g.as_ref().row(i).iter().enumerate() {
+            let d = if i == j { v - 1.0 } else { v };
+            s += d * d;
+        }
+    }
+    ws.recycle(g);
+    s.sqrt()
+}
+
+/// `‖A − QR‖_F / ‖A‖_F`, streamed in [`PANEL_ROWS`]-row panels through one
+/// arena scratch panel. The row sums of squares are lane-split
+/// ([`dot_lanes`]): a strictly sequential sum over `m·n` elements is
+/// latency-bound and would cost as much as the panel gemms it follows.
+fn streamed_residual(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>, kernels: &dyn Backend, ws: &mut Workspace) -> f64 {
+    let (m, n) = (a.rows(), a.cols());
+    assert_eq!(q.rows(), m, "Q must have A's row count");
+    let mut panel = ws.take_matrix_stale(PANEL_ROWS.min(m), n);
+    let (mut a_sq, mut d_sq) = (0.0, 0.0);
+    for i0 in (0..m).step_by(PANEL_ROWS) {
+        let rows = PANEL_ROWS.min(m - i0);
+        let mut d = panel.view_mut(0, 0, rows, n);
+        for i in 0..rows {
+            let src = a.row(i0 + i);
+            d.row_mut(i).copy_from_slice(src);
+            a_sq += dot_lanes(src, src);
+        }
+        kernels.gemm(
+            -1.0,
+            q.sub(i0, 0, rows, q.cols()),
+            Trans::No,
+            r,
+            Trans::No,
+            1.0,
+            d.rb_mut(),
+        );
+        for i in 0..rows {
+            d_sq += dot_lanes(d.row(i), d.row(i));
+        }
+    }
+    ws.recycle(panel);
+    d_sq.sqrt() / a_sq.sqrt()
+}
+
+/// Both factorization diagnostics of `A ≈ QR` on the kernels of `backend`:
+/// returns `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`.
+///
+/// `a` is `m × n`, `q` is `m × k`, `r` is `k × n` (any views; `r` is used as
+/// stored, so entries below its diagonal count against the residual). Costs
+/// `≈ mk² + 2mkn` flops at kernel speed, reads `A` once and `Q` twice, and
+/// takes a `k × k` and a `min(m, PANEL_ROWS) × n` buffer from `ws` — nothing
+/// else is allocated once `ws` is warm. See the [module docs](self).
+///
+/// An empty or all-zero `A` has no relative residual: that half is `NaN`.
+pub fn qr_diagnostics(
+    a: MatRef<'_>,
+    q: MatRef<'_>,
+    r: MatRef<'_>,
+    backend: BackendKind,
+    ws: &mut Workspace,
+) -> (f64, f64) {
+    let kernels = backend.get();
+    (gram_deviation(q, kernels, ws), streamed_residual(a, q, r, kernels, ws))
+}
+
 /// Deviation from orthonormality: `‖QᵀQ − I‖_F`.
 ///
 /// This is the metric the CholeskyQR2 literature reports: ≈ machine-ε for
 /// Householder QR and CQR2 on well-conditioned input, ≈ `ε·κ(A)²` for plain
-/// CholeskyQR.
+/// CholeskyQR. The first half of [`qr_diagnostics`] on the process-default
+/// backend, with throwaway scratch.
 pub fn orthogonality_error(q: MatRef<'_>) -> f64 {
-    let n = q.cols();
-    let mut g = matmul(q, Trans::Yes, q, Trans::No);
-    for i in 0..n {
-        let v = g.get(i, i);
-        g.set(i, i, v - 1.0);
-    }
-    frobenius(g.as_ref())
+    gram_deviation(q, BackendKind::default_kind().get(), &mut Workspace::new())
 }
 
-/// Relative residual `‖A − QR‖_F / ‖A‖_F`.
+/// Relative residual `‖A − QR‖_F / ‖A‖_F`. The second half of
+/// [`qr_diagnostics`] on the process-default backend, with throwaway
+/// scratch.
 pub fn residual_error(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>) -> f64 {
-    let mut d = a.to_owned();
-    gemm(-1.0, q, Trans::No, r, Trans::No, 1.0, d.as_mut());
-    frobenius(d.as_ref()) / frobenius(a)
+    streamed_residual(a, q, r, BackendKind::default_kind().get(), &mut Workspace::new())
 }
 
 /// Frobenius norm of the strictly-lower part (how far from upper triangular).
@@ -59,20 +166,18 @@ pub fn lower_residual(r: MatRef<'_>) -> f64 {
     s.sqrt()
 }
 
-/// Relative elementwise difference `‖A − B‖_F / max(1, ‖A‖_F)`.
+/// Relative elementwise difference `‖A − B‖_F / max(1, ‖A‖_F)`, streamed
+/// row by row (no temporary).
 pub fn rel_diff(a: MatRef<'_>, b: MatRef<'_>) -> f64 {
     assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
-    let mut d = a.to_owned();
-    let mut idx = 0;
-    for i in 0..b.rows() {
-        let row = b.row(i);
-        for (j, &v) in row.iter().enumerate() {
-            let _ = j;
-            d.data_mut()[idx] -= v;
-            idx += 1;
+    let (mut d_sq, mut a_sq) = (0.0, 0.0);
+    for i in 0..a.rows() {
+        for (&x, &y) in a.row(i).iter().zip(b.row(i)) {
+            d_sq += (x - y) * (x - y);
+            a_sq += x * x;
         }
     }
-    frobenius(d.as_ref()) / frobenius(a).max(1.0)
+    d_sq.sqrt() / a_sq.sqrt().max(1.0)
 }
 
 /// Normalizes the sign of an upper-triangular factor so that diagonals are

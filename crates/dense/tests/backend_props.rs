@@ -1,12 +1,14 @@
 //! Property sweep: the `Blocked` backend must agree with the `Naive` oracle
 //! for gemm/syrk/trsm across transpose flags, alpha/beta ∈ {0, 1, −2.5},
 //! and edge shapes straddling every blocking boundary (microkernel MR/NR,
-//! contraction block KC, trsm block TRSM_NB), including empty dimensions.
+//! contraction block KC, trsm block TRSM_NB), including empty dimensions —
+//! and so must the report diagnostics built on them (`norms::qr_diagnostics`).
 
 use dense::backend::blocked::{KC, MR, NR, TRSM_NB};
 use dense::backend::BackendKind;
 use dense::gemm::Trans;
-use dense::Matrix;
+use dense::norms::{qr_diagnostics, PANEL_ROWS};
+use dense::{MatRef, Matrix, Workspace};
 
 fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -199,4 +201,159 @@ fn blocked_results_do_not_depend_on_thread_count() {
     blocked.gemm(1.0, a.as_ref(), Trans::No, b.as_ref(), Trans::No, 0.0, c1.as_mut());
     blocked.gemm(1.0, a.as_ref(), Trans::No, b.as_ref(), Trans::No, 0.0, c2.as_mut());
     assert_eq!(c1, c2, "repeated blocked gemm must be bitwise reproducible");
+}
+
+/// Textbook `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)` by explicit index loops —
+/// shares no code with `norms`, so it checks the oracle form itself.
+fn textbook_diagnostics(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>) -> (f64, f64) {
+    let (m, n, k) = (a.rows(), a.cols(), q.cols());
+    let mut ortho = 0.0;
+    for i in 0..k {
+        for j in 0..k {
+            let g: f64 = (0..m).map(|p| q.at(p, i) * q.at(p, j)).sum();
+            ortho += (g - if i == j { 1.0 } else { 0.0 }).powi(2);
+        }
+    }
+    let (mut diff, mut norm) = (0.0, 0.0);
+    for i in 0..m {
+        for j in 0..n {
+            let qr: f64 = (0..k).map(|p| q.at(i, p) * r.at(p, j)).sum();
+            diff += (a.at(i, j) - qr).powi(2);
+            norm += a.at(i, j).powi(2);
+        }
+    }
+    (ortho.sqrt(), diff.sqrt() / norm.sqrt())
+}
+
+/// The stated tolerance of the diagnostics property: the two backends (and
+/// the textbook form) agree to a relative 1e-12, above a floor of
+/// `8·ε·n·√m` — on an accurate factorization both numbers *are* rounding
+/// error of that size, and each arithmetic rounds differently.
+fn assert_diagnostics_agree(label: &str, got: (f64, f64), want: (f64, f64), m: usize, n: usize) {
+    let floor = 8.0 * f64::EPSILON * n as f64 * (m as f64).sqrt();
+    for (what, g, w) in [("orthogonality", got.0, want.0), ("residual", got.1, want.1)] {
+        assert!(
+            (g - w).abs() <= 1e-12 * w.abs() + floor,
+            "{label}: {what} {g:e} vs {w:e}"
+        );
+    }
+}
+
+#[test]
+fn qr_diagnostics_blocked_matches_naive_oracle_and_textbook() {
+    // (m, n, row offset, column offset) of the view each operand is taken
+    // at inside a larger allocation: ragged last panel, n < NR, n > KC, a
+    // single short panel, exact panel multiples.
+    let shapes = [
+        (PANEL_ROWS + 37, NR - 3, 0, 0),
+        (3 * PANEL_ROWS, NR, 0, 0),
+        (2 * PANEL_ROWS + 1, KC + 9, 0, 0),
+        (PANEL_ROWS - 1, 2 * NR + 1, 0, 0),
+        (PANEL_ROWS + 70, 40, 5, 3),
+    ];
+    let mut ws = Workspace::new();
+    for &(m, n, r0, c0) in &shapes {
+        let a = filled(m, n, 14);
+        let factors = dense::householder_qr(&a);
+        let (q, r) = (dense::form_q(&factors), factors.r());
+        // A strided view is a window of a larger matrix whose border holds
+        // poison the kernels must never read.
+        let framed = |src: &Matrix| {
+            let mut big = Matrix::from_fn(src.rows() + 2 * r0, src.cols() + 2 * c0, |_, _| f64::NAN);
+            big.view_mut(r0, c0, src.rows(), src.cols()).copy_from(src.as_ref());
+            big
+        };
+        let (fa, fq, fr) = (framed(&a), framed(&q), framed(&r));
+        let (av, qv, rv) = (fa.view(r0, c0, m, n), fq.view(r0, c0, m, n), fr.view(r0, c0, n, n));
+
+        // An accurate factorization, a slightly wrong one (one column of Q
+        // stretched, one entry of R off), and a grossly wrong one (Q is not
+        // orthogonal at all, R belongs to another matrix).
+        let mut q_off = q.clone();
+        let mut r_off = r.clone();
+        (0..m).for_each(|i| q_off.set(i, n / 2, q.get(i, n / 2) * (1.0 + 1e-6)));
+        r_off.set(0, n - 1, r.get(0, n - 1) + 1e-5);
+        let r_other = dense::householder_qr(&filled(m, n, 15)).r();
+        let cases = [
+            ("accurate", qv, rv, 0.0, 1e-12),
+            ("perturbed", q_off.as_ref(), r_off.as_ref(), 1e-9, 1e-4),
+            ("wrong", av, r_other.as_ref(), 0.5, f64::INFINITY),
+        ];
+        for (case, qc, rc, at_least, at_most) in cases {
+            let label = format!("{case} {m}x{n} at ({r0},{c0})");
+            let naive = qr_diagnostics(av, qc, rc, BackendKind::Naive, &mut ws);
+            let blocked = qr_diagnostics(av, qc, rc, BackendKind::Blocked, &mut ws);
+            assert_diagnostics_agree(&label, blocked, naive, m, n);
+            assert_diagnostics_agree(&label, naive, textbook_diagnostics(av, qc, rc), m, n);
+            for (what, e) in [("orthogonality", blocked.0), ("residual", blocked.1)] {
+                assert!(
+                    (at_least..=at_most).contains(&e),
+                    "{label}: {what} {e:e} outside [{at_least:e}, {at_most:e}]"
+                );
+            }
+        }
+    }
+    // No rows at all: QᵀQ = 0, so ‖−I‖_F = √n exactly, and the relative
+    // residual is 0/0 — on either backend.
+    let (empty, eye) = (Matrix::zeros(0, 6), Matrix::identity(6));
+    for kind in BackendKind::ALL {
+        let (ortho, resid) = qr_diagnostics(empty.as_ref(), empty.as_ref(), eye.as_ref(), kind, &mut ws);
+        assert_eq!(ortho, 6f64.sqrt(), "{kind}");
+        assert!(resid.is_nan(), "{kind}: {resid}");
+    }
+    assert_eq!(ws.recycles(), ws.takes(), "every scratch buffer goes back to the arena");
+}
+
+/// Prints the diagnostics' bit patterns at a shape whose panel gemms and
+/// SYRK clear the kernel's parallel threshold. Does nothing unless
+/// [`qr_diagnostics_bits_do_not_depend_on_cacqr_threads`] runs it as a child.
+#[test]
+fn qr_diagnostics_bits_child() {
+    if std::env::var_os("QR_DIAGNOSTICS_CHILD").is_none() {
+        return;
+    }
+    let (m, n) = (8 * PANEL_ROWS + 37, 192);
+    let a = filled(m, n, 16);
+    let factors = dense::householder_qr(&a);
+    let (q, r) = (dense::form_q(&factors), factors.r());
+    let (ortho, resid) = qr_diagnostics(
+        a.as_ref(),
+        q.as_ref(),
+        r.as_ref(),
+        BackendKind::Blocked,
+        &mut Workspace::new(),
+    );
+    println!(
+        "QR_DIAGNOSTICS_BITS threads={} {:016x} {:016x}",
+        dense::max_threads(),
+        ortho.to_bits(),
+        resid.to_bits()
+    );
+}
+
+#[test]
+fn qr_diagnostics_bits_do_not_depend_on_cacqr_threads() {
+    // `CACQR_THREADS` is read once per process, so each budget needs its own.
+    let bits_under = |threads: &str| {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "qr_diagnostics_bits_child", "--nocapture"])
+            .env("QR_DIAGNOSTICS_CHILD", "1")
+            .env("CACQR_THREADS", threads)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "child under CACQR_THREADS={threads} failed");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let line = stdout
+            .lines()
+            .find_map(|l| l.split_once("QR_DIAGNOSTICS_BITS ").map(|(_, rest)| rest.to_string()))
+            .unwrap_or_else(|| panic!("no bits line in child output:\n{stdout}"));
+        let (budget, bits) = line.split_once(' ').unwrap();
+        assert_eq!(
+            budget,
+            format!("threads={threads}"),
+            "the child ran under the budget it was given"
+        );
+        bits.to_string()
+    };
+    assert_eq!(bits_under("1"), bits_under("2"));
 }
