@@ -5,7 +5,7 @@
 
 use crate::blockcyclic::BlockCyclic;
 use dense::gemm::Trans;
-use dense::{Backend, BackendKind, Matrix};
+use dense::{Backend, BackendKind, MatRef, Matrix};
 use simgrid::{Comm, Rank};
 
 /// Configuration of a PGEQRF run.
@@ -364,11 +364,11 @@ pub struct PgeqrfRun {
 /// `QrPlan` with `Algorithm::Pgeqrf` (see the `cacqr` crate's `driver`
 /// module), which validates the configuration and returns the unified
 /// report type.
-pub fn run_pgeqrf_global(a: &Matrix, config: PgeqrfConfig, cfg: simgrid::SimConfig) -> PgeqrfRun {
+pub fn run_pgeqrf_global(a: MatRef<'_>, config: PgeqrfConfig, cfg: simgrid::SimConfig) -> PgeqrfRun {
     let grid = config.grid;
     let (m, n) = (a.rows(), a.cols());
     let p = grid.pr * grid.pc;
-    let a = a.clone();
+    let a = a.to_owned();
     let report = simgrid::run_spmd(p, cfg, move |rank| {
         let comms = PgeqrfComms::build(rank, grid);
         let mut local = grid.scatter(&a, comms.prow, comms.pcol);
@@ -412,7 +412,7 @@ mod tests {
     fn check(m: usize, n: usize, pr: usize, pc: usize, nb: usize, seed: u64) -> PgeqrfRun {
         let a = well_conditioned(m, n, seed);
         let grid = BlockCyclic { pr, pc, nb };
-        let run = run_pgeqrf_global(&a, PgeqrfConfig::new(grid), SimConfig::default());
+        let run = run_pgeqrf_global(a.as_ref(), PgeqrfConfig::new(grid), SimConfig::default());
         assert!(
             orthogonality_error(run.q.as_ref()) < 1e-12,
             "orthogonality {:.2e} for grid {pr}x{pc} nb={nb}",
@@ -473,12 +473,12 @@ mod tests {
         let a1 = well_conditioned(128, 16, 7);
         let a2 = well_conditioned(128, 32, 7);
         let r1 = run_pgeqrf_global(
-            &a1,
+            a1.as_ref(),
             PgeqrfConfig::new(grid),
             SimConfig::with_machine(Machine::alpha_only()),
         );
         let r2 = run_pgeqrf_global(
-            &a2,
+            a2.as_ref(),
             PgeqrfConfig::new(grid),
             SimConfig::with_machine(Machine::alpha_only()),
         );

@@ -83,11 +83,14 @@ fn main() {
     for (p, m, n) in [(4usize, 64usize, 16usize), (8, 128, 16), (16, 256, 32)] {
         let meas = measure3(p, move |rank| {
             let world = rank.world();
-            let al = DistMatrix::from_global(&well_conditioned(m, n, 5), p, 1, rank.id(), 0);
+            let a = well_conditioned(m, n, 5);
+            let a_local = a.as_ref().step_rows(rank.id(), p);
+            let mut q_local = dense::Matrix::zeros(a_local.rows(), n);
             cacqr::cqr2_1d(
                 rank,
                 &world,
-                &al.local,
+                a_local,
+                q_local.as_mut(),
                 dense::BackendKind::default_kind(),
                 &mut dense::Workspace::new(),
             )
@@ -111,7 +114,15 @@ fn main() {
             let (x, y, _) = comms.coords;
             let al = DistMatrix::from_global(&well_conditioned(m, n, 9), d, c, y, x);
             let params = CfrParams::validated(n, c, base, inv).unwrap();
-            cacqr::ca_cqr2(rank, &comms, &al.local, n, &params, &mut dense::Workspace::new()).unwrap();
+            cacqr::ca_cqr2(
+                rank,
+                &comms,
+                al.local.as_ref(),
+                n,
+                &params,
+                &mut dense::Workspace::new(),
+            )
+            .unwrap();
         });
         row(
             &format!("CA-CQR2 c={c} d={d} m={m} n={n} n0={base} id={inv}"),

@@ -27,7 +27,7 @@ use crate::config::CfrParams;
 use crate::invtree::InvTree;
 use dense::cholesky::CholeskyError;
 use dense::gemm::Trans;
-use dense::{Matrix, Workspace};
+use dense::{MatRef, Matrix, Workspace};
 use pargrid::TunableComms;
 use simgrid::Rank;
 
@@ -46,12 +46,14 @@ pub struct CaCqrOutput {
 }
 
 /// One CholeskyQR pass over the tunable grid (see module docs). `a_local`
-/// is this rank's cyclic piece of the global `m × n` matrix; `n` must be a
-/// power of two divisible by `c` and the row count must satisfy `d | m`.
+/// is this rank's cyclic piece of the global `m × n` matrix — any view: with
+/// `c = 1` the piece is [`MatRef::step_rows`] of the global matrix itself —
+/// `n` must be a power of two divisible by `c` and the row count must
+/// satisfy `d | m`.
 pub fn ca_cqr(
     rank: &mut Rank,
     comms: &TunableComms,
-    a_local: &Matrix,
+    a_local: MatRef<'_>,
     n: usize,
     params: &CfrParams,
     ws: &mut Workspace,
@@ -65,7 +67,7 @@ pub fn ca_cqr(
 pub fn ca_cqr_shifted(
     rank: &mut Rank,
     comms: &TunableComms,
-    a_local: &Matrix,
+    a_local: MatRef<'_>,
     n: usize,
     params: &CfrParams,
     sigma: f64,
@@ -78,22 +80,15 @@ pub fn ca_cqr_shifted(
     assert_eq!(lc, n / c, "local width must be n/c");
 
     // Line 1: row broadcast of A pieces from the member with x == z.
-    let mut wbuf = ws.take_vec(lr * lc);
-    wbuf.copy_from_slice(a_local.data());
-    comms.row.bcast(rank, z, &mut wbuf);
-    let w = Matrix::from_vec(lr, lc, wbuf);
+    let mut w = ws.take_copy(a_local);
+    comms.row.bcast(rank, z, w.data_mut());
 
     // Line 2: local Gram contribution X = Wᵀ·A ((n/c) × (n/c)).
     let mut xm = ws.take_matrix_stale(lc, lc);
-    params.backend.get().gemm(
-        1.0,
-        w.as_ref(),
-        Trans::Yes,
-        a_local.as_ref(),
-        Trans::No,
-        0.0,
-        xm.as_mut(),
-    );
+    params
+        .backend
+        .get()
+        .gemm(1.0, w.as_ref(), Trans::Yes, a_local, Trans::No, 0.0, xm.as_mut());
     rank.charge_flops(dense::flops::gemm(lc, lr, lc));
     ws.recycle(w);
 
@@ -150,7 +145,7 @@ mod tests {
             let (x, y, z) = comms.coords;
             let mut ws = dense::Workspace::new();
             let al = DistMatrix::from_global(&a2, d, c, y, x);
-            let out = ca_cqr(rank, &comms, &al.local, n, &params, &mut ws).expect("well-conditioned");
+            let out = ca_cqr(rank, &comms, al.local.as_ref(), n, &params, &mut ws).expect("well-conditioned");
             (x, y, z, out.q_local, out.l_local)
         });
         // Assemble Q from the z = 0 slice; check replication across z.
@@ -189,10 +184,11 @@ mod tests {
         let a2 = a.clone();
         let report = run_spmd(p, SimConfig::default(), move |rank| {
             let world = rank.world();
-            let al = DistMatrix::from_global(&a2, p, 1, rank.id(), 0);
+            let a_local = a2.as_ref().step_rows(rank.id(), p);
+            let mut q = Matrix::zeros(a_local.rows(), n);
             let mut ws = dense::Workspace::new();
-            let (q, r) =
-                crate::cqr1d::cqr1d(rank, &world, &al.local, dense::BackendKind::default_kind(), &mut ws).unwrap();
+            let kind = dense::BackendKind::default_kind();
+            let r = crate::cqr1d::cqr1d(rank, &world, a_local, q.as_mut(), kind, &mut ws).unwrap();
             (rank.id(), q, r)
         });
         let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();

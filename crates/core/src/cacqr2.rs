@@ -9,13 +9,14 @@ use crate::cacqr::{ca_cqr, CaCqrOutput};
 use crate::config::CfrParams;
 use crate::mm3d::{mm3d, transpose_cube};
 use dense::cholesky::CholeskyError;
-use dense::{Matrix, Workspace};
+use dense::{MatRef, Matrix, Workspace};
 use pargrid::TunableComms;
 use simgrid::Rank;
 
 /// Result of CA-CQR2 on one rank. Both matrices are **workspace-backed**;
-/// the global drivers recycle them after reassembly so repeated
-/// factorizations through one plan are allocation-free at the arena layer.
+/// the global drivers deposit the owners' pieces into the output inside the
+/// region and recycle every piece, so repeated factorizations through one
+/// plan are allocation-free at the arena layer.
 pub struct CaCqr2Output {
     /// This rank's piece of `Q` (rows `≡ y (mod d)`, cols `≡ x (mod c)`,
     /// replicated across depth).
@@ -29,14 +30,14 @@ pub struct CaCqr2Output {
 /// CholeskyQR2 over the tunable `c × d × c` grid (see module docs).
 ///
 /// `a_local` is this rank's cyclic piece of the global `m × n` input
-/// (shape `(m/d) × (n/c)`), replicated across depth. The Gram matrix, the
+/// (shape `(m/d) × (n/c)`, any view), replicated across depth. The Gram matrix, the
 /// first-pass `Q₁`, and every reduction/broadcast scratch buffer come from
 /// `ws` and are reused across the two passes (and across calls when the
 /// caller keeps the workspace warm).
 pub fn ca_cqr2(
     rank: &mut Rank,
     comms: &TunableComms,
-    a_local: &Matrix,
+    a_local: MatRef<'_>,
     n: usize,
     params: &CfrParams,
     ws: &mut Workspace,
@@ -50,7 +51,7 @@ pub fn ca_cqr2(
     inv1.recycle_into(ws);
     // Line 2: second pass on Q₁ (recycling the pass-1 outputs even when the
     // second Cholesky fails — failure is how ill-conditioning reports).
-    let second = ca_cqr(rank, comms, &q1, n, params, ws);
+    let second = ca_cqr(rank, comms, q1.as_ref(), n, params, ws);
     ws.recycle(q1);
     let CaCqrOutput {
         q_local: q,

@@ -16,7 +16,7 @@ use crate::cacqr2::{ca_cqr2, CaCqr2Output};
 use crate::config::CfrParams;
 use crate::mm3d::{mm3d, transpose_cube};
 use dense::cholesky::CholeskyError;
-use dense::{Matrix, Workspace};
+use dense::{MatRef, Workspace};
 use pargrid::TunableComms;
 use simgrid::Rank;
 
@@ -26,7 +26,7 @@ use simgrid::Rank;
 pub fn ca_cqr3(
     rank: &mut Rank,
     comms: &TunableComms,
-    a_local: &Matrix,
+    a_local: MatRef<'_>,
     m: usize,
     n: usize,
     params: &CfrParams,
@@ -36,8 +36,9 @@ pub fn ca_cqr3(
     // x partitions (the depth dimension replicates, so sum over one slice:
     // use the ystride × ygroup × row chain — equivalently, allreduce the
     // piece norms over the slice through the existing communicators).
-    let mut norm2 = vec![a_local.data().iter().map(|v| v * v).sum::<f64>()];
-    rank.charge_flops(2.0 * a_local.data().len() as f64);
+    let rows = (0..a_local.rows()).flat_map(|i| a_local.row(i));
+    let mut norm2 = vec![rows.map(|v| v * v).sum::<f64>()];
+    rank.charge_flops(2.0 * (a_local.rows() * a_local.cols()) as f64);
     // Sum over rows (y dimension): ygroup (contiguous) then ystride (across
     // groups); then over columns (x dimension): row communicator.
     comms.ygroup.allreduce(rank, &mut norm2);
@@ -73,7 +74,7 @@ pub fn ca_cqr3(
 
     // Passes 2–3: plain CA-CQR2 on the now well-conditioned Q₁ (recycling
     // the pass-1 outputs even on failure, to keep the arena balanced).
-    let passes = ca_cqr2(rank, comms, &q1, n, params, ws);
+    let passes = ca_cqr2(rank, comms, q1.as_ref(), n, params, ws);
     ws.recycle(q1);
     let CaCqr2Output { q_local, r_local: r23 } = match passes {
         Ok(out) => out,
@@ -97,6 +98,7 @@ mod tests {
     use super::*;
     use dense::norms::{orthogonality_error, residual_error};
     use dense::random::matrix_with_condition;
+    use dense::Matrix;
     use pargrid::{DistMatrix, GridShape};
     use simgrid::{run_spmd, SimConfig};
 
@@ -110,8 +112,8 @@ mod tests {
             let al = DistMatrix::from_global(&a2, d, c, y, x);
             let params = CfrParams::default_for(n, c);
             let mut ws = dense::Workspace::new();
-            let out =
-                ca_cqr3(rank, &comms, &al.local, m, n, &params, &mut ws).expect("ca_cqr3 is unconditionally stable");
+            let out = ca_cqr3(rank, &comms, al.local.as_ref(), m, n, &params, &mut ws)
+                .expect("ca_cqr3 is unconditionally stable");
             (x, y, z, out.q_local, out.r_local)
         });
         let mut qp: Vec<Vec<Matrix>> = (0..d).map(|_| (0..c).map(|_| Matrix::zeros(0, 0)).collect()).collect();

@@ -91,7 +91,7 @@ fn recurse(
 
     // L21 <- A21 · Y11^T  (Transpose + MM3D for a Full inverse; recursive
     // block solve when the child is partially inverted).
-    let l21 = inv11.apply_rinv(rank, cube, &a21, params.backend, ws);
+    let l21 = inv11.apply_rinv(rank, cube, a21.as_ref(), params.backend, ws);
     ws.recycle(a21);
 
     // Z <- A22 - L21·L21^T
@@ -147,7 +147,7 @@ fn recurse(
         };
         // Y21 = -Y22·(L21·Y11)
         let t = mm3d(rank, cube, &l21, &y11, params.backend, ws);
-        let y21 = mm3d_scaled(rank, cube, -1.0, &y22, &t, params.backend, ws);
+        let y21 = mm3d_scaled(rank, cube, -1.0, y22.as_ref(), &t, params.backend, ws);
         ws.recycle(t);
         let mut y_local = ws.take_matrix(2 * hl, 2 * hl);
         y_local.view_mut(0, 0, hl, hl).copy_from(y11.as_ref());
@@ -180,12 +180,13 @@ fn base_case(
     // Reassemble: slice member (ŷ'·c + x') contributed the piece with rows
     // ≡ ŷ' and columns ≡ x' (mod c).
     let mut full = ws.take_matrix_stale(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            let idx = (i % c) * c + (j % c);
-            full.set(i, j, gathered[idx * lb * lb + (i / c) * lb + (j / c)]);
-        }
+    let windows = pargrid::CyclicWindows::split(full.data_mut(), n, n, c, c);
+    for (idx, piece) in gathered.chunks_exact(lb * lb).enumerate() {
+        windows
+            .take(idx / c, idx % c)
+            .deposit(dense::MatRef::from_slice(piece, lb, lb));
     }
+    drop(windows);
     rank.recycle_comm(gathered);
     // CholInv's factors are transient here (only the cyclic pieces survive),
     // but they come from the library as plain allocations; they are dropped,

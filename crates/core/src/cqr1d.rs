@@ -15,32 +15,34 @@
 use dense::cholesky::{cholinv_with, CholeskyError};
 use dense::gemm::Trans;
 use dense::trsm::trmm_upper_upper;
-use dense::{BackendKind, Matrix, Workspace};
+use dense::{BackendKind, MatMut, MatRef, Matrix, Workspace};
 use simgrid::{Comm, Rank};
 
 /// One 1D-CholeskyQR pass (Algorithm 6). `a_local` holds this rank's cyclic
-/// rows; returns `(Q_local, R)` with `R` replicated on every rank. The local
-/// syrk, CholInv, and `Q = A·R⁻¹` products go through the given kernel
+/// rows and `q_local` receives its rows of `Q` — both any views of the same
+/// shape, so a rank can read its block of the caller's matrix and write its
+/// block of the result in place. Returns `R`, replicated on every rank. The
+/// local syrk, CholInv, and `Q = A·R⁻¹` products go through the given kernel
 /// backend (pass [`BackendKind::default_kind`] for the process default).
 ///
-/// The Gram matrix (which doubles as the allreduce buffer) and the returned
-/// `Q` are **workspace-backed**; `R` is a plain allocation. Callers that
-/// loop (CQR2's two passes, repeated `plan.factor()` calls) recycle `Q`
-/// when it dies and reach zero steady-state arena allocations.
+/// The Gram matrix (which doubles as the allreduce buffer) is
+/// **workspace-backed** scratch; `R` is a plain allocation. `q_local` is
+/// written only after the Cholesky succeeded.
 pub fn cqr1d(
     rank: &mut Rank,
     comm: &Comm,
-    a_local: &Matrix,
+    a_local: MatRef<'_>,
+    q_local: MatMut<'_>,
     backend: BackendKind,
     ws: &mut Workspace,
-) -> Result<(Matrix, Matrix), CholeskyError> {
+) -> Result<Matrix, CholeskyError> {
     let be = backend.get();
     let n = a_local.cols();
     let lr = a_local.rows();
 
     // Line 1: local Gram matrix (into the arena — the paper's hot kernel).
     let mut x = ws.take_matrix_stale(n, n);
-    be.syrk_into(a_local.as_ref(), x.as_mut());
+    be.syrk_into(a_local, x.as_mut());
     rank.charge_flops(dense::flops::syrk(lr, n));
 
     // Line 2: allreduce over the 1D grid, reusing the Gram storage.
@@ -54,43 +56,36 @@ pub fn cqr1d(
     let (l, y) = result?;
     rank.charge_flops(dense::flops::cholinv(n));
 
-    // Line 4: local Q rows (β = 0 overwrites the arena buffer's contents).
-    let mut q = ws.take_matrix_stale(lr, n);
-    be.gemm(
-        1.0,
-        a_local.as_ref(),
-        Trans::No,
-        y.as_ref(),
-        Trans::Yes,
-        0.0,
-        q.as_mut(),
-    );
+    // Line 4: local Q rows (β = 0 overwrites whatever the output held).
+    be.gemm(1.0, a_local, Trans::No, y.as_ref(), Trans::Yes, 0.0, q_local);
     rank.charge_flops(dense::flops::gemm(lr, n, n));
 
-    Ok((q, l.transposed()))
+    Ok(l.transposed())
 }
 
 /// 1D-CholeskyQR2 (Algorithm 7): two 1D-CQR passes plus the local triangular
 /// update `R = R₂·R₁`. The first-pass `Q₁` and both passes' Gram/reduction
-/// scratch come from `ws` (reused across the passes); the returned `Q` is
-/// workspace-backed, `R` a plain allocation.
+/// scratch come from `ws` (reused across the passes); the second pass writes
+/// `Q` straight into `q_local`. Returns `R`, a plain allocation.
 pub fn cqr2_1d(
     rank: &mut Rank,
     comm: &Comm,
-    a_local: &Matrix,
+    a_local: MatRef<'_>,
+    q_local: MatMut<'_>,
     backend: BackendKind,
     ws: &mut Workspace,
-) -> Result<(Matrix, Matrix), CholeskyError> {
+) -> Result<Matrix, CholeskyError> {
     let n = a_local.cols();
-    let (q1, r1) = cqr1d(rank, comm, a_local, backend, ws)?;
-    // Recycle Q₁ even when the second Cholesky fails (the normal way
-    // ill-conditioning reports) so failed factors stay arena-balanced.
-    let second = cqr1d(rank, comm, &q1, backend, ws);
+    let mut q1 = ws.take_matrix_stale(a_local.rows(), n);
+    // Recycle Q₁ whichever Cholesky fails (the normal way ill-conditioning
+    // reports) so failed factors stay arena-balanced.
+    let passes = cqr1d(rank, comm, a_local, q1.as_mut(), backend, ws)
+        .and_then(|r1| Ok((r1, cqr1d(rank, comm, q1.as_ref(), q_local, backend, ws)?)));
     ws.recycle(q1);
-    let (q, r2) = second?;
+    let (r1, r2) = passes?;
     let r = trmm_upper_upper(r2.as_ref(), r1.as_ref());
     rank.charge_flops(dense::flops::triu_mul(n));
-    Ok((q, r))
+    Ok(r)
 }
 
 #[cfg(test)]
@@ -107,9 +102,10 @@ mod tests {
         let report = run_spmd(p, SimConfig::with_machine(Machine::alpha_only()), move |rank| {
             let world = rank.world();
             let mut ws = dense::Workspace::new();
-            let al = DistMatrix::from_global(&a2, p, 1, rank.id(), 0);
-            let (q, r) =
-                cqr2_1d(rank, &world, &al.local, BackendKind::default_kind(), &mut ws).expect("well-conditioned input");
+            let a_local = a2.as_ref().step_rows(rank.id(), p);
+            let mut q = Matrix::zeros(a_local.rows(), n);
+            let r = cqr2_1d(rank, &world, a_local, q.as_mut(), BackendKind::default_kind(), &mut ws)
+                .expect("well-conditioned input");
             (rank.id(), q, r)
         });
         let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();
@@ -158,8 +154,9 @@ mod tests {
         let report = run_spmd(p, SimConfig::default(), move |rank| {
             let world = rank.world();
             let mut ws = dense::Workspace::new();
-            let al = DistMatrix::from_global(&a, p, 1, rank.id(), 0);
-            cqr2_1d(rank, &world, &al.local, BackendKind::default_kind(), &mut ws).unwrap();
+            let a_local = a.as_ref().step_rows(rank.id(), p);
+            let mut q = Matrix::zeros(a_local.rows(), n);
+            cqr2_1d(rank, &world, a_local, q.as_mut(), BackendKind::default_kind(), &mut ws).unwrap();
             rank.ledger().flops
         });
         let lr = m / p;

@@ -94,9 +94,9 @@ use baseline::{run_pgeqrf_global, BlockCyclic, PgeqrfConfig};
 use costmodel::CandidateConfig;
 use dense::cholesky::CholeskyError;
 use dense::norms;
-use dense::{BackendKind, Matrix, WorkspacePool};
+use dense::{BackendKind, MatRef, Matrix, WorkspacePool};
 use pargrid::GridShape;
-use simgrid::{CostLedger, Machine, RuntimeKind, SimConfig};
+use simgrid::{run_spmd_pooled, CostLedger, Machine, RuntimeKind, SimConfig};
 use std::sync::Arc;
 
 /// When and how far a plan may escalate to a more stable algorithm after a
@@ -290,8 +290,9 @@ pub fn validate(m: usize, n: usize, config: &CandidateConfig) -> Result<(), Plan
 ///
 /// A plan owns a [`WorkspacePool`]: the first `factor` warms one scratch
 /// arena per simulated rank (Gram matrices, broadcast buffers, recursion
-/// temporaries, output pieces) plus one for the report diagnostics (a Gram
-/// matrix and one row panel), and every later `factor` — from any thread;
+/// temporaries, local pieces — and the report diagnostics' Gram partial and
+/// row panel, which run on the same ranks), and every later `factor` — from
+/// any thread;
 /// clones share the pool — reuses that storage with **zero arena
 /// allocations**. This is the steady-state contract the batching layers
 /// ([`crate::service::QrService`]) build their throughput on, and the
@@ -412,9 +413,10 @@ impl QrPlan {
         self.ladder.iter().map(CandidateConfig::algorithm).collect()
     }
 
-    /// The plan's scratch-arena pool: one warm arena per simulated rank,
-    /// and the diagnostics' one, after the first
-    /// [`factor`](QrPlan::factor). Exposed for observability
+    /// The plan's scratch-arena pool: one warm algorithm arena and one
+    /// communication arena per simulated rank after the first
+    /// [`factor`](QrPlan::factor) (the diagnostics borrow the same ones).
+    /// Exposed for observability
     /// — [`WorkspacePool::heap_allocations`] going flat across calls is the
     /// zero-steady-state-allocation guarantee, and
     /// [`WorkspacePool::parked_capacity`] is the plan's resident scratch
@@ -465,21 +467,29 @@ impl QrPlan {
     /// ([`PlanError::NotPositiveDefinite`] — see [`Algorithm::CaCqr3`] for
     /// the unconditionally stable variant).
     ///
-    /// The returned report carries *computed* diagnostics
-    /// ([`dense::norms::qr_diagnostics`]): `‖QᵀQ − I‖_F` from one
-    /// symmetry-aware SYRK (`mn²` flops) and `‖A − QR‖_F / ‖A‖_F` from
-    /// `A − QR` streamed through a 256-row scratch panel (`2mn²` flops), on
-    /// the plan's kernel backend and from a pooled arena of the plan's
-    /// workspace — no `m × n` temporary, no allocation once warm. That is
-    /// `3mn²` flops next to CQR2's `≈4mn²`, run once on the calling thread
-    /// rather than spread over `P` ranks: on the two-core reference box,
-    /// ≈ 10 ms of a ≈ 30 ms 16384 × 64 factor on 2 shared-memory ranks and
-    /// ≈ 4 ms of ≈ 31 ms for 512 × 256 on 8 (README, "Performance"). It
-    /// keeps the report self-contained: the alternative —
-    /// lazy diagnostics — would have to retain a copy of `a` inside every
-    /// report, which is strictly worse for the batching path. Callers that
-    /// need the factors with *no* post-processing at all belong on the
-    /// expert layer ([`crate::validate`]).
+    /// The caller's thread does no `O(mn)` work. The ranks read their
+    /// blocks of `a` in place and write `Q` in place into the one output
+    /// allocation ([`crate::validate`]), and the returned report's *computed*
+    /// diagnostics ([`dense::norms`]) run on the rank team too:
+    /// `‖QᵀQ − I‖_F` from a symmetry-aware SYRK (`mn²` flops) and
+    /// `‖A − QR‖_F / ‖A‖_F` from `A − QR` streamed through a 256-row scratch
+    /// panel (`2mn²` flops) — `3mn²` next to CQR2's `≈4mn²` — are split into
+    /// `min(P, ⌈m/256⌉)` contiguous row slabs, one per rank of a second
+    /// region on the plan's runtime (same pinned cores, same pooled arenas:
+    /// no `m × n` temporary, no allocation once warm), and the slab partials
+    /// are summed in rank order on return. The two numbers are therefore a
+    /// pure function of `(a, Q, R)`, `m` and the plan's rank count: bitwise
+    /// equal across the two runtimes and under any `CACQR_THREADS`. A matrix
+    /// of one panel, or a plan of one rank, is one slab: a plain call on the
+    /// calling thread, no region. On the two-core reference box the
+    /// diagnostics are ≈ 8.5 ms of a ≈ 27.5 ms 16384 × 64 factor on 2
+    /// shared-memory ranks, against ≈ 12 ms for the same work on one thread
+    /// (README, "Performance"). Computing them eagerly
+    /// keeps the report self-contained: the alternative — lazy diagnostics —
+    /// would have to retain a copy of `a` inside every report, which is
+    /// strictly worse for the batching path. Callers that need the factors
+    /// with *no* post-processing at all belong on the expert layer
+    /// ([`crate::validate`]).
     pub fn factor(&self, a: &Matrix) -> Result<QrReport, PlanError> {
         self.factor_with_policy(a, self.retry)
     }
@@ -497,16 +507,16 @@ impl QrPlan {
     /// produced the factors. If every rung fails, the full chain comes
     /// back as [`PlanError::EscalationExhausted`].
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
-        let accepted = self.run_accepted(a, policy)?;
-        Ok(QrReport::from_run(self, a, accepted))
+        let accepted = self.run_accepted(a.as_ref(), policy)?;
+        Ok(QrReport::from_run(self, a.as_ref(), accepted))
     }
 
     /// [`factor_with_policy`](QrPlan::factor_with_policy) up to, but not
     /// including, the report diagnostics: the run, the algorithm that
     /// produced it and the escalation chain. For callers that keep only
-    /// `R` (the stream's open and refresh) or time the algorithm alone
-    /// (the tuner's calibration runs).
-    pub(crate) fn run_accepted(&self, a: &Matrix, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
+    /// `R` (the stream's open and refresh, straight from a view of the row
+    /// history) or time the algorithm alone (the tuner's calibration runs).
+    pub(crate) fn run_accepted(&self, a: MatRef<'_>, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
         if (a.rows(), a.cols()) != (self.m, self.n) {
             return Err(PlanError::InputShapeMismatch {
                 expected: (self.m, self.n),
@@ -572,7 +582,7 @@ impl QrPlan {
     /// dispatch, so every simulated rank observes one consistent failure
     /// (the in-kernel pivot faultpoint is suppressed inside SPMD regions
     /// for exactly that reason).
-    fn run_config(&self, config: CandidateConfig, a: &Matrix, cfg: SimConfig) -> Result<QrRun, CholeskyError> {
+    fn run_config(&self, config: CandidateConfig, a: MatRef<'_>, cfg: SimConfig) -> Result<QrRun, CholeskyError> {
         dense::faultpoint!(dense::fault::CHOLESKY, {
             return Err(CholeskyError {
                 index: 0,
@@ -610,6 +620,35 @@ impl QrPlan {
                 Ok(run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg))
             }
         }
+    }
+
+    /// The report diagnostics of `a ≈ q·r` on the plan's rank team: one
+    /// contiguous row slab per rank of a second pooled region on the plan's
+    /// runtime, partials summed in rank order (see [`QrPlan::factor`] and
+    /// [`dense::norms`]). One slab is a plain call on this thread.
+    fn diagnose(&self, a: MatRef<'_>, q: &Matrix, r: &Matrix) -> (f64, f64) {
+        let slabs = norms::slab_count(self.m, self.processors());
+        if slabs == 1 {
+            let mut ws = self.pool.checkout_at(0);
+            return norms::qr_diagnostics(a, q.as_ref(), r.as_ref(), self.backend, &mut ws);
+        }
+        let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
+        let report = run_spmd_pooled(slabs, cfg, &self.pool, |rank| {
+            let rows = norms::slab_rows(self.m, slabs, rank.id());
+            norms::slab_diagnostics(
+                a.sub(rows.start, 0, rows.len(), a.cols()),
+                q.view(rows.start, 0, rows.len(), q.cols()),
+                r.as_ref(),
+                self.backend,
+                &mut self.pool.checkout_at(rank.id()),
+            )
+        });
+        let diagnostics = norms::combine_diagnostics(&report.results);
+        // Each Gram partial goes back to the arena of the rank that took it.
+        for (id, slab) in report.results.into_iter().enumerate() {
+            self.pool.checkout_at(id).recycle(slab.gram);
+        }
+        diagnostics
     }
 
     /// Opens a [`StreamingQr`](crate::stream::StreamingQr) seeded by
@@ -807,19 +846,13 @@ pub(crate) struct AcceptedRun {
 }
 
 impl QrReport {
-    fn from_run(plan: &QrPlan, a: &Matrix, accepted: AcceptedRun) -> QrReport {
+    fn from_run(plan: &QrPlan, a: MatRef<'_>, accepted: AcceptedRun) -> QrReport {
         let AcceptedRun {
             algorithm,
             run,
             escalation,
         } = accepted;
-        let (orthogonality_error, residual_error) = norms::qr_diagnostics(
-            a.as_ref(),
-            run.q.as_ref(),
-            run.r.as_ref(),
-            plan.backend,
-            &mut plan.pool.checkout(),
-        );
+        let (orthogonality_error, residual_error) = plan.diagnose(a, &run.q, &run.r);
         QrReport {
             algorithm,
             q: run.q,

@@ -28,7 +28,7 @@
 //! repeated CA-CQR2 factorizations allocation-free at the workspace layer.
 
 use crate::mm3d::{mm3d, mm3d_scaled, transpose_cube};
-use dense::{BackendKind, Matrix, Workspace};
+use dense::{BackendKind, MatRef, Matrix, Workspace};
 use pargrid::CubeComms;
 use simgrid::Rank;
 
@@ -91,44 +91,41 @@ impl InvTree {
     }
 
     /// Computes `X = B·R⁻¹ = B·Yᵀ` (with `R = Lᵀ` upper triangular), where
-    /// `b` is this rank's local piece of a matrix whose columns are cyclic
-    /// over the cube. Collective over the cube; the MM3D local products go
-    /// through the given kernel backend. The returned matrix is
+    /// `b` is this rank's local piece (any view) of a matrix whose columns
+    /// are cyclic over the cube. Collective over the cube; the MM3D local
+    /// products go through the given kernel backend. The returned matrix is
     /// workspace-backed.
     pub fn apply_rinv(
         &self,
         rank: &mut Rank,
         cube: &CubeComms,
-        b: &Matrix,
+        b: MatRef<'_>,
         backend: BackendKind,
         ws: &mut Workspace,
     ) -> Matrix {
         match self {
             InvTree::Full { y, .. } => {
                 let yt = transpose_cube(rank, cube, y, ws);
-                let out = mm3d(rank, cube, b, &yt, backend, ws);
+                let out = mm3d_scaled(rank, cube, 1.0, b, &yt, backend, ws);
                 ws.recycle(yt);
                 out
             }
             InvTree::Split { y11, y22, l21, .. } => {
                 let (lr, lc) = (b.rows(), b.cols());
                 let hl = lc / 2; // local width of each half (columns cyclic over c)
-                let b1 = ws.take_copy(b.as_ref().sub(0, 0, lr, hl));
-                let b2 = ws.take_copy(b.as_ref().sub(0, hl, lr, lc - hl));
-                // X₁ = B₁·Y₁₁ᵀ
-                let x1 = y11.apply_rinv(rank, cube, &b1, backend, ws);
-                ws.recycle(b1);
+                                 // X₁ = B₁·Y₁₁ᵀ
+                let x1 = y11.apply_rinv(rank, cube, b.sub(0, 0, lr, hl), backend, ws);
                 // X₂ = (B₂ − X₁·L₂₁ᵀ)·Y₂₂ᵀ
                 let l21t = transpose_cube(rank, cube, l21, ws);
                 let t = mm3d(rank, cube, &x1, &l21t, backend, ws);
                 ws.recycle(l21t);
-                let mut b2c = b2;
+                let mut b2c = ws.take_copy(b.sub(0, hl, lr, lc - hl));
                 for (x, y) in b2c.data_mut().iter_mut().zip(t.data()) {
                     *x -= y;
                 }
                 ws.recycle(t);
                 rank.charge_flops(dense::flops::axpy(lr, lc - hl));
-                let x2 = y22.apply_rinv(rank, cube, &b2c, backend, ws);
+                let x2 = y22.apply_rinv(rank, cube, b2c.as_ref(), backend, ws);
                 ws.recycle(b2c);
                 // Concatenate local column halves.
                 let mut out = ws.take_matrix_stale(lr, lc);
@@ -152,7 +149,7 @@ impl InvTree {
                 let y11d = y11.densify(rank, cube, backend, ws);
                 let y22d = y22.densify(rank, cube, backend, ws);
                 let t = mm3d(rank, cube, l21, &y11d, backend, ws);
-                let y21 = mm3d_scaled(rank, cube, -1.0, &y22d, &t, backend, ws);
+                let y21 = mm3d_scaled(rank, cube, -1.0, y22d.as_ref(), &t, backend, ws);
                 ws.recycle(t);
                 let hl = y11d.rows();
                 let mut out = Matrix::zeros(2 * hl, 2 * y11d.cols());

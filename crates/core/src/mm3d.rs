@@ -35,7 +35,7 @@
 //! rank outputs after assembly). After one warm call per shape, these
 //! functions perform zero arena allocations.
 
-use dense::{BackendKind, Matrix, Workspace};
+use dense::{BackendKind, MatRef, Matrix, Workspace};
 use pargrid::CubeComms;
 use simgrid::Rank;
 
@@ -51,17 +51,18 @@ pub fn mm3d(
     backend: BackendKind,
     ws: &mut Workspace,
 ) -> Matrix {
-    mm3d_scaled(rank, cube, 1.0, a, b, backend, ws)
+    mm3d_scaled(rank, cube, 1.0, a.as_ref(), b, backend, ws)
 }
 
 /// `C = alpha·A·B` over the cube. The backend changes only local
 /// arithmetic: the collective schedule and the `2·l_r·l_k·l_c` flops
-/// charged to the γ ledger are identical for every backend.
+/// charged to the γ ledger are identical for every backend. `a` may be any
+/// view — its first use is the copy into the row-broadcast buffer.
 pub fn mm3d_scaled(
     rank: &mut Rank,
     cube: &CubeComms,
     alpha: f64,
-    a: &Matrix,
+    a: MatRef<'_>,
     b: &Matrix,
     backend: BackendKind,
     ws: &mut Workspace,
@@ -72,15 +73,13 @@ pub fn mm3d_scaled(
     assert_eq!(lk, lkb, "mm3d: local contraction dimensions must agree (cyclic over c)");
 
     // Step 1: broadcast A pieces along rows from the member with x == z.
-    let mut xbuf = ws.take_vec(lr * lk);
-    xbuf.copy_from_slice(a.data());
-    cube.row.bcast(rank, z, &mut xbuf);
+    let mut xm = ws.take_copy(a);
+    cube.row.bcast(rank, z, xm.data_mut());
     // Step 2: broadcast B pieces along columns from the member with ŷ == z.
     let mut ybuf = ws.take_vec(lk * lc);
     ybuf.copy_from_slice(b.data());
     cube.col.bcast(rank, z, &mut ybuf);
 
-    let xm = Matrix::from_vec(lr, lk, xbuf);
     let ym = Matrix::from_vec(lk, lc, ybuf);
 
     // Step 3: local partial product (β = 0 overwrites the stale contents).
@@ -216,7 +215,7 @@ mod tests {
                 rank,
                 cube,
                 -1.0,
-                &al.local,
+                al.local.as_ref(),
                 &bl.local,
                 BackendKind::default_kind(),
                 &mut ws,

@@ -177,7 +177,7 @@ pub struct StreamSnapshot {
 impl StreamingQr {
     /// Opens a stream; called through [`QrPlan::stream`].
     pub(crate) fn open(plan: QrPlan, initial: &Matrix) -> Result<StreamingQr, PlanError> {
-        let r = plan.run_accepted(initial, plan.retry_policy())?.run.r;
+        let r = plan.run_accepted(initial.as_ref(), plan.retry_policy())?.run.r;
         let n = plan.n();
         let mut history = Vec::new();
         history.extend_from_slice(initial.data());
@@ -577,10 +577,15 @@ impl StreamingQr {
         }
     }
 
-    /// The retained rows as an owned matrix (refresh/snapshot path only —
-    /// this allocates; the snapshot's copy becomes its `Q`).
+    /// The retained rows, viewed in place.
+    fn history_view(&self) -> MatRef<'_> {
+        MatRef::from_slice(&self.history[self.start * self.n..], self.live, self.n)
+    }
+
+    /// The retained rows as an owned matrix — this allocates: the snapshot's
+    /// copy becomes its `Q`; the Householder rung factors its copy in place.
     fn history_matrix(&self) -> Matrix {
-        Matrix::from_vec(self.live, self.n, self.history[self.start * self.n..].to_vec())
+        self.history_view().to_owned()
     }
 
     /// Re-derives `R` from the retained rows by a full CholeskyQR2,
@@ -606,7 +611,7 @@ impl StreamingQr {
         }
         let result = if self.live == self.plan.m() {
             self.plan
-                .run_accepted(&self.history_matrix(), self.plan.retry_policy())
+                .run_accepted(self.history_view(), self.plan.retry_policy())
                 .map(|accepted| self.r = accepted.run.r)
         } else {
             let policy = self.plan.retry_policy();
@@ -679,10 +684,8 @@ impl StreamingQr {
         let n = self.n;
         let backend = self.plan.backend().get();
         let mut ws = self.plan.workspace().checkout();
-        let mut a = ws.take_matrix_stale(self.live, n);
-        a.data_mut().copy_from_slice(&self.history[self.start * n..]);
         let mut g = ws.take_matrix_stale(n, n);
-        backend.syrk_into(a.as_ref(), g.as_mut());
+        backend.syrk_into(self.history_view(), g.as_mut());
         let mut l1 = ws.take_copy(g.as_ref());
         let factored = potrf_ws(l1.as_mut(), backend, &mut ws).and_then(|()| {
             // G₂ = L₁⁻¹ · G · L₁⁻ᵀ, in place.
@@ -710,7 +713,6 @@ impl StreamingQr {
         }
         ws.recycle(l1);
         ws.recycle(g);
-        ws.recycle(a);
         factored.map_err(PlanError::NotPositiveDefinite)
     }
 
@@ -725,10 +727,8 @@ impl StreamingQr {
         let n = self.n;
         let backend = self.plan.backend().get();
         let mut ws = self.plan.workspace().checkout();
-        let mut a = ws.take_matrix_stale(self.live, n);
-        a.data_mut().copy_from_slice(&self.history[self.start * n..]);
         let mut g = ws.take_matrix_stale(n, n);
-        backend.syrk_into(a.as_ref(), g.as_mut());
+        backend.syrk_into(self.history_view(), g.as_mut());
         let frob_sq: f64 = (0..n).map(|i| g.as_ref().at(i, i)).sum();
         let shift = crate::cqr::fukaya_shift(self.live, n, frob_sq);
         let mut l1 = ws.take_copy(g.as_ref());
@@ -785,7 +785,6 @@ impl StreamingQr {
         ws.recycle(l2);
         ws.recycle(l1);
         ws.recycle(g);
-        ws.recycle(a);
         factored.map_err(PlanError::NotPositiveDefinite)
     }
 
@@ -945,7 +944,7 @@ impl StreamingQr {
         self.refreshes += 1;
         self.last_refresh_error = None;
         let (orthogonality, residual) = norms::qr_diagnostics(
-            MatRef::from_slice(&self.history[self.start * self.n..], self.live, self.n),
+            self.history_view(),
             q.as_ref(),
             self.r.as_ref(),
             self.plan.backend(),

@@ -1,7 +1,7 @@
 //! Whole-pipeline drivers (the **expert layer**): run a distributed
 //! factorization on the simulator from a global input matrix, assert the
-//! replication invariants, reassemble the global `Q`/`R`, and return the
-//! cost report.
+//! replication invariants, and return the global `Q`/`R` with the cost
+//! report.
 //!
 //! Most callers should use the [`crate::driver`] facade instead: build a
 //! [`crate::driver::QrPlan`] once and call
@@ -12,23 +12,38 @@
 //! cross-validation binaries need when they measure a single schedule under
 //! a unit machine.
 //!
+//! # The matrix does not move
+//!
+//! The caller's thread does no `O(mn)` work. Ranks *read in place*: a
+//! row-cyclic block of the row-major input is a strided view of it
+//! ([`MatRef::step_rows`]), so nothing is scattered; only a column-cyclic
+//! block (`c > 1`) is packed into the rank's arena, inside the region, by
+//! row runs. Ranks *write in place*: the driver allocates the `m × n` (and
+//! `n × n`) output once and each owning rank writes its residue class
+//! through a [`CyclicWindows`] handle — 1D-CQR2's last `gemm` produces `Q`
+//! directly there; the CA family's `z = 0` owners deposit their pieces
+//! before leaving the region. Nothing is reassembled afterwards; replicas
+//! (other depth layers, other subcubes) are compared against what was
+//! deposited.
+//!
 //! # Workspace pooling
 //!
 //! Each driver takes a [`WorkspacePool`]: every simulated rank checks an
-//! arena out for its SPMD body, and after reassembly the driver recycles
-//! the (workspace-backed) per-rank `Q`/`R` pieces back into the pool. Run
-//! the same driver repeatedly against one pool — which is exactly what
-//! [`QrPlan::factor`](crate::driver::QrPlan::factor) does with the pool the
-//! plan owns — and the steady state performs **zero arena allocations**:
-//! every Gram matrix, broadcast buffer, quadrant copy, and output piece is
-//! served from storage warmed up by the first call.
+//! arena out for its SPMD body and recycles what it took before it leaves
+//! (replica pieces are recycled into their producer's slot after the
+//! comparison). Run the same driver repeatedly against one pool — which is
+//! exactly what [`QrPlan::factor`](crate::driver::QrPlan::factor) does with
+//! the pool the plan owns — and the steady state performs **zero arena
+//! allocations**: every Gram matrix, broadcast buffer, quadrant copy, and
+//! local piece is served from storage warmed up by the first call. The
+//! escaping `Q` and `R` are plain allocations.
 
 use crate::cacqr2::{ca_cqr2, CaCqr2Output};
 use crate::cacqr3::ca_cqr3;
 use crate::config::CfrParams;
 use dense::cholesky::CholeskyError;
-use dense::{BackendKind, Matrix, Workspace, WorkspacePool};
-use pargrid::{DistMatrix, GridShape, TunableComms};
+use dense::{BackendKind, MatRef, Matrix, Workspace, WorkspacePool};
+use pargrid::{CyclicWindows, DistMatrix, GridShape, TunableComms};
 use simgrid::{run_spmd_pooled, Rank, SimConfig};
 
 /// Per-rank body of one CA-family algorithm, as consumed by
@@ -36,7 +51,7 @@ use simgrid::{run_spmd_pooled, Rank, SimConfig};
 type CaAlgorithm = fn(
     &mut Rank,
     &TunableComms,
-    &Matrix,
+    MatRef<'_>,
     usize,
     usize,
     &CfrParams,
@@ -47,12 +62,11 @@ type CaAlgorithm = fn(
 /// the same struct every global driver returns, the baseline's included.
 pub type QrRun = baseline::PgeqrfRun;
 
-/// Runs CA-CQR2 on the simulator for a global input `a`, asserting the
-/// replication invariants (identical pieces across depth layers and across
-/// subcubes) and reassembling the global factors. Scratch (and the per-rank
-/// output pieces) cycle through `pool`; pass a fresh
-/// [`WorkspacePool::new()`] for one-off runs or a long-lived pool to make
-/// repeated runs allocation-free.
+/// Runs CA-CQR2 on the simulator for a global input `a` (a `&Matrix` or any
+/// view), asserting the replication invariants (identical pieces across
+/// depth layers and across subcubes). Scratch cycles through `pool`; pass a
+/// fresh [`WorkspacePool::new()`] for one-off runs or a long-lived pool to
+/// make repeated runs allocation-free.
 ///
 /// The `cfg` chooses both the machine model *and* the execution backend
 /// ([`SimConfig::on_runtime`]): the same per-rank bodies run over simulated
@@ -73,15 +87,15 @@ pub type QrRun = baseline::PgeqrfRun;
 /// assert!(dense::norms::orthogonality_error(run.q.as_ref()) < 1e-12);
 /// assert!(dense::norms::residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref()) < 1e-12);
 /// ```
-pub fn run_cacqr2_global(
-    a: &Matrix,
+pub fn run_cacqr2_global<'a>(
+    a: impl Into<MatRef<'a>>,
     shape: GridShape,
     params: CfrParams,
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
     run_ca_family(
-        a,
+        a.into(),
         shape,
         params,
         cfg,
@@ -91,24 +105,24 @@ pub fn run_cacqr2_global(
 }
 
 /// Runs shifted CA-CQR3 (unconditionally stable for numerically full-rank
-/// input) on the simulator and reassembles the factors. Same distribution,
-/// invariants, and pooling as [`run_cacqr2_global`].
-pub fn run_cacqr3_global(
-    a: &Matrix,
+/// input) on the simulator. Same distribution, invariants, and pooling as
+/// [`run_cacqr2_global`].
+pub fn run_cacqr3_global<'a>(
+    a: impl Into<MatRef<'a>>,
     shape: GridShape,
     params: CfrParams,
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a, shape, params, cfg, pool, ca_cqr3)
+    run_ca_family(a.into(), shape, params, cfg, pool, ca_cqr3)
 }
 
 /// Shared driver for the CA family (Algorithms 8–9 and the shifted-CQR3
-/// extension): scatter cyclically over the `c × d × c` grid, run `alg` on
-/// every rank, check replication, reassemble, and return the per-rank
-/// pieces' storage to the pool.
+/// extension) over the `c × d × c` grid: every rank runs `alg` on its cyclic
+/// block, the `z = 0` layer (first subcube for `R`) deposits its pieces into
+/// the output, and every other replica is checked against the deposit.
 fn run_ca_family(
-    a: &Matrix,
+    a: MatRef<'_>,
     shape: GridShape,
     params: CfrParams,
     cfg: SimConfig,
@@ -119,70 +133,64 @@ fn run_ca_family(
     let (c, d) = (shape.c, shape.d);
     assert_eq!(m % d, 0, "the CA family requires d | m (m={m}, d={d})");
     assert_eq!(n % c, 0, "the CA family requires c | n (n={n}, c={c})");
-    let report = run_spmd_pooled(shape.p(), cfg, pool, |rank| {
-        let comms = TunableComms::build(rank, shape);
-        let (x, y, z) = comms.coords;
-        let id = rank.id();
-        let mut ws = pool.checkout_at(id);
-        let al = DistMatrix::local_from_global(a, d, c, y, x, &mut ws);
-        let result = alg(rank, &comms, &al, m, n, &params, &mut ws);
-        ws.recycle(al);
-        match result {
-            Ok(out) => Ok((id, x, y, z, out.q_local, out.r_local)),
-            Err(e) => Err(e),
-        }
-    });
-
-    let mut results = Vec::with_capacity(report.results.len());
-    for res in report.results {
-        match res {
-            Ok(t) => results.push(t),
-            Err(e) => return Err(e),
-        }
-    }
-    // Move the representative pieces (z = 0; first subcube for R) into the
-    // assembly grids, deferring the duplicates; then check every duplicate
-    // against its representative by direct grid indexing (O(1) per piece,
-    // no clones) and recycle its storage into its *producer's* pool slot —
-    // that keeps each rank arena's inventory balanced call to call.
-    let mut qp: Vec<Vec<Matrix>> = (0..d).map(|_| (0..c).map(|_| Matrix::zeros(0, 0)).collect()).collect();
-    let mut rp: Vec<Vec<Matrix>> = (0..c).map(|_| (0..c).map(|_| Matrix::zeros(0, 0)).collect()).collect();
-    let mut owner_q: Vec<Vec<usize>> = (0..d).map(|_| vec![0; c]).collect();
-    let mut owner_r: Vec<Vec<usize>> = (0..c).map(|_| vec![0; c]).collect();
-    let mut duplicates = Vec::with_capacity(results.len());
-    for (id, x, y, z, q, r) in results {
-        if z == 0 {
-            let prev = std::mem::replace(&mut qp[y][x], q);
-            debug_assert_eq!(prev.rows(), 0);
-            owner_q[y][x] = id;
-            if y < c {
-                rp[y][x] = r;
-                owner_r[y][x] = id;
-            } else {
-                duplicates.push((id, x, y, None, Some(r)));
+    // Zeroed lazily by the allocator: the ranks' writes are the first touch.
+    let (mut q, mut r) = (vec![0.0; m * n], vec![0.0; n * n]);
+    let report = {
+        let q_windows = CyclicWindows::split(&mut q, m, n, d, c);
+        let r_windows = CyclicWindows::split(&mut r, n, n, c, c);
+        run_spmd_pooled(shape.p(), cfg, pool, |rank| {
+            let comms = TunableComms::build(rank, shape);
+            let (x, y, z) = comms.coords;
+            let id = rank.id();
+            let mut ws = pool.checkout_at(id);
+            let packed = (c > 1).then(|| DistMatrix::local_from_global(a, d, c, y, x, &mut ws));
+            let a_local = packed.as_ref().map_or_else(|| a.step_rows(y, d), Matrix::as_ref);
+            let result = alg(rank, &comms, a_local, m, n, &params, &mut ws);
+            if let Some(block) = packed {
+                ws.recycle(block);
             }
-        } else {
-            duplicates.push((id, x, y, Some(q), Some(r)));
-        }
-    }
-    for (id, x, y, q, r) in duplicates {
+            let CaCqr2Output { q_local, r_local } = result?;
+            // Owners deposit and recycle on the spot; replicas leave the
+            // region to be checked against the deposit.
+            let q_replica = if z == 0 {
+                q_windows.take(y, x).deposit(q_local.as_ref());
+                ws.recycle(q_local);
+                None
+            } else {
+                Some(q_local)
+            };
+            let r_replica = if z == 0 && y < c {
+                r_windows.take(y, x).deposit(r_local.as_ref());
+                ws.recycle(r_local);
+                None
+            } else {
+                Some(r_local)
+            };
+            Ok((x, y, q_replica, r_replica))
+        })
+    };
+    let (q, r) = (Matrix::from_vec(m, n, q), Matrix::from_vec(n, n, r));
+    // A failed Cholesky fails the same collective on every rank, so an
+    // error here leaves no piece outstanding. Each replica is recycled into
+    // its *producer's* pool slot — that keeps each rank arena's inventory
+    // balanced call to call.
+    for (id, result) in report.results.into_iter().enumerate() {
+        let (x, y, q_replica, r_replica) = result?;
         let mut ws = pool.checkout_at(id);
-        if let Some(q) = q {
-            assert_eq!(q, qp[y][x], "Q pieces must be replicated across depth");
-            ws.recycle(q);
+        if let Some(piece) = q_replica {
+            assert!(
+                DistMatrix::holds_piece(q.as_ref(), d, c, y, x, piece.as_ref()),
+                "Q pieces must be replicated across depth"
+            );
+            ws.recycle(piece);
         }
-        if let Some(r) = r {
-            assert_eq!(r, rp[y % c][x], "R pieces must be replicated across depth and subcubes");
-            ws.recycle(r);
+        if let Some(piece) = r_replica {
+            assert!(
+                DistMatrix::holds_piece(r.as_ref(), c, c, y % c, x, piece.as_ref()),
+                "R pieces must be replicated across depth and subcubes"
+            );
+            ws.recycle(piece);
         }
-    }
-    let q = DistMatrix::assemble(m, n, d, c, &qp);
-    let r = DistMatrix::assemble(n, n, c, c, &rp);
-    for (piece, id) in qp.into_iter().flatten().zip(owner_q.into_iter().flatten()) {
-        pool.checkout_at(id).recycle(piece);
-    }
-    for (piece, id) in rp.into_iter().flatten().zip(owner_r.into_iter().flatten()) {
-        pool.checkout_at(id).recycle(piece);
     }
     Ok(QrRun {
         q,
@@ -193,48 +201,46 @@ fn run_ca_family(
     })
 }
 
-/// Runs 1D-CQR2 (Algorithm 7) on the simulator and reassembles the factors.
-/// Local kernels go through `backend`; scratch and the per-rank `Q` pieces
-/// cycle through `pool` (see [`run_cacqr2_global`]).
-pub fn run_cqr2_1d_global(
-    a: &Matrix,
+/// Runs 1D-CQR2 (Algorithm 7) on the simulator: rank `i` reads rows
+/// `≡ i (mod p)` of `a` (a `&Matrix` or any view) in place and its second
+/// pass writes the same rows of `Q` in place. Local kernels go through
+/// `backend`; scratch cycles through `pool` (see [`run_cacqr2_global`]).
+pub fn run_cqr2_1d_global<'a>(
+    a: impl Into<MatRef<'a>>,
     p: usize,
     backend: BackendKind,
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
+    let a = a.into();
     let (m, n) = (a.rows(), a.cols());
     assert_eq!(m % p, 0, "1D-CQR2 requires p | m");
-    let report = run_spmd_pooled(p, cfg, pool, |rank| {
-        let world = rank.world();
-        let mut ws = pool.checkout_at(rank.id());
-        let al = DistMatrix::local_from_global(a, p, 1, rank.id(), 0, &mut ws);
-        let result = crate::cqr1d::cqr2_1d(rank, &world, &al, backend, &mut ws);
-        ws.recycle(al);
-        result.map(|(q, r)| (rank.id(), q, r))
-    });
-    let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();
+    // Zeroed lazily by the allocator: the ranks' writes are the first touch.
+    let mut q = vec![0.0; m * n];
+    let report = {
+        let windows = CyclicWindows::split(&mut q, m, n, p, 1);
+        run_spmd_pooled(p, cfg, pool, |rank| {
+            let world = rank.world();
+            let id = rank.id();
+            let q_local = windows
+                .take(id, 0)
+                .into_mat_mut()
+                .expect("a row-cyclic window is a strided view");
+            let mut ws = pool.checkout_at(id);
+            crate::cqr1d::cqr2_1d(rank, &world, a.step_rows(id, p), q_local, backend, &mut ws)
+        })
+    };
     let mut r0: Option<Matrix> = None;
-    for res in report.results {
-        let (id, q, r) = res?;
-        pieces[id][0] = q;
+    for result in report.results {
+        let r = result?;
         match &r0 {
-            // R is a plain allocation (it escapes into the report), so the
-            // duplicates are dropped rather than recycled.
             None => r0 = Some(r),
-            Some(existing) => assert_eq!(r, *existing, "R must be replicated"),
-        }
-    }
-    let q = DistMatrix::assemble(m, n, p, 1, &pieces);
-    for (id, piece) in pieces.into_iter().enumerate() {
-        let mut ws = pool.checkout_at(id);
-        for p in piece {
-            ws.recycle(p);
+            Some(first) => assert_eq!(r, *first, "R must be replicated"),
         }
     }
     Ok(QrRun {
-        q,
-        r: r0.unwrap(),
+        q: Matrix::from_vec(m, n, q),
+        r: r0.expect("at least one rank ran"),
         elapsed: report.elapsed,
         wall_seconds: report.wall_seconds,
         ledgers: report.ledgers,

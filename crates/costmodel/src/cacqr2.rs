@@ -53,7 +53,15 @@ mod tests {
             let a = well_conditioned(m, n, 9);
             let al = DistMatrix::from_global(&a, d, c, y, x);
             let params = cacqr::CfrParams::validated(n, c, base, inv).unwrap();
-            cacqr::ca_cqr2(rank, &comms, &al.local, n, &params, &mut dense::Workspace::new()).unwrap();
+            cacqr::ca_cqr2(
+                rank,
+                &comms,
+                al.local.as_ref(),
+                n,
+                &params,
+                &mut dense::Workspace::new(),
+            )
+            .unwrap();
         })
         .elapsed
     }

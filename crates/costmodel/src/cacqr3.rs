@@ -52,7 +52,16 @@ mod tests {
             let a = well_conditioned(m, n, 11);
             let al = DistMatrix::from_global(&a, d, c, y, x);
             let params = cacqr::CfrParams::default_for(n, c);
-            cacqr::ca_cqr3(rank, &comms, &al.local, m, n, &params, &mut dense::Workspace::new()).unwrap();
+            cacqr::ca_cqr3(
+                rank,
+                &comms,
+                al.local.as_ref(),
+                m,
+                n,
+                &params,
+                &mut dense::Workspace::new(),
+            )
+            .unwrap();
         })
         .elapsed
     }

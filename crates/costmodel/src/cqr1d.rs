@@ -36,18 +36,19 @@ fn dense_flops_triu(n: usize) -> f64 {
 mod tests {
     use super::*;
     use dense::random::well_conditioned;
-    use pargrid::DistMatrix;
     use simgrid::{run_spmd, Machine, SimConfig};
 
     fn measure(p: usize, m: usize, n: usize, machine: Machine) -> f64 {
         run_spmd(p, SimConfig::with_machine(machine), move |rank| {
             let world = rank.world();
             let a = well_conditioned(m, n, 5);
-            let al = DistMatrix::from_global(&a, p, 1, rank.id(), 0);
+            let a_local = a.as_ref().step_rows(rank.id(), p);
+            let mut q_local = dense::Matrix::zeros(a_local.rows(), n);
             cacqr::cqr2_1d(
                 rank,
                 &world,
-                &al.local,
+                a_local,
+                q_local.as_mut(),
                 dense::BackendKind::default_kind(),
                 &mut dense::Workspace::new(),
             )

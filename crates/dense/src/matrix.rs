@@ -187,6 +187,14 @@ pub struct MatRef<'a> {
 unsafe impl Send for MatRef<'_> {}
 unsafe impl Sync for MatRef<'_> {}
 
+/// So entry points can take `impl Into<MatRef>`: a `&Matrix`, or a view of
+/// storage that is not a `Matrix` (a stream's row history, a cyclic block).
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    fn from(m: &'a Matrix) -> MatRef<'a> {
+        m.as_ref()
+    }
+}
+
 impl<'a> MatRef<'a> {
     /// Views a row-major slice of exactly `rows · cols` elements as a
     /// contiguous matrix.
@@ -242,6 +250,19 @@ impl<'a> MatRef<'a> {
             cols: nc,
             stride: self.stride,
             _life: PhantomData,
+        }
+    }
+
+    /// Every `step`-th row starting at row `first`, all columns: the view's
+    /// row stride is multiplied, nothing moves. The row-cyclic block of a
+    /// row-major matrix over `p` owners is `step_rows(owner, p)`.
+    pub fn step_rows(self, first: usize, step: usize) -> MatRef<'a> {
+        assert!(step > 0, "row step must be positive");
+        let tail = self.sub(first.min(self.rows), 0, self.rows.saturating_sub(first), self.cols);
+        MatRef {
+            rows: tail.rows.div_ceil(step),
+            stride: tail.stride * step,
+            ..tail
         }
     }
 
@@ -487,6 +508,24 @@ mod tests {
         assert_eq!(v.at(0, 0), 5.0);
         assert_eq!(v.at(1, 1), 10.0);
         assert_eq!(v.row(1), &[9.0, 10.0]);
+    }
+
+    #[test]
+    fn step_rows_views_a_residue_class_in_place() {
+        let m = Matrix::from_fn(7, 3, |i, j| (i * 3 + j) as f64);
+        for step in 1..=4 {
+            let mut seen = 0;
+            for first in 0..step {
+                let v = m.as_ref().step_rows(first, step);
+                assert_eq!(v.cols(), 3);
+                for i in 0..v.rows() {
+                    assert_eq!(v.row(i), m.as_ref().row(first + i * step));
+                }
+                seen += v.rows();
+            }
+            assert_eq!(seen, 7, "the residue classes partition the rows");
+        }
+        assert_eq!(m.as_ref().step_rows(9, 2).rows(), 0, "a start past the end is empty");
     }
 
     #[test]

@@ -25,6 +25,26 @@
 //! allocation-free (the blocked kernels' pack buffers come from the calling
 //! thread's own arena, warm after its first call).
 //!
+//! # Slabs and the combine
+//!
+//! Both numbers are sums over rows, so the work splits by contiguous row
+//! slabs: [`slab_diagnostics`] is the computation above over one slab's rows
+//! — a `k × k` Gram partial `Q_bᵀQ_b`, `‖A_b‖²` and `‖A_b − Q_b·R‖²` — and
+//! [`combine_diagnostics`] adds the partials up and takes the norms.
+//! [`slab_count`] and [`slab_rows`] are the partition: whole
+//! [`PANEL_ROWS`]-row panels, at most one slab per team member, so a matrix
+//! of one panel or a team of one is one slab. [`qr_diagnostics`] *is* the
+//! one-slab case (slab, then combine, on the calling thread); a rank team
+//! runs one slab per member side by side and combines once
+//! (`cacqr::QrReport`). There is no second implementation.
+//!
+//! **Determinism rule:** partials are combined in slab order, entry by
+//! entry, on one thread. The result is therefore a pure function of
+//! `(A, Q, R)` and the slab count — bitwise the same whichever runtime ran
+//! the slabs, in whatever order they finished, and under any
+//! `CACQR_THREADS` (each kernel call is itself thread-count-independent).
+//! Different slab counts differ by rounding only.
+//!
 //! **`BackendKind::Naive` is the oracle form.** With it the two products are
 //! the audited loop nests of [`mod@crate::syrk`] and [`mod@crate::gemm`] —
 //! every element accumulated in ascending-`k` order starting from `A`'s
@@ -66,27 +86,65 @@ pub fn max_abs(a: MatRef<'_>) -> f64 {
 /// between the gemm that writes it and the sweep that sums it.
 pub const PANEL_ROWS: usize = 256;
 
-/// `‖QᵀQ − I‖_F` from one `syrk_into` into arena scratch.
-fn gram_deviation(q: MatRef<'_>, kernels: &dyn Backend, ws: &mut Workspace) -> f64 {
-    let n = q.cols();
-    let mut g = ws.take_matrix_stale(n, n);
+/// How many slabs the diagnostics of an `m`-row matrix split into for a team
+/// of `team` members: one per member, but never less than a whole panel each.
+pub fn slab_count(m: usize, team: usize) -> usize {
+    team.min(m.div_ceil(PANEL_ROWS)).max(1)
+}
+
+/// The rows of slab `s` of `slabs`: contiguous, whole panels (the last slab
+/// takes the ragged tail), as even as the panel count allows.
+pub fn slab_rows(m: usize, slabs: usize, s: usize) -> std::ops::Range<usize> {
+    let panels = m.div_ceil(PANEL_ROWS);
+    let bound = |s: usize| (s * panels / slabs * PANEL_ROWS).min(m);
+    bound(s)..bound(s + 1)
+}
+
+/// One row slab's share of [`qr_diagnostics`] — what [`slab_diagnostics`]
+/// computes where the slab's rows live and [`combine_diagnostics`] sums.
+pub struct SlabDiagnostics {
+    /// `Q_bᵀ·Q_b` over the slab's rows (`k × k`). **Workspace-backed**:
+    /// recycle it into the arena it was taken from once combined.
+    pub gram: Matrix,
+    /// `‖A_b‖_F²` over the slab's rows.
+    pub a_sq: f64,
+    /// `‖A_b − Q_b·R‖_F²` over the slab's rows.
+    pub d_sq: f64,
+}
+
+/// `Q_bᵀ·Q_b` by one `syrk_into` into arena scratch.
+fn gram_partial(q: MatRef<'_>, kernels: &dyn Backend, ws: &mut Workspace) -> Matrix {
+    let mut g = ws.take_matrix_stale(q.cols(), q.cols());
     kernels.syrk_into(q, g.as_mut());
+    g
+}
+
+/// `‖Σ_b G_b − I‖_F`, every entry summed over the partials in iteration
+/// order.
+fn gram_deviation<'a>(grams: impl Iterator<Item = &'a Matrix> + Clone) -> f64 {
+    let n = grams.clone().next().map_or(0, Matrix::rows);
     let mut s = 0.0;
     for i in 0..n {
-        for (j, &v) in g.as_ref().row(i).iter().enumerate() {
+        for j in 0..n {
+            let v: f64 = grams.clone().map(|g| g.get(i, j)).sum();
             let d = if i == j { v - 1.0 } else { v };
             s += d * d;
         }
     }
-    ws.recycle(g);
     s.sqrt()
 }
 
-/// `‖A − QR‖_F / ‖A‖_F`, streamed in [`PANEL_ROWS`]-row panels through one
-/// arena scratch panel. The row sums of squares are lane-split
+/// `(‖A_b‖_F², ‖A_b − Q_b·R‖_F²)`, streamed in [`PANEL_ROWS`]-row panels
+/// through one arena scratch panel. The row sums of squares are lane-split
 /// ([`dot_lanes`]): a strictly sequential sum over `m·n` elements is
 /// latency-bound and would cost as much as the panel gemms it follows.
-fn streamed_residual(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>, kernels: &dyn Backend, ws: &mut Workspace) -> f64 {
+fn residual_partial(
+    a: MatRef<'_>,
+    q: MatRef<'_>,
+    r: MatRef<'_>,
+    kernels: &dyn Backend,
+    ws: &mut Workspace,
+) -> (f64, f64) {
     let (m, n) = (a.rows(), a.cols());
     assert_eq!(q.rows(), m, "Q must have A's row count");
     let mut panel = ws.take_matrix_stale(PANEL_ROWS.min(m), n);
@@ -113,11 +171,40 @@ fn streamed_residual(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>, kernels: &dyn 
         }
     }
     ws.recycle(panel);
-    d_sq.sqrt() / a_sq.sqrt()
+    (a_sq, d_sq)
+}
+
+/// The diagnostics' share of one contiguous row slab: `a` and `q` are the
+/// slab's rows of `A` and `Q` (sub-views of the caller's storage; `r` is the
+/// whole `k × n` factor). Costs `≈ rows·(k² + 2kn)` flops at kernel speed and
+/// takes a `k × k` and a `min(rows, PANEL_ROWS) × n` buffer from `ws`; the
+/// `k × k` one leaves in the result. See the [module docs](self).
+pub fn slab_diagnostics(
+    a: MatRef<'_>,
+    q: MatRef<'_>,
+    r: MatRef<'_>,
+    backend: BackendKind,
+    ws: &mut Workspace,
+) -> SlabDiagnostics {
+    let kernels = backend.get();
+    let gram = gram_partial(q, kernels, ws);
+    let (a_sq, d_sq) = residual_partial(a, q, r, kernels, ws);
+    SlabDiagnostics { gram, a_sq, d_sq }
+}
+
+/// Sums slab partials **in slice order** into
+/// `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`. The order is the determinism rule:
+/// the result is a function of the partials and their order alone, whoever
+/// computed them and however many threads their kernels used.
+pub fn combine_diagnostics(slabs: &[SlabDiagnostics]) -> (f64, f64) {
+    let a_sq: f64 = slabs.iter().map(|s| s.a_sq).sum();
+    let d_sq: f64 = slabs.iter().map(|s| s.d_sq).sum();
+    (gram_deviation(slabs.iter().map(|s| &s.gram)), d_sq.sqrt() / a_sq.sqrt())
 }
 
 /// Both factorization diagnostics of `A ≈ QR` on the kernels of `backend`:
-/// returns `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`.
+/// returns `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`. This is the one-slab case of
+/// [`slab_diagnostics`] + [`combine_diagnostics`], on the calling thread.
 ///
 /// `a` is `m × n`, `q` is `m × k`, `r` is `k × n` (any views; `r` is used as
 /// stored, so entries below its diagonal count against the residual). Costs
@@ -133,8 +220,10 @@ pub fn qr_diagnostics(
     backend: BackendKind,
     ws: &mut Workspace,
 ) -> (f64, f64) {
-    let kernels = backend.get();
-    (gram_deviation(q, kernels, ws), streamed_residual(a, q, r, kernels, ws))
+    let slab = slab_diagnostics(a, q, r, backend, ws);
+    let out = combine_diagnostics(std::slice::from_ref(&slab));
+    ws.recycle(slab.gram);
+    out
 }
 
 /// Deviation from orthonormality: `‖QᵀQ − I‖_F`.
@@ -144,14 +233,16 @@ pub fn qr_diagnostics(
 /// CholeskyQR. The first half of [`qr_diagnostics`] on the process-default
 /// backend, with throwaway scratch.
 pub fn orthogonality_error(q: MatRef<'_>) -> f64 {
-    gram_deviation(q, BackendKind::default_kind().get(), &mut Workspace::new())
+    let gram = gram_partial(q, BackendKind::default_kind().get(), &mut Workspace::new());
+    gram_deviation(std::iter::once(&gram))
 }
 
 /// Relative residual `‖A − QR‖_F / ‖A‖_F`. The second half of
 /// [`qr_diagnostics`] on the process-default backend, with throwaway
 /// scratch.
 pub fn residual_error(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>) -> f64 {
-    streamed_residual(a, q, r, BackendKind::default_kind().get(), &mut Workspace::new())
+    let (a_sq, d_sq) = residual_partial(a, q, r, BackendKind::default_kind().get(), &mut Workspace::new());
+    d_sq.sqrt() / a_sq.sqrt()
 }
 
 /// Frobenius norm of the strictly-lower part (how far from upper triangular).

@@ -7,7 +7,7 @@
 use dense::backend::blocked::{KC, MR, NR, TRSM_NB};
 use dense::backend::BackendKind;
 use dense::gemm::Trans;
-use dense::norms::{qr_diagnostics, PANEL_ROWS};
+use dense::norms::{combine_diagnostics, qr_diagnostics, slab_count, slab_diagnostics, slab_rows, PANEL_ROWS};
 use dense::{MatRef, Matrix, Workspace};
 
 fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
@@ -304,6 +304,103 @@ fn qr_diagnostics_blocked_matches_naive_oracle_and_textbook() {
     assert_eq!(ws.recycles(), ws.takes(), "every scratch buffer goes back to the arena");
 }
 
+/// The diagnostics the way a rank team of `team` computes them: one
+/// `slab_diagnostics` per row slab, combined in slab order.
+fn team_diagnostics(
+    a: MatRef<'_>,
+    q: MatRef<'_>,
+    r: MatRef<'_>,
+    team: usize,
+    kind: BackendKind,
+    ws: &mut Workspace,
+) -> (f64, f64) {
+    let m = a.rows();
+    let slabs = slab_count(m, team);
+    let parts: Vec<_> = (0..slabs)
+        .map(|s| {
+            let rows = slab_rows(m, slabs, s);
+            let (a_b, q_b) = (
+                a.sub(rows.start, 0, rows.len(), a.cols()),
+                q.sub(rows.start, 0, rows.len(), q.cols()),
+            );
+            slab_diagnostics(a_b, q_b, r, kind, ws)
+        })
+        .collect();
+    let out = combine_diagnostics(&parts);
+    parts.into_iter().for_each(|part| ws.recycle(part.gram));
+    out
+}
+
+#[test]
+fn slab_partition_is_contiguous_panel_aligned_and_never_wider_than_the_team() {
+    for m in [
+        0,
+        1,
+        PANEL_ROWS - 1,
+        PANEL_ROWS,
+        PANEL_ROWS + 1,
+        5 * PANEL_ROWS,
+        8 * PANEL_ROWS + 37,
+    ] {
+        for team in [1usize, 2, 3, 8, 64] {
+            let slabs = slab_count(m, team);
+            assert!((1..=team).contains(&slabs), "m={m} team={team}: {slabs} slabs");
+            let mut next = 0;
+            for s in 0..slabs {
+                let rows = slab_rows(m, slabs, s);
+                assert_eq!(
+                    rows.start,
+                    next,
+                    "m={m} team={team}: slab {s} starts where {} ended",
+                    s.max(1) - 1
+                );
+                assert_eq!(rows.start % PANEL_ROWS, 0, "slabs start on panel boundaries");
+                assert!(m == 0 || !rows.is_empty(), "m={m} team={team}: slab {s} is empty");
+                next = rows.end;
+            }
+            assert_eq!(next, m, "m={m} team={team}: the slabs cover every row");
+        }
+    }
+}
+
+#[test]
+fn team_diagnostics_match_the_naive_one_slab_oracle() {
+    // Ragged last slab (9 panels over 8 slabs, the last 37 rows short), fewer
+    // panels than members, a single short panel (one slab whatever the team),
+    // exact multiples.
+    let shapes = [
+        (8 * PANEL_ROWS + 37, 24),
+        (3 * PANEL_ROWS + 1, NR + 1),
+        (PANEL_ROWS - 5, 12),
+        (2 * PANEL_ROWS, 8),
+    ];
+    let mut ws = Workspace::new();
+    for &(m, n) in &shapes {
+        let a = filled(m, n, 17);
+        let factors = dense::householder_qr(&a);
+        let (q, mut r) = (dense::form_q(&factors), factors.r());
+        for perturbed in [false, true] {
+            if perturbed {
+                r.set(0, n - 1, r.get(0, n - 1) + 1e-5);
+            }
+            let (av, qv, rv) = (a.as_ref(), q.as_ref(), r.as_ref());
+            let oracle = qr_diagnostics(av, qv, rv, BackendKind::Naive, &mut ws);
+            for kind in BackendKind::ALL {
+                let one_slab = qr_diagnostics(av, qv, rv, kind, &mut ws);
+                for team in [1usize, 2, 8] {
+                    let label = format!("{kind} {m}x{n} team {team} perturbed {perturbed}");
+                    let got = team_diagnostics(av, qv, rv, team, kind, &mut ws);
+                    assert_diagnostics_agree(&label, got, oracle, m, n);
+                    if slab_count(m, team) == 1 {
+                        assert_eq!(got, one_slab, "{label}: one slab is qr_diagnostics, bitwise");
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(ws.recycles(), ws.takes(), "every scratch buffer goes back to the arena");
+}
+
 /// Prints the diagnostics' bit patterns at a shape whose panel gemms and
 /// SYRK clear the kernel's parallel threshold. Does nothing unless
 /// [`qr_diagnostics_bits_do_not_depend_on_cacqr_threads`] runs it as a child.
@@ -316,18 +413,20 @@ fn qr_diagnostics_bits_child() {
     let a = filled(m, n, 16);
     let factors = dense::householder_qr(&a);
     let (q, r) = (dense::form_q(&factors), factors.r());
-    let (ortho, resid) = qr_diagnostics(
-        a.as_ref(),
-        q.as_ref(),
-        r.as_ref(),
-        BackendKind::Blocked,
-        &mut Workspace::new(),
-    );
+    // One slab, then the team forms: two slabs, and eight with a ragged last.
+    let mut ws = Workspace::new();
+    let bits: Vec<String> = [1usize, 2, 8]
+        .iter()
+        .map(|&team| {
+            let (ortho, resid) =
+                team_diagnostics(a.as_ref(), q.as_ref(), r.as_ref(), team, BackendKind::Blocked, &mut ws);
+            format!("{:016x} {:016x}", ortho.to_bits(), resid.to_bits())
+        })
+        .collect();
     println!(
-        "QR_DIAGNOSTICS_BITS threads={} {:016x} {:016x}",
+        "QR_DIAGNOSTICS_BITS threads={} {}",
         dense::max_threads(),
-        ortho.to_bits(),
-        resid.to_bits()
+        bits.join(" ")
     );
 }
 

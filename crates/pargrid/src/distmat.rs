@@ -10,7 +10,25 @@
 //! intermediates) is *not* part of the descriptor — replicas simply hold
 //! identical `DistMatrix` values, which tests assert.
 
-use dense::Matrix;
+use crate::window::CyclicWindows;
+use dense::{MatMut, MatRef, Matrix};
+
+/// Copies the `(my_r, my_c)` cyclic piece of `global` into `local`, a row at
+/// a time: whole row slices when the columns are not split, strided runs
+/// otherwise.
+fn gather_piece(global: MatRef<'_>, rp: usize, cp: usize, my_r: usize, my_c: usize, mut local: MatMut<'_>) {
+    let rows = global.step_rows(my_r, rp);
+    for li in 0..local.rows() {
+        let (dst, src) = (local.row_mut(li), rows.row(li));
+        if cp == 1 {
+            dst.copy_from_slice(src);
+        } else {
+            for (d, s) in dst.iter_mut().zip(src.iter().skip(my_c).step_by(cp)) {
+                *d = *s;
+            }
+        }
+    }
+}
 
 /// A cyclically distributed dense matrix (one processor's view).
 #[derive(Clone, Debug, PartialEq)]
@@ -58,7 +76,8 @@ impl DistMatrix {
     pub fn from_global(global: &Matrix, rp: usize, cp: usize, my_r: usize, my_c: usize) -> DistMatrix {
         let (grows, gcols) = (global.rows(), global.cols());
         let (lr, lc) = Self::local_dims(grows, gcols, rp, cp, my_r, my_c);
-        let local = Matrix::from_fn(lr, lc, |li, lj| global.get(li * rp + my_r, lj * cp + my_c));
+        let mut local = Matrix::zeros(lr, lc);
+        gather_piece(global.as_ref(), rp, cp, my_r, my_c, local.as_mut());
         DistMatrix {
             local,
             grows,
@@ -70,28 +89,35 @@ impl DistMatrix {
         }
     }
 
-    /// Extracts this processor's cyclic piece of a global matrix into
-    /// **workspace-backed** storage (just the local block — the descriptor
-    /// fields are implied by the arguments). The hot factor paths extract
-    /// every rank's piece on every call; routing the block through the
-    /// caller's [`dense::Workspace`] makes that allocation-free once warm.
+    /// Extracts this processor's cyclic piece of a global matrix (or view)
+    /// into **workspace-backed** storage (just the local block — the
+    /// descriptor fields are implied by the arguments). A rank needs this
+    /// packed copy only when the columns are split (`cp > 1`); a row-cyclic
+    /// block is [`MatRef::step_rows`] of the global matrix, in place.
     /// Recycle the returned matrix into the same pool when done.
-    pub fn local_from_global(
-        global: &Matrix,
+    pub fn local_from_global<'g>(
+        global: impl Into<MatRef<'g>>,
         rp: usize,
         cp: usize,
         my_r: usize,
         my_c: usize,
         ws: &mut dense::Workspace,
     ) -> Matrix {
+        let global = global.into();
         let (lr, lc) = Self::local_dims(global.rows(), global.cols(), rp, cp, my_r, my_c);
-        let mut local = Matrix::from_vec(lr, lc, ws.take_vec(lr * lc));
-        for li in 0..lr {
-            for lj in 0..lc {
-                local.set(li, lj, global.get(li * rp + my_r, lj * cp + my_c));
-            }
-        }
+        let mut local = ws.take_matrix_stale(lr, lc);
+        gather_piece(global, rp, cp, my_r, my_c, local.as_mut());
         local
+    }
+
+    /// Whether `piece` is bitwise the `(my_r, my_c)` cyclic piece of `global`
+    /// — [`local_from_global`](DistMatrix::local_from_global) without the
+    /// copy, compared a row run at a time. The drivers check replicas against
+    /// the deposited output with it.
+    pub fn holds_piece(global: MatRef<'_>, rp: usize, cp: usize, my_r: usize, my_c: usize, piece: MatRef<'_>) -> bool {
+        let rows = global.step_rows(my_r, rp);
+        rows.rows() == piece.rows()
+            && (0..piece.rows()).all(|li| rows.row(li).iter().skip(my_c).step_by(cp).eq(piece.row(li)))
     }
 
     /// Builds a distributed piece directly from an index function over
@@ -129,16 +155,14 @@ impl DistMatrix {
     pub fn assemble(grows: usize, gcols: usize, rp: usize, cp: usize, pieces: &[Vec<Matrix>]) -> Matrix {
         assert_eq!(pieces.len(), rp);
         let mut out = Matrix::zeros(grows, gcols);
+        let windows = CyclicWindows::split(out.data_mut(), grows, gcols, rp, cp);
         for (r, row) in pieces.iter().enumerate() {
             assert_eq!(row.len(), cp);
             for (c, block) in row.iter().enumerate() {
-                for li in 0..block.rows() {
-                    for lj in 0..block.cols() {
-                        out.set(li * rp + r, lj * cp + c, block.get(li, lj));
-                    }
-                }
+                windows.take(r, c).deposit(block.as_ref());
             }
         }
+        drop(windows);
         out
     }
 }
@@ -164,6 +188,19 @@ mod tests {
             .collect();
         let re = DistMatrix::assemble(12, 8, rp, cp, &pieces);
         assert_eq!(re, g);
+    }
+
+    #[test]
+    fn holds_piece_accepts_exactly_the_owners_piece() {
+        let g = test_matrix(7, 5);
+        for (r, c) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+            let mut piece = DistMatrix::from_global(&g, 2, 2, r, c).local;
+            assert!(DistMatrix::holds_piece(g.as_ref(), 2, 2, r, c, piece.as_ref()));
+            assert!(!DistMatrix::holds_piece(g.as_ref(), 2, 2, 1 - r, c, piece.as_ref()));
+            let last = (piece.rows() - 1, piece.cols() - 1);
+            piece.set(last.0, last.1, -1.0);
+            assert!(!DistMatrix::holds_piece(g.as_ref(), 2, 2, r, c, piece.as_ref()));
+        }
     }
 
     #[test]

@@ -14,12 +14,17 @@
 //!   layout because it keeps every submatrix of the CFR3D recursion
 //!   load-balanced across the whole grid.
 //! * [`DistMatrix`] — a local block plus its distribution descriptor, with
-//!   scatter/gather helpers used by tests and drivers.
+//!   scatter/gather helpers used by tests, the reproduction bins, and the
+//!   drivers' one remaining packed copy (a column-cyclic operand block).
+//! * [`CyclicWindows`] — disjoint write handles on the cyclic pieces of one
+//!   preallocated output, so ranks write results in place.
 
 pub mod dist;
 pub mod distmat;
 pub mod grid;
+pub mod window;
 
 pub use dist::{local_count, local_to_global, owner_of_global};
 pub use distmat::DistMatrix;
 pub use grid::{CubeComms, GridError, GridShape, TunableComms};
+pub use window::{CyclicWindow, CyclicWindows};

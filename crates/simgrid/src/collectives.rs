@@ -75,7 +75,7 @@ impl Comm {
     /// lifts every member's clock to the group maximum.
     fn enter_phase(&self, rank: &mut Rank) {
         let tag = self.next_tag();
-        rank.phase_sync((tag, self.member(0)), self.size());
+        self.lift_clocks(rank, tag);
     }
 
     /// Pairwise exchange with the member at index `partner`: sends `data`,

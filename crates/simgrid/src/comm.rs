@@ -107,14 +107,14 @@ impl Comm {
         ((self.comm_id as u64) << 32) | seq as u64
     }
 
-    /// One crossing of this group's shared-memory barrier. Collective rounds
-    /// are bracketed by two crossings: publish → wait → read/copy → wait, so
-    /// windows are never republished while a peer may still read them.
-    pub(crate) fn shm_barrier(&self) {
+    /// This member's handle on the group's shared-memory barrier.
+    /// Collective rounds are bracketed by two crossings of it: publish →
+    /// wait → read/copy → wait, so windows are never republished while a
+    /// peer may still read them.
+    pub(crate) fn shm_group(&self) -> &ShmGroup {
         self.shm_group
             .as_ref()
-            .expect("shm barrier requires the shm backend and size > 1")
-            .wait();
+            .expect("a group barrier requires the shm backend and size > 1")
     }
 }
 

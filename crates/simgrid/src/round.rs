@@ -16,6 +16,13 @@
 //! the same order, so results, ledgers and virtual clocks agree across
 //! runtimes by construction.
 //!
+//! The other thing that differs is how a synchronous collective lifts its
+//! members' virtual clocks to the group maximum on entry
+//! ([`Comm::lift_clocks`]): the mailbox transport meets in the run's keyed
+//! `BarrierTable`; the shm transport folds the clocks through the
+//! communicator's own barrier, one more crossing of the kind every round
+//! already makes. The maximum of the same values is the same value.
+//!
 //! # The two-crossing invariant
 //!
 //! On the shm transport a window may be read only between the crossing that
@@ -48,6 +55,22 @@ pub(crate) enum Crossing {
 }
 
 impl Comm {
+    /// Entry synchronization of a synchronous collective: lifts this rank's
+    /// clock to the maximum over the communicator's members (no-op in
+    /// asynchronous mode and on single-member communicators). `tag` is the
+    /// collective's entry tag, identical across members.
+    pub(crate) fn lift_clocks(&self, rank: &mut Rank, tag: u64) {
+        if !rank.syncs_collectives() || self.size() <= 1 {
+            return;
+        }
+        let lifted = if rank.is_shm() {
+            self.shm_group().max_clock(rank.clock())
+        } else {
+            rank.table_max_clock((tag, self.member(0)), self.size())
+        };
+        rank.set_clock(lifted);
+    }
+
     /// One round of a schedule: posts `send = (dst, words)` and hands the
     /// words received from `recv` to `on_recv` (called iff `recv` is `Some`).
     /// Peers are global rank ids; a round's sender and receiver must name
@@ -91,7 +114,7 @@ impl Comm {
 
     fn cross(&self, rank: &Rank, crossing: Crossing) {
         match crossing {
-            Crossing::Group => self.shm_barrier(),
+            Crossing::Group => self.shm_group().wait(),
             Crossing::Pair(peer) => {
                 let shm = rank.shm();
                 let step = shm.pair_advance(rank.id(), peer);

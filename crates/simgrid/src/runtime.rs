@@ -124,9 +124,11 @@ impl SimConfig {
 }
 
 /// Shared registry implementing the virtual-time entry barrier of
-/// synchronous collectives: all members deposit their clocks, everyone
-/// leaves with the maximum. Zero cost is charged — this is an accounting
-/// device, not a communication operation.
+/// synchronous collectives on the mailbox transport: all members deposit
+/// their clocks, everyone leaves with the maximum. Zero cost is charged —
+/// this is an accounting device, not a communication operation. (The shm
+/// transport takes the same maximum through the communicator's own barrier;
+/// `round.rs` holds the split.)
 #[derive(Default)]
 pub struct BarrierTable {
     inner: std::sync::Mutex<std::collections::HashMap<(u64, usize), BarrierEntry>>,
@@ -288,15 +290,25 @@ impl Rank {
         id
     }
 
-    /// Entry barrier for synchronous collectives: lifts this rank's clock to
-    /// the maximum over the communicator's members. No-op in asynchronous
-    /// mode. `key` must be unique per operation and identical across members
-    /// (a communicator tag plus the lowest member id).
-    pub(crate) fn phase_sync(&mut self, key: (u64, usize), size: usize) {
-        if !self.sync_collectives || size <= 1 {
-            return;
-        }
-        self.clock = self.barriers.sync(key, size, self.clock);
+    /// Whether collectives synchronize their members' clocks on entry
+    /// ([`SimConfig::sync_collectives`]).
+    #[inline]
+    pub(crate) fn syncs_collectives(&self) -> bool {
+        self.sync_collectives
+    }
+
+    /// The mailbox transport's entry barrier: deposits this rank's clock in
+    /// the run's table and returns the maximum over the `size` members that
+    /// meet there. `key` must be unique per operation and identical across
+    /// members (a communicator tag plus the lowest member id).
+    pub(crate) fn table_max_clock(&self, key: (u64, usize), size: usize) -> f64 {
+        self.barriers.sync(key, size, self.clock)
+    }
+
+    /// Sets the virtual clock to the group maximum an entry barrier found.
+    pub(crate) fn set_clock(&mut self, lifted: f64) {
+        debug_assert!(lifted >= self.clock, "an entry barrier never turns a clock back");
+        self.clock = lifted;
     }
 
     /// Whether this rank runs on the shared-memory backend.

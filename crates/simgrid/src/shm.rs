@@ -63,6 +63,11 @@ pub(crate) struct GroupBarrier {
     count: AtomicUsize,
     sense: AtomicBool,
     size: usize,
+    /// Two slots for the group-maximum virtual clock, used alternately by
+    /// consecutive [`ShmGroup::max_clock`] calls. Relaxed accesses
+    /// throughout: every one is ordered by the crossing it sits next to
+    /// (the `count` AcqRel / `sense` Release–Acquire pair of `wait`).
+    clock_bits: [AtomicU64; 2],
 }
 
 impl GroupBarrier {
@@ -71,15 +76,20 @@ impl GroupBarrier {
             count: AtomicUsize::new(0),
             sense: AtomicBool::new(false),
             size,
+            clock_bits: [AtomicU64::new(0), AtomicU64::new(0)],
         }
     }
 
     /// Blocks until all `size` members have arrived. `local_sense` is the
-    /// caller's per-member flag and is flipped by this call.
-    pub(crate) fn wait(&self, local_sense: &mut bool) {
+    /// caller's per-member flag and is flipped by this call. The last
+    /// arriver runs `on_last` before it releases the others: everyone else
+    /// is parked inside this crossing, so `on_last` has the group's shared
+    /// state to itself.
+    pub(crate) fn wait(&self, local_sense: &mut bool, on_last: impl FnOnce()) {
         let s = !*local_sense;
         *local_sense = s;
         if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.size {
+            on_last();
             // Reset before release so early leavers can re-arrive safely.
             self.count.store(0, Ordering::Relaxed);
             self.sense.store(s, Ordering::Release);
@@ -200,6 +210,9 @@ impl ShmShared {
 pub(crate) struct ShmGroup {
     barrier: Arc<GroupBarrier>,
     sense: std::cell::Cell<bool>,
+    /// Which clock slot this member's next [`max_clock`](ShmGroup::max_clock)
+    /// uses; flips per call, in step across members by SPMD discipline.
+    clock_slot: std::cell::Cell<usize>,
 }
 
 impl ShmGroup {
@@ -207,14 +220,41 @@ impl ShmGroup {
         ShmGroup {
             barrier,
             sense: std::cell::Cell::new(false),
+            clock_slot: std::cell::Cell::new(0),
         }
     }
 
     /// One barrier crossing for this member.
     pub(crate) fn wait(&self) {
+        self.wait_then(|| ());
+    }
+
+    fn wait_then(&self, on_last: impl FnOnce()) {
         let mut s = self.sense.get();
-        self.barrier.wait(&mut s);
+        self.barrier.wait(&mut s, on_last);
         self.sense.set(s);
+    }
+
+    /// The maximum of every member's `clock`, at the cost of one crossing:
+    /// each member folds its clock into this call's slot, all cross, each
+    /// reads the slot. Non-negative floats order like their bit patterns, so
+    /// the fold is an integer `fetch_max`. The last arriver zeroes the
+    /// *other* slot for the call after this one — nobody can still be
+    /// reading it (its readers all had to leave the previous call to arrive
+    /// here) and nobody can be folding into it yet (that is past this
+    /// crossing).
+    pub(crate) fn max_clock(&self, clock: f64) -> f64 {
+        let bits = clock.to_bits();
+        assert!(
+            bits <= f64::INFINITY.to_bits(),
+            "virtual clocks are non-negative and never NaN (got {clock})"
+        );
+        let slot = self.clock_slot.get();
+        self.clock_slot.set(slot ^ 1);
+        let slots = &self.barrier.clock_bits;
+        slots[slot].fetch_max(bits, Ordering::Relaxed);
+        self.wait_then(|| slots[slot ^ 1].store(0, Ordering::Relaxed));
+        f64::from_bits(slots[slot].load(Ordering::Relaxed))
     }
 }
 
@@ -262,16 +302,39 @@ mod tests {
                     let mut sense = false;
                     for round in 1..=50usize {
                         hits.fetch_add(1, Ordering::Relaxed);
-                        barrier.wait(&mut sense);
+                        barrier.wait(&mut sense, || ());
                         // After the wait, all 4 arrivals of this round (and
                         // every earlier round) must be visible.
                         assert!(hits.load(Ordering::Relaxed) >= 4 * round);
-                        barrier.wait(&mut sense);
+                        barrier.wait(&mut sense, || ());
                     }
                 });
             }
         });
         assert_eq!(hits.load(Ordering::Relaxed), 200);
+    }
+
+    #[test]
+    fn max_clock_lifts_every_member_to_the_group_maximum() {
+        let barrier = Arc::new(GroupBarrier::new(4));
+        std::thread::scope(|scope| {
+            for me in 0..4usize {
+                let group = ShmGroup::new(Arc::clone(&barrier));
+                scope.spawn(move || {
+                    for round in 0..200usize {
+                        // A different member leads each round, and the values
+                        // *fall* from round to round (real clocks never do):
+                        // a slot that was not cleared would win the maximum
+                        // with a value from two rounds earlier.
+                        let base = (199 - round) * 4;
+                        let lifted = group.max_clock((base + (me + round) % 4) as f64 * 0.5);
+                        assert_eq!(lifted, (base + 3) as f64 * 0.5, "round {round}, member {me}");
+                        // Ordinary crossings interleave with clock lifts.
+                        group.wait();
+                    }
+                });
+            }
+        });
     }
 
     #[test]

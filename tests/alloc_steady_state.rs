@@ -176,9 +176,9 @@ fn shm_collectives_hot_path_is_allocation_free() {
 
 /// Factoring on the shared-memory runtime honors the same steady-state
 /// arena contract as the simulated backend, on both CholeskyQR2 schedules —
-/// and the contract covers the report diagnostics: their Gram matrix and
-/// row panel come from an arena of the same pool, so the one counter that
-/// must stay flat counts them too.
+/// and the contract covers the report diagnostics: their Gram partials and
+/// row panels come from the rank arenas of the same pool, so the one
+/// counter that must stay flat counts them too.
 #[test]
 fn shm_factor_is_allocation_free_at_steady_state() {
     let _serial = serial();
@@ -198,8 +198,9 @@ fn shm_factor_is_allocation_free_at_steady_state() {
         check_plan(name, plan.clone(), &a);
         assert_eq!(
             plan.workspace().arenas(),
-            2 * plan.processors() + 1,
-            "{name}: the diagnostics' scratch arena is one of the pool's, next to two per rank"
+            2 * plan.processors(),
+            "{name}: two arenas per rank and nothing else — the diagnostics run on the ranks' own \
+             arenas (slab i on rank i's, a single slab on rank 0's), not on an anonymous extra one"
         );
     }
 }
@@ -336,14 +337,16 @@ fn warm_stream_solves_are_allocation_free() {
 /// caller-side clone the owned path pays per submission — the difference
 /// in operand-sized allocations between the two runs must be exactly the
 /// job count, and attributable entirely to the owned path's clones. The
-/// shape is deliberately unusual (`136 × 8`) so no concurrently running
-/// test allocates buffers in this size class.
+/// shape is deliberately unusual (`264 × 8`) so nothing else allocates
+/// buffers in this size class — in particular it is taller than one
+/// diagnostics panel (`dense::norms::PANEL_ROWS`), whose scratch would
+/// otherwise be exactly operand-sized whenever a worker meets a cold arena.
 #[test]
 fn submit_ref_performs_no_operand_clone() {
     let _serial = serial();
     use cacqr::service::{JobSpec, QrService};
 
-    let (m, n) = (136usize, 8usize);
+    let (m, n) = (264usize, 8usize);
     let spec = JobSpec::new(m, n)
         .algorithm(Algorithm::Cqr2_1d)
         .grid(GridShape::one_d(4).unwrap());
@@ -399,8 +402,9 @@ fn workspace_footprint_is_observable_and_bounded() {
     let pool = plan.workspace();
     assert_eq!(
         pool.arenas(),
-        2 * plan.processors() + 1,
-        "one algorithm arena plus one communication arena per simulated rank, and the report diagnostics' arena"
+        2 * plan.processors(),
+        "one algorithm arena plus one communication arena per simulated rank; the report diagnostics \
+         borrow the ranks' arenas instead of holding one of their own"
     );
     let capacity_bytes = pool.parked_capacity() * std::mem::size_of::<f64>();
     // Generous sanity bound: the whole scratch footprint stays within a

@@ -16,7 +16,15 @@ fn measure_cacqr2(shape: GridShape, m: usize, n: usize, base: usize, inv: usize,
         let (x, y, _) = comms.coords;
         let al = DistMatrix::from_global(&well_conditioned(m, n, 77), d, c, y, x);
         let params = CfrParams::validated(n, c, base, inv).unwrap();
-        cacqr::ca_cqr2(rank, &comms, &al.local, n, &params, &mut dense::Workspace::new()).unwrap();
+        cacqr::ca_cqr2(
+            rank,
+            &comms,
+            al.local.as_ref(),
+            n,
+            &params,
+            &mut dense::Workspace::new(),
+        )
+        .unwrap();
     })
     .elapsed
 }
@@ -101,7 +109,15 @@ fn asynchronous_mode_is_never_slower() {
             let (x, y, _) = comms.coords;
             let al = DistMatrix::from_global(&well_conditioned(m, n, 77), d, c, y, x);
             let params = CfrParams::validated(n, c, 4, 0).unwrap();
-            cacqr::ca_cqr2(rank, &comms, &al.local, n, &params, &mut dense::Workspace::new()).unwrap();
+            cacqr::ca_cqr2(
+                rank,
+                &comms,
+                al.local.as_ref(),
+                n,
+                &params,
+                &mut dense::Workspace::new(),
+            )
+            .unwrap();
         })
         .elapsed;
         assert!(async_t <= sync + 1e-12, "async {async_t} must not exceed sync {sync}");
@@ -207,7 +223,15 @@ fn ledger_words_match_beta_totals() {
         let (x, y, _) = comms.coords;
         let al = DistMatrix::from_global(&well_conditioned(m, n, 5), d, c, y, x);
         let params = CfrParams::validated(n, c, 4, 0).unwrap();
-        cacqr::ca_cqr2(rank, &comms, &al.local, n, &params, &mut dense::Workspace::new()).unwrap();
+        cacqr::ca_cqr2(
+            rank,
+            &comms,
+            al.local.as_ref(),
+            n,
+            &params,
+            &mut dense::Workspace::new(),
+        )
+        .unwrap();
         rank.ledger()
     });
     let max_sent = report.results.iter().map(|l| l.words_sent).max().unwrap();

@@ -88,7 +88,15 @@ fn asynchronous_mode_is_also_deterministic() {
                 let (x, y, _) = comms.coords;
                 let al = pargrid::DistMatrix::from_global(&a, 4, 2, y, x);
                 let params = CfrParams::validated(8, 2, 4, 0).unwrap();
-                cacqr::ca_cqr2(rank, &comms, &al.local, 8, &params, &mut dense::Workspace::new()).unwrap();
+                cacqr::ca_cqr2(
+                    rank,
+                    &comms,
+                    al.local.as_ref(),
+                    8,
+                    &params,
+                    &mut dense::Workspace::new(),
+                )
+                .unwrap();
                 rank.clock()
             },
         )

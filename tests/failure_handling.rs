@@ -23,7 +23,15 @@ fn rank_deficient_input_reports_pivot_on_all_ranks() {
         let (x, y, _) = comms.coords;
         let al = DistMatrix::from_global(&a, 4, 2, y, x);
         let params = CfrParams::validated(n, 2, 4, 0).unwrap();
-        cacqr::ca_cqr2(rank, &comms, &al.local, n, &params, &mut dense::Workspace::new()).err()
+        cacqr::ca_cqr2(
+            rank,
+            &comms,
+            al.local.as_ref(),
+            n,
+            &params,
+            &mut dense::Workspace::new(),
+        )
+        .err()
     });
     let first = report.results[0].expect("singular input must fail");
     for r in &report.results {

@@ -8,7 +8,7 @@ use cacqr::{Algorithm, CfrParams, QrPlan};
 use dense::norms::{lower_residual, orthogonality_error, residual_error};
 use dense::random::well_conditioned;
 use dense::{BackendKind, Matrix};
-use pargrid::{DistMatrix, GridShape};
+use pargrid::{CyclicWindows, DistMatrix, GridShape};
 use proptest::prelude::*;
 use simgrid::{run_spmd, Machine, SimConfig};
 
@@ -86,6 +86,49 @@ proptest! {
     }
 
     #[test]
+    fn cyclic_windows_are_pairwise_disjoint_and_cover_the_matrix(
+        m in 0usize..40,
+        n in 0usize..40,
+        rp in 1usize..6,
+        cp in 1usize..6,
+    ) {
+        // Every window stamps its owner's id on everything it can write.
+        // Stamping in ascending and in descending owner order leaves the same
+        // matrix only if no window reaches an element of another's class: a
+        // stray write survives in whichever order its writer comes second.
+        let stamp = |owners: &mut dyn Iterator<Item = usize>| {
+            let mut out = vec![-1.0; m * n];
+            let windows = CyclicWindows::split(&mut out, m, n, rp, cp);
+            let mut written = 0;
+            for owner in owners {
+                let (r, c) = (owner / cp, owner % cp);
+                let mut window = windows.take(r, c);
+                let (lr, lc) = window.local_dims();
+                assert_eq!((lr, lc), DistMatrix::local_dims(m, n, rp, cp, r, c));
+                written += lr * lc;
+                if cp == 1 && owner % 2 == 0 {
+                    // The strided-view form a kernel writes through.
+                    window.into_mat_mut().expect("cp = 1 windows are views").fill(owner as f64);
+                } else {
+                    window.deposit(Matrix::from_fn(lr, lc, |_, _| owner as f64).as_ref());
+                }
+            }
+            drop(windows);
+            (out, written)
+        };
+        let (up, written) = stamp(&mut (0..rp * cp));
+        let (down, _) = stamp(&mut (0..rp * cp).rev());
+        prop_assert_eq!(written, m * n, "the windows' sizes add up to the matrix");
+        for i in 0..m {
+            for j in 0..n {
+                let owner = ((i % rp) * cp + j % cp) as f64;
+                prop_assert_eq!(up[i * n + j], owner, "({}, {}) ascending", i, j);
+                prop_assert_eq!(down[i * n + j], owner, "({}, {}) descending", i, j);
+            }
+        }
+    }
+
+    #[test]
     fn block_cyclic_round_trips(
         m in 1usize..50,
         nblocks in 1usize..6,
@@ -142,7 +185,7 @@ proptest! {
             let (x, y, _) = comms.coords;
             let al = DistMatrix::from_global(&well_conditioned(m, n, seed), d, c, y, x);
             let params = CfrParams::validated(n, c, base, inv).unwrap();
-            cacqr::ca_cqr2(rank, &comms, &al.local, n, &params, &mut dense::Workspace::new()).unwrap();
+            cacqr::ca_cqr2(rank, &comms, al.local.as_ref(), n, &params, &mut dense::Workspace::new()).unwrap();
         })
         .elapsed;
         prop_assert_eq!(elapsed, model.beta);
