@@ -625,16 +625,17 @@ impl QrPlan {
     /// The report diagnostics of `a ≈ q·r` on the plan's rank team: one
     /// contiguous row slab per rank of a second pooled region on the plan's
     /// runtime, partials summed in rank order (see [`QrPlan::factor`] and
-    /// [`dense::norms`]). One slab is a plain call on this thread.
-    fn diagnose(&self, a: MatRef<'_>, q: &Matrix, r: &Matrix) -> (f64, f64) {
-        let slabs = norms::slab_count(self.m, self.processors());
+    /// [`dense::norms`]). One slab is a plain call on this thread. `a` may
+    /// have any row count (a stream's live window), not only the plan's.
+    pub(crate) fn diagnose(&self, a: MatRef<'_>, q: &Matrix, r: &Matrix) -> (f64, f64) {
+        let slabs = norms::slab_count(a.rows(), self.processors());
         if slabs == 1 {
             let mut ws = self.pool.checkout_at(0);
             return norms::qr_diagnostics(a, q.as_ref(), r.as_ref(), self.backend, &mut ws);
         }
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         let report = run_spmd_pooled(slabs, cfg, &self.pool, |rank| {
-            let rows = norms::slab_rows(self.m, slabs, rank.id());
+            let rows = norms::slab_rows(a.rows(), slabs, rank.id());
             norms::slab_diagnostics(
                 a.sub(rows.start, 0, rows.len(), a.cols()),
                 q.view(rows.start, 0, rows.len(), q.cols()),

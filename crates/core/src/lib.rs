@@ -30,7 +30,7 @@
 //!   cross-validation harnesses.
 //! * [`stream`] — the incremental layer beside the facade: [`StreamingQr`],
 //!   a live per-plan `R` factor that absorbs rank-k row appends and
-//!   hyperbolic-rotation downdates in `O(kn² + n³)`, tracks a drift bound,
+//!   block downdates in `O(kn² + n³)`, tracks a drift bound,
 //!   and re-refreshes through the owning plan when the `costmodel`
 //!   crossover or the bound says a full CQR2 pass is the better buy.
 //! * [`service`] — the throughput layer above the facade: [`QrService`], a

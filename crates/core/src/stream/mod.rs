@@ -15,7 +15,7 @@
 //!
 //! Gram-based updates inherit CholeskyQR's conditioning sensitivity: each
 //! update can lose up to `ε·κ(R)²` of factor accuracy (downdates amplify by
-//! a further `1/α²`, the hyperbolic pivot). The stream integrates exactly
+//! a further `1/α²`, the downdate pivot). The stream integrates exactly
 //! that bound into a running [`drift`](StreamingQr::drift) score and, when
 //! it exceeds the configurable [`drift_threshold`](StreamingQr::drift), a
 //! **refresh** fires automatically: a full CholeskyQR2 re-factorization of
@@ -57,8 +57,9 @@
 use crate::driver::{PlanError, QrPlan};
 use dense::cholesky::potrf_ws;
 use dense::matrix::MatRef;
-use dense::update::{rank_k_append, rank_k_downdate, UpdateError};
-use dense::{blas1, norms, trsm, Matrix};
+use dense::trsm::trmm_upper_upper_into;
+use dense::update::{rank_k_append, rank_k_downdate_with, UpdateError};
+use dense::{blas1, trsm, Matrix};
 
 /// Default drift threshold: refresh once the estimated orthogonality loss
 /// of the implicit `Q = A·R⁻¹` reaches `1e-8` — far below where the CQR2
@@ -545,7 +546,7 @@ impl StreamingQr {
         }
         let min_alpha_sq = {
             let mut ws = self.plan.workspace().checkout();
-            rank_k_downdate(self.r.as_mut(), b, &mut ws)?
+            rank_k_downdate_with(self.r.as_mut(), b, self.plan.backend().get(), &mut ws)?
         };
         // Committed; keep `d` and the history cursors in step with `R`.
         if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
@@ -557,8 +558,8 @@ impl StreamingQr {
         self.live -= k;
         self.compact();
         self.downdates += 1;
-        // A downdate's accuracy loss is amplified by 1/α² (hyperbolic
-        // rotations are not norm-preserving).
+        // A downdate's accuracy loss is amplified by 1/α² (the Cholesky of
+        // I − WᵀW it rests on is conditioned by its smallest pivot).
         self.bump_drift(1.0 / min_alpha_sq);
         Ok(self.finish_update())
     }
@@ -689,27 +690,16 @@ impl StreamingQr {
         let mut l1 = ws.take_copy(g.as_ref());
         let factored = potrf_ws(l1.as_mut(), backend, &mut ws).and_then(|()| {
             // G₂ = L₁⁻¹ · G · L₁⁻ᵀ, in place.
-            trsm::trsm_left_lower(l1.as_ref(), g.as_mut());
-            trsm::trsm_right_lower_trans(l1.as_ref(), g.as_mut());
+            backend.trsm_left_lower(l1.as_ref(), g.as_mut());
+            backend.trsm_right_lower_trans(l1.as_ref(), g.as_mut());
             potrf_ws(g.as_mut(), backend, &mut ws) // g now holds L₂
         });
         if factored.is_ok() {
-            // R = R₂·R₁ = (L₁·L₂)ᵀ: r[i][j] = Σ_{k=i..j} L₂[k][i]·L₁[j][k].
-            let (l1v, l2v) = (l1.as_ref(), g.as_ref());
-            let mut rm = self.r.as_mut();
-            for i in 0..n {
-                let row = rm.row_mut(i);
-                for v in &mut row[..i] {
-                    *v = 0.0;
-                }
-                for (j, v) in row.iter_mut().enumerate().skip(i) {
-                    let mut s = 0.0;
-                    for k in i..=j {
-                        s += l2v.at(k, i) * l1v.at(j, k);
-                    }
-                    *v = s;
-                }
-            }
+            // R = R₂·R₁ = L₂ᵀ·L₁ᵀ.
+            let (r2, r1) = (ws.take_transposed(g.as_ref()), ws.take_transposed(l1.as_ref()));
+            trmm_upper_upper_into(r2.as_ref(), r1.as_ref(), self.r.as_mut());
+            ws.recycle(r1);
+            ws.recycle(r2);
         }
         ws.recycle(l1);
         ws.recycle(g);
@@ -738,49 +728,25 @@ impl StreamingQr {
         }
         let mut l2 = ws.take_matrix_stale(n, n);
         let factored = potrf_ws(l1.as_mut(), backend, &mut ws).and_then(|()| {
-            trsm::trsm_left_lower(l1.as_ref(), g.as_mut());
-            trsm::trsm_right_lower_trans(l1.as_ref(), g.as_mut());
+            backend.trsm_left_lower(l1.as_ref(), g.as_mut());
+            backend.trsm_right_lower_trans(l1.as_ref(), g.as_mut());
             l2.as_mut().copy_from(g.as_ref());
             potrf_ws(l2.as_mut(), backend, &mut ws).and_then(|()| {
-                trsm::trsm_left_lower(l2.as_ref(), g.as_mut());
-                trsm::trsm_right_lower_trans(l2.as_ref(), g.as_mut());
+                backend.trsm_left_lower(l2.as_ref(), g.as_mut());
+                backend.trsm_right_lower_trans(l2.as_ref(), g.as_mut());
                 potrf_ws(g.as_mut(), backend, &mut ws) // g now holds L₃
             })
         });
         if factored.is_ok() {
-            // T = L₁·L₂ (lower·lower stays lower), then R = (T·L₃)ᵀ.
-            let mut t = ws.take_matrix_stale(n, n);
-            {
-                let (l1v, l2v) = (l1.as_ref(), l2.as_ref());
-                let mut tm = t.as_mut();
-                for j in 0..n {
-                    for k in 0..n {
-                        let mut s = 0.0;
-                        if k <= j {
-                            for x in k..=j {
-                                s += l1v.at(j, x) * l2v.at(x, k);
-                            }
-                        }
-                        tm.set(j, k, s);
-                    }
-                }
+            // R = R₃·(R₂·R₁) with Rᵢ = Lᵢᵀ.
+            let (r1, r2) = (ws.take_transposed(l1.as_ref()), ws.take_transposed(l2.as_ref()));
+            let mut r21 = ws.take_matrix_stale(n, n);
+            trmm_upper_upper_into(r2.as_ref(), r1.as_ref(), r21.as_mut());
+            let r3 = ws.take_transposed(g.as_ref());
+            trmm_upper_upper_into(r3.as_ref(), r21.as_ref(), self.r.as_mut());
+            for scratch in [r3, r21, r2, r1] {
+                ws.recycle(scratch);
             }
-            let (tv, l3v) = (t.as_ref(), g.as_ref());
-            let mut rm = self.r.as_mut();
-            for i in 0..n {
-                let row = rm.row_mut(i);
-                for v in &mut row[..i] {
-                    *v = 0.0;
-                }
-                for (j, v) in row.iter_mut().enumerate().skip(i) {
-                    let mut s = 0.0;
-                    for k in i..=j {
-                        s += tv.at(j, k) * l3v.at(k, i);
-                    }
-                    *v = s;
-                }
-            }
-            ws.recycle(t);
         }
         ws.recycle(l2);
         ws.recycle(l1);
@@ -923,33 +889,28 @@ impl StreamingQr {
         let mut q = self.history_matrix();
         backend.trsm_right_upper(self.r.as_ref(), q.as_mut());
         // Second pass: repair Q₁'s orthogonality and fold R₂ into R.
-        let (r2, repaired) = {
+        {
+            let n = self.n;
             let mut ws = self.plan.workspace().checkout();
-            let mut g = ws.take_matrix_stale(self.n, self.n);
+            let mut g = ws.take_matrix_stale(n, n);
             backend.syrk_into(q.as_ref(), g.as_mut());
             let factored = potrf_ws(g.as_mut(), backend, &mut ws);
-            let out = factored.map(|()| {
-                let r2 = g.transposed();
-                let repaired = trsm::trmm_upper_upper(r2.as_ref(), self.r.as_ref());
-                (r2, repaired)
-            });
+            if factored.is_ok() {
+                let (r2, r1) = (ws.take_transposed(g.as_ref()), ws.take_copy(self.r.as_ref()));
+                backend.trsm_right_upper(r2.as_ref(), q.as_mut());
+                trmm_upper_upper_into(r2.as_ref(), r1.as_ref(), self.r.as_mut());
+                ws.recycle(r1);
+                ws.recycle(r2);
+            }
             ws.recycle(g);
-            out.map_err(PlanError::NotPositiveDefinite)?
-        };
-        backend.trsm_right_upper(r2.as_ref(), q.as_mut());
-        self.r = repaired;
+            factored.map_err(PlanError::NotPositiveDefinite)?;
+        }
         self.recompute_d();
         self.drift = 0.0;
         self.updates_since_refresh = 0;
         self.refreshes += 1;
         self.last_refresh_error = None;
-        let (orthogonality, residual) = norms::qr_diagnostics(
-            self.history_view(),
-            q.as_ref(),
-            self.r.as_ref(),
-            self.plan.backend(),
-            &mut self.plan.workspace().checkout(),
-        );
+        let (orthogonality, residual) = self.plan.diagnose(self.history_view(), &q, &self.r);
         Ok(StreamSnapshot {
             q: Some(q),
             r: self.r.clone(),

@@ -14,18 +14,26 @@ use crate::cost::Cost;
 use crate::cqr1d;
 
 /// Cost of folding `k` appended rows into an `n × n` factor
-/// (`dense::update::rank_k_append`): the `BᵀB` SYRK delta, the triangular
-/// `RᵀR` accumulation, and the Cholesky re-factorization.
+/// (`dense::update::rank_k_append`): one SYRK over the stacked
+/// `(n + k) × n` panel `[R; B]` and the Cholesky re-factorization.
 pub fn rank_k_append(n: usize, k: usize) -> Cost {
-    let nf = n as f64;
-    Cost::flops(dense_flops_syrk(k, n) + nf * nf * nf / 3.0 + nf * nf * nf / 3.0)
+    Cost::flops(dense_flops_syrk(n + k, n) + cube_third(n))
 }
 
-/// Cost of removing `k` rows by the hyperbolic-rotation sweep
-/// (`dense::update::rank_k_downdate`): per row, a triangular solve plus a
-/// rotation sweep over the upper triangle.
+/// Cost of removing `k` rows by the block downdate
+/// (`dense::update::rank_k_downdate`), summed over its panels of `kb ≤ n`
+/// rows: the solve `W = B·R⁻¹`, `T = I − W·Wᵀ` and its Cholesky,
+/// `S = I − Wᵀ·W` and its Cholesky, and the triangular product `Lᵀ·R`.
 pub fn rank_k_downdate(n: usize, k: usize) -> Cost {
-    Cost::flops(3.0 * k as f64 * n as f64 * n as f64)
+    let panel = |kb: usize| {
+        dense_flops_syrk(kb, n)
+            + dense_flops_gemm(kb, n, kb)
+            + cube_third(kb)
+            + dense_flops_syrk(kb, n)
+            + cube_third(n)
+            + cube_third(n)
+    };
+    Cost::flops((0..k).step_by(n.max(1)).map(|first| panel(n.min(k - first))).sum())
 }
 
 /// Cost of a full sequential CQR2 refresh over the `m` retained rows — the
@@ -65,8 +73,10 @@ pub fn solve_refined(m: usize, n: usize, nrhs: usize) -> Cost {
 /// grows with `k` faster than the update's. But a refresh additionally
 /// resets accumulated drift — value an update does not deliver — so its
 /// cost is credited as amortizing over the drift headroom it restores.
-/// A credit of 12 puts the break-even at `k ≈ m − n`: a delta about as wide
-/// as the rows already retained re-factors, while every realistic streaming
+/// A credit of 12 puts the break-even at `k ≈ m₀ − 2.4n` for `m₀` rows
+/// retained before the delta (refresh `≈ 6mn² + 5n³/3` over `m = m₀ + k`
+/// rows against the append's `(n + k)n² + n³/3`): a delta about as wide as
+/// the rows already retained re-factors, while every realistic streaming
 /// width (`k ≪ m`) stays on the `O(kn² + n³)` update path.
 pub const REFRESH_AMORTIZATION: f64 = 12.0;
 
@@ -83,7 +93,7 @@ pub fn append_beats_refresh(m: usize, n: usize, k: usize) -> bool {
 /// the returned value satisfies [`append_beats_refresh`].
 pub fn crossover_width(m: usize, n: usize) -> usize {
     let nf = n as f64;
-    let append_fixed = 2.0 * nf * nf * nf / 3.0;
+    let append_fixed = 4.0 * nf * nf * nf / 3.0;
     let guess = (refresh(m, n).gamma / REFRESH_AMORTIZATION - append_fixed) / (nf * nf);
     let mut k = if guess <= 1.0 { 1 } else { guess.ceil() as usize };
     // The closed form and the summed cost terms round differently in f64;
@@ -107,13 +117,19 @@ fn dense_flops_gemm(m: usize, n: usize, k: usize) -> f64 {
     2.0 * m as f64 * n as f64 * k as f64
 }
 
+/// `n³/3`: a Cholesky, or a triangular·triangular product.
+fn cube_third(n: usize) -> f64 {
+    let n = n as f64;
+    n * n * n / 3.0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn conventions_match_dense() {
-        for &(n, k) in &[(8usize, 1usize), (64, 16), (128, 64), (31, 7)] {
+        for &(n, k) in &[(8usize, 1usize), (64, 16), (128, 64), (31, 7), (16, 35), (1, 4)] {
             assert_eq!(rank_k_append(n, k).gamma, dense::flops::rank_k_append(n, k));
             assert_eq!(rank_k_downdate(n, k).gamma, dense::flops::rank_k_downdate(n, k));
         }

@@ -75,22 +75,21 @@ pub fn triu_mul(n: usize) -> f64 {
 }
 
 /// γ cost of a rank-k row-append factor update
-/// ([`crate::update::rank_k_append`]): the `BᵀB` Gram delta (`kn²`, SYRK
-/// convention), the triangular `RᵀR` accumulation (`n³/3`: 2 flops per
-/// multiply-add over the `n³/6` lower-triangle terms), and the
-/// re-factorization (`n³/3`, Cholesky alone).
+/// ([`crate::update::rank_k_append`]): one SYRK over the stacked
+/// `(n + k) × n` panel `[R; B]` (the kernel does not exploit `R`'s zeros)
+/// and the re-factorization (`n³/3`, Cholesky alone).
 pub fn rank_k_append(n: usize, k: usize) -> f64 {
-    let nf = n as f64;
-    syrk(k, n) + nf * nf * nf / 3.0 + chol(n)
+    syrk(n + k, n) + chol(n)
 }
 
-/// γ cost of a rank-k row-downdate ([`crate::update::rank_k_downdate`]):
-/// per removed row, one triangular solve (`n²`, trmm convention) plus the
-/// hyperbolic-rotation sweep over the upper triangle (`2n²`: 4 flops per
-/// element over `n²/2` entries).
+/// γ cost of a rank-k row-downdate ([`crate::update::rank_k_downdate`]),
+/// summed over its panels of `kb ≤ n` rows: the solve `W = B·R⁻¹`
+/// (`kb·n²`), `T = I − W·Wᵀ` and its Cholesky (`2kb²n + kb³/3`),
+/// `S = I − Wᵀ·W` and its Cholesky (`kb·n² + n³/3`), and the triangular
+/// product `Lᵀ·R` (`n³/3`).
 pub fn rank_k_downdate(n: usize, k: usize) -> f64 {
-    let (nf, kf) = (n as f64, k as f64);
-    kf * 3.0 * nf * nf
+    let panel = |kb: usize| trmm(kb, n) + gemm(kb, n, kb) + chol(kb) + syrk(kb, n) + chol(n) + triu_mul(n);
+    (0..k).step_by(n.max(1)).map(|first| panel(n.min(k - first))).sum()
 }
 
 /// γ cost of maintaining the right-hand-side track `d = Aᵀb` through a

@@ -87,5 +87,5 @@ pub use probe::{
 };
 pub use syrk::{syrk, syrk_into};
 pub use trsm::{trmm_upper_upper, trsm_left_lower_trans, trsm_left_upper, trsm_right_lower_trans, trsm_right_upper};
-pub use update::{rank_k_append, rank_k_downdate, UpdateError};
+pub use update::{rank_k_append, rank_k_downdate, rank_k_downdate_with, UpdateError};
 pub use workspace::{PooledWorkspace, Workspace, WorkspacePool};

@@ -132,13 +132,7 @@ impl Matrix {
 
     /// Returns a newly allocated transpose.
     pub fn transposed(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t.data[j * self.rows + i] = self.data[i * self.cols + j];
-            }
-        }
-        t
+        self.as_ref().to_owned_transposed()
     }
 
     /// Copies the contents of `src` (same shape) into `self`.
@@ -274,12 +268,7 @@ impl<'a> MatRef<'a> {
     /// Copies the transpose of this view into a fresh owned matrix.
     pub fn to_owned_transposed(self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            let r = self.row(i);
-            for j in 0..self.cols {
-                t.data[j * self.rows + i] = r[j];
-            }
-        }
+        t.as_mut().copy_transposed_from(self);
         t
     }
 }
@@ -467,6 +456,20 @@ impl<'a> MatMut<'a> {
         );
         for i in 0..self.rows {
             self.row_mut(i).copy_from_slice(src.row(i));
+        }
+    }
+
+    /// Copies the transpose of `src` (`cols × rows`) into this view.
+    pub fn copy_transposed_from(&mut self, src: MatRef<'_>) {
+        assert_eq!(
+            (self.rows, self.cols),
+            (src.cols(), src.rows()),
+            "copy_transposed_from shape mismatch"
+        );
+        for i in 0..self.rows {
+            for (j, v) in self.row_mut(i).iter_mut().enumerate() {
+                *v = src.at(j, i);
+            }
         }
     }
 

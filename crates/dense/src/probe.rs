@@ -160,7 +160,7 @@ pub fn probe_syrk(backend: BackendKind, rows: usize, dim: usize, reps: usize) ->
 /// `rows` (the update width `k`) to at least 1, and `reps` to at least 1.
 ///
 /// `seconds_per_flop` is charged against
-/// [`crate::flops::rank_k_append`]` = k·dim² + 2·dim³/3` — the streaming
+/// [`crate::flops::rank_k_append`]` = (dim + k)·dim² + dim³/3` — the streaming
 /// cost model's convention — so the measured rate feeds the
 /// update-vs-refresh crossover the same way the gemm/syrk probes feed γ.
 /// Each timed run mutates the factor in place (`R'ᵀR' = RᵀR + BᵀB`), which

@@ -40,12 +40,16 @@ pub fn trsm_right_upper(u: MatRef<'_>, mut b: MatMut<'_>) {
     for i in 0..b.rows() {
         let row = b.row_mut(i);
         // x·U = b ⇔ for j ascending: x[j] = (b[j] - Σ_{k<j} x[k]·U[k][j]) / U[j][j].
+        // Right-looking: once x[j] is known, its term leaves every later
+        // column — each element still sees its subtractions in ascending k,
+        // but the inner loop walks row j of U instead of a column.
         for j in 0..n {
-            let mut s = row[j];
-            for k in 0..j {
-                s -= row[k] * u.at(k, j);
+            let urow = u.row(j);
+            let x = row[j] / urow[j];
+            row[j] = x;
+            for (v, &ujc) in row[j + 1..].iter_mut().zip(&urow[j + 1..]) {
+                *v -= x * ujc;
             }
-            row[j] = s / u.at(j, j);
         }
     }
 }
@@ -141,30 +145,37 @@ pub fn trsm_left_lower_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
     }
 }
 
-/// Returns the product `U₂·U₁` of two upper-triangular matrices (the result
-/// is itself upper triangular). Used for the CQR2 update `R = R₂·R₁`
-/// (paper Algorithm 5 line 3, charged `n³/3` flops).
-pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>) -> Matrix {
+/// Writes the product `U₂·U₁` of two upper-triangular matrices into `out`,
+/// which ends exactly upper triangular (its strict lower part is zeroed).
+/// Used for the CQR2 update `R = R₂·R₁` (paper Algorithm 5 line 3, charged
+/// `n³/3` flops) and by the streaming updates, which hand it arena storage.
+pub fn trmm_upper_upper_into(u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
     let n = u2.rows();
     assert_eq!(u2.cols(), n);
     assert_eq!((u1.rows(), u1.cols()), (n, n));
-    let mut data = vec![0.0f64; n * n];
+    assert_eq!((out.rows(), out.cols()), (n, n));
     for i in 0..n {
-        let dst = &mut data[i * n..(i + 1) * n];
+        let dst = out.row_mut(i);
+        dst.fill(0.0);
         for k in i..n {
             let v = u2.at(i, k);
             if v == 0.0 {
                 continue;
             }
-            let src = u1.row(k);
             // Row i of the result accumulates v * row k of u1, columns k..n only
             // (earlier columns of row k are structurally zero).
-            for j in k..n {
-                dst[j] += v * src[j];
+            for (d, s) in dst[k..].iter_mut().zip(&u1.row(k)[k..]) {
+                *d += v * s;
             }
         }
     }
-    Matrix::from_vec(n, n, data)
+}
+
+/// [`trmm_upper_upper_into`] into a fresh allocation.
+pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>) -> Matrix {
+    let mut out = Matrix::zeros(u2.rows(), u2.rows());
+    trmm_upper_upper_into(u2, u1, out.as_mut());
+    out
 }
 
 /// Zeroes the strictly-lower part of a matrix in place (extract `R` from a

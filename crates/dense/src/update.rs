@@ -2,30 +2,43 @@
 //!
 //! These are the dense building blocks of the streaming QR subsystem
 //! (`cacqr::stream`). Both operate on the `R` factor alone, exploiting the
-//! CholeskyQR identity that `R` is determined by the Gram matrix:
+//! CholeskyQR identity that `R` is determined by the Gram matrix, and both
+//! are spelled in the backend's level-3 kernels — the same Gram → Cholesky →
+//! triangular-product shape as the batch algorithms:
 //!
 //! * [`rank_k_append`] — given `R` with `RᵀR = AᵀA` and a block `B` of `k`
-//!   new rows, replaces `R` by `R'` with `R'ᵀR' = RᵀR + BᵀB`. Computed as
-//!   the Cholesky factor of the updated Gram matrix: the `BᵀB` delta comes
-//!   from the symmetry-aware SIMD SYRK, `RᵀR` is accumulated over the upper
-//!   triangle's rows, and the re-factorization runs through the
-//!   workspace-backed blocked [`potrf_ws`]. Cost
+//!   new rows, replaces `R` by `R'` with `R'ᵀR' = RᵀR + BᵀB`: one blocked
+//!   SYRK over the stacked panel `[R; B]`, re-factored by [`potrf_ws`]. Cost
 //!   `O(kn² + n³)` — independent of the row count `m` already folded in.
-//! * [`rank_k_downdate`] — removes `k` previously appended rows by the
-//!   LINPACK `dchdd` hyperbolic-rotation sweep. Downdating is only
-//!   well-posed while the shrunk Gram matrix stays positive definite; the
-//!   kernel reports the violation as a typed
-//!   [`UpdateError::DowndateIndefinite`] instead of producing a garbage
-//!   factor.
+//! * [`rank_k_downdate`] — removes `k` previously appended rows, in panels
+//!   of at most `n` rows, by the block downdate:
+//!   1. `W = B·R⁻¹` (right triangular solve; row `j` of `W` is the vector
+//!      `a = R⁻ᵀx` a row-at-a-time LINPACK `dchdd` sweep would solve for).
+//!   2. `T = I_k − W·Wᵀ = L_T·L_Tᵀ`. Removing rows one at a time, row `j`'s
+//!      pivot is `α_j² = 1 − w_jᵀ(I − W_{<j}ᵀW_{<j})⁻¹w_j
+//!      = det(I − W_{≤j}W_{≤j}ᵀ) / det(I − W_{<j}W_{<j}ᵀ)` — the `j`-th
+//!      Schur-complement pivot of `T`, i.e. `L_T[j][j]²`. So the Cholesky of
+//!      `T` yields every sequential `α²`, and breaks down at exactly the row
+//!      that would make the shrunk Gram matrix indefinite, reported as a
+//!      typed [`UpdateError::DowndateIndefinite`] instead of a garbage
+//!      factor.
+//!   3. `S = I_n − Wᵀ·W = L·Lᵀ` and `R' = Lᵀ·R`, since
+//!      `R'ᵀR' = Rᵀ(I − WᵀW)R = RᵀR − BᵀB`.
+//!
+//!   Both Cholesky factorizations act on `I − (·)` with norm at most 1, so
+//!   the rounding error of the result is amplified by `1/min α²` only —
+//!   never by `κ(R)²`; that pivot is what the kernel returns.
 //!
 //! Both kernels are **transactional** (on error `r` is left untouched),
-//! **deterministic** (fixed sequential loop orders; the SYRK delta is the
-//! thread-count-invariant blocked kernel), and **allocation-free when warm**
-//! (all scratch drawn from the caller's [`Workspace`] arena).
+//! **deterministic** (every product is a thread-count-invariant backend
+//! kernel), and **allocation-free when warm** (all scratch drawn from the
+//! caller's [`Workspace`] arena).
 
-use crate::backend::Backend;
+use crate::backend::{Backend, BackendKind};
 use crate::cholesky::{potrf_ws, CholeskyError};
+use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
+use crate::trsm::trmm_upper_upper_into;
 use crate::workspace::Workspace;
 
 /// Typed failure of a rank-k factor update.
@@ -49,9 +62,9 @@ pub enum UpdateError {
     DowndateIndefinite {
         /// Index within the update block of the first offending row.
         row: usize,
-        /// The hyperbolic pivot `α² = 1 − ‖R⁻ᵀx‖²` that should have been
-        /// positive. The more negative, the further the row is from the
-        /// factored set.
+        /// The downdate pivot `α² = 1 − ‖R⁻ᵀx‖²` (`R` already shrunk by the
+        /// block's earlier rows) that should have been positive. The more
+        /// negative, the further the row is from the factored set.
         deficiency: f64,
     },
 }
@@ -105,12 +118,11 @@ fn check_block(order: usize, b: MatRef<'_>) -> Result<(), UpdateError> {
 /// Appends `k = b.rows()` rows to the factorization: replaces the upper
 /// triangular `r` by `R'` with `R'ᵀR' = RᵀR + BᵀB`.
 ///
-/// The Gram delta `BᵀB` is computed by the backend's blocked SYRK, `RᵀR` is
-/// accumulated into the lower triangle (the only half the blocked Cholesky
-/// reads), and the sum is re-factored with [`potrf_ws`]. On success `r`
-/// holds `R'` (upper triangular, positive diagonal); on error `r` is left
-/// **unchanged**. All scratch comes from `ws` — warm calls perform zero
-/// heap allocations.
+/// The updated Gram matrix is one backend SYRK over the stacked arena panel
+/// `[R; B]` (only `r`'s upper triangle is read), re-factored with
+/// [`potrf_ws`]. On success `r` holds `R'` (upper triangular, positive
+/// diagonal); on error `r` is left **unchanged**. All scratch comes from
+/// `ws` — warm calls perform zero heap allocations.
 pub fn rank_k_append(
     mut r: MatMut<'_>,
     b: MatRef<'_>,
@@ -123,137 +135,132 @@ pub fn rank_k_append(
     if b.rows() == 0 {
         return Ok(());
     }
-    // G ← BᵀB (full, symmetric), then G_lower += RᵀR. Only the lower
-    // triangle is accumulated: the blocked Cholesky below never reads the
-    // strict upper half (its trailing gemm writes both halves but each
-    // output element depends only on its own input element).
-    let mut g = ws.take_matrix_stale(n, n);
-    backend.syrk_into(b, g.as_mut());
+    let mut panel = ws.take_matrix_stale(n + b.rows(), n);
     {
-        let mut gm = g.as_mut();
-        for l in 0..n {
-            let rl = r.row(l);
-            for i in l..n {
-                let v = rl[i];
-                let grow = gm.row_mut(i);
-                for j in l..=i {
-                    grow[j] += v * rl[j];
-                }
-            }
+        let (mut top, mut bottom) = panel.as_mut().split_rows(n);
+        for i in 0..n {
+            let row = top.row_mut(i);
+            row[..i].fill(0.0);
+            row[i..].copy_from_slice(&r.row(i)[i..]);
         }
+        bottom.copy_from(b);
     }
-    match potrf_ws(g.as_mut(), backend, ws) {
-        Ok(()) => {
-            // R' = Lᵀ, written back transactionally only on success.
-            let gl = g.as_ref();
-            for i in 0..n {
-                let row = r.row_mut(i);
-                for v in &mut row[..i] {
-                    *v = 0.0;
-                }
-                for j in i..n {
-                    row[j] = gl.at(j, i);
-                }
-            }
-            ws.recycle(g);
-            Ok(())
-        }
-        Err(e) => {
-            ws.recycle(g);
-            Err(e.into())
-        }
+    let mut g = ws.take_matrix_stale(n, n);
+    backend.syrk_into(panel.as_ref(), g.as_mut());
+    ws.recycle(panel);
+    let factored = potrf_ws(g.as_mut(), backend, ws);
+    if factored.is_ok() {
+        // R' = Lᵀ, written back transactionally only on success.
+        r.copy_transposed_from(g.as_ref());
     }
+    ws.recycle(g);
+    Ok(factored?)
+}
+
+/// [`rank_k_downdate_with`] on the process default backend
+/// ([`BackendKind::default_kind`]).
+pub fn rank_k_downdate(r: MatMut<'_>, b: MatRef<'_>, ws: &mut Workspace) -> Result<f64, UpdateError> {
+    rank_k_downdate_with(r, b, BackendKind::default_kind().get(), ws)
 }
 
 /// Removes `k = b.rows()` previously appended rows from the factorization:
-/// replaces `r` by `R'` with `R'ᵀR' = RᵀR − BᵀB`, via the LINPACK `dchdd`
-/// hyperbolic-rotation sweep (one sweep per removed row).
+/// replaces `r` by `R'` with `R'ᵀR' = RᵀR − BᵀB`, by the block downdate of
+/// the [module docs](self) applied to panels of at most `n` rows (so no
+/// scratch matrix outgrows `n × n`).
 ///
-/// Returns the smallest hyperbolic pivot `α² = 1 − ‖R⁻ᵀx‖²` observed across
-/// the block — a direct conditioning signal: `1/α²` bounds the error
-/// amplification of the sweep, and `α² ≤ 0` means the downdated Gram matrix
-/// is no longer positive definite, reported as
-/// [`UpdateError::DowndateIndefinite`]. The sweep runs on an arena copy and
-/// commits only on success, so on error `r` is left **unchanged** even when
-/// an earlier row of the block was already applied.
-pub fn rank_k_downdate(mut r: MatMut<'_>, b: MatRef<'_>, ws: &mut Workspace) -> Result<f64, UpdateError> {
+/// Returns the smallest pivot `α² = 1 − ‖R⁻ᵀx‖²` observed across the block
+/// — a direct conditioning signal: `1/α²` bounds the error amplification of
+/// the downdate, and `α² ≤ 0` means the downdated Gram matrix is no longer
+/// positive definite, reported as [`UpdateError::DowndateIndefinite`]. The
+/// panels run on arena copies and commit only on success, so on error `r` is
+/// left **unchanged** even when an earlier panel was already applied. On
+/// success `r` is upper triangular with a positive diagonal.
+pub fn rank_k_downdate_with(
+    mut r: MatMut<'_>,
+    b: MatRef<'_>,
+    backend: &dyn Backend,
+    ws: &mut Workspace,
+) -> Result<f64, UpdateError> {
     let n = r.rows();
     assert_eq!(r.cols(), n, "factor must be square");
     check_block(n, b)?;
-    if b.rows() == 0 {
+    if b.rows() == 0 || n == 0 {
         return Ok(1.0);
     }
-    let mut work = ws.take_copy(r.rb());
-    let mut a = ws.take_vec(n);
-    let mut c = ws.take_vec(n);
-    let mut s = ws.take_vec(n);
-    let mut min_alpha_sq = 1.0_f64;
-    let mut failure = None;
-    for row in 0..b.rows() {
-        let x = b.row(row);
-        // Solve Rᵀa = x by forward substitution (Rᵀ is lower triangular).
-        for i in 0..n {
-            let mut t = x[i];
-            for k in 0..i {
-                t -= work.get(k, i) * a[k];
-            }
-            a[i] = t / work.get(i, i);
-        }
-        let norm_sq: f64 = a[..n].iter().map(|v| v * v).sum();
-        let alpha_sq = 1.0 - norm_sq;
-        // Also catches NaN/−∞ from a singular diagonal above.
-        if alpha_sq.is_nan() || alpha_sq <= 0.0 {
-            failure = Some(UpdateError::DowndateIndefinite {
-                row,
-                deficiency: alpha_sq,
-            });
-            break;
-        }
-        min_alpha_sq = min_alpha_sq.min(alpha_sq);
-        // Generate the hyperbolic rotations from the bottom up…
-        let mut alpha = alpha_sq.sqrt();
-        for i in (0..n).rev() {
-            let scale = alpha + a[i].abs();
-            let aa = alpha / scale;
-            let bb = a[i] / scale;
-            let nrm = (aa * aa + bb * bb).sqrt();
-            c[i] = aa / nrm;
-            s[i] = bb / nrm;
-            alpha = scale * nrm;
-        }
-        // …and apply them column by column (LINPACK dchdd order).
-        for j in 0..n {
-            let mut xx = 0.0;
-            for i in (0..=j).rev() {
-                let t = c[i] * xx + s[i] * work.get(i, j);
-                work.set(i, j, c[i] * work.get(i, j) - s[i] * xx);
-                xx = t;
-            }
-        }
-    }
-    let out = match failure {
-        Some(e) => Err(e),
-        None => {
-            // Normalize to a positive diagonal (the CholeskyQR convention;
-            // rotations can flip signs) and commit.
-            for i in 0..n {
-                if work.get(i, i) < 0.0 {
-                    let mut wm = work.as_mut();
-                    let row = wm.row_mut(i);
-                    for v in &mut row[i..] {
-                        *v = -*v;
-                    }
+    let mut current = ws.take_copy(r.rb());
+    let mut next = ws.take_matrix_stale(n, n);
+    let least_alpha_sq = (0..b.rows()).step_by(n).try_fold(1.0_f64, |least, first| {
+        let panel = b.sub(first, 0, n.min(b.rows() - first), n);
+        let alpha_sq =
+            downdate_panel(current.as_ref(), panel, next.as_mut(), backend, ws).map_err(|(row, deficiency)| {
+                UpdateError::DowndateIndefinite {
+                    row: first + row,
+                    deficiency,
                 }
-            }
-            r.copy_from(work.as_ref());
-            Ok(min_alpha_sq)
+            })?;
+        std::mem::swap(&mut current, &mut next);
+        Ok(least.min(alpha_sq))
+    });
+    if least_alpha_sq.is_ok() {
+        r.copy_from(current.as_ref());
+    }
+    ws.recycle(next);
+    ws.recycle(current);
+    least_alpha_sq
+}
+
+/// `G ← I − G`, both triangles.
+fn identity_minus(mut g: MatMut<'_>) {
+    for i in 0..g.rows() {
+        let row = g.row_mut(i);
+        for v in row.iter_mut() {
+            *v = -*v;
         }
-    };
-    ws.recycle_vec(s);
-    ws.recycle_vec(c);
-    ws.recycle_vec(a);
-    ws.recycle(work);
-    out
+        row[i] += 1.0;
+    }
+}
+
+/// One panel (`k ≤ n` rows) of the block downdate: writes the shrunk factor
+/// `Lᵀ·R` into `out` and returns the panel's smallest `α²`, or the offending
+/// row and its pivot. A breakdown in the second Cholesky (`S`, which is
+/// positive definite exactly when `T` is) can only be rounding at `α² ≈ 0`;
+/// it is attributed to the row whose pivot was smallest.
+fn downdate_panel(
+    r: MatRef<'_>,
+    b: MatRef<'_>,
+    out: MatMut<'_>,
+    backend: &dyn Backend,
+    ws: &mut Workspace,
+) -> Result<f64, (usize, f64)> {
+    let (n, k) = (r.rows(), b.rows());
+    let mut w = ws.take_copy(b);
+    backend.trsm_right_upper(r, w.as_mut());
+    let mut t = ws.take_matrix_stale(k, k);
+    backend.gemm(1.0, w.as_ref(), Trans::No, w.as_ref(), Trans::Yes, 0.0, t.as_mut());
+    identity_minus(t.as_mut());
+    let mut s = ws.take_matrix_stale(n, n);
+    let result = potrf_ws(t.as_mut(), backend, ws)
+        .map_err(|e| (e.index, e.pivot))
+        .and_then(|()| {
+            let (row, alpha_sq) =
+                (0..k)
+                    .map(|j| (j, t.get(j, j) * t.get(j, j)))
+                    .fold(
+                        (0, f64::INFINITY),
+                        |least, pivot| if pivot.1 < least.1 { pivot } else { least },
+                    );
+            backend.syrk_into(w.as_ref(), s.as_mut());
+            identity_minus(s.as_mut());
+            potrf_ws(s.as_mut(), backend, ws).map_err(|e| (row, e.pivot))?;
+            let lt = ws.take_transposed(s.as_ref());
+            trmm_upper_upper_into(lt.as_ref(), r, out);
+            ws.recycle(lt);
+            Ok(alpha_sq)
+        });
+    ws.recycle(s);
+    ws.recycle(t);
+    ws.recycle(w);
+    result
 }
 
 #[cfg(test)]
@@ -431,5 +438,156 @@ mod tests {
         rank_k_append(r.as_mut(), b.as_ref(), backend, &mut ws).unwrap();
         assert_eq!(rank_k_downdate(r.as_mut(), b.as_ref(), &mut ws).unwrap(), 1.0);
         assert_eq!(r.data(), before.data());
+    }
+
+    /// The LINPACK `dchdd` row-at-a-time sweep the block downdate replaced:
+    /// per removed row, solve `Rᵀa = x`, test `α² = 1 − ‖a‖²`, and apply the
+    /// bottom-up rotations column by column. Kept only as the reference for
+    /// the pivots, the failing row and the factor.
+    fn dchdd_reference(r: &mut Matrix, b: &Matrix) -> Result<f64, UpdateError> {
+        let n = r.rows();
+        let mut work = r.clone();
+        let (mut a, mut c, mut s) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let mut min_alpha_sq = 1.0_f64;
+        for row in 0..b.rows() {
+            let x = b.as_ref().row(row);
+            for i in 0..n {
+                let mut t = x[i];
+                for k in 0..i {
+                    t -= work.get(k, i) * a[k];
+                }
+                a[i] = t / work.get(i, i);
+            }
+            let alpha_sq = 1.0 - a.iter().map(|v| v * v).sum::<f64>();
+            if alpha_sq.is_nan() || alpha_sq <= 0.0 {
+                return Err(UpdateError::DowndateIndefinite {
+                    row,
+                    deficiency: alpha_sq,
+                });
+            }
+            min_alpha_sq = min_alpha_sq.min(alpha_sq);
+            let mut alpha = alpha_sq.sqrt();
+            for i in (0..n).rev() {
+                let scale = alpha + a[i].abs();
+                let (aa, bb) = (alpha / scale, a[i] / scale);
+                let nrm = (aa * aa + bb * bb).sqrt();
+                c[i] = aa / nrm;
+                s[i] = bb / nrm;
+                alpha = scale * nrm;
+            }
+            for j in 0..n {
+                let mut xx = 0.0;
+                for i in (0..=j).rev() {
+                    let t = c[i] * xx + s[i] * work.get(i, j);
+                    work.set(i, j, c[i] * work.get(i, j) - s[i] * xx);
+                    xx = t;
+                }
+            }
+        }
+        for i in 0..n {
+            if work.get(i, i) < 0.0 {
+                for j in i..n {
+                    work.set(i, j, -work.get(i, j));
+                }
+            }
+        }
+        *r = work;
+        Ok(min_alpha_sq)
+    }
+
+    /// The first `k` rows of a `κ`-conditioned matrix, scaled by `scale`
+    /// (large scales shrink `α²` without touching `κ`), and the factor of the
+    /// whole row set.
+    fn block_and_factor(n: usize, k: usize, kappa: f64, scale: f64) -> (Matrix, Matrix) {
+        let mut full = crate::random::matrix_with_condition(4 * n + 8 + k, n, kappa, 7 + n as u64);
+        for v in &mut full.data_mut()[..k * n] {
+            *v *= scale;
+        }
+        let block = Matrix::from_view(full.view(0, 0, k, n));
+        let (_, mut r) = crate::householder::qr(&full);
+        crate::norms::normalize_qr_signs(&mut Matrix::zeros(0, n), &mut r);
+        (block, r)
+    }
+
+    #[test]
+    fn block_downdate_agrees_with_the_dchdd_sweep() {
+        let mut ws = Workspace::new();
+        for &n in &[1usize, 7, 64, 65, 128] {
+            for &k in &[1usize, 8, 64, n + 3] {
+                for &kappa in &[1.0, 1e3] {
+                    for &scale in &[1.0, 30.0] {
+                        let (block, r0) = block_and_factor(n, k, kappa, scale);
+                        let (mut blocked, mut swept) = (r0.clone(), r0.clone());
+                        let got = rank_k_downdate(blocked.as_mut(), block.as_ref(), &mut ws).unwrap();
+                        let want = dchdd_reference(&mut swept, &block).unwrap();
+                        let label = format!("n={n} k={k} κ={kappa:e} scale={scale}");
+                        // Both pivots come out of a solve with R: ε·κ apart at most.
+                        let size = (n + k) as f64;
+                        assert!(
+                            (got - want).abs() <= 64.0 * f64::EPSILON * kappa * size,
+                            "{label}: α² {got:e} vs {want:e}"
+                        );
+                        if kappa == 1.0 {
+                            assert!((got - want).abs() <= 1e-10 * want, "{label}: α² {got:e} vs {want:e}");
+                        }
+                        let scale_r = crate::norms::frobenius(swept.as_ref());
+                        let mut diff = blocked.clone();
+                        for (d, w) in diff.data_mut().iter_mut().zip(swept.data()) {
+                            *d -= w;
+                        }
+                        let err = crate::norms::frobenius(diff.as_ref()) / scale_r;
+                        assert!(
+                            err <= 64.0 * f64::EPSILON * size / want,
+                            "{label}: factors differ by {err:e}"
+                        );
+                        for i in 0..n {
+                            assert!(blocked.get(i, i) > 0.0, "{label}: positive diagonal");
+                            assert!(blocked.as_ref().row(i)[..i].iter().all(|&v| v == 0.0));
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(ws.takes(), ws.recycles());
+    }
+
+    #[test]
+    fn block_downdate_fails_at_the_row_the_sweep_fails_at() {
+        // One foreign row inside the block, in the first panel or (k > n) a
+        // later one: both forms apply the rows before it and stop there.
+        let mut ws = Workspace::new();
+        for &(n, k, bad) in &[
+            (7usize, 10usize, 0usize),
+            (7, 10, 6),
+            (7, 10, 8),
+            (64, 67, 65),
+            (65, 8, 5),
+        ] {
+            let (mut block, r0) = block_and_factor(n, k, 1.0, 1.0);
+            for v in block.as_mut().row_mut(bad) {
+                *v *= 1e3;
+            }
+            let (mut blocked, mut swept) = (r0.clone(), r0.clone());
+            let got = rank_k_downdate(blocked.as_mut(), block.as_ref(), &mut ws).unwrap_err();
+            let want = dchdd_reference(&mut swept, &block).unwrap_err();
+            match (got, want) {
+                (
+                    UpdateError::DowndateIndefinite { row, deficiency },
+                    UpdateError::DowndateIndefinite {
+                        row: want_row,
+                        deficiency: want_deficiency,
+                    },
+                ) => {
+                    assert_eq!((row, want_row), (bad, bad), "n={n} k={k}");
+                    assert!(
+                        (deficiency - want_deficiency).abs() <= 1e-10 * want_deficiency.abs(),
+                        "n={n} k={k}: {deficiency:e} vs {want_deficiency:e}"
+                    );
+                }
+                other => panic!("expected two DowndateIndefinite, got {other:?}"),
+            }
+            assert_eq!(blocked.data(), r0.data(), "failed downdate must not touch R");
+            assert_eq!(ws.takes(), ws.recycles());
+        }
     }
 }

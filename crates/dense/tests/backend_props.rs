@@ -2,13 +2,19 @@
 //! for gemm/syrk/trsm across transpose flags, alpha/beta ∈ {0, 1, −2.5},
 //! and edge shapes straddling every blocking boundary (microkernel MR/NR,
 //! contraction block KC, trsm block TRSM_NB), including empty dimensions —
-//! and so must the report diagnostics built on them (`norms::qr_diagnostics`).
+//! and so must the report diagnostics built on them (`norms::qr_diagnostics`)
+//! and the rank-k block downdate (`update::rank_k_downdate_with`), which is
+//! also held to a Householder factor of the rows that remain.
 
 use dense::backend::blocked::{KC, MR, NR, TRSM_NB};
 use dense::backend::BackendKind;
 use dense::gemm::Trans;
-use dense::norms::{combine_diagnostics, qr_diagnostics, slab_count, slab_diagnostics, slab_rows, PANEL_ROWS};
-use dense::{MatRef, Matrix, Workspace};
+use dense::norms::{
+    combine_diagnostics, normalize_qr_signs, qr_diagnostics, slab_count, slab_diagnostics, slab_rows, PANEL_ROWS,
+};
+use dense::random::matrix_with_condition;
+use dense::update::{rank_k_append, rank_k_downdate_with, UpdateError};
+use dense::{potrf_ws, MatRef, Matrix, Workspace};
 
 fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -402,7 +408,8 @@ fn team_diagnostics_match_the_naive_one_slab_oracle() {
 }
 
 /// Prints the diagnostics' bit patterns at a shape whose panel gemms and
-/// SYRK clear the kernel's parallel threshold. Does nothing unless
+/// SYRK clear the kernel's parallel threshold, then those of one rank-k
+/// append and one block downdate at the same width. Does nothing unless
 /// [`qr_diagnostics_bits_do_not_depend_on_cacqr_threads`] runs it as a child.
 #[test]
 fn qr_diagnostics_bits_child() {
@@ -423,10 +430,21 @@ fn qr_diagnostics_bits_child() {
             format!("{:016x} {:016x}", ortho.to_bits(), resid.to_bits())
         })
         .collect();
+    // One rank-k append and one downdate of a 192-wide factor: blocked
+    // SYRK, Cholesky, triangular solve and products, all above one block.
+    let block = filled(64, n, 17);
+    let mut factor = r.clone();
+    normalize_qr_signs(&mut Matrix::zeros(0, n), &mut factor);
+    let backend = BackendKind::Blocked.get();
+    rank_k_append(factor.as_mut(), block.as_ref(), backend, &mut ws).unwrap();
+    let appended = factor.data().iter().fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits());
+    let alpha_sq = rank_k_downdate_with(factor.as_mut(), block.as_ref(), backend, &mut ws).unwrap();
+    let downdated = factor.data().iter().fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits());
     println!(
-        "QR_DIAGNOSTICS_BITS threads={} {}",
+        "QR_DIAGNOSTICS_BITS threads={} {} {appended:016x} {downdated:016x} {:016x}",
         dense::max_threads(),
-        bits.join(" ")
+        bits.join(" "),
+        alpha_sq.to_bits()
     );
 }
 
@@ -455,4 +473,114 @@ fn qr_diagnostics_bits_do_not_depend_on_cacqr_threads() {
         bits.to_string()
     };
     assert_eq!(bits_under("1"), bits_under("2"));
+}
+
+/// Householder `R` with the CholeskyQR sign convention (positive diagonal).
+fn householder_r(a: &Matrix) -> Matrix {
+    let mut r = dense::householder_qr(a).r();
+    normalize_qr_signs(&mut Matrix::zeros(0, r.cols()), &mut r);
+    r
+}
+
+fn relative_distance(got: &Matrix, want: &Matrix) -> f64 {
+    let diff: f64 = got.data().iter().zip(want.data()).map(|(g, w)| (g - w) * (g - w)).sum();
+    (diff / want.data().iter().map(|w| w * w).sum::<f64>()).sqrt()
+}
+
+#[test]
+fn block_downdate_matches_a_householder_factor_of_the_remaining_rows() {
+    // The removed block is the first k rows of a κ-conditioned matrix,
+    // scaled up in the small-α² cells (which leaves κ alone). Stated bound:
+    // ‖R' − R_rest‖_F ≤ c·ε·(n + k)/α² · ‖R_rest‖_F — no κ, let alone κ².
+    let mut ws = Workspace::new();
+    for &n in &[1usize, 7, 64, 65, 128, 200] {
+        for &k in &[1usize, 8, 64, n + 3] {
+            for &kappa in &[1.0, 1e3, 1e6] {
+                let base = matrix_with_condition(2 * n + 8 + k, n, kappa, 31 + n as u64);
+                for &scale in &[1.0, 30.0] {
+                    let mut full = base.clone();
+                    full.data_mut()[..k * n].iter_mut().for_each(|v| *v *= scale);
+                    let block = full.view(0, 0, k, n);
+                    let r_full = householder_r(&full);
+                    let r_rest = householder_r(&Matrix::from_view(full.view(k, 0, full.rows() - k, n)));
+                    let label = format!("n={n} k={k} κ={kappa:e} scale={scale}");
+                    let mut results = Vec::new();
+                    for kind in BackendKind::ALL {
+                        let mut r = r_full.clone();
+                        let alpha_sq = rank_k_downdate_with(r.as_mut(), block, kind.get(), &mut ws).unwrap();
+                        assert!(alpha_sq > 0.0 && alpha_sq <= 1.0, "{label} {kind}: α² = {alpha_sq:e}");
+                        let bound = 32.0 * f64::EPSILON * (n + k) as f64 / alpha_sq;
+                        let err = relative_distance(&r, &r_rest);
+                        assert!(err <= bound, "{label} {kind}: error {err:e} above {bound:e}");
+                        for i in 0..n {
+                            assert!(r.get(i, i) > 0.0, "{label} {kind}: positive diagonal");
+                            assert!(
+                                r.as_ref().row(i)[..i].iter().all(|&v| v == 0.0),
+                                "{label} {kind}: upper"
+                            );
+                        }
+                        results.push((r, alpha_sq, bound));
+                    }
+                    let ((naive, naive_alpha, bound), (blocked, blocked_alpha, _)) = (&results[0], &results[1]);
+                    assert!(
+                        relative_distance(blocked, naive) <= 2.0 * bound,
+                        "{label}: backends apart"
+                    );
+                    let pivot_tol = 64.0 * f64::EPSILON * kappa * (n + k) as f64;
+                    assert!(
+                        (naive_alpha - blocked_alpha).abs() <= pivot_tol,
+                        "{label}: α² {blocked_alpha:e} vs {naive_alpha:e}"
+                    );
+                }
+            }
+        }
+    }
+    assert_eq!(ws.takes(), ws.recycles(), "arena balanced");
+}
+
+#[test]
+fn block_downdate_breakdown_in_the_second_cholesky_is_typed_and_transactional() {
+    // T = 1 − ‖w‖² and S = I − wᵀw are positive definite together, so S can
+    // only fail once T has passed when α² is within rounding of zero: scan
+    // unit-factor rows whose squared norm sits a few ulps under 1. The naive
+    // backend's arithmetic is plain IEEE loops, so its scan must find such a
+    // row; under either backend every one found has to honour the contract.
+    let mut second_stage_failures = [0usize; 2];
+    for &n in &[100usize, 128, 200] {
+        let raw: Vec<f64> = (0..n).map(|i| 1.0 + 0.37 * ((i * 7 + 3) % 11) as f64).collect();
+        let norm = raw.iter().map(|v| v * v).sum::<f64>().sqrt();
+        for ulps in 0..64u32 {
+            let target = (1.0 - f64::from(ulps) * f64::EPSILON).sqrt();
+            let row = Matrix::from_fn(1, n, |_, j| raw[j] / norm * target);
+            for (slot, kind) in BackendKind::ALL.into_iter().enumerate() {
+                let backend = kind.get();
+                let mut ws = Workspace::new();
+                // The first stage, spelled with the same calls the kernel makes.
+                let mut w = row.clone();
+                backend.trsm_right_upper(Matrix::identity(n).as_ref(), w.as_mut());
+                let mut t = Matrix::zeros(1, 1);
+                backend.gemm(1.0, w.as_ref(), Trans::No, w.as_ref(), Trans::Yes, 0.0, t.as_mut());
+                t.set(0, 0, 1.0 - t.get(0, 0));
+                let first_stage_passes = potrf_ws(t.as_mut(), backend, &mut ws).is_ok();
+
+                let mut r = Matrix::identity(n);
+                let outcome = rank_k_downdate_with(r.as_mut(), row.as_ref(), backend, &mut ws);
+                assert_eq!(ws.takes(), ws.recycles(), "n={n} ulps={ulps} {kind}: arena balanced");
+                let Err(err) = outcome else {
+                    assert!(first_stage_passes);
+                    continue;
+                };
+                assert!(
+                    matches!(err, UpdateError::DowndateIndefinite { row: 0, deficiency } if deficiency <= 0.0),
+                    "n={n} ulps={ulps} {kind}: {err:?}"
+                );
+                assert_eq!(r, Matrix::identity(n), "n={n} ulps={ulps} {kind}: r untouched");
+                second_stage_failures[slot] += usize::from(first_stage_passes);
+            }
+        }
+    }
+    assert!(
+        second_stage_failures[0] > 0,
+        "no row of the scan reached the second Cholesky's breakdown: {second_stage_failures:?}"
+    );
 }

@@ -278,6 +278,55 @@ fn warm_stream_appends_are_allocation_free() {
     }
 }
 
+/// Downdates hold the same contract: a warm sliding window — append the
+/// newest block, downdate the oldest — performs zero process-wide heap
+/// allocations and stays arena-exact. `n = 96` puts the block downdate's
+/// second Cholesky on the blocked path (panel copy from the arena).
+#[test]
+fn warm_stream_downdates_are_allocation_free() {
+    let _serial = serial();
+    for &(n, name) in &[(32usize, "unblocked"), (96, "blocked")] {
+        let (m0, k, steps) = (256usize, 8usize, 10usize);
+        let a0 = well_conditioned(m0, n, 83);
+        let plan = QrPlan::new(m0, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(4).unwrap())
+            .build()
+            .unwrap();
+        let mut s = plan.stream(&a0).unwrap();
+        s.reserve_rows(steps * k);
+        let blocks: Vec<_> = (0..steps).map(|i| gaussian_matrix(k, n, 89 + i as u64)).collect();
+        let slide = |s: &mut cacqr::StreamingQr, step: usize| {
+            s.append_rows(blocks[step].as_ref()).unwrap();
+            let status = s.downdate_rows(a0.view(step * k, 0, k, n)).unwrap();
+            assert!(
+                !status.refreshed,
+                "{name}: drift must stay far below the threshold here"
+            );
+            assert_eq!(status.rows, m0);
+        };
+        // Warm the checkout arena along both kernels.
+        for step in 0..6 {
+            slide(&mut s, step);
+        }
+        let arena_before = plan.workspace().heap_allocations();
+        let before = allocations();
+        for step in 6..steps {
+            slide(&mut s, step);
+        }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "{name}: warm append + downdate pairs must perform zero process-wide heap allocations"
+        );
+        assert_eq!(
+            plan.workspace().heap_allocations(),
+            arena_before,
+            "{name}: warm downdates must stay arena-exact too"
+        );
+    }
+}
+
 /// The least-squares surface honors the same contract: once warm, an
 /// `append_rows_with` (factor + `d = Aᵀb` delta) followed by a
 /// `solve_into` (corrected semi-normal solve with one history-streamed

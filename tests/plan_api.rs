@@ -236,7 +236,7 @@ fn downdating_rows_never_appended_is_rejected_or_indefinite() {
     assert_eq!(err, PlanError::StreamHistoryMismatch { row: 0 });
     assert!(err.to_string().contains("oldest"), "{err}");
 
-    // Without history the caller vouches, and the kernel's hyperbolic
+    // Without history the caller vouches, and the kernel's downdate
     // pivot check is the backstop: removing energy that was never added
     // drives α² non-positive — typed, and transactional (R unchanged).
     let mut s = plan.stream(&a0).unwrap().with_history(false);

@@ -176,7 +176,7 @@ fn service_stream_jobs_surface_downdate_indefinite_under_contention() {
     let spec = stream_spec(64, 16);
     let a0 = well_conditioned(64, 16, 23);
     // A history-less stream (adopted — stream_open always keeps history):
-    // the hyperbolic pivot check is the only guard against removing rows
+    // the downdate pivot check is the only guard against removing rows
     // that were never appended.
     let plan = service.plan(&spec).unwrap();
     service
