@@ -430,8 +430,8 @@ impl QrPlan {
     /// classes before every take is served warm), returning the number of
     /// warm-up calls performed. After this, `factor` runs with **zero**
     /// arena allocations for same-shape inputs — the precondition the
-    /// steady-state benches, the perf gate, and latency-sensitive serving
-    /// paths rely on.
+    /// allocation-counting tests, the repo benchmark's timed loops and
+    /// latency-sensitive serving paths rely on.
     ///
     /// Warming is capped at a generous round bound; hitting the cap
     /// (possible when other threads factor through the same shared pool

@@ -1,16 +1,15 @@
 //! A minimal, dependency-free JSON reader/writer for the tuning profiles
-//! and bench artifacts.
+//! (the repo benchmark reads its `BENCHMARK.json` with it too).
 //!
-//! The workspace builds offline, so — like the criterion/proptest shims —
-//! this is hand-rolled: a [`JsonValue`] tree, a recursive-descent
+//! The workspace builds offline, so — like the proptest shim — this is
+//! hand-rolled: a [`JsonValue`] tree, a recursive-descent
 //! [`parse`], and a deterministic writer ([`JsonValue::to_pretty`] /
 //! [`JsonValue::to_compact`]).
 //! Objects preserve insertion order and numbers are written with Rust's
 //! shortest-round-trip `f64` formatting (integers without a fractional
 //! part), so `parse(write(v))` reproduces `v` bit for bit and
 //! `write(parse(s))` is a canonical form: serializing a profile twice
-//! yields byte-identical files, which is what lets CI diff `BENCH_*.json`
-//! artifacts across runs.
+//! yields byte-identical files.
 //!
 //! Scope: the JSON subset the workspace emits. Strings support the standard
 //! escapes plus `\uXXXX` (surrogate pairs included); numbers are `f64`;

@@ -33,8 +33,8 @@ use pargrid::GridShape;
 /// their `measured_seconds` were recorded against the pre-symmetry-aware
 /// Gram kernel (≈1.7× slower on the CholeskyQR hot path), so carrying the
 /// old winners forward would pin stale rankings exactly where the kernel
-/// change moved the optimum. A version mismatch is a one-line re-tune
-/// (`tuner_sweep --profile`).
+/// change moved the optimum. A version mismatch is a re-tune
+/// (`examples/autotune.rs` shows the calibrate-and-save loop).
 pub const PROFILE_VERSION: u64 = 2;
 
 /// One tuned configuration: the key it was tuned for and the winning config.

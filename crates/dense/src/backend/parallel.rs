@@ -43,20 +43,28 @@ static POOL_WORKERS: AtomicUsize = AtomicUsize::new(0);
 static IDLE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Maximum worker threads for block-parallel kernels: the `CACQR_THREADS`
-/// environment variable if set, else `std::thread::available_parallelism()`.
+/// environment variable if set (`0` clamps to 1; a non-numeric value panics
+/// naming it), else `std::thread::available_parallelism()`.
 ///
 /// Resolved **once** per process via `OnceLock` — kernels on the hot path
 /// never touch the environment — so the budget cannot change mid-run.
 pub fn max_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("CACQR_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        threads_from_var(std::env::var("CACQR_THREADS").ok().as_deref()).unwrap_or_else(|e| panic!("{e}"))
     })
+}
+
+/// The thread budget a `CACQR_THREADS` value selects; unset is the machine's
+/// available parallelism.
+fn threads_from_var(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        None => Ok(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) => Ok(n.max(1)),
+            Err(e) => Err(format!("CACQR_THREADS={v:?}: {e} (expected a thread count)")),
+        },
+    }
 }
 
 /// Clamps a requested pool-level worker count to the process thread budget:
@@ -194,6 +202,16 @@ mod tests {
             hits[i].fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn threads_variable_fails_closed() {
+        assert!(threads_from_var(None).unwrap() >= 1);
+        assert_eq!(threads_from_var(Some("4")), Ok(4));
+        assert_eq!(threads_from_var(Some(" 4 ")), Ok(4));
+        assert_eq!(threads_from_var(Some("0")), Ok(1));
+        let err = threads_from_var(Some("four")).unwrap_err();
+        assert!(err.contains("CACQR_THREADS") && err.contains("\"four\""), "{err}");
     }
 
     #[test]

@@ -81,10 +81,7 @@ pub use gemm::{gemm, matmul, Trans};
 pub use householder::{form_q, householder_qr, QrFactors};
 pub use matrix::{MatMut, MatRef, Matrix};
 pub use norms::{frobenius, max_abs, orthogonality_error, residual_error};
-pub use probe::{
-    default_append_probe, default_probe, default_syrk_probe, probe_append, probe_gemm, probe_syrk, ProbeKernel,
-    ProbeReport,
-};
+pub use probe::{default_probe, default_syrk_probe, probe_gemm, probe_syrk, ProbeKernel, ProbeReport};
 pub use syrk::{syrk, syrk_into};
 pub use trsm::{trmm_upper_upper, trsm_left_lower_trans, trsm_left_upper, trsm_right_lower_trans, trsm_right_upper};
 pub use update::{rank_k_append, rank_k_downdate, rank_k_downdate_with, UpdateError};

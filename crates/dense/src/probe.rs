@@ -7,9 +7,8 @@
 //! machine. [`probe_gemm`] runs a short, seeded, square `gemm` on the chosen
 //! backend with a wall clock around it and reports the measured seconds per
 //! flop; the autotuner feeds that into the machine profile it scores
-//! candidates with (`costmodel::MachineCal::calibrated`), and the bench
-//! harness divides measured kernel times by it so checked-in baselines are
-//! comparable across machines of different speeds.
+//! candidates with (`costmodel::MachineCal::calibrated`), and the repo
+//! benchmark reports it as the roofline its kernel rows are read against.
 //!
 //! [`probe_syrk`] is the Gram-kernel sibling: CholeskyQR's arithmetic is
 //! dominated by `AᵀA` on tall panels, and the symmetry-aware blocked SYRK
@@ -36,9 +35,6 @@ pub enum ProbeKernel {
     Gemm,
     /// Tall-panel Gram matrix `AᵀA` (`rows × dim` input).
     Syrk,
-    /// Rank-k row-append factor update (`rows × dim` block folded into a
-    /// `dim × dim` upper factor).
-    Append,
 }
 
 impl std::fmt::Display for ProbeKernel {
@@ -46,7 +42,6 @@ impl std::fmt::Display for ProbeKernel {
         f.write_str(match self {
             ProbeKernel::Gemm => "gemm",
             ProbeKernel::Syrk => "syrk",
-            ProbeKernel::Append => "append",
         })
     }
 }
@@ -154,45 +149,6 @@ pub fn probe_syrk(backend: BackendKind, rows: usize, dim: usize, reps: usize) ->
     }
 }
 
-/// Times the rank-k row-append update ([`crate::update::rank_k_append`]):
-/// folds a seeded `rows × dim` block into a live `dim × dim` upper factor,
-/// returning the best of `reps` runs. `dim` is clamped to at least 8,
-/// `rows` (the update width `k`) to at least 1, and `reps` to at least 1.
-///
-/// `seconds_per_flop` is charged against
-/// [`crate::flops::rank_k_append`]` = (dim + k)·dim² + dim³/3` — the streaming
-/// cost model's convention — so the measured rate feeds the
-/// update-vs-refresh crossover the same way the gemm/syrk probes feed γ.
-/// Each timed run mutates the factor in place (`R'ᵀR' = RᵀR + BᵀB`), which
-/// is exactly the steady-state streaming workload.
-pub fn probe_append(backend: BackendKind, rows: usize, dim: usize, reps: usize) -> ProbeReport {
-    let dim = dim.max(8);
-    let rows = rows.max(1);
-    let reps = reps.max(1);
-    // Seed the factor from a well-conditioned Gram matrix so repeated
-    // appends stay numerically tame (the diagonal only grows).
-    let a = crate::random::well_conditioned(2 * dim, dim, 0x94d049bb133111eb);
-    let mut g = crate::syrk::syrk(a.as_ref());
-    crate::cholesky::potrf(g.as_mut()).expect("well-conditioned Gram matrix");
-    let mut r = g.transposed();
-    let b = gaussian_matrix(rows, dim, 0xd6e8feb86659fd93);
-    let kernel = backend.get();
-    let mut ws = crate::workspace::Workspace::new();
-    let seconds = time_best(reps, || {
-        crate::update::rank_k_append(r.as_mut(), b.as_ref(), kernel, &mut ws)
-            .expect("append of a Gaussian block onto a well-conditioned factor");
-    });
-    ProbeReport {
-        backend,
-        kernel: ProbeKernel::Append,
-        rows,
-        dim,
-        reps,
-        seconds,
-        seconds_per_flop: seconds / crate::flops::rank_k_append(dim, rows),
-    }
-}
-
 /// The default gemm probe the autotuner uses: a 256³ gemm, best of 3.
 pub fn default_probe(backend: BackendKind) -> ProbeReport {
     probe_gemm(backend, 256, 3)
@@ -202,12 +158,6 @@ pub fn default_probe(backend: BackendKind) -> ProbeReport {
 /// tall-skinny regime), best of 3.
 pub fn default_syrk_probe(backend: BackendKind) -> ProbeReport {
     probe_syrk(backend, 2048, 96, 3)
-}
-
-/// The default append probe: a rank-64 update of a 128-column factor (the
-/// streaming bench's headline width), best of 3.
-pub fn default_append_probe(backend: BackendKind) -> ProbeReport {
-    probe_append(backend, 64, 128, 3)
 }
 
 #[cfg(test)]
@@ -249,22 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn append_probe_reports_sane_rates() {
-        for kind in BackendKind::ALL {
-            let report = probe_append(kind, 16, 48, 2);
-            assert_eq!(report.backend, kind);
-            assert_eq!(report.kernel, ProbeKernel::Append);
-            assert_eq!((report.rows, report.dim), (16, 48));
-            assert!(report.seconds > 0.0);
-            assert!(
-                (1e-13..1e-6).contains(&report.seconds_per_flop),
-                "{kind}: {} s/flop",
-                report.seconds_per_flop
-            );
-        }
-    }
-
-    #[test]
     fn probe_clamps_degenerate_requests() {
         let report = probe_gemm(BackendKind::Naive, 0, 0);
         assert_eq!(report.dim, 8);
@@ -272,10 +206,6 @@ mod tests {
         let report = probe_syrk(BackendKind::Naive, 0, 0, 0);
         assert_eq!(report.dim, 8);
         assert_eq!(report.rows, 8, "rows clamps up to dim");
-        assert_eq!(report.reps, 1);
-        let report = probe_append(BackendKind::Naive, 0, 0, 0);
-        assert_eq!(report.dim, 8);
-        assert_eq!(report.rows, 1, "append width clamps to one row");
         assert_eq!(report.reps, 1);
     }
 }

@@ -34,15 +34,22 @@ pub enum RuntimeKind {
 
 impl RuntimeKind {
     /// The process-wide default backend: `CACQR_RUNTIME=shm` (or `shared`)
-    /// selects the shared-memory runtime, anything else the simulator. Read
-    /// once and cached — the CI matrix uses this to flip an entire test
-    /// suite onto the shm backend without touching call sites.
+    /// selects the shared-memory runtime, `sim` or unset the simulator, and
+    /// any other value panics naming it — a typo must not silently run the
+    /// suite on the default. Read once and cached — the CI matrix uses this
+    /// to flip an entire test suite onto the shm backend without touching
+    /// call sites.
     pub fn from_env() -> RuntimeKind {
         static KIND: std::sync::OnceLock<RuntimeKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("CACQR_RUNTIME").as_deref() {
-            Ok(v) => v.parse().unwrap_or(RuntimeKind::Simulated),
-            Err(_) => RuntimeKind::Simulated,
+        *KIND.get_or_init(|| {
+            RuntimeKind::from_var(std::env::var("CACQR_RUNTIME").ok().as_deref())
+                .unwrap_or_else(|e| panic!("CACQR_RUNTIME: {e}"))
         })
+    }
+
+    /// What a `CACQR_RUNTIME` value selects; unset is the simulator.
+    fn from_var(value: Option<&str>) -> Result<RuntimeKind, String> {
+        value.map_or(Ok(RuntimeKind::Simulated), str::parse)
     }
 
     /// Short stable name (`"sim"` / `"shm"`), e.g. for bench artifacts.
@@ -535,6 +542,16 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn runtime_variable_fails_closed() {
+        assert_eq!(RuntimeKind::from_var(None), Ok(RuntimeKind::Simulated));
+        assert_eq!(RuntimeKind::from_var(Some("sim")), Ok(RuntimeKind::Simulated));
+        assert_eq!(RuntimeKind::from_var(Some("shm")), Ok(RuntimeKind::SharedMem));
+        assert_eq!(RuntimeKind::from_var(Some("shared-mem")), Ok(RuntimeKind::SharedMem));
+        let err = RuntimeKind::from_var(Some("shn")).unwrap_err();
+        assert!(err.contains("\"shn\""), "{err}");
+    }
 
     #[test]
     fn single_rank_computes() {

@@ -12,16 +12,20 @@
 //!   `UpdateError::DowndateIndefinite` and `StreamStatus::refresh_failed`
 //!   propagate through worker-pool stream jobs while batch traffic
 //!   saturates the pool, without wedging the per-stream turnstile.
+//! * **The service counts what it did:** a κ ≈ 1e9 panel submitted with an
+//!   escalating retry policy and a zero-deadline submission against a warm
+//!   queue show up in `stats()` as retries, one escalation and one shed job.
 //! * **Stable partial-failure indices:** `try_factor_many` maps each panel's
 //!   typed outcome to its submission index regardless of how ranges were
 //!   stolen across the pool.
 
 use cacqr::service::JobSpec;
-use cacqr::{Algorithm, PlanError, QrPlan, QrService, RetryPolicy, ServiceError};
+use cacqr::{Algorithm, PlanError, QrPlan, QrService, RetryPolicy, ServiceError, SubmitOptions};
 use dense::random::{gaussian_matrix, matrix_with_condition, well_conditioned};
 use dense::update::UpdateError;
 use dense::Matrix;
 use pargrid::GridShape;
+use std::time::Duration;
 
 /// Normalize row signs of an upper-triangular factor so factors from
 /// Gram-based (positive-diagonal) and Householder-based paths compare.
@@ -257,6 +261,56 @@ fn service_stream_jobs_surface_refresh_failed_under_contention() {
     for h in contention {
         h.wait().unwrap();
     }
+}
+
+#[test]
+fn service_stats_count_escalation_and_shedding() {
+    let service = QrService::builder().build();
+    let single_rank = |m, n| {
+        JobSpec::new(m, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(1).unwrap())
+    };
+    let report = service
+        .submit_with(
+            &single_rank(64, 16),
+            matrix_with_condition(64, 16, 1e9, 41),
+            SubmitOptions::new().retry(RetryPolicy::escalate()),
+        )
+        .unwrap()
+        .wait()
+        .expect("the ladder terminates at a stable rung");
+    let esc = report
+        .escalation
+        .as_ref()
+        .expect("a kappa 1e9 panel cannot pass plain CQR2: the ladder must engage");
+    assert!(esc.escalated(), "accepted rung should not be the primary algorithm");
+
+    // Warm the queue-wait histogram so admission control has an observed
+    // p99, then present a deadline no queue can meet.
+    let small = single_rank(16, 4);
+    let warm: Vec<_> = (0..8)
+        .map(|s| service.submit(&small, well_conditioned(16, 4, 100 + s)).unwrap())
+        .collect();
+    for h in warm {
+        h.wait().unwrap();
+    }
+    let shed = service
+        .submit_with(
+            &small,
+            well_conditioned(16, 4, 7),
+            SubmitOptions::new().deadline(Duration::ZERO),
+        )
+        .err();
+    assert!(
+        matches!(shed, Some(ServiceError::Overloaded { .. })),
+        "a zero deadline against a warm queue must be shed, got {shed:?}"
+    );
+
+    let stats = service.stats();
+    assert!(stats.retries >= 1, "escalation implies at least one retry");
+    assert_eq!(stats.escalations, 1);
+    assert_eq!(stats.shed, 1);
 }
 
 #[test]

@@ -267,8 +267,8 @@ fn service_preloads_profiles_into_an_observable_cache() {
 
 /// Calibrated tuning picks a configuration whose measured time is
 /// competitive: the winner must be within a factor of the other measured
-/// candidates (a loose structural check — the tight 15% acceptance runs in
-/// `tuner_sweep --exhaustive`, where repetitions damp scheduler noise).
+/// candidates (a loose structural check: single short runs are too noisy
+/// for a tight percentage).
 #[test]
 fn calibrated_winner_is_measured_and_competitive() {
     let report = Tuner::new(256, 64)
