@@ -188,19 +188,24 @@ fn base_case(
     }
     drop(windows);
     rank.recycle_comm(gathered);
-    // CholInv's factors are transient here (only the cyclic pieces survive),
-    // but they come from the library as plain allocations; they are dropped,
-    // not recycled, to keep the arena's inventory bounded.
-    let result = dense::cholesky::cholinv_with(full.as_ref(), backend.get()).map_err(|e| CholeskyError {
+    // CholInv's factors are transient here: only the cyclic pieces survive.
+    let (mut l, mut y) = (ws.take_matrix_stale(n, n), ws.take_matrix_stale(n, n));
+    let factored = dense::cholesky::cholinv(full.as_ref(), l.as_mut(), y.as_mut(), backend.get(), ws);
+    ws.recycle(full);
+    let (x, yh, _z) = cube.coords;
+    let pieces = factored.map(|()| {
+        (
+            pargrid::DistMatrix::local_from_global(&l, c, c, yh, x, ws),
+            pargrid::DistMatrix::local_from_global(&y, c, c, yh, x, ws),
+        )
+    });
+    ws.recycle(l);
+    ws.recycle(y);
+    let (l_local, y_local) = pieces.map_err(|e| CholeskyError {
         index: offset + e.index,
         pivot: e.pivot,
-    });
-    ws.recycle(full);
-    let (l, y) = result?;
+    })?;
     rank.charge_flops(dense::flops::cholinv(n));
-    let (x, yh, _z) = cube.coords;
-    let l_local = pargrid::DistMatrix::local_from_global(&l, c, c, yh, x, ws);
-    let y_local = pargrid::DistMatrix::local_from_global(&y, c, c, yh, x, ws);
     Ok((l_local, InvTree::Full { dim: n, y: y_local }))
 }
 
@@ -297,7 +302,7 @@ mod tests {
         check_factorization(n, &spd(n), &l, &y);
 
         // Cross-check against the sequential CholInv.
-        let (lref, yref) = dense::cholesky::cholinv(spd(n).as_ref()).unwrap();
+        let (lref, yref) = dense::cholinv(spd(n).as_ref()).unwrap();
         for (u, v) in l.data().iter().zip(lref.data()) {
             assert!((u - v).abs() < 1e-10);
         }

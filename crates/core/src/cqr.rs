@@ -12,28 +12,45 @@
 //! the unconditionally stable variant the paper cites as reference \[3\] and names as
 //! future work in §V: one CholeskyQR on `AᵀA + σI` followed by CQR2.
 
-use dense::cholesky::{cholinv_with, CholeskyError};
+use dense::cholesky::{cholinv, CholeskyError};
 use dense::gemm::Trans;
 use dense::trsm::trmm_upper_upper;
 use dense::workspace;
-use dense::{BackendKind, Matrix};
+use dense::{Backend, BackendKind, Matrix, Workspace};
+
+/// One CholeskyQR pass over the Gram matrix shifted by `sigma`:
+/// `AᵀA + σI = LLᵀ` by CholInv, then `(Q, R) = (A·L⁻ᵀ, Lᵀ)`. The Gram matrix
+/// and the two factors are scratch from the thread-local arena — repeated
+/// calls on a warm thread do not re-allocate them — while CholInv's own
+/// temporaries come from a throwaway one: the thread-local arena cannot stay
+/// borrowed across the backend's products.
+fn cqr_shifted(a: &Matrix, sigma: f64, be: &dyn Backend) -> Result<(Matrix, Matrix), CholeskyError> {
+    let n = a.cols();
+    let take = || workspace::with_thread_local(|ws| ws.take_matrix_stale(n, n));
+    let (mut w, mut l, mut y) = (take(), take(), take());
+    be.syrk_into(a.as_ref(), w.as_mut());
+    (0..n).for_each(|i| w.set(i, i, w.get(i, i) + sigma));
+    let factored = cholinv(w.as_ref(), l.as_mut(), y.as_mut(), be, &mut Workspace::new());
+    let qr = factored.map(|()| (be.matmul(a.as_ref(), Trans::No, y.as_ref(), Trans::Yes), l.transposed()));
+    for scratch in [w, l, y] {
+        workspace::recycle_local_vec(scratch.into_vec());
+    }
+    qr
+}
+
+/// `R = R₂·R₁` as a fresh upper-triangular matrix.
+pub(crate) fn triu_product(r2: &Matrix, r1: &Matrix) -> Matrix {
+    let mut r = Matrix::zeros(r1.rows(), r1.cols());
+    trmm_upper_upper(r2.as_ref(), r1.as_ref(), r.as_mut());
+    r
+}
 
 /// One CholeskyQR pass (Algorithm 4): `A = QR` with `Q` having *nearly*
 /// orthonormal columns (error `O(ε·κ²)`) and `R` upper triangular. Local
 /// arithmetic goes through the given kernel backend (pass
-/// [`BackendKind::default_kind`] for the process default). The Gram matrix
-/// is scratch from the thread-local workspace arena — repeated calls on a
-/// warm thread do not re-allocate it.
+/// [`BackendKind::default_kind`] for the process default).
 pub fn cqr(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), CholeskyError> {
-    let be = backend.get();
-    let n = a.cols();
-    let mut w = workspace::with_thread_local(|ws| ws.take_matrix_stale(n, n));
-    be.syrk_into(a.as_ref(), w.as_mut());
-    let result = cholinv_with(w.as_ref(), be); // W = LLᵀ; R = Lᵀ, R⁻¹ = Yᵀ
-    workspace::recycle_local_vec(w.into_vec());
-    let (l, y) = result?;
-    let q = be.matmul(a.as_ref(), Trans::No, y.as_ref(), Trans::Yes);
-    Ok((q, l.transposed()))
+    cqr_shifted(a, 0.0, backend.get())
 }
 
 /// CholeskyQR2 (Algorithm 5): two CQR passes; accuracy comparable to
@@ -41,7 +58,7 @@ pub fn cqr(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), Cholesk
 pub fn cqr2(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), CholeskyError> {
     let (q1, r1) = cqr(a, backend)?;
     let (q, r2) = cqr(&q1, backend)?;
-    Ok((q, trmm_upper_upper(r2.as_ref(), r1.as_ref())))
+    Ok((q, triu_product(&r2, &r1)))
 }
 
 /// The Gram shift of Fukaya et al. for an `m × n` matrix with squared
@@ -67,20 +84,10 @@ pub fn shifted_cqr3(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix)
     let mut sigma = fukaya_shift(m, n, frob * frob);
     let mut last_err = CholeskyError { index: 0, pivot: 0.0 };
     for _ in 0..4 {
-        let mut w = workspace::with_thread_local(|ws| ws.take_matrix_stale(n, n));
-        be.syrk_into(a.as_ref(), w.as_mut());
-        for i in 0..n {
-            let v = w.get(i, i);
-            w.set(i, i, v + sigma);
-        }
-        let factored = cholinv_with(w.as_ref(), be);
-        workspace::recycle_local_vec(w.into_vec());
-        match factored {
-            Ok((l, y)) => {
-                let q1 = be.matmul(a.as_ref(), Trans::No, y.as_ref(), Trans::Yes);
-                let r1 = l.transposed();
+        match cqr_shifted(a, sigma, be) {
+            Ok((q1, r1)) => {
                 let (q, r23) = cqr2(&q1, backend)?;
-                return Ok((q, trmm_upper_upper(r23.as_ref(), r1.as_ref())));
+                return Ok((q, triu_product(&r23, &r1)));
             }
             Err(e) => {
                 last_err = e;

@@ -12,9 +12,8 @@
 //! Costs per Table III/IV: `T_syrk(m/P, n) + T_allreduce(n², P) +
 //! T_cholinv(n) + T_MM(m/P, n, n)`, i.e. `O(log P·α + n²β + (mn²/P + n³)γ)`.
 
-use dense::cholesky::{cholinv_with, CholeskyError};
+use dense::cholesky::{cholinv, CholeskyError};
 use dense::gemm::Trans;
-use dense::trsm::trmm_upper_upper;
 use dense::{BackendKind, MatMut, MatRef, Matrix, Workspace};
 use simgrid::{Comm, Rank};
 
@@ -25,9 +24,9 @@ use simgrid::{Comm, Rank};
 /// local syrk, CholInv, and `Q = A·R⁻¹` products go through the given kernel
 /// backend (pass [`BackendKind::default_kind`] for the process default).
 ///
-/// The Gram matrix (which doubles as the allreduce buffer) is
-/// **workspace-backed** scratch; `R` is a plain allocation. `q_local` is
-/// written only after the Cholesky succeeded.
+/// The Gram matrix (which doubles as the allreduce buffer) and CholInv's two
+/// factors are **workspace-backed** scratch; `R` is a plain allocation.
+/// `q_local` is written only after the Cholesky succeeded.
 pub fn cqr1d(
     rank: &mut Rank,
     comm: &Comm,
@@ -50,17 +49,21 @@ pub fn cqr1d(
     comm.allreduce(rank, &mut z);
     let z = Matrix::from_vec(n, n, z);
 
-    // Line 3: redundant CholInv.
-    let result = cholinv_with(z.as_ref(), be);
+    // Line 3: redundant CholInv; its factors go back to the arena whether or
+    // not the Cholesky succeeded.
+    let (mut l, mut y) = (ws.take_matrix_stale(n, n), ws.take_matrix_stale(n, n));
+    let factored = cholinv(z.as_ref(), l.as_mut(), y.as_mut(), be, ws);
     ws.recycle(z);
-    let (l, y) = result?;
-    rank.charge_flops(dense::flops::cholinv(n));
-
-    // Line 4: local Q rows (β = 0 overwrites whatever the output held).
-    be.gemm(1.0, a_local, Trans::No, y.as_ref(), Trans::Yes, 0.0, q_local);
-    rank.charge_flops(dense::flops::gemm(lr, n, n));
-
-    Ok(l.transposed())
+    let r = factored.map(|()| {
+        rank.charge_flops(dense::flops::cholinv(n));
+        // Line 4: local Q rows (β = 0 overwrites whatever the output held).
+        be.gemm(1.0, a_local, Trans::No, y.as_ref(), Trans::Yes, 0.0, q_local);
+        rank.charge_flops(dense::flops::gemm(lr, n, n));
+        l.transposed()
+    });
+    ws.recycle(l);
+    ws.recycle(y);
+    r
 }
 
 /// 1D-CholeskyQR2 (Algorithm 7): two 1D-CQR passes plus the local triangular
@@ -83,7 +86,7 @@ pub fn cqr2_1d(
         .and_then(|r1| Ok((r1, cqr1d(rank, comm, q1.as_ref(), q_local, backend, ws)?)));
     ws.recycle(q1);
     let (r1, r2) = passes?;
-    let r = trmm_upper_upper(r2.as_ref(), r1.as_ref());
+    let r = crate::cqr::triu_product(&r2, &r1);
     rank.charge_flops(dense::flops::triu_mul(n));
     Ok(r)
 }

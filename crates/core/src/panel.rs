@@ -55,36 +55,21 @@ pub fn panel_cqr2(a: &Matrix, b: usize, reorth: bool, backend: BackendKind) -> R
 
         let rest = n - k - w;
         if rest > 0 {
-            // Projection: R_{k, k+w:} = Q_kᵀ · A_{:, k+w:}.
-            let trailing = take_copy(work.view(0, k + w, m, rest));
-            let mut proj = workspace::with_thread_local(|ws| ws.take_matrix_stale(w, rest));
-            be.matmul_into(qk.as_ref(), Trans::Yes, trailing.as_ref(), Trans::No, proj.as_mut());
-            give(trailing);
-            // Update: A_{:, k+w:} −= Q_k · proj.
-            be.gemm(
-                -1.0,
-                qk.as_ref(),
-                Trans::No,
-                proj.as_ref(),
-                Trans::No,
-                1.0,
-                work.view_mut(0, k + w, m, rest),
-            );
-            let mut total_proj = proj;
+            // One Gram–Schmidt pass against Q_k: the projection
+            // `Q_kᵀ · A_{:, k+w:}`, subtracted from the trailing panels.
+            let project_out = |work: &mut Matrix| {
+                let trailing = take_copy(work.view(0, k + w, m, rest));
+                let mut proj = workspace::with_thread_local(|ws| ws.take_matrix_stale(w, rest));
+                let qk = qk.as_ref();
+                be.gemm(1.0, qk, Trans::Yes, trailing.as_ref(), Trans::No, 0.0, proj.as_mut());
+                give(trailing);
+                let block = work.view_mut(0, k + w, m, rest);
+                be.gemm(-1.0, qk, Trans::No, proj.as_ref(), Trans::No, 1.0, block);
+                proj
+            };
+            let mut total_proj = project_out(&mut work);
             if reorth {
-                let trailing2 = take_copy(work.view(0, k + w, m, rest));
-                let mut proj2 = workspace::with_thread_local(|ws| ws.take_matrix_stale(w, rest));
-                be.matmul_into(qk.as_ref(), Trans::Yes, trailing2.as_ref(), Trans::No, proj2.as_mut());
-                give(trailing2);
-                be.gemm(
-                    -1.0,
-                    qk.as_ref(),
-                    Trans::No,
-                    proj2.as_ref(),
-                    Trans::No,
-                    1.0,
-                    work.view_mut(0, k + w, m, rest),
-                );
+                let proj2 = project_out(&mut work);
                 for (x, y) in total_proj.data_mut().iter_mut().zip(proj2.data()) {
                     *x += y;
                 }

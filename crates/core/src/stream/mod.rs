@@ -55,10 +55,10 @@
 //! process-wide heap allocations, same as appends.
 
 use crate::driver::{PlanError, QrPlan};
-use dense::cholesky::potrf_ws;
+use dense::cholesky::potrf;
 use dense::matrix::MatRef;
-use dense::trsm::trmm_upper_upper_into;
-use dense::update::{rank_k_append, rank_k_downdate_with, UpdateError};
+use dense::trsm::trmm_upper_upper;
+use dense::update::{rank_k_append, rank_k_downdate, UpdateError};
 use dense::{blas1, trsm, Matrix};
 
 /// Default drift threshold: refresh once the estimated orthogonality loss
@@ -546,7 +546,7 @@ impl StreamingQr {
         }
         let min_alpha_sq = {
             let mut ws = self.plan.workspace().checkout();
-            rank_k_downdate_with(self.r.as_mut(), b, self.plan.backend().get(), &mut ws)?
+            rank_k_downdate(self.r.as_mut(), b, self.plan.backend().get(), &mut ws)?
         };
         // Committed; keep `d` and the history cursors in step with `R`.
         if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
@@ -688,16 +688,16 @@ impl StreamingQr {
         let mut g = ws.take_matrix_stale(n, n);
         backend.syrk_into(self.history_view(), g.as_mut());
         let mut l1 = ws.take_copy(g.as_ref());
-        let factored = potrf_ws(l1.as_mut(), backend, &mut ws).and_then(|()| {
+        let factored = potrf(l1.as_mut(), backend, &mut ws).and_then(|()| {
             // G₂ = L₁⁻¹ · G · L₁⁻ᵀ, in place.
             backend.trsm_left_lower(l1.as_ref(), g.as_mut());
             backend.trsm_right_lower_trans(l1.as_ref(), g.as_mut());
-            potrf_ws(g.as_mut(), backend, &mut ws) // g now holds L₂
+            potrf(g.as_mut(), backend, &mut ws) // g now holds L₂
         });
         if factored.is_ok() {
             // R = R₂·R₁ = L₂ᵀ·L₁ᵀ.
             let (r2, r1) = (ws.take_transposed(g.as_ref()), ws.take_transposed(l1.as_ref()));
-            trmm_upper_upper_into(r2.as_ref(), r1.as_ref(), self.r.as_mut());
+            trmm_upper_upper(r2.as_ref(), r1.as_ref(), self.r.as_mut());
             ws.recycle(r1);
             ws.recycle(r2);
         }
@@ -727,23 +727,23 @@ impl StreamingQr {
             l1.as_mut().set(i, i, v);
         }
         let mut l2 = ws.take_matrix_stale(n, n);
-        let factored = potrf_ws(l1.as_mut(), backend, &mut ws).and_then(|()| {
+        let factored = potrf(l1.as_mut(), backend, &mut ws).and_then(|()| {
             backend.trsm_left_lower(l1.as_ref(), g.as_mut());
             backend.trsm_right_lower_trans(l1.as_ref(), g.as_mut());
             l2.as_mut().copy_from(g.as_ref());
-            potrf_ws(l2.as_mut(), backend, &mut ws).and_then(|()| {
+            potrf(l2.as_mut(), backend, &mut ws).and_then(|()| {
                 backend.trsm_left_lower(l2.as_ref(), g.as_mut());
                 backend.trsm_right_lower_trans(l2.as_ref(), g.as_mut());
-                potrf_ws(g.as_mut(), backend, &mut ws) // g now holds L₃
+                potrf(g.as_mut(), backend, &mut ws) // g now holds L₃
             })
         });
         if factored.is_ok() {
             // R = R₃·(R₂·R₁) with Rᵢ = Lᵢᵀ.
             let (r1, r2) = (ws.take_transposed(l1.as_ref()), ws.take_transposed(l2.as_ref()));
             let mut r21 = ws.take_matrix_stale(n, n);
-            trmm_upper_upper_into(r2.as_ref(), r1.as_ref(), r21.as_mut());
+            trmm_upper_upper(r2.as_ref(), r1.as_ref(), r21.as_mut());
             let r3 = ws.take_transposed(g.as_ref());
-            trmm_upper_upper_into(r3.as_ref(), r21.as_ref(), self.r.as_mut());
+            trmm_upper_upper(r3.as_ref(), r21.as_ref(), self.r.as_mut());
             for scratch in [r3, r21, r2, r1] {
                 ws.recycle(scratch);
             }
@@ -894,11 +894,11 @@ impl StreamingQr {
             let mut ws = self.plan.workspace().checkout();
             let mut g = ws.take_matrix_stale(n, n);
             backend.syrk_into(q.as_ref(), g.as_mut());
-            let factored = potrf_ws(g.as_mut(), backend, &mut ws);
+            let factored = potrf(g.as_mut(), backend, &mut ws);
             if factored.is_ok() {
                 let (r2, r1) = (ws.take_transposed(g.as_ref()), ws.take_copy(self.r.as_ref()));
                 backend.trsm_right_upper(r2.as_ref(), q.as_mut());
-                trmm_upper_upper_into(r2.as_ref(), r1.as_ref(), self.r.as_mut());
+                trmm_upper_upper(r2.as_ref(), r1.as_ref(), self.r.as_mut());
                 ws.recycle(r1);
                 ws.recycle(r2);
             }

@@ -245,6 +245,9 @@ impl TunerReport {
     }
 }
 
+/// Seed of the calibration input matrices.
+const CALIBRATION_SEED: u64 = 0x5eed;
+
 /// The autotuner. Configure with the builder-style methods, then call
 /// [`Tuner::report`]. See the [module docs](self).
 #[derive(Clone, Debug)]
@@ -260,7 +263,6 @@ pub struct Tuner {
     top_k: usize,
     calibration_rows: usize,
     calibration_reps: usize,
-    seed: u64,
 }
 
 impl Tuner {
@@ -280,7 +282,6 @@ impl Tuner {
             top_k: 3,
             calibration_rows: 512,
             calibration_reps: 2,
-            seed: 0x5eed,
         }
     }
 
@@ -349,12 +350,6 @@ impl Tuner {
     /// (default 2).
     pub fn calibration_reps(mut self, reps: usize) -> Tuner {
         self.calibration_reps = reps.max(1);
-        self
-    }
-
-    /// Seed for the calibration input matrices (default `0x5eed`).
-    pub fn seed(mut self, seed: u64) -> Tuner {
-        self.seed = seed;
         self
     }
 
@@ -533,7 +528,7 @@ impl Tuner {
         let Ok(plan) = spec.build_plan_on(Machine::zero(), cand.backend, self.runtime) else {
             return f64::INFINITY;
         };
-        let a = well_conditioned(rows, self.n, self.seed);
+        let a = well_conditioned(rows, self.n, CALIBRATION_SEED);
         let mut best = f64::INFINITY;
         for _ in 0..self.calibration_reps {
             let t = Instant::now();

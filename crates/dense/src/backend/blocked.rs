@@ -322,9 +322,7 @@ fn isa() -> Isa {
     use std::sync::OnceLock;
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| {
-        if std::env::var("CACQR_NO_SIMD").is_ok() {
-            Isa::Scalar
-        } else if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
             Isa::Avx512
         } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
             Isa::Avx2

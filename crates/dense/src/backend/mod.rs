@@ -83,13 +83,6 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         c
     }
 
-    /// `C ← op(A)·op(B)` into a caller-owned buffer (the allocation-free
-    /// sibling of [`Backend::matmul`]; bitwise identical to
-    /// `gemm(1, A, B, 0, C)`).
-    fn matmul_into(&self, a: MatRef<'_>, ta: Trans, b: MatRef<'_>, tb: Trans, c: MatMut<'_>) {
-        self.gemm(1.0, a, ta, b, tb, 0.0, c);
-    }
-
     /// Solves `X·Lᵀ = B` in place (`L` lower triangular).
     fn trsm_right_lower_trans(&self, l: MatRef<'_>, b: MatMut<'_>);
 

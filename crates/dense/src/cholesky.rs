@@ -1,22 +1,28 @@
 //! Cholesky factorization and triangular inversion.
 //!
-//! Three entry points:
+//! Three kernels, each one body over views and a caller [`Workspace`]:
 //!
-//! * [`potrf`] — blocked right-looking Cholesky, `A = LLᵀ` (lower factor).
+//! * [`potrf`] — blocked right-looking Cholesky, `A = LLᵀ` (lower factor),
+//!   in place.
 //! * [`trtri_lower`] — recursive lower-triangular inverse `Y = L⁻¹`.
 //! * [`cholinv`] — the paper's Algorithm 2: a *joint* recursion computing
 //!   `L` and `Y = L⁻¹` together. This is the sequential kernel executed
 //!   redundantly at the CFR3D base case (Algorithm 3, line 3), and the
 //!   per-processor factorization of 1D-CQR (Algorithm 6, line 3).
 //!
+//! The two recursions write each child straight into its quadrant of the
+//! caller's output (any view: contents on entry are ignored) and draw their
+//! temporaries from the workspace, so a warm call allocates nothing.
+//!
 //! All routines report failure (a non-positive pivot, i.e. a numerically
 //! non-SPD input) through [`CholeskyError`] instead of panicking — the
 //! CholeskyQR drivers use this to detect loss of positive-definiteness in
-//! `AᵀA` for ill-conditioned `A` and to trigger the shifted variant.
+//! `AᵀA` for ill-conditioned `A` and to trigger the shifted variant. On
+//! error the outputs hold unspecified values.
 
-use crate::backend::{Backend, BackendKind};
+use crate::backend::Backend;
 use crate::gemm::Trans;
-use crate::matrix::{MatMut, MatRef, Matrix};
+use crate::matrix::{MatMut, MatRef};
 use crate::workspace::Workspace;
 
 /// Cholesky failure: the pivot at `index` was non-positive.
@@ -39,6 +45,17 @@ impl std::fmt::Display for CholeskyError {
 }
 
 impl std::error::Error for CholeskyError {}
+
+/// Recursion cut-off of [`trtri_lower`] and [`cholinv`]: blocks this small
+/// run the unblocked loops.
+const RECURSION_NB: usize = 32;
+
+/// Zeroes the strict upper triangle so a factor is exactly lower triangular.
+fn zero_strict_upper(mut a: MatMut<'_>) {
+    for i in 0..a.rows() {
+        a.row_mut(i)[i + 1..].fill(0.0);
+    }
+}
 
 /// Unblocked lower Cholesky on a view, in place: on return the lower triangle
 /// of `a` holds `L`; the strict upper triangle is zeroed.
@@ -77,34 +94,19 @@ fn potrf_unblocked(mut a: MatMut<'_>, index_offset: usize) -> Result<(), Cholesk
             a.set(i, j, s / ljj);
         }
     }
-    // Zero the strict upper triangle so the result is exactly L.
-    for i in 0..n {
-        let row = a.row_mut(i);
-        for v in &mut row[i + 1..] {
-            *v = 0.0;
-        }
-    }
+    zero_strict_upper(a);
     Ok(())
 }
 
 /// Blocked right-looking Cholesky: factors `A = LLᵀ` in place, returning the
-/// lower factor in `a` (strict upper triangle zeroed). [`potrf_ws`] on the
-/// process default backend ([`BackendKind::default_kind`]) with a throwaway
-/// arena — not the thread-local one, which the blocked gemm borrows for its
-/// pack buffers.
-pub fn potrf(a: MatMut<'_>) -> Result<(), CholeskyError> {
-    potrf_ws(a, BackendKind::default_kind().get(), &mut Workspace::new())
-}
-
-/// Blocked right-looking Cholesky with an explicit kernel backend for the
-/// panel solve and trailing update, drawing the panel copy from a
-/// [`Workspace`] arena.
+/// lower factor in `a` (strict upper triangle zeroed). The panel solve and
+/// trailing update run on `backend`.
 ///
 /// The blocked trailing update needs a stable copy of the just-solved `L21`
 /// panel (the gemm reads and writes overlapping storage otherwise). The copy
 /// is taken from `ws` and recycled, so warm calls perform no heap
 /// allocations — the streaming path's zero-steady-state-allocation contract.
-pub fn potrf_ws(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) -> Result<(), CholeskyError> {
+pub fn potrf(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) -> Result<(), CholeskyError> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "Cholesky input must be square");
     const NB: usize = 64;
@@ -141,71 +143,67 @@ pub fn potrf_ws(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) ->
     }
     // The block loop only zeroes the strict upper triangle inside each
     // diagonal block; clear the rest so the result is exactly L.
-    for i in 0..n {
-        let row = a.row_mut(i);
-        for v in &mut row[i + 1..] {
-            *v = 0.0;
-        }
-    }
+    zero_strict_upper(a);
     Ok(())
 }
 
-/// Unblocked inverse of a lower-triangular matrix by forward substitution.
-fn trtri_unblocked(l: MatRef<'_>) -> Matrix {
+/// Unblocked inverse of a lower-triangular matrix by forward substitution;
+/// `y` ends exactly lower triangular.
+fn trtri_unblocked(l: MatRef<'_>, mut y: MatMut<'_>) {
     let n = l.rows();
-    let mut y = Matrix::zeros(n, n);
+    y.fill(0.0);
     for j in 0..n {
         y.set(j, j, 1.0 / l.at(j, j));
         for i in (j + 1)..n {
             let mut s = 0.0;
             for k in j..i {
-                s += l.at(i, k) * y.get(k, j);
+                s += l.at(i, k) * y.at(k, j);
             }
             y.set(i, j, -s / l.at(i, i));
         }
     }
-    y
 }
 
-/// Inverse of a lower-triangular matrix: `Y = L⁻¹`.
+/// `Y₂₁ = −Y₂₂·(L₂₁·Y₁₁)`, the off-diagonal block both recursions finish
+/// with; the `L₂₁·Y₁₁` temporary comes from `ws`.
+fn inverse_off_diagonal(
+    l21: MatRef<'_>,
+    y11: MatRef<'_>,
+    y22: MatRef<'_>,
+    y21: MatMut<'_>,
+    backend: &dyn Backend,
+    ws: &mut Workspace,
+) {
+    let mut t = ws.take_matrix_stale(l21.rows(), l21.cols());
+    backend.gemm(1.0, l21, Trans::No, y11, Trans::No, 0.0, t.as_mut());
+    backend.gemm(-1.0, y22, Trans::No, t.as_ref(), Trans::No, 0.0, y21);
+    ws.recycle(t);
+}
+
+/// Inverse of a lower-triangular matrix: writes `Y = L⁻¹` into `y` (exactly
+/// lower triangular).
 ///
 /// Recursive blocked algorithm mirroring the paper's `Inv` recursion
-/// (§II-D): `Y₁₁ = L₁₁⁻¹`, `Y₂₂ = L₂₂⁻¹`, `Y₂₁ = −Y₂₂·L₂₁·Y₁₁`.
-pub fn trtri_lower(l: MatRef<'_>) -> Matrix {
-    trtri_lower_with(l, BackendKind::default_kind().get())
-}
-
-/// [`trtri_lower`] with an explicit kernel backend for the off-diagonal
-/// multiplies.
-pub fn trtri_lower_with(l: MatRef<'_>, backend: &dyn Backend) -> Matrix {
+/// (§II-D): `Y₁₁ = L₁₁⁻¹`, `Y₂₂ = L₂₂⁻¹`, `Y₂₁ = −Y₂₂·L₂₁·Y₁₁`, each block
+/// written in place into its quadrant of `y`.
+pub fn trtri_lower(l: MatRef<'_>, y: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) {
     let n = l.rows();
     assert_eq!(l.cols(), n, "triangular inverse input must be square");
-    const NB: usize = 32;
-    if n <= NB {
-        return trtri_unblocked(l);
+    assert_eq!((y.rows(), y.cols()), (n, n), "triangular inverse output shape mismatch");
+    if n <= RECURSION_NB {
+        return trtri_unblocked(l, y);
     }
     let h = n / 2;
-    let y11 = trtri_lower_with(l.sub(0, 0, h, h), backend);
-    let y22 = trtri_lower_with(l.sub(h, h, n - h, n - h), backend);
-    // Y21 = -Y22 · L21 · Y11
-    let t = backend.matmul(l.sub(h, 0, n - h, h), Trans::No, y11.as_ref(), Trans::No);
-    let mut y = Matrix::zeros(n, n);
-    y.view_mut(0, 0, h, h).copy_from(y11.as_ref());
-    y.view_mut(h, h, n - h, n - h).copy_from(y22.as_ref());
-    backend.gemm(
-        -1.0,
-        y22.as_ref(),
-        Trans::No,
-        t.as_ref(),
-        Trans::No,
-        0.0,
-        y.view_mut(h, 0, n - h, h),
-    );
-    y
+    let (mut y11, mut y12, y21, mut y22) = y.split_quad(h, h);
+    trtri_lower(l.sub(0, 0, h, h), y11.rb_mut(), backend, ws);
+    trtri_lower(l.sub(h, h, n - h, n - h), y22.rb_mut(), backend, ws);
+    y12.fill(0.0);
+    inverse_off_diagonal(l.sub(h, 0, n - h, h), y11.rb(), y22.rb(), y21, backend, ws);
 }
 
-/// The paper's Algorithm 2 (`CholInv`): given SPD `A`, returns `(L, Y)` with
-/// `A = LLᵀ` and `Y = L⁻¹`, computed by a single joint recursion.
+/// The paper's Algorithm 2 (`CholInv`): given SPD `A`, writes `L` and
+/// `Y = L⁻¹` with `A = LLᵀ` (both exactly lower triangular), computed by a
+/// single joint recursion.
 ///
 /// ```text
 /// L11, Y11 ← CholInv(A11)
@@ -216,63 +214,72 @@ pub fn trtri_lower_with(l: MatRef<'_>, backend: &dyn Backend) -> Matrix {
 ///
 /// This sequential routine is what every processor runs redundantly at the
 /// CFR3D base case; the distributed CFR3D (crate `cacqr`) parallelizes the
-/// same recursion with MM3D in place of the local multiplies.
-pub fn cholinv(a: MatRef<'_>) -> Result<(Matrix, Matrix), CholeskyError> {
-    cholinv_with(a, BackendKind::default_kind().get())
-}
-
-/// [`cholinv`] with an explicit kernel backend for the panel and inverse
-/// multiplies. Every distributed caller threads its configured backend here
-/// so redundant base-case factorizations stay bitwise replicated.
-pub fn cholinv_with(a: MatRef<'_>, backend: &dyn Backend) -> Result<(Matrix, Matrix), CholeskyError> {
+/// same recursion with MM3D in place of the local multiplies. Every
+/// distributed caller threads its configured backend here so redundant
+/// base-case factorizations stay bitwise replicated.
+pub fn cholinv(
+    a: MatRef<'_>,
+    l: MatMut<'_>,
+    y: MatMut<'_>,
+    backend: &dyn Backend,
+    ws: &mut Workspace,
+) -> Result<(), CholeskyError> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "CholInv input must be square");
-    cholinv_inner(a, 0, backend)
+    assert_eq!((l.rows(), l.cols()), (n, n), "CholInv factor shape mismatch");
+    assert_eq!((y.rows(), y.cols()), (n, n), "CholInv inverse shape mismatch");
+    cholinv_at(a, l, y, 0, backend, ws)
 }
 
-fn cholinv_inner(a: MatRef<'_>, index_offset: usize, backend: &dyn Backend) -> Result<(Matrix, Matrix), CholeskyError> {
+/// [`cholinv`] of the diagonal block that starts at global pivot
+/// `index_offset`.
+fn cholinv_at(
+    a: MatRef<'_>,
+    mut l: MatMut<'_>,
+    y: MatMut<'_>,
+    index_offset: usize,
+    backend: &dyn Backend,
+    ws: &mut Workspace,
+) -> Result<(), CholeskyError> {
     let n = a.rows();
-    const NB: usize = 32;
-    if n <= NB {
-        let mut l = a.to_owned();
-        potrf_unblocked(l.as_mut(), index_offset)?;
-        let y = trtri_unblocked(l.as_ref());
-        return Ok((l, y));
+    if n <= RECURSION_NB {
+        l.copy_from(a);
+        potrf_unblocked(l.rb_mut(), index_offset)?;
+        trtri_unblocked(l.rb(), y);
+        return Ok(());
     }
     let h = n / 2;
-    let (l11, y11) = cholinv_inner(a.sub(0, 0, h, h), index_offset, backend)?;
+    let (mut l11, mut l12, mut l21, mut l22) = l.split_quad(h, h);
+    let (mut y11, mut y12, y21, mut y22) = y.split_quad(h, h);
+    cholinv_at(a.sub(0, 0, h, h), l11.rb_mut(), y11.rb_mut(), index_offset, backend, ws)?;
+    l12.fill(0.0);
+    y12.fill(0.0);
     // L21 = A21 · Y11ᵀ
-    let l21 = backend.matmul(a.sub(h, 0, n - h, h), Trans::No, y11.as_ref(), Trans::Yes);
-    // S = A22 − L21·L21ᵀ
-    let mut s = a.sub(h, h, n - h, n - h).to_owned();
-    backend.gemm(-1.0, l21.as_ref(), Trans::No, l21.as_ref(), Trans::Yes, 1.0, s.as_mut());
-    let (l22, y22) = cholinv_inner(s.as_ref(), index_offset + h, backend)?;
-    // Y21 = −Y22·(L21·Y11)
-    let t = backend.matmul(l21.as_ref(), Trans::No, y11.as_ref(), Trans::No);
-    let mut l = Matrix::zeros(n, n);
-    let mut y = Matrix::zeros(n, n);
-    l.view_mut(0, 0, h, h).copy_from(l11.as_ref());
-    l.view_mut(h, 0, n - h, h).copy_from(l21.as_ref());
-    l.view_mut(h, h, n - h, n - h).copy_from(l22.as_ref());
-    y.view_mut(0, 0, h, h).copy_from(y11.as_ref());
-    y.view_mut(h, h, n - h, n - h).copy_from(y22.as_ref());
     backend.gemm(
-        -1.0,
-        y22.as_ref(),
+        1.0,
+        a.sub(h, 0, n - h, h),
         Trans::No,
-        t.as_ref(),
-        Trans::No,
+        y11.rb(),
+        Trans::Yes,
         0.0,
-        y.view_mut(h, 0, n - h, h),
+        l21.rb_mut(),
     );
-    Ok((l, y))
+    // S = A22 − L21·L21ᵀ
+    let mut s = ws.take_copy(a.sub(h, h, n - h, n - h));
+    backend.gemm(-1.0, l21.rb(), Trans::No, l21.rb(), Trans::Yes, 1.0, s.as_mut());
+    let trailing = cholinv_at(s.as_ref(), l22.rb_mut(), y22.rb_mut(), index_offset + h, backend, ws);
+    ws.recycle(s);
+    trailing?;
+    inverse_off_diagonal(l21.rb(), y11.rb(), y22.rb(), y21, backend, ws);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::backend::BackendKind;
     use crate::gemm::{matmul, Trans};
     use crate::norms::{frobenius, max_abs};
+    use crate::{cholinv, potrf, trtri_lower, Matrix, Workspace};
 
     /// Builds a well-conditioned SPD matrix: AᵀA + n·I of a seeded pseudo-random A.
     fn spd(n: usize) -> Matrix {
@@ -311,20 +318,27 @@ mod tests {
     }
 
     #[test]
-    fn potrf_ws_matches_potrf_bitwise_and_stays_arena_balanced() {
-        let a = spd(193); // blocked path: several 64-blocks plus a ragged tail
-        let mut want = a.clone();
-        potrf(want.as_mut()).unwrap();
+    fn kernels_stay_arena_balanced_and_draw_nothing_new_when_warm() {
+        // 193: several potrf blocks plus a ragged tail, odd recursion splits.
+        let a = spd(193);
         let backend = BackendKind::default_kind().get();
         let mut ws = Workspace::new();
-        let mut got = a.clone();
-        potrf_ws(got.as_mut(), backend, &mut ws).unwrap();
-        assert_eq!(want.data(), got.data(), "the wrapper must be the core, bit for bit");
+        let (mut l, mut y, mut inv) = (
+            Matrix::zeros(193, 193),
+            Matrix::zeros(193, 193),
+            Matrix::zeros(193, 193),
+        );
+        let mut run = |ws: &mut Workspace| {
+            let mut p = a.clone();
+            super::potrf(p.as_mut(), backend, ws).unwrap();
+            super::trtri_lower(p.as_ref(), inv.as_mut(), backend, ws);
+            super::cholinv(a.as_ref(), l.as_mut(), y.as_mut(), backend, ws).unwrap();
+        };
+        run(&mut ws);
         assert_eq!(ws.takes(), ws.recycles(), "every take recycled");
         let cold = ws.heap_allocations();
-        let mut warm = a.clone();
-        potrf_ws(warm.as_mut(), backend, &mut ws).unwrap();
-        assert_eq!(ws.heap_allocations(), cold, "warm call draws entirely from the arena");
+        run(&mut ws);
+        assert_eq!(ws.heap_allocations(), cold, "warm calls draw entirely from the arena");
     }
 
     #[test]

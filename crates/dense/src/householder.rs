@@ -10,7 +10,7 @@
 //! with `v_j[j] = 1` implicit, stored below the diagonal; `R` is stored on and
 //! above the diagonal.
 
-use crate::backend::{Backend, BackendKind};
+use crate::backend::BackendKind;
 use crate::blas1::nrm2;
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef, Matrix};
@@ -159,17 +159,13 @@ pub fn larft(v: MatRef<'_>, tau: &[f64]) -> Matrix {
 }
 
 /// Applies the block reflector `Hᵀ = (I − V T Vᵀ)ᵀ` from the left:
-/// `C ← C − V·Tᵀ·(Vᵀ C)`.
+/// `C ← C − V·Tᵀ·(Vᵀ C)`, the three level-3 products on the process default
+/// backend.
 ///
 /// `v` is `m × k` unit-lower-trapezoidal (as stored by [`panel_qr`]),
 /// `t` is the `k × k` factor from [`larft`], `c` is `m × n`.
 pub fn apply_block_reflector(v: MatRef<'_>, t: MatRef<'_>, c: MatMut<'_>) {
-    apply_block_reflector_with(v, t, c, BackendKind::default_kind().get())
-}
-
-/// [`apply_block_reflector`] with an explicit kernel backend for the three
-/// level-3 products.
-pub fn apply_block_reflector_with(v: MatRef<'_>, t: MatRef<'_>, c: MatMut<'_>, backend: &dyn Backend) {
+    let backend = BackendKind::default_kind().get();
     let k = v.cols();
     if k == 0 || c.cols() == 0 {
         return;
@@ -203,11 +199,6 @@ pub fn panel_qr(mut panel: MatMut<'_>) -> (Vec<f64>, Matrix) {
 /// Blocked Householder QR of `a` in place. Returns the factors. Uses the
 /// process default backend for the trailing updates.
 pub fn householder_qr(a: &Matrix) -> QrFactors {
-    householder_qr_with(a, BackendKind::default_kind().get())
-}
-
-/// [`householder_qr`] with an explicit kernel backend.
-pub fn householder_qr_with(a: &Matrix, backend: &dyn Backend) -> QrFactors {
     let mut packed = a.clone();
     let (m, n) = (packed.rows(), packed.cols());
     let kmax = m.min(n);
@@ -226,7 +217,7 @@ pub fn householder_qr_with(a: &Matrix, backend: &dyn Backend) -> QrFactors {
             let all = packed.view_mut(j, 0, m - j, n);
             let (left, trailing) = all.split_cols(j + nb);
             let v = left.rb().sub(0, j, m - j, nb);
-            apply_block_reflector_with(v, t.as_ref(), trailing, backend);
+            apply_block_reflector(v, t.as_ref(), trailing);
         }
         tau.append(&mut panel_taus);
         j += nb;
@@ -256,13 +247,8 @@ pub fn form_q(f: &QrFactors) -> Matrix {
 /// Convenience: full reduced QR returning `(Q, R)` with `Q` `m × n`
 /// orthonormal and `R` `n × n` upper triangular (requires `m ≥ n`).
 pub fn qr(a: &Matrix) -> (Matrix, Matrix) {
-    qr_with(a, BackendKind::default_kind().get())
-}
-
-/// [`qr`] with an explicit kernel backend.
-pub fn qr_with(a: &Matrix, backend: &dyn Backend) -> (Matrix, Matrix) {
     assert!(a.rows() >= a.cols(), "reduced QR requires m >= n");
-    let f = householder_qr_with(a, backend);
+    let f = householder_qr(a);
     (form_q(&f), f.r())
 }
 

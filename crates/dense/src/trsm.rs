@@ -6,7 +6,7 @@
 //! `InverseDepth > 0` path). Both row-sweep kernels below are `O(m·n²)` for an
 //! `m × n` right-hand side.
 
-use crate::matrix::{MatMut, MatRef, Matrix};
+use crate::matrix::{MatMut, MatRef};
 
 /// Solves `X·Lᵀ = B` in place (`B` is overwritten with `X`).
 ///
@@ -149,7 +149,7 @@ pub fn trsm_left_lower_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
 /// which ends exactly upper triangular (its strict lower part is zeroed).
 /// Used for the CQR2 update `R = R₂·R₁` (paper Algorithm 5 line 3, charged
 /// `n³/3` flops) and by the streaming updates, which hand it arena storage.
-pub fn trmm_upper_upper_into(u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
+pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
     let n = u2.rows();
     assert_eq!(u2.cols(), n);
     assert_eq!((u1.rows(), u1.cols()), (n, n));
@@ -168,30 +168,6 @@ pub fn trmm_upper_upper_into(u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>
                 *d += v * s;
             }
         }
-    }
-}
-
-/// [`trmm_upper_upper_into`] into a fresh allocation.
-pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>) -> Matrix {
-    let mut out = Matrix::zeros(u2.rows(), u2.rows());
-    trmm_upper_upper_into(u2, u1, out.as_mut());
-    out
-}
-
-/// Zeroes the strictly-lower part of a matrix in place (extract `R` from a
-/// factorization that stored the full square).
-pub fn zero_strict_lower(mut a: MatMut<'_>) {
-    let n = a.rows().min(a.cols());
-    for i in 1..n {
-        let row = a.row_mut(i);
-        let stop = i.min(row.len());
-        for v in &mut row[..stop] {
-            *v = 0.0;
-        }
-    }
-    // Rows beyond the square part (m > n) are entirely below the diagonal.
-    for i in a.cols()..a.rows() {
-        a.row_mut(i).fill(0.0);
     }
 }
 
@@ -274,7 +250,9 @@ mod tests {
     fn upper_times_upper_is_upper() {
         let u1 = lower_test_matrix(6).transposed();
         let u2 = lower_test_matrix(6).transposed();
-        let p = trmm_upper_upper(u2.as_ref(), u1.as_ref());
+        // NaN on entry: the kernel overwrites every element, zeros included.
+        let mut p = Matrix::from_fn(6, 6, |_, _| f64::NAN);
+        trmm_upper_upper(u2.as_ref(), u1.as_ref(), p.as_mut());
         let reference = matmul(u2.as_ref(), Trans::No, u1.as_ref(), Trans::No);
         for i in 0..6 {
             for j in 0..6 {
@@ -282,18 +260,6 @@ mod tests {
                 if j < i {
                     assert_eq!(p.get(i, j), 0.0, "product must be exactly upper triangular");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn zero_strict_lower_rectangular() {
-        let mut a = Matrix::from_fn(5, 3, |_, _| 1.0);
-        zero_strict_lower(a.as_mut());
-        for i in 0..5 {
-            for j in 0..3 {
-                let expect = if i <= j { 1.0 } else { 0.0 };
-                assert_eq!(a.get(i, j), expect);
             }
         }
     }

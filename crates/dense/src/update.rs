@@ -8,7 +8,7 @@
 //!
 //! * [`rank_k_append`] — given `R` with `RᵀR = AᵀA` and a block `B` of `k`
 //!   new rows, replaces `R` by `R'` with `R'ᵀR' = RᵀR + BᵀB`: one blocked
-//!   SYRK over the stacked panel `[R; B]`, re-factored by [`potrf_ws`]. Cost
+//!   SYRK over the stacked panel `[R; B]`, re-factored by [`potrf`]. Cost
 //!   `O(kn² + n³)` — independent of the row count `m` already folded in.
 //! * [`rank_k_downdate`] — removes `k` previously appended rows, in panels
 //!   of at most `n` rows, by the block downdate:
@@ -34,11 +34,11 @@
 //! kernel), and **allocation-free when warm** (all scratch drawn from the
 //! caller's [`Workspace`] arena).
 
-use crate::backend::{Backend, BackendKind};
-use crate::cholesky::{potrf_ws, CholeskyError};
+use crate::backend::Backend;
+use crate::cholesky::{potrf, CholeskyError};
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
-use crate::trsm::trmm_upper_upper_into;
+use crate::trsm::trmm_upper_upper;
 use crate::workspace::Workspace;
 
 /// Typed failure of a rank-k factor update.
@@ -120,7 +120,7 @@ fn check_block(order: usize, b: MatRef<'_>) -> Result<(), UpdateError> {
 ///
 /// The updated Gram matrix is one backend SYRK over the stacked arena panel
 /// `[R; B]` (only `r`'s upper triangle is read), re-factored with
-/// [`potrf_ws`]. On success `r` holds `R'` (upper triangular, positive
+/// [`potrf`]. On success `r` holds `R'` (upper triangular, positive
 /// diagonal); on error `r` is left **unchanged**. All scratch comes from
 /// `ws` — warm calls perform zero heap allocations.
 pub fn rank_k_append(
@@ -148,19 +148,13 @@ pub fn rank_k_append(
     let mut g = ws.take_matrix_stale(n, n);
     backend.syrk_into(panel.as_ref(), g.as_mut());
     ws.recycle(panel);
-    let factored = potrf_ws(g.as_mut(), backend, ws);
+    let factored = potrf(g.as_mut(), backend, ws);
     if factored.is_ok() {
         // R' = Lᵀ, written back transactionally only on success.
         r.copy_transposed_from(g.as_ref());
     }
     ws.recycle(g);
     Ok(factored?)
-}
-
-/// [`rank_k_downdate_with`] on the process default backend
-/// ([`BackendKind::default_kind`]).
-pub fn rank_k_downdate(r: MatMut<'_>, b: MatRef<'_>, ws: &mut Workspace) -> Result<f64, UpdateError> {
-    rank_k_downdate_with(r, b, BackendKind::default_kind().get(), ws)
 }
 
 /// Removes `k = b.rows()` previously appended rows from the factorization:
@@ -175,7 +169,7 @@ pub fn rank_k_downdate(r: MatMut<'_>, b: MatRef<'_>, ws: &mut Workspace) -> Resu
 /// panels run on arena copies and commit only on success, so on error `r` is
 /// left **unchanged** even when an earlier panel was already applied. On
 /// success `r` is upper triangular with a positive diagonal.
-pub fn rank_k_downdate_with(
+pub fn rank_k_downdate(
     mut r: MatMut<'_>,
     b: MatRef<'_>,
     backend: &dyn Backend,
@@ -239,7 +233,7 @@ fn downdate_panel(
     backend.gemm(1.0, w.as_ref(), Trans::No, w.as_ref(), Trans::Yes, 0.0, t.as_mut());
     identity_minus(t.as_mut());
     let mut s = ws.take_matrix_stale(n, n);
-    let result = potrf_ws(t.as_mut(), backend, ws)
+    let result = potrf(t.as_mut(), backend, ws)
         .map_err(|e| (e.index, e.pivot))
         .and_then(|()| {
             let (row, alpha_sq) =
@@ -251,9 +245,9 @@ fn downdate_panel(
                     );
             backend.syrk_into(w.as_ref(), s.as_mut());
             identity_minus(s.as_mut());
-            potrf_ws(s.as_mut(), backend, ws).map_err(|e| (row, e.pivot))?;
+            potrf(s.as_mut(), backend, ws).map_err(|e| (row, e.pivot))?;
             let lt = ws.take_transposed(s.as_ref());
-            trmm_upper_upper_into(lt.as_ref(), r, out);
+            trmm_upper_upper(lt.as_ref(), r, out);
             ws.recycle(lt);
             Ok(alpha_sq)
         });
@@ -265,12 +259,12 @@ fn downdate_panel(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{rank_k_append, UpdateError, Workspace};
     use crate::backend::BackendKind;
-    use crate::cholesky::potrf;
     use crate::matrix::Matrix;
     use crate::random::{gaussian_matrix, well_conditioned};
     use crate::syrk::syrk;
+    use crate::{potrf, rank_k_downdate};
 
     /// Upper factor of AᵀA, the CholeskyQR way: R = chol(AᵀA)ᵀ.
     fn r_of(a: &Matrix) -> Matrix {

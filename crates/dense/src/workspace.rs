@@ -13,20 +13,17 @@
 //! without touching the heap — the *zero steady-state allocation* contract
 //! the `alloc_steady_state` integration test pins down.
 //!
-//! Three ways to hold one:
-//!
-//! * **Explicit** — the distributed drivers (`mm3d`, `cfr3d`, the CQR
-//!   passes) take `&mut Workspace` so the caller controls reuse across
-//!   passes and across calls.
-//! * **Pooled** — a [`WorkspacePool`] is a shared, thread-safe set of
-//!   arenas. `QrPlan` owns one: each simulated rank checks an arena out for
-//!   the duration of its SPMD body and parks it again, so `factor(&self)`
-//!   stays `&self` and repeated factors reuse warm buffers even though the
-//!   simulator spawns fresh rank threads per run.
-//! * **Thread-local** — [`with_thread_local`] serves call sites that cannot
-//!   thread a parameter (the blocked kernel's internal pack buffers, the
-//!   sequential `cqr` helpers). Per OS thread, so persistent worker threads
-//!   (e.g. `QrService` workers) reach steady state too.
+//! Who holds one (the rule is stated once, in the [crate docs](crate)):
+//! kernels above the `Backend` trait take views and a caller `Workspace`,
+//! and so do the distributed drivers (`mm3d`, `cfr3d`, the CQR passes), so
+//! the caller controls reuse across passes and across calls. `QrPlan` hands
+//! each rank its arena out of a [`WorkspacePool`] — a shared, thread-safe set
+//! of arenas — for the duration of its SPMD body, so `factor(&self)` stays
+//! `&self` and repeated factors reuse warm buffers even though the simulator
+//! spawns fresh rank threads per run. The thread-local arena
+//! ([`with_thread_local`], per OS thread) serves the blocked kernel's pack
+//! buffers, `cond_estimate`'s two vectors and the sequential `cqr`/`panel`
+//! helpers, nothing else.
 //!
 //! # Discipline
 //!
@@ -233,19 +230,8 @@ impl WorkspacePool {
     /// Falls back to an anonymous arena, then to a fresh one, when the slot
     /// is already out.
     pub fn checkout_at(&self, index: usize) -> PooledWorkspace<'_> {
-        crate::fault::maybe_delay(crate::fault::ARENA);
-        let from_slot = {
-            let mut indexed = self.indexed.lock().unwrap_or_else(|e| e.into_inner());
-            if indexed.len() <= index {
-                indexed.resize_with(index + 1, || None);
-            }
-            indexed[index].take()
-        };
-        let ws = from_slot
-            .or_else(|| self.anon.lock().unwrap_or_else(|e| e.into_inner()).pop())
-            .unwrap_or_else(|| self.make_arena());
         PooledWorkspace {
-            ws: Some(ws),
+            ws: Some(self.take_at(index)),
             pool: self,
             index: Some(index),
         }

@@ -3,18 +3,19 @@
 //! and edge shapes straddling every blocking boundary (microkernel MR/NR,
 //! contraction block KC, trsm block TRSM_NB), including empty dimensions —
 //! and so must the report diagnostics built on them (`norms::qr_diagnostics`)
-//! and the rank-k block downdate (`update::rank_k_downdate_with`), which is
+//! and the rank-k block downdate (`update::rank_k_downdate`), which is
 //! also held to a Householder factor of the rows that remain.
 
 use dense::backend::blocked::{KC, MR, NR, TRSM_NB};
 use dense::backend::BackendKind;
+use dense::cholesky::{cholinv, potrf, trtri_lower};
 use dense::gemm::Trans;
 use dense::norms::{
     combine_diagnostics, normalize_qr_signs, qr_diagnostics, slab_count, slab_diagnostics, slab_rows, PANEL_ROWS,
 };
 use dense::random::matrix_with_condition;
-use dense::update::{rank_k_append, rank_k_downdate_with, UpdateError};
-use dense::{potrf_ws, MatRef, Matrix, Workspace};
+use dense::update::{rank_k_append, rank_k_downdate, UpdateError};
+use dense::{MatRef, Matrix, Workspace};
 
 fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |i, j| {
@@ -25,6 +26,14 @@ fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
         // Map to roughly [-1, 1] with enough entropy to catch index bugs.
         (x >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
     })
+}
+
+/// `src` as a window at `(r0, c0)` of a larger matrix whose border holds
+/// poison the kernels must never read — or, for an output, never write.
+fn framed(src: &Matrix, r0: usize, c0: usize) -> Matrix {
+    let mut big = Matrix::from_fn(src.rows() + 2 * r0, src.cols() + 2 * c0, |_, _| f64::NAN);
+    big.view_mut(r0, c0, src.rows(), src.cols()).copy_from(src.as_ref());
+    big
 }
 
 fn assert_close(label: &str, got: &Matrix, want: &Matrix, tol: f64) {
@@ -262,14 +271,7 @@ fn qr_diagnostics_blocked_matches_naive_oracle_and_textbook() {
         let a = filled(m, n, 14);
         let factors = dense::householder_qr(&a);
         let (q, r) = (dense::form_q(&factors), factors.r());
-        // A strided view is a window of a larger matrix whose border holds
-        // poison the kernels must never read.
-        let framed = |src: &Matrix| {
-            let mut big = Matrix::from_fn(src.rows() + 2 * r0, src.cols() + 2 * c0, |_, _| f64::NAN);
-            big.view_mut(r0, c0, src.rows(), src.cols()).copy_from(src.as_ref());
-            big
-        };
-        let (fa, fq, fr) = (framed(&a), framed(&q), framed(&r));
+        let (fa, fq, fr) = (framed(&a, r0, c0), framed(&q, r0, c0), framed(&r, r0, c0));
         let (av, qv, rv) = (fa.view(r0, c0, m, n), fq.view(r0, c0, m, n), fr.view(r0, c0, n, n));
 
         // An accurate factorization, a slightly wrong one (one column of Q
@@ -306,6 +308,58 @@ fn qr_diagnostics_blocked_matches_naive_oracle_and_textbook() {
         let (ortho, resid) = qr_diagnostics(empty.as_ref(), empty.as_ref(), eye.as_ref(), kind, &mut ws);
         assert_eq!(ortho, 6f64.sqrt(), "{kind}");
         assert!(resid.is_nan(), "{kind}: {resid}");
+    }
+    assert_eq!(ws.recycles(), ws.takes(), "every scratch buffer goes back to the arena");
+}
+
+#[test]
+fn cholinv_and_trtri_write_interior_views_exactly_like_contiguous_outputs() {
+    // 33 and 70 split unevenly, 129 recurses twice; the frame is 5 rows and
+    // 3 columns of NaN around the input and around every output.
+    let (r0, c0) = (5, 3);
+    let mut ws = Workspace::new();
+    for kind in BackendKind::ALL {
+        let backend = kind.get();
+        for &n in &[33usize, 70, 129] {
+            let label = format!("{kind} n={n}");
+            let mut a = backend.syrk(filled(2 * n, n, 21).as_ref());
+            (0..n).for_each(|i| a.set(i, i, a.get(i, i) + n as f64));
+            let poison = Matrix::from_fn(n, n, |_, _| f64::NAN);
+            let (mut l, mut y, mut inv) = (poison.clone(), poison.clone(), poison.clone());
+            cholinv(a.as_ref(), l.as_mut(), y.as_mut(), backend, &mut ws).unwrap();
+            trtri_lower(l.as_ref(), inv.as_mut(), backend, &mut ws);
+
+            let fa = framed(&a, r0, c0);
+            let (mut fl, mut fy, mut finv) = (
+                framed(&poison, r0, c0),
+                framed(&poison, r0, c0),
+                framed(&poison, r0, c0),
+            );
+            cholinv(
+                fa.view(r0, c0, n, n),
+                fl.view_mut(r0, c0, n, n),
+                fy.view_mut(r0, c0, n, n),
+                backend,
+                &mut ws,
+            )
+            .unwrap();
+            trtri_lower(fl.view(r0, c0, n, n), finv.view_mut(r0, c0, n, n), backend, &mut ws);
+
+            for (what, got, want) in [("L", &fl, &l), ("Y", &fy, &y), ("trtri", &finv, &inv)] {
+                for i in 0..got.rows() {
+                    for j in 0..got.cols() {
+                        let v = got.get(i, j);
+                        if (r0..r0 + n).contains(&i) && (c0..c0 + n).contains(&j) {
+                            let w = want.get(i - r0, j - c0);
+                            assert_eq!(v.to_bits(), w.to_bits(), "{label}: {what}({i},{j}) {v} vs {w}");
+                            assert!(j - c0 <= i - r0 || v == 0.0, "{label}: {what} strict upper {v}");
+                        } else {
+                            assert!(v.is_nan(), "{label}: {what} frame ({i},{j}) overwritten with {v}");
+                        }
+                    }
+                }
+            }
+        }
     }
     assert_eq!(ws.recycles(), ws.takes(), "every scratch buffer goes back to the arena");
 }
@@ -438,7 +492,7 @@ fn qr_diagnostics_bits_child() {
     let backend = BackendKind::Blocked.get();
     rank_k_append(factor.as_mut(), block.as_ref(), backend, &mut ws).unwrap();
     let appended = factor.data().iter().fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits());
-    let alpha_sq = rank_k_downdate_with(factor.as_mut(), block.as_ref(), backend, &mut ws).unwrap();
+    let alpha_sq = rank_k_downdate(factor.as_mut(), block.as_ref(), backend, &mut ws).unwrap();
     let downdated = factor.data().iter().fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits());
     println!(
         "QR_DIAGNOSTICS_BITS threads={} {} {appended:016x} {downdated:016x} {:016x}",
@@ -507,7 +561,7 @@ fn block_downdate_matches_a_householder_factor_of_the_remaining_rows() {
                     let mut results = Vec::new();
                     for kind in BackendKind::ALL {
                         let mut r = r_full.clone();
-                        let alpha_sq = rank_k_downdate_with(r.as_mut(), block, kind.get(), &mut ws).unwrap();
+                        let alpha_sq = rank_k_downdate(r.as_mut(), block, kind.get(), &mut ws).unwrap();
                         assert!(alpha_sq > 0.0 && alpha_sq <= 1.0, "{label} {kind}: α² = {alpha_sq:e}");
                         let bound = 32.0 * f64::EPSILON * (n + k) as f64 / alpha_sq;
                         let err = relative_distance(&r, &r_rest);
@@ -561,10 +615,10 @@ fn block_downdate_breakdown_in_the_second_cholesky_is_typed_and_transactional() 
                 let mut t = Matrix::zeros(1, 1);
                 backend.gemm(1.0, w.as_ref(), Trans::No, w.as_ref(), Trans::Yes, 0.0, t.as_mut());
                 t.set(0, 0, 1.0 - t.get(0, 0));
-                let first_stage_passes = potrf_ws(t.as_mut(), backend, &mut ws).is_ok();
+                let first_stage_passes = potrf(t.as_mut(), backend, &mut ws).is_ok();
 
                 let mut r = Matrix::identity(n);
-                let outcome = rank_k_downdate_with(r.as_mut(), row.as_ref(), backend, &mut ws);
+                let outcome = rank_k_downdate(r.as_mut(), row.as_ref(), backend, &mut ws);
                 assert_eq!(ws.takes(), ws.recycles(), "n={n} ulps={ulps} {kind}: arena balanced");
                 let Err(err) = outcome else {
                     assert!(first_stage_passes);

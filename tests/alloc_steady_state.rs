@@ -81,7 +81,8 @@ fn serial() -> MutexGuard<'static, ()> {
 /// pool has converged.
 fn steady_state_counts(plan: &QrPlan, a: &dense::Matrix, calls: usize) -> Vec<usize> {
     // Warm until the arena inventory settles (bounded best-fit convergence;
-    // `warm_up` panics if it fails to converge).
+    // `warm_up` returns its round cap if it never does, and `check_plan`
+    // asserts the flatness itself).
     plan.warm_up(a).expect("well-conditioned input");
     (0..calls)
         .map(|_| {
@@ -229,13 +230,69 @@ fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
     check_plan("ca-cqr2", plan, &a);
 }
 
+/// The Cholesky-family kernels hold the contract themselves, not only the
+/// arenas around them: after one warming call on the same workspace `potrf`,
+/// `trtri_lower` and `cholinv` perform **zero** process-wide heap allocations
+/// — at n = 48 (one recursion level, unblocked `potrf`) and n = 256 (three
+/// levels, four `potrf` blocks). On `Naive` what is left is the oracle's own
+/// and is counted exactly: `dense::gemm::gemm` packs a transposed operand
+/// into a fresh matrix, once per `Trans::Yes` product — `potrf`'s trailing
+/// update per block, CholInv's `A21·Y11ᵀ` and `L21·L21ᵀ` per split.
+#[test]
+fn warm_cholesky_kernels_are_allocation_free() {
+    let _serial = serial();
+    use dense::cholesky::{cholinv, potrf, trtri_lower};
+    use dense::{BackendKind, Matrix, Workspace};
+
+    fn splits(n: usize) -> usize {
+        if n <= 32 {
+            0
+        } else {
+            1 + splits(n / 2) + splits(n - n / 2)
+        }
+    }
+    for kind in BackendKind::ALL {
+        let backend = kind.get();
+        for n in [48usize, 256] {
+            let a = backend.syrk(well_conditioned(2 * n, n, 43).as_ref());
+            let mut ws = Workspace::new();
+            let (mut p, mut inv) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            let (mut l, mut y) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+            let mut round = || {
+                p.copy_from(a.as_ref());
+                let start = allocations();
+                potrf(p.as_mut(), backend, &mut ws).unwrap();
+                let after_potrf = allocations();
+                trtri_lower(p.as_ref(), inv.as_mut(), backend, &mut ws);
+                let after_trtri = allocations();
+                cholinv(a.as_ref(), l.as_mut(), y.as_mut(), backend, &mut ws).unwrap();
+                [
+                    after_potrf - start,
+                    after_trtri - after_potrf,
+                    allocations() - after_trtri,
+                ]
+            };
+            round();
+            let warm = round();
+            let oracle_packs = match kind {
+                BackendKind::Blocked => [0, 0, 0],
+                BackendKind::Naive => [n.div_ceil(64) - 1, 0, 2 * splits(n)],
+            };
+            assert_eq!(
+                warm, oracle_packs,
+                "{kind} n={n}: warm [potrf, trtri_lower, cholinv] heap allocations"
+            );
+        }
+    }
+}
+
 /// The streaming engine's zero-steady-state-allocation guarantee: once the
 /// plan's arena pool is warm and the history capacity is reserved, a
 /// `StreamingQr::append_rows` call performs **zero** process-wide heap
 /// allocations — not "arena-flat", literally zero global allocator traffic.
 /// Measured at two factor orders so both the unblocked (`n ≤ 64`) and
-/// blocked Cholesky regimes (which draws its panel copy from the arena via
-/// `potrf_ws`) are covered.
+/// blocked Cholesky regimes (which draws its panel copy from the arena)
+/// are covered.
 #[test]
 fn warm_stream_appends_are_allocation_free() {
     let _serial = serial();
