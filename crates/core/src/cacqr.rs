@@ -81,7 +81,7 @@ pub fn ca_cqr_shifted(
 
     // Line 1: row broadcast of A pieces from the member with x == z.
     let mut w = ws.take_copy(a_local);
-    comms.row.bcast(rank, z, w.data_mut());
+    comms.subcube.row.bcast(rank, z, w.data_mut());
 
     // Line 2: local Gram contribution X = Wᵀ·A ((n/c) × (n/c)).
     let mut xm = ws.take_matrix_stale(lc, lc);
@@ -94,7 +94,7 @@ pub fn ca_cqr_shifted(
 
     // Line 3: reduce within the contiguous y-group onto the root ŷ == z.
     let mut xbuf = xm.into_vec();
-    comms.ygroup.reduce(rank, z, &mut xbuf);
+    comms.subcube.col.reduce(rank, z, &mut xbuf);
     if y % c != z {
         // Non-root partial state is undefined after the reduce; zero it so
         // the cross-group allreduce of off-diagonal classes is inert.
@@ -105,7 +105,7 @@ pub fn ca_cqr_shifted(
     comms.ystride.allreduce(rank, &mut xbuf);
 
     // Line 5: depth broadcast from the diagonal member z == y mod c.
-    comms.depth.bcast(rank, y % c, &mut xbuf);
+    comms.subcube.depth.bcast(rank, y % c, &mut xbuf);
     let mut z_local = Matrix::from_vec(lc, lc, xbuf);
 
     // Shift: Z ← Z + σI. Global diagonal entries (j, j) live on ranks with

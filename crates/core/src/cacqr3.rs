@@ -34,16 +34,16 @@ pub fn ca_cqr3(
 ) -> Result<CaCqr2Output, CholeskyError> {
     // ‖A‖_F²: local partial over this rank's piece, summed across the y and
     // x partitions (the depth dimension replicates, so sum over one slice:
-    // use the ystride × ygroup × row chain — equivalently, allreduce the
+    // use the ystride × y-group × row chain — equivalently, allreduce the
     // piece norms over the slice through the existing communicators).
     let rows = (0..a_local.rows()).flat_map(|i| a_local.row(i));
     let mut norm2 = vec![rows.map(|v| v * v).sum::<f64>()];
     rank.charge_flops(2.0 * (a_local.rows() * a_local.cols()) as f64);
-    // Sum over rows (y dimension): ygroup (contiguous) then ystride (across
-    // groups); then over columns (x dimension): row communicator.
-    comms.ygroup.allreduce(rank, &mut norm2);
+    // Sum over rows (y dimension): the contiguous y-group (subcube column)
+    // then ystride (across groups); then over columns (x dimension): row.
+    comms.subcube.col.allreduce(rank, &mut norm2);
     comms.ystride.allreduce(rank, &mut norm2);
-    comms.row.allreduce(rank, &mut norm2);
+    comms.subcube.row.allreduce(rank, &mut norm2);
     let mut sigma = crate::cqr::fukaya_shift(m, n, norm2[0]);
 
     // Pass 1: shifted CA-CQR, retrying with a grown shift on pathological

@@ -1,82 +1,37 @@
-//! The sharded plan cache: a keyed map `JobSpec → Arc<QrPlan>` split into
-//! independently locked shards, so repeat shapes never rebuild or
-//! revalidate and concurrent lookups of different keys never serialize on
-//! one `RwLock`.
+//! The plan cache: one keyed map `JobSpec → Arc<QrPlan>` behind one
+//! `RwLock`, so repeat shapes never rebuild or revalidate and concurrent
+//! hits share the read lock.
 
 use super::spec::JobSpec;
 use super::{QrService, ServiceError};
 use crate::driver::{PlanError, QrPlan};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
-
-/// Shard count of the plan cache. A small power of two: plenty of
-/// independence for realistic spec diversity, negligible footprint.
-const PLAN_SHARDS: usize = 16;
 
 /// The cached plans, plus the memoized cost-model tuning results behind
 /// [`QrService::plan_auto`]: shape → winning spec, so repeat shapes skip
 /// re-enumeration (the installed-profile check stays per-call — it is
 /// cheap and the profile can change).
+#[derive(Default)]
 pub(super) struct PlanCache {
-    shards: Vec<RwLock<HashMap<JobSpec, Arc<QrPlan>>>>,
+    plans: RwLock<HashMap<JobSpec, Arc<QrPlan>>>,
     auto_specs: RwLock<HashMap<(usize, usize), JobSpec>>,
 }
 
-/// FNV-1a over the spec's derived `Hash`. `HashMap`'s own `RandomState` is
-/// seeded per process, which would make shard assignment unstable across
-/// runs; FNV is fixed, so a spec lands on the same shard every time —
-/// which keeps shard-level behavior (contention, eviction) reproducible.
-fn shard_index(key: &JobSpec) -> usize {
-    struct Fnv(u64);
-    impl Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    key.hash(&mut h);
-    (h.finish() as usize) % PLAN_SHARDS
-}
-
-impl PlanCache {
-    pub(super) fn new() -> PlanCache {
-        PlanCache {
-            shards: (0..PLAN_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            auto_specs: RwLock::new(HashMap::new()),
-        }
-    }
-
-    fn shard(&self, key: &JobSpec) -> &RwLock<HashMap<JobSpec, Arc<QrPlan>>> {
-        &self.shards[shard_index(key)]
-    }
-}
-
 impl QrService {
-    /// Number of distinct plans currently cached, across all shards.
+    /// Number of distinct plans currently cached.
     pub fn plan_cache_len(&self) -> usize {
-        let shards = &self.shared.cache.shards;
-        shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.shared.cache.plans.read().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Evicts the cached plan for `spec`, returning whether one was
-    /// cached. Touches only the spec's shard. Jobs already holding the
-    /// `Arc<QrPlan>` keep running — the plan is dropped when the last
-    /// holder finishes — so eviction bounds the cache without invalidating
-    /// in-flight work.
+    /// cached. Jobs already holding the `Arc<QrPlan>` keep running — the
+    /// plan is dropped when the last holder finishes — so eviction bounds
+    /// the cache without invalidating in-flight work.
     pub fn evict(&self, spec: &JobSpec) -> bool {
         let key = spec.cache_key(self.shared.default_backend);
-        let mut shard = self.shared.cache.shard(&key).write().unwrap_or_else(|e| e.into_inner());
-        shard.remove(&key).is_some()
+        let mut plans = self.shared.cache.plans.write().unwrap_or_else(|e| e.into_inner());
+        plans.remove(&key).is_some()
     }
 
     /// Resolves the plan for `(m, n)` by autotuning: the
@@ -133,17 +88,17 @@ impl QrService {
     }
 
     /// [`QrService::plan`] plus whether this call inserted a new cache
-    /// entry (exact even under concurrent cache churn). Only the key's own
-    /// shard is locked: a plan build for one spec never blocks lookups of
-    /// specs hashing elsewhere.
+    /// entry (exact even under concurrent cache churn): a hit takes the
+    /// read lock only; a miss re-checks under the write lock, so racing
+    /// builders of one spec agree on a single plan.
     fn plan_tracking_insert(&self, spec: &JobSpec) -> Result<(Arc<QrPlan>, bool), ServiceError> {
         let shared = &self.shared;
         let key = spec.cache_key(shared.default_backend);
-        let shard = shared.cache.shard(&key);
-        if let Some(plan) = shard.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
+        let plans = &shared.cache.plans;
+        if let Some(plan) = plans.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
             return Ok((Arc::clone(plan), false));
         }
-        let mut cache = shard.write().unwrap_or_else(|e| e.into_inner());
+        let mut cache = plans.write().unwrap_or_else(|e| e.into_inner());
         if let Some(plan) = cache.get(&key) {
             return Ok((Arc::clone(plan), false)); // lost the build race: reuse the winner
         }
@@ -180,10 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_counts_and_evicts_across_shards() {
+    fn cache_counts_and_evicts_every_distinct_spec() {
         let service = QrService::builder().workers(1).build();
-        // Distinct shapes hash to assorted shards; len() must see all of
-        // them and evict() must find each in its own shard.
+        // len() must see every distinct shape and evict() must find each.
         let specs: Vec<_> = (0..24)
             .map(|i| JobSpec::new(64 * (i + 1), 16).grid(GridShape::new(2, 2).unwrap()))
             .collect();

@@ -15,11 +15,11 @@ pub enum ServiceError {
     /// [`PlanError`] (invalid configuration, shape mismatch, loss of
     /// positive definiteness, …).
     Plan(PlanError),
-    /// A non-blocking submission found the bounded injector at capacity.
+    /// A non-blocking submission found the bounded queue at capacity.
     /// Retry later, or use the blocking [`submit`](super::QrService::submit)
     /// for backpressure instead.
     QueueFull {
-        /// The injector's fixed capacity.
+        /// The queue's fixed capacity.
         capacity: usize,
     },
     /// The service no longer accepts jobs: it was closed
@@ -27,7 +27,7 @@ pub enum ServiceError {
     /// last worker has exited, so nothing would ever drain the queue. A
     /// submission that would previously have blocked forever against a
     /// dead pool fails with this instead — including submitters already
-    /// parked on a full injector when the pool dies.
+    /// parked on a full queue when the pool dies.
     ShuttingDown,
     /// The worker executing the job panicked. Carries the panic payload's
     /// message when it was a string. The pool survives: the worker catches

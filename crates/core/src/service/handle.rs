@@ -147,7 +147,7 @@ impl Ticket {
     /// Admission control, the single entry for every submission: a
     /// deadline the pool's observed p99 queue wait already exceeds is shed
     /// with [`ServiceError::Overloaded`] — it would almost certainly expire
-    /// at dequeue anyway, and shedding keeps the injector slot for work
+    /// at dequeue anyway, and shedding keeps the queue slot for work
     /// that can still meet its deadline. Everything else is stamped and
     /// admitted.
     pub(super) fn admit(stats: &Recorder, deadline: Option<Duration>) -> Result<Ticket, ServiceError> {

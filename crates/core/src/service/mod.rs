@@ -19,9 +19,9 @@
 //! [`StreamHandle`].
 //!
 //! All three share one job core, one module per piece: `spec` (the cache
-//! key, the operand, the per-submission options), `cache` (the sharded
-//! plan cache), `queue` and `worker` (the bounded injector, the stealable
-//! per-worker deques, and the pool that registers with
+//! key, the operand, the per-submission options), `cache` (the plan
+//! cache), `queue` and `worker` (the one bounded FIFO every unit travels
+//! through, and the pool that drains it and registers with
 //! [`dense::PoolReservation`] so pool width × kernel width never
 //! oversubscribes `CACQR_THREADS`), `stream` (the per-key turnstile),
 //! `handle` and `stats`. Both handle types are aliases of one generic
@@ -34,11 +34,11 @@
 //!
 //! Determinism is preserved end to end: a given `(plan, matrix)` pair
 //! produces bitwise-identical factors whether it runs on the caller's
-//! thread, one worker, or is stolen across a saturated pool, and batch
-//! reports come back in submission order. The same holds per stream: the
-//! turnstile makes the applied order *be* the submission order, so a given
-//! `(initial, update sequence)` pair produces bitwise-identical factors
-//! regardless of pool width or contention.
+//! thread, one worker, or whichever worker of a saturated pool claims it,
+//! and batch reports come back in submission order. The same holds per
+//! stream: the turnstile makes the applied order *be* the submission order,
+//! so a given `(initial, update sequence)` pair produces bitwise-identical
+//! factors regardless of pool width or contention.
 //!
 //! # Example
 //!
@@ -80,7 +80,7 @@ use crate::driver::{PlanError, QrPlan, QrReport};
 use cache::PlanCache;
 use dense::{BackendKind, Matrix, PoolReservation};
 use handle::Ticket;
-use queue::{PushError, StealQueue};
+use queue::{Fifo, PushError};
 use simgrid::{Machine, RuntimeKind};
 use stats::Recorder;
 use std::collections::HashMap;
@@ -92,7 +92,7 @@ use worker::{FactorJob, ManyBatch, Work};
 
 /// State shared between the service front end and its workers.
 struct Shared {
-    queue: StealQueue<Work>,
+    queue: Fifo<Work>,
     cache: PlanCache,
     /// Registry of open streams, keyed by caller-chosen name.
     streams: RwLock<HashMap<String, Arc<StreamEntry>>>,
@@ -121,10 +121,10 @@ impl QrServiceBuilder {
         self
     }
 
-    /// Sets the bounded submission injector's capacity (default:
-    /// `2 × workers`). [`QrService::submit`] blocks while the injector
-    /// holds this many unstarted jobs. Internal `factor_many` splits don't
-    /// count — admission control is per submission, not per panel.
+    /// Sets the bounded submission queue's capacity (default:
+    /// `2 × workers`). [`QrService::submit`] blocks while the queue holds
+    /// this many unstarted jobs. A `factor_many` batch counts once, however
+    /// many panels — admission control is per submission, not per panel.
     pub fn queue_capacity(mut self, capacity: usize) -> QrServiceBuilder {
         self.queue_capacity = Some(capacity.max(1));
         self
@@ -158,8 +158,8 @@ impl QrServiceBuilder {
         let workers = dense::thread_budget(self.workers.unwrap_or(usize::MAX));
         let capacity = self.queue_capacity.unwrap_or(2 * workers);
         let shared = Arc::new(Shared {
-            queue: StealQueue::new(capacity, workers),
-            cache: PlanCache::new(),
+            queue: Fifo::new(capacity, workers),
+            cache: PlanCache::default(),
             streams: RwLock::new(HashMap::new()),
             stats: Recorder::new(),
             machine: self.machine,
@@ -172,7 +172,7 @@ impl QrServiceBuilder {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("qrservice-worker-{i}"))
-                    .spawn(move || worker::worker_loop(&shared, i))
+                    .spawn(move || worker::worker_loop(&shared))
                     .expect("failed to spawn QrService worker thread")
             })
             .collect();
@@ -226,7 +226,7 @@ impl QrService {
         self.handles.len()
     }
 
-    /// Capacity of the bounded submission injector.
+    /// Capacity of the bounded submission queue.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue.capacity()
     }
@@ -250,7 +250,7 @@ impl QrService {
     }
 
     /// Validates the operand against the spec's plan and enqueues the job,
-    /// blocking while the submission injector is full (backpressure).
+    /// blocking while the submission queue is full (backpressure).
     ///
     /// Takes anything convertible to a [`JobInput`]: an owned [`Matrix`]
     /// (moved) or an `Arc<Matrix>` (shared — no data copy; see
@@ -273,14 +273,14 @@ impl QrService {
     /// observed p99 queue wait already exceeds the budget, the job is shed
     /// with [`ServiceError::Overloaded`] instead of queued — it would
     /// almost certainly expire at dequeue anyway, and shedding keeps the
-    /// injector slot for work that can still meet its deadline.
+    /// queue slot for work that can still meet its deadline.
     pub fn submit_with(
         &self,
         spec: &JobSpec,
         a: impl Into<JobInput>,
         opts: SubmitOptions,
     ) -> Result<JobHandle, ServiceError> {
-        self.submit_through(spec, a.into(), opts, StealQueue::push)
+        self.submit_through(spec, a.into(), opts, Fifo::push)
     }
 
     /// Zero-copy submission: the job borrows the caller's `Arc<Matrix>`
@@ -291,21 +291,21 @@ impl QrService {
         self.submit(spec, a)
     }
 
-    /// Like [`QrService::submit`] but never blocks: a full injector returns
+    /// Like [`QrService::submit`] but never blocks: a full queue returns
     /// [`ServiceError::QueueFull`] and hands no job to the pool.
     pub fn try_submit(&self, spec: &JobSpec, a: impl Into<JobInput>) -> Result<JobHandle, ServiceError> {
-        self.submit_through(spec, a.into(), SubmitOptions::new(), StealQueue::try_push)
+        self.submit_through(spec, a.into(), SubmitOptions::new(), Fifo::try_push)
     }
 
     /// The one factorization submission path: admit, resolve the plan from
     /// the cache, reject shape mismatches up front, then hand the job to
-    /// the injector through `push` (blocking or refusing when full).
+    /// the queue through `push` (blocking or refusing when full).
     fn submit_through(
         &self,
         spec: &JobSpec,
         input: JobInput,
         opts: SubmitOptions,
-        push: impl FnOnce(&StealQueue<Work>, Work) -> Result<(), PushError<Work>>,
+        push: impl FnOnce(&Fifo<Work>, Work) -> Result<(), PushError<Work>>,
     ) -> Result<JobHandle, ServiceError> {
         let ticket = Ticket::admit(&self.shared.stats, opts.deadline)?;
         let plan = self.plan(spec)?;
@@ -322,7 +322,7 @@ impl QrService {
         Ok(handle)
     }
 
-    /// Enqueues admitted work on the injector, blocking while it is full.
+    /// Enqueues admitted work, blocking while the queue is full.
     fn enqueue(&self, work: Work) -> Result<(), ServiceError> {
         self.shared.queue.push(work).map_err(|e| self.refusal(e))
     }
@@ -356,8 +356,9 @@ impl QrService {
     }
 
     /// The batch entry point: factors every panel of `batch` as **one**
-    /// dispatched job — a single injector slot, a single completion wait,
-    /// and panel ranges that shatter across the pool via work stealing.
+    /// dispatched job — a single queue slot, a single completion wait,
+    /// and panels the pool's workers claim one at a time from a cursor the
+    /// batch carries, so it balances itself however uneven the panels are.
     /// This amortizes the per-job dispatch (queue round-trip, slot
     /// allocation, wakeups) that dominates when panels take microseconds;
     /// callers that want per-panel handles, deadlines or shared operands
@@ -367,9 +368,9 @@ impl QrService {
     /// `i` of the result is panel `i`'s outcome — its report, bitwise
     /// identical to a sequential `plan.factor` loop, or its typed error —
     /// so one failed panel does not discard its siblings' reports, and
-    /// outcomes stay at their input position under work stealing: which
+    /// outcomes stay at their input position at every pool width: which
     /// worker factors panel `i`, and in what order panels retire, never
-    /// changes where its result lands, because each chunk writes results by
+    /// changes where its result lands, because every result is written by
     /// absolute panel index, not arrival order. The outer `Result` fails
     /// only when the batch could not be admitted at all (invalid spec,
     /// shape mismatch, shutdown). An empty batch returns an empty list
@@ -391,18 +392,12 @@ impl QrService {
             ticket,
             plan,
             inputs: batch,
-            // A few leaves per worker: enough slack for stealing to balance
-            // stragglers, little enough that deque traffic stays negligible.
-            leaf: (panels / (4 * self.workers().max(1))).max(1),
+            next: AtomicUsize::new(0),
             results: Mutex::new((0..panels).map(|_| None).collect()),
             remaining: AtomicUsize::new(panels),
             slot,
         });
-        self.enqueue(Work::Many {
-            batch,
-            lo: 0,
-            hi: panels,
-        })?;
+        self.enqueue(Work::Many(batch))?;
         handle.wait()
     }
 

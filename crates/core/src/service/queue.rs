@@ -1,63 +1,42 @@
-//! The work-stealing scheduler under the `QrService` worker pool.
+//! The one bounded FIFO under the `QrService` worker pool.
 //!
-//! PR 3's single bounded FIFO serialized every push *and* every pop on one
-//! mutex — fine for dozens of clients, a contention wall for the
-//! small-panel serving workload where a job is microseconds of work. The
-//! replacement is the classic two-tier work-stealing layout, built on `std`
-//! primitives (the workspace builds offline — no `crossbeam`):
+//! Every queued unit — a factorization, a stream operation, a
+//! `factor_many` batch — travels through the same `Mutex<VecDeque>` (`std`
+//! primitives only: the workspace builds offline, no `crossbeam`).
+//! Backpressure lives here: [`Fifo::push`] blocks at capacity and
+//! [`Fifo::try_push`] refuses. Items pop in push order, which is what
+//! stream operations rely on: per stream, sequence order equals queue order
+//! equals pop order, so the turnstile in `service::stream` never waits on
+//! an operation still *behind* it in the queue. A `factor_many` batch
+//! spreads itself over the pool through [`Fifo::reoffer`].
 //!
-//! * **Injector** — one bounded FIFO for *external* submissions. This is
-//!   where backpressure lives ([`StealQueue::push`] blocks at capacity,
-//!   [`StealQueue::try_push`] refuses) and what keeps cross-worker FIFO
-//!   order for stream operations: per stream, sequence order equals
-//!   injector order equals pop order, so the turnstile in `service::mod`
-//!   never waits on an operation still *behind* it in the queue.
-//! * **Per-worker deques** — each worker owns a deque it pushes to and
-//!   pops from at the back (LIFO: a `factor_many` job splitting itself
-//!   keeps its freshest — cache-hottest — chunk), while idle workers
-//!   *steal* from the front (FIFO: thieves take the oldest, largest
-//!   remaining split first). Local pushes are internal expansions of an
-//!   already-admitted job, so they bypass the injector's capacity bound by
-//!   design — admission control happened at submission.
-//!
-//! A worker's pop order is: own deque (LIFO) → injector (FIFO) → steal
-//! from a victim chosen by a per-worker xorshift rotation (randomized so
-//! concurrent thieves fan out instead of convoying on worker 0). Only then
-//! does it sleep. Stealing never perturbs results: every queued unit is
-//! either independent (batch jobs, `factor_many` chunks writing disjoint
-//! result slots) or externally ordered (stream ops by their turnstile), so
-//! the schedule is invisible to the arithmetic.
+//! The schedule is invisible to the arithmetic: every queued unit is either
+//! independent (factorizations, batch panels writing disjoint result slots)
+//! or externally ordered (stream ops by their turnstile).
 //!
 //! The queue also tracks its *consumers*: each worker deregisters on exit
 //! (normal shutdown or a panic escaping the job guard), and once none
 //! remain every pending and future push fails with
-//! [`PushError::Closed`] instead of blocking forever on a full injector —
+//! [`PushError::Closed`] instead of blocking forever on a full queue —
 //! the typed `ServiceError::ShuttingDown` path for a service handle that
 //! outlives its pool.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-struct Gate<T> {
-    injector: VecDeque<T>,
+struct State<T> {
+    items: VecDeque<T>,
     closed: bool,
 }
 
-/// Two-tier MPMC work-stealing queue: a bounded FIFO injector for external
-/// submissions plus one unbounded deque per worker for self-generated work.
-pub(crate) struct StealQueue<T> {
-    gate: Mutex<Gate<T>>,
+/// Bounded MPMC FIFO: producers block (or are refused) at capacity,
+/// consumers sleep while it is empty.
+pub(crate) struct Fifo<T> {
+    state: Mutex<State<T>>,
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
-    /// One deque per worker; the owner pushes/pops at the back, thieves
-    /// take from the front.
-    locals: Vec<Mutex<VecDeque<T>>>,
-    /// Items across the injector and every local deque. Maintained *before*
-    /// the wakeup notification on push and *after* removal on pop, so a
-    /// sleeping worker that rechecks under the gate lock never misses work.
-    pending: AtomicUsize,
     /// Live consumers (workers). Starts at the pool width; each worker
     /// deregisters on exit. At zero, pushes fail instead of blocking.
     consumers: AtomicUsize,
@@ -68,7 +47,7 @@ pub(crate) enum PushError<T> {
     /// The queue was closed — or its last consumer exited, so the item
     /// could never be drained. The item is handed back.
     Closed(T),
-    /// Non-blocking push only: the injector is at capacity.
+    /// Non-blocking push only: the queue is at capacity.
     Full(T),
 }
 
@@ -76,7 +55,7 @@ pub(crate) enum PushError<T> {
 /// the worker out and, when it was the last, wakes every blocked producer
 /// so they fail fast instead of waiting on a drained-by-nobody queue.
 pub(crate) struct ConsumerGuard<'a, T> {
-    queue: &'a StealQueue<T>,
+    queue: &'a Fifo<T>,
 }
 
 impl<T> Drop for ConsumerGuard<'_, T> {
@@ -85,33 +64,34 @@ impl<T> Drop for ConsumerGuard<'_, T> {
             // Last consumer out: nobody will ever pop again. Wake blocked
             // producers (they observe `live_consumers() == 0` and fail)
             // and any sibling consumers mid-teardown.
-            let _g = self.queue.gate.lock().unwrap_or_else(|e| e.into_inner());
+            let _g = self.queue.lock();
             self.queue.not_full.notify_all();
             self.queue.not_empty.notify_all();
         }
     }
 }
 
-impl<T> StealQueue<T> {
-    /// Creates a queue for `workers` consumers whose injector holds at most
+impl<T> Fifo<T> {
+    /// Creates a queue for `workers` consumers that admits at most
     /// `capacity` items (`capacity ≥ 1`).
-    pub fn new(capacity: usize, workers: usize) -> StealQueue<T> {
-        StealQueue {
-            gate: Mutex::new(Gate {
-                injector: VecDeque::with_capacity(capacity.max(1)),
+    pub fn new(capacity: usize, workers: usize) -> Fifo<T> {
+        Fifo {
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(capacity.max(1)),
                 closed: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
-            locals: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
             consumers: AtomicUsize::new(workers.max(1)),
         }
     }
 
-    /// The injector's fixed capacity (the admission bound; local deques are
-    /// internal and unbounded).
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The fixed admission bound.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -128,116 +108,66 @@ impl<T> StealQueue<T> {
         ConsumerGuard { queue: self }
     }
 
-    /// Enqueues `item` on the injector, blocking while it is full. Fails
-    /// when the queue has been closed or its last consumer has exited.
+    /// Enqueues `item`, blocking while the queue is full. Fails when the
+    /// queue has been closed or its last consumer has exited.
     pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        while !g.closed && self.live_consumers() > 0 && g.injector.len() >= self.capacity {
+        self.admit(item, true)
+    }
+
+    /// Enqueues `item` without blocking; fails when full, closed, or
+    /// consumer-less.
+    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+        self.admit(item, false)
+    }
+
+    fn admit(&self, item: T, block: bool) -> Result<(), PushError<T>> {
+        let mut g = self.lock();
+        loop {
+            if g.closed || self.live_consumers() == 0 {
+                return Err(PushError::Closed(item));
+            }
+            if g.items.len() < self.capacity {
+                break;
+            }
+            if !block {
+                return Err(PushError::Full(item));
+            }
             g = self.not_full.wait(g).unwrap_or_else(|e| e.into_inner());
         }
-        if g.closed || self.live_consumers() == 0 {
-            return Err(PushError::Closed(item));
-        }
-        g.injector.push_back(item);
-        self.pending.fetch_add(1, Ordering::SeqCst);
+        g.items.push_back(item);
         self.not_empty.notify_one();
         Ok(())
     }
 
-    /// Enqueues `item` on the injector without blocking; fails when full,
-    /// closed, or consumer-less.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        if g.closed || self.live_consumers() == 0 {
-            return Err(PushError::Closed(item));
-        }
-        if g.injector.len() >= self.capacity {
-            return Err(PushError::Full(item));
-        }
-        g.injector.push_back(item);
-        self.pending.fetch_add(1, Ordering::SeqCst);
+    /// Puts a popped item back, behind everything already queued, for the
+    /// next idle worker to pop as well. For a running job offering the rest
+    /// of itself to its siblings — a `factor_many` batch — which was
+    /// already admitted, so neither the capacity bound nor a close refuses
+    /// it and it never waits. While it sits in the queue it occupies the
+    /// slot its submission was admitted into.
+    pub fn reoffer(&self, item: T) {
+        self.lock().items.push_back(item);
         self.not_empty.notify_one();
-        Ok(())
     }
 
-    /// Pushes `item` onto `worker`'s own deque (LIFO end). For work a
-    /// running job generates for itself — `factor_many` splits — which was
-    /// already admitted through the injector, so no capacity check.
-    /// Sleeping siblings are woken so the split can be stolen immediately.
-    pub fn push_local(&self, worker: usize, item: T) {
-        self.locals[worker]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(item);
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        let _g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        self.not_empty.notify_all();
-    }
-
-    /// Dequeues the next unit for `worker`: own deque back (LIFO) →
-    /// injector front (FIFO) → randomized steal from a sibling's front.
-    /// Blocks when no work exists anywhere; returns `None` once the queue
-    /// is closed *and* globally drained. `on_idle` runs exactly when the
-    /// worker transitions to sleeping (found nothing anywhere) and its
+    /// Dequeues the oldest item, blocking while the queue is empty; returns
+    /// `None` once the queue is closed *and* drained. `on_idle` runs
+    /// exactly when the worker goes to sleep (found nothing) and its
     /// guard-style return value is dropped on wake — the hook the pool uses
     /// to return the sleeper's kernel-thread share to busy siblings.
-    pub fn pop<G>(&self, worker: usize, rng: &mut u64, on_idle: impl Fn() -> G) -> Option<T> {
+    pub fn pop<G>(&self, on_idle: impl Fn() -> G) -> Option<T> {
+        let mut g = self.lock();
+        let mut idle = None;
         loop {
-            if let Some(item) = self.locals[worker].lock().unwrap_or_else(|e| e.into_inner()).pop_back() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
+            if let Some(item) = g.items.pop_front() {
+                self.not_full.notify_one();
                 return Some(item);
             }
-            {
-                let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(item) = g.injector.pop_front() {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
-                    self.not_full.notify_one();
-                    return Some(item);
-                }
+            if g.closed {
+                return None;
             }
-            // Steal sweep, starting at a pseudo-random victim so concurrent
-            // thieves spread out (xorshift64*; any constant seed works —
-            // the schedule is invisible to results).
-            let n = self.locals.len();
-            if n > 1 {
-                *rng ^= *rng << 13;
-                *rng ^= *rng >> 7;
-                *rng ^= *rng << 17;
-                let start = (*rng as usize) % n;
-                let mut stolen = None;
-                for off in 0..n {
-                    let victim = (start + off) % n;
-                    if victim == worker {
-                        continue;
-                    }
-                    if let Some(item) = self.locals[victim]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .pop_front()
-                    {
-                        stolen = Some(item);
-                        break;
-                    }
-                }
-                if let Some(item) = stolen {
-                    self.pending.fetch_sub(1, Ordering::SeqCst);
-                    return Some(item);
-                }
-            }
-            // Nothing anywhere: sleep until a push (or close) says otherwise.
-            let idle = on_idle();
-            let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if self.pending.load(Ordering::SeqCst) > 0 {
-                    break; // work appeared somewhere — rescan from the top
-                }
-                if g.closed {
-                    drop(idle);
-                    return None;
-                }
-                g = self.not_empty.wait(g).unwrap_or_else(|e| e.into_inner());
-            }
-            drop(idle);
+            idle.get_or_insert_with(&on_idle);
+            g = self.not_empty.wait(g).unwrap_or_else(|e| e.into_inner());
         }
     }
 
@@ -245,8 +175,7 @@ impl<T> StealQueue<T> {
     /// not a cancel), new pushes fail, and all blocked producers/consumers
     /// wake.
     pub fn close(&self) {
-        let mut g = self.gate.lock().unwrap_or_else(|e| e.into_inner());
-        g.closed = true;
+        self.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -255,88 +184,84 @@ impl<T> StealQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
-    fn pop<T>(q: &StealQueue<T>, worker: usize) -> Option<T> {
-        let mut rng = 0x9E3779B97F4A7C15 ^ (worker as u64 + 1);
-        q.pop(worker, &mut rng, || ())
+    fn pop<T>(q: &Fifo<T>) -> Option<T> {
+        q.pop(|| ())
     }
 
     #[test]
-    fn injector_is_fifo_within_capacity() {
-        let q = StealQueue::new(4, 2);
+    fn fifo_within_capacity() {
+        let q = Fifo::new(4, 2);
         for i in 0..4 {
             assert!(q.try_push(i).is_ok());
         }
         assert!(matches!(q.try_push(9), Err(PushError::Full(9))));
-        assert_eq!(pop(&q, 0), Some(0));
+        assert_eq!(pop(&q), Some(0));
         assert!(q.try_push(9).is_ok());
         for expect in [1, 2, 3, 9] {
-            assert_eq!(pop(&q, 1), Some(expect));
+            assert_eq!(pop(&q), Some(expect));
         }
     }
 
     #[test]
-    fn local_deque_is_lifo_for_owner_fifo_for_thief() {
-        let q = StealQueue::new(4, 2);
-        q.push_local(0, 'a');
-        q.push_local(0, 'b');
-        q.push_local(0, 'c');
-        // The owner takes its freshest split...
-        assert_eq!(pop(&q, 0), Some('c'));
-        // ...a thief steals the oldest.
-        assert_eq!(pop(&q, 1), Some('a'));
-        assert_eq!(pop(&q, 0), Some('b'));
+    fn reoffer_is_accepted_when_full_or_closed_and_goes_behind_the_queue() {
+        let q = Fifo::new(2, 2);
+        q.push('a').ok().unwrap();
+        q.push('b').ok().unwrap();
+        assert!(matches!(q.try_push('x'), Err(PushError::Full('x'))));
+        q.reoffer('r'); // full: accepted anyway, without waiting
+        q.close();
+        q.reoffer('s'); // closed: accepted anyway
+        assert!(matches!(q.push('x'), Err(PushError::Closed('x'))));
+        for expect in ['a', 'b', 'r', 's'] {
+            assert_eq!(pop(&q), Some(expect));
+        }
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
-    fn owner_prefers_local_work_over_injector() {
-        let q = StealQueue::new(4, 2);
+    fn close_drains_then_ends_and_the_end_is_sticky() {
+        let q = Fifo::new(8, 2);
         q.push(1).ok().unwrap();
-        q.push_local(0, 2);
-        assert_eq!(pop(&q, 0), Some(2), "local LIFO beats the injector");
-        assert_eq!(pop(&q, 0), Some(1));
-    }
-
-    #[test]
-    fn close_drains_injector_and_locals_then_ends() {
-        let q = StealQueue::new(8, 2);
-        q.push(1).ok().unwrap();
-        q.push_local(1, 2);
+        q.push(2).ok().unwrap();
         q.close();
         assert!(matches!(q.push(3), Err(PushError::Closed(3))));
-        // Worker 0 drains both tiers (the local item by stealing).
-        assert_eq!(pop(&q, 0), Some(1));
-        assert_eq!(pop(&q, 0), Some(2));
-        assert_eq!(pop(&q, 0), None);
-        assert_eq!(pop(&q, 0), None, "end-of-stream is sticky");
+        assert!(matches!(q.try_push(3), Err(PushError::Closed(3))));
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(2));
+        assert_eq!(pop(&q), None);
+        assert_eq!(pop(&q), None, "end-of-stream is sticky");
     }
 
     #[test]
     fn blocking_push_applies_backpressure() {
-        let q = StealQueue::new(1, 1);
+        let q = Fifo::new(1, 1);
         q.push(0usize).ok().unwrap();
-        let popped = AtomicUsize::new(usize::MAX);
+        let (pushed_tx, pushed_rx) = mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| {
-                // Blocks until the consumer below makes room.
+                // Blocks until the pop below makes room.
                 q.push(1).ok().unwrap();
+                pushed_tx.send(()).unwrap();
             });
-            s.spawn(|| {
-                popped.store(pop(&q, 0).unwrap(), Ordering::SeqCst);
-            });
+            assert!(
+                pushed_rx.recv_timeout(std::time::Duration::from_millis(50)).is_err(),
+                "a push onto a full queue must wait"
+            );
+            assert_eq!(pop(&q), Some(0));
+            pushed_rx.recv().unwrap();
         });
-        assert_eq!(popped.load(Ordering::SeqCst), 0);
-        assert_eq!(pop(&q, 0), Some(1));
+        assert_eq!(pop(&q), Some(1));
     }
 
     #[test]
     fn last_consumer_exit_fails_pending_and_future_pushes() {
-        let q = StealQueue::new(1, 1);
-        q.push(0usize).ok().unwrap(); // injector now full
+        let q = Fifo::new(1, 1);
+        q.push(0usize).ok().unwrap(); // queue now full
         std::thread::scope(|s| {
             s.spawn(|| {
-                // Blocked on the full injector until the consumer dies...
+                // Blocked on the full queue until the consumer dies...
                 assert!(matches!(q.push(1), Err(PushError::Closed(1))));
             });
             s.spawn(|| {
@@ -351,13 +276,17 @@ mod tests {
     }
 
     #[test]
-    fn sleeping_worker_wakes_for_a_sibling_local_push() {
-        let q = StealQueue::new(4, 2);
+    fn sleeping_worker_wakes_for_a_reoffer() {
+        let q = Fifo::new(4, 2);
+        let (idle_tx, idle_rx) = mpsc::channel();
         std::thread::scope(|s| {
-            let stolen = s.spawn(|| pop(&q, 1));
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            q.push_local(0, 7); // worker 1 must wake and steal it
-            assert_eq!(stolen.join().unwrap(), Some(7));
+            let woken = s.spawn(|| q.pop(|| idle_tx.send(()).unwrap()));
+            // The idle hook fires under the queue lock, just before the
+            // worker sleeps: once it has, the re-offer below finds the
+            // worker asleep (or about to be) and must wake it.
+            idle_rx.recv().unwrap();
+            q.reoffer(7);
+            assert_eq!(woken.join().unwrap(), Some(7));
         });
     }
 }

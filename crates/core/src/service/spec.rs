@@ -19,9 +19,7 @@ use std::time::Duration;
 /// size and inverse depth (the builder carries one `JobSpec` plus the
 /// machine model and runtime, which are properties of the whole service).
 /// Knobs left unset are resolved into a [`CandidateConfig`] when the plan
-/// is built. Two jobs with equal specs share one cached [`QrPlan`]; the
-/// same derived `Hash` that keys the cache map also picks the cache *shard*
-/// (via a fixed FNV-1a, so shard assignment is stable across runs).
+/// is built. Two jobs with equal specs share one cached [`QrPlan`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[must_use = "a JobSpec does nothing until submitted to a QrService"]
 pub struct JobSpec {
@@ -200,7 +198,7 @@ impl JobSpec {
 
     /// Normalizes the spec into its cache key: the one knob the service
     /// defaults (the backend) is resolved, so "default" and "explicitly the
-    /// default" share one cache entry (and one shard).
+    /// default" share one cache entry.
     pub(super) fn cache_key(mut self, default_backend: BackendKind) -> JobSpec {
         self.backend = Some(self.backend.unwrap_or(default_backend));
         self

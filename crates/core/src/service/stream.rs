@@ -1,11 +1,10 @@
 //! Stateful stream jobs: named live [`StreamingQr`] factors served through
-//! the same injector and worker pool as batch traffic.
+//! the same queue and worker pool as batch traffic.
 //!
 //! Per key, operations execute strictly in submission order: a sequence
-//! turnstile serializes them across workers, and stream operations only
-//! travel through the FIFO injector — never a stealable deque — so queue
-//! order equals sequence order. Across keys, and against factorizations,
-//! everything runs concurrently.
+//! turnstile serializes them across workers, and the queue is one FIFO, so
+//! queue order equals sequence order. Across keys, and against
+//! factorizations, everything runs concurrently.
 
 use super::handle::{Slot, StreamHandle, Ticket};
 use super::spec::{JobSpec, SubmitOptions};
@@ -90,10 +89,7 @@ pub(super) struct StreamState {
 /// those sequence numbers, and is held across the queue push so that
 /// per-stream queue order always equals sequence order — the invariant
 /// that keeps a worker holding a later operation from waiting on one still
-/// *behind* it in the injector (which would deadlock a width-1 pool).
-/// Stream operations never enter the stealable local deques: only the
-/// FIFO injector preserves that invariant, and stealing a stream op could
-/// otherwise run it ahead of its turn holder.
+/// *behind* it in the queue (which would deadlock a width-1 pool).
 pub(super) struct StreamEntry {
     pub(super) state: Mutex<StreamState>,
     pub(super) turn: Condvar,
@@ -112,7 +108,7 @@ pub(super) struct StreamJob {
 /// Applies one stream operation at its turnstile slot.
 ///
 /// Waits until every earlier-submitted operation on the same stream has
-/// been applied (the FIFO injector guarantees those are already popped by
+/// been applied (the FIFO queue guarantees those are already popped by
 /// some worker, never still queued behind this one), applies this one, and
 /// advances the turnstile — *unconditionally*, even when the operation
 /// failed or panicked, or every later queued operation on the stream would

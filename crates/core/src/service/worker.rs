@@ -1,6 +1,7 @@
-//! The worker side of the pool: the loop that drains the queue, `factor_many`
-//! chunk shattering, and the one execute-and-settle epilogue every executed
-//! unit — factorization, batch panel, stream operation — passes through.
+//! The worker side of the pool: the loop that drains the queue, the shared
+//! cursor a `factor_many` batch balances itself from, and the one
+//! execute-and-settle epilogue every executed unit — factorization, batch
+//! panel, stream operation — passes through.
 
 use super::handle::{Slot, Ticket};
 use super::spec::JobInput;
@@ -13,19 +14,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One unit of queued work. Factorizations and stream operations enter
-/// through the bounded injector (sharing backpressure), as does the root
-/// chunk of a [`factor_many`](super::QrService::factor_many) batch; the
-/// chunks it splits into travel through the stealable per-worker deques.
+/// One unit of queued work. All three kinds enter through the one bounded
+/// FIFO and share its backpressure; a
+/// [`factor_many`](super::QrService::factor_many) batch is additionally
+/// re-offered to it by the workers that pop it (see [`run_many`]).
 pub(super) enum Work {
     Factor(FactorJob),
     Stream(StreamJob),
-    /// The index range `[lo, hi)` of an admitted batch.
-    Many {
-        batch: Arc<ManyBatch>,
-        lo: usize,
-        hi: usize,
-    },
+    Many(Arc<ManyBatch>),
 }
 
 /// One queued factorization: its ticket, the resolved plan, the operand,
@@ -38,18 +34,17 @@ pub(super) struct FactorJob {
     pub(super) slot: Arc<Slot<QrReport>>,
 }
 
-/// An admitted `factor_many` batch: one dispatch covering many panels.
-/// Workers split index ranges onto their local deques; each completed
-/// panel decrements `remaining`, and the worker that retires the last
-/// panel completes the slot with all results in submission order.
+/// An admitted `factor_many` batch: one dispatch covering many panels,
+/// shared out by [`run_many`]. Each completed panel decrements `remaining`,
+/// and the worker that retires the last one completes the slot with all
+/// results in submission order.
 pub(super) struct ManyBatch {
     pub(super) ticket: Ticket,
     pub(super) plan: Arc<QrPlan>,
     pub(super) inputs: Vec<Matrix>,
-    /// Largest range a worker factors without splitting further. Sized at
-    /// submission so the batch shatters into a few chunks per worker —
-    /// enough to steal, not so many that deque traffic dominates.
-    pub(super) leaf: usize,
+    /// The next unclaimed panel index; at or past `inputs.len()` once the
+    /// batch has been handed out completely.
+    pub(super) next: AtomicUsize,
     pub(super) results: Mutex<Vec<Option<Result<QrReport, ServiceError>>>>,
     pub(super) remaining: AtomicUsize,
     pub(super) slot: Arc<Slot<Vec<Result<QrReport, ServiceError>>>>,
@@ -59,14 +54,13 @@ pub(super) struct ManyBatch {
 ///
 /// The consumer guard deregisters this worker on *any* exit — normal
 /// shutdown or a panic that escapes a job guard — so producers blocked on
-/// a full injector fail with [`ServiceError::ShuttingDown`] instead of
+/// a full queue fail with [`ServiceError::ShuttingDown`] instead of
 /// waiting on a pool that will never drain. While parked, the worker
 /// marks itself idle ([`dense::pool_worker_idle`]) so its kernel-thread
 /// share flows to the workers still running jobs.
-pub(super) fn worker_loop(shared: &Shared, worker: usize) {
+pub(super) fn worker_loop(shared: &Shared) {
     let _consumer = shared.queue.consumer();
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (worker as u64 + 1);
-    while let Some(work) = shared.queue.pop(worker, &mut rng, dense::pool_worker_idle) {
+    while let Some(work) = shared.queue.pop(dense::pool_worker_idle) {
         dense::fault::maybe_delay(dense::fault::DEQUEUE);
         match work {
             Work::Factor(job) => {
@@ -81,7 +75,7 @@ pub(super) fn worker_loop(shared: &Shared, worker: usize) {
                 job.slot.complete(outcome);
             }
             Work::Stream(job) => run_stream_job(shared, job),
-            Work::Many { batch, lo, hi } => run_many_chunk(shared, worker, batch, lo, hi),
+            Work::Many(batch) => run_many(shared, batch),
         }
     }
 }
@@ -152,26 +146,30 @@ fn factor_panel(
     Ok(report)
 }
 
-/// Processes one `factor_many` range: shatter it to leaf granularity
-/// (pushing the far halves onto this worker's deque, where siblings steal
-/// them), factor the local leaf, and deliver the batch when its last
-/// panel retires.
-fn run_many_chunk(shared: &Shared, worker: usize, batch: Arc<ManyBatch>, lo: usize, mut hi: usize) {
-    while hi - lo > batch.leaf {
-        let mid = lo + (hi - lo) / 2;
-        let batch = Arc::clone(&batch);
-        shared.queue.push_local(worker, Work::Many { batch, lo: mid, hi });
-        hi = mid;
-    }
+/// One worker's share of a `factor_many` batch: claim panel indices from
+/// the batch's cursor until it runs out, and deliver the batch when its
+/// last panel retires. While more than this worker's first panel remains
+/// the batch goes back on the queue once, so the next idle worker joins; a
+/// batch popped after its cursor ran out is a no-op.
+fn run_many(shared: &Shared, batch: Arc<ManyBatch>) {
+    let panels = batch.inputs.len();
     let picked = Instant::now();
-    for i in lo..hi {
+    // Relaxed: the cursor only hands out indices; the panels themselves
+    // were published by the queue's mutex.
+    let mut i = batch.next.fetch_add(1, Ordering::Relaxed);
+    if i + 1 < panels {
+        shared.queue.reoffer(Work::Many(Arc::clone(&batch)));
+    }
+    let mut done = 0;
+    while i < panels {
         let outcome = factor_panel(shared, &batch.ticket, picked, &batch.plan, &batch.inputs[i], None);
         batch.results.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(outcome);
+        done += 1;
+        i = batch.next.fetch_add(1, Ordering::Relaxed);
     }
-    let done = hi - lo;
-    if batch.remaining.fetch_sub(done, Ordering::SeqCst) == done {
-        // This leaf retired the batch's last panel: deliver everything in
-        // submission order.
+    if done > 0 && batch.remaining.fetch_sub(done, Ordering::SeqCst) == done {
+        // This worker retired the batch's last panel: deliver everything
+        // in submission order.
         let results = std::mem::take(&mut *batch.results.lock().unwrap_or_else(|e| e.into_inner()));
         batch.slot.complete(Ok(results
             .into_iter()

@@ -616,10 +616,10 @@ impl StreamingQr {
                 .map(|accepted| self.r = accepted.run.r)
         } else {
             let policy = self.plan.retry_policy();
-            let mut result = self.refresh_sequential();
+            let mut result = self.refresh_gram(2, false);
             if policy.is_enabled() {
                 if result.is_err() && policy.max_attempts() >= 2 {
-                    result = self.refresh_sequential_shifted();
+                    result = self.refresh_gram(3, true);
                 }
                 if result.is_err() && policy.max_attempts() >= 3 {
                     result = self.refresh_householder();
@@ -677,79 +677,66 @@ impl StreamingQr {
         }
     }
 
-    /// Sequential R-only CholeskyQR2 over the history, from arena scratch:
-    /// `G = AᵀA`, `R₁ = chol(G)ᵀ`, `G₂ = L₁⁻¹·G·L₁⁻ᵀ`, `R₂ = chol(G₂)ᵀ`,
-    /// `R = R₂·R₁` — the `m·n²` Gram work runs on the blocked SYRK, and no
-    /// `Q` is ever materialized.
-    fn refresh_sequential(&mut self) -> Result<(), PlanError> {
+    /// The two Gram rungs of the sequential ladder: R-only Cholesky-QR over
+    /// the history in `passes` Cholesky passes off one Gram product
+    /// `G = AᵀA` (the `m·n²` work, on the blocked SYRK), from arena scratch
+    /// and with no `Q` ever materialized. Each pass factors `L = chol(G)`,
+    /// folds `Lᵀ` into the running product, and hands the next pass
+    /// `L⁻¹·G·L⁻ᵀ`, so `R = (L₁·…·L_passes)ᵀ`. Two unshifted passes are
+    /// CholeskyQR2. The second rung is *shifted* CholeskyQR3 (Fukaya et
+    /// al.): its first pass factors `G + σI` — the Fukaya shift keeps that
+    /// positive definite for any numerically full-rank `A` — and two
+    /// unshifted correction passes restore orthogonality.
+    fn refresh_gram(&mut self, passes: usize, shifted: bool) -> Result<(), PlanError> {
         let n = self.n;
         let backend = self.plan.backend().get();
         let mut ws = self.plan.workspace().checkout();
         let mut g = ws.take_matrix_stale(n, n);
         backend.syrk_into(self.history_view(), g.as_mut());
-        let mut l1 = ws.take_copy(g.as_ref());
-        let factored = potrf(l1.as_mut(), backend, &mut ws).and_then(|()| {
-            // G₂ = L₁⁻¹ · G · L₁⁻ᵀ, in place.
-            backend.trsm_left_lower(l1.as_ref(), g.as_mut());
-            backend.trsm_right_lower_trans(l1.as_ref(), g.as_mut());
-            potrf(g.as_mut(), backend, &mut ws) // g now holds L₂
-        });
-        if factored.is_ok() {
-            // R = R₂·R₁ = L₂ᵀ·L₁ᵀ.
-            let (r2, r1) = (ws.take_transposed(g.as_ref()), ws.take_transposed(l1.as_ref()));
-            trmm_upper_upper(r2.as_ref(), r1.as_ref(), self.r.as_mut());
-            ws.recycle(r1);
-            ws.recycle(r2);
-        }
-        ws.recycle(l1);
-        ws.recycle(g);
-        factored.map_err(PlanError::NotPositiveDefinite)
-    }
-
-    /// Second escalation rung: sequential R-only *shifted* CholeskyQR3
-    /// (Fukaya et al.). The Gram matrix is regularized with the Fukaya shift
-    /// before the first Cholesky — enough to keep `G + σI` positive definite
-    /// for any numerically full-rank `A` — and two unshifted correction
-    /// passes restore orthogonality:
-    /// `R = (L₁·L₂·L₃)ᵀ`. All three factors come from one Gram product; no
-    /// `Q` is materialized.
-    fn refresh_sequential_shifted(&mut self) -> Result<(), PlanError> {
-        let n = self.n;
-        let backend = self.plan.backend().get();
-        let mut ws = self.plan.workspace().checkout();
-        let mut g = ws.take_matrix_stale(n, n);
-        backend.syrk_into(self.history_view(), g.as_mut());
-        let frob_sq: f64 = (0..n).map(|i| g.as_ref().at(i, i)).sum();
-        let shift = crate::cqr::fukaya_shift(self.live, n, frob_sq);
-        let mut l1 = ws.take_copy(g.as_ref());
-        for i in 0..n {
-            let v = l1.as_ref().at(i, i) + shift;
-            l1.as_mut().set(i, i, v);
-        }
-        let mut l2 = ws.take_matrix_stale(n, n);
-        let factored = potrf(l1.as_mut(), backend, &mut ws).and_then(|()| {
-            backend.trsm_left_lower(l1.as_ref(), g.as_mut());
-            backend.trsm_right_lower_trans(l1.as_ref(), g.as_mut());
-            l2.as_mut().copy_from(g.as_ref());
-            potrf(l2.as_mut(), backend, &mut ws).and_then(|()| {
-                backend.trsm_left_lower(l2.as_ref(), g.as_mut());
-                backend.trsm_right_lower_trans(l2.as_ref(), g.as_mut());
-                potrf(g.as_mut(), backend, &mut ws) // g now holds L₃
-            })
-        });
-        if factored.is_ok() {
-            // R = R₃·(R₂·R₁) with Rᵢ = Lᵢᵀ.
-            let (r1, r2) = (ws.take_transposed(l1.as_ref()), ws.take_transposed(l2.as_ref()));
-            let mut r21 = ws.take_matrix_stale(n, n);
-            trmm_upper_upper(r2.as_ref(), r1.as_ref(), r21.as_mut());
-            let r3 = ws.take_transposed(g.as_ref());
-            trmm_upper_upper(r3.as_ref(), r21.as_ref(), self.r.as_mut());
-            for scratch in [r3, r21, r2, r1] {
-                ws.recycle(scratch);
+        // `l` is what each pass factors in place; `g` stays unfactored (and
+        // unshifted) for the congruence that produces the next pass's input.
+        let mut l = ws.take_copy(g.as_ref());
+        if shifted {
+            let frob_sq: f64 = (0..n).map(|i| g.as_ref().at(i, i)).sum();
+            let shift = crate::cqr::fukaya_shift(self.live, n, frob_sq);
+            for i in 0..n {
+                let v = l.as_ref().at(i, i) + shift;
+                l.as_mut().set(i, i, v);
             }
         }
-        ws.recycle(l2);
-        ws.recycle(l1);
+        // R_k·…·R₁ over the passes done so far, with Rᵢ = Lᵢᵀ.
+        let mut product: Option<Matrix> = None;
+        let mut factored = Ok(());
+        for pass in 1..=passes {
+            factored = potrf(l.as_mut(), backend, &mut ws);
+            if factored.is_err() {
+                break;
+            }
+            let r_pass = ws.take_transposed(l.as_ref());
+            product = Some(match product.take() {
+                None => r_pass,
+                Some(below) => {
+                    let mut folded = ws.take_matrix_stale(n, n);
+                    trmm_upper_upper(r_pass.as_ref(), below.as_ref(), folded.as_mut());
+                    ws.recycle(below);
+                    ws.recycle(r_pass);
+                    folded
+                }
+            });
+            if pass < passes {
+                // G ← L⁻¹ · G · L⁻ᵀ, in place.
+                backend.trsm_left_lower(l.as_ref(), g.as_mut());
+                backend.trsm_right_lower_trans(l.as_ref(), g.as_mut());
+                l.as_mut().copy_from(g.as_ref());
+            }
+        }
+        if let Some(product) = product {
+            if factored.is_ok() {
+                self.r.as_mut().copy_from(product.as_ref());
+            }
+            ws.recycle(product);
+        }
+        ws.recycle(l);
         ws.recycle(g);
         factored.map_err(PlanError::NotPositiveDefinite)
     }

@@ -25,7 +25,6 @@ pub mod cfr3d;
 pub mod collectives;
 pub mod cost;
 pub mod cqr1d;
-pub mod escalation;
 pub mod machines;
 pub mod mm3d;
 pub mod pgeqrf;
@@ -38,7 +37,6 @@ pub use candidates::{enumerate, predicted_cost, Algorithm, CandidateConfig};
 pub use cfr3d::{apply_rinv, cfr3d};
 pub use cost::Cost;
 pub use cqr1d::{cqr1d, cqr2_1d};
-pub use escalation::{breakdown_probability, ladder_expected_cost};
 pub use machines::MachineCal;
 pub use mm3d::{mm3d_local, transpose_cube};
 pub use pgeqrf::pgeqrf;

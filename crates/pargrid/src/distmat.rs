@@ -120,36 +120,6 @@ impl DistMatrix {
             && (0..piece.rows()).all(|li| rows.row(li).iter().skip(my_c).step_by(cp).eq(piece.row(li)))
     }
 
-    /// Builds a distributed piece directly from an index function over
-    /// *global* indices — lets every rank materialize its share of a seeded
-    /// random matrix without communication.
-    pub fn from_global_fn(
-        grows: usize,
-        gcols: usize,
-        rp: usize,
-        cp: usize,
-        my_r: usize,
-        my_c: usize,
-        mut f: impl FnMut(usize, usize) -> f64,
-    ) -> DistMatrix {
-        let (lr, lc) = Self::local_dims(grows, gcols, rp, cp, my_r, my_c);
-        let local = Matrix::from_fn(lr, lc, |li, lj| f(li * rp + my_r, lj * cp + my_c));
-        DistMatrix {
-            local,
-            grows,
-            gcols,
-            rp,
-            cp,
-            my_r,
-            my_c,
-        }
-    }
-
-    /// Global index of local entry `(li, lj)`.
-    pub fn global_index(&self, li: usize, lj: usize) -> (usize, usize) {
-        (li * self.rp + self.my_r, lj * self.cp + self.my_c)
-    }
-
     /// Reassembles a global matrix from every processor's piece (test/driver
     /// helper; `pieces[r][c]` is the local block of processor `(r, c)`).
     pub fn assemble(grows: usize, gcols: usize, rp: usize, cp: usize, pieces: &[Vec<Matrix>]) -> Matrix {
@@ -210,18 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn global_index_matches_contents() {
-        let g = test_matrix(9, 6);
-        let d = DistMatrix::from_global(&g, 3, 2, 2, 1);
-        for li in 0..d.local.rows() {
-            for lj in 0..d.local.cols() {
-                let (gi, gj) = d.global_index(li, lj);
-                assert_eq!(d.local.get(li, lj), g.get(gi, gj));
-            }
-        }
-    }
-
-    #[test]
     fn local_from_global_matches_from_global_and_recycles() {
         let g = test_matrix(9, 6);
         let mut ws = dense::Workspace::new();
@@ -231,14 +189,6 @@ mod tests {
             ws.recycle(local);
         }
         assert_eq!(ws.heap_allocations(), 1, "warm extraction must not allocate");
-    }
-
-    #[test]
-    fn from_global_fn_agrees_with_from_global() {
-        let g = test_matrix(8, 8);
-        let a = DistMatrix::from_global(&g, 2, 4, 1, 3);
-        let b = DistMatrix::from_global_fn(8, 8, 2, 4, 1, 3, |i, j| (i * 100 + j) as f64);
-        assert_eq!(a, b);
     }
 
     #[test]

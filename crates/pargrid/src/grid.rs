@@ -89,21 +89,6 @@ impl GridShape {
         self.d / self.c
     }
 
-    /// Enumerates all valid `(c, d)` shapes for a given processor count.
-    pub fn all_for(p: usize) -> Vec<GridShape> {
-        let mut out = Vec::new();
-        let mut c = 1;
-        while c * c <= p {
-            if p.is_multiple_of(c * c) {
-                if let Ok(s) = GridShape::new(c, p / (c * c)) {
-                    out.push(s);
-                }
-            }
-            c *= 2;
-        }
-        out
-    }
-
     /// Grid coordinates of a global rank id. The canonical layout is
     /// `rank = x + y·c + z·c·d`.
     pub fn coords(&self, rank: usize) -> (usize, usize, usize) {
@@ -186,19 +171,14 @@ pub struct TunableComms {
     pub shape: GridShape,
     /// This rank's grid coordinates `(x, y, z)`.
     pub coords: (usize, usize, usize),
-    /// `Π[:, y, z]` — varying `x` (size `c`); Algorithm 8 line 1 broadcast.
-    pub row: Comm,
-    /// `Π[x, y, :]` — varying `z` (size `c`); Algorithm 8 line 5 broadcast.
-    pub depth: Comm,
-    /// `Π[x, c·⌊y/c⌋ .. c·⌈y/c⌉, z]` — the contiguous y-group of size `c`;
-    /// Algorithm 8 line 3 reduction. Identical to the subcube's column
-    /// communicator.
-    pub ygroup: Comm,
     /// `Π[x, (y mod c)::c, z]` — the strided y-class of size `d/c`;
     /// Algorithm 8 line 4 allreduce across subcubes.
     pub ystride: Comm,
     /// The `c × c × c` subcube this rank belongs to (Algorithm 8 line 6),
-    /// with cube coordinates `(x, y mod c, z)`.
+    /// with cube coordinates `(x, y mod c, z)`. Its communicators are also
+    /// the grid's own along each axis: `row` is `Π[:, y, z]` (line 1
+    /// broadcast), `col` the contiguous y-group `Π[x, c·⌊y/c⌋ .. c·⌈y/c⌉, z]`
+    /// (line 3 reduction), `depth` is `Π[x, y, :]` (line 5 broadcast).
     pub subcube: CubeComms,
 }
 
@@ -210,9 +190,6 @@ impl TunableComms {
         let (x, y, z) = shape.coords(rank.id());
         let (c, _d) = (shape.c, shape.d);
         let group = y / c;
-        let row = Comm::subset(rank, (0..c).map(|i| shape.rank_of(i, y, z)).collect());
-        let depth = Comm::subset(rank, (0..c).map(|k| shape.rank_of(x, y, k)).collect());
-        let ygroup = Comm::subset(rank, (0..c).map(|j| shape.rank_of(x, group * c + j, z)).collect());
         let ystride = Comm::subset(
             rank,
             (0..shape.subcubes())
@@ -223,9 +200,6 @@ impl TunableComms {
         TunableComms {
             shape,
             coords: (x, y, z),
-            row,
-            depth,
-            ygroup,
             ystride,
             subcube,
         }
@@ -262,24 +236,11 @@ mod tests {
     }
 
     #[test]
-    fn all_shapes_for_p() {
-        let shapes = GridShape::all_for(64);
-        // c=1,d=64; c=2,d=16; c=4,d=4.
-        assert_eq!(shapes.len(), 3);
-        assert!(shapes.contains(&GridShape { c: 1, d: 64 }));
-        assert!(shapes.contains(&GridShape { c: 2, d: 16 }));
-        assert!(shapes.contains(&GridShape { c: 4, d: 4 }));
-    }
-
-    #[test]
     fn tunable_comm_indices_match_coordinates() {
         let shape = GridShape::new(2, 4).unwrap();
         let report = run_spmd(shape.p(), SimConfig::default(), move |rank| {
             let comms = TunableComms::build(rank, shape);
             let (x, y, z) = comms.coords;
-            assert_eq!(comms.row.my_index(), x);
-            assert_eq!(comms.depth.my_index(), z);
-            assert_eq!(comms.ygroup.my_index(), y % shape.c);
             assert_eq!(comms.ystride.my_index(), y / shape.c);
             assert_eq!(comms.subcube.row.my_index(), x);
             assert_eq!(comms.subcube.col.my_index(), y % shape.c);
@@ -321,10 +282,11 @@ mod tests {
         assert_eq!(shape.subcubes(), 8);
         let report = run_spmd(8, SimConfig::default(), move |rank| {
             let comms = TunableComms::build(rank, shape);
-            // Row, depth, ygroup are singletons; ystride spans everyone.
-            assert_eq!(comms.row.size(), 1);
-            assert_eq!(comms.depth.size(), 1);
-            assert_eq!(comms.ygroup.size(), 1);
+            // Row, depth and y-group (the subcube's column) are singletons;
+            // ystride spans everyone.
+            assert_eq!(comms.subcube.row.size(), 1);
+            assert_eq!(comms.subcube.depth.size(), 1);
+            assert_eq!(comms.subcube.col.size(), 1);
             assert_eq!(comms.ystride.size(), 8);
             comms.coords.1
         });

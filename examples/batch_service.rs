@@ -1,5 +1,5 @@
 //! Batch serving: one `QrService` factoring a mixed stream of tall-skinny
-//! panels concurrently — sharded plan cache, work-stealing workers,
+//! panels concurrently — plan cache, one bounded FIFO under the workers,
 //! zero-copy submission (`submit_ref` / `factor_many`), bounded-queue
 //! backpressure, and live latency stats.
 //!
@@ -38,7 +38,7 @@ fn main() -> Result<(), ServiceError> {
     // ---- Batch path: many same-shape matrices, one spec. ------------------
     //
     // One plan, built and cached once, factors all 32; the batch is one
-    // dispatched job whose panel ranges the workers steal between them.
+    // dispatched job whose panels the workers claim one at a time.
     let spec = JobSpec::new(512, 32)
         .algorithm(Algorithm::CaCqr2)
         .grid(GridShape::new(2, 8)?);
@@ -95,7 +95,7 @@ fn main() -> Result<(), ServiceError> {
         }
     }
     println!(
-        "plans cached: {} (one per distinct spec, across 16 shards; repeat shapes never rebuilt)",
+        "plans cached: {} (one per distinct spec; repeat shapes never rebuilt)",
         service.plan_cache_len()
     );
 
@@ -104,7 +104,7 @@ fn main() -> Result<(), ServiceError> {
     // `submit_ref` hands workers a shared reference; re-submitting the same
     // panel 8 times copies nothing. `factor_many` goes further for
     // same-shape fleets: the whole vector rides one queue push and the
-    // workers shatter it between themselves by stealing.
+    // workers share it out between themselves from one cursor.
     let tiny = JobSpec::new(128, 8)
         .algorithm(Algorithm::Cqr2_1d)
         .grid(GridShape::one_d(4)?);

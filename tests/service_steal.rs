@@ -1,12 +1,14 @@
-//! Edge-case coverage for the work-stealing `QrService` scheduler: queue
-//! admission (full injector, empty batches), shutdown semantics
-//! (`close`, handles outliving accepted work), once-only redemption of a
-//! handle's outcome, zero-copy submission, and
-//! `factor_many`'s equivalence to the per-job path at every pool width.
+//! Edge-case coverage for the `QrService` scheduler — one bounded FIFO
+//! that `factor_many` batches re-offer themselves to: queue admission (full
+//! queue, empty batches), shutdown semantics (`close`, handles outliving
+//! accepted work), once-only redemption of a handle's outcome, zero-copy
+//! submission, `factor_many`'s equivalence to the per-job path at every
+//! pool width, and a batch's progress while the queue is held full.
 
 use cacqr::service::{Handle, JobSpec, QrService, ServiceError};
 use dense::random::{gaussian_matrix, well_conditioned};
 use pargrid::GridShape;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -33,7 +35,7 @@ fn try_submit_on_a_full_queue_refuses_without_blocking() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    assert!(full > 0, "128 instant submissions must overflow a capacity-2 injector");
+    assert!(full > 0, "128 instant submissions must overflow a capacity-2 queue");
     for h in accepted {
         h.wait().unwrap();
     }
@@ -99,25 +101,76 @@ fn factor_many_matches_the_per_job_path_at_every_width() {
     let mut reference = None;
     for workers in [1usize, 2, 8] {
         let service = QrService::builder().workers(workers).build();
-        let via_many = service.factor_many(&s, batch.clone()).unwrap();
-        assert_eq!(via_many.len(), batch.len());
-        let stats = service.stats();
-        assert_eq!(
-            stats.completed,
-            batch.len() as u64,
-            "each panel counts toward throughput"
-        );
-        assert!(stats.end_to_end.count >= batch.len() as u64);
-        match &reference {
-            None => reference = Some(via_many),
-            Some(expect) => {
-                for (got, want) in via_many.iter().zip(expect) {
-                    assert_eq!(got.q, want.q, "width {workers} must match width 1 bitwise");
-                    assert_eq!(got.r, want.r);
+        // Twice on one pool: the first batch's spent re-offer may still be
+        // queued when the second is admitted. A panel claimed twice, or a
+        // spent re-offer that still did work, would overshoot the count.
+        for round in 1..=2u64 {
+            let via_many = service.factor_many(&s, batch.clone()).unwrap();
+            assert_eq!(via_many.len(), batch.len());
+            let stats = service.stats();
+            assert_eq!(
+                stats.completed,
+                round * batch.len() as u64,
+                "width {workers}: each panel counts toward throughput exactly once"
+            );
+            assert_eq!(stats.end_to_end.count, stats.completed);
+            match &reference {
+                None => reference = Some(via_many),
+                Some(expect) => {
+                    for (got, want) in via_many.iter().zip(expect) {
+                        assert_eq!(got.q, want.q, "width {workers} must match width 1 bitwise");
+                        assert_eq!(got.r, want.r);
+                    }
                 }
             }
         }
     }
+}
+
+#[test]
+fn a_batch_runs_to_completion_while_the_queue_is_held_full() {
+    let service = QrService::builder().workers(2).queue_capacity(1).build();
+    let s = spec();
+    let batch: Vec<_> = (0..64).map(|seed| well_conditioned(64, 16, 200 + seed)).collect();
+    let plan = service.plan(&s).unwrap();
+    let expect: Vec<_> = batch.iter().map(|a| plan.factor(a).unwrap()).collect();
+    let filler_input = Arc::new(well_conditioned(64, 16, 7));
+    let batch_done = AtomicBool::new(false);
+    let (accepted, refused, got) = std::thread::scope(|scope| {
+        // Keeps the single queue slot taken for as long as the batch runs:
+        // every re-offer of the batch then lands on a full queue, and must
+        // go through without waiting for a slot that is never free.
+        let filler = scope.spawn(|| {
+            let mut accepted = Vec::new();
+            let mut refused = 0usize;
+            while !batch_done.load(Ordering::SeqCst) {
+                match service.try_submit(&s, &filler_input) {
+                    Ok(h) => accepted.push(h),
+                    Err(ServiceError::QueueFull { capacity: 1 }) => {
+                        refused += 1;
+                        std::thread::yield_now();
+                    }
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            }
+            (accepted, refused)
+        });
+        let got = service.factor_many(&s, batch);
+        batch_done.store(true, Ordering::SeqCst);
+        let (accepted, refused) = filler.join().unwrap();
+        (accepted, refused, got.unwrap())
+    });
+    assert!(refused > 0, "the filler must have found the queue full");
+    assert_eq!(got.len(), expect.len());
+    for (got, want) in got.iter().zip(&expect) {
+        assert_eq!(got.q, want.q, "a contended batch is still the sequential loop, bitwise");
+        assert_eq!(got.r, want.r);
+    }
+    let singles = accepted.len() as u64;
+    for h in accepted {
+        h.wait().unwrap();
+    }
+    assert_eq!(service.stats().completed, 64 + singles);
 }
 
 #[test]

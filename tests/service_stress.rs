@@ -7,8 +7,8 @@
 //! matrix runs the suite at `CACQR_THREADS=1` (pool degenerates to one
 //! worker — pure queueing semantics), `=4` (oversubscribed on small
 //! runners — real contention), and `=8` under `CACQR_RUNTIME=shm`
-//! (work stealing across a wide pool on the pinned shared-memory
-//! runtime).
+//! (batches claimed panel by panel across a wide pool on the pinned
+//! shared-memory runtime).
 
 use cacqr::service::{JobSpec, QrService, ServiceError};
 use cacqr::{Algorithm, PlanError};
@@ -180,9 +180,9 @@ fn typed_errors_flow_through_the_pool() {
 
 #[test]
 fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() {
-    // The work-stealing scheduler may run any schedule — jobs stolen
-    // across workers, factor_many ranges shattered arbitrarily — but the
-    // results must be bitwise identical to sequential execution at every
+    // The scheduler may run any schedule — jobs on whichever worker pops
+    // them, factor_many panels claimed by whichever worker gets to the
+    // cursor first — but the results must be bitwise identical to sequential execution at every
     // pool width. Compute the sequential reference once, then replay the
     // identical mixed workload at widths 1, 2, and 8.
     let spec = JobSpec::new(64, 16).grid(GridShape::new(2, 4).unwrap());
@@ -205,7 +205,7 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
         let service = QrService::builder().workers(workers).queue_capacity(4).build();
         service.stream_open("live", &spec, &stream_seed).unwrap();
         // Interleave: all stream updates in flight while the factor_many
-        // batch shatters across (and is stolen between) the workers.
+        // batch is claimed panel by panel across the workers.
         let stream_handles: Vec<_> = updates
             .iter()
             .map(|u| service.append_rows("live", u.clone()).unwrap())
@@ -234,7 +234,7 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
         assert_eq!(
             snap.r.data(),
             ref_snap.r.data(),
-            "stream R must be bitwise sequential under stealing (workers={workers})"
+            "stream R must be bitwise sequential under contention (workers={workers})"
         );
     }
 }
@@ -246,7 +246,7 @@ fn batch_order_is_submission_order_under_load() {
         .algorithm(Algorithm::Cqr2_1d)
         .grid(GridShape::one_d(4).unwrap());
     let batch: Vec<_> = (0..16).map(|s| input_for(&spec, s)).collect();
-    // More jobs than injector slots: submissions block under backpressure
+    // More jobs than queue slots: submissions block under backpressure
     // while earlier jobs drain, and every handle still resolves to its own
     // input's report.
     let handles: Vec<_> = batch
