@@ -97,15 +97,17 @@ pub enum PlanError {
     /// offending pivot; consider [`Algorithm::CaCqr3`], which is
     /// unconditionally stable for numerically full-rank input.
     NotPositiveDefinite(CholeskyError),
-    /// A factorization nominally succeeded but the computed `R` failed the
-    /// retry policy's condition gate (`κ₁(R) > kappa_max`), and no further
-    /// escalation rung was available or allowed. Within the escalation
-    /// ladder this is also the per-attempt error recorded for rejected
-    /// rungs.
+    /// A factorization nominally succeeded but the computed `R` failed its
+    /// rung's condition gate (`κ₁(R)` estimate above the limit the
+    /// [`RetryPolicy`](super::RetryPolicy) derives for that rung), and no
+    /// further escalation rung was available or allowed. Within the
+    /// escalation ladder this is also the per-attempt error recorded for
+    /// rejected rungs.
     ConditionTooHigh {
         /// The Hager–Higham κ₁ estimate of the computed `R`.
         estimate: f64,
-        /// The policy's acceptance threshold.
+        /// The rejected rung's acceptance limit: `kappa_max` for the CQR2
+        /// family, `kappa_max² / (64·(mn + n(n+1)))` for shifted CQR3.
         limit: f64,
     },
     /// Every rung of the escalation ladder failed (breakdown or condition

@@ -111,8 +111,12 @@ use std::sync::Arc;
 ///
 /// An attempt escalates when it either breaks down
 /// ([`PlanError::NotPositiveDefinite`]) or produces an `R` whose cheap
-/// κ₁ estimate ([`dense::cond_estimate`]) exceeds `kappa_max`
-/// ([`PlanError::ConditionTooHigh`]). The default policy is
+/// κ₁ estimate ([`dense::cond_estimate`]) exceeds its rung's limit
+/// ([`PlanError::ConditionTooHigh`]), the range that rung's stability proof
+/// covers: `kappa_max` for 1D-CQR2 / CA-CQR2, `kappa_max² / (64·(mn +
+/// n(n+1)))` for shifted CA-CQR3 on `m × n` input (`1/(64·(mn + n(n+1))·ε)`
+/// at the default `kappa_max ≈ 1/√ε`: 7.6e9 at 256 × 32); the terminal rung
+/// is accepted unconditionally. The default policy is
 /// [`RetryPolicy::none`]: no retries, errors surface exactly as they did
 /// before escalation existed.
 #[derive(Clone, Copy, Debug)]
@@ -124,7 +128,8 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// The default condition-acceptance threshold: `1/√ε ≈ 6.7e7`, the
     /// classical boundary beyond which a CQR2-family `R` stops being
-    /// trustworthy (the Gram matrix's κ² reaches 1/ε).
+    /// trustworthy (the Gram matrix's κ² reaches 1/ε). The shifted CQR3
+    /// rung's limit, `kappa_max² / (64·(mn + n(n+1)))`, is derived from it.
     pub const DEFAULT_KAPPA_MAX: f64 = 6.7e7;
 
     /// No retries: a breakdown or condition violation surfaces directly.
@@ -135,8 +140,9 @@ impl RetryPolicy {
         }
     }
 
-    /// Full escalation: walk every available ladder rung, gating each
-    /// non-terminal rung on [`RetryPolicy::DEFAULT_KAPPA_MAX`].
+    /// Full escalation: walk every available ladder rung, gating the CQR2
+    /// rung on [`RetryPolicy::DEFAULT_KAPPA_MAX`] and the shifted CQR3 rung
+    /// on the limit derived from it; the terminal rung is always accepted.
     pub fn escalate() -> RetryPolicy {
         RetryPolicy {
             max_attempts: usize::MAX,
@@ -151,7 +157,9 @@ impl RetryPolicy {
         self
     }
 
-    /// Overrides the κ₁ acceptance threshold for non-terminal rungs.
+    /// Overrides the κ₁ acceptance threshold of the CQR2 rung. The shifted
+    /// CQR3 rung's limit moves with it: `with_kappa_max(10.0)` rejects
+    /// every non-terminal rung.
     pub fn with_kappa_max(mut self, kappa_max: f64) -> RetryPolicy {
         self.kappa_max = kappa_max;
         self
@@ -167,9 +175,29 @@ impl RetryPolicy {
         self.max_attempts
     }
 
-    /// The κ₁ acceptance threshold for non-terminal rungs.
+    /// The κ₁ acceptance threshold of the CQR2 rung.
     pub fn kappa_max(&self) -> f64 {
         self.kappa_max
+    }
+
+    /// The κ₁ limit a non-terminal rung running `algorithm` on `m × n`
+    /// input is accepted under. Shifted CholeskyQR3 is stable for
+    /// `κ₂(A) ≤ 1/(c·(mn + n(n+1))·u)` (Fukaya, Kannan, Nakatsukasa,
+    /// Yamamoto & Yanagisawa, SIAM J. Sci. Comput. 42(1), 2020): their shift
+    /// `α = 11(mn + n(n+1))u` leaves `κ₂(Q₁) = O(√α·κ₂(A))`, and CholeskyQR2
+    /// on `Q₁` needs `8·κ₂(Q₁)·√((mn + n(n+1))u) ≤ 1` (Yamamoto et al., ETNA
+    /// 44, 2015), so `c` is `8·√11` times that `O`'s constant. We take
+    /// `c·u = 64·ε` (`c = 128`, 4.8 × `8·√11`, of which `cqr::fukaya_shift`'s
+    /// `ε = 2u` spends √2) and write `1/ε` as `kappa_max²`. Not covered: that
+    /// shift bounds `‖A‖₂` by `‖A‖_F`, and the gate reads a κ₁ estimate; the
+    /// κ sweep in `tests/stability_reproduction.rs` checks accepted results
+    /// against the Householder oracle.
+    pub(crate) fn rung_limit(&self, algorithm: Algorithm, m: usize, n: usize) -> f64 {
+        match algorithm {
+            Algorithm::CaCqr3 => self.kappa_max * self.kappa_max / (64 * (m * n + n * (n + 1))) as f64,
+            // PGEQRF only ever runs as the terminal rung.
+            _ => self.kappa_max,
+        }
     }
 }
 
@@ -499,13 +527,15 @@ impl QrPlan {
     /// service layer's `SubmitOptions::retry` rides on.
     ///
     /// With a disabled policy this is byte-for-byte the classic single
-    /// attempt. With an enabled one, a breakdown or a κ₁ estimate above
-    /// `kappa_max` walks the build-time escalation ladder
+    /// attempt. With an enabled one, a breakdown or a κ₁ estimate above the
+    /// rung's limit walks the build-time escalation ladder
     /// (1D-CQR2 / CA-CQR2 → shifted CA-CQR3 → `Pgeqrf`), re-running from
     /// the same pooled arenas; the returned report records every attempt
     /// in [`QrReport::escalation`] and names the algorithm that actually
-    /// produced the factors. If every rung fails, the full chain comes
-    /// back as [`PlanError::EscalationExhausted`].
+    /// produced the factors. Each rung has its own limit ([`RetryPolicy`]),
+    /// so `Pgeqrf` runs only beyond shifted CQR3's or after a CQR3
+    /// breakdown. If every rung fails, the full chain comes back as
+    /// [`PlanError::EscalationExhausted`].
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
         let accepted = self.run_accepted(a.as_ref(), policy)?;
         Ok(QrReport::from_run(self, a.as_ref(), accepted))
@@ -546,10 +576,11 @@ impl QrPlan {
             match self.run_config(config, a, cfg) {
                 Ok(run) => {
                     let kappa = dense::cond_estimate(run.r.as_ref());
+                    let limit = policy.rung_limit(algorithm, self.m, self.n);
                     // The terminal rung is accepted unconditionally — there
                     // is nothing better to escalate to, and Householder QR
                     // does not degrade with κ the way the Gram path does.
-                    if kappa <= policy.kappa_max || i == terminal {
+                    if kappa <= limit || i == terminal {
                         attempts.push(EscalationAttempt { algorithm, error: None });
                         return Ok(AcceptedRun {
                             algorithm,
@@ -562,10 +593,7 @@ impl QrPlan {
                     }
                     attempts.push(EscalationAttempt {
                         algorithm,
-                        error: Some(Box::new(PlanError::ConditionTooHigh {
-                            estimate: kappa,
-                            limit: policy.kappa_max,
-                        })),
+                        error: Some(Box::new(PlanError::ConditionTooHigh { estimate: kappa, limit })),
                     });
                 }
                 Err(e) => attempts.push(EscalationAttempt {
@@ -1074,10 +1102,17 @@ mod tests {
             Algorithm::Pgeqrf,
             "only the terminal rung survives the gate"
         );
-        assert!(esc.attempts.iter().rev().skip(1).all(|at| matches!(
-            at.error.as_deref(),
-            Some(PlanError::ConditionTooHigh { limit, .. }) if *limit == 10.0
-        )));
+        // Each rejection carries its own rung's limit; CQR3's follows from
+        // the same knob and is far below 1.
+        let cqr3_limit = 10.0f64.powi(2) / (64.0 * (64 * 16 + 16 * 17) as f64);
+        let rejected: Vec<_> = esc.attempts[..esc.attempts.len() - 1]
+            .iter()
+            .map(|at| match at.error.as_deref() {
+                Some(PlanError::ConditionTooHigh { limit, .. }) => (at.algorithm, *limit),
+                other => panic!("expected a condition rejection, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(rejected, [(Algorithm::CaCqr2, 10.0), (Algorithm::CaCqr3, cqr3_limit)]);
         assert!(esc.condition_estimate > 10.0, "the input really is worse than the gate");
     }
 

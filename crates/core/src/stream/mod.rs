@@ -18,10 +18,11 @@
 //! a further `1/α²`, the downdate pivot). The stream integrates exactly
 //! that bound into a running [`drift`](StreamingQr::drift) score and, when
 //! it exceeds the configurable [`drift_threshold`](StreamingQr::drift), a
-//! **refresh** fires automatically: a full CholeskyQR2 re-factorization of
-//! the retained rows — through the owning plan's distributed path when the
-//! row count matches the plan shape, through an in-arena sequential CQR2
-//! otherwise — which resets drift to zero. A refresh is also chosen over an
+//! **refresh** fires automatically: a re-factorization of the retained
+//! rows — the owning plan's distributed CholeskyQR2 when the row count
+//! matches the plan shape, an in-arena sequential refresh from `AᵀA` alone
+//! otherwise (less accurate: see [`refresh`](StreamingQr::refresh)) —
+//! which resets drift to zero. A refresh is also chosen over an
 //! update whenever the `costmodel::streaming` crossover says re-factoring
 //! is cheaper (very wide deltas). [`StreamStatus::refreshed`] reports when
 //! one fired.
@@ -589,23 +590,30 @@ impl StreamingQr {
         self.history_view().to_owned()
     }
 
-    /// Re-derives `R` from the retained rows by a full CholeskyQR2,
-    /// resetting drift to zero: through the owning plan's distributed path
-    /// when the live row count equals the plan shape, through an in-arena
-    /// sequential R-only CQR2 otherwise. On a least-squares stream the
+    /// Re-derives `R` from the retained rows, resetting drift to zero:
+    /// through the owning plan's distributed CholeskyQR2 when the live row
+    /// count equals the plan shape, through an in-arena sequential
+    /// Gram-only refresh otherwise. On a least-squares stream the
     /// projection `d = Aᵀb` is recomputed exactly from the retained
     /// `(A, b)` history at the same time, discarding the rounding the
     /// incremental deltas accumulate. Requires history. `R` and `d` are
     /// untouched on error.
     ///
+    /// The plan-shape path re-reads the rows for its second pass, so its
+    /// `R` is a `factor`'s. The sequential path never does — every pass
+    /// factors the one rounded `fl(AᵀA)` — so its `R` keeps the Gram path's
+    /// `ε·κ²` error whatever the pass count or shift (README, "Streaming
+    /// updates", has the measured numbers).
+    ///
     /// When the owning plan carries an enabled
     /// [`RetryPolicy`](crate::driver::RetryPolicy), a failed refresh walks
-    /// the same escalation ladder a failed factor does instead of parking
-    /// the stream in `refresh_failed`: the distributed path escalates
-    /// through [`QrPlan::factor`] directly, and the sequential path retries
-    /// plain CQR2 → shifted CQR3 → Householder QR (each rung costing one
-    /// more attempt against the policy's budget). Only when every allowed
-    /// rung fails does the error surface.
+    /// an escalation ladder instead of parking the stream in
+    /// `refresh_failed`: the plan-shape path the plan's own, rung limits
+    /// included; the sequential path retries plain → shifted → Householder
+    /// QR (each rung costing one more attempt against the policy's budget)
+    /// on breakdown only, since shifted CQR3's limit does not hold for a
+    /// Gram-only `R`. Only when every allowed rung fails does the error
+    /// surface.
     pub fn refresh(&mut self) -> Result<(), PlanError> {
         if !self.retain {
             return Err(PlanError::StreamHistoryRequired { op: "refresh" });
@@ -682,11 +690,11 @@ impl StreamingQr {
     /// `G = AᵀA` (the `m·n²` work, on the blocked SYRK), from arena scratch
     /// and with no `Q` ever materialized. Each pass factors `L = chol(G)`,
     /// folds `Lᵀ` into the running product, and hands the next pass
-    /// `L⁻¹·G·L⁻ᵀ`, so `R = (L₁·…·L_passes)ᵀ`. Two unshifted passes are
-    /// CholeskyQR2. The second rung is *shifted* CholeskyQR3 (Fukaya et
-    /// al.): its first pass factors `G + σI` — the Fukaya shift keeps that
-    /// positive definite for any numerically full-rank `A` — and two
-    /// unshifted correction passes restore orthogonality.
+    /// `L⁻¹·G·L⁻ᵀ`, so `R = (L₁·…·L_passes)ᵀ`: CholeskyQR2's `R` in exact
+    /// arithmetic. The second rung shifts the first pass by the Fukaya
+    /// shift, which keeps `G + σI` positive definite for any numerically
+    /// full-rank `A`. Neither rung recomputes `Q₁ᵀQ₁` from the rows, so
+    /// neither removes the `ε·κ²` error the rounded `G` carries.
     fn refresh_gram(&mut self, passes: usize, shifted: bool) -> Result<(), PlanError> {
         let n = self.n;
         let backend = self.plan.backend().get();

@@ -58,9 +58,12 @@
 //! Breakdown on ill-conditioned input is a normal event for the CQR2
 //! family (it squares κ before the Cholesky). An enabled [`RetryPolicy`]
 //! escalates failed factorizations up a stability ladder (CQR2 → shifted
-//! CQR3 → Householder) and records the walk in a [`QrReport::escalation`]
-//! chain; [`SubmitOptions`] adds per-job deadlines, cancellation, and
-//! load-shedding admission control to the service; and `dense::fault`
+//! CQR3 → Householder), accepting each rung inside the κ range its own
+//! stability proof covers — CQR2 up to `kappa_max`, shifted CQR3 up to
+//! `kappa_max² / (64·(mn + n(n+1)))`, Householder always — and records the
+//! walk in a [`QrReport::escalation`] chain; [`SubmitOptions`] adds
+//! per-job deadlines, cancellation, and load-shedding admission control to
+//! the service; and `dense::fault`
 //! provides the deterministic `CACQR_FAULTS` chaos-injection layer that
 //! `tests/chaos.rs` drives in CI. See the README's "Robustness" section
 //! for the error taxonomy and contracts.

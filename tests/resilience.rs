@@ -3,7 +3,7 @@
 //! * **Acceptance (the ladder works):** a κ ≈ 1e9 input that provably
 //!   defeats plain CQR2 (its Gram matrix squares the conditioning past
 //!   1/ε) completes through automatic escalation, records the full attempt
-//!   chain, and matches a direct PGEQRF factorization to batch-CQR2
+//!   chain, and matches the Householder oracle's `R` to batch-CQR2
 //!   accuracy bounds.
 //! * **Streams escalate too:** a drift-triggered refresh that fails on the
 //!   plain sequential path retries on the shifted-CQR3 and Householder
@@ -14,7 +14,8 @@
 //!   saturates the pool, without wedging the per-stream turnstile.
 //! * **The service counts what it did:** a κ ≈ 1e9 panel submitted with an
 //!   escalating retry policy and a zero-deadline submission against a warm
-//!   queue show up in `stats()` as retries, one escalation and one shed job.
+//!   queue show up in `stats()` as one retry (the panel ends on shifted
+//!   CQR3), one escalation and one shed job.
 //! * **Stable partial-failure indices:** `try_factor_many` maps each panel's
 //!   typed outcome to its submission index regardless of how ranges were
 //!   stolen across the pool.
@@ -41,7 +42,7 @@ fn positive_diag(r: &Matrix) -> Matrix {
 }
 
 #[test]
-fn kappa_1e9_input_completes_via_escalation_and_matches_pgeqrf() {
+fn kappa_1e9_input_completes_via_escalation_and_matches_householder() {
     let hard = matrix_with_condition(64, 16, 1e9, 41);
     let plan = QrPlan::new(64, 16)
         .grid(GridShape::new(2, 2).unwrap())
@@ -67,18 +68,12 @@ fn kappa_1e9_input_completes_via_escalation_and_matches_pgeqrf() {
     assert!(report.orthogonality_error < 1e-12, "got {}", report.orthogonality_error);
     assert!(report.residual_error < 1e-12, "got {}", report.residual_error);
 
-    // ...and agreement with a direct PGEQRF factorization of the same
-    // input, up to the row-sign convention, at the accuracy CQR2's own
-    // equivalence tests use.
-    let pgeqrf = QrPlan::new(64, 16)
-        .algorithm(Algorithm::Pgeqrf)
-        .block_cyclic(baseline::BlockCyclic { pr: 2, pc: 1, nb: 16 })
-        .build()
-        .unwrap()
-        .factor(&hard)
-        .unwrap();
+    // ...and agreement with the Householder oracle on the same input, up to
+    // the row-sign convention, at the accuracy CQR2's own equivalence tests
+    // use.
+    let (_, oracle_r) = dense::householder::qr(&hard);
     let ours = positive_diag(&report.r);
-    let reference = positive_diag(&pgeqrf.r);
+    let reference = positive_diag(&oracle_r);
     let denom = reference.data().iter().map(|x| x * x).sum::<f64>().sqrt();
     let diff = ours
         .data()
@@ -89,7 +84,7 @@ fn kappa_1e9_input_completes_via_escalation_and_matches_pgeqrf() {
         .sqrt();
     assert!(
         diff / denom < 1e-8,
-        "escalated R must agree with direct PGEQRF (rel diff {:.3e})",
+        "escalated R must agree with the Householder oracle (rel diff {:.3e})",
         diff / denom
     );
 }
@@ -308,7 +303,7 @@ fn service_stats_count_escalation_and_shedding() {
     );
 
     let stats = service.stats();
-    assert!(stats.retries >= 1, "escalation implies at least one retry");
+    assert_eq!(stats.retries, 1, "CQR2 breaks down, shifted CQR3 is accepted");
     assert_eq!(stats.escalations, 1);
     assert_eq!(stats.shed, 1);
 }

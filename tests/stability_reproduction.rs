@@ -1,6 +1,7 @@
-//! Reproduction of the paper's §I numerical-stability claims as assertions.
+//! Reproduction of the paper's §I numerical-stability claims as assertions,
+//! and the escalation ladder's contract as a κ-sweep property.
 
-use cacqr::QrPlan;
+use cacqr::{Algorithm, PlanError, QrPlan, RetryPolicy};
 use dense::norms::orthogonality_error;
 use dense::random::matrix_with_condition;
 use dense::BackendKind;
@@ -80,5 +81,87 @@ fn shifted_cqr3_is_unconditional() {
             "κ=1e{exp}: {:.2e}",
             orthogonality_error(q.as_ref())
         );
+    }
+}
+
+/// The κ₁ limit `RetryPolicy::escalate()` holds a non-terminal rung to: the
+/// CQR2 family's `kappa_max`, and shifted CQR3's Fukaya et al. bound
+/// `kappa_max² / (64·(mn + n(n+1)))` derived from it.
+fn rung_limit(algorithm: Algorithm, m: usize, n: usize) -> f64 {
+    let kappa_max = RetryPolicy::DEFAULT_KAPPA_MAX;
+    match algorithm {
+        Algorithm::CaCqr3 => kappa_max * kappa_max / (64 * (m * n + n * (n + 1))) as f64,
+        _ => kappa_max,
+    }
+}
+
+#[test]
+fn escalation_ladder_accepts_each_input_on_the_first_rung_whose_limit_covers_it() {
+    let plans = [
+        (256, 32, Algorithm::Cqr2_1d, GridShape::one_d(1).unwrap()),
+        (2048, 64, Algorithm::Cqr2_1d, GridShape::one_d(4).unwrap()),
+        (64, 16, Algorithm::CaCqr2, GridShape::new(2, 2).unwrap()),
+        (512, 256, Algorithm::CaCqr2, GridShape::new(2, 2).unwrap()),
+    ];
+    for (m, n, primary, grid) in plans {
+        let plan = QrPlan::new(m, n)
+            .algorithm(primary)
+            .grid(grid)
+            .retry(RetryPolicy::escalate())
+            .build()
+            .unwrap();
+        let ladder: Vec<Algorithm> = std::iter::once(primary).chain(plan.escalation_rungs()).collect();
+        for exp in 0..=16 {
+            let cell = format!("{m}x{n} {primary} κ=1e{exp}");
+            let a = matrix_with_condition(m, n, 10f64.powi(exp), 1000 + exp as u64);
+            let report = plan
+                .factor(&a)
+                .unwrap_or_else(|e| panic!("{cell}: the ladder must end on a stable rung: {e}"));
+            let esc = report.escalation.as_ref().expect("an enabled policy records its walk");
+            let chain: Vec<Algorithm> = esc.attempts.iter().map(|at| at.algorithm).collect();
+            assert_eq!(chain, ladder[..chain.len()], "{cell}: the walk follows the ladder");
+            let (accepted, rejected) = esc.attempts.split_last().unwrap();
+            assert!(accepted.error.is_none(), "{cell}: the last attempt is the accepted one");
+            assert_eq!(report.algorithm, accepted.algorithm);
+            for at in rejected {
+                match at.error.as_deref() {
+                    Some(PlanError::NotPositiveDefinite(_)) => {}
+                    Some(&PlanError::ConditionTooHigh { estimate, limit }) => {
+                        assert_eq!(limit, rung_limit(at.algorithm, m, n), "{cell}: {} limit", at.algorithm);
+                        assert!(estimate > limit, "{cell}: {} rejected inside its limit", at.algorithm);
+                    }
+                    other => panic!("{cell}: {} rejected by {other:?}", at.algorithm),
+                }
+            }
+            // Rejections above mean every earlier rung broke down or was out
+            // of range; a non-terminal accepted rung must be within its own.
+            if chain.len() < ladder.len() {
+                let limit = rung_limit(accepted.algorithm, m, n);
+                assert!(esc.condition_estimate <= limit, "{cell}: accepted beyond its limit");
+            }
+            let (qh, _) = dense::householder::qr(&a);
+            let oracle = orthogonality_error(qh.as_ref());
+            assert!(
+                report.orthogonality_error <= 1e-13 && report.residual_error <= 1e-13,
+                "{cell}: {} gave orthogonality {:.2e}, residual {:.2e}",
+                report.algorithm,
+                report.orthogonality_error,
+                report.residual_error
+            );
+            assert!(
+                report.orthogonality_error <= 10.0 * oracle,
+                "{cell}: {} orthogonality {:.2e} against Householder's {oracle:.2e}",
+                report.algorithm,
+                report.orthogonality_error
+            );
+            // The benchmark's hard job ends on its second rung, and an input
+            // past every Gram rung on the terminal one.
+            if (m, n, exp) == (256, 32, 10) {
+                assert_eq!(chain, [Algorithm::Cqr2_1d, Algorithm::CaCqr3], "{cell}");
+            }
+            if exp == 16 {
+                assert_eq!(report.algorithm, *ladder.last().unwrap(), "{cell}: terminal rung");
+            }
+        }
     }
 }
