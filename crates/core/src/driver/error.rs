@@ -98,21 +98,23 @@ pub enum PlanError {
     /// unconditionally stable for numerically full-rank input.
     NotPositiveDefinite(CholeskyError),
     /// A factorization nominally succeeded but the computed `R` failed its
-    /// rung's condition gate (`κ₁(R)` estimate above the limit the
-    /// [`RetryPolicy`](super::RetryPolicy) derives for that rung), and no
-    /// further escalation rung was available or allowed. Within the
-    /// escalation ladder this is also the per-attempt error recorded for
-    /// rejected rungs.
+    /// rung's condition gate (`κ₁(R)` estimate above the range that rung's
+    /// stability proof covers). The per-attempt error an escalating walk
+    /// records for a rejected non-terminal rung.
     ConditionTooHigh {
         /// The Hager–Higham κ₁ estimate of the computed `R`.
         estimate: f64,
-        /// The rejected rung's acceptance limit: `kappa_max` for the CQR2
-        /// family, `kappa_max² / (64·(mn + n(n+1)))` for shifted CQR3.
+        /// The rejected rung's acceptance limit:
+        /// [`RetryPolicy::KAPPA_MAX`](super::RetryPolicy::KAPPA_MAX) for the
+        /// CQR2 family, `KAPPA_MAX² / (64·(mn + n(n+1)))` for shifted CQR3.
         limit: f64,
     },
-    /// Every rung of the escalation ladder failed (breakdown or condition
-    /// gate). Carries the full attempt chain — algorithm and error per rung
-    /// — so the caller sees exactly what was tried.
+    /// Every rung of an escalating walk failed, the terminal one included.
+    /// Carries the full attempt chain — algorithm and error per rung — so
+    /// the caller sees exactly what was tried. The terminal rung is
+    /// accepted whatever its κ, so only its own breakdown ends a walk here;
+    /// every ladder the builder makes ends on Householder `Pgeqrf`, which
+    /// has no Cholesky to break.
     EscalationExhausted {
         /// One entry per attempted rung, in execution order.
         attempts: Vec<EscalationAttempt>,

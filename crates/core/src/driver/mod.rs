@@ -34,7 +34,9 @@
 //! config (the only place [`PlanError::MissingGrid`] /
 //! [`PlanError::MissingBlockCyclic`] arise); the escalation ladder, which
 //! proposes a shifted-CQR3 and a Householder config and keeps what
-//! validates; the [`Tuner`](crate::tuner::Tuner), which hands it to
+//! validates (a stream refresh off the plan's row count filters the
+//! one-rank form of the plan's rungs the same way); the
+//! [`Tuner`](crate::tuner::Tuner), which hands it to
 //! [`costmodel::enumerate`] as the acceptance predicate, so every ranked
 //! candidate builds by construction; and
 //! [`ProfileEntry::spec`](crate::tuner::ProfileEntry::spec), for configs
@@ -99,129 +101,77 @@ use pargrid::GridShape;
 use simgrid::{run_spmd_pooled, CostLedger, Machine, RuntimeKind, SimConfig};
 use std::sync::Arc;
 
-/// When and how far a plan may escalate to a more stable algorithm after a
-/// failed or condition-rejected attempt.
+/// Whether a plan may escalate to a more stable algorithm after a failed or
+/// condition-rejected attempt: [`RetryPolicy::none`] or
+/// [`RetryPolicy::escalate`].
 ///
 /// The CQR2 family squares the condition number in the Gram matrix, so a
 /// Cholesky breakdown on ill-conditioned input is a *normal operating
-/// event*, not a bug. A policy-enabled plan responds by walking a fixed
+/// event*, not a bug. An escalating plan responds by walking a fixed
 /// stability ladder — 1D-CQR2 / CA-CQR2 → shifted CA-CQR3 → the Householder
 /// `Pgeqrf` baseline — re-running each rung from the same pooled arenas and
-/// recording the attempt chain in [`QrReport::escalation`].
+/// recording the attempt chain in [`QrReport::escalation`]. A stream's
+/// refresh walks the same ladder at any live row count
+/// ([`StreamingQr::refresh`](crate::stream::StreamingQr::refresh)).
 ///
 /// An attempt escalates when it either breaks down
 /// ([`PlanError::NotPositiveDefinite`]) or produces an `R` whose cheap
 /// κ₁ estimate ([`dense::cond_estimate`]) exceeds its rung's limit
 /// ([`PlanError::ConditionTooHigh`]), the range that rung's stability proof
-/// covers: `kappa_max` for 1D-CQR2 / CA-CQR2, `kappa_max² / (64·(mn +
-/// n(n+1)))` for shifted CA-CQR3 on `m × n` input (`1/(64·(mn + n(n+1))·ε)`
-/// at the default `kappa_max ≈ 1/√ε`: 7.6e9 at 256 × 32); the terminal rung
-/// is accepted unconditionally. The default policy is
-/// [`RetryPolicy::none`]: no retries, errors surface exactly as they did
-/// before escalation existed.
-#[derive(Clone, Copy, Debug)]
+/// covers: [`RetryPolicy::KAPPA_MAX`] for 1D-CQR2 / CA-CQR2,
+/// `KAPPA_MAX² / (64·(mn + n(n+1)))` for shifted CA-CQR3 on `m × n` input
+/// (`1/(64·(mn + n(n+1))·ε)`: 7.6e9 at 256 × 32); the terminal rung is
+/// accepted unconditionally. The default policy is [`RetryPolicy::none`]:
+/// no retries, errors surface exactly as they did before escalation
+/// existed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RetryPolicy {
-    max_attempts: usize,
-    kappa_max: f64,
+    escalate: bool,
 }
 
 impl RetryPolicy {
-    /// The default condition-acceptance threshold: `1/√ε ≈ 6.7e7`, the
+    /// The CQR2 rung's condition-acceptance threshold: `1/√ε ≈ 6.7e7`, the
     /// classical boundary beyond which a CQR2-family `R` stops being
     /// trustworthy (the Gram matrix's κ² reaches 1/ε). The shifted CQR3
-    /// rung's limit, `kappa_max² / (64·(mn + n(n+1)))`, is derived from it.
-    pub const DEFAULT_KAPPA_MAX: f64 = 6.7e7;
+    /// rung's limit, `KAPPA_MAX² / (64·(mn + n(n+1)))`, is derived from it.
+    pub const KAPPA_MAX: f64 = 6.7e7;
 
     /// No retries: a breakdown or condition violation surfaces directly.
     pub fn none() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            kappa_max: f64::INFINITY,
-        }
+        RetryPolicy { escalate: false }
     }
 
-    /// Full escalation: walk every available ladder rung, gating the CQR2
-    /// rung on [`RetryPolicy::DEFAULT_KAPPA_MAX`] and the shifted CQR3 rung
-    /// on the limit derived from it; the terminal rung is always accepted.
+    /// Full escalation: walk every available ladder rung, gating each
+    /// non-terminal rung on its own limit; the terminal rung is always
+    /// accepted.
     pub fn escalate() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: usize::MAX,
-            kappa_max: RetryPolicy::DEFAULT_KAPPA_MAX,
-        }
-    }
-
-    /// Caps the total number of attempts (primary included). Clamped to at
-    /// least 1.
-    pub fn with_max_attempts(mut self, max_attempts: usize) -> RetryPolicy {
-        self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Overrides the κ₁ acceptance threshold of the CQR2 rung. The shifted
-    /// CQR3 rung's limit moves with it: `with_kappa_max(10.0)` rejects
-    /// every non-terminal rung.
-    pub fn with_kappa_max(mut self, kappa_max: f64) -> RetryPolicy {
-        self.kappa_max = kappa_max;
-        self
+        RetryPolicy { escalate: true }
     }
 
     /// Whether this policy ever retries.
     pub fn is_enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
-    /// Total attempts allowed, primary included.
-    pub fn max_attempts(&self) -> usize {
-        self.max_attempts
-    }
-
-    /// The κ₁ acceptance threshold of the CQR2 rung.
-    pub fn kappa_max(&self) -> f64 {
-        self.kappa_max
-    }
-
-    /// The κ₁ limit a non-terminal rung running `algorithm` on `m × n`
-    /// input is accepted under. Shifted CholeskyQR3 is stable for
-    /// `κ₂(A) ≤ 1/(c·(mn + n(n+1))·u)` (Fukaya, Kannan, Nakatsukasa,
-    /// Yamamoto & Yanagisawa, SIAM J. Sci. Comput. 42(1), 2020): their shift
-    /// `α = 11(mn + n(n+1))u` leaves `κ₂(Q₁) = O(√α·κ₂(A))`, and CholeskyQR2
-    /// on `Q₁` needs `8·κ₂(Q₁)·√((mn + n(n+1))u) ≤ 1` (Yamamoto et al., ETNA
-    /// 44, 2015), so `c` is `8·√11` times that `O`'s constant. We take
-    /// `c·u = 64·ε` (`c = 128`, 4.8 × `8·√11`, of which `cqr::fukaya_shift`'s
-    /// `ε = 2u` spends √2) and write `1/ε` as `kappa_max²`. Not covered: that
-    /// shift bounds `‖A‖₂` by `‖A‖_F`, and the gate reads a κ₁ estimate; the
-    /// κ sweep in `tests/stability_reproduction.rs` checks accepted results
-    /// against the Householder oracle.
-    pub(crate) fn rung_limit(&self, algorithm: Algorithm, m: usize, n: usize) -> f64 {
-        match algorithm {
-            Algorithm::CaCqr3 => self.kappa_max * self.kappa_max / (64 * (m * n + n * (n + 1))) as f64,
-            // PGEQRF only ever runs as the terminal rung.
-            _ => self.kappa_max,
-        }
+        self.escalate
     }
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy::none()
-    }
-}
-
-// Manual equality/hashing over the bit pattern of `kappa_max` so the policy
-// can ride inside hashable specs (`JobSpec`) — NaN never appears via the
-// constructors, and bitwise equality is the right cache-key semantics.
-impl PartialEq for RetryPolicy {
-    fn eq(&self, other: &RetryPolicy) -> bool {
-        self.max_attempts == other.max_attempts && self.kappa_max.to_bits() == other.kappa_max.to_bits()
-    }
-}
-
-impl Eq for RetryPolicy {}
-
-impl std::hash::Hash for RetryPolicy {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.max_attempts.hash(state);
-        self.kappa_max.to_bits().hash(state);
+/// The κ₁ limit a non-terminal rung running `algorithm` on `m × n` input is
+/// accepted under. Shifted CholeskyQR3 is stable for
+/// `κ₂(A) ≤ 1/(c·(mn + n(n+1))·u)` (Fukaya, Kannan, Nakatsukasa, Yamamoto &
+/// Yanagisawa, SIAM J. Sci. Comput. 42(1), 2020): their shift
+/// `α = 11(mn + n(n+1))u` leaves `κ₂(Q₁) = O(√α·κ₂(A))`, and CholeskyQR2 on
+/// `Q₁` needs `8·κ₂(Q₁)·√((mn + n(n+1))u) ≤ 1` (Yamamoto et al., ETNA 44,
+/// 2015), so `c` is `8·√11` times that `O`'s constant. We take `c·u = 64·ε`
+/// (`c = 128`, 4.8 × `8·√11`, of which `cqr::fukaya_shift`'s `ε = 2u` spends
+/// √2) and write `1/ε` as `KAPPA_MAX²`. Not covered: that shift bounds
+/// `‖A‖₂` by `‖A‖_F`, and the gate reads a κ₁ estimate; the κ sweeps in
+/// `tests/stability_reproduction.rs` check accepted results against the
+/// Householder oracle.
+pub(crate) fn rung_limit(algorithm: Algorithm, m: usize, n: usize) -> f64 {
+    let kappa_max = RetryPolicy::KAPPA_MAX;
+    match algorithm {
+        Algorithm::CaCqr3 => kappa_max * kappa_max / (64 * (m * n + n * (n + 1))) as f64,
+        // PGEQRF only ever runs as the terminal rung.
+        _ => kappa_max,
     }
 }
 
@@ -534,8 +484,10 @@ impl QrPlan {
     /// in [`QrReport::escalation`] and names the algorithm that actually
     /// produced the factors. Each rung has its own limit ([`RetryPolicy`]),
     /// so `Pgeqrf` runs only beyond shifted CQR3's or after a CQR3
-    /// breakdown. If every rung fails, the full chain comes back as
-    /// [`PlanError::EscalationExhausted`].
+    /// breakdown. The terminal rung is accepted whatever its κ; only a walk
+    /// whose last rung itself fails returns the full chain as
+    /// [`PlanError::EscalationExhausted`], and a Householder terminal rung
+    /// has no Cholesky to fail.
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
         let accepted = self.run_accepted(a.as_ref(), policy)?;
         Ok(QrReport::from_run(self, a.as_ref(), accepted))
@@ -544,8 +496,8 @@ impl QrPlan {
     /// [`factor_with_policy`](QrPlan::factor_with_policy) up to, but not
     /// including, the report diagnostics: the run, the algorithm that
     /// produced it and the escalation chain. For callers that keep only
-    /// `R` (the stream's open and refresh, straight from a view of the row
-    /// history) or time the algorithm alone (the tuner's calibration runs).
+    /// `R` (the stream's open, straight from a view of the row history) or
+    /// time the algorithm alone (the tuner's calibration runs).
     pub(crate) fn run_accepted(&self, a: MatRef<'_>, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
         if (a.rows(), a.cols()) != (self.m, self.n) {
             return Err(PlanError::InputShapeMismatch {
@@ -553,34 +505,72 @@ impl QrPlan {
                 got: (a.rows(), a.cols()),
             });
         }
+        self.walk(a, self.config, &self.ladder, policy)
+    }
+
+    /// [`run_accepted`](QrPlan::run_accepted) for a stream's rows, whose
+    /// count floats above `n`. At the plan's `m` this is `run_accepted`.
+    /// At any other row count the plan's own primary and ladder run on one
+    /// rank — 1D-CQR2 and CA-CQR2 as `Cqr1d { p: 1 }`, shifted CA-CQR3 on
+    /// the `1 × 1` grid with `n₀ = n`, PGEQRF as one `n`-wide panel — each
+    /// kept when it [`validate`]s for that row count, so a rung the build
+    /// dropped stays absent here too.
+    pub(crate) fn run_rows(&self, a: MatRef<'_>, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
+        if a.rows() == self.m {
+            return self.run_accepted(a, policy);
+        }
+        let (m, n) = (a.rows(), self.n);
+        let one_rank = |config: &CandidateConfig| match config.algorithm() {
+            Algorithm::Cqr2_1d | Algorithm::CaCqr2 => CandidateConfig::Cqr1d { p: 1 },
+            Algorithm::CaCqr3 => CandidateConfig::CaCqr3 {
+                c: 1,
+                d: 1,
+                base_size: n,
+                inverse_depth: 0,
+            },
+            Algorithm::Pgeqrf => CandidateConfig::Pgeqrf { pr: 1, pc: 1, nb: n },
+        };
+        let primary = one_rank(&self.config);
+        validate(m, n, &primary)?;
+        let ladder: Vec<CandidateConfig> = self
+            .ladder
+            .iter()
+            .map(one_rank)
+            .filter(|config| validate(m, n, config).is_ok())
+            .collect();
+        self.walk(a, primary, &ladder, policy)
+    }
+
+    /// The one escalation ladder walk: `primary`, then — under an enabled
+    /// policy — each rung of `ladder` until one is accepted. A non-terminal
+    /// rung is accepted when its `R`'s κ₁ estimate is within
+    /// [`rung_limit`] for `a`'s shape; the terminal rung unconditionally.
+    fn walk(
+        &self,
+        a: MatRef<'_>,
+        primary: CandidateConfig,
+        ladder: &[CandidateConfig],
+        policy: RetryPolicy,
+    ) -> Result<AcceptedRun, PlanError> {
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         if !policy.is_enabled() {
             return Ok(AcceptedRun {
-                algorithm: self.algorithm(),
-                run: self.run_config(self.config, a, cfg)?,
+                algorithm: primary.algorithm(),
+                run: self.run_config(primary, a, cfg)?,
                 escalation: None,
             });
         }
-        let rungs = std::iter::once(self.config)
-            .chain(self.ladder.iter().copied())
-            .take(policy.max_attempts);
-        // Index of the ladder's true terminal rung in the chained walk. A
-        // policy whose attempt cap truncates the ladder *before* the
-        // terminal rung keeps the gate on every attempted rung: accepting
-        // whatever the cap happened to land on would silently violate the
-        // caller's κ threshold.
-        let terminal = self.ladder.len();
         let mut attempts: Vec<EscalationAttempt> = Vec::new();
-        for (i, config) in rungs.enumerate() {
+        for (i, config) in std::iter::once(primary).chain(ladder.iter().copied()).enumerate() {
             let algorithm = config.algorithm();
             match self.run_config(config, a, cfg) {
                 Ok(run) => {
                     let kappa = dense::cond_estimate(run.r.as_ref());
-                    let limit = policy.rung_limit(algorithm, self.m, self.n);
+                    let limit = rung_limit(algorithm, a.rows(), a.cols());
                     // The terminal rung is accepted unconditionally — there
                     // is nothing better to escalate to, and Householder QR
                     // does not degrade with κ the way the Gram path does.
-                    if kappa <= limit || i == terminal {
+                    if kappa <= limit || i == ladder.len() {
                         attempts.push(EscalationAttempt { algorithm, error: None });
                         return Ok(AcceptedRun {
                             algorithm,
@@ -605,18 +595,19 @@ impl QrPlan {
         Err(PlanError::EscalationExhausted { attempts })
     }
 
-    /// Runs one validated config against the plan's pooled arenas. The
-    /// chaos faultpoint here injects a typed breakdown *upstream* of rank
-    /// dispatch, so every simulated rank observes one consistent failure
-    /// (the in-kernel pivot faultpoint is suppressed inside SPMD regions
-    /// for exactly that reason).
+    /// Runs one validated config against the plan's pooled arenas. Before a
+    /// Gram rung, the chaos faultpoint injects a typed breakdown *upstream*
+    /// of rank dispatch, so every simulated rank observes one consistent
+    /// failure (the in-kernel pivot faultpoint is suppressed inside SPMD
+    /// regions for exactly that reason); the Householder rung has no
+    /// Cholesky to break.
     fn run_config(&self, config: CandidateConfig, a: MatRef<'_>, cfg: SimConfig) -> Result<QrRun, CholeskyError> {
-        dense::faultpoint!(dense::fault::CHOLESKY, {
+        if config.algorithm() != Algorithm::Pgeqrf && dense::faultpoint!(dense::fault::CHOLESKY) {
             return Err(CholeskyError {
                 index: 0,
                 pivot: f64::NEG_INFINITY,
             });
-        });
+        }
         let backend = self.backend;
         match config {
             CandidateConfig::Cqr1d { p } => run_cqr2_1d_global(a, p, backend, cfg, &self.pool),
@@ -1050,7 +1041,7 @@ mod tests {
         assert_eq!(esc.attempts[0].algorithm, Algorithm::CaCqr2);
         assert!(esc.attempts[0].error.is_none());
         assert!(esc.condition_estimate >= 1.0);
-        assert!(esc.condition_estimate <= RetryPolicy::DEFAULT_KAPPA_MAX);
+        assert!(esc.condition_estimate <= RetryPolicy::KAPPA_MAX);
         assert_eq!(report.algorithm, Algorithm::CaCqr2);
     }
 
@@ -1086,52 +1077,36 @@ mod tests {
 
     #[test]
     fn condition_gate_rejects_a_successful_but_untrustworthy_rung() {
-        let plan = QrPlan::new(64, 16)
+        // Each non-terminal rung's limit is its own stability proof's range:
+        // the CQR2 family's constant, and shifted CQR3's Fukaya et al. bound,
+        // which shrinks as m·n grows.
+        let (m, n) = (64, 16);
+        let kappa_max = RetryPolicy::KAPPA_MAX;
+        let cqr3_limit = kappa_max * kappa_max / (64.0 * (m * n + n * (n + 1)) as f64);
+        assert_eq!(rung_limit(Algorithm::Cqr2_1d, m, n), kappa_max);
+        assert_eq!(rung_limit(Algorithm::CaCqr2, m, n), kappa_max);
+        assert_eq!(rung_limit(Algorithm::CaCqr3, m, n), cqr3_limit);
+        assert_eq!(rung_limit(Algorithm::Pgeqrf, m, n), kappa_max);
+        let plan = QrPlan::new(m, n)
             .grid(GridShape::new(2, 2).unwrap())
-            .retry(RetryPolicy::escalate().with_kappa_max(10.0))
+            .retry(RetryPolicy::escalate())
             .build()
             .unwrap();
-        // kappa ~ 1e3 factors fine everywhere, but a gate at 10 rejects
-        // every non-terminal rung; the terminal rung is accepted
-        // unconditionally.
-        let a = dense::random::matrix_with_condition(64, 16, 1e3, 7);
+        // The κ = 1e12 cell of the stability sweep: shifted CQR3 factors it,
+        // but its R lies past that rung's proven range, so the gate rejects
+        // a successful attempt and the terminal rung is accepted.
+        let a = dense::random::matrix_with_condition(m, n, 1e12, 1012);
         let report = plan.factor(&a).unwrap();
         let esc = report.escalation.as_ref().unwrap();
-        assert_eq!(
-            report.algorithm,
-            Algorithm::Pgeqrf,
-            "only the terminal rung survives the gate"
-        );
-        // Each rejection carries its own rung's limit; CQR3's follows from
-        // the same knob and is far below 1.
-        let cqr3_limit = 10.0f64.powi(2) / (64.0 * (64 * 16 + 16 * 17) as f64);
-        let rejected: Vec<_> = esc.attempts[..esc.attempts.len() - 1]
-            .iter()
-            .map(|at| match at.error.as_deref() {
-                Some(PlanError::ConditionTooHigh { limit, .. }) => (at.algorithm, *limit),
-                other => panic!("expected a condition rejection, got {other:?}"),
-            })
-            .collect();
-        assert_eq!(rejected, [(Algorithm::CaCqr2, 10.0), (Algorithm::CaCqr3, cqr3_limit)]);
-        assert!(esc.condition_estimate > 10.0, "the input really is worse than the gate");
-    }
-
-    #[test]
-    fn bounded_attempts_exhaust_with_the_full_chain() {
-        let plan = QrPlan::new(64, 16)
-            .grid(GridShape::new(2, 2).unwrap())
-            .retry(RetryPolicy::escalate().with_kappa_max(10.0).with_max_attempts(2))
-            .build()
-            .unwrap();
-        let a = dense::random::matrix_with_condition(64, 16, 1e3, 7);
-        match plan.factor(&a).unwrap_err() {
-            PlanError::EscalationExhausted { attempts } => {
-                assert_eq!(attempts.len(), 2, "max_attempts caps the ladder walk");
-                assert!(attempts
-                    .iter()
-                    .all(|at| matches!(at.error.as_deref(), Some(PlanError::ConditionTooHigh { .. }))));
+        assert_eq!(report.algorithm, Algorithm::Pgeqrf);
+        let chain: Vec<Algorithm> = esc.attempts.iter().map(|at| at.algorithm).collect();
+        assert_eq!(chain, [Algorithm::CaCqr2, Algorithm::CaCqr3, Algorithm::Pgeqrf]);
+        match esc.attempts[1].error.as_deref() {
+            Some(&PlanError::ConditionTooHigh { estimate, limit }) => {
+                assert_eq!(limit, cqr3_limit, "the rejection carries CQR3's own limit");
+                assert!(estimate > limit);
             }
-            other => panic!("expected EscalationExhausted, got {other}"),
+            other => panic!("expected CQR3's condition rejection, got {other:?}"),
         }
     }
 

@@ -19,10 +19,10 @@
 //! that bound into a running [`drift`](StreamingQr::drift) score and, when
 //! it exceeds the configurable [`drift_threshold`](StreamingQr::drift), a
 //! **refresh** fires automatically: a re-factorization of the retained
-//! rows — the owning plan's distributed CholeskyQR2 when the row count
-//! matches the plan shape, an in-arena sequential refresh from `AᵀA` alone
-//! otherwise (less accurate: see [`refresh`](StreamingQr::refresh)) —
-//! which resets drift to zero. A refresh is also chosen over an
+//! rows by the owning plan's own algorithm and escalation ladder — across
+//! the plan's ranks when the row count matches its shape, on one rank
+//! otherwise (see [`refresh`](StreamingQr::refresh)) — which resets drift
+//! to zero. A refresh is also chosen over an
 //! update whenever the `costmodel::streaming` crossover says re-factoring
 //! is cheaper (very wide deltas). [`StreamStatus::refreshed`] reports when
 //! one fired.
@@ -584,57 +584,29 @@ impl StreamingQr {
         MatRef::from_slice(&self.history[self.start * self.n..], self.live, self.n)
     }
 
-    /// The retained rows as an owned matrix — this allocates: the snapshot's
-    /// copy becomes its `Q`; the Householder rung factors its copy in place.
-    fn history_matrix(&self) -> Matrix {
-        self.history_view().to_owned()
-    }
-
-    /// Re-derives `R` from the retained rows, resetting drift to zero:
-    /// through the owning plan's distributed CholeskyQR2 when the live row
-    /// count equals the plan shape, through an in-arena sequential
-    /// Gram-only refresh otherwise. On a least-squares stream the
-    /// projection `d = Aᵀb` is recomputed exactly from the retained
-    /// `(A, b)` history at the same time, discarding the rounding the
-    /// incremental deltas accumulate. Requires history. `R` and `d` are
-    /// untouched on error.
-    ///
-    /// The plan-shape path re-reads the rows for its second pass, so its
-    /// `R` is a `factor`'s. The sequential path never does — every pass
-    /// factors the one rounded `fl(AᵀA)` — so its `R` keeps the Gram path's
-    /// `ε·κ²` error whatever the pass count or shift (README, "Streaming
-    /// updates", has the measured numbers).
+    /// Re-derives `R` from the retained rows, resetting drift to zero, by
+    /// the owning plan's own escalation ladder at the live row count: the
+    /// plan's distributed factorization when the rows match its shape, the
+    /// same algorithms on one rank otherwise. Either way the second CQR2
+    /// pass re-reads the rows, so the `R` is a `factor`'s — not a
+    /// re-factored Gram matrix's — and the cost is a batch factorization's,
+    /// `Q` included. On a least-squares stream the projection `d = Aᵀb` is
+    /// recomputed exactly from the retained `(A, b)` history at the same
+    /// time, discarding the rounding the incremental deltas accumulate.
+    /// Requires history. `R` and `d` are untouched on error.
     ///
     /// When the owning plan carries an enabled
-    /// [`RetryPolicy`](crate::driver::RetryPolicy), a failed refresh walks
-    /// an escalation ladder instead of parking the stream in
-    /// `refresh_failed`: the plan-shape path the plan's own, rung limits
-    /// included; the sequential path retries plain → shifted → Householder
-    /// QR (each rung costing one more attempt against the policy's budget)
-    /// on breakdown only, since shifted CQR3's limit does not hold for a
-    /// Gram-only `R`. Only when every allowed rung fails does the error
-    /// surface.
+    /// [`RetryPolicy`](crate::driver::RetryPolicy), a failed or
+    /// condition-rejected attempt walks the plan's ladder, rung limits
+    /// included, instead of parking the stream in `refresh_failed`.
     pub fn refresh(&mut self) -> Result<(), PlanError> {
         if !self.retain {
             return Err(PlanError::StreamHistoryRequired { op: "refresh" });
         }
-        let result = if self.live == self.plan.m() {
-            self.plan
-                .run_accepted(self.history_view(), self.plan.retry_policy())
-                .map(|accepted| self.r = accepted.run.r)
-        } else {
-            let policy = self.plan.retry_policy();
-            let mut result = self.refresh_gram(2, false);
-            if policy.is_enabled() {
-                if result.is_err() && policy.max_attempts() >= 2 {
-                    result = self.refresh_gram(3, true);
-                }
-                if result.is_err() && policy.max_attempts() >= 3 {
-                    result = self.refresh_householder();
-                }
-            }
-            result
-        };
+        let result = self
+            .plan
+            .run_rows(self.history_view(), self.plan.retry_policy())
+            .map(|accepted| self.r = accepted.run.r);
         match result {
             Ok(()) => {
                 self.recompute_d();
@@ -683,89 +655,6 @@ impl StreamingQr {
                 }
             }
         }
-    }
-
-    /// The two Gram rungs of the sequential ladder: R-only Cholesky-QR over
-    /// the history in `passes` Cholesky passes off one Gram product
-    /// `G = AᵀA` (the `m·n²` work, on the blocked SYRK), from arena scratch
-    /// and with no `Q` ever materialized. Each pass factors `L = chol(G)`,
-    /// folds `Lᵀ` into the running product, and hands the next pass
-    /// `L⁻¹·G·L⁻ᵀ`, so `R = (L₁·…·L_passes)ᵀ`: CholeskyQR2's `R` in exact
-    /// arithmetic. The second rung shifts the first pass by the Fukaya
-    /// shift, which keeps `G + σI` positive definite for any numerically
-    /// full-rank `A`. Neither rung recomputes `Q₁ᵀQ₁` from the rows, so
-    /// neither removes the `ε·κ²` error the rounded `G` carries.
-    fn refresh_gram(&mut self, passes: usize, shifted: bool) -> Result<(), PlanError> {
-        let n = self.n;
-        let backend = self.plan.backend().get();
-        let mut ws = self.plan.workspace().checkout();
-        let mut g = ws.take_matrix_stale(n, n);
-        backend.syrk_into(self.history_view(), g.as_mut());
-        // `l` is what each pass factors in place; `g` stays unfactored (and
-        // unshifted) for the congruence that produces the next pass's input.
-        let mut l = ws.take_copy(g.as_ref());
-        if shifted {
-            let frob_sq: f64 = (0..n).map(|i| g.as_ref().at(i, i)).sum();
-            let shift = crate::cqr::fukaya_shift(self.live, n, frob_sq);
-            for i in 0..n {
-                let v = l.as_ref().at(i, i) + shift;
-                l.as_mut().set(i, i, v);
-            }
-        }
-        // R_k·…·R₁ over the passes done so far, with Rᵢ = Lᵢᵀ.
-        let mut product: Option<Matrix> = None;
-        let mut factored = Ok(());
-        for pass in 1..=passes {
-            factored = potrf(l.as_mut(), backend, &mut ws);
-            if factored.is_err() {
-                break;
-            }
-            let r_pass = ws.take_transposed(l.as_ref());
-            product = Some(match product.take() {
-                None => r_pass,
-                Some(below) => {
-                    let mut folded = ws.take_matrix_stale(n, n);
-                    trmm_upper_upper(r_pass.as_ref(), below.as_ref(), folded.as_mut());
-                    ws.recycle(below);
-                    ws.recycle(r_pass);
-                    folded
-                }
-            });
-            if pass < passes {
-                // G ← L⁻¹ · G · L⁻ᵀ, in place.
-                backend.trsm_left_lower(l.as_ref(), g.as_mut());
-                backend.trsm_right_lower_trans(l.as_ref(), g.as_mut());
-                l.as_mut().copy_from(g.as_ref());
-            }
-        }
-        if let Some(product) = product {
-            if factored.is_ok() {
-                self.r.as_mut().copy_from(product.as_ref());
-            }
-            ws.recycle(product);
-        }
-        ws.recycle(l);
-        ws.recycle(g);
-        factored.map_err(PlanError::NotPositiveDefinite)
-    }
-
-    /// Terminal escalation rung: dense Householder QR over the retained
-    /// rows — no Gram matrix, so no κ² squeeze and no breakdown mode. The
-    /// diagonal is sign-normalized positive to match the Cholesky-path `R`
-    /// convention. Allocates (last-resort path, not steady state).
-    fn refresh_householder(&mut self) -> Result<(), PlanError> {
-        let n = self.n;
-        let a = self.history_matrix();
-        let qr = dense::householder_qr(&a);
-        let mut rm = self.r.as_mut();
-        for i in 0..n {
-            let flip = if qr.packed.get(i, i) < 0.0 { -1.0 } else { 1.0 };
-            let row = rm.row_mut(i);
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = if j < i { 0.0 } else { flip * qr.packed.get(i, j) };
-            }
-        }
-        Ok(())
     }
 
     /// Solves the live least-squares problem `min ‖Ax − b‖` over the rows
@@ -881,7 +770,7 @@ impl StreamingQr {
             });
         }
         let backend = self.plan.backend().get();
-        let mut q = self.history_matrix();
+        let mut q = self.history_view().to_owned();
         backend.trsm_right_upper(self.r.as_ref(), q.as_mut());
         // Second pass: repair Q₁'s orthogonality and fold R₂ into R.
         {
@@ -923,7 +812,7 @@ impl StreamingQr {
 mod tests {
     use super::*;
     use crate::driver::Algorithm;
-    use dense::random::{gaussian_matrix, well_conditioned};
+    use dense::random::{gaussian_matrix, matrix_with_condition, well_conditioned};
     use pargrid::GridShape;
 
     fn plan(m: usize, n: usize) -> QrPlan {
@@ -963,19 +852,30 @@ mod tests {
         let escalating = QrPlan::new(m0, n)
             .algorithm(Algorithm::Cqr2_1d)
             .grid(GridShape::one_d(4).unwrap())
-            .retry(RetryPolicy::escalate().with_kappa_max(1.0))
+            .retry(RetryPolicy::escalate())
             .build()
             .unwrap();
-        for plan in [plan(m0, n), escalating] {
-            let a0 = well_conditioned(m0, n, 17);
+        // κ = 1e9 is past CQR2's limit: every factorization of these rows
+        // leaves the primary rung.
+        let hard = matrix_with_condition(2 * m0, n, 1e9, 17);
+        for (plan, rows) in [(plan(m0, n), well_conditioned(2 * m0, n, 17)), (escalating, hard)] {
+            let escalates = plan.retry_policy().is_enabled();
+            let a0 = Matrix::from_view(rows.view(0, 0, m0, n));
             let mut s = plan.stream(&a0).unwrap();
-            assert_eq!(s.r(), &plan.factor(&a0).unwrap().r);
-            // Slide the window by four rows, then re-derive R at plan shape.
-            s.append_rows(gaussian_matrix(4, n, 18).as_ref()).unwrap();
-            s.downdate_rows(a0.view(0, 0, 4, n)).unwrap();
-            let window = s.history_matrix();
+            let opened = plan.factor(&a0).unwrap();
+            assert_eq!(opened.escalation.is_some_and(|e| e.escalated()), escalates);
+            assert_eq!(s.r(), &opened.r);
+            // Slide the window by `m0` rows — a delta past the cost
+            // crossover, absorbed by an off-shape refresh rather than a
+            // rank-k update of an ill-conditioned `R` — then re-derive R at
+            // plan shape.
+            assert!(s.append_rows(rows.view(m0, 0, m0, n)).unwrap().refreshed);
+            s.downdate_rows(rows.view(0, 0, m0, n)).unwrap();
+            let window = s.history_view().to_owned();
             s.refresh().unwrap();
-            assert_eq!(s.r(), &plan.factor(&window).unwrap().r);
+            let refactored = plan.factor(&window).unwrap();
+            assert_eq!(refactored.escalation.is_some_and(|e| e.escalated()), escalates);
+            assert_eq!(s.r(), &refactored.r);
         }
     }
 

@@ -56,12 +56,13 @@
 //! ## Robustness: escalation, deadlines, fault injection
 //!
 //! Breakdown on ill-conditioned input is a normal event for the CQR2
-//! family (it squares κ before the Cholesky). An enabled [`RetryPolicy`]
+//! family (it squares κ before the Cholesky). [`RetryPolicy::escalate`]
 //! escalates failed factorizations up a stability ladder (CQR2 → shifted
 //! CQR3 → Householder), accepting each rung inside the κ range its own
-//! stability proof covers — CQR2 up to `kappa_max`, shifted CQR3 up to
-//! `kappa_max² / (64·(mn + n(n+1)))`, Householder always — and records the
-//! walk in a [`QrReport::escalation`] chain; [`SubmitOptions`] adds
+//! stability proof covers — CQR2 up to `RetryPolicy::KAPPA_MAX`, shifted
+//! CQR3 up to `KAPPA_MAX² / (64·(mn + n(n+1)))`, Householder always — and
+//! records the walk in a [`QrReport::escalation`] chain; a stream's refresh
+//! walks the same ladder at any row count. [`SubmitOptions`] adds
 //! per-job deadlines, cancellation, and load-shedding admission control to
 //! the service; and `dense::fault`
 //! provides the deterministic `CACQR_FAULTS` chaos-injection layer that

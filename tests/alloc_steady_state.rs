@@ -384,6 +384,37 @@ fn warm_stream_downdates_are_allocation_free() {
     }
 }
 
+/// A refresh at a row count other than the plan's runs the plan's ladder on
+/// one rank, drawing from the same pool (rank 0's arena and the slot after
+/// it). It must not disturb the plan's own steady state: after an off-shape
+/// refresh, a warm plan-shape `factor` through the same plan still draws
+/// zero arena allocations.
+#[test]
+fn off_shape_refresh_keeps_warm_factors_arena_exact() {
+    let _serial = serial();
+    let (m0, n, k) = (256usize, 32usize, 16usize);
+    let a = well_conditioned(m0, n, 47);
+    let plan = QrPlan::new(m0, n)
+        .algorithm(Algorithm::Cqr2_1d)
+        .grid(GridShape::one_d(4).unwrap())
+        .build()
+        .unwrap();
+    plan.warm_up(&a).unwrap();
+    let mut s = plan.stream(&a).unwrap().with_drift_threshold(f64::INFINITY);
+    s.append_rows(gaussian_matrix(k, n, 53).as_ref()).unwrap();
+    s.refresh().unwrap();
+    assert_eq!(s.rows(), m0 + k, "the refresh ran off the plan's shape");
+    let arena_before = plan.workspace().heap_allocations();
+    for _ in 0..3 {
+        plan.factor(&a).unwrap();
+    }
+    assert_eq!(
+        plan.workspace().heap_allocations(),
+        arena_before,
+        "warm plan-shape factors after an off-shape refresh must perform zero workspace allocations"
+    );
+}
+
 /// The least-squares surface honors the same contract: once warm, an
 /// `append_rows_with` (factor + `d = Aᵀb` delta) followed by a
 /// `solve_into` (corrected semi-normal solve with one history-streamed

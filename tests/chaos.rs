@@ -133,11 +133,11 @@ fn delay_schedules_replay_bitwise_identically_across_pool_widths() {
     }
 }
 
-/// An injected Cholesky breakdown (rate 1.0: *every* sequential pivot
-/// fails) is indistinguishable from a genuine loss of positive
-/// definiteness. A retry-enabled stream refresh walks its sequential
-/// ladder past both Gram-based rungs and recovers on Householder; a
-/// policy-less stream surfaces the same injection as a typed error.
+/// An injected Cholesky breakdown (rate 1.0: *every* Gram rung fails) is
+/// indistinguishable from a genuine loss of positive definiteness. A
+/// retry-enabled stream refresh walks the plan's ladder, on one rank at
+/// this row count, past both Gram-based rungs and recovers on Householder;
+/// a policy-less stream surfaces the same injection as a typed error.
 #[test]
 fn injected_cholesky_breakdown_escalates_or_surfaces_typed() {
     // Streams are built (and shrunk below the plan's `m`, so a refresh
@@ -177,6 +177,36 @@ fn injected_cholesky_breakdown_escalates_or_surfaces_typed() {
             "injected breakdown must surface as the genuine typed error, got {err}"
         );
         assert!(parked.last_refresh_error().is_some());
+    });
+}
+
+/// The injected breakdown fires before every Gram rung and never before
+/// the Householder one, which has no Cholesky: at rate 1.0 an escalating
+/// `factor` is accepted on `Pgeqrf` after exactly one injection per Gram
+/// rung below it.
+#[test]
+fn injected_cholesky_breakdown_ends_factor_on_the_householder_rung() {
+    let plan = QrPlan::new(64, 16)
+        .grid(GridShape::new(2, 2).unwrap())
+        .retry(RetryPolicy::escalate())
+        .build()
+        .unwrap();
+    let a = well_conditioned(64, 16, 7);
+    with_faults(Some(FaultPlan::new(7).site(fault::CHOLESKY, 1.0)), move || {
+        let report = plan.factor(&a).expect("the Householder rung has no Cholesky to break");
+        let esc = report.escalation.as_ref().expect("an enabled policy records its walk");
+        let chain: Vec<Algorithm> = esc.attempts.iter().map(|at| at.algorithm).collect();
+        assert_eq!(chain, [Algorithm::CaCqr2, Algorithm::CaCqr3, Algorithm::Pgeqrf]);
+        for at in &esc.attempts[..2] {
+            assert!(
+                matches!(at.error.as_deref(), Some(cacqr::PlanError::NotPositiveDefinite(_))),
+                "{}: {:?}",
+                at.algorithm,
+                at.error
+            );
+        }
+        assert_eq!(fault::injected(fault::CHOLESKY), 2, "one injection per Gram rung");
+        assert!(report.orthogonality_error < 1e-12);
     });
 }
 

@@ -1,10 +1,11 @@
 //! Reproduction of the paper's §I numerical-stability claims as assertions,
-//! and the escalation ladder's contract as a κ-sweep property.
+//! and the escalation ladder's contract — for `factor` and for a stream's
+//! refresh — as κ-sweep properties.
 
 use cacqr::{Algorithm, PlanError, QrPlan, RetryPolicy};
 use dense::norms::orthogonality_error;
 use dense::random::matrix_with_condition;
-use dense::BackendKind;
+use dense::{BackendKind, Matrix};
 use pargrid::GridShape;
 
 #[test]
@@ -85,10 +86,10 @@ fn shifted_cqr3_is_unconditional() {
 }
 
 /// The κ₁ limit `RetryPolicy::escalate()` holds a non-terminal rung to: the
-/// CQR2 family's `kappa_max`, and shifted CQR3's Fukaya et al. bound
-/// `kappa_max² / (64·(mn + n(n+1)))` derived from it.
+/// CQR2 family's `KAPPA_MAX`, and shifted CQR3's Fukaya et al. bound
+/// `KAPPA_MAX² / (64·(mn + n(n+1)))` derived from it.
 fn rung_limit(algorithm: Algorithm, m: usize, n: usize) -> f64 {
-    let kappa_max = RetryPolicy::DEFAULT_KAPPA_MAX;
+    let kappa_max = RetryPolicy::KAPPA_MAX;
     match algorithm {
         Algorithm::CaCqr3 => kappa_max * kappa_max / (64 * (m * n + n * (n + 1))) as f64,
         _ => kappa_max,
@@ -162,6 +163,47 @@ fn escalation_ladder_accepts_each_input_on_the_first_rung_whose_limit_covers_it(
             if exp == 16 {
                 assert_eq!(report.algorithm, *ladder.last().unwrap(), "{cell}: terminal rung");
             }
+        }
+    }
+}
+
+/// `‖(A·R⁻¹)ᵀ(A·R⁻¹) − I‖_F`: how well `r` alone orthogonalizes `a`.
+fn r_orthogonality(a: &Matrix, r: &Matrix) -> f64 {
+    let mut q = a.clone();
+    dense::trsm_right_upper(r.as_ref(), q.as_mut());
+    orthogonality_error(q.as_ref())
+}
+
+/// The stream half of the sweep: a refresh at a row count other than the
+/// plan's runs the plan's own ladder on one rank, so its `R` is as good as
+/// Householder's at every κ the stream can reach, with or without
+/// escalation. A 256 × 32 one-rank 1D plan takes 16 appended rows, then
+/// refreshes at 272 rows. The sweep stops at κ = 1e8: at 1e9 the append
+/// itself (`rank_k_append`, a Cholesky of `RᵀR + BᵀB`) reports
+/// `NotPositiveDefinite` before any refresh runs.
+#[test]
+fn off_shape_stream_refresh_is_as_accurate_as_householder() {
+    let (m0, n, k) = (256, 32, 16);
+    for policy in [RetryPolicy::none(), RetryPolicy::escalate()] {
+        let plan = QrPlan::new(m0, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(1).unwrap())
+            .retry(policy)
+            .build()
+            .unwrap();
+        for exp in 0..=8 {
+            let cell = format!("{policy:?} κ=1e{exp}");
+            let rows = matrix_with_condition(m0 + k, n, 10f64.powi(exp), 77);
+            let initial = Matrix::from_view(rows.view(0, 0, m0, n));
+            let mut s = plan.stream(&initial).unwrap().with_drift_threshold(f64::INFINITY);
+            s.append_rows(rows.view(m0, 0, k, n)).unwrap();
+            s.refresh().unwrap_or_else(|e| panic!("{cell}: {e}"));
+            let got = r_orthogonality(&rows, s.r());
+            let oracle = r_orthogonality(&rows, &dense::householder::qr(&rows).1);
+            assert!(
+                got <= 10.0 * oracle,
+                "{cell}: refreshed R orthogonalizes to {got:.2e}, Householder's to {oracle:.2e}"
+            );
         }
     }
 }
