@@ -126,18 +126,10 @@ pub enum PlanError {
     /// A streaming rank-k factor update failed (shape mismatch, appended
     /// Gram matrix not positive definite, or an indefinite downdate).
     Update(UpdateError),
-    /// The requested streaming operation needs the retained row history,
-    /// but the stream was opened with
-    /// [`with_history(false)`](crate::stream::StreamingQr::with_history).
-    StreamHistoryRequired {
-        /// The operation that needed the history.
-        op: &'static str,
-    },
     /// A downdate block does not match the oldest retained rows. Streams
-    /// with history remove rows strictly oldest-first (a sliding window),
-    /// and the rows handed to
-    /// [`downdate_rows`](crate::stream::StreamingQr::downdate_rows) must be
-    /// bitwise the ones that were appended.
+    /// remove rows strictly oldest-first (a sliding window), and the rows
+    /// handed to [`downdate_rows`](crate::stream::StreamingQr::downdate_rows)
+    /// must be bitwise the ones that were appended.
     StreamHistoryMismatch {
         /// Index within the downdate block of the first mismatched row.
         row: usize,
@@ -229,13 +221,6 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::Tuning(e) => write!(f, "automatic planning failed: {e}"),
             PlanError::Update(e) => write!(f, "streaming update failed: {e}"),
-            PlanError::StreamHistoryRequired { op } => {
-                write!(
-                    f,
-                    "streaming operation `{op}` needs the retained row history \
-                     (the stream was opened with_history(false))"
-                )
-            }
             PlanError::StreamHistoryMismatch { row } => {
                 write!(
                     f,

@@ -674,8 +674,8 @@ impl QrPlan {
     /// Opens a [`StreamingQr`](crate::stream::StreamingQr) seeded by
     /// factoring `initial` through this plan: a live `R` factor that then
     /// absorbs rank-k row appends and downdates in `O(kn² + n³)` instead of
-    /// re-factoring, auto-refreshing through the plan when its drift bound
-    /// or the `costmodel` crossover says a full pass is the better buy.
+    /// re-factoring at any `k`, auto-refreshing through the plan only when
+    /// its drift bound is crossed.
     ///
     /// `initial` must have the plan's exact shape (the stream's width stays
     /// `n` for life; its row count then floats freely above `n`). Clones the

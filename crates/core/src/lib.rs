@@ -31,8 +31,8 @@
 //! * [`stream`] — the incremental layer beside the facade: [`StreamingQr`],
 //!   a live per-plan `R` factor that absorbs rank-k row appends and
 //!   block downdates in `O(kn² + n³)`, tracks a drift bound,
-//!   and re-refreshes through the owning plan when the `costmodel`
-//!   crossover or the bound says a full CQR2 pass is the better buy.
+//!   and refreshes through the owning plan when the bound is crossed or
+//!   the caller asks — never because a delta is wide.
 //! * [`service`] — the throughput layer above the facade: [`QrService`], a
 //!   thread-safe engine that caches plans per [`service::JobSpec`] and
 //!   factors many matrices concurrently through a bounded-queue worker

@@ -593,6 +593,9 @@ mod tests {
         let service = QrService::builder().workers(1).queue_capacity(1).build();
         let spec = spec_64x16();
         let pre = service.submit(&spec, well_conditioned(64, 16, 1)).unwrap();
+        service
+            .stream_open("open", &spec, &well_conditioned(64, 16, 3))
+            .unwrap();
         service.close();
         pre.wait().unwrap(); // accepted work drains
         assert!(matches!(
@@ -609,8 +612,12 @@ mod tests {
                 .unwrap_err(),
             ServiceError::ShuttingDown
         ));
-        // Stream submissions fail the same way (open streams stay
-        // registered, but no new operation can be queued).
+        // Stream submissions fail the same way: a stream opened before the
+        // close stays registered, but no new operation can be queued on it.
+        assert!(matches!(
+            service.append_rows("open", gaussian_matrix(2, 16, 0)).unwrap_err(),
+            ServiceError::ShuttingDown
+        ));
         assert!(matches!(
             service.append_rows("nope", gaussian_matrix(2, 16, 0)).unwrap_err(),
             ServiceError::UnknownStream { .. }

@@ -180,10 +180,9 @@ impl QrService {
 
     /// Registers a caller-configured [`StreamingQr`] under `key` — the
     /// escape hatch for streams that need knobs
-    /// [`stream_open`](QrService::stream_open) does not expose
-    /// ([`with_history(false)`](StreamingQr::with_history), a custom
-    /// drift threshold, …). The adopted stream serves
-    /// [`append_rows`](QrService::append_rows) /
+    /// [`stream_open`](QrService::stream_open) does not expose, such as a
+    /// custom [drift threshold](StreamingQr::with_drift_threshold). The
+    /// adopted stream serves [`append_rows`](QrService::append_rows) /
     /// [`stream_submit`](QrService::stream_submit) jobs exactly like an
     /// opened one. The stream should come from a plan compatible with this
     /// service's runtime and thread budget — typically one resolved via

@@ -22,10 +22,11 @@
 //! rows by the owning plan's own algorithm and escalation ladder — across
 //! the plan's ranks when the row count matches its shape, on one rank
 //! otherwise (see [`refresh`](StreamingQr::refresh)) — which resets drift
-//! to zero. A refresh is also chosen over an
-//! update whenever the `costmodel::streaming` crossover says re-factoring
-//! is cheaper (very wide deltas). [`StreamStatus::refreshed`] reports when
-//! one fired.
+//! to zero. Drift is the only automatic trigger: every append and downdate
+//! folds through the rank-k kernels whatever its width, and the caller asks
+//! for any other refresh ([`refresh`](StreamingQr::refresh),
+//! [`snapshot`](StreamingQr::snapshot)). [`StreamStatus::refreshed`]
+//! reports when one fired.
 //!
 //! # Snapshots
 //!
@@ -34,10 +35,9 @@
 //! `A·R⁻¹` — the same repair step that gives batch CQR2 its ε-level
 //! orthogonality — and returns it with freshly computed
 //! orthogonality/residual diagnostics, updating the internal `R` to the
-//! repaired factor (a snapshot therefore counts as a refresh). Streams
-//! opened with [`with_history(false)`](StreamingQr::with_history) keep no
-//! row copies: appends and downdates still work, but snapshots are R-only
-//! and refreshes are unavailable.
+//! repaired factor (a snapshot therefore counts as a refresh). Every stream
+//! keeps a copy of its live rows for this, for refreshes, and for the
+//! bitwise audit of downdates.
 //!
 //! # Streaming least squares
 //!
@@ -84,7 +84,6 @@ pub struct StreamingQr {
     history: Vec<f64>,
     start: usize,
     live: usize,
-    retain: bool,
     drift: f64,
     drift_threshold: f64,
     appends: usize,
@@ -102,8 +101,7 @@ pub struct StreamingQr {
 }
 
 /// The right-hand-side state of a least-squares stream: the projection
-/// `d = Aᵀb` and (when history is retained) the raw right-hand-side rows,
-/// sharing `start`/`live` indexing with the factor's row history.
+/// `d = Aᵀb` and the raw right-hand-side rows, indexed like the row history.
 #[derive(Clone, Debug)]
 struct RhsTrack {
     nrhs: usize,
@@ -138,8 +136,7 @@ pub struct StreamStatus {
     /// Accumulated drift bound after the operation (zero right after a
     /// refresh).
     pub drift: f64,
-    /// Whether this operation triggered a full refresh (drift bound
-    /// exceeded, or the cost model preferred re-factoring the delta).
+    /// Whether this operation's drift crossed the threshold and refreshed.
     pub refreshed: bool,
     /// The update itself committed, but the drift-triggered refresh that
     /// followed it failed. The stream stays consistent — `live`, the
@@ -156,23 +153,21 @@ pub struct StreamStatus {
 /// An explicit factorization extracted from a live stream.
 #[derive(Clone, Debug)]
 pub struct StreamSnapshot {
-    /// The orthonormal factor for the current row set. `None` when the
-    /// stream keeps no history (`Q` needs the rows).
+    /// The orthonormal factor for the current row set; always `Some`.
     pub q: Option<Matrix>,
-    /// The upper-triangular factor (post-repair when history is retained).
+    /// The repaired upper-triangular factor.
     pub r: Matrix,
     /// Rows folded into the factor.
     pub rows: usize,
-    /// `‖QᵀQ − I‖` of the returned `Q`; `None` without history.
+    /// `‖QᵀQ − I‖` of the returned `Q`; always `Some`.
     pub orthogonality_error: Option<f64>,
-    /// `‖A − QR‖/‖A‖` over the retained rows; `None` without history.
+    /// `‖A − QR‖/‖A‖` over the retained rows; always `Some`.
     pub residual_error: Option<f64>,
     /// Appends applied over the stream's lifetime.
     pub appends: usize,
     /// Downdates applied over the stream's lifetime.
     pub downdates: usize,
-    /// Refreshes performed over the stream's lifetime (snapshots with
-    /// history included).
+    /// Refreshes performed over the stream's lifetime (snapshots included).
     pub refreshes: usize,
 }
 
@@ -189,7 +184,6 @@ impl StreamingQr {
             history,
             start: 0,
             live: initial.rows(),
-            retain: true,
             drift: 0.0,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
             appends: 0,
@@ -232,31 +226,12 @@ impl StreamingQr {
         self
     }
 
-    /// Chooses whether the stream retains a copy of every live row
-    /// (default `true`). Without history the stream costs `O(n²)` memory
-    /// total, but refreshes and `Q` materialization become unavailable,
-    /// downdates can no longer be verified against what was appended, and
-    /// least-squares solves skip the corrected-seminormal refinement step.
-    pub fn with_history(mut self, retain: bool) -> StreamingQr {
-        self.retain = retain;
-        if !retain {
-            self.history = Vec::new();
-            self.start = 0;
-            if let Some(track) = self.rhs.as_mut() {
-                track.bhist = Vec::new();
-            }
-        }
-        self
-    }
-
     /// Pre-allocates history capacity for `additional` future appended
     /// rows, so the appends themselves stay allocation-free.
     pub fn reserve_rows(&mut self, additional: usize) {
-        if self.retain {
-            self.history.reserve(additional * self.n);
-            if let Some(track) = self.rhs.as_mut() {
-                track.bhist.reserve(additional * track.nrhs);
-            }
+        self.history.reserve(additional * self.n);
+        if let Some(track) = self.rhs.as_mut() {
+            track.bhist.reserve(additional * track.nrhs);
         }
     }
 
@@ -372,20 +347,6 @@ impl StreamingQr {
         }
     }
 
-    fn push_history(&mut self, b: MatRef<'_>) {
-        for i in 0..b.rows() {
-            self.history.extend_from_slice(b.row(i));
-        }
-    }
-
-    fn push_bhist(&mut self, c: MatRef<'_>) {
-        if let Some(track) = self.rhs.as_mut() {
-            for i in 0..c.rows() {
-                track.bhist.extend_from_slice(c.row(i));
-            }
-        }
-    }
-
     fn bump_drift(&mut self, amplification: f64) {
         let cond = self.condition_estimate();
         self.drift += f64::EPSILON * cond * cond * amplification;
@@ -401,7 +362,7 @@ impl StreamingQr {
     /// [`last_refresh_error`](StreamingQr::last_refresh_error), with drift
     /// left above the threshold so the next update retries.
     fn finish_update(&mut self) -> StreamStatus {
-        if self.retain && self.drift > self.drift_threshold {
+        if self.drift > self.drift_threshold {
             match self.refresh() {
                 Ok(()) => return self.status(true),
                 Err(_) => {
@@ -414,15 +375,15 @@ impl StreamingQr {
         self.status(false)
     }
 
-    /// Folds `k = b.rows()` new rows into the factor.
-    ///
-    /// Fast path: one rank-k Gram update from pooled arena scratch (zero
-    /// heap allocations when warm and the history capacity was
-    /// [reserved](StreamingQr::reserve_rows)). When the cost model says a
-    /// delta this wide is cheaper to absorb by re-factoring — or when the
-    /// update pushes [`drift`](StreamingQr::drift) past the threshold — a
-    /// full refresh runs instead/afterwards (history-retaining streams
-    /// only) and the returned status says so.
+    /// Folds `k = b.rows()` new rows into the factor, at any `k`, by one
+    /// rank-k Gram update from pooled arena scratch (zero heap allocations
+    /// when warm and the history capacity was
+    /// [reserved](StreamingQr::reserve_rows)). When the update pushes
+    /// [`drift`](StreamingQr::drift) past the threshold a full refresh runs
+    /// afterwards and the returned status says so. A delta whose appended
+    /// Gram matrix is not positive definite fails inside the kernel
+    /// ([`PlanError::Update`] of [`UpdateError::NotPositiveDefinite`]) and
+    /// leaves the stream untouched.
     pub fn append_rows(&mut self, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
         self.append_impl(b, None, "append_rows")
     }
@@ -448,29 +409,6 @@ impl StreamingQr {
         if k == 0 {
             return Ok(self.status(false));
         }
-        if self.retain && !costmodel::streaming::append_beats_refresh(self.live + k, self.n, k) {
-            // Crossover: absorb the delta by re-factoring. The refresh reads
-            // the history, so the bookkeeping lands first — and is rolled
-            // back if the refresh fails, so a rejected delta leaves no trace
-            // (`live`/history/`R`/`d` all unchanged).
-            self.push_history(b);
-            if let Some(c) = rhs {
-                self.push_bhist(c);
-            }
-            self.live += k;
-            self.appends += 1;
-            if let Err(e) = self.refresh() {
-                self.history.truncate(self.history.len() - k * self.n);
-                if let (Some(track), Some(_)) = (self.rhs.as_mut(), rhs) {
-                    let keep = track.bhist.len() - k * track.nrhs;
-                    track.bhist.truncate(keep);
-                }
-                self.live -= k;
-                self.appends -= 1;
-                return Err(e);
-            }
-            return Ok(self.status(true));
-        }
         {
             let mut ws = self.plan.workspace().checkout();
             rank_k_append(self.r.as_mut(), b, self.plan.backend().get(), &mut ws)?;
@@ -479,12 +417,12 @@ impl StreamingQr {
         // `R`, `d`, and the histories move together or not at all.
         if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
             track.fold_delta(1.0, b, c);
-        }
-        if self.retain {
-            self.push_history(b);
-            if let Some(c) = rhs {
-                self.push_bhist(c);
+            for i in 0..k {
+                track.bhist.extend_from_slice(c.row(i));
             }
+        }
+        for i in 0..k {
+            self.history.extend_from_slice(b.row(i));
         }
         self.live += k;
         self.appends += 1;
@@ -493,20 +431,18 @@ impl StreamingQr {
     }
 
     /// Removes the `k = b.rows()` **oldest** rows from the factor (sliding
-    /// window). With history retained, `b` must be bitwise the oldest rows
-    /// (enforced; [`PlanError::StreamHistoryMismatch`] otherwise); without
-    /// history the caller vouches, and the kernel's indefiniteness check is
-    /// the only guard. Downdating below `n` remaining rows is rejected as
-    /// [`PlanError::NotTall`].
+    /// window). `b` must be bitwise the oldest rows (enforced;
+    /// [`PlanError::StreamHistoryMismatch`] otherwise). Downdating below `n`
+    /// remaining rows is rejected as [`PlanError::NotTall`].
     pub fn downdate_rows(&mut self, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
         self.downdate_impl(b, None, "downdate_rows")
     }
 
     /// [`downdate_rows`](StreamingQr::downdate_rows) for a least-squares
     /// stream: removes the oldest rows from the factor **and** subtracts
-    /// their right-hand-side contribution from `d = Aᵀb`. With history
-    /// retained, `c` must be bitwise the right-hand sides that arrived with
-    /// those rows (enforced like the rows themselves).
+    /// their right-hand-side contribution from `d = Aᵀb`. `c` must be
+    /// bitwise the right-hand sides that arrived with those rows (enforced
+    /// like the rows themselves).
     pub fn downdate_rows_with(&mut self, b: MatRef<'_>, c: MatRef<'_>) -> Result<StreamStatus, PlanError> {
         self.downdate_impl(b, Some(c), "downdate_rows_with")
     }
@@ -529,20 +465,14 @@ impl StreamingQr {
                 n: self.n,
             });
         }
-        if self.retain {
-            for i in 0..k {
-                let at = (self.start + i) * self.n;
-                if self.history[at..at + self.n] != *b.row(i) {
-                    return Err(PlanError::StreamHistoryMismatch { row: i });
-                }
-            }
-            if let (Some(track), Some(c)) = (self.rhs.as_ref(), rhs) {
-                for i in 0..k {
-                    let at = (self.start + i) * track.nrhs;
-                    if track.bhist[at..at + track.nrhs] != *c.row(i) {
-                        return Err(PlanError::StreamHistoryMismatch { row: i });
-                    }
-                }
+        let oldest = self.history_view();
+        if let Some(row) = (0..k).find(|&i| oldest.row(i) != b.row(i)) {
+            return Err(PlanError::StreamHistoryMismatch { row });
+        }
+        if let (Some(track), Some(c)) = (self.rhs.as_ref(), rhs) {
+            let oldest = MatRef::from_slice(&track.bhist[self.start * track.nrhs..], self.live, track.nrhs);
+            if let Some(row) = (0..k).find(|&i| oldest.row(i) != c.row(i)) {
+                return Err(PlanError::StreamHistoryMismatch { row });
             }
         }
         let min_alpha_sq = {
@@ -553,9 +483,7 @@ impl StreamingQr {
         if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
             track.fold_delta(-1.0, b, c);
         }
-        if self.retain {
-            self.start += k;
-        }
+        self.start += k;
         self.live -= k;
         self.compact();
         self.downdates += 1;
@@ -593,16 +521,15 @@ impl StreamingQr {
     /// `Q` included. On a least-squares stream the projection `d = Aᵀb` is
     /// recomputed exactly from the retained `(A, b)` history at the same
     /// time, discarding the rounding the incremental deltas accumulate.
-    /// Requires history. `R` and `d` are untouched on error.
+    /// `R` and `d` are untouched on error. Besides these explicit calls
+    /// and [`snapshot`](StreamingQr::snapshot)s, a refresh runs only when
+    /// an update's drift crosses the threshold.
     ///
     /// When the owning plan carries an enabled
     /// [`RetryPolicy`](crate::driver::RetryPolicy), a failed or
     /// condition-rejected attempt walks the plan's ladder, rung limits
     /// included, instead of parking the stream in `refresh_failed`.
     pub fn refresh(&mut self) -> Result<(), PlanError> {
-        if !self.retain {
-            return Err(PlanError::StreamHistoryRequired { op: "refresh" });
-        }
         let result = self
             .plan
             .run_rows(self.history_view(), self.plan.retry_policy())
@@ -631,9 +558,6 @@ impl StreamingQr {
         let Some(track) = self.rhs.as_mut() else {
             return;
         };
-        if !self.retain {
-            return;
-        }
         let nrhs = track.nrhs;
         let d = track.d.data_mut();
         d.fill(0.0);
@@ -675,12 +599,10 @@ impl StreamingQr {
     ///
     /// The method is the *corrected semi-normal equations* (Björck): solve
     /// `RᵀR·x = d` by an `Rᵀ`-forward then `R`-backward substitution
-    /// (`O(n²·nrhs)`, independent of the row count), then — when history is
-    /// retained — one refinement step `RᵀR·δ = Aᵀ(b − Ax)`, `x ← x + δ`,
-    /// streamed over the retained rows. The refinement is what lifts the
-    /// Gram-mediated solve back to QR-level accuracy for moderately
-    /// conditioned problems; history-less streams get the plain
-    /// semi-normal solve.
+    /// (`O(n²·nrhs)`, independent of the row count), then one refinement
+    /// step `RᵀR·δ = Aᵀ(b − Ax)`, `x ← x + δ`, streamed over the retained
+    /// rows. The refinement is what lifts the Gram-mediated solve back to
+    /// QR-level accuracy for moderately conditioned problems.
     pub fn solve_into(&self, x: &mut Matrix) -> Result<(), PlanError> {
         let track = self.rhs.as_ref().ok_or(PlanError::StreamRhsMissing { op: "solve" })?;
         let (n, nrhs) = (self.n, track.nrhs);
@@ -694,9 +616,6 @@ impl StreamingQr {
         x.data_mut().copy_from_slice(track.d.data());
         trsm::trsm_left_lower_trans(self.r.as_ref(), x.as_mut());
         trsm::trsm_left_upper(self.r.as_ref(), x.as_mut());
-        if !self.retain || self.live == 0 {
-            return Ok(());
-        }
         // One corrected-seminormal refinement step from the history:
         // w = Aᵀ(b − A·x), RᵀR·δ = w, x += δ — streamed row by row, so the
         // only scratch is the n × nrhs projection and one nrhs-wide
@@ -748,27 +667,14 @@ impl StreamingQr {
 
     /// Materializes the factorization for the current row set.
     ///
-    /// With history: forms `Q₁ = A·R⁻¹` and runs the paper's second
-    /// CholeskyQR pass on it (`R₂ = chol(Q₁ᵀQ₁)ᵀ`, `Q = Q₁·R₂⁻¹`,
+    /// Forms `Q₁ = A·R⁻¹` from the retained rows and runs the paper's
+    /// second CholeskyQR pass on it (`R₂ = chol(Q₁ᵀQ₁)ᵀ`, `Q = Q₁·R₂⁻¹`,
     /// `R ← R₂·R`), returning `Q`, the repaired `R`, and freshly computed
     /// orthogonality/residual diagnostics — the exact repair that gives
     /// batch CQR2 its ε-level orthogonality, so snapshot diagnostics meet
     /// the same bounds. The internal factor adopts the repaired `R` and
-    /// drift resets (a snapshot counts as a refresh). Without history the
-    /// snapshot is R-only (`q` and diagnostics are `None`).
+    /// drift resets (a snapshot counts as a refresh).
     pub fn snapshot(&mut self) -> Result<StreamSnapshot, PlanError> {
-        if !self.retain {
-            return Ok(StreamSnapshot {
-                q: None,
-                r: self.r.clone(),
-                rows: self.live,
-                orthogonality_error: None,
-                residual_error: None,
-                appends: self.appends,
-                downdates: self.downdates,
-                refreshes: self.refreshes,
-            });
-        }
         let backend = self.plan.backend().get();
         let mut q = self.history_view().to_owned();
         backend.trsm_right_upper(self.r.as_ref(), q.as_mut());
@@ -865,12 +771,14 @@ mod tests {
             let opened = plan.factor(&a0).unwrap();
             assert_eq!(opened.escalation.is_some_and(|e| e.escalated()), escalates);
             assert_eq!(s.r(), &opened.r);
-            // Slide the window by `m0` rows — a delta past the cost
-            // crossover, absorbed by an off-shape refresh rather than a
-            // rank-k update of an ill-conditioned `R` — then re-derive R at
-            // plan shape.
-            assert!(s.append_rows(rows.view(m0, 0, m0, n)).unwrap().refreshed);
-            s.downdate_rows(rows.view(0, 0, m0, n)).unwrap();
+            // Slide the well-conditioned window by `m0` rows — a delta as
+            // wide as the window, folded like any other. A fold onto the
+            // κ = 1e9 `R` breaks down numerically (its drift bound ε·κ² is
+            // far above 1), so that stream re-derives R right after open.
+            if !escalates {
+                assert!(!s.append_rows(rows.view(m0, 0, m0, n)).unwrap().refreshed);
+                s.downdate_rows(rows.view(0, 0, m0, n)).unwrap();
+            }
             let window = s.history_view().to_owned();
             s.refresh().unwrap();
             let refactored = plan.factor(&window).unwrap();
@@ -902,20 +810,36 @@ mod tests {
         }
     }
 
+    /// Width never triggers a refresh: a delta three times the window, and
+    /// a one-row append to a 512 × 256 stream, both fold through the rank-k
+    /// kernel and leave refreshing to drift.
     #[test]
-    fn wide_deltas_refresh_instead_of_updating() {
-        let (m0, n) = (32usize, 8usize);
-        let a0 = well_conditioned(m0, n, 5);
-        let mut s = plan(m0, n).stream(&a0).unwrap();
-        // A delta far wider than the retained rows sits past the crossover
-        // (break-even is k ≈ m) and must re-factor, resetting drift.
-        let k = 3 * m0;
-        assert!(!costmodel::streaming::append_beats_refresh(m0 + k, n, k));
-        let b = gaussian_matrix(k, n, 6);
-        let st = s.append_rows(b.as_ref()).unwrap();
-        assert!(st.refreshed, "k={k} should exceed the crossover");
-        assert_eq!(st.drift, 0.0);
-        assert_eq!(s.refreshes(), 1);
+    fn wide_deltas_fold_and_leave_refresh_to_drift() {
+        let one_rank = |m: usize, n: usize| {
+            QrPlan::new(m, n)
+                .algorithm(Algorithm::Cqr2_1d)
+                .grid(GridShape::one_d(1).unwrap())
+                .build()
+                .unwrap()
+        };
+        for (stream_plan, m0, n, k) in [
+            (plan(32, 8), 32usize, 8usize, 3 * 32usize),
+            (one_rank(512, 256), 512, 256, 1),
+        ] {
+            let a0 = well_conditioned(m0, n, 5);
+            let mut s = stream_plan.stream(&a0).unwrap();
+            let b = gaussian_matrix(k, n, 6);
+            let st = s.append_rows(b.as_ref()).unwrap();
+            assert!(!st.refreshed, "{m0}x{n} + {k} rows must fold");
+            assert_eq!(s.refreshes(), 0);
+            assert!(st.drift > 0.0);
+            let mut all = Matrix::zeros(m0 + k, n);
+            all.view_mut(0, 0, m0, n).copy_from(a0.as_ref());
+            all.view_mut(m0, 0, k, n).copy_from(b.as_ref());
+            let want = one_rank(m0 + k, n).factor(&all).unwrap().r;
+            let diff = dense::norms::rel_diff(s.r().as_ref(), want.as_ref());
+            assert!(diff < 1e-10, "{m0}x{n} + {k} rows: rel diff {diff:e}");
+        }
     }
 
     #[test]
@@ -927,24 +851,6 @@ mod tests {
         let st = s.append_rows(b.as_ref()).unwrap();
         assert!(st.refreshed, "any positive drift exceeds a zero threshold");
         assert_eq!(s.drift(), 0.0);
-    }
-
-    #[test]
-    fn historyless_streams_reject_refresh_but_snapshot_r_only() {
-        let (m0, n) = (32usize, 8usize);
-        let a0 = well_conditioned(m0, n, 13);
-        let mut s = plan(m0, n).stream(&a0).unwrap().with_history(false);
-        let b = gaussian_matrix(2, n, 14);
-        s.append_rows(b.as_ref()).unwrap();
-        let err = s.refresh().unwrap_err();
-        assert!(
-            matches!(err, PlanError::StreamHistoryRequired { op: "refresh" }),
-            "{err:?}"
-        );
-        let snap = s.snapshot().unwrap();
-        assert!(snap.q.is_none());
-        assert!(snap.orthogonality_error.is_none());
-        assert_eq!(snap.rows, m0 + 2);
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod cqr1d;
 pub mod machines;
 pub mod mm3d;
 pub mod pgeqrf;
-pub mod streaming;
 pub mod table1;
 
 pub use cacqr2::{ca_cqr, ca_cqr2};

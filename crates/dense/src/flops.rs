@@ -74,46 +74,6 @@ pub fn triu_mul(n: usize) -> f64 {
     n * n * n / 3.0
 }
 
-/// γ cost of a rank-k row-append factor update
-/// ([`crate::update::rank_k_append`]): one SYRK over the stacked
-/// `(n + k) × n` panel `[R; B]` (the kernel does not exploit `R`'s zeros)
-/// and the re-factorization (`n³/3`, Cholesky alone).
-pub fn rank_k_append(n: usize, k: usize) -> f64 {
-    syrk(n + k, n) + chol(n)
-}
-
-/// γ cost of a rank-k row-downdate ([`crate::update::rank_k_downdate`]),
-/// summed over its panels of `kb ≤ n` rows: the solve `W = B·R⁻¹`
-/// (`kb·n²`), `T = I − W·Wᵀ` and its Cholesky (`2kb²n + kb³/3`),
-/// `S = I − Wᵀ·W` and its Cholesky (`kb·n² + n³/3`), and the triangular
-/// product `Lᵀ·R` (`n³/3`).
-pub fn rank_k_downdate(n: usize, k: usize) -> f64 {
-    let panel = |kb: usize| trmm(kb, n) + gemm(kb, n, kb) + chol(kb) + syrk(kb, n) + chol(n) + triu_mul(n);
-    (0..k).step_by(n.max(1)).map(|first| panel(n.min(k - first))).sum()
-}
-
-/// γ cost of maintaining the right-hand-side track `d = Aᵀb` through a
-/// rank-k delta (`d ± BᵀC` for a `k × n` row block against `k × nrhs`
-/// right-hand sides): one `n × k · k × nrhs` gemm.
-pub fn rhs_update(n: usize, k: usize, nrhs: usize) -> f64 {
-    gemm(n, k, nrhs)
-}
-
-/// γ cost of the semi-normal-equations solve `RᵀR·x = d` through an `n × n`
-/// factor with `nrhs` right-hand sides: a forward (`Rᵀ`) and a backward
-/// (`R`) triangular substitution, each `n²·nrhs` (trmm convention).
-pub fn stream_solve(n: usize, nrhs: usize) -> f64 {
-    2.0 * trmm(nrhs, n)
-}
-
-/// γ cost of the *corrected* semi-normal-equations solve over `m` retained
-/// rows: the plain solve, the residual `b − A·x` (gemm + axpy), its
-/// projection `Aᵀr`, and the second pair of substitutions for the
-/// correction.
-pub fn stream_solve_refined(m: usize, n: usize, nrhs: usize) -> f64 {
-    stream_solve(n, nrhs) * 2.0 + gemm(m, n, nrhs) + axpy(m, nrhs) + gemm(n, m, nrhs)
-}
-
 /// Householder QR flop count `2mn² − ⅔n³` — the figure-of-merit numerator
 /// used for *both* algorithms' Gigaflops/s/node in every plot (paper §IV-C).
 pub fn householder_qr_flops(m: usize, n: usize) -> f64 {

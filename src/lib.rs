@@ -46,11 +46,11 @@
 //!
 //! For row sets that change over time, [`QrPlan::stream`] opens a live
 //! factor that absorbs rank-k row appends and downdates in `O(kn² + n³)` —
-//! independent of how many rows are already folded in — with a tracked
-//! drift bound that auto-triggers a full CholeskyQR2 refresh through the
-//! owning plan. The same engine serves streaming traffic through
-//! [`QrService`] stream jobs (`stream_open` / `append_rows` /
-//! `downdate_rows` / `snapshot`). See [`cacqr::stream`] and
+//! independent of how many rows are already folded in, at any delta width —
+//! with a tracked drift bound that is the only automatic trigger of a full
+//! CholeskyQR2 refresh through the owning plan. The same engine serves
+//! streaming traffic through [`QrService`] stream jobs (`stream_open` /
+//! `append_rows` / `downdate_rows` / `snapshot`). See [`cacqr::stream`] and
 //! `examples/online_lsq.rs`.
 //!
 //! ## Robustness: escalation, deadlines, fault injection

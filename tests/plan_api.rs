@@ -219,7 +219,6 @@ fn stream_shape_mismatch_is_a_typed_update_error() {
 
 #[test]
 fn downdating_rows_never_appended_is_rejected_or_indefinite() {
-    use ca_cqr2::dense::update::UpdateError;
     use ca_cqr2::dense::Matrix;
 
     let plan = QrPlan::new(32, 8)
@@ -230,36 +229,15 @@ fn downdating_rows_never_appended_is_rejected_or_indefinite() {
     let a0 = well_conditioned(32, 8, 3);
     let foreign = Matrix::from_fn(1, 8, |_, j| 1e6 * (j + 1) as f64);
 
-    // With history: the bitwise audit catches the lie before any math runs.
+    // The bitwise history audit catches the lie before any math runs, and
+    // leaves R untouched. (The kernel's own `DowndateIndefinite` check and
+    // its rollback are covered by the `dense` breakdown tests.)
     let mut s = plan.stream(&a0).unwrap();
+    let r_before = s.r().clone();
     let err = s.downdate_rows(foreign.as_ref()).unwrap_err();
     assert_eq!(err, PlanError::StreamHistoryMismatch { row: 0 });
     assert!(err.to_string().contains("oldest"), "{err}");
-
-    // Without history the caller vouches, and the kernel's downdate
-    // pivot check is the backstop: removing energy that was never added
-    // drives α² non-positive — typed, and transactional (R unchanged).
-    let mut s = plan.stream(&a0).unwrap().with_history(false);
-    let r_before = s.r().clone();
-    let err = s.downdate_rows(foreign.as_ref()).unwrap_err();
-    assert!(
-        matches!(err, PlanError::Update(UpdateError::DowndateIndefinite { row: 0, .. })),
-        "{err:?}"
-    );
     assert_eq!(s.r().data(), r_before.data(), "failed downdates must roll back");
-}
-
-#[test]
-fn historyless_streams_report_refresh_as_unavailable() {
-    let plan = QrPlan::new(32, 8)
-        .algorithm(Algorithm::Cqr2_1d)
-        .grid(GridShape::one_d(4).unwrap())
-        .build()
-        .unwrap();
-    let mut s = plan.stream(&well_conditioned(32, 8, 5)).unwrap().with_history(false);
-    let err = s.refresh().unwrap_err();
-    assert_eq!(err, PlanError::StreamHistoryRequired { op: "refresh" });
-    assert!(err.to_string().contains("with_history(false)"), "{err}");
 }
 
 #[test]

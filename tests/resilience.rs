@@ -8,8 +8,8 @@
 //! * **Streams escalate too:** a drift-triggered refresh that fails on the
 //!   plain sequential path retries on the shifted-CQR3 and Householder
 //!   rungs instead of parking the stream in `refresh_failed`.
-//! * **Service stream jobs surface kernel errors typed under contention:**
-//!   `UpdateError::DowndateIndefinite` and `StreamStatus::refresh_failed`
+//! * **Service stream jobs surface stream errors typed under contention:**
+//!   `PlanError::StreamHistoryMismatch` and `StreamStatus::refresh_failed`
 //!   propagate through worker-pool stream jobs while batch traffic
 //!   saturates the pool, without wedging the per-stream turnstile.
 //! * **The service counts what it did:** a κ ≈ 1e9 panel submitted with an
@@ -23,7 +23,6 @@
 use cacqr::service::JobSpec;
 use cacqr::{Algorithm, PlanError, QrPlan, QrService, RetryPolicy, ServiceError, SubmitOptions};
 use dense::random::{gaussian_matrix, matrix_with_condition, well_conditioned};
-use dense::update::UpdateError;
 use dense::Matrix;
 use pargrid::GridShape;
 use std::time::Duration;
@@ -170,32 +169,25 @@ fn stream_spec(m: usize, n: usize) -> JobSpec {
 }
 
 #[test]
-fn service_stream_jobs_surface_downdate_indefinite_under_contention() {
+fn service_stream_jobs_surface_history_mismatch_under_contention() {
     let service = QrService::builder().workers(4).build();
     let spec = stream_spec(64, 16);
     let a0 = well_conditioned(64, 16, 23);
-    // A history-less stream (adopted — stream_open always keeps history):
-    // the downdate pivot check is the only guard against removing rows
-    // that were never appended.
-    let plan = service.plan(&spec).unwrap();
-    service
-        .stream_adopt("raw", plan.stream(&a0).unwrap().with_history(false))
-        .unwrap();
+    service.stream_open("raw", &spec, &a0).unwrap();
     // Saturate the pool with batch traffic around the stream operations.
     let batch: Vec<_> = (0..8)
         .map(|s| service.submit(&spec, well_conditioned(64, 16, 100 + s)).unwrap())
         .collect();
     let ok0 = service.append_rows("raw", gaussian_matrix(2, 16, 1)).unwrap();
+    // Rows that were never appended: the bitwise history audit rejects them.
     let foreign = Matrix::from_fn(1, 16, |_, j| 1e6 * (j + 1) as f64);
     let bad = service.downdate_rows("raw", foreign).unwrap();
     let ok1 = service.append_rows("raw", gaussian_matrix(2, 16, 2)).unwrap();
 
     assert_eq!(ok0.wait().unwrap().status().unwrap().rows, 66);
     match bad.wait().unwrap_err() {
-        ServiceError::Plan(PlanError::Update(UpdateError::DowndateIndefinite { row, .. })) => {
-            assert_eq!(row, 0);
-        }
-        other => panic!("expected DowndateIndefinite, got {other}"),
+        ServiceError::Plan(PlanError::StreamHistoryMismatch { row }) => assert_eq!(row, 0),
+        other => panic!("expected StreamHistoryMismatch, got {other}"),
     }
     // The failed downdate rolled back and the turnstile advanced: the next
     // append still lands, on the un-downdated row count.

@@ -10,9 +10,10 @@
 //! * **Least squares (proptest):** `solve()` on a stream that absorbed
 //!   appends and downdates through its right-hand-side track matches the
 //!   solution computed from a from-scratch batch factor of the live window.
-//! * **Transactionality:** a failed crossover append rolls back completely
-//!   (`R`, `d`, history, counters all untouched); a failed drift-triggered
-//!   auto-refresh after a committed update *surfaces* through
+//! * **Transactionality:** an append of any width whose factor update fails
+//!   inside the kernel rolls back completely (`R`, `d`, history, counters
+//!   all untouched); a failed drift-triggered auto-refresh after a
+//!   committed update *surfaces* through
 //!   `StreamStatus::refresh_failed` without corrupting the stream, and the
 //!   next successful refresh clears it.
 //! * **Service determinism:** the same `(initial, update sequence)` pair
@@ -27,6 +28,7 @@ use cacqr::{Algorithm, PlanError, QrPlan, QrService};
 use dense::norms::rel_diff;
 use dense::random::{gaussian_matrix, well_conditioned};
 use dense::trsm::{trsm_left_lower_trans, trsm_left_upper};
+use dense::update::UpdateError;
 use dense::{matmul, Matrix, Trans};
 use pargrid::GridShape;
 use proptest::prelude::*;
@@ -262,32 +264,29 @@ fn service_streams_are_bitwise_deterministic_across_pool_widths() {
     );
 }
 
-/// Regression (PR 8): a crossover-branch append whose refresh fails must
-/// roll back *everything* — before the fix, `push_history`/`live += k`
-/// landed before the refresh ran, so a rejected delta left the stream
-/// claiming rows its factor never absorbed.
+/// Regression: an append wider than the window whose factor update fails
+/// must roll back *everything* — a rejected delta must not leave the
+/// stream claiming rows its factor never absorbed.
 #[test]
-fn failed_crossover_append_rolls_back_completely() {
+fn failed_wide_append_rolls_back_completely() {
     let (m0, n) = (32usize, 8usize);
     let k = 64usize;
-    // The delta must be wide enough that the cost model routes it through
-    // the re-factor branch rather than the rank-k kernel.
-    assert!(
-        !costmodel::streaming::append_beats_refresh(m0 + k, n, k),
-        "test premise: k = {k} crosses the refresh crossover for {m0}x{n}"
-    );
     let a0 = well_conditioned(m0, n, 77);
     let b0 = gaussian_matrix(m0, 1, 78);
     let mut s = stream_plan(m0, n).stream_with_rhs(&a0, &b0).unwrap();
     let r_before = s.r().clone();
     let x_before = s.solve().unwrap();
 
-    // Entries at 1e160 overflow the refresh's Gram matrix to infinity, so
-    // its Cholesky rejects the pivot deterministically on every backend.
+    // Entries at 1e160 overflow the appended Gram matrix to infinity, so
+    // the kernel's Cholesky rejects the pivot deterministically on every
+    // backend.
     let bad = Matrix::from_fn(k, n, |i, j| 1e160 * (1.0 + ((i + j) % 3) as f64));
     let bad_rhs = gaussian_matrix(k, 1, 79);
     let err = s.append_rows_with(bad.as_ref(), bad_rhs.as_ref()).unwrap_err();
-    assert!(matches!(err, PlanError::NotPositiveDefinite(_)), "{err:?}");
+    assert!(
+        matches!(err, PlanError::Update(UpdateError::NotPositiveDefinite(_))),
+        "{err:?}"
+    );
 
     // No observable trace: row count, factor, and projection all pristine.
     assert_eq!(s.rows(), m0, "rejected delta must not count toward live rows");
