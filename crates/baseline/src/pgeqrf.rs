@@ -351,8 +351,8 @@ pub struct PgeqrfRun {
     /// Simulated elapsed time under the machine model used for the run.
     pub elapsed: f64,
     /// Measured wall-clock seconds of the SPMD region. Meaningful for the
-    /// shared-memory runtime; on the simulated backend it mostly measures
-    /// mailbox traffic and is not a model quantity.
+    /// shared-memory runtime; on the simulated backend the rank threads are
+    /// unpinned and it is not a model quantity.
     pub wall_seconds: f64,
     /// Per-rank cost ledgers.
     pub ledgers: Vec<simgrid::CostLedger>,

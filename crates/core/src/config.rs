@@ -94,23 +94,10 @@ impl CfrParams {
     /// `c ≤ base_size ≤ n` (each processor must own at least one row/column
     /// of the base block) and `inverse_depth ≤ log₂(n / base_size)`.
     pub fn validated(n: usize, c: usize, base_size: usize, inverse_depth: usize) -> Result<CfrParams, ParamError> {
-        CfrParams::validated_with(n, c, base_size, inverse_depth, BackendKind::default_kind())
-    }
-
-    /// [`CfrParams::validated`] with an explicit kernel backend — the chosen
-    /// backend is carried into the returned parameters instead of being
-    /// reset to the process default.
-    pub fn validated_with(
-        n: usize,
-        c: usize,
-        base_size: usize,
-        inverse_depth: usize,
-        backend: BackendKind,
-    ) -> Result<CfrParams, ParamError> {
         CfrParams {
             base_size,
             inverse_depth,
-            backend,
+            backend: BackendKind::default_kind(),
         }
         .validate(n, c)
     }
@@ -228,11 +215,14 @@ mod tests {
 
     #[test]
     fn validation_preserves_chosen_backend() {
-        // The historical bug: `validated` silently reset the backend to the
-        // process-wide default. Both explicit-backend paths must carry the
-        // caller's choice through.
+        // The historical bug: validation silently reset the backend to the
+        // process-wide default. A pinned backend must survive it.
         for kind in BackendKind::ALL {
-            let p = CfrParams::validated_with(64, 2, 16, 1, kind).unwrap();
+            let p = CfrParams::validated(64, 2, 16, 1)
+                .unwrap()
+                .with_backend(kind)
+                .validate(64, 2)
+                .unwrap();
             assert_eq!(p.backend, kind);
             let q = CfrParams::default_for(64, 2)
                 .with_backend(kind)

@@ -368,8 +368,9 @@ impl QrPlan {
         self.machine
     }
 
-    /// The execution backend [`QrPlan::factor`] runs on: the deterministic
-    /// mailbox simulator or the measured shared-memory runtime.
+    /// The execution backend [`QrPlan::factor`] runs on: the simulator
+    /// (unpinned rank threads) or the measured shared-memory runtime (rank
+    /// threads pinned to cores). Both run the same shared-window transport.
     pub fn runtime(&self) -> RuntimeKind {
         self.runtime
     }

@@ -69,8 +69,8 @@ pub type QrRun = baseline::PgeqrfRun;
 /// make repeated runs allocation-free.
 ///
 /// The `cfg` chooses both the machine model *and* the execution backend
-/// ([`SimConfig::on_runtime`]): the same per-rank bodies run over simulated
-/// mailboxes or over pinned shared-memory threads.
+/// ([`SimConfig::on_runtime`]): the same per-rank bodies run over the same
+/// shared windows, on unpinned or on pinned threads.
 ///
 /// # Examples
 ///

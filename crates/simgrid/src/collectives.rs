@@ -27,9 +27,9 @@
 //! All communicator sizes must be powers of two (the paper's processor grids
 //! are).
 //!
-//! Each schedule exists once, as a sequence of rounds over the two-transport
-//! primitive in `round.rs` (mailbox envelopes or shared windows): the message
-//! and word counts above are properties of that one piece of code, whichever
+//! Each schedule exists once, as a sequence of rounds over the primitive in
+//! `round.rs` (shared windows between barrier crossings): the message and
+//! word counts above are properties of that one piece of code, whichever
 //! runtime executes it.
 
 use crate::comm::Comm;
@@ -49,8 +49,8 @@ fn add_into(acc: &mut [f64], words: &[f64]) {
 }
 
 // Every schedule below is a sequence of `Comm::round` calls (see `round.rs`
-// for the transports and the invariant that makes the shared-memory one
-// sound). Two rules keep the schedules transport-neutral:
+// for the transport and the invariant that makes it sound). Two rules keep
+// the schedules within that invariant:
 //
 // * Every member runs every round of a schedule, passing `None` for the
 //   halves it sits out — tree schedules have idle members but no early
@@ -70,14 +70,6 @@ impl Comm {
         self.member((vr + root) % self.size())
     }
 
-    /// Entry synchronization for a collective (see
-    /// [`crate::runtime::SimConfig::sync_collectives`]): draws a tag and
-    /// lifts every member's clock to the group maximum.
-    fn enter_phase(&self, rank: &mut Rank) {
-        let tag = self.next_tag();
-        self.lift_clocks(rank, tag);
-    }
-
     /// Pairwise exchange with the member at index `partner`: sends `data`,
     /// returns the partner's message. Exchanging with oneself is a free copy
     /// (used by diagonal ranks in the matrix transpose).
@@ -90,13 +82,12 @@ impl Comm {
         // peers block until this rank arrives, so the collective still
         // completes and results are unchanged.
         dense::fault::maybe_delay(dense::fault::COLLECTIVE);
-        let tag = self.next_tag();
         let mut out = rank.comm_take(data.len());
         if partner == self.my_index() {
             out.copy_from_slice(data);
         } else {
             let peer = self.member(partner);
-            self.round(rank, tag, Pair(peer), Some((peer, data)), Some(peer), |words| {
+            self.round(rank, Pair(peer), Some((peer, data)), Some(peer), |words| {
                 out.copy_from_slice(words)
             });
         }
@@ -134,7 +125,7 @@ impl Comm {
         if n >= p && !n.is_multiple_of(p) {
             return self.padded(rank, buf, |rank, padded| self.bcast(rank, root, padded));
         }
-        self.enter_phase(rank);
+        self.lift_clocks(rank);
         if n < p {
             return self.bcast_binomial(rank, root, buf);
         }
@@ -144,14 +135,13 @@ impl Comm {
         // Phase 1: binomial scatter in virtual space. Block `v` (buffer words
         // [v·b, (v+1)·b)) ends up at virtual rank v: at distance d, every
         // multiple of 2d hands the upper half of its 2d blocks to vr + d.
-        let tag = self.next_tag();
         let mut d = p / 2;
         while d >= 1 {
             let sends = vr.is_multiple_of(2 * d);
             let (keep, give) = buf.split_at_mut(if sends { (vr + d) * b } else { n });
             let send = sends.then(|| (self.global_of_virtual(vr + d, root), &give[..d * b]));
             let recv = (vr % (2 * d) == d).then(|| self.global_of_virtual(vr - d, root));
-            self.round(rank, tag, Group, send, recv, |words| {
+            self.round(rank, Group, send, recv, |words| {
                 keep[vr * b..(vr + d) * b].copy_from_slice(words)
             });
             d /= 2;
@@ -166,14 +156,13 @@ impl Comm {
     fn bcast_binomial(&self, rank: &mut Rank, root: usize, buf: &mut [f64]) {
         let p = self.size();
         let vr = self.virtual_index(root);
-        let tag = self.next_tag();
         let mut k = 1;
         while k < p {
             // A member sends the whole buffer or receives into it, never both.
             let (keep, give) = buf.split_at_mut(if vr < k { 0 } else { buf.len() });
             let send = (vr < k).then(|| (self.global_of_virtual(vr + k, root), &*give));
             let recv = (k <= vr && vr < 2 * k).then(|| self.global_of_virtual(vr - k, root));
-            self.round(rank, tag, Group, send, recv, |words| keep.copy_from_slice(words));
+            self.round(rank, Group, send, recv, |words| keep.copy_from_slice(words));
             k *= 2;
         }
     }
@@ -185,12 +174,11 @@ impl Comm {
     fn allreduce_doubling(&self, rank: &mut Rank, buf: &mut [f64]) {
         let p = self.size();
         let me = self.my_index();
-        let tag = self.next_tag();
         let mut theirs = rank.comm_take(buf.len());
         let mut d = 1;
         while d < p {
             let peer = self.member(me ^ d);
-            self.round(rank, tag, Group, Some((peer, &*buf)), Some(peer), |words| {
+            self.round(rank, Group, Some((peer, &*buf)), Some(peer), |words| {
                 theirs.copy_from_slice(words)
             });
             add_into(buf, &theirs);
@@ -206,7 +194,6 @@ impl Comm {
     fn reduce_binomial(&self, rank: &mut Rank, root: usize, buf: &mut [f64]) {
         let p = self.size();
         let vr = self.virtual_index(root);
-        let tag = self.next_tag();
         let mut d = 1;
         while d < p {
             let sends = vr % (2 * d) == d;
@@ -214,7 +201,7 @@ impl Comm {
             let (keep, give) = buf.split_at_mut(if sends { 0 } else { buf.len() });
             let send = sends.then(|| (self.global_of_virtual(vr - d, root), &*give));
             let recv = recvs.then(|| self.global_of_virtual(vr + d, root));
-            self.round(rank, tag, Group, send, recv, |words| add_into(keep, words));
+            self.round(rank, Group, send, recv, |words| add_into(keep, words));
             if recvs {
                 rank.charge_flops(buf.len() as f64);
             }
@@ -239,7 +226,7 @@ impl Comm {
         let me = self.my_index();
         buf[me * b..(me + 1) * b].copy_from_slice(local);
         if p > 1 {
-            self.enter_phase(rank);
+            self.lift_clocks(rank);
             self.allgather_blocks(rank, &mut buf, b, me, 0);
         }
         buf
@@ -251,14 +238,13 @@ impl Comm {
     /// d blocks around `vr` and swaps it for its sibling run.
     fn allgather_blocks(&self, rank: &mut Rank, buf: &mut [f64], b: usize, vr: usize, root: usize) {
         let p = self.size();
-        let tag = self.next_tag();
         let mut d = 1;
         while d < p {
             let base = vr & !(2 * d - 1);
             let (low, high) = buf[base * b..(base + 2 * d) * b].split_at_mut(d * b);
             let (mine, theirs) = if vr & d == 0 { (low, high) } else { (high, low) };
             let peer = self.global_of_virtual(vr ^ d, root);
-            self.round(rank, tag, Group, Some((peer, &*mine)), Some(peer), |words| {
+            self.round(rank, Group, Some((peer, &*mine)), Some(peer), |words| {
                 theirs.copy_from_slice(words)
             });
             d *= 2;
@@ -278,7 +264,6 @@ impl Comm {
         );
         let b = n / p;
         let me = self.my_index();
-        let tag = self.next_tag();
         let (mut lo, mut hi) = (0usize, p);
         let mut d = p / 2;
         while d >= 1 {
@@ -287,7 +272,7 @@ impl Comm {
             let (low, high) = buf[lo * b..hi * b].split_at_mut(d * b);
             let (keep, give) = if me & d == 0 { (low, high) } else { (high, low) };
             let peer = self.member(me ^ d);
-            self.round(rank, tag, Group, Some((peer, &*give)), Some(peer), |words| {
+            self.round(rank, Group, Some((peer, &*give)), Some(peer), |words| {
                 add_into(keep, words)
             });
             rank.charge_flops((d * b) as f64);
@@ -317,7 +302,7 @@ impl Comm {
         if n >= p && !n.is_multiple_of(p) {
             return self.padded(rank, buf, |rank, padded| self.allreduce(rank, padded));
         }
-        self.enter_phase(rank);
+        self.lift_clocks(rank);
         if n < p {
             return self.allreduce_doubling(rank, buf);
         }
@@ -340,7 +325,7 @@ impl Comm {
         if n >= p && !n.is_multiple_of(p) {
             return self.padded(rank, buf, |rank, padded| self.reduce(rank, root, padded));
         }
-        self.enter_phase(rank);
+        self.lift_clocks(rank);
         if n < p {
             return self.reduce_binomial(rank, root, buf);
         }
@@ -355,7 +340,6 @@ impl Comm {
             let idx = (w + root) % p;
             idx * b..(idx + 1) * b
         };
-        let tag = self.next_tag();
         let mut d = 1;
         while d < p {
             let sends = vr % (2 * d) == d;
@@ -368,7 +352,7 @@ impl Comm {
             }
             let send = sends.then(|| (self.global_of_virtual(vr - d, root), &packed[..]));
             let recv = vr.is_multiple_of(2 * d).then(|| self.global_of_virtual(vr + d, root));
-            self.round(rank, tag, Group, send, recv, |words| {
+            self.round(rank, Group, send, recv, |words| {
                 for (off, w) in (vr + d..vr + 2 * d).enumerate() {
                     buf[block(w)].copy_from_slice(&words[off * b..(off + 1) * b]);
                 }
@@ -397,8 +381,8 @@ mod tests {
     use crate::machine::Machine;
     use crate::runtime::{run_spmd, RuntimeKind, SimConfig, SimReport};
 
-    /// Runs `test` once per runtime: the schedules are shared, so every
-    /// delivery and cost assertion below must hold on both transports.
+    /// Runs `test` once per runtime: the schedules and the transport are
+    /// shared, so every delivery and cost assertion below must hold on both.
     fn on_both_runtimes(test: impl Fn(RuntimeKind)) {
         test(RuntimeKind::Simulated);
         test(RuntimeKind::SharedMem);
@@ -635,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_collectives_tag_isolation() {
+    fn nested_collectives_on_communicators_sharing_members() {
         on_both_runtimes(|rt| {
             // Interleave ops on two communicators that share members.
             let report = run_spmd(4, zero_cfg(rt), |rank| {

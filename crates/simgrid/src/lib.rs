@@ -1,32 +1,30 @@
-//! A deterministic SPMD runtime with α-β-γ cost accounting — and two
-//! interchangeable execution backends.
+//! A deterministic SPMD runtime with α-β-γ cost accounting — one transport,
+//! two execution backends.
 //!
 //! The paper evaluates CA-CQR2 with MPI on Stampede2 and Blue Waters. This
-//! crate substitutes a distributed machine that can run in two modes,
+//! crate substitutes a distributed machine whose ranks are OS threads that
+//! communicate through preallocated shared windows: the collectives run *in
+//! place* over shared slices between sense-reversing barriers, drawing
+//! scratch from pooled arenas ([`run_spmd_pooled`]) so the warm path
+//! performs zero heap allocations. Two backends run that one transport,
 //! selected per run via [`SimConfig::on_runtime`] (or process-wide with
-//! `CACQR_RUNTIME=sim|shm`):
+//! `CACQR_RUNTIME=sim|shm`), and differ only in pinning:
 //!
-//! * **Simulated** ([`RuntimeKind::Simulated`], the default): ranks
-//!   exchange heap-copied messages through tagged mailboxes and the point
-//!   of a run is its *virtual* clock — predict scaling on any machine you
-//!   can parameterize.
-//! * **Shared-memory** ([`RuntimeKind::SharedMem`]): the same ranks,
-//!   pinned to cores, communicate through preallocated shared windows;
-//!   the collectives run *in place* over shared slices between
-//!   sense-reversing barriers, drawing scratch from pooled arenas
-//!   ([`run_spmd_pooled`]) so the warm path performs zero heap
-//!   allocations. [`SimReport::wall_seconds`] is then a real measurement,
-//!   and [`probe_shm_alpha_beta`] calibrates the machine model's α and β
-//!   from live transport microprobes. Both backends execute the *same*
-//!   schedule code — only the transport under each round differs — so
-//!   results, ledgers, and virtual clocks are bitwise identical across
-//!   them.
+//! * **Simulated** ([`RuntimeKind::Simulated`], the default): rank threads
+//!   are left to the OS scheduler, and the point of a run is its *virtual*
+//!   clock — predict scaling on any machine you can parameterize.
+//! * **Shared-memory** ([`RuntimeKind::SharedMem`]): the same ranks, pinned
+//!   to cores. [`SimReport::wall_seconds`] is then a real measurement, and
+//!   [`probe_shm_alpha_beta`] calibrates the machine model's α and β from
+//!   live transport microprobes.
+//!
+//! Results, ledgers, and virtual clocks are bitwise identical across the two.
 //!
 //! In either mode:
 //!
-//! * [`run_spmd`] launches `P` ranks as OS threads. Each rank owns only its
-//!   local data — the algorithms built on top are genuinely distributed
-//!   (no shared matrices).
+//! * [`run_spmd`] launches `P` ranks as OS threads (a lone rank runs inline
+//!   on the caller's). Each rank owns only its local data — the algorithms
+//!   built on top are genuinely distributed (no shared matrices).
 //! * Every send charges `α + n·β` to the sender's **virtual clock** and the
 //!   receive synchronizes the receiver's clock to the message's arrival time
 //!   (LogP-style timestamp piggybacking). Local compute charges `n_flops·γ`.
@@ -50,7 +48,6 @@ pub mod collectives;
 pub mod comm;
 pub mod cost;
 pub mod machine;
-pub mod mailbox;
 pub mod probe;
 mod round;
 pub mod runtime;

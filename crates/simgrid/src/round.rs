@@ -1,38 +1,30 @@
-//! The round primitive: the one place the two transports differ.
+//! The round primitive: the one place words move between ranks.
 //!
 //! Every schedule in [`crate::collectives`] is a sequence of rounds, and a
 //! round is "optionally post this slice to a peer, optionally receive from a
 //! peer, hand the received words to a closure". The schedules (virtual
-//! ranks, block ranges, reduction orders, tag draws, flop charges) are
-//! written once against [`Comm::round`]; this module moves the words.
+//! ranks, block ranges, reduction orders, flop charges) are written once
+//! against [`Comm::round`]; this module moves the words over the region's
+//! shared windows: charge the send and publish the slice, first crossing,
+//! read the peer's window in place and charge the receive, second crossing.
+//! The charges go through [`Rank::charge_send`]/[`Rank::charge_recv`], so
+//! ledgers and virtual clocks are the α-β model's whichever
+//! [`RuntimeKind`](crate::RuntimeKind) pins (or does not pin) the threads.
 //!
-//! * **Mailbox** (simulated runtime): [`Rank::send`], then [`Rank::recv`].
-//!   A round that neither sends nor receives is free.
-//! * **Shared windows** (shm runtime): charge the send and publish the
-//!   slice, first crossing, read the peer's window in place and charge the
-//!   receive, second crossing.
-//!
-//! Both paths charge through [`Rank::charge_send`]/[`Rank::charge_recv`] in
-//! the same order, so results, ledgers and virtual clocks agree across
-//! runtimes by construction.
-//!
-//! The other thing that differs is how a synchronous collective lifts its
-//! members' virtual clocks to the group maximum on entry
-//! ([`Comm::lift_clocks`]): the mailbox transport meets in the run's keyed
-//! `BarrierTable`; the shm transport folds the clocks through the
-//! communicator's own barrier, one more crossing of the kind every round
-//! already makes. The maximum of the same values is the same value.
+//! A synchronous collective also lifts its members' virtual clocks to the
+//! group maximum on entry ([`Comm::lift_clocks`]) by folding the clocks
+//! through the communicator's own barrier, one more crossing of the kind
+//! every round already makes.
 //!
 //! # The two-crossing invariant
 //!
-//! On the shm transport a window may be read only between the crossing that
-//! follows its publish and the crossing after that. Three things uphold it,
-//! all visible here:
+//! A window may be read only between the crossing that follows its publish
+//! and the crossing after that. Three things uphold it, all visible here:
 //!
 //! 1. Everyone named by the [`Crossing`] calls `round` the same number of
 //!    times — including rounds in which it moves no data — so the crossings
-//!    pair up. This is the SPMD discipline tag matching already relies on;
-//!    it is why the schedules have no early exits.
+//!    pair up. This is the SPMD discipline; it is why the schedules have no
+//!    early exits.
 //! 2. A sender's `round` call holds a shared borrow of the published slice
 //!    from the publish to its own second crossing, so the owner cannot write
 //!    it (its `on_recv` closure cannot capture an overlapping `&mut`) or
@@ -43,7 +35,7 @@
 use crate::comm::Comm;
 use crate::runtime::Rank;
 
-/// Who meets at a round's two crossings on the shm transport.
+/// Who meets at a round's two crossings.
 #[derive(Clone, Copy)]
 pub(crate) enum Crossing {
     /// Every member of the communicator, at the group's barrier.
@@ -55,44 +47,31 @@ pub(crate) enum Crossing {
 }
 
 impl Comm {
-    /// Entry synchronization of a synchronous collective: lifts this rank's
-    /// clock to the maximum over the communicator's members (no-op in
-    /// asynchronous mode and on single-member communicators). `tag` is the
-    /// collective's entry tag, identical across members.
-    pub(crate) fn lift_clocks(&self, rank: &mut Rank, tag: u64) {
+    /// Entry synchronization of a synchronous collective (see
+    /// [`SimConfig::sync_collectives`](crate::SimConfig::sync_collectives)):
+    /// lifts this rank's clock to the maximum over the communicator's
+    /// members (no-op in asynchronous mode and on single-member
+    /// communicators).
+    pub(crate) fn lift_clocks(&self, rank: &mut Rank) {
         if !rank.syncs_collectives() || self.size() <= 1 {
             return;
         }
-        let lifted = if rank.is_shm() {
-            self.shm_group().max_clock(rank.clock())
-        } else {
-            rank.table_max_clock((tag, self.member(0)), self.size())
-        };
+        let lifted = self.shm_group().max_clock(rank.clock());
         rank.set_clock(lifted);
     }
 
     /// One round of a schedule: posts `send = (dst, words)` and hands the
     /// words received from `recv` to `on_recv` (called iff `recv` is `Some`).
     /// Peers are global rank ids; a round's sender and receiver must name
-    /// each other, with the same `tag`.
+    /// each other.
     pub(crate) fn round(
         &self,
         rank: &mut Rank,
-        tag: u64,
         crossing: Crossing,
         send: Option<(usize, &[f64])>,
         recv: Option<usize>,
         on_recv: impl FnOnce(&[f64]),
     ) {
-        if !rank.is_shm() {
-            if let Some((dst, words)) = send {
-                rank.send(dst, tag, words);
-            }
-            if let Some(src) = recv {
-                on_recv(&rank.recv(src, tag));
-            }
-            return;
-        }
         if let Some((_, words)) = send {
             rank.charge_send(words.len());
             rank.shm().publish(rank.id(), words, rank.clock());

@@ -1,8 +1,8 @@
-//! The SPMD runtime: rank spawning, point-to-point messaging, virtual clocks.
+//! The SPMD runtime: rank spawning, virtual clocks, and the per-region
+//! shared windows every multi-rank region communicates through.
 
 use crate::cost::CostLedger;
 use crate::machine::Machine;
-use crate::mailbox::{Envelope, Mailbox};
 use crate::shm::ShmShared;
 use dense::{Workspace, WorkspacePool};
 use std::sync::Arc;
@@ -10,25 +10,28 @@ use std::sync::Arc;
 /// Which execution backend [`run_spmd`] uses.
 ///
 /// Both backends run ranks as scoped OS threads executing the same SPMD
-/// closure with the same collective schedules, so numerical results,
-/// ledgers, and virtual clocks are bitwise identical across them; what
-/// differs is the transport underneath and what *wall-clock* time means:
+/// closure over the same transport: the collectives run in place over
+/// published shared slices bracketed by sense-reversing barriers, with zero
+/// heap traffic and no copies beyond the block moves the butterfly
+/// schedules require. Numerical results, ledgers, and virtual clocks are
+/// therefore bitwise identical across them. They differ only in pinning,
+/// and so in what *wall-clock* time means:
 ///
-/// * [`Simulated`](RuntimeKind::Simulated) moves messages through tagged
-///   mailboxes (a heap envelope per send). Wall time is meaningless; the
-///   virtual α-β-γ clock is the measurement.
-/// * [`SharedMem`](RuntimeKind::SharedMem) pins ranks to cores and runs the
-///   collectives in place over published shared slices bracketed by
-///   sense-reversing barriers — zero heap traffic and zero copies beyond
-///   the block moves the butterfly schedules require. Wall time is a real
-///   measurement of the communication-avoidance claim; the virtual clock is
-///   still maintained (same charges), so simulated accounting stays
-///   available for free.
+/// * [`Simulated`](RuntimeKind::Simulated) leaves rank threads to the OS
+///   scheduler. Wall time is incidental; the virtual α-β-γ clock is the
+///   measurement.
+/// * [`SharedMem`](RuntimeKind::SharedMem) pins rank `i` to core `i` (modulo
+///   the core count). Wall time is a real measurement of the
+///   communication-avoidance claim; the virtual clock is still maintained
+///   (same charges), so simulated accounting stays available for free.
+///
+/// A one-rank region has no peer to talk to and runs inline on the calling
+/// thread under either backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
-    /// Virtual-time simulation over mailbox message passing.
+    /// Virtual-time simulation: unpinned rank threads.
     Simulated,
-    /// Measured shared-memory execution over in-place collectives.
+    /// Measured shared-memory execution: rank threads pinned to cores.
     SharedMem,
 }
 
@@ -130,51 +133,6 @@ impl SimConfig {
     }
 }
 
-/// Shared registry implementing the virtual-time entry barrier of
-/// synchronous collectives on the mailbox transport: all members deposit
-/// their clocks, everyone leaves with the maximum. Zero cost is charged —
-/// this is an accounting device, not a communication operation. (The shm
-/// transport takes the same maximum through the communicator's own barrier;
-/// `round.rs` holds the split.)
-#[derive(Default)]
-pub struct BarrierTable {
-    inner: std::sync::Mutex<std::collections::HashMap<(u64, usize), BarrierEntry>>,
-    cv: std::sync::Condvar,
-}
-
-#[derive(Default)]
-struct BarrierEntry {
-    arrived: usize,
-    departed: usize,
-    max_clock: f64,
-    complete: bool,
-}
-
-impl BarrierTable {
-    fn sync(&self, key: (u64, usize), size: usize, clock: f64) -> f64 {
-        let mut g = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        {
-            let e = g.entry(key).or_default();
-            e.arrived += 1;
-            e.max_clock = e.max_clock.max(clock);
-            if e.arrived == size {
-                e.complete = true;
-                self.cv.notify_all();
-            }
-        }
-        while !g.get(&key).map(|e| e.complete).unwrap_or(false) {
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-        let e = g.get_mut(&key).expect("barrier entry must exist until all depart");
-        let result = e.max_clock;
-        e.departed += 1;
-        if e.departed == size {
-            g.remove(&key);
-        }
-        result
-    }
-}
-
 /// Outcome of an SPMD run: one result and one ledger per rank, plus the
 /// simulated elapsed time (maximum virtual clock) and the measured wall
 /// time of the whole region.
@@ -188,26 +146,26 @@ pub struct SimReport<T> {
     pub elapsed: f64,
     /// Measured wall-clock seconds of the SPMD region (spawn to join). Only
     /// meaningful as a performance number on the shared-memory backend; on
-    /// the simulator it is dominated by mailbox traffic.
+    /// the simulator the unpinned rank threads share cores as the OS
+    /// scheduler sees fit.
     pub wall_seconds: f64,
 }
 
-/// One simulated process. Owns its mailbox handle, virtual clock, and ledger.
+/// One simulated process. Owns its virtual clock, its ledger, and a handle
+/// on the region's shared windows.
 ///
 /// All communication goes through [`crate::Comm`] (created from
-/// [`Rank::world`] and [`crate::Comm::subset`]); the raw `send`/`recv` here
-/// are the transport those collectives are built on.
+/// [`Rank::world`] and [`crate::Comm::subset`]).
 pub struct Rank {
     id: usize,
     p: usize,
-    boxes: Arc<Vec<Arc<Mailbox>>>,
-    barriers: Arc<BarrierTable>,
     machine: Machine,
     sync_collectives: bool,
     clock: f64,
     ledger: CostLedger,
     next_comm_id: u32,
-    /// Shared-memory transport state; `None` on the simulated backend.
+    /// The region's shared windows; `None` in a one-rank region, which has
+    /// no peer to publish to.
     shm: Option<Arc<ShmShared>>,
     /// This rank's communication arena: every collective's scratch (padding
     /// buffers, staging, allgather/sendrecv outputs) is served from here, so
@@ -256,37 +214,10 @@ impl Rank {
         self.clock += flops * self.machine.gamma;
     }
 
-    /// Sends `data` to global rank `dst` with tag `tag`.
-    ///
-    /// Charges `α + len·β` to this rank's clock; the envelope carries the
-    /// post-transfer timestamp so the receiver can synchronize.
-    pub fn send(&mut self, dst: usize, tag: u64, data: &[f64]) {
-        debug_assert!(dst < self.p);
-        debug_assert_ne!(dst, self.id, "self-sends must be short-circuited by the caller");
-        self.charge_send(data.len());
-        self.boxes[dst].post(
-            self.id,
-            tag,
-            Envelope {
-                data: data.to_vec(),
-                depart: self.clock,
-            },
-        );
-    }
-
-    /// Receives the message from global rank `src` with tag `tag`, blocking
-    /// until it arrives. Synchronizes the virtual clock to the arrival time.
-    pub fn recv(&mut self, src: usize, tag: u64) -> Vec<f64> {
-        debug_assert!(src < self.p);
-        let env = self.boxes[self.id].take(src, tag);
-        self.charge_recv(env.data.len(), env.depart);
-        env.data
-    }
-
     /// A communicator spanning all ranks.
     pub fn world(&mut self) -> crate::Comm {
         let members = (0..self.p).collect();
-        crate::Comm::from_members(self, members)
+        crate::Comm::subset(self, members)
     }
 
     /// Allocates the next communicator id. Communicator creation is a
@@ -304,36 +235,21 @@ impl Rank {
         self.sync_collectives
     }
 
-    /// The mailbox transport's entry barrier: deposits this rank's clock in
-    /// the run's table and returns the maximum over the `size` members that
-    /// meet there. `key` must be unique per operation and identical across
-    /// members (a communicator tag plus the lowest member id).
-    pub(crate) fn table_max_clock(&self, key: (u64, usize), size: usize) -> f64 {
-        self.barriers.sync(key, size, self.clock)
-    }
-
     /// Sets the virtual clock to the group maximum an entry barrier found.
     pub(crate) fn set_clock(&mut self, lifted: f64) {
         debug_assert!(lifted >= self.clock, "an entry barrier never turns a clock back");
         self.clock = lifted;
     }
 
-    /// Whether this rank runs on the shared-memory backend.
-    #[inline]
-    pub(crate) fn is_shm(&self) -> bool {
-        self.shm.is_some()
-    }
-
-    /// The shared-memory transport state (shm backend only).
+    /// The region's shared windows (multi-rank regions only: a lone rank
+    /// never reaches a round or a barrier).
     #[inline]
     pub(crate) fn shm(&self) -> &ShmShared {
-        self.shm
-            .as_ref()
-            .expect("shared-memory transport state on the shm backend")
+        self.shm.as_ref().expect("shared windows in a multi-rank region")
     }
 
-    /// The α-β charge of one outgoing message, on either transport:
-    /// advances the clock by `α + n·β` and counts the message.
+    /// The α-β charge of one outgoing message: advances the clock by
+    /// `α + n·β` and counts the message.
     pub(crate) fn charge_send(&mut self, n: usize) {
         self.clock += self.machine.alpha + n as f64 * self.machine.beta;
         self.ledger.msgs_sent += 1;
@@ -422,121 +338,82 @@ where
     F: Fn(&mut Rank) -> T + Sync,
 {
     assert!(p > 0, "need at least one rank");
-    // Single simulated rank: run inline on the calling thread. A lone rank
-    // never communicates cross-thread, so the mailboxes/barrier/scope
-    // machinery only adds a thread spawn-and-join (~tens of µs) to what is
-    // often a microsecond-scale panel factorization — the dominant cost for
-    // small-panel serving workloads. Results are identical to the spawned
-    // path: same Rank construction, same closure, same ledger. The shm
-    // runtime keeps the spawned path even at p = 1 because it pins ranks to
-    // cores, and pinning the *caller's* thread would outlive the run.
-    if p == 1 && matches!(cfg.runtime, RuntimeKind::Simulated) {
-        let start = std::time::Instant::now();
-        let comm_ws = match pool {
-            Some(pool) => pool.take_at(1),
-            None => Workspace::new(),
-        };
-        let mut rank = Rank {
-            id: 0,
-            p: 1,
-            boxes: Arc::new(vec![Arc::new(Mailbox::new())]),
-            barriers: Arc::new(BarrierTable::default()),
-            machine: cfg.machine,
-            sync_collectives: cfg.sync_collectives,
-            clock: 0.0,
-            ledger: CostLedger::default(),
-            next_comm_id: 0,
-            shm: None,
-            comm_ws,
-        };
-        let out = {
-            // Mark the SPMD region so error-kind faultpoints stay quiet on
-            // the (caller's) rank thread; see `dense::fault`.
-            let _spmd = dense::fault::spmd_scope();
-            f(&mut rank)
-        };
-        if let Some(pool) = pool {
-            pool.put_at(1, rank.comm_ws);
-        }
-        return SimReport {
-            results: vec![out],
-            ledgers: vec![rank.ledger],
-            elapsed: rank.clock,
-            wall_seconds: start.elapsed().as_secs_f64(),
-        };
-    }
-    let boxes: Arc<Vec<Arc<Mailbox>>> = Arc::new((0..p).map(|_| Arc::new(Mailbox::new())).collect());
-    let barriers = Arc::new(BarrierTable::default());
-    let shm: Option<Arc<ShmShared>> = match cfg.runtime {
-        RuntimeKind::Simulated => None,
-        RuntimeKind::SharedMem => Some(Arc::new(ShmShared::new(p))),
-    };
-    let mut slots: Vec<Option<(T, CostLedger, f64)>> = (0..p).map(|_| None).collect();
-
     let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(p);
-        for (id, slot) in slots.iter_mut().enumerate() {
-            let boxes = Arc::clone(&boxes);
-            let barriers = Arc::clone(&barriers);
-            let shm = shm.clone();
-            let fref = &f;
-            let machine = cfg.machine;
-            let sync_collectives = cfg.sync_collectives;
-            handles.push(scope.spawn(move || {
-                if shm.is_some() {
-                    crate::shm::pin_to_core(id);
-                }
-                let comm_ws = match pool {
-                    Some(pool) => pool.take_at(p + id),
-                    None => Workspace::new(),
-                };
-                let mut rank = Rank {
-                    id,
-                    p,
-                    boxes,
-                    barriers,
-                    machine,
-                    sync_collectives,
-                    clock: 0.0,
-                    ledger: CostLedger::default(),
-                    next_comm_id: 0,
-                    shm,
-                    comm_ws,
-                };
-                let out = {
-                    let _spmd = dense::fault::spmd_scope();
-                    fref(&mut rank)
-                };
-                if let Some(pool) = pool {
-                    pool.put_at(p + id, rank.comm_ws);
-                }
-                *slot = Some((out, rank.ledger, rank.clock));
-            }));
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
+    let mut report = SimReport {
+        results: Vec::with_capacity(p),
+        ledgers: Vec::with_capacity(p),
+        elapsed: 0.0,
+        wall_seconds: 0.0,
+    };
+    let mut absorb = |(out, ledger, clock): (T, CostLedger, f64)| {
+        report.results.push(out);
+        report.ledgers.push(ledger);
+        report.elapsed = report.elapsed.max(clock);
+    };
+    // A lone rank has no peer and no barrier: it runs inline on the calling
+    // thread, unpinned, with no shared windows. A spawn-and-join would cost
+    // tens of µs against what is often a microsecond-scale panel
+    // factorization, and pinning (on the shm backend) would put every
+    // concurrent one-rank region, and the kernel threads it spawns, on core 0.
+    if p == 1 {
+        absorb(run_rank(0, 1, cfg, None, pool, &f));
+    } else {
+        let shm = Arc::new(ShmShared::new(p));
+        let pin = cfg.runtime == RuntimeKind::SharedMem;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..p)
+                .map(|id| {
+                    let shm = Arc::clone(&shm);
+                    let f = &f;
+                    scope.spawn(move || {
+                        if pin {
+                            crate::shm::pin_to_core(id);
+                        }
+                        run_rank(id, p, cfg, Some(shm), pool, f)
+                    })
+                })
+                .collect();
+            for h in handles {
+                absorb(h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
             }
-        }
-    });
-    let wall_seconds = start.elapsed().as_secs_f64();
+        });
+    }
+    report.wall_seconds = start.elapsed().as_secs_f64();
+    report
+}
 
-    let mut results = Vec::with_capacity(p);
-    let mut ledgers = Vec::with_capacity(p);
-    let mut elapsed = 0.0f64;
-    for slot in slots {
-        let (out, ledger, clock) = slot.expect("rank did not complete");
-        results.push(out);
-        ledgers.push(ledger);
-        elapsed = elapsed.max(clock);
+/// Runs rank `id`'s share of the SPMD program on the current thread and
+/// returns its result, ledger and final clock. The communication arena comes
+/// from (and goes back to) `pool` slot `p + id`.
+fn run_rank<T>(
+    id: usize,
+    p: usize,
+    cfg: SimConfig,
+    shm: Option<Arc<ShmShared>>,
+    pool: Option<&WorkspacePool>,
+    f: &impl Fn(&mut Rank) -> T,
+) -> (T, CostLedger, f64) {
+    let mut rank = Rank {
+        id,
+        p,
+        machine: cfg.machine,
+        sync_collectives: cfg.sync_collectives,
+        clock: 0.0,
+        ledger: CostLedger::default(),
+        next_comm_id: 0,
+        shm,
+        comm_ws: pool.map_or_else(Workspace::new, |pool| pool.take_at(p + id)),
+    };
+    let out = {
+        // Mark the SPMD region so error-kind faultpoints stay quiet on the
+        // rank thread; see `dense::fault`.
+        let _spmd = dense::fault::spmd_scope();
+        f(&mut rank)
+    };
+    if let Some(pool) = pool {
+        pool.put_at(p + id, rank.comm_ws);
     }
-    SimReport {
-        results,
-        ledgers,
-        elapsed,
-        wall_seconds,
-    }
+    (out, rank.ledger, rank.clock)
 }
 
 #[cfg(test)]
@@ -561,8 +438,27 @@ mod tests {
     }
 
     #[test]
+    fn one_rank_runs_on_the_calling_thread() {
+        for rt in [RuntimeKind::Simulated, RuntimeKind::SharedMem] {
+            let caller = std::thread::current().id();
+            let report = run_spmd(1, SimConfig::default().on_runtime(rt), |_| std::thread::current().id());
+            assert_eq!(report.results, vec![caller], "{rt}");
+        }
+    }
+
+    /// The communicator `{me, partner}` (just `{me}` if they are the same
+    /// rank), created at the same program point by every rank.
+    fn pair(rank: &mut Rank, partner: usize) -> crate::Comm {
+        let me = rank.id();
+        let mut members = vec![me.min(partner), me.max(partner)];
+        members.dedup();
+        crate::Comm::subset(rank, members)
+    }
+
+    #[test]
     fn ring_pass_moves_data_and_time() {
-        // Rank i sends i as f64 to rank (i+1) % p; elapsed = α + β per hop.
+        // Rank i passes i to rank (i+1) % p: first across the pairs
+        // {0,1}, {2,3}, then across {1,2}, {0,3}. Each exchange costs α + β.
         let machine = Machine {
             alpha: 1.0,
             beta: 0.5,
@@ -571,47 +467,62 @@ mod tests {
         let p = 4;
         let report = run_spmd(p, SimConfig::with_machine(machine), |rank| {
             let me = rank.id();
-            let next = (me + 1) % p;
-            let prev = (me + p - 1) % p;
-            rank.send(next, 0, &[me as f64]);
-            let got = rank.recv(prev, 0);
-            got[0]
+            let (next, prev) = ((me + 1) % p, (me + p - 1) % p);
+            let mut got = 0.0;
+            let mut first_hop = 0.0;
+            for phase in 0..2 {
+                let partner = if (me + phase) % 2 == 0 { next } else { prev };
+                let comm = pair(rank, partner);
+                let words = comm.sendrecv(rank, comm.my_index() ^ 1, &[me as f64]);
+                if partner == prev {
+                    got = words[0];
+                }
+                if phase == 0 {
+                    first_hop = rank.clock();
+                }
+            }
+            (got, first_hop)
         });
-        assert_eq!(report.results, vec![3.0, 0.0, 1.0, 2.0]);
-        // Each rank: one send of 1 word = α + β = 1.5; receive syncs to the
-        // sender's identical departure time.
-        assert_eq!(report.elapsed, 1.5);
+        let got: Vec<f64> = report.results.iter().map(|r| r.0).collect();
+        assert_eq!(got, vec![3.0, 0.0, 1.0, 2.0]);
+        // One exchange of 1 word = α + β = 1.5; receive syncs to the
+        // sender's identical departure time. Two exchanges per rank.
+        assert!(report.results.iter().all(|r| r.1 == 1.5));
+        assert_eq!(report.elapsed, 3.0);
         for l in &report.ledgers {
-            assert_eq!(l.msgs_sent, 1);
-            assert_eq!(l.words_sent, 1);
-            assert_eq!(l.msgs_recv, 1);
+            assert_eq!(l.msgs_sent, 2);
+            assert_eq!(l.words_sent, 2);
+            assert_eq!(l.msgs_recv, 2);
         }
     }
 
     #[test]
     fn clock_chains_through_relays() {
-        // 0 -> 1 -> 2 relay: rank 2's clock must reflect both hops (2α),
-        // even though rank 2 itself sent nothing.
+        // 0 -> 1 -> 2 relay over the pairs {0,1} then {1,2}: rank 2's clock
+        // must reflect both hops (2α), even though rank 2 sent only once.
         let machine = Machine {
             alpha: 1.0,
             beta: 0.0,
             gamma: 0.0,
         };
-        let report = run_spmd(3, SimConfig::with_machine(machine), |rank| match rank.id() {
-            0 => {
-                rank.send(1, 0, &[7.0]);
-                rank.clock()
+        let report = run_spmd(3, SimConfig::with_machine(machine), |rank| {
+            let me = rank.id();
+            let first = pair(rank, if me == 2 { 2 } else { me ^ 1 });
+            let second = pair(rank, if me == 0 { 0 } else { 3 - me });
+            match me {
+                0 => {
+                    first.sendrecv(rank, 1, &[7.0]);
+                }
+                1 => {
+                    let v = first.sendrecv(rank, 0, &[0.0]);
+                    second.sendrecv(rank, 1, &v);
+                }
+                _ => {
+                    let v = second.sendrecv(rank, 0, &[0.0]);
+                    assert_eq!(v, vec![7.0]);
+                }
             }
-            1 => {
-                let v = rank.recv(0, 0);
-                rank.send(2, 0, &v);
-                rank.clock()
-            }
-            _ => {
-                let v = rank.recv(1, 0);
-                assert_eq!(v, vec![7.0]);
-                rank.clock()
-            }
+            rank.clock()
         });
         assert_eq!(report.results, vec![1.0, 2.0, 2.0]);
         assert_eq!(report.elapsed, 2.0);
@@ -629,22 +540,5 @@ mod tests {
         });
         assert_eq!(report.results, vec![150.0, 100.0]);
         assert_eq!(report.elapsed, 150.0);
-    }
-
-    #[test]
-    fn out_of_order_tags_match_correctly() {
-        let report = run_spmd(2, SimConfig::default(), |rank| {
-            if rank.id() == 0 {
-                rank.send(1, 5, &[5.0]);
-                rank.send(1, 6, &[6.0]);
-                0.0
-            } else {
-                // Receive in reverse tag order.
-                let six = rank.recv(0, 6);
-                let five = rank.recv(0, 5);
-                six[0] * 10.0 + five[0]
-            }
-        });
-        assert_eq!(report.results[1], 65.0);
     }
 }

@@ -1,14 +1,11 @@
-//! Shared-memory transport: the primitives behind the measured SPMD backend.
-//!
-//! The simulated backend moves every message through a mailbox — a heap
-//! `Envelope` per send. This module provides what a *measured* shared-memory
-//! run needs instead:
+//! Shared-memory transport: the primitives every multi-rank SPMD region
+//! communicates through, on either runtime.
 //!
 //! * [`GroupBarrier`] — a sense-reversing centralized barrier, one per
 //!   communicator group. Collective rounds are bracketed by barrier waits so
 //!   partners read each other's buffers in place, with no copies beyond the
 //!   block moves the butterfly schedules themselves require.
-//! * [`ShmShared`] — the per-run shared state: one publication [`Window`]
+//! * [`ShmShared`] — the per-region shared state: one publication [`Window`]
 //!   per rank (a pointer/length pair plus the sender's virtual clock, all
 //!   atomics), a directed pair-epoch matrix for point-to-point exchanges
 //!   ([`Comm::sendrecv`](crate::Comm::sendrecv)), and a lazily built
@@ -58,7 +55,7 @@ fn backoff(spins: &mut u32) {
 /// flips per wait; the last arriver resets the count and flips the shared
 /// sense, releasing the waiters. All members of a group must wait the same
 /// number of times — guaranteed by the SPMD discipline the collectives
-/// already rely on for tag matching.
+/// follow (see `round`).
 pub(crate) struct GroupBarrier {
     count: AtomicUsize,
     sense: AtomicBool,
@@ -123,8 +120,8 @@ impl Window {
     }
 }
 
-/// Per-run shared state of the shared-memory backend. One instance is built
-/// by `run_spmd` per shared-memory run and handed to every rank.
+/// Per-region shared state. One instance is built by `run_spmd` per region
+/// of two or more ranks and handed to every rank.
 pub(crate) struct ShmShared {
     p: usize,
     windows: Vec<Window>,
@@ -133,8 +130,9 @@ pub(crate) struct ShmShared {
     /// partners cannot use a group barrier (self-paired members skip the
     /// exchange entirely).
     pair_seq: Vec<AtomicU64>,
-    /// Group barriers keyed by `(comm_id, lowest member)` — the same
-    /// identity the simulated backend keys its virtual entry barriers on.
+    /// Group barriers keyed by `(comm_id, lowest member)`: comm ids agree
+    /// across ranks by SPMD discipline, and disjoint groups created at the
+    /// same program point differ in their lowest member.
     barriers: Mutex<HashMap<(u32, usize), Arc<GroupBarrier>>>,
 }
 

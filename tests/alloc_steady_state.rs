@@ -11,8 +11,8 @@
 //! 2. **Process-level flatness:** a counting global allocator wraps the
 //!    system allocator and demonstrates that the *total* allocation traffic
 //!    of a steady-state factor stops growing call over call. It is not
-//!    literally zero — the simulator spawns one OS thread per rank and the
-//!    message-passing collectives allocate envelopes per call, which is
+//!    literally zero — the simulator spawns one OS thread per rank and
+//!    builds each region's shared windows and barrier registry, which is
 //!    per-call-constant infrastructure outside the workspace contract — but
 //!    it must be flat (no leak-shaped growth) and the arena share of it
 //!    must be exactly zero.
@@ -111,8 +111,8 @@ fn check_plan(name: &str, plan: QrPlan, a: &dense::Matrix) {
 
     // Half 2 — process-level flatness: successive steady-state calls
     // allocate the same amount (the residual is per-call simulator
-    // infrastructure: thread spawns and message envelopes, identical every
-    // call). Every call is compared against the *cheapest* call, so a
+    // infrastructure: thread spawns, shared windows and group barriers,
+    // identical every call). Every call is compared against the *cheapest* call, so a
     // monotone per-call leak accumulates against the bound instead of
     // hiding inside a first-call slack; the small allowance absorbs
     // allocator-internal jitter from thread scheduling only.

@@ -34,7 +34,7 @@ fn repeated_cacqr2_runs_are_bitwise_identical() {
 
 #[test]
 fn allreduce_result_is_schedule_independent() {
-    // Stress the mailbox/thread layer: many repetitions under contention
+    // Stress the transport/thread layer: many repetitions under contention
     // must all produce the identical bits.
     let p = 16usize;
     let n = 257usize; // odd length exercises the padding path

@@ -1,17 +1,17 @@
-//! Cross-backend equivalence: the simulated mailbox runtime and the
-//! measured shared-memory runtime must be *indistinguishable* in every
-//! model-level output.
+//! Cross-backend equivalence: the simulated runtime and the measured
+//! shared-memory runtime must be *indistinguishable* in every model-level
+//! output.
 //!
 //! Both runtimes run the one butterfly schedule `simgrid::collectives` has
-//! per collective — virtual ranks, block orders, reduction orders and
-//! α-β-γ charges are shared code; only the transport under each round
-//! differs — so for every algorithm and shape the two backends must agree
-//! **bitwise** on the factors, and exactly on the virtual clocks and
-//! per-rank ledgers. `simgrid`'s unit tests check that per collective; this
-//! suite checks it through whole factorizations (grids, nested
-//! sub-communicators, transposes). Anything less would mean the wall-clock
-//! numbers measured on the shm backend describe a different computation than
-//! the one the cost model prices.
+//! per collective over the one shared-window transport — virtual ranks,
+//! block orders, reduction orders and α-β-γ charges are shared code; only
+//! the pinning of rank threads differs — so for every algorithm and shape
+//! the two backends must agree **bitwise** on the factors, and exactly on
+//! the virtual clocks and per-rank ledgers. `simgrid`'s unit tests check
+//! that per collective; this suite checks it through whole factorizations
+//! (grids, nested sub-communicators, transposes). Anything less would mean
+//! the wall-clock numbers measured on the shm backend describe a different
+//! computation than the one the cost model prices.
 
 use baseline::BlockCyclic;
 use cacqr::driver::{Algorithm, QrPlan, QrPlanBuilder, QrReport};
