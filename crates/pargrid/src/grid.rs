@@ -260,6 +260,26 @@ mod tests {
     }
 
     #[test]
+    fn oversubscribed_placement_keeps_each_slice_on_one_core() {
+        // The paper's 2 × 2 × 2 grid as 8 pinned ranks on 2 cores: every
+        // replicated slice Π[:, :, z] lands on one core, so only depth
+        // communicators cross cores.
+        let shape = GridShape::new(2, 2).unwrap();
+        let (p, cores) = (shape.p(), 2);
+        let report = run_spmd(p, SimConfig::default(), move |rank| {
+            let comms = TunableComms::build(rank, shape);
+            comms.subcube.slice.members().to_vec()
+        });
+        for slice in report.results {
+            let core = simgrid::pinned_core(slice[0], p, cores);
+            assert!(
+                slice.iter().all(|&r| simgrid::pinned_core(r, p, cores) == core),
+                "{slice:?}"
+            );
+        }
+    }
+
+    #[test]
     fn subcube_collectives_are_isolated() {
         // Allreduce of the group id over each subcube's slice must stay
         // within the subcube: every member sees group · c².

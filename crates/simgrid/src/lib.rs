@@ -14,7 +14,9 @@
 //!   are left to the OS scheduler, and the point of a run is its *virtual*
 //!   clock — predict scaling on any machine you can parameterize.
 //! * **Shared-memory** ([`RuntimeKind::SharedMem`]): the same ranks, pinned
-//!   to cores. [`SimReport::wall_seconds`] is then a real measurement, and
+//!   to cores ([`pinned_core`]: one rank per core, or contiguous blocks of
+//!   ranks per core when they outnumber the cores).
+//!   [`SimReport::wall_seconds`] is then a real measurement, and
 //!   [`probe_shm_alpha_beta`] calibrates the machine model's α and β from
 //!   live transport microprobes.
 //!
@@ -58,3 +60,4 @@ pub use cost::CostLedger;
 pub use machine::Machine;
 pub use probe::{probe_shm_alpha_beta, probe_shm_alpha_beta_with, ShmProbe};
 pub use runtime::{run_spmd, run_spmd_pooled, Rank, RuntimeKind, SimConfig, SimReport};
+pub use shm::pinned_core;

@@ -20,13 +20,17 @@ use std::sync::Arc;
 /// * [`Simulated`](RuntimeKind::Simulated) leaves rank threads to the OS
 ///   scheduler. Wall time is incidental; the virtual α-β-γ clock is the
 ///   measurement.
-/// * [`SharedMem`](RuntimeKind::SharedMem) pins rank `i` to core `i` (modulo
-///   the core count). Wall time is a real measurement of the
+/// * [`SharedMem`](RuntimeKind::SharedMem) pins rank `i` of `p` to core
+///   `i` while `p` ≤ the process's core count, and to core `⌊i·cores/p⌋`
+///   beyond it ([`pinned_core`](crate::pinned_core)), so each replicated
+///   grid slice shares one core. Wall time is a real measurement of the
 ///   communication-avoidance claim; the virtual clock is still maintained
 ///   (same charges), so simulated accounting stays available for free.
 ///
-/// A one-rank region has no peer to talk to and runs inline on the calling
-/// thread under either backend.
+/// On either backend a rank waiting at a crossing spins briefly before
+/// yielding its core, or yields at once when the region has more ranks
+/// than the process has cores. A one-rank region has no peer to talk to and
+/// runs inline on the calling thread under either backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
     /// Virtual-time simulation: unpinned rank threads.
@@ -358,7 +362,10 @@ where
     if p == 1 {
         absorb(run_rank(0, 1, cfg, None, pool, &f));
     } else {
-        let shm = Arc::new(ShmShared::new(p));
+        // Whether the region outnumbers the cores decides both how its
+        // ranks wait and where `SharedMem` pins them (see `shm`).
+        let cores = crate::shm::cores();
+        let shm = Arc::new(ShmShared::new(p, crate::shm::spin_budget(p, cores)));
         let pin = cfg.runtime == RuntimeKind::SharedMem;
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..p)
@@ -367,7 +374,7 @@ where
                     let f = &f;
                     scope.spawn(move || {
                         if pin {
-                            crate::shm::pin_to_core(id);
+                            crate::shm::pin_to_core(crate::shm::pinned_core(id, p, cores));
                         }
                         run_rank(id, p, cfg, Some(shm), pool, f)
                     })

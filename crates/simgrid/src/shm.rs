@@ -16,6 +16,22 @@
 //! a mutex touched only at communicator creation, never in a collective hot
 //! path).
 //!
+//! # Oversubscription
+//!
+//! A region is *oversubscribed* when it has more ranks than the process has
+//! cores ([`cores`], read once per process). That one bit sets both
+//! scheduling choices, and for `p ≤ cores` both are the plain ones:
+//!
+//! * [`spin_budget`]: a waiter at a barrier or pair epoch spins
+//!   [`SPIN_LIMIT`] `pause`s before yielding — or yields at once when
+//!   oversubscribed, because then the peer it waits for is likely queued on
+//!   the very core it is spinning on.
+//! * [`pinned_core`]: `SharedMem` pins rank `i` to core `i`, or, when
+//!   oversubscribed, to core `⌊i·cores/p⌋`. Contiguous blocks of ranks share
+//!   a core, so on a `c × d × c` grid (`rank = x + c·y + c·d·z`) each
+//!   replicated slice `Π[:, :, z]` hands off between threads of one core and
+//!   only depth reductions cross cores.
+//!
 //! # Safety model
 //!
 //! A rank publishes a sub-slice of a buffer it owns, then everyone in the
@@ -32,20 +48,58 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Spins this many iterations before yielding the core. Small, because the
-/// container running CI may expose a single hardware thread: partners only
-/// make progress when we let the scheduler run them.
+/// Spins this many iterations before yielding the core, in a region where
+/// every rank has a core of its own: a partner running elsewhere usually
+/// arrives within a short spin. An oversubscribed region spins not at all
+/// ([`spin_budget`]): its partners only make progress when the waiter lets
+/// the scheduler run them.
 const SPIN_LIMIT: u32 = 128;
 
-#[inline]
-fn backoff(spins: &mut u32) {
-    if *spins < SPIN_LIMIT {
-        *spins += 1;
-        std::hint::spin_loop();
+/// The cores this process may run on, read once: the query parses cgroup
+/// limits and costs microseconds, and regions are spawned per `factor`.
+pub(crate) fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// How many `pause`s a waiter in a `p`-rank region on `cores` cores spins
+/// before yielding: [`SPIN_LIMIT`], or none when the region is
+/// oversubscribed.
+pub(crate) fn spin_budget(p: usize, cores: usize) -> u32 {
+    if p > cores {
+        0
     } else {
-        std::thread::yield_now();
+        SPIN_LIMIT
+    }
+}
+
+/// The core a `SharedMem` region of `p` ranks on `cores` cores pins rank
+/// `rank` to: core `rank` while every rank has a core of its own, otherwise
+/// `⌊rank·cores/p⌋`, so that contiguous blocks of ranks (a grid's
+/// replicated slices) share one core.
+pub fn pinned_core(rank: usize, p: usize, cores: usize) -> usize {
+    debug_assert!(rank < p && cores > 0);
+    if p <= cores {
+        rank
+    } else {
+        rank * cores / p
+    }
+}
+
+/// Waits until `ready()` holds: spins up to `spin_limit` `pause`s, then
+/// yields the core between polls.
+#[inline]
+fn wait_until(spin_limit: u32, ready: impl Fn() -> bool) {
+    let mut spins = 0;
+    while !ready() {
+        if spins < spin_limit {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -60,6 +114,8 @@ pub(crate) struct GroupBarrier {
     count: AtomicUsize,
     sense: AtomicBool,
     size: usize,
+    /// The region's [`spin_budget`].
+    spin_limit: u32,
     /// Two slots for the group-maximum virtual clock, used alternately by
     /// consecutive [`ShmGroup::max_clock`] calls. Relaxed accesses
     /// throughout: every one is ordered by the crossing it sits next to
@@ -68,11 +124,12 @@ pub(crate) struct GroupBarrier {
 }
 
 impl GroupBarrier {
-    fn new(size: usize) -> GroupBarrier {
+    fn new(size: usize, spin_limit: u32) -> GroupBarrier {
         GroupBarrier {
             count: AtomicUsize::new(0),
             sense: AtomicBool::new(false),
             size,
+            spin_limit,
             clock_bits: [AtomicU64::new(0), AtomicU64::new(0)],
         }
     }
@@ -91,10 +148,7 @@ impl GroupBarrier {
             self.count.store(0, Ordering::Relaxed);
             self.sense.store(s, Ordering::Release);
         } else {
-            let mut spins = 0;
-            while self.sense.load(Ordering::Acquire) != s {
-                backoff(&mut spins);
-            }
+            wait_until(self.spin_limit, || self.sense.load(Ordering::Acquire) == s);
         }
     }
 }
@@ -124,6 +178,8 @@ impl Window {
 /// of two or more ranks and handed to every rank.
 pub(crate) struct ShmShared {
     p: usize,
+    /// The region's [`spin_budget`], for pair waits and every group barrier.
+    spin_limit: u32,
     windows: Vec<Window>,
     /// Directed pair epochs: slot `a·p + b` counts handshake steps from `a`
     /// towards `b`. Only rank `a` writes it. Used by `sendrecv`, whose
@@ -137,9 +193,10 @@ pub(crate) struct ShmShared {
 }
 
 impl ShmShared {
-    pub(crate) fn new(p: usize) -> ShmShared {
+    pub(crate) fn new(p: usize, spin_limit: u32) -> ShmShared {
         ShmShared {
             p,
+            spin_limit,
             windows: (0..p).map(|_| Window::new()).collect(),
             pair_seq: (0..p * p).map(|_| AtomicU64::new(0)).collect(),
             barriers: Mutex::new(HashMap::new()),
@@ -153,7 +210,7 @@ impl ShmShared {
         let mut reg = self.barriers.lock().unwrap_or_else(|e| e.into_inner());
         let b = reg
             .entry((comm_id, lowest))
-            .or_insert_with(|| Arc::new(GroupBarrier::new(size)));
+            .or_insert_with(|| Arc::new(GroupBarrier::new(size, self.spin_limit)));
         assert_eq!(b.size, size, "communicator identity collision in barrier registry");
         Arc::clone(b)
     }
@@ -196,10 +253,7 @@ impl ShmShared {
     /// Waits until `peer`'s directed epoch towards `me` reaches `target`.
     pub(crate) fn pair_wait(&self, peer: usize, me: usize, target: u64) {
         let c = &self.pair_seq[peer * self.p + me];
-        let mut spins = 0;
-        while c.load(Ordering::Acquire) < target {
-            backoff(&mut spins);
-        }
+        wait_until(self.spin_limit, || c.load(Ordering::Acquire) >= target);
     }
 }
 
@@ -262,16 +316,13 @@ impl std::fmt::Debug for ShmGroup {
     }
 }
 
-/// Best-effort pinning of the current thread to `core` (modulo the machine's
-/// core count). Shared-memory ranks are pinned round-robin so butterfly
-/// partners stay cache-resident; failures (restricted cpusets, non-Linux
-/// hosts) are ignored — pinning is a performance hint, not a correctness
-/// requirement.
+/// Best-effort pinning of the current thread to `core`, which
+/// [`pinned_core`] chose below [`cores`]. Failures (restricted cpusets,
+/// non-Linux hosts) are ignored — pinning is a performance hint, not a
+/// correctness requirement.
 #[cfg(target_os = "linux")]
 pub(crate) fn pin_to_core(core: usize) {
     const SET_WORDS: usize = 16; // 1024-bit cpu_set_t
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let core = core % cores;
     let mut mask = [0u64; SET_WORDS];
     mask[(core / 64) % SET_WORDS] |= 1u64 << (core % 64);
     extern "C" {
@@ -288,9 +339,44 @@ pub(crate) fn pin_to_core(_core: usize) {}
 mod tests {
     use super::*;
 
+    /// Both wait rules: the plain spin and the oversubscribed immediate yield.
+    const BUDGETS: [u32; 2] = [SPIN_LIMIT, 0];
+
+    #[test]
+    fn placement_is_identity_until_oversubscribed_then_contiguous_blocks() {
+        for cores in [1, 2, 8] {
+            for p in 1..=cores {
+                let map: Vec<usize> = (0..p).map(|i| pinned_core(i, p, cores)).collect();
+                assert_eq!(map, (0..p).collect::<Vec<_>>(), "p = {p}, cores = {cores}");
+            }
+        }
+        let map: Vec<usize> = (0..8).map(|i| pinned_core(i, 8, 2)).collect();
+        assert_eq!(map, [0, 0, 0, 0, 1, 1, 1, 1]);
+        let map: Vec<usize> = (0..64).map(|i| pinned_core(i, 64, 2)).collect();
+        assert!(map.iter().enumerate().all(|(i, &core)| core == i / 32), "{map:?}");
+        assert!((0..3).all(|i| pinned_core(i, 3, 1) == 0));
+    }
+
+    #[test]
+    fn spin_budget_drops_to_zero_when_oversubscribed() {
+        for cores in [1, 2, 8] {
+            for p in 1..=cores {
+                assert_eq!(spin_budget(p, cores), SPIN_LIMIT, "p = {p}, cores = {cores}");
+            }
+            assert_eq!(spin_budget(cores + 1, cores), 0);
+            assert_eq!(spin_budget(8 * cores, cores), 0);
+        }
+    }
+
     #[test]
     fn group_barrier_synchronizes() {
-        let barrier = Arc::new(GroupBarrier::new(4));
+        for spin_limit in BUDGETS {
+            group_barrier_synchronizes_with(spin_limit);
+        }
+    }
+
+    fn group_barrier_synchronizes_with(spin_limit: u32) {
+        let barrier = Arc::new(GroupBarrier::new(4, spin_limit));
         let hits = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for _ in 0..4 {
@@ -314,7 +400,13 @@ mod tests {
 
     #[test]
     fn max_clock_lifts_every_member_to_the_group_maximum() {
-        let barrier = Arc::new(GroupBarrier::new(4));
+        for spin_limit in BUDGETS {
+            max_clock_lifts_with(spin_limit);
+        }
+    }
+
+    fn max_clock_lifts_with(spin_limit: u32) {
+        let barrier = Arc::new(GroupBarrier::new(4, spin_limit));
         std::thread::scope(|scope| {
             for me in 0..4usize {
                 let group = ShmGroup::new(Arc::clone(&barrier));
@@ -337,7 +429,13 @@ mod tests {
 
     #[test]
     fn pair_epochs_handshake() {
-        let shm = Arc::new(ShmShared::new(2));
+        for spin_limit in BUDGETS {
+            pair_epochs_handshake_with(spin_limit);
+        }
+    }
+
+    fn pair_epochs_handshake_with(spin_limit: u32) {
+        let shm = Arc::new(ShmShared::new(2, spin_limit));
         std::thread::scope(|scope| {
             for me in 0..2usize {
                 let shm = Arc::clone(&shm);
