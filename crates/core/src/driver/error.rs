@@ -120,8 +120,7 @@ pub enum PlanError {
         attempts: Vec<EscalationAttempt>,
     },
     /// Automatic planning ([`QrPlan::auto`](super::QrPlan::auto)) failed:
-    /// the tuner found no runnable configuration, or a tuning profile was
-    /// invalid.
+    /// the tuner found no runnable configuration.
     Tuning(TunerError),
     /// A streaming rank-k factor update failed (shape mismatch, appended
     /// Gram matrix not positive definite, or an indefinite downdate).

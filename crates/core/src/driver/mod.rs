@@ -38,10 +38,9 @@
 //! one-rank form of the plan's rungs the same way); the
 //! [`Tuner`](crate::tuner::Tuner), which hands it to
 //! [`costmodel::enumerate`] as the acceptance predicate, so every ranked
-//! candidate builds by construction; and
-//! [`ProfileEntry::spec`](crate::tuner::ProfileEntry::spec), for configs
-//! read back from a profile file. A built plan stores the validated config
-//! (and its ladder as a list of configs); `factor` never revalidates.
+//! candidate builds by construction. A built plan stores the validated
+//! config (and its ladder as a list of configs); `factor` never
+//! revalidates.
 //!
 //! # Which layer to use when
 //!
@@ -327,14 +326,9 @@ impl QrPlan {
     /// with the closed-form cost models on the host profile, and the
     /// winner is built into a validated plan — no hand-picked knobs.
     ///
-    /// When a [`TuningProfile`](crate::tuner::TuningProfile) has been
-    /// installed process-wide
-    /// ([`tuner::install_profile`](crate::tuner::install_profile)) and
-    /// covers `(m, n)`, its recorded winner — typically from a *calibrated*
-    /// sweep with live measured runs — is used instead; without one, `auto`
-    /// falls back to this cost-model-only choice. Either way the result is
-    /// deterministic for a given `(m, n)`, thread budget, and installed
-    /// profile. To calibrate inline rather than via a profile, drive the
+    /// The choice is the cost model's alone, so it is a pure function of
+    /// `(m, n)`, the rank count searched and the thread budget. To re-rank
+    /// the leaders by measured runs in this process, drive the
     /// [`Tuner`](crate::tuner::Tuner) directly with
     /// [`calibrate`](crate::tuner::Tuner::calibrate) and build the winner
     /// via [`TunerReport::best_plan`](crate::tuner::TunerReport::best_plan).
@@ -342,9 +336,6 @@ impl QrPlan {
     /// Errors with [`PlanError::Tuning`] when no runnable configuration
     /// exists (e.g. `m < n`).
     pub fn auto(m: usize, n: usize) -> Result<QrPlan, PlanError> {
-        if let Some(entry) = crate::tuner::installed_entry(m, n) {
-            return entry.spec()?.build_plan(Machine::zero(), entry.backend);
-        }
         crate::tuner::Tuner::new(m, n).report()?.best_plan(Machine::zero())
     }
 

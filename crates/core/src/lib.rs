@@ -38,10 +38,10 @@
 //!   factors many matrices concurrently through a bounded-queue worker
 //!   pool, coordinating its thread budget with the kernel layer.
 //! * [`tuner`] — the self-configuration layer: [`Tuner`] enumerates every
-//!   runnable configuration for a shape, scores them with the `costmodel`
-//!   crate, optionally refines the leaders with live measured runs, and
-//!   persists winners as a versioned JSON [`TuningProfile`].
-//!   [`QrPlan::auto`] is the one-line front door.
+//!   runnable configuration for a shape and scores them with the
+//!   `costmodel` crate; with calibration on it re-ranks the leaders by live
+//!   measured runs in this process. [`QrPlan::auto`] is the one-line front
+//!   door and takes the cost model's pick.
 
 pub mod cacqr;
 pub mod cacqr2;
@@ -74,4 +74,4 @@ pub use service::{
     JobHandle, JobSpec, QrService, QrServiceBuilder, ServiceError, StreamHandle, StreamOp, StreamOutcome, SubmitOptions,
 };
 pub use stream::{StreamSnapshot, StreamStatus, StreamingQr};
-pub use tuner::{ProfileEntry, Tuner, TunerError, TunerReport, TuningProfile};
+pub use tuner::{Tuner, TunerError, TunerReport};

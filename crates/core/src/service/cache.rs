@@ -10,8 +10,7 @@ use std::sync::{Arc, RwLock};
 
 /// The cached plans, plus the memoized cost-model tuning results behind
 /// [`QrService::plan_auto`]: shape → winning spec, so repeat shapes skip
-/// re-enumeration (the installed-profile check stays per-call — it is
-/// cheap and the profile can change).
+/// re-enumeration.
 #[derive(Default)]
 pub(super) struct PlanCache {
     plans: RwLock<HashMap<JobSpec, Arc<QrPlan>>>,
@@ -36,15 +35,11 @@ impl QrService {
 
     /// Resolves the plan for `(m, n)` by autotuning: the
     /// [`Tuner`](crate::tuner::Tuner) picks the configuration
-    /// (cost-model-only, so this is cheap and deterministic), and the
-    /// winning spec becomes the cache key — repeat shapes reuse the tuned
-    /// plan without re-tuning validation.
+    /// (cost-model-only, so this is cheap and deterministic, and the same
+    /// pick as [`QrPlan::auto`] on the service's backend), and the winning
+    /// spec becomes the cache key — repeat shapes reuse the tuned plan
+    /// without re-tuning validation.
     pub fn plan_auto(&self, m: usize, n: usize) -> Result<Arc<QrPlan>, ServiceError> {
-        // Honor the process-wide installed profile exactly like
-        // `QrPlan::auto` does: the two auto front doors must agree.
-        if let Some(entry) = crate::tuner::installed_entry(m, n) {
-            return self.plan(&entry.spec()?);
-        }
         // Cost-model tuning is deterministic per shape, so memoize the
         // winning spec: repeat shapes skip re-enumeration entirely.
         let auto_specs = &self.shared.cache.auto_specs;
@@ -63,48 +58,26 @@ impl QrService {
         self.plan(&spec)
     }
 
-    /// Preloads every entry of a [`TuningProfile`](crate::tuner::TuningProfile)
-    /// into the plan cache, so the first request of each profiled shape
-    /// never pays planning. Returns how many plans were newly built;
-    /// entries already cached (or normalizing to an already-cached key)
-    /// are skipped for free. Any invalid entry aborts with its typed
-    /// error. Observe and bound the result via
-    /// [`QrService::plan_cache_len`] / [`QrService::evict`].
-    pub fn preload_profile(&self, profile: &crate::tuner::TuningProfile) -> Result<usize, ServiceError> {
-        let mut built = 0;
-        for entry in profile.entries() {
-            let (_, inserted) = self.plan_tracking_insert(&entry.spec()?)?;
-            built += usize::from(inserted);
-        }
-        Ok(built)
-    }
-
     /// Resolves (building and caching on first use) the plan for `spec`.
     ///
     /// Equal specs return pointer-equal `Arc<QrPlan>`s for the lifetime of
-    /// the service; repeat shapes never pay validation again.
-    pub fn plan(&self, spec: &JobSpec) -> Result<Arc<QrPlan>, ServiceError> {
-        Ok(self.plan_tracking_insert(spec)?.0)
-    }
-
-    /// [`QrService::plan`] plus whether this call inserted a new cache
-    /// entry (exact even under concurrent cache churn): a hit takes the
-    /// read lock only; a miss re-checks under the write lock, so racing
+    /// the service; repeat shapes never pay validation again. A hit takes
+    /// the read lock only; a miss re-checks under the write lock, so racing
     /// builders of one spec agree on a single plan.
-    fn plan_tracking_insert(&self, spec: &JobSpec) -> Result<(Arc<QrPlan>, bool), ServiceError> {
+    pub fn plan(&self, spec: &JobSpec) -> Result<Arc<QrPlan>, ServiceError> {
         let shared = &self.shared;
         let key = spec.cache_key(shared.default_backend);
         let plans = &shared.cache.plans;
         if let Some(plan) = plans.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            return Ok((Arc::clone(plan), false));
+            return Ok(Arc::clone(plan));
         }
         let mut cache = plans.write().unwrap_or_else(|e| e.into_inner());
         if let Some(plan) = cache.get(&key) {
-            return Ok((Arc::clone(plan), false)); // lost the build race: reuse the winner
+            return Ok(Arc::clone(plan)); // lost the build race: reuse the winner
         }
         let plan = Arc::new(key.build_plan_on(shared.machine, shared.default_backend, shared.runtime)?);
         cache.insert(key, Arc::clone(&plan));
-        Ok((plan, true))
+        Ok(plan)
     }
 }
 

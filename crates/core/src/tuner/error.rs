@@ -5,9 +5,7 @@
 //! so `?` composes from a tuning call all the way out through the service
 //! layer — and an empty candidate set is a value, never a panic.
 
-use super::json::JsonError;
-
-/// Why the tuner could not produce a ranked report or load a profile.
+/// Why the tuner could not produce a ranked report.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TunerError {
     /// No runnable configuration exists for the requested shape, rank
@@ -20,21 +18,6 @@ pub enum TunerError {
         /// Simulated rank count searched.
         processors: usize,
     },
-    /// A tuning profile failed to parse as JSON.
-    ProfileParse(JsonError),
-    /// A tuning profile parsed as JSON but is not a valid profile document
-    /// (missing or mistyped field). Carries a description of the defect.
-    ProfileSchema {
-        /// What was wrong.
-        message: String,
-    },
-    /// The profile's `version` field does not match this build's format.
-    ProfileVersionMismatch {
-        /// Version found in the document.
-        found: u64,
-        /// Version this build writes and reads.
-        expected: u64,
-    },
 }
 
 impl std::fmt::Display for TunerError {
@@ -46,31 +29,8 @@ impl std::fmt::Display for TunerError {
                     "no runnable configuration for a {m}x{n} factorization on {processors} ranks"
                 )
             }
-            TunerError::ProfileParse(e) => write!(f, "tuning profile is not valid JSON: {e}"),
-            TunerError::ProfileSchema { message } => {
-                write!(f, "tuning profile is malformed: {message}")
-            }
-            TunerError::ProfileVersionMismatch { found, expected } => {
-                write!(
-                    f,
-                    "tuning profile version {found} is not the supported version {expected}"
-                )
-            }
         }
     }
 }
 
-impl std::error::Error for TunerError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TunerError::ProfileParse(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<JsonError> for TunerError {
-    fn from(e: JsonError) -> TunerError {
-        TunerError::ProfileParse(e)
-    }
-}
+impl std::error::Error for TunerError {}

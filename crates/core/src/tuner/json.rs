@@ -1,21 +1,12 @@
-//! A minimal, dependency-free JSON reader/writer for the tuning profiles
-//! (the repo benchmark reads its `BENCHMARK.json` with it too).
+//! A minimal, dependency-free JSON reader: the repo benchmark reads its
+//! `BENCHMARK.json` and its result lines with it.
 //!
 //! The workspace builds offline, so — like the proptest shim — this is
-//! hand-rolled: a [`JsonValue`] tree, a recursive-descent
-//! [`parse`], and a deterministic writer ([`JsonValue::to_pretty`] /
-//! [`JsonValue::to_compact`]).
-//! Objects preserve insertion order and numbers are written with Rust's
-//! shortest-round-trip `f64` formatting (integers without a fractional
-//! part), so `parse(write(v))` reproduces `v` bit for bit and
-//! `write(parse(s))` is a canonical form: serializing a profile twice
-//! yields byte-identical files.
-//!
-//! Scope: the JSON subset the workspace emits. Strings support the standard
-//! escapes plus `\uXXXX` (surrogate pairs included); numbers are `f64`;
-//! non-finite numbers are rejected at write time by construction (the
-//! writer emits `null` for them, and the profile layer never produces
-//! them).
+//! hand-rolled: a [`JsonValue`] tree and a recursive-descent [`parse`].
+//! Objects preserve document order. Strings support the standard escapes
+//! plus `\uXXXX` (surrogate pairs included); numbers are `f64`, parsed
+//! with Rust's correctly rounded `f64` parser, so a float printed in
+//! shortest-round-trip form (`format!("{v}")`) reads back bit for bit.
 
 /// A parsed JSON document.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,7 +21,7 @@ pub enum JsonValue {
     String(String),
     /// An array.
     Array(Vec<JsonValue>),
-    /// An object; insertion order is preserved (and is the write order).
+    /// An object; document order is preserved.
     Object(Vec<(String, JsonValue)>),
 }
 
@@ -74,102 +65,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Serializes compactly (no whitespace) in deterministic order.
-    pub fn to_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
-    /// Serializes with two-space indentation (the artifact format — easy to
-    /// diff in CI logs).
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(v) => write_number(out, *v),
-            JsonValue::String(s) => write_string(out, s),
-            JsonValue::Array(items) => write_seq(out, indent, depth, '[', ']', items.len(), |out, i| {
-                items[i].write(out, indent, depth + 1);
-            }),
-            JsonValue::Object(pairs) => write_seq(out, indent, depth, '{', '}', pairs.len(), |out, i| {
-                write_string(out, &pairs[i].0);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                pairs[i].1.write(out, indent, depth + 1);
-            }),
-        }
-    }
-}
-
-fn write_seq(
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
-) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * (depth + 1)));
-        }
-        item(out, i);
-    }
-    if let Some(w) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
-    }
-    out.push(close);
-}
-
-fn write_number(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-    } else if v == 0.0 && v.is_sign_negative() {
-        out.push_str("-0.0"); // keep the sign bit through the round trip
-    } else if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 {
-        out.push_str(&format!("{}", v as i64));
-    } else {
-        // Rust's shortest-round-trip formatting: parses back bit-identically.
-        out.push_str(&format!("{v}"));
-    }
-}
-
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Why a document failed to parse: byte offset and a short description.
@@ -423,7 +318,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trips_structures() {
+    fn parses_documents_into_their_trees() {
+        let text =
+            "{ \"version\" : 1, \"entries\": [null, true, -2.5e-7, \"tall\\n\\\"skinny\\\"\"],\n \"empty\": {} }";
         let doc = JsonValue::Object(vec![
             ("version".to_string(), JsonValue::Number(1.0)),
             (
@@ -437,20 +334,11 @@ mod tests {
             ),
             ("empty".to_string(), JsonValue::Object(vec![])),
         ]);
-        for text in [doc.to_compact(), doc.to_pretty()] {
-            assert_eq!(parse(&text).unwrap(), doc, "through {text}");
-        }
+        assert_eq!(parse(text).unwrap(), doc);
     }
 
     #[test]
-    fn writes_are_canonical() {
-        let doc = parse("{ \"a\" : [ 1 , 2.5 ] }").unwrap();
-        let once = doc.to_pretty();
-        assert_eq!(parse(&once).unwrap().to_pretty(), once);
-    }
-
-    #[test]
-    fn floats_round_trip_bit_identically() {
+    fn floats_parse_bit_identically() {
         for v in [
             0.1,
             1.0 / 3.0,
@@ -459,7 +347,7 @@ mod tests {
             9007199254740991.0, // 2^53 − 1: still integral
             1.5e300,
         ] {
-            let text = JsonValue::Number(v).to_compact();
+            let text = format!("{v}");
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} via {text}");
         }

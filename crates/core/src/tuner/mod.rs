@@ -19,20 +19,19 @@
 //!    factor for running `P` simulated ranks on `threads` cores. With
 //!    [`Tuner::calibrate`] the flop rate is measured live
 //!    ([`dense::probe`]) instead of assumed.
-//! 3. **Refine** — under calibration, the top-K candidates by predicted
-//!    time — plus the best-predicted candidate of every algorithm family,
-//!    so no family is eliminated by model bias alone — are run for real
-//!    (short, scaled-down rows, seeded input) and re-ranked by measured
-//!    wall time.
+//! 3. **Refine** — under calibration, the top three candidates by
+//!    predicted time — plus the best-predicted candidate of every algorithm
+//!    family, so no family is eliminated by model bias alone — are run for
+//!    real (short, scaled-down rows, seeded input) and re-ranked by measured
+//!    wall time, in this process only.
 //!
 //! The result is a [`TunerReport`]: every candidate, ranked, with predicted
-//! α-β-γ cost and (optionally) measured seconds. [`QrPlan::auto`] is the
-//! one-line front door; [`TuningProfile`] persists winners across
-//! processes; [`QrService::preload_profile`](crate::service::QrService::preload_profile)
-//! warms a serving cache from a profile.
+//! α-β-γ cost and (optionally) measured seconds. [`QrPlan::auto`] and
+//! [`QrService::plan_auto`](crate::service::QrService::plan_auto) are the
+//! one-line front doors: both take the uncalibrated cost-model pick.
 //!
 //! Determinism: with calibration off (the default), tuning is a pure
-//! function of `(m, n, P, threads, profile)` — same inputs, same chosen
+//! function of `(m, n, P, threads)` — same inputs, same chosen
 //! configuration, every time. Calibration adds wall-clock measurement and
 //! therefore machine-dependent (but still seed-stable in *inputs*)
 //! refinement.
@@ -51,10 +50,8 @@
 
 mod error;
 pub mod json;
-mod profile;
 
 pub use error::TunerError;
-pub use profile::{ProfileEntry, TuningProfile, PROFILE_VERSION};
 
 use crate::driver::{validate, Algorithm, PlanError, QrPlan};
 use crate::service::JobSpec;
@@ -64,38 +61,16 @@ use dense::BackendKind;
 use simgrid::{Machine, RuntimeKind};
 use std::time::Instant;
 
-/// The process-global installed tuning profile consulted by
-/// [`QrPlan::auto`]. Empty until [`install_profile`] runs.
-static INSTALLED_PROFILE: std::sync::LazyLock<std::sync::RwLock<Option<TuningProfile>>> =
-    std::sync::LazyLock::new(|| std::sync::RwLock::new(None));
+/// How many leading candidates by predicted time the calibration pass
+/// measures (the best of each algorithm family is measured besides).
+const TOP_K: usize = 3;
 
-/// Installs a profile process-wide: from now on [`QrPlan::auto`] (and
-/// anything else calling [`installed_entry`]) prefers the profile's
-/// recorded winners over fresh cost-model-only tuning — this is how a
-/// *calibrated* sweep's measured choices reach the one-line API. Returns
-/// the previously installed profile, if any.
-pub fn install_profile(profile: TuningProfile) -> Option<TuningProfile> {
-    INSTALLED_PROFILE
-        .write()
-        .unwrap_or_else(|e| e.into_inner())
-        .replace(profile)
-}
+/// Target row count of the scaled-down calibration runs, rounded to each
+/// candidate's row-divisibility constraint and capped at `m`.
+const CALIBRATION_ROWS: usize = 512;
 
-/// Removes the process-global profile, returning it.
-pub fn clear_profile() -> Option<TuningProfile> {
-    INSTALLED_PROFILE.write().unwrap_or_else(|e| e.into_inner()).take()
-}
-
-/// The installed profile's entry for shape `(m, n)`, if a profile is
-/// installed and covers it.
-pub fn installed_entry(m: usize, n: usize) -> Option<ProfileEntry> {
-    INSTALLED_PROFILE
-        .read()
-        .unwrap_or_else(|e| e.into_inner())
-        .as_ref()
-        .and_then(|p| p.lookup(m, n))
-        .copied()
-}
+/// Repetitions per measured calibration run; the minimum is kept.
+const CALIBRATION_REPS: usize = 2;
 
 /// Nominal effective flop rate (seconds per flop) assumed for a backend
 /// when no live probe has run: the `Blocked` kernels sustain roughly 4× the
@@ -112,7 +87,7 @@ fn nominal_seconds_per_flop(backend: BackendKind) -> f64 {
 /// per-message software overhead α (thread-pool synchronization, not wire
 /// latency), per-word β at memcpy speed, and the given measured or nominal
 /// compute rate.
-pub fn host_profile(seconds_per_flop: f64) -> MachineCal {
+fn host_profile(seconds_per_flop: f64) -> MachineCal {
     MachineCal::calibrated("host", nominal_host_net(), seconds_per_flop)
 }
 
@@ -128,7 +103,7 @@ fn nominal_host_net() -> Machine {
 
 /// A scoring profile with a *measured* α-β network (e.g. from
 /// [`simgrid::probe_shm_alpha_beta`]) in place of the nominal host numbers.
-pub fn measured_profile(net: Machine, seconds_per_flop: f64) -> MachineCal {
+fn measured_profile(net: Machine, seconds_per_flop: f64) -> MachineCal {
     MachineCal::calibrated("host-measured", net, seconds_per_flop)
 }
 
@@ -225,24 +200,6 @@ impl TunerReport {
             .spec
             .build_plan_on(machine, self.best().backend, self.runtime)
     }
-
-    /// The winner as a persistable [`ProfileEntry`].
-    pub fn profile_entry(&self) -> ProfileEntry {
-        let best = self.best();
-        ProfileEntry {
-            m: self.m,
-            n: self.n,
-            processors: self.processors,
-            threads: self.threads,
-            config: best.config,
-            backend: best.backend,
-            predicted_seconds: best.predicted_seconds,
-            // A failed calibration run "measures" +∞, which is not a
-            // number the canonical JSON round trip can carry — record the
-            // winner as unmeasured instead.
-            measured_seconds: best.measured_seconds.filter(|v| v.is_finite()),
-        }
-    }
 }
 
 /// Seed of the calibration input matrices.
@@ -260,9 +217,6 @@ pub struct Tuner {
     algorithms: Vec<Algorithm>,
     backends: Vec<BackendKind>,
     calibrate: bool,
-    top_k: usize,
-    calibration_rows: usize,
-    calibration_reps: usize,
 }
 
 impl Tuner {
@@ -279,9 +233,6 @@ impl Tuner {
             algorithms: Algorithm::ALL.to_vec(),
             backends: vec![BackendKind::default_kind()],
             calibrate: false,
-            top_k: 3,
-            calibration_rows: 512,
-            calibration_reps: 2,
         }
     }
 
@@ -323,33 +274,11 @@ impl Tuner {
     }
 
     /// Enables live calibration: a microkernel probe replaces the nominal
-    /// flop rate, and the top-K candidates by predicted time (plus the
+    /// flop rate, and the top three candidates by predicted time (plus the
     /// best-predicted candidate of each algorithm family) are re-ranked by
-    /// short measured runs.
+    /// short measured runs on scaled-down rows.
     pub fn calibrate(mut self, calibrate: bool) -> Tuner {
         self.calibrate = calibrate;
-        self
-    }
-
-    /// How many leading candidates the calibration pass measures
-    /// (default 3).
-    pub fn top_k(mut self, top_k: usize) -> Tuner {
-        self.top_k = top_k.max(1);
-        self
-    }
-
-    /// Target row count for the scaled-down calibration runs (default 512;
-    /// rounded to each candidate's row-divisibility constraint and capped
-    /// at `m`).
-    pub fn calibration_rows(mut self, rows: usize) -> Tuner {
-        self.calibration_rows = rows.max(1);
-        self
-    }
-
-    /// Repetitions per measured calibration run; the minimum is kept
-    /// (default 2).
-    pub fn calibration_reps(mut self, reps: usize) -> Tuner {
-        self.calibration_reps = reps.max(1);
         self
     }
 
@@ -434,7 +363,7 @@ impl Tuner {
             // effective flop rates differ (BLAS-1/2-bound panels vs large
             // gemms), so a single-rate model can systematically misrank one
             // family — the stopwatch gets a vote from each.
-            let mut measure_set: Vec<usize> = (0..self.top_k.min(candidates.len())).collect();
+            let mut measure_set: Vec<usize> = (0..TOP_K.min(candidates.len())).collect();
             for algorithm in &self.algorithms {
                 if let Some(i) = candidates.iter().position(|c| c.algorithm() == *algorithm) {
                     if !measure_set.contains(&i) {
@@ -517,7 +446,7 @@ impl Tuner {
             CandidateConfig::CaCqr2 { d, .. } | CandidateConfig::CaCqr3 { d, .. } => d,
             CandidateConfig::Pgeqrf { .. } => 1,
         };
-        let mut rows = (self.calibration_rows / divisor).max(1) * divisor;
+        let mut rows = (CALIBRATION_ROWS / divisor).max(1) * divisor;
         while rows < self.n {
             rows += divisor;
         }
@@ -530,7 +459,7 @@ impl Tuner {
         };
         let a = well_conditioned(rows, self.n, CALIBRATION_SEED);
         let mut best = f64::INFINITY;
-        for _ in 0..self.calibration_reps {
+        for _ in 0..CALIBRATION_REPS {
             let t = Instant::now();
             // The undiagnosed core: the report diagnostics are the same
             // `3·rows·n²` flops whatever the candidate runs, so timing them
@@ -631,14 +560,7 @@ mod tests {
 
     #[test]
     fn calibration_measures_the_leaders() {
-        let report = Tuner::new(128, 16)
-            .processors(4)
-            .calibrate(true)
-            .top_k(2)
-            .calibration_rows(64)
-            .calibration_reps(1)
-            .report()
-            .unwrap();
+        let report = Tuner::new(128, 16).processors(4).calibrate(true).report().unwrap();
         assert!(report.calibrated);
         assert!(report.probe_for(BackendKind::default_kind()).is_some());
         let measured = report
@@ -664,12 +586,5 @@ mod tests {
         // Measured candidates lead the ranking.
         assert!(report.candidates[0].measured_seconds.is_some());
         assert!(report.best().measured_seconds.unwrap().is_finite());
-    }
-
-    #[test]
-    fn profile_entry_round_trips_to_an_equal_spec() {
-        let report = Tuner::new(256, 32).report().unwrap();
-        let entry = report.profile_entry();
-        assert_eq!(entry.spec().unwrap(), report.best_spec());
     }
 }

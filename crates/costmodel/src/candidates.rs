@@ -6,8 +6,8 @@
 //! threshold the Householder baseline wins outright. This module turns that
 //! search space into data. A [`CandidateConfig`] is an [`Algorithm`] plus
 //! exactly that algorithm's schedule knobs — the value the plan builder
-//! resolves its optional knobs into, a built plan executes, the tuner ranks
-//! and a tuning profile records. [`enumerate`] *proposes* configurations
+//! resolves its optional knobs into, a built plan executes and the tuner
+//! ranks. [`enumerate`] *proposes* configurations
 //! for `(n, P)` — every split of `P`, a base-size sweep, a block-size sweep
 //! — and keeps the ones its caller's predicate accepts; [`predicted_cost`]
 //! prices each one with the crate's exact closed-form models, so a tuner
@@ -63,19 +63,6 @@ impl Algorithm {
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for Algorithm {
-    type Err = String;
-
-    /// Parses the stable short names emitted by [`Algorithm::name`] (the
-    /// tuning-profile and CLI spelling).
-    fn from_str(s: &str) -> Result<Algorithm, String> {
-        Algorithm::ALL
-            .into_iter()
-            .find(|a| a.name() == s)
-            .ok_or_else(|| format!("unknown algorithm {s:?} (expected one of: 1d-cqr2, ca-cqr2, ca-cqr3, pgeqrf)"))
     }
 }
 
@@ -296,10 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_names_parse_back_and_lead_the_config_display() {
-        for a in Algorithm::ALL {
-            assert_eq!(a.name().parse::<Algorithm>(), Ok(a));
-        }
+    fn algorithm_names_are_unique_and_lead_the_config_display() {
+        let mut names: Vec<_> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Algorithm::ALL.len());
         assert_eq!(
             CandidateConfig::Pgeqrf { pr: 4, pc: 2, nb: 8 }.to_string(),
             "pgeqrf pr=4 pc=2 nb=8"

@@ -1,18 +1,17 @@
-//! Autotuning tour: from "just factor this shape" to a persistent,
-//! service-preloaded tuning profile.
+//! Autotuning tour: from "just factor this shape" to a serving cache of
+//! tuned plans.
 //!
 //! 1. `QrPlan::auto` — one line, no knobs: the tuner enumerates every
 //!    runnable configuration, scores them with the closed-form cost models,
 //!    and builds the winner.
 //! 2. A calibrated `Tuner` — a live microkernel probe replaces the nominal
 //!    flop rate and the leading candidates get short measured runs.
-//! 3. `TuningProfile` — persist the winners as versioned JSON, reload them
-//!    bit-identically, and preload a `QrService` cache so the first request
-//!    of each tuned shape never pays planning.
+//! 3. `QrService::plan_auto` — the same cost-model pick, cached in a
+//!    service: factor a batch through it, then evict it.
 //!
 //! Run: `cargo run --release --example autotune`
 
-use ca_cqr2::{QrPlan, QrService, Tuner, TuningProfile};
+use ca_cqr2::{QrPlan, QrService, Tuner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 1. The one-liner. ---
@@ -32,11 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 2. Calibrated tuning: model proposes, stopwatch disposes. ---
-    let tuned = Tuner::new(m, n)
-        .calibrate(true)
-        .top_k(3)
-        .calibration_rows(256)
-        .report()?;
+    let tuned = Tuner::new(m, n).calibrate(true).report()?;
     let probe = *tuned
         .probe_for(tuned.best().backend)
         .expect("calibration probes every swept backend");
@@ -57,32 +52,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // --- 3. Persist, reload, preload. ---
-    let mut profile = TuningProfile::new();
-    profile.insert(tuned.profile_entry());
-    profile.insert(Tuner::new(4096, 32).report()?.profile_entry());
-    let path = std::env::temp_dir().join("cacqr_autotune_profile.json");
-    std::fs::write(&path, profile.to_json())?;
-    let reloaded = TuningProfile::from_json(&std::fs::read_to_string(&path)?)?;
-    assert_eq!(reloaded, profile, "profiles round-trip exactly");
-    println!("profile: {} entries saved to {}", reloaded.len(), path.display());
-
+    // --- 3. The service's auto front door: tune once, cache, serve. ---
     let service = QrService::builder().workers(2).build();
-    let built = service.preload_profile(&reloaded)?;
+    let served = service.plan_auto(m, n)?;
     println!(
-        "service: preloaded {built} plans (cache holds {})",
+        "service: plan_auto({m}, {n}) cached {} on {} ranks (cache holds {})",
+        served.algorithm(),
+        served.processors(),
         service.plan_cache_len()
     );
-    // Tuned shapes now factor through cached plans — and the cache is
+    // The tuned shape factors through the cached plan — and the cache is
     // observable and boundable.
     let batch: Vec<_> = (0..4)
         .map(|s| ca_cqr2::dense::random::well_conditioned(m, n, s))
         .collect();
-    let spec = reloaded.lookup(m, n).expect("we just tuned this shape").spec()?;
+    let spec = Tuner::new(m, n).report()?.best_spec();
     let reports = service.factor_many(&spec, batch)?;
     println!(
-        "service: factored a batch of {} through the preloaded plan",
-        reports.len()
+        "service: factored a batch of {} through the cached plan (cache holds {})",
+        reports.len(),
+        service.plan_cache_len()
     );
     let evicted = service.evict(&spec);
     println!(

@@ -99,4 +99,4 @@ pub use cacqr::service::{
     StreamHandle, StreamOp, StreamOutcome, SubmitOptions,
 };
 pub use cacqr::stream::{StreamSnapshot, StreamStatus, StreamingQr};
-pub use cacqr::tuner::{ProfileEntry, Tuner, TunerError, TunerReport, TuningProfile};
+pub use cacqr::tuner::{Tuner, TunerError, TunerReport};

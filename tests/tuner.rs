@@ -1,27 +1,17 @@
 //! Integration tests for the autotuning subsystem: `QrPlan::auto`
-//! determinism, profile persistence bit-identity, the Table-1 golden
-//! ranking, and the service-layer preloading/eviction surface.
+//! determinism, the Table-1 golden ranking, and the service's `plan_auto`
+//! cache and its agreement with `QrPlan::auto`.
 
-use ca_cqr2::cacqr::tuner::{self, Tuner};
 use ca_cqr2::costmodel::{CandidateConfig, MachineCal};
 use ca_cqr2::dense::random::well_conditioned;
 use ca_cqr2::simgrid::Machine;
-use ca_cqr2::{Algorithm, PlanError, QrPlan, QrService, ServiceError, TunerError, TuningProfile};
-use std::sync::Mutex;
+use ca_cqr2::{Algorithm, PlanError, QrPlan, QrService, ServiceError, Tuner, TunerError};
 
-/// Serializes the tests that read or mutate the process-global installed
-/// profile (`QrPlan::auto` and `QrService::plan_auto` both consult it);
-/// without this, an install in one test could race another's auto calls.
-static PROFILE_STATE: Mutex<()> = Mutex::new(());
-
-/// `QrPlan::auto` is a pure function of `(m, n)` (plus thread budget and
-/// installed profile): same inputs, same configuration, bitwise-identical
-/// factors per seed — and an installed profile deterministically overrides
-/// the cost-model choice. One test covers both paths because the installed
-/// profile is process-global state.
+/// `QrPlan::auto` is a pure function of `(m, n)` (plus rank count and
+/// thread budget): same inputs, same configuration, bitwise-identical
+/// factors per seed.
 #[test]
-fn auto_is_deterministic_and_honors_installed_profile() {
-    let _guard = PROFILE_STATE.lock().unwrap_or_else(|e| e.into_inner());
+fn auto_is_deterministic() {
     let (m, n) = (512, 64);
     let p1 = QrPlan::auto(m, n).unwrap();
     let p2 = QrPlan::auto(m, n).unwrap();
@@ -39,68 +29,6 @@ fn auto_is_deterministic_and_honors_installed_profile() {
     let ra = Tuner::new(m, n).report().unwrap();
     let rb = Tuner::new(m, n).report().unwrap();
     assert_eq!(ra.best_spec(), rb.best_spec());
-
-    // Installing a profile redirects auto to the recorded winner.
-    let mut profile = TuningProfile::new();
-    let mut entry = Tuner::new(m, n)
-        .algorithms(&[Algorithm::CaCqr3])
-        .report()
-        .unwrap()
-        .profile_entry();
-    entry.measured_seconds = Some(1.25e-3);
-    profile.insert(entry);
-    assert!(tuner::install_profile(profile).is_none());
-    let tuned = QrPlan::auto(m, n).unwrap();
-    assert_eq!(tuned.algorithm(), Algorithm::CaCqr3, "installed profile must win");
-    // Uncovered shapes still fall back to the cost model.
-    assert!(QrPlan::auto(256, 32).is_ok());
-    assert!(tuner::clear_profile().is_some());
-    let back = QrPlan::auto(m, n).unwrap();
-    assert_eq!(back.algorithm(), p1.algorithm(), "clearing restores the model choice");
-}
-
-/// The profile serializer is canonical: value-equal after a round trip and
-/// byte-identical when re-serialized — including real measured floats.
-#[test]
-fn tuning_profile_round_trips_bit_identically() {
-    let mut profile = TuningProfile::new();
-    for (m, n) in [(4096usize, 16usize), (1024, 64), (256, 256)] {
-        profile.insert(
-            Tuner::new(m, n)
-                .calibrate(true)
-                .top_k(1)
-                .calibration_rows(64)
-                .calibration_reps(1)
-                .report()
-                .unwrap()
-                .profile_entry(),
-        );
-    }
-    assert_eq!(profile.len(), 3);
-    assert!(profile.entries().iter().any(|e| e.measured_seconds.is_some()));
-    // v2: the calibration rates ride along — record real measured floats so
-    // the round trip exercises shortest-form float serialization on them.
-    let report = Tuner::new(1024, 64)
-        .calibrate(true)
-        .top_k(1)
-        .calibration_rows(64)
-        .calibration_reps(1)
-        .report()
-        .unwrap();
-    let backend = report.best().backend;
-    profile.probe_gemm_seconds_per_flop = report.probe_for(backend).map(|p| p.seconds_per_flop);
-    profile.probe_syrk_seconds_per_flop = report.syrk_probe_for(backend).map(|p| p.seconds_per_flop);
-    assert!(profile.probe_gemm_seconds_per_flop.is_some());
-    assert!(profile.probe_syrk_seconds_per_flop.is_some());
-    let text = profile.to_json();
-    let back = TuningProfile::from_json(&text).unwrap();
-    assert_eq!(back, profile, "round trip must preserve every field exactly");
-    assert_eq!(back.to_json(), text, "re-serialization must be byte-identical");
-    // And the recorded winners rebuild into working plans.
-    for entry in back.entries() {
-        let spec = entry.spec().unwrap();
-        assert_eq!((spec.m(), spec.n()), (entry.m, entry.n));
-    }
 }
 
 /// Golden ranking for the paper's Table-1 regime on the calibrated
@@ -211,58 +139,48 @@ fn every_candidate_builds_and_unrunnable_search_spaces_are_typed() {
     );
 }
 
-/// Profile preloading is observable (`plan_cache_len`) and bounded
-/// (`evict`), and `plan_auto` keys the cache on tuned specs.
+/// `plan_auto` fills an observable (`plan_cache_len`), boundable (`evict`)
+/// cache keyed on the tuned spec, and the service's auto front door picks
+/// what `QrPlan::auto` picks.
 #[test]
-fn service_preloads_profiles_into_an_observable_cache() {
-    let _guard = PROFILE_STATE.lock().unwrap_or_else(|e| e.into_inner());
+fn plan_auto_fills_an_observable_cache() {
     let service = QrService::builder().workers(2).build();
     assert_eq!(service.plan_cache_len(), 0);
 
-    let mut profile = TuningProfile::new();
-    profile.insert(Tuner::new(512, 64).report().unwrap().profile_entry());
-    profile.insert(Tuner::new(1024, 32).report().unwrap().profile_entry());
-    let built = service.preload_profile(&profile).unwrap();
-    assert_eq!(built, 2);
+    let p1 = service.plan_auto(512, 64).unwrap();
+    assert_eq!(service.plan_cache_len(), 1);
+    service.plan_auto(1024, 32).unwrap();
     assert_eq!(service.plan_cache_len(), 2);
-    // Preloading again is free: every key is already cached.
-    assert_eq!(service.preload_profile(&profile).unwrap(), 0);
+    // Repeat calls hit the same cache entry, pointer-equal.
+    let p2 = service.plan_auto(512, 64).unwrap();
+    assert!(std::sync::Arc::ptr_eq(&p1, &p2));
     assert_eq!(service.plan_cache_len(), 2);
 
-    // The preloaded plan serves jobs through the tuned spec.
-    let spec = profile.lookup(512, 64).unwrap().spec().unwrap();
+    // The cached plan serves jobs through the tuned spec.
+    let spec = Tuner::new(512, 64).report().unwrap().best_spec();
     let report = service
         .submit(&spec, well_conditioned(512, 64, 3))
         .unwrap()
         .wait()
         .unwrap();
     assert!(report.orthogonality_error < 1e-12);
-
-    // plan_auto re-derives the same tuned spec and hits the same cache
-    // entry, pointer-equal.
-    let p1 = service.plan_auto(512, 64).unwrap();
-    let p2 = service.plan_auto(512, 64).unwrap();
-    assert!(std::sync::Arc::ptr_eq(&p1, &p2));
+    assert_eq!(service.plan_cache_len(), 2, "the tuned spec is the cached key");
 
     // Eviction bounds the cache and reports what it removed.
     assert!(service.evict(&spec));
     assert!(!service.evict(&spec), "double eviction finds nothing");
-    assert!(service.plan_cache_len() < 3);
+    assert_eq!(service.plan_cache_len(), 1);
 
-    // A hand-corrupted profile entry fails preloading with a typed error.
-    let mut bad = TuningProfile::new();
-    let mut entry = profile.lookup(512, 64).copied().unwrap();
-    entry.config = CandidateConfig::CaCqr2 {
-        c: 3, // not a power of two
-        d: 5,
-        base_size: 16,
-        inverse_depth: 0,
-    };
-    bad.insert(entry);
-    assert!(matches!(
-        service.preload_profile(&bad).unwrap_err(),
-        ServiceError::Plan(PlanError::Grid(_))
-    ));
+    // The two auto front doors agree.
+    for (m, n) in [(512usize, 64usize), (2048, 64), (4096, 32), (256, 32)] {
+        let served = service.plan_auto(m, n).unwrap();
+        let direct = QrPlan::auto(m, n).unwrap();
+        assert_eq!(
+            (served.algorithm(), served.processors(), served.backend()),
+            (direct.algorithm(), direct.processors(), direct.backend()),
+            "{m}x{n}"
+        );
+    }
 }
 
 /// Calibrated tuning picks a configuration whose measured time is
@@ -271,12 +189,7 @@ fn service_preloads_profiles_into_an_observable_cache() {
 /// for a tight percentage).
 #[test]
 fn calibrated_winner_is_measured_and_competitive() {
-    let report = Tuner::new(256, 64)
-        .calibrate(true)
-        .top_k(3)
-        .calibration_rows(256)
-        .report()
-        .unwrap();
+    let report = Tuner::new(256, 64).calibrate(true).report().unwrap();
     let winner = report.best();
     let winner_time = winner.measured_seconds.expect("calibrated winner carries a stopwatch");
     for cand in report.candidates.iter().filter(|c| c.measured_seconds.is_some()) {
