@@ -112,12 +112,17 @@ struct RhsTrack {
 impl RhsTrack {
     /// `d ← d + sign·BᵀC` for a `k × n` row block `b` against its `k × nrhs`
     /// right-hand sides `c` — the projection's rank-k delta, streamed row by
-    /// row so it is allocation-free and deterministic.
+    /// row so it is allocation-free and deterministic. A single right-hand
+    /// side is one axpy per row: `(sign·c)·a = ±(a·c) = (sign·a)·c` exactly.
     fn fold_delta(&mut self, sign: f64, b: MatRef<'_>, c: MatRef<'_>) {
         let nrhs = self.nrhs;
         let d = self.d.data_mut();
         for i in 0..b.rows() {
             let crow = c.row(i);
+            if nrhs == 1 {
+                blas1::axpy(sign * crow[0], b.row(i), d);
+                continue;
+            }
             for (j, &aij) in b.row(i).iter().enumerate() {
                 let dst = &mut d[j * nrhs..(j + 1) * nrhs];
                 for (x, &cv) in dst.iter_mut().zip(crow) {

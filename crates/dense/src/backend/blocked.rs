@@ -43,9 +43,18 @@
 //! mirror relies on.
 //!
 //! `trsm` partitions the triangular dimension into [`TRSM_NB`]-wide blocks:
-//! diagonal blocks are solved with the naive row sweeps, off-diagonal
-//! updates go through the blocked `gemm`, which is where nearly all the
-//! arithmetic lives.
+//! off-diagonal updates go through the blocked `gemm`, and each diagonal
+//! block is solved with independent elements side by side in SIMD lanes —
+//! the rows of `B` for the right-side solves (a 32-row group
+//! transposed into thread-local scratch), its columns for the left-side
+//! ones — each element running exactly the operation sequence of the oracle
+//! loop nest in `crate::trsm`, so the diagonal solves are the oracle's bits.
+//! `trsm::trmm_upper_upper` runs on the microkernel here too.
+//!
+//! Every kernel body is written once, `#[inline(always)]`, and compiled per
+//! instruction set (scalar, AVX2, AVX-512) by `isa_dispatch!`, which
+//! `blas1` and `cholesky` use as well. The bodies multiply, then add or subtract —
+//! never fused — so every ISA rounds every element identically.
 
 use super::parallel::{kernel_threads, par_blocks};
 use super::Backend;
@@ -56,8 +65,8 @@ use crate::workspace::{recycle_local_vec, take_local_vec};
 /// Microkernel tile height (rows of `C` held in registers).
 pub const MR: usize = 4;
 /// Microkernel tile width (columns of `C` held in registers). With MR = 4
-/// this makes eight independent FMA accumulator chains — enough to cover
-/// FMA latency on AVX-512 and AVX2 alike.
+/// this makes eight independent zmm accumulator chains on AVX-512 — enough
+/// to cover the add latency.
 pub const NR: usize = 16;
 /// Contraction block: one packed `A` micro-panel (`MR × KC`) plus one packed
 /// `B` micro-panel (`KC × NR`) stay resident in L1.
@@ -66,8 +75,9 @@ pub const KC: usize = 256;
 pub const MC: usize = 128;
 /// Column block: the packed `KC × NC` `B` block targets the outer cache.
 pub const NC: usize = 512;
-/// Triangular-solve block width: diagonal blocks this size are solved with
-/// the naive kernels, everything else is blocked `gemm`.
+/// Triangular-solve block width: diagonal blocks this size are solved in
+/// lanes with the oracle's per-element sequence, everything else is blocked
+/// `gemm`. The width fixes where the `gemm` sums start, so it fixes the bits.
 pub const TRSM_NB: usize = 64;
 
 /// Minimum `2mnk` flop volume per `(jc, pc)` block before worker threads
@@ -166,9 +176,103 @@ fn pack_b(b: MatRef<'_>, tb: Trans, k0: usize, kc: usize, col0: usize, nc: usize
     }
 }
 
+/// Instruction sets the kernels are specialized for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Isa {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Isa {
+    /// Every ISA variant the running CPU can execute, scalar first. Used by
+    /// the per-ISA equivalence tests; dispatch itself goes through [`isa`].
+    #[cfg(test)]
+    pub(crate) fn available() -> Vec<Isa> {
+        #[allow(unused_mut)]
+        let mut v = vec![Isa::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                v.push(Isa::Avx2);
+            }
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
+                v.push(Isa::Avx512);
+            }
+        }
+        v
+    }
+}
+
+/// Detects the widest ISA once per process. Every specialized body
+/// multiplies, then adds or subtracts — never fused — so each ISA computes
+/// every element with the same rounded operations in the same order, and
+/// the ISAs agree bit for bit; caching the choice keeps the instruction
+/// schedule, too, fixed for the process lifetime.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn isa() -> Isa {
+    use std::sync::OnceLock;
+    static ISA: OnceLock<Isa> = OnceLock::new();
+    *ISA.get_or_init(|| {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
+            Isa::Avx512
+        } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            Isa::Avx2
+        } else {
+            Isa::Scalar
+        }
+    })
+}
+
+/// Non-x86 targets always use the portable scalar body.
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) fn isa() -> Isa {
+    Isa::Scalar
+}
+
+/// `fn name(args…) -> R => body` defines `name(which: Isa, args…) -> R`,
+/// which runs the `#[inline(always)]` kernel `body` compiled for `which`:
+/// one body per kernel, one instruction-schedule build of it per [`Isa`].
+macro_rules! isa_dispatch {
+    ($vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? => $body:path) => {
+        #[allow(clippy::too_many_arguments)]
+        $vis fn $name(which: $crate::backend::blocked::Isa, $($arg: $ty),*) $(-> $ret)? {
+            /// # Safety
+            ///
+            /// Requires the `avx2` and `fma` CPU features.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2", enable = "fma")]
+            unsafe fn avx2($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+            /// # Safety
+            ///
+            /// Requires the `avx512f` and `fma` CPU features.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f", enable = "fma")]
+            unsafe fn avx512($($arg: $ty),*) $(-> $ret)? {
+                $body($($arg),*)
+            }
+            match which {
+                $crate::backend::blocked::Isa::Scalar => $body($($arg),*),
+                // SAFETY: `isa()` (and `Isa::available`) only report ISAs the
+                // CPU advertises.
+                #[cfg(target_arch = "x86_64")]
+                $crate::backend::blocked::Isa::Avx2 => unsafe { avx2($($arg),*) },
+                #[cfg(target_arch = "x86_64")]
+                $crate::backend::blocked::Isa::Avx512 => unsafe { avx512($($arg),*) },
+            }
+        }
+    };
+}
+pub(crate) use isa_dispatch;
+
 /// The register-tiled inner product: an `MR × NR` accumulator tile over one
-/// packed A panel and one packed B panel. Shared by every ISA variant so
-/// they are instruction-schedule specializations of the same arithmetic.
+/// packed A panel and one packed B panel. On AVX-512 each accumulator row is
+/// two zmm registers, eight independent chains for the tile; on AVX2 the
+/// tile is the whole ymm register file, so operand loads spill.
 #[inline(always)]
 fn microkernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
     let mut acc = [[0.0f64; NR]; MR];
@@ -187,8 +291,8 @@ fn microkernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR
     acc
 }
 
-fn microkernel_scalar(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
-    microkernel_body(kc, apanel, bpanel)
+isa_dispatch! {
+    fn microkernel(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] => microkernel_body
 }
 
 /// The syrk specialization of the tile body: the `A` operand is read
@@ -219,136 +323,9 @@ fn microkernel_body_packed_b(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[
     acc
 }
 
-fn microkernel_packed_b_scalar(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] {
-    microkernel_body_packed_b(kc, apanel, a_off, bpanel)
-}
-
-/// AVX2+FMA build of the packed-B syrk body.
-///
-/// # Safety
-///
-/// Requires the `avx2` and `fma` CPU features (checked by [`isa`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_packed_b_avx2(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] {
-    microkernel_body_packed_b(kc, apanel, a_off, bpanel)
-}
-
-/// AVX-512 build of the packed-B syrk body.
-///
-/// # Safety
-///
-/// Requires the `avx512f` CPU feature (checked by [`isa`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "fma")]
-unsafe fn microkernel_packed_b_avx512(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] {
-    microkernel_body_packed_b(kc, apanel, a_off, bpanel)
-}
-
-#[inline]
-fn microkernel_packed_b(which: Isa, kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] {
-    match which {
-        Isa::Scalar => microkernel_packed_b_scalar(kc, apanel, a_off, bpanel),
-        // SAFETY: `isa()` (and `Isa::available`) only report ISAs the CPU
-        // advertises.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { microkernel_packed_b_avx2(kc, apanel, a_off, bpanel) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { microkernel_packed_b_avx512(kc, apanel, a_off, bpanel) },
-    }
-}
-
-/// AVX2+FMA build of the same body. The 4×16 tile is 16 ymm registers —
-/// the whole AVX2 register file — so operand loads spill; still well ahead
-/// of the scalar schedule.
-///
-/// # Safety
-///
-/// Requires the `avx2` and `fma` CPU features (checked by [`isa`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn microkernel_avx2(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
-    microkernel_body(kc, apanel, bpanel)
-}
-
-/// AVX-512 build: each accumulator row is two zmm registers (8 zmm total
-/// for the tile), giving eight independent FMA chains to cover FMA latency.
-///
-/// # Safety
-///
-/// Requires the `avx512f` CPU feature (checked by [`isa`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "fma")]
-unsafe fn microkernel_avx512(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
-    microkernel_body(kc, apanel, bpanel)
-}
-
-/// Instruction sets the microkernel is specialized for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Isa {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-}
-
-impl Isa {
-    /// Every ISA variant the running CPU can execute, scalar first. Used by
-    /// the per-ISA equivalence tests; dispatch itself goes through [`isa`].
-    #[cfg(test)]
-    pub(crate) fn available() -> Vec<Isa> {
-        #[allow(unused_mut)]
-        let mut v = vec![Isa::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                v.push(Isa::Avx2);
-            }
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
-                v.push(Isa::Avx512);
-            }
-        }
-        v
-    }
-}
-
-/// Detects the best microkernel ISA once per process. Caching keeps the
-/// choice (and therefore rounding behavior: FMA contracts differently from
-/// scalar mul+add) fixed for the process lifetime, preserving the bitwise
-/// replication invariants.
-#[cfg(target_arch = "x86_64")]
-fn isa() -> Isa {
-    use std::sync::OnceLock;
-    static ISA: OnceLock<Isa> = OnceLock::new();
-    *ISA.get_or_init(|| {
-        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
-            Isa::Avx512
-        } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            Isa::Avx2
-        } else {
-            Isa::Scalar
-        }
-    })
-}
-
-/// Non-x86 targets always use the portable scalar body.
-#[cfg(not(target_arch = "x86_64"))]
-fn isa() -> Isa {
-    Isa::Scalar
-}
-
-#[inline]
-fn microkernel(which: Isa, kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
-    match which {
-        Isa::Scalar => microkernel_scalar(kc, apanel, bpanel),
-        // SAFETY: `isa()` (and `Isa::available`) only report ISAs the CPU
-        // advertises.
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { microkernel_avx2(kc, apanel, bpanel) },
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { microkernel_avx512(kc, apanel, bpanel) },
-    }
+isa_dispatch! {
+    fn microkernel_packed_b(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] =>
+        microkernel_body_packed_b
 }
 
 /// Multiplies one packed `A` row block against the packed `B` block,
@@ -605,6 +582,236 @@ fn syrk_into_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
     }
 }
 
+/// Rows of `B` one right-side diagonal solve keeps in flight: lane `r` of
+/// every accumulator belongs to row `r` of the group, so the 32 dependent
+/// chains of a row group advance side by side (four zmm or eight ymm
+/// registers).
+const SOLVE_LANES: usize = 32;
+
+/// Solves `X·Lᵀ = B` (`upper` false) or `X·U = B` in place for one diagonal
+/// block `t` (`jb × jb`), with `b` `m × jb` and `lanes` `jb · SOLVE_LANES`
+/// scratch. Each group of [`SOLVE_LANES`] rows is transposed into `lanes`,
+/// so row `k` of `lanes` is column `k` of the group and the rows of `B` are
+/// the lanes. Every element runs the oracle's sequence
+/// (`trsm::trsm_right_lower_trans` / `trsm_right_upper`): start from `B`,
+/// subtract `x_k · c_jk` in ascending `k` (`c_jk` is `l_jk`, or `u_kj`),
+/// divide by `c_jj`.
+#[inline(always)]
+fn right_solve_body(t: MatRef<'_>, upper: bool, b: MatMut<'_>, lanes: &mut [f64]) {
+    match upper {
+        true => right_solve_groups::<true>(t, b, lanes),
+        false => right_solve_groups::<false>(t, b, lanes),
+    }
+}
+
+#[inline(always)]
+fn right_solve_groups<const UPPER: bool>(t: MatRef<'_>, mut b: MatMut<'_>, lanes: &mut [f64]) {
+    let jb = t.rows();
+    let coef = |j: usize, k: usize| if UPPER { t.at(k, j) } else { t.at(j, k) };
+    let mut i0 = 0;
+    while i0 < b.rows() {
+        let rows = SOLVE_LANES.min(b.rows() - i0);
+        for (k, xk) in lanes.chunks_exact_mut(SOLVE_LANES).take(jb).enumerate() {
+            for (r, v) in xk.iter_mut().enumerate() {
+                *v = if r < rows { b.at(i0 + r, k) } else { 0.0 };
+            }
+        }
+        for j in 0..jb {
+            let (done, rest) = lanes.split_at_mut(j * SOLVE_LANES);
+            let xj = &mut rest[..SOLVE_LANES];
+            let mut acc = [0.0f64; SOLVE_LANES];
+            acc.copy_from_slice(xj);
+            for (k, xk) in done.chunks_exact(SOLVE_LANES).enumerate() {
+                let cjk = coef(j, k);
+                for l in 0..SOLVE_LANES {
+                    acc[l] -= xk[l] * cjk;
+                }
+            }
+            let cjj = coef(j, j);
+            for (x, s) in xj.iter_mut().zip(acc) {
+                *x = s / cjj;
+            }
+        }
+        for r in 0..rows {
+            for (k, v) in b.row_mut(i0 + r)[..jb].iter_mut().enumerate() {
+                *v = lanes[k * SOLVE_LANES + r];
+            }
+        }
+        i0 += rows;
+    }
+}
+
+isa_dispatch! {
+    fn right_solve(t: MatRef<'_>, upper: bool, b: MatMut<'_>, lanes: &mut [f64]) => right_solve_body
+}
+
+/// Solves `T·X = B` in place for one diagonal block, `T` lower (`upper`
+/// false: rows top-down) or upper triangular (rows bottom-up). The columns
+/// of `B` are the lanes, `G` at a time; every element runs the oracle's
+/// sequence (`trsm::trsm_left_lower` / `trsm_left_upper`): start from `B`,
+/// subtract `t_ik · x_k` over the solved rows in ascending `k`, skipping
+/// exact-zero `t_ik`, divide by `t_ii`.
+#[inline(always)]
+fn left_solve_lanes<const G: usize>(t: MatRef<'_>, upper: bool, mut b: MatMut<'_>, c0: usize) {
+    let n = t.rows();
+    for step in 0..n {
+        let i = if upper { n - 1 - step } else { step };
+        let trow = t.row(i);
+        let mut acc = [0.0f64; G];
+        acc.copy_from_slice(&b.row(i)[c0..c0 + G]);
+        for k in if upper { i + 1..n } else { 0..i } {
+            let tik = trow[k];
+            if tik == 0.0 {
+                continue;
+            }
+            let xk = &b.row(k)[c0..c0 + G];
+            for l in 0..G {
+                acc[l] -= tik * xk[l];
+            }
+        }
+        for (v, a) in b.row_mut(i)[c0..c0 + G].iter_mut().zip(acc) {
+            *v = a / trow[i];
+        }
+    }
+}
+
+#[inline(always)]
+fn left_solve_body(t: MatRef<'_>, upper: bool, mut b: MatMut<'_>) {
+    let mut c0 = 0;
+    while c0 < b.cols() {
+        let g = match b.cols() - c0 {
+            w if w >= 32 => 32,
+            w if w >= 8 => 8,
+            _ => 1,
+        };
+        match g {
+            32 => left_solve_lanes::<32>(t, upper, b.rb_mut(), c0),
+            8 => left_solve_lanes::<8>(t, upper, b.rb_mut(), c0),
+            _ => left_solve_lanes::<1>(t, upper, b.rb_mut(), c0),
+        }
+        c0 += g;
+    }
+}
+
+isa_dispatch! {
+    fn left_solve(t: MatRef<'_>, upper: bool, b: MatMut<'_>) => left_solve_body
+}
+
+/// The blocked right solve: `X·Lᵀ = B` for lower `t` (`upper` false) or
+/// `X·U = B` for upper `t`, over [`TRSM_NB`]-wide column blocks — a `gemm`
+/// update from the solved columns, then [`right_solve`] on the diagonal
+/// block.
+fn trsm_right_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>) {
+    let n = t.rows();
+    assert_eq!(t.cols(), n, "triangular factor must be square");
+    assert_eq!(b.cols(), n, "rhs width must match triangular dimension");
+    let mut lanes = take_local_vec(TRSM_NB * SOLVE_LANES);
+    let mut j0 = 0;
+    while j0 < n {
+        let jb = TRSM_NB.min(n - j0);
+        let (solved, rest) = b.rb_mut().split_cols(j0);
+        let (active, _) = rest.split_cols(jb);
+        if j0 > 0 {
+            // B_j −= X_done · (U[0..j0, j-block], or that slab of Lᵀ).
+            let (slab, trans) = match upper {
+                true => (t.sub(0, j0, j0, jb), Trans::No),
+                false => (t.sub(j0, 0, jb, j0), Trans::Yes),
+            };
+            gemm_with_isa(which, -1.0, solved.rb(), Trans::No, slab, trans, 1.0, active);
+        }
+        let (_, rest) = b.rb_mut().split_cols(j0);
+        let (active, _) = rest.split_cols(jb);
+        right_solve(which, t.sub(j0, j0, jb, jb), upper, active, &mut lanes);
+        j0 += jb;
+    }
+    recycle_local_vec(lanes);
+}
+
+/// The blocked left solve: `L·X = B` for lower `t` (`upper` false, row
+/// blocks top-down) or `U·X = B` for upper `t` (bottom-up), over
+/// [`TRSM_NB`]-tall row blocks — a `gemm` update from the solved rows, then
+/// [`left_solve`] on the diagonal block.
+fn trsm_left_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>) {
+    let n = t.rows();
+    assert_eq!(t.cols(), n, "triangular factor must be square");
+    assert_eq!(b.rows(), n, "rhs height must match triangular dimension");
+    let nblocks = n.div_ceil(TRSM_NB);
+    for step in 0..nblocks {
+        let i0 = TRSM_NB * if upper { nblocks - 1 - step } else { step };
+        let i1 = n.min(i0 + TRSM_NB);
+        let (top, below) = b.rb_mut().split_rows(i1);
+        let (above, mut active) = top.split_rows(i0);
+        // B_i −= T[i-block, solved rows] · X_solved.
+        let (slab, solved) = match upper {
+            true => (t.sub(i0, i1, i1 - i0, n - i1), below),
+            false => (t.sub(i0, 0, i1 - i0, i0), above),
+        };
+        if solved.rows() > 0 {
+            let (x, b_i) = (solved.rb(), active.rb_mut());
+            gemm_with_isa(which, -1.0, slab, Trans::No, x, Trans::No, 1.0, b_i);
+        }
+        left_solve(which, t.sub(i0, i0, i1 - i0, i1 - i0), upper, active);
+    }
+}
+
+/// `out = U₂·U₁` for upper-triangular `U₂`, `U₁` on the gemm microkernel.
+/// Both operands are packed whole (`U₂` in `MR`-row panels with structural
+/// zeros left of the diagonal, `U₁` in `NR`-column panels with structural
+/// zeros below it), and the tile at rows `i0..`, columns `j0..` contracts
+/// only over `k ∈ [i0, j0 + NR)`, where its terms can be nonzero, in one
+/// pass. Tiles below the diagonal and the strict lower triangle are written
+/// as zeros. For finite operands this is the oracle's sum bit for bit: it
+/// starts at `+0`, adds `u2_ik · u1_kj` in ascending `k`, and only ever adds
+/// an exact zero where the oracle skips a term — a no-op on a sum that
+/// starts at `+0` and is never `−0`.
+pub(crate) fn trmm_upper_upper_with_isa(which: Isa, u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
+    let n = u2.rows();
+    let (mpanels, npanels) = (n.div_ceil(MR), n.div_ceil(NR));
+    let mut apack = take_local_vec(mpanels * n * MR);
+    let mut bpack = take_local_vec(npanels * n * NR);
+    // Panel `ip` holds rows `i0..` from `k = i0` on, panel `jp` columns
+    // `j0..` up to `k = j0 + NR`; then the structural zeros in the two
+    // triangles where a panel meets the diagonal.
+    for ip in 0..mpanels {
+        let (i0, mr) = (ip * MR, MR.min(n - ip * MR));
+        let panel = &mut apack[(ip * n + i0) * MR..(ip + 1) * n * MR];
+        pack_a(u2, Trans::No, i0, mr, i0, n - i0, panel);
+        for r in 1..mr {
+            for k in 0..r {
+                panel[k * MR + r] = 0.0;
+            }
+        }
+    }
+    for jp in 0..npanels {
+        let (j0, nr) = (jp * NR, NR.min(n - jp * NR));
+        let panel = &mut bpack[jp * n * NR..(jp * n + j0 + nr) * NR];
+        pack_b(u1, Trans::No, 0, j0 + nr, j0, nr, panel);
+        for c in 0..nr {
+            for k in j0 + c + 1..j0 + nr {
+                panel[k * NR + c] = 0.0;
+            }
+        }
+    }
+    for ip in 0..mpanels {
+        let (i0, mr) = (ip * MR, MR.min(n - ip * MR));
+        for jp in 0..npanels {
+            let (j0, nr) = (jp * NR, NR.min(n - jp * NR));
+            let (kend, ak, bk) = (n.min(j0 + NR), (ip * n + i0) * MR, (jp * n + i0) * NR);
+            let acc = match i0 < kend {
+                true => microkernel(which, kend - i0, &apack[ak..], &bpack[bk..]),
+                false => [[0.0; NR]; MR],
+            };
+            for (r, acc_row) in acc.iter().enumerate().take(mr) {
+                for (c, v) in out.row_mut(i0 + r)[j0..j0 + nr].iter_mut().enumerate() {
+                    *v = if j0 + c >= i0 + r { acc_row[c] } else { 0.0 };
+                }
+            }
+        }
+    }
+    recycle_local_vec(bpack);
+    recycle_local_vec(apack);
+}
+
 impl Backend for Blocked {
     fn name(&self) -> &'static str {
         "blocked"
@@ -618,118 +825,20 @@ impl Backend for Blocked {
         syrk_into_with_isa(isa(), a, c);
     }
 
-    fn trsm_right_lower_trans(&self, l: MatRef<'_>, mut b: MatMut<'_>) {
-        let n = l.rows();
-        assert_eq!(l.cols(), n, "triangular factor must be square");
-        assert_eq!(b.cols(), n, "rhs width must match triangular dimension");
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = TRSM_NB.min(n - j0);
-            if j0 > 0 {
-                let (solved, rest) = b.rb_mut().split_cols(j0);
-                let (active, _) = rest.split_cols(jb);
-                // B_j −= X_done · L[j-block, 0..j0]ᵀ  (that slab of Lᵀ).
-                self.gemm(
-                    -1.0,
-                    solved.rb(),
-                    Trans::No,
-                    l.sub(j0, 0, jb, j0),
-                    Trans::Yes,
-                    1.0,
-                    active,
-                );
-            }
-            let (_, rest) = b.rb_mut().split_cols(j0);
-            let (active, _) = rest.split_cols(jb);
-            crate::trsm::trsm_right_lower_trans(l.sub(j0, j0, jb, jb), active);
-            j0 += jb;
-        }
+    fn trsm_right_lower_trans(&self, l: MatRef<'_>, b: MatMut<'_>) {
+        trsm_right_with_isa(isa(), l, false, b);
     }
 
-    fn trsm_right_upper(&self, u: MatRef<'_>, mut b: MatMut<'_>) {
-        let n = u.rows();
-        assert_eq!(u.cols(), n, "triangular factor must be square");
-        assert_eq!(b.cols(), n, "rhs width must match triangular dimension");
-        let mut j0 = 0;
-        while j0 < n {
-            let jb = TRSM_NB.min(n - j0);
-            if j0 > 0 {
-                let (solved, rest) = b.rb_mut().split_cols(j0);
-                let (active, _) = rest.split_cols(jb);
-                // B_j −= X_done · U[0..j0, j-block].
-                self.gemm(
-                    -1.0,
-                    solved.rb(),
-                    Trans::No,
-                    u.sub(0, j0, j0, jb),
-                    Trans::No,
-                    1.0,
-                    active,
-                );
-            }
-            let (_, rest) = b.rb_mut().split_cols(j0);
-            let (active, _) = rest.split_cols(jb);
-            crate::trsm::trsm_right_upper(u.sub(j0, j0, jb, jb), active);
-            j0 += jb;
-        }
+    fn trsm_right_upper(&self, u: MatRef<'_>, b: MatMut<'_>) {
+        trsm_right_with_isa(isa(), u, true, b);
     }
 
-    fn trsm_left_lower(&self, l: MatRef<'_>, mut b: MatMut<'_>) {
-        let n = l.rows();
-        assert_eq!(l.cols(), n, "triangular factor must be square");
-        assert_eq!(b.rows(), n, "rhs height must match triangular dimension");
-        let mut i0 = 0;
-        while i0 < n {
-            let ib = TRSM_NB.min(n - i0);
-            if i0 > 0 {
-                let (solved, rest) = b.rb_mut().split_rows(i0);
-                let (active, _) = rest.split_rows(ib);
-                // B_i −= L[i-block, 0..i0] · X_done.
-                self.gemm(
-                    -1.0,
-                    l.sub(i0, 0, ib, i0),
-                    Trans::No,
-                    solved.rb(),
-                    Trans::No,
-                    1.0,
-                    active,
-                );
-            }
-            let (_, rest) = b.rb_mut().split_rows(i0);
-            let (active, _) = rest.split_rows(ib);
-            crate::trsm::trsm_left_lower(l.sub(i0, i0, ib, ib), active);
-            i0 += ib;
-        }
+    fn trsm_left_lower(&self, l: MatRef<'_>, b: MatMut<'_>) {
+        trsm_left_with_isa(isa(), l, false, b);
     }
 
-    fn trsm_left_upper(&self, u: MatRef<'_>, mut b: MatMut<'_>) {
-        let n = u.rows();
-        assert_eq!(u.cols(), n, "triangular factor must be square");
-        assert_eq!(b.rows(), n, "rhs height must match triangular dimension");
-        // Backward substitution over row blocks, bottom-up.
-        let nblocks = n.div_ceil(TRSM_NB);
-        for blk in (0..nblocks).rev() {
-            let i0 = blk * TRSM_NB;
-            let ib = TRSM_NB.min(n - i0);
-            let i1 = i0 + ib;
-            if i1 < n {
-                let (top, solved) = b.rb_mut().split_rows(i1);
-                let (_, active) = top.split_rows(i0);
-                // B_i −= U[i-block, i1..n] · X_done.
-                self.gemm(
-                    -1.0,
-                    u.sub(i0, i1, ib, n - i1),
-                    Trans::No,
-                    solved.rb(),
-                    Trans::No,
-                    1.0,
-                    active,
-                );
-            }
-            let (top, _) = b.rb_mut().split_rows(i1);
-            let (_, active) = top.split_rows(i0);
-            crate::trsm::trsm_left_upper(u.sub(i0, i0, ib, ib), active);
-        }
+    fn trsm_left_upper(&self, u: MatRef<'_>, b: MatMut<'_>) {
+        trsm_left_with_isa(isa(), u, true, b);
     }
 }
 
@@ -849,5 +958,111 @@ mod tests {
     fn syrk_empty_dims() {
         assert_eq!(Blocked.syrk(Matrix::zeros(0, 4).as_ref()), Matrix::zeros(4, 4));
         assert_eq!(Blocked.syrk(Matrix::zeros(4, 0).as_ref()), Matrix::zeros(0, 0));
+    }
+
+    /// A triangular factor of order `n` (`upper` or lower) with a dominant
+    /// diagonal, some exact zeros in its triangle (the left solves skip those
+    /// terms) and NaN in the other triangle, which no solve reads.
+    fn triangle(n: usize, upper: bool, salt: u64) -> Matrix {
+        let f = filled(n, n, salt);
+        Matrix::from_fn(n, n, |i, j| match (i, j) {
+            (i, j) if (j > i) != upper && i != j => f64::NAN,
+            (i, j) if i == j => 2.0 + f.get(i, j).abs(),
+            (i, j) if (i + 2 * j) % 7 == 3 => 0.0,
+            (i, j) => f.get(i, j),
+        })
+    }
+
+    /// Bitwise equality, any NaN matching any NaN (the compiler may swap the
+    /// operands of an add, so the NaN an add of two NaNs returns is not
+    /// fixed even for the oracle).
+    fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {
+        for (k, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+            assert!(same, "{what}: element {k} is {g}, the oracle gave {w}");
+        }
+    }
+
+    /// The diagonal-block solves are the oracle loop nests bit for bit under
+    /// every ISA, at every block order and at row counts on and off the lane
+    /// width. One entry of `B` is infinite, so a term the left solves skip
+    /// (an exact-zero coefficient) would show as a NaN if it were taken.
+    #[test]
+    fn diagonal_solves_are_bitwise_the_oracle_under_every_isa() {
+        for which in Isa::available() {
+            for n in 1..=TRSM_NB {
+                let (l, u) = (triangle(n, false, n as u64), triangle(n, true, 3 + n as u64));
+                for m in [1, 5, SOLVE_LANES - 1, SOLVE_LANES, SOLVE_LANES + 1, 67, 130] {
+                    let mut b = filled(m, n, m as u64);
+                    b.set(0, 0, f64::INFINITY);
+                    let what = format!("{which:?} n={n} m={m}");
+                    let (mut want, mut got) = (b.clone(), b.clone());
+                    crate::trsm::trsm_right_lower_trans(l.as_ref(), want.as_mut());
+                    trsm_right_with_isa(which, l.as_ref(), false, got.as_mut());
+                    assert_bits(&got, &want, &format!("right lower-trans {what}"));
+                    let (mut want, mut got) = (b.clone(), b.clone());
+                    crate::trsm::trsm_right_upper(u.as_ref(), want.as_mut());
+                    trsm_right_with_isa(which, u.as_ref(), true, got.as_mut());
+                    assert_bits(&got, &want, &format!("right upper {what}"));
+                    let b = b.transposed();
+                    let (mut want, mut got) = (b.clone(), b.clone());
+                    crate::trsm::trsm_left_lower(l.as_ref(), want.as_mut());
+                    trsm_left_with_isa(which, l.as_ref(), false, got.as_mut());
+                    assert_bits(&got, &want, &format!("left lower {what}"));
+                    let (mut want, mut got) = (b.clone(), b.clone());
+                    crate::trsm::trsm_left_upper(u.as_ref(), want.as_mut());
+                    trsm_left_with_isa(which, u.as_ref(), true, got.as_mut());
+                    assert_bits(&got, &want, &format!("left upper {what}"));
+                }
+            }
+        }
+    }
+
+    /// Past one diagonal block the blocked solves add `gemm` updates, so
+    /// they leave the oracle's bits; they still agree with it numerically,
+    /// and every ISA gives the same bits.
+    #[test]
+    fn blocked_solves_agree_across_isas_and_with_the_oracle() {
+        type Solve = fn(Isa, MatRef<'_>, bool, MatMut<'_>);
+        type Oracle = fn(MatRef<'_>, MatMut<'_>);
+        let cases: [(&str, bool, Solve, Oracle); 4] = [
+            (
+                "right lower-trans",
+                false,
+                trsm_right_with_isa,
+                crate::trsm::trsm_right_lower_trans,
+            ),
+            ("right upper", true, trsm_right_with_isa, crate::trsm::trsm_right_upper),
+            ("left lower", false, trsm_left_with_isa, crate::trsm::trsm_left_lower),
+            ("left upper", true, trsm_left_with_isa, crate::trsm::trsm_left_upper),
+        ];
+        let isas = Isa::available();
+        for n in [TRSM_NB + 1, 100, 130, 193] {
+            for m in [SOLVE_LANES + 3, 67] {
+                for (name, upper, solve, oracle) in cases {
+                    let t = triangle(n, upper, 5 + upper as u64);
+                    let b = if name.starts_with("right") {
+                        filled(m, n, 7)
+                    } else {
+                        filled(n, m, 7)
+                    };
+                    let mut want = b.clone();
+                    oracle(t.as_ref(), want.as_mut());
+                    let mut first = b.clone();
+                    solve(isas[0], t.as_ref(), upper, first.as_mut());
+                    for (g, w) in first.data().iter().zip(want.data()) {
+                        assert!(
+                            (g - w).abs() <= 1e-9 * (1.0 + w.abs()),
+                            "{name} n={n} m={m}: {g} vs {w}"
+                        );
+                    }
+                    for &which in &isas[1..] {
+                        let mut got = b.clone();
+                        solve(which, t.as_ref(), upper, got.as_mut());
+                        assert_bits(&got, &first, &format!("{name} {which:?} n={n} m={m}"));
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,12 +1,26 @@
 //! Level-1 vector kernels used throughout the blocked algorithms.
+//!
+//! [`axpy`] and [`dot_lanes`] run on the widest instruction set the CPU has
+//! (the blocked backend's `Isa` dispatch), multiplying then adding exactly
+//! as their loops say, so every ISA gives the same bits.
+
+use crate::backend::blocked::{isa, isa_dispatch};
 
 /// `y ← y + a·x`.
-#[inline]
 pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
+    axpy_isa(isa(), a, x, y);
+}
+
+#[inline(always)]
+fn axpy_body(a: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += a * xi;
     }
+}
+
+isa_dispatch! {
+    fn axpy_isa(a: f64, x: &[f64], y: &mut [f64]) => axpy_body
 }
 
 /// Dot product `xᵀy`.
@@ -19,9 +33,20 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 /// Dot product with 8-way lane-split accumulation: the independent
 /// partial sums let the compiler vectorize what [`dot`]'s strictly
 /// sequential reduction cannot. Rounding differs from [`dot`] (both are
-/// ε-level summations); reach for this on long vectors in hot loops.
-#[inline]
+/// ε-level summations); reach for this on long vectors in hot loops. The
+/// split and the order below are the contract: lane `l` sums elements
+/// `l, l + 8, …` of the whole chunks, the tail is summed in order, and the
+/// result is `Σ lanes + tail`.
 pub fn dot_lanes(x: &[f64], y: &[f64]) -> f64 {
+    dot_lanes_isa(isa(), x, y)
+}
+
+isa_dispatch! {
+    fn dot_lanes_isa(x: &[f64], y: &[f64]) -> f64 => dot_lanes_body
+}
+
+#[inline(always)]
+fn dot_lanes_body(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     const LANES: usize = 8;
     let chunks = x.len() / LANES;
@@ -79,6 +104,40 @@ mod tests {
             let a = dot(&x, &y);
             let b = dot_lanes(&x, &y);
             assert!((a - b).abs() <= 1e-12 * a.abs().max(1.0), "len {len}: {a} vs {b}");
+        }
+    }
+
+    /// Every ISA's build gives the bits of the plain loops, including the
+    /// 8-lane split of `dot_lanes`, at lengths on and off the lane count.
+    #[test]
+    fn level1_bodies_are_bitwise_the_loops_under_every_isa() {
+        use crate::backend::blocked::Isa;
+        for which in Isa::available() {
+            for len in [0usize, 1, 7, 8, 9, 31, 64, 100, 128, 4099] {
+                let x: Vec<f64> = (0..len).map(|i| (i as f64 * 0.7).sin() * 1e3).collect();
+                let y: Vec<f64> = (0..len).map(|i| (i as f64 * 0.3).cos() - 0.25).collect();
+                let mut lanes = [0.0f64; 8];
+                let whole = len / 8 * 8;
+                for (i, (a, b)) in x.iter().zip(&y).take(whole).enumerate() {
+                    lanes[i % 8] += a * b;
+                }
+                let tail = x[whole..].iter().zip(&y[whole..]).fold(0.0, |t, (a, b)| t + a * b);
+                let want = lanes.iter().sum::<f64>() + tail;
+                assert_eq!(
+                    dot_lanes_isa(which, &x, &y).to_bits(),
+                    want.to_bits(),
+                    "{which:?} len {len}"
+                );
+                let (mut got, mut want) = (y.clone(), y.clone());
+                for (w, v) in want.iter_mut().zip(&x) {
+                    *w += -1.3 * v;
+                }
+                axpy_isa(which, -1.3, &x, &mut got);
+                assert!(
+                    got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{which:?} len {len}"
+                );
+            }
         }
     }
 

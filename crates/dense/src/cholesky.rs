@@ -14,12 +14,23 @@
 //! caller's output (any view: contents on entry are ignored) and draw their
 //! temporaries from the workspace, so a warm call allocates nothing.
 //!
+//! The unblocked cores under them — `potrf`'s diagonal blocks and the
+//! `cholinv` / `trtri_lower` base cases — put independent elements side by
+//! side in SIMD lanes: the entries on and below each pivot of the Cholesky
+//! (computed in the mirrored upper triangle, where a column is a contiguous
+//! row), the entries of each row of the inverse. Each element runs the
+//! operation sequence of the plain loop form — multiply, then add or
+//! subtract, never fused, in the same order — so the factors are that
+//! loop's bits on every instruction set (the tests keep the loops as the
+//! reference), and a breakdown reports the same index and pivot.
+//!
 //! All routines report failure (a non-positive pivot, i.e. a numerically
 //! non-SPD input) through [`CholeskyError`] instead of panicking — the
 //! CholeskyQR drivers use this to detect loss of positive-definiteness in
 //! `AᵀA` for ill-conditioned `A` and to trigger the shifted variant. On
 //! error the outputs hold unspecified values.
 
+use crate::backend::blocked::{isa, isa_dispatch, Isa};
 use crate::backend::Backend;
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
@@ -59,7 +70,7 @@ fn zero_strict_upper(mut a: MatMut<'_>) {
 
 /// Unblocked lower Cholesky on a view, in place: on return the lower triangle
 /// of `a` holds `L`; the strict upper triangle is zeroed.
-fn potrf_unblocked(mut a: MatMut<'_>, index_offset: usize) -> Result<(), CholeskyError> {
+fn potrf_unblocked(which: Isa, a: MatMut<'_>, index_offset: usize) -> Result<(), CholeskyError> {
     // Chaos faultpoint at the pivot site: an injected breakdown is
     // indistinguishable from a genuine loss of positive-definiteness to
     // everything upstream (suppressed inside SPMD regions; see
@@ -70,32 +81,91 @@ fn potrf_unblocked(mut a: MatMut<'_>, index_offset: usize) -> Result<(), Cholesk
             pivot: f64::NEG_INFINITY,
         });
     });
+    potrf_lanes(which, a).map_err(|(j, pivot)| CholeskyError {
+        index: index_offset + j,
+        pivot,
+    })
+}
+
+/// Left-looking Cholesky of `a` in place, returning the failing column and
+/// its pivot. The factor is computed in the upper triangle, where column `j`
+/// of `L` is the contiguous row `j` of `Lᵀ`: the lower triangle is mirrored
+/// there first and the result mirrored back. The entries `i ≥ j` of column
+/// `j` advance as lanes, up to 32 at a time in registers, through the
+/// sequence the loop form gave each element — `s ← a_ij`, `s −= l_ik · l_jk`
+/// for ascending `k < j` — and then the pivot `d = s_jj` is checked,
+/// `l_jj = √d` and `l_ij = s_ij / l_jj`.
+///
+/// Groups are laid from the end of the row leftwards, each as wide as the
+/// lanes it has left (a power of two, at most 32). A group may reach left
+/// of the pivot into the strict lower triangle, which is dead once mirrored:
+/// those lanes compute unused values.
+#[inline(always)]
+fn potrf_lanes_body(mut a: MatMut<'_>) -> Result<(), (usize, f64)> {
     let n = a.rows();
     for j in 0..n {
-        let mut d = a.at(j, j);
-        for k in 0..j {
-            let v = a.at(j, k);
-            d -= v * v;
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return Err(CholeskyError {
-                index: index_offset + j,
-                pivot: d,
-            });
-        }
-        let ljj = d.sqrt();
-        a.set(j, j, ljj);
-        for i in (j + 1)..n {
-            let mut s = a.at(i, j);
-            // s -= Σ_{k<j} L[i][k]·L[j][k]
-            for k in 0..j {
-                s -= a.at(i, k) * a.at(j, k);
-            }
-            a.set(i, j, s / ljj);
+        for i in j + 1..n {
+            let v = a.at(i, j);
+            a.set(j, i, v);
         }
     }
-    zero_strict_upper(a);
+    for j in 0..n {
+        let mut end = n;
+        while end > j {
+            let w = end - j;
+            let fit = if w > 16 { 32 } else { w.next_power_of_two() };
+            let g = if fit <= end { fit } else { 1 << w.ilog2() };
+            match g {
+                32 => chol_lanes::<32>(a.rb_mut(), j, end - g),
+                16 => chol_lanes::<16>(a.rb_mut(), j, end - g),
+                8 => chol_lanes::<8>(a.rb_mut(), j, end - g),
+                4 => chol_lanes::<4>(a.rb_mut(), j, end - g),
+                2 => chol_lanes::<2>(a.rb_mut(), j, end - g),
+                _ => chol_lanes::<1>(a.rb_mut(), j, end - g),
+            }
+            end = end.saturating_sub(g);
+        }
+        let row = a.row_mut(j);
+        let d = row[j];
+        if d <= 0.0 || !d.is_finite() {
+            return Err((j, d));
+        }
+        let ljj = d.sqrt();
+        row[j] = ljj;
+        for v in &mut row[j + 1..] {
+            *v /= ljj;
+        }
+    }
+    // Bottom-up, so each row's upper part is cleared only after the rows
+    // below it have read their entries out of it.
+    for i in (0..n).rev() {
+        for j in 0..i {
+            let v = a.at(j, i);
+            a.set(i, j, v);
+        }
+        a.row_mut(i)[i + 1..].fill(0.0);
+    }
     Ok(())
+}
+
+/// Lanes `i..i + G` of column `j`: `s −= l_ik · l_jk` over the finished
+/// columns `k < j`, with the `G` sums in registers.
+#[inline(always)]
+fn chol_lanes<const G: usize>(mut a: MatMut<'_>, j: usize, i: usize) {
+    let mut acc = [0.0f64; G];
+    acc.copy_from_slice(&a.row(j)[i..i + G]);
+    for k in 0..j {
+        let lk = a.row(k);
+        let (ljk, lik) = (lk[j], &lk[i..i + G]);
+        for l in 0..G {
+            acc[l] -= lik[l] * ljk;
+        }
+    }
+    a.row_mut(j)[i..i + G].copy_from_slice(&acc);
+}
+
+isa_dispatch! {
+    fn potrf_lanes(a: MatMut<'_>) -> Result<(), (usize, f64)> => potrf_lanes_body
 }
 
 /// Blocked right-looking Cholesky: factors `A = LLᵀ` in place, returning the
@@ -111,13 +181,13 @@ pub fn potrf(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) -> Re
     assert_eq!(a.cols(), n, "Cholesky input must be square");
     const NB: usize = 64;
     if n <= NB {
-        return potrf_unblocked(a, 0);
+        return potrf_unblocked(isa(), a, 0);
     }
     let mut k = 0;
     while k < n {
         let nb = NB.min(n - k);
         // Factor diagonal block.
-        potrf_unblocked(a.rb_mut().sub(k, k, nb, nb), k)?;
+        potrf_unblocked(isa(), a.rb_mut().sub(k, k, nb, nb), k)?;
         if k + nb < n {
             let rest = n - k - nb;
             // Panel solve: A[k+nb.., k..k+nb] ← A[k+nb.., k..k+nb] · L[k,k]⁻ᵀ
@@ -147,21 +217,67 @@ pub fn potrf(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) -> Re
     Ok(())
 }
 
-/// Unblocked inverse of a lower-triangular matrix by forward substitution;
-/// `y` ends exactly lower triangular.
-fn trtri_unblocked(l: MatRef<'_>, mut y: MatMut<'_>) {
+/// Unblocked inverse of a lower-triangular matrix, in row-axpy form; `y`
+/// ends exactly lower triangular. Row `i` of `Y` is `−(Σ_k l_ik · y_k) / l_ii`
+/// over the finished rows `k < i`: its entries are the lanes, `G` at a time
+/// in registers, and each runs the sequence the column loop gave it —
+/// `s ← +0`, `s += l_ik · y_kj` for ascending `k ∈ [j, i)`, `y_ij = −s / l_ii`.
+/// A lane `j > k` takes no term at step `k` (masked, not multiplied by the
+/// zero above the diagonal), so non-finite entries reach exactly the
+/// entries they reach in the column loop.
+#[inline(always)]
+fn trtri_body(l: MatRef<'_>, mut y: MatMut<'_>) {
     let n = l.rows();
-    y.fill(0.0);
-    for j in 0..n {
-        y.set(j, j, 1.0 / l.at(j, j));
-        for i in (j + 1)..n {
-            let mut s = 0.0;
-            for k in j..i {
-                s += l.at(i, k) * y.at(k, j);
-            }
-            y.set(i, j, -s / l.at(i, i));
+    // Row `i` has `i` lanes: the narrowest power-of-two group that holds
+    // them, capped by the row length and at 32.
+    let cap = 32.min(1 << n.max(1).ilog2());
+    for i in 0..n {
+        match i.next_power_of_two().min(cap) {
+            32 => trtri_row::<32>(l, y.rb_mut(), i),
+            16 => trtri_row::<16>(l, y.rb_mut(), i),
+            8 => trtri_row::<8>(l, y.rb_mut(), i),
+            4 => trtri_row::<4>(l, y.rb_mut(), i),
+            2 => trtri_row::<2>(l, y.rb_mut(), i),
+            _ => trtri_row::<1>(l, y.rb_mut(), i),
         }
+        let yi = y.row_mut(i);
+        yi[i] = 1.0 / l.at(i, i);
+        yi[i + 1..].fill(0.0);
     }
+}
+
+/// Lanes `0..i` of row `i` in groups of `G ≤ n`. The last group is shifted
+/// left to end inside the row, recomputing the lanes it overlaps to the same
+/// bits; lanes past the diagonal are rewritten by the caller.
+#[inline(always)]
+fn trtri_row<const G: usize>(l: MatRef<'_>, mut y: MatMut<'_>, i: usize) {
+    let (n, li) = (l.rows(), l.row(i));
+    let mut g0 = 0;
+    while g0 < i {
+        let start = g0.min(n - G);
+        let mut acc = [0.0f64; G];
+        for k in start..i {
+            let (lik, yk) = (li[k], &y.row(k)[start..start + G]);
+            if k + 1 < start + G {
+                // +0 leaves an untouched lane's +0 sum as it is.
+                for l in 0..G {
+                    acc[l] += if start + l <= k { lik * yk[l] } else { 0.0 };
+                }
+            } else {
+                for l in 0..G {
+                    acc[l] += lik * yk[l];
+                }
+            }
+        }
+        for (v, s) in y.row_mut(i)[start..start + G].iter_mut().zip(acc) {
+            *v = -s / li[i];
+        }
+        g0 = start + G;
+    }
+}
+
+isa_dispatch! {
+    fn trtri_unblocked(l: MatRef<'_>, y: MatMut<'_>) => trtri_body
 }
 
 /// `Y₂₁ = −Y₂₂·(L₂₁·Y₁₁)`, the off-diagonal block both recursions finish
@@ -191,7 +307,7 @@ pub fn trtri_lower(l: MatRef<'_>, y: MatMut<'_>, backend: &dyn Backend, ws: &mut
     assert_eq!(l.cols(), n, "triangular inverse input must be square");
     assert_eq!((y.rows(), y.cols()), (n, n), "triangular inverse output shape mismatch");
     if n <= RECURSION_NB {
-        return trtri_unblocked(l, y);
+        return trtri_unblocked(isa(), l, y);
     }
     let h = n / 2;
     let (mut y11, mut y12, y21, mut y22) = y.split_quad(h, h);
@@ -244,8 +360,8 @@ fn cholinv_at(
     let n = a.rows();
     if n <= RECURSION_NB {
         l.copy_from(a);
-        potrf_unblocked(l.rb_mut(), index_offset)?;
-        trtri_unblocked(l.rb(), y);
+        potrf_unblocked(isa(), l.rb_mut(), index_offset)?;
+        trtri_unblocked(isa(), l.rb(), y);
         return Ok(());
     }
     let h = n / 2;
@@ -276,10 +392,59 @@ fn cholinv_at(
 
 #[cfg(test)]
 mod tests {
+    use super::{zero_strict_upper, CholeskyError};
+    use crate::backend::blocked::Isa;
     use crate::backend::BackendKind;
     use crate::gemm::{matmul, Trans};
+    use crate::matrix::{MatMut, MatRef};
     use crate::norms::{frobenius, max_abs};
     use crate::{cholinv, potrf, trtri_lower, Matrix, Workspace};
+
+    /// The dot-form loop [`super::potrf_unblocked`] replaced: the bitwise reference.
+    fn potrf_unblocked_reference(mut a: MatMut<'_>, index_offset: usize) -> Result<(), CholeskyError> {
+        let n = a.rows();
+        for j in 0..n {
+            let mut d = a.at(j, j);
+            for k in 0..j {
+                let v = a.at(j, k);
+                d -= v * v;
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(CholeskyError {
+                    index: index_offset + j,
+                    pivot: d,
+                });
+            }
+            let ljj = d.sqrt();
+            a.set(j, j, ljj);
+            for i in (j + 1)..n {
+                let mut s = a.at(i, j);
+                // s -= Σ_{k<j} L[i][k]·L[j][k]
+                for k in 0..j {
+                    s -= a.at(i, k) * a.at(j, k);
+                }
+                a.set(i, j, s / ljj);
+            }
+        }
+        zero_strict_upper(a);
+        Ok(())
+    }
+
+    /// The column loop [`super::trtri_unblocked`] replaced: the bitwise reference.
+    fn trtri_unblocked_reference(l: MatRef<'_>, mut y: MatMut<'_>) {
+        let n = l.rows();
+        y.fill(0.0);
+        for j in 0..n {
+            y.set(j, j, 1.0 / l.at(j, j));
+            for i in (j + 1)..n {
+                let mut s = 0.0;
+                for k in j..i {
+                    s += l.at(i, k) * y.at(k, j);
+                }
+                y.set(i, j, -s / l.at(i, i));
+            }
+        }
+    }
 
     /// Builds a well-conditioned SPD matrix: AᵀA + n·I of a seeded pseudo-random A.
     fn spd(n: usize) -> Matrix {
@@ -290,6 +455,113 @@ mod tests {
             s.set(i, i, v + n as f64);
         }
         s
+    }
+
+    /// Every size the lane groups split differently, plus a blocked one.
+    fn sizes() -> impl Iterator<Item = usize> {
+        (1..=130).chain([193])
+    }
+
+    /// [`spd`] with NaN in the strict upper triangle, which no kernel reads.
+    fn spd_with_upper_junk(n: usize) -> Matrix {
+        let mut a = spd(n);
+        for i in 0..n {
+            a.as_mut().row_mut(i)[i + 1..].fill(f64::NAN);
+        }
+        a
+    }
+
+    /// Bitwise equality, except that any NaN matches any NaN: the compiler
+    /// may swap the operands of an add, so which NaN payload and sign an
+    /// operation on two NaNs returns is not fixed even for the loop itself.
+    fn same_bits(g: f64, w: f64) -> bool {
+        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan())
+    }
+
+    fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {
+        for (k, (&g, &w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert!(same_bits(g, w), "{what}: element {k} is {g}, the loop gave {w}");
+        }
+    }
+
+    /// The lane kernels are the loops they replaced, bit for bit, under
+    /// every instruction set the CPU has.
+    #[test]
+    fn unblocked_kernels_are_bitwise_the_loops_they_replaced_under_every_isa() {
+        // No injected breakdown on this thread: both sides must run.
+        let _quiet = crate::fault::spmd_scope();
+        for which in Isa::available() {
+            for n in sizes() {
+                let a = spd_with_upper_junk(n);
+                let (mut want, mut got) = (a.clone(), a.clone());
+                potrf_unblocked_reference(want.as_mut(), 3).unwrap();
+                super::potrf_unblocked(which, got.as_mut(), 3).unwrap();
+                assert_bits(&got, &want, &format!("{which:?} potrf n={n}"));
+                let mut l = want;
+                for i in 0..n {
+                    l.as_mut().row_mut(i)[i + 1..].fill(f64::NAN);
+                }
+                let mut want = Matrix::from_fn(n, n, |_, _| f64::NAN);
+                let mut got = want.clone();
+                trtri_unblocked_reference(l.as_ref(), want.as_mut());
+                super::trtri_unblocked(which, l.as_ref(), got.as_mut());
+                assert_bits(&got, &want, &format!("{which:?} trtri n={n}"));
+            }
+        }
+    }
+
+    /// Non-finite entries below the diagonal reach exactly the entries of
+    /// the inverse they reached in the loop: a lane takes no term before its
+    /// column, so an infinite `l_ik` is never multiplied by a zero above the
+    /// diagonal of `Y`.
+    #[test]
+    fn unblocked_inverse_propagates_non_finite_entries_like_the_loop() {
+        for which in Isa::available() {
+            for (n, (i, k), v) in [
+                (5, (3, 1), f64::INFINITY),
+                (40, (33, 2), f64::NAN),
+                (70, (69, 40), f64::NEG_INFINITY),
+            ] {
+                let mut l = spd(n);
+                potrf(l.as_mut()).unwrap();
+                l.set(i, k, v);
+                let mut want = Matrix::from_fn(n, n, |_, _| 7.0);
+                let mut got = want.clone();
+                trtri_unblocked_reference(l.as_ref(), want.as_mut());
+                super::trtri_unblocked(which, l.as_ref(), got.as_mut());
+                assert_bits(&got, &want, &format!("{which:?} n={n}, {v} at ({i},{k})"));
+            }
+        }
+    }
+
+    /// A breakdown reports the same column and the same pivot bits as the
+    /// loop: negative, zero, NaN and infinite pivots, and non-finite entries
+    /// that reach a pivot through the sums.
+    #[test]
+    fn unblocked_cholesky_fails_where_the_loop_failed() {
+        let _quiet = crate::fault::spmd_scope();
+        let cases: [(usize, (usize, usize), f64); 8] = [
+            (5, (0, 0), -1.0),
+            (40, (37, 37), -1e9),
+            (64, (63, 63), 0.0),
+            (33, (12, 12), f64::NAN),
+            (17, (16, 16), f64::INFINITY),
+            (70, (50, 3), f64::NAN),
+            (48, (47, 46), f64::INFINITY),
+            (9, (4, 1), 1e200),
+        ];
+        for which in Isa::available() {
+            for (n, (i, j), v) in cases {
+                let mut a = spd_with_upper_junk(n);
+                a.set(i, j, v);
+                let want = potrf_unblocked_reference(a.clone().as_mut(), 11).unwrap_err();
+                let got = super::potrf_unblocked(which, a.as_mut(), 11).unwrap_err();
+                assert!(
+                    got.index == want.index && same_bits(got.pivot, want.pivot),
+                    "{which:?} n={n}, {v} at ({i},{j}): {got:?} vs {want:?}"
+                );
+            }
+        }
     }
 
     fn reconstruct_err(a: &Matrix, l: &Matrix) -> f64 {

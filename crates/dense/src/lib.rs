@@ -16,7 +16,8 @@
 //! * [`gemm()`] — general matrix multiply with transpose flags (the naive
 //!   reference path; backend-routed code calls `Backend::gemm`).
 //! * [`syrk()`] — symmetric rank-k update `C = AᵀA` (naive reference).
-//! * [`trsm`] — triangular solves and multiplies (naive reference).
+//! * [`trsm`] — triangular solves (naive reference) and the triangular
+//!   product `U₂·U₁` (on the blocked microkernel).
 //! * [`cholesky`] — blocked Cholesky, triangular inversion, and the paper's
 //!   joint `CholInv` recursion (Algorithm 2).
 //! * [`update`] — rank-k row append / downdate of a triangular factor.
@@ -53,11 +54,12 @@
 //! Backend, &mut Workspace)`: operands and results are [`MatRef`]/[`MatMut`]
 //! views (an output's contents on entry are ignored), every temporary comes
 //! from the caller's [`Workspace`], and a warm call allocates nothing
-//! ([`trsm::trmm_upper_upper`], with neither products nor scratch, takes
-//! just the views). There are no `_with` / `_ws` / `_into` twins; CI counts
-//! them. The thread-local arena ([`workspace::with_thread_local`]) serves
-//! `Blocked`'s pack buffers, [`cond_estimate`]'s two vectors and the
-//! sequential `cacqr::cqr` / `cacqr::panel` helpers, nothing else.
+//! ([`trsm::trmm_upper_upper`], with no backend argument, takes just the
+//! views). There are no `_with` / `_ws` / `_into` twins; CI counts them.
+//! The thread-local arena ([`workspace::with_thread_local`]) serves
+//! `Blocked`'s pack buffers and solve lanes, `trmm_upper_upper`'s packs,
+//! [`cond_estimate`]'s two vectors and the sequential `cacqr::cqr` /
+//! `cacqr::panel` helpers, nothing else.
 //!
 //! **The oracle is exempt.** The free loop nests [`gemm()`], [`matmul`],
 //! [`syrk()`] / [`syrk_into`] and the five `trsm::trsm_*` solves are the

@@ -5,6 +5,11 @@
 //! (the paper's default path) or a right-sided triangular solve (the
 //! `InverseDepth > 0` path). Both row-sweep kernels below are `O(m·n²)` for an
 //! `m × n` right-hand side.
+//!
+//! The five solves are the oracle loop nests: `backend::Naive` forwards to
+//! them, and the `Blocked` backend's diagonal-block solves reproduce their
+//! bits. [`trmm_upper_upper`] is the exception — it runs on the blocked
+//! backend's packed microkernel, whichever backend the caller uses.
 
 use crate::matrix::{MatMut, MatRef};
 
@@ -149,26 +154,17 @@ pub fn trsm_left_lower_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
 /// which ends exactly upper triangular (its strict lower part is zeroed).
 /// Used for the CQR2 update `R = R₂·R₁` (paper Algorithm 5 line 3, charged
 /// `n³/3` flops) and by the streaming updates, which hand it arena storage.
-pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
+///
+/// Unlike the solves above this is not a loop nest: it runs on the blocked
+/// backend's packed microkernel (pack buffers from the thread-local arena).
+/// For finite operands each element is the row-axpy sum bit for bit: `+0`,
+/// plus `u2_ik · u1_kj` for ascending `k`, skipping zero `u2_ik`.
+pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>, out: MatMut<'_>) {
     let n = u2.rows();
     assert_eq!(u2.cols(), n);
     assert_eq!((u1.rows(), u1.cols()), (n, n));
     assert_eq!((out.rows(), out.cols()), (n, n));
-    for i in 0..n {
-        let dst = out.row_mut(i);
-        dst.fill(0.0);
-        for k in i..n {
-            let v = u2.at(i, k);
-            if v == 0.0 {
-                continue;
-            }
-            // Row i of the result accumulates v * row k of u1, columns k..n only
-            // (earlier columns of row k are structurally zero).
-            for (d, s) in dst[k..].iter_mut().zip(&u1.row(k)[k..]) {
-                *d += v * s;
-            }
-        }
-    }
+    crate::backend::blocked::trmm_upper_upper_with_isa(crate::backend::blocked::isa(), u2, u1, out);
 }
 
 #[cfg(test)]
@@ -176,6 +172,29 @@ mod tests {
     use super::*;
     use crate::gemm::{matmul, Trans};
     use crate::matrix::Matrix;
+
+    /// The row-axpy loop [`trmm_upper_upper`] replaced: the bitwise reference.
+    fn trmm_upper_upper_reference(u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
+        let n = u2.rows();
+        assert_eq!(u2.cols(), n);
+        assert_eq!((u1.rows(), u1.cols()), (n, n));
+        assert_eq!((out.rows(), out.cols()), (n, n));
+        for i in 0..n {
+            let dst = out.row_mut(i);
+            dst.fill(0.0);
+            for k in i..n {
+                let v = u2.at(i, k);
+                if v == 0.0 {
+                    continue;
+                }
+                // Row i of the result accumulates v * row k of u1, columns k..n only
+                // (earlier columns of row k are structurally zero).
+                for (d, s) in dst[k..].iter_mut().zip(&u1.row(k)[k..]) {
+                    *d += v * s;
+                }
+            }
+        }
+    }
 
     fn lower_test_matrix(n: usize) -> Matrix {
         Matrix::from_fn(n, n, |i, j| {
@@ -259,6 +278,38 @@ mod tests {
                 assert!((p.get(i, j) - reference.get(i, j)).abs() < 1e-12);
                 if j < i {
                     assert_eq!(p.get(i, j), 0.0, "product must be exactly upper triangular");
+                }
+            }
+        }
+    }
+
+    /// The packed product is the row-axpy loop bit for bit under every
+    /// instruction set: NaN below the diagonals (never read as values),
+    /// exact zeros inside the triangles (the loop skips those terms), and a
+    /// NaN-filled output (every element is written).
+    #[test]
+    fn trmm_is_bitwise_the_loop_it_replaced_under_every_isa() {
+        use crate::backend::blocked::{trmm_upper_upper_with_isa, Isa};
+        let upper = |n: usize, salt: usize| {
+            Matrix::from_fn(n, n, |i, j| match (i, j) {
+                (i, j) if j < i => f64::NAN,
+                (i, j) if (i * 7 + j * 3 + salt).is_multiple_of(11) && i != j => 0.0,
+                (i, j) => ((i * n + j + salt) as f64 * 0.37).sin() + if i == j { 2.0 } else { 0.0 },
+            })
+        };
+        for which in Isa::available() {
+            for n in (1..=130).chain([193]) {
+                let (u2, u1) = (upper(n, 1), upper(n, 4));
+                let mut want = Matrix::from_fn(n, n, |_, _| f64::NAN);
+                let mut got = want.clone();
+                trmm_upper_upper_reference(u2.as_ref(), u1.as_ref(), want.as_mut());
+                trmm_upper_upper_with_isa(which, u2.as_ref(), u1.as_ref(), got.as_mut());
+                for (k, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{which:?} n={n}: element {k} is {g}, the loop gave {w}"
+                    );
                 }
             }
         }

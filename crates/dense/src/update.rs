@@ -32,7 +32,15 @@
 //! Both kernels are **transactional** (on error `r` is left untouched),
 //! **deterministic** (every product is a thread-count-invariant backend
 //! kernel), and **allocation-free when warm** (all scratch drawn from the
-//! caller's [`Workspace`] arena).
+//! caller's [`Workspace`] arena; the `Blocked` solves and the triangular
+//! product draw theirs from the thread-local arena).
+//!
+//! Besides the level-3 `gemm` / SYRK, a step spends its time in the
+//! triangular tier: the two `potrf` calls of a downdate panel and the one
+//! of an append, the `W = B·R⁻¹` solve, and the `Lᵀ·R` product
+//! ([`trmm_upper_upper`]). Those run their independent elements in SIMD
+//! lanes with the scalar loops' operation order, so an update's bits do
+//! not depend on the instruction set.
 
 use crate::backend::Backend;
 use crate::cholesky::{potrf, CholeskyError};

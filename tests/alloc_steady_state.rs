@@ -238,6 +238,10 @@ fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
 /// and is counted exactly: `dense::gemm::gemm` packs a transposed operand
 /// into a fresh matrix, once per `Trans::Yes` product — `potrf`'s trailing
 /// update per block, CholInv's `A21·Y11ᵀ` and `L21·L21ᵀ` per split.
+/// The triangular tier under them holds it too: the four `Blocked` TRSMs on
+/// ragged (67 × 130) and block-aligned (64 × 128) operands and
+/// `trmm_upper_upper` draw their lane and pack scratch from the warm
+/// thread-local arena.
 #[test]
 fn warm_cholesky_kernels_are_allocation_free() {
     let _serial = serial();
@@ -283,6 +287,27 @@ fn warm_cholesky_kernels_are_allocation_free() {
                 "{kind} n={n}: warm [potrf, trtri_lower, cholinv] heap allocations"
             );
         }
+    }
+    let blocked = BackendKind::Blocked.get();
+    for (m, n) in [(67usize, 130usize), (64, 128)] {
+        let mut u = blocked.syrk(well_conditioned(2 * n, n, 47).as_ref());
+        potrf(u.as_mut(), blocked, &mut Workspace::new()).unwrap();
+        let l = u.clone();
+        let u = u.transposed();
+        let b = well_conditioned(m, n, 53);
+        let (mut x, mut xt, mut r) = (b.clone(), b.transposed(), Matrix::zeros(n, n));
+        let mut round = || {
+            x.copy_from(b.as_ref());
+            let start = allocations();
+            blocked.trsm_right_upper(u.as_ref(), x.as_mut());
+            blocked.trsm_right_lower_trans(l.as_ref(), x.as_mut());
+            blocked.trsm_left_lower(l.as_ref(), xt.as_mut());
+            blocked.trsm_left_upper(u.as_ref(), xt.as_mut());
+            dense::trmm_upper_upper(u.as_ref(), u.as_ref(), r.as_mut());
+            allocations() - start
+        };
+        round();
+        assert_eq!(round(), 0, "{m}x{n}: warm blocked TRSMs and trmm heap allocations");
     }
 }
 
