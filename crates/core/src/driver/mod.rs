@@ -451,10 +451,10 @@ impl QrPlan {
     /// pure function of `(a, Q, R)`, `m` and the plan's rank count: bitwise
     /// equal across the two runtimes and under any `CACQR_THREADS`. A matrix
     /// of one panel, or a plan of one rank, is one slab: a plain call on the
-    /// calling thread, no region. On the two-core reference box the
-    /// diagnostics are ≈ 8.5 ms of a ≈ 27.5 ms 16384 × 64 factor on 2
-    /// shared-memory ranks, against ≈ 12 ms for the same work on one thread
-    /// (README, "Performance"). Computing them eagerly
+    /// calling thread, no region. On a two-vCPU AVX-512 box the diagnostics
+    /// region takes ≈ 7–8 ms of a ≈ 20–21 ms 16384 × 64 factor on 2
+    /// shared-memory ranks, against ≈ 11–12 ms for the same work on one
+    /// thread (README, "Performance"). Computing them eagerly
     /// keeps the report self-contained: the alternative — lazy diagnostics —
     /// would have to retain a copy of `a` inside every report, which is
     /// strictly worse for the batching path. Callers that need the factors

@@ -6,12 +6,25 @@
 //! ```text
 //! for jc in steps of NC over n:              (B column block)
 //!   for pc in steps of KC over k:            (contraction block)
-//!     pack op(B)[pc, jc] into NR-wide column micro-panels
+//!     pack op(B)[pc, jc] into NR-wide column micro-panels,
+//!       noting each panel's nonzero band [lo, hi) of k rows
 //!     for ic in steps of MC over m:          (A row block — parallel)
-//!       pack op(A)[ic, pc] into MR-tall row micro-panels
+//!       op(A) = A: read its MR-row micro-panels in place
+//!       op(A) = Aᵀ, or a ragged last micro-panel: pack MR-tall panels
 //!       for each (MR × NR) tile of C[ic, jc]:
-//!         microkernel: MR×NR register accumulators over the KC range
+//!         microkernel: MR×NR register accumulators over [lo, hi),
+//!           or the whole KC range if the A micro-panel is not all finite
+//!         first KC block: C = β·C + α·acc (0 + α·acc at β = 0); later: C += α·acc
 //! ```
+//!
+//! None of the three shortcuts changes a bit. Every accumulator starts at
+//! `+0` and never becomes `−0`, so adding the `±0` product of a finite `A`
+//! entry and an exact-zero `B` row leaves it unchanged: skipping `B`'s
+//! leading and trailing zero rows (a triangular factor's zero triangle) is
+//! exact, and an `A` micro-panel holding an `∞` or NaN takes the full range
+//! so `∞·0 = NaN` still lands where it did. Reading `A` in place changes
+//! only where the loads come from. Folding `β` into the first store performs
+//! the operations the separate fill or scale pass did, in the same order.
 //!
 //! Packing reads the operands *through* their transpose flags, so a
 //! transposed operand costs only a strided panel copy that the kernel needs
@@ -111,7 +124,9 @@ fn op_shape(a: MatRef<'_>, t: Trans) -> (usize, usize) {
 
 /// Packs `op(A)[row0 .. row0+mc, k0 .. k0+kc]` into MR-tall micro-panels:
 /// panel `ip` holds rows `ip·MR ..` as `kc` consecutive MR-vectors
-/// (zero-padded past `mc`).
+/// (zero-padded past `mc`). `gemm` packs only `op(A) = Aᵀ` and the ragged
+/// last micro-panel of an untransposed `A`, whose full panels it reads in
+/// place; the SYRK fallback and `trmm_upper_upper` pack their operands whole.
 fn pack_a(a: MatRef<'_>, ta: Trans, row0: usize, mc: usize, k0: usize, kc: usize, buf: &mut [f64]) {
     let panels = mc.div_ceil(MR);
     debug_assert!(buf.len() >= panels * kc * MR);
@@ -295,6 +310,36 @@ isa_dispatch! {
     fn microkernel(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] => microkernel_body
 }
 
+/// The tile body over `op(A) = A` read in place: `arows` are the `MR` rows
+/// of the micro-panel over one `k` range, so each `k` step broadcasts one
+/// entry per row as the packed body does, without the `pack_a` transpose.
+/// Same ascending-`k` accumulation, identical bits. The destructuring pins
+/// `MR = 4`, and the zipped iterators keep the loop free of bounds checks.
+#[inline(always)]
+fn microkernel_body_rows(arows: [&[f64]; MR], bpanel: &[f64]) -> [[f64; NR]; MR] {
+    let mut acc = [[0.0f64; NR]; MR];
+    let [a0, a1, a2, a3] = arows;
+    for ((((b, &x0), &x1), &x2), &x3) in bpanel.chunks_exact(NR).zip(a0).zip(a1).zip(a2).zip(a3) {
+        let b: &[f64; NR] = b.try_into().unwrap();
+        for (acc_row, ar) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+            for c in 0..NR {
+                acc_row[c] += ar * b[c];
+            }
+        }
+    }
+    acc
+}
+
+/// The `k` rows `[lo, hi)` of a packed `B` micro-panel outside which every
+/// entry is an exact zero (`lo == hi` when the panel is all zeros).
+fn nonzero_band(panel: &[f64], kc: usize) -> (usize, usize) {
+    let rows = panel[..kc * NR].chunks_exact(NR);
+    let zero = |row: &&[f64]| row.iter().all(|&v| v == 0.0);
+    let lo = rows.clone().take_while(zero).count();
+    let hi = kc - rows.rev().take_while(zero).count();
+    (lo, hi.max(lo))
+}
+
 /// The syrk specialization of the tile body: the `A` operand is read
 /// *directly out of the packed `B` buffer* — for `AᵀA` both packed
 /// operands hold the same columns of `A` over the same `k` range, so the
@@ -328,8 +373,14 @@ isa_dispatch! {
         microkernel_body_packed_b
 }
 
-/// Multiplies one packed `A` row block against the packed `B` block,
-/// accumulating `alpha ·` the product into the `mc × nc` view `cblk`.
+/// Multiplies one row block of `op(A)` — its first `arows.rows()` rows (a
+/// multiple of `MR`) read in place, the rest the micro-panels `pack_a`
+/// wrote into `apack` — against the packed `B` block, and stores
+/// `beta · cblk + alpha ·` the product into `cblk` (`0 + alpha ·` the
+/// product at `beta = 0`, which never reads `cblk`) with each tile's
+/// accumulators still in registers. The tiles against `B` panel `jp`
+/// contract over `bands[jp]` only, except for `A` micro-panels that hold an
+/// `∞` or NaN.
 ///
 /// `skip_above_diag` is the syrk specialization: with
 /// `Some((row0, col0))` — the global coordinates of `cblk`'s top-left
@@ -337,44 +388,75 @@ isa_dispatch! {
 /// skipped. Tiles that touch or straddle the diagonal are computed (and
 /// written) in full, which keeps every written element's accumulation
 /// order identical to the unskipped product.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS block-product shape
-fn block_product(
-    which: Isa,
+fn block_product_body(
     alpha: f64,
+    beta: f64,
+    arows: MatRef<'_>,
     apack: &[f64],
     bpack: &[f64],
+    bands: &[(usize, usize)],
     kc: usize,
-    mc: usize,
-    nc: usize,
     mut cblk: MatMut<'_>,
     skip_above_diag: Option<(usize, usize)>,
 ) {
-    let npanels = nc.div_ceil(NR);
-    let mpanels = mc.div_ceil(MR);
-    for jp in 0..npanels {
-        let j0 = jp * NR;
-        let nr = NR.min(nc - j0);
-        let bpanel = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
-        // Lower-triangle specialization: the first row panel whose deepest
-        // row `row0 + ip·MR + MR − 1` reaches the tile's first column
-        // `col0 + j0`; everything before it is strictly above the diagonal.
-        let ip_start = match skip_above_diag {
-            Some((row0, col0)) => ((col0 + j0 + 1).saturating_sub(row0 + MR)).div_ceil(MR).min(mpanels),
-            None => 0,
+    let (mc, nc, in_place) = (cblk.rows(), cblk.cols(), arows.rows() / MR);
+    let banded = bands.iter().any(|&(lo, hi)| hi - lo < kc);
+    // `x − x` is `+0` for a finite `x` and NaN otherwise: OR-ing the bits
+    // tests a micro-panel in one branch-free read.
+    #[allow(clippy::eq_op)]
+    let nonfinite = |v: &[f64]| v.iter().fold(0, |bits, &x| bits | (x - x).to_bits());
+    for ip in 0..mc.div_ceil(MR) {
+        let (i0, mr) = (ip * MR, MR.min(mc - ip * MR));
+        let rows: Option<[&[f64]; MR]> = (ip < in_place).then(|| std::array::from_fn(|r| arows.row(i0 + r)));
+        let apanel = &apack[ip.saturating_sub(in_place) * kc * MR..];
+        // ∞·0 = NaN, so only an all-finite micro-panel skips `B`'s zero rows.
+        let finite = banded
+            && match rows {
+                Some(rows) => rows.iter().fold(0, |bits, row| bits | nonfinite(row)),
+                None => nonfinite(&apanel[..kc * MR]),
+            } == 0;
+        // Lower-triangle specialization: the strip stops before the first
+        // tile whose first column `col0 + j0` lies right of its deepest row
+        // `row0 + i0 + MR − 1`.
+        let panels = match skip_above_diag {
+            Some((row0, col0)) => (row0 + i0 + MR).saturating_sub(col0).div_ceil(NR).min(bands.len()),
+            None => bands.len(),
         };
-        for ip in ip_start..mpanels {
-            let i0 = ip * MR;
-            let mr = MR.min(mc - i0);
-            let apanel = &apack[ip * kc * MR..(ip + 1) * kc * MR];
-            let acc = microkernel(which, kc, apanel, bpanel);
+        for (jp, &band) in bands[..panels].iter().enumerate() {
+            let (j0, (lo, hi)) = (jp * NR, if finite { band } else { (0, kc) });
+            let bpanel = &bpack[(jp * kc + lo) * NR..];
+            let acc = match rows {
+                Some(rows) => microkernel_body_rows(rows.map(|row| &row[lo..hi]), bpanel),
+                None => microkernel_body(hi - lo, &apanel[lo * MR..], bpanel),
+            };
             for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                let dst = &mut cblk.row_mut(i0 + r)[j0..j0 + nr];
-                for (cv, &av) in dst.iter_mut().zip(acc_row) {
-                    *cv += alpha * av;
+                let tile = cblk.row_mut(i0 + r)[j0..nc.min(j0 + NR)].iter_mut().zip(acc_row);
+                if beta == 1.0 {
+                    tile.for_each(|(cv, &av)| *cv += alpha * av);
+                } else if beta == 0.0 {
+                    tile.for_each(|(cv, &av)| *cv = 0.0 + alpha * av);
+                } else {
+                    tile.for_each(|(cv, &av)| *cv = beta * *cv + alpha * av);
                 }
             }
         }
     }
+}
+
+isa_dispatch! {
+    fn block_product(
+        alpha: f64,
+        beta: f64,
+        arows: MatRef<'_>,
+        apack: &[f64],
+        bpack: &[f64],
+        bands: &[(usize, usize)],
+        kc: usize,
+        cblk: MatMut<'_>,
+        skip_above_diag: Option<(usize, usize)>,
+    ) => block_product_body
 }
 
 /// The syrk row-block product: like [`block_product`] with the
@@ -437,19 +519,19 @@ fn gemm_with_isa(
     assert_eq!(kb, k, "gemm inner dimension mismatch");
     assert_eq!((c.rows(), c.cols()), (m, n), "gemm output shape mismatch");
 
-    if beta != 1.0 {
-        for i in 0..m {
-            let row = c.row_mut(i);
-            if beta == 0.0 {
-                row.fill(0.0);
-            } else {
-                for v in row {
-                    *v *= beta;
+    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+        if beta != 1.0 {
+            for i in 0..m {
+                let row = c.row_mut(i);
+                if beta == 0.0 {
+                    row.fill(0.0);
+                } else {
+                    for v in row {
+                        *v *= beta;
+                    }
                 }
             }
         }
-    }
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
 
@@ -465,6 +547,7 @@ fn gemm_with_isa(
     // Both pack buffers live in the workspace arena — hoisted out of every
     // loop level; a warm thread allocates nothing here.
     let mut bpack = take_local_vec(NC.min(n).div_ceil(NR) * NR * KC.min(k));
+    let mut bands = [(0, 0); NC / NR];
 
     let mut jc = 0;
     while jc < n {
@@ -474,6 +557,12 @@ fn gemm_with_isa(
             let kc = KC.min(k - pc);
             pack_b(b, tb, pc, kc, jc, nc, &mut bpack);
             let bpack = &bpack[..nc.div_ceil(NR) * kc * NR];
+            for (band, panel) in bands.iter_mut().zip(bpack.chunks_exact(kc * NR)) {
+                *band = nonzero_band(panel, kc);
+            }
+            let bands = &bands[..nc.div_ceil(NR)];
+            // β folds into the first KC block's store; later blocks add.
+            let beta = if pc == 0 { beta } else { 1.0 };
 
             let nblocks = m.div_ceil(MC);
             let flops = 2.0 * m as f64 * nc as f64 * kc as f64;
@@ -486,13 +575,22 @@ fn gemm_with_isa(
             par_blocks(nblocks, workers, |blk| {
                 let i0 = blk * MC;
                 let mc = MC.min(m - i0);
-                let mut apack = take_local_vec(mc.div_ceil(MR) * MR * kc);
-                pack_a(a, ta, i0, mc, pc, kc, &mut apack);
+                // An untransposed `A` is read in place, all but a ragged
+                // last micro-panel; a transposed one is packed whole.
+                let arows = match ta {
+                    Trans::No => a.sub(i0, pc, mc / MR * MR, kc),
+                    Trans::Yes => a.sub(0, 0, 0, 0),
+                };
+                let len = (mc - arows.rows()).div_ceil(MR) * MR * kc;
+                let mut apack = if len > 0 { take_local_vec(len) } else { Vec::new() };
+                pack_a(a, ta, i0 + arows.rows(), mc - arows.rows(), pc, kc, &mut apack);
                 // SAFETY: row blocks [i0, i0+mc) are disjoint across
                 // `blk`, and `raw` stays valid for the whole call.
                 let cblk = unsafe { MatMut::from_raw_parts(raw.ptr.add(i0 * raw.stride + jc), mc, nc, raw.stride) };
-                block_product(which, alpha, &apack, bpack, kc, mc, nc, cblk, None);
-                recycle_local_vec(apack);
+                block_product(which, alpha, beta, arows, &apack, bpack, bands, kc, cblk, None);
+                if len > 0 {
+                    recycle_local_vec(apack);
+                }
             });
             pc += kc;
         }
@@ -561,7 +659,8 @@ fn syrk_into_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
                     // fall back to a packed A operand.
                     let mut apack = take_local_vec(mc.div_ceil(MR) * MR * kc);
                     pack_a(a, Trans::Yes, i0, mc, pc, kc, &mut apack);
-                    block_product(which, 1.0, &apack, bpack, kc, mc, nc, cblk, Some((i0, jc)));
+                    let (arows, bands) = (a.sub(0, 0, 0, 0), &[(0, kc); NC / NR][..nc.div_ceil(NR)]);
+                    block_product(which, 1.0, 1.0, arows, &apack, bpack, bands, kc, cblk, Some((i0, jc)));
                     recycle_local_vec(apack);
                 }
             });
@@ -980,6 +1079,111 @@ mod tests {
         for (k, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
             let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
             assert!(same, "{what}: element {k} is {g}, the oracle gave {w}");
+        }
+    }
+
+    /// The gemm body as it was before `A` was read in place, `B`'s zero bands
+    /// were skipped and `β` was folded into the first store: a fill or scale
+    /// pass over `C`, then every tile of packed `A` and packed `B` over the
+    /// full `KC` range, added into `C`.
+    #[allow(clippy::too_many_arguments)] // the BLAS dgemm signature
+    fn reference_gemm(
+        which: Isa,
+        alpha: f64,
+        a: MatRef<'_>,
+        ta: Trans,
+        b: MatRef<'_>,
+        tb: Trans,
+        beta: f64,
+        c: &mut Matrix,
+    ) {
+        let ((m, k), (_, n)) = (op_shape(a, ta), op_shape(b, tb));
+        if beta != 1.0 {
+            for v in c.data_mut() {
+                *v = if beta == 0.0 { 0.0 } else { *v * beta };
+            }
+        }
+        if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let mut bpack = vec![0.0; nc.div_ceil(NR) * NR * kc];
+                pack_b(b, tb, pc, kc, jc, nc, &mut bpack);
+                for ic in (0..m).step_by(MC) {
+                    let mc = MC.min(m - ic);
+                    let mut apack = vec![0.0; mc.div_ceil(MR) * MR * kc];
+                    pack_a(a, ta, ic, mc, pc, kc, &mut apack);
+                    for j0 in (0..nc).step_by(NR) {
+                        for i0 in (0..mc).step_by(MR) {
+                            let acc = microkernel(which, kc, &apack[i0 * kc..], &bpack[j0 * kc..]);
+                            for (r, acc_row) in acc.iter().enumerate().take(mc - i0) {
+                                for (j, &av) in acc_row.iter().enumerate().take(nc - j0) {
+                                    let (i, j) = (ic + i0 + r, jc + j0 + j);
+                                    c.set(i, j, c.get(i, j) + alpha * av);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gemm is the reference body above bit for bit under every ISA,
+    /// across shapes on both sides of `MR`, `NR`, `KC`, `MC` and `NC`, both
+    /// transpose flags, special `α` and `β`, `B` dense, triangular, all
+    /// zero and zero in its leading or trailing rows, `C` holding NaN or
+    /// `−0.0`, and `A` holding `±∞` and NaN in the rows `B`'s bands skip.
+    /// Each shape and `B` kind draws the other choices from a fixed
+    /// splitmix sequence.
+    #[test]
+    fn gemm_is_bitwise_the_reference_body_under_every_isa() {
+        let mut state = 0x5eed_u64;
+        let mut draw = |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let trans = [Trans::No, Trans::Yes];
+        for which in Isa::available() {
+            for m in [1, 3, 4, 5, 129, 300] {
+                for k in [1, 17, 64, 256, 257, 600] {
+                    for n in [1, 15, 16, 17, 64, 513] {
+                        for kind in ["dense", "upper", "lower", "zero", "zero first rows", "zero last rows"] {
+                            let (ta, tb) = (trans[draw(2)], trans[draw(2)]);
+                            let alpha = [1.0, -1.0, -2.5, 0.0][draw(4)];
+                            let beta = [0.0, 1.0, -2.5][draw(3)];
+                            let (zeros, dense) = ((k / 3).max(1), filled(k, n, 2));
+                            let opb = Matrix::from_fn(k, n, |p, j| match kind {
+                                "upper" if p > j => 0.0,
+                                "lower" if p < j => 0.0,
+                                "zero" => 0.0,
+                                "zero first rows" if p < zeros => 0.0,
+                                "zero last rows" if p + zeros >= k => 0.0,
+                                _ => dense.get(p, j),
+                            });
+                            let mut opa = filled(m, k, 1);
+                            if draw(2) == 1 {
+                                opa.set(0, k - 1, f64::INFINITY);
+                                opa.set(m - 1, 0, f64::NAN);
+                                opa.set(m / 2, k / 2, f64::NEG_INFINITY);
+                            }
+                            let c0 = Matrix::from_fn(m, n, |_, _| [f64::NAN, -0.0][draw(2)]);
+                            let a = if ta == Trans::No { opa } else { opa.transposed() };
+                            let b = if tb == Trans::No { opb } else { opb.transposed() };
+                            let mut want = c0.clone();
+                            reference_gemm(which, alpha, a.as_ref(), ta, b.as_ref(), tb, beta, &mut want);
+                            let mut got = c0;
+                            gemm_with_isa(which, alpha, a.as_ref(), ta, b.as_ref(), tb, beta, got.as_mut());
+                            let what = format!("{which:?} {m}x{k}x{n} {kind} {ta:?} {tb:?} α={alpha} β={beta}");
+                            assert_bits(&got, &want, &what);
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -11,13 +11,14 @@
 //!   correctness oracle: simple enough to audit by eye, and the reference
 //!   the property tests compare against.
 //! * [`Blocked`] — a cache-blocked implementation in the BLIS/faer style:
-//!   operands are packed into cache-sized panels (packing absorbs operand
-//!   transposes — no up-front full-matrix transpose copy), a register-tiled
-//!   `MR × NR` microkernel does the arithmetic, and independent row blocks
-//!   of `C` can be processed by a small thread pool. Its `syrk` is
-//!   *symmetry-aware*: upper-triangle micro-tiles are skipped (mirrored
-//!   afterwards) and the `A`-side micro-panels are derived from the packed
-//!   `B` buffer, while staying bitwise identical to the full
+//!   `B` and a transposed `A` are packed into cache-sized panels (packing
+//!   absorbs operand transposes — no up-front full-matrix transpose copy),
+//!   an untransposed `A` is read in place, a register-tiled `MR × NR`
+//!   microkernel does the arithmetic over each `B` panel's nonzero rows,
+//!   and independent row blocks of `C` can be processed by a small thread
+//!   pool. Its `syrk` is *symmetry-aware*: upper-triangle micro-tiles are
+//!   skipped (mirrored afterwards) and the `A`-side micro-panels are derived
+//!   from the packed `B` buffer, while staying bitwise identical to the full
 //!   `gemm(1, Aᵀ, A)`. Pack buffers come from the thread-local
 //!   [`crate::workspace`] arena, so warm threads allocate nothing.
 //!

@@ -1,7 +1,8 @@
 //! Property sweep: the `Blocked` backend must agree with the `Naive` oracle
 //! for gemm/syrk/trsm across transpose flags, alpha/beta ∈ {0, 1, −2.5},
-//! and edge shapes straddling every blocking boundary (microkernel MR/NR,
-//! contraction block KC, trsm block TRSM_NB), including empty dimensions —
+//! gemm `B` operands dense, triangular and all zero, and edge shapes
+//! straddling every blocking boundary (microkernel MR/NR, contraction block
+//! KC, trsm block TRSM_NB), including empty dimensions —
 //! and so must the report diagnostics built on them (`norms::qr_diagnostics`)
 //! and the rank-k block downdate (`update::rank_k_downdate`), which is
 //! also held to a Householder factor of the rows that remain.
@@ -35,6 +36,26 @@ fn framed(src: &Matrix, r0: usize, c0: usize) -> Matrix {
     big.view_mut(r0, c0, src.rows(), src.cols()).copy_from(src.as_ref());
     big
 }
+
+/// `b` with the zeros of a `kind` operand: `op(B)` upper or lower
+/// triangular, all zero, or (`"dense"`) untouched. The blocked gemm skips
+/// the zero rows of each packed `B` panel, so these are inputs of their own.
+fn gemm_b_kind(b: MatRef<'_>, tb: Trans, kind: &str) -> Matrix {
+    Matrix::from_fn(b.rows(), b.cols(), |r, c| {
+        let (p, j) = match tb {
+            Trans::No => (r, c),
+            Trans::Yes => (c, r),
+        };
+        match kind {
+            "upper" if p > j => 0.0,
+            "lower" if p < j => 0.0,
+            "zero" => 0.0,
+            _ => b.at(r, c),
+        }
+    })
+}
+
+const GEMM_B_KINDS: [&str; 4] = ["dense", "upper", "lower", "zero"];
 
 fn assert_close(label: &str, got: &Matrix, want: &Matrix, tol: f64) {
     assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{label}: shape");
@@ -70,19 +91,23 @@ fn gemm_matches_naive_across_shapes_flags_and_scalars() {
                         Trans::No => filled(m, k, 1),
                         Trans::Yes => filled(k, m, 1),
                     };
-                    let b = match tb {
+                    let dense_b = match tb {
                         Trans::No => filled(k, n, 2),
                         Trans::Yes => filled(n, k, 2),
                     };
                     let c0 = filled(m, n, 3);
-                    for &alpha in &scalars {
-                        for &beta in &scalars {
-                            let mut cn = c0.clone();
-                            naive.gemm(alpha, a.as_ref(), ta, b.as_ref(), tb, beta, cn.as_mut());
-                            let mut cb = c0.clone();
-                            blocked.gemm(alpha, a.as_ref(), ta, b.as_ref(), tb, beta, cb.as_mut());
-                            let label = format!("gemm m={m} n={n} k={k} ta={ta:?} tb={tb:?} α={alpha} β={beta}");
-                            assert_close(&label, &cb, &cn, 1e-12 * (k.max(1) as f64).sqrt());
+                    for kind in GEMM_B_KINDS {
+                        let b = gemm_b_kind(dense_b.as_ref(), tb, kind);
+                        for &alpha in &scalars {
+                            for &beta in &scalars {
+                                let mut cn = c0.clone();
+                                naive.gemm(alpha, a.as_ref(), ta, b.as_ref(), tb, beta, cn.as_mut());
+                                let mut cb = c0.clone();
+                                blocked.gemm(alpha, a.as_ref(), ta, b.as_ref(), tb, beta, cb.as_mut());
+                                let label =
+                                    format!("gemm {kind} m={m} n={n} k={k} ta={ta:?} tb={tb:?} α={alpha} β={beta}");
+                                assert_close(&label, &cb, &cn, 1e-12 * (k.max(1) as f64).sqrt());
+                            }
                         }
                     }
                 }
@@ -106,14 +131,19 @@ fn gemm_matches_on_strided_views_and_odd_sizes() {
     let naive = BackendKind::Naive.get();
     let blocked = BackendKind::Blocked.get();
     let big_a = filled(140, 300, 5);
-    let big_b = filled(300, 90, 6);
     let a = big_a.view(7, 11, 129, KC + 1);
-    let b = big_b.view(3, 5, KC + 1, 65);
-    let mut cn = filled(129, 65, 7);
-    let mut cb = cn.clone();
-    naive.gemm(-2.5, a, Trans::No, b, Trans::No, 1.0, cn.as_mut());
-    blocked.gemm(-2.5, a, Trans::No, b, Trans::No, 1.0, cb.as_mut());
-    assert_close("strided odd gemm", &cb, &cn, 1e-11);
+    for kind in GEMM_B_KINDS {
+        // The kind's zeros inside the window, the border left as it was.
+        let mut big_b = filled(300, 90, 6);
+        let window = gemm_b_kind(big_b.view(3, 5, KC + 1, 65), Trans::No, kind);
+        big_b.view_mut(3, 5, KC + 1, 65).copy_from(window.as_ref());
+        let b = big_b.view(3, 5, KC + 1, 65);
+        let mut cn = filled(129, 65, 7);
+        let mut cb = cn.clone();
+        naive.gemm(-2.5, a, Trans::No, b, Trans::No, 1.0, cn.as_mut());
+        blocked.gemm(-2.5, a, Trans::No, b, Trans::No, 1.0, cb.as_mut());
+        assert_close(&format!("strided odd gemm, {kind} B"), &cb, &cn, 1e-11);
+    }
 }
 
 #[test]
