@@ -46,9 +46,9 @@
 //!
 //! * **The service layer** ([`crate::service::QrService`]) — concurrent
 //!   batch serving on top of this facade: a keyed plan cache (repeat shapes
-//!   never rebuild), a bounded-queue worker pool, and thread-budget
-//!   coordination with the kernel layer. Reach for it when many matrices —
-//!   or many callers — need factoring at once.
+//!   never rebuild) and a bounded-queue worker pool, one thread per
+//!   worker. Reach for it when many matrices — or many callers — need
+//!   factoring at once.
 //! * **This facade** — anything that factors matrices and wants validated
 //!   configuration, unified reports, or cross-algorithm loops: examples,
 //!   integration tests, applications.
@@ -327,8 +327,8 @@ impl QrPlan {
     /// winner is built into a validated plan — no hand-picked knobs.
     ///
     /// The choice is the cost model's alone, so it is a pure function of
-    /// `(m, n)`, the rank count searched and the thread budget. To re-rank
-    /// the leaders by measured runs in this process, drive the
+    /// `(m, n)`, the rank count searched and the process's core count. To
+    /// re-rank the leaders by measured runs in this process, drive the
     /// [`Tuner`](crate::tuner::Tuner) directly with
     /// [`calibrate`](crate::tuner::Tuner::calibrate) and build the winner
     /// via [`TunerReport::best_plan`](crate::tuner::TunerReport::best_plan).
@@ -449,15 +449,14 @@ impl QrPlan {
     /// no `m × n` temporary, no allocation once warm), and the slab partials
     /// are summed in rank order on return. The two numbers are therefore a
     /// pure function of `(a, Q, R)`, `m` and the plan's rank count: bitwise
-    /// equal across the two runtimes and under any `CACQR_THREADS`. A matrix
-    /// of one panel, or a plan of one rank, is one slab: a plain call on the
-    /// calling thread, no region. On a two-vCPU AVX-512 box the diagnostics
-    /// region takes ≈ 7–8 ms of a ≈ 20–21 ms 16384 × 64 factor on 2
-    /// shared-memory ranks, against ≈ 11–12 ms for the same work on one
-    /// thread (README, "Performance"). Computing them eagerly
-    /// keeps the report self-contained: the alternative — lazy diagnostics —
-    /// would have to retain a copy of `a` inside every report, which is
-    /// strictly worse for the batching path. Callers that need the factors
+    /// equal across the two runtimes. A matrix of one panel, or a plan of
+    /// one rank, is one slab: a plain call on the calling thread, no region.
+    /// On a two-vCPU AVX-512 box the diagnostics region takes ≈ 7–8 ms of a
+    /// ≈ 20–21 ms 16384 × 64 factor on 2 shared-memory ranks, against
+    /// ≈ 11–12 ms for the same work on one thread (README, "Performance").
+    /// Computing them eagerly keeps the report self-contained: the
+    /// alternative — lazy diagnostics — would have to retain a copy of `a`
+    /// inside every report, which is strictly worse for the batching path. Callers that need the factors
     /// with *no* post-processing at all belong on the expert layer
     /// ([`crate::validate`]).
     pub fn factor(&self, a: &Matrix) -> Result<QrReport, PlanError> {

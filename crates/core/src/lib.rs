@@ -36,7 +36,7 @@
 //! * [`service`] — the throughput layer above the facade: [`QrService`], a
 //!   thread-safe engine that caches plans per [`service::JobSpec`] and
 //!   factors many matrices concurrently through a bounded-queue worker
-//!   pool, coordinating its thread budget with the kernel layer.
+//!   pool, one thread per worker.
 //! * [`tuner`] — the self-configuration layer: [`Tuner`] enumerates every
 //!   runnable configuration for a shape and scores them with the
 //!   `costmodel` crate; with calibration on it re-ranks the leaders by live

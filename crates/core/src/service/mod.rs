@@ -21,9 +21,8 @@
 //! All three share one job core, one module per piece: `spec` (the cache
 //! key, the operand, the per-submission options), `cache` (the plan
 //! cache), `queue` and `worker` (the one bounded FIFO every unit travels
-//! through, and the pool that drains it and registers with
-//! [`dense::PoolReservation`] so pool width × kernel width never
-//! oversubscribes `CACQR_THREADS`), `stream` (the per-key turnstile),
+//! through, and the pool that drains it; a worker runs each job's kernels
+//! on its own thread), `stream` (the per-key turnstile),
 //! `handle` and `stats`. Both handle types are aliases of one generic
 //! [`Handle`]; every queued unit carries one ticket, so admission control
 //! and the dequeue-time cancel/deadline check each live in one place; and
@@ -78,7 +77,7 @@ pub use stream::{StreamOp, StreamOutcome};
 
 use crate::driver::{PlanError, QrPlan, QrReport};
 use cache::PlanCache;
-use dense::{BackendKind, Matrix, PoolReservation};
+use dense::{BackendKind, Matrix};
 use handle::Ticket;
 use queue::{Fifo, PushError};
 use simgrid::{Machine, RuntimeKind};
@@ -114,10 +113,10 @@ pub struct QrServiceBuilder {
 }
 
 impl QrServiceBuilder {
-    /// Requests a pool width; clamped to the process thread budget
-    /// ([`dense::thread_budget`]). Default: the whole budget.
+    /// Sets the pool width, at least 1. Default: one worker per core the
+    /// process may run on ([`simgrid::cores`]).
     pub fn workers(mut self, workers: usize) -> QrServiceBuilder {
-        self.workers = Some(workers);
+        self.workers = Some(workers.max(1));
         self
     }
 
@@ -155,7 +154,7 @@ impl QrServiceBuilder {
 
     /// Spawns the worker pool and returns the running service.
     pub fn build(self) -> QrService {
-        let workers = dense::thread_budget(self.workers.unwrap_or(usize::MAX));
+        let workers = self.workers.unwrap_or_else(simgrid::cores);
         let capacity = self.queue_capacity.unwrap_or(2 * workers);
         let shared = Arc::new(Shared {
             queue: Fifo::new(capacity, workers),
@@ -166,7 +165,6 @@ impl QrServiceBuilder {
             runtime: self.runtime,
             default_backend: self.backend,
         });
-        let reservation = PoolReservation::register(workers);
         let handles = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -176,11 +174,7 @@ impl QrServiceBuilder {
                     .expect("failed to spawn QrService worker thread")
             })
             .collect();
-        QrService {
-            shared,
-            handles,
-            _reservation: reservation,
-        }
+        QrService { shared, handles }
     }
 }
 
@@ -194,7 +188,6 @@ impl QrServiceBuilder {
 pub struct QrService {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    _reservation: PoolReservation,
 }
 
 /// Rejects an operand whose shape is not the plan's, up front — before the
@@ -221,7 +214,7 @@ impl QrService {
         }
     }
 
-    /// Number of worker threads in the pool (after budget clamping).
+    /// Number of worker threads in the pool.
     pub fn workers(&self) -> usize {
         self.handles.len()
     }
@@ -626,6 +619,18 @@ mod tests {
 
     #[test]
     fn try_submit_reports_queue_full() {
+        // A pool is as wide as asked, at least 1, and one worker per core by
+        // default; its queue holds two unstarted jobs per worker by default.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (builder, workers) in [
+            (QrService::builder().workers(0), 1),
+            (QrService::builder().workers(3), 3),
+            (QrService::builder(), cores),
+        ] {
+            let pool = builder.build();
+            assert_eq!(pool.workers(), workers);
+            assert_eq!(pool.queue_capacity(), 2 * workers);
+        }
         // Single worker, capacity-1 queue: park the worker on a real job,
         // fill the queue, then observe QueueFull without blocking.
         let service = QrService::builder().workers(1).queue_capacity(1).build();

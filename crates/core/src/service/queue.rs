@@ -151,13 +151,9 @@ impl<T> Fifo<T> {
     }
 
     /// Dequeues the oldest item, blocking while the queue is empty; returns
-    /// `None` once the queue is closed *and* drained. `on_idle` runs
-    /// exactly when the worker goes to sleep (found nothing) and its
-    /// guard-style return value is dropped on wake — the hook the pool uses
-    /// to return the sleeper's kernel-thread share to busy siblings.
-    pub fn pop<G>(&self, on_idle: impl Fn() -> G) -> Option<T> {
+    /// `None` once the queue is closed *and* drained.
+    pub fn pop(&self) -> Option<T> {
         let mut g = self.lock();
-        let mut idle = None;
         loop {
             if let Some(item) = g.items.pop_front() {
                 self.not_full.notify_one();
@@ -166,7 +162,6 @@ impl<T> Fifo<T> {
             if g.closed {
                 return None;
             }
-            idle.get_or_insert_with(&on_idle);
             g = self.not_empty.wait(g).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -186,10 +181,6 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
-    fn pop<T>(q: &Fifo<T>) -> Option<T> {
-        q.pop(|| ())
-    }
-
     #[test]
     fn fifo_within_capacity() {
         let q = Fifo::new(4, 2);
@@ -197,10 +188,10 @@ mod tests {
             assert!(q.try_push(i).is_ok());
         }
         assert!(matches!(q.try_push(9), Err(PushError::Full(9))));
-        assert_eq!(pop(&q), Some(0));
+        assert_eq!(q.pop(), Some(0));
         assert!(q.try_push(9).is_ok());
         for expect in [1, 2, 3, 9] {
-            assert_eq!(pop(&q), Some(expect));
+            assert_eq!(q.pop(), Some(expect));
         }
     }
 
@@ -215,9 +206,9 @@ mod tests {
         q.reoffer('s'); // closed: accepted anyway
         assert!(matches!(q.push('x'), Err(PushError::Closed('x'))));
         for expect in ['a', 'b', 'r', 's'] {
-            assert_eq!(pop(&q), Some(expect));
+            assert_eq!(q.pop(), Some(expect));
         }
-        assert_eq!(pop(&q), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -228,10 +219,10 @@ mod tests {
         q.close();
         assert!(matches!(q.push(3), Err(PushError::Closed(3))));
         assert!(matches!(q.try_push(3), Err(PushError::Closed(3))));
-        assert_eq!(pop(&q), Some(1));
-        assert_eq!(pop(&q), Some(2));
-        assert_eq!(pop(&q), None);
-        assert_eq!(pop(&q), None, "end-of-stream is sticky");
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None, "end-of-stream is sticky");
     }
 
     #[test]
@@ -249,10 +240,10 @@ mod tests {
                 pushed_rx.recv_timeout(std::time::Duration::from_millis(50)).is_err(),
                 "a push onto a full queue must wait"
             );
-            assert_eq!(pop(&q), Some(0));
+            assert_eq!(q.pop(), Some(0));
             pushed_rx.recv().unwrap();
         });
-        assert_eq!(pop(&q), Some(1));
+        assert_eq!(q.pop(), Some(1));
     }
 
     #[test]
@@ -278,13 +269,11 @@ mod tests {
     #[test]
     fn sleeping_worker_wakes_for_a_reoffer() {
         let q = Fifo::new(4, 2);
-        let (idle_tx, idle_rx) = mpsc::channel();
         std::thread::scope(|s| {
-            let woken = s.spawn(|| q.pop(|| idle_tx.send(()).unwrap()));
-            // The idle hook fires under the queue lock, just before the
-            // worker sleeps: once it has, the re-offer below finds the
-            // worker asleep (or about to be) and must wake it.
-            idle_rx.recv().unwrap();
+            let woken = s.spawn(|| q.pop());
+            // Give the worker time to find the queue empty and sleep: the
+            // re-offer below then finds it asleep and must wake it.
+            std::thread::sleep(std::time::Duration::from_millis(50));
             q.reoffer(7);
             assert_eq!(woken.join().unwrap(), Some(7));
         });

@@ -154,8 +154,8 @@ impl QrService {
     /// factor under `key`. Subsequent [`append_rows`](QrService::append_rows)
     /// / [`downdate_rows`](QrService::downdate_rows) /
     /// [`snapshot`](QrService::snapshot) jobs address it by key and run on
-    /// the worker pool, sharing the service's plan cache, thread budget,
-    /// and warm arena pools with batch traffic.
+    /// the worker pool, sharing the service's plan cache and warm arena
+    /// pools with batch traffic.
     pub fn stream_open(&self, key: &str, spec: &JobSpec, initial: &Matrix) -> Result<(), ServiceError> {
         self.stream_adopt(key, self.plan(spec)?.stream(initial)?)
     }
@@ -185,7 +185,7 @@ impl QrService {
     /// adopted stream serves [`append_rows`](QrService::append_rows) /
     /// [`stream_submit`](QrService::stream_submit) jobs exactly like an
     /// opened one. The stream should come from a plan compatible with this
-    /// service's runtime and thread budget — typically one resolved via
+    /// service's runtime — typically one resolved via
     /// [`QrService::plan`].
     pub fn stream_adopt(&self, key: &str, qr: StreamingQr) -> Result<(), ServiceError> {
         let mut map = self.shared.streams.write().unwrap_or_else(|e| e.into_inner());

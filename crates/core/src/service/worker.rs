@@ -55,12 +55,11 @@ pub(super) struct ManyBatch {
 /// The consumer guard deregisters this worker on *any* exit — normal
 /// shutdown or a panic that escapes a job guard — so producers blocked on
 /// a full queue fail with [`ServiceError::ShuttingDown`] instead of
-/// waiting on a pool that will never drain. While parked, the worker
-/// marks itself idle ([`dense::pool_worker_idle`]) so its kernel-thread
-/// share flows to the workers still running jobs.
+/// waiting on a pool that will never drain. Every kernel of a job runs on
+/// this thread.
 pub(super) fn worker_loop(shared: &Shared) {
     let _consumer = shared.queue.consumer();
-    while let Some(work) = shared.queue.pop(dense::pool_worker_idle) {
+    while let Some(work) = shared.queue.pop() {
         dense::fault::maybe_delay(dense::fault::DEQUEUE);
         match work {
             Work::Factor(job) => {

@@ -148,7 +148,7 @@ pub struct TunerReport {
     pub n: usize,
     /// Simulated rank count searched.
     pub processors: usize,
-    /// Process thread budget the scoring assumed (`dense::max_threads`).
+    /// Cores the scoring assumed the ranks share (`simgrid::cores`).
     pub threads: usize,
     /// Whether live calibration (probe + measured top-K) ran.
     pub calibrated: bool,
@@ -286,7 +286,7 @@ impl Tuner {
     /// [`TunerError::NoCandidates`] when nothing runnable exists — never
     /// panics on an empty search space.
     pub fn report(&self) -> Result<TunerReport, TunerError> {
-        let threads = dense::max_threads();
+        let threads = simgrid::cores();
         let processors = match self.processors {
             Some(p) => p,
             None => self.pick_processors(),
@@ -482,6 +482,7 @@ mod tests {
         let report = Tuner::new(256, 32).report().unwrap();
         assert!(!report.candidates.is_empty());
         assert!(!report.calibrated);
+        assert_eq!(report.threads, simgrid::cores());
         for pair in report.candidates.windows(2) {
             assert!(pair[0].predicted_seconds <= pair[1].predicted_seconds);
         }

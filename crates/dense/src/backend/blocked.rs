@@ -8,7 +8,7 @@
 //!   for pc in steps of KC over k:            (contraction block)
 //!     pack op(B)[pc, jc] into NR-wide column micro-panels,
 //!       noting each panel's nonzero band [lo, hi) of k rows
-//!     for ic in steps of MC over m:          (A row block — parallel)
+//!     for ic in steps of MC over m:          (A row block)
 //!       op(A) = A: read its MR-row micro-panels in place
 //!       op(A) = Aᵀ, or a ragged last micro-panel: pack MR-tall panels
 //!       for each (MR × NR) tile of C[ic, jc]:
@@ -35,8 +35,9 @@
 //! gone — a *persistent* thread (a `QrService` worker, a bench loop, the
 //! sequential CQR helpers) reaches zero steady-state pack allocations.
 //! Threads that live for one kernel sweep (the simulator's per-call rank
-//! threads, `par_blocks` workers) still pay one allocation per buffer size
-//! per thread lifetime; their arena dies with them.
+//! threads) still pay one allocation per buffer size per thread lifetime;
+//! their arena dies with them. A kernel call always runs on its caller's
+//! thread: ranks and service workers are the only threads.
 //!
 //! `syrk` is a *symmetry-aware* instance of the same loop structure: the
 //! Gram matrix `AᵀA` is computed by the identical packed microkernel sweep
@@ -49,11 +50,10 @@
 //!
 //! Determinism: for every `C[i, j]` the contraction is accumulated in
 //! ascending-`k` order — KC blocks outermost-to-innermost, then ascending
-//! within the packed panel — regardless of how row blocks are scheduled
-//! across threads. Thread count therefore never changes results. The same
-//! ordering argument makes `AᵀA` bitwise symmetric (the `(i, j)` and
-//! `(j, i)` sums are term-for-term identical products), which the syrk
-//! mirror relies on.
+//! within the packed panel — and each row block of `C` is one disjoint
+//! sub-view. The same ordering argument makes `AᵀA` bitwise symmetric (the
+//! `(i, j)` and `(j, i)` sums are term-for-term identical products), which
+//! the syrk mirror relies on.
 //!
 //! `trsm` partitions the triangular dimension into [`TRSM_NB`]-wide blocks:
 //! off-diagonal updates go through the blocked `gemm`, and each diagonal
@@ -69,7 +69,6 @@
 //! `blas1` and `cholesky` use as well. The bodies multiply, then add or subtract —
 //! never fused — so every ISA rounds every element identically.
 
-use super::parallel::{kernel_threads, par_blocks};
 use super::Backend;
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
@@ -93,26 +92,10 @@ pub const NC: usize = 512;
 /// `gemm`. The width fixes where the `gemm` sums start, so it fixes the bits.
 pub const TRSM_NB: usize = 64;
 
-/// Minimum `2mnk` flop volume per `(jc, pc)` block before worker threads
-/// are recruited; below this the spawn overhead dominates.
-const PAR_FLOP_THRESHOLD: f64 = 4e6;
-
 /// The blocked backend (unit struct: all state is per-call, with pack
 /// buffers borrowed from the thread-local workspace arena).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Blocked;
-
-/// Shared base pointer for handing disjoint `C` row blocks to workers.
-#[derive(Clone, Copy)]
-struct RawC {
-    ptr: *mut f64,
-    stride: usize,
-}
-
-// SAFETY: workers derive disjoint row-block views from the pointer; the
-// parallel partition guarantees no two blocks overlap.
-unsafe impl Send for RawC {}
-unsafe impl Sync for RawC {}
 
 #[inline]
 fn op_shape(a: MatRef<'_>, t: Trans) -> (usize, usize) {
@@ -535,15 +518,6 @@ fn gemm_with_isa(
         return;
     }
 
-    let threads = kernel_threads();
-    let raw = RawC {
-        ptr: c.as_mut_ptr(),
-        stride: c.stride(),
-    };
-    // Capture the Sync wrapper by reference: precise closure capture
-    // would otherwise grab the raw-pointer field itself, which is not
-    // Sync.
-    let raw = &raw;
     // Both pack buffers live in the workspace arena — hoisted out of every
     // loop level; a warm thread allocates nothing here.
     let mut bpack = take_local_vec(NC.min(n).div_ceil(NR) * NR * KC.min(k));
@@ -563,17 +537,7 @@ fn gemm_with_isa(
             let bands = &bands[..nc.div_ceil(NR)];
             // β folds into the first KC block's store; later blocks add.
             let beta = if pc == 0 { beta } else { 1.0 };
-
-            let nblocks = m.div_ceil(MC);
-            let flops = 2.0 * m as f64 * nc as f64 * kc as f64;
-            // Scale worker count with the work available so that
-            // near-threshold gemms recruit few threads: this keeps the
-            // per-(jc, pc) spawn/join overhead a small fraction of the
-            // compute, and softens oversubscription when many simulated
-            // ranks (one OS thread each) multiply concurrently.
-            let workers = ((flops / PAR_FLOP_THRESHOLD) as usize).clamp(1, threads);
-            par_blocks(nblocks, workers, |blk| {
-                let i0 = blk * MC;
+            for i0 in (0..m).step_by(MC) {
                 let mc = MC.min(m - i0);
                 // An untransposed `A` is read in place, all but a ragged
                 // last micro-panel; a transposed one is packed whole.
@@ -584,14 +548,12 @@ fn gemm_with_isa(
                 let len = (mc - arows.rows()).div_ceil(MR) * MR * kc;
                 let mut apack = if len > 0 { take_local_vec(len) } else { Vec::new() };
                 pack_a(a, ta, i0 + arows.rows(), mc - arows.rows(), pc, kc, &mut apack);
-                // SAFETY: row blocks [i0, i0+mc) are disjoint across
-                // `blk`, and `raw` stays valid for the whole call.
-                let cblk = unsafe { MatMut::from_raw_parts(raw.ptr.add(i0 * raw.stride + jc), mc, nc, raw.stride) };
+                let cblk = c.rb_mut().sub(i0, jc, mc, nc);
                 block_product(which, alpha, beta, arows, &apack, bpack, bands, kc, cblk, None);
                 if len > 0 {
                     recycle_local_vec(apack);
                 }
-            });
+            }
             pc += kc;
         }
         jc += nc;
@@ -616,12 +578,6 @@ fn syrk_into_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
         return;
     }
 
-    let threads = kernel_threads();
-    let raw = RawC {
-        ptr: c.as_mut_ptr(),
-        stride: c.stride(),
-    };
-    let raw = &raw;
     let mut bpack = take_local_vec(NC.min(n).div_ceil(NR) * NR * KC.min(k));
 
     let mut jc = 0;
@@ -636,18 +592,10 @@ fn syrk_into_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
             // Row blocks whose deepest row stays above column `jc` hold no
             // lower-triangle element of this column block: skip them whole
             // (no pack, no tiles).
-            let nblocks = n.div_ceil(MC);
             let first = (jc + 1).saturating_sub(MC).div_ceil(MC);
-            let active = nblocks - first;
-            let rows_active = n - first * MC;
-            let flops = rows_active as f64 * nc as f64 * kc as f64; // ≈half the full product
-            let workers = ((flops / PAR_FLOP_THRESHOLD) as usize).clamp(1, threads);
-            par_blocks(active, workers, |blk| {
-                let i0 = (first + blk) * MC;
+            for i0 in (first * MC..n).step_by(MC) {
                 let mc = MC.min(n - i0);
-                // SAFETY: row blocks [i0, i0+mc) are disjoint across
-                // `blk`, and `raw` stays valid for the whole call.
-                let cblk = unsafe { MatMut::from_raw_parts(raw.ptr.add(i0 * raw.stride + jc), mc, nc, raw.stride) };
+                let cblk = c.rb_mut().sub(i0, jc, mc, nc);
                 if i0 >= jc && i0 + mc <= jc + nc {
                     // The output rows of this block are columns the B pack
                     // already holds: derive the A micro-panels from it and
@@ -663,7 +611,7 @@ fn syrk_into_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
                     block_product(which, 1.0, 1.0, arows, &apack, bpack, bands, kc, cblk, Some((i0, jc)));
                     recycle_local_vec(apack);
                 }
-            });
+            }
             pc += kc;
         }
         jc += nc;

@@ -13,13 +13,12 @@
 //! * [`Blocked`] — a cache-blocked implementation in the BLIS/faer style:
 //!   `B` and a transposed `A` are packed into cache-sized panels (packing
 //!   absorbs operand transposes — no up-front full-matrix transpose copy),
-//!   an untransposed `A` is read in place, a register-tiled `MR × NR`
-//!   microkernel does the arithmetic over each `B` panel's nonzero rows,
-//!   and independent row blocks of `C` can be processed by a small thread
-//!   pool. Its `syrk` is *symmetry-aware*: upper-triangle micro-tiles are
-//!   skipped (mirrored afterwards) and the `A`-side micro-panels are derived
-//!   from the packed `B` buffer, while staying bitwise identical to the full
-//!   `gemm(1, Aᵀ, A)`. Pack buffers come from the thread-local
+//!   an untransposed `A` is read in place, and a register-tiled `MR × NR`
+//!   microkernel does the arithmetic over each `B` panel's nonzero rows, on
+//!   the caller's thread. Its `syrk` is *symmetry-aware*: upper-triangle
+//!   micro-tiles are skipped (mirrored afterwards) and the `A`-side
+//!   micro-panels are derived from the packed `B` buffer, while staying
+//!   bitwise identical to the full `gemm(1, Aᵀ, A)`. Pack buffers come from the thread-local
 //!   [`crate::workspace`] arena, so warm threads allocate nothing.
 //!
 //! Selection is threaded through the layers above by value as a
@@ -34,17 +33,15 @@
 //!
 //! Both backends are bitwise deterministic: for every output element the
 //! floating-point accumulation order is a fixed function of the operand
-//! shapes (never of thread count or scheduling). The simulator's γ-cost
+//! shapes. The simulator's γ-cost
 //! accounting is unaffected by backend choice by construction — flop counts
 //! are charged from the closed-form conventions in [`crate::flops`], not
 //! measured from kernel internals — so the `costmodel` exactness contract
 //! holds under either backend.
 
 pub mod blocked;
-mod parallel;
 
 pub use blocked::Blocked;
-pub use parallel::{kernel_threads, max_threads, pool_worker_idle, thread_budget, PoolIdleGuard, PoolReservation};
 
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef, Matrix};

@@ -10,7 +10,7 @@
 //! * [`backend`] — the pluggable BLAS-3 kernel layer: a [`Backend`] trait
 //!   with two implementations, [`backend::Naive`] (the audited loop-nest
 //!   oracle) and [`backend::Blocked`] (packed cache-blocked panels, an
-//!   `MR × NR` register-tiled microkernel, optional block-level threading).
+//!   `MR × NR` register-tiled microkernel, on the caller's thread).
 //!   Select by value with [`BackendKind`]; the process default is `Blocked`
 //!   (`CACQR_BACKEND=naive` overrides).
 //! * [`gemm()`] — general matrix multiply with transpose flags (the naive
@@ -69,8 +69,7 @@
 //! CI's twin counter skips `gemm.rs`, `syrk.rs` and `trsm.rs`.
 //!
 //! All kernels are deterministic; given identical inputs they produce
-//! bitwise-identical outputs (independent of thread count), which the
-//! distributed tests rely on.
+//! bitwise-identical outputs, which the distributed tests rely on.
 
 // Index-based loops are the house style for the numeric kernels: the
 // subscripts mirror the paper's subscripted recurrences.
@@ -95,9 +94,7 @@ pub mod trsm;
 pub mod update;
 pub mod workspace;
 
-pub use backend::{
-    kernel_threads, max_threads, pool_worker_idle, thread_budget, Backend, BackendKind, PoolIdleGuard, PoolReservation,
-};
+pub use backend::{Backend, BackendKind};
 pub use cholesky::CholeskyError;
 pub use cond::cond_estimate;
 pub use defaults::{cholinv, potrf, rank_k_downdate, trtri_lower};

@@ -335,15 +335,6 @@ impl<'a> MatMut<'a> {
         unsafe { std::slice::from_raw_parts(self.ptr.add(i * self.stride), self.cols) }
     }
 
-    /// Base pointer of the view (row-major, `stride()` elements between
-    /// consecutive rows). For splitting schemes the built-in `split_*`
-    /// helpers cannot express (e.g. the blocked backend's dynamic
-    /// block-parallel partition).
-    #[inline]
-    pub fn as_mut_ptr(&mut self) -> *mut f64 {
-        self.ptr
-    }
-
     /// Reassembles a view from raw parts.
     ///
     /// # Safety

@@ -49,8 +49,7 @@
 //! **Determinism rule:** partials are combined in slab order, entry by
 //! entry, on one thread. The result is therefore a pure function of
 //! `(A, Q, R)` and the slab count — bitwise the same whichever runtime ran
-//! the slabs, in whatever order they finished, and under any
-//! `CACQR_THREADS` (each kernel call is itself thread-count-independent).
+//! the slabs, in whatever order they finished.
 //! Different slab counts differ by rounding only.
 //!
 //! **`BackendKind::Naive` is the oracle form.** With it the two products are
@@ -203,7 +202,7 @@ pub fn slab_diagnostics(
 /// Sums slab partials **in slice order** into
 /// `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`. The order is the determinism rule:
 /// the result is a function of the partials and their order alone, whoever
-/// computed them and however many threads their kernels used.
+/// computed them.
 pub fn combine_diagnostics(slabs: &[SlabDiagnostics]) -> (f64, f64) {
     let a_sq: f64 = slabs.iter().map(|s| s.a_sq).sum();
     let d_sq: f64 = slabs.iter().map(|s| s.d_sq).sum();

@@ -3,7 +3,7 @@
 //!
 //! The closed-form cost models predict flop counts exactly, but turning
 //! flops into seconds needs an effective flop rate — and that rate depends
-//! on the backend, the CPU, the thread budget, and whatever else shares the
+//! on the backend, the CPU, and whatever else shares the
 //! machine. [`probe_gemm`] runs a short, seeded, square `gemm` on the chosen
 //! backend with a wall clock around it and reports the measured seconds per
 //! flop; the autotuner feeds that into the machine profile it scores

@@ -15,7 +15,7 @@ use dense::norms::{
     combine_diagnostics, normalize_qr_signs, qr_diagnostics, slab_count, slab_diagnostics, slab_rows, PANEL_ROWS,
 };
 use dense::random::matrix_with_condition;
-use dense::update::{rank_k_append, rank_k_downdate, UpdateError};
+use dense::update::{rank_k_downdate, UpdateError};
 use dense::{MatRef, Matrix, Workspace};
 
 fn filled(rows: usize, cols: usize, salt: u64) -> Matrix {
@@ -234,10 +234,10 @@ fn trsm_variants_match_naive_across_block_boundaries() {
 
 #[test]
 fn blocked_results_do_not_depend_on_thread_count() {
-    // CACQR_THREADS is cached process-wide, so emulate the comparison by
-    // running sizes that straddle the parallel threshold: determinism is
-    // structural (fixed k-order, disjoint blocks), and single- vs
-    // multi-block paths must agree bitwise with themselves on repeat runs.
+    // A kernel runs on its caller's thread, so there is no thread count to
+    // vary: determinism is structural (fixed k-order, disjoint row blocks),
+    // and a multi-block product must agree bitwise with itself on a repeat
+    // run.
     let blocked = BackendKind::Blocked.get();
     let a = filled(300, 300, 12);
     let b = filled(300, 300, 13);
@@ -489,74 +489,6 @@ fn team_diagnostics_match_the_naive_one_slab_oracle() {
         }
     }
     assert_eq!(ws.recycles(), ws.takes(), "every scratch buffer goes back to the arena");
-}
-
-/// Prints the diagnostics' bit patterns at a shape whose panel gemms and
-/// SYRK clear the kernel's parallel threshold, then those of one rank-k
-/// append and one block downdate at the same width. Does nothing unless
-/// [`qr_diagnostics_bits_do_not_depend_on_cacqr_threads`] runs it as a child.
-#[test]
-fn qr_diagnostics_bits_child() {
-    if std::env::var_os("QR_DIAGNOSTICS_CHILD").is_none() {
-        return;
-    }
-    let (m, n) = (8 * PANEL_ROWS + 37, 192);
-    let a = filled(m, n, 16);
-    let factors = dense::householder_qr(&a);
-    let (q, r) = (dense::form_q(&factors), factors.r());
-    // One slab, then the team forms: two slabs, and eight with a ragged last.
-    let mut ws = Workspace::new();
-    let bits: Vec<String> = [1usize, 2, 8]
-        .iter()
-        .map(|&team| {
-            let (ortho, resid) =
-                team_diagnostics(a.as_ref(), q.as_ref(), r.as_ref(), team, BackendKind::Blocked, &mut ws);
-            format!("{:016x} {:016x}", ortho.to_bits(), resid.to_bits())
-        })
-        .collect();
-    // One rank-k append and one downdate of a 192-wide factor: blocked
-    // SYRK, Cholesky, triangular solve and products, all above one block.
-    let block = filled(64, n, 17);
-    let mut factor = r.clone();
-    normalize_qr_signs(&mut Matrix::zeros(0, n), &mut factor);
-    let backend = BackendKind::Blocked.get();
-    rank_k_append(factor.as_mut(), block.as_ref(), backend, &mut ws).unwrap();
-    let appended = factor.data().iter().fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits());
-    let alpha_sq = rank_k_downdate(factor.as_mut(), block.as_ref(), backend, &mut ws).unwrap();
-    let downdated = factor.data().iter().fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits());
-    println!(
-        "QR_DIAGNOSTICS_BITS threads={} {} {appended:016x} {downdated:016x} {:016x}",
-        dense::max_threads(),
-        bits.join(" "),
-        alpha_sq.to_bits()
-    );
-}
-
-#[test]
-fn qr_diagnostics_bits_do_not_depend_on_cacqr_threads() {
-    // `CACQR_THREADS` is read once per process, so each budget needs its own.
-    let bits_under = |threads: &str| {
-        let out = std::process::Command::new(std::env::current_exe().unwrap())
-            .args(["--exact", "qr_diagnostics_bits_child", "--nocapture"])
-            .env("QR_DIAGNOSTICS_CHILD", "1")
-            .env("CACQR_THREADS", threads)
-            .output()
-            .unwrap();
-        assert!(out.status.success(), "child under CACQR_THREADS={threads} failed");
-        let stdout = String::from_utf8(out.stdout).unwrap();
-        let line = stdout
-            .lines()
-            .find_map(|l| l.split_once("QR_DIAGNOSTICS_BITS ").map(|(_, rest)| rest.to_string()))
-            .unwrap_or_else(|| panic!("no bits line in child output:\n{stdout}"));
-        let (budget, bits) = line.split_once(' ').unwrap();
-        assert_eq!(
-            budget,
-            format!("threads={threads}"),
-            "the child ran under the budget it was given"
-        );
-        bits.to_string()
-    };
-    assert_eq!(bits_under("1"), bits_under("2"));
 }
 
 /// Householder `R` with the CholeskyQR sign convention (positive diagonal).

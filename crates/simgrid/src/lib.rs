@@ -60,4 +60,4 @@ pub use cost::CostLedger;
 pub use machine::Machine;
 pub use probe::{probe_shm_alpha_beta, probe_shm_alpha_beta_with, ShmProbe};
 pub use runtime::{run_spmd, run_spmd_pooled, Rank, RuntimeKind, SimConfig, SimReport};
-pub use shm::pinned_core;
+pub use shm::{cores, pinned_core};

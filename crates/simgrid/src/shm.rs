@@ -59,7 +59,7 @@ const SPIN_LIMIT: u32 = 128;
 
 /// The cores this process may run on, read once: the query parses cgroup
 /// limits and costs microseconds, and regions are spawned per `factor`.
-pub(crate) fn cores() -> usize {
+pub fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }

@@ -5,10 +5,7 @@
 //!
 //! Run: `cargo run --release --example batch_service`
 //!
-//! The worker-pool width is clamped to the `CACQR_THREADS` budget; try
-//! `CACQR_THREADS=4 cargo run --release --example batch_service` to see the
-//! pool and the block-level kernels split the budget (4 workers × 1 kernel
-//! thread each instead of every gemm claiming all 4).
+//! Each worker is one thread and runs its jobs' kernels on that thread.
 
 use ca_cqr2::baseline::BlockCyclic;
 use ca_cqr2::dense::random::well_conditioned;
@@ -21,9 +18,8 @@ use std::time::Instant;
 fn main() -> Result<(), ServiceError> {
     // ---- One engine for the whole process. --------------------------------
     //
-    // Four workers (clamped to the CACQR_THREADS budget), a bounded queue
-    // of 8 in-flight jobs, every job charged under the simulated
-    // Stampede2-like machine.
+    // Four worker threads, a bounded queue of 8 in-flight jobs, every job
+    // charged under the simulated Stampede2-like machine.
     let service = QrService::builder()
         .workers(4)
         .queue_capacity(8)

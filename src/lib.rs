@@ -37,9 +37,8 @@
 //! For throughput workloads — many matrices, many submitting threads — the
 //! [`QrService`] engine sits on top of the facade: it caches plans per
 //! [`JobSpec`] (repeat shapes never revalidate), factors jobs concurrently
-//! on a bounded-queue worker pool, and splits the `CACQR_THREADS` budget
-//! with the block-level kernels so the two layers of parallelism never
-//! oversubscribe the cores. See [`cacqr::service`] and
+//! on a bounded-queue worker pool, one thread per worker, each running its
+//! jobs' kernels on its own thread. See [`cacqr::service`] and
 //! `examples/batch_service.rs`.
 //!
 //! ## Streaming updates: [`StreamingQr`]

@@ -21,12 +21,15 @@
 //! per-binary state — and because that state is process-wide, every test
 //! here holds [`serial`] for its whole body: a sibling test (or the rank
 //! threads it spawns) allocating inside another test's measured window
-//! would be charged to that window.
+//! would be charged to that window. Work that never leaves the calling
+//! thread — a kernel call — is measured with [`thread_allocations`]
+//! instead, which no other thread can touch.
 
 use cacqr::{Algorithm, QrPlan};
 use dense::random::{gaussian_matrix, well_conditioned};
 use pargrid::GridShape;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -41,9 +44,21 @@ static BYTES: AtomicUsize = AtomicUsize::new(0);
 static TRACKED_SIZE: AtomicUsize = AtomicUsize::new(0);
 static TRACKED_HITS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// This thread's share of [`ALLOCATIONS`].
+    static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Counts one allocation process-wide and against the calling thread. A
+/// thread being torn down has no counter left, so `try_with` skips it.
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         let tracked = TRACKED_SIZE.load(Ordering::Relaxed);
         if tracked != 0 && layout.size() == tracked {
@@ -57,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -68,6 +83,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_allocations() -> usize {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// Serializes the tests of this binary on the process-wide counters. One
@@ -232,8 +252,9 @@ fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
 
 /// The Cholesky-family kernels hold the contract themselves, not only the
 /// arenas around them: after one warming call on the same workspace `potrf`,
-/// `trtri_lower` and `cholinv` perform **zero** process-wide heap allocations
-/// — at n = 48 (one recursion level, unblocked `potrf`) and n = 256 (three
+/// `trtri_lower` and `cholinv` perform **zero** heap allocations on the
+/// calling thread — which is all of theirs, since a kernel runs on its
+/// caller's thread — at n = 48 (one recursion level, unblocked `potrf`) and n = 256 (three
 /// levels, four `potrf` blocks). On `Naive` what is left is the oracle's own
 /// and is counted exactly: `dense::gemm::gemm` packs a transposed operand
 /// into a fresh matrix, once per `Trans::Yes` product — `potrf`'s trailing
@@ -264,16 +285,16 @@ fn warm_cholesky_kernels_are_allocation_free() {
             let (mut l, mut y) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
             let mut round = || {
                 p.copy_from(a.as_ref());
-                let start = allocations();
+                let start = thread_allocations();
                 potrf(p.as_mut(), backend, &mut ws).unwrap();
-                let after_potrf = allocations();
+                let after_potrf = thread_allocations();
                 trtri_lower(p.as_ref(), inv.as_mut(), backend, &mut ws);
-                let after_trtri = allocations();
+                let after_trtri = thread_allocations();
                 cholinv(a.as_ref(), l.as_mut(), y.as_mut(), backend, &mut ws).unwrap();
                 [
                     after_potrf - start,
                     after_trtri - after_potrf,
-                    allocations() - after_trtri,
+                    thread_allocations() - after_trtri,
                 ]
             };
             round();
@@ -298,13 +319,13 @@ fn warm_cholesky_kernels_are_allocation_free() {
         let (mut x, mut xt, mut r) = (b.clone(), b.transposed(), Matrix::zeros(n, n));
         let mut round = || {
             x.copy_from(b.as_ref());
-            let start = allocations();
+            let start = thread_allocations();
             blocked.trsm_right_upper(u.as_ref(), x.as_mut());
             blocked.trsm_right_lower_trans(l.as_ref(), x.as_mut());
             blocked.trsm_left_lower(l.as_ref(), xt.as_mut());
             blocked.trsm_left_upper(u.as_ref(), xt.as_mut());
             dense::trmm_upper_upper(u.as_ref(), u.as_ref(), r.as_mut());
-            allocations() - start
+            thread_allocations() - start
         };
         round();
         assert_eq!(round(), 0, "{m}x{n}: warm blocked TRSMs and trmm heap allocations");

@@ -3,12 +3,10 @@
 //! invariant, stay deterministic per `(seed, shape)`, and share cached
 //! plans pointer-for-pointer.
 //!
-//! Designed to be meaningful under any `CACQR_THREADS` setting; the CI
-//! matrix runs the suite at `CACQR_THREADS=1` (pool degenerates to one
-//! worker — pure queueing semantics), `=4` (oversubscribed on small
-//! runners — real contention), and `=8` under `CACQR_RUNTIME=shm`
-//! (batches claimed panel by panel across a wide pool on the pinned
-//! shared-memory runtime).
+//! The pools here range from one worker (pure queueing semantics) to eight
+//! (wider than a small runner — real contention, batches claimed panel by
+//! panel across the pool); CI runs the suite again under
+//! `CACQR_RUNTIME=shm` (the pinned shared-memory runtime).
 
 use cacqr::service::{JobSpec, QrService, ServiceError};
 use cacqr::{Algorithm, PlanError};
