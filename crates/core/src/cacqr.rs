@@ -19,8 +19,13 @@
 //! 6. `CFR3D(Z, Π_subcube)` — `d/c` simultaneous factorizations,
 //! 7. `Q = A·R⁻¹` via the InvTree solver (MM3D) on each subcube.
 //!
-//! Setting `c = 1` degenerates to exactly Algorithm 6 (1D-CQR); `c = d`
-//! gives the 3D algorithm of §III-A.
+//! Setting `c = 1` degenerates to exactly Algorithm 6 (1D-CQR), bit for bit:
+//! so at `c = 1, n₀ = n` the global drivers
+//! [`run_cacqr2_global`](crate::validate::run_cacqr2_global) and
+//! [`run_cacqr3_global`](crate::validate::run_cacqr3_global) — under every
+//! plan, service job and stream refresh — run [`crate::cqr2_1d`] and
+//! [`crate::cqr3_1d`] instead, charged this pass's flops. `c = d` gives the
+//! 3D algorithm of §III-A.
 
 use crate::cfr3d::cfr3d;
 use crate::config::CfrParams;
@@ -188,7 +193,17 @@ mod tests {
             let mut q = Matrix::zeros(a_local.rows(), n);
             let mut ws = dense::Workspace::new();
             let kind = dense::BackendKind::default_kind();
-            let r = crate::cqr1d::cqr1d(rank, &world, a_local, q.as_mut(), kind, &mut ws).unwrap();
+            let r = crate::cqr1d::cqr1d(
+                rank,
+                &world,
+                a_local,
+                q.as_mut(),
+                0.0,
+                crate::FlopCharges::OneD,
+                kind,
+                &mut ws,
+            )
+            .unwrap();
             (rank.id(), q, r)
         });
         let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();

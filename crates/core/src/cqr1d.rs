@@ -1,4 +1,5 @@
-//! Algorithms 6–7: the existing 1D parallelization of CholeskyQR2.
+//! Algorithms 6–7: the existing 1D parallelization of CholeskyQR2, and the
+//! shifted CholeskyQR3 built from the same pass.
 //!
 //! The `m × n` matrix is partitioned by rows over a 1D grid of `P`
 //! processors (cyclic, matching the rest of the workspace). Each processor:
@@ -11,13 +12,45 @@
 //!
 //! Costs per Table III/IV: `T_syrk(m/P, n) + T_allreduce(n², P) +
 //! T_cholinv(n) + T_MM(m/P, n, n)`, i.e. `O(log P·α + n²β + (mn²/P + n³)γ)`.
+//!
+//! [`cqr1d`] takes a Gram shift `σ` (`0` is Algorithm 6 proper), so the
+//! shifted pass of [`cqr3_1d`] (Fukaya et al., the paper's reference \[3\])
+//! is the same body. The flops a pass charges are data ([`FlopCharges`]):
+//! Algorithm 6's closed forms, or the CA family's at `c = 1`, where the
+//! CA-CQR2/CA-CQR3 drivers of [`crate::validate`] run these bodies — the
+//! same arithmetic, hence the same bits, and the same ledgers.
 
 use dense::cholesky::{cholinv, CholeskyError};
 use dense::gemm::Trans;
 use dense::{BackendKind, MatMut, MatRef, Matrix, Workspace};
 use simgrid::{Comm, Rank};
 
-/// One 1D-CholeskyQR pass (Algorithm 6). `a_local` holds this rank's cyclic
+/// Whose closed forms a 1D pass charges to the γ ledger. The kernels and
+/// their bits are the same either way (the rule that keeps the backend out
+/// of the ledger too); only the Gram and `R₂·R₁` conventions differ.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlopCharges {
+    /// Algorithm 6: a `syrk` Gram and a triangular `R₂·R₁`.
+    OneD,
+    /// The CA family at `c = 1` (Algorithms 8–9): the full-gemm Gram
+    /// `2·lr·n²` and MM3D's `R₂·R₁`. CFR3D's base case and `apply_rinv`
+    /// charge Algorithm 6's CholInv and gemm.
+    CaFamily,
+}
+
+impl FlopCharges {
+    /// The `(Gram, R₂·R₁)` charges for `lr` local rows of width `n`.
+    fn gram_merge(self, lr: usize, n: usize) -> (f64, f64) {
+        use dense::flops::{gemm, syrk, triu_mul};
+        match self {
+            FlopCharges::OneD => (syrk(lr, n), triu_mul(n)),
+            FlopCharges::CaFamily => (gemm(n, lr, n), gemm(n, n, n)),
+        }
+    }
+}
+
+/// One 1D-CholeskyQR pass (Algorithm 6) over the Gram matrix shifted by
+/// `sigma` (`0` for the plain pass). `a_local` holds this rank's cyclic
 /// rows and `q_local` receives its rows of `Q` — both any views of the same
 /// shape, so a rank can read its block of the caller's matrix and write its
 /// block of the result in place. Returns `R`, replicated on every rank. The
@@ -27,11 +60,14 @@ use simgrid::{Comm, Rank};
 /// The Gram matrix (which doubles as the allreduce buffer) and CholInv's two
 /// factors are **workspace-backed** scratch; `R` is a plain allocation.
 /// `q_local` is written only after the Cholesky succeeded.
+#[allow(clippy::too_many_arguments)] // a pass carries its shift and its ledger convention
 pub fn cqr1d(
     rank: &mut Rank,
     comm: &Comm,
     a_local: MatRef<'_>,
     q_local: MatMut<'_>,
+    sigma: f64,
+    charges: FlopCharges,
     backend: BackendKind,
     ws: &mut Workspace,
 ) -> Result<Matrix, CholeskyError> {
@@ -42,12 +78,14 @@ pub fn cqr1d(
     // Line 1: local Gram matrix (into the arena — the paper's hot kernel).
     let mut x = ws.take_matrix_stale(n, n);
     be.syrk_into(a_local, x.as_mut());
-    rank.charge_flops(dense::flops::syrk(lr, n));
+    rank.charge_flops(charges.gram_merge(lr, n).0);
 
-    // Line 2: allreduce over the 1D grid, reusing the Gram storage.
+    // Line 2: allreduce over the 1D grid, reusing the Gram storage; then
+    // the shift, on the reduced diagonal.
     let mut z = x.into_vec();
     comm.allreduce(rank, &mut z);
-    let z = Matrix::from_vec(n, n, z);
+    let mut z = Matrix::from_vec(n, n, z);
+    (0..n).for_each(|i| z.set(i, i, z.get(i, i) + sigma));
 
     // Line 3: redundant CholInv; its factors go back to the arena whether or
     // not the Cholesky succeeded.
@@ -75,20 +113,55 @@ pub fn cqr2_1d(
     comm: &Comm,
     a_local: MatRef<'_>,
     q_local: MatMut<'_>,
+    charges: FlopCharges,
     backend: BackendKind,
     ws: &mut Workspace,
 ) -> Result<Matrix, CholeskyError> {
-    let n = a_local.cols();
-    let mut q1 = ws.take_matrix_stale(a_local.rows(), n);
+    let (lr, n) = (a_local.rows(), a_local.cols());
+    let mut q1 = ws.take_matrix_stale(lr, n);
     // Recycle Q₁ whichever Cholesky fails (the normal way ill-conditioning
     // reports) so failed factors stay arena-balanced.
-    let passes = cqr1d(rank, comm, a_local, q1.as_mut(), backend, ws)
-        .and_then(|r1| Ok((r1, cqr1d(rank, comm, q1.as_ref(), q_local, backend, ws)?)));
+    let passes = cqr1d(rank, comm, a_local, q1.as_mut(), 0.0, charges, backend, ws)
+        .and_then(|r1| Ok((r1, cqr1d(rank, comm, q1.as_ref(), q_local, 0.0, charges, backend, ws)?)));
     ws.recycle(q1);
     let (r1, r2) = passes?;
-    let r = crate::cqr::triu_product(&r2, &r1);
-    rank.charge_flops(dense::flops::triu_mul(n));
-    Ok(r)
+    rank.charge_flops(charges.gram_merge(lr, n).1);
+    Ok(crate::cqr::triu_product(&r2, &r1))
+}
+
+/// Shifted 1D-CholeskyQR3: one [`cqr1d`] pass on `AᵀA + σI` with the shift
+/// of Fukaya et al. (grown ×100 on a failed Cholesky, up to four tries),
+/// then [`cqr2_1d`] on `Q₁`, and `R = R₂₃·R₁`. Unconditionally stable for
+/// numerically full-rank input; the only extra communication is a 1-word
+/// allreduce of `‖A‖_F²`. Scratch and output as for [`cqr2_1d`].
+pub fn cqr3_1d(
+    rank: &mut Rank,
+    comm: &Comm,
+    a_local: MatRef<'_>,
+    q_local: MatMut<'_>,
+    charges: FlopCharges,
+    backend: BackendKind,
+    ws: &mut Workspace,
+) -> Result<Matrix, CholeskyError> {
+    let (lr, n) = (a_local.rows(), a_local.cols());
+    let mut norm2 = [(0..lr).flat_map(|i| a_local.row(i)).map(|v| v * v).sum::<f64>()];
+    rank.charge_flops(2.0 * (lr * n) as f64);
+    comm.allreduce(rank, &mut norm2);
+    let mut sigma = crate::cqr::fukaya_shift(lr * comm.size(), n, norm2[0]);
+    let mut q1 = ws.take_matrix_stale(lr, n);
+    let mut first = Err(CholeskyError { index: 0, pivot: 0.0 });
+    for _ in 0..4 {
+        first = cqr1d(rank, comm, a_local, q1.as_mut(), sigma, charges, backend, ws);
+        if first.is_ok() {
+            break;
+        }
+        sigma *= 100.0;
+    }
+    let passes = first.and_then(|r1| Ok((r1, cqr2_1d(rank, comm, q1.as_ref(), q_local, charges, backend, ws)?)));
+    ws.recycle(q1);
+    let (r1, r23) = passes?;
+    rank.charge_flops(charges.gram_merge(lr, n).1);
+    Ok(crate::cqr::triu_product(&r23, &r1))
 }
 
 #[cfg(test)]
@@ -107,8 +180,16 @@ mod tests {
             let mut ws = dense::Workspace::new();
             let a_local = a2.as_ref().step_rows(rank.id(), p);
             let mut q = Matrix::zeros(a_local.rows(), n);
-            let r = cqr2_1d(rank, &world, a_local, q.as_mut(), BackendKind::default_kind(), &mut ws)
-                .expect("well-conditioned input");
+            let r = cqr2_1d(
+                rank,
+                &world,
+                a_local,
+                q.as_mut(),
+                FlopCharges::OneD,
+                BackendKind::default_kind(),
+                &mut ws,
+            )
+            .expect("well-conditioned input");
             (rank.id(), q, r)
         });
         let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();
@@ -159,7 +240,16 @@ mod tests {
             let mut ws = dense::Workspace::new();
             let a_local = a.as_ref().step_rows(rank.id(), p);
             let mut q = Matrix::zeros(a_local.rows(), n);
-            cqr2_1d(rank, &world, a_local, q.as_mut(), BackendKind::default_kind(), &mut ws).unwrap();
+            cqr2_1d(
+                rank,
+                &world,
+                a_local,
+                q.as_mut(),
+                FlopCharges::OneD,
+                BackendKind::default_kind(),
+                &mut ws,
+            )
+            .unwrap();
             rank.ledger().flops
         });
         let lr = m / p;

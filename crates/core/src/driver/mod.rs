@@ -947,6 +947,30 @@ mod tests {
                 "{name}: steady-state factors must not touch the arena allocator"
             );
         }
+        // A one-rank κ = 1e10 job escalates from CA-CQR2 to shifted CQR3,
+        // both rungs run by the 1D bodies at c = 1: the failed rung and the
+        // retry must settle too.
+        let plan = QrPlan::new(256, 32).grid(GridShape::one_d(1).unwrap()).build().unwrap();
+        let hard = dense::random::matrix_with_condition(256, 32, 1e10, 5);
+        let escalate = || plan.factor_with_policy(&hard, RetryPolicy::escalate()).unwrap();
+        let mut baseline = usize::MAX;
+        for round in 0..12 {
+            assert_eq!(escalate().algorithm, Algorithm::CaCqr3, "the job escalates one rung");
+            let now = plan.workspace().heap_allocations();
+            if now == baseline {
+                break;
+            }
+            assert!(round < 11, "escalating plan: arena inventory must converge");
+            baseline = now;
+        }
+        for _ in 0..3 {
+            escalate();
+        }
+        assert_eq!(
+            plan.workspace().heap_allocations(),
+            baseline,
+            "escalating plan: steady-state factors must not touch the arena allocator"
+        );
     }
 
     #[test]

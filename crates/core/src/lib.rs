@@ -14,7 +14,8 @@
 //! * [`mod@cqr`] — Algorithms 4–5: sequential CholeskyQR and CholeskyQR2, plus
 //!   the shifted CholeskyQR3 extension (reference \[3\] in the paper, its §V future
 //!   work).
-//! * [`mod@cqr1d`] — Algorithms 6–7: the existing 1D parallelization.
+//! * [`mod@cqr1d`] — Algorithms 6–7: the existing 1D parallelization, and
+//!   the shifted CQR3 built from the same pass.
 //! * [`cacqr`] / [`cacqr2`] — Algorithms 8–9: the paper's contribution, over
 //!   the tunable `c × d × c` grid. `c = d` gives 3D-CQR2; `c = 1` reproduces
 //!   1D-CQR2.
@@ -64,7 +65,7 @@ pub use cacqr3::ca_cqr3;
 pub use cfr3d::cfr3d;
 pub use config::{CfrParams, ParamError};
 pub use cqr::{cqr, cqr2, shifted_cqr3};
-pub use cqr1d::{cqr1d, cqr2_1d};
+pub use cqr1d::{cqr1d, cqr2_1d, cqr3_1d, FlopCharges};
 pub use driver::{
     Algorithm, EscalationAttempt, EscalationReport, PlanError, QrPlan, QrPlanBuilder, QrReport, RetryPolicy,
 };

@@ -20,8 +20,9 @@
 //! block (`c > 1`) is packed into the rank's arena, inside the region, by
 //! row runs. Ranks *write in place*: the driver allocates the `m × n` (and
 //! `n × n`) output once and each owning rank writes its residue class
-//! through a [`CyclicWindows`] handle — 1D-CQR2's last `gemm` produces `Q`
-//! directly there; the CA family's `z = 0` owners deposit their pieces
+//! through a [`CyclicWindows`] handle — the 1D bodies' last `gemm` produces
+//! `Q` directly there (1D-CQR2's, and the CA family's at `c = 1, n₀ = n`,
+//! which runs them); the CA family's `z = 0` owners deposit their pieces
 //! before leaving the region. Nothing is reassembled afterwards; replicas
 //! (other depth layers, other subcubes) are compared against what was
 //! deposited.
@@ -41,22 +42,19 @@
 use crate::cacqr2::{ca_cqr2, CaCqr2Output};
 use crate::cacqr3::ca_cqr3;
 use crate::config::CfrParams;
+use crate::cqr1d::{cqr2_1d, cqr3_1d, FlopCharges};
 use dense::cholesky::CholeskyError;
-use dense::{BackendKind, MatRef, Matrix, Workspace, WorkspacePool};
+use dense::{BackendKind, MatRef, Matrix, WorkspacePool};
 use pargrid::{CyclicWindows, DistMatrix, GridShape, TunableComms};
-use simgrid::{run_spmd_pooled, Rank, SimConfig};
+use simgrid::{run_spmd_pooled, SimConfig};
 
-/// Per-rank body of one CA-family algorithm, as consumed by
-/// [`run_ca_family`]: `(rank, comms, a_local, m, n, params, ws) → output`.
-type CaAlgorithm = fn(
-    &mut Rank,
-    &TunableComms,
-    MatRef<'_>,
-    usize,
-    usize,
-    &CfrParams,
-    &mut Workspace,
-) -> Result<CaCqr2Output, CholeskyError>;
+/// The two Gram-based algorithms the drivers below run: CQR2 (Algorithms
+/// 7 and 9) and shifted CQR3, each with a CA body and a 1D body.
+#[derive(Clone, Copy)]
+enum Family {
+    Cqr2,
+    Cqr3,
+}
 
 /// A completed distributed QR run with global factors and cost accounting —
 /// the same struct every global driver returns, the baseline's included.
@@ -94,14 +92,7 @@ pub fn run_cacqr2_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(
-        a.into(),
-        shape,
-        params,
-        cfg,
-        pool,
-        |rank, comms, a_local, _m, n, params, ws| ca_cqr2(rank, comms, a_local, n, params, ws),
-    )
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr2)
 }
 
 /// Runs shifted CA-CQR3 (unconditionally stable for numerically full-rank
@@ -114,25 +105,36 @@ pub fn run_cacqr3_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a.into(), shape, params, cfg, pool, ca_cqr3)
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr3)
 }
 
 /// Shared driver for the CA family (Algorithms 8–9 and the shifted-CQR3
-/// extension) over the `c × d × c` grid: every rank runs `alg` on its cyclic
-/// block, the `z = 0` layer (first subcube for `R`) deposits its pieces into
-/// the output, and every other replica is checked against the deposit.
+/// extension) over the `c × d × c` grid: every rank runs `family`'s CA body
+/// on its cyclic block, the `z = 0` layer (first subcube for `R`) deposits
+/// its pieces into the output, and every other replica is checked against
+/// the deposit.
+///
+/// `c = 1` with `n₀ ≥ n` is Algorithm 6 (§III): every cube collective has
+/// one member, CFR3D is one CholInv and `A·R⁻¹` one local gemm. Those
+/// configs run the 1D body on the `d` ranks instead, charged the CA family's
+/// flops ([`FlopCharges::CaFamily`]) — the same `Q`, `R`, ledgers and clocks
+/// without the copies and transposes. A smaller `n₀` recurses in CFR3D,
+/// which rounds differently, so it keeps the CA path.
 fn run_ca_family(
     a: MatRef<'_>,
     shape: GridShape,
     params: CfrParams,
     cfg: SimConfig,
     pool: &WorkspacePool,
-    alg: CaAlgorithm,
+    family: Family,
 ) -> Result<QrRun, CholeskyError> {
     let (m, n) = (a.rows(), a.cols());
     let (c, d) = (shape.c, shape.d);
     assert_eq!(m % d, 0, "the CA family requires d | m (m={m}, d={d})");
     assert_eq!(n % c, 0, "the CA family requires c | n (n={n}, c={c})");
+    if c == 1 && params.base_size >= n {
+        return run_row_cyclic(a, d, cfg, pool, family, FlopCharges::CaFamily, params.backend);
+    }
     // Zeroed lazily by the allocator: the ranks' writes are the first touch.
     let (mut q, mut r) = (vec![0.0; m * n], vec![0.0; n * n]);
     let report = {
@@ -145,7 +147,10 @@ fn run_ca_family(
             let mut ws = pool.checkout_at(id);
             let packed = (c > 1).then(|| DistMatrix::local_from_global(a, d, c, y, x, &mut ws));
             let a_local = packed.as_ref().map_or_else(|| a.step_rows(y, d), Matrix::as_ref);
-            let result = alg(rank, &comms, a_local, m, n, &params, &mut ws);
+            let result = match family {
+                Family::Cqr2 => ca_cqr2(rank, &comms, a_local, n, &params, &mut ws),
+                Family::Cqr3 => ca_cqr3(rank, &comms, a_local, m, n, &params, &mut ws),
+            };
             if let Some(block) = packed {
                 ws.recycle(block);
             }
@@ -212,9 +217,23 @@ pub fn run_cqr2_1d_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    let a = a.into();
+    run_row_cyclic(a.into(), p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend)
+}
+
+/// Shared driver for the 1D bodies: rank `i` runs `family`'s on rows
+/// `≡ i (mod p)` of `a`, writing the same rows of `Q` through a
+/// [`CyclicWindows`] handle; `R` must come out replicated.
+fn run_row_cyclic(
+    a: MatRef<'_>,
+    p: usize,
+    cfg: SimConfig,
+    pool: &WorkspacePool,
+    family: Family,
+    charges: FlopCharges,
+    backend: BackendKind,
+) -> Result<QrRun, CholeskyError> {
     let (m, n) = (a.rows(), a.cols());
-    assert_eq!(m % p, 0, "1D-CQR2 requires p | m");
+    assert_eq!(m % p, 0, "the row-cyclic drivers require p | m (m={m}, p={p})");
     // Zeroed lazily by the allocator: the ranks' writes are the first touch.
     let mut q = vec![0.0; m * n];
     let report = {
@@ -227,7 +246,11 @@ pub fn run_cqr2_1d_global<'a>(
                 .into_mat_mut()
                 .expect("a row-cyclic window is a strided view");
             let mut ws = pool.checkout_at(id);
-            crate::cqr1d::cqr2_1d(rank, &world, a.step_rows(id, p), q_local, backend, &mut ws)
+            let body = match family {
+                Family::Cqr2 => cqr2_1d,
+                Family::Cqr3 => cqr3_1d,
+            };
+            body(rank, &world, a.step_rows(id, p), q_local, charges, backend, &mut ws)
         })
     };
     let mut r0: Option<Matrix> = None;
@@ -309,32 +332,53 @@ mod tests {
         // Cholesky failure is how ill-conditioning reports — the shifted-
         // CQR3 retry loop hits it on every hard input — so the error paths
         // must recycle their outstanding takes too: repeated *failing*
-        // factors may not grow the pool once warm.
-        let a = matrix_with_condition(64, 8, 1e12, 41);
-        let shape = GridShape::new(2, 4).unwrap();
-        let params = CfrParams::validated(8, 2, 4, 0).unwrap();
-        let pool = WorkspacePool::new();
-        let mut baseline = 0;
-        for round in 0..10 {
-            assert!(
-                run_cacqr2_global(&a, shape, params, SimConfig::default(), &pool).is_err(),
-                "κ=1e12 must fail"
-            );
-            let now = pool.heap_allocations();
-            if round > 0 && now == baseline {
-                break;
+        // factors may not grow the pool once warm. Cases: CA-CQR2 on the
+        // 2 × 4 grid, and the 1D body of CA-CQR3 at c = 1 exhausting its
+        // shifted retries (σ = 0 on a zero matrix) or failing its second
+        // pass (a zero column survives the shift, then breaks CQR2 on Q₁).
+        let ill = matrix_with_condition(64, 8, 1e12, 41);
+        let mut zero_column = matrix_with_condition(64, 8, 1e2, 41);
+        (0..64).for_each(|i| zero_column.set(i, 4, 0.0));
+        let zero = Matrix::zeros(64, 8);
+        let one_d = (GridShape::one_d(4).unwrap(), CfrParams::default_for(8, 1));
+        let cases = [
+            (
+                "ca-cqr2 κ=1e12",
+                false,
+                &ill,
+                (GridShape::new(2, 4).unwrap(), CfrParams::validated(8, 2, 4, 0).unwrap()),
+            ),
+            ("cqr3_1d retries", true, &zero, one_d),
+            ("cqr3_1d second pass", true, &zero_column, one_d),
+        ];
+        for (name, cqr3, a, (shape, params)) in cases {
+            let pool = WorkspacePool::new();
+            let run = || {
+                if cqr3 {
+                    run_cacqr3_global(a, shape, params, SimConfig::default(), &pool)
+                } else {
+                    run_cacqr2_global(a, shape, params, SimConfig::default(), &pool)
+                }
+            };
+            let mut baseline = 0;
+            for round in 0..10 {
+                assert!(run().is_err(), "{name} must fail");
+                let now = pool.heap_allocations();
+                if round > 0 && now == baseline {
+                    break;
+                }
+                assert!(round < 9, "{name}: failing-run inventory must converge");
+                baseline = now;
             }
-            assert!(round < 9, "failing-run inventory must converge");
-            baseline = now;
+            for _ in 0..3 {
+                let _ = run();
+            }
+            assert_eq!(
+                pool.heap_allocations(),
+                baseline,
+                "{name}: failed factorizations must not leak arena inventory"
+            );
         }
-        for _ in 0..3 {
-            let _ = run_cacqr2_global(&a, shape, params, SimConfig::default(), &pool);
-        }
-        assert_eq!(
-            pool.heap_allocations(),
-            baseline,
-            "failed factorizations must not leak arena inventory"
-        );
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! factored on the same matrices, must agree with sequential Householder QR
 //! up to column signs and produce orthonormal factors.
 
-use cacqr::{Algorithm, QrPlan};
+use cacqr::validate::{run_cacqr2_global, run_cacqr3_global};
+use cacqr::{Algorithm, CfrParams, QrPlan};
+use dense::cholesky::CholeskyError;
 use dense::norms::{lower_residual, normalize_qr_signs, orthogonality_error, residual_error};
-use dense::random::well_conditioned;
-use dense::{BackendKind, Matrix};
-use pargrid::GridShape;
+use dense::random::{matrix_with_condition, well_conditioned};
+use dense::{BackendKind, Matrix, Workspace, WorkspacePool};
+use pargrid::{DistMatrix, GridShape, TunableComms};
+use simgrid::{run_spmd, CostLedger, Machine, RuntimeKind, SimConfig};
 
 fn assert_valid_qr(label: &str, a: &Matrix, q: &Matrix, r: &Matrix) {
     assert!(
@@ -162,4 +165,124 @@ fn wide_range_of_shapes_and_grids() {
         let run = QrPlan::new(m, n).grid(shape).build().unwrap().factor(&a).unwrap();
         assert_valid_qr(&format!("m={m} n={n} c={c} d={d}"), &a, &run.q, &run.r);
     }
+}
+
+/// `Q`, `R`, virtual clock bits and per-rank ledgers of one run.
+type Outcome = Result<(Matrix, Matrix, u64, Vec<CostLedger>), CholeskyError>;
+
+/// The CA-CQR2 / CA-CQR3 per-rank bodies on the `1 × d × 1` grid: each rank
+/// is scattered a packed copy of its rows, `Q` is reassembled from the
+/// pieces and `R` (whole on every rank at `c = 1`) taken from rank 0.
+fn ca_bodies(a: &Matrix, d: usize, params: CfrParams, algorithm: Algorithm, cfg: SimConfig) -> Outcome {
+    let (m, n) = (a.rows(), a.cols());
+    let shape = GridShape::one_d(d).unwrap();
+    let report = run_spmd(d, cfg, |rank| {
+        let comms = TunableComms::build(rank, shape);
+        let block = DistMatrix::from_global(a, d, 1, rank.id(), 0).local;
+        let ws = &mut Workspace::new();
+        match algorithm {
+            Algorithm::CaCqr3 => cacqr::ca_cqr3(rank, &comms, block.as_ref(), m, n, &params, ws),
+            _ => cacqr::ca_cqr2(rank, &comms, block.as_ref(), n, &params, ws),
+        }
+        .map(|out| (out.q_local, out.r_local))
+    });
+    let mut pieces = Vec::new();
+    let mut r0 = None;
+    for result in report.results {
+        let (q, r) = result?;
+        pieces.push(vec![q]);
+        r0.get_or_insert(r);
+    }
+    let q = DistMatrix::assemble(m, n, d, 1, &pieces);
+    Ok((q, r0.unwrap(), report.elapsed.to_bits(), report.ledgers))
+}
+
+/// The routed global driver, which runs the 1D bodies at `c = 1, n₀ = n`.
+fn routed(a: &Matrix, d: usize, params: CfrParams, algorithm: Algorithm, cfg: SimConfig) -> Outcome {
+    let (shape, pool) = (GridShape::one_d(d).unwrap(), WorkspacePool::new());
+    let run = match algorithm {
+        Algorithm::CaCqr3 => run_cacqr3_global(a, shape, params, cfg, &pool),
+        _ => run_cacqr2_global(a, shape, params, cfg, &pool),
+    }?;
+    Ok((run.q, run.r, run.elapsed.to_bits(), run.ledgers))
+}
+
+fn assert_same_outcome(label: &str, got: Outcome, want: Outcome) {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got.0, want.0, "{label}: Q");
+            assert_eq!(got.1, want.1, "{label}: R");
+            assert_eq!(got.2, want.2, "{label}: virtual clock");
+            assert_eq!(got.3, want.3, "{label}: ledgers");
+        }
+        (Err(got), Err(want)) => {
+            assert_eq!(got.index, want.index, "{label}: failing pivot index");
+            assert_eq!(got.pivot.to_bits(), want.pivot.to_bits(), "{label}: failing pivot");
+        }
+        (got, want) => panic!("{label}: routed {:?} vs bodies {:?}", got.err(), want.err()),
+    }
+}
+
+#[test]
+fn one_layer_ca_configs_run_algorithm_6_bit_for_bit_and_ledger_for_ledger() {
+    // §III: CA-CQR with c = 1 degenerates to exactly Algorithm 6, so the
+    // drivers route c = 1, n₀ = n to the 1D bodies. That must be invisible:
+    // same factors, clocks, ledgers, and the same typed failure.
+    let machine = Machine {
+        alpha: 1e-3,
+        beta: 1e-6,
+        gamma: 1e-9,
+    };
+    let mut cqr2_failures = 0;
+    for runtime in [RuntimeKind::Simulated, RuntimeKind::SharedMem] {
+        let cfg = SimConfig::with_machine(machine).on_runtime(runtime);
+        let check = |label: &str, a: &Matrix, d: usize, params: CfrParams, algorithm: Algorithm| {
+            let got = routed(a, d, params, algorithm, cfg);
+            let want = ca_bodies(a, d, params, algorithm, cfg);
+            let failed = got.is_err();
+            assert_same_outcome(&format!("{label} {} on {runtime}", algorithm.name()), got, want);
+            failed
+        };
+        for (m, n, d) in [(256usize, 32usize, 1usize), (64, 16, 4), (4096, 64, 2)] {
+            let params = CfrParams::default_for(n, 1);
+            assert_eq!(params.base_size, n, "the default n₀ at c = 1 is n");
+            for kappa in [1.0, 1e6, 1e10] {
+                let a = matrix_with_condition(m, n, kappa, 7);
+                let label = format!("{m}x{n} d={d} κ={kappa:e}");
+                cqr2_failures += usize::from(check(&label, &a, d, params, Algorithm::CaCqr2));
+                assert!(
+                    !check(&label, &a, d, params, Algorithm::CaCqr3),
+                    "{label}: shifted CQR3 is stable"
+                );
+            }
+            // Rank-deficient input: an all-zero matrix exhausts CA-CQR3's
+            // four shifted tries (σ = 0); a zero column passes the shifted
+            // pass and fails the CQR2 on Q₁.
+            let zero = Matrix::zeros(m, n);
+            let mut zero_column = matrix_with_condition(m, n, 1e2, 9);
+            (0..m).for_each(|i| zero_column.set(i, n / 2, 0.0));
+            for (what, a) in [("zero", &zero), ("zero column", &zero_column)] {
+                assert!(check(&format!("{m}x{n} d={d} {what}"), a, d, params, Algorithm::CaCqr3));
+            }
+        }
+        // An explicit n₀ < n recurses in CFR3D, which rounds differently
+        // from the 1D body here: the plan must keep the CA path.
+        let (m, n, d) = (4096, 64, 2);
+        let a = matrix_with_condition(m, n, 1e6, 7);
+        let plan = QrPlan::new(m, n)
+            .grid(GridShape::one_d(d).unwrap())
+            .base_size(16)
+            .machine(machine)
+            .runtime(runtime)
+            .build()
+            .unwrap();
+        let report = plan.factor(&a).unwrap();
+        let params = CfrParams::validated(n, 1, 16, 0).unwrap();
+        let planned = Ok((report.q, report.r, report.elapsed.to_bits(), report.ledgers));
+        let want = ca_bodies(&a, d, params, Algorithm::CaCqr2, cfg);
+        let one_d = ca_bodies(&a, d, CfrParams::default_for(n, 1), Algorithm::CaCqr2, cfg).unwrap();
+        assert_ne!(want.as_ref().unwrap().0, one_d.0, "n₀ = 16 must round differently");
+        assert_same_outcome("n0=16 plan", planned, want);
+    }
+    assert!(cqr2_failures > 0, "CQR2 at κ = 1e10 must exercise the typed failure");
 }

@@ -47,7 +47,16 @@ fn reference_1d(a: &Matrix, p: usize, cfg: SimConfig) -> Result<Reference, Chole
         let block = DistMatrix::from_global(a, p, 1, rank.id(), 0).local;
         let mut q = Matrix::zeros(block.rows(), n);
         let kind = BackendKind::default_kind();
-        cacqr::cqr2_1d(rank, &world, block.as_ref(), q.as_mut(), kind, &mut Workspace::new()).map(|r| (q, r))
+        cacqr::cqr2_1d(
+            rank,
+            &world,
+            block.as_ref(),
+            q.as_mut(),
+            cacqr::FlopCharges::OneD,
+            kind,
+            &mut Workspace::new(),
+        )
+        .map(|r| (q, r))
     });
     let mut pieces = grid_of(p, 1);
     let mut r0 = None;
