@@ -71,8 +71,6 @@ pub use driver::{
 };
 pub use invtree::InvTree;
 pub use mm3d::{mm3d, mm3d_scaled, transpose_cube};
-pub use service::{
-    JobHandle, JobSpec, QrService, QrServiceBuilder, ServiceError, StreamHandle, StreamOp, StreamOutcome, SubmitOptions,
-};
+pub use service::{JobHandle, JobSpec, QrService, QrServiceBuilder, ServiceError, SubmitOptions};
 pub use stream::{StreamSnapshot, StreamStatus, StreamingQr};
 pub use tuner::{Tuner, TunerError, TunerReport};

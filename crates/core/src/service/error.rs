@@ -46,24 +46,10 @@ pub enum ServiceError {
         /// The job's underlying failure.
         source: Box<ServiceError>,
     },
-    /// A streaming job named a key no open stream has (never opened, or
-    /// already closed by [`stream_close`](super::QrService::stream_close)).
-    UnknownStream {
-        /// The unmatched stream key.
-        key: String,
-    },
-    /// [`stream_open`](super::QrService::stream_open) found the key already
-    /// bound to a live stream; close it first or pick another key.
-    StreamExists {
-        /// The conflicting stream key.
-        key: String,
-    },
     /// The job's deadline passed before a worker could execute it. The
     /// job never ran (deadlines are checked at dequeue — *lazy*
     /// cancellation), so no partial work exists and the service's state is
-    /// exactly as if the job had not been submitted. Stream jobs still
-    /// consume their turnstile slot so later operations on the stream are
-    /// not wedged.
+    /// exactly as if the job had not been submitted.
     DeadlineExceeded {
         /// How long the job sat in the queue before the expiry was
         /// observed.
@@ -71,12 +57,12 @@ pub enum ServiceError {
         /// The deadline budget the submission carried.
         budget: std::time::Duration,
     },
-    /// The job was cancelled via [`Handle::cancel`](super::Handle::cancel)
+    /// The job was cancelled via [`JobHandle::cancel`](super::JobHandle::cancel)
     /// before a worker dequeued it. Like an expired deadline, the job never
     /// ran.
     Cancelled,
     /// The handle's outcome was already delivered by an earlier
-    /// [`wait_timeout`](super::Handle::wait_timeout): an outcome is
+    /// [`wait_timeout`](super::JobHandle::wait_timeout): an outcome is
     /// redeemed once, and asking again fails with this instead of waiting
     /// for a completion that already happened.
     AlreadyRedeemed,
@@ -105,12 +91,6 @@ impl std::fmt::Display for ServiceError {
             }
             ServiceError::BatchJobFailed { index, source } => {
                 write!(f, "batch job {index} failed: {source}")
-            }
-            ServiceError::UnknownStream { key } => {
-                write!(f, "no open stream named `{key}`")
-            }
-            ServiceError::StreamExists { key } => {
-                write!(f, "a stream named `{key}` is already open")
             }
             ServiceError::DeadlineExceeded { waited, budget } => {
                 write!(

@@ -1,15 +1,15 @@
-//! The two halves of one submitted unit: the [`Handle`] the caller redeems
-//! and the [`Ticket`] the queued work carries.
+//! The two halves of one submitted unit: the [`JobHandle`] the caller
+//! redeems and the [`Ticket`] the queued work carries.
 //!
-//! Every submission — a factorization, a stream operation, a whole
-//! `factor_many` batch — is admitted by [`Ticket::admit`] and checked at
-//! dequeue by [`Ticket::dequeue_reject`], so admission control, lazy
-//! cancellation and deadline expiry each live in exactly one place. The
-//! completion [`Slot`] is likewise one generic: [`JobHandle`] and
-//! [`StreamHandle`] are aliases of the same [`Handle`].
+//! Every submission — a factorization or a whole `factor_many` batch — is
+//! admitted by [`Ticket::admit`] and checked at dequeue by
+//! [`Ticket::dequeue_reject`], so admission control, lazy cancellation and
+//! deadline expiry each live in exactly one place. The completion [`Slot`]
+//! and the [`JobHandle`] over it are generic only so a batch can deliver
+//! its per-panel results through them; every handle a caller receives
+//! delivers one [`QrReport`].
 
 use super::stats::Recorder;
-use super::stream::StreamOutcome;
 use super::ServiceError;
 use crate::driver::QrReport;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,32 +68,25 @@ impl<T> Slot<T> {
     }
 }
 
-/// Handle to one submitted unit of work; redeem it with [`Handle::wait`] or
-/// poll it with [`Handle::wait_timeout`]. Callers name it through its
-/// aliases: [`JobHandle`] for factorizations, [`StreamHandle`] for stream
-/// operations.
+/// Handle to one submitted factorization, delivering its [`QrReport`];
+/// redeem it with [`JobHandle::wait`] or poll it with
+/// [`JobHandle::wait_timeout`]. The type parameter serves the service's
+/// internal batch slot only.
 #[must_use = "a submitted job's outcome is only observable through its handle"]
-pub struct Handle<T> {
+pub struct JobHandle<T = QrReport> {
     slot: Arc<Slot<T>>,
     cancel: Arc<AtomicBool>,
 }
 
-/// Handle to one submitted factorization, delivering its [`QrReport`].
-pub type JobHandle = Handle<QrReport>;
-
-/// Handle to one submitted stream operation, delivering its
-/// [`StreamOutcome`]. Typed stream failures (indefinite downdate, shape
-/// mismatch, history mismatch, …) surface from [`Handle::wait`] as
-/// [`ServiceError::Plan`]-wrapped [`PlanError`](crate::PlanError)s.
-pub type StreamHandle = Handle<StreamOutcome>;
-
-impl<T> std::fmt::Debug for Handle<T> {
+impl<T> std::fmt::Debug for JobHandle<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Handle").field("finished", &self.is_finished()).finish()
+        f.debug_struct("JobHandle")
+            .field("finished", &self.is_finished())
+            .finish()
     }
 }
 
-impl<T> Handle<T> {
+impl<T> JobHandle<T> {
     /// Blocks until the job completes, returning its outcome or error.
     pub fn wait(self) -> Result<T, ServiceError> {
         self.slot
@@ -102,9 +95,9 @@ impl<T> Handle<T> {
     }
 
     /// Blocks at most `budget`. `Some` delivers the job's outcome exactly
-    /// like [`wait`](Handle::wait); `None` means the job is still pending —
+    /// like [`wait`](JobHandle::wait); `None` means the job is still pending —
     /// the handle stays redeemable, so the caller can poll again, block
-    /// with `wait`, or [`cancel`](Handle::cancel). Never blocks past the
+    /// with `wait`, or [`cancel`](JobHandle::cancel). Never blocks past the
     /// budget, even against a wedged pool. The outcome is delivered once:
     /// redeeming again after a `Some` yields
     /// [`ServiceError::AlreadyRedeemed`] instead of waiting forever.
@@ -116,10 +109,7 @@ impl<T> Handle<T> {
     /// queued when a worker pops it, the handle resolves to
     /// [`ServiceError::Cancelled`] without executing; a job already
     /// running (or already finished) is unaffected and delivers its real
-    /// outcome. A cancelled stream operation still consumes its turnstile
-    /// slot (so later operations on the stream are not wedged) but leaves
-    /// the stream's factor untouched, exactly as if it had never been
-    /// submitted. Idempotent, callable from any thread holding the handle.
+    /// outcome. Idempotent, callable from any thread holding the handle.
     pub fn cancel(&self) {
         self.cancel.store(true, Ordering::Relaxed);
     }
@@ -136,7 +126,7 @@ impl<T> Handle<T> {
 
 /// What every queued unit carries from admission to dequeue: when it was
 /// admitted, the deadline budget it must start within, and the
-/// cancellation flag it shares with its [`Handle`].
+/// cancellation flag it shares with its [`JobHandle`].
 pub(super) struct Ticket {
     pub(super) enqueued: Instant,
     deadline: Option<Duration>,
@@ -167,12 +157,12 @@ impl Ticket {
 
     /// The caller's half of this ticket, with the slot the worker will
     /// complete.
-    pub(super) fn handle<T>(&self) -> (Arc<Slot<T>>, Handle<T>) {
+    pub(super) fn handle<T>(&self) -> (Arc<Slot<T>>, JobHandle<T>) {
         let slot = Arc::new(Slot {
             state: Mutex::new(State::Pending),
             done: Condvar::new(),
         });
-        let handle = Handle {
+        let handle = JobHandle {
             slot: Arc::clone(&slot),
             cancel: Arc::clone(&self.cancel),
         };
@@ -204,7 +194,7 @@ impl Ticket {
 mod tests {
     use super::*;
 
-    fn pending() -> (Arc<Slot<u32>>, Handle<u32>) {
+    fn pending() -> (Arc<Slot<u32>>, JobHandle<u32>) {
         Ticket::admit(&Recorder::new(), None).unwrap().handle()
     }
 

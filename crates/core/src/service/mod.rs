@@ -14,19 +14,18 @@
 //! of blocking) and returns a [`JobHandle`]. [`QrService::try_factor_many`]
 //! admits a whole same-shape batch as one dispatched job with per-index
 //! results; [`factor_many`](QrService::factor_many) is its all-or-nothing
-//! wrapper. [`QrService::stream_submit`] (and the `append_rows` family over
-//! it) enqueues an operation on a live stream and returns a
-//! [`StreamHandle`].
+//! wrapper. A live [`StreamingQr`](crate::StreamingQr) is not a service
+//! job: the caller owns it (behind a `Mutex` when several threads share
+//! it) and orders its updates itself.
 //!
-//! All three share one job core, one module per piece: `spec` (the cache
-//! key, the operand, the per-submission options), `cache` (the plan
-//! cache), `queue` and `worker` (the one bounded FIFO every unit travels
-//! through, and the pool that drains it; a worker runs each job's kernels
-//! on its own thread), `stream` (the per-key turnstile),
-//! `handle` and `stats`. Both handle types are aliases of one generic
-//! [`Handle`]; every queued unit carries one ticket, so admission control
-//! and the dequeue-time cancel/deadline check each live in one place; and
-//! every executed unit passes one epilogue — the `worker` fault site, panic
+//! Single jobs and batches share one job core, one module per piece:
+//! `spec` (the cache key, the operand, the per-submission options),
+//! `cache` (the plan cache), `queue` and `worker` (the one bounded FIFO
+//! every unit travels through, and the pool that drains it; a worker runs
+//! each job's kernels on its own thread), `handle` and `stats`. Every
+//! queued unit carries one ticket, so admission control and the
+//! dequeue-time cancel/deadline check each live in one place; and every
+//! executed panel passes one epilogue — the `worker` fault site, panic
 //! isolation into a typed [`ServiceError`], the escalation counters, and
 //! the latency histograms that [`QrService::stats`] snapshots as
 //! [`ServiceStats`].
@@ -34,10 +33,7 @@
 //! Determinism is preserved end to end: a given `(plan, matrix)` pair
 //! produces bitwise-identical factors whether it runs on the caller's
 //! thread, one worker, or whichever worker of a saturated pool claims it,
-//! and batch reports come back in submission order. The same holds per
-//! stream: the turnstile makes the applied order *be* the submission order,
-//! so a given `(initial, update sequence)` pair produces bitwise-identical
-//! factors regardless of pool width or contention.
+//! and batch reports come back in submission order.
 //!
 //! # Example
 //!
@@ -66,14 +62,12 @@ mod handle;
 mod queue;
 mod spec;
 mod stats;
-mod stream;
 mod worker;
 
 pub use error::ServiceError;
-pub use handle::{Handle, JobHandle, StreamHandle};
+pub use handle::JobHandle;
 pub use spec::{JobInput, JobSpec, SubmitOptions};
 pub use stats::{LatencySummary, ServiceStats};
-pub use stream::{StreamOp, StreamOutcome};
 
 use crate::driver::{PlanError, QrPlan, QrReport};
 use cache::PlanCache;
@@ -82,19 +76,15 @@ use handle::Ticket;
 use queue::{Fifo, PushError};
 use simgrid::{Machine, RuntimeKind};
 use stats::Recorder;
-use std::collections::HashMap;
 use std::sync::atomic::AtomicUsize;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use stream::StreamEntry;
 use worker::{FactorJob, ManyBatch, Work};
 
 /// State shared between the service front end and its workers.
 struct Shared {
     queue: Fifo<Work>,
     cache: PlanCache,
-    /// Registry of open streams, keyed by caller-chosen name.
-    streams: RwLock<HashMap<String, Arc<StreamEntry>>>,
     stats: Recorder,
     machine: Machine,
     runtime: RuntimeKind,
@@ -159,7 +149,6 @@ impl QrServiceBuilder {
         let shared = Arc::new(Shared {
             queue: Fifo::new(capacity, workers),
             cache: PlanCache::default(),
-            streams: RwLock::new(HashMap::new()),
             stats: Recorder::new(),
             machine: self.machine,
             runtime: self.runtime,
@@ -315,11 +304,6 @@ impl QrService {
         Ok(handle)
     }
 
-    /// Enqueues admitted work, blocking while the queue is full.
-    fn enqueue(&self, work: Work) -> Result<(), ServiceError> {
-        self.shared.queue.push(work).map_err(|e| self.refusal(e))
-    }
-
     /// The typed error for work the queue handed back.
     fn refusal(&self, refused: PushError<Work>) -> ServiceError {
         match refused {
@@ -390,7 +374,7 @@ impl QrService {
             remaining: AtomicUsize::new(panels),
             slot,
         });
-        self.enqueue(Work::Many(batch))?;
+        self.shared.queue.push(Work::Many(batch)).map_err(|e| self.refusal(e))?;
         handle.wait()
     }
 
@@ -426,7 +410,7 @@ impl Drop for QrService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dense::random::{gaussian_matrix, well_conditioned};
+    use dense::random::well_conditioned;
     use pargrid::GridShape;
     use std::time::Duration;
 
@@ -560,19 +544,7 @@ mod tests {
             }
             other => panic!("expected Overloaded, got {other}"),
         }
-        // Stream submissions pass through the same gate.
-        service
-            .stream_open("live", &spec, &well_conditioned(64, 16, 23))
-            .unwrap();
-        let err = service
-            .stream_submit(
-                "live",
-                StreamOp::Append(gaussian_matrix(2, 16, 1)),
-                SubmitOptions::new().deadline(Duration::ZERO),
-            )
-            .unwrap_err();
-        assert!(matches!(err, ServiceError::Overloaded { .. }));
-        assert_eq!(service.stats().shed, 2);
+        assert_eq!(service.stats().shed, 1);
         // Deadline-less submissions are never shed.
         service
             .submit(&spec, well_conditioned(64, 16, 8))
@@ -586,9 +558,6 @@ mod tests {
         let service = QrService::builder().workers(1).queue_capacity(1).build();
         let spec = spec_64x16();
         let pre = service.submit(&spec, well_conditioned(64, 16, 1)).unwrap();
-        service
-            .stream_open("open", &spec, &well_conditioned(64, 16, 3))
-            .unwrap();
         service.close();
         pre.wait().unwrap(); // accepted work drains
         assert!(matches!(
@@ -605,16 +574,37 @@ mod tests {
                 .unwrap_err(),
             ServiceError::ShuttingDown
         ));
-        // Stream submissions fail the same way: a stream opened before the
-        // close stays registered, but no new operation can be queued on it.
-        assert!(matches!(
-            service.append_rows("open", gaussian_matrix(2, 16, 0)).unwrap_err(),
-            ServiceError::ShuttingDown
-        ));
-        assert!(matches!(
-            service.append_rows("nope", gaussian_matrix(2, 16, 0)).unwrap_err(),
-            ServiceError::UnknownStream { .. }
-        ));
+    }
+
+    #[test]
+    fn a_job_cancelled_in_the_queue_resolves_typed_without_executing() {
+        // No pool: the test thread is the only worker, so the job is still
+        // queued when it is cancelled, whatever the scheduler does.
+        let shared = Shared {
+            queue: Fifo::new(1, 1),
+            cache: PlanCache::default(),
+            stats: Recorder::new(),
+            machine: Machine::zero(),
+            runtime: RuntimeKind::Simulated,
+            default_backend: BackendKind::default_kind(),
+        };
+        let ticket = Ticket::admit(&shared.stats, None).unwrap();
+        let (slot, handle) = ticket.handle();
+        let job = FactorJob {
+            ticket,
+            plan: Arc::new(QrPlan::new(64, 16).grid(GridShape::new(2, 2).unwrap()).build().unwrap()),
+            input: well_conditioned(64, 16, 4).into(),
+            retry: None,
+            slot,
+        };
+        assert!(shared.queue.push(Work::Factor(job)).is_ok());
+        handle.cancel();
+        shared.queue.close();
+        worker::worker_loop(&shared); // pops the cancelled job, then the end
+        assert!(matches!(handle.wait(), Err(ServiceError::Cancelled)));
+        let stats = shared.stats.snapshot();
+        assert_eq!(stats.cancelled, 1);
+        assert_eq!(stats.execution.count, 0, "a cancelled job never reaches the kernels");
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! The one bounded FIFO under the `QrService` worker pool.
 //!
-//! Every queued unit — a factorization, a stream operation, a
-//! `factor_many` batch — travels through the same `Mutex<VecDeque>` (`std`
-//! primitives only: the workspace builds offline, no `crossbeam`).
-//! Backpressure lives here: [`Fifo::push`] blocks at capacity and
-//! [`Fifo::try_push`] refuses. Items pop in push order, which is what
-//! stream operations rely on: per stream, sequence order equals queue order
-//! equals pop order, so the turnstile in `service::stream` never waits on
-//! an operation still *behind* it in the queue. A `factor_many` batch
-//! spreads itself over the pool through [`Fifo::reoffer`].
+//! Every queued unit — a factorization or a `factor_many` batch — travels
+//! through the same `Mutex<VecDeque>` (`std` primitives only: the
+//! workspace builds offline, no `crossbeam`). Backpressure lives here:
+//! [`Fifo::push`] blocks at capacity and [`Fifo::try_push`] refuses. Items
+//! pop in push order. A `factor_many` batch spreads itself over the pool
+//! through [`Fifo::reoffer`].
 //!
-//! The schedule is invisible to the arithmetic: every queued unit is either
-//! independent (factorizations, batch panels writing disjoint result slots)
-//! or externally ordered (stream ops by their turnstile).
+//! The schedule is invisible to the arithmetic: every queued unit is
+//! independent (factorizations, batch panels writing disjoint result
+//! slots), so no worker ever waits on another.
 //!
 //! The queue also tracks its *consumers*: each worker deregisters on exit
 //! (normal shutdown or a panic escaping the job guard), and once none

@@ -250,8 +250,7 @@ impl From<&Arc<Matrix>> for JobInput {
 }
 
 /// Per-submission quality-of-service knobs, taken by
-/// [`QrService::submit_with`](super::QrService::submit_with) and
-/// [`QrService::stream_submit`](super::QrService::stream_submit).
+/// [`QrService::submit_with`](super::QrService::submit_with).
 ///
 /// The default (`SubmitOptions::new()`) is exactly the plain `submit`
 /// behavior: no deadline, no cancellation pressure, the plan's own retry

@@ -130,7 +130,7 @@ pub struct LatencySummary {
 pub struct ServiceStats {
     /// Submit → worker-pickup latency of completed jobs.
     pub queue_wait: LatencySummary,
-    /// Kernel execution latency (factorization / stream update proper).
+    /// Kernel execution latency (the factorization proper).
     pub execution: LatencySummary,
     /// Submit → result-fulfilled latency: what a caller actually waits.
     pub end_to_end: LatencySummary,

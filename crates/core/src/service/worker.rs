@@ -1,26 +1,24 @@
 //! The worker side of the pool: the loop that drains the queue, the shared
 //! cursor a `factor_many` batch balances itself from, and the one
-//! execute-and-settle epilogue every executed unit — factorization, batch
-//! panel, stream operation — passes through.
+//! factor-and-settle body every executed panel — a single job's or a
+//! batch's — passes through.
 
 use super::handle::{Slot, Ticket};
 use super::spec::JobInput;
-use super::stream::{run_stream_job, StreamJob};
 use super::{ServiceError, Shared};
-use crate::driver::{PlanError, QrPlan, QrReport, RetryPolicy};
+use crate::driver::{QrPlan, QrReport, RetryPolicy};
 use dense::Matrix;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// One unit of queued work. All three kinds enter through the one bounded
-/// FIFO and share its backpressure; a
+/// One unit of queued work: a single job or a whole batch. Both enter
+/// through the one bounded FIFO and share its backpressure; a
 /// [`factor_many`](super::QrService::factor_many) batch is additionally
 /// re-offered to it by the workers that pop it (see [`run_many`]).
 pub(super) enum Work {
     Factor(FactorJob),
-    Stream(StreamJob),
     Many(Arc<ManyBatch>),
 }
 
@@ -73,40 +71,9 @@ pub(super) fn worker_loop(shared: &Shared) {
                 );
                 job.slot.complete(outcome);
             }
-            Work::Stream(job) => run_stream_job(shared, job),
             Work::Many(batch) => run_many(shared, batch),
         }
     }
-}
-
-/// The one execute-and-settle epilogue. Runs `exec` behind the worker
-/// fault site and the panic-isolation boundary, converts its failure modes
-/// into typed [`ServiceError`]s, and records the execution and end-to-end
-/// latencies and the completion — identically for every kind of unit, so a
-/// `CACQR_FAULTS` `worker=` schedule reaches all served traffic and every
-/// executed unit is counted once.
-pub(super) fn execute<T>(
-    shared: &Shared,
-    ticket: &Ticket,
-    exec: impl FnOnce() -> Result<T, PlanError>,
-) -> Result<T, ServiceError> {
-    let t0 = Instant::now();
-    let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| {
-        dense::faultpoint!(dense::fault::WORKER, {
-            panic!("injected worker fault (CACQR_FAULTS site `worker`)");
-        });
-        exec()
-    })) {
-        Ok(Ok(value)) => Ok(value),
-        Ok(Err(e)) => Err(ServiceError::Plan(e)),
-        Err(payload) => Err(ServiceError::WorkerPanicked {
-            message: panic_message(payload.as_ref()),
-        }),
-    };
-    shared.stats.execution.record(t0.elapsed());
-    shared.stats.end_to_end.record(ticket.enqueued.elapsed());
-    shared.stats.complete(1);
-    outcome
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -120,7 +87,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Factors one panel picked up at `picked`, unless its ticket was cancelled
-/// or expired in the queue (then the kernels never run). A completed
+/// or expired in the queue (then the kernels never run). The factor runs
+/// behind the worker fault site and the panic-isolation boundary, so a
+/// `CACQR_FAULTS` `worker=` schedule reaches all served traffic and a panic
+/// comes back as a typed [`ServiceError`]; every executed panel records its
+/// execution and end-to-end latencies and one completion. A completed
 /// report's escalation record feeds the service counters: each rung beyond
 /// the first is a retry; an accepted non-primary rung is an escalation.
 fn factor_panel(
@@ -135,7 +106,24 @@ fn factor_panel(
         return Err(err);
     }
     let policy = retry.unwrap_or_else(|| plan.retry_policy());
-    let report = execute(shared, ticket, || plan.factor_with_policy(a, policy))?;
+    let t0 = Instant::now();
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        dense::faultpoint!(dense::fault::WORKER, {
+            panic!("injected worker fault (CACQR_FAULTS site `worker`)");
+        });
+        plan.factor_with_policy(a, policy)
+    }));
+    shared.stats.execution.record(t0.elapsed());
+    shared.stats.end_to_end.record(ticket.enqueued.elapsed());
+    shared.stats.complete(1);
+    let report = match outcome {
+        Ok(report) => report?,
+        Err(payload) => {
+            return Err(ServiceError::WorkerPanicked {
+                message: panic_message(payload.as_ref()),
+            })
+        }
+    };
     if let Some(esc) = &report.escalation {
         shared.stats.retried(esc.attempts.len().saturating_sub(1) as u64);
         if esc.escalated() {

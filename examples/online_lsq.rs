@@ -8,17 +8,19 @@
 //! [`StreamingQr::solve`] re-estimates the coefficients after every
 //! arrival via corrected semi-normal equations — no caller-side
 //! bookkeeping. A sliding-window phase then *downdates* the oldest rows so
-//! the fit tracks only the recent past, and a final section pushes the
-//! same traffic through [`QrService`] stream jobs to show the pooled,
-//! contention-safe route to identical factors and solutions.
+//! the fit tracks only the recent past, and a final section replays the
+//! same traffic through a caller-owned map of named streams, each behind a
+//! `Mutex`, from another thread — the shared, contention-safe route to
+//! identical factors and solutions.
 //!
 //! Run: `cargo run --release --example online_lsq`
 
-use ca_cqr2::cacqr::service::JobSpec;
 use ca_cqr2::dense::random::SeededRng;
 use ca_cqr2::dense::Matrix;
 use ca_cqr2::pargrid::GridShape;
-use ca_cqr2::{Algorithm, QrPlan, QrService, StreamingQr};
+use ca_cqr2::{Algorithm, QrPlan, StreamingQr};
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Ground truth: y(t) = 3 − 2t + 0.5t² − 0.1t³ plus noise.
 const TRUTH: [f64; 4] = [3.0, -2.0, 0.5, -0.1];
@@ -101,59 +103,40 @@ fn main() {
     assert!(snap.orthogonality_error.unwrap() < 1e-12);
     assert!(snap.residual_error.unwrap() < 1e-12);
 
-    // The same traffic as stateful service jobs: one stream per key, FIFO
-    // per key, sharing the worker pool (and plan cache) with batch jobs.
-    // Factors and solutions are bitwise-identical to a direct replay.
-    let service = QrService::builder().workers(2).build();
-    let spec = JobSpec::new(m0, n)
-        .algorithm(Algorithm::Cqr2_1d)
-        .grid(GridShape::one_d(4).unwrap());
-    service
-        .stream_open_with_rhs("telemetry", &spec, &a0, &b0)
-        .expect("fresh key");
-    let handles: Vec<_> = appended
-        .iter()
-        .map(|(a_k, b_k)| {
-            service
-                .append_rows_with("telemetry", a_k.clone(), b_k.clone())
-                .expect("stream is open")
-        })
-        .collect();
-    for h in handles {
-        h.wait().expect("appends succeed");
-    }
-    service
-        .downdate_rows_with("telemetry", retire.clone(), retire_b.clone())
-        .expect("stream is open")
-        .wait()
-        .expect("rows are in the window");
-    let served_x = service
-        .solve("telemetry")
-        .expect("stream is open")
-        .wait()
-        .expect("solve succeeds")
-        .into_solution()
-        .expect("solution outcome");
+    // The same traffic through streams the caller owns: a map of named
+    // streams, each behind its own `Mutex`, shared by reference with the
+    // threads that feed them. The caller orders each stream's updates (here,
+    // one feeding thread per key); the plan is shared, so every stream draws
+    // on its warm workspaces. Factors and solutions are bitwise-identical
+    // to the direct run above.
+    let streams: HashMap<String, Mutex<StreamingQr>> = HashMap::from([(
+        "telemetry".to_string(),
+        Mutex::new(plan.stream_with_rhs(&a0, &b0).expect("well-conditioned window")),
+    )]);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut live = streams["telemetry"].lock().unwrap();
+            for (a_k, b_k) in &appended {
+                live.append_rows_with(a_k.as_ref(), b_k.as_ref())
+                    .expect("full-rank batch");
+            }
+            live.downdate_rows_with(retire.as_ref(), retire_b.as_ref())
+                .expect("rows are in the window");
+        });
+    });
+    let mut live = streams["telemetry"].lock().unwrap();
     assert_eq!(
-        served_x.data(),
+        live.solve().expect("factor is live").data(),
         x.data(),
-        "service solve must match the direct stream bitwise"
+        "a shared stream's solve must match the direct stream bitwise"
     );
-    let served = service
-        .snapshot("telemetry")
-        .expect("stream is open")
-        .wait()
-        .expect("snapshot succeeds")
-        .into_snapshot()
-        .expect("snapshot outcome");
     assert_eq!(
-        served.r.data(),
+        live.snapshot().expect("well-conditioned window").r.data(),
         snap.r.data(),
-        "service stream must match the direct stream bitwise"
+        "a shared stream must match the direct stream bitwise"
     );
-    service.stream_close("telemetry");
     println!(
-        "  service replay: bitwise-identical R and x through {} stream jobs",
-        appended.len() + 3
+        "  shared replay: bitwise-identical R and x after {} updates from another thread",
+        appended.len() + 1
     );
 }

@@ -47,10 +47,10 @@
 //! factor that absorbs rank-k row appends and downdates in `O(kn² + n³)` —
 //! independent of how many rows are already folded in, at any delta width —
 //! with a tracked drift bound that is the only automatic trigger of a full
-//! CholeskyQR2 refresh through the owning plan. The same engine serves
-//! streaming traffic through [`QrService`] stream jobs (`stream_open` /
-//! `append_rows` / `downdate_rows` / `snapshot`). See [`cacqr::stream`] and
-//! `examples/online_lsq.rs`.
+//! CholeskyQR2 refresh through the owning plan. The caller owns the
+//! stream: a `StreamingQr` is `Send`, so several threads share one behind
+//! a `Mutex` (a map of them, keyed by name, serves many). See
+//! [`cacqr::stream`] and `examples/online_lsq.rs`.
 //!
 //! ## Robustness: escalation, deadlines, fault injection
 //!
@@ -95,7 +95,7 @@ pub use cacqr::driver::{
 };
 pub use cacqr::service::{
     JobHandle, JobInput, JobSpec, LatencySummary, QrService, QrServiceBuilder, ServiceError, ServiceStats,
-    StreamHandle, StreamOp, StreamOutcome, SubmitOptions,
+    SubmitOptions,
 };
 pub use cacqr::stream::{StreamSnapshot, StreamStatus, StreamingQr};
 pub use cacqr::tuner::{Tuner, TunerError, TunerReport};

@@ -5,7 +5,7 @@
 //! watchdog, and asserts the robustness contract:
 //!
 //! * **No hangs.** Each body runs under a hard watchdog; a deadlocked pool
-//!   or wedged turnstile fails the test instead of wedging CI.
+//!   or wedged queue fails the test instead of wedging CI.
 //! * **Typed or recovered.** Every injected fault either surfaces as a
 //!   typed error (`WorkerPanicked`, `NotPositiveDefinite`) or is absorbed
 //!   by a successful escalated retry — never a crash, never silence.
@@ -27,7 +27,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Generous per-test budget: the suite's work completes in seconds; only a
-/// genuine hang (a wedged turnstile, a deadlocked collective) reaches it.
+/// genuine hang (a wedged queue, a deadlocked collective) reaches it.
 const WATCHDOG: Duration = Duration::from_secs(120);
 
 /// The two CI chaos schedules (`.github/workflows/ci.yml` must stay in

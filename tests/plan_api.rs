@@ -215,10 +215,14 @@ fn stream_shape_mismatch_is_a_typed_update_error() {
     assert!(err.to_string().contains("streaming update failed"), "{err}");
     let src = std::error::Error::source(&err).expect("kernel error is the source");
     assert!(src.to_string().contains("16"), "{src}");
+    // The rejected block left the stream usable.
+    let status = s.append_rows(gaussian_matrix(2, 16, 2).as_ref()).unwrap();
+    assert_eq!(status.rows, 66);
 }
 
 #[test]
 fn downdating_rows_never_appended_is_rejected_or_indefinite() {
+    use ca_cqr2::dense::random::gaussian_matrix;
     use ca_cqr2::dense::Matrix;
 
     let plan = QrPlan::new(32, 8)
@@ -233,11 +237,17 @@ fn downdating_rows_never_appended_is_rejected_or_indefinite() {
     // leaves R untouched. (The kernel's own `DowndateIndefinite` check and
     // its rollback are covered by the `dense` breakdown tests.)
     let mut s = plan.stream(&a0).unwrap();
+    s.append_rows(gaussian_matrix(2, 8, 4).as_ref()).unwrap();
     let r_before = s.r().clone();
     let err = s.downdate_rows(foreign.as_ref()).unwrap_err();
     assert_eq!(err, PlanError::StreamHistoryMismatch { row: 0 });
     assert!(err.to_string().contains("oldest"), "{err}");
     assert_eq!(s.r().data(), r_before.data(), "failed downdates must roll back");
+    assert_eq!(s.rows(), 34, "a rejected downdate removes no rows");
+    // The stream stays usable: the next append lands on the un-downdated
+    // row count.
+    let status = s.append_rows(gaussian_matrix(2, 8, 5).as_ref()).unwrap();
+    assert_eq!(status.rows, 36);
 }
 
 #[test]

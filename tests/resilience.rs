@@ -8,10 +8,6 @@
 //! * **Streams escalate too:** a drift-triggered refresh that fails on the
 //!   plain sequential path retries on the shifted-CQR3 and Householder
 //!   rungs instead of parking the stream in `refresh_failed`.
-//! * **Service stream jobs surface stream errors typed under contention:**
-//!   `PlanError::StreamHistoryMismatch` and `StreamStatus::refresh_failed`
-//!   propagate through worker-pool stream jobs while batch traffic
-//!   saturates the pool, without wedging the per-stream turnstile.
 //! * **The service counts what it did:** a κ ≈ 1e9 panel submitted with an
 //!   escalating retry policy and a zero-deadline submission against a warm
 //!   queue show up in `stats()` as one retry (the panel ends on shifted
@@ -160,94 +156,6 @@ fn stream_refresh_escalates_instead_of_parking_in_refresh_failed() {
     assert_eq!(status.rows, d_rows);
     assert!(s.last_refresh_error().is_none());
     assert_eq!(s.drift(), 0.0, "a successful escalated refresh resets drift");
-}
-
-fn stream_spec(m: usize, n: usize) -> JobSpec {
-    JobSpec::new(m, n)
-        .algorithm(Algorithm::Cqr2_1d)
-        .grid(GridShape::one_d(4).unwrap())
-}
-
-#[test]
-fn service_stream_jobs_surface_history_mismatch_under_contention() {
-    let service = QrService::builder().workers(4).build();
-    let spec = stream_spec(64, 16);
-    let a0 = well_conditioned(64, 16, 23);
-    service.stream_open("raw", &spec, &a0).unwrap();
-    // Saturate the pool with batch traffic around the stream operations.
-    let batch: Vec<_> = (0..8)
-        .map(|s| service.submit(&spec, well_conditioned(64, 16, 100 + s)).unwrap())
-        .collect();
-    let ok0 = service.append_rows("raw", gaussian_matrix(2, 16, 1)).unwrap();
-    // Rows that were never appended: the bitwise history audit rejects them.
-    let foreign = Matrix::from_fn(1, 16, |_, j| 1e6 * (j + 1) as f64);
-    let bad = service.downdate_rows("raw", foreign).unwrap();
-    let ok1 = service.append_rows("raw", gaussian_matrix(2, 16, 2)).unwrap();
-
-    assert_eq!(ok0.wait().unwrap().status().unwrap().rows, 66);
-    match bad.wait().unwrap_err() {
-        ServiceError::Plan(PlanError::StreamHistoryMismatch { row }) => assert_eq!(row, 0),
-        other => panic!("expected StreamHistoryMismatch, got {other}"),
-    }
-    // The failed downdate rolled back and the turnstile advanced: the next
-    // append still lands, on the un-downdated row count.
-    assert_eq!(ok1.wait().unwrap().status().unwrap().rows, 68);
-    for h in batch {
-        h.wait().unwrap();
-    }
-}
-
-#[test]
-fn service_stream_jobs_surface_refresh_failed_under_contention() {
-    let n = 8usize;
-    let (c_rows, d_rows) = (16usize, 48usize);
-    let a0 = refresh_failure_window(c_rows, d_rows, n, 0);
-    let oldest = Matrix::from_view(a0.view(0, 0, c_rows, n));
-
-    let service = QrService::builder().workers(4).build();
-    let spec = stream_spec(c_rows + d_rows, n);
-    let plan = service.plan(&spec).unwrap();
-    // Threshold 0: every committed update triggers a refresh attempt. No
-    // retry policy on this plan, so the failed refresh must surface.
-    service
-        .stream_adopt("windowed", plan.stream(&a0).unwrap().with_drift_threshold(0.0))
-        .unwrap();
-    let contention: Vec<_> = (0..8)
-        .map(|s| {
-            service
-                .submit(&stream_spec(64, 16), well_conditioned(64, 16, 200 + s))
-                .unwrap()
-        })
-        .collect();
-    let status = service
-        .downdate_rows("windowed", Matrix::from_view(oldest.view(0, 0, c_rows, n)))
-        .unwrap()
-        .wait()
-        .unwrap()
-        .status()
-        .unwrap();
-    assert!(
-        status.refresh_failed,
-        "the failed refresh must surface through the pool"
-    );
-    assert!(!status.refreshed);
-    assert_eq!(status.rows, d_rows, "the rows really were removed");
-    // The stream is not wedged: a strong full-rank append repairs the
-    // deficient directions and the retried refresh succeeds.
-    let rescue_core = gaussian_matrix(2, n, 4242);
-    let rescue = Matrix::from_fn(2, n, |i, j| 1e7 * rescue_core.get(i, j));
-    let status = service
-        .append_rows("windowed", rescue)
-        .unwrap()
-        .wait()
-        .unwrap()
-        .status()
-        .unwrap();
-    assert!(status.refreshed, "drift retry must fire on the next update");
-    assert!(!status.refresh_failed);
-    for h in contention {
-        h.wait().unwrap();
-    }
 }
 
 #[test]

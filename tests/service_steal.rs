@@ -5,8 +5,8 @@
 //! submission, `factor_many`'s equivalence to the per-job path at every
 //! pool width, and a batch's progress while the queue is held full.
 
-use cacqr::service::{Handle, JobSpec, QrService, ServiceError};
-use dense::random::{gaussian_matrix, well_conditioned};
+use cacqr::service::{JobHandle, JobSpec, QrService, ServiceError};
+use dense::random::well_conditioned;
 use pargrid::GridShape;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -201,7 +201,7 @@ fn stats_expose_latency_quantiles_and_throughput() {
 /// One outcome per handle: once `wait_timeout` has delivered it, the handle
 /// stays finished and redeeming it again is a typed error well within the
 /// budget — never an endless wait for a completion that already happened.
-fn assert_redeems_exactly_once<T: std::fmt::Debug>(handle: Handle<T>) {
+fn assert_redeems_exactly_once(handle: JobHandle) {
     let first = handle.wait_timeout(Duration::from_secs(60));
     first.expect("the job completes").expect("a well-formed job succeeds");
     assert!(handle.is_finished(), "a redeemed handle is still a finished one");
@@ -214,10 +214,9 @@ fn assert_redeems_exactly_once<T: std::fmt::Debug>(handle: Handle<T>) {
 }
 
 #[test]
-fn job_and_stream_handles_deliver_their_outcome_exactly_once() {
+fn submitted_and_try_submitted_handles_deliver_their_outcome_exactly_once() {
     let service = QrService::builder().workers(2).build();
     let s = spec();
     assert_redeems_exactly_once(service.submit(&s, well_conditioned(64, 16, 1)).unwrap());
-    service.stream_open("live", &s, &well_conditioned(64, 16, 2)).unwrap();
-    assert_redeems_exactly_once(service.append_rows("live", gaussian_matrix(2, 16, 3)).unwrap());
+    assert_redeems_exactly_once(service.try_submit(&s, well_conditioned(64, 16, 2)).unwrap());
 }

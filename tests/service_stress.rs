@@ -180,9 +180,11 @@ fn typed_errors_flow_through_the_pool() {
 fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() {
     // The scheduler may run any schedule — jobs on whichever worker pops
     // them, factor_many panels claimed by whichever worker gets to the
-    // cursor first — but the results must be bitwise identical to sequential execution at every
-    // pool width. Compute the sequential reference once, then replay the
-    // identical mixed workload at widths 1, 2, and 8.
+    // cursor first — but the results must be bitwise identical to
+    // sequential execution at every pool width. Compute the sequential
+    // reference once, then replay the identical mixed workload at widths
+    // 1, 2, and 8: the batch through the pool, and a caller-owned stream
+    // updated on its own thread while the pool is busy.
     let spec = JobSpec::new(64, 16).grid(GridShape::new(2, 4).unwrap());
     let many: Vec<_> = (0..24).map(|s| input_for(&spec, 200 + s)).collect();
     let stream_seed = well_conditioned(64, 16, 300);
@@ -201,24 +203,19 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
 
     for workers in [1usize, 2, 8] {
         let service = QrService::builder().workers(workers).queue_capacity(4).build();
-        service.stream_open("live", &spec, &stream_seed).unwrap();
-        // Interleave: all stream updates in flight while the factor_many
-        // batch is claimed panel by panel across the workers.
-        let stream_handles: Vec<_> = updates
-            .iter()
-            .map(|u| service.append_rows("live", u.clone()).unwrap())
-            .collect();
-        let reports = service.factor_many(&spec, many.clone()).unwrap();
-        for h in stream_handles {
-            h.wait().unwrap();
-        }
-        let snap = service
-            .snapshot("live")
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_snapshot()
-            .unwrap();
+        let mut live = service.plan(&spec).unwrap().stream(&stream_seed).unwrap();
+        // Interleave: the stream's updates run while the factor_many batch
+        // is claimed panel by panel across the workers.
+        let (reports, snap) = std::thread::scope(|s| {
+            let streamer = s.spawn(|| {
+                for u in &updates {
+                    live.append_rows(u.as_ref()).unwrap();
+                }
+                live.snapshot().unwrap()
+            });
+            let reports = service.factor_many(&spec, many.clone()).unwrap();
+            (reports, streamer.join().unwrap())
+        });
         for (got, expect) in reports.iter().zip(&ref_reports) {
             assert_eq!(
                 got.q, expect.q,

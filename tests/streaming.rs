@@ -16,15 +16,11 @@
 //!   committed update *surfaces* through
 //!   `StreamStatus::refresh_failed` without corrupting the stream, and the
 //!   next successful refresh clears it.
-//! * **Service determinism:** the same `(initial, update sequence)` pair
-//!   produces bitwise-identical factors through a 1-worker and a 4-worker
-//!   `QrService`, and through a direct single-threaded stream — pool width
-//!   and contention never perturb the arithmetic.
-//! * **Close-is-drain:** `stream_close` lets already-queued operations
-//!   complete (handles stay redeemable) and rejects later submissions.
+//! * **Caller-owned:** a `StreamingQr` is `Send`, so a caller may move it
+//!   to another thread or share it behind a `Mutex` (checked at compile
+//!   time).
 
-use cacqr::service::{JobSpec, ServiceError};
-use cacqr::{Algorithm, PlanError, QrPlan, QrService};
+use cacqr::{Algorithm, PlanError, QrPlan, StreamingQr};
 use dense::norms::rel_diff;
 use dense::random::{gaussian_matrix, well_conditioned};
 use dense::trsm::{trsm_left_lower_trans, trsm_left_upper};
@@ -205,70 +201,14 @@ proptest! {
     }
 }
 
-#[test]
-fn service_streams_are_bitwise_deterministic_across_pool_widths() {
-    let (m0, n) = (64usize, 16usize);
-    let spec = JobSpec::new(m0, n).grid(GridShape::new(2, 2).unwrap());
-    let a0 = well_conditioned(m0, n, 41);
-    let updates: Vec<Matrix> = (0..8).map(|i| gaussian_matrix(3, n, 600 + i)).collect();
-
-    let run = |workers: usize| -> (Vec<f64>, Vec<f64>) {
-        let service = QrService::builder().workers(workers).build();
-        service.stream_open("det", &spec, &a0).unwrap();
-        let handles: Vec<_> = updates
-            .iter()
-            .map(|b| service.append_rows("det", b.clone()).unwrap())
-            .collect();
-        // Saturate the pool with unrelated batch jobs while the stream ops
-        // drain, so determinism is measured *under* contention.
-        let noise: Vec<_> = (0..2 * workers as u64)
-            .map(|s| service.submit(&spec, well_conditioned(m0, n, 700 + s)).unwrap())
-            .collect();
-        for h in handles {
-            h.wait().unwrap();
-        }
-        let snap = service
-            .snapshot("det")
-            .unwrap()
-            .wait()
-            .unwrap()
-            .into_snapshot()
-            .unwrap();
-        for h in noise {
-            h.wait().unwrap();
-        }
-        (snap.r.data().to_vec(), snap.q.unwrap().data().to_vec())
-    };
-
-    let (r1, q1) = run(1);
-    let (r4, q4) = run(4);
-    assert_eq!(r1, r4, "R must be bitwise identical across pool widths");
-    assert_eq!(q1, q4, "Q must be bitwise identical across pool widths");
-
-    // And identical to a direct, single-threaded stream applying the same
-    // sequence.
-    let plan = QrPlan::new(m0, n)
-        .algorithm(Algorithm::CaCqr2)
-        .grid(GridShape::new(2, 2).unwrap())
-        .build()
-        .unwrap();
-    let mut direct = plan.stream(&a0).unwrap();
-    for b in &updates {
-        direct.append_rows(b.as_ref()).unwrap();
-    }
-    let snap = direct.snapshot().unwrap();
-    assert_eq!(
-        r1,
-        snap.r.data(),
-        "service streams must match the direct engine bitwise"
-    );
-}
-
 /// Regression: an append wider than the window whose factor update fails
 /// must roll back *everything* — a rejected delta must not leave the
 /// stream claiming rows its factor never absorbed.
 #[test]
 fn failed_wide_append_rolls_back_completely() {
+    // A stream the caller owns may cross threads: compile-time check.
+    fn assert_send<T: Send>() {}
+    assert_send::<StreamingQr>();
     let (m0, n) = (32usize, 8usize);
     let k = 64usize;
     let a0 = well_conditioned(m0, n, 77);
@@ -392,72 +332,4 @@ fn failed_auto_refresh_surfaces_without_corrupting_the_stream() {
         s.last_refresh_error().is_none(),
         "a successful refresh clears the sticky error"
     );
-}
-
-/// `stream_close` semantics: close is a drain, not a cancel. Everything
-/// queued before the close completes in order (handles stay redeemable,
-/// solves bitwise-match a direct replay); submissions after it get the
-/// typed `UnknownStream` rejection.
-#[test]
-fn stream_close_drains_queued_operations() {
-    let (m0, n, nrhs) = (64usize, 16usize, 2usize);
-    let spec = JobSpec::new(m0, n).grid(GridShape::new(2, 2).unwrap());
-    let a0 = well_conditioned(m0, n, 53);
-    let b0 = gaussian_matrix(m0, nrhs, 54);
-    let service = QrService::builder().workers(1).build();
-    service.stream_open_with_rhs("drain", &spec, &a0, &b0).unwrap();
-    let appends: Vec<_> = (0..4)
-        .map(|i| {
-            service
-                .append_rows_with(
-                    "drain",
-                    gaussian_matrix(3, n, 800 + i),
-                    gaussian_matrix(3, nrhs, 900 + i),
-                )
-                .unwrap()
-        })
-        .collect();
-    let solve = service.solve("drain").unwrap();
-    let snap = service.snapshot("drain").unwrap();
-
-    assert!(service.stream_close("drain"), "the stream was open");
-    assert_eq!(service.open_streams(), 0);
-
-    for h in appends {
-        h.wait().unwrap().status().expect("update outcome");
-    }
-    let x = solve.wait().unwrap().into_solution().expect("solution outcome");
-    let drained = snap.wait().unwrap().into_snapshot().expect("snapshot outcome");
-    assert_eq!(drained.rows, m0 + 12, "every queued append drained before the snapshot");
-
-    // The drained results match a direct replay of the same sequence.
-    let plan = QrPlan::new(m0, n)
-        .algorithm(Algorithm::CaCqr2)
-        .grid(GridShape::new(2, 2).unwrap())
-        .build()
-        .unwrap();
-    let mut direct = plan.stream_with_rhs(&a0, &b0).unwrap();
-    for i in 0..4 {
-        direct
-            .append_rows_with(
-                gaussian_matrix(3, n, 800 + i).as_ref(),
-                gaussian_matrix(3, nrhs, 900 + i).as_ref(),
-            )
-            .unwrap();
-    }
-    assert_eq!(
-        x.data(),
-        direct.solve().unwrap().data(),
-        "drained solve must match a direct replay"
-    );
-
-    // Post-close traffic is rejected with the typed error; a second close
-    // reports that nothing was open.
-    let err = service.append_rows("drain", gaussian_matrix(3, n, 999)).unwrap_err();
-    assert!(matches!(err, ServiceError::UnknownStream { .. }), "{err:?}");
-    assert!(matches!(
-        service.solve("drain"),
-        Err(ServiceError::UnknownStream { .. })
-    ));
-    assert!(!service.stream_close("drain"));
 }
