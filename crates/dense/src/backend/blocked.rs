@@ -17,14 +17,15 @@
 //!         first KC block: C = β·C + α·acc (0 + α·acc at β = 0); later: C += α·acc
 //! ```
 //!
-//! None of the three shortcuts changes a bit. Every accumulator starts at
-//! `+0` and never becomes `−0`, so adding the `±0` product of a finite `A`
-//! entry and an exact-zero `B` row leaves it unchanged: skipping `B`'s
-//! leading and trailing zero rows (a triangular factor's zero triangle) is
-//! exact, and an `A` micro-panel holding an `∞` or NaN takes the full range
-//! so `∞·0 = NaN` still lands where it did. Reading `A` in place changes
-//! only where the loads come from. Folding `β` into the first store performs
-//! the operations the separate fill or scale pass did, in the same order.
+//! None of the three shortcuts changes a bit. The microkernel accumulates
+//! `acc = fma(a, b, acc)` from `+0`, and an exact-zero `B` entry times a
+//! finite `A` entry adds `±0` exactly, a no-op on any sum but an underflowed
+//! `−0`: skipping `B`'s leading and trailing zero rows (a triangular factor's
+//! zero triangle) is exact up to the sign of such a zero, and an `A`
+//! micro-panel holding an `∞` or NaN takes the full range so `∞·0 = NaN`
+//! still lands where it did. Reading `A` in place changes only where the
+//! loads come from. Folding `β` into the first store performs the
+//! operations the separate fill or scale pass did, in the same order.
 //!
 //! Packing reads the operands *through* their transpose flags, so a
 //! transposed operand costs only a strided panel copy that the kernel needs
@@ -66,8 +67,9 @@
 //!
 //! Every kernel body is written once, `#[inline(always)]`, and compiled per
 //! instruction set (scalar, AVX2, AVX-512) by `isa_dispatch!`, which
-//! `blas1` and `cholesky` use as well. The bodies multiply, then add or subtract —
-//! never fused — so every ISA rounds every element identically.
+//! `blas1` and `cholesky` use as well. The microkernel's `f64::mul_add` is a
+//! correctly rounded fma on every ISA; every other body multiplies, then adds
+//! or subtracts, never fused. So every ISA rounds every element identically.
 
 use super::Backend;
 use crate::gemm::Trans;
@@ -78,7 +80,7 @@ use crate::workspace::{recycle_local_vec, take_local_vec};
 pub const MR: usize = 4;
 /// Microkernel tile width (columns of `C` held in registers). With MR = 4
 /// this makes eight independent zmm accumulator chains on AVX-512 — enough
-/// to cover the add latency.
+/// to cover the fma latency.
 pub const NR: usize = 16;
 /// Contraction block: one packed `A` micro-panel (`MR × KC`) plus one packed
 /// `B` micro-panel (`KC × NR`) stay resident in L1.
@@ -204,11 +206,11 @@ impl Isa {
     }
 }
 
-/// Detects the widest ISA once per process. Every specialized body
-/// multiplies, then adds or subtracts — never fused — so each ISA computes
-/// every element with the same rounded operations in the same order, and
-/// the ISAs agree bit for bit; caching the choice keeps the instruction
-/// schedule, too, fixed for the process lifetime.
+/// Detects the widest ISA once per process. The microkernel fuses with a
+/// correctly rounded `fma` (in software in the scalar body, which a CPU
+/// without `fma` runs) and every other body multiplies, then adds or
+/// subtracts, so the ISAs agree bit for bit; caching the choice keeps the
+/// instruction schedule, too, fixed for the process lifetime.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn isa() -> Isa {
     use std::sync::OnceLock;
@@ -269,7 +271,7 @@ pub(crate) use isa_dispatch;
 
 /// The register-tiled inner product: an `MR × NR` accumulator tile over one
 /// packed A panel and one packed B panel. On AVX-512 each accumulator row is
-/// two zmm registers, eight independent chains for the tile; on AVX2 the
+/// two zmm registers, eight independent fma chains for the tile; on AVX2 the
 /// tile is the whole ymm register file, so operand loads spill.
 #[inline(always)]
 fn microkernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
@@ -282,7 +284,7 @@ fn microkernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR
         for r in 0..MR {
             let ar = a[r];
             for c in 0..NR {
-                acc[r][c] += ar * b[c];
+                acc[r][c] = ar.mul_add(b[c], acc[r][c]);
             }
         }
     }
@@ -306,7 +308,7 @@ fn microkernel_body_rows(arows: [&[f64]; MR], bpanel: &[f64]) -> [[f64; NR]; MR]
         let b: &[f64; NR] = b.try_into().unwrap();
         for (acc_row, ar) in acc.iter_mut().zip([x0, x1, x2, x3]) {
             for c in 0..NR {
-                acc_row[c] += ar * b[c];
+                acc_row[c] = ar.mul_add(b[c], acc_row[c]);
             }
         }
     }
@@ -324,14 +326,12 @@ fn nonzero_band(panel: &[f64], kc: usize) -> (usize, usize) {
 }
 
 /// The syrk specialization of the tile body: the `A` operand is read
-/// *directly out of the packed `B` buffer* — for `AᵀA` both packed
-/// operands hold the same columns of `A` over the same `k` range, so the
-/// `MR`-tall micro-panel at output-row offset `a_off` inside `apanel`
-/// (an NR-wide panel of the B pack) is just `MR` **contiguous** values per
-/// `k` step. Same loads per iteration as [`microkernel_body`], same
-/// ascending-`k` accumulation order, identical bits — but the separate
-/// `pack_a` pass (and its buffer) disappears from the syrk hot path
-/// entirely: the Gram kernel packs once.
+/// *directly out of the packed `B` buffer* — for `AᵀA` both packed operands
+/// hold the same columns of `A` over the same `k` range, so the `MR`-tall
+/// micro-panel at output-row offset `a_off` inside `apanel` (an NR-wide
+/// panel of the B pack) is `MR` **contiguous** values per `k` step. Same
+/// loads and order as [`microkernel_body`], identical bits, and no `pack_a`
+/// pass: the Gram kernel packs once.
 #[inline(always)]
 fn microkernel_body_packed_b(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] {
     debug_assert!(a_off + MR <= NR);
@@ -344,7 +344,7 @@ fn microkernel_body_packed_b(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[
         for r in 0..MR {
             let ar = a[r];
             for c in 0..NR {
-                acc[r][c] += ar * b[c];
+                acc[r][c] = ar.mul_add(b[c], acc[r][c]);
             }
         }
     }
@@ -807,10 +807,10 @@ fn trsm_left_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>)
 /// zeros below it), and the tile at rows `i0..`, columns `j0..` contracts
 /// only over `k ∈ [i0, j0 + NR)`, where its terms can be nonzero, in one
 /// pass. Tiles below the diagonal and the strict lower triangle are written
-/// as zeros. For finite operands this is the oracle's sum bit for bit: it
-/// starts at `+0`, adds `u2_ik · u1_kj` in ascending `k`, and only ever adds
-/// an exact zero where the oracle skips a term — a no-op on a sum that
-/// starts at `+0` and is never `−0`.
+/// as zeros. For finite operands this is the oracle's fma chain bit for bit:
+/// it starts at `+0`, takes `acc = fma(u2_ik, u1_kj, acc)` in ascending `k`,
+/// and only ever adds an exact zero where the oracle skips a term — a no-op
+/// unless an underflow has left the sum at `−0`.
 pub(crate) fn trmm_upper_upper_with_isa(which: Isa, u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
     let n = u2.rows();
     let (mpanels, npanels) = (n.div_ceil(MR), n.div_ceil(NR));
@@ -946,8 +946,9 @@ mod tests {
         }
     }
 
-    /// Every ISA's syrk must also match the naive oracle numerically (the
-    /// schedules contract FMA differently, so this is a tolerance check).
+    /// Every ISA's syrk must also match the naive oracle numerically: the
+    /// oracle multiplies, then adds, in another order, while the microkernel
+    /// fuses each term, so this is a tolerance check.
     #[test]
     fn syrk_matches_naive_oracle_under_every_available_isa() {
         for which in Isa::available() {
@@ -1132,6 +1133,76 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The microkernel rounds once per term on every ISA: the scalar body's
+    /// `f64::mul_add` is the correctly rounded `fma`, which is what the AVX
+    /// bodies' `vfmadd` computes, so gemm (both transpose flags, `B` dense or
+    /// banded triangular), SYRK and the triangular product give the same bits
+    /// everywhere, at shapes on both sides of `KC`, `MC` and `NC` and with
+    /// `−0` and `±∞` among the inputs.
+    #[test]
+    fn fused_kernels_agree_bitwise_across_isas() {
+        // `filled` with `−0` at every 13th entry and one `+∞` and one `−∞`.
+        let special = |rows: usize, cols: usize, salt: u64| {
+            let mut x = filled(rows, cols, salt);
+            for (k, v) in x.data_mut().iter_mut().enumerate() {
+                if k % 13 == 5 {
+                    *v = -0.0;
+                }
+            }
+            x.set(rows / 2, cols - 1, f64::INFINITY);
+            x.set(rows - 1, cols / 3, f64::NEG_INFINITY);
+            x
+        };
+        let (isas, trans) = (Isa::available(), [Trans::No, Trans::Yes]);
+        let agree = |what: &str, run: &dyn Fn(Isa) -> Matrix| {
+            let want = run(Isa::Scalar);
+            for &which in &isas[1..] {
+                assert_bits(&run(which), &want, &format!("{which:?} {what}"));
+            }
+        };
+        for (m, k, n) in [(1, 1, 1), (5, 17, 3), (MC + 5, KC + 3, NC + NR + 1)] {
+            for (case, kind) in ["dense", "upper", "lower"].into_iter().enumerate() {
+                let dense = special(k, n, 2);
+                let opb = Matrix::from_fn(k, n, |p, j| match kind {
+                    "upper" if p > j => 0.0,
+                    "lower" if p < j => -0.0,
+                    _ => dense.get(p, j),
+                });
+                let (opa, beta) = (special(m, k, 1), [0.0, 1.0, -2.5][case]);
+                let c0 = Matrix::from_fn(m, n, |i, j| if (i + j) % 2 == 0 { -0.0 } else { 0.5 });
+                for (ta, tb) in trans.into_iter().flat_map(|ta| trans.map(|tb| (ta, tb))) {
+                    let a = if ta == Trans::No { opa.clone() } else { opa.transposed() };
+                    let b = if tb == Trans::No { opb.clone() } else { opb.transposed() };
+                    agree(&format!("gemm {m}x{k}x{n} {kind} {ta:?} {tb:?}"), &|which| {
+                        let mut c = c0.clone();
+                        gemm_with_isa(which, -1.5, a.as_ref(), ta, b.as_ref(), tb, beta, c.as_mut());
+                        c
+                    });
+                }
+            }
+        }
+        for (k, n) in [(1, 1), (KC + 3, MC + 5), (KC + 3, NC + NR + 1)] {
+            let a = special(k, n, 3);
+            agree(&format!("syrk {k}x{n}"), &|which| {
+                let mut c = Matrix::zeros(n, n);
+                syrk_into_with_isa(which, a.as_ref(), c.as_mut());
+                c
+            });
+        }
+        for n in [1, 17, KC + 3] {
+            let upper = |salt| {
+                let f = special(n, n, salt);
+                Matrix::from_fn(n, n, |i, j| if j < i { f64::NAN } else { f.get(i, j) })
+            };
+            let (u2, u1) = (upper(4), upper(5));
+            agree(&format!("trmm n={n}"), &|which| {
+                let mut out = Matrix::zeros(n, n);
+                trmm_upper_upper_with_isa(which, u2.as_ref(), u1.as_ref(), out.as_mut());
+                out
+            });
         }
     }
 

@@ -1,11 +1,11 @@
 //! General matrix-matrix multiplication.
 //!
 //! The workhorse is an `i-k-j` loop nest over row-major storage, which keeps
-//! the innermost loop a unit-stride fused multiply-add over the rows of `B`
-//! and `C` (auto-vectorizes well). Transposed operands are packed into
-//! row-major temporaries first (a full `to_owned_transposed()` copy — fine
-//! for an oracle; the `Blocked` backend instead absorbs transposes into its
-//! panel packing).
+//! the innermost loop a unit-stride multiply, then add (unfused) over the
+//! rows of `B` and `C` (auto-vectorizes well). Transposed operands are
+//! packed into row-major temporaries first (a full `to_owned_transposed()`
+//! copy — fine for an oracle; the `Blocked` backend instead absorbs
+//! transposes into its panel packing).
 //!
 //! This module is the **naive reference path**: it backs
 //! [`crate::backend::Naive`] and serves as the correctness oracle that the

@@ -157,8 +157,8 @@ pub fn trsm_left_lower_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
 ///
 /// Unlike the solves above this is not a loop nest: it runs on the blocked
 /// backend's packed microkernel (pack buffers from the thread-local arena).
-/// For finite operands each element is the row-axpy sum bit for bit: `+0`,
-/// plus `u2_ik · u1_kj` for ascending `k`, skipping zero `u2_ik`.
+/// For finite operands each element is the fma chain `acc = fma(u2_ik,
+/// u1_kj, acc)` from `+0` over ascending `k`, skipping zero `u2_ik`.
 pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>, out: MatMut<'_>) {
     let n = u2.rows();
     assert_eq!(u2.cols(), n);
@@ -173,7 +173,8 @@ mod tests {
     use crate::gemm::{matmul, Trans};
     use crate::matrix::Matrix;
 
-    /// The row-axpy loop [`trmm_upper_upper`] replaced: the bitwise reference.
+    /// The row-axpy loop [`trmm_upper_upper`] replaced, accumulating with the
+    /// microkernel's fused multiply-add: the bitwise reference.
     fn trmm_upper_upper_reference(u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
         let n = u2.rows();
         assert_eq!(u2.cols(), n);
@@ -190,7 +191,7 @@ mod tests {
                 // Row i of the result accumulates v * row k of u1, columns k..n only
                 // (earlier columns of row k are structurally zero).
                 for (d, s) in dst[k..].iter_mut().zip(&u1.row(k)[k..]) {
-                    *d += v * s;
+                    *d = v.mul_add(*s, *d);
                 }
             }
         }
@@ -283,7 +284,7 @@ mod tests {
         }
     }
 
-    /// The packed product is the row-axpy loop bit for bit under every
+    /// The packed product is the fused row-axpy loop bit for bit under every
     /// instruction set: NaN below the diagonals (never read as values),
     /// exact zeros inside the triangles (the loop skips those terms), and a
     /// NaN-filled output (every element is written).
