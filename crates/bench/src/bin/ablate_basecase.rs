@@ -9,7 +9,7 @@
 //! inflates α and large `n₀` inflates β (the `n·n₀` allgather term) and
 //! redundant γ.
 //!
-//! Run: `cargo run --release -p bench-harness --bin ablate_basecase`
+//! Run: `cargo run --release -p bench --bin ablate_basecase`
 
 fn main() {
     for (n, c) in [(4096usize, 8usize), (2048, 4)] {

@@ -7,7 +7,7 @@
 //! α/β/γ split from the validated cost model, plus the predicted time on
 //! both machine models — showing where deeper partial inverses pay off.
 //!
-//! Run: `cargo run --release -p bench-harness --bin ablate_inverse_depth`
+//! Run: `cargo run --release -p bench --bin ablate_inverse_depth`
 
 use bench_harness::default_base;
 use costmodel::MachineCal;

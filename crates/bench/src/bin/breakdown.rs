@@ -2,7 +2,7 @@
 //! configuration — the calibration/debugging companion to the figure
 //! binaries.
 //!
-//! Usage: `cargo run --release -p bench-harness --bin breakdown -- m n nodes [c]`
+//! Usage: `cargo run --release -p bench --bin breakdown -- m n nodes [c]`
 //! (defaults: the Figure 1(b) point (1,2): m=131072, n=2048, nodes=32).
 
 use bench_harness::default_base;

@@ -7,7 +7,7 @@
 //! prediction under the three unit machines — the evidence that the curves
 //! printed by `fig1`/`fig4`–`fig7` describe the code in this repository.
 //!
-//! Run: `cargo run --release -p bench-harness --bin crossvalidate`
+//! Run: `cargo run --release -p bench --bin crossvalidate`
 
 use cacqr::QrPlan;
 use dense::random::well_conditioned;

@@ -3,7 +3,7 @@
 //!
 //! Regenerates the series of the paper's Figure 1 from the validated cost
 //! models on the Stampede2 machine model. Run:
-//! `cargo run --release -p bench-harness --bin fig1`
+//! `cargo run --release -p bench --bin fig1`
 
 use bench_harness::{best_cacqr2, best_pgeqrf, gflops_per_node, print_figure, Point, WEAK_AB};
 use costmodel::MachineCal;

@@ -5,7 +5,7 @@
 //! Waters' low flop-to-bandwidth ratio leaves little for communication
 //! avoidance to win), with CA-CQR2 closing the gap as the row-to-column
 //! ratio grows from (a) to (c).
-//! Run: `cargo run --release -p bench-harness --bin fig4`
+//! Run: `cargo run --release -p bench --bin fig4`
 
 use bench_harness::{cacqr2_time, gflops_per_node, pgeqrf_time, print_figure, weak_legend_grid, Point, WEAK_AB};
 use costmodel::MachineCal;

@@ -4,7 +4,7 @@
 //! Weak-scaling rule: `nodes = 8ab²`, matrices `M·a × N·b`; CA-CQR2 legends
 //! are `(d/c = coef·a/b, InverseDepth, ppn, tpr)`, ScaLAPACK legends
 //! `(pr = coef·ab, nb, ppn, tpr)`.
-//! Run: `cargo run --release -p bench-harness --bin fig5`
+//! Run: `cargo run --release -p bench --bin fig5`
 
 use bench_harness::{cacqr2_time, gflops_per_node, pgeqrf_time, print_figure, weak_legend_grid, Point, WEAK_AB};
 use costmodel::MachineCal;

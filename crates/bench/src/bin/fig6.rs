@@ -5,7 +5,7 @@
 //! better, with c-crossovers — small-c grids win at few nodes, larger-c
 //! grids take over as the node count grows (paper: c=1→c=2 at N=256,
 //! c=2→c=4 at N=512 in panel (b)).
-//! Run: `cargo run --release -p bench-harness --bin fig6`
+//! Run: `cargo run --release -p bench --bin fig6`
 
 use bench_harness::{cacqr2_time, gflops_per_node, pgeqrf_time, print_figure, Point};
 use costmodel::MachineCal;

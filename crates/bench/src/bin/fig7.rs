@@ -4,7 +4,7 @@
 //! Strong-scaling legends: CA-CQR2 `(d, c, InverseDepth, ppn, tpr)` with `d`
 //! scaling with the node count `N` (e.g. `16N` or `N/4`); ScaLAPACK
 //! `(pr, nb, ppn, tpr)` with `pr ∝ N`.
-//! Run: `cargo run --release -p bench-harness --bin fig7`
+//! Run: `cargo run --release -p bench --bin fig7`
 
 use bench_harness::{cacqr2_time, gflops_per_node, pgeqrf_time, print_figure, Point};
 use costmodel::MachineCal;

@@ -7,7 +7,7 @@
 //! qualitative behaviour as the model-evaluated figures: ScaLAPACK's
 //! latency-bound decline and CA-CQR2's grid-dependent crossovers.
 //!
-//! Run: `cargo run --release -p bench-harness --bin figs_simulated`
+//! Run: `cargo run --release -p bench --bin figs_simulated`
 
 use cacqr::QrPlan;
 use dense::random::well_conditioned;

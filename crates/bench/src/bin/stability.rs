@@ -11,7 +11,7 @@
 //!   headline property);
 //! * shifted CQR3 stays at Householder levels unconditionally.
 //!
-//! Run: `cargo run --release -p bench-harness --bin stability`
+//! Run: `cargo run --release -p bench --bin stability`
 
 use cacqr::{Algorithm, QrPlan};
 use dense::norms::{orthogonality_error, residual_error};

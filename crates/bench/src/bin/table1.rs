@@ -2,7 +2,7 @@
 //! scaling exponents *measured* from the exact cost models (and spot-checked
 //! against the simulator by the `crossvalidate` binary and the test suite).
 //!
-//! Run: `cargo run --release -p bench-harness --bin table1`
+//! Run: `cargo run --release -p bench --bin table1`
 
 use costmodel::table1::{fit_exponent, table1_paper};
 

@@ -5,7 +5,7 @@
 //! (α-only / β-only / γ-only) and prints measured versus modelled costs —
 //! the executable form of the paper's per-line cost tables.
 //!
-//! Run: `cargo run --release -p bench-harness --bin tables2_6`
+//! Run: `cargo run --release -p bench --bin tables2_6`
 
 use cacqr::CfrParams;
 use dense::random::well_conditioned;

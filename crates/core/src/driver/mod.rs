@@ -437,10 +437,12 @@ impl QrPlan {
     /// ([`PlanError::NotPositiveDefinite`] — see [`Algorithm::CaCqr3`] for
     /// the unconditionally stable variant).
     ///
-    /// The caller's thread does no `O(mn)` work. The ranks read their
-    /// blocks of `a` in place and write `Q` in place into the one output
-    /// allocation ([`crate::validate`]), and the returned report's *computed*
-    /// diagnostics ([`dense::norms`]) run on the rank team too:
+    /// The caller's thread does no `O(mn)` work but allocating `Q`, which
+    /// glibc clears on this thread once a freed `Q` has raised its mmap
+    /// threshold (measured: from the third 8 MiB `Q` on). The ranks read
+    /// their blocks of `a` in place and write `Q` in place into that one
+    /// output allocation ([`crate::validate`]), and the returned report's
+    /// *computed* diagnostics ([`dense::norms`]) run on the rank team too:
     /// `‖QᵀQ − I‖_F` from a symmetry-aware SYRK (`mn²` flops) and
     /// `‖A − QR‖_F / ‖A‖_F` from `A − QR` streamed through a 256-row scratch
     /// panel (`2mn²` flops) — `3mn²` next to CQR2's `≈4mn²` — are split into

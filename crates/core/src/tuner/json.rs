@@ -42,14 +42,6 @@ impl JsonValue {
         }
     }
 
-    /// The value as a `usize`, if it is a non-negative integral number.
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            JsonValue::Number(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= (1u64 << 53) as f64 => Some(*v as usize),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

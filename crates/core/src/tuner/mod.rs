@@ -181,13 +181,6 @@ impl TunerReport {
             .find(|p| p.backend == backend && p.kernel == dense::ProbeKernel::Gemm)
     }
 
-    /// The calibration Gram-kernel (syrk) probe for a backend, if one ran.
-    pub fn syrk_probe_for(&self, backend: BackendKind) -> Option<&dense::ProbeReport> {
-        self.probes
-            .iter()
-            .find(|p| p.backend == backend && p.kernel == dense::ProbeKernel::Syrk)
-    }
-
     /// The winning spec, ready for a service cache.
     pub fn best_spec(&self) -> JobSpec {
         self.best().spec

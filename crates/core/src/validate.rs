@@ -14,7 +14,8 @@
 //!
 //! # The matrix does not move
 //!
-//! The caller's thread does no `O(mn)` work. Ranks *read in place*: a
+//! The caller's thread does no `O(mn)` work but allocating the output,
+//! which the allocator may clear on that thread. Ranks *read in place*: a
 //! row-cyclic block of the row-major input is a strided view of it
 //! ([`MatRef::step_rows`]), so nothing is scattered; only a column-cyclic
 //! block (`c > 1`) is packed into the rank's arena, inside the region, by
@@ -135,7 +136,11 @@ fn run_ca_family(
     if c == 1 && params.base_size >= n {
         return run_row_cyclic(a, d, cfg, pool, family, FlopCharges::CaFamily, params.backend);
     }
-    // Zeroed lazily by the allocator: the ranks' writes are the first touch.
+    // Zeroed by the allocator, and not always lazily: glibc maps the first
+    // large `Q`s fresh (the ranks' writes are the first touch), but freeing
+    // one raises its mmap threshold, and later ones come from the heap,
+    // which `calloc` clears on the caller's thread (0.5–1.2 ms for 8 MiB on
+    // a two-vCPU AVX-512 box).
     let (mut q, mut r) = (vec![0.0; m * n], vec![0.0; n * n]);
     let report = {
         let q_windows = CyclicWindows::split(&mut q, m, n, d, c);
@@ -234,7 +239,8 @@ fn run_row_cyclic(
 ) -> Result<QrRun, CholeskyError> {
     let (m, n) = (a.rows(), a.cols());
     assert_eq!(m % p, 0, "the row-cyclic drivers require p | m (m={m}, p={p})");
-    // Zeroed lazily by the allocator: the ranks' writes are the first touch.
+    // Zeroed by the allocator, past the first large `Q`s on the caller's
+    // thread (see `run_ca_family`).
     let mut q = vec![0.0; m * n];
     let report = {
         let windows = CyclicWindows::split(&mut q, m, n, p, 1);

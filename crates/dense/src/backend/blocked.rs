@@ -273,18 +273,21 @@ pub(crate) use isa_dispatch;
 /// packed A panel and one packed B panel. On AVX-512 each accumulator row is
 /// two zmm registers, eight independent fma chains for the tile; on AVX2 the
 /// tile is the whole ymm register file, so operand loads spill.
+///
+/// The loop has [`microkernel_body_rows`]' shape: panels sliced to exactly
+/// `kc` steps, no `.take(kc)`, the `MR` values destructured. Inlined into
+/// `block_product`, the `.take(kc)` form kept `acc` in memory, storing every
+/// accumulator to the stack on every `k` step.
 #[inline(always)]
 fn microkernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
     let mut acc = [[0.0f64; NR]; MR];
-    let a_iter = apanel.chunks_exact(MR);
-    let b_iter = bpanel.chunks_exact(NR);
-    for (a, b) in a_iter.zip(b_iter).take(kc) {
-        let a: &[f64; MR] = a.try_into().unwrap();
+    let (apanel, bpanel) = (&apanel[..kc * MR], &bpanel[..kc * NR]);
+    for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
+        let [x0, x1, x2, x3]: [f64; MR] = a.try_into().unwrap();
         let b: &[f64; NR] = b.try_into().unwrap();
-        for r in 0..MR {
-            let ar = a[r];
+        for (acc_row, ar) in acc.iter_mut().zip([x0, x1, x2, x3]) {
             for c in 0..NR {
-                acc[r][c] = ar.mul_add(b[c], acc[r][c]);
+                acc_row[c] = ar.mul_add(b[c], acc_row[c]);
             }
         }
     }
@@ -1031,22 +1034,13 @@ mod tests {
         }
     }
 
-    /// The gemm body as it was before `A` was read in place, `B`'s zero bands
-    /// were skipped and `β` was folded into the first store: a fill or scale
-    /// pass over `C`, then every tile of packed `A` and packed `B` over the
-    /// full `KC` range, added into `C`.
-    #[allow(clippy::too_many_arguments)] // the BLAS dgemm signature
-    fn reference_gemm(
-        which: Isa,
-        alpha: f64,
-        a: MatRef<'_>,
-        ta: Trans,
-        b: MatRef<'_>,
-        tb: Trans,
-        beta: f64,
-        c: &mut Matrix,
-    ) {
-        let ((m, k), (_, n)) = (op_shape(a, ta), op_shape(b, tb));
+    /// The gemm contract element by element, with none of the kernel's
+    /// packing, tiling or shortcuts, over `op(A)` and `op(B)` given as
+    /// stored matrices: a fill or scale pass over `C`, then for each `KC`
+    /// block of the contraction an fma chain from `+0` over ascending `p`,
+    /// added into `C` as `c += α·acc`.
+    fn reference_gemm(alpha: f64, opa: &Matrix, opb: &Matrix, beta: f64, c: &mut Matrix) {
+        let (m, k, n) = (opa.rows(), opa.cols(), opb.cols());
         if beta != 1.0 {
             for v in c.data_mut() {
                 *v = if beta == 0.0 { 0.0 } else { *v * beta };
@@ -1055,33 +1049,18 @@ mod tests {
         if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
             return;
         }
-        for jc in (0..n).step_by(NC) {
-            let nc = NC.min(n - jc);
-            for pc in (0..k).step_by(KC) {
-                let kc = KC.min(k - pc);
-                let mut bpack = vec![0.0; nc.div_ceil(NR) * NR * kc];
-                pack_b(b, tb, pc, kc, jc, nc, &mut bpack);
-                for ic in (0..m).step_by(MC) {
-                    let mc = MC.min(m - ic);
-                    let mut apack = vec![0.0; mc.div_ceil(MR) * MR * kc];
-                    pack_a(a, ta, ic, mc, pc, kc, &mut apack);
-                    for j0 in (0..nc).step_by(NR) {
-                        for i0 in (0..mc).step_by(MR) {
-                            let acc = microkernel(which, kc, &apack[i0 * kc..], &bpack[j0 * kc..]);
-                            for (r, acc_row) in acc.iter().enumerate().take(mc - i0) {
-                                for (j, &av) in acc_row.iter().enumerate().take(nc - j0) {
-                                    let (i, j) = (ic + i0 + r, jc + j0 + j);
-                                    c.set(i, j, c.get(i, j) + alpha * av);
-                                }
-                            }
-                        }
-                    }
+        for pc in (0..k).step_by(KC) {
+            for i in 0..m {
+                for j in 0..n {
+                    let terms = pc..k.min(pc + KC);
+                    let acc = terms.fold(0.0, |acc, p| opa.get(i, p).mul_add(opb.get(p, j), acc));
+                    c.set(i, j, c.get(i, j) + alpha * acc);
                 }
             }
         }
     }
 
-    /// The gemm is the reference body above bit for bit under every ISA,
+    /// The gemm is the element-wise reference above bit for bit under every ISA,
     /// across shapes on both sides of `MR`, `NR`, `KC`, `MC` and `NC`, both
     /// transpose flags, special `α` and `β`, `B` dense, triangular, all
     /// zero and zero in its leading or trailing rows, `C` holding NaN or
@@ -1097,35 +1076,35 @@ mod tests {
             ((z ^ (z >> 31)) % n as u64) as usize
         };
         let trans = [Trans::No, Trans::Yes];
-        for which in Isa::available() {
-            for m in [1, 3, 4, 5, 129, 300] {
-                for k in [1, 17, 64, 256, 257, 600] {
-                    for n in [1, 15, 16, 17, 64, 513] {
-                        for kind in ["dense", "upper", "lower", "zero", "zero first rows", "zero last rows"] {
-                            let (ta, tb) = (trans[draw(2)], trans[draw(2)]);
-                            let alpha = [1.0, -1.0, -2.5, 0.0][draw(4)];
-                            let beta = [0.0, 1.0, -2.5][draw(3)];
-                            let (zeros, dense) = ((k / 3).max(1), filled(k, n, 2));
-                            let opb = Matrix::from_fn(k, n, |p, j| match kind {
-                                "upper" if p > j => 0.0,
-                                "lower" if p < j => 0.0,
-                                "zero" => 0.0,
-                                "zero first rows" if p < zeros => 0.0,
-                                "zero last rows" if p + zeros >= k => 0.0,
-                                _ => dense.get(p, j),
-                            });
-                            let mut opa = filled(m, k, 1);
-                            if draw(2) == 1 {
-                                opa.set(0, k - 1, f64::INFINITY);
-                                opa.set(m - 1, 0, f64::NAN);
-                                opa.set(m / 2, k / 2, f64::NEG_INFINITY);
-                            }
-                            let c0 = Matrix::from_fn(m, n, |_, _| [f64::NAN, -0.0][draw(2)]);
-                            let a = if ta == Trans::No { opa } else { opa.transposed() };
-                            let b = if tb == Trans::No { opb } else { opb.transposed() };
-                            let mut want = c0.clone();
-                            reference_gemm(which, alpha, a.as_ref(), ta, b.as_ref(), tb, beta, &mut want);
-                            let mut got = c0;
+        for m in [1, 3, 4, 5, 129, 300] {
+            for k in [1, 17, 64, 256, 257, 600] {
+                for n in [1, 15, 16, 17, 64, 513] {
+                    for kind in ["dense", "upper", "lower", "zero", "zero first rows", "zero last rows"] {
+                        let (ta, tb) = (trans[draw(2)], trans[draw(2)]);
+                        let alpha = [1.0, -1.0, -2.5, 0.0][draw(4)];
+                        let beta = [0.0, 1.0, -2.5][draw(3)];
+                        let (zeros, dense) = ((k / 3).max(1), filled(k, n, 2));
+                        let opb = Matrix::from_fn(k, n, |p, j| match kind {
+                            "upper" if p > j => 0.0,
+                            "lower" if p < j => 0.0,
+                            "zero" => 0.0,
+                            "zero first rows" if p < zeros => 0.0,
+                            "zero last rows" if p + zeros >= k => 0.0,
+                            _ => dense.get(p, j),
+                        });
+                        let mut opa = filled(m, k, 1);
+                        if draw(2) == 1 {
+                            opa.set(0, k - 1, f64::INFINITY);
+                            opa.set(m - 1, 0, f64::NAN);
+                            opa.set(m / 2, k / 2, f64::NEG_INFINITY);
+                        }
+                        let c0 = Matrix::from_fn(m, n, |_, _| [f64::NAN, -0.0][draw(2)]);
+                        let mut want = c0.clone();
+                        reference_gemm(alpha, &opa, &opb, beta, &mut want);
+                        let a = if ta == Trans::No { opa } else { opa.transposed() };
+                        let b = if tb == Trans::No { opb } else { opb.transposed() };
+                        for which in Isa::available() {
+                            let mut got = c0.clone();
                             gemm_with_isa(which, alpha, a.as_ref(), ta, b.as_ref(), tb, beta, got.as_mut());
                             let what = format!("{which:?} {m}x{k}x{n} {kind} {ta:?} {tb:?} α={alpha} β={beta}");
                             assert_bits(&got, &want, &what);
