@@ -19,7 +19,7 @@ pub struct PgeqrfConfig {
 }
 
 impl PgeqrfConfig {
-    /// Config with the process default backend.
+    /// Config with the default backend.
     pub fn new(grid: BlockCyclic) -> PgeqrfConfig {
         PgeqrfConfig {
             grid,

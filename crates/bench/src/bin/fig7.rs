@@ -220,7 +220,7 @@ fn main() {
         print_figure(plot.title, &pts);
         if best_at_1024.0.is_finite() && best_at_1024.1.is_finite() {
             println!(
-                "# measured speedup at 1024 nodes (best legend entries): {:.2}x\n",
+                "# model speedup at 1024 nodes (best legend entries): {:.2}x\n",
                 best_at_1024.0 / best_at_1024.1
             );
         }

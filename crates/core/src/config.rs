@@ -144,11 +144,6 @@ impl CfrParams {
         }
     }
 
-    /// Same parameters with a different kernel backend.
-    pub fn with_backend(self, backend: BackendKind) -> CfrParams {
-        CfrParams { backend, ..self }
-    }
-
     /// Recursion depth `φ = log₂(n / n₀)` when factoring an `n × n` matrix.
     pub fn levels(&self, n: usize) -> usize {
         debug_assert!(n >= self.base_size);
@@ -216,18 +211,19 @@ mod tests {
     #[test]
     fn validation_preserves_chosen_backend() {
         // The historical bug: validation silently reset the backend to the
-        // process-wide default. A pinned backend must survive it.
+        // default. A pinned backend must survive it.
         for kind in BackendKind::ALL {
-            let p = CfrParams::validated(64, 2, 16, 1)
-                .unwrap()
-                .with_backend(kind)
-                .validate(64, 2)
-                .unwrap();
-            assert_eq!(p.backend, kind);
-            let q = CfrParams::default_for(64, 2)
-                .with_backend(kind)
-                .validate(64, 2)
-                .unwrap();
+            let p = CfrParams {
+                backend: kind,
+                ..CfrParams::validated(64, 2, 16, 1).unwrap()
+            };
+            assert_eq!(p.validate(64, 2).unwrap().backend, kind);
+            let q = CfrParams {
+                backend: kind,
+                ..CfrParams::default_for(64, 2)
+            }
+            .validate(64, 2)
+            .unwrap();
             assert_eq!(q.backend, kind);
         }
     }

@@ -48,7 +48,7 @@ pub(crate) fn triu_product(r2: &Matrix, r1: &Matrix) -> Matrix {
 /// One CholeskyQR pass (Algorithm 4): `A = QR` with `Q` having *nearly*
 /// orthonormal columns (error `O(ε·κ²)`) and `R` upper triangular. Local
 /// arithmetic goes through the given kernel backend (pass
-/// [`BackendKind::default_kind`] for the process default).
+/// [`BackendKind::default_kind`] for the default).
 pub fn cqr(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), CholeskyError> {
     cqr_shifted(a, 0.0, backend.get())
 }

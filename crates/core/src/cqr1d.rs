@@ -55,7 +55,7 @@ impl FlopCharges {
 /// shape, so a rank can read its block of the caller's matrix and write its
 /// block of the result in place. Returns `R`, replicated on every rank. The
 /// local syrk, CholInv, and `Q = A·R⁻¹` products go through the given kernel
-/// backend (pass [`BackendKind::default_kind`] for the process default).
+/// backend (pass [`BackendKind::default_kind`] for the default).
 ///
 /// The Gram matrix (which doubles as the allreduce buffer) and CholInv's two
 /// factors are **workspace-backed** scratch; `R` is a plain allocation.

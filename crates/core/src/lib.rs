@@ -19,8 +19,6 @@
 //! * [`cacqr`] / [`cacqr2`] — Algorithms 8–9: the paper's contribution, over
 //!   the tunable `c × d × c` grid. `c = d` gives 3D-CQR2; `c = 1` reproduces
 //!   1D-CQR2.
-//! * [`panel`] — the §V "operate on subpanels" extension: panel-blocked
-//!   CA-CQR2 for near-square matrices.
 //! * [`config`] — grid/base-case/inverse-depth parameter handling.
 //! * [`driver`] — **the recommended entry point**: the [`QrPlan`] facade.
 //!   Build a validated, reusable plan for any [`Algorithm`] in the family
@@ -54,7 +52,6 @@ pub mod cqr1d;
 pub mod driver;
 pub mod invtree;
 pub mod mm3d;
-pub mod panel;
 pub mod service;
 pub mod stream;
 pub mod tuner;

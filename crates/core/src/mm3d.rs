@@ -42,7 +42,7 @@ use simgrid::Rank;
 /// `C = A·B` over the cube (see module docs). `a` and `b` are this rank's
 /// local pieces; the returned matrix is this rank's piece of `C`,
 /// workspace-backed. Local arithmetic goes through the given kernel backend
-/// (pass [`BackendKind::default_kind`] for the process default).
+/// (pass [`BackendKind::default_kind`] for the default).
 pub fn mm3d(
     rank: &mut Rank,
     cube: &CubeComms,

@@ -12,6 +12,7 @@
 use super::stats::Recorder;
 use super::ServiceError;
 use crate::driver::QrReport;
+use dense::fault::FaultHandle;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -125,12 +126,14 @@ impl<T> JobHandle<T> {
 }
 
 /// What every queued unit carries from admission to dequeue: when it was
-/// admitted, the deadline budget it must start within, and the
-/// cancellation flag it shares with its [`JobHandle`].
+/// admitted, the deadline budget it must start within, the cancellation
+/// flag it shares with its [`JobHandle`], and the fault schedule its
+/// submitter was armed with, which the worker runs it under.
 pub(super) struct Ticket {
     pub(super) enqueued: Instant,
     deadline: Option<Duration>,
     cancel: Arc<AtomicBool>,
+    pub(super) faults: FaultHandle,
 }
 
 impl Ticket {
@@ -138,8 +141,8 @@ impl Ticket {
     /// deadline the pool's observed p99 queue wait already exceeds is shed
     /// with [`ServiceError::Overloaded`] — it would almost certainly expire
     /// at dequeue anyway, and shedding keeps the queue slot for work
-    /// that can still meet its deadline. Everything else is stamped and
-    /// admitted.
+    /// that can still meet its deadline. Everything else is stamped with
+    /// the time and the calling thread's fault schedule, and admitted.
     pub(super) fn admit(stats: &Recorder, deadline: Option<Duration>) -> Result<Ticket, ServiceError> {
         if let Some(budget) = deadline {
             let queue_p99 = stats.queue_wait.summary().p99;
@@ -152,6 +155,7 @@ impl Ticket {
             enqueued: Instant::now(),
             deadline,
             cancel: Arc::new(AtomicBool::new(false)),
+            faults: FaultHandle::current(),
         })
     }
 

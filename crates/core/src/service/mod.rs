@@ -126,8 +126,8 @@ impl QrServiceBuilder {
         self
     }
 
-    /// Sets the execution backend every job runs on (default: the
-    /// process-wide choice from `CACQR_RUNTIME`). Like the machine model,
+    /// Sets the rank placement every job runs on (default
+    /// [`RuntimeKind::Simulated`]). Like the machine model,
     /// the runtime is a property of the whole service, not of individual
     /// specs — equal specs share one cached plan either way.
     pub fn runtime(mut self, runtime: RuntimeKind) -> QrServiceBuilder {
@@ -136,7 +136,7 @@ impl QrServiceBuilder {
     }
 
     /// Sets the default kernel backend for specs that don't pin one
-    /// (default: the process-wide default).
+    /// (default [`BackendKind::default_kind`]).
     pub fn backend(mut self, backend: BackendKind) -> QrServiceBuilder {
         self.backend = backend;
         self
@@ -198,7 +198,7 @@ impl QrService {
             workers: None,
             queue_capacity: None,
             machine: Machine::zero(),
-            runtime: RuntimeKind::from_env(),
+            runtime: RuntimeKind::Simulated,
             backend: BackendKind::default_kind(),
         }
     }

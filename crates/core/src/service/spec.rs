@@ -176,12 +176,12 @@ impl JobSpec {
     /// result); tuner callers use it to build plans straight from
     /// [`TunerCandidate`](crate::tuner::TunerCandidate) specs.
     pub fn build_plan(&self, machine: Machine, default_backend: BackendKind) -> Result<QrPlan, PlanError> {
-        self.build_plan_on(machine, default_backend, RuntimeKind::from_env())
+        self.build_plan_on(machine, default_backend, RuntimeKind::Simulated)
     }
 
-    /// [`JobSpec::build_plan`] with an explicit execution backend instead of
-    /// the process-wide default — how a service (or tuner) pins all its
-    /// plans to one runtime.
+    /// [`JobSpec::build_plan`] with an explicit rank placement instead of
+    /// the default [`RuntimeKind::Simulated`] — how a service (or tuner)
+    /// pins all its plans to one runtime.
     pub fn build_plan_on(
         &self,
         machine: Machine,

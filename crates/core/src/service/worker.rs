@@ -54,25 +54,32 @@ pub(super) struct ManyBatch {
 /// shutdown or a panic that escapes a job guard — so producers blocked on
 /// a full queue fail with [`ServiceError::ShuttingDown`] instead of
 /// waiting on a pool that will never drain. Every kernel of a job runs on
-/// this thread.
+/// this thread, armed with the fault schedule its submitter was armed with
+/// (the ticket's), from just after the pop on.
 pub(super) fn worker_loop(shared: &Shared) {
     let _consumer = shared.queue.consumer();
     while let Some(work) = shared.queue.pop() {
-        dense::fault::maybe_delay(dense::fault::DEQUEUE);
-        match work {
-            Work::Factor(job) => {
-                let outcome = factor_panel(
-                    shared,
-                    &job.ticket,
-                    Instant::now(),
-                    &job.plan,
-                    job.input.matrix(),
-                    job.retry,
-                );
-                job.slot.complete(outcome);
+        let faults = match &work {
+            Work::Factor(job) => job.ticket.faults.clone(),
+            Work::Many(batch) => batch.ticket.faults.clone(),
+        };
+        faults.arm(|| {
+            dense::fault::maybe_delay(dense::fault::DEQUEUE);
+            match work {
+                Work::Factor(job) => {
+                    let outcome = factor_panel(
+                        shared,
+                        &job.ticket,
+                        Instant::now(),
+                        &job.plan,
+                        job.input.matrix(),
+                        job.retry,
+                    );
+                    job.slot.complete(outcome);
+                }
+                Work::Many(batch) => run_many(shared, batch),
             }
-            Work::Many(batch) => run_many(shared, batch),
-        }
+        });
     }
 }
 
@@ -89,8 +96,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Factors one panel picked up at `picked`, unless its ticket was cancelled
 /// or expired in the queue (then the kernels never run). The factor runs
 /// behind the worker fault site and the panic-isolation boundary, so a
-/// `CACQR_FAULTS` `worker=` schedule reaches all served traffic and a panic
-/// comes back as a typed [`ServiceError`]; every executed panel records its
+/// schedule arming the `worker` site reaches every job its submitter sends,
+/// and a panic comes back as a typed [`ServiceError`]; every executed panel records its
 /// execution and end-to-end latencies and one completion. A completed
 /// report's escalation record feeds the service counters: each rung beyond
 /// the first is a retry; an accepted non-primary rung is an escalation.
@@ -109,7 +116,7 @@ fn factor_panel(
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         dense::faultpoint!(dense::fault::WORKER, {
-            panic!("injected worker fault (CACQR_FAULTS site `worker`)");
+            panic!("injected worker fault (fault site `worker`)");
         });
         plan.factor_with_policy(a, policy)
     }));

@@ -221,7 +221,7 @@ impl Tuner {
             m,
             n,
             processors: None,
-            runtime: RuntimeKind::from_env(),
+            runtime: RuntimeKind::Simulated,
             profile: None,
             algorithms: Algorithm::ALL.to_vec(),
             backends: vec![BackendKind::default_kind()],
@@ -236,8 +236,8 @@ impl Tuner {
         self
     }
 
-    /// Targets an execution backend (default: the process-wide choice from
-    /// `CACQR_RUNTIME`). Calibration runs execute on it; under
+    /// Targets a rank placement (default [`RuntimeKind::Simulated`]).
+    /// Calibration runs execute on it; under
     /// [`RuntimeKind::SharedMem`] the scoring profile's α-β network is
     /// *measured* with transport microprobes rather than assumed.
     pub fn runtime(mut self, runtime: RuntimeKind) -> Tuner {

@@ -16,7 +16,8 @@
 //!
 //! [`machines`] holds the calibrated machine models used to evaluate the
 //! paper's figures at full scale (node counts and matrix sizes that do not
-//! fit a laptop); `EXPERIMENTS.md` documents the calibration.
+//! fit a laptop); its module docs state what each constant is calibrated
+//! against.
 
 pub mod cacqr2;
 pub mod cacqr3;

@@ -20,10 +20,9 @@
 //! Note on conventions: our implementation charges full `2mnk` for the Gram
 //! and `Q = A·R⁻¹` multiplies (as the paper's Tables V–VI do), while real
 //! BLAS exploits symmetry/triangularity for ≈ 2× fewer flops; the
-//! `gamma_cqr2` constant absorbs that factor. EXPERIMENTS.md documents the
-//! calibration targets (one Gf/node value per machine from the paper's
-//! small-node-count, compute-bound data points — everything else is
-//! prediction).
+//! `gamma_cqr2` constant absorbs that factor. The calibration targets are
+//! one Gf/node value per machine, taken from the paper's small-node-count,
+//! compute-bound data points; everything else is prediction.
 
 use crate::candidates::CandidateConfig;
 use crate::cost::Cost;

@@ -24,10 +24,9 @@
 //! Selection is threaded through the layers above by value as a
 //! [`BackendKind`] (a `Copy` enum, so it can live inside `Copy` parameter
 //! structs like `cacqr`'s `CfrParams`): `kind.get()` yields the
-//! `&'static dyn Backend` to call. The process-wide default is
-//! [`BackendKind::Blocked`], overridable with the `CACQR_BACKEND`
-//! environment variable (`naive` or `blocked`; read once and cached so a
-//! process never mixes defaults).
+//! `&'static dyn Backend` to call. The default,
+//! [`BackendKind::default_kind`], is the constant [`BackendKind::Blocked`];
+//! the oracle runs only where a caller names [`BackendKind::Naive`].
 //!
 //! # Determinism and cost-model invariance
 //!
@@ -45,7 +44,6 @@ pub use blocked::Blocked;
 
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef, Matrix};
-use std::sync::OnceLock;
 
 /// A sequential-kernel implementation: the BLAS-3 surface the distributed
 /// algorithms compute with.
@@ -165,16 +163,11 @@ impl BackendKind {
         }
     }
 
-    /// The process-wide default: `Blocked`, unless the `CACQR_BACKEND`
-    /// environment variable says otherwise. Read once and cached, so every
-    /// layer that falls back to the default agrees for the whole process —
-    /// the bitwise cross-algorithm equalities depend on that.
-    pub fn default_kind() -> BackendKind {
-        static DEFAULT: OnceLock<BackendKind> = OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("CACQR_BACKEND").ok().as_deref() {
-            Some(s) => s.parse().unwrap_or_else(|e: String| panic!("{e}")),
-            None => BackendKind::Blocked,
-        })
+    /// The default every layer falls back to: `Blocked`, a constant, so
+    /// every layer agrees and the bitwise cross-algorithm equalities hold.
+    /// `Naive` runs only where it is named.
+    pub const fn default_kind() -> BackendKind {
+        BackendKind::Blocked
     }
 
     /// Every selectable backend, for sweeps in tests and benches.
@@ -184,18 +177,6 @@ impl BackendKind {
 impl Default for BackendKind {
     fn default() -> Self {
         BackendKind::default_kind()
-    }
-}
-
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "naive" => Ok(BackendKind::Naive),
-            "blocked" => Ok(BackendKind::Blocked),
-            other => Err(format!("unknown backend {other:?} (expected \"naive\" or \"blocked\")")),
-        }
     }
 }
 
@@ -210,17 +191,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_round_trips_through_str() {
+    fn kinds_display_their_backend_names() {
+        assert_eq!(BackendKind::default_kind(), BackendKind::Blocked);
         for kind in BackendKind::ALL {
-            let parsed: BackendKind = kind.to_string().parse().unwrap();
-            assert_eq!(parsed, kind);
+            assert_eq!(kind.to_string(), kind.get().name());
         }
-        assert!("fancy".parse::<BackendKind>().is_err());
-    }
-
-    #[test]
-    fn default_is_cached_and_consistent() {
-        assert_eq!(BackendKind::default_kind(), BackendKind::default_kind());
     }
 
     #[test]

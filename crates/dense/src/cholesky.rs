@@ -488,8 +488,6 @@ mod tests {
     /// every instruction set the CPU has.
     #[test]
     fn unblocked_kernels_are_bitwise_the_loops_they_replaced_under_every_isa() {
-        // No injected breakdown on this thread: both sides must run.
-        let _quiet = crate::fault::spmd_scope();
         for which in Isa::available() {
             for n in sizes() {
                 let a = spd_with_upper_junk(n);
@@ -539,7 +537,6 @@ mod tests {
     /// that reach a pivot through the sums.
     #[test]
     fn unblocked_cholesky_fails_where_the_loop_failed() {
-        let _quiet = crate::fault::spmd_scope();
         let cases: [(usize, (usize, usize), f64); 8] = [
             (5, (0, 0), -1.0),
             (40, (37, 37), -1e9),

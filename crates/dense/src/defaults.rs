@@ -1,5 +1,5 @@
 //! The four shorter spellings the benchmark package pins: each is the kernel
-//! of the same name on the process default backend, with fresh outputs and a
+//! of the same name on the default backend, with fresh outputs and a
 //! throwaway arena where the spelling has no argument for them (not the
 //! thread-local arena, which the blocked gemm borrows for its pack buffers).
 //! For the benchmark package and doc examples; library code calls the kernel.

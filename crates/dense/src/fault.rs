@@ -2,39 +2,51 @@
 //!
 //! A *faultpoint* is a named site in the code (`cholesky`, `collective`,
 //! `dequeue`, `arena`, `worker`) that consults this module before doing its
-//! real work. When no schedule is installed the check is a single relaxed
-//! atomic load and a predicted branch — cheap enough to leave compiled into
-//! release builds, which is the point: chaos CI exercises the exact binary
-//! that ships.
+//! real work. A schedule is armed on a thread, never on the process: the
+//! check reads one `const` thread-local and takes a predicted branch when the
+//! calling thread is unarmed, cheap enough to leave compiled into release
+//! builds, which is the point: chaos tests exercise the exact code that
+//! ships.
 //!
-//! # Schedule format
+//! # Arming
 //!
-//! Schedules come from the `CACQR_FAULTS` environment variable (read once,
-//! lazily) or programmatically via [`install`]:
+//! A [`FaultPlan`] is a value: a seed, the stall delay-kind sites inject, and
+//! per-site firing rates. [`with_plan`] arms the calling thread with it for
+//! the duration of a closure:
 //!
-//! ```text
-//! CACQR_FAULTS="seed=42;delay_us=50;collective=0.05;dequeue=0.1;cholesky=0.2"
+//! ```
+//! use dense::fault::{self, FaultPlan};
+//!
+//! let plan = FaultPlan::new(42).site(fault::CHOLESKY, 1.0);
+//! let mut a = dense::Matrix::identity(4);
+//! let err = fault::with_plan(plan, || dense::potrf(a.as_mut()).unwrap_err());
+//! assert_eq!(err.pivot, f64::NEG_INFINITY, "the injected breakdown's sentinel pivot");
+//! assert!(dense::potrf(a.as_mut()).is_ok(), "the thread is unarmed again");
 //! ```
 //!
-//! `seed` (default 0) keys the pseudo-random firing decisions; `delay_us`
-//! (default 20) is the stall injected by delay-kind sites; every other
-//! `key=rate` pair names a site and its firing probability in `[0, 1]`.
-//! Unknown site names are a hard error so typos cannot silently disable a
-//! chaos schedule.
+//! The schedule travels with the work it applies to as a [`FaultHandle`]:
+//! `simgrid::run_spmd` reads the caller's handle once per region and arms
+//! each rank thread with it, and a `QrService` job carries its submitter's
+//! handle to the worker that runs it. Every thread armed with one handle
+//! counts into the same [`injected`] totals; a thread nobody armed sees no
+//! fault, whatever other threads are doing.
 //!
 //! # Determinism
 //!
 //! Firing is a pure function of `(seed, site, hit-index)` where the hit
-//! index is a per-thread counter: the k-th time a given thread reaches a
-//! given site, the decision is always the same for the same seed. SPMD rank
-//! bodies run on threads spawned fresh per factorization, so every rank of
-//! every run replays an identical schedule — there is no cross-thread
-//! counter to race on.
+//! index is a per-thread counter: the k-th time a thread reaches a given
+//! site under one handle, the decision is always the same for the same seed.
+//! The counters start at 0 whenever a thread consults a handle other than
+//! the last one it consulted. Rank threads are spawned fresh per region, so
+//! every rank of every run replays an identical schedule; a service worker
+//! keeps counting across the jobs it runs under one handle, so a site it
+//! reaches once per job (`dequeue`) fires at the plan's rate rather than
+//! for every job or none. There is no cross-thread counter to race on.
 //!
 //! # Site kinds
 //!
 //! Sites are either *delay* sites (`collective`, `dequeue`, `arena` — they
-//! stall the thread for `delay_us`, perturbing interleavings without
+//! stall the thread for the plan's delay, perturbing interleavings without
 //! changing results) or *error* sites (`cholesky` injects a typed
 //! [`CholeskyError`](crate::CholeskyError) breakdown; `worker` makes the
 //! service worker panic inside its isolation boundary). Error sites are
@@ -43,13 +55,14 @@
 //! the harness, not the code under test. Delay sites fire everywhere.
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Once, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cholesky pivot site (error kind): injects a typed breakdown.
 pub const CHOLESKY: &str = "cholesky";
-/// Collective exchange site (delay kind): stalls a rank mid-exchange.
+/// Collective round site (delay kind): stalls a rank before a round of any
+/// collective.
 pub const COLLECTIVE: &str = "collective";
 /// Service worker dequeue site (delay kind): stalls a worker between jobs.
 pub const DEQUEUE: &str = "dequeue";
@@ -64,7 +77,7 @@ const ERROR_SITES: &[&str] = &[CHOLESKY, WORKER];
 
 const DEFAULT_DELAY_US: u64 = 20;
 
-/// A parsed fault schedule: seed, injected delay, and per-site firing rates.
+/// A fault schedule: seed, injected delay, and per-site firing rates.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -73,8 +86,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty schedule (seed 0, default delay, all rates zero). Build it
-    /// up with [`FaultPlan::site`].
+    /// An empty schedule (the given seed, a 20 µs delay, all rates zero).
+    /// Build it up with [`FaultPlan::site`] and [`FaultPlan::delay`].
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -99,40 +112,6 @@ impl FaultPlan {
         self
     }
 
-    /// Parse the `CACQR_FAULTS` schedule syntax:
-    /// `seed=42;delay_us=50;site=rate;...`.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new(0);
-        for field in spec.split(';') {
-            let field = field.trim();
-            if field.is_empty() {
-                continue;
-            }
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| format!("fault field `{field}` is not key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "seed" => {
-                    plan.seed = value.parse().map_err(|_| format!("bad fault seed `{value}`"))?;
-                }
-                "delay_us" => {
-                    let us: u64 = value.parse().map_err(|_| format!("bad fault delay_us `{value}`"))?;
-                    plan.delay = Duration::from_micros(us);
-                }
-                site => {
-                    let idx = site_index(site).ok_or_else(|| format!("unknown fault site `{site}`"))?;
-                    let rate: f64 = value.parse().map_err(|_| format!("bad fault rate `{value}`"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("fault rate {rate} for `{site}` outside [0, 1]"));
-                    }
-                    plan.rates[idx] = rate;
-                }
-            }
-        }
-        Ok(plan)
-    }
-
     fn is_empty(&self) -> bool {
         self.rates.iter().all(|&r| r == 0.0)
     }
@@ -146,117 +125,119 @@ fn is_error_site(idx: usize) -> bool {
     ERROR_SITES.contains(&SITES[idx])
 }
 
-// Global state: 0 = env not consulted yet, 1 = disabled, 2 = enabled. The
-// fast path is a single relaxed load of this byte.
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
-static ENV_INIT: Once = Once::new();
-/// Bumped on every `install` so surviving threads discard stale hit counters.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
-struct Installed {
+/// A plan and the injection counters of every thread armed with it.
+#[derive(Debug)]
+struct Schedule {
     plan: FaultPlan,
     injected: [AtomicU64; SITES.len()],
 }
 
-static PLAN: RwLock<Option<Installed>> = RwLock::new(None);
+/// A fault schedule as threads carry it: an armed [`FaultPlan`] and its
+/// injection counters, shared by every thread armed with this handle (or a
+/// clone of it), or no schedule at all. Cloning is an `Arc` clone.
+///
+/// [`FaultHandle::current`] reads the handle the calling thread is armed
+/// with, and [`FaultHandle::arm`] arms another thread with it: that is how
+/// the rank threads of an SPMD region and the service worker running a job
+/// inherit the schedule of the thread that started the work.
+#[derive(Clone, Debug, Default)]
+pub struct FaultHandle(Option<Arc<Schedule>>);
 
 thread_local! {
-    // (generation, per-site hit counters) — see module docs on determinism.
-    static HITS: RefCell<(u64, [u64; SITES.len()])> = const { RefCell::new((0, [0; SITES.len()])) };
+    // The handle this thread is armed with.
+    static ARMED: RefCell<FaultHandle> = const { RefCell::new(FaultHandle(None)) };
+    // Per-site hit counters and the handle they count for (see the module
+    // docs on determinism).
+    static HITS: RefCell<(FaultHandle, [u64; SITES.len()])> =
+        const { RefCell::new((FaultHandle(None), [0; SITES.len()])) };
+    // Whether `ARMED` holds a plan with any site armed: the one load the off
+    // path makes.
+    static ON: Cell<bool> = const { Cell::new(false) };
     static SPMD_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Install a schedule programmatically (tests), or `None` to disable all
-/// faultpoints. Overrides any `CACQR_FAULTS` environment schedule for the
-/// rest of the process lifetime and resets injection counters.
-pub fn install(plan: Option<FaultPlan>) {
-    let enabled = plan.as_ref().is_some_and(|p| !p.is_empty());
-    let mut guard = PLAN.write().unwrap();
-    *guard = plan.map(|plan| Installed {
-        plan,
-        injected: [(); SITES.len()].map(|()| AtomicU64::new(0)),
-    });
-    GENERATION.fetch_add(1, Ordering::Relaxed);
-    STATE.store(if enabled { STATE_ON } else { STATE_OFF }, Ordering::Release);
-}
+impl FaultHandle {
+    /// A fresh handle for `plan`, with its injection counters at zero.
+    fn new(plan: FaultPlan) -> FaultHandle {
+        FaultHandle(Some(Arc::new(Schedule {
+            plan,
+            injected: [(); SITES.len()].map(|()| AtomicU64::new(0)),
+        })))
+    }
 
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        // `install` may have run first; it wins over the environment.
-        if STATE.load(Ordering::Acquire) != STATE_UNINIT {
-            return;
-        }
-        match std::env::var("CACQR_FAULTS") {
-            Ok(spec) => {
-                let plan = FaultPlan::parse(&spec).unwrap_or_else(|err| panic!("CACQR_FAULTS=\"{spec}\": {err}"));
-                install(Some(plan));
+    /// The handle the calling thread is armed with; the default (no
+    /// schedule) on a thread nobody armed.
+    pub fn current() -> FaultHandle {
+        ARMED.with_borrow(FaultHandle::clone)
+    }
+
+    /// Runs `body` on the calling thread armed with this handle, then
+    /// restores whatever the thread was armed with before (also when `body`
+    /// panics). Arming with the default handle runs `body` unarmed.
+    pub fn arm<R>(&self, body: impl FnOnce() -> R) -> R {
+        struct Restore(Option<FaultHandle>, bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                ARMED.set(self.0.take().expect("restored once"));
+                ON.set(self.1);
             }
-            Err(_) => STATE.store(STATE_OFF, Ordering::Release),
         }
-    });
-}
+        let on = self.0.as_ref().is_some_and(|s| !s.plan.is_empty());
+        let _restore = Restore(Some(ARMED.replace(self.clone())), ON.replace(on));
+        body()
+    }
 
-/// True when a fault schedule is active. The cheap gate callers may use to
-/// skip building diagnostic context.
-#[inline]
-pub fn active() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_OFF => false,
-        STATE_ON => true,
-        _ => {
-            init_from_env();
-            STATE.load(Ordering::Relaxed) == STATE_ON
+    fn same(&self, other: &FaultHandle) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
         }
     }
 }
 
-/// Consult the schedule at a named site. Returns `true` when the fault
-/// fires. Deterministic per `(seed, site, thread hit index)`; error-kind
-/// sites never fire inside an SPMD region (see [`spmd_scope`]).
+/// Runs `body` on the calling thread armed with a fresh handle for `plan`
+/// (see [`FaultHandle::arm`]); the work `body` starts on rank threads or
+/// service workers carries the same handle.
+pub fn with_plan<R>(plan: FaultPlan, body: impl FnOnce() -> R) -> R {
+    FaultHandle::new(plan).arm(body)
+}
+
+/// Consult the calling thread's schedule at a named site. Returns `true`
+/// when the fault fires. Deterministic per `(seed, site, thread hit
+/// index)`; error-kind sites never fire inside an SPMD region (see
+/// [`spmd_scope`]).
 #[inline]
 pub fn should_fire(site: &str) -> bool {
-    if !active() {
-        return false;
-    }
-    should_fire_slow(site)
+    ON.get() && fire(site).is_some()
 }
 
+/// The armed schedule's decision at `site`: `Some(delay)` when it fires.
 #[cold]
-fn should_fire_slow(site: &str) -> bool {
-    let Some(idx) = site_index(site) else {
-        return false;
-    };
-    if is_error_site(idx) && SPMD_DEPTH.with(|d| d.get() > 0) {
-        return false;
+fn fire(site: &str) -> Option<Duration> {
+    let idx = site_index(site)?;
+    if is_error_site(idx) && SPMD_DEPTH.get() > 0 {
+        return None;
     }
-    let guard = PLAN.read().unwrap();
-    let Some(installed) = guard.as_ref() else {
-        return false;
-    };
-    let rate = installed.plan.rates[idx];
-    if rate <= 0.0 {
-        return false;
-    }
-    let generation = GENERATION.load(Ordering::Relaxed);
-    let hit = HITS.with(|h| {
-        let mut h = h.borrow_mut();
-        if h.0 != generation {
-            *h = (generation, [0; SITES.len()]);
+    ARMED.with_borrow(|handle| {
+        let schedule = handle.0.as_ref()?;
+        let rate = schedule.plan.rates[idx];
+        if rate <= 0.0 {
+            return None;
         }
-        let hit = h.1[idx];
-        h.1[idx] += 1;
-        hit
-    });
-    let draw = unit_draw(installed.plan.seed, idx as u64, hit);
-    let fire = draw < rate;
-    if fire {
-        installed.injected[idx].fetch_add(1, Ordering::Relaxed);
-    }
-    fire
+        let hit = HITS.with_borrow_mut(|(owner, hits)| {
+            if !owner.same(handle) {
+                *owner = handle.clone();
+                *hits = [0; SITES.len()];
+            }
+            hits[idx] += 1;
+            hits[idx] - 1
+        });
+        if unit_draw(schedule.plan.seed, idx as u64, hit) >= rate {
+            return None;
+        }
+        schedule.injected[idx].fetch_add(1, Ordering::Relaxed);
+        Some(schedule.plan.delay)
+    })
 }
 
 /// SplitMix64-style mix of (seed, site, hit) mapped to a uniform draw in
@@ -271,40 +252,30 @@ fn unit_draw(seed: u64, site: u64, hit: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Delay-kind faultpoint: stall the thread for the schedule's `delay_us`
-/// when the site fires. No-op (one atomic load) when disabled.
+/// Delay-kind faultpoint: stall the thread for the schedule's delay when
+/// the site fires. One thread-local load on an unarmed thread.
 #[inline]
 pub fn maybe_delay(site: &str) {
-    if !active() {
+    if !ON.get() {
         return;
     }
-    if should_fire_slow(site) {
-        let delay = PLAN.read().unwrap().as_ref().map(|p| p.plan.delay);
-        if let Some(delay) = delay {
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-        }
+    if let Some(delay) = fire(site).filter(|d| !d.is_zero()) {
+        std::thread::sleep(delay);
     }
 }
 
-/// How many times `site` has fired under the currently installed schedule.
+/// How many times `site` has fired under the calling thread's handle, on
+/// every thread armed with it; 0 on an unarmed thread.
 pub fn injected(site: &str) -> u64 {
     let Some(idx) = site_index(site) else {
         return 0;
     };
-    PLAN.read()
-        .unwrap()
-        .as_ref()
-        .map_or(0, |p| p.injected[idx].load(Ordering::Relaxed))
+    ARMED.with_borrow(|handle| handle.0.as_ref().map_or(0, |s| s.injected[idx].load(Ordering::Relaxed)))
 }
 
-/// Total fires across all sites under the currently installed schedule.
+/// Total fires across all sites under the calling thread's handle.
 pub fn injected_total() -> u64 {
-    PLAN.read()
-        .unwrap()
-        .as_ref()
-        .map_or(0, |p| p.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum())
+    SITES.iter().map(|site| injected(site)).sum()
 }
 
 /// RAII marker for an SPMD region: while alive on this thread, error-kind
@@ -318,7 +289,7 @@ pub struct SpmdScope {
 
 /// Enter an SPMD region on this thread. See [`SpmdScope`].
 pub fn spmd_scope() -> SpmdScope {
-    SPMD_DEPTH.with(|d| d.set(d.get() + 1));
+    SPMD_DEPTH.set(SPMD_DEPTH.get() + 1);
     SpmdScope {
         _not_send: std::marker::PhantomData,
     }
@@ -326,14 +297,14 @@ pub fn spmd_scope() -> SpmdScope {
 
 impl Drop for SpmdScope {
     fn drop(&mut self) {
-        SPMD_DEPTH.with(|d| d.set(d.get() - 1));
+        SPMD_DEPTH.set(SPMD_DEPTH.get() - 1);
     }
 }
 
 /// Check a faultpoint by site name; with a second argument, run that
 /// expression (e.g. `return Err(...)` or `panic!(...)`) when it fires.
-/// Compiles to one relaxed atomic load and a predicted branch when no
-/// schedule is installed.
+/// Compiles to one thread-local load and a predicted branch on an unarmed
+/// thread.
 #[macro_export]
 macro_rules! faultpoint {
     ($site:expr) => {
@@ -350,38 +321,12 @@ macro_rules! faultpoint {
 mod tests {
     use super::*;
 
-    // The plan/state globals are process-wide; unit tests here serialize on
-    // a lock and restore the disabled state when done.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn with_plan(plan: FaultPlan, body: impl FnOnce()) {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        install(Some(plan));
-        body();
-        install(None);
-    }
-
-    #[test]
-    fn parse_round_trips_the_documented_format() {
-        let plan = FaultPlan::parse("seed=42;delay_us=50;collective=0.05;cholesky=0.2").unwrap();
-        assert_eq!(plan.seed, 42);
-        assert_eq!(plan.delay, Duration::from_micros(50));
-        assert_eq!(plan.rates[site_index(COLLECTIVE).unwrap()], 0.05);
-        assert_eq!(plan.rates[site_index(CHOLESKY).unwrap()], 0.2);
-        assert_eq!(plan.rates[site_index(ARENA).unwrap()], 0.0);
-        assert!(FaultPlan::parse("bogus_site=0.5").is_err());
-        assert!(FaultPlan::parse("cholesky=1.5").is_err());
-        assert!(FaultPlan::parse("cholesky").is_err());
-    }
-
     #[test]
     fn schedule_is_deterministic_per_thread_and_seed() {
         let sample = |seed: u64| -> Vec<bool> {
-            let mut fired = Vec::new();
             with_plan(FaultPlan::new(seed).site(CHOLESKY, 0.3), || {
-                fired = (0..64).map(|_| should_fire(CHOLESKY)).collect();
-            });
-            fired
+                (0..64).map(|_| should_fire(CHOLESKY)).collect()
+            })
         };
         let a = sample(7);
         let b = sample(7);
@@ -393,23 +338,71 @@ mod tests {
     }
 
     #[test]
-    fn disabled_sites_and_spmd_regions_suppress_correctly() {
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        install(None);
-        assert!(!active());
+    fn unarmed_sites_and_spmd_regions_suppress_correctly() {
         assert!(!should_fire(CHOLESKY));
+        assert_eq!(injected_total(), 0);
 
-        install(Some(FaultPlan::new(1).site(CHOLESKY, 1.0).site(ARENA, 1.0)));
-        assert!(should_fire(CHOLESKY));
-        assert_eq!(injected(CHOLESKY), 1);
-        {
-            let _spmd = spmd_scope();
-            assert!(!should_fire(CHOLESKY), "error sites must not fire inside SPMD");
-            assert!(should_fire(ARENA), "delay sites keep firing inside SPMD");
-        }
-        assert!(should_fire(CHOLESKY), "suppression ends with the scope");
-        assert!(injected_total() >= 3);
-        install(None);
+        with_plan(FaultPlan::new(1).site(CHOLESKY, 1.0).site(ARENA, 1.0), || {
+            assert!(should_fire(CHOLESKY));
+            assert_eq!(injected(CHOLESKY), 1);
+            assert!(!should_fire(COLLECTIVE), "a site the plan does not arm never fires");
+            {
+                let _spmd = spmd_scope();
+                assert!(!should_fire(CHOLESKY), "error sites must not fire inside SPMD");
+                assert!(should_fire(ARENA), "delay sites keep firing inside SPMD");
+            }
+            assert!(should_fire(CHOLESKY), "suppression ends with the scope");
+            assert_eq!(injected_total(), 3);
+        });
+        assert!(!should_fire(CHOLESKY), "unarmed once the plan's scope ends");
+        assert_eq!(injected_total(), 0);
+    }
+
+    /// A handle carries its plan and counters to another thread; a thread
+    /// nobody armed sees nothing meanwhile. Hit indices count per thread
+    /// and start over when a thread consults another handle.
+    #[test]
+    fn a_handle_arms_the_threads_it_is_carried_to() {
+        let plan = FaultPlan::new(5).site(CHOLESKY, 0.5);
+        with_plan(plan.clone(), || {
+            let here: Vec<bool> = (0..32).map(|_| should_fire(CHOLESKY)).collect();
+            let handle = FaultHandle::current();
+            let there =
+                std::thread::spawn(move || handle.arm(|| (0..32).map(|_| should_fire(CHOLESKY)).collect::<Vec<_>>()));
+            let bystander = std::thread::spawn(|| ((0..32).any(|_| should_fire(CHOLESKY)), injected_total()));
+            assert_eq!(
+                there.join().unwrap(),
+                here,
+                "every armed thread replays the same schedule"
+            );
+            assert_eq!(bystander.join().unwrap(), (false, 0), "an unarmed thread sees no fault");
+            let fired = here.iter().filter(|&&f| f).count() as u64;
+            assert_eq!(injected(CHOLESKY), 2 * fired, "both threads count into the handle");
+
+            let again = FaultHandle::current().arm(|| should_fire(CHOLESKY));
+            assert_eq!(
+                again,
+                should_fire_at(&plan, 32),
+                "re-arming with one handle keeps counting"
+            );
+            let other = FaultPlan::new(6).site(CHOLESKY, 0.5);
+            assert_eq!(
+                with_plan(other.clone(), || should_fire(CHOLESKY)),
+                should_fire_at(&other, 0)
+            );
+            assert_eq!(
+                should_fire(CHOLESKY),
+                should_fire_at(&plan, 0),
+                "another handle in between restarts the count"
+            );
+            FaultHandle::default().arm(|| assert!(!should_fire(CHOLESKY), "the default handle disarms"));
+        });
+    }
+
+    /// The decision the k-th visit of a thread armed with `plan` makes.
+    fn should_fire_at(plan: &FaultPlan, hit: u64) -> bool {
+        let idx = site_index(CHOLESKY).unwrap();
+        unit_draw(plan.seed, idx as u64, hit) < plan.rates[idx]
     }
 
     #[test]
@@ -419,6 +412,6 @@ mod tests {
             faultpoint!(WORKER, hit = true);
         });
         assert!(hit);
-        assert!(!faultpoint!(WORKER), "disabled again after the test plan");
+        assert!(!faultpoint!(WORKER), "unarmed again after the plan's scope");
     }
 }

@@ -159,7 +159,7 @@ pub fn larft(v: MatRef<'_>, tau: &[f64]) -> Matrix {
 }
 
 /// Applies the block reflector `Hᵀ = (I − V T Vᵀ)ᵀ` from the left:
-/// `C ← C − V·Tᵀ·(Vᵀ C)`, the three level-3 products on the process default
+/// `C ← C − V·Tᵀ·(Vᵀ C)`, the three level-3 products on the default
 /// backend.
 ///
 /// `v` is `m × k` unit-lower-trapezoidal (as stored by [`panel_qr`]),
@@ -197,7 +197,7 @@ pub fn panel_qr(mut panel: MatMut<'_>) -> (Vec<f64>, Matrix) {
 }
 
 /// Blocked Householder QR of `a` in place. Returns the factors. Uses the
-/// process default backend for the trailing updates.
+/// default backend for the trailing updates.
 pub fn householder_qr(a: &Matrix) -> QrFactors {
     let mut packed = a.clone();
     let (m, n) = (packed.rows(), packed.cols());

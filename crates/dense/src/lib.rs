@@ -11,8 +11,8 @@
 //!   with two implementations, [`backend::Naive`] (the audited loop-nest
 //!   oracle) and [`backend::Blocked`] (packed cache-blocked panels, an
 //!   `MR × NR` register-tiled microkernel, on the caller's thread).
-//!   Select by value with [`BackendKind`]; the process default is `Blocked`
-//!   (`CACQR_BACKEND=naive` overrides).
+//!   Select by value with [`BackendKind`]; the default is the constant
+//!   `Blocked`, and `Naive` runs only where a caller names it.
 //! * [`gemm()`] — general matrix multiply with transpose flags (the naive
 //!   reference path; backend-routed code calls `Backend::gemm`).
 //! * [`syrk()`] — symmetric rank-k update `C = AᵀA` (naive reference).
@@ -23,13 +23,15 @@
 //! * [`update`] — rank-k row append / downdate of a triangular factor.
 //! * [`defaults`] — the four shorter spellings the benchmark package pins,
 //!   re-exported at the crate root.
-//! * [`householder`] — blocked Householder QR on the process default backend
+//! * [`householder`] — blocked Householder QR on the default backend
 //!   (the sequential reference the tests compare against).
 //! * [`cond`] — Hager–Higham triangular 1-norm condition estimation: the
 //!   O(n²) κ₁(R) estimate the escalation ladder gates on.
-//! * [`fault`] — deterministic fault injection (`CACQR_FAULTS`): named
-//!   faultpoints at the Cholesky pivot and arena checkout sites (consumers
-//!   add collective/worker sites), zero-cost when disabled.
+//! * [`fault`] — deterministic fault injection: a [`FaultPlan`] armed on a
+//!   thread ([`fault::with_plan`]) and carried with the work it starts
+//!   ([`fault::FaultHandle`]); named faultpoints at the Cholesky pivot and
+//!   arena checkout sites (consumers add collective/worker sites), one
+//!   thread-local load on an unarmed thread.
 //! * [`svd`] — one-sided Jacobi SVD, used to measure condition numbers.
 //!   (Pure BLAS-1 column rotations — there is no BLAS-3 call to route
 //!   through a backend.)
@@ -58,8 +60,8 @@
 //! views). There are no `_with` / `_ws` / `_into` twins; CI counts them.
 //! The thread-local arena ([`workspace::with_thread_local`]) serves
 //! `Blocked`'s pack buffers and solve lanes, `trmm_upper_upper`'s packs,
-//! [`cond_estimate`]'s two vectors and the sequential `cacqr::cqr` /
-//! `cacqr::panel` helpers, nothing else.
+//! [`cond_estimate`]'s two vectors and the sequential `cacqr::cqr`
+//! helpers, nothing else.
 //!
 //! **The oracle is exempt.** The free loop nests [`gemm()`], [`matmul`],
 //! [`syrk()`] / [`syrk_into`] and the five `trsm::trsm_*` solves are the

@@ -22,7 +22,7 @@
 //! `&self` and repeated factors reuse warm buffers even though the simulator
 //! spawns fresh rank threads per run. The thread-local arena
 //! ([`with_thread_local`], per OS thread) serves the blocked kernel's pack
-//! buffers, `cond_estimate`'s two vectors and the sequential `cqr`/`panel`
+//! buffers, `cond_estimate`'s two vectors and the sequential `cqr`
 //! helpers, nothing else.
 //!
 //! # Discipline

@@ -13,12 +13,6 @@ pub fn owner_of_global(g: usize, procs: usize) -> usize {
     g % procs
 }
 
-/// Local index of global index `g` on its owner.
-#[inline]
-pub fn global_to_local(g: usize, procs: usize) -> usize {
-    g / procs
-}
-
 /// Global index of local index `l` on processor `p`.
 #[inline]
 pub fn local_to_global(l: usize, p: usize, procs: usize) -> usize {
@@ -40,7 +34,7 @@ mod tests {
         let procs = 4;
         for g in 0..23 {
             let p = owner_of_global(g, procs);
-            let l = global_to_local(g, procs);
+            let l = g / procs;
             assert_eq!(local_to_global(l, p, procs), g);
         }
     }
@@ -70,7 +64,7 @@ mod tests {
         let n = 32;
         let half = n / 2;
         for g in 0..n {
-            let l = global_to_local(g, procs);
+            let l = g / procs;
             if g < half {
                 assert!(l < half / procs);
             } else {

@@ -78,10 +78,6 @@ impl Comm {
     /// hand it back with [`Rank::recycle_comm`] when done to keep the
     /// steady-state communication path allocation-free.
     pub fn sendrecv(&self, rank: &mut Rank, partner: usize, data: &[f64]) -> Vec<f64> {
-        // Chaos faultpoint: a late rank at the exchange. Delay-only —
-        // peers block until this rank arrives, so the collective still
-        // completes and results are unchanged.
-        dense::fault::maybe_delay(dense::fault::COLLECTIVE);
         let mut out = rank.comm_take(data.len());
         if partner == self.my_index() {
             out.copy_from_slice(data);

@@ -1,14 +1,14 @@
 //! A deterministic SPMD runtime with α-β-γ cost accounting — one transport,
-//! two execution backends.
+//! two rank placements.
 //!
 //! The paper evaluates CA-CQR2 with MPI on Stampede2 and Blue Waters. This
 //! crate substitutes a distributed machine whose ranks are OS threads that
 //! communicate through preallocated shared windows: the collectives run *in
 //! place* over shared slices between sense-reversing barriers, drawing
 //! scratch from pooled arenas ([`run_spmd_pooled`]) so the warm path
-//! performs zero heap allocations. Two backends run that one transport,
-//! selected per run via [`SimConfig::on_runtime`] (or process-wide with
-//! `CACQR_RUNTIME=sim|shm`), and differ only in pinning:
+//! performs zero heap allocations. Two placements run that one transport,
+//! selected per run via [`SimConfig::on_runtime`], and differ only in
+//! pinning:
 //!
 //! * **Simulated** ([`RuntimeKind::Simulated`], the default): rank threads
 //!   are left to the OS scheduler, and the point of a run is its *virtual*

@@ -72,6 +72,10 @@ impl Comm {
         recv: Option<usize>,
         on_recv: impl FnOnce(&[f64]),
     ) {
+        // Chaos faultpoint: a late rank at the round. Delay-only — peers
+        // wait at the crossing until this rank arrives, so the round still
+        // completes and results are unchanged.
+        dense::fault::maybe_delay(dense::fault::COLLECTIVE);
         if let Some((_, words)) = send {
             rank.charge_send(words.len());
             rank.shm().publish(rank.id(), words, rank.clock());

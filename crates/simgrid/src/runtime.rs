@@ -4,12 +4,13 @@
 use crate::cost::CostLedger;
 use crate::machine::Machine;
 use crate::shm::ShmShared;
+use dense::fault::FaultHandle;
 use dense::{Workspace, WorkspacePool};
 use std::sync::Arc;
 
-/// Which execution backend [`run_spmd`] uses.
+/// Where [`run_spmd`] places its rank threads: unpinned or pinned.
 ///
-/// Both backends run ranks as scoped OS threads executing the same SPMD
+/// Both placements run ranks as scoped OS threads executing the same SPMD
 /// closure over the same transport: the collectives run in place over
 /// published shared slices bracketed by sense-reversing barriers, with zero
 /// heap traffic and no copies beyond the block moves the butterfly
@@ -17,9 +18,9 @@ use std::sync::Arc;
 /// therefore bitwise identical across them. They differ only in pinning,
 /// and so in what *wall-clock* time means:
 ///
-/// * [`Simulated`](RuntimeKind::Simulated) leaves rank threads to the OS
-///   scheduler. Wall time is incidental; the virtual α-β-γ clock is the
-///   measurement.
+/// * [`Simulated`](RuntimeKind::Simulated), the default, leaves rank
+///   threads unpinned, to the OS scheduler. Wall time is incidental; the
+///   virtual α-β-γ clock is the measurement.
 /// * [`SharedMem`](RuntimeKind::SharedMem) pins rank `i` of `p` to core
 ///   `i` while `p` ≤ the process's core count, and to core `⌊i·cores/p⌋`
 ///   beyond it ([`pinned_core`](crate::pinned_core)), so each replicated
@@ -27,55 +28,24 @@ use std::sync::Arc;
 ///   communication-avoidance claim; the virtual clock is still maintained
 ///   (same charges), so simulated accounting stays available for free.
 ///
-/// On either backend a rank waiting at a crossing spins briefly before
+/// On either placement a rank waiting at a crossing spins briefly before
 /// yielding its core, or yields at once when the region has more ranks
 /// than the process has cores. A one-rank region has no peer to talk to and
-/// runs inline on the calling thread under either backend.
+/// runs inline on the calling thread under either placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
-    /// Virtual-time simulation: unpinned rank threads.
+    /// Unpinned rank threads; the virtual clock is the measurement.
     Simulated,
-    /// Measured shared-memory execution: rank threads pinned to cores.
+    /// Rank threads pinned to cores; wall time is a measurement too.
     SharedMem,
 }
 
 impl RuntimeKind {
-    /// The process-wide default backend: `CACQR_RUNTIME=shm` (or `shared`)
-    /// selects the shared-memory runtime, `sim` or unset the simulator, and
-    /// any other value panics naming it — a typo must not silently run the
-    /// suite on the default. Read once and cached — the CI matrix uses this
-    /// to flip an entire test suite onto the shm backend without touching
-    /// call sites.
-    pub fn from_env() -> RuntimeKind {
-        static KIND: std::sync::OnceLock<RuntimeKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| {
-            RuntimeKind::from_var(std::env::var("CACQR_RUNTIME").ok().as_deref())
-                .unwrap_or_else(|e| panic!("CACQR_RUNTIME: {e}"))
-        })
-    }
-
-    /// What a `CACQR_RUNTIME` value selects; unset is the simulator.
-    fn from_var(value: Option<&str>) -> Result<RuntimeKind, String> {
-        value.map_or(Ok(RuntimeKind::Simulated), str::parse)
-    }
-
     /// Short stable name (`"sim"` / `"shm"`), e.g. for bench artifacts.
     pub fn name(self) -> &'static str {
         match self {
             RuntimeKind::Simulated => "sim",
             RuntimeKind::SharedMem => "shm",
-        }
-    }
-}
-
-impl std::str::FromStr for RuntimeKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<RuntimeKind, String> {
-        match s {
-            "sim" | "simulated" => Ok(RuntimeKind::Simulated),
-            "shm" | "shared" | "shared-mem" => Ok(RuntimeKind::SharedMem),
-            other => Err(format!("unknown runtime {other:?} (expected sim|shm)")),
         }
     }
 }
@@ -98,7 +68,7 @@ pub struct SimConfig {
     /// dependencies (the honest asynchronous critical path, which can be
     /// *cheaper* because point-to-point costs hide in collective slack).
     pub sync_collectives: bool,
-    /// The execution backend (defaults to [`RuntimeKind::from_env`]).
+    /// The rank placement (default [`RuntimeKind::Simulated`]).
     pub runtime: RuntimeKind,
 }
 
@@ -107,7 +77,7 @@ impl Default for SimConfig {
         SimConfig {
             machine: Machine::zero(),
             sync_collectives: true,
-            runtime: RuntimeKind::from_env(),
+            runtime: RuntimeKind::Simulated,
         }
     }
 }
@@ -126,11 +96,11 @@ impl SimConfig {
         SimConfig {
             machine,
             sync_collectives: false,
-            runtime: RuntimeKind::from_env(),
+            runtime: RuntimeKind::Simulated,
         }
     }
 
-    /// Same config on an explicitly chosen backend.
+    /// Same config with an explicitly chosen rank placement.
     pub fn on_runtime(mut self, runtime: RuntimeKind) -> SimConfig {
         self.runtime = runtime;
         self
@@ -294,7 +264,9 @@ impl Rank {
 /// Runs `f` as an SPMD program on `p` simulated ranks and collects results.
 ///
 /// Panics in any rank propagate (the run aborts), which keeps test failures
-/// loud. The closure receives a mutable [`Rank`] handle; everything else it
+/// loud. Every rank thread runs armed with the caller's fault schedule
+/// ([`FaultHandle::current`]), with error-kind sites quiet inside the
+/// region. The closure receives a mutable [`Rank`] handle; everything else it
 /// captures must be `Sync` (shared read-only input) — per-rank mutable state
 /// lives inside the closure.
 ///
@@ -367,16 +339,19 @@ where
         let cores = crate::shm::cores();
         let shm = Arc::new(ShmShared::new(p, crate::shm::spin_budget(p, cores)));
         let pin = cfg.runtime == RuntimeKind::SharedMem;
+        // The caller's fault schedule, read once: every rank thread runs
+        // armed with it (see `dense::fault`).
+        let faults = FaultHandle::current();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..p)
                 .map(|id| {
                     let shm = Arc::clone(&shm);
-                    let f = &f;
+                    let (f, faults) = (&f, &faults);
                     scope.spawn(move || {
                         if pin {
                             crate::shm::pin_to_core(crate::shm::pinned_core(id, p, cores));
                         }
-                        run_rank(id, p, cfg, Some(shm), pool, f)
+                        faults.arm(|| run_rank(id, p, cfg, Some(shm), pool, f))
                     })
                 })
                 .collect();
@@ -426,16 +401,6 @@ fn run_rank<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn runtime_variable_fails_closed() {
-        assert_eq!(RuntimeKind::from_var(None), Ok(RuntimeKind::Simulated));
-        assert_eq!(RuntimeKind::from_var(Some("sim")), Ok(RuntimeKind::Simulated));
-        assert_eq!(RuntimeKind::from_var(Some("shm")), Ok(RuntimeKind::SharedMem));
-        assert_eq!(RuntimeKind::from_var(Some("shared-mem")), Ok(RuntimeKind::SharedMem));
-        let err = RuntimeKind::from_var(Some("shn")).unwrap_err();
-        assert!(err.contains("\"shn\""), "{err}");
-    }
 
     #[test]
     fn single_rank_computes() {

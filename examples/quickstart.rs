@@ -4,9 +4,9 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 //!
-//! Pick the node-local kernel backend with `QrPlanBuilder::backend`
-//! (as below) or process-wide via the environment:
-//! `CACQR_BACKEND=naive cargo run --release --example quickstart`.
+//! Pick the node-local kernel backend with `QrPlanBuilder::backend`, as
+//! below: `BackendKind::default_kind()` is the packed `Blocked` backend, and
+//! `BackendKind::Naive` selects the loop-nest oracle.
 
 use ca_cqr2::baseline::BlockCyclic;
 use ca_cqr2::dense::random::well_conditioned;

@@ -63,9 +63,11 @@
 //! records the walk in a [`QrReport::escalation`] chain; a stream's refresh
 //! walks the same ladder at any row count. [`SubmitOptions`] adds
 //! per-job deadlines, cancellation, and load-shedding admission control to
-//! the service; and `dense::fault`
-//! provides the deterministic `CACQR_FAULTS` chaos-injection layer that
-//! `tests/chaos.rs` drives in CI. See the README's "Robustness" section
+//! the service; and `dense::fault` provides the deterministic chaos
+//! injection `tests/chaos.rs` drives: `fault::with_plan(plan, body)` arms
+//! the calling thread with a seeded `FaultPlan`, and the rank threads and
+//! service workers running the work `body` starts carry the same schedule.
+//! The library reads no environment variable. See the README's "Robustness" section
 //! for the error taxonomy and contracts.
 //!
 //! ## The workspace crates

@@ -1,8 +1,10 @@
 //! Chaos suite: deterministic fault injection against the full stack.
 //!
-//! Every test installs a seeded [`FaultPlan`] (the same machinery the
-//! `CACQR_FAULTS` environment schedule drives), runs real work under a
-//! watchdog, and asserts the robustness contract:
+//! Every test arms its own thread with a seeded [`FaultPlan`]
+//! ([`fault::with_plan`]): the rank threads and service workers that run the
+//! work it starts carry the same schedule, and no other thread sees it, so
+//! the tests run in parallel with no lock. Each runs real work under a
+//! watchdog and asserts the robustness contract:
 //!
 //! * **No hangs.** Each body runs under a hard watchdog; a deadlocked pool
 //!   or wedged queue fails the test instead of wedging CI.
@@ -10,47 +12,60 @@
 //!   typed error (`WorkerPanicked`, `NotPositiveDefinite`) or is absorbed
 //!   by a successful escalated retry — never a crash, never silence.
 //! * **Bitwise recovery.** Delay-kind schedules perturb interleavings at
-//!   pool widths 1/2/8 on both runtimes; results must remain bitwise
-//!   identical to a fault-free sequential replay.
-//!
-//! The fault state is process-global, so every test serializes on one
-//! mutex and restores the disabled state before releasing it.
+//!   pool widths 1/2/8 on both rank placements; results must remain bitwise
+//!   identical to a fault-free run.
+//! * **Confinement.** A schedule reaches only the work of the thread armed
+//!   with it.
+
+mod common;
 
 use cacqr::service::{JobSpec, QrService, ServiceError};
-use cacqr::{Algorithm, QrPlan, RetryPolicy};
+use cacqr::{Algorithm, QrPlan, QrReport, RetryPolicy};
+use common::{input_for, mixed_specs};
 use dense::fault::{self, FaultPlan};
-use dense::random::well_conditioned;
+use dense::random::{gaussian_matrix, matrix_with_condition, well_conditioned};
+use dense::Matrix;
 use pargrid::GridShape;
 use simgrid::RuntimeKind;
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 /// Generous per-test budget: the suite's work completes in seconds; only a
 /// genuine hang (a wedged queue, a deadlocked collective) reaches it.
 const WATCHDOG: Duration = Duration::from_secs(120);
 
-/// The two CI chaos schedules (`.github/workflows/ci.yml` must stay in
-/// sync). Delay-only sites: the service suites that run under them expect
-/// every job to succeed, so the schedules perturb timing, not results.
-const CI_SCHEDULES: [&str; 2] = [
-    "seed=11;delay_us=40;collective=0.03;dequeue=0.05;arena=0.03",
-    "seed=29;delay_us=120;collective=0.08;dequeue=0.12;arena=0.05",
-];
+/// The two seeded delay-only schedules, light and heavy, that
+/// [`ci_schedules_leave_service_stream_and_escalation_bitwise_intact`] runs
+/// under. Delay-only: that test expects every result bitwise fault-free, so
+/// the schedules perturb timing, not results.
+fn ci_schedules() -> [FaultPlan; 2] {
+    [
+        FaultPlan::new(11)
+            .delay(Duration::from_micros(40))
+            .site(fault::COLLECTIVE, 0.03)
+            .site(fault::DEQUEUE, 0.05)
+            .site(fault::ARENA, 0.03),
+        FaultPlan::new(29)
+            .delay(Duration::from_micros(120))
+            .site(fault::COLLECTIVE, 0.08)
+            .site(fault::DEQUEUE, 0.12)
+            .site(fault::ARENA, 0.05),
+    ]
+}
 
-static FAULT_STATE: Mutex<()> = Mutex::new(());
-
-/// Run `body` on its own thread with `plan` installed, failing loudly if it
-/// neither finishes nor panics within [`WATCHDOG`]. Serializes on the
-/// process-global fault state and always restores the disabled state.
+/// Run `body` on its own thread, armed with `plan` when there is one,
+/// failing loudly if it neither finishes nor panics within [`WATCHDOG`].
 fn with_faults<T: Send + 'static>(plan: Option<FaultPlan>, body: impl FnOnce() -> T + Send + 'static) -> T {
-    let guard = FAULT_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    fault::install(plan);
     let (tx, rx) = std::sync::mpsc::channel();
     let worker = std::thread::spawn(move || {
-        let _ = tx.send(body());
+        let out = match plan {
+            Some(plan) => fault::with_plan(plan, body),
+            None => body(),
+        };
+        let _ = tx.send(out);
     });
-    let out = match rx.recv_timeout(WATCHDOG) {
+    match rx.recv_timeout(WATCHDOG) {
         Ok(value) => {
             worker.join().expect("body already sent its result");
             value
@@ -63,10 +78,7 @@ fn with_faults<T: Send + 'static>(plan: Option<FaultPlan>, body: impl FnOnce() -
             // Leak the stuck thread: joining it would hang the harness too.
             panic!("chaos watchdog expired after {WATCHDOG:?}: probable hang or deadlock");
         }
-    };
-    fault::install(None);
-    drop(guard);
-    out
+    }
 }
 
 fn ca_spec() -> JobSpec {
@@ -76,7 +88,8 @@ fn ca_spec() -> JobSpec {
 /// Delay-kind faults stall workers mid-dequeue, ranks mid-collective, and
 /// arena checkouts — reshuffling every interleaving the scheduler would
 /// otherwise produce — while factors stay bitwise equal to a fault-free
-/// width-1 replay, at every pool width, on both runtimes, for two seeds.
+/// width-1 replay, at every pool width, on both rank placements, for two
+/// seeds.
 #[test]
 fn delay_schedules_replay_bitwise_identically_across_pool_widths() {
     for runtime in [RuntimeKind::Simulated, RuntimeKind::SharedMem] {
@@ -213,44 +226,46 @@ fn injected_cholesky_breakdown_ends_factor_on_the_householder_rung() {
 /// Worker panic isolation, with no test-only wiring: a `worker`-site fault
 /// panics inside the pool's `catch_unwind` boundary on the exact release
 /// code path, the submitter gets the typed error, and the same pool keeps
-/// serving once the schedule is lifted.
+/// serving the jobs its submitter sends once it is unarmed.
 #[test]
 fn injected_worker_panics_stay_isolated_and_the_pool_survives() {
-    with_faults(Some(FaultPlan::new(3).site(fault::WORKER, 1.0)), || {
+    with_faults(None, || {
         let spec = ca_spec();
         let service = QrService::builder().workers(2).build();
-        let err = service
-            .submit(&spec, well_conditioned(64, 16, 1))
-            .expect("accepting")
-            .wait()
-            .expect_err("a rate-1.0 worker fault panics every factor job");
-        match err {
-            ServiceError::WorkerPanicked { message } => {
+        fault::with_plan(FaultPlan::new(3).site(fault::WORKER, 1.0), || {
+            let err = service
+                .submit(&spec, well_conditioned(64, 16, 1))
+                .expect("accepting")
+                .wait()
+                .expect_err("a rate-1.0 worker fault panics every factor job");
+            match err {
+                ServiceError::WorkerPanicked { message } => {
+                    assert!(
+                        message.contains("injected worker fault"),
+                        "panic payload must name the injection, got {message:?}"
+                    );
+                }
+                other => panic!("expected WorkerPanicked, got {other}"),
+            }
+            assert!(fault::injected(fault::WORKER) >= 1);
+
+            // Batched panels pass the same fault site, one injection per
+            // panel: every index comes back `WorkerPanicked`, none is skipped.
+            let before = fault::injected(fault::WORKER);
+            let panels: Vec<_> = (0..6).map(|s| well_conditioned(64, 16, 10 + s)).collect();
+            let outcomes = service.try_factor_many(&spec, panels).expect("admitted");
+            assert_eq!(outcomes.len(), 6);
+            for (index, outcome) in outcomes.iter().enumerate() {
                 assert!(
-                    message.contains("injected worker fault"),
-                    "panic payload must name the injection, got {message:?}"
+                    matches!(outcome, Err(ServiceError::WorkerPanicked { .. })),
+                    "panel {index} must hit the worker fault, got {outcome:?}"
                 );
             }
-            other => panic!("expected WorkerPanicked, got {other}"),
-        }
-        assert!(fault::injected(fault::WORKER) >= 1);
+            assert!(fault::injected(fault::WORKER) - before >= 6);
+        });
 
-        // Batched panels pass the same fault site, one injection per panel:
-        // every index comes back `WorkerPanicked`, none is skipped.
-        let before = fault::injected(fault::WORKER);
-        let panels: Vec<_> = (0..6).map(|s| well_conditioned(64, 16, 10 + s)).collect();
-        let outcomes = service.try_factor_many(&spec, panels).expect("admitted");
-        assert_eq!(outcomes.len(), 6);
-        for (index, outcome) in outcomes.iter().enumerate() {
-            assert!(
-                matches!(outcome, Err(ServiceError::WorkerPanicked { .. })),
-                "panel {index} must hit the worker fault, got {outcome:?}"
-            );
-        }
-        assert!(fault::injected(fault::WORKER) - before >= 6);
-
-        // Lift the schedule: the panicked-through workers are still alive.
-        fault::install(None);
+        // Unarmed again: the panicked-through workers are still alive, and
+        // the jobs this thread submits now carry no schedule.
         let report = service
             .submit(&spec, well_conditioned(64, 16, 2))
             .expect("accepting")
@@ -264,30 +279,188 @@ fn injected_worker_panics_stay_isolated_and_the_pool_survives() {
     });
 }
 
-/// The CI chaos schedules stay parseable and delay-only: the service
-/// suites they wrap expect every job to succeed, so an error-kind site
-/// creeping into `ci.yml` must fail here first.
+/// The CI schedules are delay-only: the traffic they wrap expects every
+/// result bitwise fault-free, so an error-kind site creeping into one must
+/// fail here first.
 #[test]
-fn ci_schedules_parse_and_are_delay_only() {
-    for spec in CI_SCHEDULES {
-        let plan = FaultPlan::parse(spec).unwrap_or_else(|e| panic!("CI schedule {spec:?}: {e}"));
-        let probe = |site: &str| {
-            let _guard = FAULT_STATE.lock().unwrap_or_else(|e| e.into_inner());
-            fault::install(Some(plan.clone()));
-            let fired = (0..512).filter(|_| fault::should_fire(site)).count();
-            fault::install(None);
-            fired
-        };
+fn ci_schedules_are_delay_only() {
+    for plan in ci_schedules() {
+        let probe =
+            |site: &str| fault::with_plan(plan.clone(), || (0..512).filter(|_| fault::should_fire(site)).count());
         for error_site in [fault::CHOLESKY, fault::WORKER] {
-            assert_eq!(
-                probe(error_site),
-                0,
-                "CI schedule {spec:?} must not arm error site `{error_site}`"
-            );
+            assert_eq!(probe(error_site), 0, "{plan:?} must not arm error site `{error_site}`");
         }
+        for delay_site in [fault::COLLECTIVE, fault::DEQUEUE, fault::ARENA] {
+            assert!(probe(delay_site) > 0, "{plan:?} should actually perturb `{delay_site}`");
+        }
+    }
+}
+
+/// The factors of one report, and the rungs its ladder walked.
+type Factors = (Matrix, Matrix, Vec<Algorithm>);
+
+fn factors(report: &QrReport) -> Factors {
+    let rungs = report
+        .escalation
+        .iter()
+        .flat_map(|esc| esc.attempts.iter().map(|at| at.algorithm));
+    (report.q.clone(), report.r.clone(), rungs.collect())
+}
+
+/// Runs `body` and checks that the calling thread's schedule reached the
+/// rank threads of the regions it ran: the `collective` delay fired.
+fn reaching_ranks<T>(what: &str, body: impl FnOnce() -> T) -> T {
+    let before = fault::injected(fault::COLLECTIVE);
+    let out = body();
+    assert!(
+        fault::injected(fault::COLLECTIVE) > before,
+        "{what}: no collective delay fired"
+    );
+    out
+}
+
+/// The mixed-spec batches through pools of widths 1, 2 and 8.
+fn service_batches() -> Vec<Factors> {
+    let mut out = Vec::new();
+    for workers in [1usize, 2, 8] {
+        let service = QrService::builder().workers(workers).build();
+        for (i, spec) in mixed_specs().iter().enumerate() {
+            let batch = (0..4).map(|s| input_for(spec, 100 * i as u64 + s)).collect();
+            let reports = service.factor_many(spec, batch).expect("delays never fail jobs");
+            out.extend(reports.iter().map(factors));
+        }
+    }
+    out
+}
+
+/// A sliding window on a `StreamingQr` with a right-hand side: eight steps
+/// of append 8 rows, downdate the oldest 8 and solve, then a refresh on the
+/// plan's 2 × 4 grid and a last solve.
+fn stream_window() -> Vec<Matrix> {
+    let (m, n, k) = (64usize, 16usize, 8usize);
+    let plan = QrPlan::new(m, n).grid(GridShape::new(2, 4).unwrap()).build().unwrap();
+    let (a0, b0) = (well_conditioned(m, n, 61), gaussian_matrix(m, 1, 62));
+    let mut stream = plan.stream_with_rhs(&a0, &b0).unwrap();
+    let mut window: std::collections::VecDeque<(Matrix, Matrix)> = (0..m / k)
+        .map(|i| {
+            let rows = |x: &Matrix| Matrix::from_view(x.view(i * k, 0, k, x.cols()));
+            (rows(&a0), rows(&b0))
+        })
+        .collect();
+    let mut out = Vec::new();
+    for step in 0..8 {
+        let (a, b) = (gaussian_matrix(k, n, 70 + step), gaussian_matrix(k, 1, 80 + step));
+        stream.append_rows_with(a.as_ref(), b.as_ref()).unwrap();
+        window.push_back((a, b));
+        let (old_a, old_b) = window.pop_front().unwrap();
+        stream.downdate_rows_with(old_a.as_ref(), old_b.as_ref()).unwrap();
+        out.push(stream.solve().unwrap());
+    }
+    stream.refresh().unwrap();
+    out.push(stream.r().clone());
+    out.push(stream.solve().unwrap());
+    out
+}
+
+/// A κ = 1e10 panel factored under an escalating policy: plain CA-CQR2
+/// breaks down, and the ladder walks on.
+fn escalating_factor() -> Factors {
+    let plan = QrPlan::new(64, 16)
+        .grid(GridShape::new(2, 4).unwrap())
+        .retry(RetryPolicy::escalate())
+        .build()
+        .unwrap();
+    let report = plan.factor(&matrix_with_condition(64, 16, 1e10, 43)).unwrap();
+    let esc = report.escalation.as_ref().expect("an enabled policy records its walk");
+    assert!(esc.escalated(), "κ = 1e10 must escalate past CA-CQR2");
+    factors(&report)
+}
+
+/// Under each CI schedule, armed on its own thread: the mixed-spec batches
+/// at pool widths 1/2/8, a sliding stream window (append, downdate, solve,
+/// refresh) and an escalating κ = 1e10 factor each come out bitwise equal
+/// to a fault-free run. Each run's rank threads were delayed, and the
+/// schedule fired at every delay site: `collective`, `dequeue` and `arena`.
+/// (A rank thread lives for one region and takes two or three arenas, so
+/// the light schedule, whose arena draw first fires on a thread's 78th
+/// visit, stalls arenas only on threads that live across many: the
+/// workers and the stream's caller.)
+#[test]
+fn ci_schedules_leave_service_stream_and_escalation_bitwise_intact() {
+    let reference = with_faults(None, || (service_batches(), stream_window(), escalating_factor()));
+    for plan in ci_schedules() {
+        let label = format!("{plan:?}");
+        let (got, fired) = with_faults(Some(plan), || {
+            let got = (
+                reaching_ranks("service batches", service_batches),
+                reaching_ranks("stream window", stream_window),
+                reaching_ranks("escalating factor", escalating_factor),
+            );
+            (
+                got,
+                [fault::COLLECTIVE, fault::DEQUEUE, fault::ARENA].map(fault::injected),
+            )
+        });
         assert!(
-            probe(fault::DEQUEUE) > 0,
-            "CI schedule {spec:?} should actually perturb dequeues"
+            got.0 == reference.0,
+            "service batches must be bitwise fault-free under {label}"
+        );
+        assert!(
+            got.1 == reference.1,
+            "the stream window must be bitwise fault-free under {label}"
+        );
+        assert!(
+            got.2 == reference.2,
+            "the escalated factor must be bitwise fault-free under {label}"
+        );
+        assert!(
+            fired.iter().all(|&n| n > 0),
+            "[collective, dequeue, arena] fired {fired:?} times under {label}"
         );
     }
+}
+
+/// A schedule is armed on a thread, not on the process: while one thread
+/// armed with `cholesky = 1.0` escalates every factor to Householder, a
+/// thread factoring the same plan at the same time sees no injection and
+/// no escalation.
+#[test]
+fn a_schedule_armed_on_one_thread_leaves_a_concurrent_thread_untouched() {
+    const ROUNDS: usize = 8;
+    with_faults(None, || {
+        let plan = Arc::new(
+            QrPlan::new(64, 16)
+                .grid(GridShape::new(2, 2).unwrap())
+                .retry(RetryPolicy::escalate())
+                .build()
+                .unwrap(),
+        );
+        let a = Arc::new(well_conditioned(64, 16, 7));
+        let start = Arc::new(Barrier::new(2));
+        let factor_rounds = {
+            let (plan, a, start) = (Arc::clone(&plan), Arc::clone(&a), Arc::clone(&start));
+            move || {
+                start.wait();
+                let rungs = (0..ROUNDS)
+                    .map(|_| factors(&plan.factor(&a).unwrap()).2)
+                    .collect::<Vec<_>>();
+                (rungs, fault::injected_total())
+            }
+        };
+        let armed = std::thread::spawn({
+            let factor_rounds = factor_rounds.clone();
+            move || fault::with_plan(FaultPlan::new(7).site(fault::CHOLESKY, 1.0), factor_rounds)
+        });
+        let bystander = std::thread::spawn(factor_rounds);
+        let (armed_rungs, armed_injected) = armed.join().unwrap();
+        let (bystander_rungs, bystander_injected) = bystander.join().unwrap();
+        let walked = [Algorithm::CaCqr2, Algorithm::CaCqr3, Algorithm::Pgeqrf];
+        assert!(armed_rungs.iter().all(|r| r == &walked), "{armed_rungs:?}");
+        assert_eq!(armed_injected, 2 * ROUNDS as u64, "one injection per Gram rung");
+        assert!(
+            bystander_rungs.iter().all(|r| r == &[Algorithm::CaCqr2]),
+            "{bystander_rungs:?}"
+        );
+        assert_eq!(bystander_injected, 0, "the unarmed thread sees no injection");
+    });
 }

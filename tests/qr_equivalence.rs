@@ -74,11 +74,6 @@ fn all_variants_agree_on_one_matrix() {
         assert_valid_qr(&format!("ca-cqr2 c={c} d={d}"), &a, &run.q, &run.r);
         assert_same_factorization(&format!("ca c={c} d={d} vs seq"), &run.q, &run.r, &qs, &rs);
     }
-
-    // Panel-blocked CQR2 (the §V extension).
-    let (qp, rp) = cacqr::panel::panel_cqr2(&a, 4, true, BackendKind::default_kind()).unwrap();
-    assert_valid_qr("panel-cqr2", &a, &qp, &rp);
-    assert_same_factorization("panel vs householder", &qp, &rp, &qh, &rh);
 }
 
 #[test]

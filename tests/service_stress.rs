@@ -5,37 +5,19 @@
 //!
 //! The pools here range from one worker (pure queueing semantics) to eight
 //! (wider than a small runner — real contention, batches claimed panel by
-//! panel across the pool); CI runs the suite again under
-//! `CACQR_RUNTIME=shm` (the pinned shared-memory runtime).
+//! panel across the pool). The mixed batch-and-stream test runs under both
+//! rank placements: unpinned (the default) and pinned to cores
+//! (`RuntimeKind::SharedMem`), which must give the same bits.
+
+mod common;
 
 use cacqr::service::{JobSpec, QrService, ServiceError};
 use cacqr::{Algorithm, PlanError};
+use common::{input_for, mixed_specs};
 use dense::random::well_conditioned;
-use dense::Matrix;
 use pargrid::GridShape;
+use simgrid::RuntimeKind;
 use std::sync::Arc;
-
-/// The mixed workload: every algorithm family, several shapes and grids.
-fn mixed_specs() -> Vec<JobSpec> {
-    vec![
-        JobSpec::new(64, 16).grid(GridShape::new(2, 4).unwrap()),
-        JobSpec::new(64, 8)
-            .algorithm(Algorithm::Cqr2_1d)
-            .grid(GridShape::one_d(4).unwrap()),
-        JobSpec::new(32, 8)
-            .algorithm(Algorithm::CaCqr3)
-            .grid(GridShape::new(2, 2).unwrap()),
-        JobSpec::new(64, 8)
-            .algorithm(Algorithm::Pgeqrf)
-            .block_cyclic(baseline::BlockCyclic { pr: 2, pc: 2, nb: 4 }),
-        JobSpec::new(128, 16).grid(GridShape::new(1, 8).unwrap()),
-        JobSpec::new(64, 16).grid(GridShape::new(2, 4).unwrap()).base_size(8),
-    ]
-}
-
-fn input_for(spec: &JobSpec, seed: u64) -> Matrix {
-    well_conditioned(spec.m(), spec.n(), seed)
-}
 
 #[test]
 fn concurrent_mixed_load_holds_numerical_invariants() {
@@ -127,17 +109,13 @@ fn cache_returns_pointer_equal_plans_under_contention() {
     }
     assert_eq!(service.plan_cache_len(), 1);
     // And the key distinguishes every knob that changes the schedule. The
-    // backend variant must differ from the process default — pinning the
-    // default explicitly is, by design, the *same* cache key.
-    let other_backend = match dense::BackendKind::default_kind() {
-        dense::BackendKind::Naive => dense::BackendKind::Blocked,
-        _ => dense::BackendKind::Naive,
-    };
+    // backend variant must differ from the default (`Blocked`) — pinning
+    // the default explicitly is, by design, the *same* cache key.
     let variants = [
         spec.base_size(8),
         spec.inverse_depth(1),
         spec.algorithm(Algorithm::CaCqr3),
-        spec.backend(other_backend),
+        spec.backend(dense::BackendKind::Naive),
         JobSpec::new(64, 16).grid(GridShape::new(1, 4).unwrap()),
     ];
     for v in &variants {
@@ -181,9 +159,10 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
     // The scheduler may run any schedule — jobs on whichever worker pops
     // them, factor_many panels claimed by whichever worker gets to the
     // cursor first — but the results must be bitwise identical to
-    // sequential execution at every pool width. Compute the sequential
-    // reference once, then replay the identical mixed workload at widths
-    // 1, 2, and 8: the batch through the pool, and a caller-owned stream
+    // sequential execution at every pool width and under either rank
+    // placement. Compute the sequential reference once (unpinned), then
+    // replay the identical mixed workload at widths 1, 2, and 8 on both
+    // placements: the batch through the pool, and a caller-owned stream
     // updated on its own thread while the pool is busy.
     let spec = JobSpec::new(64, 16).grid(GridShape::new(2, 4).unwrap());
     let many: Vec<_> = (0..24).map(|s| input_for(&spec, 200 + s)).collect();
@@ -201,8 +180,15 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
     let ref_snap = direct.snapshot().unwrap();
     drop(reference);
 
-    for workers in [1usize, 2, 8] {
-        let service = QrService::builder().workers(workers).queue_capacity(4).build();
+    for (runtime, workers) in [RuntimeKind::Simulated, RuntimeKind::SharedMem]
+        .into_iter()
+        .flat_map(|runtime| [1usize, 2, 8].map(|workers| (runtime, workers)))
+    {
+        let service = QrService::builder()
+            .workers(workers)
+            .queue_capacity(4)
+            .runtime(runtime)
+            .build();
         let mut live = service.plan(&spec).unwrap().stream(&stream_seed).unwrap();
         // Interleave: the stream's updates run while the factor_many batch
         // is claimed panel by panel across the workers.
@@ -219,17 +205,17 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
         for (got, expect) in reports.iter().zip(&ref_reports) {
             assert_eq!(
                 got.q, expect.q,
-                "factor_many Q must be bitwise sequential (workers={workers})"
+                "factor_many Q must be bitwise sequential (workers={workers}, {runtime})"
             );
             assert_eq!(
                 got.r, expect.r,
-                "factor_many R must be bitwise sequential (workers={workers})"
+                "factor_many R must be bitwise sequential (workers={workers}, {runtime})"
             );
         }
         assert_eq!(
             snap.r.data(),
             ref_snap.r.data(),
-            "stream R must be bitwise sequential under contention (workers={workers})"
+            "stream R must be bitwise sequential under contention (workers={workers}, {runtime})"
         );
     }
 }
