@@ -2,7 +2,10 @@
 //! shifted CholeskyQR3 built from the same pass.
 //!
 //! The `m × n` matrix is partitioned by rows over a 1D grid of `P`
-//! processors (cyclic, matching the rest of the workspace). Each processor:
+//! processors. The bodies take any row views; the global drivers
+//! ([`crate::validate`]) hand rank `i` the contiguous block of rows
+//! `[i·m/P, (i+1)·m/P)`, so every pass reads and writes its rows with unit
+//! row stride. Each processor:
 //!
 //! 1. forms the local Gram matrix `Π⟨X⟩ = Π⟨A⟩ᵀ·Π⟨A⟩` (`syrk`),
 //! 2. allreduces it (`n²` words — the scalability bottleneck the paper's
@@ -22,8 +25,10 @@
 
 use dense::cholesky::{cholinv, CholeskyError};
 use dense::gemm::Trans;
-use dense::{BackendKind, MatMut, MatRef, Matrix, Workspace};
+use dense::norms::{SlabDiagnostics, PANEL_ROWS};
+use dense::{Backend, BackendKind, MatMut, MatRef, Matrix, Workspace};
 use simgrid::{Comm, Rank};
+use std::time::Instant;
 
 /// Whose closed forms a 1D pass charges to the γ ledger. The kernels and
 /// their bits are the same either way (the rule that keeps the backend out
@@ -50,11 +55,11 @@ impl FlopCharges {
 }
 
 /// One 1D-CholeskyQR pass (Algorithm 6) over the Gram matrix shifted by
-/// `sigma` (`0` for the plain pass). `a_local` holds this rank's cyclic
-/// rows and `q_local` receives its rows of `Q` — both any views of the same
-/// shape, so a rank can read its block of the caller's matrix and write its
-/// block of the result in place. Returns `R`, replicated on every rank. The
-/// local syrk, CholInv, and `Q = A·R⁻¹` products go through the given kernel
+/// `sigma` (`0` for the plain pass). `a_local` holds this rank's rows and
+/// `q_local` receives its rows of `Q` — both any views of the same shape, so
+/// a rank can read its block of the caller's matrix and write its block of
+/// the result in place. Returns `R`, replicated on every rank. The local
+/// syrk, CholInv, and `Q = A·R⁻¹` products go through the given kernel
 /// backend (pass [`BackendKind::default_kind`] for the default).
 ///
 /// The Gram matrix (which doubles as the allreduce buffer) and CholInv's two
@@ -72,61 +77,122 @@ pub fn cqr1d(
     ws: &mut Workspace,
 ) -> Result<Matrix, CholeskyError> {
     let be = backend.get();
-    let n = a_local.cols();
-    let lr = a_local.rows();
+    let (lr, n) = (a_local.rows(), a_local.cols());
 
     // Line 1: local Gram matrix (into the arena — the paper's hot kernel).
     let mut x = ws.take_matrix_stale(n, n);
     be.syrk_into(a_local, x.as_mut());
     rank.charge_flops(charges.gram_merge(lr, n).0);
 
-    // Line 2: allreduce over the 1D grid, reusing the Gram storage; then
-    // the shift, on the reduced diagonal.
+    let (l, y) = reduce_and_invert(rank, comm, x, sigma, be, ws)?;
+    // Line 4: local Q rows (β = 0 overwrites whatever the output held).
+    be.gemm(1.0, a_local, Trans::No, y.as_ref(), Trans::Yes, 0.0, q_local);
+    rank.charge_flops(dense::flops::gemm(lr, n, n));
+    let r = l.transposed();
+    ws.recycle(l);
+    ws.recycle(y);
+    Ok(r)
+}
+
+/// Lines 2–3 of a pass: allreduce the local Gram `x` over the 1D grid
+/// (reusing its storage), add `sigma` to the reduced diagonal, and CholInv
+/// it redundantly. Returns the arena-backed `(L, Y = L⁻¹)`; on a breakdown
+/// every buffer has already gone back to the arena.
+fn reduce_and_invert(
+    rank: &mut Rank,
+    comm: &Comm,
+    x: Matrix,
+    sigma: f64,
+    be: &dyn Backend,
+    ws: &mut Workspace,
+) -> Result<(Matrix, Matrix), CholeskyError> {
+    let n = x.rows();
     let mut z = x.into_vec();
     comm.allreduce(rank, &mut z);
     let mut z = Matrix::from_vec(n, n, z);
     (0..n).for_each(|i| z.set(i, i, z.get(i, i) + sigma));
-
-    // Line 3: redundant CholInv; its factors go back to the arena whether or
-    // not the Cholesky succeeded.
     let (mut l, mut y) = (ws.take_matrix_stale(n, n), ws.take_matrix_stale(n, n));
     let factored = cholinv(z.as_ref(), l.as_mut(), y.as_mut(), be, ws);
     ws.recycle(z);
-    let r = factored.map(|()| {
-        rank.charge_flops(dense::flops::cholinv(n));
-        // Line 4: local Q rows (β = 0 overwrites whatever the output held).
-        be.gemm(1.0, a_local, Trans::No, y.as_ref(), Trans::Yes, 0.0, q_local);
-        rank.charge_flops(dense::flops::gemm(lr, n, n));
-        l.transposed()
-    });
-    ws.recycle(l);
-    ws.recycle(y);
-    r
+    match factored {
+        Ok(()) => {
+            rank.charge_flops(dense::flops::cholinv(n));
+            Ok((l, y))
+        }
+        Err(e) => {
+            ws.recycle(l);
+            ws.recycle(y);
+            Err(e)
+        }
+    }
 }
 
 /// 1D-CholeskyQR2 (Algorithm 7): two 1D-CQR passes plus the local triangular
-/// update `R = R₂·R₁`. The first-pass `Q₁` and both passes' Gram/reduction
-/// scratch come from `ws` (reused across the passes); the second pass writes
-/// `Q` straight into `q_local`. Returns `R`, a plain allocation.
+/// update `R = R₂·R₁`. Pass 2 writes `Q` straight into `q_local`, in
+/// [`PANEL_ROWS`]-row panels. The first-pass `Q₁` and both passes'
+/// Gram/reduction scratch come from `ws` (reused across the passes).
+/// Returns `R`, a plain allocation, and the report partials below.
+///
+/// `diagnose` asks for the report diagnostics of this rank's rows
+/// ([`dense::norms`]): with `Some(limit)`, once `R` is known and its κ₁
+/// estimate is within `limit` (`f64::INFINITY` accepts without
+/// estimating — every rank holds the same `R`, so every rank decides the
+/// same), pass 2 adds each `Q` panel's partials while it is in cache
+/// ([`SlabDiagnostics::add_panel`]) and returns them with the wall seconds
+/// they took. None of this is charged to the ledger.
+#[allow(clippy::too_many_arguments)] // a pass's arguments and the diagnostics gate
 pub fn cqr2_1d(
     rank: &mut Rank,
     comm: &Comm,
     a_local: MatRef<'_>,
-    q_local: MatMut<'_>,
+    mut q_local: MatMut<'_>,
+    diagnose: Option<f64>,
     charges: FlopCharges,
     backend: BackendKind,
     ws: &mut Workspace,
-) -> Result<Matrix, CholeskyError> {
+) -> Result<(Matrix, Option<(SlabDiagnostics, f64)>), CholeskyError> {
+    let be = backend.get();
     let (lr, n) = (a_local.rows(), a_local.cols());
+    let (gram, merge) = charges.gram_merge(lr, n);
     let mut q1 = ws.take_matrix_stale(lr, n);
-    // Recycle Q₁ whichever Cholesky fails (the normal way ill-conditioning
-    // reports) so failed factors stay arena-balanced.
-    let passes = cqr1d(rank, comm, a_local, q1.as_mut(), 0.0, charges, backend, ws)
-        .and_then(|r1| Ok((r1, cqr1d(rank, comm, q1.as_ref(), q_local, 0.0, charges, backend, ws)?)));
-    ws.recycle(q1);
-    let (r1, r2) = passes?;
-    rank.charge_flops(charges.gram_merge(lr, n).1);
-    Ok(crate::cqr::triu_product(&r2, &r1))
+    // Pass 2 up to its CholInv. Recycle Q₁ whichever Cholesky fails (the
+    // normal way ill-conditioning reports) so failed factors stay
+    // arena-balanced.
+    let passes = cqr1d(rank, comm, a_local, q1.as_mut(), 0.0, charges, backend, ws).and_then(|r1| {
+        let mut x2 = ws.take_matrix_stale(n, n);
+        be.syrk_into(q1.as_ref(), x2.as_mut());
+        rank.charge_flops(gram);
+        Ok((r1, reduce_and_invert(rank, comm, x2, 0.0, be, ws)?))
+    });
+    let (r1, (l2, y2)) = match passes {
+        Ok(passes) => passes,
+        Err(e) => {
+            ws.recycle(q1);
+            return Err(e);
+        }
+    };
+    let r = crate::cqr::triu_product(&l2.transposed(), &r1);
+    let mut diagnostics = diagnose
+        .is_some_and(|limit| limit == f64::INFINITY || dense::cond_estimate(r.as_ref()) <= limit)
+        .then(|| (SlabDiagnostics::new(n, ws), 0.0));
+    for i0 in (0..lr).step_by(PANEL_ROWS) {
+        let rows = PANEL_ROWS.min(lr - i0);
+        let q1_b = q1.view_mut(i0, 0, rows, n);
+        let mut q_b = q_local.rb_mut().sub(i0, 0, rows, n);
+        be.gemm(1.0, q1_b.rb(), Trans::No, y2.as_ref(), Trans::Yes, 0.0, q_b.rb_mut());
+        if let Some((slab, seconds)) = &mut diagnostics {
+            // `Q₁`'s panel is spent: it is the residual's scratch.
+            let t = Instant::now();
+            slab.add_panel(a_local.sub(i0, 0, rows, n), q_b.rb(), r.as_ref(), be, q1_b);
+            *seconds += t.elapsed().as_secs_f64();
+        }
+    }
+    rank.charge_flops(dense::flops::gemm(lr, n, n));
+    rank.charge_flops(merge);
+    for buf in [q1, l2, y2] {
+        ws.recycle(buf);
+    }
+    Ok((r, diagnostics))
 }
 
 /// Shifted 1D-CholeskyQR3: one [`cqr1d`] pass on `AᵀA + σI` with the shift
@@ -157,7 +223,10 @@ pub fn cqr3_1d(
         }
         sigma *= 100.0;
     }
-    let passes = first.and_then(|r1| Ok((r1, cqr2_1d(rank, comm, q1.as_ref(), q_local, charges, backend, ws)?)));
+    let passes = first.and_then(|r1| {
+        let (r23, _) = cqr2_1d(rank, comm, q1.as_ref(), q_local, None, charges, backend, ws)?;
+        Ok((r1, r23))
+    });
     ws.recycle(q1);
     let (r1, r23) = passes?;
     rank.charge_flops(charges.gram_merge(lr, n).1);
@@ -185,11 +254,13 @@ mod tests {
                 &world,
                 a_local,
                 q.as_mut(),
+                None,
                 FlopCharges::OneD,
                 BackendKind::default_kind(),
                 &mut ws,
             )
-            .expect("well-conditioned input");
+            .expect("well-conditioned input")
+            .0;
             (rank.id(), q, r)
         });
         let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();
@@ -245,6 +316,7 @@ mod tests {
                 &world,
                 a_local,
                 q.as_mut(),
+                None,
                 FlopCharges::OneD,
                 BackendKind::default_kind(),
                 &mut ws,

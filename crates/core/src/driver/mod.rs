@@ -89,8 +89,9 @@ pub use costmodel::Algorithm;
 pub use error::PlanError;
 
 use crate::config::CfrParams;
+use crate::cqr1d::FlopCharges;
 use crate::service::JobSpec;
-use crate::validate::{run_cacqr2_global, run_cacqr3_global, run_cqr2_1d_global, QrRun};
+use crate::validate::{run_ca_family, run_row_blocks, Diagnosed, Family, QrRun};
 use baseline::{run_pgeqrf_global, BlockCyclic, PgeqrfConfig};
 use costmodel::CandidateConfig;
 use dense::cholesky::CholeskyError;
@@ -445,20 +446,22 @@ impl QrPlan {
     /// *computed* diagnostics ([`dense::norms`]) run on the rank team too:
     /// `‖QᵀQ − I‖_F` from a symmetry-aware SYRK (`mn²` flops) and
     /// `‖A − QR‖_F / ‖A‖_F` from `A − QR` streamed through a 256-row scratch
-    /// panel (`2mn²` flops) — `3mn²` next to CQR2's `≈4mn²` — are split into
-    /// `min(P, ⌈m/256⌉)` contiguous row slabs, one per rank of a second
-    /// region on the plan's runtime (same pinned cores, same pooled arenas:
-    /// no `m × n` temporary, no allocation once warm), and the slab partials
-    /// are summed in rank order on return. The two numbers are therefore a
-    /// pure function of `(a, Q, R)`, `m` and the plan's rank count: bitwise
-    /// equal across the two runtimes. A matrix of one panel, or a plan of
-    /// one rank, is one slab: a plain call on the calling thread, no region.
-    /// On a two-vCPU AVX-512 box the diagnostics region takes ≈ 7–8 ms of a
-    /// ≈ 20–21 ms 16384 × 64 factor on 2 shared-memory ranks, against
-    /// ≈ 11–12 ms for the same work on one thread (README, "Performance").
-    /// Computing them eagerly keeps the report self-contained: the
-    /// alternative — lazy diagnostics — would have to retain a copy of `a`
-    /// inside every report, which is strictly worse for the batching path. Callers that need the factors
+    /// panel (`2mn²` flops) — `3mn²` next to CQR2's `≈4mn²` — are sums over
+    /// contiguous row slabs, the partials combined in rank order (no `m × n`
+    /// temporary, no allocation once warm). A 1D-CQR2 run (the 1D plan, and
+    /// CA-CQR2 at `c = 1, n₀ = n`) is one region: each rank adds its row
+    /// block's partials in its second pass while each `Q` panel is in cache
+    /// ([`crate::cqr2_1d`]), only on the rung the walk accepts (each rank
+    /// checks the rung's κ limit on the `R` they all hold). Any other run is
+    /// diagnosed over `min(P, ⌈m/256⌉)` slabs of whole 256-row panels in a
+    /// second region on the plan's runtime; one slab (one panel, one rank)
+    /// is a plain call on the calling thread. The numbers are a pure
+    /// function of `(a, Q, R)` and the slabs — bitwise equal across the two
+    /// runtimes, and across the two routes when `m/P` is whole panels — and
+    /// [`QrReport::wall_seconds`] leaves them out. Computing them eagerly
+    /// keeps the report self-contained: the alternative — lazy diagnostics —
+    /// would have to retain a copy of `a` inside every report, which is
+    /// strictly worse for the batching path. Callers that need the factors
     /// with *no* post-processing at all belong on the expert layer
     /// ([`crate::validate`]).
     pub fn factor(&self, a: &Matrix) -> Result<QrReport, PlanError> {
@@ -482,23 +485,30 @@ impl QrPlan {
     /// [`PlanError::EscalationExhausted`], and a Householder terminal rung
     /// has no Cholesky to fail.
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
-        let accepted = self.run_accepted(a.as_ref(), policy)?;
+        let accepted = self.run_accepted(a.as_ref(), policy, true)?;
         Ok(QrReport::from_run(self, a.as_ref(), accepted))
     }
 
-    /// [`factor_with_policy`](QrPlan::factor_with_policy) up to, but not
-    /// including, the report diagnostics: the run, the algorithm that
-    /// produced it and the escalation chain. For callers that keep only
-    /// `R` (the stream's open, straight from a view of the row history) or
-    /// time the algorithm alone (the tuner's calibration runs).
-    pub(crate) fn run_accepted(&self, a: MatRef<'_>, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
+    /// [`factor_with_policy`](QrPlan::factor_with_policy) up to the report
+    /// diagnostics: the run, the algorithm that produced it and the
+    /// escalation chain, plus the diagnostics when `diagnose` asked for them
+    /// and the accepted run added them in its region (see
+    /// [`QrPlan::factor`]). Callers that keep only `R` (the stream's open,
+    /// straight from a view of the row history) or time the algorithm alone
+    /// (the tuner's calibration runs) pass `false`.
+    pub(crate) fn run_accepted(
+        &self,
+        a: MatRef<'_>,
+        policy: RetryPolicy,
+        diagnose: bool,
+    ) -> Result<AcceptedRun, PlanError> {
         if (a.rows(), a.cols()) != (self.m, self.n) {
             return Err(PlanError::InputShapeMismatch {
                 expected: (self.m, self.n),
                 got: (a.rows(), a.cols()),
             });
         }
-        self.walk(a, self.config, &self.ladder, policy)
+        self.walk(a, self.config, &self.ladder, policy, diagnose)
     }
 
     /// [`run_accepted`](QrPlan::run_accepted) for a stream's rows, whose
@@ -510,7 +520,7 @@ impl QrPlan {
     /// dropped stays absent here too.
     pub(crate) fn run_rows(&self, a: MatRef<'_>, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
         if a.rows() == self.m {
-            return self.run_accepted(a, policy);
+            return self.run_accepted(a, policy, false);
         }
         let (m, n) = (a.rows(), self.n);
         let one_rank = |config: &CandidateConfig| match config.algorithm() {
@@ -531,43 +541,51 @@ impl QrPlan {
             .map(one_rank)
             .filter(|config| validate(m, n, config).is_ok())
             .collect();
-        self.walk(a, primary, &ladder, policy)
+        self.walk(a, primary, &ladder, policy, false)
     }
 
     /// The one escalation ladder walk: `primary`, then — under an enabled
     /// policy — each rung of `ladder` until one is accepted. A non-terminal
     /// rung is accepted when its `R`'s κ₁ estimate is within
     /// [`rung_limit`] for `a`'s shape; the terminal rung unconditionally.
+    /// With `diagnose`, each rung is handed the same test as its in-region
+    /// diagnostics gate, so only the rung the walk accepts adds them.
     fn walk(
         &self,
         a: MatRef<'_>,
         primary: CandidateConfig,
         ladder: &[CandidateConfig],
         policy: RetryPolicy,
+        diagnose: bool,
     ) -> Result<AcceptedRun, PlanError> {
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
+        let gate = |limit: f64| diagnose.then_some(limit);
         if !policy.is_enabled() {
+            let (run, diagnostics) = self.run_config(primary, a, cfg, gate(f64::INFINITY))?;
             return Ok(AcceptedRun {
                 algorithm: primary.algorithm(),
-                run: self.run_config(primary, a, cfg)?,
+                run,
+                diagnostics,
                 escalation: None,
             });
         }
         let mut attempts: Vec<EscalationAttempt> = Vec::new();
         for (i, config) in std::iter::once(primary).chain(ladder.iter().copied()).enumerate() {
             let algorithm = config.algorithm();
-            match self.run_config(config, a, cfg) {
-                Ok(run) => {
+            let limit = rung_limit(algorithm, a.rows(), a.cols());
+            let terminal = i == ladder.len();
+            match self.run_config(config, a, cfg, gate(if terminal { f64::INFINITY } else { limit })) {
+                Ok((run, diagnostics)) => {
                     let kappa = dense::cond_estimate(run.r.as_ref());
-                    let limit = rung_limit(algorithm, a.rows(), a.cols());
                     // The terminal rung is accepted unconditionally — there
                     // is nothing better to escalate to, and Householder QR
                     // does not degrade with κ the way the Gram path does.
-                    if kappa <= limit || i == ladder.len() {
+                    if kappa <= limit || terminal {
                         attempts.push(EscalationAttempt { algorithm, error: None });
                         return Ok(AcceptedRun {
                             algorithm,
                             run,
+                            diagnostics,
                             escalation: Some(EscalationReport {
                                 attempts,
                                 condition_estimate: kappa,
@@ -588,22 +606,32 @@ impl QrPlan {
         Err(PlanError::EscalationExhausted { attempts })
     }
 
-    /// Runs one validated config against the plan's pooled arenas. Before a
-    /// Gram rung, the chaos faultpoint injects a typed breakdown *upstream*
-    /// of rank dispatch, so every simulated rank observes one consistent
-    /// failure (the in-kernel pivot faultpoint is suppressed inside SPMD
-    /// regions for exactly that reason); the Householder rung has no
-    /// Cholesky to break.
-    fn run_config(&self, config: CandidateConfig, a: MatRef<'_>, cfg: SimConfig) -> Result<QrRun, CholeskyError> {
+    /// Runs one validated config against the plan's pooled arenas, handing
+    /// `diagnose` (a κ₁ gate) to the drivers that add the report diagnostics
+    /// in their region: every config that runs 1D-CQR2 ([`run_row_blocks`]).
+    /// Before a Gram rung, the chaos faultpoint injects a typed breakdown
+    /// *upstream* of rank dispatch, so every simulated rank observes one
+    /// consistent failure (the in-kernel pivot faultpoint is suppressed
+    /// inside SPMD regions for exactly that reason); the Householder rung has
+    /// no Cholesky to break.
+    fn run_config(
+        &self,
+        config: CandidateConfig,
+        a: MatRef<'_>,
+        cfg: SimConfig,
+        diagnose: Option<f64>,
+    ) -> Result<Diagnosed, CholeskyError> {
         if config.algorithm() != Algorithm::Pgeqrf && dense::faultpoint!(dense::fault::CHOLESKY) {
             return Err(CholeskyError {
                 index: 0,
                 pivot: f64::NEG_INFINITY,
             });
         }
-        let backend = self.backend;
+        let (backend, pool) = (self.backend, &self.pool);
         match config {
-            CandidateConfig::Cqr1d { p } => run_cqr2_1d_global(a, p, backend, cfg, &self.pool),
+            CandidateConfig::Cqr1d { p } => {
+                run_row_blocks(a, p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend, diagnose)
+            }
             CandidateConfig::CaCqr2 {
                 c,
                 d,
@@ -622,19 +650,22 @@ impl QrPlan {
                     inverse_depth,
                     backend,
                 };
-                match config.algorithm() {
-                    Algorithm::CaCqr3 => run_cacqr3_global(a, shape, params, cfg, &self.pool),
-                    _ => run_cacqr2_global(a, shape, params, cfg, &self.pool),
-                }
+                let family = match config.algorithm() {
+                    Algorithm::CaCqr3 => Family::Cqr3,
+                    _ => Family::Cqr2,
+                };
+                run_ca_family(a, shape, params, cfg, pool, family, diagnose)
             }
             CandidateConfig::Pgeqrf { pr, pc, nb } => {
                 let grid = BlockCyclic { pr, pc, nb };
-                Ok(run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg))
+                Ok((run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg), None))
             }
         }
     }
 
-    /// The report diagnostics of `a ≈ q·r` on the plan's rank team: one
+    /// The report diagnostics of `a ≈ q·r` on the plan's rank team, for the
+    /// runs that did not add them in their own region (the CA family's
+    /// other configs, shifted CQR3, PGEQRF) and for stream snapshots: one
     /// contiguous row slab per rank of a second pooled region on the plan's
     /// runtime, partials summed in rank order (see [`QrPlan::factor`] and
     /// [`dense::norms`]). One slab is a plain call on this thread. `a` may
@@ -832,9 +863,12 @@ pub struct QrReport {
     pub r: Matrix,
     /// Simulated elapsed time under the plan's machine model.
     pub elapsed: f64,
-    /// Measured wall-clock seconds of the SPMD region — the real quantity
-    /// on the shared-memory runtime (one process-wide measurement, not a
-    /// model output).
+    /// Measured wall-clock seconds of the algorithm's SPMD region — the
+    /// real quantity on the shared-memory runtime (one process-wide
+    /// measurement, not a model output). It times the algorithm alone: a
+    /// 1D-CQR2 run adds the report diagnostics inside its region, and the
+    /// slowest rank's seconds on them are taken out; a second diagnostics
+    /// region is not counted at all.
     pub wall_seconds: f64,
     /// Per-rank α-β-γ cost ledgers.
     pub ledgers: Vec<CostLedger>,
@@ -850,10 +884,11 @@ pub struct QrReport {
 }
 
 /// What [`QrPlan::run_accepted`] hands back: the accepted attempt's factors
-/// and ledgers, still without diagnostics.
+/// and ledgers, and its report diagnostics when its region added them.
 pub(crate) struct AcceptedRun {
     pub(crate) algorithm: Algorithm,
     pub(crate) run: QrRun,
+    pub(crate) diagnostics: Option<(f64, f64)>,
     pub(crate) escalation: Option<EscalationReport>,
 }
 
@@ -862,9 +897,10 @@ impl QrReport {
         let AcceptedRun {
             algorithm,
             run,
+            diagnostics,
             escalation,
         } = accepted;
-        let (orthogonality_error, residual_error) = plan.diagnose(a, &run.q, &run.r);
+        let (orthogonality_error, residual_error) = diagnostics.unwrap_or_else(|| plan.diagnose(a, &run.q, &run.r));
         QrReport {
             algorithm,
             q: run.q,
@@ -967,6 +1003,42 @@ mod tests {
             baseline,
             "escalating plan: steady-state factors must not touch the arena allocator"
         );
+    }
+
+    #[test]
+    fn one_d_in_region_diagnostics_are_bitwise_the_second_regions() {
+        // m/P is two whole panels, so the second region's slabs are exactly
+        // the ranks' row blocks.
+        let (m, n, p) = (4 * 2 * dense::norms::PANEL_ROWS, 16, 4);
+        let a = well_conditioned(m, n, 29);
+        for runtime in [RuntimeKind::Simulated, RuntimeKind::SharedMem] {
+            let plan = QrPlan::new(m, n)
+                .algorithm(Algorithm::Cqr2_1d)
+                .grid(GridShape::one_d(p).unwrap())
+                .runtime(runtime)
+                .build()
+                .unwrap();
+            let accepted = plan.run_accepted(a.as_ref(), RetryPolicy::none(), true).unwrap();
+            let (ortho, resid) = accepted.diagnostics.expect("a 1D-CQR2 run adds them in its region");
+            let (o2, r2) = plan.diagnose(a.as_ref(), &accepted.run.q, &accepted.run.r);
+            assert_eq!(
+                (ortho.to_bits(), resid.to_bits()),
+                (o2.to_bits(), r2.to_bits()),
+                "{runtime}"
+            );
+            let report = plan.factor(&a).unwrap();
+            assert_eq!(
+                report.orthogonality_error.to_bits(),
+                ortho.to_bits(),
+                "{runtime}: factor reports them"
+            );
+            assert_eq!(report.residual_error.to_bits(), resid.to_bits(), "{runtime}");
+            let undiagnosed = plan.run_accepted(a.as_ref(), RetryPolicy::none(), false).unwrap();
+            assert!(
+                undiagnosed.diagnostics.is_none(),
+                "{runtime}: only a caller that reports them asks"
+            );
+        }
     }
 
     #[test]

@@ -114,11 +114,7 @@ pub fn transpose_cube(rank: &mut Rank, cube: &CubeComms, m: &Matrix, ws: &mut Wo
     let swapped = cube.slice.sendrecv(rank, partner, m.data());
     let n = m.rows();
     let mut out = ws.take_matrix_stale(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            out.set(j, i, swapped[i * n + j]);
-        }
-    }
+    out.as_mut().copy_transposed_from(MatRef::from_slice(&swapped, n, n));
     rank.recycle_comm(swapped);
     out
 }

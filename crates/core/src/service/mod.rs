@@ -84,6 +84,9 @@ use worker::{FactorJob, ManyBatch, Work};
 /// State shared between the service front end and its workers.
 struct Shared {
     queue: Fifo<Work>,
+    /// The pool width: a `factor_many` batch is re-offered to the queue
+    /// only when another worker could pick it up.
+    workers: usize,
     cache: PlanCache,
     stats: Recorder,
     machine: Machine,
@@ -148,6 +151,7 @@ impl QrServiceBuilder {
         let capacity = self.queue_capacity.unwrap_or(2 * workers);
         let shared = Arc::new(Shared {
             queue: Fifo::new(capacity, workers),
+            workers,
             cache: PlanCache::default(),
             stats: Recorder::new(),
             machine: self.machine,
@@ -582,6 +586,7 @@ mod tests {
         // queued when it is cancelled, whatever the scheduler does.
         let shared = Shared {
             queue: Fifo::new(1, 1),
+            workers: 1,
             cache: PlanCache::default(),
             stats: Recorder::new(),
             machine: Machine::zero(),

@@ -143,15 +143,16 @@ fn factor_panel(
 /// One worker's share of a `factor_many` batch: claim panel indices from
 /// the batch's cursor until it runs out, and deliver the batch when its
 /// last panel retires. While more than this worker's first panel remains
-/// the batch goes back on the queue once, so the next idle worker joins; a
-/// batch popped after its cursor ran out is a no-op.
+/// and the pool has another worker, the batch goes back on the queue once,
+/// so the next idle worker joins; a batch popped after its cursor ran out
+/// is a no-op.
 fn run_many(shared: &Shared, batch: Arc<ManyBatch>) {
     let panels = batch.inputs.len();
     let picked = Instant::now();
     // Relaxed: the cursor only hands out indices; the panels themselves
     // were published by the queue's mutex.
     let mut i = batch.next.fetch_add(1, Ordering::Relaxed);
-    if i + 1 < panels {
+    if shared.workers > 1 && i + 1 < panels {
         shared.queue.reoffer(Work::Many(Arc::clone(&batch)));
     }
     let mut done = 0;
@@ -177,8 +178,36 @@ mod tests {
     use crate::driver::{Algorithm, PlanError};
     use crate::service::tests::spec_64x16;
     use crate::service::{QrService, ServiceError, SubmitOptions};
+    use dense::fault::{self, FaultPlan};
     use dense::random::well_conditioned;
     use std::time::Duration;
+
+    /// Dequeues a 4-panel `factor_many` batch costs at pool width `workers`
+    /// (every pop fires the `dequeue` site under a rate-1 plan), counted
+    /// after shutdown so a late no-op pop would be seen.
+    fn batch_dequeues(workers: usize) -> u64 {
+        let plan = FaultPlan::new(7).site(fault::DEQUEUE, 1.0).delay(Duration::ZERO);
+        fault::with_plan(plan, || {
+            let service = QrService::builder().workers(workers).build();
+            let batch = (0..4).map(|s| well_conditioned(64, 16, s)).collect();
+            assert_eq!(service.factor_many(&spec_64x16(), batch).unwrap().len(), 4);
+            service.shutdown();
+            fault::injected(fault::DEQUEUE)
+        })
+    }
+
+    #[test]
+    fn a_lone_worker_pops_a_batch_once() {
+        assert_eq!(batch_dequeues(1), 1, "no other worker to share the batch with");
+    }
+
+    #[test]
+    fn a_wider_pool_still_shares_a_batch() {
+        assert!(
+            batch_dequeues(2) >= 2,
+            "the batch must be re-offered to the second worker"
+        );
+    }
 
     #[test]
     fn expired_factor_job_never_executes() {

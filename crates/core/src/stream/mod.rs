@@ -179,7 +179,7 @@ pub struct StreamSnapshot {
 impl StreamingQr {
     /// Opens a stream; called through [`QrPlan::stream`].
     pub(crate) fn open(plan: QrPlan, initial: &Matrix) -> Result<StreamingQr, PlanError> {
-        let r = plan.run_accepted(initial.as_ref(), plan.retry_policy())?.run.r;
+        let r = plan.run_accepted(initial.as_ref(), plan.retry_policy(), false)?.run.r;
         let n = plan.n();
         let mut history = Vec::new();
         history.extend_from_slice(initial.data());

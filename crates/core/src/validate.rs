@@ -16,17 +16,19 @@
 //!
 //! The caller's thread does no `O(mn)` work but allocating the output,
 //! which the allocator may clear on that thread. Ranks *read in place*: a
-//! row-cyclic block of the row-major input is a strided view of it
-//! ([`MatRef::step_rows`]), so nothing is scattered; only a column-cyclic
-//! block (`c > 1`) is packed into the rank's arena, inside the region, by
-//! row runs. Ranks *write in place*: the driver allocates the `m × n` (and
-//! `n × n`) output once and each owning rank writes its residue class
-//! through a [`CyclicWindows`] handle — the 1D bodies' last `gemm` produces
-//! `Q` directly there (1D-CQR2's, and the CA family's at `c = 1, n₀ = n`,
-//! which runs them); the CA family's `z = 0` owners deposit their pieces
-//! before leaving the region. Nothing is reassembled afterwards; replicas
-//! (other depth layers, other subcubes) are compared against what was
-//! deposited.
+//! 1D rank's rows of the row-major input are one contiguous block of it,
+//! and a CA rank's row-cyclic block a strided view ([`MatRef::step_rows`]),
+//! so nothing is scattered; only a column-cyclic block (`c > 1`) is packed
+//! into the rank's arena, inside the region, by row runs. Ranks *write in
+//! place*: the driver allocates the `m × n` (and `n × n`) output once. A 1D
+//! rank writes its contiguous block of `Q` through a disjoint row block of
+//! the output ([`MatMut::split_rows`]) — the 1D bodies' last `gemm`
+//! produces `Q` directly there (1D-CQR2's, and the CA family's at
+//! `c = 1, n₀ ≥ n`, which runs them) — and each CA rank writes its residue
+//! class through a [`CyclicWindows`] handle, the `z = 0` owners depositing
+//! their pieces before leaving the region. Nothing is reassembled
+//! afterwards; replicas (other depth layers, other subcubes) are compared
+//! against what was deposited.
 //!
 //! # Workspace pooling
 //!
@@ -45,14 +47,16 @@ use crate::cacqr3::ca_cqr3;
 use crate::config::CfrParams;
 use crate::cqr1d::{cqr2_1d, cqr3_1d, FlopCharges};
 use dense::cholesky::CholeskyError;
-use dense::{BackendKind, MatRef, Matrix, WorkspacePool};
+use dense::norms::combine_diagnostics;
+use dense::{BackendKind, MatMut, MatRef, Matrix, WorkspacePool};
 use pargrid::{CyclicWindows, DistMatrix, GridShape, TunableComms};
 use simgrid::{run_spmd_pooled, SimConfig};
+use std::sync::{Mutex, PoisonError};
 
 /// The two Gram-based algorithms the drivers below run: CQR2 (Algorithms
 /// 7 and 9) and shifted CQR3, each with a CA body and a 1D body.
 #[derive(Clone, Copy)]
-enum Family {
+pub(crate) enum Family {
     Cqr2,
     Cqr3,
 }
@@ -60,6 +64,10 @@ enum Family {
 /// A completed distributed QR run with global factors and cost accounting —
 /// the same struct every global driver returns, the baseline's included.
 pub type QrRun = baseline::PgeqrfRun;
+
+/// A run and, when they were asked for and added in its region, its report
+/// diagnostics `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`.
+pub(crate) type Diagnosed = (QrRun, Option<(f64, f64)>);
 
 /// Runs CA-CQR2 on the simulator for a global input `a` (a `&Matrix` or any
 /// view), asserting the replication invariants (identical pieces across
@@ -93,7 +101,7 @@ pub fn run_cacqr2_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr2)
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr2, None).map(|(run, _)| run)
 }
 
 /// Runs shifted CA-CQR3 (unconditionally stable for numerically full-rank
@@ -106,7 +114,7 @@ pub fn run_cacqr3_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr3)
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr3, None).map(|(run, _)| run)
 }
 
 /// Shared driver for the CA family (Algorithms 8–9 and the shifted-CQR3
@@ -118,23 +126,27 @@ pub fn run_cacqr3_global<'a>(
 /// `c = 1` with `n₀ ≥ n` is Algorithm 6 (§III): every cube collective has
 /// one member, CFR3D is one CholInv and `A·R⁻¹` one local gemm. Those
 /// configs run the 1D body on the `d` ranks instead, charged the CA family's
-/// flops ([`FlopCharges::CaFamily`]) — the same `Q`, `R`, ledgers and clocks
-/// without the copies and transposes. A smaller `n₀` recurses in CFR3D,
-/// which rounds differently, so it keeps the CA path.
-fn run_ca_family(
+/// flops ([`FlopCharges::CaFamily`]) — the arithmetic of the CA body on
+/// contiguous row blocks, with the CA family's ledgers and clocks, without
+/// the copies and transposes; `diagnose` reaches that 1D body
+/// ([`run_row_blocks`]). A smaller `n₀` recurses in CFR3D, which rounds
+/// differently, so it keeps the CA path, which adds no diagnostics.
+pub(crate) fn run_ca_family(
     a: MatRef<'_>,
     shape: GridShape,
     params: CfrParams,
     cfg: SimConfig,
     pool: &WorkspacePool,
     family: Family,
-) -> Result<QrRun, CholeskyError> {
+    diagnose: Option<f64>,
+) -> Result<Diagnosed, CholeskyError> {
     let (m, n) = (a.rows(), a.cols());
     let (c, d) = (shape.c, shape.d);
     assert_eq!(m % d, 0, "the CA family requires d | m (m={m}, d={d})");
     assert_eq!(n % c, 0, "the CA family requires c | n (n={n}, c={c})");
     if c == 1 && params.base_size >= n {
-        return run_row_cyclic(a, d, cfg, pool, family, FlopCharges::CaFamily, params.backend);
+        let charges = FlopCharges::CaFamily;
+        return run_row_blocks(a, d, cfg, pool, family, charges, params.backend, diagnose);
     }
     // Zeroed by the allocator, and not always lazily: glibc maps the first
     // large `Q`s fresh (the ranks' writes are the first touch), but freeing
@@ -202,19 +214,21 @@ fn run_ca_family(
             ws.recycle(piece);
         }
     }
-    Ok(QrRun {
+    let run = QrRun {
         q,
         r,
         elapsed: report.elapsed,
         wall_seconds: report.wall_seconds,
         ledgers: report.ledgers,
-    })
+    };
+    Ok((run, None))
 }
 
-/// Runs 1D-CQR2 (Algorithm 7) on the simulator: rank `i` reads rows
-/// `≡ i (mod p)` of `a` (a `&Matrix` or any view) in place and its second
-/// pass writes the same rows of `Q` in place. Local kernels go through
-/// `backend`; scratch cycles through `pool` (see [`run_cacqr2_global`]).
+/// Runs 1D-CQR2 (Algorithm 7) on the simulator: rank `i` reads the
+/// contiguous rows `[i·m/p, (i+1)·m/p)` of `a` (a `&Matrix` or any view) in
+/// place and its second pass writes the same rows of `Q` in place. Local
+/// kernels go through `backend`; scratch cycles through `pool` (see
+/// [`run_cacqr2_global`]).
 pub fn run_cqr2_1d_global<'a>(
     a: impl Into<MatRef<'a>>,
     p: usize,
@@ -222,13 +236,19 @@ pub fn run_cqr2_1d_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_row_cyclic(a.into(), p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend)
+    run_row_blocks(a.into(), p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend, None).map(|(run, _)| run)
 }
 
-/// Shared driver for the 1D bodies: rank `i` runs `family`'s on rows
-/// `≡ i (mod p)` of `a`, writing the same rows of `Q` through a
-/// [`CyclicWindows`] handle; `R` must come out replicated.
-fn run_row_cyclic(
+/// Shared driver for the 1D bodies: rank `i` runs `family`'s on the
+/// contiguous rows `[i·m/p, (i+1)·m/p)` of `a`, writing the same rows of `Q`
+/// through its own row block of the output; `R` must come out replicated.
+/// With `Some(limit)` (the [`QrPlan`](crate::driver::QrPlan)'s κ₁ gate), a
+/// CQR2 run adds the report diagnostics in the region ([`cqr2_1d`]), summed
+/// here in rank order; the slowest rank's seconds on them come off the
+/// region's wall time, which so times the algorithm alone. Shifted CQR3
+/// adds none.
+#[allow(clippy::too_many_arguments)] // a run's arguments and the diagnostics gate
+pub(crate) fn run_row_blocks(
     a: MatRef<'_>,
     p: usize,
     cfg: SimConfig,
@@ -236,44 +256,71 @@ fn run_row_cyclic(
     family: Family,
     charges: FlopCharges,
     backend: BackendKind,
-) -> Result<QrRun, CholeskyError> {
+    diagnose: Option<f64>,
+) -> Result<Diagnosed, CholeskyError> {
     let (m, n) = (a.rows(), a.cols());
-    assert_eq!(m % p, 0, "the row-cyclic drivers require p | m (m={m}, p={p})");
+    assert_eq!(m % p, 0, "the 1D drivers require p | m (m={m}, p={p})");
+    let lr = m / p;
     // Zeroed by the allocator, past the first large `Q`s on the caller's
     // thread (see `run_ca_family`).
-    let mut q = vec![0.0; m * n];
+    let mut q = Matrix::zeros(m, n);
     let report = {
-        let windows = CyclicWindows::split(&mut q, m, n, p, 1);
+        let blocks = row_blocks(q.as_mut(), p);
         run_spmd_pooled(p, cfg, pool, |rank| {
             let world = rank.world();
             let id = rank.id();
-            let q_local = windows
-                .take(id, 0)
-                .into_mat_mut()
-                .expect("a row-cyclic window is a strided view");
+            let q_local = blocks[id]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("each rank takes its own row block once");
+            let a_local = a.sub(id * lr, 0, lr, n);
             let mut ws = pool.checkout_at(id);
-            let body = match family {
-                Family::Cqr2 => cqr2_1d,
-                Family::Cqr3 => cqr3_1d,
-            };
-            body(rank, &world, a.step_rows(id, p), q_local, charges, backend, &mut ws)
+            match family {
+                Family::Cqr2 => cqr2_1d(rank, &world, a_local, q_local, diagnose, charges, backend, &mut ws),
+                Family::Cqr3 => cqr3_1d(rank, &world, a_local, q_local, charges, backend, &mut ws).map(|r| (r, None)),
+            }
         })
     };
-    let mut r0: Option<Matrix> = None;
+    let (mut r0, mut slabs, mut diagnostics_s) = (None::<Matrix>, Vec::new(), 0.0f64);
     for result in report.results {
-        let r = result?;
+        let (r, diagnosed) = result?;
         match &r0 {
             None => r0 = Some(r),
             Some(first) => assert_eq!(r, *first, "R must be replicated"),
         }
+        if let Some((slab, seconds)) = diagnosed {
+            slabs.push(slab);
+            diagnostics_s = diagnostics_s.max(seconds);
+        }
     }
-    Ok(QrRun {
-        q: Matrix::from_vec(m, n, q),
+    // Every rank gated on the same R, so either all added partials or none.
+    let diagnostics = (!slabs.is_empty()).then(|| combine_diagnostics(&slabs));
+    // Each Gram partial goes back to the arena of the rank that took it.
+    for (id, slab) in slabs.into_iter().enumerate() {
+        pool.checkout_at(id).recycle(slab.gram);
+    }
+    let run = QrRun {
+        q,
         r: r0.expect("at least one rank ran"),
         elapsed: report.elapsed,
-        wall_seconds: report.wall_seconds,
+        wall_seconds: report.wall_seconds - diagnostics_s,
         ledgers: report.ledgers,
-    })
+    };
+    Ok((run, diagnostics))
+}
+
+/// `q` split into `p` equal row blocks, each takeable once by its rank.
+fn row_blocks(mut q: MatMut<'_>, p: usize) -> Vec<Mutex<Option<MatMut<'_>>>> {
+    let lr = q.rows() / p;
+    let mut blocks = Vec::with_capacity(p);
+    for _ in 1..p {
+        let (block, rest) = q.split_rows(lr);
+        blocks.push(Mutex::new(Some(block)));
+        q = rest;
+    }
+    blocks.push(Mutex::new(Some(q)));
+    blocks
 }
 
 #[cfg(test)]
@@ -315,6 +362,39 @@ mod tests {
             "bitwise agreement between Algorithm 7 and Algorithm 9 with c=1"
         );
         assert_eq!(run1.r, run2.r);
+    }
+
+    #[test]
+    fn the_diagnostics_gate_reads_the_kappa_of_r() {
+        // κ(A) = 1e4: a rung whose limit is below it adds no diagnostics in
+        // its region, one above it (or an unconditional one) does, and the
+        // gate leaves the factors alone.
+        let a = matrix_with_condition(512, 8, 1e4, 7);
+        let pool = WorkspacePool::new();
+        let run = |diagnose| {
+            let kind = BackendKind::default_kind();
+            run_row_blocks(
+                a.as_ref(),
+                2,
+                SimConfig::default(),
+                &pool,
+                Family::Cqr2,
+                FlopCharges::OneD,
+                kind,
+                diagnose,
+            )
+            .unwrap()
+        };
+        let (plain, none) = run(None);
+        assert!(none.is_none());
+        for (limit, added) in [(1e2, false), (1e6, true), (f64::INFINITY, true)] {
+            let (gated, diagnostics) = run(Some(limit));
+            assert_eq!(diagnostics.is_some(), added, "limit {limit:e}");
+            assert_eq!((gated.q, gated.r), (plain.q.clone(), plain.r.clone()));
+            if let Some((ortho, resid)) = diagnostics {
+                assert!(ortho < 1e-12 && resid < 1e-12);
+            }
+        }
     }
 
     #[test]

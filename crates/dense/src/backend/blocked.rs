@@ -564,19 +564,17 @@ fn gemm_with_isa(
     recycle_local_vec(bpack);
 }
 
-/// The symmetry-aware blocked SYRK body: writes `AᵀA` into `c`, computing
+/// The symmetry-aware blocked SYRK body: adds `AᵀA` into `c`, computing
 /// only micro-tiles that touch or lie below the diagonal and mirroring the
-/// rest. Every computed element is bitwise identical to what
-/// [`gemm_with_isa`]`(which, 1, Aᵀ, A, 0, c)` produces (same packing, same
-/// KC blocking, same ascending-`k` microkernel order), so the mirrored
+/// rest. From a zero `c`, every computed element is bitwise identical to
+/// what [`gemm_with_isa`]`(which, 1, Aᵀ, A, 0, c)` produces (same packing,
+/// same KC blocking, same ascending-`k` microkernel order), so the mirrored
 /// result equals the full product exactly while skipping ≈half the tile
-/// arithmetic.
-fn syrk_into_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
+/// arithmetic. Each KC block of rows lands as one `c += acc` per tile, so
+/// adding KC-row panels one call each is bitwise one call over all of them.
+fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
     let (k, n) = (a.rows(), a.cols()); // contraction over rows; output n × n
     assert_eq!((c.rows(), c.cols()), (n, n), "syrk output must be n x n");
-    for i in 0..n {
-        c.row_mut(i).fill(0.0);
-    }
     if n == 0 || k == 0 {
         return;
     }
@@ -871,8 +869,8 @@ impl Backend for Blocked {
         gemm_with_isa(isa(), alpha, a, ta, b, tb, beta, c);
     }
 
-    fn syrk_into(&self, a: MatRef<'_>, c: MatMut<'_>) {
-        syrk_into_with_isa(isa(), a, c);
+    fn syrk_add(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        syrk_add_with_isa(isa(), a, c);
     }
 
     fn trsm_right_lower_trans(&self, l: MatRef<'_>, b: MatMut<'_>) {
@@ -923,8 +921,8 @@ mod tests {
                 (5, 3),
             ] {
                 let a = filled(m, n, 8 + m as u64);
-                let mut via_syrk = Matrix::from_fn(n, n, |_, _| f64::NAN);
-                syrk_into_with_isa(which, a.as_ref(), via_syrk.as_mut());
+                let mut via_syrk = Matrix::zeros(n, n);
+                syrk_add_with_isa(which, a.as_ref(), via_syrk.as_mut());
                 let mut via_gemm = Matrix::zeros(n, n);
                 gemm_with_isa(
                     which,
@@ -949,6 +947,30 @@ mod tests {
         }
     }
 
+    /// A Gram summed from KC-row panels, one `syrk_add` each and a ragged
+    /// last panel, is bitwise one `syrk_into` (a zero fill, then one add)
+    /// over the whole operand, per ISA: a tall panel's Gram can be added
+    /// while each panel is in cache without moving a bit.
+    #[test]
+    fn gram_summed_from_kc_panels_is_bitwise_one_syrk_under_every_available_isa() {
+        for which in Isa::available() {
+            for &(m, n) in &[(3 * KC + 37, 64usize), (2 * KC + 1, NR + 3), (KC + 5, NC + 9)] {
+                let a = filled(m, n, 5 + m as u64);
+                let mut whole = Matrix::zeros(n, n);
+                syrk_add_with_isa(which, a.as_ref(), whole.as_mut());
+                let mut summed = Matrix::zeros(n, n);
+                for i0 in (0..m).step_by(KC) {
+                    let rows = KC.min(m - i0);
+                    syrk_add_with_isa(which, a.as_ref().sub(i0, 0, rows, n), summed.as_mut());
+                }
+                assert_eq!(
+                    summed, whole,
+                    "{which:?} {m}x{n}: panel-summed Gram must be bitwise one syrk"
+                );
+            }
+        }
+    }
+
     /// Every ISA's syrk must also match the naive oracle numerically: the
     /// oracle multiplies, then adds, in another order, while the microkernel
     /// fuses each term, so this is a tolerance check.
@@ -959,7 +981,7 @@ mod tests {
             let a = filled(m, n, 21);
             let want = crate::syrk::syrk(a.as_ref());
             let mut got = Matrix::zeros(n, n);
-            syrk_into_with_isa(which, a.as_ref(), got.as_mut());
+            syrk_add_with_isa(which, a.as_ref(), got.as_mut());
             for i in 0..n {
                 for j in 0..n {
                     let (g, w) = (got.get(i, j), want.get(i, j));
@@ -1167,7 +1189,7 @@ mod tests {
             let a = special(k, n, 3);
             agree(&format!("syrk {k}x{n}"), &|which| {
                 let mut c = Matrix::zeros(n, n);
-                syrk_into_with_isa(which, a.as_ref(), c.as_mut());
+                syrk_add_with_isa(which, a.as_ref(), c.as_mut());
                 c
             });
         }

@@ -59,8 +59,18 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     #[allow(clippy::too_many_arguments)] // the BLAS dgemm signature
     fn gemm(&self, alpha: f64, a: MatRef<'_>, ta: Trans, b: MatRef<'_>, tb: Trans, beta: f64, c: MatMut<'_>);
 
+    /// Adds the Gram matrix `AᵀA` into the lower triangle of the
+    /// caller-owned `n × n` buffer `c` and mirrors it onto the upper (whose
+    /// contents on entry are ignored).
+    ///
+    /// Adding the row panels of `A` in order — [`KC`](blocked::KC)-row
+    /// panels on `Blocked`, any on `Naive` — is bitwise one call over all of
+    /// them: a tall panel's Gram can be summed while each panel is in cache.
+    fn syrk_add(&self, a: MatRef<'_>, c: MatMut<'_>);
+
     /// Writes the full symmetric Gram matrix `AᵀA` into the caller-owned
-    /// `n × n` buffer `c`, overwriting any previous contents.
+    /// `n × n` buffer `c`, overwriting any previous contents: a zero fill,
+    /// then [`Backend::syrk_add`].
     ///
     /// This is the allocation-free primitive the hot paths use (the buffer
     /// typically comes from a [`crate::workspace::Workspace`]).
@@ -68,7 +78,10 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// `gemm(1, Aᵀ, A)` — the 1D and CA CholeskyQR paths compute the Gram
     /// matrix through `syrk` and `gemm` respectively and the test suite
     /// asserts bitwise agreement between them.
-    fn syrk_into(&self, a: MatRef<'_>, c: MatMut<'_>);
+    fn syrk_into(&self, a: MatRef<'_>, mut c: MatMut<'_>) {
+        c.fill(0.0);
+        self.syrk_add(a, c);
+    }
 
     /// Returns the full symmetric Gram matrix `AᵀA` as a fresh allocation
     /// (convenience wrapper over [`Backend::syrk_into`]).
@@ -120,8 +133,8 @@ impl Backend for Naive {
         crate::gemm::gemm(alpha, a, ta, b, tb, beta, c);
     }
 
-    fn syrk_into(&self, a: MatRef<'_>, c: MatMut<'_>) {
-        crate::syrk::syrk_into(a, c);
+    fn syrk_add(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        crate::syrk::syrk_add(a, c);
     }
 
     fn trsm_right_lower_trans(&self, l: MatRef<'_>, b: MatMut<'_>) {

@@ -11,8 +11,9 @@
 //! they check — so they run on the same [`Backend`] kernels the
 //! factorization does:
 //!
-//! * orthogonality is one symmetry-aware [`Backend::syrk_into`] into an
-//!   `n × n` scratch Gram matrix, then one pass over it;
+//! * orthogonality is one symmetry-aware SYRK into an `n × n` scratch Gram
+//!   matrix (added panel by panel, [`Backend::syrk_add`], which is bitwise
+//!   one [`Backend::syrk_into`]), then one pass over it;
 //! * the residual streams the tall operands through fast memory once, in
 //!   [`PANEL_ROWS`]-row panels (the sequential-TSQR access pattern of
 //!   Demmel, Grigori, Hoemmen & Langou): `D_b ← A_b − Q_b·R` by one
@@ -44,7 +45,11 @@
 //! of one panel or a team of one is one slab. [`qr_diagnostics`] *is* the
 //! one-slab case (slab, then combine, on the calling thread); a rank team
 //! runs one slab per member side by side and combines once
-//! (`cacqr::QrReport`). There is no second implementation.
+//! (`cacqr::QrReport`). A slab is added panel by panel
+//! ([`SlabDiagnostics::add_panel`]), so a caller that already walks its
+//! rows in panels — a 1D-CholeskyQR2 rank writing its block of `Q` — adds
+//! each panel while it is in cache, with the same bits. There is no second
+//! implementation.
 //!
 //! **Determinism rule:** partials are combined in slab order, entry by
 //! entry, on one thread. The result is therefore a pure function of
@@ -62,7 +67,7 @@
 use crate::backend::{Backend, BackendKind};
 use crate::blas1::dot_lanes;
 use crate::gemm::Trans;
-use crate::matrix::{MatRef, Matrix};
+use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::workspace::Workspace;
 
 /// Frobenius norm `‖A‖_F`.
@@ -90,8 +95,10 @@ pub fn max_abs(a: MatRef<'_>) -> f64 {
 /// Height of the row panels the residual streams `A` and `Q` through: tall
 /// enough that one panel's `2·rows·n²` flops dwarf re-packing `R` for it,
 /// short enough that the `rows × n` scratch panel stays cache-resident
-/// between the gemm that writes it and the sweep that sums it.
-pub const PANEL_ROWS: usize = 256;
+/// between the gemm that writes it and the sweep that sums it. It is the
+/// blocked kernels' contraction block, so a Gram summed from these panels
+/// ([`Backend::syrk_add`]) is bitwise one SYRK over all of them.
+pub const PANEL_ROWS: usize = crate::backend::blocked::KC;
 
 /// How many slabs the diagnostics of an `m`-row matrix split into for a team
 /// of `team` members: one per member, but never less than a whole panel each.
@@ -119,6 +126,53 @@ pub struct SlabDiagnostics {
     pub d_sq: f64,
 }
 
+impl SlabDiagnostics {
+    /// The partials of no rows, for a `Q` of `k` columns: the `k × k` Gram
+    /// is taken from `ws` and zeroed.
+    pub fn new(k: usize, ws: &mut Workspace) -> SlabDiagnostics {
+        SlabDiagnostics {
+            gram: ws.take_matrix(k, k),
+            a_sq: 0.0,
+            d_sq: 0.0,
+        }
+    }
+
+    /// Adds one panel of at most [`PANEL_ROWS`] rows — `a` and `q` its rows
+    /// of `A` and `Q`, `r` the whole factor — through `scratch`, a buffer of
+    /// `a`'s shape. Adding a slab's panels in order *is*
+    /// [`slab_diagnostics`] of the slab, so a caller that already holds each
+    /// panel in cache (a 1D-CQR2 rank writing `Q`) adds it there.
+    pub fn add_panel(
+        &mut self,
+        a: MatRef<'_>,
+        q: MatRef<'_>,
+        r: MatRef<'_>,
+        kernels: &dyn Backend,
+        scratch: MatMut<'_>,
+    ) {
+        kernels.syrk_add(q, self.gram.as_mut());
+        self.add_residual(a, q, r, kernels, scratch);
+    }
+
+    /// The residual half of [`add_panel`](SlabDiagnostics::add_panel):
+    /// `A_b` is copied into the scratch panel `d` (its row sums of squares
+    /// taken on the way), `D_b ← A_b − Q_b·R` by one gemm, and `‖D_b‖²`
+    /// summed while the panel is still in cache. The row sums are lane-split
+    /// ([`dot_lanes`]): a strictly sequential sum over `m·n` elements is
+    /// latency-bound and would cost as much as the panel gemms it follows.
+    fn add_residual(&mut self, a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>, kernels: &dyn Backend, mut d: MatMut<'_>) {
+        for i in 0..a.rows() {
+            let src = a.row(i);
+            d.row_mut(i).copy_from_slice(src);
+            self.a_sq += dot_lanes(src, src);
+        }
+        kernels.gemm(-1.0, q, Trans::No, r, Trans::No, 1.0, d.rb_mut());
+        for i in 0..a.rows() {
+            self.d_sq += dot_lanes(d.row(i), d.row(i));
+        }
+    }
+}
+
 /// `Q_bᵀ·Q_b` by one `syrk_into` into arena scratch.
 fn gram_partial(q: MatRef<'_>, kernels: &dyn Backend, ws: &mut Workspace) -> Matrix {
     let mut g = ws.take_matrix_stale(q.cols(), q.cols());
@@ -141,51 +195,35 @@ fn gram_deviation<'a>(grams: impl Iterator<Item = &'a Matrix> + Clone) -> f64 {
     s.sqrt()
 }
 
-/// `(‖A_b‖_F², ‖A_b − Q_b·R‖_F²)`, streamed in [`PANEL_ROWS`]-row panels
-/// through one arena scratch panel. The row sums of squares are lane-split
-/// ([`dot_lanes`]): a strictly sequential sum over `m·n` elements is
-/// latency-bound and would cost as much as the panel gemms it follows.
-fn residual_partial(
+/// Walks `a` and `q` in [`PANEL_ROWS`]-row panels, handing each pair with a
+/// scratch panel of its shape to `each`; the scratch is one arena buffer.
+fn for_each_panel(
     a: MatRef<'_>,
     q: MatRef<'_>,
-    r: MatRef<'_>,
-    kernels: &dyn Backend,
     ws: &mut Workspace,
-) -> (f64, f64) {
+    mut each: impl FnMut(MatRef<'_>, MatRef<'_>, MatMut<'_>),
+) {
     let (m, n) = (a.rows(), a.cols());
     assert_eq!(q.rows(), m, "Q must have A's row count");
     let mut panel = ws.take_matrix_stale(PANEL_ROWS.min(m), n);
-    let (mut a_sq, mut d_sq) = (0.0, 0.0);
     for i0 in (0..m).step_by(PANEL_ROWS) {
         let rows = PANEL_ROWS.min(m - i0);
-        let mut d = panel.view_mut(0, 0, rows, n);
-        for i in 0..rows {
-            let src = a.row(i0 + i);
-            d.row_mut(i).copy_from_slice(src);
-            a_sq += dot_lanes(src, src);
-        }
-        kernels.gemm(
-            -1.0,
+        each(
+            a.sub(i0, 0, rows, n),
             q.sub(i0, 0, rows, q.cols()),
-            Trans::No,
-            r,
-            Trans::No,
-            1.0,
-            d.rb_mut(),
+            panel.view_mut(0, 0, rows, n),
         );
-        for i in 0..rows {
-            d_sq += dot_lanes(d.row(i), d.row(i));
-        }
     }
     ws.recycle(panel);
-    (a_sq, d_sq)
 }
 
 /// The diagnostics' share of one contiguous row slab: `a` and `q` are the
 /// slab's rows of `A` and `Q` (sub-views of the caller's storage; `r` is the
-/// whole `k × n` factor). Costs `≈ rows·(k² + 2kn)` flops at kernel speed and
-/// takes a `k × k` and a `min(rows, PANEL_ROWS) × n` buffer from `ws`; the
-/// `k × k` one leaves in the result. See the [module docs](self).
+/// whole `k × n` factor), added panel by panel
+/// ([`SlabDiagnostics::add_panel`]). Costs `≈ rows·(k² + 2kn)` flops at
+/// kernel speed and takes a `k × k` and a `min(rows, PANEL_ROWS) × n` buffer
+/// from `ws`; the `k × k` one leaves in the result. See the
+/// [module docs](self).
 pub fn slab_diagnostics(
     a: MatRef<'_>,
     q: MatRef<'_>,
@@ -194,9 +232,9 @@ pub fn slab_diagnostics(
     ws: &mut Workspace,
 ) -> SlabDiagnostics {
     let kernels = backend.get();
-    let gram = gram_partial(q, kernels, ws);
-    let (a_sq, d_sq) = residual_partial(a, q, r, kernels, ws);
-    SlabDiagnostics { gram, a_sq, d_sq }
+    let mut slab = SlabDiagnostics::new(q.cols(), ws);
+    for_each_panel(a, q, ws, |a_b, q_b, d| slab.add_panel(a_b, q_b, r, kernels, d));
+    slab
 }
 
 /// Sums slab partials **in slice order** into
@@ -248,8 +286,16 @@ pub fn orthogonality_error(q: MatRef<'_>) -> f64 {
 /// [`qr_diagnostics`] on the process-default backend, with throwaway
 /// scratch.
 pub fn residual_error(a: MatRef<'_>, q: MatRef<'_>, r: MatRef<'_>) -> f64 {
-    let (a_sq, d_sq) = residual_partial(a, q, r, BackendKind::default_kind().get(), &mut Workspace::new());
-    d_sq.sqrt() / a_sq.sqrt()
+    let kernels = BackendKind::default_kind().get();
+    let mut sums = SlabDiagnostics {
+        gram: Matrix::zeros(0, 0),
+        a_sq: 0.0,
+        d_sq: 0.0,
+    };
+    for_each_panel(a, q, &mut Workspace::new(), |a_b, q_b, d| {
+        sums.add_residual(a_b, q_b, r, kernels, d)
+    });
+    sums.d_sq.sqrt() / sums.a_sq.sqrt()
 }
 
 /// Frobenius norm of the strictly-lower part (how far from upper triangular).

@@ -15,16 +15,24 @@
 use crate::matrix::{MatMut, MatRef, Matrix};
 
 /// Writes the full symmetric matrix `AᵀA` into `c` (`n × n` for `A` of
-/// shape `m × n`), overwriting any previous contents.
+/// shape `m × n`), overwriting any previous contents: a zero fill, then
+/// [`syrk_add`].
 ///
-/// Computes the lower triangle with a cache-friendly outer-product sweep over
-/// the rows of `A`, then mirrors it. The flop convention charged for this
-/// kernel is `m·n²` (see [`crate::flops::syrk`]) even though the dense sweep
-/// performs `~m·n²` multiply-adds on the symmetric half.
+/// The flop convention charged for this kernel is `m·n²` (see
+/// [`crate::flops::syrk`]) even though the dense sweep performs `~m·n²`
+/// multiply-adds on the symmetric half.
 pub fn syrk_into(a: MatRef<'_>, mut c: MatMut<'_>) {
+    c.fill(0.0);
+    syrk_add(a, c);
+}
+
+/// Adds `AᵀA` into the lower triangle of `c` and mirrors it onto the upper
+/// (whose contents on entry are ignored). Accumulates the lower triangle
+/// with a cache-friendly outer-product sweep over the rows of `A`, so adding
+/// the row panels of `A` in order is bitwise one call over all of them.
+pub fn syrk_add(a: MatRef<'_>, mut c: MatMut<'_>) {
     let (m, n) = (a.rows(), a.cols());
     assert_eq!((c.rows(), c.cols()), (n, n), "syrk output must be n x n");
-    c.fill(0.0);
     // Accumulate lower triangle: C[i][j] += A[k][i] * A[k][j], j <= i.
     // Deliberately branch-free: a zero-operand fast path only helps
     // pathological sparse inputs and defeats pipelining on dense panels.

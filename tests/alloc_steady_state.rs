@@ -238,6 +238,21 @@ fn cqr2_1d_factor_is_allocation_free_at_steady_state() {
     check_plan("1d-cqr2", plan, &a);
 }
 
+/// Two ranks of 600 rows each — two whole 256-row panels and a ragged one
+/// per rank — so both panel walks and the diagnostics they add in the
+/// algorithm's own region (Gram partial, scratch panel) run warm.
+#[test]
+fn two_rank_1d_factor_with_in_region_diagnostics_is_allocation_free() {
+    let _serial = serial();
+    let a = well_conditioned(1200, 32, 17);
+    let plan = QrPlan::new(1200, 32)
+        .algorithm(Algorithm::Cqr2_1d)
+        .grid(GridShape::one_d(2).unwrap())
+        .build()
+        .unwrap();
+    check_plan("1d-cqr2 p=2", plan, &a);
+}
+
 #[test]
 fn ca_cqr2_factor_is_allocation_free_at_steady_state() {
     let _serial = serial();

@@ -319,7 +319,10 @@ fn reaching_ranks<T>(what: &str, body: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The mixed-spec batches through pools of widths 1, 2 and 8.
+/// The mixed-spec batches, each followed by a single job of its spec,
+/// through pools of widths 1, 2 and 8. (The lone worker pops each batch
+/// once, so the single jobs are what carry it to the light schedule's first
+/// `dequeue` draw, its 11th pop.)
 fn service_batches() -> Vec<Factors> {
     let mut out = Vec::new();
     for workers in [1usize, 2, 8] {
@@ -328,6 +331,8 @@ fn service_batches() -> Vec<Factors> {
             let batch = (0..4).map(|s| input_for(spec, 100 * i as u64 + s)).collect();
             let reports = service.factor_many(spec, batch).expect("delays never fail jobs");
             out.extend(reports.iter().map(factors));
+            let single = service.submit(spec, input_for(spec, 100 * i as u64 + 4)).unwrap();
+            out.push(factors(&single.wait().expect("delays never fail jobs")));
         }
     }
     out

@@ -166,14 +166,20 @@ fn wide_range_of_shapes_and_grids() {
 type Outcome = Result<(Matrix, Matrix, u64, Vec<CostLedger>), CholeskyError>;
 
 /// The CA-CQR2 / CA-CQR3 per-rank bodies on the `1 × d × 1` grid: each rank
-/// is scattered a packed copy of its rows, `Q` is reassembled from the
-/// pieces and `R` (whole on every rank at `c = 1`) taken from rank 0.
+/// is scattered a packed copy of its rows — its contiguous row block where
+/// the drivers route to the 1D bodies (`n₀ ≥ n`), which read those, and its
+/// cyclic rows otherwise — `Q` is reassembled from the pieces and `R`
+/// (whole on every rank at `c = 1`) taken from rank 0.
 fn ca_bodies(a: &Matrix, d: usize, params: CfrParams, algorithm: Algorithm, cfg: SimConfig) -> Outcome {
     let (m, n) = (a.rows(), a.cols());
     let shape = GridShape::one_d(d).unwrap();
+    let routed = params.base_size >= n;
     let report = run_spmd(d, cfg, |rank| {
         let comms = TunableComms::build(rank, shape);
-        let block = DistMatrix::from_global(a, d, 1, rank.id(), 0).local;
+        let block = match routed {
+            true => a.view(rank.id() * (m / d), 0, m / d, n).to_owned(),
+            false => DistMatrix::from_global(a, d, 1, rank.id(), 0).local,
+        };
         let ws = &mut Workspace::new();
         match algorithm {
             Algorithm::CaCqr3 => cacqr::ca_cqr3(rank, &comms, block.as_ref(), m, n, &params, ws),
@@ -185,10 +191,13 @@ fn ca_bodies(a: &Matrix, d: usize, params: CfrParams, algorithm: Algorithm, cfg:
     let mut r0 = None;
     for result in report.results {
         let (q, r) = result?;
-        pieces.push(vec![q]);
+        pieces.push(q);
         r0.get_or_insert(r);
     }
-    let q = DistMatrix::assemble(m, n, d, 1, &pieces);
+    let q = match routed {
+        true => Matrix::from_vec(m, n, pieces.iter().flat_map(Matrix::data).copied().collect()),
+        false => DistMatrix::assemble(m, n, d, 1, &pieces.into_iter().map(|q| vec![q]).collect::<Vec<_>>()),
+    };
     Ok((q, r0.unwrap(), report.elapsed.to_bits(), report.ledgers))
 }
 
