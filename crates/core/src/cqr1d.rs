@@ -131,16 +131,17 @@ fn reduce_and_invert(
 /// update `R = R₂·R₁`. Pass 2 writes `Q` straight into `q_local`, in
 /// [`PANEL_ROWS`]-row panels. The first-pass `Q₁` and both passes'
 /// Gram/reduction scratch come from `ws` (reused across the passes).
-/// Returns `R`, a plain allocation, and the report partials below.
+/// Returns `R`, a plain allocation, and what the gate below found.
 ///
 /// `diagnose` asks for the report diagnostics of this rank's rows
 /// ([`dense::norms`]): with `Some(limit)`, once `R` is known and its κ₁
 /// estimate is within `limit` (`f64::INFINITY` accepts without
 /// estimating — every rank holds the same `R`, so every rank decides the
 /// same), pass 2 adds each `Q` panel's partials while it is in cache
-/// ([`SlabDiagnostics::add_panel`]) and returns them with the wall seconds
-/// they took. None of this is charged to the ledger.
-#[allow(clippy::too_many_arguments)] // a pass's arguments and the diagnostics gate
+/// ([`SlabDiagnostics::add_panel`]). The gate's outcome is the estimate,
+/// when one was made, and the partials with the wall seconds they took,
+/// when they were added. None of this is charged to the ledger.
+#[allow(clippy::too_many_arguments, clippy::type_complexity)] // a pass's arguments and the diagnostics gate
 pub fn cqr2_1d(
     rank: &mut Rank,
     comm: &Comm,
@@ -150,7 +151,7 @@ pub fn cqr2_1d(
     charges: FlopCharges,
     backend: BackendKind,
     ws: &mut Workspace,
-) -> Result<(Matrix, Option<(SlabDiagnostics, f64)>), CholeskyError> {
+) -> Result<(Matrix, (Option<f64>, Option<(SlabDiagnostics, f64)>)), CholeskyError> {
     let be = backend.get();
     let (lr, n) = (a_local.rows(), a_local.cols());
     let (gram, merge) = charges.gram_merge(lr, n);
@@ -172,8 +173,11 @@ pub fn cqr2_1d(
         }
     };
     let r = crate::cqr::triu_product(&l2.transposed(), &r1);
+    let kappa = diagnose
+        .filter(|&limit| limit != f64::INFINITY)
+        .map(|_| dense::cond_estimate(r.as_ref()));
     let mut diagnostics = diagnose
-        .is_some_and(|limit| limit == f64::INFINITY || dense::cond_estimate(r.as_ref()) <= limit)
+        .is_some_and(|limit| kappa.is_none_or(|kappa| kappa <= limit))
         .then(|| (SlabDiagnostics::new(n, ws), 0.0));
     for i0 in (0..lr).step_by(PANEL_ROWS) {
         let rows = PANEL_ROWS.min(lr - i0);
@@ -192,7 +196,7 @@ pub fn cqr2_1d(
     for buf in [q1, l2, y2] {
         ws.recycle(buf);
     }
-    Ok((r, diagnostics))
+    Ok((r, (kappa, diagnostics)))
 }
 
 /// Shifted 1D-CholeskyQR3: one [`cqr1d`] pass on `AᵀA + σI` with the shift

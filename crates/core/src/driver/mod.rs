@@ -454,8 +454,10 @@ impl QrPlan {
     /// ([`crate::cqr2_1d`]), only on the rung the walk accepts (each rank
     /// checks the rung's κ limit on the `R` they all hold). Any other run is
     /// diagnosed over `min(P, ⌈m/256⌉)` slabs of whole 256-row panels in a
-    /// second region on the plan's runtime; one slab (one panel, one rank)
-    /// is a plain call on the calling thread. The numbers are a pure
+    /// second region on the plan's runtime, which runs inline on the
+    /// calling thread when it has one slab. A stream's
+    /// [`snapshot`](crate::stream::StreamingQr::snapshot) runs all of this
+    /// over the stream's live rows. The numbers are a pure
     /// function of `(a, Q, R)` and the slabs — bitwise equal across the two
     /// runtimes, and across the two routes when `m/P` is whole panels — and
     /// [`QrReport::wall_seconds`] leaves them out. Computing them eagerly
@@ -485,42 +487,46 @@ impl QrPlan {
     /// [`PlanError::EscalationExhausted`], and a Householder terminal rung
     /// has no Cholesky to fail.
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
-        let accepted = self.run_accepted(a.as_ref(), policy, true)?;
+        self.check_shape(a.as_ref())?;
+        let accepted = self.run_rows(a.as_ref(), policy, true)?;
         Ok(QrReport::from_run(self, a.as_ref(), accepted))
     }
 
-    /// [`factor_with_policy`](QrPlan::factor_with_policy) up to the report
-    /// diagnostics: the run, the algorithm that produced it and the
-    /// escalation chain, plus the diagnostics when `diagnose` asked for them
-    /// and the accepted run added them in its region (see
-    /// [`QrPlan::factor`]). Callers that keep only `R` (the stream's open,
-    /// straight from a view of the row history) or time the algorithm alone
-    /// (the tuner's calibration runs) pass `false`.
-    pub(crate) fn run_accepted(
-        &self,
-        a: MatRef<'_>,
-        policy: RetryPolicy,
-        diagnose: bool,
-    ) -> Result<AcceptedRun, PlanError> {
+    /// The shape check of the entries that promise one: `factor` and a
+    /// stream's open.
+    pub(crate) fn check_shape(&self, a: MatRef<'_>) -> Result<(), PlanError> {
         if (a.rows(), a.cols()) != (self.m, self.n) {
             return Err(PlanError::InputShapeMismatch {
                 expected: (self.m, self.n),
                 got: (a.rows(), a.cols()),
             });
         }
-        self.walk(a, self.config, &self.ladder, policy, diagnose)
+        Ok(())
     }
 
-    /// [`run_accepted`](QrPlan::run_accepted) for a stream's rows, whose
-    /// count floats above `n`. At the plan's `m` this is `run_accepted`.
-    /// At any other row count the plan's own primary and ladder run on one
-    /// rank — 1D-CQR2 and CA-CQR2 as `Cqr1d { p: 1 }`, shifted CA-CQR3 on
-    /// the `1 × 1` grid with `n₀ = n`, PGEQRF as one `n`-wide panel — each
-    /// kept when it [`validate`]s for that row count, so a rung the build
-    /// dropped stays absent here too.
-    pub(crate) fn run_rows(&self, a: MatRef<'_>, policy: RetryPolicy) -> Result<AcceptedRun, PlanError> {
+    /// The one run entry: [`factor_with_policy`](QrPlan::factor_with_policy)
+    /// up to the report, for `factor`, the tuner's measured runs and a
+    /// stream's open, refresh and snapshot. It hands back the run, the
+    /// algorithm that produced it and the escalation chain, plus the
+    /// diagnostics when `diagnose` asked for them and the accepted run added
+    /// them in its region (see [`QrPlan::factor`]). Callers that keep only
+    /// `R` (a stream's open and refresh) or time the algorithm alone (the
+    /// tuner) pass `false`.
+    ///
+    /// `a` has `n` columns and any row count from `n` up (a stream's floats).
+    /// At the plan's `m` the plan's primary and ladder run on its ranks. At
+    /// any other row count they run on one rank — 1D-CQR2 and CA-CQR2 as
+    /// `Cqr1d { p: 1 }`, shifted CA-CQR3 on the `1 × 1` grid with `n₀ = n`,
+    /// PGEQRF as one `n`-wide panel — each kept when it [`validate`]s for
+    /// that row count, so a rung the build dropped stays absent here too.
+    pub(crate) fn run_rows(
+        &self,
+        a: MatRef<'_>,
+        policy: RetryPolicy,
+        diagnose: bool,
+    ) -> Result<AcceptedRun, PlanError> {
         if a.rows() == self.m {
-            return self.run_accepted(a, policy, false);
+            return self.walk(a, self.config, &self.ladder, policy, diagnose);
         }
         let (m, n) = (a.rows(), self.n);
         let one_rank = |config: &CandidateConfig| match config.algorithm() {
@@ -541,7 +547,7 @@ impl QrPlan {
             .map(one_rank)
             .filter(|config| validate(m, n, config).is_ok())
             .collect();
-        self.walk(a, primary, &ladder, policy, false)
+        self.walk(a, primary, &ladder, policy, diagnose)
     }
 
     /// The one escalation ladder walk: `primary`, then — under an enabled
@@ -549,7 +555,9 @@ impl QrPlan {
     /// rung is accepted when its `R`'s κ₁ estimate is within
     /// [`rung_limit`] for `a`'s shape; the terminal rung unconditionally.
     /// With `diagnose`, each rung is handed the same test as its in-region
-    /// diagnostics gate, so only the rung the walk accepts adds them.
+    /// diagnostics gate, so only the rung the walk accepts adds them; a rung
+    /// whose ranks estimated κ₁ for that gate hands the estimate back, and
+    /// the walk estimates it on this thread only when no rank did.
     fn walk(
         &self,
         a: MatRef<'_>,
@@ -561,7 +569,7 @@ impl QrPlan {
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         let gate = |limit: f64| diagnose.then_some(limit);
         if !policy.is_enabled() {
-            let (run, diagnostics) = self.run_config(primary, a, cfg, gate(f64::INFINITY))?;
+            let (run, _, diagnostics) = self.run_config(primary, a, cfg, gate(f64::INFINITY))?;
             return Ok(AcceptedRun {
                 algorithm: primary.algorithm(),
                 run,
@@ -575,8 +583,8 @@ impl QrPlan {
             let limit = rung_limit(algorithm, a.rows(), a.cols());
             let terminal = i == ladder.len();
             match self.run_config(config, a, cfg, gate(if terminal { f64::INFINITY } else { limit })) {
-                Ok((run, diagnostics)) => {
-                    let kappa = dense::cond_estimate(run.r.as_ref());
+                Ok((run, kappa, diagnostics)) => {
+                    let kappa = kappa.unwrap_or_else(|| dense::cond_estimate(run.r.as_ref()));
                     // The terminal rung is accepted unconditionally — there
                     // is nothing better to escalate to, and Householder QR
                     // does not degrade with κ the way the Gram path does.
@@ -658,24 +666,21 @@ impl QrPlan {
             }
             CandidateConfig::Pgeqrf { pr, pc, nb } => {
                 let grid = BlockCyclic { pr, pc, nb };
-                Ok((run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg), None))
+                Ok((run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg), None, None))
             }
         }
     }
 
     /// The report diagnostics of `a ≈ q·r` on the plan's rank team, for the
     /// runs that did not add them in their own region (the CA family's
-    /// other configs, shifted CQR3, PGEQRF) and for stream snapshots: one
-    /// contiguous row slab per rank of a second pooled region on the plan's
-    /// runtime, partials summed in rank order (see [`QrPlan::factor`] and
-    /// [`dense::norms`]). One slab is a plain call on this thread. `a` may
-    /// have any row count (a stream's live window), not only the plan's.
+    /// other configs, shifted CQR3, PGEQRF — a `factor`'s or a stream
+    /// snapshot's): one contiguous row slab per rank of a second pooled
+    /// region on the plan's runtime, partials summed in rank order (see
+    /// [`QrPlan::factor`] and [`dense::norms`]). A one-slab region runs
+    /// inline on this thread. `a` may have any row count (a stream's live
+    /// window), not only the plan's.
     pub(crate) fn diagnose(&self, a: MatRef<'_>, q: &Matrix, r: &Matrix) -> (f64, f64) {
         let slabs = norms::slab_count(a.rows(), self.processors());
-        if slabs == 1 {
-            let mut ws = self.pool.checkout_at(0);
-            return norms::qr_diagnostics(a, q.as_ref(), r.as_ref(), self.backend, &mut ws);
-        }
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         let report = run_spmd_pooled(slabs, cfg, &self.pool, |rank| {
             let rows = norms::slab_rows(a.rows(), slabs, rank.id());
@@ -883,7 +888,7 @@ pub struct QrReport {
     pub escalation: Option<EscalationReport>,
 }
 
-/// What [`QrPlan::run_accepted`] hands back: the accepted attempt's factors
+/// What [`QrPlan::run_rows`] hands back: the accepted attempt's factors
 /// and ledgers, and its report diagnostics when its region added them.
 pub(crate) struct AcceptedRun {
     pub(crate) algorithm: Algorithm,
@@ -893,7 +898,9 @@ pub(crate) struct AcceptedRun {
 }
 
 impl QrReport {
-    fn from_run(plan: &QrPlan, a: MatRef<'_>, accepted: AcceptedRun) -> QrReport {
+    /// The report of an accepted run over `a`, diagnosed in a second region
+    /// ([`QrPlan::diagnose`]) when its own region added no diagnostics.
+    pub(crate) fn from_run(plan: &QrPlan, a: MatRef<'_>, accepted: AcceptedRun) -> QrReport {
         let AcceptedRun {
             algorithm,
             run,
@@ -1018,7 +1025,7 @@ mod tests {
                 .runtime(runtime)
                 .build()
                 .unwrap();
-            let accepted = plan.run_accepted(a.as_ref(), RetryPolicy::none(), true).unwrap();
+            let accepted = plan.run_rows(a.as_ref(), RetryPolicy::none(), true).unwrap();
             let (ortho, resid) = accepted.diagnostics.expect("a 1D-CQR2 run adds them in its region");
             let (o2, r2) = plan.diagnose(a.as_ref(), &accepted.run.q, &accepted.run.r);
             assert_eq!(
@@ -1033,11 +1040,21 @@ mod tests {
                 "{runtime}: factor reports them"
             );
             assert_eq!(report.residual_error.to_bits(), resid.to_bits(), "{runtime}");
-            let undiagnosed = plan.run_accepted(a.as_ref(), RetryPolicy::none(), false).unwrap();
+            let undiagnosed = plan.run_rows(a.as_ref(), RetryPolicy::none(), false).unwrap();
             assert!(
                 undiagnosed.diagnostics.is_none(),
                 "{runtime}: only a caller that reports them asks"
             );
+            // Escalating, the ranks estimate κ₁ for the gate and hand it back:
+            // the report's estimate is bitwise the one made from its `R`.
+            let escalated = plan.factor_with_policy(&a, RetryPolicy::escalate()).unwrap();
+            let kappa = escalated
+                .escalation
+                .expect("an escalating walk records it")
+                .condition_estimate;
+            let want = dense::cond_estimate(escalated.r.as_ref());
+            assert_eq!(kappa.to_bits(), want.to_bits(), "{runtime}");
+            assert_eq!(escalated.orthogonality_error.to_bits(), ortho.to_bits(), "{runtime}");
         }
     }
 

@@ -30,14 +30,14 @@
 //!
 //! # Snapshots
 //!
-//! [`snapshot`](StreamingQr::snapshot) materializes an explicit `Q` for the
-//! current row set by running the paper's *second CholeskyQR pass* on
-//! `A·R⁻¹` — the same repair step that gives batch CQR2 its ε-level
-//! orthogonality — and returns it with freshly computed
-//! orthogonality/residual diagnostics, updating the internal `R` to the
-//! repaired factor (a snapshot therefore counts as a refresh). Every stream
-//! keeps a copy of its live rows for this, for refreshes, and for the
-//! bitwise audit of downdates.
+//! [`snapshot`](StreamingQr::snapshot) is a refresh that keeps `Q`: the
+//! same run of the plan over the live rows, with the report diagnostics a
+//! [`QrPlan::factor`] adds, and the same commit (a snapshot counts as a
+//! refresh, and fails or escalates exactly where a refresh of the same rows
+//! does). At the plan's row count it runs on the plan's ranks, and a 1D
+//! plan adds the diagnostics inside that region. Every stream keeps a copy
+//! of its live rows for this, for refreshes, and for the bitwise audit of
+//! downdates.
 //!
 //! # Streaming least squares
 //!
@@ -55,17 +55,14 @@
 //! Warm solves draw every temporary from the plan's pooled arenas — zero
 //! process-wide heap allocations, same as appends.
 
-use crate::driver::{PlanError, QrPlan};
-use dense::cholesky::potrf;
+use crate::driver::{AcceptedRun, PlanError, QrPlan, QrReport};
 use dense::matrix::MatRef;
-use dense::trsm::trmm_upper_upper;
 use dense::update::{rank_k_append, rank_k_downdate, UpdateError};
 use dense::{blas1, trsm, Matrix};
 
 /// Default drift threshold: refresh once the estimated orthogonality loss
-/// of the implicit `Q = A·R⁻¹` reaches `1e-8` — far below where the CQR2
-/// repair pass could start to struggle, and roughly the square root of the
-/// well-conditioned batch diagnostic bound.
+/// of the implicit `Q = A·R⁻¹` reaches `1e-8` — roughly the square root of
+/// the well-conditioned batch diagnostic bound.
 pub const DEFAULT_DRIFT_THRESHOLD: f64 = 1e-8;
 
 /// A live, incrementally maintained QR factorization (see the module docs).
@@ -114,9 +111,11 @@ impl RhsTrack {
     /// right-hand sides `c` — the projection's rank-k delta, streamed row by
     /// row so it is allocation-free and deterministic. A single right-hand
     /// side is one axpy per row: `(sign·c)·a = ±(a·c) = (sign·a)·c` exactly.
-    fn fold_delta(&mut self, sign: f64, b: MatRef<'_>, c: MatRef<'_>) {
-        let nrhs = self.nrhs;
-        let d = self.d.data_mut();
+    /// From a zeroed `d` with `sign = 1` it is `d = Aᵀb` of the rows itself
+    /// (`1·x = x`), so a refresh recomputes `d` by this same fold.
+    fn fold_delta(d: &mut Matrix, sign: f64, b: MatRef<'_>, c: MatRef<'_>) {
+        let nrhs = c.cols();
+        let d = d.data_mut();
         for i in 0..b.rows() {
             let crow = c.row(i);
             if nrhs == 1 {
@@ -160,7 +159,8 @@ pub struct StreamStatus {
 pub struct StreamSnapshot {
     /// The orthonormal factor for the current row set; always `Some`.
     pub q: Option<Matrix>,
-    /// The repaired upper-triangular factor.
+    /// The refreshed upper-triangular factor, which the stream keeps as its
+    /// `R` from then on.
     pub r: Matrix,
     /// Rows folded into the factor.
     pub rows: usize,
@@ -179,7 +179,8 @@ pub struct StreamSnapshot {
 impl StreamingQr {
     /// Opens a stream; called through [`QrPlan::stream`].
     pub(crate) fn open(plan: QrPlan, initial: &Matrix) -> Result<StreamingQr, PlanError> {
-        let r = plan.run_accepted(initial.as_ref(), plan.retry_policy(), false)?.run.r;
+        plan.check_shape(initial.as_ref())?;
+        let r = plan.run_rows(initial.as_ref(), plan.retry_policy(), false)?.run.r;
         let n = plan.n();
         let mut history = Vec::new();
         history.extend_from_slice(initial.data());
@@ -421,7 +422,7 @@ impl StreamingQr {
         // The factor update committed; everything below is infallible, so
         // `R`, `d`, and the histories move together or not at all.
         if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
-            track.fold_delta(1.0, b, c);
+            RhsTrack::fold_delta(&mut track.d, 1.0, b, c);
             for i in 0..k {
                 track.bhist.extend_from_slice(c.row(i));
             }
@@ -486,7 +487,7 @@ impl StreamingQr {
         };
         // Committed; keep `d` and the history cursors in step with `R`.
         if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
-            track.fold_delta(-1.0, b, c);
+            RhsTrack::fold_delta(&mut track.d, -1.0, b, c);
         }
         self.start += k;
         self.live -= k;
@@ -535,54 +536,43 @@ impl StreamingQr {
     /// condition-rejected attempt walks the plan's ladder, rung limits
     /// included, instead of parking the stream in `refresh_failed`.
     pub fn refresh(&mut self) -> Result<(), PlanError> {
-        let result = self
+        self.rerun(false).map(drop)
+    }
+
+    /// The one refresh behind [`refresh`](StreamingQr::refresh) and
+    /// [`snapshot`](StreamingQr::snapshot): the plan's run over the live
+    /// rows (`diagnose` as for [`QrPlan::factor`]), then one commit — adopt
+    /// its `R`, rebuild `d`, reset drift, count the refresh, clear the last
+    /// refresh error — or, on failure, record the error and touch nothing
+    /// else.
+    fn rerun(&mut self, diagnose: bool) -> Result<AcceptedRun, PlanError> {
+        let accepted = self
             .plan
-            .run_rows(self.history_view(), self.plan.retry_policy())
-            .map(|accepted| self.r = accepted.run.r);
-        match result {
-            Ok(()) => {
+            .run_rows(self.history_view(), self.plan.retry_policy(), diagnose);
+        match &accepted {
+            Ok(accepted) => {
+                self.r.data_mut().copy_from_slice(accepted.run.r.data());
                 self.recompute_d();
                 self.drift = 0.0;
                 self.updates_since_refresh = 0;
                 self.refreshes += 1;
                 self.last_refresh_error = None;
-                Ok(())
             }
-            Err(e) => {
-                self.last_refresh_error = Some(e.clone());
-                Err(e)
-            }
+            Err(e) => self.last_refresh_error = Some(e.clone()),
         }
+        accepted
     }
 
-    /// Recomputes `d = Aᵀb` from the retained histories, streamed row by
-    /// row (no `m`-sized temporary, no allocation).
+    /// Recomputes `d = Aᵀb` from the retained histories: zero it, then fold
+    /// the live rows in as one append (no `m`-sized temporary, no
+    /// allocation).
     fn recompute_d(&mut self) {
-        let n = self.n;
         let (start, live) = (self.start, self.live);
-        let Some(track) = self.rhs.as_mut() else {
-            return;
-        };
-        let nrhs = track.nrhs;
-        let d = track.d.data_mut();
-        d.fill(0.0);
-        if nrhs == 1 {
-            // d = Σᵢ bᵢ·aᵢ: one axpy per retained row (vectorizes).
-            for i in start..start + live {
-                let arow = &self.history[i * n..(i + 1) * n];
-                blas1::axpy(track.bhist[i], arow, d);
-            }
-        } else {
-            for i in start..start + live {
-                let arow = &self.history[i * n..(i + 1) * n];
-                let brow = &track.bhist[i * nrhs..(i + 1) * nrhs];
-                for (j, &aij) in arow.iter().enumerate() {
-                    let dst = &mut d[j * nrhs..(j + 1) * nrhs];
-                    for (x, &bv) in dst.iter_mut().zip(brow) {
-                        *x += aij * bv;
-                    }
-                }
-            }
+        let rows = MatRef::from_slice(&self.history[start * self.n..], live, self.n);
+        if let Some(track) = self.rhs.as_mut() {
+            let rhs = MatRef::from_slice(&track.bhist[start * track.nrhs..], live, track.nrhs);
+            track.d.data_mut().fill(0.0);
+            RhsTrack::fold_delta(&mut track.d, 1.0, rows, rhs);
         }
     }
 
@@ -670,48 +660,23 @@ impl StreamingQr {
         Ok(())
     }
 
-    /// Materializes the factorization for the current row set.
-    ///
-    /// Forms `Q₁ = A·R⁻¹` from the retained rows and runs the paper's
-    /// second CholeskyQR pass on it (`R₂ = chol(Q₁ᵀQ₁)ᵀ`, `Q = Q₁·R₂⁻¹`,
-    /// `R ← R₂·R`), returning `Q`, the repaired `R`, and freshly computed
-    /// orthogonality/residual diagnostics — the exact repair that gives
-    /// batch CQR2 its ε-level orthogonality, so snapshot diagnostics meet
-    /// the same bounds. The internal factor adopts the repaired `R` and
-    /// drift resets (a snapshot counts as a refresh).
+    /// Materializes the factorization for the current row set: a
+    /// [`refresh`](StreamingQr::refresh) that keeps the run's `Q` and adds
+    /// the report diagnostics, exactly as [`QrPlan::factor`] of the live
+    /// rows would (bitwise, at the plan's row count). It fails, escalates
+    /// and commits exactly where a refresh of the same rows does: the stream
+    /// adopts the returned `R`, drift resets, and the snapshot counts as a
+    /// refresh; on failure only
+    /// [`last_refresh_error`](StreamingQr::last_refresh_error) changes.
     pub fn snapshot(&mut self) -> Result<StreamSnapshot, PlanError> {
-        let backend = self.plan.backend().get();
-        let mut q = self.history_view().to_owned();
-        backend.trsm_right_upper(self.r.as_ref(), q.as_mut());
-        // Second pass: repair Q₁'s orthogonality and fold R₂ into R.
-        {
-            let n = self.n;
-            let mut ws = self.plan.workspace().checkout();
-            let mut g = ws.take_matrix_stale(n, n);
-            backend.syrk_into(q.as_ref(), g.as_mut());
-            let factored = potrf(g.as_mut(), backend, &mut ws);
-            if factored.is_ok() {
-                let (r2, r1) = (ws.take_transposed(g.as_ref()), ws.take_copy(self.r.as_ref()));
-                backend.trsm_right_upper(r2.as_ref(), q.as_mut());
-                trmm_upper_upper(r2.as_ref(), r1.as_ref(), self.r.as_mut());
-                ws.recycle(r1);
-                ws.recycle(r2);
-            }
-            ws.recycle(g);
-            factored.map_err(PlanError::NotPositiveDefinite)?;
-        }
-        self.recompute_d();
-        self.drift = 0.0;
-        self.updates_since_refresh = 0;
-        self.refreshes += 1;
-        self.last_refresh_error = None;
-        let (orthogonality, residual) = self.plan.diagnose(self.history_view(), &q, &self.r);
+        let accepted = self.rerun(true)?;
+        let report = QrReport::from_run(&self.plan, self.history_view(), accepted);
         Ok(StreamSnapshot {
-            q: Some(q),
-            r: self.r.clone(),
+            q: Some(report.q),
+            r: report.r,
             rows: self.live,
-            orthogonality_error: Some(orthogonality),
-            residual_error: Some(residual),
+            orthogonality_error: Some(report.orthogonality_error),
+            residual_error: Some(report.residual_error),
             appends: self.appends,
             downdates: self.downdates,
             refreshes: self.refreshes,
@@ -789,6 +754,35 @@ mod tests {
             let refactored = plan.factor(&window).unwrap();
             assert_eq!(refactored.escalation.is_some_and(|e| e.escalated()), escalates);
             assert_eq!(s.r(), &refactored.r);
+        }
+    }
+
+    /// A refresh rebuilds `d = Aᵀb` by folding the live rows in as one
+    /// append: bitwise the plain row-order sum `Σᵢ aᵢ·bᵢ`.
+    #[test]
+    fn refreshed_projection_is_the_row_order_sum() {
+        let (m0, n, k) = (64usize, 8usize, 4usize);
+        for nrhs in [1usize, 3] {
+            let a0 = well_conditioned(m0, n, 21);
+            let b0 = gaussian_matrix(m0, nrhs, 22);
+            let mut s = plan(m0, n).stream_with_rhs(&a0, &b0).unwrap();
+            let (b, c) = (gaussian_matrix(k, n, 23), gaussian_matrix(k, nrhs, 24));
+            s.append_rows_with(b.as_ref(), c.as_ref()).unwrap();
+            s.downdate_rows_with(a0.view(0, 0, k, n), b0.view(0, 0, k, nrhs))
+                .unwrap();
+            s.refresh().unwrap();
+            let track = s.rhs.as_ref().unwrap();
+            let (rows, rhs) = (s.history_view(), &track.bhist[s.start * nrhs..]);
+            let mut want = vec![0.0; n * nrhs];
+            for i in 0..s.live {
+                for j in 0..n {
+                    for l in 0..nrhs {
+                        want[j * nrhs + l] += rows.at(i, j) * rhs[i * nrhs + l];
+                    }
+                }
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(track.d.data()), bits(&want), "nrhs = {nrhs}");
         }
     }
 

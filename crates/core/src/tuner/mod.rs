@@ -457,7 +457,7 @@ impl Tuner {
             // The undiagnosed core: the report diagnostics are the same
             // `3·rows·n²` flops whatever the candidate runs, so timing them
             // only dilutes the differences this run exists to rank.
-            if plan.run_accepted(a.as_ref(), plan.retry_policy(), false).is_err() {
+            if plan.run_rows(a.as_ref(), plan.retry_policy(), false).is_err() {
                 return f64::INFINITY;
             }
             best = best.min(t.elapsed().as_secs_f64());

@@ -65,9 +65,10 @@ pub(crate) enum Family {
 /// the same struct every global driver returns, the baseline's included.
 pub type QrRun = baseline::PgeqrfRun;
 
-/// A run and, when they were asked for and added in its region, its report
-/// diagnostics `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`.
-pub(crate) type Diagnosed = (QrRun, Option<(f64, f64)>);
+/// A run, the κ₁ estimate of its `R` when its ranks made one for the
+/// diagnostics gate, and, when they were asked for and added in its region,
+/// its report diagnostics `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`.
+pub(crate) type Diagnosed = (QrRun, Option<f64>, Option<(f64, f64)>);
 
 /// Runs CA-CQR2 on the simulator for a global input `a` (a `&Matrix` or any
 /// view), asserting the replication invariants (identical pieces across
@@ -101,7 +102,7 @@ pub fn run_cacqr2_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr2, None).map(|(run, _)| run)
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr2, None).map(|(run, ..)| run)
 }
 
 /// Runs shifted CA-CQR3 (unconditionally stable for numerically full-rank
@@ -114,7 +115,7 @@ pub fn run_cacqr3_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr3, None).map(|(run, _)| run)
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr3, None).map(|(run, ..)| run)
 }
 
 /// Shared driver for the CA family (Algorithms 8–9 and the shifted-CQR3
@@ -221,7 +222,7 @@ pub(crate) fn run_ca_family(
         wall_seconds: report.wall_seconds,
         ledgers: report.ledgers,
     };
-    Ok((run, None))
+    Ok((run, None, None))
 }
 
 /// Runs 1D-CQR2 (Algorithm 7) on the simulator: rank `i` reads the
@@ -236,7 +237,7 @@ pub fn run_cqr2_1d_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_row_blocks(a.into(), p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend, None).map(|(run, _)| run)
+    run_row_blocks(a.into(), p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend, None).map(|(run, ..)| run)
 }
 
 /// Shared driver for the 1D bodies: rank `i` runs `family`'s on the
@@ -245,8 +246,9 @@ pub fn run_cqr2_1d_global<'a>(
 /// With `Some(limit)` (the [`QrPlan`](crate::driver::QrPlan)'s κ₁ gate), a
 /// CQR2 run adds the report diagnostics in the region ([`cqr2_1d`]), summed
 /// here in rank order; the slowest rank's seconds on them come off the
-/// region's wall time, which so times the algorithm alone. Shifted CQR3
-/// adds none.
+/// region's wall time, which so times the algorithm alone. The κ₁ estimate
+/// the ranks made for that gate comes back with the run. Shifted CQR3 adds
+/// neither.
 #[allow(clippy::too_many_arguments)] // a run's arguments and the diagnostics gate
 pub(crate) fn run_row_blocks(
     a: MatRef<'_>,
@@ -278,13 +280,17 @@ pub(crate) fn run_row_blocks(
             let mut ws = pool.checkout_at(id);
             match family {
                 Family::Cqr2 => cqr2_1d(rank, &world, a_local, q_local, diagnose, charges, backend, &mut ws),
-                Family::Cqr3 => cqr3_1d(rank, &world, a_local, q_local, charges, backend, &mut ws).map(|r| (r, None)),
+                Family::Cqr3 => {
+                    cqr3_1d(rank, &world, a_local, q_local, charges, backend, &mut ws).map(|r| (r, (None, None)))
+                }
             }
         })
     };
-    let (mut r0, mut slabs, mut diagnostics_s) = (None::<Matrix>, Vec::new(), 0.0f64);
+    let (mut r0, mut kappa, mut slabs, mut diagnostics_s) = (None::<Matrix>, None, Vec::new(), 0.0f64);
     for result in report.results {
-        let (r, diagnosed) = result?;
+        // Every rank estimated κ₁ of the same `R`, so any rank's is the one.
+        let (r, (estimate, diagnosed)) = result?;
+        kappa = estimate;
         match &r0 {
             None => r0 = Some(r),
             Some(first) => assert_eq!(r, *first, "R must be replicated"),
@@ -307,7 +313,7 @@ pub(crate) fn run_row_blocks(
         wall_seconds: report.wall_seconds - diagnostics_s,
         ledgers: report.ledgers,
     };
-    Ok((run, diagnostics))
+    Ok((run, kappa, diagnostics))
 }
 
 /// `q` split into `p` equal row blocks, each takeable once by its rank.
@@ -385,11 +391,15 @@ mod tests {
             )
             .unwrap()
         };
-        let (plain, none) = run(None);
-        assert!(none.is_none());
+        let (plain, no_kappa, none) = run(None);
+        assert!(no_kappa.is_none() && none.is_none());
+        let estimate = dense::cond_estimate(plain.r.as_ref());
         for (limit, added) in [(1e2, false), (1e6, true), (f64::INFINITY, true)] {
-            let (gated, diagnostics) = run(Some(limit));
+            let (gated, kappa, diagnostics) = run(Some(limit));
             assert_eq!(diagnostics.is_some(), added, "limit {limit:e}");
+            // A finite gate hands back the estimate it read, bit for bit.
+            let want = (limit != f64::INFINITY).then_some(estimate.to_bits());
+            assert_eq!(kappa.map(f64::to_bits), want, "limit {limit:e}");
             assert_eq!((gated.q, gated.r), (plain.q.clone(), plain.r.clone()));
             if let Some((ortho, resid)) = diagnostics {
                 assert!(ortho < 1e-12 && resid < 1e-12);

@@ -476,6 +476,36 @@ fn off_shape_refresh_keeps_warm_factors_arena_exact() {
     );
 }
 
+/// A snapshot at the plan's row count is the plan's two-rank run with `Q`
+/// kept and the report diagnostics added in its region (two whole 256-row
+/// panels and a ragged one per rank): once warm, it draws zero arena
+/// allocations, like the `factor` it equals.
+#[test]
+fn warm_plan_shape_snapshot_is_arena_exact() {
+    let _serial = serial();
+    let (m0, n) = (1200usize, 32usize);
+    let a = well_conditioned(m0, n, 59);
+    let plan = QrPlan::new(m0, n)
+        .algorithm(Algorithm::Cqr2_1d)
+        .grid(GridShape::one_d(2).unwrap())
+        .build()
+        .unwrap();
+    plan.warm_up(&a).unwrap();
+    let mut s = plan.stream_with_rhs(&a, &gaussian_matrix(m0, 1, 60)).unwrap();
+    s.snapshot().unwrap();
+    let arena_before = plan.workspace().heap_allocations();
+    for _ in 0..3 {
+        let snap = s.snapshot().unwrap();
+        assert_eq!(snap.rows, m0, "the snapshot runs at the plan's shape");
+        assert!(snap.orthogonality_error.unwrap() < 1e-12);
+    }
+    assert_eq!(
+        plan.workspace().heap_allocations(),
+        arena_before,
+        "warm plan-shape snapshots must perform zero workspace allocations"
+    );
+}
+
 /// The least-squares surface honors the same contract: once warm, an
 /// `append_rows_with` (factor + `d = Aᵀb` delta) followed by a
 /// `solve_into` (corrected semi-normal solve with one history-streamed

@@ -7,6 +7,9 @@
 //!   with the batch `R`.
 //! * **Sliding window:** appends followed by downdates of the oldest rows
 //!   reproduce the factor of the slid window.
+//! * **A snapshot is a refresh that keeps `Q`:** its `R` is bitwise a
+//!   refresh's, at and off the plan's row count, and a snapshot fails,
+//!   escalates and is recorded exactly where a refresh does.
 //! * **Least squares (proptest):** `solve()` on a stream that absorbed
 //!   appends and downdates through its right-hand-side track matches the
 //!   solution computed from a from-scratch batch factor of the live window.
@@ -20,7 +23,7 @@
 //!   to another thread or share it behind a `Mutex` (checked at compile
 //!   time).
 
-use cacqr::{Algorithm, PlanError, QrPlan, StreamingQr};
+use cacqr::{Algorithm, PlanError, QrPlan, RetryPolicy, StreamingQr};
 use dense::norms::rel_diff;
 use dense::random::{gaussian_matrix, well_conditioned};
 use dense::trsm::{trsm_left_lower_trans, trsm_left_upper};
@@ -112,8 +115,9 @@ proptest! {
         // The snapshot's diagnostics meet the batch CQR2 bounds...
         prop_assert!(snap.orthogonality_error.unwrap() < 1e-12, "{:?}", snap.orthogonality_error);
         prop_assert!(snap.residual_error.unwrap() < 1e-12, "{:?}", snap.residual_error);
-        // ...and its R is the batch R (same Gram Cholesky factor, reached
-        // through updates + repair instead of one pass).
+        // ...and its R is the batch R: off the plan's row count the
+        // snapshot re-factors the live rows with the plan's algorithm on
+        // one rank, as the batch factor does.
         let want = batch_r(&full);
         prop_assert!(
             rel_diff(snap.r.as_ref(), want.as_ref()) < 1e-10,
@@ -332,4 +336,90 @@ fn failed_auto_refresh_surfaces_without_corrupting_the_stream() {
         s.last_refresh_error().is_none(),
         "a successful refresh clears the sticky error"
     );
+}
+
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// A snapshot is the refresh that keeps `Q`: on two clones of one stream,
+/// the snapshot's `R` is bitwise the one a refresh leaves — off the plan's
+/// row count (the one-rank rungs) and at it (the plan's two ranks) — and at
+/// the plan's shape its diagnostics are bitwise `QrPlan::factor`'s of the
+/// same rows.
+#[test]
+fn a_snapshot_is_the_refresh_that_keeps_q() {
+    let (m0, n, k) = (64usize, 8usize, 8usize);
+    let a0 = well_conditioned(m0, n, 61);
+    let b = gaussian_matrix(k, n, 62);
+    let plan = QrPlan::new(m0, n)
+        .algorithm(Algorithm::Cqr2_1d)
+        .grid(GridShape::one_d(2).unwrap())
+        .build()
+        .unwrap();
+    let mut s = plan.stream(&a0).unwrap().with_drift_threshold(f64::INFINITY);
+    s.append_rows(b.as_ref()).unwrap();
+    for on_shape in [false, true] {
+        if on_shape {
+            s.downdate_rows(a0.view(0, 0, k, n)).unwrap();
+        }
+        assert_eq!(s.rows() == m0, on_shape);
+        let mut refreshed = s.clone();
+        refreshed.refresh().unwrap();
+        let mut snapshotted = s.clone();
+        let snap = snapshotted.snapshot().unwrap();
+        assert_eq!(bits(&snap.r), bits(refreshed.r()), "on shape: {on_shape}");
+        assert_eq!(bits(snapshotted.r()), bits(refreshed.r()), "the stream keeps it");
+        assert_eq!((snap.refreshes, snapshotted.drift()), (refreshed.refreshes(), 0.0));
+        assert!(snap.orthogonality_error.unwrap() < 1e-12 && snap.residual_error.unwrap() < 1e-12);
+        if on_shape {
+            let report = plan.factor(&concat_window(&a0, k, std::slice::from_ref(&b))).unwrap();
+            assert_eq!(bits(snap.q.as_ref().unwrap()), bits(&report.q));
+            let ortho = snap.orthogonality_error.map(f64::to_bits);
+            assert_eq!(ortho, Some(report.orthogonality_error.to_bits()));
+            let resid = snap.residual_error.map(f64::to_bits);
+            assert_eq!(resid, Some(report.residual_error.to_bits()));
+        }
+    }
+}
+
+/// A snapshot fails, or escalates, exactly where a refresh of the same rows
+/// does. Without escalation it returns the refresh's breakdown and leaves
+/// `R`, the solve and the counters bitwise as they were, recording the
+/// error; with it the same rows climb the ladder to an orthonormal `Q`.
+#[test]
+fn a_failing_snapshot_is_recorded_like_a_failing_refresh() {
+    let n = 8usize;
+    let (c_rows, d_rows) = (16usize, 48usize);
+    let m0 = c_rows + d_rows;
+    let a0 = refresh_failure_window(c_rows, d_rows, n, 0);
+    let b0 = gaussian_matrix(m0, 1, 63);
+    for policy in [RetryPolicy::none(), RetryPolicy::escalate()] {
+        let plan = QrPlan::new(m0, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(4).unwrap())
+            .retry(policy)
+            .build()
+            .unwrap();
+        let mut s = plan
+            .stream_with_rhs(&a0, &b0)
+            .unwrap()
+            .with_drift_threshold(f64::INFINITY);
+        s.downdate_rows_with(a0.view(0, 0, c_rows, n), b0.view(0, 0, c_rows, 1))
+            .unwrap();
+        if policy.is_enabled() {
+            let snap = s.snapshot().unwrap();
+            assert!(snap.orthogonality_error.unwrap() < 1e-12, "{snap:?}");
+            assert!(s.last_refresh_error().is_none());
+            continue;
+        }
+        let want = s.clone().refresh().unwrap_err();
+        assert!(matches!(want, PlanError::NotPositiveDefinite(_)), "{want:?}");
+        let (r, x, refreshes, drift) = (s.r().clone(), s.solve().unwrap(), s.refreshes(), s.drift());
+        assert_eq!(s.snapshot().unwrap_err(), want);
+        assert_eq!(bits(s.r()), bits(&r), "R must be bitwise untouched");
+        assert_eq!(bits(&s.solve().unwrap()), bits(&x), "d must be bitwise untouched");
+        assert_eq!((s.rows(), s.refreshes(), s.drift()), (d_rows, refreshes, drift));
+        assert_eq!(s.last_refresh_error(), Some(&want));
+    }
 }
