@@ -7,7 +7,7 @@
 //! column blocks of width `nb` keep each elimination panel on a single
 //! process column, exactly as ScaLAPACK does.
 
-use dense::Matrix;
+use dense::{MatRef, Matrix};
 
 /// Descriptor of the baseline's 2D distribution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -65,12 +65,14 @@ impl BlockCyclic {
         (lb * self.pc + pcol) * self.nb + lj % self.nb
     }
 
-    /// Extracts the local piece of a global matrix for process `(prow, pcol)`.
-    pub fn scatter(&self, global: &Matrix, prow: usize, pcol: usize) -> Matrix {
+    /// Extracts the local piece of a global matrix (owned or a borrowed
+    /// view) for process `(prow, pcol)`.
+    pub fn scatter<'a>(&self, global: impl Into<MatRef<'a>>, prow: usize, pcol: usize) -> Matrix {
+        let global = global.into();
         let lr = self.local_rows(global.rows(), prow);
         let lc = self.local_cols(global.cols(), pcol);
         Matrix::from_fn(lr, lc, |li, lj| {
-            global.get(self.global_row(li, prow), self.global_col(lj, pcol))
+            global.at(self.global_row(li, prow), self.global_col(lj, pcol))
         })
     }
 

@@ -368,10 +368,9 @@ pub fn run_pgeqrf_global(a: MatRef<'_>, config: PgeqrfConfig, cfg: simgrid::SimC
     let grid = config.grid;
     let (m, n) = (a.rows(), a.cols());
     let p = grid.pr * grid.pc;
-    let a = a.to_owned();
-    let report = simgrid::run_spmd(p, cfg, move |rank| {
+    let report = simgrid::run_spmd(p, cfg, |rank| {
         let comms = PgeqrfComms::build(rank, grid);
-        let mut local = grid.scatter(&a, comms.prow, comms.pcol);
+        let mut local = grid.scatter(a, comms.prow, comms.pcol);
         let panels = pgeqrf(rank, &comms, config, &mut local, m, n);
         let q = pgeqrf_form_q(rank, &comms, config, &panels, m, n);
         (comms.prow, comms.pcol, local, q)

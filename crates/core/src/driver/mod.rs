@@ -10,8 +10,7 @@
 //!
 //! 1. **Plan** — [`QrPlan::new(m, n)`](QrPlan::new) returns a builder;
 //!    choose the [`Algorithm`], the processor grid, the simulated
-//!    [`simgrid::Machine`], the kernel
-//!    [`dense::BackendKind`], and the CFR3D tuning knobs, then
+//!    [`simgrid::Machine`] and the CFR3D tuning knobs, then
 //!    call [`build`](QrPlanBuilder::build). *All* validation happens here,
 //!    once, and returns a typed [`PlanError`] (never a `panic!` or a
 //!    `String`): power-of-two and divisibility constraints,
@@ -281,7 +280,6 @@ pub struct QrPlan {
     n: usize,
     machine: Machine,
     runtime: RuntimeKind,
-    backend: BackendKind,
     /// What `factor` runs: validated once, at build.
     config: CandidateConfig,
     retry: RetryPolicy,
@@ -296,14 +294,15 @@ pub struct QrPlan {
 ///
 /// Unset knobs fall back to sensible defaults: algorithm
 /// [`Algorithm::CaCqr2`], machine [`Machine::zero`] (pure correctness, no
-/// simulated time), the process-default kernel backend, the paper's
-/// bandwidth-minimizing base-case size `n₀ = n/c²`, and `inverse_depth = 0`.
-/// Knobs irrelevant to the chosen algorithm (e.g. `inverse_depth` under
-/// [`Algorithm::Pgeqrf`]) are ignored.
+/// simulated time), the paper's bandwidth-minimizing base-case size
+/// `n₀ = n/c²`, and `inverse_depth = 0`. Knobs irrelevant to the chosen
+/// algorithm (e.g. `inverse_depth` under [`Algorithm::Pgeqrf`]) are ignored.
+/// The local kernels are not a knob: every plan runs
+/// [`BackendKind::default_kind`] (the packed `Blocked` kernels).
 #[derive(Clone, Copy, Debug)]
 #[must_use = "a builder does nothing until .build() is called"]
 pub struct QrPlanBuilder {
-    /// Shape, schedule knobs, backend and retry policy — the part of the
+    /// Shape, schedule knobs and retry policy — the part of the
     /// configuration a service keys its plan cache on.
     pub(crate) spec: JobSpec,
     pub(crate) machine: Machine,
@@ -323,7 +322,7 @@ impl QrPlan {
 
     /// Plans a factorization of `m × n` matrices *automatically*: the
     /// [`Tuner`](crate::tuner::Tuner) enumerates every runnable
-    /// configuration (algorithm × grid × block size × backend), scores them
+    /// configuration (algorithm × grid × block size), scores them
     /// with the closed-form cost models on the host profile, and the
     /// winner is built into a validated plan — no hand-picked knobs.
     ///
@@ -365,11 +364,6 @@ impl QrPlan {
     /// threads pinned to cores). Both run the same shared-window transport.
     pub fn runtime(&self) -> RuntimeKind {
         self.runtime
-    }
-
-    /// The node-local kernel backend every local gemm/syrk/trsm uses.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// The plan's default [`RetryPolicy`]. [`QrPlan::factor`] uses it;
@@ -635,7 +629,7 @@ impl QrPlan {
                 pivot: f64::NEG_INFINITY,
             });
         }
-        let (backend, pool) = (self.backend, &self.pool);
+        let (backend, pool) = (BackendKind::default_kind(), &self.pool);
         match config {
             CandidateConfig::Cqr1d { p } => {
                 run_row_blocks(a, p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend, diagnose)
@@ -688,7 +682,7 @@ impl QrPlan {
                 a.sub(rows.start, 0, rows.len(), a.cols()),
                 q.view(rows.start, 0, rows.len(), q.cols()),
                 r.as_ref(),
-                self.backend,
+                BackendKind::default_kind(),
                 &mut self.pool.checkout_at(rank.id()),
             )
         });
@@ -764,14 +758,6 @@ impl QrPlanBuilder {
         self
     }
 
-    /// Pins the node-local kernel backend (default
-    /// [`BackendKind::default_kind`]). The choice survives
-    /// validation — it is never silently reset.
-    pub fn backend(mut self, backend: BackendKind) -> QrPlanBuilder {
-        self.spec = self.spec.backend(backend);
-        self
-    }
-
     /// Overrides the CFR3D base-case size `n₀` (default: the paper's
     /// bandwidth-minimizing `n/c²`, clamped to `[c, n]`). CA family only.
     pub fn base_size(mut self, base_size: usize) -> QrPlanBuilder {
@@ -807,7 +793,6 @@ impl QrPlanBuilder {
             n: spec.n,
             machine: self.machine,
             runtime: self.runtime,
-            backend: spec.backend.unwrap_or_else(BackendKind::default_kind),
             config,
             retry: spec.retry,
             ladder: self.escalation_ladder(&config),

@@ -28,17 +28,16 @@ impl QrService {
     /// plan is dropped when the last holder finishes — so eviction bounds
     /// the cache without invalidating in-flight work.
     pub fn evict(&self, spec: &JobSpec) -> bool {
-        let key = spec.cache_key(self.shared.default_backend);
         let mut plans = self.shared.cache.plans.write().unwrap_or_else(|e| e.into_inner());
-        plans.remove(&key).is_some()
+        plans.remove(spec).is_some()
     }
 
     /// Resolves the plan for `(m, n)` by autotuning: the
     /// [`Tuner`](crate::tuner::Tuner) picks the configuration
     /// (cost-model-only, so this is cheap and deterministic, and the same
-    /// pick as [`QrPlan::auto`] on the service's backend), and the winning
-    /// spec becomes the cache key — repeat shapes reuse the tuned plan
-    /// without re-tuning validation.
+    /// pick as [`QrPlan::auto`]), and the winning spec becomes the cache
+    /// key — repeat shapes reuse the tuned plan without re-tuning
+    /// validation.
     pub fn plan_auto(&self, m: usize, n: usize) -> Result<Arc<QrPlan>, ServiceError> {
         // Cost-model tuning is deterministic per shape, so memoize the
         // winning spec: repeat shapes skip re-enumeration entirely.
@@ -46,10 +45,7 @@ impl QrService {
         if let Some(spec) = auto_specs.read().unwrap_or_else(|e| e.into_inner()).get(&(m, n)) {
             return self.plan(spec);
         }
-        let report = crate::tuner::Tuner::new(m, n)
-            .backends(&[self.shared.default_backend])
-            .report()
-            .map_err(PlanError::from)?;
+        let report = crate::tuner::Tuner::new(m, n).report().map_err(PlanError::from)?;
         let spec = report.best_spec();
         auto_specs
             .write()
@@ -66,17 +62,16 @@ impl QrService {
     /// builders of one spec agree on a single plan.
     pub fn plan(&self, spec: &JobSpec) -> Result<Arc<QrPlan>, ServiceError> {
         let shared = &self.shared;
-        let key = spec.cache_key(shared.default_backend);
         let plans = &shared.cache.plans;
-        if let Some(plan) = plans.read().unwrap_or_else(|e| e.into_inner()).get(&key) {
+        if let Some(plan) = plans.read().unwrap_or_else(|e| e.into_inner()).get(spec) {
             return Ok(Arc::clone(plan));
         }
         let mut cache = plans.write().unwrap_or_else(|e| e.into_inner());
-        if let Some(plan) = cache.get(&key) {
+        if let Some(plan) = cache.get(spec) {
             return Ok(Arc::clone(plan)); // lost the build race: reuse the winner
         }
-        let plan = Arc::new(key.build_plan_on(shared.machine, shared.default_backend, shared.runtime)?);
-        cache.insert(key, Arc::clone(&plan));
+        let plan = Arc::new(spec.build_plan(shared.machine, shared.runtime)?);
+        cache.insert(*spec, Arc::clone(&plan));
         Ok(plan)
     }
 }
@@ -85,7 +80,6 @@ impl QrService {
 mod tests {
     use crate::service::tests::spec_64x16;
     use crate::service::{JobSpec, QrService};
-    use dense::BackendKind;
     use pargrid::GridShape;
     use std::sync::Arc;
 
@@ -97,13 +91,9 @@ mod tests {
         let p2 = service.plan(&spec).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2));
         assert_eq!(service.plan_cache_len(), 1);
-        // Explicitly pinning the service default backend is the same key.
-        let p3 = service.plan(&spec.backend(BackendKind::default_kind())).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p3));
-        assert_eq!(service.plan_cache_len(), 1);
         // A different base size is a different plan.
-        let p4 = service.plan(&spec.base_size(8)).unwrap();
-        assert!(!Arc::ptr_eq(&p1, &p4));
+        let p3 = service.plan(&spec.base_size(8)).unwrap();
+        assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(service.plan_cache_len(), 2);
     }
 

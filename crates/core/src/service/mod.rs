@@ -71,7 +71,7 @@ pub use stats::{LatencySummary, ServiceStats};
 
 use crate::driver::{PlanError, QrPlan, QrReport};
 use cache::PlanCache;
-use dense::{BackendKind, Matrix};
+use dense::Matrix;
 use handle::Ticket;
 use queue::{Fifo, PushError};
 use simgrid::{Machine, RuntimeKind};
@@ -91,7 +91,6 @@ struct Shared {
     stats: Recorder,
     machine: Machine,
     runtime: RuntimeKind,
-    default_backend: BackendKind,
 }
 
 /// Builder for [`QrService`]; created by [`QrService::builder`].
@@ -102,7 +101,6 @@ pub struct QrServiceBuilder {
     queue_capacity: Option<usize>,
     machine: Machine,
     runtime: RuntimeKind,
-    backend: BackendKind,
 }
 
 impl QrServiceBuilder {
@@ -138,13 +136,6 @@ impl QrServiceBuilder {
         self
     }
 
-    /// Sets the default kernel backend for specs that don't pin one
-    /// (default [`BackendKind::default_kind`]).
-    pub fn backend(mut self, backend: BackendKind) -> QrServiceBuilder {
-        self.backend = backend;
-        self
-    }
-
     /// Spawns the worker pool and returns the running service.
     pub fn build(self) -> QrService {
         let workers = self.workers.unwrap_or_else(simgrid::cores);
@@ -156,7 +147,6 @@ impl QrServiceBuilder {
             stats: Recorder::new(),
             machine: self.machine,
             runtime: self.runtime,
-            default_backend: self.backend,
         });
         let handles = (0..workers)
             .map(|i| {
@@ -203,7 +193,6 @@ impl QrService {
             queue_capacity: None,
             machine: Machine::zero(),
             runtime: RuntimeKind::Simulated,
-            backend: BackendKind::default_kind(),
         }
     }
 
@@ -591,7 +580,6 @@ mod tests {
             stats: Recorder::new(),
             machine: Machine::zero(),
             runtime: RuntimeKind::Simulated,
-            default_backend: BackendKind::default_kind(),
         };
         let ticket = Ticket::admit(&shared.stats, None).unwrap();
         let (slot, handle) = ticket.handle();

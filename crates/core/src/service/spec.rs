@@ -6,7 +6,7 @@ use crate::config::CfrParams;
 use crate::driver::{Algorithm, PlanError, QrPlan, QrPlanBuilder, RetryPolicy};
 use baseline::BlockCyclic;
 use costmodel::CandidateConfig;
-use dense::{BackendKind, Matrix};
+use dense::Matrix;
 use pargrid::GridShape;
 use simgrid::{Machine, RuntimeKind};
 use std::sync::Arc;
@@ -15,8 +15,8 @@ use std::time::Duration;
 /// A hashable description of *what* to factor: the plan-cache key.
 ///
 /// These are the [`QrPlanBuilder`] knobs that affect the schedule — shape,
-/// [`Algorithm`], grid or block-cyclic layout, kernel backend, CFR3D base
-/// size and inverse depth (the builder carries one `JobSpec` plus the
+/// [`Algorithm`], grid or block-cyclic layout, CFR3D base size, inverse
+/// depth and retry policy (the builder carries one `JobSpec` plus the
 /// machine model and runtime, which are properties of the whole service).
 /// Knobs left unset are resolved into a [`CandidateConfig`] when the plan
 /// is built. Two jobs with equal specs share one cached [`QrPlan`].
@@ -28,7 +28,6 @@ pub struct JobSpec {
     pub(crate) algorithm: Algorithm,
     pub(crate) grid: Option<GridShape>,
     pub(crate) block_cyclic: Option<BlockCyclic>,
-    pub(crate) backend: Option<BackendKind>,
     pub(crate) base_size: Option<usize>,
     pub(crate) inverse_depth: usize,
     pub(crate) retry: RetryPolicy,
@@ -36,8 +35,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Starts a spec for factoring `m × n` matrices with the defaults of
-    /// [`QrPlan::new`]: algorithm [`Algorithm::CaCqr2`], the service's
-    /// backend, the paper's base size, `inverse_depth = 0`.
+    /// [`QrPlan::new`]: algorithm [`Algorithm::CaCqr2`], the paper's base
+    /// size, `inverse_depth = 0`.
     pub fn new(m: usize, n: usize) -> JobSpec {
         JobSpec {
             m,
@@ -45,7 +44,6 @@ impl JobSpec {
             algorithm: Algorithm::CaCqr2,
             grid: None,
             block_cyclic: None,
-            backend: None,
             base_size: None,
             inverse_depth: 0,
             retry: RetryPolicy::none(),
@@ -67,12 +65,6 @@ impl JobSpec {
     /// Sets the 2D block-cyclic layout ([`Algorithm::Pgeqrf`]).
     pub fn block_cyclic(mut self, block_cyclic: BlockCyclic) -> JobSpec {
         self.block_cyclic = Some(block_cyclic);
-        self
-    }
-
-    /// Pins the kernel backend (default: the service's backend).
-    pub fn backend(mut self, backend: BackendKind) -> JobSpec {
-        self.backend = Some(backend);
         self
     }
 
@@ -109,8 +101,8 @@ impl JobSpec {
     }
 
     /// The spec that asks for exactly `config` on `m × n` matrices — every
-    /// schedule knob set, backend and retry policy at their defaults. Does
-    /// not check that `config` is runnable: building the plan does.
+    /// schedule knob set, the retry policy at its default. Does not check
+    /// that `config` is runnable: building the plan does.
     pub(crate) fn from_config(m: usize, n: usize, config: &CandidateConfig) -> JobSpec {
         let spec = JobSpec::new(m, n).algorithm(config.algorithm());
         match *config {
@@ -171,37 +163,17 @@ impl JobSpec {
     }
 
     /// Builds the validated plan this spec describes, under the given
-    /// simulated machine model; an unset backend resolves to
-    /// `default_backend`. Services do this internally (and cache the
-    /// result); tuner callers use it to build plans straight from
+    /// simulated machine model and rank placement. Services do this
+    /// internally (and cache the result, keyed on the spec itself); tuner
+    /// callers use it to build plans straight from
     /// [`TunerCandidate`](crate::tuner::TunerCandidate) specs.
-    pub fn build_plan(&self, machine: Machine, default_backend: BackendKind) -> Result<QrPlan, PlanError> {
-        self.build_plan_on(machine, default_backend, RuntimeKind::Simulated)
-    }
-
-    /// [`JobSpec::build_plan`] with an explicit rank placement instead of
-    /// the default [`RuntimeKind::Simulated`] — how a service (or tuner)
-    /// pins all its plans to one runtime.
-    pub fn build_plan_on(
-        &self,
-        machine: Machine,
-        default_backend: BackendKind,
-        runtime: RuntimeKind,
-    ) -> Result<QrPlan, PlanError> {
+    pub fn build_plan(&self, machine: Machine, runtime: RuntimeKind) -> Result<QrPlan, PlanError> {
         QrPlanBuilder {
-            spec: self.cache_key(default_backend),
+            spec: *self,
             machine,
             runtime,
         }
         .build()
-    }
-
-    /// Normalizes the spec into its cache key: the one knob the service
-    /// defaults (the backend) is resolved, so "default" and "explicitly the
-    /// default" share one cache entry.
-    pub(super) fn cache_key(mut self, default_backend: BackendKind) -> JobSpec {
-        self.backend = Some(self.backend.unwrap_or(default_backend));
-        self
     }
 }
 

@@ -58,7 +58,7 @@
 use crate::driver::{AcceptedRun, PlanError, QrPlan, QrReport};
 use dense::matrix::MatRef;
 use dense::update::{rank_k_append, rank_k_downdate, UpdateError};
-use dense::{blas1, trsm, Matrix};
+use dense::{blas1, trsm, BackendKind, Matrix};
 
 /// Default drift threshold: refresh once the estimated orthogonality loss
 /// of the implicit `Q = A·R⁻¹` reaches `1e-8` — roughly the square root of
@@ -417,7 +417,7 @@ impl StreamingQr {
         }
         {
             let mut ws = self.plan.workspace().checkout();
-            rank_k_append(self.r.as_mut(), b, self.plan.backend().get(), &mut ws)?;
+            rank_k_append(self.r.as_mut(), b, BackendKind::default_kind().get(), &mut ws)?;
         }
         // The factor update committed; everything below is infallible, so
         // `R`, `d`, and the histories move together or not at all.
@@ -483,7 +483,7 @@ impl StreamingQr {
         }
         let min_alpha_sq = {
             let mut ws = self.plan.workspace().checkout();
-            rank_k_downdate(self.r.as_mut(), b, self.plan.backend().get(), &mut ws)?
+            rank_k_downdate(self.r.as_mut(), b, BackendKind::default_kind().get(), &mut ws)?
         };
         // Committed; keep `d` and the history cursors in step with `R`.
         if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {

@@ -11,12 +11,13 @@
 //!    for `(m, n, P)`: the proposals of [`costmodel::enumerate`] (all four
 //!    [`Algorithm`]s, every grid split, a base-size/panel-width sweep) that
 //!    the plan validator [`driver::validate`](crate::driver::validate)
-//!    accepts — so every candidate builds — on each kernel backend.
+//!    accepts — so every candidate builds.
 //! 2. **Score** — each candidate is priced with the exact closed-form cost
 //!    models on a [`MachineCal`] profile. The default profile models *this
-//!    process*: nominal per-backend flop rates, per-message software
-//!    overhead for the simulated collectives, and an oversubscription
-//!    factor for running `P` simulated ranks on `threads` cores. With
+//!    process*: a nominal flop rate for the packed kernels every plan runs,
+//!    per-message software overhead for the simulated collectives, and an
+//!    oversubscription factor for running `P` simulated ranks on `threads`
+//!    cores. With
 //!    [`Tuner::calibrate`] the flop rate is measured live
 //!    ([`dense::probe`]) instead of assumed.
 //! 3. **Refine** — under calibration, the top three candidates by
@@ -72,16 +73,11 @@ const CALIBRATION_ROWS: usize = 512;
 /// Repetitions per measured calibration run; the minimum is kept.
 const CALIBRATION_REPS: usize = 2;
 
-/// Nominal effective flop rate (seconds per flop) assumed for a backend
-/// when no live probe has run: the `Blocked` kernels sustain roughly 4× the
-/// naive loop nests (PR 1 measured ≈ 4.2× at 512³). Absolute values only
-/// scale the predicted seconds; the *ratios* steer uncalibrated ranking.
-fn nominal_seconds_per_flop(backend: BackendKind) -> f64 {
-    match backend {
-        BackendKind::Naive => 1.0e-9,
-        BackendKind::Blocked => 2.5e-10,
-    }
-}
+/// Nominal effective flop rate (seconds per flop) of the packed kernels
+/// every plan runs, assumed when no live probe has run. It scales every
+/// candidate's γ term alike, so it weighs computation against the nominal
+/// α-β network without ranking kernels.
+const NOMINAL_SECONDS_PER_FLOP: f64 = 2.5e-10;
 
 /// The scoring profile for running simulated ranks inside this process:
 /// per-message software overhead α (thread-pool synchronization, not wire
@@ -112,8 +108,6 @@ fn measured_profile(net: Machine, seconds_per_flop: f64) -> MachineCal {
 pub struct TunerCandidate {
     /// The configuration, as the cost model describes it.
     pub config: CandidateConfig,
-    /// The kernel backend the candidate runs on.
-    pub backend: BackendKind,
     /// The ready-to-submit job spec ([`QrService`](crate::service::QrService)
     /// cache key) this candidate corresponds to.
     pub spec: JobSpec,
@@ -158,7 +152,7 @@ pub struct TunerReport {
     /// assumed.
     pub runtime: RuntimeKind,
     /// The microkernel probes backing the calibrated flop rates — one
-    /// gemm probe *and one Gram-kernel (syrk) probe* per swept backend
+    /// gemm probe *and one Gram-kernel (syrk) probe* of the packed kernels
     /// (empty without calibration or with an explicit scoring profile).
     /// The symmetry-aware blocked SYRK runs at a different effective rate
     /// than square gemm, so Gram-dominated rankings carry both.
@@ -173,14 +167,6 @@ impl TunerReport {
         &self.candidates[0]
     }
 
-    /// The calibration gemm probe that backed a backend's flop rate, if
-    /// one ran.
-    pub fn probe_for(&self, backend: BackendKind) -> Option<&dense::ProbeReport> {
-        self.probes
-            .iter()
-            .find(|p| p.backend == backend && p.kernel == dense::ProbeKernel::Gemm)
-    }
-
     /// The winning spec, ready for a service cache.
     pub fn best_spec(&self) -> JobSpec {
         self.best().spec
@@ -189,9 +175,7 @@ impl TunerReport {
     /// Builds the winning plan under the given simulated machine model, on
     /// the runtime the tuning targeted.
     pub fn best_plan(&self, machine: Machine) -> Result<QrPlan, PlanError> {
-        self.best()
-            .spec
-            .build_plan_on(machine, self.best().backend, self.runtime)
+        self.best().spec.build_plan(machine, self.runtime)
     }
 }
 
@@ -208,14 +192,13 @@ pub struct Tuner {
     runtime: RuntimeKind,
     profile: Option<MachineCal>,
     algorithms: Vec<Algorithm>,
-    backends: Vec<BackendKind>,
     calibrate: bool,
 }
 
 impl Tuner {
     /// Starts tuning factorizations of `m × n` matrices with the defaults:
-    /// auto-chosen rank count, all algorithms, the process-default backend,
-    /// the nominal host scoring profile, calibration off.
+    /// auto-chosen rank count, all algorithms, the nominal host scoring
+    /// profile, calibration off.
     pub fn new(m: usize, n: usize) -> Tuner {
         Tuner {
             m,
@@ -224,7 +207,6 @@ impl Tuner {
             runtime: RuntimeKind::Simulated,
             profile: None,
             algorithms: Algorithm::ALL.to_vec(),
-            backends: vec![BackendKind::default_kind()],
             calibrate: false,
         }
     }
@@ -259,13 +241,6 @@ impl Tuner {
         self
     }
 
-    /// Sweeps the given kernel backends (default: just the process
-    /// default).
-    pub fn backends(mut self, backends: &[BackendKind]) -> Tuner {
-        self.backends = backends.to_vec();
-        self
-    }
-
     /// Enables live calibration: a microkernel probe replaces the nominal
     /// flop rate, and the top three candidates by predicted time (plus the
     /// best-predicted candidate of each algorithm family) are re-ranked by
@@ -291,56 +266,45 @@ impl Tuner {
         let oversubscription = (processors as f64 / threads as f64).max(1.0);
 
         // Under shared-memory calibration, measure the transport's α-β once
-        // (ping-pong latency + streaming bandwidth microprobes) so every
-        // backend's scoring profile prices communication as the machine
-        // actually delivers it.
+        // (ping-pong latency + streaming bandwidth microprobes) so the
+        // scoring profile prices communication as the machine actually
+        // delivers it.
         let measured_net = if self.calibrate && self.profile.is_none() && self.runtime == RuntimeKind::SharedMem {
             Some(simgrid::probe_shm_alpha_beta().as_machine())
         } else {
             None
         };
         let mut probes = Vec::new();
-        let mut candidates = Vec::new();
-        for &backend in &self.backends {
-            let cal = match self.profile {
-                Some(cal) => cal,
-                None => {
-                    if self.calibrate {
-                        let p = dense::default_probe(backend);
-                        let ps = dense::default_syrk_probe(backend);
-                        probes.push(p);
-                        probes.push(ps);
-                        // Price the CQR2 family's γ with the measured Gram
-                        // rate blended in: CholeskyQR's local flops split
-                        // roughly evenly between the Gram kernel (syrk, ~2×
-                        // the gemm ledger rate under the symmetry-aware
-                        // kernel) and gemm-shaped work (Q = A·R⁻¹), so a
-                        // gemm-only rate systematically over-prices the
-                        // Gram-heavy candidates. PGEQRF stays at the pure
-                        // gemm rate (Householder has no Gram kernel). The
-                        // top-K re-rank below still measures whole
-                        // factorizations live.
-                        measured_profile(measured_net.unwrap_or_else(nominal_host_net), p.seconds_per_flop)
-                            .with_gamma_cqr2(0.5 * (p.seconds_per_flop + ps.seconds_per_flop))
-                    } else {
-                        host_profile(nominal_seconds_per_flop(backend))
-                    }
-                }
-            };
-            for config in &configs {
-                if !cal.candidate_fits(self.m, self.n, config) {
-                    continue;
-                }
-                candidates.push(TunerCandidate {
-                    config: *config,
-                    backend,
-                    spec: JobSpec::from_config(self.m, self.n, config).backend(backend),
-                    predicted: costmodel::predicted_cost(self.m, self.n, config),
-                    predicted_seconds: cal.time_candidate(self.m, self.n, config) * oversubscription,
-                    measured_seconds: None,
-                });
+        let cal = match self.profile {
+            Some(cal) => cal,
+            None if self.calibrate => {
+                let p = dense::default_probe(BackendKind::default_kind());
+                let ps = dense::default_syrk_probe(BackendKind::default_kind());
+                probes = vec![p, ps];
+                // Price the CQR2 family's γ with the measured Gram rate
+                // blended in: CholeskyQR's local flops split roughly evenly
+                // between the Gram kernel (syrk, ~2× the gemm ledger rate
+                // under the symmetry-aware kernel) and gemm-shaped work
+                // (Q = A·R⁻¹), so a gemm-only rate systematically
+                // over-prices the Gram-heavy candidates. PGEQRF stays at the
+                // pure gemm rate (Householder has no Gram kernel). The top-K
+                // re-rank below still measures whole factorizations live.
+                measured_profile(measured_net.unwrap_or_else(nominal_host_net), p.seconds_per_flop)
+                    .with_gamma_cqr2(0.5 * (p.seconds_per_flop + ps.seconds_per_flop))
             }
-        }
+            None => host_profile(NOMINAL_SECONDS_PER_FLOP),
+        };
+        let mut candidates: Vec<TunerCandidate> = configs
+            .iter()
+            .filter(|config| cal.candidate_fits(self.m, self.n, config))
+            .map(|config| TunerCandidate {
+                config: *config,
+                spec: JobSpec::from_config(self.m, self.n, config),
+                predicted: costmodel::predicted_cost(self.m, self.n, config),
+                predicted_seconds: cal.time_candidate(self.m, self.n, config) * oversubscription,
+                measured_seconds: None,
+            })
+            .collect();
         if candidates.is_empty() {
             return Err(TunerError::NoCandidates {
                 m: self.m,
@@ -412,11 +376,9 @@ impl Tuner {
     /// memory would otherwise error spuriously). Deterministic by
     /// construction.
     fn pick_processors(&self) -> usize {
-        // Memory feasibility does not depend on the backend, so any
-        // representative profile works for the filter.
-        let cal = self
-            .profile
-            .unwrap_or_else(|| host_profile(nominal_seconds_per_flop(BackendKind::default_kind())));
+        // Memory feasibility does not depend on the flop rate, so the
+        // nominal profile stands in for a calibrated one.
+        let cal = self.profile.unwrap_or_else(|| host_profile(NOMINAL_SECONDS_PER_FLOP));
         for p in [16usize, 8, 4, 32, 64, 2, 1] {
             if self
                 .runnable_configs(p)
@@ -447,7 +409,7 @@ impl Tuner {
             rows = self.m; // the candidate validated for m, so divisor | m
         }
         let spec = JobSpec::from_config(rows, self.n, &cand.config);
-        let Ok(plan) = spec.build_plan_on(Machine::zero(), cand.backend, self.runtime) else {
+        let Ok(plan) = spec.build_plan(Machine::zero(), self.runtime) else {
             return f64::INFINITY;
         };
         let a = well_conditioned(rows, self.n, CALIBRATION_SEED);
@@ -556,7 +518,7 @@ mod tests {
     fn calibration_measures_the_leaders() {
         let report = Tuner::new(128, 16).processors(4).calibrate(true).report().unwrap();
         assert!(report.calibrated);
-        assert!(report.probe_for(BackendKind::default_kind()).is_some());
+        assert!(report.probes.iter().any(|p| p.kernel == dense::ProbeKernel::Gemm));
         let measured = report
             .candidates
             .iter()

@@ -11,6 +11,7 @@
 //!
 //! Run: `cargo run --release --example autotune`
 
+use ca_cqr2::dense::ProbeKernel;
 use ca_cqr2::{QrPlan, QrService, Tuner};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,10 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (m, n) = (2048, 64);
     let plan = QrPlan::auto(m, n)?;
     println!(
-        "auto({m}, {n}): {} on {} simulated ranks, backend {}",
+        "auto({m}, {n}): {} on {} simulated ranks",
         plan.algorithm(),
-        plan.processors(),
-        plan.backend()
+        plan.processors()
     );
     let a = ca_cqr2::dense::random::well_conditioned(m, n, 1);
     let report = plan.factor(&a)?;
@@ -33,8 +33,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 2. Calibrated tuning: model proposes, stopwatch disposes. ---
     let tuned = Tuner::new(m, n).calibrate(true).report()?;
     let probe = *tuned
-        .probe_for(tuned.best().backend)
-        .expect("calibration probes every swept backend");
+        .probes
+        .iter()
+        .find(|p| p.kernel == ProbeKernel::Gemm)
+        .expect("calibration probes the gemm kernel");
     println!(
         "calibrated: probe measured {:.1} Gflop/s on `{}`; {} candidates ranked",
         probe.gflops(),

@@ -4,13 +4,12 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 //!
-//! Pick the node-local kernel backend with `QrPlanBuilder::backend`, as
-//! below: `BackendKind::default_kind()` is the packed `Blocked` backend, and
-//! `BackendKind::Naive` selects the loop-nest oracle.
+//! Every plan runs the packed `Blocked` kernels; the loop-nest `Naive`
+//! oracle is reachable only on the expert layer (`CfrParams::backend`,
+//! `PgeqrfConfig::backend`, `run_cqr2_1d_global`).
 
 use ca_cqr2::baseline::BlockCyclic;
 use ca_cqr2::dense::random::well_conditioned;
-use ca_cqr2::dense::BackendKind;
 use ca_cqr2::pargrid::GridShape;
 use ca_cqr2::simgrid::Machine;
 use ca_cqr2::{Algorithm, PlanError, QrPlan};
@@ -30,7 +29,6 @@ fn main() -> Result<(), PlanError> {
         .algorithm(Algorithm::CaCqr2)
         .grid(shape)
         .machine(Machine::stampede2(64))
-        .backend(BackendKind::default_kind())
         .build()?;
 
     // ---- Execute many times. ---------------------------------------------
@@ -39,12 +37,11 @@ fn main() -> Result<(), PlanError> {
     // batch of same-shape matrices — the pattern a high-throughput service
     // uses. Here: a batch of 4.
     println!(
-        "CA-CQR2 on a {}x{}x{} grid (P = {}), {} backend, batch of 4:",
+        "CA-CQR2 on a {}x{}x{} grid (P = {}), batch of 4:",
         shape.c,
         shape.d,
         shape.c,
-        plan.processors(),
-        plan.backend()
+        plan.processors()
     );
     let mut last = None;
     for seed in 0..4u64 {

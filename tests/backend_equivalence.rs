@@ -3,12 +3,16 @@
 //! *validation* unchanged — same residual/orthogonality quality, the same
 //! factors up to kernel rounding — and must leave the α-β-γ cost ledgers
 //! bitwise identical, because flop charges come from shape-based
-//! conventions, never from kernel internals.
+//! conventions, never from kernel internals. Plans always run `Blocked`, so
+//! these comparisons drive the expert layer, where the backend is an
+//! argument.
 
-use cacqr::{Algorithm, QrPlan};
+use baseline::{run_pgeqrf_global, PgeqrfConfig};
+use cacqr::validate::{run_cacqr2_global, run_cqr2_1d_global, QrRun};
+use cacqr::CfrParams;
 use dense::norms::{orthogonality_error, residual_error};
 use dense::random::well_conditioned;
-use dense::{BackendKind, Matrix};
+use dense::{BackendKind, Matrix, WorkspacePool};
 use pargrid::{DistMatrix, GridShape, TunableComms};
 use simgrid::{run_spmd, Machine, SimConfig};
 
@@ -21,47 +25,58 @@ fn assert_factors_close(label: &str, a: &Matrix, b: &Matrix, tol: f64) {
     }
 }
 
+/// Runs `run` under each backend, checks each factorization, and checks
+/// that the two agree up to kernel rounding with bitwise-equal cost
+/// accounting: same messages, words, flops, and so the same simulated time.
+fn assert_backend_invariant(what: &str, a: &Matrix, run: impl Fn(BackendKind) -> QrRun) {
+    let runs: Vec<QrRun> = BackendKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let run = run(kind);
+            assert!(
+                orthogonality_error(run.q.as_ref()) < 1e-12,
+                "{what} {kind}: orthogonality {:.2e}",
+                orthogonality_error(run.q.as_ref())
+            );
+            assert!(
+                residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref()) < 1e-12,
+                "{what} {kind}: residual {:.2e}",
+                residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref())
+            );
+            run
+        })
+        .collect();
+    let (naive, blocked) = (&runs[0], &runs[1]);
+    assert_factors_close(&format!("{what} Q across backends"), &blocked.q, &naive.q, 1e-10);
+    assert_factors_close(&format!("{what} R across backends"), &blocked.r, &naive.r, 1e-10);
+    assert_eq!(
+        naive.ledgers, blocked.ledgers,
+        "{what}: ledgers must not depend on the backend"
+    );
+    assert_eq!(
+        naive.elapsed, blocked.elapsed,
+        "{what}: virtual time must not depend on the backend"
+    );
+}
+
 #[test]
 fn cacqr2_validates_identically_under_both_backends() {
     let (m, n) = (64usize, 16usize);
     let a = well_conditioned(m, n, 123);
     let shape = GridShape::new(2, 4).unwrap();
-    let machine = Machine::stampede2(64);
-    let mut runs = Vec::new();
-    for kind in BackendKind::ALL {
-        let plan = QrPlan::new(m, n)
-            .grid(shape)
-            .base_size(4)
-            .inverse_depth(1)
-            .backend(kind)
-            .machine(machine)
-            .build()
-            .unwrap();
-        assert_eq!(plan.backend(), kind, "the chosen backend must survive validation");
-        let run = plan.factor(&a).unwrap();
-        assert!(
-            orthogonality_error(run.q.as_ref()) < 1e-12,
-            "{kind}: orthogonality {:.2e}",
-            orthogonality_error(run.q.as_ref())
-        );
-        assert!(
-            residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref()) < 1e-12,
-            "{kind}: residual {:.2e}",
-            residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref())
-        );
-        runs.push(run);
-    }
-    let (naive, blocked) = (&runs[0], &runs[1]);
-    // Same factorization up to kernel rounding.
-    assert_factors_close("Q across backends", &blocked.q, &naive.q, 1e-10);
-    assert_factors_close("R across backends", &blocked.r, &naive.r, 1e-10);
-    // Cost accounting must be bitwise backend-invariant: same messages,
-    // words, flops, and therefore the same simulated elapsed time.
-    assert_eq!(naive.ledgers, blocked.ledgers, "ledgers must not depend on the backend");
-    assert_eq!(
-        naive.elapsed, blocked.elapsed,
-        "virtual time must not depend on the backend"
-    );
+    let cfg = SimConfig::with_machine(Machine::stampede2(64));
+    let pool = WorkspacePool::new();
+    assert_backend_invariant("CA-CQR2", &a, |kind| {
+        let params = CfrParams {
+            backend: kind,
+            ..CfrParams::validated(n, 2, 4, 1).unwrap()
+        };
+        run_cacqr2_global(&a, shape, params, cfg, &pool).unwrap()
+    });
+    // Algorithm 7, the 1D row-block path a tall-skinny plan runs.
+    assert_backend_invariant("1D-CQR2", &a, |kind| {
+        run_cqr2_1d_global(&a, 4, kind, cfg, &pool).unwrap()
+    });
 }
 
 #[test]
@@ -69,35 +84,10 @@ fn pgeqrf_validates_identically_under_both_backends() {
     let (m, n) = (64usize, 32usize);
     let a = well_conditioned(m, n, 55);
     let grid = baseline::BlockCyclic { pr: 4, pc: 2, nb: 8 };
-    let machine = Machine::bluewaters(16);
-    let mut runs = Vec::new();
-    for kind in BackendKind::ALL {
-        let plan = QrPlan::new(m, n)
-            .algorithm(Algorithm::Pgeqrf)
-            .block_cyclic(grid)
-            .backend(kind)
-            .machine(machine)
-            .build()
-            .unwrap();
-        let run = plan.factor(&a).unwrap();
-        assert!(orthogonality_error(run.q.as_ref()) < 1e-12, "{kind}: orthogonality");
-        assert!(
-            residual_error(a.as_ref(), run.q.as_ref(), run.r.as_ref()) < 1e-12,
-            "{kind}: residual"
-        );
-        runs.push(run);
-    }
-    let (naive, blocked) = (&runs[0], &runs[1]);
-    assert_factors_close("pgeqrf Q across backends", &blocked.q, &naive.q, 1e-10);
-    assert_factors_close("pgeqrf R across backends", &blocked.r, &naive.r, 1e-10);
-    assert_eq!(
-        naive.ledgers, blocked.ledgers,
-        "pgeqrf ledgers must not depend on the backend"
-    );
-    assert_eq!(
-        naive.elapsed, blocked.elapsed,
-        "pgeqrf virtual time must not depend on the backend"
-    );
+    let cfg = SimConfig::with_machine(Machine::bluewaters(16));
+    assert_backend_invariant("pgeqrf", &a, |backend| {
+        run_pgeqrf_global(a.as_ref(), PgeqrfConfig { grid, backend }, cfg)
+    });
 }
 
 #[test]

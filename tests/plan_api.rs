@@ -7,7 +7,6 @@ use ca_cqr2::baseline::BlockCyclic;
 use ca_cqr2::cacqr::ParamError;
 use ca_cqr2::dense::norms::{lower_residual, normalize_qr_signs};
 use ca_cqr2::dense::random::well_conditioned;
-use ca_cqr2::dense::BackendKind;
 use ca_cqr2::pargrid::{GridError, GridShape};
 use ca_cqr2::simgrid::Machine;
 use ca_cqr2::{Algorithm, PlanError, QrPlan};
@@ -410,16 +409,6 @@ fn factor_rejects_mismatched_input_shape() {
             got: (64, 8),
         }
     );
-}
-
-#[test]
-fn backend_choice_survives_the_builder() {
-    for kind in BackendKind::ALL {
-        let plan = QrPlan::new(32, 8).grid(grid(2, 4)).backend(kind).build().unwrap();
-        assert_eq!(plan.backend(), kind);
-        let report = plan.factor(&well_conditioned(32, 8, 7)).unwrap();
-        assert!(report.orthogonality_error < 1e-12, "{kind}");
-    }
 }
 
 #[test]

@@ -108,14 +108,11 @@ fn cache_returns_pointer_equal_plans_under_contention() {
         );
     }
     assert_eq!(service.plan_cache_len(), 1);
-    // And the key distinguishes every knob that changes the schedule. The
-    // backend variant must differ from the default (`Blocked`) — pinning
-    // the default explicitly is, by design, the *same* cache key.
+    // And the key distinguishes every knob that changes the schedule.
     let variants = [
         spec.base_size(8),
         spec.inverse_depth(1),
         spec.algorithm(Algorithm::CaCqr3),
-        spec.backend(dense::BackendKind::Naive),
         JobSpec::new(64, 16).grid(GridShape::new(1, 4).unwrap()),
     ];
     for v in &variants {

@@ -4,7 +4,7 @@
 
 use ca_cqr2::costmodel::{CandidateConfig, MachineCal};
 use ca_cqr2::dense::random::well_conditioned;
-use ca_cqr2::simgrid::Machine;
+use ca_cqr2::simgrid::{Machine, RuntimeKind};
 use ca_cqr2::{Algorithm, PlanError, QrPlan, QrService, ServiceError, Tuner, TunerError};
 
 /// `QrPlan::auto` is a pure function of `(m, n)` (plus rank count and
@@ -17,7 +17,6 @@ fn auto_is_deterministic() {
     let p2 = QrPlan::auto(m, n).unwrap();
     assert_eq!(p1.algorithm(), p2.algorithm());
     assert_eq!(p1.processors(), p2.processors());
-    assert_eq!(p1.backend(), p2.backend());
     for seed in [1u64, 7, 42] {
         let a = well_conditioned(m, n, seed);
         let r1 = p1.factor(&a).unwrap();
@@ -119,7 +118,7 @@ fn every_candidate_builds_and_unrunnable_search_spaces_are_typed() {
                 Ok(report) => {
                     for cand in &report.candidates {
                         assert_eq!(cand.config.processors(), p, "{m}x{n}: {}", cand.config);
-                        if let Err(e) = cand.spec.build_plan(Machine::zero(), cand.backend) {
+                        if let Err(e) = cand.spec.build_plan(Machine::zero(), RuntimeKind::Simulated) {
                             panic!("{m}x{n} p={p}: ranked candidate {} does not build: {e}", cand.config);
                         }
                     }
@@ -176,8 +175,8 @@ fn plan_auto_fills_an_observable_cache() {
         let served = service.plan_auto(m, n).unwrap();
         let direct = QrPlan::auto(m, n).unwrap();
         assert_eq!(
-            (served.algorithm(), served.processors(), served.backend()),
-            (direct.algorithm(), direct.processors(), direct.backend()),
+            (served.algorithm(), served.processors()),
+            (direct.algorithm(), direct.processors()),
             "{m}x{n}"
         );
     }
