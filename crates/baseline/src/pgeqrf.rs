@@ -375,23 +375,25 @@ pub fn run_pgeqrf_global(a: MatRef<'_>, config: PgeqrfConfig, cfg: simgrid::SimC
         let q = pgeqrf_form_q(rank, &comms, config, &panels, m, n);
         (comms.prow, comms.pcol, local, q)
     });
-    let mut packed: Vec<Vec<Matrix>> = (0..grid.pr)
+    let mut qp: Vec<Vec<Matrix>> = (0..grid.pr)
         .map(|_| (0..grid.pc).map(|_| Matrix::zeros(0, 0)).collect())
         .collect();
-    let mut qp = packed.clone();
+    // R = upper triangle of the packed factorization, read from the local
+    // rows that hold the first n global rows.
+    let mut r = Matrix::zeros(n, n);
     for (prow, pcol, local, q) in report.results {
-        packed[prow][pcol] = local;
+        for li in 0..grid.local_rows(n, prow) {
+            let i = grid.global_row(li, prow);
+            for lj in 0..local.cols() {
+                let j = grid.global_col(lj, pcol);
+                if j >= i {
+                    r.set(i, j, local.get(li, lj));
+                }
+            }
+        }
         qp[prow][pcol] = q;
     }
-    let full = grid.assemble(m, n, &packed);
     let q = grid.assemble(m, n, &qp);
-    // R = upper triangle of the packed factorization.
-    let mut r = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in i..n {
-            r.set(i, j, full.get(i, j));
-        }
-    }
     PgeqrfRun {
         q,
         r,

@@ -214,8 +214,32 @@ mod tests {
     use super::*;
     use dense::gemm::{matmul, Trans};
     use dense::norms::{frobenius, max_abs};
+    use dense::BackendKind;
     use pargrid::{DistMatrix, GridShape, TunableComms};
     use simgrid::{run_spmd, SimConfig};
+
+    /// Materializes the full explicit inverse `Y` (local piece) from `inv`,
+    /// forming the missing `Y₂₁ = −Y₂₂·L₂₁·Y₁₁` blocks with MM3D. Collective
+    /// over the cube; the returned matrix is a plain allocation.
+    fn densify(inv: &InvTree, rank: &mut Rank, cube: &CubeComms, backend: BackendKind, ws: &mut Workspace) -> Matrix {
+        match inv {
+            InvTree::Full { y, .. } => y.clone(),
+            InvTree::Split { y11, y22, l21, .. } => {
+                let y11d = densify(y11, rank, cube, backend, ws);
+                let y22d = densify(y22, rank, cube, backend, ws);
+                let t = mm3d(rank, cube, l21, &y11d, backend, ws);
+                let y21 = mm3d_scaled(rank, cube, -1.0, y22d.as_ref(), &t, backend, ws);
+                ws.recycle(t);
+                let hl = y11d.rows();
+                let mut out = Matrix::zeros(2 * hl, 2 * y11d.cols());
+                out.view_mut(0, 0, hl, y11d.cols()).copy_from(y11d.as_ref());
+                out.view_mut(hl, 0, hl, y21.cols()).copy_from(y21.as_ref());
+                out.view_mut(hl, y11d.cols(), hl, y22d.cols()).copy_from(y22d.as_ref());
+                ws.recycle(y21);
+                out
+            }
+        }
+    }
 
     /// A well-conditioned SPD test matrix.
     fn spd(n: usize) -> Matrix {
@@ -240,7 +264,7 @@ mod tests {
             let mut ws = dense::Workspace::new();
             let al = DistMatrix::from_global(&a2, c, c, yh, x);
             let (l, inv) = cfr3d(rank, cube, &al.local, n, &params, &mut ws).expect("SPD input must factor");
-            let y = inv.densify(rank, cube, dense::BackendKind::default_kind(), &mut ws);
+            let y = densify(&inv, rank, cube, BackendKind::default_kind(), &mut ws);
             inv.recycle_into(&mut ws);
             (x, yh, z, l, y)
         });

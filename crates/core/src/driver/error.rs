@@ -109,12 +109,20 @@ pub enum PlanError {
         /// CQR2 family, `KAPPA_MAX² / (64·(mn + n(n+1)))` for shifted CQR3.
         limit: f64,
     },
+    /// A factorization ran to the end but its `R` holds a NaN or an
+    /// infinity — a non-finite input entry, or one that overflows. No run
+    /// with such an `R` is accepted: this is the error of a run under a
+    /// disabled policy, and of an escalating walk's terminal rung.
+    NonFinite {
+        /// The algorithm whose run produced the non-finite `R`.
+        algorithm: Algorithm,
+    },
     /// Every rung of an escalating walk failed, the terminal one included.
     /// Carries the full attempt chain — algorithm and error per rung — so
     /// the caller sees exactly what was tried. The terminal rung is
-    /// accepted whatever its κ, so only its own breakdown ends a walk here;
-    /// every ladder the builder makes ends on Householder `Pgeqrf`, which
-    /// has no Cholesky to break.
+    /// accepted whatever its κ, so only its own breakdown or a non-finite
+    /// `R` ends a walk here; every ladder the builder makes ends on
+    /// Householder `Pgeqrf`, which has no Cholesky to break.
     EscalationExhausted {
         /// One entry per attempted rung, in execution order.
         attempts: Vec<EscalationAttempt>,
@@ -207,6 +215,9 @@ impl std::fmt::Display for PlanError {
                     f,
                     "computed R fails the condition gate: kappa estimate {estimate:.3e} > limit {limit:.3e}"
                 )
+            }
+            PlanError::NonFinite { algorithm } => {
+                write!(f, "{algorithm} produced a non-finite R")
             }
             PlanError::EscalationExhausted { attempts } => {
                 write!(f, "all {} escalation rungs failed:", attempts.len())?;

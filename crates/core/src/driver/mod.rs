@@ -547,7 +547,10 @@ impl QrPlan {
     /// The one escalation ladder walk: `primary`, then — under an enabled
     /// policy — each rung of `ladder` until one is accepted. A non-terminal
     /// rung is accepted when its `R`'s κ₁ estimate is within
-    /// [`rung_limit`] for `a`'s shape; the terminal rung unconditionally.
+    /// [`rung_limit`] for `a`'s shape; the terminal rung, and the primary
+    /// under a disabled policy, whatever the estimate. No run is accepted
+    /// whose `R` holds a NaN or an infinity: that is
+    /// [`PlanError::NonFinite`], the terminal rung's error.
     /// With `diagnose`, each rung is handed the same test as its in-region
     /// diagnostics gate, so only the rung the walk accepts adds them; a rung
     /// whose ranks estimated κ₁ for that gate hands the estimate back, and
@@ -562,8 +565,14 @@ impl QrPlan {
     ) -> Result<AcceptedRun, PlanError> {
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
         let gate = |limit: f64| diagnose.then_some(limit);
+        let finite = |run: &QrRun| run.r.data().iter().all(|x| x.is_finite());
         if !policy.is_enabled() {
             let (run, _, diagnostics) = self.run_config(primary, a, cfg, gate(f64::INFINITY))?;
+            if !finite(&run) {
+                return Err(PlanError::NonFinite {
+                    algorithm: primary.algorithm(),
+                });
+            }
             return Ok(AcceptedRun {
                 algorithm: primary.algorithm(),
                 run,
@@ -579,10 +588,15 @@ impl QrPlan {
             match self.run_config(config, a, cfg, gate(if terminal { f64::INFINITY } else { limit })) {
                 Ok((run, kappa, diagnostics)) => {
                     let kappa = kappa.unwrap_or_else(|| dense::cond_estimate(run.r.as_ref()));
-                    // The terminal rung is accepted unconditionally — there
+                    // The terminal rung is accepted whatever its κ — there
                     // is nothing better to escalate to, and Householder QR
                     // does not degrade with κ the way the Gram path does.
-                    if kappa <= limit || terminal {
+                    let within = kappa <= limit || terminal;
+                    let error = if !within {
+                        PlanError::ConditionTooHigh { estimate: kappa, limit }
+                    } else if !finite(&run) {
+                        PlanError::NonFinite { algorithm }
+                    } else {
                         attempts.push(EscalationAttempt { algorithm, error: None });
                         return Ok(AcceptedRun {
                             algorithm,
@@ -593,10 +607,10 @@ impl QrPlan {
                                 condition_estimate: kappa,
                             }),
                         });
-                    }
+                    };
                     attempts.push(EscalationAttempt {
                         algorithm,
-                        error: Some(Box::new(PlanError::ConditionTooHigh { estimate: kappa, limit })),
+                        error: Some(Box::new(error)),
                     });
                 }
                 Err(e) => attempts.push(EscalationAttempt {

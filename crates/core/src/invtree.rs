@@ -59,23 +59,6 @@ pub enum InvTree {
 }
 
 impl InvTree {
-    /// Global dimension of the block this tree inverts.
-    pub fn dim(&self) -> usize {
-        match self {
-            InvTree::Full { dim, .. } => *dim,
-            InvTree::Split { dim, .. } => *dim,
-        }
-    }
-
-    /// Number of `Split` levels above the `Full` leaves (0 = explicit
-    /// inverse).
-    pub fn split_levels(&self) -> usize {
-        match self {
-            InvTree::Full { .. } => 0,
-            InvTree::Split { y11, .. } => 1 + y11.split_levels(),
-        }
-    }
-
     /// Consumes the tree, parking every matrix it owns back into the
     /// workspace. Call this when a factorization pass is done with its
     /// inverse — the storage funds the next pass's temporaries.
@@ -133,30 +116,6 @@ impl InvTree {
                 out.view_mut(0, hl, lr, lc - hl).copy_from(x2.as_ref());
                 ws.recycle(x1);
                 ws.recycle(x2);
-                out
-            }
-        }
-    }
-
-    /// Materializes the full explicit inverse `Y` (local piece), forming the
-    /// missing `Y₂₁ = −Y₂₂·L₂₁·Y₁₁` blocks with MM3D. Collective over the
-    /// cube. Used by tests and by callers that need `R⁻¹` itself; the
-    /// returned matrix is a plain allocation (it outlives any arena).
-    pub fn densify(&self, rank: &mut Rank, cube: &CubeComms, backend: BackendKind, ws: &mut Workspace) -> Matrix {
-        match self {
-            InvTree::Full { y, .. } => y.clone(),
-            InvTree::Split { y11, y22, l21, .. } => {
-                let y11d = y11.densify(rank, cube, backend, ws);
-                let y22d = y22.densify(rank, cube, backend, ws);
-                let t = mm3d(rank, cube, l21, &y11d, backend, ws);
-                let y21 = mm3d_scaled(rank, cube, -1.0, y22d.as_ref(), &t, backend, ws);
-                ws.recycle(t);
-                let hl = y11d.rows();
-                let mut out = Matrix::zeros(2 * hl, 2 * y11d.cols());
-                out.view_mut(0, 0, hl, y11d.cols()).copy_from(y11d.as_ref());
-                out.view_mut(hl, 0, hl, y21.cols()).copy_from(y21.as_ref());
-                out.view_mut(hl, y11d.cols(), hl, y22d.cols()).copy_from(y22d.as_ref());
-                ws.recycle(y21);
                 out
             }
         }

@@ -3,8 +3,9 @@
 //! Service-level failures extend the existing [`PlanError`] hierarchy: every
 //! planning or factorization error surfaces unchanged inside
 //! [`ServiceError::Plan`] (via [`From`], so `?` composes), and the engine
-//! adds only the failure modes the plan layer cannot have — a full
-//! submission queue, a shut-down pool, and a worker that died mid-job.
+//! adds only the failure modes the plan layer cannot have — a shut-down
+//! pool, a worker that died mid-job, and a job shed, expired or cancelled
+//! before it ran.
 
 use crate::driver::PlanError;
 
@@ -15,13 +16,6 @@ pub enum ServiceError {
     /// [`PlanError`] (invalid configuration, shape mismatch, loss of
     /// positive definiteness, …).
     Plan(PlanError),
-    /// A non-blocking submission found the bounded queue at capacity.
-    /// Retry later, or use the blocking [`submit`](super::QrService::submit)
-    /// for backpressure instead.
-    QueueFull {
-        /// The queue's fixed capacity.
-        capacity: usize,
-    },
     /// The service no longer accepts jobs: it was closed
     /// ([`close`](super::QrService::close) or drop-in-progress), or its
     /// last worker has exited, so nothing would ever drain the queue. A
@@ -61,11 +55,6 @@ pub enum ServiceError {
     /// before a worker dequeued it. Like an expired deadline, the job never
     /// ran.
     Cancelled,
-    /// The handle's outcome was already delivered by an earlier
-    /// [`wait_timeout`](super::JobHandle::wait_timeout): an outcome is
-    /// redeemed once, and asking again fails with this instead of waiting
-    /// for a completion that already happened.
-    AlreadyRedeemed,
     /// Admission control rejected the submission: the pool's observed p99
     /// queue wait already exceeds the job's deadline budget, so accepting
     /// it would almost certainly waste a queue slot on a job that expires
@@ -82,9 +71,6 @@ impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServiceError::Plan(e) => write!(f, "job failed: {e}"),
-            ServiceError::QueueFull { capacity } => {
-                write!(f, "submission queue is full (capacity {capacity})")
-            }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::WorkerPanicked { message } => {
                 write!(f, "worker panicked while factoring: {message}")
@@ -99,7 +85,6 @@ impl std::fmt::Display for ServiceError {
                 )
             }
             ServiceError::Cancelled => write!(f, "job was cancelled before execution"),
-            ServiceError::AlreadyRedeemed => write!(f, "the handle's outcome was already redeemed"),
             ServiceError::Overloaded { queue_p99, budget } => {
                 write!(
                     f,
@@ -117,6 +102,13 @@ impl std::error::Error for ServiceError {
             ServiceError::BatchJobFailed { source, .. } => Some(source),
             _ => None,
         }
+    }
+}
+
+/// The queue refuses work only once it is closed or has no worker left.
+impl<T> From<super::queue::PushError<T>> for ServiceError {
+    fn from(_: super::queue::PushError<T>) -> ServiceError {
+        ServiceError::ShuttingDown
     }
 }
 

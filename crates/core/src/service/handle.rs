@@ -17,62 +17,24 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// A slot's life: empty, holding the outcome, or already handed out.
-/// `Redeemed` is distinct from `Pending` so a second redemption fails typed
-/// instead of waiting for a completion that already happened.
-enum State<T> {
-    Pending,
-    Ready(Result<T, ServiceError>),
-    Redeemed,
-}
-
-/// Completion slot shared between a worker and a handle.
+/// Completion slot shared between a worker and a handle: empty until the
+/// worker delivers the outcome.
 pub(super) struct Slot<T> {
-    state: Mutex<State<T>>,
+    outcome: Mutex<Option<Result<T, ServiceError>>>,
     done: Condvar,
 }
 
 impl<T> Slot<T> {
-    /// Delivers the outcome and wakes every waiter.
+    /// Delivers the outcome and wakes the waiter.
     pub(super) fn complete(&self, outcome: Result<T, ServiceError>) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = State::Ready(outcome);
+        *self.outcome.lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
         self.done.notify_all();
-    }
-
-    /// Takes the outcome, waiting at most `budget` for it (`None`: as long
-    /// as it takes). Returns `None` only when the budget ran out with the
-    /// job still pending — the outcome stays in the slot for a later call.
-    fn redeem(&self, budget: Option<Duration>) -> Option<Result<T, ServiceError>> {
-        // A budget too large to represent as an instant is no budget.
-        let deadline = budget.and_then(|b| Instant::now().checked_add(b));
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            match std::mem::replace(&mut *g, State::Redeemed) {
-                State::Ready(outcome) => return Some(outcome),
-                State::Redeemed => return Some(Err(ServiceError::AlreadyRedeemed)),
-                State::Pending => *g = State::Pending,
-            }
-            g = match deadline {
-                None => self.done.wait(g).unwrap_or_else(|e| e.into_inner()),
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return None;
-                    }
-                    self.done
-                        .wait_timeout(g, remaining)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0
-                }
-            };
-        }
     }
 }
 
-/// Handle to one submitted factorization, delivering its [`QrReport`];
-/// redeem it with [`JobHandle::wait`] or poll it with
-/// [`JobHandle::wait_timeout`]. The type parameter serves the service's
-/// internal batch slot only.
+/// Handle to one submitted factorization, delivering its [`QrReport`]
+/// once: [`JobHandle::wait`] consumes it, and a handle is not `Clone`. The
+/// type parameter serves the service's internal batch slot only.
 #[must_use = "a submitted job's outcome is only observable through its handle"]
 pub struct JobHandle<T = QrReport> {
     slot: Arc<Slot<T>>,
@@ -90,20 +52,13 @@ impl<T> std::fmt::Debug for JobHandle<T> {
 impl<T> JobHandle<T> {
     /// Blocks until the job completes, returning its outcome or error.
     pub fn wait(self) -> Result<T, ServiceError> {
-        self.slot
-            .redeem(None)
-            .expect("an unbounded wait returns only with an outcome")
-    }
-
-    /// Blocks at most `budget`. `Some` delivers the job's outcome exactly
-    /// like [`wait`](JobHandle::wait); `None` means the job is still pending —
-    /// the handle stays redeemable, so the caller can poll again, block
-    /// with `wait`, or [`cancel`](JobHandle::cancel). Never blocks past the
-    /// budget, even against a wedged pool. The outcome is delivered once:
-    /// redeeming again after a `Some` yields
-    /// [`ServiceError::AlreadyRedeemed`] instead of waiting forever.
-    pub fn wait_timeout(&self, budget: Duration) -> Option<Result<T, ServiceError>> {
-        self.slot.redeem(Some(budget))
+        let mut g = self.slot.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(outcome) = g.take() {
+                return outcome;
+            }
+            g = self.slot.done.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
     }
 
     /// Requests cancellation. Lazy, like deadlines: if the job is still
@@ -115,13 +70,9 @@ impl<T> JobHandle<T> {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the job has already completed (non-blocking). Stays `true`
-    /// after the outcome has been redeemed.
+    /// Whether the job has already completed (non-blocking).
     pub fn is_finished(&self) -> bool {
-        !matches!(
-            *self.slot.state.lock().unwrap_or_else(|e| e.into_inner()),
-            State::Pending
-        )
+        self.slot.outcome.lock().unwrap_or_else(|e| e.into_inner()).is_some()
     }
 }
 
@@ -163,7 +114,7 @@ impl Ticket {
     /// complete.
     pub(super) fn handle<T>(&self) -> (Arc<Slot<T>>, JobHandle<T>) {
         let slot = Arc::new(Slot {
-            state: Mutex::new(State::Pending),
+            outcome: Mutex::new(None),
             done: Condvar::new(),
         });
         let handle = JobHandle {
@@ -203,40 +154,12 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_honors_its_budget_and_keeps_the_handle_redeemable() {
-        // A handle whose job never completes must come back `None` within
-        // its budget, and still redeem later.
+    fn a_completed_slot_finishes_its_handle_and_wait_delivers_the_outcome() {
         let (slot, handle) = pending();
-        let budget = Duration::from_millis(20);
-        let t0 = Instant::now();
-        assert!(handle.wait_timeout(budget).is_none());
-        let waited = t0.elapsed();
-        assert!(waited >= budget, "returned early: {waited:?}");
-        assert!(waited < budget + Duration::from_secs(2), "overslept: {waited:?}");
-        // Zero budget never blocks at all.
-        assert!(handle.wait_timeout(Duration::ZERO).is_none());
         assert!(!handle.is_finished());
-        // Once completed, the same handle delivers the outcome.
-        slot.complete(Err(ServiceError::Cancelled));
-        assert!(handle.is_finished());
-        assert_eq!(handle.wait_timeout(Duration::ZERO), Some(Err(ServiceError::Cancelled)));
-    }
-
-    #[test]
-    fn a_redeemed_slot_stays_finished_and_refuses_a_second_redemption() {
-        let (slot, handle) = pending();
         slot.complete(Ok(7));
-        assert_eq!(
-            handle.wait_timeout(Duration::MAX),
-            Some(Ok(7)),
-            "an unrepresentable budget is no budget"
-        );
         assert!(handle.is_finished());
-        assert_eq!(
-            handle.wait_timeout(Duration::ZERO),
-            Some(Err(ServiceError::AlreadyRedeemed))
-        );
-        assert_eq!(handle.wait(), Err(ServiceError::AlreadyRedeemed));
+        assert_eq!(handle.wait(), Ok(7));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! There is one way to do each job. [`QrService::submit`] enqueues one
 //! factorization (`submit_with` adds a deadline or retry override,
-//! `submit_ref` shares the operand zero-copy, `try_submit` refuses instead
-//! of blocking) and returns a [`JobHandle`]. [`QrService::try_factor_many`]
+//! `submit_ref` shares the operand zero-copy), blocking while the queue is
+//! full, and returns a [`JobHandle`]. [`QrService::try_factor_many`]
 //! admits a whole same-shape batch as one dispatched job with per-index
 //! results; [`factor_many`](QrService::factor_many) is its all-or-nothing
 //! wrapper. A live [`StreamingQr`](crate::StreamingQr) is not a service
@@ -73,7 +73,7 @@ use crate::driver::{PlanError, QrPlan, QrReport};
 use cache::PlanCache;
 use dense::Matrix;
 use handle::Ticket;
-use queue::{Fifo, PushError};
+use queue::Fifo;
 use simgrid::{Machine, RuntimeKind};
 use stats::Recorder;
 use std::sync::atomic::AtomicUsize;
@@ -98,25 +98,18 @@ struct Shared {
 #[must_use = "a builder does nothing until .build() is called"]
 pub struct QrServiceBuilder {
     workers: Option<usize>,
-    queue_capacity: Option<usize>,
     machine: Machine,
     runtime: RuntimeKind,
 }
 
 impl QrServiceBuilder {
     /// Sets the pool width, at least 1. Default: one worker per core the
-    /// process may run on ([`simgrid::cores`]).
+    /// process may run on ([`simgrid::cores`]). The bounded submission
+    /// queue holds `2 × workers` unstarted jobs; [`QrService::submit`]
+    /// blocks while it is full. A `factor_many` batch counts once, however
+    /// many panels — admission control is per submission, not per panel.
     pub fn workers(mut self, workers: usize) -> QrServiceBuilder {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Sets the bounded submission queue's capacity (default:
-    /// `2 × workers`). [`QrService::submit`] blocks while the queue holds
-    /// this many unstarted jobs. A `factor_many` batch counts once, however
-    /// many panels — admission control is per submission, not per panel.
-    pub fn queue_capacity(mut self, capacity: usize) -> QrServiceBuilder {
-        self.queue_capacity = Some(capacity.max(1));
         self
     }
 
@@ -139,9 +132,8 @@ impl QrServiceBuilder {
     /// Spawns the worker pool and returns the running service.
     pub fn build(self) -> QrService {
         let workers = self.workers.unwrap_or_else(simgrid::cores);
-        let capacity = self.queue_capacity.unwrap_or(2 * workers);
         let shared = Arc::new(Shared {
-            queue: Fifo::new(capacity, workers),
+            queue: Fifo::new(2 * workers, workers),
             workers,
             cache: PlanCache::default(),
             stats: Recorder::new(),
@@ -190,7 +182,6 @@ impl QrService {
     pub fn builder() -> QrServiceBuilder {
         QrServiceBuilder {
             workers: None,
-            queue_capacity: None,
             machine: Machine::zero(),
             runtime: RuntimeKind::Simulated,
         }
@@ -201,7 +192,7 @@ impl QrService {
         self.handles.len()
     }
 
-    /// Capacity of the bounded submission queue.
+    /// Capacity of the bounded submission queue: `2 × workers`.
     pub fn queue_capacity(&self) -> usize {
         self.shared.queue.capacity()
     }
@@ -255,35 +246,9 @@ impl QrService {
         a: impl Into<JobInput>,
         opts: SubmitOptions,
     ) -> Result<JobHandle, ServiceError> {
-        self.submit_through(spec, a.into(), opts, Fifo::push)
-    }
-
-    /// Zero-copy submission: the job borrows the caller's `Arc<Matrix>`
-    /// (pointer clone only — the matrix data is never copied), so fanning
-    /// one operand out to many jobs, or submitting while keeping a handle
-    /// on the input, costs nothing per submission.
-    pub fn submit_ref(&self, spec: &JobSpec, a: &Arc<Matrix>) -> Result<JobHandle, ServiceError> {
-        self.submit(spec, a)
-    }
-
-    /// Like [`QrService::submit`] but never blocks: a full queue returns
-    /// [`ServiceError::QueueFull`] and hands no job to the pool.
-    pub fn try_submit(&self, spec: &JobSpec, a: impl Into<JobInput>) -> Result<JobHandle, ServiceError> {
-        self.submit_through(spec, a.into(), SubmitOptions::new(), Fifo::try_push)
-    }
-
-    /// The one factorization submission path: admit, resolve the plan from
-    /// the cache, reject shape mismatches up front, then hand the job to
-    /// the queue through `push` (blocking or refusing when full).
-    fn submit_through(
-        &self,
-        spec: &JobSpec,
-        input: JobInput,
-        opts: SubmitOptions,
-        push: impl FnOnce(&Fifo<Work>, Work) -> Result<(), PushError<Work>>,
-    ) -> Result<JobHandle, ServiceError> {
         let ticket = Ticket::admit(&self.shared.stats, opts.deadline)?;
         let plan = self.plan(spec)?;
+        let input = a.into();
         check_shape(&plan, input.matrix())?;
         let (slot, handle) = ticket.handle();
         let job = FactorJob {
@@ -293,18 +258,16 @@ impl QrService {
             retry: opts.retry,
             slot,
         };
-        push(&self.shared.queue, Work::Factor(job)).map_err(|e| self.refusal(e))?;
+        self.shared.queue.push(Work::Factor(job))?;
         Ok(handle)
     }
 
-    /// The typed error for work the queue handed back.
-    fn refusal(&self, refused: PushError<Work>) -> ServiceError {
-        match refused {
-            PushError::Full(_) => ServiceError::QueueFull {
-                capacity: self.shared.queue.capacity(),
-            },
-            PushError::Closed(_) => ServiceError::ShuttingDown,
-        }
+    /// Zero-copy submission: the job borrows the caller's `Arc<Matrix>`
+    /// (pointer clone only — the matrix data is never copied), so fanning
+    /// one operand out to many jobs, or submitting while keeping a handle
+    /// on the input, costs nothing per submission.
+    pub fn submit_ref(&self, spec: &JobSpec, a: &Arc<Matrix>) -> Result<JobHandle, ServiceError> {
+        self.submit(spec, a)
     }
 
     /// Factors a whole batch of (typically small) panels under one spec,
@@ -367,7 +330,7 @@ impl QrService {
             remaining: AtomicUsize::new(panels),
             slot,
         });
-        self.shared.queue.push(Work::Many(batch)).map_err(|e| self.refusal(e))?;
+        self.shared.queue.push(Work::Many(batch))?;
         handle.wait()
     }
 
@@ -380,12 +343,6 @@ impl QrService {
     /// down while in-flight handles stay redeemable.
     pub fn close(&self) {
         self.shared.queue.close();
-    }
-
-    /// Shuts the service down: stop accepting jobs, drain the queue, join
-    /// the workers. Equivalent to dropping the service, but explicit.
-    pub fn shutdown(self) {
-        drop(self);
     }
 }
 
@@ -442,7 +399,7 @@ mod tests {
             );
         }
         // After the workers join, every job's reference is dropped.
-        service.shutdown();
+        drop(service);
         assert_eq!(Arc::strong_count(&a), 1, "jobs release their references");
     }
 
@@ -548,17 +505,13 @@ mod tests {
 
     #[test]
     fn close_makes_submissions_fail_fast() {
-        let service = QrService::builder().workers(1).queue_capacity(1).build();
+        let service = QrService::builder().workers(1).build();
         let spec = spec_64x16();
         let pre = service.submit(&spec, well_conditioned(64, 16, 1)).unwrap();
         service.close();
         pre.wait().unwrap(); // accepted work drains
         assert!(matches!(
             service.submit(&spec, well_conditioned(64, 16, 2)).unwrap_err(),
-            ServiceError::ShuttingDown
-        ));
-        assert!(matches!(
-            service.try_submit(&spec, well_conditioned(64, 16, 2)).unwrap_err(),
             ServiceError::ShuttingDown
         ));
         assert!(matches!(
@@ -601,9 +554,9 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_reports_queue_full() {
+    fn a_pool_is_as_wide_as_asked_and_queues_two_jobs_per_worker() {
         // A pool is as wide as asked, at least 1, and one worker per core by
-        // default; its queue holds two unstarted jobs per worker by default.
+        // default; its queue holds two unstarted jobs per worker.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         for (builder, workers) in [
             (QrService::builder().workers(0), 1),
@@ -614,27 +567,6 @@ mod tests {
             assert_eq!(pool.workers(), workers);
             assert_eq!(pool.queue_capacity(), 2 * workers);
         }
-        // Single worker, capacity-1 queue: park the worker on a real job,
-        // fill the queue, then observe QueueFull without blocking.
-        let service = QrService::builder().workers(1).queue_capacity(1).build();
-        let spec = spec_64x16();
-        let mut handles = Vec::new();
-        let mut saw_full = false;
-        for seed in 0..64 {
-            match service.try_submit(&spec, well_conditioned(64, 16, seed)) {
-                Ok(h) => handles.push(h),
-                Err(ServiceError::QueueFull { capacity }) => {
-                    assert_eq!(capacity, 1);
-                    saw_full = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert!(saw_full, "64 instant submissions must outrun a capacity-1 queue");
-        for h in handles {
-            h.wait().unwrap();
-        }
     }
 
     #[test]
@@ -644,9 +576,9 @@ mod tests {
         let handles: Vec<_> = (0..8)
             .map(|s| service.submit(&spec, well_conditioned(64, 16, s)).unwrap())
             .collect();
-        service.shutdown();
+        drop(service);
         for h in handles {
-            assert!(h.is_finished(), "accepted jobs must complete before shutdown returns");
+            assert!(h.is_finished(), "accepted jobs must complete before the drop returns");
             h.wait().unwrap();
         }
     }

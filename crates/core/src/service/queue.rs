@@ -3,9 +3,9 @@
 //! Every queued unit — a factorization or a `factor_many` batch — travels
 //! through the same `Mutex<VecDeque>` (`std` primitives only: the
 //! workspace builds offline, no `crossbeam`). Backpressure lives here:
-//! [`Fifo::push`] blocks at capacity and [`Fifo::try_push`] refuses. Items
-//! pop in push order. A `factor_many` batch spreads itself over the pool
-//! through [`Fifo::reoffer`].
+//! [`Fifo::push`] blocks at capacity. Items pop in push order. A
+//! `factor_many` batch spreads itself over the pool through
+//! [`Fifo::reoffer`].
 //!
 //! The schedule is invisible to the arithmetic: every queued unit is
 //! independent (factorizations, batch panels writing disjoint result
@@ -27,8 +27,8 @@ struct State<T> {
     closed: bool,
 }
 
-/// Bounded MPMC FIFO: producers block (or are refused) at capacity,
-/// consumers sleep while it is empty.
+/// Bounded MPMC FIFO: producers block at capacity, consumers sleep while it
+/// is empty.
 pub(crate) struct Fifo<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
@@ -39,13 +39,10 @@ pub(crate) struct Fifo<T> {
     consumers: AtomicUsize,
 }
 
-/// Why a push was refused.
+/// Why a push was refused: the queue was closed — or its last consumer
+/// exited, so the item could never be drained. The item is handed back.
 pub(crate) enum PushError<T> {
-    /// The queue was closed — or its last consumer exited, so the item
-    /// could never be drained. The item is handed back.
     Closed(T),
-    /// Non-blocking push only: the queue is at capacity.
-    Full(T),
 }
 
 /// RAII consumer registration; dropping it (normal exit or unwind) counts
@@ -108,16 +105,6 @@ impl<T> Fifo<T> {
     /// Enqueues `item`, blocking while the queue is full. Fails when the
     /// queue has been closed or its last consumer has exited.
     pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        self.admit(item, true)
-    }
-
-    /// Enqueues `item` without blocking; fails when full, closed, or
-    /// consumer-less.
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        self.admit(item, false)
-    }
-
-    fn admit(&self, item: T, block: bool) -> Result<(), PushError<T>> {
         let mut g = self.lock();
         loop {
             if g.closed || self.live_consumers() == 0 {
@@ -125,9 +112,6 @@ impl<T> Fifo<T> {
             }
             if g.items.len() < self.capacity {
                 break;
-            }
-            if !block {
-                return Err(PushError::Full(item));
             }
             g = self.not_full.wait(g).unwrap_or_else(|e| e.into_inner());
         }
@@ -182,11 +166,10 @@ mod tests {
     fn fifo_within_capacity() {
         let q = Fifo::new(4, 2);
         for i in 0..4 {
-            assert!(q.try_push(i).is_ok());
+            assert!(q.push(i).is_ok());
         }
-        assert!(matches!(q.try_push(9), Err(PushError::Full(9))));
         assert_eq!(q.pop(), Some(0));
-        assert!(q.try_push(9).is_ok());
+        assert!(q.push(9).is_ok());
         for expect in [1, 2, 3, 9] {
             assert_eq!(q.pop(), Some(expect));
         }
@@ -197,7 +180,6 @@ mod tests {
         let q = Fifo::new(2, 2);
         q.push('a').ok().unwrap();
         q.push('b').ok().unwrap();
-        assert!(matches!(q.try_push('x'), Err(PushError::Full('x'))));
         q.reoffer('r'); // full: accepted anyway, without waiting
         q.close();
         q.reoffer('s'); // closed: accepted anyway
@@ -215,7 +197,6 @@ mod tests {
         q.push(2).ok().unwrap();
         q.close();
         assert!(matches!(q.push(3), Err(PushError::Closed(3))));
-        assert!(matches!(q.try_push(3), Err(PushError::Closed(3))));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
@@ -260,7 +241,6 @@ mod tests {
         });
         assert_eq!(q.live_consumers(), 0);
         assert!(matches!(q.push(2), Err(PushError::Closed(2))));
-        assert!(matches!(q.try_push(2), Err(PushError::Closed(2))));
     }
 
     #[test]

@@ -191,7 +191,7 @@ mod tests {
             let service = QrService::builder().workers(workers).build();
             let batch = (0..4).map(|s| well_conditioned(64, 16, s)).collect();
             assert_eq!(service.factor_many(&spec_64x16(), batch).unwrap().len(), 4);
-            service.shutdown();
+            drop(service);
             fault::injected(fault::DEQUEUE)
         })
     }

@@ -15,16 +15,16 @@
 //! 2. **Score** — each candidate is priced with the exact closed-form cost
 //!    models on a [`MachineCal`] profile. The default profile models *this
 //!    process*: a nominal flop rate for the packed kernels every plan runs,
-//!    per-message software overhead for the simulated collectives, and an
+//!    a nominal α-β network (per-message software overhead for the
+//!    simulated collectives, per-word memcpy cost), and an
 //!    oversubscription factor for running `P` simulated ranks on `threads`
-//!    cores. With
-//!    [`Tuner::calibrate`] the flop rate is measured live
-//!    ([`dense::probe`]) instead of assumed.
+//!    cores. With [`Tuner::calibrate`] the flop rate is measured live
+//!    ([`dense::probe`]) instead of assumed; the network stays nominal.
 //! 3. **Refine** — under calibration, the top three candidates by
 //!    predicted time — plus the best-predicted candidate of every algorithm
 //!    family, so no family is eliminated by model bias alone — are run for
-//!    real (short, scaled-down rows, seeded input) and re-ranked by measured
-//!    wall time, in this process only.
+//!    real on [`RuntimeKind::Simulated`] (short, scaled-down rows, seeded
+//!    input) and re-ranked by measured wall time, in this process only.
 //!
 //! The result is a [`TunerReport`]: every candidate, ranked, with predicted
 //! α-β-γ cost and (optionally) measured seconds. [`QrPlan::auto`] and
@@ -80,27 +80,16 @@ const CALIBRATION_REPS: usize = 2;
 const NOMINAL_SECONDS_PER_FLOP: f64 = 2.5e-10;
 
 /// The scoring profile for running simulated ranks inside this process:
-/// per-message software overhead α (thread-pool synchronization, not wire
-/// latency), per-word β at memcpy speed, and the given measured or nominal
-/// compute rate.
+/// a nominal per-message software overhead α (thread-pool synchronization,
+/// not wire latency), a nominal per-word β at memcpy speed, and the given
+/// measured or nominal compute rate.
 fn host_profile(seconds_per_flop: f64) -> MachineCal {
-    MachineCal::calibrated("host", nominal_host_net(), seconds_per_flop)
-}
-
-/// The nominal α-β network assumed for in-process execution when no live
-/// transport probe has run.
-fn nominal_host_net() -> Machine {
-    Machine {
+    let net = Machine {
         alpha: 1.0e-6,
         beta: 1.5e-9,
         gamma: 0.0,
-    }
-}
-
-/// A scoring profile with a *measured* α-β network (e.g. from
-/// [`simgrid::probe_shm_alpha_beta`]) in place of the nominal host numbers.
-fn measured_profile(net: Machine, seconds_per_flop: f64) -> MachineCal {
-    MachineCal::calibrated("host-measured", net, seconds_per_flop)
+    };
+    MachineCal::calibrated("host", net, seconds_per_flop)
 }
 
 /// One scored (and possibly measured) configuration in a [`TunerReport`].
@@ -146,11 +135,6 @@ pub struct TunerReport {
     pub threads: usize,
     /// Whether live calibration (probe + measured top-K) ran.
     pub calibrated: bool,
-    /// The execution backend the tuning targeted: measured calibration runs
-    /// execute on it, and under [`RuntimeKind::SharedMem`] with calibration
-    /// the α-β network is measured by transport microprobes instead of
-    /// assumed.
-    pub runtime: RuntimeKind,
     /// The microkernel probes backing the calibrated flop rates — one
     /// gemm probe *and one Gram-kernel (syrk) probe* of the packed kernels
     /// (empty without calibration or with an explicit scoring profile).
@@ -173,9 +157,9 @@ impl TunerReport {
     }
 
     /// Builds the winning plan under the given simulated machine model, on
-    /// the runtime the tuning targeted.
+    /// [`RuntimeKind::Simulated`], where the tuner measured it.
     pub fn best_plan(&self, machine: Machine) -> Result<QrPlan, PlanError> {
-        self.best().spec.build_plan(machine, self.runtime)
+        self.best().spec.build_plan(machine, RuntimeKind::Simulated)
     }
 }
 
@@ -189,7 +173,6 @@ pub struct Tuner {
     m: usize,
     n: usize,
     processors: Option<usize>,
-    runtime: RuntimeKind,
     profile: Option<MachineCal>,
     algorithms: Vec<Algorithm>,
     calibrate: bool,
@@ -204,7 +187,6 @@ impl Tuner {
             m,
             n,
             processors: None,
-            runtime: RuntimeKind::Simulated,
             profile: None,
             algorithms: Algorithm::ALL.to_vec(),
             calibrate: false,
@@ -215,15 +197,6 @@ impl Tuner {
     /// {16, 8, 4, 32, 64, 2, 1} with a runnable candidate).
     pub fn processors(mut self, p: usize) -> Tuner {
         self.processors = Some(p);
-        self
-    }
-
-    /// Targets a rank placement (default [`RuntimeKind::Simulated`]).
-    /// Calibration runs execute on it; under
-    /// [`RuntimeKind::SharedMem`] the scoring profile's α-β network is
-    /// *measured* with transport microprobes rather than assumed.
-    pub fn runtime(mut self, runtime: RuntimeKind) -> Tuner {
-        self.runtime = runtime;
         self
     }
 
@@ -265,15 +238,6 @@ impl Tuner {
         // predicted seconds into wall-clock territory without moving ranks.
         let oversubscription = (processors as f64 / threads as f64).max(1.0);
 
-        // Under shared-memory calibration, measure the transport's α-β once
-        // (ping-pong latency + streaming bandwidth microprobes) so the
-        // scoring profile prices communication as the machine actually
-        // delivers it.
-        let measured_net = if self.calibrate && self.profile.is_none() && self.runtime == RuntimeKind::SharedMem {
-            Some(simgrid::probe_shm_alpha_beta().as_machine())
-        } else {
-            None
-        };
         let mut probes = Vec::new();
         let cal = match self.profile {
             Some(cal) => cal,
@@ -289,8 +253,7 @@ impl Tuner {
                 // over-prices the Gram-heavy candidates. PGEQRF stays at the
                 // pure gemm rate (Householder has no Gram kernel). The top-K
                 // re-rank below still measures whole factorizations live.
-                measured_profile(measured_net.unwrap_or_else(nominal_host_net), p.seconds_per_flop)
-                    .with_gamma_cqr2(0.5 * (p.seconds_per_flop + ps.seconds_per_flop))
+                host_profile(p.seconds_per_flop).with_gamma_cqr2(0.5 * (p.seconds_per_flop + ps.seconds_per_flop))
             }
             None => host_profile(NOMINAL_SECONDS_PER_FLOP),
         };
@@ -354,7 +317,6 @@ impl Tuner {
             processors,
             threads,
             calibrated: self.calibrate,
-            runtime: self.runtime,
             probes,
             candidates,
         })
@@ -409,7 +371,7 @@ impl Tuner {
             rows = self.m; // the candidate validated for m, so divisor | m
         }
         let spec = JobSpec::from_config(rows, self.n, &cand.config);
-        let Ok(plan) = spec.build_plan(Machine::zero(), self.runtime) else {
+        let Ok(plan) = spec.build_plan(Machine::zero(), RuntimeKind::Simulated) else {
             return f64::INFINITY;
         };
         let a = well_conditioned(rows, self.n, CALIBRATION_SEED);

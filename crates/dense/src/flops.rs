@@ -43,12 +43,6 @@ pub fn syrk(m: usize, n: usize) -> f64 {
     m as f64 * n as f64 * n as f64
 }
 
-/// γ cost of applying a triangular `n × n` operand to an `m × n` block
-/// (triangular multiply or solve — the structure halves the work of gemm).
-pub fn trmm(m: usize, n: usize) -> f64 {
-    m as f64 * n as f64 * n as f64
-}
-
 /// γ cost of a Cholesky factorization alone.
 pub fn chol(n: usize) -> f64 {
     let n = n as f64;

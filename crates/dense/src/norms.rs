@@ -27,7 +27,7 @@
 //! only — at `n = 64` that is 0.625 of the product's `2mn²` (the bits are
 //! the full product's; [`crate::backend::blocked`]). At 16384 × 64 on one
 //! thread of a two-vCPU AVX-512 box that took both numbers from
-//! ≈ 14.6–16.2 ms to ≈ 11.1–12.3 ms (README, "Performance").
+//! ≈ 14.6–16.2 ms to ≈ 11.1–12.3 ms (CHANGES.md).
 //!
 //! The only scratch is that Gram matrix and that panel, both drawn from the
 //! caller's [`Workspace`]: a warm arena makes the whole computation

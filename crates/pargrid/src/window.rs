@@ -8,13 +8,8 @@
 //! [`take`](CyclicWindows::take)s its own. Distinct `(r, c)` are distinct
 //! residue classes, so no element belongs to two windows: the same
 //! disjoint-by-construction discipline as [`MatMut::split_rows`], for a
-//! partition `split_*` cannot express.
-//!
-//! With `cp = 1` a window *is* a strided [`MatMut`]
-//! ([`CyclicWindow::into_mat_mut`]): a kernel can produce the rank's rows of
-//! the result directly in place. With `cp > 1` the owned columns interleave
-//! with other owners' and `MatMut` has no column stride, so the rank
-//! deposits a packed local piece with [`CyclicWindow::deposit`].
+//! partition `split_*` cannot express. The rank writes its packed local
+//! piece through the window with [`CyclicWindow::deposit`].
 
 use crate::dist::local_count;
 use dense::{MatMut, MatRef};
@@ -37,12 +32,6 @@ impl<'a> CyclicWindow<'a> {
     /// Local piece shape `(rows, cols)` this window holds.
     pub fn local_dims(&self) -> (usize, usize) {
         (self.view.rows(), self.local_cols)
-    }
-
-    /// The window as a strided view — only a row-cyclic window (`cp = 1`)
-    /// is one; `None` when the owned columns interleave with other owners'.
-    pub fn into_mat_mut(self) -> Option<MatMut<'a>> {
-        (self.col_step == 1).then_some(self.view)
     }
 
     /// Writes the packed local piece `src` (local entry `(li, lj)` is global
@@ -92,7 +81,7 @@ impl<'a> CyclicWindows<'a> {
                 // row `r + (lr−1)·rp < rows`, column `c + (lc−1)·cp < cols`.
                 // The elements a `CyclicWindow` can *write* are rows ≡ r
                 // (mod rp) at columns ≡ c (mod cp) — `deposit` steps by
-                // `col_step`, and `into_mat_mut` releases the view only when
+                // `col_step`, and copies over the whole view only when
                 // `cp = 1`, where the span is exactly those elements — so
                 // windows of distinct `(r, c)` write disjoint elements. For
                 // `cp > 1` the spans of one row class do overlap between

@@ -18,13 +18,9 @@ use std::time::Instant;
 fn main() -> Result<(), ServiceError> {
     // ---- One engine for the whole process. --------------------------------
     //
-    // Four worker threads, a bounded queue of 8 in-flight jobs, every job
-    // charged under the simulated Stampede2-like machine.
-    let service = QrService::builder()
-        .workers(4)
-        .queue_capacity(8)
-        .machine(Machine::stampede2(64))
-        .build();
+    // Four worker threads, a bounded queue of 8 (two per worker) in-flight
+    // jobs, every job charged under the simulated Stampede2-like machine.
+    let service = QrService::builder().workers(4).machine(Machine::stampede2(64)).build();
     println!(
         "QrService: {} workers, queue capacity {}",
         service.workers(),

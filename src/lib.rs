@@ -101,3 +101,9 @@ pub use cacqr::service::{
 };
 pub use cacqr::stream::{StreamSnapshot, StreamStatus, StreamingQr};
 pub use cacqr::tuner::{Tuner, TunerError, TunerReport};
+
+/// The README's Rust blocks, compiled and run as doctests so that it never
+/// names an API the crates no longer have.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -2,7 +2,7 @@
 //! produce *consistent, informative* errors on every rank — never a hang,
 //! panic, or divergent control flow.
 
-use cacqr::{Algorithm, CfrParams, PlanError, QrPlan};
+use cacqr::{Algorithm, CfrParams, PlanError, QrPlan, RetryPolicy};
 use dense::random::{matrix_with_condition, well_conditioned};
 use dense::{BackendKind, Matrix};
 use pargrid::{DistMatrix, GridShape, TunableComms};
@@ -157,4 +157,51 @@ fn pgeqrf_handles_rank_deficiency_gracefully() {
         run.r.get(7, 7).abs() < 1e-12,
         "zero column must give a zero diagonal in R"
     );
+}
+
+#[test]
+fn non_finite_input_never_factors_to_ok() {
+    // One NaN or +∞ entry: a Gram rung breaks down on it, and Householder
+    // QR runs to the end with a non-finite R. Neither policy may hand that
+    // R back as a factorization, on any grid.
+    let (m, n) = (256usize, 16usize);
+    let plans = [
+        QrPlan::new(m, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(2).unwrap()),
+        QrPlan::new(m, n).grid(GridShape::new(2, 2).unwrap()),
+        QrPlan::new(m, n)
+            .algorithm(Algorithm::Pgeqrf)
+            .block_cyclic(baseline::BlockCyclic { pr: 2, pc: 1, nb: 16 }),
+    ];
+    for bad in [f64::NAN, f64::INFINITY] {
+        let mut a = well_conditioned(m, n, 20);
+        a.set(37, 5, bad);
+        for builder in plans {
+            let plan = builder.build().unwrap();
+            let algorithm = plan.algorithm();
+            match plan.factor_with_policy(&a, RetryPolicy::none()) {
+                Err(PlanError::NotPositiveDefinite(_)) if algorithm != Algorithm::Pgeqrf => {}
+                Err(PlanError::NonFinite { algorithm: a }) => assert_eq!(a, algorithm),
+                other => panic!("{algorithm} with a {bad} entry, no retry: {other:?}"),
+            }
+            match plan.factor_with_policy(&a, RetryPolicy::escalate()) {
+                Err(PlanError::EscalationExhausted { attempts }) => {
+                    let terminal = attempts.last().expect("at least one rung ran");
+                    assert_eq!(terminal.algorithm, Algorithm::Pgeqrf);
+                    assert!(
+                        matches!(
+                            terminal.error.as_deref(),
+                            Some(PlanError::NonFinite {
+                                algorithm: Algorithm::Pgeqrf
+                            })
+                        ),
+                        "{:?}",
+                        terminal.error
+                    );
+                }
+                other => panic!("{algorithm} with a {bad} entry, escalating: {other:?}"),
+            }
+        }
+    }
 }

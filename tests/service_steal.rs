@@ -1,44 +1,17 @@
 //! Edge-case coverage for the `QrService` scheduler — one bounded FIFO
-//! that `factor_many` batches re-offer themselves to: queue admission (full
-//! queue, empty batches), shutdown semantics (`close`, handles outliving
-//! accepted work), once-only redemption of a handle's outcome, zero-copy
+//! that `factor_many` batches re-offer themselves to: empty batches,
+//! shutdown semantics (`close`, handles outliving accepted work), zero-copy
 //! submission, `factor_many`'s equivalence to the per-job path at every
 //! pool width, and a batch's progress while the queue is held full.
 
-use cacqr::service::{JobHandle, JobSpec, QrService, ServiceError};
+use cacqr::service::{JobSpec, QrService, ServiceError};
 use dense::random::well_conditioned;
 use pargrid::GridShape;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn spec() -> JobSpec {
     JobSpec::new(64, 16).grid(GridShape::new(2, 2).unwrap())
-}
-
-#[test]
-fn try_submit_on_a_full_queue_refuses_without_blocking() {
-    let service = QrService::builder().workers(1).queue_capacity(2).build();
-    let s = spec();
-    let mut accepted = Vec::new();
-    let mut full = 0usize;
-    // Fire far more submissions than a 1-worker, capacity-2 service can
-    // absorb instantly; the excess must come back as QueueFull, never
-    // block, and never be silently dropped.
-    for seed in 0..128u64 {
-        match service.try_submit(&s, well_conditioned(64, 16, seed)) {
-            Ok(h) => accepted.push(h),
-            Err(ServiceError::QueueFull { capacity }) => {
-                assert_eq!(capacity, 2);
-                full += 1;
-            }
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-    }
-    assert!(full > 0, "128 instant submissions must overflow a capacity-2 queue");
-    for h in accepted {
-        h.wait().unwrap();
-    }
 }
 
 #[test]
@@ -65,10 +38,6 @@ fn close_fails_new_submissions_and_keeps_accepted_handles_redeemable() {
         ServiceError::ShuttingDown
     ));
     assert!(matches!(
-        service.try_submit(&s, well_conditioned(64, 16, 9)).unwrap_err(),
-        ServiceError::ShuttingDown
-    ));
-    assert!(matches!(
         service.factor_many(&s, vec![well_conditioned(64, 16, 9)]).unwrap_err(),
         ServiceError::ShuttingDown
     ));
@@ -90,7 +59,7 @@ fn submit_ref_fans_one_operand_out_bitwise_identically() {
         assert_eq!(report.q, expect.q, "shared-operand jobs factor bitwise identically");
         assert_eq!(report.r, expect.r);
     }
-    service.shutdown();
+    drop(service);
     assert_eq!(Arc::strong_count(&a), 1, "the service releases every shared reference");
 }
 
@@ -129,38 +98,29 @@ fn factor_many_matches_the_per_job_path_at_every_width() {
 
 #[test]
 fn a_batch_runs_to_completion_while_the_queue_is_held_full() {
-    let service = QrService::builder().workers(2).queue_capacity(1).build();
+    let service = QrService::builder().workers(2).build();
     let s = spec();
     let batch: Vec<_> = (0..64).map(|seed| well_conditioned(64, 16, 200 + seed)).collect();
     let plan = service.plan(&s).unwrap();
     let expect: Vec<_> = batch.iter().map(|a| plan.factor(a).unwrap()).collect();
     let filler_input = Arc::new(well_conditioned(64, 16, 7));
     let batch_done = AtomicBool::new(false);
-    let (accepted, refused, got) = std::thread::scope(|scope| {
-        // Keeps the single queue slot taken for as long as the batch runs:
-        // every re-offer of the batch then lands on a full queue, and must
-        // go through without waiting for a slot that is never free.
+    let (accepted, got) = std::thread::scope(|scope| {
+        // Refills every queue slot the workers free for as long as the
+        // batch runs, blocking while the queue is full: every re-offer of
+        // the batch then lands on a full queue, and must go through without
+        // waiting for a slot the filler takes first.
         let filler = scope.spawn(|| {
             let mut accepted = Vec::new();
-            let mut refused = 0usize;
             while !batch_done.load(Ordering::SeqCst) {
-                match service.try_submit(&s, &filler_input) {
-                    Ok(h) => accepted.push(h),
-                    Err(ServiceError::QueueFull { capacity: 1 }) => {
-                        refused += 1;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
+                accepted.push(service.submit(&s, &filler_input).unwrap());
             }
-            (accepted, refused)
+            accepted
         });
         let got = service.factor_many(&s, batch);
         batch_done.store(true, Ordering::SeqCst);
-        let (accepted, refused) = filler.join().unwrap();
-        (accepted, refused, got.unwrap())
+        (filler.join().unwrap(), got.unwrap())
     });
-    assert!(refused > 0, "the filler must have found the queue full");
     assert_eq!(got.len(), expect.len());
     for (got, want) in got.iter().zip(&expect) {
         assert_eq!(got.q, want.q, "a contended batch is still the sequential loop, bitwise");
@@ -196,27 +156,4 @@ fn stats_expose_latency_quantiles_and_throughput() {
     // median kernel time.
     assert!(stats.end_to_end.p99 >= stats.execution.p50);
     assert!(stats.uptime.as_nanos() > 0);
-}
-
-/// One outcome per handle: once `wait_timeout` has delivered it, the handle
-/// stays finished and redeeming it again is a typed error well within the
-/// budget — never an endless wait for a completion that already happened.
-fn assert_redeems_exactly_once(handle: JobHandle) {
-    let first = handle.wait_timeout(Duration::from_secs(60));
-    first.expect("the job completes").expect("a well-formed job succeeds");
-    assert!(handle.is_finished(), "a redeemed handle is still a finished one");
-    let again = handle.wait_timeout(Duration::from_millis(10));
-    assert!(
-        matches!(again, Some(Err(ServiceError::AlreadyRedeemed))),
-        "got {again:?}"
-    );
-    assert!(matches!(handle.wait(), Err(ServiceError::AlreadyRedeemed)));
-}
-
-#[test]
-fn submitted_and_try_submitted_handles_deliver_their_outcome_exactly_once() {
-    let service = QrService::builder().workers(2).build();
-    let s = spec();
-    assert_redeems_exactly_once(service.submit(&s, well_conditioned(64, 16, 1)).unwrap());
-    assert_redeems_exactly_once(service.try_submit(&s, well_conditioned(64, 16, 2)).unwrap());
 }

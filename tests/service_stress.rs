@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 #[test]
 fn concurrent_mixed_load_holds_numerical_invariants() {
-    let service = QrService::builder().workers(4).queue_capacity(8).build();
+    let service = QrService::builder().workers(4).build();
     let specs = mixed_specs();
     let submitters = 6usize;
     let jobs_per_thread = 8usize;
@@ -63,7 +63,7 @@ fn reports_are_deterministic_per_seed_and_shape() {
     // The same (seed, shape) job must produce bitwise-identical factors no
     // matter which worker runs it, how saturated the pool is, or whether it
     // runs through the service at all.
-    let service = QrService::builder().workers(4).queue_capacity(4).build();
+    let service = QrService::builder().workers(4).build();
     let specs = mixed_specs();
     for spec in &specs {
         let seed = 77u64;
@@ -181,11 +181,7 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
         .into_iter()
         .flat_map(|runtime| [1usize, 2, 8].map(|workers| (runtime, workers)))
     {
-        let service = QrService::builder()
-            .workers(workers)
-            .queue_capacity(4)
-            .runtime(runtime)
-            .build();
+        let service = QrService::builder().workers(workers).runtime(runtime).build();
         let mut live = service.plan(&spec).unwrap().stream(&stream_seed).unwrap();
         // Interleave: the stream's updates run while the factor_many batch
         // is claimed panel by panel across the workers.
@@ -219,7 +215,7 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
 
 #[test]
 fn batch_order_is_submission_order_under_load() {
-    let service = QrService::builder().workers(4).queue_capacity(2).build();
+    let service = QrService::builder().workers(4).build();
     let spec = JobSpec::new(64, 8)
         .algorithm(Algorithm::Cqr2_1d)
         .grid(GridShape::one_d(4).unwrap());
