@@ -109,20 +109,26 @@ pub enum PlanError {
         /// CQR2 family, `KAPPA_MAX² / (64·(mn + n(n+1)))` for shifted CQR3.
         limit: f64,
     },
-    /// A factorization ran to the end but its `R` holds a NaN or an
-    /// infinity — a non-finite input entry, or one that overflows. No run
-    /// with such an `R` is accepted: this is the error of a run under a
-    /// disabled policy, and of an escalating walk's terminal rung.
+    /// The input holds a NaN or an infinity, or a factorization ran to the
+    /// end with an `R` that does (a finite input that overflows). No run
+    /// with such an `R` is accepted. A rung that breaks down on a
+    /// non-finite pivot or ends with a non-finite `R` has its input
+    /// scanned, and a non-finite entry ends the walk at that first rung
+    /// with this error under either policy; an overflowing finite input
+    /// gets it from its terminal rung, bare under a disabled policy and
+    /// inside [`PlanError::EscalationExhausted`] under an escalating one.
     NonFinite {
-        /// The algorithm whose run produced the non-finite `R`.
+        /// The algorithm whose run ended the walk.
         algorithm: Algorithm,
     },
     /// Every rung of an escalating walk failed, the terminal one included.
     /// Carries the full attempt chain — algorithm and error per rung — so
     /// the caller sees exactly what was tried. The terminal rung is
     /// accepted whatever its κ, so only its own breakdown or a non-finite
-    /// `R` ends a walk here; every ladder the builder makes ends on
-    /// Householder `Pgeqrf`, which has no Cholesky to break.
+    /// `R` from a finite input ends a walk here (a non-finite input ends it
+    /// at the first rung as [`PlanError::NonFinite`]); every ladder the
+    /// builder makes ends on Householder `Pgeqrf`, which has no Cholesky to
+    /// break.
     EscalationExhausted {
         /// One entry per attempted rung, in execution order.
         attempts: Vec<EscalationAttempt>,
@@ -135,30 +141,18 @@ pub enum PlanError {
     Update(UpdateError),
     /// A downdate block does not match the oldest retained rows. Streams
     /// remove rows strictly oldest-first (a sliding window), and the rows
-    /// handed to [`downdate_rows`](crate::stream::StreamingQr::downdate_rows)
-    /// must be bitwise the ones that were appended.
+    /// handed to
+    /// [`downdate_rows_with`](crate::stream::StreamingQr::downdate_rows_with),
+    /// and their right-hand sides, must be bitwise the ones that were
+    /// appended.
     StreamHistoryMismatch {
         /// Index within the downdate block of the first mismatched row.
         row: usize,
     },
-    /// The requested operation reads or maintains the stream's
-    /// right-hand-side track, but the stream was opened without one
-    /// ([`QrPlan::stream`](super::QrPlan::stream) instead of
-    /// [`QrPlan::stream_with_rhs`](super::QrPlan::stream_with_rhs)).
-    StreamRhsMissing {
-        /// The operation that needed the right-hand-side track.
-        op: &'static str,
-    },
-    /// The stream maintains a right-hand-side track `d = Aᵀb`, and the
-    /// plain update would silently desynchronize it from the factor; use
-    /// the `_with` variant that carries the matching right-hand-side rows.
-    StreamRhsRequired {
-        /// The plain operation that was rejected.
-        op: &'static str,
-    },
     /// A right-hand-side block does not have the shape the stream (or the
     /// solve output) requires: its rows must pair one-to-one with the row
-    /// block's, and its width must match the track's `nrhs` fixed at open.
+    /// block's, and its width must match the track's `nrhs` fixed at open
+    /// (any width, zero included).
     RhsShapeMismatch {
         /// `(rows, nrhs)` the operation required.
         expected: (usize, usize),
@@ -236,20 +230,6 @@ impl std::fmt::Display for PlanError {
                     f,
                     "downdate row {row} does not match the oldest retained rows \
                      (downdates remove rows oldest-first)"
-                )
-            }
-            PlanError::StreamRhsMissing { op } => {
-                write!(
-                    f,
-                    "streaming operation `{op}` needs the right-hand-side track \
-                     (open the stream with stream_with_rhs)"
-                )
-            }
-            PlanError::StreamRhsRequired { op } => {
-                write!(
-                    f,
-                    "stream maintains a right-hand-side track: use `{op}_with` so \
-                     d = A'b stays synchronized with the factor"
                 )
             }
             PlanError::RhsShapeMismatch { expected, got } => {

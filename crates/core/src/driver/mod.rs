@@ -120,9 +120,11 @@ use std::sync::Arc;
 /// covers: [`RetryPolicy::KAPPA_MAX`] for 1D-CQR2 / CA-CQR2,
 /// `KAPPA_MAX² / (64·(mn + n(n+1)))` for shifted CA-CQR3 on `m × n` input
 /// (`1/(64·(mn + n(n+1))·ε)`: 7.6e9 at 256 × 32); the terminal rung is
-/// accepted unconditionally. The default policy is [`RetryPolicy::none`]:
-/// no retries, errors surface exactly as they did before escalation
-/// existed.
+/// accepted whatever its κ. No rung is accepted with a NaN or an infinity
+/// in its `R`, and an input holding one ends the walk at its first rung
+/// ([`PlanError::NonFinite`]) under either policy. The default policy is
+/// [`RetryPolicy::none`]: no retries, errors surface exactly as they did
+/// before escalation existed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct RetryPolicy {
     escalate: bool,
@@ -141,8 +143,8 @@ impl RetryPolicy {
     }
 
     /// Full escalation: walk every available ladder rung, gating each
-    /// non-terminal rung on its own limit; the terminal rung is always
-    /// accepted.
+    /// non-terminal rung on its own limit; the terminal rung is accepted
+    /// whatever its κ.
     pub fn escalate() -> RetryPolicy {
         RetryPolicy { escalate: true }
     }
@@ -479,7 +481,8 @@ impl QrPlan {
     /// breakdown. The terminal rung is accepted whatever its κ; only a walk
     /// whose last rung itself fails returns the full chain as
     /// [`PlanError::EscalationExhausted`], and a Householder terminal rung
-    /// has no Cholesky to fail.
+    /// has no Cholesky to fail. An input holding a NaN or an infinity fails
+    /// at its first rung as [`PlanError::NonFinite`] under either policy.
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
         self.check_shape(a.as_ref())?;
         let accepted = self.run_rows(a.as_ref(), policy, true)?;
@@ -545,12 +548,18 @@ impl QrPlan {
     }
 
     /// The one escalation ladder walk: `primary`, then — under an enabled
-    /// policy — each rung of `ladder` until one is accepted. A non-terminal
-    /// rung is accepted when its `R`'s κ₁ estimate is within
-    /// [`rung_limit`] for `a`'s shape; the terminal rung, and the primary
-    /// under a disabled policy, whatever the estimate. No run is accepted
-    /// whose `R` holds a NaN or an infinity: that is
-    /// [`PlanError::NonFinite`], the terminal rung's error.
+    /// policy — each rung of `ladder` until one is accepted. Under a
+    /// disabled policy the ladder is empty, the primary is the terminal
+    /// rung, and its error comes back bare. A non-terminal rung is accepted
+    /// when its `R`'s κ₁ estimate is within [`rung_limit`] for `a`'s shape;
+    /// the terminal rung whatever the estimate, which is made only when an
+    /// escalation report records it. No run is accepted whose `R` holds a
+    /// NaN or an infinity: that is [`PlanError::NonFinite`], the terminal
+    /// rung's error. A rung that breaks down on a non-finite pivot, or ends
+    /// with a non-finite `R`, has `a` scanned on this thread: a NaN or an
+    /// infinity there ends the walk at once with
+    /// [`PlanError::NonFinite`] of that rung's algorithm, under either
+    /// policy, since no rung can factor it.
     /// With `diagnose`, each rung is handed the same test as its in-region
     /// diagnostics gate, so only the rung the walk accepts adds them; a rung
     /// whose ranks estimated κ₁ for that gate hands the estimate back, and
@@ -564,60 +573,56 @@ impl QrPlan {
         diagnose: bool,
     ) -> Result<AcceptedRun, PlanError> {
         let cfg = SimConfig::with_machine(self.machine).on_runtime(self.runtime);
-        let gate = |limit: f64| diagnose.then_some(limit);
-        let finite = |run: &QrRun| run.r.data().iter().all(|x| x.is_finite());
-        if !policy.is_enabled() {
-            let (run, _, diagnostics) = self.run_config(primary, a, cfg, gate(f64::INFINITY))?;
-            if !finite(&run) {
-                return Err(PlanError::NonFinite {
-                    algorithm: primary.algorithm(),
-                });
-            }
-            return Ok(AcceptedRun {
-                algorithm: primary.algorithm(),
-                run,
-                diagnostics,
-                escalation: None,
-            });
-        }
+        let ladder = if policy.is_enabled() { ladder } else { &[] };
         let mut attempts: Vec<EscalationAttempt> = Vec::new();
         for (i, config) in std::iter::once(primary).chain(ladder.iter().copied()).enumerate() {
             let algorithm = config.algorithm();
-            let limit = rung_limit(algorithm, a.rows(), a.cols());
             let terminal = i == ladder.len();
-            match self.run_config(config, a, cfg, gate(if terminal { f64::INFINITY } else { limit })) {
+            let limit = rung_limit(algorithm, a.rows(), a.cols());
+            let gate = diagnose.then_some(if terminal { f64::INFINITY } else { limit });
+            let (error, non_finite) = match self.run_config(config, a, cfg, gate) {
                 Ok((run, kappa, diagnostics)) => {
-                    let kappa = kappa.unwrap_or_else(|| dense::cond_estimate(run.r.as_ref()));
+                    let estimate = policy
+                        .is_enabled()
+                        .then(|| kappa.unwrap_or_else(|| dense::cond_estimate(run.r.as_ref())));
+                    let finite = run.r.data().iter().all(|x| x.is_finite());
                     // The terminal rung is accepted whatever its κ — there
                     // is nothing better to escalate to, and Householder QR
                     // does not degrade with κ the way the Gram path does.
-                    let within = kappa <= limit || terminal;
-                    let error = if !within {
-                        PlanError::ConditionTooHigh { estimate: kappa, limit }
-                    } else if !finite(&run) {
-                        PlanError::NonFinite { algorithm }
-                    } else {
-                        attempts.push(EscalationAttempt { algorithm, error: None });
-                        return Ok(AcceptedRun {
-                            algorithm,
-                            run,
-                            diagnostics,
-                            escalation: Some(EscalationReport {
-                                attempts,
-                                condition_estimate: kappa,
-                            }),
-                        });
+                    let within = terminal || estimate.is_some_and(|estimate| estimate <= limit);
+                    let error = match estimate {
+                        Some(estimate) if !within => PlanError::ConditionTooHigh { estimate, limit },
+                        _ if !finite => PlanError::NonFinite { algorithm },
+                        _ => {
+                            let escalation = estimate.map(|condition_estimate| {
+                                attempts.push(EscalationAttempt { algorithm, error: None });
+                                EscalationReport {
+                                    attempts,
+                                    condition_estimate,
+                                }
+                            });
+                            return Ok(AcceptedRun {
+                                algorithm,
+                                run,
+                                diagnostics,
+                                escalation,
+                            });
+                        }
                     };
-                    attempts.push(EscalationAttempt {
-                        algorithm,
-                        error: Some(Box::new(error)),
-                    });
+                    (error, !finite)
                 }
-                Err(e) => attempts.push(EscalationAttempt {
-                    algorithm,
-                    error: Some(Box::new(PlanError::NotPositiveDefinite(e))),
-                }),
+                Err(e) => (PlanError::NotPositiveDefinite(e), !e.pivot.is_finite()),
+            };
+            if non_finite && (0..a.rows()).any(|i| a.row(i).iter().any(|x| !x.is_finite())) {
+                return Err(PlanError::NonFinite { algorithm });
             }
+            if !policy.is_enabled() {
+                return Err(error);
+            }
+            attempts.push(EscalationAttempt {
+                algorithm,
+                error: Some(Box::new(error)),
+            });
         }
         Err(PlanError::EscalationExhausted { attempts })
     }
@@ -712,27 +717,23 @@ impl QrPlan {
     /// factoring `initial` through this plan: a live `R` factor that then
     /// absorbs rank-k row appends and downdates in `O(kn² + n³)` instead of
     /// re-factoring at any `k`, auto-refreshing through the plan only when
-    /// its drift bound is crossed.
+    /// its drift bound is crossed. Beside `R` the stream keeps a
+    /// right-hand-side track, the projection `d = Aᵀb`, through every
+    /// append/downdate, so [`solve`](crate::stream::StreamingQr::solve)
+    /// answers `min ‖Ax − b‖` for the live row set at any moment without
+    /// any caller-side accumulator.
     ///
     /// `initial` must have the plan's exact shape (the stream's width stays
-    /// `n` for life; its row count then floats freely above `n`). Clones the
-    /// plan into the stream — plans are cheap handles sharing the arena pool
-    /// and plan cache, so batch `factor` calls and any number of streams
-    /// reuse one warm footprint.
-    pub fn stream(&self, initial: &Matrix) -> Result<crate::stream::StreamingQr, PlanError> {
-        crate::stream::StreamingQr::open(self.clone(), initial)
-    }
-
-    /// Opens a least-squares stream: [`stream`](QrPlan::stream) plus a
-    /// right-hand-side track that maintains the projection `d = Aᵀb`
-    /// through every append/downdate, so
-    /// [`solve`](crate::stream::StreamingQr::solve) answers
-    /// `min ‖Ax − b‖` for the live row set at any moment without any
-    /// caller-side accumulator. `rhs` rows pair one-to-one with
-    /// `initial`'s; its column count fixes `nrhs` for the stream's life
-    /// ([`PlanError::RhsShapeMismatch`] on a mismatch).
+    /// `n` for life; its row count then floats freely above `n`). `rhs`
+    /// rows pair one-to-one with `initial`'s
+    /// ([`PlanError::RhsShapeMismatch`] otherwise); its column count, zero
+    /// included, fixes `nrhs` for the stream's life, and an `m × 0` `rhs`
+    /// opens a stream that keeps only `R`. Clones the plan into the stream
+    /// — plans are cheap handles sharing the arena pool and plan cache, so
+    /// batch `factor` calls and any number of streams reuse one warm
+    /// footprint.
     pub fn stream_with_rhs(&self, initial: &Matrix, rhs: &Matrix) -> Result<crate::stream::StreamingQr, PlanError> {
-        crate::stream::StreamingQr::open_with_rhs(self.clone(), initial, rhs)
+        crate::stream::StreamingQr::open(self.clone(), initial, rhs)
     }
 }
 

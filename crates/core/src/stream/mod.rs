@@ -41,18 +41,22 @@
 //!
 //! # Streaming least squares
 //!
-//! Streams opened through [`QrPlan::stream_with_rhs`] additionally maintain
-//! a **right-hand-side track**: the projected vector `d = Aᵀb`, updated
-//! with the same rank-k deltas as the factor
+//! Every stream carries a **right-hand-side track** of `nrhs ≥ 0` columns,
+//! fixed by the right-hand side it is opened with
+//! ([`QrPlan::stream_with_rhs`]): the projection `dᵀ = (Aᵀb)ᵀ`, one row per
+//! right-hand side, updated with the same rank-k deltas as the factor
 //! ([`append_rows_with`](StreamingQr::append_rows_with) /
 //! [`downdate_rows_with`](StreamingQr::downdate_rows_with)) and recomputed
-//! exactly from the retained `(A, b)` history whenever a refresh fires.
+//! exactly from the retained `(A, b)` history whenever a refresh fires. A
+//! zero-width track keeps only `R`.
 //! [`solve`](StreamingQr::solve) then answers `min ‖Ax − b‖` at any moment
 //! by the *corrected semi-normal equations* (Björck): solve `RᵀR·x = d` by
 //! an `Rᵀ`-forward and `R`-backward substitution, then apply one refinement
 //! step `RᵀR·δ = Aᵀ(b − Ax)` from the history, which restores the accuracy
 //! a Gram-based `R` alone would lose for moderately conditioned problems.
-//! Warm solves draw every temporary from the plan's pooled arenas — zero
+//! Each right-hand side runs through the same single-column kernels, so a
+//! `k`-column stream solves bitwise like `k` one-column streams. Warm
+//! solves draw every temporary from the plan's pooled arenas — zero
 //! process-wide heap allocations, same as appends.
 
 use crate::driver::{AcceptedRun, PlanError, QrPlan, QrReport};
@@ -67,10 +71,10 @@ pub const DEFAULT_DRIFT_THRESHOLD: f64 = 1e-8;
 
 /// A live, incrementally maintained QR factorization (see the module docs).
 ///
-/// Built by [`QrPlan::stream`]; the stream clones the plan (sharing its
-/// workspace pool, so service-cached plans warm their streams and vice
-/// versa) and seeds `R` from a full [`QrPlan::factor`] of the initial
-/// matrix.
+/// Built by [`QrPlan::stream_with_rhs`]; the stream clones the plan
+/// (sharing its workspace pool, so service-cached plans warm their streams
+/// and vice versa) and seeds `R` from the plan's run over the initial
+/// matrix, bitwise the `R` a [`QrPlan::factor`] of it reports.
 #[derive(Clone, Debug)]
 pub struct StreamingQr {
     plan: QrPlan,
@@ -87,9 +91,8 @@ pub struct StreamingQr {
     downdates: usize,
     refreshes: usize,
     updates_since_refresh: usize,
-    /// Optional least-squares track (see the module docs); `None` for
-    /// factor-only streams.
-    rhs: Option<RhsTrack>,
+    /// The least-squares track (see the module docs), `nrhs ≥ 0` wide.
+    rhs: RhsTrack,
     /// The most recent refresh failure, kept for diagnosis when a
     /// drift-triggered refresh fails *after* the update itself committed
     /// (see [`StreamStatus::refresh_failed`]); cleared by the next
@@ -97,36 +100,28 @@ pub struct StreamingQr {
     last_refresh_error: Option<PlanError>,
 }
 
-/// The right-hand-side state of a least-squares stream: the projection
-/// `d = Aᵀb` and the raw right-hand-side rows, indexed like the row history.
+/// The right-hand-side state of a stream: the projection `dᵀ = (Aᵀb)ᵀ`
+/// (`nrhs × n`, one row per right-hand side) and the raw right-hand-side
+/// rows, indexed like the row history.
 #[derive(Clone, Debug)]
 struct RhsTrack {
     nrhs: usize,
-    d: Matrix,
+    dt: Matrix,
     bhist: Vec<f64>,
 }
 
 impl RhsTrack {
-    /// `d ← d + sign·BᵀC` for a `k × n` row block `b` against its `k × nrhs`
-    /// right-hand sides `c` — the projection's rank-k delta, streamed row by
-    /// row so it is allocation-free and deterministic. A single right-hand
-    /// side is one axpy per row: `(sign·c)·a = ±(a·c) = (sign·a)·c` exactly.
-    /// From a zeroed `d` with `sign = 1` it is `d = Aᵀb` of the rows itself
-    /// (`1·x = x`), so a refresh recomputes `d` by this same fold.
-    fn fold_delta(d: &mut Matrix, sign: f64, b: MatRef<'_>, c: MatRef<'_>) {
-        let nrhs = c.cols();
-        let d = d.data_mut();
+    /// `dᵀ ← dᵀ + sign·CᵀB` for a `k × n` row block `b` against its
+    /// `k × nrhs` right-hand sides `c` — the projection's rank-k delta,
+    /// streamed row by row so it is allocation-free and deterministic: one
+    /// axpy per row and right-hand side, `(sign·c)·a = ±(a·c)` exactly. From
+    /// a zeroed `dᵀ` with `sign = 1` it is `(Aᵀb)ᵀ` of the rows itself
+    /// (`1·x = x`), so a refresh recomputes `dᵀ` by this same fold.
+    fn fold_delta(dt: &mut Matrix, sign: f64, b: MatRef<'_>, c: MatRef<'_>) {
+        let n = b.cols();
         for i in 0..b.rows() {
-            let crow = c.row(i);
-            if nrhs == 1 {
-                blas1::axpy(sign * crow[0], b.row(i), d);
-                continue;
-            }
-            for (j, &aij) in b.row(i).iter().enumerate() {
-                let dst = &mut d[j * nrhs..(j + 1) * nrhs];
-                for (x, &cv) in dst.iter_mut().zip(crow) {
-                    *x += sign * aij * cv;
-                }
+            for (&cv, d) in c.row(i).iter().zip(dt.data_mut().chunks_exact_mut(n)) {
+                blas1::axpy(sign * cv, b.row(i), d);
             }
         }
     }
@@ -177,17 +172,23 @@ pub struct StreamSnapshot {
 }
 
 impl StreamingQr {
-    /// Opens a stream; called through [`QrPlan::stream`].
-    pub(crate) fn open(plan: QrPlan, initial: &Matrix) -> Result<StreamingQr, PlanError> {
+    /// Opens a stream; called through [`QrPlan::stream_with_rhs`]. `rhs`
+    /// rows pair one-to-one with `initial`'s; its width, zero included,
+    /// fixes the track's `nrhs` for the stream's life.
+    pub(crate) fn open(plan: QrPlan, initial: &Matrix, rhs: &Matrix) -> Result<StreamingQr, PlanError> {
+        if rhs.rows() != initial.rows() {
+            return Err(PlanError::RhsShapeMismatch {
+                expected: (initial.rows(), rhs.cols()),
+                got: (rhs.rows(), rhs.cols()),
+            });
+        }
         plan.check_shape(initial.as_ref())?;
         let r = plan.run_rows(initial.as_ref(), plan.retry_policy(), false)?.run.r;
         let n = plan.n();
-        let mut history = Vec::new();
-        history.extend_from_slice(initial.data());
-        Ok(StreamingQr {
+        let mut s = StreamingQr {
             n,
             r,
-            history,
+            history: initial.data().to_vec(),
             start: 0,
             live: initial.rows(),
             drift: 0.0,
@@ -196,29 +197,14 @@ impl StreamingQr {
             downdates: 0,
             refreshes: 0,
             updates_since_refresh: 0,
-            rhs: None,
+            rhs: RhsTrack {
+                nrhs: rhs.cols(),
+                dt: Matrix::zeros(rhs.cols(), n),
+                bhist: rhs.data().to_vec(),
+            },
             last_refresh_error: None,
             plan,
-        })
-    }
-
-    /// Opens a least-squares stream; called through
-    /// [`QrPlan::stream_with_rhs`]. `rhs` rows pair one-to-one with
-    /// `initial`'s; its width fixes the track's `nrhs` for the stream's
-    /// life.
-    pub(crate) fn open_with_rhs(plan: QrPlan, initial: &Matrix, rhs: &Matrix) -> Result<StreamingQr, PlanError> {
-        if rhs.rows() != initial.rows() || rhs.cols() == 0 {
-            return Err(PlanError::RhsShapeMismatch {
-                expected: (initial.rows(), rhs.cols().max(1)),
-                got: (rhs.rows(), rhs.cols()),
-            });
-        }
-        let mut s = StreamingQr::open(plan, initial)?;
-        s.rhs = Some(RhsTrack {
-            nrhs: rhs.cols(),
-            d: Matrix::zeros(s.n, rhs.cols()),
-            bhist: rhs.data().to_vec(),
-        });
+        };
         s.recompute_d();
         Ok(s)
     }
@@ -236,9 +222,7 @@ impl StreamingQr {
     /// rows, so the appends themselves stay allocation-free.
     pub fn reserve_rows(&mut self, additional: usize) {
         self.history.reserve(additional * self.n);
-        if let Some(track) = self.rhs.as_mut() {
-            track.bhist.reserve(additional * track.nrhs);
-        }
+        self.rhs.bhist.reserve(additional * self.rhs.nrhs);
     }
 
     /// The plan this stream refreshes through.
@@ -276,9 +260,10 @@ impl StreamingQr {
         self.refreshes
     }
 
-    /// Width of the right-hand-side track (`None` for factor-only streams).
-    pub fn nrhs(&self) -> Option<usize> {
-        self.rhs.as_ref().map(|t| t.nrhs)
+    /// Width of the right-hand-side track (zero for a stream that keeps
+    /// only `R`).
+    pub fn nrhs(&self) -> usize {
+        self.rhs.nrhs
     }
 
     /// The typed cause of the most recent refresh failure, `None` once a
@@ -319,7 +304,9 @@ impl StreamingQr {
         }
     }
 
-    fn check_cols(&self, b: MatRef<'_>) -> Result<(), PlanError> {
+    /// An update's row block must be `n` wide, and its right-hand-side block
+    /// must pair one-to-one with the rows at the track's width.
+    fn check_block(&self, b: MatRef<'_>, c: MatRef<'_>) -> Result<(), PlanError> {
         if b.cols() != self.n {
             return Err(PlanError::Update(UpdateError::ShapeMismatch {
                 order: self.n,
@@ -327,30 +314,13 @@ impl StreamingQr {
                 cols: b.cols(),
             }));
         }
-        Ok(())
-    }
-
-    /// Every update must agree with the stream's right-hand-side mode: a
-    /// plain update on a tracked stream would silently desynchronize
-    /// `d = Aᵀb` from the factor, a `_with` update on a factor-only stream
-    /// has nowhere to fold its rows, and a supplied block must pair
-    /// one-to-one with the row delta at the track's width.
-    fn check_rhs_pairing(&self, k: usize, rhs: Option<MatRef<'_>>, op: &'static str) -> Result<(), PlanError> {
-        match (self.rhs.as_ref(), rhs) {
-            (None, None) => Ok(()),
-            (None, Some(_)) => Err(PlanError::StreamRhsMissing { op }),
-            (Some(_), None) => Err(PlanError::StreamRhsRequired { op }),
-            (Some(track), Some(c)) => {
-                if c.rows() != k || c.cols() != track.nrhs {
-                    Err(PlanError::RhsShapeMismatch {
-                        expected: (k, track.nrhs),
-                        got: (c.rows(), c.cols()),
-                    })
-                } else {
-                    Ok(())
-                }
-            }
+        if (c.rows(), c.cols()) != (b.rows(), self.rhs.nrhs) {
+            return Err(PlanError::RhsShapeMismatch {
+                expected: (b.rows(), self.rhs.nrhs),
+                got: (c.rows(), c.cols()),
+            });
         }
+        Ok(())
     }
 
     fn bump_drift(&mut self, amplification: f64) {
@@ -382,35 +352,20 @@ impl StreamingQr {
     }
 
     /// Folds `k = b.rows()` new rows into the factor, at any `k`, by one
-    /// rank-k Gram update from pooled arena scratch (zero heap allocations
-    /// when warm and the history capacity was
-    /// [reserved](StreamingQr::reserve_rows)). When the update pushes
-    /// [`drift`](StreamingQr::drift) past the threshold a full refresh runs
-    /// afterwards and the returned status says so. A delta whose appended
-    /// Gram matrix is not positive definite fails inside the kernel
-    /// ([`PlanError::Update`] of [`UpdateError::NotPositiveDefinite`]) and
-    /// leaves the stream untouched.
-    pub fn append_rows(&mut self, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
-        self.append_impl(b, None, "append_rows")
-    }
-
-    /// [`append_rows`](StreamingQr::append_rows) for a least-squares stream:
-    /// folds `b`'s rows into the factor **and** their right-hand sides `c`
-    /// (one row each, `nrhs` wide) into the projection `d = Aᵀb`, keeping
-    /// the two transactionally in step — `d`, the histories, and the
-    /// counters are only touched once the factor update has committed.
+    /// rank-k Gram update from pooled arena scratch, **and** their
+    /// right-hand sides `c` (one row each, `nrhs` wide) into the projection
+    /// `dᵀ`. `dᵀ`, the histories and the counters are only touched once the
+    /// factor update has committed, so the two move transactionally in
+    /// step; warm appends perform zero heap allocations when the history
+    /// capacity was [reserved](StreamingQr::reserve_rows). When the update
+    /// pushes [`drift`](StreamingQr::drift) past the threshold a full
+    /// refresh runs afterwards and the returned status says so. A delta
+    /// whose appended Gram matrix is not positive definite (a NaN row
+    /// included) fails inside the kernel ([`PlanError::Update`] of
+    /// [`UpdateError::NotPositiveDefinite`]) and leaves the stream
+    /// untouched.
     pub fn append_rows_with(&mut self, b: MatRef<'_>, c: MatRef<'_>) -> Result<StreamStatus, PlanError> {
-        self.append_impl(b, Some(c), "append_rows_with")
-    }
-
-    fn append_impl(
-        &mut self,
-        b: MatRef<'_>,
-        rhs: Option<MatRef<'_>>,
-        op: &'static str,
-    ) -> Result<StreamStatus, PlanError> {
-        self.check_cols(b)?;
-        self.check_rhs_pairing(b.rows(), rhs, op)?;
+        self.check_block(b, c)?;
         let k = b.rows();
         if k == 0 {
             return Ok(self.status(false));
@@ -420,15 +375,11 @@ impl StreamingQr {
             rank_k_append(self.r.as_mut(), b, BackendKind::default_kind().get(), &mut ws)?;
         }
         // The factor update committed; everything below is infallible, so
-        // `R`, `d`, and the histories move together or not at all.
-        if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
-            RhsTrack::fold_delta(&mut track.d, 1.0, b, c);
-            for i in 0..k {
-                track.bhist.extend_from_slice(c.row(i));
-            }
-        }
+        // `R`, `dᵀ`, and the histories move together or not at all.
+        RhsTrack::fold_delta(&mut self.rhs.dt, 1.0, b, c);
         for i in 0..k {
             self.history.extend_from_slice(b.row(i));
+            self.rhs.bhist.extend_from_slice(c.row(i));
         }
         self.live += k;
         self.appends += 1;
@@ -437,30 +388,13 @@ impl StreamingQr {
     }
 
     /// Removes the `k = b.rows()` **oldest** rows from the factor (sliding
-    /// window). `b` must be bitwise the oldest rows (enforced;
+    /// window) **and** subtracts their right-hand sides' contribution from
+    /// `dᵀ`. `b` and `c` must be bitwise the oldest rows and the right-hand
+    /// sides that arrived with them (enforced;
     /// [`PlanError::StreamHistoryMismatch`] otherwise). Downdating below `n`
     /// remaining rows is rejected as [`PlanError::NotTall`].
-    pub fn downdate_rows(&mut self, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
-        self.downdate_impl(b, None, "downdate_rows")
-    }
-
-    /// [`downdate_rows`](StreamingQr::downdate_rows) for a least-squares
-    /// stream: removes the oldest rows from the factor **and** subtracts
-    /// their right-hand-side contribution from `d = Aᵀb`. `c` must be
-    /// bitwise the right-hand sides that arrived with those rows (enforced
-    /// like the rows themselves).
     pub fn downdate_rows_with(&mut self, b: MatRef<'_>, c: MatRef<'_>) -> Result<StreamStatus, PlanError> {
-        self.downdate_impl(b, Some(c), "downdate_rows_with")
-    }
-
-    fn downdate_impl(
-        &mut self,
-        b: MatRef<'_>,
-        rhs: Option<MatRef<'_>>,
-        op: &'static str,
-    ) -> Result<StreamStatus, PlanError> {
-        self.check_cols(b)?;
-        self.check_rhs_pairing(b.rows(), rhs, op)?;
+        self.check_block(b, c)?;
         let k = b.rows();
         if k == 0 {
             return Ok(self.status(false));
@@ -471,24 +405,17 @@ impl StreamingQr {
                 n: self.n,
             });
         }
-        let oldest = self.history_view();
-        if let Some(row) = (0..k).find(|&i| oldest.row(i) != b.row(i)) {
+        let (oldest, nrhs) = (self.history_view(), self.rhs.nrhs);
+        let oldest_rhs = MatRef::from_slice(&self.rhs.bhist[self.start * nrhs..], self.live, nrhs);
+        if let Some(row) = (0..k).find(|&i| oldest.row(i) != b.row(i) || oldest_rhs.row(i) != c.row(i)) {
             return Err(PlanError::StreamHistoryMismatch { row });
-        }
-        if let (Some(track), Some(c)) = (self.rhs.as_ref(), rhs) {
-            let oldest = MatRef::from_slice(&track.bhist[self.start * track.nrhs..], self.live, track.nrhs);
-            if let Some(row) = (0..k).find(|&i| oldest.row(i) != c.row(i)) {
-                return Err(PlanError::StreamHistoryMismatch { row });
-            }
         }
         let min_alpha_sq = {
             let mut ws = self.plan.workspace().checkout();
             rank_k_downdate(self.r.as_mut(), b, BackendKind::default_kind().get(), &mut ws)?
         };
-        // Committed; keep `d` and the history cursors in step with `R`.
-        if let (Some(track), Some(c)) = (self.rhs.as_mut(), rhs) {
-            RhsTrack::fold_delta(&mut track.d, -1.0, b, c);
-        }
+        // Committed; keep `dᵀ` and the history cursors in step with `R`.
+        RhsTrack::fold_delta(&mut self.rhs.dt, -1.0, b, c);
         self.start += k;
         self.live -= k;
         self.compact();
@@ -505,10 +432,9 @@ impl StreamingQr {
         if self.start >= self.live && self.start > 0 {
             self.history.copy_within(self.start * self.n.., 0);
             self.history.truncate(self.live * self.n);
-            if let Some(track) = self.rhs.as_mut() {
-                track.bhist.copy_within(self.start * track.nrhs.., 0);
-                track.bhist.truncate(self.live * track.nrhs);
-            }
+            let nrhs = self.rhs.nrhs;
+            self.rhs.bhist.copy_within(self.start * nrhs.., 0);
+            self.rhs.bhist.truncate(self.live * nrhs);
             self.start = 0;
         }
     }
@@ -524,12 +450,12 @@ impl StreamingQr {
     /// same algorithms on one rank otherwise. Either way the second CQR2
     /// pass re-reads the rows, so the `R` is a `factor`'s — not a
     /// re-factored Gram matrix's — and the cost is a batch factorization's,
-    /// `Q` included. On a least-squares stream the projection `d = Aᵀb` is
-    /// recomputed exactly from the retained `(A, b)` history at the same
-    /// time, discarding the rounding the incremental deltas accumulate.
-    /// `R` and `d` are untouched on error. Besides these explicit calls
-    /// and [`snapshot`](StreamingQr::snapshot)s, a refresh runs only when
-    /// an update's drift crosses the threshold.
+    /// `Q` included. The projection `dᵀ` is recomputed exactly from the
+    /// retained `(A, b)` history at the same time, discarding the rounding
+    /// the incremental deltas accumulate. `R` and `dᵀ` are untouched on
+    /// error. Besides these explicit calls and
+    /// [`snapshot`](StreamingQr::snapshot)s, a refresh runs only when an
+    /// update's drift crosses the threshold.
     ///
     /// When the owning plan carries an enabled
     /// [`RetryPolicy`](crate::driver::RetryPolicy), a failed or
@@ -542,7 +468,7 @@ impl StreamingQr {
     /// The one refresh behind [`refresh`](StreamingQr::refresh) and
     /// [`snapshot`](StreamingQr::snapshot): the plan's run over the live
     /// rows (`diagnose` as for [`QrPlan::factor`]), then one commit — adopt
-    /// its `R`, rebuild `d`, reset drift, count the refresh, clear the last
+    /// its `R`, rebuild `dᵀ`, reset drift, count the refresh, clear the last
     /// refresh error — or, on failure, record the error and touch nothing
     /// else.
     fn rerun(&mut self, diagnose: bool) -> Result<AcceptedRun, PlanError> {
@@ -563,27 +489,23 @@ impl StreamingQr {
         accepted
     }
 
-    /// Recomputes `d = Aᵀb` from the retained histories: zero it, then fold
-    /// the live rows in as one append (no `m`-sized temporary, no
+    /// Recomputes `dᵀ = (Aᵀb)ᵀ` from the retained histories: zero it, then
+    /// fold the live rows in as one append (no `m`-sized temporary, no
     /// allocation).
     fn recompute_d(&mut self) {
-        let (start, live) = (self.start, self.live);
+        let (start, live, nrhs) = (self.start, self.live, self.rhs.nrhs);
         let rows = MatRef::from_slice(&self.history[start * self.n..], live, self.n);
-        if let Some(track) = self.rhs.as_mut() {
-            let rhs = MatRef::from_slice(&track.bhist[start * track.nrhs..], live, track.nrhs);
-            track.d.data_mut().fill(0.0);
-            RhsTrack::fold_delta(&mut track.d, 1.0, rows, rhs);
-        }
+        let rhs = MatRef::from_slice(&self.rhs.bhist[start * nrhs..], live, nrhs);
+        self.rhs.dt.data_mut().fill(0.0);
+        RhsTrack::fold_delta(&mut self.rhs.dt, 1.0, rows, rhs);
     }
 
     /// Solves the live least-squares problem `min ‖Ax − b‖` over the rows
-    /// currently folded in, returning the `n × nrhs` solution. Requires the
-    /// right-hand-side track ([`QrPlan::stream_with_rhs`];
-    /// [`PlanError::StreamRhsMissing`] otherwise). Allocates the output;
-    /// use [`solve_into`](StreamingQr::solve_into) on hot paths.
+    /// currently folded in, returning the `n × nrhs` solution (`n × 0` for
+    /// a stream that keeps only `R`). Allocates the output; use
+    /// [`solve_into`](StreamingQr::solve_into) on hot paths.
     pub fn solve(&self) -> Result<Matrix, PlanError> {
-        let track = self.rhs.as_ref().ok_or(PlanError::StreamRhsMissing { op: "solve" })?;
-        let mut x = Matrix::zeros(self.n, track.nrhs);
+        let mut x = Matrix::zeros(self.n, self.rhs.nrhs);
         self.solve_into(&mut x)?;
         Ok(x)
     }
@@ -597,66 +519,45 @@ impl StreamingQr {
     /// (`O(n²·nrhs)`, independent of the row count), then one refinement
     /// step `RᵀR·δ = Aᵀ(b − Ax)`, `x ← x + δ`, streamed over the retained
     /// rows. The refinement is what lifts the Gram-mediated solve back to
-    /// QR-level accuracy for moderately conditioned problems.
+    /// QR-level accuracy for moderately conditioned problems. The
+    /// substitutions treat each column on its own, and the refinement runs
+    /// one lane-split dot and one axpy per retained row and right-hand
+    /// side, so each column of `x` is bitwise a one-column stream's.
     pub fn solve_into(&self, x: &mut Matrix) -> Result<(), PlanError> {
-        let track = self.rhs.as_ref().ok_or(PlanError::StreamRhsMissing { op: "solve" })?;
-        let (n, nrhs) = (self.n, track.nrhs);
-        if x.rows() != n || x.cols() != nrhs {
+        let (n, track) = (self.n, &self.rhs);
+        if x.rows() != n || x.cols() != track.nrhs {
             return Err(PlanError::RhsShapeMismatch {
-                expected: (n, nrhs),
+                expected: (n, track.nrhs),
                 got: (x.rows(), x.cols()),
             });
         }
         // Semi-normal equations: RᵀR·x = d = Aᵀb.
-        x.data_mut().copy_from_slice(track.d.data());
+        x.as_mut().copy_transposed_from(track.dt.as_ref());
         trsm::trsm_left_lower_trans(self.r.as_ref(), x.as_mut());
         trsm::trsm_left_upper(self.r.as_ref(), x.as_mut());
         // One corrected-seminormal refinement step from the history:
-        // w = Aᵀ(b − A·x), RᵀR·δ = w, x += δ — streamed row by row, so the
-        // only scratch is the n × nrhs projection and one nrhs-wide
-        // residual row.
+        // wᵀ = (Aᵀ(b − A·x))ᵀ streamed row by row against xᵀ, one row per
+        // right-hand side, then RᵀR·δ = w, x += δ.
         let mut ws = self.plan.workspace().checkout();
-        let mut w = ws.take_matrix(n, nrhs);
-        let mut e = ws.take_vec(nrhs);
-        {
-            let xd = x.data();
-            let wd = w.data_mut();
-            if nrhs == 1 {
-                // Single right-hand side (the overwhelmingly common case):
-                // the residual row is a scalar, so the sweep collapses to
-                // one lane-split dot and one axpy per retained row — both
-                // vectorize, where the general per-column loop cannot.
-                for i in self.start..self.start + self.live {
-                    let arow = &self.history[i * n..(i + 1) * n];
-                    let resid = track.bhist[i] - blas1::dot_lanes(arow, xd);
-                    blas1::axpy(resid, arow, wd);
-                }
-            } else {
-                for i in self.start..self.start + self.live {
-                    let arow = &self.history[i * n..(i + 1) * n];
-                    e.copy_from_slice(&track.bhist[i * nrhs..(i + 1) * nrhs]);
-                    for (j, &aij) in arow.iter().enumerate() {
-                        let xrow = &xd[j * nrhs..(j + 1) * nrhs];
-                        for (ev, &xv) in e.iter_mut().zip(xrow) {
-                            *ev -= aij * xv;
-                        }
-                    }
-                    for (j, &aij) in arow.iter().enumerate() {
-                        let dst = &mut wd[j * nrhs..(j + 1) * nrhs];
-                        for (wv, &ev) in dst.iter_mut().zip(e.iter()) {
-                            *wv += aij * ev;
-                        }
-                    }
-                }
+        let xt = ws.take_transposed(x.as_ref());
+        let mut wt = ws.take_matrix(track.nrhs, n);
+        for i in self.start..self.start + self.live {
+            let arow = &self.history[i * n..(i + 1) * n];
+            let brow = &track.bhist[i * track.nrhs..(i + 1) * track.nrhs];
+            let lanes = xt.data().chunks_exact(n).zip(wt.data_mut().chunks_exact_mut(n));
+            for ((xl, wl), &bil) in lanes.zip(brow) {
+                blas1::axpy(bil - blas1::dot_lanes(arow, xl), arow, wl);
             }
         }
+        let mut w = ws.take_transposed(wt.as_ref());
         trsm::trsm_left_lower_trans(self.r.as_ref(), w.as_mut());
         trsm::trsm_left_upper(self.r.as_ref(), w.as_mut());
         for (xv, &dv) in x.data_mut().iter_mut().zip(w.data()) {
             *xv += dv;
         }
-        ws.recycle_vec(e);
-        ws.recycle(w);
+        for m in [xt, wt, w] {
+            ws.recycle(m);
+        }
         Ok(())
     }
 
@@ -699,15 +600,28 @@ mod tests {
             .unwrap()
     }
 
+    /// A stream that keeps only `R`: a zero-width right-hand side.
+    fn open(plan: &QrPlan, a0: &Matrix) -> Result<StreamingQr, PlanError> {
+        plan.stream_with_rhs(a0, &Matrix::zeros(a0.rows(), 0))
+    }
+
+    fn append(s: &mut StreamingQr, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
+        s.append_rows_with(b, Matrix::zeros(b.rows(), 0).as_ref())
+    }
+
+    fn downdate(s: &mut StreamingQr, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
+        s.downdate_rows_with(b, Matrix::zeros(b.rows(), 0).as_ref())
+    }
+
     #[test]
     fn stream_tracks_appends_and_snapshot_is_orthonormal() {
         let (m0, n) = (64usize, 12usize);
         let a0 = well_conditioned(m0, n, 7);
-        let mut s = plan(m0, n).stream(&a0).unwrap();
+        let mut s = open(&plan(m0, n), &a0).unwrap();
         assert_eq!(s.rows(), m0);
         for round in 0..5 {
             let b = gaussian_matrix(3, n, 100 + round);
-            let st = s.append_rows(b.as_ref()).unwrap();
+            let st = append(&mut s, b.as_ref()).unwrap();
             assert_eq!(st.rows, m0 + 3 * (round as usize + 1));
         }
         let snap = s.snapshot().unwrap();
@@ -737,7 +651,7 @@ mod tests {
         for (plan, rows) in [(plan(m0, n), well_conditioned(2 * m0, n, 17)), (escalating, hard)] {
             let escalates = plan.retry_policy().is_enabled();
             let a0 = Matrix::from_view(rows.view(0, 0, m0, n));
-            let mut s = plan.stream(&a0).unwrap();
+            let mut s = open(&plan, &a0).unwrap();
             let opened = plan.factor(&a0).unwrap();
             assert_eq!(opened.escalation.is_some_and(|e| e.escalated()), escalates);
             assert_eq!(s.r(), &opened.r);
@@ -746,8 +660,8 @@ mod tests {
             // κ = 1e9 `R` breaks down numerically (its drift bound ε·κ² is
             // far above 1), so that stream re-derives R right after open.
             if !escalates {
-                assert!(!s.append_rows(rows.view(m0, 0, m0, n)).unwrap().refreshed);
-                s.downdate_rows(rows.view(0, 0, m0, n)).unwrap();
+                assert!(!append(&mut s, rows.view(m0, 0, m0, n)).unwrap().refreshed);
+                downdate(&mut s, rows.view(0, 0, m0, n)).unwrap();
             }
             let window = s.history_view().to_owned();
             s.refresh().unwrap();
@@ -757,7 +671,7 @@ mod tests {
         }
     }
 
-    /// A refresh rebuilds `d = Aᵀb` by folding the live rows in as one
+    /// A refresh rebuilds `dᵀ = (Aᵀb)ᵀ` by folding the live rows in as one
     /// append: bitwise the plain row-order sum `Σᵢ aᵢ·bᵢ`.
     #[test]
     fn refreshed_projection_is_the_row_order_sum() {
@@ -771,18 +685,17 @@ mod tests {
             s.downdate_rows_with(a0.view(0, 0, k, n), b0.view(0, 0, k, nrhs))
                 .unwrap();
             s.refresh().unwrap();
-            let track = s.rhs.as_ref().unwrap();
-            let (rows, rhs) = (s.history_view(), &track.bhist[s.start * nrhs..]);
-            let mut want = vec![0.0; n * nrhs];
+            let (rows, rhs) = (s.history_view(), &s.rhs.bhist[s.start * nrhs..]);
+            let mut want = vec![0.0; nrhs * n];
             for i in 0..s.live {
                 for j in 0..n {
                     for l in 0..nrhs {
-                        want[j * nrhs + l] += rows.at(i, j) * rhs[i * nrhs + l];
+                        want[l * n + j] += rows.at(i, j) * rhs[i * nrhs + l];
                     }
                 }
             }
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(track.d.data()), bits(&want), "nrhs = {nrhs}");
+            assert_eq!(bits(s.rhs.dt.data()), bits(&want), "nrhs = {nrhs}");
         }
     }
 
@@ -790,13 +703,13 @@ mod tests {
     fn append_then_downdate_restores_the_factor() {
         let (m0, n) = (64usize, 8usize);
         let a0 = well_conditioned(m0, n, 3);
-        let mut s = plan(m0, n).stream(&a0).unwrap();
+        let mut s = open(&plan(m0, n), &a0).unwrap();
         // Slide the window: append 4 new rows, drop the 4 oldest (which are
         // the first rows of a0).
         let b = gaussian_matrix(4, n, 9);
-        s.append_rows(b.as_ref()).unwrap();
+        append(&mut s, b.as_ref()).unwrap();
         let oldest = Matrix::from_view(a0.view(0, 0, 4, n));
-        let st = s.downdate_rows(oldest.as_ref()).unwrap();
+        let st = downdate(&mut s, oldest.as_ref()).unwrap();
         assert_eq!(st.rows, m0);
         assert!(st.drift > 0.0);
         // Compare against a from-scratch factor of the slid window.
@@ -826,9 +739,9 @@ mod tests {
             (one_rank(512, 256), 512, 256, 1),
         ] {
             let a0 = well_conditioned(m0, n, 5);
-            let mut s = stream_plan.stream(&a0).unwrap();
+            let mut s = open(&stream_plan, &a0).unwrap();
             let b = gaussian_matrix(k, n, 6);
-            let st = s.append_rows(b.as_ref()).unwrap();
+            let st = append(&mut s, b.as_ref()).unwrap();
             assert!(!st.refreshed, "{m0}x{n} + {k} rows must fold");
             assert_eq!(s.refreshes(), 0);
             assert!(st.drift > 0.0);
@@ -845,9 +758,9 @@ mod tests {
     fn drift_threshold_triggers_refresh() {
         let (m0, n) = (64usize, 8usize);
         let a0 = well_conditioned(m0, n, 11);
-        let mut s = plan(m0, n).stream(&a0).unwrap().with_drift_threshold(0.0);
+        let mut s = open(&plan(m0, n), &a0).unwrap().with_drift_threshold(0.0);
         let b = gaussian_matrix(1, n, 12);
-        let st = s.append_rows(b.as_ref()).unwrap();
+        let st = append(&mut s, b.as_ref()).unwrap();
         assert!(st.refreshed, "any positive drift exceeds a zero threshold");
         assert_eq!(s.drift(), 0.0);
     }
@@ -855,13 +768,13 @@ mod tests {
     #[test]
     fn sequential_refresh_matches_batch_r() {
         // After appends the live row count differs from the plan shape, so
-        // refresh takes the sequential CQR2 path; its R must agree with a
-        // batch factor of the same rows.
+        // refresh runs the plan's algorithm on one rank (1D-CQR2 with
+        // p = 1); its R must agree with a batch factor of the same rows.
         let (m0, n) = (60usize, 16usize);
         let a0 = well_conditioned(m0, n, 17);
-        let mut s = plan(m0, n).stream(&a0).unwrap();
+        let mut s = open(&plan(m0, n), &a0).unwrap();
         let b = gaussian_matrix(4, n, 18);
-        s.append_rows(b.as_ref()).unwrap();
+        append(&mut s, b.as_ref()).unwrap();
         s.refresh().unwrap();
         assert_eq!(s.drift(), 0.0);
         let mut full = Matrix::zeros(m0 + 4, n);
@@ -882,9 +795,9 @@ mod tests {
             .grid(GridShape::one_d(1).unwrap())
             .build()
             .unwrap();
-        let mut s = p.stream(&a0).unwrap();
+        let mut s = open(&p, &a0).unwrap();
         let oldest = Matrix::from_view(a0.view(0, 0, 8, n));
-        let err = s.downdate_rows(oldest.as_ref()).unwrap_err();
+        let err = downdate(&mut s, oldest.as_ref()).unwrap_err();
         assert!(matches!(err, PlanError::NotTall { m: 4, n: 8 }), "{err:?}");
     }
 }

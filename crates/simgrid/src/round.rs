@@ -11,10 +11,10 @@
 //! ledgers and virtual clocks are the α-β model's whichever
 //! [`RuntimeKind`](crate::RuntimeKind) pins (or does not pin) the threads.
 //!
-//! A synchronous collective also lifts its members' virtual clocks to the
-//! group maximum on entry ([`Comm::lift_clocks`]) by folding the clocks
-//! through the communicator's own barrier, one more crossing of the kind
-//! every round already makes.
+//! A collective also lifts its members' virtual clocks to the group maximum
+//! on entry ([`Comm::lift_clocks`]) by folding the clocks through the
+//! communicator's own barrier, one more crossing of the kind every round
+//! already makes.
 //!
 //! # The two-crossing invariant
 //!
@@ -47,13 +47,12 @@ pub(crate) enum Crossing {
 }
 
 impl Comm {
-    /// Entry synchronization of a synchronous collective (see
-    /// [`SimConfig::sync_collectives`](crate::SimConfig::sync_collectives)):
-    /// lifts this rank's clock to the maximum over the communicator's
-    /// members (no-op in asynchronous mode and on single-member
+    /// Entry synchronization of a collective: lifts this rank's clock to the
+    /// maximum over the communicator's members, the BSP-style accounting
+    /// the paper's per-line cost tables assume (no-op on single-member
     /// communicators).
     pub(crate) fn lift_clocks(&self, rank: &mut Rank) {
-        if !rank.syncs_collectives() || self.size() <= 1 {
+        if self.size() <= 1 {
             return;
         }
         let lifted = self.shm_group().max_clock(rank.clock());

@@ -59,15 +59,11 @@ impl std::fmt::Display for RuntimeKind {
 /// Configuration of an SPMD run.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
-    /// The α-β-γ parameters charged to the virtual clocks.
+    /// The α-β-γ parameters charged to the virtual clocks. Every collective
+    /// synchronizes its members' virtual clocks on entry — the BSP-style
+    /// accounting the paper's per-line cost tables assume, and what the
+    /// `costmodel` crate predicts exactly.
     pub machine: Machine,
-    /// When true (default), every collective synchronizes its members'
-    /// virtual clocks on entry — the BSP-style accounting the paper's
-    /// per-line cost tables assume, and what the `costmodel` crate predicts
-    /// exactly. When false, clocks only synchronize through actual message
-    /// dependencies (the honest asynchronous critical path, which can be
-    /// *cheaper* because point-to-point costs hide in collective slack).
-    pub sync_collectives: bool,
     /// The rank placement (default [`RuntimeKind::Simulated`]).
     pub runtime: RuntimeKind,
 }
@@ -76,27 +72,17 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             machine: Machine::zero(),
-            sync_collectives: true,
             runtime: RuntimeKind::Simulated,
         }
     }
 }
 
 impl SimConfig {
-    /// Config with a machine model and the default synchronous accounting.
+    /// Config with a machine model and the default rank placement.
     pub fn with_machine(machine: Machine) -> SimConfig {
         SimConfig {
             machine,
             ..SimConfig::default()
-        }
-    }
-
-    /// Fully asynchronous critical-path accounting.
-    pub fn asynchronous(machine: Machine) -> SimConfig {
-        SimConfig {
-            machine,
-            sync_collectives: false,
-            runtime: RuntimeKind::Simulated,
         }
     }
 
@@ -134,7 +120,6 @@ pub struct Rank {
     id: usize,
     p: usize,
     machine: Machine,
-    sync_collectives: bool,
     clock: f64,
     ledger: CostLedger,
     next_comm_id: u32,
@@ -200,13 +185,6 @@ impl Rank {
         let id = self.next_comm_id;
         self.next_comm_id += 1;
         id
-    }
-
-    /// Whether collectives synchronize their members' clocks on entry
-    /// ([`SimConfig::sync_collectives`]).
-    #[inline]
-    pub(crate) fn syncs_collectives(&self) -> bool {
-        self.sync_collectives
     }
 
     /// Sets the virtual clock to the group maximum an entry barrier found.
@@ -379,7 +357,6 @@ fn run_rank<T>(
         id,
         p,
         machine: cfg.machine,
-        sync_collectives: cfg.sync_collectives,
         clock: 0.0,
         ledger: CostLedger::default(),
         next_comm_id: 0,

@@ -43,10 +43,11 @@
 //!
 //! ## Streaming updates: [`StreamingQr`]
 //!
-//! For row sets that change over time, [`QrPlan::stream`] opens a live
-//! factor that absorbs rank-k row appends and downdates in `O(kn² + n³)` —
-//! independent of how many rows are already folded in, at any delta width —
-//! with a tracked drift bound that is the only automatic trigger of a full
+//! For row sets that change over time, [`QrPlan::stream_with_rhs`] opens a
+//! live factor, with a least-squares right-hand-side track of any width
+//! (zero included), that absorbs rank-k row appends and downdates in
+//! `O(kn² + n³)` — independent of how many rows are already folded in, at
+//! any delta width — with a tracked drift bound that is the only automatic trigger of a full
 //! CholeskyQR2 refresh through the owning plan. The caller owns the
 //! stream: a `StreamingQr` is `Send`, so several threads share one behind
 //! a `Mutex` (a map of them, keyed by name, serves many). See

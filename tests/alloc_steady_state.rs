@@ -27,6 +27,7 @@
 
 use cacqr::{Algorithm, QrPlan};
 use dense::random::{gaussian_matrix, well_conditioned};
+use dense::Matrix;
 use pargrid::GridShape;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -349,7 +350,7 @@ fn warm_cholesky_kernels_are_allocation_free() {
 
 /// The streaming engine's zero-steady-state-allocation guarantee: once the
 /// plan's arena pool is warm and the history capacity is reserved, a
-/// `StreamingQr::append_rows` call performs **zero** process-wide heap
+/// `StreamingQr::append_rows_with` call performs **zero** process-wide heap
 /// allocations — not "arena-flat", literally zero global allocator traffic.
 /// Measured at two factor orders so both the unblocked (`n ≤ 64`) and
 /// blocked Cholesky regimes (which draws its panel copy from the arena)
@@ -365,19 +366,22 @@ fn warm_stream_appends_are_allocation_free() {
             .grid(GridShape::one_d(4).unwrap())
             .build()
             .unwrap();
-        let mut s = plan.stream(&a0).unwrap();
+        // A stream that keeps only `R`: zero-width right-hand sides.
+        let bare = Matrix::zeros(m0, 0);
+        let mut s = plan.stream_with_rhs(&a0, &bare).unwrap();
+        let bare = bare.view(0, 0, k, 0);
         // Reserve history for every row this test will append, so the
         // retained-row buffer never regrows mid-measurement.
         s.reserve_rows(16 * k);
         // Warm the checkout arena (Gram scratch + Cholesky panel copy).
         for _ in 0..6 {
-            s.append_rows(gaussian_matrix(k, n, 31).as_ref()).unwrap();
+            s.append_rows_with(gaussian_matrix(k, n, 31).as_ref(), bare).unwrap();
         }
         let b = gaussian_matrix(k, n, 37);
         let arena_before = plan.workspace().heap_allocations();
         let before = allocations();
         for _ in 0..4 {
-            let status = s.append_rows(b.as_ref()).unwrap();
+            let status = s.append_rows_with(b.as_ref(), bare).unwrap();
             assert!(
                 !status.refreshed,
                 "{name}: drift must stay far below the threshold here"
@@ -386,7 +390,7 @@ fn warm_stream_appends_are_allocation_free() {
         assert_eq!(
             allocations() - before,
             0,
-            "{name}: warm append_rows must perform zero process-wide heap allocations"
+            "{name}: warm append_rows_with must perform zero process-wide heap allocations"
         );
         assert_eq!(
             plan.workspace().heap_allocations(),
@@ -411,12 +415,14 @@ fn warm_stream_downdates_are_allocation_free() {
             .grid(GridShape::one_d(4).unwrap())
             .build()
             .unwrap();
-        let mut s = plan.stream(&a0).unwrap();
+        let bare = Matrix::zeros(m0, 0);
+        let mut s = plan.stream_with_rhs(&a0, &bare).unwrap();
+        let bare = bare.view(0, 0, k, 0);
         s.reserve_rows(steps * k);
         let blocks: Vec<_> = (0..steps).map(|i| gaussian_matrix(k, n, 89 + i as u64)).collect();
         let slide = |s: &mut cacqr::StreamingQr, step: usize| {
-            s.append_rows(blocks[step].as_ref()).unwrap();
-            let status = s.downdate_rows(a0.view(step * k, 0, k, n)).unwrap();
+            s.append_rows_with(blocks[step].as_ref(), bare).unwrap();
+            let status = s.downdate_rows_with(a0.view(step * k, 0, k, n), bare).unwrap();
             assert!(
                 !status.refreshed,
                 "{name}: drift must stay far below the threshold here"
@@ -461,8 +467,13 @@ fn off_shape_refresh_keeps_warm_factors_arena_exact() {
         .build()
         .unwrap();
     plan.warm_up(&a).unwrap();
-    let mut s = plan.stream(&a).unwrap().with_drift_threshold(f64::INFINITY);
-    s.append_rows(gaussian_matrix(k, n, 53).as_ref()).unwrap();
+    let bare = Matrix::zeros(m0, 0);
+    let mut s = plan
+        .stream_with_rhs(&a, &bare)
+        .unwrap()
+        .with_drift_threshold(f64::INFINITY);
+    s.append_rows_with(gaussian_matrix(k, n, 53).as_ref(), bare.view(0, 0, k, 0))
+        .unwrap();
     s.refresh().unwrap();
     assert_eq!(s.rows(), m0 + k, "the refresh ran off the plan's shape");
     let arena_before = plan.workspace().heap_allocations();

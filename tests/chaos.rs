@@ -166,8 +166,12 @@ fn injected_cholesky_breakdown_escalates_or_surfaces_typed() {
             .retry(retry)
             .build()
             .unwrap();
-        let mut s = plan.stream(&initial).unwrap().with_drift_threshold(f64::INFINITY);
-        s.downdate_rows(oldest.as_ref()).unwrap();
+        let bare = dense::Matrix::zeros(64, 0);
+        let mut s = plan
+            .stream_with_rhs(&initial, &bare)
+            .unwrap()
+            .with_drift_threshold(f64::INFINITY);
+        s.downdate_rows_with(oldest.as_ref(), bare.view(0, 0, 16, 0)).unwrap();
         s
     };
     let mut rescued = make_stream(RetryPolicy::escalate());

@@ -87,45 +87,6 @@ fn mixed_machine_time_is_separable() {
 }
 
 #[test]
-fn asynchronous_mode_is_never_slower() {
-    // Without entry barriers, point-to-point costs can hide inside
-    // collective slack: the honest asynchronous critical path is a lower
-    // bound on the synchronous (paper-accounting) time.
-    let shape = GridShape::new(2, 8).unwrap();
-    let (m, n) = (64usize, 16usize);
-    for machine in [
-        Machine::alpha_only(),
-        Machine::beta_only(),
-        Machine {
-            alpha: 1.0,
-            beta: 0.5,
-            gamma: 1e-6,
-        },
-    ] {
-        let sync = measure_cacqr2(shape, m, n, 4, 0, machine);
-        let (c, d) = (shape.c, shape.d);
-        let async_t = run_spmd(shape.p(), SimConfig::asynchronous(machine), move |rank| {
-            let comms = TunableComms::build(rank, shape);
-            let (x, y, _) = comms.coords;
-            let al = DistMatrix::from_global(&well_conditioned(m, n, 77), d, c, y, x);
-            let params = CfrParams::validated(n, c, 4, 0).unwrap();
-            cacqr::ca_cqr2(
-                rank,
-                &comms,
-                al.local.as_ref(),
-                n,
-                &params,
-                &mut dense::Workspace::new(),
-            )
-            .unwrap();
-        })
-        .elapsed;
-        assert!(async_t <= sync + 1e-12, "async {async_t} must not exceed sync {sync}");
-        assert!(async_t > 0.0);
-    }
-}
-
-#[test]
 fn cached_plan_reuse_preserves_cost_ledgers_exactly() {
     // Golden contract: routing a factorization through the service's plan
     // cache must not perturb the simulated cost model by a single word,

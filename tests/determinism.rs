@@ -3,7 +3,7 @@
 //! fixed collective schedules and combine orders guarantee it; these tests
 //! enforce it.
 
-use cacqr::{Algorithm, CfrParams, QrPlan};
+use cacqr::{Algorithm, QrPlan};
 use dense::random::well_conditioned;
 use pargrid::GridShape;
 use simgrid::{run_spmd, Machine, SimConfig};
@@ -71,43 +71,4 @@ fn pgeqrf_is_deterministic() {
     assert_eq!(first.q, again.q);
     assert_eq!(first.r, again.r);
     assert_eq!(first.elapsed, again.elapsed);
-}
-
-#[test]
-fn asynchronous_mode_is_also_deterministic() {
-    // Even without entry barriers, clocks depend only on message timestamps,
-    // not on wall-clock interleaving.
-    let shape = GridShape::new(2, 4).unwrap();
-    let run_once = || {
-        let a = well_conditioned(32, 8, 3);
-        run_spmd(
-            shape.p(),
-            SimConfig::asynchronous(Machine::stampede2(64)),
-            move |rank| {
-                let comms = pargrid::TunableComms::build(rank, shape);
-                let (x, y, _) = comms.coords;
-                let al = pargrid::DistMatrix::from_global(&a, 4, 2, y, x);
-                let params = CfrParams::validated(8, 2, 4, 0).unwrap();
-                cacqr::ca_cqr2(
-                    rank,
-                    &comms,
-                    al.local.as_ref(),
-                    8,
-                    &params,
-                    &mut dense::Workspace::new(),
-                )
-                .unwrap();
-                rank.clock()
-            },
-        )
-    };
-    let first = run_once();
-    for _ in 0..3 {
-        let again = run_once();
-        assert_eq!(
-            first.results, again.results,
-            "per-rank clocks must be schedule-independent"
-        );
-        assert_eq!(first.elapsed, again.elapsed);
-    }
 }

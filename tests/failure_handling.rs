@@ -162,8 +162,10 @@ fn pgeqrf_handles_rank_deficiency_gracefully() {
 #[test]
 fn non_finite_input_never_factors_to_ok() {
     // One NaN or +∞ entry: a Gram rung breaks down on it, and Householder
-    // QR runs to the end with a non-finite R. Neither policy may hand that
-    // R back as a factorization, on any grid.
+    // QR runs to the end with a non-finite R. Either way the walk scans the
+    // input and stops at its first rung with `NonFinite` of the plan's own
+    // algorithm — under both policies, on any grid — instead of escalating
+    // to rungs that cannot factor it either.
     let (m, n) = (256usize, 16usize);
     let plans = [
         QrPlan::new(m, n)
@@ -180,28 +182,33 @@ fn non_finite_input_never_factors_to_ok() {
         for builder in plans {
             let plan = builder.build().unwrap();
             let algorithm = plan.algorithm();
-            match plan.factor_with_policy(&a, RetryPolicy::none()) {
-                Err(PlanError::NotPositiveDefinite(_)) if algorithm != Algorithm::Pgeqrf => {}
-                Err(PlanError::NonFinite { algorithm: a }) => assert_eq!(a, algorithm),
-                other => panic!("{algorithm} with a {bad} entry, no retry: {other:?}"),
-            }
-            match plan.factor_with_policy(&a, RetryPolicy::escalate()) {
-                Err(PlanError::EscalationExhausted { attempts }) => {
-                    let terminal = attempts.last().expect("at least one rung ran");
-                    assert_eq!(terminal.algorithm, Algorithm::Pgeqrf);
-                    assert!(
-                        matches!(
-                            terminal.error.as_deref(),
-                            Some(PlanError::NonFinite {
-                                algorithm: Algorithm::Pgeqrf
-                            })
-                        ),
-                        "{:?}",
-                        terminal.error
-                    );
+            for policy in [RetryPolicy::none(), RetryPolicy::escalate()] {
+                match plan.factor_with_policy(&a, policy) {
+                    Err(PlanError::NonFinite { algorithm: got }) => assert_eq!(got, algorithm),
+                    other => panic!("{algorithm} with a {bad} entry, {policy:?}: {other:?}"),
                 }
-                other => panic!("{algorithm} with a {bad} entry, escalating: {other:?}"),
             }
+        }
+    }
+    // A finite input whose Gram matrix overflows is not non-finite input:
+    // the scan finds nothing, and an escalating walk keeps its whole chain,
+    // the terminal Householder rung refusing its non-finite R.
+    let well = well_conditioned(m, n, 20);
+    let huge = Matrix::from_fn(m, n, |i, j| 1e155 * well.get(i, j));
+    for builder in plans {
+        let plan = builder.build().unwrap();
+        let algorithm = plan.algorithm();
+        match plan.factor_with_policy(&huge, RetryPolicy::escalate()) {
+            Err(PlanError::EscalationExhausted { attempts }) => {
+                let rungs = if algorithm == Algorithm::Pgeqrf { 1 } else { 3 };
+                assert_eq!(attempts.len(), rungs, "{attempts:?}");
+                let terminal = attempts[rungs - 1].error.as_deref();
+                let want = PlanError::NonFinite {
+                    algorithm: Algorithm::Pgeqrf,
+                };
+                assert_eq!(terminal, Some(&want), "{attempts:?}");
+            }
+            other => panic!("{algorithm} on a 1e155-scaled input: {other:?}"),
         }
     }
 }

@@ -186,7 +186,7 @@ fn errors_display_and_source() {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming: the typed error surface of QrPlan::stream.
+// Streaming: the typed error surface of QrPlan::stream_with_rhs.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -194,14 +194,18 @@ fn stream_shape_mismatch_is_a_typed_update_error() {
     use ca_cqr2::cacqr::stream::StreamingQr;
     use ca_cqr2::dense::random::gaussian_matrix;
     use ca_cqr2::dense::update::UpdateError;
+    use ca_cqr2::dense::Matrix;
 
     let plan = QrPlan::new(64, 16)
         .algorithm(Algorithm::Cqr2_1d)
         .grid(GridShape::one_d(4).unwrap())
         .build()
         .unwrap();
-    let mut s: StreamingQr = plan.stream(&well_conditioned(64, 16, 1)).unwrap();
-    let err = s.append_rows(gaussian_matrix(2, 8, 1).as_ref()).unwrap_err();
+    let bare = Matrix::zeros(64, 0);
+    let mut s: StreamingQr = plan.stream_with_rhs(&well_conditioned(64, 16, 1), &bare).unwrap();
+    let err = s
+        .append_rows_with(gaussian_matrix(2, 8, 1).as_ref(), bare.view(0, 0, 2, 0))
+        .unwrap_err();
     assert_eq!(
         err,
         PlanError::Update(UpdateError::ShapeMismatch {
@@ -215,7 +219,9 @@ fn stream_shape_mismatch_is_a_typed_update_error() {
     let src = std::error::Error::source(&err).expect("kernel error is the source");
     assert!(src.to_string().contains("16"), "{src}");
     // The rejected block left the stream usable.
-    let status = s.append_rows(gaussian_matrix(2, 16, 2).as_ref()).unwrap();
+    let status = s
+        .append_rows_with(gaussian_matrix(2, 16, 2).as_ref(), bare.view(0, 0, 2, 0))
+        .unwrap();
     assert_eq!(status.rows, 66);
 }
 
@@ -235,17 +241,23 @@ fn downdating_rows_never_appended_is_rejected_or_indefinite() {
     // The bitwise history audit catches the lie before any math runs, and
     // leaves R untouched. (The kernel's own `DowndateIndefinite` check and
     // its rollback are covered by the `dense` breakdown tests.)
-    let mut s = plan.stream(&a0).unwrap();
-    s.append_rows(gaussian_matrix(2, 8, 4).as_ref()).unwrap();
+    let bare = Matrix::zeros(32, 0);
+    let mut s = plan.stream_with_rhs(&a0, &bare).unwrap();
+    s.append_rows_with(gaussian_matrix(2, 8, 4).as_ref(), bare.view(0, 0, 2, 0))
+        .unwrap();
     let r_before = s.r().clone();
-    let err = s.downdate_rows(foreign.as_ref()).unwrap_err();
+    let err = s
+        .downdate_rows_with(foreign.as_ref(), bare.view(0, 0, 1, 0))
+        .unwrap_err();
     assert_eq!(err, PlanError::StreamHistoryMismatch { row: 0 });
     assert!(err.to_string().contains("oldest"), "{err}");
     assert_eq!(s.r().data(), r_before.data(), "failed downdates must roll back");
     assert_eq!(s.rows(), 34, "a rejected downdate removes no rows");
     // The stream stays usable: the next append lands on the un-downdated
     // row count.
-    let status = s.append_rows(gaussian_matrix(2, 8, 5).as_ref()).unwrap();
+    let status = s
+        .append_rows_with(gaussian_matrix(2, 8, 5).as_ref(), bare.view(0, 0, 2, 0))
+        .unwrap();
     assert_eq!(status.rows, 36);
 }
 
@@ -271,16 +283,8 @@ fn rhs_track_errors_are_typed() {
         }
     );
 
-    // A plain update on a tracked stream would desynchronize d = Aᵀb.
     let b0 = gaussian_matrix(32, 1, 10);
     let mut s = plan.stream_with_rhs(&a0, &b0).unwrap();
-    let err = s.append_rows(gaussian_matrix(2, 8, 11).as_ref()).unwrap_err();
-    assert_eq!(err, PlanError::StreamRhsRequired { op: "append_rows" });
-    assert!(err.to_string().contains("append_rows_with"), "{err}");
-    let err = s
-        .downdate_rows(Matrix::from_view(a0.view(0, 0, 2, 8)).as_ref())
-        .unwrap_err();
-    assert_eq!(err, PlanError::StreamRhsRequired { op: "downdate_rows" });
 
     // A right-hand-side block at the wrong width is rejected up front.
     let err = s
@@ -293,16 +297,6 @@ fn rhs_track_errors_are_typed() {
             got: (2, 3),
         }
     );
-
-    // `_with` updates and solves need the track to exist at all.
-    let mut plain = plan.stream(&a0).unwrap();
-    let err = plain
-        .append_rows_with(gaussian_matrix(2, 8, 13).as_ref(), gaussian_matrix(2, 1, 13).as_ref())
-        .unwrap_err();
-    assert_eq!(err, PlanError::StreamRhsMissing { op: "append_rows_with" });
-    let err = plain.solve().unwrap_err();
-    assert_eq!(err, PlanError::StreamRhsMissing { op: "solve" });
-    assert!(err.to_string().contains("stream_with_rhs"), "{err}");
 
     // `solve_into` validates the caller's output shape.
     let mut x = Matrix::zeros(4, 1);
@@ -326,9 +320,12 @@ fn stream_downdate_below_n_rows_is_not_tall() {
         .build()
         .unwrap();
     let a0 = well_conditioned(12, 8, 7);
-    let mut s = plan.stream(&a0).unwrap();
+    let bare = Matrix::zeros(12, 0);
+    let mut s = plan.stream_with_rhs(&a0, &bare).unwrap();
     let oldest = Matrix::from_view(a0.view(0, 0, 8, 8));
-    let err = s.downdate_rows(oldest.as_ref()).unwrap_err();
+    let err = s
+        .downdate_rows_with(oldest.as_ref(), bare.view(0, 0, 8, 0))
+        .unwrap_err();
     assert_eq!(err, PlanError::NotTall { m: 4, n: 8 });
 }
 

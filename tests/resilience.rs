@@ -12,6 +12,8 @@
 //!   escalating retry policy and a zero-deadline submission against a warm
 //!   queue show up in `stats()` as one retry (the panel ends on shifted
 //!   CQR3), one escalation and one shed job.
+//! * **Non-finite input is typed at once:** an escalating job with a NaN
+//!   operand fails with `NonFinite` from its first rung.
 //! * **Stable partial-failure indices:** `try_factor_many` maps each panel's
 //!   typed outcome to its submission index regardless of how ranges were
 //!   stolen across the pool.
@@ -146,8 +148,13 @@ fn stream_refresh_escalates_instead_of_parking_in_refresh_failed() {
         .retry(RetryPolicy::escalate())
         .build()
         .unwrap();
-    let mut s = plan.stream(&a0).unwrap().with_drift_threshold(0.0);
-    let status = s.downdate_rows(oldest.as_ref()).expect("the downdate itself commits");
+    let mut s = plan
+        .stream_with_rhs(&a0, &Matrix::zeros(a0.rows(), 0))
+        .unwrap()
+        .with_drift_threshold(0.0);
+    let status = s
+        .downdate_rows_with(oldest.as_ref(), Matrix::zeros(oldest.rows(), 0).as_ref())
+        .expect("the downdate itself commits");
     assert!(
         status.refreshed,
         "an enabled policy must rescue the refresh through the ladder"
@@ -206,6 +213,32 @@ fn service_stats_count_escalation_and_shedding() {
     assert_eq!(stats.retries, 1, "CQR2 breaks down, shifted CQR3 is accepted");
     assert_eq!(stats.escalations, 1);
     assert_eq!(stats.shed, 1);
+}
+
+/// A NaN operand ends an escalating job's walk at its first rung: the
+/// handle delivers `NonFinite` of the spec's algorithm, not an exhausted
+/// ladder.
+#[test]
+fn an_escalating_job_with_a_nan_operand_is_non_finite() {
+    let service = QrService::builder().workers(1).build();
+    let spec = JobSpec::new(64, 16)
+        .algorithm(Algorithm::Cqr2_1d)
+        .grid(GridShape::one_d(2).unwrap());
+    let mut a = well_conditioned(64, 16, 43);
+    a.set(9, 4, f64::NAN);
+    let outcome = service
+        .submit_with(&spec, a, SubmitOptions::new().retry(RetryPolicy::escalate()))
+        .unwrap()
+        .wait();
+    assert!(
+        matches!(
+            outcome,
+            Err(ServiceError::Plan(PlanError::NonFinite {
+                algorithm: Algorithm::Cqr2_1d
+            }))
+        ),
+        "{outcome:?}"
+    );
 }
 
 #[test]

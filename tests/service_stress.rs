@@ -15,6 +15,7 @@ use cacqr::service::{JobSpec, QrService, ServiceError};
 use cacqr::{Algorithm, PlanError};
 use common::{input_for, mixed_specs};
 use dense::random::well_conditioned;
+use dense::Matrix;
 use pargrid::GridShape;
 use simgrid::RuntimeKind;
 use std::sync::Arc;
@@ -170,9 +171,11 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
     let reference = QrService::builder().workers(1).build();
     let plan = reference.plan(&spec).unwrap();
     let ref_reports: Vec<_> = many.iter().map(|a| plan.factor(a).unwrap()).collect();
-    let mut direct = plan.stream(&stream_seed).unwrap();
+    // Streams that keep only `R`: zero-width right-hand sides.
+    let (bare_seed, bare_update) = (Matrix::zeros(64, 0), Matrix::zeros(2, 0));
+    let mut direct = plan.stream_with_rhs(&stream_seed, &bare_seed).unwrap();
     for u in &updates {
-        direct.append_rows(u.as_ref()).unwrap();
+        direct.append_rows_with(u.as_ref(), bare_update.as_ref()).unwrap();
     }
     let ref_snap = direct.snapshot().unwrap();
     drop(reference);
@@ -182,13 +185,17 @@ fn mixed_batch_and_stream_traffic_is_bitwise_deterministic_across_pool_widths() 
         .flat_map(|runtime| [1usize, 2, 8].map(|workers| (runtime, workers)))
     {
         let service = QrService::builder().workers(workers).runtime(runtime).build();
-        let mut live = service.plan(&spec).unwrap().stream(&stream_seed).unwrap();
+        let mut live = service
+            .plan(&spec)
+            .unwrap()
+            .stream_with_rhs(&stream_seed, &bare_seed)
+            .unwrap();
         // Interleave: the stream's updates run while the factor_many batch
         // is claimed panel by panel across the workers.
         let (reports, snap) = std::thread::scope(|s| {
             let streamer = s.spawn(|| {
                 for u in &updates {
-                    live.append_rows(u.as_ref()).unwrap();
+                    live.append_rows_with(u.as_ref(), bare_update.as_ref()).unwrap();
                 }
                 live.snapshot().unwrap()
             });

@@ -195,8 +195,13 @@ fn off_shape_stream_refresh_is_as_accurate_as_householder() {
             let cell = format!("{policy:?} κ=1e{exp}");
             let rows = matrix_with_condition(m0 + k, n, 10f64.powi(exp), 77);
             let initial = Matrix::from_view(rows.view(0, 0, m0, n));
-            let mut s = plan.stream(&initial).unwrap().with_drift_threshold(f64::INFINITY);
-            s.append_rows(rows.view(m0, 0, k, n)).unwrap();
+            let bare = Matrix::zeros(m0, 0);
+            let mut s = plan
+                .stream_with_rhs(&initial, &bare)
+                .unwrap()
+                .with_drift_threshold(f64::INFINITY);
+            s.append_rows_with(rows.view(m0, 0, k, n), bare.view(0, 0, k, 0))
+                .unwrap();
             s.refresh().unwrap_or_else(|e| panic!("{cell}: {e}"));
             let got = r_orthogonality(&rows, s.r());
             let oracle = r_orthogonality(&rows, &dense::householder::qr(&rows).1);

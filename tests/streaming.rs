@@ -13,22 +13,25 @@
 //! * **Least squares (proptest):** `solve()` on a stream that absorbed
 //!   appends and downdates through its right-hand-side track matches the
 //!   solution computed from a from-scratch batch factor of the live window.
+//! * **One track of any width:** a stream with `k` right-hand sides solves
+//!   bitwise like `k` one-column streams, and a zero-width stream's `R` is
+//!   bitwise a tracked stream's.
 //! * **Transactionality:** an append of any width whose factor update fails
-//!   inside the kernel rolls back completely (`R`, `d`, history, counters
-//!   all untouched); a failed drift-triggered auto-refresh after a
-//!   committed update *surfaces* through
+//!   inside the kernel (a NaN row included) rolls back completely (`R`,
+//!   `d`, history, counters all untouched); a failed drift-triggered
+//!   auto-refresh after a committed update *surfaces* through
 //!   `StreamStatus::refresh_failed` without corrupting the stream, and the
 //!   next successful refresh clears it.
 //! * **Caller-owned:** a `StreamingQr` is `Send`, so a caller may move it
 //!   to another thread or share it behind a `Mutex` (checked at compile
 //!   time).
 
-use cacqr::{Algorithm, PlanError, QrPlan, RetryPolicy, StreamingQr};
+use cacqr::{Algorithm, PlanError, QrPlan, RetryPolicy, StreamStatus, StreamingQr};
 use dense::norms::rel_diff;
 use dense::random::{gaussian_matrix, well_conditioned};
 use dense::trsm::{trsm_left_lower_trans, trsm_left_upper};
 use dense::update::UpdateError;
-use dense::{matmul, Matrix, Trans};
+use dense::{matmul, MatRef, Matrix, Trans};
 use pargrid::GridShape;
 use proptest::prelude::*;
 
@@ -38,6 +41,22 @@ fn stream_plan(m: usize, n: usize) -> QrPlan {
         .grid(GridShape::one_d(4).unwrap())
         .build()
         .unwrap()
+}
+
+/// Opens a stream that keeps only `R`: its right-hand side is `m × 0`.
+fn open_bare(plan: &QrPlan, a0: &Matrix) -> StreamingQr {
+    plan.stream_with_rhs(a0, &Matrix::zeros(a0.rows(), 0)).unwrap()
+}
+
+/// Appends rows to a bare stream, with their `k × 0` right-hand sides.
+fn append(s: &mut StreamingQr, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
+    s.append_rows_with(b, Matrix::zeros(b.rows(), 0).as_ref())
+}
+
+/// Downdates a bare stream's oldest rows, with their `k × 0` right-hand
+/// sides.
+fn downdate(s: &mut StreamingQr, b: MatRef<'_>) -> Result<StreamStatus, PlanError> {
+    s.downdate_rows_with(b, Matrix::zeros(b.rows(), 0).as_ref())
 }
 
 /// Stack `a0` and the appended blocks into one matrix.
@@ -102,11 +121,11 @@ proptest! {
         let m0 = 4 * quarters;
         let n = n_raw.min(m0);
         let a0 = well_conditioned(m0, n, seed);
-        let mut s = stream_plan(m0, n).stream(&a0).unwrap();
+        let mut s = open_bare(&stream_plan(m0, n), &a0);
         let mut blocks = Vec::new();
         for (i, &w) in [w1, w2, w3].iter().enumerate() {
             let b = gaussian_matrix(w, n, seed ^ (0xb10c + i as u64));
-            s.append_rows(b.as_ref()).unwrap();
+            append(&mut s, b.as_ref()).unwrap();
             blocks.push(b);
         }
         let full = concat(&a0, &blocks);
@@ -136,11 +155,11 @@ proptest! {
         let m0 = 4 * quarters;
         let n = n_raw.min(m0 - 8);
         let a0 = well_conditioned(m0, n, seed.wrapping_add(1));
-        let mut s = stream_plan(m0, n).stream(&a0).unwrap();
+        let mut s = open_bare(&stream_plan(m0, n), &a0);
         let b = gaussian_matrix(k, n, seed ^ 0x51_1d);
-        s.append_rows(b.as_ref()).unwrap();
+        append(&mut s, b.as_ref()).unwrap();
         let oldest = Matrix::from_view(a0.view(0, 0, k, n));
-        let status = s.downdate_rows(oldest.as_ref()).unwrap();
+        let status = downdate(&mut s, oldest.as_ref()).unwrap();
         prop_assert_eq!(status.rows, m0);
         // The slid window, factored from scratch.
         let mut window = Matrix::zeros(m0, n);
@@ -207,7 +226,8 @@ proptest! {
 
 /// Regression: an append wider than the window whose factor update fails
 /// must roll back *everything* — a rejected delta must not leave the
-/// stream claiming rows its factor never absorbed.
+/// stream claiming rows its factor never absorbed. A NaN row fails the same
+/// way: the appended Gram matrix's Cholesky rejects it.
 #[test]
 fn failed_wide_append_rolls_back_completely() {
     // A stream the caller owns may cross threads: compile-time check.
@@ -223,23 +243,29 @@ fn failed_wide_append_rolls_back_completely() {
 
     // Entries at 1e160 overflow the appended Gram matrix to infinity, so
     // the kernel's Cholesky rejects the pivot deterministically on every
-    // backend.
-    let bad = Matrix::from_fn(k, n, |i, j| 1e160 * (1.0 + ((i + j) % 3) as f64));
-    let bad_rhs = gaussian_matrix(k, 1, 79);
-    let err = s.append_rows_with(bad.as_ref(), bad_rhs.as_ref()).unwrap_err();
-    assert!(
-        matches!(err, PlanError::Update(UpdateError::NotPositiveDefinite(_))),
-        "{err:?}"
-    );
+    // backend; a NaN entry makes the pivot NaN.
+    let wide = Matrix::from_fn(k, n, |i, j| 1e160 * (1.0 + ((i + j) % 3) as f64));
+    let mut nan_row = gaussian_matrix(2, n, 93);
+    nan_row.set(1, 3, f64::NAN);
+    for bad in [wide, nan_row] {
+        let bad_rhs = gaussian_matrix(bad.rows(), 1, 79);
+        let err = s.append_rows_with(bad.as_ref(), bad_rhs.as_ref()).unwrap_err();
+        assert!(
+            matches!(err, PlanError::Update(UpdateError::NotPositiveDefinite(_))),
+            "{err:?}"
+        );
 
-    // No observable trace: row count, factor, and projection all pristine.
-    assert_eq!(s.rows(), m0, "rejected delta must not count toward live rows");
-    assert_eq!(s.r().data(), r_before.data(), "R must be bitwise untouched");
-    assert_eq!(
-        s.solve().unwrap().data(),
-        x_before.data(),
-        "d (and the histories behind it) must be bitwise untouched"
-    );
+        // No observable trace: row count, refresh count, factor, and
+        // projection all pristine.
+        assert_eq!(s.rows(), m0, "rejected delta must not count toward live rows");
+        assert_eq!(s.refreshes(), 0);
+        assert_eq!(s.r().data(), r_before.data(), "R must be bitwise untouched");
+        assert_eq!(
+            s.solve().unwrap().data(),
+            x_before.data(),
+            "d (and the histories behind it) must be bitwise untouched"
+        );
+    }
 
     // And the stream remains fully operational afterwards.
     s.append_rows_with(gaussian_matrix(4, n, 80).as_ref(), gaussian_matrix(4, 1, 81).as_ref())
@@ -290,13 +316,13 @@ fn failed_auto_refresh_surfaces_without_corrupting_the_stream() {
     let m0 = c_rows + d_rows;
     let a0 = refresh_failure_window(c_rows, d_rows, n, 0);
     // Threshold 0: every committed update triggers a refresh attempt.
-    let mut s = stream_plan(m0, n).stream(&a0).unwrap().with_drift_threshold(0.0);
+    let mut s = open_bare(&stream_plan(m0, n), &a0).with_drift_threshold(0.0);
     let oldest = Matrix::from_view(a0.view(0, 0, c_rows, n));
 
     // The hyperbolic downdate kernel succeeds (the remaining Gram keeps a
     // small but robustly positive margin in the weak direction), but the
     // refresh re-factors D alone, whose Gram is numerically singular.
-    let status = s.downdate_rows(oldest.as_ref()).expect("the downdate itself commits");
+    let status = downdate(&mut s, oldest.as_ref()).expect("the downdate itself commits");
     assert!(status.refresh_failed, "the failed refresh must be surfaced");
     assert!(!status.refreshed);
     assert_eq!(status.rows, d_rows, "the rows really were removed");
@@ -313,11 +339,8 @@ fn failed_auto_refresh_surfaces_without_corrupting_the_stream() {
     // The factor is exactly what the committed downdate produced: a
     // reference stream with auto-refresh disabled applies the same
     // sequence and must agree bitwise.
-    let mut reference = stream_plan(m0, n)
-        .stream(&a0)
-        .unwrap()
-        .with_drift_threshold(f64::INFINITY);
-    reference.downdate_rows(oldest.as_ref()).unwrap();
+    let mut reference = open_bare(&stream_plan(m0, n), &a0).with_drift_threshold(f64::INFINITY);
+    downdate(&mut reference, oldest.as_ref()).unwrap();
     assert_eq!(
         s.r().data(),
         reference.r().data(),
@@ -328,7 +351,7 @@ fn failed_auto_refresh_surfaces_without_corrupting_the_stream() {
     // the retried refresh now succeeds and clears the failure state.
     let rescue_core = gaussian_matrix(2, n, 4242);
     let rescue = Matrix::from_fn(2, n, |i, j| 1e7 * rescue_core.get(i, j));
-    let status = s.append_rows(rescue.as_ref()).expect("full-rank append");
+    let status = append(&mut s, rescue.as_ref()).expect("full-rank append");
     assert!(status.refreshed, "drift retry must fire on the next update");
     assert!(!status.refresh_failed);
     assert_eq!(s.drift(), 0.0);
@@ -357,11 +380,11 @@ fn a_snapshot_is_the_refresh_that_keeps_q() {
         .grid(GridShape::one_d(2).unwrap())
         .build()
         .unwrap();
-    let mut s = plan.stream(&a0).unwrap().with_drift_threshold(f64::INFINITY);
-    s.append_rows(b.as_ref()).unwrap();
+    let mut s = open_bare(&plan, &a0).with_drift_threshold(f64::INFINITY);
+    append(&mut s, b.as_ref()).unwrap();
     for on_shape in [false, true] {
         if on_shape {
-            s.downdate_rows(a0.view(0, 0, k, n)).unwrap();
+            downdate(&mut s, a0.view(0, 0, k, n)).unwrap();
         }
         assert_eq!(s.rows() == m0, on_shape);
         let mut refreshed = s.clone();
@@ -422,4 +445,87 @@ fn a_failing_snapshot_is_recorded_like_a_failing_refresh() {
         assert_eq!((s.rows(), s.refreshes(), s.drift()), (d_rows, refreshes, drift));
         assert_eq!(s.last_refresh_error(), Some(&want));
     }
+}
+
+fn column(b: &Matrix, l: usize) -> Matrix {
+    Matrix::from_fn(b.rows(), 1, |i, _| b.get(i, l))
+}
+
+/// A stream with three right-hand sides solves bitwise like three
+/// one-column streams over the same rows — each column's fold,
+/// substitutions and refinement run the single-column kernels on their own
+/// — across an append, a downdate and a refresh.
+#[test]
+fn a_three_column_stream_solves_bitwise_like_three_one_column_streams() {
+    let (m0, n, k, nrhs) = (64usize, 8usize, 8usize, 3usize);
+    let plan = stream_plan(m0, n);
+    let a0 = well_conditioned(m0, n, 71);
+    let b0 = gaussian_matrix(m0, nrhs, 72);
+    let (a1, b1) = (gaussian_matrix(k, n, 73), gaussian_matrix(k, nrhs, 74));
+    let oldest_b = Matrix::from_view(b0.view(0, 0, k, nrhs));
+    let mut wide = plan.stream_with_rhs(&a0, &b0).unwrap();
+    let mut narrow: Vec<StreamingQr> = (0..nrhs)
+        .map(|l| plan.stream_with_rhs(&a0, &column(&b0, l)).unwrap())
+        .collect();
+    for step in ["open", "append", "downdate", "refresh"] {
+        match step {
+            "append" => {
+                wide.append_rows_with(a1.as_ref(), b1.as_ref()).unwrap();
+                for (l, s) in narrow.iter_mut().enumerate() {
+                    s.append_rows_with(a1.as_ref(), column(&b1, l).as_ref()).unwrap();
+                }
+            }
+            "downdate" => {
+                wide.downdate_rows_with(a0.view(0, 0, k, n), oldest_b.as_ref()).unwrap();
+                for (l, s) in narrow.iter_mut().enumerate() {
+                    s.downdate_rows_with(a0.view(0, 0, k, n), column(&oldest_b, l).as_ref())
+                        .unwrap();
+                }
+            }
+            "refresh" => {
+                wide.refresh().unwrap();
+                for s in &mut narrow {
+                    s.refresh().unwrap();
+                }
+            }
+            _ => {}
+        }
+        let x = wide.solve().unwrap();
+        assert_eq!((x.rows(), x.cols()), (n, nrhs));
+        for (l, s) in narrow.iter().enumerate() {
+            assert_eq!(bits(&column(&x, l)), bits(&s.solve().unwrap()), "{step}, column {l}");
+        }
+    }
+}
+
+/// A zero-width right-hand side keeps only `R`: bitwise a tracked stream's
+/// `R` across an append, a downdate, a refresh and a snapshot, and its
+/// solve is `n × 0`.
+#[test]
+fn a_zero_width_stream_keeps_a_tracked_streams_r() {
+    let (m0, n, k) = (64usize, 8usize, 8usize);
+    let plan = stream_plan(m0, n);
+    let a0 = well_conditioned(m0, n, 81);
+    let b0 = gaussian_matrix(m0, 2, 82);
+    let (a1, b1) = (gaussian_matrix(k, n, 83), gaussian_matrix(k, 2, 84));
+    let mut tracked = plan.stream_with_rhs(&a0, &b0).unwrap();
+    let mut bare = open_bare(&plan, &a0);
+    assert_eq!((bare.nrhs(), tracked.nrhs()), (0, 2));
+    assert_eq!(bits(bare.r()), bits(tracked.r()), "open");
+    tracked.append_rows_with(a1.as_ref(), b1.as_ref()).unwrap();
+    append(&mut bare, a1.as_ref()).unwrap();
+    assert_eq!(bits(bare.r()), bits(tracked.r()), "append");
+    tracked
+        .downdate_rows_with(a0.view(0, 0, k, n), b0.view(0, 0, k, 2))
+        .unwrap();
+    downdate(&mut bare, a0.view(0, 0, k, n)).unwrap();
+    assert_eq!(bits(bare.r()), bits(tracked.r()), "downdate");
+    tracked.refresh().unwrap();
+    bare.refresh().unwrap();
+    assert_eq!(bits(bare.r()), bits(tracked.r()), "refresh");
+    let (snap_tracked, snap_bare) = (tracked.snapshot().unwrap(), bare.snapshot().unwrap());
+    assert_eq!(bits(&snap_bare.r), bits(&snap_tracked.r), "snapshot");
+    assert_eq!(bits(bare.r()), bits(tracked.r()), "after the snapshot");
+    let x = bare.solve().unwrap();
+    assert_eq!((x.rows(), x.cols()), (n, 0));
 }
