@@ -91,7 +91,7 @@ fn main() {
                 &world,
                 a_local,
                 q_local.as_mut(),
-                None,
+                false,
                 cacqr::FlopCharges::OneD,
                 dense::BackendKind::default_kind(),
                 &mut dense::Workspace::new(),

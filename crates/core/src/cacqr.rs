@@ -29,47 +29,26 @@
 
 use crate::cfr3d::cfr3d;
 use crate::config::CfrParams;
-use crate::invtree::InvTree;
 use dense::cholesky::CholeskyError;
 use dense::gemm::Trans;
 use dense::{MatRef, Matrix, Workspace};
 use pargrid::TunableComms;
 use simgrid::Rank;
 
-/// Result of one CA-CQR pass. Every matrix is **workspace-backed**: when a
-/// field dies, recycle it (the tree via [`InvTree::recycle_into`]) so
-/// repeated passes reuse the same storage.
-pub struct CaCqrOutput {
-    /// This rank's piece of `Q` (rows `≡ y (mod d)`, cols `≡ x (mod c)`).
-    pub q_local: Matrix,
-    /// This rank's subcube piece of `L = Rᵀ` (lower triangular factor of
-    /// `AᵀA`), cyclic over the `c × c` subcube slice.
-    pub l_local: Matrix,
-    /// The (possibly partial) inverse tree for `L` — reusable for further
-    /// solves against this `R`.
-    pub inv: InvTree,
-}
-
-/// One CholeskyQR pass over the tunable grid (see module docs). `a_local`
-/// is this rank's cyclic piece of the global `m × n` matrix — any view: with
-/// `c = 1` the piece is [`MatRef::step_rows`] of the global matrix itself —
-/// `n` must be a power of two divisible by `c` and the row count must
-/// satisfy `d | m`.
+/// One CholeskyQR pass over the tunable grid (see module docs), factoring
+/// the Gram matrix shifted by `sigma` (`0` for Algorithm 8 proper; the
+/// shifted pass of [`crate::ca_cqr3`] otherwise), as [`crate::cqr1d()`] does.
+/// `a_local` is this rank's cyclic piece of the global `m × n` matrix — any
+/// view: with `c = 1` the piece is [`MatRef::step_rows`] of the global
+/// matrix itself — `n` must be a power of two divisible by `c` and the row
+/// count must satisfy `d | m`.
+///
+/// Returns this rank's piece of `Q` (rows `≡ y (mod d)`, cols
+/// `≡ x (mod c)`) and its subcube piece of `L = Rᵀ`, cyclic over the
+/// `c × c` subcube slice. Both are **workspace-backed**: recycle them when
+/// they die so repeated passes reuse the same storage (the pass recycles
+/// its own inverse tree).
 pub fn ca_cqr(
-    rank: &mut Rank,
-    comms: &TunableComms,
-    a_local: MatRef<'_>,
-    n: usize,
-    params: &CfrParams,
-    ws: &mut Workspace,
-) -> Result<CaCqrOutput, CholeskyError> {
-    ca_cqr_shifted(rank, comms, a_local, n, params, 0.0, ws)
-}
-
-/// CholeskyQR pass factoring the *shifted* Gram matrix `AᵀA + σI` — the
-/// building block of the shifted CholeskyQR3 extension
-/// ([`crate::cacqr3::ca_cqr3`]). `sigma = 0` is the plain Algorithm 8.
-pub fn ca_cqr_shifted(
     rank: &mut Rank,
     comms: &TunableComms,
     a_local: MatRef<'_>,
@@ -77,7 +56,7 @@ pub fn ca_cqr_shifted(
     params: &CfrParams,
     sigma: f64,
     ws: &mut Workspace,
-) -> Result<CaCqrOutput, CholeskyError> {
+) -> Result<(Matrix, Matrix), CholeskyError> {
     let c = comms.shape.c;
     let (x, y, z) = comms.coords;
     let lr = a_local.rows(); // m/d
@@ -129,8 +108,8 @@ pub fn ca_cqr_shifted(
 
     // Line 8: Q = A·R⁻¹ over the subcube.
     let q_local = inv.apply_rinv(rank, &comms.subcube, a_local, params.backend, ws);
-
-    Ok(CaCqrOutput { q_local, l_local, inv })
+    inv.recycle_into(ws);
+    Ok((q_local, l_local))
 }
 
 #[cfg(test)]
@@ -141,7 +120,7 @@ mod tests {
     use pargrid::{DistMatrix, GridShape};
     use simgrid::{run_spmd, SimConfig};
 
-    fn run_ca_cqr(shape: GridShape, m: usize, n: usize, seed: u64, params: CfrParams) -> (Matrix, Matrix) {
+    fn run_ca_cqr(shape: GridShape, m: usize, n: usize, seed: u64, params: CfrParams, sigma: f64) -> (Matrix, Matrix) {
         let a = well_conditioned(m, n, seed);
         let (c, d) = (shape.c, shape.d);
         let a2 = a.clone();
@@ -150,8 +129,8 @@ mod tests {
             let (x, y, z) = comms.coords;
             let mut ws = dense::Workspace::new();
             let al = DistMatrix::from_global(&a2, d, c, y, x);
-            let out = ca_cqr(rank, &comms, al.local.as_ref(), n, &params, &mut ws).expect("well-conditioned");
-            (x, y, z, out.q_local, out.l_local)
+            let (q, l) = ca_cqr(rank, &comms, al.local.as_ref(), n, &params, sigma, &mut ws).expect("well-conditioned");
+            (x, y, z, q, l)
         });
         // Assemble Q from the z = 0 slice; check replication across z.
         let mut qp: Vec<Vec<Matrix>> = (0..d).map(|_| (0..c).map(|_| Matrix::zeros(0, 0)).collect()).collect();
@@ -179,41 +158,33 @@ mod tests {
 
     #[test]
     fn ca_cqr_c1_equals_1d_cqr() {
-        // c = 1 must produce bitwise the result of Algorithm 6.
+        // c = 1 must produce bitwise the result of Algorithm 6, shifted or
+        // not: every rank holds diagonal entries (x == y % c), and each adds
+        // the same σ to them.
         let (m, n, p) = (32usize, 8usize, 4usize);
         let a = well_conditioned(m, n, 21);
         let shape = GridShape::one_d(p).unwrap();
         let params = CfrParams::default_for(n, 1);
-        let (q_ca, r_ca) = run_ca_cqr(shape, m, n, 21, params);
-
-        let a2 = a.clone();
-        let report = run_spmd(p, SimConfig::default(), move |rank| {
-            let world = rank.world();
-            let a_local = a2.as_ref().step_rows(rank.id(), p);
-            let mut q = Matrix::zeros(a_local.rows(), n);
-            let mut ws = dense::Workspace::new();
-            let kind = dense::BackendKind::default_kind();
-            let r = crate::cqr1d::cqr1d(
-                rank,
-                &world,
-                a_local,
-                q.as_mut(),
-                0.0,
-                crate::FlopCharges::OneD,
-                kind,
-                &mut ws,
-            )
-            .unwrap();
-            (rank.id(), q, r)
-        });
-        let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();
-        for (id, q, _) in &report.results {
-            pieces[*id][0] = q.clone();
+        for sigma in [0.0, 0.5] {
+            let (q_ca, r_ca) = run_ca_cqr(shape, m, n, 21, params, sigma);
+            let report = run_spmd(p, SimConfig::default(), |rank| {
+                let world = rank.world();
+                let a_local = a.as_ref().step_rows(rank.id(), p);
+                let mut q = Matrix::zeros(a_local.rows(), n);
+                let mut ws = dense::Workspace::new();
+                let (kind, charges) = (dense::BackendKind::default_kind(), crate::FlopCharges::OneD);
+                let r = crate::cqr1d(rank, &world, a_local, q.as_mut(), sigma, charges, kind, &mut ws).unwrap();
+                (rank.id(), q, r)
+            });
+            let mut pieces: Vec<Vec<Matrix>> = (0..p).map(|_| vec![Matrix::zeros(0, 0)]).collect();
+            for (id, q, _) in &report.results {
+                pieces[*id][0] = q.clone();
+            }
+            let q_1d = DistMatrix::assemble(m, n, p, 1, &pieces);
+            let r_1d = report.results[0].2.clone();
+            assert_eq!(q_ca, q_1d, "CA-CQR with c=1 must equal 1D-CQR bitwise (σ = {sigma})");
+            assert_eq!(r_ca, r_1d, "σ = {sigma}");
         }
-        let q_1d = DistMatrix::assemble(m, n, p, 1, &pieces);
-        let r_1d = report.results[0].2.clone();
-        assert_eq!(q_ca, q_1d, "CA-CQR with c=1 must equal 1D-CQR bitwise");
-        assert_eq!(r_ca, r_1d);
     }
 
     #[test]
@@ -221,7 +192,7 @@ mod tests {
         let shape = GridShape::new(2, 4).unwrap();
         let (m, n) = (32, 8);
         let params = CfrParams::validated(n, 2, 4, 0).unwrap();
-        let (q, r) = run_ca_cqr(shape, m, n, 31, params);
+        let (q, r) = run_ca_cqr(shape, m, n, 31, params, 0.0);
         let a = well_conditioned(m, n, 31);
         assert!(orthogonality_error(q.as_ref()) < 1e-12);
         assert!(residual_error(a.as_ref(), q.as_ref(), r.as_ref()) < 1e-12);
@@ -233,7 +204,7 @@ mod tests {
         let shape = GridShape::cubic(2).unwrap();
         let (m, n) = (16, 8);
         let params = CfrParams::validated(n, 2, 4, 0).unwrap();
-        let (q, r) = run_ca_cqr(shape, m, n, 33, params);
+        let (q, r) = run_ca_cqr(shape, m, n, 33, params, 0.0);
         let a = well_conditioned(m, n, 33);
         assert!(orthogonality_error(q.as_ref()) < 1e-12);
         assert!(residual_error(a.as_ref(), q.as_ref(), r.as_ref()) < 1e-12);
@@ -244,7 +215,7 @@ mod tests {
         let shape = GridShape::new(2, 4).unwrap();
         let (m, n) = (64, 16);
         let params = CfrParams::validated(n, 2, 4, 1).unwrap();
-        let (q, r) = run_ca_cqr(shape, m, n, 35, params);
+        let (q, r) = run_ca_cqr(shape, m, n, 35, params, 0.0);
         let a = well_conditioned(m, n, 35);
         assert!(orthogonality_error(q.as_ref()) < 1e-12);
         assert!(residual_error(a.as_ref(), q.as_ref(), r.as_ref()) < 1e-12);

@@ -5,7 +5,7 @@
 //! `m/d = n/c`, the bandwidth and memory costs reach `(mn²/P)^{2/3}` —
 //! a `Θ(P^{1/6})` improvement over any 2D QR (Table I, last row).
 
-use crate::cacqr::{ca_cqr, CaCqrOutput};
+use crate::cacqr::ca_cqr;
 use crate::config::CfrParams;
 use crate::mm3d::{mm3d, transpose_cube};
 use dense::cholesky::CholeskyError;
@@ -43,28 +43,18 @@ pub fn ca_cqr2(
     ws: &mut Workspace,
 ) -> Result<CaCqr2Output, CholeskyError> {
     // Line 1: first pass on A.
-    let CaCqrOutput {
-        q_local: q1,
-        l_local: l1,
-        inv: inv1,
-    } = ca_cqr(rank, comms, a_local, n, params, ws)?;
-    inv1.recycle_into(ws);
+    let (q1, l1) = ca_cqr(rank, comms, a_local, n, params, 0.0, ws)?;
     // Line 2: second pass on Q₁ (recycling the pass-1 outputs even when the
     // second Cholesky fails — failure is how ill-conditioning reports).
-    let second = ca_cqr(rank, comms, q1.as_ref(), n, params, ws);
+    let second = ca_cqr(rank, comms, q1.as_ref(), n, params, 0.0, ws);
     ws.recycle(q1);
-    let CaCqrOutput {
-        q_local: q,
-        l_local: l2,
-        inv: inv2,
-    } = match second {
+    let (q, l2) = match second {
         Ok(out) => out,
         Err(e) => {
             ws.recycle(l1);
             return Err(e);
         }
     };
-    inv2.recycle_into(ws);
     // Line 4: R = R₂·R₁ over the subcube (R_i = L_iᵀ).
     let r2 = transpose_cube(rank, &comms.subcube, &l2, ws);
     let r1 = transpose_cube(rank, &comms.subcube, &l1, ws);

@@ -11,7 +11,7 @@
 //! The only communication beyond CA-CQR2 is a 1-word allreduce for
 //! `‖A‖_F²` (bounding `‖A‖₂²`), which rides the existing grid communicators.
 
-use crate::cacqr::{ca_cqr_shifted, CaCqrOutput};
+use crate::cacqr::ca_cqr;
 use crate::cacqr2::{ca_cqr2, CaCqr2Output};
 use crate::config::CfrParams;
 use crate::mm3d::{mm3d, transpose_cube};
@@ -32,45 +32,20 @@ pub fn ca_cqr3(
     params: &CfrParams,
     ws: &mut Workspace,
 ) -> Result<CaCqr2Output, CholeskyError> {
-    // ‖A‖_F²: local partial over this rank's piece, summed across the y and
-    // x partitions (the depth dimension replicates, so sum over one slice:
-    // use the ystride × y-group × row chain — equivalently, allreduce the
-    // piece norms over the slice through the existing communicators).
+    // ‖A‖_F²: this rank's piece's partial, summed over one depth slice (the
+    // depth replicates): over rows (y) by the contiguous y-group (subcube
+    // column), then across groups (ystride); over columns (x) by the row.
     let rows = (0..a_local.rows()).flat_map(|i| a_local.row(i));
     let mut norm2 = vec![rows.map(|v| v * v).sum::<f64>()];
     rank.charge_flops(2.0 * (a_local.rows() * a_local.cols()) as f64);
-    // Sum over rows (y dimension): the contiguous y-group (subcube column)
-    // then ystride (across groups); then over columns (x dimension): row.
     comms.subcube.col.allreduce(rank, &mut norm2);
     comms.ystride.allreduce(rank, &mut norm2);
     comms.subcube.row.allreduce(rank, &mut norm2);
-    let mut sigma = crate::cqr::fukaya_shift(m, n, norm2[0]);
 
-    // Pass 1: shifted CA-CQR, retrying with a grown shift on pathological
-    // input (consistent across ranks: sigma derives from allreduced data).
-    let mut first: Option<CaCqrOutput> = None;
-    let mut last_err = CholeskyError { index: 0, pivot: 0.0 };
-    for _ in 0..4 {
-        match ca_cqr_shifted(rank, comms, a_local, n, params, sigma, ws) {
-            Ok(out) => {
-                first = Some(out);
-                break;
-            }
-            Err(e) => {
-                last_err = e;
-                sigma *= 100.0;
-            }
-        }
-    }
-    let Some(CaCqrOutput {
-        q_local: q1,
-        l_local: l1,
-        inv: inv1,
-    }) = first
-    else {
-        return Err(last_err);
-    };
-    inv1.recycle_into(ws);
+    // Pass 1: shifted CA-CQR, the shift grown on pathological input.
+    let (q1, l1) = crate::cqr::shifted_pass(m, n, norm2[0], |sigma| {
+        ca_cqr(rank, comms, a_local, n, params, sigma, ws)
+    })?;
 
     // Passes 2–3: plain CA-CQR2 on the now well-conditioned Q₁ (recycling
     // the pass-1 outputs even on failure, to keep the arena balanced).

@@ -11,32 +11,16 @@
 //! inputs the Cholesky of `AᵀA` fails outright; [`shifted_cqr3`] implements
 //! the unconditionally stable variant the paper cites as reference \[3\] and names as
 //! future work in §V: one CholeskyQR on `AᵀA + σI` followed by CQR2.
+//!
+//! With `P = 1` the 1D pass is the sequential one, so each helper is a
+//! one-rank run of its 1D body ([`mod@crate::cqr1d`]: Algorithms 6–7 and
+//! the shifted CQR3), inline on the calling thread, with a throwaway arena.
 
-use dense::cholesky::{cholinv, CholeskyError};
-use dense::gemm::Trans;
+use crate::cqr1d::{cqr1d, cqr2_1d, cqr3_1d, FlopCharges};
+use dense::cholesky::CholeskyError;
 use dense::trsm::trmm_upper_upper;
-use dense::workspace;
-use dense::{Backend, BackendKind, Matrix, Workspace};
-
-/// One CholeskyQR pass over the Gram matrix shifted by `sigma`:
-/// `AᵀA + σI = LLᵀ` by CholInv, then `(Q, R) = (A·L⁻ᵀ, Lᵀ)`. The Gram matrix
-/// and the two factors are scratch from the thread-local arena — repeated
-/// calls on a warm thread do not re-allocate them — while CholInv's own
-/// temporaries come from a throwaway one: the thread-local arena cannot stay
-/// borrowed across the backend's products.
-fn cqr_shifted(a: &Matrix, sigma: f64, be: &dyn Backend) -> Result<(Matrix, Matrix), CholeskyError> {
-    let n = a.cols();
-    let take = || workspace::with_thread_local(|ws| ws.take_matrix_stale(n, n));
-    let (mut w, mut l, mut y) = (take(), take(), take());
-    be.syrk_into(a.as_ref(), w.as_mut());
-    (0..n).for_each(|i| w.set(i, i, w.get(i, i) + sigma));
-    let factored = cholinv(w.as_ref(), l.as_mut(), y.as_mut(), be, &mut Workspace::new());
-    let qr = factored.map(|()| (be.matmul(a.as_ref(), Trans::No, y.as_ref(), Trans::Yes), l.transposed()));
-    for scratch in [w, l, y] {
-        workspace::recycle_local_vec(scratch.into_vec());
-    }
-    qr
-}
+use dense::{BackendKind, MatMut, MatRef, Matrix, Workspace};
+use simgrid::{run_spmd, Comm, Rank, SimConfig};
 
 /// `R = R₂·R₁` as a fresh upper-triangular matrix.
 pub(crate) fn triu_product(r2: &Matrix, r1: &Matrix) -> Matrix {
@@ -45,28 +29,61 @@ pub(crate) fn triu_product(r2: &Matrix, r1: &Matrix) -> Matrix {
     r
 }
 
+/// Runs a 1D body on one rank over all of `a`, returning `(Q, R)`.
+fn one_rank(
+    a: &Matrix,
+    body: impl Fn(&mut Rank, &Comm, MatRef<'_>, MatMut<'_>, &mut Workspace) -> Result<Matrix, CholeskyError> + Sync,
+) -> Result<(Matrix, Matrix), CholeskyError> {
+    let mut report = run_spmd(1, SimConfig::default(), |rank| {
+        let world = rank.world();
+        let mut q = Matrix::zeros(a.rows(), a.cols());
+        let r = body(rank, &world, a.as_ref(), q.as_mut(), &mut Workspace::new())?;
+        Ok((q, r))
+    });
+    report.results.pop().expect("one rank ran")
+}
+
 /// One CholeskyQR pass (Algorithm 4): `A = QR` with `Q` having *nearly*
 /// orthonormal columns (error `O(ε·κ²)`) and `R` upper triangular. Local
 /// arithmetic goes through the given kernel backend (pass
 /// [`BackendKind::default_kind`] for the default).
 pub fn cqr(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), CholeskyError> {
-    cqr_shifted(a, 0.0, backend.get())
+    one_rank(a, |rank, comm, a, q, ws| {
+        cqr1d(rank, comm, a, q, 0.0, FlopCharges::OneD, backend, ws)
+    })
 }
 
 /// CholeskyQR2 (Algorithm 5): two CQR passes; accuracy comparable to
 /// Householder QR for `κ(A) = O(1/√ε)`.
 pub fn cqr2(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), CholeskyError> {
-    let (q1, r1) = cqr(a, backend)?;
-    let (q, r2) = cqr(&q1, backend)?;
-    Ok((q, triu_product(&r2, &r1)))
+    one_rank(a, |rank, comm, a, q, ws| {
+        cqr2_1d(rank, comm, a, q, false, FlopCharges::OneD, backend, ws).map(|(r, _)| r)
+    })
 }
 
-/// The Gram shift of Fukaya et al. for an `m × n` matrix with squared
-/// Frobenius norm `frob_sq`: `σ = 11·(mn + n(n+1))·ε·‖A‖₂²`, bounding
-/// `‖A‖₂ ≤ ‖A‖_F`. `AᵀA + σI` is positive definite in floating point for
-/// any numerically full-rank `A`.
-pub(crate) fn fukaya_shift(m: usize, n: usize, frob_sq: f64) -> f64 {
-    11.0 * ((m * n) as f64 + (n * (n + 1)) as f64) * f64::EPSILON * frob_sq
+/// The first pass of every shifted CholeskyQR3: `pass` at the Gram shift of
+/// Fukaya et al. for an `m × n` matrix with squared Frobenius norm
+/// `frob_sq`, `σ = 11·(mn + n(n+1))·ε·‖A‖₂²` bounding `‖A‖₂ ≤ ‖A‖_F`, under
+/// which `AᵀA + σI` is positive definite in floating point for any
+/// numerically full-rank `A`. On a failed Cholesky (pathological input) σ
+/// grows ×100, up to four tries; the last try's breakdown is the error.
+/// Ranks that derive `frob_sq` from allreduced data all grow the same shift.
+pub(crate) fn shifted_pass<T>(
+    m: usize,
+    n: usize,
+    frob_sq: f64,
+    mut pass: impl FnMut(f64) -> Result<T, CholeskyError>,
+) -> Result<T, CholeskyError> {
+    let mut sigma = 11.0 * ((m * n) as f64 + (n * (n + 1)) as f64) * f64::EPSILON * frob_sq;
+    let mut first = pass(sigma);
+    for _ in 1..4 {
+        if first.is_ok() {
+            break;
+        }
+        sigma *= 100.0;
+        first = pass(sigma);
+    }
+    first
 }
 
 /// Shifted CholeskyQR3: unconditionally stable QR for numerically
@@ -78,24 +95,9 @@ pub(crate) fn fukaya_shift(m: usize, n: usize, frob_sq: f64) -> f64 {
 /// If the shifted Cholesky still fails (pathological input), the shift is
 /// grown ×100 up to a small number of retries.
 pub fn shifted_cqr3(a: &Matrix, backend: BackendKind) -> Result<(Matrix, Matrix), CholeskyError> {
-    let be = backend.get();
-    let (m, n) = (a.rows(), a.cols());
-    let frob = dense::norms::frobenius(a.as_ref());
-    let mut sigma = fukaya_shift(m, n, frob * frob);
-    let mut last_err = CholeskyError { index: 0, pivot: 0.0 };
-    for _ in 0..4 {
-        match cqr_shifted(a, sigma, be) {
-            Ok((q1, r1)) => {
-                let (q, r23) = cqr2(&q1, backend)?;
-                return Ok((q, triu_product(&r23, &r1)));
-            }
-            Err(e) => {
-                last_err = e;
-                sigma *= 100.0;
-            }
-        }
-    }
-    Err(last_err)
+    one_rank(a, |rank, comm, a, q, ws| {
+        cqr3_1d(rank, comm, a, q, FlopCharges::OneD, backend, ws)
+    })
 }
 
 #[cfg(test)]

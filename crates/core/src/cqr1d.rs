@@ -21,7 +21,8 @@
 //! is the same body. The flops a pass charges are data ([`FlopCharges`]):
 //! Algorithm 6's closed forms, or the CA family's at `c = 1`, where the
 //! CA-CQR2/CA-CQR3 drivers of [`crate::validate`] run these bodies — the
-//! same arithmetic, hence the same bits, and the same ledgers.
+//! same arithmetic, hence the same bits, and the same ledgers. At `P = 1`
+//! they are the sequential Algorithms 4–5 too ([`mod@crate::cqr`]).
 
 use dense::cholesky::{cholinv, CholeskyError};
 use dense::gemm::Trans;
@@ -131,27 +132,24 @@ fn reduce_and_invert(
 /// update `R = R₂·R₁`. Pass 2 writes `Q` straight into `q_local`, in
 /// [`PANEL_ROWS`]-row panels. The first-pass `Q₁` and both passes'
 /// Gram/reduction scratch come from `ws` (reused across the passes).
-/// Returns `R`, a plain allocation, and what the gate below found.
+/// Returns `R`, a plain allocation.
 ///
-/// `diagnose` asks for the report diagnostics of this rank's rows
-/// ([`dense::norms`]): with `Some(limit)`, once `R` is known and its κ₁
-/// estimate is within `limit` (`f64::INFINITY` accepts without
-/// estimating — every rank holds the same `R`, so every rank decides the
-/// same), pass 2 adds each `Q` panel's partials while it is in cache
-/// ([`SlabDiagnostics::add_panel`]). The gate's outcome is the estimate,
-/// when one was made, and the partials with the wall seconds they took,
-/// when they were added. None of this is charged to the ledger.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)] // a pass's arguments and the diagnostics gate
+/// With `diagnose`, pass 2 also adds the report diagnostics of this rank's
+/// rows ([`dense::norms`]), each `Q` panel's partials while it is in cache
+/// ([`SlabDiagnostics::add_panel`]), and returns them with the wall seconds
+/// they took. None of this is charged to the ledger; whether the run is
+/// kept (its κ₁) is for the caller to decide.
+#[allow(clippy::too_many_arguments)] // a pass's arguments and the diagnostics switch
 pub fn cqr2_1d(
     rank: &mut Rank,
     comm: &Comm,
     a_local: MatRef<'_>,
     mut q_local: MatMut<'_>,
-    diagnose: Option<f64>,
+    diagnose: bool,
     charges: FlopCharges,
     backend: BackendKind,
     ws: &mut Workspace,
-) -> Result<(Matrix, (Option<f64>, Option<(SlabDiagnostics, f64)>)), CholeskyError> {
+) -> Result<(Matrix, Option<(SlabDiagnostics, f64)>), CholeskyError> {
     let be = backend.get();
     let (lr, n) = (a_local.rows(), a_local.cols());
     let (gram, merge) = charges.gram_merge(lr, n);
@@ -173,12 +171,7 @@ pub fn cqr2_1d(
         }
     };
     let r = crate::cqr::triu_product(&l2.transposed(), &r1);
-    let kappa = diagnose
-        .filter(|&limit| limit != f64::INFINITY)
-        .map(|_| dense::cond_estimate(r.as_ref()));
-    let mut diagnostics = diagnose
-        .is_some_and(|limit| kappa.is_none_or(|kappa| kappa <= limit))
-        .then(|| (SlabDiagnostics::new(n, ws), 0.0));
+    let mut diagnostics = diagnose.then(|| (SlabDiagnostics::new(n, ws), 0.0));
     for i0 in (0..lr).step_by(PANEL_ROWS) {
         let rows = PANEL_ROWS.min(lr - i0);
         let q1_b = q1.view_mut(i0, 0, rows, n);
@@ -196,7 +189,7 @@ pub fn cqr2_1d(
     for buf in [q1, l2, y2] {
         ws.recycle(buf);
     }
-    Ok((r, (kappa, diagnostics)))
+    Ok((r, diagnostics))
 }
 
 /// Shifted 1D-CholeskyQR3: one [`cqr1d`] pass on `AᵀA + σI` with the shift
@@ -217,18 +210,12 @@ pub fn cqr3_1d(
     let mut norm2 = [(0..lr).flat_map(|i| a_local.row(i)).map(|v| v * v).sum::<f64>()];
     rank.charge_flops(2.0 * (lr * n) as f64);
     comm.allreduce(rank, &mut norm2);
-    let mut sigma = crate::cqr::fukaya_shift(lr * comm.size(), n, norm2[0]);
     let mut q1 = ws.take_matrix_stale(lr, n);
-    let mut first = Err(CholeskyError { index: 0, pivot: 0.0 });
-    for _ in 0..4 {
-        first = cqr1d(rank, comm, a_local, q1.as_mut(), sigma, charges, backend, ws);
-        if first.is_ok() {
-            break;
-        }
-        sigma *= 100.0;
-    }
+    let first = crate::cqr::shifted_pass(lr * comm.size(), n, norm2[0], |sigma| {
+        cqr1d(rank, comm, a_local, q1.as_mut(), sigma, charges, backend, ws)
+    });
     let passes = first.and_then(|r1| {
-        let (r23, _) = cqr2_1d(rank, comm, q1.as_ref(), q_local, None, charges, backend, ws)?;
+        let (r23, _) = cqr2_1d(rank, comm, q1.as_ref(), q_local, false, charges, backend, ws)?;
         Ok((r1, r23))
     });
     ws.recycle(q1);
@@ -258,7 +245,7 @@ mod tests {
                 &world,
                 a_local,
                 q.as_mut(),
-                None,
+                false,
                 FlopCharges::OneD,
                 BackendKind::default_kind(),
                 &mut ws,
@@ -289,15 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_equals_sequential_cqr2() {
-        let a = well_conditioned(40, 8, 5);
-        let (q_seq, r_seq) = crate::cqr::cqr2(&a, BackendKind::default_kind()).unwrap();
-        let (q, r, _) = run_1d(1, 40, 8, 5);
-        assert_eq!(q, q_seq, "P=1 must be bitwise identical to sequential CQR2");
-        assert_eq!(r, r_seq);
-    }
-
-    #[test]
     fn p8_wide_matrix() {
         let (q, r, _) = run_1d(8, 128, 16, 9);
         let a = well_conditioned(128, 16, 9);
@@ -320,7 +298,7 @@ mod tests {
                 &world,
                 a_local,
                 q.as_mut(),
-                None,
+                false,
                 FlopCharges::OneD,
                 BackendKind::default_kind(),
                 &mut ws,

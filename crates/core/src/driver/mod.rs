@@ -162,7 +162,7 @@ impl RetryPolicy {
 /// `α = 11(mn + n(n+1))u` leaves `κ₂(Q₁) = O(√α·κ₂(A))`, and CholeskyQR2 on
 /// `Q₁` needs `8·κ₂(Q₁)·√((mn + n(n+1))u) ≤ 1` (Yamamoto et al., ETNA 44,
 /// 2015), so `c` is `8·√11` times that `O`'s constant. We take `c·u = 64·ε`
-/// (`c = 128`, 4.8 × `8·√11`, of which `cqr::fukaya_shift`'s `ε = 2u` spends
+/// (`c = 128`, 4.8 × `8·√11`, of which `cqr::shifted_pass`'s `ε = 2u` spends
 /// √2) and write `1/ε` as `KAPPA_MAX²`. Not covered: that shift bounds
 /// `‖A‖₂` by `‖A‖_F`, and the gate reads a κ₁ estimate; the κ sweeps in
 /// `tests/stability_reproduction.rs` check accepted results against the
@@ -429,10 +429,18 @@ impl QrPlan {
     ///
     /// Borrows the plan immutably: one plan can factor any number of
     /// same-shape matrices (sequentially or from multiple threads). The
-    /// only runtime errors are a shape mismatch between `a` and the plan,
-    /// and loss of positive definiteness on ill-conditioned input
-    /// ([`PlanError::NotPositiveDefinite`] — see [`Algorithm::CaCqr3`] for
-    /// the unconditionally stable variant).
+    /// runtime errors are:
+    ///
+    /// - [`PlanError::InputShapeMismatch`]: `a` is not the plan's shape;
+    /// - [`PlanError::NonFinite`]: `a` holds a NaN or an infinity (under
+    ///   either policy) or, under a disabled policy, the run's `R` does;
+    /// - [`PlanError::NotPositiveDefinite`]: under a disabled policy, loss
+    ///   of positive definiteness on ill-conditioned input (see
+    ///   [`Algorithm::CaCqr3`] for the unconditionally stable variant);
+    /// - [`PlanError::EscalationExhausted`]: under an escalating policy, the
+    ///   walk's terminal rung failed too. Its chain holds each rung's
+    ///   breakdown, [`PlanError::ConditionTooHigh`] rejection or non-finite
+    ///   `R`; a [`PlanError::ConditionTooHigh`] is never returned on its own.
     ///
     /// The caller's thread does no `O(mn)` work but allocating `Q`, which
     /// glibc clears on this thread once a freed `Q` has raised its mmap
@@ -447,8 +455,8 @@ impl QrPlan {
     /// temporary, no allocation once warm). A 1D-CQR2 run (the 1D plan, and
     /// CA-CQR2 at `c = 1, n₀ = n`) is one region: each rank adds its row
     /// block's partials in its second pass while each `Q` panel is in cache
-    /// ([`crate::cqr2_1d`]), only on the rung the walk accepts (each rank
-    /// checks the rung's κ limit on the `R` they all hold). Any other run is
+    /// ([`crate::cqr2_1d`]), on every rung the walk runs: a rung the walk
+    /// then rejects for its κ₁ spends them. Any other run is
     /// diagnosed over `min(P, ⌈m/256⌉)` slabs of whole 256-row panels in a
     /// second region on the plan's runtime, which runs inline on the
     /// calling thread when it has one slab. A stream's
@@ -552,18 +560,19 @@ impl QrPlan {
     /// disabled policy the ladder is empty, the primary is the terminal
     /// rung, and its error comes back bare. A non-terminal rung is accepted
     /// when its `R`'s κ₁ estimate is within [`rung_limit`] for `a`'s shape;
-    /// the terminal rung whatever the estimate, which is made only when an
-    /// escalation report records it. No run is accepted whose `R` holds a
+    /// the terminal rung whatever the estimate. The walk makes that estimate
+    /// itself, on this thread, once per finished rung and only under an
+    /// enabled policy, whose escalation report records the accepted rung's:
+    /// it is a factor's one κ₁ decision. No run is accepted whose `R` holds a
     /// NaN or an infinity: that is [`PlanError::NonFinite`], the terminal
     /// rung's error. A rung that breaks down on a non-finite pivot, or ends
     /// with a non-finite `R`, has `a` scanned on this thread: a NaN or an
     /// infinity there ends the walk at once with
     /// [`PlanError::NonFinite`] of that rung's algorithm, under either
     /// policy, since no rung can factor it.
-    /// With `diagnose`, each rung is handed the same test as its in-region
-    /// diagnostics gate, so only the rung the walk accepts adds them; a rung
-    /// whose ranks estimated κ₁ for that gate hands the estimate back, and
-    /// the walk estimates it on this thread only when no rank did.
+    /// With `diagnose`, each rung adds the report diagnostics in its region
+    /// where it can ([`QrPlan::run_config`]); a rung rejected for its κ₁ has
+    /// spent them.
     fn walk(
         &self,
         a: MatRef<'_>,
@@ -579,12 +588,9 @@ impl QrPlan {
             let algorithm = config.algorithm();
             let terminal = i == ladder.len();
             let limit = rung_limit(algorithm, a.rows(), a.cols());
-            let gate = diagnose.then_some(if terminal { f64::INFINITY } else { limit });
-            let (error, non_finite) = match self.run_config(config, a, cfg, gate) {
-                Ok((run, kappa, diagnostics)) => {
-                    let estimate = policy
-                        .is_enabled()
-                        .then(|| kappa.unwrap_or_else(|| dense::cond_estimate(run.r.as_ref())));
+            let (error, non_finite) = match self.run_config(config, a, cfg, diagnose) {
+                Ok((run, diagnostics)) => {
+                    let estimate = policy.is_enabled().then(|| dense::cond_estimate(run.r.as_ref()));
                     let finite = run.r.data().iter().all(|x| x.is_finite());
                     // The terminal rung is accepted whatever its κ — there
                     // is nothing better to escalate to, and Householder QR
@@ -628,8 +634,8 @@ impl QrPlan {
     }
 
     /// Runs one validated config against the plan's pooled arenas, handing
-    /// `diagnose` (a κ₁ gate) to the drivers that add the report diagnostics
-    /// in their region: every config that runs 1D-CQR2 ([`run_row_blocks`]).
+    /// `diagnose` to the drivers that add the report diagnostics in their
+    /// region: every config that runs 1D-CQR2 ([`run_row_blocks`]).
     /// Before a Gram rung, the chaos faultpoint injects a typed breakdown
     /// *upstream* of rank dispatch, so every simulated rank observes one
     /// consistent failure (the in-kernel pivot faultpoint is suppressed
@@ -640,7 +646,7 @@ impl QrPlan {
         config: CandidateConfig,
         a: MatRef<'_>,
         cfg: SimConfig,
-        diagnose: Option<f64>,
+        diagnose: bool,
     ) -> Result<Diagnosed, CholeskyError> {
         if config.algorithm() != Algorithm::Pgeqrf && dense::faultpoint!(dense::fault::CHOLESKY) {
             return Err(CholeskyError {
@@ -679,7 +685,7 @@ impl QrPlan {
             }
             CandidateConfig::Pgeqrf { pr, pc, nb } => {
                 let grid = BlockCyclic { pr, pc, nb };
-                Ok((run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg), None, None))
+                Ok((run_pgeqrf_global(a, PgeqrfConfig { grid, backend }, cfg), None))
             }
         }
     }
@@ -986,30 +992,51 @@ mod tests {
                 "{name}: steady-state factors must not touch the arena allocator"
             );
         }
-        // A one-rank κ = 1e10 job escalates from CA-CQR2 to shifted CQR3,
-        // both rungs run by the 1D bodies at c = 1: the failed rung and the
-        // retry must settle too.
-        let plan = QrPlan::new(256, 32).grid(GridShape::one_d(1).unwrap()).build().unwrap();
-        let hard = dense::random::matrix_with_condition(256, 32, 1e10, 5);
-        let escalate = || plan.factor_with_policy(&hard, RetryPolicy::escalate()).unwrap();
-        let mut baseline = usize::MAX;
-        for round in 0..12 {
-            assert_eq!(escalate().algorithm, Algorithm::CaCqr3, "the job escalates one rung");
-            let now = plan.workspace().heap_allocations();
-            if now == baseline {
-                break;
+        // One-rank escalating jobs climb to shifted CQR3, every rung run by
+        // the 1D bodies: a κ = 1e10 CA-CQR2 job breaks down, and a κ = 5e8
+        // 1D-CQR2 job factors, adds its diagnostics in the region, and is
+        // then rejected by the κ₁ gate. The failed rung, its spent Gram
+        // partials and the retry must settle too.
+        let one_rank = |m, n, algorithm| {
+            let plan = QrPlan::new(m, n).algorithm(algorithm);
+            plan.grid(GridShape::one_d(1).unwrap()).build().unwrap()
+        };
+        let cases = [
+            (one_rank(256, 32, Algorithm::CaCqr2), (256, 32, 1e10, 5), false),
+            (one_rank(128, 8, Algorithm::Cqr2_1d), (128, 8, 5e8, 2), true),
+        ];
+        for (plan, (m, n, kappa, seed), rejected_by_kappa) in cases {
+            let hard = dense::random::matrix_with_condition(m, n, kappa, seed);
+            let escalate = || {
+                let report = plan.factor_with_policy(&hard, RetryPolicy::escalate()).unwrap();
+                assert_eq!(
+                    report.algorithm,
+                    Algorithm::CaCqr3,
+                    "κ = {kappa:e}: the job escalates one rung"
+                );
+                let first = &report.escalation.expect("an escalating walk records it").attempts[0];
+                let condition = matches!(first.error.as_deref(), Some(PlanError::ConditionTooHigh { .. }));
+                assert_eq!(condition, rejected_by_kappa, "κ = {kappa:e}: {first:?}");
+            };
+            let mut baseline = usize::MAX;
+            for round in 0..12 {
+                escalate();
+                let now = plan.workspace().heap_allocations();
+                if now == baseline {
+                    break;
+                }
+                assert!(round < 11, "κ = {kappa:e}: arena inventory must converge");
+                baseline = now;
             }
-            assert!(round < 11, "escalating plan: arena inventory must converge");
-            baseline = now;
+            for _ in 0..3 {
+                escalate();
+            }
+            assert_eq!(
+                plan.workspace().heap_allocations(),
+                baseline,
+                "κ = {kappa:e}: steady-state factors must not touch the arena allocator"
+            );
         }
-        for _ in 0..3 {
-            escalate();
-        }
-        assert_eq!(
-            plan.workspace().heap_allocations(),
-            baseline,
-            "escalating plan: steady-state factors must not touch the arena allocator"
-        );
     }
 
     #[test]
@@ -1045,16 +1072,46 @@ mod tests {
                 undiagnosed.diagnostics.is_none(),
                 "{runtime}: only a caller that reports them asks"
             );
-            // Escalating, the ranks estimate κ₁ for the gate and hand it back:
-            // the report's estimate is bitwise the one made from its `R`.
+            // Escalating, the accepted rung's diagnostics are the same.
             let escalated = plan.factor_with_policy(&a, RetryPolicy::escalate()).unwrap();
-            let kappa = escalated
+            assert_eq!(escalated.orthogonality_error.to_bits(), ortho.to_bits(), "{runtime}");
+        }
+    }
+
+    #[test]
+    fn the_escalation_report_carries_the_kappa_of_its_r() {
+        // The walk's one estimate, of the accepted `R`, on every layout: a
+        // 1D rung that adds its diagnostics in the region, a 2×2×2 CA rung
+        // that adds them in a second region, and a terminal PGEQRF rung
+        // after the CQR2 and shifted-CQR3 rungs were rejected.
+        let (m, n) = (64, 16);
+        let plan = |grid| QrPlan::new(m, n).grid(grid).retry(RetryPolicy::escalate());
+        let cases = [
+            (
+                plan(GridShape::one_d(4).unwrap()).algorithm(Algorithm::Cqr2_1d),
+                well_conditioned(m, n, 3),
+                Algorithm::Cqr2_1d,
+            ),
+            (
+                plan(GridShape::cubic(2).unwrap()),
+                well_conditioned(m, n, 3),
+                Algorithm::CaCqr2,
+            ),
+            (
+                plan(GridShape::new(2, 2).unwrap()),
+                dense::random::matrix_with_condition(m, n, 1e12, 1012),
+                Algorithm::Pgeqrf,
+            ),
+        ];
+        for (builder, a, algorithm) in cases {
+            let report = builder.build().unwrap().factor(&a).unwrap();
+            assert_eq!(report.algorithm, algorithm);
+            let kappa = report
                 .escalation
                 .expect("an escalating walk records it")
                 .condition_estimate;
-            let want = dense::cond_estimate(escalated.r.as_ref());
-            assert_eq!(kappa.to_bits(), want.to_bits(), "{runtime}");
-            assert_eq!(escalated.orthogonality_error.to_bits(), ortho.to_bits(), "{runtime}");
+            let want = dense::cond_estimate(report.r.as_ref());
+            assert_eq!(kappa.to_bits(), want.to_bits(), "{algorithm:?}");
         }
     }
 

@@ -13,11 +13,12 @@
 //!   on MM3D.
 //! * [`mod@cqr`] — Algorithms 4–5: sequential CholeskyQR and CholeskyQR2, plus
 //!   the shifted CholeskyQR3 extension (reference \[3\] in the paper, its §V future
-//!   work).
+//!   work), as one-rank runs of Algorithms 6–7.
 //! * [`mod@cqr1d`] — Algorithms 6–7: the existing 1D parallelization, and
 //!   the shifted CQR3 built from the same pass.
-//! * [`cacqr`] / [`cacqr2`] — Algorithms 8–9: the paper's contribution, over
-//!   the tunable `c × d × c` grid. `c = d` gives 3D-CQR2; `c = 1` reproduces
+//! * [`cacqr`] / [`cacqr2`] / [`cacqr3`] — Algorithms 8–9: the paper's
+//!   contribution, over the tunable `c × d × c` grid, and the shifted CQR3
+//!   built from the same pass. `c = d` gives 3D-CQR2; `c = 1` reproduces
 //!   1D-CQR2.
 //! * [`config`] — grid/base-case/inverse-depth parameter handling.
 //! * [`driver`] — **the recommended entry point**: the [`QrPlan`] facade.

@@ -65,10 +65,9 @@ pub(crate) enum Family {
 /// the same struct every global driver returns, the baseline's included.
 pub type QrRun = baseline::PgeqrfRun;
 
-/// A run, the κ₁ estimate of its `R` when its ranks made one for the
-/// diagnostics gate, and, when they were asked for and added in its region,
-/// its report diagnostics `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`.
-pub(crate) type Diagnosed = (QrRun, Option<f64>, Option<(f64, f64)>);
+/// A run and, when they were asked for and added in its region, its report
+/// diagnostics `(‖QᵀQ − I‖_F, ‖A − QR‖_F / ‖A‖_F)`.
+pub(crate) type Diagnosed = (QrRun, Option<(f64, f64)>);
 
 /// Runs CA-CQR2 on the simulator for a global input `a` (a `&Matrix` or any
 /// view), asserting the replication invariants (identical pieces across
@@ -102,7 +101,7 @@ pub fn run_cacqr2_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr2, None).map(|(run, ..)| run)
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr2, false).map(|(run, _)| run)
 }
 
 /// Runs shifted CA-CQR3 (unconditionally stable for numerically full-rank
@@ -115,7 +114,7 @@ pub fn run_cacqr3_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr3, None).map(|(run, ..)| run)
+    run_ca_family(a.into(), shape, params, cfg, pool, Family::Cqr3, false).map(|(run, _)| run)
 }
 
 /// Shared driver for the CA family (Algorithms 8–9 and the shifted-CQR3
@@ -139,7 +138,7 @@ pub(crate) fn run_ca_family(
     cfg: SimConfig,
     pool: &WorkspacePool,
     family: Family,
-    diagnose: Option<f64>,
+    diagnose: bool,
 ) -> Result<Diagnosed, CholeskyError> {
     let (m, n) = (a.rows(), a.cols());
     let (c, d) = (shape.c, shape.d);
@@ -222,7 +221,7 @@ pub(crate) fn run_ca_family(
         wall_seconds: report.wall_seconds,
         ledgers: report.ledgers,
     };
-    Ok((run, None, None))
+    Ok((run, None))
 }
 
 /// Runs 1D-CQR2 (Algorithm 7) on the simulator: rank `i` reads the
@@ -237,19 +236,17 @@ pub fn run_cqr2_1d_global<'a>(
     cfg: SimConfig,
     pool: &WorkspacePool,
 ) -> Result<QrRun, CholeskyError> {
-    run_row_blocks(a.into(), p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend, None).map(|(run, ..)| run)
+    run_row_blocks(a.into(), p, cfg, pool, Family::Cqr2, FlopCharges::OneD, backend, false).map(|(run, _)| run)
 }
 
 /// Shared driver for the 1D bodies: rank `i` runs `family`'s on the
 /// contiguous rows `[i·m/p, (i+1)·m/p)` of `a`, writing the same rows of `Q`
 /// through its own row block of the output; `R` must come out replicated.
-/// With `Some(limit)` (the [`QrPlan`](crate::driver::QrPlan)'s κ₁ gate), a
-/// CQR2 run adds the report diagnostics in the region ([`cqr2_1d`]), summed
-/// here in rank order; the slowest rank's seconds on them come off the
-/// region's wall time, which so times the algorithm alone. The κ₁ estimate
-/// the ranks made for that gate comes back with the run. Shifted CQR3 adds
-/// neither.
-#[allow(clippy::too_many_arguments)] // a run's arguments and the diagnostics gate
+/// With `diagnose`, a CQR2 run adds the report diagnostics in the region
+/// ([`cqr2_1d`]), summed here in rank order; the slowest rank's seconds on
+/// them come off the region's wall time, which so times the algorithm
+/// alone. Shifted CQR3 adds none.
+#[allow(clippy::too_many_arguments)] // a run's arguments and the diagnostics switch
 pub(crate) fn run_row_blocks(
     a: MatRef<'_>,
     p: usize,
@@ -258,7 +255,7 @@ pub(crate) fn run_row_blocks(
     family: Family,
     charges: FlopCharges,
     backend: BackendKind,
-    diagnose: Option<f64>,
+    diagnose: bool,
 ) -> Result<Diagnosed, CholeskyError> {
     let (m, n) = (a.rows(), a.cols());
     assert_eq!(m % p, 0, "the 1D drivers require p | m (m={m}, p={p})");
@@ -280,17 +277,13 @@ pub(crate) fn run_row_blocks(
             let mut ws = pool.checkout_at(id);
             match family {
                 Family::Cqr2 => cqr2_1d(rank, &world, a_local, q_local, diagnose, charges, backend, &mut ws),
-                Family::Cqr3 => {
-                    cqr3_1d(rank, &world, a_local, q_local, charges, backend, &mut ws).map(|r| (r, (None, None)))
-                }
+                Family::Cqr3 => cqr3_1d(rank, &world, a_local, q_local, charges, backend, &mut ws).map(|r| (r, None)),
             }
         })
     };
-    let (mut r0, mut kappa, mut slabs, mut diagnostics_s) = (None::<Matrix>, None, Vec::new(), 0.0f64);
+    let (mut r0, mut slabs, mut diagnostics_s) = (None::<Matrix>, Vec::new(), 0.0f64);
     for result in report.results {
-        // Every rank estimated κ₁ of the same `R`, so any rank's is the one.
-        let (r, (estimate, diagnosed)) = result?;
-        kappa = estimate;
+        let (r, diagnosed) = result?;
         match &r0 {
             None => r0 = Some(r),
             Some(first) => assert_eq!(r, *first, "R must be replicated"),
@@ -300,7 +293,6 @@ pub(crate) fn run_row_blocks(
             diagnostics_s = diagnostics_s.max(seconds);
         }
     }
-    // Every rank gated on the same R, so either all added partials or none.
     let diagnostics = (!slabs.is_empty()).then(|| combine_diagnostics(&slabs));
     // Each Gram partial goes back to the arena of the rank that took it.
     for (id, slab) in slabs.into_iter().enumerate() {
@@ -313,7 +305,7 @@ pub(crate) fn run_row_blocks(
         wall_seconds: report.wall_seconds - diagnostics_s,
         ledgers: report.ledgers,
     };
-    Ok((run, kappa, diagnostics))
+    Ok((run, diagnostics))
 }
 
 /// `q` split into `p` equal row blocks, each takeable once by its rank.
@@ -371,40 +363,30 @@ mod tests {
     }
 
     #[test]
-    fn the_diagnostics_gate_reads_the_kappa_of_r() {
-        // κ(A) = 1e4: a rung whose limit is below it adds no diagnostics in
-        // its region, one above it (or an unconditional one) does, and the
-        // gate leaves the factors alone.
+    fn in_region_diagnostics_leave_the_factors_alone() {
+        // Pass 2 spends each `Q₁` panel as the residual's scratch once its
+        // `Q` panel is written: asking for the diagnostics moves no bit.
         let a = matrix_with_condition(512, 8, 1e4, 7);
         let pool = WorkspacePool::new();
         let run = |diagnose| {
-            let kind = BackendKind::default_kind();
+            let (kind, charges) = (BackendKind::default_kind(), FlopCharges::OneD);
             run_row_blocks(
                 a.as_ref(),
                 2,
                 SimConfig::default(),
                 &pool,
                 Family::Cqr2,
-                FlopCharges::OneD,
+                charges,
                 kind,
                 diagnose,
             )
             .unwrap()
         };
-        let (plain, no_kappa, none) = run(None);
-        assert!(no_kappa.is_none() && none.is_none());
-        let estimate = dense::cond_estimate(plain.r.as_ref());
-        for (limit, added) in [(1e2, false), (1e6, true), (f64::INFINITY, true)] {
-            let (gated, kappa, diagnostics) = run(Some(limit));
-            assert_eq!(diagnostics.is_some(), added, "limit {limit:e}");
-            // A finite gate hands back the estimate it read, bit for bit.
-            let want = (limit != f64::INFINITY).then_some(estimate.to_bits());
-            assert_eq!(kappa.map(f64::to_bits), want, "limit {limit:e}");
-            assert_eq!((gated.q, gated.r), (plain.q.clone(), plain.r.clone()));
-            if let Some((ortho, resid)) = diagnostics {
-                assert!(ortho < 1e-12 && resid < 1e-12);
-            }
-        }
+        let ((plain, none), (diagnosed, some)) = (run(false), run(true));
+        assert!(none.is_none());
+        let (ortho, resid) = some.expect("asked for, added in the region");
+        assert!(ortho < 1e-12 && resid < 1e-12);
+        assert_eq!((diagnosed.q, diagnosed.r), (plain.q, plain.r));
     }
 
     #[test]

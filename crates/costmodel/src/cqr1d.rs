@@ -49,7 +49,7 @@ mod tests {
                 &world,
                 a_local,
                 q_local.as_mut(),
-                None,
+                false,
                 cacqr::FlopCharges::OneD,
                 dense::BackendKind::default_kind(),
                 &mut dense::Workspace::new(),

@@ -59,9 +59,8 @@
 //! ([`trsm::trmm_upper_upper`], with no backend argument, takes just the
 //! views). There are no `_with` / `_ws` / `_into` twins; CI counts them.
 //! The thread-local arena ([`workspace::with_thread_local`]) serves
-//! `Blocked`'s pack buffers and solve lanes, `trmm_upper_upper`'s packs,
-//! [`cond_estimate`]'s two vectors and the sequential `cacqr::cqr`
-//! helpers, nothing else.
+//! `Blocked`'s pack buffers and solve lanes, `trmm_upper_upper`'s packs and
+//! [`cond_estimate`]'s two vectors, nothing outside this crate.
 //!
 //! **The oracle is exempt.** The free loop nests [`gemm()`], [`matmul`],
 //! [`syrk()`] / [`syrk_into`] and the five `trsm::trsm_*` solves are the

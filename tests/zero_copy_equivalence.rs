@@ -72,7 +72,7 @@ fn reference_1d(a: &Matrix, p: usize, cfg: SimConfig) -> Result<Reference, Chole
             &world,
             block.as_ref(),
             q.as_mut(),
-            None,
+            false,
             cacqr::FlopCharges::OneD,
             kind,
             &mut Workspace::new(),
