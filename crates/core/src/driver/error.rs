@@ -121,6 +121,16 @@ pub enum PlanError {
         /// The algorithm whose run ended the walk.
         algorithm: Algorithm,
     },
+    /// A run was accepted, but its report diagnostics are not both finite
+    /// (`‖A‖²` of a nonzero input left the exponent range, or a factor holds
+    /// an `∞` or NaN), so nothing vouches for its factors: `factor` and a
+    /// stream's `snapshot` return this instead.
+    NonFiniteDiagnostics {
+        /// The algorithm whose run was accepted.
+        algorithm: Algorithm,
+        /// Its `(orthogonality_error, residual_error)`.
+        diagnostics: (f64, f64),
+    },
     /// Every rung of an escalating walk failed, the terminal one included.
     /// Carries the full attempt chain — algorithm and error per rung — so
     /// the caller sees exactly what was tried. The terminal rung is
@@ -212,6 +222,9 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::NonFinite { algorithm } => {
                 write!(f, "{algorithm} produced a non-finite R")
+            }
+            PlanError::NonFiniteDiagnostics { algorithm, diagnostics } => {
+                write!(f, "{algorithm} ran to non-finite diagnostics {diagnostics:?}")
             }
             PlanError::EscalationExhausted { attempts } => {
                 write!(f, "all {} escalation rungs failed:", attempts.len())?;

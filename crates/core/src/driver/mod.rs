@@ -494,7 +494,7 @@ impl QrPlan {
     pub fn factor_with_policy(&self, a: &Matrix, policy: RetryPolicy) -> Result<QrReport, PlanError> {
         self.check_shape(a.as_ref())?;
         let accepted = self.run_rows(a.as_ref(), policy, true)?;
-        Ok(QrReport::from_run(self, a.as_ref(), accepted))
+        QrReport::from_run(self, a.as_ref(), accepted)
     }
 
     /// The shape check of the entries that promise one: `factor` and a
@@ -905,16 +905,27 @@ pub(crate) struct AcceptedRun {
 
 impl QrReport {
     /// The report of an accepted run over `a`, diagnosed in a second region
-    /// ([`QrPlan::diagnose`]) when its own region added no diagnostics.
-    pub(crate) fn from_run(plan: &QrPlan, a: MatRef<'_>, accepted: AcceptedRun) -> QrReport {
+    /// ([`QrPlan::diagnose`]) when its own region added no diagnostics, or
+    /// [`PlanError::NonFiniteDiagnostics`] when a diagnostic is not finite:
+    /// nothing then vouches for the factors. A zero `A` factored with a zero
+    /// `R` is exact, and its residual `0/0` reads `0`.
+    pub(crate) fn from_run(plan: &QrPlan, a: MatRef<'_>, accepted: AcceptedRun) -> Result<QrReport, PlanError> {
         let AcceptedRun {
             algorithm,
             run,
             diagnostics,
             escalation,
         } = accepted;
-        let (orthogonality_error, residual_error) = diagnostics.unwrap_or_else(|| plan.diagnose(a, &run.q, &run.r));
-        QrReport {
+        let (orthogonality_error, mut residual_error) = diagnostics.unwrap_or_else(|| plan.diagnose(a, &run.q, &run.r));
+        let zero = |v: &[f64]| v.iter().all(|&x| x == 0.0);
+        if residual_error.is_nan() && zero(run.r.data()) && (0..a.rows()).all(|i| zero(a.row(i))) {
+            residual_error = 0.0;
+        }
+        if !(orthogonality_error.is_finite() && residual_error.is_finite()) {
+            let diagnostics = (orthogonality_error, residual_error);
+            return Err(PlanError::NonFiniteDiagnostics { algorithm, diagnostics });
+        }
+        Ok(QrReport {
             algorithm,
             q: run.q,
             r: run.r,
@@ -924,7 +935,7 @@ impl QrReport {
             orthogonality_error,
             residual_error,
             escalation,
-        }
+        })
     }
 
     /// Total flops charged across all ranks.

@@ -54,15 +54,15 @@
 //! an `Rᵀ`-forward and `R`-backward substitution, then apply one refinement
 //! step `RᵀR·δ = Aᵀ(b − Ax)` from the history, which restores the accuracy
 //! a Gram-based `R` alone would lose for moderately conditioned problems.
-//! Each right-hand side runs through the same single-column kernels, so a
-//! `k`-column stream solves bitwise like `k` one-column streams. Warm
-//! solves draw every temporary from the plan's pooled arenas — zero
-//! process-wide heap allocations, same as appends.
+//! The substitutions are the backend's `trsm_right_upper` on the row form
+//! `dᵀ` (its few-rows path) and `trsm_left_upper`, one right-hand side at a
+//! time, so a `k`-column stream solves bitwise like `k` one-column streams.
+//! Warm solves allocate nothing, same as appends.
 
-use crate::driver::{AcceptedRun, PlanError, QrPlan, QrReport};
-use dense::matrix::MatRef;
+use crate::driver::{PlanError, QrPlan, QrReport};
+use dense::matrix::{MatMut, MatRef};
 use dense::update::{rank_k_append, rank_k_downdate, UpdateError};
-use dense::{blas1, trsm, BackendKind, Matrix};
+use dense::{blas1, BackendKind, Matrix};
 
 /// Default drift threshold: refresh once the estimated orthogonality loss
 /// of the implicit `Q = A·R⁻¹` reaches `1e-8` — roughly the square root of
@@ -462,22 +462,17 @@ impl StreamingQr {
     /// condition-rejected attempt walks the plan's ladder, rung limits
     /// included, instead of parking the stream in `refresh_failed`.
     pub fn refresh(&mut self) -> Result<(), PlanError> {
-        self.rerun(false).map(drop)
+        let run = self.plan.run_rows(self.history_view(), self.plan.retry_policy(), false);
+        self.commit(run, |accepted| &accepted.run.r).map(drop)
     }
 
-    /// The one refresh behind [`refresh`](StreamingQr::refresh) and
-    /// [`snapshot`](StreamingQr::snapshot): the plan's run over the live
-    /// rows (`diagnose` as for [`QrPlan::factor`]), then one commit — adopt
-    /// its `R`, rebuild `dᵀ`, reset drift, count the refresh, clear the last
-    /// refresh error — or, on failure, record the error and touch nothing
-    /// else.
-    fn rerun(&mut self, diagnose: bool) -> Result<AcceptedRun, PlanError> {
-        let accepted = self
-            .plan
-            .run_rows(self.history_view(), self.plan.retry_policy(), diagnose);
-        match &accepted {
-            Ok(accepted) => {
-                self.r.data_mut().copy_from_slice(accepted.run.r.data());
+    /// The one commit of a refresh or snapshot run: adopt its `R` (`r` of the
+    /// outcome), rebuild `dᵀ`, reset drift, count the refresh, clear the last
+    /// refresh error — or, on failure, record the error and touch nothing else.
+    fn commit<T>(&mut self, outcome: Result<T, PlanError>, r: fn(&T) -> &Matrix) -> Result<T, PlanError> {
+        match &outcome {
+            Ok(run) => {
+                self.r.data_mut().copy_from_slice(r(run).data());
                 self.recompute_d();
                 self.drift = 0.0;
                 self.updates_since_refresh = 0;
@@ -486,7 +481,7 @@ impl StreamingQr {
             }
             Err(e) => self.last_refresh_error = Some(e.clone()),
         }
-        accepted
+        outcome
     }
 
     /// Recomputes `dᵀ = (Aᵀb)ᵀ` from the retained histories: zero it, then
@@ -519,10 +514,11 @@ impl StreamingQr {
     /// (`O(n²·nrhs)`, independent of the row count), then one refinement
     /// step `RᵀR·δ = Aᵀ(b − Ax)`, `x ← x + δ`, streamed over the retained
     /// rows. The refinement is what lifts the Gram-mediated solve back to
-    /// QR-level accuracy for moderately conditioned problems. The
-    /// substitutions treat each column on its own, and the refinement runs
-    /// one lane-split dot and one axpy per retained row and right-hand
-    /// side, so each column of `x` is bitwise a one-column stream's.
+    /// QR-level accuracy for moderately conditioned problems. Per column,
+    /// the substitutions are the backend's `trsm_right_upper` (`yᵀ·R = dᵀ`,
+    /// at vector speed) and `trsm_left_upper`, and the refinement runs one
+    /// lane-split dot and one axpy per retained row, so each column of `x`
+    /// is bitwise a one-column stream's.
     pub fn solve_into(&self, x: &mut Matrix) -> Result<(), PlanError> {
         let (n, track) = (self.n, &self.rhs);
         if x.rows() != n || x.cols() != track.nrhs {
@@ -532,14 +528,13 @@ impl StreamingQr {
             });
         }
         // Semi-normal equations: RᵀR·x = d = Aᵀb.
-        x.as_mut().copy_transposed_from(track.dt.as_ref());
-        trsm::trsm_left_lower_trans(self.r.as_ref(), x.as_mut());
-        trsm::trsm_left_upper(self.r.as_ref(), x.as_mut());
+        let mut ws = self.plan.workspace().checkout();
+        let mut xt = ws.take_copy(track.dt.as_ref());
+        self.seminormal(xt.as_mut(), x.as_mut());
         // One corrected-seminormal refinement step from the history:
         // wᵀ = (Aᵀ(b − A·x))ᵀ streamed row by row against xᵀ, one row per
         // right-hand side, then RᵀR·δ = w, x += δ.
-        let mut ws = self.plan.workspace().checkout();
-        let xt = ws.take_transposed(x.as_ref());
+        xt.as_mut().copy_transposed_from(x.as_ref());
         let mut wt = ws.take_matrix(track.nrhs, n);
         for i in self.start..self.start + self.live {
             let arow = &self.history[i * n..(i + 1) * n];
@@ -549,9 +544,8 @@ impl StreamingQr {
                 blas1::axpy(bil - blas1::dot_lanes(arow, xl), arow, wl);
             }
         }
-        let mut w = ws.take_transposed(wt.as_ref());
-        trsm::trsm_left_lower_trans(self.r.as_ref(), w.as_mut());
-        trsm::trsm_left_upper(self.r.as_ref(), w.as_mut());
+        let mut w = ws.take_matrix_stale(n, track.nrhs);
+        self.seminormal(wt.as_mut(), w.as_mut());
         for (xv, &dv) in x.data_mut().iter_mut().zip(w.data()) {
             *xv += dv;
         }
@@ -561,17 +555,37 @@ impl StreamingQr {
         Ok(())
     }
 
+    /// `RᵀR·y = g` for the `nrhs × n` row form `gᵀ` (overwritten) into the
+    /// `n × nrhs` `y`, one right-hand side at a time: `zᵀ·R = gᵀ` by the row
+    /// solve, then `R·y = z`.
+    fn seminormal(&self, mut gt: MatMut<'_>, mut y: MatMut<'_>) {
+        let (backend, r, n) = (BackendKind::default_kind().get(), self.r.as_ref(), self.n);
+        for l in 0..gt.rows() {
+            backend.trsm_right_upper(r, gt.rb_mut().sub(l, 0, 1, n));
+        }
+        y.copy_transposed_from(gt.rb());
+        for l in 0..y.cols() {
+            backend.trsm_left_upper(r, y.rb_mut().sub(0, l, n, 1));
+        }
+    }
+
     /// Materializes the factorization for the current row set: a
     /// [`refresh`](StreamingQr::refresh) that keeps the run's `Q` and adds
     /// the report diagnostics, exactly as [`QrPlan::factor`] of the live
     /// rows would (bitwise, at the plan's row count). It fails, escalates
-    /// and commits exactly where a refresh of the same rows does: the stream
-    /// adopts the returned `R`, drift resets, and the snapshot counts as a
-    /// refresh; on failure only
+    /// and commits exactly where a refresh of the same rows does, and also
+    /// fails, as `factor` does, when its diagnostics are not finite
+    /// ([`PlanError::NonFiniteDiagnostics`]). On success the stream adopts
+    /// the returned `R`, drift resets, and the snapshot counts as a refresh;
+    /// on failure only
     /// [`last_refresh_error`](StreamingQr::last_refresh_error) changes.
     pub fn snapshot(&mut self) -> Result<StreamSnapshot, PlanError> {
-        let accepted = self.rerun(true)?;
-        let report = QrReport::from_run(&self.plan, self.history_view(), accepted);
+        let rows = self.history_view();
+        let report = self
+            .plan
+            .run_rows(rows, self.plan.retry_policy(), true)
+            .and_then(|accepted| QrReport::from_run(&self.plan, rows, accepted));
+        let report = self.commit(report, |report| &report.r)?;
         Ok(StreamSnapshot {
             q: Some(report.q),
             r: report.r,
@@ -784,6 +798,34 @@ mod tests {
         for (u, v) in s.r().data().iter().zip(want.data()) {
             assert!((u - v).abs() < 1e-9 * (1.0 + v.abs()), "{u} vs {v}");
         }
+    }
+
+    /// A snapshot whose diagnostics are not finite is refused like a
+    /// failing refresh: only the last refresh error changes. At 2^-900 the
+    /// Gram rungs break down and the terminal Householder rung opens the
+    /// stream, but `‖A‖²` underflows in the report's residual.
+    #[test]
+    fn a_snapshot_with_non_finite_diagnostics_is_refused() {
+        use crate::driver::RetryPolicy;
+        let (m0, n) = (64usize, 8usize);
+        let well = well_conditioned(m0, n, 23);
+        let tiny = Matrix::from_fn(m0, n, |i, j| 2f64.powi(-900) * well.get(i, j));
+        let escalating = QrPlan::new(m0, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(4).unwrap())
+            .retry(RetryPolicy::escalate())
+            .build()
+            .unwrap();
+        let mut s = open(&escalating, &tiny).unwrap();
+        let (r, refreshes) = (s.r().clone(), s.refreshes());
+        let err = s.snapshot().unwrap_err();
+        assert!(matches!(err, PlanError::NonFiniteDiagnostics { .. }), "{err:?}");
+        assert_eq!((s.r(), s.refreshes()), (&r, refreshes));
+        let recorded = s.last_refresh_error();
+        assert!(
+            matches!(recorded, Some(PlanError::NonFiniteDiagnostics { .. })),
+            "{recorded:?}"
+        );
     }
 
     #[test]

@@ -43,11 +43,11 @@
 //! `syrk` is a *symmetry-aware* instance of the same loop structure: the
 //! Gram matrix `AᵀA` is computed by the identical packed microkernel sweep
 //! with `op(A) = Aᵀ` and `op(B) = A`, except that micro-tiles lying entirely
-//! above the diagonal are **skipped** (their values are recovered by the
-//! final mirror). Every computed element accumulates in exactly the order
-//! the full gemm would use, so the result is bitwise identical to
-//! `gemm(1, Aᵀ, A)` while performing roughly half the tile arithmetic —
-//! the `≈2×` flop reduction the CholeskyQR Gram kernel is entitled to.
+//! below the diagonal are **skipped** (their values are recovered by the
+//! final mirror, which a Cholesky in the upper triangle does without). Each
+//! tile contracts over its two panels' nonzero bands. Every computed element
+//! accumulates in the order the full gemm would use, so the result is
+//! bitwise `gemm(1, Aᵀ, A)` at roughly half the tile arithmetic.
 //!
 //! Determinism: for every `C[i, j]` the contraction is accumulated in
 //! ascending-`k` order — KC blocks outermost-to-innermost, then ascending
@@ -63,6 +63,7 @@
 //! transposed into thread-local scratch), its columns for the left-side
 //! ones — each element running exactly the operation sequence of the oracle
 //! loop nest in `crate::trsm`, so the diagonal solves are the oracle's bits.
+//! A right upper solve of a few rows is that oracle loop, at vector speed.
 //! `trsm::trmm_upper_upper` runs on the microkernel here too.
 //!
 //! Every kernel body is written once, `#[inline(always)]`, and compiled per
@@ -328,6 +329,15 @@ fn nonzero_band(panel: &[f64], kc: usize) -> (usize, usize) {
     (lo, hi.max(lo))
 }
 
+/// Nonzero exactly when `v` holds an `∞` or NaN: `x − x` is `+0` for a
+/// finite `x` and NaN otherwise, so OR-ing the bits tests a panel in one
+/// branch-free read.
+#[inline(always)]
+#[allow(clippy::eq_op)]
+fn nonfinite(v: &[f64]) -> u64 {
+    v.iter().fold(0, |bits, &x| bits | (x - x).to_bits())
+}
+
 /// The syrk specialization of the tile body: the `A` operand is read
 /// *directly out of the packed `B` buffer* — for `AᵀA` both packed operands
 /// hold the same columns of `A` over the same `k` range, so the `MR`-tall
@@ -367,13 +377,6 @@ isa_dispatch! {
 /// accumulators still in registers. The tiles against `B` panel `jp`
 /// contract over `bands[jp]` only, except for `A` micro-panels that hold an
 /// `∞` or NaN.
-///
-/// `skip_above_diag` is the syrk specialization: with
-/// `Some((row0, col0))` — the global coordinates of `cblk`'s top-left
-/// element — micro-tiles lying entirely above the matrix diagonal are
-/// skipped. Tiles that touch or straddle the diagonal are computed (and
-/// written) in full, which keeps every written element's accumulation
-/// order identical to the unskipped product.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS block-product shape
 fn block_product_body(
@@ -385,14 +388,9 @@ fn block_product_body(
     bands: &[(usize, usize)],
     kc: usize,
     mut cblk: MatMut<'_>,
-    skip_above_diag: Option<(usize, usize)>,
 ) {
     let (mc, nc, in_place) = (cblk.rows(), cblk.cols(), arows.rows() / MR);
     let banded = bands.iter().any(|&(lo, hi)| hi - lo < kc);
-    // `x − x` is `+0` for a finite `x` and NaN otherwise: OR-ing the bits
-    // tests a micro-panel in one branch-free read.
-    #[allow(clippy::eq_op)]
-    let nonfinite = |v: &[f64]| v.iter().fold(0, |bits, &x| bits | (x - x).to_bits());
     for ip in 0..mc.div_ceil(MR) {
         let (i0, mr) = (ip * MR, MR.min(mc - ip * MR));
         let rows: Option<[&[f64]; MR]> = (ip < in_place).then(|| std::array::from_fn(|r| arows.row(i0 + r)));
@@ -403,14 +401,7 @@ fn block_product_body(
                 Some(rows) => rows.iter().fold(0, |bits, row| bits | nonfinite(row)),
                 None => nonfinite(&apanel[..kc * MR]),
             } == 0;
-        // Lower-triangle specialization: the strip stops before the first
-        // tile whose first column `col0 + j0` lies right of its deepest row
-        // `row0 + i0 + MR − 1`.
-        let panels = match skip_above_diag {
-            Some((row0, col0)) => (row0 + i0 + MR).saturating_sub(col0).div_ceil(NR).min(bands.len()),
-            None => bands.len(),
-        };
-        for (jp, &band) in bands[..panels].iter().enumerate() {
+        for (jp, &band) in bands.iter().enumerate() {
             let (j0, (lo, hi)) = (jp * NR, if finite { band } else { (0, kc) });
             let bpanel = &bpack[(jp * kc + lo) * NR..];
             let acc = match rows {
@@ -441,42 +432,57 @@ isa_dispatch! {
         bands: &[(usize, usize)],
         kc: usize,
         cblk: MatMut<'_>,
-        skip_above_diag: Option<(usize, usize)>,
     ) => block_product_body
 }
 
-/// The syrk row-block product: like [`block_product`] with the
-/// lower-triangle skip, but the `A` micro-panels are **derived from the
-/// packed `B` buffer** (see [`microkernel_body_packed_b`]) instead of a
-/// separate `pack_a` pass. `arow0` is the output-row offset of `cblk`'s
-/// first row *within the packed column range* (`i0 − jc`), which must be
-/// `MR`-aligned so every tile's `A` slice stays inside one `NR` panel.
+/// The [`nonzero_band`] of each packed `kc`-row panel of `bpack` — or all
+/// of `kc` for every panel when some band is short and the block holds an
+/// `∞` or NaN, whose products with the skipped zeros must still land.
+#[inline(always)]
+fn syrk_bands_body(bpack: &[f64], kc: usize, bands: &mut [(usize, usize)]) {
+    for (band, panel) in bands.iter_mut().zip(bpack.chunks_exact(kc * NR)) {
+        *band = nonzero_band(panel, kc);
+    }
+    if bands.iter().any(|&(lo, hi)| hi - lo < kc) && nonfinite(bpack) != 0 {
+        bands.fill((0, kc));
+    }
+}
+
+isa_dispatch! {
+    fn syrk_bands(bpack: &[f64], kc: usize, bands: &mut [(usize, usize)]) => syrk_bands_body
+}
+
+/// The syrk row-block product: the micro-tiles of `cblk` that touch or lie
+/// above the diagonal, the `A` micro-panels **derived from the packed `B`
+/// buffer** (see [`microkernel_body_packed_b`]). `arow0` is `cblk`'s first
+/// row *within the packed column range* (`i0 − jc`), `MR`-aligned so every
+/// tile's `A` slice stays inside one `NR` panel. A tile contracts over the
+/// intersection of its two panels' [`syrk_bands`], so it and its mirror
+/// image sum the same terms in the same order.
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS block-product shape
 fn block_product_packed_b(
     which: Isa,
     bpack: &[f64],
+    bands: &[(usize, usize)],
     arow0: usize,
     kc: usize,
-    mc: usize,
-    nc: usize,
     mut cblk: MatMut<'_>,
-    row0: usize,
-    col0: usize,
+    (row0, col0): (usize, usize),
 ) {
     debug_assert_eq!(arow0 % MR, 0);
-    let npanels = nc.div_ceil(NR);
-    let mpanels = mc.div_ceil(MR);
-    for jp in 0..npanels {
+    let (mc, nc) = (cblk.rows(), cblk.cols());
+    for jp in 0..nc.div_ceil(NR) {
         let j0 = jp * NR;
         let nr = NR.min(nc - j0);
-        let bpanel = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
-        let ip_start = ((col0 + j0 + 1).saturating_sub(row0 + MR)).div_ceil(MR).min(mpanels);
-        for ip in ip_start..mpanels {
+        // The strip stops at the first tile whose top row lies below the
+        // panel's last column.
+        for ip in 0..(col0 + j0 + nr).saturating_sub(row0).div_ceil(MR).min(mc.div_ceil(MR)) {
             let i0 = ip * MR;
             let mr = MR.min(mc - i0);
-            let acol = arow0 + i0;
-            let apanel = &bpack[(acol / NR) * kc * NR..(acol / NR + 1) * kc * NR];
-            let acc = microkernel_packed_b(which, kc, apanel, acol % NR, bpanel);
+            let (acol, ap) = (arow0 + i0, (arow0 + i0) / NR);
+            let (lo, hi) = (bands[ap].0.max(bands[jp].0), bands[ap].1.min(bands[jp].1));
+            let (apanel, bpanel) = (&bpack[(ap * kc + lo) * NR..], &bpack[(jp * kc + lo) * NR..]);
+            let acc = microkernel_packed_b(which, hi.max(lo) - lo, apanel, acol % NR, bpanel);
             for (r, acc_row) in acc.iter().enumerate().take(mr) {
                 let dst = &mut cblk.row_mut(i0 + r)[j0..j0 + nr];
                 for (cv, &av) in dst.iter_mut().zip(acc_row) {
@@ -552,7 +558,7 @@ fn gemm_with_isa(
                 let mut apack = if len > 0 { take_local_vec(len) } else { Vec::new() };
                 pack_a(a, ta, i0 + arows.rows(), mc - arows.rows(), pc, kc, &mut apack);
                 let cblk = c.rb_mut().sub(i0, jc, mc, nc);
-                block_product(which, alpha, beta, arows, &apack, bpack, bands, kc, cblk, None);
+                block_product(which, alpha, beta, arows, &apack, bpack, bands, kc, cblk);
                 if len > 0 {
                     recycle_local_vec(apack);
                 }
@@ -565,14 +571,15 @@ fn gemm_with_isa(
 }
 
 /// The symmetry-aware blocked SYRK body: adds `AᵀA` into `c`, computing
-/// only micro-tiles that touch or lie below the diagonal and mirroring the
-/// rest. From a zero `c`, every computed element is bitwise identical to
-/// what [`gemm_with_isa`]`(which, 1, Aᵀ, A, 0, c)` produces (same packing,
-/// same KC blocking, same ascending-`k` microkernel order), so the mirrored
-/// result equals the full product exactly while skipping ≈half the tile
-/// arithmetic. Each KC block of rows lands as one `c += acc` per tile, so
+/// only micro-tiles that touch or lie above the diagonal, then, with
+/// `mirror`, copying the upper triangle onto the lower one. From a zero
+/// `c`, every computed element is bitwise what
+/// [`gemm_with_isa`]`(which, 1, Aᵀ, A, 0, c)` produces (same packing, KC
+/// blocking and ascending-`k` order; skipping zero rows beside finite
+/// panels moves at most the sign of an underflowed zero sum) at ≈half the
+/// tile arithmetic. Each KC block lands as one `c += acc` per tile, so
 /// adding KC-row panels one call each is bitwise one call over all of them.
-fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
+fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>, mirror: bool) {
     let (k, n) = (a.rows(), a.cols()); // contraction over rows; output n × n
     assert_eq!((c.rows(), c.cols()), (n, n), "syrk output must be n x n");
     if n == 0 || k == 0 {
@@ -580,6 +587,7 @@ fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
     }
 
     let mut bpack = take_local_vec(NC.min(n).div_ceil(NR) * NR * KC.min(k));
+    let mut bands = [(0, 0); NC / NR];
 
     let mut jc = 0;
     while jc < n {
@@ -589,12 +597,11 @@ fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
             let kc = KC.min(k - pc);
             pack_b(a, Trans::No, pc, kc, jc, nc, &mut bpack);
             let bpack = &bpack[..nc.div_ceil(NR) * kc * NR];
+            syrk_bands(which, bpack, kc, &mut bands[..nc.div_ceil(NR)]);
 
-            // Row blocks whose deepest row stays above column `jc` hold no
-            // lower-triangle element of this column block: skip them whole
-            // (no pack, no tiles).
-            let first = (jc + 1).saturating_sub(MC).div_ceil(MC);
-            for i0 in (first * MC..n).step_by(MC) {
+            // Row blocks that hold this column block's part of the upper
+            // triangle (`MC` divides `NC`, so none straddles `jc + nc`).
+            for i0 in (0..jc + nc).step_by(MC) {
                 let mc = MC.min(n - i0);
                 let cblk = c.rb_mut().sub(i0, jc, mc, nc);
                 if i0 >= jc && i0 + mc <= jc + nc {
@@ -602,14 +609,14 @@ fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
                     // already holds: derive the A micro-panels from it and
                     // skip the pack_a pass entirely. This is the whole
                     // kernel whenever n ≤ NC — every CholeskyQR panel width.
-                    block_product_packed_b(which, bpack, i0 - jc, kc, mc, nc, cblk, i0, jc);
+                    block_product_packed_b(which, bpack, &bands, i0 - jc, kc, cblk, (i0, jc));
                 } else {
-                    // Row block outside the packed column range (n > NC):
-                    // fall back to a packed A operand.
+                    // Row block outside the packed column range (n > NC),
+                    // wholly on the computed side: every tile, packed A.
                     let mut apack = take_local_vec(mc.div_ceil(MR) * MR * kc);
                     pack_a(a, Trans::Yes, i0, mc, pc, kc, &mut apack);
                     let (arows, bands) = (a.sub(0, 0, 0, 0), &[(0, kc); NC / NR][..nc.div_ceil(NR)]);
-                    block_product(which, 1.0, 1.0, arows, &apack, bpack, bands, kc, cblk, Some((i0, jc)));
+                    block_product(which, 1.0, 1.0, arows, &apack, bpack, bands, kc, cblk);
                     recycle_local_vec(apack);
                 }
             }
@@ -619,13 +626,15 @@ fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>) {
     }
     recycle_local_vec(bpack);
 
-    // Mirror the computed lower triangle onto the (partially skipped)
-    // upper triangle; ascending-k accumulation makes the two bitwise equal
+    // Mirror the computed upper triangle onto the (partially skipped)
+    // lower triangle; ascending-k accumulation makes the two bitwise equal
     // wherever both were computed, so this is exactly the naive contract.
-    for i in 0..n {
-        for j in 0..i {
-            let v = c.at(i, j);
-            c.set(j, i, v);
+    if mirror {
+        for i in 0..n {
+            for j in 0..i {
+                let v = c.at(j, i);
+                c.set(i, j, v);
+            }
         }
     }
 }
@@ -745,14 +754,29 @@ isa_dispatch! {
     fn left_solve(t: MatRef<'_>, upper: bool, b: MatMut<'_>) => left_solve_body
 }
 
+/// Below this many rows, where [`right_solve`]'s lane groups would run
+/// mostly empty, `X·U = B` is the oracle loop `trsm::trsm_right_upper`
+/// compiled per ISA, right-looking with each row's entries as the lanes.
+/// On a 2-core Xeon (AVX-512) it ran 31–87 % under the blocked solve at 1–3
+/// rows for n = 32…512, and lost from 6 rows at n = 512.
+const FEW_ROWS: usize = 4;
+
+isa_dispatch! {
+    fn right_upper_rows(u: MatRef<'_>, b: MatMut<'_>) => crate::trsm::right_upper_body
+}
+
 /// The blocked right solve: `X·Lᵀ = B` for lower `t` (`upper` false) or
 /// `X·U = B` for upper `t`, over [`TRSM_NB`]-wide column blocks — a `gemm`
 /// update from the solved columns, then [`right_solve`] on the diagonal
-/// block.
+/// block. An upper solve of fewer than [`FEW_ROWS`] rows is
+/// [`right_upper_rows`] instead.
 fn trsm_right_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>) {
     let n = t.rows();
     assert_eq!(t.cols(), n, "triangular factor must be square");
     assert_eq!(b.cols(), n, "rhs width must match triangular dimension");
+    if upper && b.rows() < FEW_ROWS {
+        return right_upper_rows(which, t, b);
+    }
     let mut lanes = take_local_vec(TRSM_NB * SOLVE_LANES);
     let mut j0 = 0;
     while j0 < n {
@@ -870,7 +894,14 @@ impl Backend for Blocked {
     }
 
     fn syrk_add(&self, a: MatRef<'_>, c: MatMut<'_>) {
-        syrk_add_with_isa(isa(), a, c);
+        syrk_add_with_isa(isa(), a, c, true);
+    }
+
+    fn syrk_upper_into(&self, a: MatRef<'_>, mut c: MatMut<'_>) {
+        for i in 0..c.rows() {
+            c.row_mut(i)[i..].fill(0.0);
+        }
+        syrk_add_with_isa(isa(), a, c, false);
     }
 
     fn trsm_right_lower_trans(&self, l: MatRef<'_>, b: MatMut<'_>) {
@@ -922,7 +953,7 @@ mod tests {
             ] {
                 let a = filled(m, n, 8 + m as u64);
                 let mut via_syrk = Matrix::zeros(n, n);
-                syrk_add_with_isa(which, a.as_ref(), via_syrk.as_mut());
+                syrk_add_with_isa(which, a.as_ref(), via_syrk.as_mut(), true);
                 let mut via_gemm = Matrix::zeros(n, n);
                 gemm_with_isa(
                     which,
@@ -957,11 +988,11 @@ mod tests {
             for &(m, n) in &[(3 * KC + 37, 64usize), (2 * KC + 1, NR + 3), (KC + 5, NC + 9)] {
                 let a = filled(m, n, 5 + m as u64);
                 let mut whole = Matrix::zeros(n, n);
-                syrk_add_with_isa(which, a.as_ref(), whole.as_mut());
+                syrk_add_with_isa(which, a.as_ref(), whole.as_mut(), true);
                 let mut summed = Matrix::zeros(n, n);
                 for i0 in (0..m).step_by(KC) {
                     let rows = KC.min(m - i0);
-                    syrk_add_with_isa(which, a.as_ref().sub(i0, 0, rows, n), summed.as_mut());
+                    syrk_add_with_isa(which, a.as_ref().sub(i0, 0, rows, n), summed.as_mut(), true);
                 }
                 assert_eq!(
                     summed, whole,
@@ -981,7 +1012,7 @@ mod tests {
             let a = filled(m, n, 21);
             let want = crate::syrk::syrk(a.as_ref());
             let mut got = Matrix::zeros(n, n);
-            syrk_add_with_isa(which, a.as_ref(), got.as_mut());
+            syrk_add_with_isa(which, a.as_ref(), got.as_mut(), true);
             for i in 0..n {
                 for j in 0..n {
                     let (g, w) = (got.get(i, j), want.get(i, j));
@@ -1189,7 +1220,7 @@ mod tests {
             let a = special(k, n, 3);
             agree(&format!("syrk {k}x{n}"), &|which| {
                 let mut c = Matrix::zeros(n, n);
-                syrk_add_with_isa(which, a.as_ref(), c.as_mut());
+                syrk_add_with_isa(which, a.as_ref(), c.as_mut(), true);
                 c
             });
         }
@@ -1239,6 +1270,106 @@ mod tests {
                     assert_bits(&got, &want, &format!("left upper {what}"));
                 }
             }
+        }
+    }
+
+    /// The few-rows right solve is the oracle bit for bit under every ISA,
+    /// at orders on both sides of the lane widths and past one diagonal
+    /// block, with exact zeros, `−0` and `∞` in `U` or `B`. Every term is
+    /// taken, as the oracle takes it, so an `∞` times a zero lands as NaN.
+    #[test]
+    fn few_rows_right_solve_is_bitwise_the_oracle_under_every_isa() {
+        for which in Isa::available() {
+            for n in [1, 5, 31, 32, 33, 128, 130] {
+                let finite = triangle(n, true, 11 + n as u64);
+                let mut infinite = finite.clone();
+                infinite.set(0, n - 1, f64::INFINITY);
+                infinite.set(n / 2, n / 2, -0.0);
+                for (u, kind) in [(finite, "finite U"), (infinite, "∞ and −0 in U")] {
+                    for rows in 1..FEW_ROWS {
+                        let mut b = filled(rows, n, rows as u64);
+                        b.set(rows - 1, n / 3, -0.0);
+                        b.set(0, n - 1, 0.0);
+                        if rows > 1 {
+                            b.set(1, 0, f64::INFINITY);
+                        }
+                        let (mut want, mut got) = (b.clone(), b);
+                        crate::trsm::trsm_right_upper(u.as_ref(), want.as_mut());
+                        trsm_right_with_isa(which, u.as_ref(), true, got.as_mut());
+                        assert_bits(&got, &want, &format!("{which:?} n={n} rows={rows} {kind}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// `[B; R]` as the append stacks it: a `k × n` dense block over an
+    /// upper-triangular `R` (exact zeros, and `−0` in its triangle), so every
+    /// packed column panel ends in a run of zero rows.
+    fn stacked(k: usize, n: usize, salt: u64) -> Matrix {
+        let (b, r) = (filled(k, n, salt), filled(n, n, salt + 1));
+        Matrix::from_fn(k + n, n, |i, j| match i.checked_sub(k) {
+            None => b.get(i, j),
+            Some(i) if i > j => 0.0,
+            Some(i) if (i + j) % 9 == 4 => -0.0,
+            Some(i) => r.get(i, j),
+        })
+    }
+
+    /// The SYRK of `p`, both forms, against `gemm(1, Pᵀ, P)` under one ISA:
+    /// the mirrored form everywhere, the upper form on its triangle.
+    fn assert_syrk_is_its_gemm(which: Isa, p: &Matrix, what: &str) {
+        let n = p.cols();
+        let mut via_gemm = Matrix::zeros(n, n);
+        gemm_with_isa(
+            which,
+            1.0,
+            p.as_ref(),
+            Trans::Yes,
+            p.as_ref(),
+            Trans::No,
+            0.0,
+            via_gemm.as_mut(),
+        );
+        let (mut mirrored, mut upper) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        syrk_add_with_isa(which, p.as_ref(), mirrored.as_mut(), true);
+        syrk_add_with_isa(which, p.as_ref(), upper.as_mut(), false);
+        assert_bits(&mirrored, &via_gemm, &format!("{which:?} {what} mirrored"));
+        for i in 0..n {
+            for j in 0..i {
+                upper.set(i, j, via_gemm.get(i, j));
+            }
+        }
+        assert_bits(&upper, &via_gemm, &format!("{which:?} {what} upper"));
+    }
+
+    /// The SYRK tiles contract over the panels' nonzero bands, and the
+    /// result is still its own gemm bit for bit under every ISA: the append's
+    /// `[B; R]` stack at widths on both sides of `NR`, `MC` and `NC`, and
+    /// depths on both sides of `KC`.
+    #[test]
+    fn banded_syrk_is_bitwise_its_gemm_under_every_isa() {
+        for which in Isa::available() {
+            for (k, n) in [(1, 1), (3, 17), (64, 128), (64, 130), (KC + 3, 40), (5, NC + 9)] {
+                assert_syrk_is_its_gemm(which, &stacked(k, n, 3 + n as u64), &format!("[B; R] {k}+{n}x{n}"));
+            }
+        }
+    }
+
+    /// A zero row of one panel is not skipped beside a panel holding an `∞`
+    /// in that row: `∞·0 = NaN` lands where the gemm puts it.
+    #[test]
+    fn syrk_bands_keep_the_terms_of_an_infinite_panel_under_every_isa() {
+        let (k, n) = (4, 48);
+        for which in Isa::available() {
+            let mut p = stacked(k, n, 7);
+            // Row 40 of `R`, column 2: inside panel 0, and in the zero rows
+            // that end panel 1 (columns 16..32).
+            p.set(k + 40, 2, f64::INFINITY);
+            assert_syrk_is_its_gemm(which, &p, "∞ in a zero row");
+            let mut upper = Matrix::zeros(n, n);
+            syrk_add_with_isa(which, p.as_ref(), upper.as_mut(), false);
+            assert!(upper.get(2, 20).is_nan(), "{which:?}: ∞·0 must reach (2, 20)");
         }
     }
 

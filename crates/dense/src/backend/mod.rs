@@ -15,7 +15,7 @@
 //!   absorbs operand transposes — no up-front full-matrix transpose copy),
 //!   an untransposed `A` is read in place, and a register-tiled `MR × NR`
 //!   microkernel does the arithmetic over each `B` panel's nonzero rows, on
-//!   the caller's thread. Its `syrk` is *symmetry-aware*: upper-triangle
+//!   the caller's thread. Its `syrk` is *symmetry-aware*: lower-triangle
 //!   micro-tiles are skipped (mirrored afterwards) and the `A`-side
 //!   micro-panels are derived from the packed `B` buffer, while staying
 //!   bitwise identical to the full `gemm(1, Aᵀ, A)`. Pack buffers come from the thread-local
@@ -81,6 +81,14 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     fn syrk_into(&self, a: MatRef<'_>, mut c: MatMut<'_>) {
         c.fill(0.0);
         self.syrk_add(a, c);
+    }
+
+    /// Writes the upper triangle of `AᵀA` into `c`, bitwise the one
+    /// [`Backend::syrk_into`] writes, for a Cholesky in the upper triangle
+    /// to read; the strict lower triangle is left unspecified (`Blocked`
+    /// skips the mirror).
+    fn syrk_upper_into(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        self.syrk_into(a, c);
     }
 
     /// Returns the full symmetric Gram matrix `AᵀA` as a fresh allocation

@@ -3,7 +3,9 @@
 //! Three kernels, each one body over views and a caller [`Workspace`]:
 //!
 //! * [`potrf`] — blocked right-looking Cholesky, `A = LLᵀ` (lower factor),
-//!   in place.
+//!   in place: a mirror around its upper-triangle form `potrf_upper`
+//!   (`A = UᵀU`, `U = Lᵀ`, crate private), which the rank-k updates call
+//!   with no mirror pass.
 //! * [`trtri_lower`] — recursive lower-triangular inverse `Y = L⁻¹`.
 //! * [`cholinv`] — the paper's Algorithm 2: a *joint* recursion computing
 //!   `L` and `Y = L⁻¹` together. This is the sequential kernel executed
@@ -14,11 +16,11 @@
 //! caller's output (any view: contents on entry are ignored) and draw their
 //! temporaries from the workspace, so a warm call allocates nothing.
 //!
-//! The unblocked cores under them — `potrf`'s diagonal blocks and the
-//! `cholinv` / `trtri_lower` base cases — put independent elements side by
-//! side in SIMD lanes: the entries on and below each pivot of the Cholesky
-//! (computed in the mirrored upper triangle, where a column is a contiguous
-//! row), the entries of each row of the inverse. Each element runs the
+//! The unblocked cores under them — the Cholesky's block rows (diagonal
+//! block and panel in one sweep) and the `cholinv` / `trtri_lower` base
+//! cases — put independent elements side by side in SIMD lanes: the entries
+//! right of each pivot of `U` (a column of `L` is a contiguous row of `U`),
+//! the entries of each row of the inverse. Each element runs the
 //! operation sequence of the plain loop form — multiply, then add or
 //! subtract, never fused, in the same order — so the factors are that
 //! loop's bits on every instruction set (the tests keep the loops as the
@@ -61,15 +63,8 @@ impl std::error::Error for CholeskyError {}
 /// run the unblocked loops.
 const RECURSION_NB: usize = 32;
 
-/// Zeroes the strict upper triangle so a factor is exactly lower triangular.
-fn zero_strict_upper(mut a: MatMut<'_>) {
-    for i in 0..a.rows() {
-        a.row_mut(i)[i + 1..].fill(0.0);
-    }
-}
-
-/// Unblocked lower Cholesky on a view, in place: on return the lower triangle
-/// of `a` holds `L`; the strict upper triangle is zeroed.
+/// Unblocked upper Cholesky of the block row `a` (`nb × w`, `w ≥ nb`) in
+/// place; see [`potrf_lanes_body`].
 fn potrf_unblocked(which: Isa, a: MatMut<'_>, index_offset: usize) -> Result<(), CholeskyError> {
     // Chaos faultpoint at the pivot site: an injected breakdown is
     // indistinguishable from a genuine loss of positive-definiteness to
@@ -87,30 +82,25 @@ fn potrf_unblocked(which: Isa, a: MatMut<'_>, index_offset: usize) -> Result<(),
     })
 }
 
-/// Left-looking Cholesky of `a` in place, returning the failing column and
-/// its pivot. The factor is computed in the upper triangle, where column `j`
-/// of `L` is the contiguous row `j` of `Lᵀ`: the lower triangle is mirrored
-/// there first and the result mirrored back. The entries `i ≥ j` of column
+/// Left-looking Cholesky of the block row `a` (`nb × w`) in place, in the
+/// upper triangle, where column `j` of `L` is the contiguous row `j` of
+/// `U = Lᵀ`; returns the failing row and its pivot. It reads the upper
+/// triangle of the leading `nb × nb` block and the panel `A₁₂` right of it,
+/// and leaves `U₁₁` and `U₁₂ = U₁₁⁻ᵀ·A₁₂` there. The entries `i ≥ j` of row
 /// `j` advance as lanes, up to 32 at a time in registers, through the
-/// sequence the loop form gave each element — `s ← a_ij`, `s −= l_ik · l_jk`
+/// sequence the loop form gave each element — `s ← a_ji`, `s −= u_ki · u_kj`
 /// for ascending `k < j` — and then the pivot `d = s_jj` is checked,
-/// `l_jj = √d` and `l_ij = s_ij / l_jj`.
+/// `u_jj = √d` and `u_ji = s_ji / u_jj`. That is also the sequence the
+/// blocked right solve gives the panel (`X·L₁₁ᵀ = A₂₁` on the lower form).
 ///
 /// Groups are laid from the end of the row leftwards, each as wide as the
 /// lanes it has left (a power of two, at most 32). A group may reach left
-/// of the pivot into the strict lower triangle, which is dead once mirrored:
-/// those lanes compute unused values.
+/// of the pivot into the strict lower triangle, whose values are junk: those
+/// lanes compute unused values there.
 #[inline(always)]
 fn potrf_lanes_body(mut a: MatMut<'_>) -> Result<(), (usize, f64)> {
-    let n = a.rows();
-    for j in 0..n {
-        for i in j + 1..n {
-            let v = a.at(i, j);
-            a.set(j, i, v);
-        }
-    }
-    for j in 0..n {
-        let mut end = n;
+    for j in 0..a.rows() {
+        let mut end = a.cols();
         while end > j {
             let w = end - j;
             let fit = if w > 16 { 32 } else { w.next_power_of_two() };
@@ -136,20 +126,11 @@ fn potrf_lanes_body(mut a: MatMut<'_>) -> Result<(), (usize, f64)> {
             *v /= ljj;
         }
     }
-    // Bottom-up, so each row's upper part is cleared only after the rows
-    // below it have read their entries out of it.
-    for i in (0..n).rev() {
-        for j in 0..i {
-            let v = a.at(j, i);
-            a.set(i, j, v);
-        }
-        a.row_mut(i)[i + 1..].fill(0.0);
-    }
     Ok(())
 }
 
-/// Lanes `i..i + G` of column `j`: `s −= l_ik · l_jk` over the finished
-/// columns `k < j`, with the `G` sums in registers.
+/// Lanes `i..i + G` of row `j`: `s −= u_ki · u_kj` over the finished rows
+/// `k < j`, with the `G` sums in registers.
 #[inline(always)]
 fn chol_lanes<const G: usize>(mut a: MatMut<'_>, j: usize, i: usize) {
     let mut acc = [0.0f64; G];
@@ -168,52 +149,74 @@ isa_dispatch! {
     fn potrf_lanes(a: MatMut<'_>) -> Result<(), (usize, f64)> => potrf_lanes_body
 }
 
-/// Blocked right-looking Cholesky: factors `A = LLᵀ` in place, returning the
-/// lower factor in `a` (strict upper triangle zeroed). The panel solve and
-/// trailing update run on `backend`.
-///
-/// The blocked trailing update needs a stable copy of the just-solved `L21`
-/// panel (the gemm reads and writes overlapping storage otherwise). The copy
-/// is taken from `ws` and recycled, so warm calls perform no heap
-/// allocations — the streaming path's zero-steady-state-allocation contract.
-pub fn potrf(mut a: MatMut<'_>, backend: &dyn Backend, ws: &mut Workspace) -> Result<(), CholeskyError> {
+/// Block rows and columns of the blocked Cholesky forms.
+const NB: usize = 64;
+
+/// The blocked right-looking loop of `potrf_upper`, which leaves junk in
+/// the strict lower triangle: per block row, one lane sweep factors the
+/// diagonal block and solves the panel right of it, then the trailing
+/// update `A₂₂ ← A₂₂ − U₁₂ᵀ·U₁₂` runs on `backend`. `U₁₂` and `A₂₂` are
+/// disjoint views, so the loop needs no scratch.
+fn potrf_rows(which: Isa, mut a: MatMut<'_>, backend: &dyn Backend) -> Result<(), CholeskyError> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "Cholesky input must be square");
-    const NB: usize = 64;
-    if n <= NB {
-        return potrf_unblocked(isa(), a, 0);
-    }
-    let mut k = 0;
-    while k < n {
-        let nb = NB.min(n - k);
-        // Factor diagonal block.
-        potrf_unblocked(isa(), a.rb_mut().sub(k, k, nb, nb), k)?;
-        if k + nb < n {
-            let rest = n - k - nb;
-            // Panel solve: A[k+nb.., k..k+nb] ← A[k+nb.., k..k+nb] · L[k,k]⁻ᵀ
-            let (diag_rows, below) = a.rb_mut().sub(k, k, n - k, nb).split_rows(nb);
-            backend.trsm_right_lower_trans(diag_rows.rb(), below);
-            // Trailing update: A22 ← A22 − L21·L21ᵀ (lower triangle suffices,
-            // but a full gemm keeps the kernel simple; the strict upper part
-            // of the trailing block is rewritten symmetrically).
-            let l21_copy = ws.take_copy(a.rb().sub(k + nb, k, rest, nb));
-            let a22 = a.rb_mut().sub(k + nb, k + nb, rest, rest);
+    for k in (0..n).step_by(NB) {
+        let (nb, rest) = (NB.min(n - k), n - k - NB.min(n - k));
+        potrf_unblocked(which, a.rb_mut().sub(k, k, nb, n - k), k)?;
+        if rest > 0 {
+            let (top, bottom) = a.rb_mut().split_rows(k + nb);
+            let u12 = top.rb().sub(k, k + nb, nb, rest);
+            // The whole block in one gemm; the next block row reads only
+            // its upper triangle.
             backend.gemm(
                 -1.0,
-                l21_copy.as_ref(),
-                Trans::No,
-                l21_copy.as_ref(),
+                u12,
                 Trans::Yes,
+                u12,
+                Trans::No,
                 1.0,
-                a22,
+                bottom.sub(0, k + nb, rest, rest),
             );
-            ws.recycle(l21_copy);
         }
-        k += nb;
     }
-    // The block loop only zeroes the strict upper triangle inside each
-    // diagonal block; clear the rest so the result is exactly L.
-    zero_strict_upper(a);
+    Ok(())
+}
+
+/// Blocked Cholesky in the upper triangle: factors the symmetric `a` from
+/// its upper triangle as `A = UᵀU` in place, `U = Lᵀ` with the strict lower
+/// triangle zeroed. [`potrf`] runs its loop between two mirrors.
+pub(crate) fn potrf_upper(mut a: MatMut<'_>, backend: &dyn Backend) -> Result<(), CholeskyError> {
+    potrf_rows(isa(), a.rb_mut(), backend)?;
+    for i in 1..a.rows() {
+        a.row_mut(i)[..i].fill(0.0);
+    }
+    Ok(())
+}
+
+/// Blocked right-looking Cholesky: factors `A = LLᵀ` in place from the lower
+/// triangle of `a` (strict upper triangle zeroed). The lower triangle is
+/// mirrored up, factored by `potrf_upper`'s loop and mirrored back; each
+/// mirror stores along rows and loads down columns, since strided stores
+/// cost more. `_ws` is unused: the loop needs no scratch.
+pub fn potrf(mut a: MatMut<'_>, backend: &dyn Backend, _ws: &mut Workspace) -> Result<(), CholeskyError> {
+    let n = a.rows();
+    assert_eq!(a.cols(), n, "Cholesky input must be square");
+    for j in 0..n {
+        for i in j + 1..n {
+            let v = a.at(i, j);
+            a.set(j, i, v);
+        }
+    }
+    potrf_rows(isa(), a.rb_mut(), backend)?;
+    // Bottom-up, so each row's upper part is cleared only after the rows
+    // below it have read their entries out of it.
+    for i in (0..n).rev() {
+        for j in 0..i {
+            let v = a.at(j, i);
+            a.set(i, j, v);
+        }
+        a.row_mut(i)[i + 1..].fill(0.0);
+    }
     Ok(())
 }
 
@@ -360,7 +363,10 @@ fn cholinv_at(
     let n = a.rows();
     if n <= RECURSION_NB {
         l.copy_from(a);
-        potrf_unblocked(isa(), l.rb_mut(), index_offset)?;
+        potrf(l.rb_mut(), backend, ws).map_err(|e| CholeskyError {
+            index: index_offset + e.index,
+            ..e
+        })?;
         trtri_unblocked(isa(), l.rb(), y);
         return Ok(());
     }
@@ -392,13 +398,19 @@ fn cholinv_at(
 
 #[cfg(test)]
 mod tests {
-    use super::{zero_strict_upper, CholeskyError};
+    use super::CholeskyError;
     use crate::backend::blocked::Isa;
     use crate::backend::BackendKind;
     use crate::gemm::{matmul, Trans};
     use crate::matrix::{MatMut, MatRef};
     use crate::norms::{frobenius, max_abs};
     use crate::{cholinv, potrf, trtri_lower, Matrix, Workspace};
+
+    fn zero_strict_upper(mut a: MatMut<'_>) {
+        for i in 0..a.rows() {
+            a.row_mut(i)[i + 1..].fill(0.0);
+        }
+    }
 
     /// The dot-form loop [`super::potrf_unblocked`] replaced: the bitwise reference.
     fn potrf_unblocked_reference(mut a: MatMut<'_>, index_offset: usize) -> Result<(), CholeskyError> {
@@ -424,6 +436,28 @@ mod tests {
                     s -= a.at(i, k) * a.at(j, k);
                 }
                 a.set(i, j, s / ljj);
+            }
+        }
+        zero_strict_upper(a);
+        Ok(())
+    }
+
+    /// The blocked lower Cholesky [`super::potrf_upper`]'s loop replaced,
+    /// spelled as it was: the loop form on each 64-block, the blocked right
+    /// solve `X·L₁₁ᵀ = A₂₁` for the panel, and a trailing gemm from a copy of
+    /// `L₂₁`.
+    fn potrf_blocked_reference(mut a: MatMut<'_>) -> Result<(), CholeskyError> {
+        let (n, backend) = (a.rows(), BackendKind::Blocked.get());
+        for k in (0..n).step_by(64) {
+            let nb = 64.min(n - k);
+            potrf_unblocked_reference(a.rb_mut().sub(k, k, nb, nb), k)?;
+            if k + nb < n {
+                let rest = n - k - nb;
+                let (diag, below) = a.rb_mut().sub(k, k, n - k, nb).split_rows(nb);
+                backend.trsm_right_lower_trans(diag.rb(), below);
+                let l21 = Matrix::from_view(a.rb().sub(k + nb, k, rest, nb));
+                let a22 = a.rb_mut().sub(k + nb, k + nb, rest, rest);
+                backend.gemm(-1.0, l21.as_ref(), Trans::No, l21.as_ref(), Trans::Yes, 1.0, a22);
             }
         }
         zero_strict_upper(a);
@@ -462,13 +496,24 @@ mod tests {
         (1..=130).chain([193])
     }
 
-    /// [`spd`] with NaN in the strict upper triangle, which no kernel reads.
+    /// [`spd`] with NaN in the strict upper triangle, which the lower form
+    /// never reads.
     fn spd_with_upper_junk(n: usize) -> Matrix {
         let mut a = spd(n);
         for i in 0..n {
             a.as_mut().row_mut(i)[i + 1..].fill(f64::NAN);
         }
         a
+    }
+
+    /// The upper triangle of `got` against `want` transposed.
+    fn assert_upper_is_transposed(got: &Matrix, want: &Matrix, what: &str) {
+        for i in 0..got.rows() {
+            for j in i..got.cols() {
+                let (g, w) = (got.get(i, j), want.get(j, i));
+                assert!(same_bits(g, w), "{what}: ({i},{j}) is {g}, the lower form gave {w}");
+            }
+        }
     }
 
     /// Bitwise equality, except that any NaN matches any NaN: the compiler
@@ -491,10 +536,10 @@ mod tests {
         for which in Isa::available() {
             for n in sizes() {
                 let a = spd_with_upper_junk(n);
-                let (mut want, mut got) = (a.clone(), a.clone());
+                let (mut want, mut got) = (a.clone(), a.transposed());
                 potrf_unblocked_reference(want.as_mut(), 3).unwrap();
                 super::potrf_unblocked(which, got.as_mut(), 3).unwrap();
-                assert_bits(&got, &want, &format!("{which:?} potrf n={n}"));
+                assert_upper_is_transposed(&got, &want, &format!("{which:?} potrf n={n}"));
                 let mut l = want;
                 for i in 0..n {
                     l.as_mut().row_mut(i)[i + 1..].fill(f64::NAN);
@@ -552,12 +597,45 @@ mod tests {
                 let mut a = spd_with_upper_junk(n);
                 a.set(i, j, v);
                 let want = potrf_unblocked_reference(a.clone().as_mut(), 11).unwrap_err();
-                let got = super::potrf_unblocked(which, a.as_mut(), 11).unwrap_err();
+                let got = super::potrf_unblocked(which, a.transposed().as_mut(), 11).unwrap_err();
                 assert!(
                     got.index == want.index && same_bits(got.pivot, want.pivot),
                     "{which:?} n={n}, {v} at ({i},{j}): {got:?} vs {want:?}"
                 );
             }
+        }
+    }
+
+    /// The blocked loop in the upper triangle is the blocked lower Cholesky
+    /// transposed, bit for bit under every instruction set, at every size up
+    /// to one past two blocks, without reading the strict lower triangle;
+    /// `potrf` and `potrf_upper` give those bits too.
+    #[test]
+    fn upper_cholesky_is_the_blocked_lower_one_transposed_under_every_isa() {
+        let backend = BackendKind::Blocked.get();
+        for which in Isa::available() {
+            for n in sizes() {
+                let a = spd(n);
+                let mut want = a.clone();
+                potrf_blocked_reference(want.as_mut()).unwrap();
+                let mut got = a.transposed();
+                for i in 0..n {
+                    got.as_mut().row_mut(i)[..i].fill(f64::NAN);
+                }
+                super::potrf_rows(which, got.as_mut(), backend).unwrap();
+                assert_upper_is_transposed(&got, &want, &format!("{which:?} n={n}"));
+            }
+        }
+        let mut ws = Workspace::new();
+        for n in [5, 64, 130, 193] {
+            let a = spd(n);
+            let mut want = a.clone();
+            potrf_blocked_reference(want.as_mut()).unwrap();
+            let (mut lower, mut upper) = (spd_with_upper_junk(n), a.transposed());
+            super::potrf(lower.as_mut(), backend, &mut ws).unwrap();
+            assert_bits(&lower, &want, &format!("potrf n={n}"));
+            super::potrf_upper(upper.as_mut(), backend).unwrap();
+            assert_bits(&upper, &want.transposed(), &format!("potrf_upper n={n}"));
         }
     }
 

@@ -45,7 +45,9 @@ impl QrFactors {
 ///
 /// On entry `x` is the column to annihilate (length ≥ 1). On exit `x[0]` is
 /// the resulting diagonal entry of `R`, `x[1..]` holds the reflector tail
-/// (unit head implicit), and the returned value is `τ`.
+/// (unit head implicit), and the returned value is `τ`. The column norm is
+/// formed by `hypot` from the scaled tail norm, never from squares, so it
+/// neither overflows nor underflows anywhere in the exponent range.
 fn make_reflector(x: &mut [f64]) -> f64 {
     let alpha = x[0];
     let xnorm = nrm2(&x[1..]);
@@ -53,7 +55,7 @@ fn make_reflector(x: &mut [f64]) -> f64 {
         // Column already upper triangular; H = I.
         return 0.0;
     }
-    let norm = (alpha * alpha + xnorm * xnorm).sqrt();
+    let norm = alpha.hypot(xnorm);
     let beta = if alpha >= 0.0 { -norm } else { norm };
     let tau = (beta - alpha) / beta;
     let scale = 1.0 / (alpha - beta);
@@ -277,6 +279,29 @@ mod tests {
         let (q, r) = qr(&a);
         assert!(residual_error(a.as_ref(), q.as_ref(), r.as_ref()) < 1e-12);
         assert!(orthogonality_error(q.as_ref()) < 1e-12);
+    }
+
+    /// A power-of-two scale commutes with every step, so a 2^±900-scaled
+    /// input, whose squares over- or underflow, factors to exactly 2^±900
+    /// times the unscaled `R` with the same reflectors, on the unblocked and
+    /// the blocked path.
+    #[test]
+    fn power_of_two_scaled_inputs_scale_the_factors_exactly() {
+        for (m, n) in [(40, 12), (200, 90)] {
+            let a = pseudo(m, n);
+            let want = householder_qr(&a);
+            for e in [900, -900] {
+                let scale = 2f64.powi(e);
+                let got = householder_qr(&Matrix::from_fn(m, n, |i, j| scale * a.get(i, j)));
+                assert_eq!(got.tau, want.tau, "{m}x{n} at 2^{e}");
+                for i in 0..m {
+                    for j in 0..n {
+                        let w = want.packed.get(i, j) * if j >= i { scale } else { 1.0 };
+                        assert_eq!(got.packed.get(i, j), w, "{m}x{n} at 2^{e}: ({i},{j})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -38,10 +38,18 @@ pub fn trsm_right_lower_trans(l: MatRef<'_>, mut b: MatMut<'_>) {
 }
 
 /// Solves `X·U = B` in place (`B` is overwritten with `X`), `U` upper triangular.
-pub fn trsm_right_upper(u: MatRef<'_>, mut b: MatMut<'_>) {
+pub fn trsm_right_upper(u: MatRef<'_>, b: MatMut<'_>) {
     let n = u.rows();
     assert_eq!(u.cols(), n, "triangular factor must be square");
     assert_eq!(b.cols(), n, "rhs width must match triangular dimension");
+    right_upper_body(u, b);
+}
+
+/// The loop of [`trsm_right_upper`], which the `Blocked` backend also
+/// compiles per ISA as its few-rows path.
+#[inline(always)]
+pub(crate) fn right_upper_body(u: MatRef<'_>, mut b: MatMut<'_>) {
+    let n = u.rows();
     for i in 0..b.rows() {
         let row = b.row_mut(i);
         // x·U = b ⇔ for j ascending: x[j] = (b[j] - Σ_{k<j} x[k]·U[k][j]) / U[j][j].

@@ -8,8 +8,8 @@
 //!
 //! * [`rank_k_append`] — given `R` with `RᵀR = AᵀA` and a block `B` of `k`
 //!   new rows, replaces `R` by `R'` with `R'ᵀR' = RᵀR + BᵀB`: one blocked
-//!   SYRK over the stacked panel `[R; B]`, re-factored by [`potrf`]. Cost
-//!   `O(kn² + n³)` — independent of the row count `m` already folded in.
+//!   SYRK over the stacked panel `[B; R]`, re-factored by `potrf_upper`.
+//!   Cost `O(kn² + n³)` — independent of the row count `m` already folded in.
 //! * [`rank_k_downdate`] — removes `k` previously appended rows, in panels
 //!   of at most `n` rows, by the block downdate:
 //!   1. `W = B·R⁻¹` (right triangular solve; row `j` of `W` is the vector
@@ -25,6 +25,9 @@
 //!   3. `S = I_n − Wᵀ·W = L·Lᵀ` and `R' = Lᵀ·R`, since
 //!      `R'ᵀR' = Rᵀ(I − WᵀW)R = RᵀR − BᵀB`.
 //!
+//!   Each Gram → Cholesky → product chain stays in the upper triangle, where
+//!   `Lᵀ` is wanted, so no step mirrors or transposes.
+//!
 //!   Both Cholesky factorizations act on `I − (·)` with norm at most 1, so
 //!   the rounding error of the result is amplified by `1/min α²` only —
 //!   never by `κ(R)²`; that pivot is what the kernel returns.
@@ -36,14 +39,14 @@
 //! product draw theirs from the thread-local arena).
 //!
 //! Besides the level-3 `gemm` / SYRK, a step spends its time in the
-//! triangular tier: the two `potrf` calls of a downdate panel and the one
+//! triangular tier: the two Cholesky calls of a downdate panel and the one
 //! of an append, the `W = B·R⁻¹` solve, and the `Lᵀ·R` product
 //! ([`trmm_upper_upper`]). Those run their independent elements in SIMD
 //! lanes with the scalar loops' operation order, so an update's bits do
 //! not depend on the instruction set.
 
 use crate::backend::Backend;
-use crate::cholesky::{potrf, CholeskyError};
+use crate::cholesky::{potrf_upper, CholeskyError};
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
 use crate::trsm::trmm_upper_upper;
@@ -127,10 +130,12 @@ fn check_block(order: usize, b: MatRef<'_>) -> Result<(), UpdateError> {
 /// triangular `r` by `R'` with `R'ᵀR' = RᵀR + BᵀB`.
 ///
 /// The updated Gram matrix is one backend SYRK over the stacked arena panel
-/// `[R; B]` (only `r`'s upper triangle is read), re-factored with
-/// [`potrf`]. On success `r` holds `R'` (upper triangular, positive
-/// diagonal); on error `r` is left **unchanged**. All scratch comes from
-/// `ws` — warm calls perform zero heap allocations.
+/// `[B; R]` (only `r`'s upper triangle is read), re-factored with
+/// `potrf_upper`. `R` goes below `B` so each packed column panel of the
+/// stack ends in `R`'s zero triangle, which the SYRK tiles skip. On success
+/// `r` holds `R'` (upper triangular, positive diagonal); on error `r` is
+/// left **unchanged**. All scratch comes from `ws` — warm calls perform zero
+/// heap allocations.
 pub fn rank_k_append(
     mut r: MatMut<'_>,
     b: MatRef<'_>,
@@ -143,23 +148,23 @@ pub fn rank_k_append(
     if b.rows() == 0 {
         return Ok(());
     }
-    let mut panel = ws.take_matrix_stale(n + b.rows(), n);
+    let mut panel = ws.take_matrix_stale(b.rows() + n, n);
     {
-        let (mut top, mut bottom) = panel.as_mut().split_rows(n);
+        let (mut top, mut bottom) = panel.as_mut().split_rows(b.rows());
+        top.copy_from(b);
         for i in 0..n {
-            let row = top.row_mut(i);
+            let row = bottom.row_mut(i);
             row[..i].fill(0.0);
             row[i..].copy_from_slice(&r.row(i)[i..]);
         }
-        bottom.copy_from(b);
     }
     let mut g = ws.take_matrix_stale(n, n);
-    backend.syrk_into(panel.as_ref(), g.as_mut());
+    backend.syrk_upper_into(panel.as_ref(), g.as_mut());
     ws.recycle(panel);
-    let factored = potrf(g.as_mut(), backend, ws);
+    let factored = potrf_upper(g.as_mut(), backend);
     if factored.is_ok() {
         // R' = Lᵀ, written back transactionally only on success.
-        r.copy_transposed_from(g.as_ref());
+        r.copy_from(g.as_ref());
     }
     ws.recycle(g);
     Ok(factored?)
@@ -211,14 +216,14 @@ pub fn rank_k_downdate(
     least_alpha_sq
 }
 
-/// `G ← I − G`, both triangles.
+/// `G ← I − G` on the upper triangle, the one `potrf_upper` reads.
 fn identity_minus(mut g: MatMut<'_>) {
     for i in 0..g.rows() {
-        let row = g.row_mut(i);
+        let row = &mut g.row_mut(i)[i..];
         for v in row.iter_mut() {
             *v = -*v;
         }
-        row[i] += 1.0;
+        row[0] += 1.0;
     }
 }
 
@@ -241,7 +246,7 @@ fn downdate_panel(
     backend.gemm(1.0, w.as_ref(), Trans::No, w.as_ref(), Trans::Yes, 0.0, t.as_mut());
     identity_minus(t.as_mut());
     let mut s = ws.take_matrix_stale(n, n);
-    let result = potrf(t.as_mut(), backend, ws)
+    let result = potrf_upper(t.as_mut(), backend)
         .map_err(|e| (e.index, e.pivot))
         .and_then(|()| {
             let (row, alpha_sq) =
@@ -251,12 +256,10 @@ fn downdate_panel(
                         (0, f64::INFINITY),
                         |least, pivot| if pivot.1 < least.1 { pivot } else { least },
                     );
-            backend.syrk_into(w.as_ref(), s.as_mut());
+            backend.syrk_upper_into(w.as_ref(), s.as_mut());
             identity_minus(s.as_mut());
-            potrf(s.as_mut(), backend, ws).map_err(|e| (row, e.pivot))?;
-            let lt = ws.take_transposed(s.as_ref());
-            trmm_upper_upper(lt.as_ref(), r, out);
-            ws.recycle(lt);
+            potrf_upper(s.as_mut(), backend).map_err(|e| (row, e.pivot))?;
+            trmm_upper_upper(s.as_ref(), r, out);
             Ok(alpha_sq)
         });
     ws.recycle(s);
@@ -312,8 +315,8 @@ mod tests {
 
     #[test]
     fn append_is_warm_allocation_free_across_block_sizes() {
-        // n = 96 exercises the blocked potrf path (panel copies from the
-        // arena), n = 32 the unblocked one.
+        // n = 96 takes two block rows of the blocked Cholesky (a trailing
+        // gemm), n = 32 one.
         for &n in &[32usize, 96] {
             let a = well_conditioned(2 * n, n, 5);
             let b = gaussian_matrix(8, n, 6);

@@ -128,13 +128,6 @@ impl Workspace {
         m
     }
 
-    /// Hands out an arena-backed transpose of a view.
-    pub fn take_transposed(&mut self, src: MatRef<'_>) -> Matrix {
-        let mut m = self.take_matrix_stale(src.cols(), src.rows());
-        m.as_mut().copy_transposed_from(src);
-        m
-    }
-
     /// Parks a buffer for reuse. Only hand back buffers obtained from *a*
     /// workspace (any arena in the same [`WorkspacePool`] is fine) — parking
     /// foreign buffers grows the inventory without bound.

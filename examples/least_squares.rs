@@ -9,8 +9,7 @@
 
 use ca_cqr2::dense::gemm::{matmul, Trans};
 use ca_cqr2::dense::random::SeededRng;
-use ca_cqr2::dense::trsm::trsm_left_upper;
-use ca_cqr2::dense::Matrix;
+use ca_cqr2::dense::{BackendKind, Matrix};
 use ca_cqr2::pargrid::GridShape;
 use ca_cqr2::simgrid::Machine;
 use ca_cqr2::QrPlan;
@@ -44,7 +43,9 @@ fn main() {
 
     // Solve R·x = Qᵀb by backward substitution.
     let mut x = matmul(run.q.as_ref(), Trans::Yes, b.as_ref(), Trans::No); // n × 1
-    trsm_left_upper(run.r.as_ref(), x.as_mut());
+    BackendKind::default_kind()
+        .get()
+        .trsm_left_upper(run.r.as_ref(), x.as_mut());
     let x = x.transposed(); // 1 × n for printing
 
     println!(

@@ -212,3 +212,60 @@ fn non_finite_input_never_factors_to_ok() {
         }
     }
 }
+
+#[test]
+fn a_non_finite_diagnostic_is_never_ok() {
+    // A finite input scaled by 2^-900 or 1e-300: the Gram rungs break down
+    // on a zero pivot, and the terminal Householder rung runs to a finite R
+    // whose report diagnostics the unscaled norms cannot form (‖A‖²
+    // underflows, so the residual is 0/0). Nothing vouches for that R: the
+    // escalating walk ends in a typed error, not in an `Ok` report.
+    let (m, n) = (256usize, 16usize);
+    let well = well_conditioned(m, n, 20);
+    let plans = [
+        QrPlan::new(m, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(2).unwrap()),
+        QrPlan::new(m, n).grid(GridShape::new(2, 2).unwrap()),
+    ];
+    for scale in [2f64.powi(-900), 1e-300] {
+        let tiny = Matrix::from_fn(m, n, |i, j| scale * well.get(i, j));
+        for builder in plans {
+            let plan = builder.build().unwrap();
+            match plan.factor_with_policy(&tiny, RetryPolicy::escalate()) {
+                Err(PlanError::NonFiniteDiagnostics {
+                    algorithm: Algorithm::Pgeqrf,
+                    diagnostics: (ortho, resid),
+                }) => assert!(!(ortho.is_finite() && resid.is_finite())),
+                other => panic!("{} on a {scale:e}-scaled input: {other:?}", plan.algorithm()),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_zero_matrix_factors_exactly_on_householder() {
+    // PGEQRF factors a zero A exactly (every τ = 0, so R = 0 and Q is
+    // orthonormal); its residual 0/0 reads 0, so the report is `Ok`, on the
+    // algorithm itself and where an escalating walk from CQR2 ends.
+    let (m, n) = (64usize, 8usize);
+    let zeros = Matrix::zeros(m, n);
+    let plans = [
+        QrPlan::new(m, n)
+            .algorithm(Algorithm::Pgeqrf)
+            .block_cyclic(baseline::BlockCyclic { pr: 2, pc: 1, nb: 8 }),
+        QrPlan::new(m, n)
+            .algorithm(Algorithm::Cqr2_1d)
+            .grid(GridShape::one_d(2).unwrap()),
+    ];
+    for builder in plans {
+        let plan = builder.build().unwrap();
+        let report = plan
+            .factor_with_policy(&zeros, RetryPolicy::escalate())
+            .unwrap_or_else(|e| panic!("{} on zeros: {e}", plan.algorithm()));
+        assert_eq!(report.algorithm, Algorithm::Pgeqrf);
+        assert!(report.r.data().iter().all(|&v| v == 0.0));
+        assert_eq!(report.residual_error, 0.0);
+        assert!(report.orthogonality_error < 1e-12, "{}", report.orthogonality_error);
+    }
+}
