@@ -12,19 +12,36 @@
 //!       op(A) = A: read its MR-row micro-panels in place
 //!       op(A) = Aᵀ, or a ragged last micro-panel: pack MR-tall panels
 //!       for each (MR × NR) tile of C[ic, jc]:
-//!         microkernel: MR×NR register accumulators over [lo, hi),
+//!         tile: MR×NR register accumulators over [lo, hi),
 //!           or the whole KC range if the A micro-panel is not all finite
 //!         first KC block: C = β·C + α·acc (0 + α·acc at β = 0); later: C += α·acc
 //! ```
 //!
-//! None of the three shortcuts changes a bit. The microkernel accumulates
+//! **The tile** is `MR × NR = 8 × 16`. On AVX-512 (`avx512_tile`) each
+//! row of accumulators is two zmm registers, sixteen independent fma chains
+//! that cover the fma latency on both ports; a `k` step is two `B` loads,
+//! eight broadcasts of `A` and sixteen `vfmadd`s, and the tile is stored
+//! straight from the registers as `β·C + α·acc` — a multiply, then an add,
+//! lane by lane, in the scalar store's order, under a mask of the tile's
+//! columns. Elsewhere `tile_body` runs the same chains four rows per pass
+//! (a `4 × 16` tile is the whole AVX2 register file). One tile serves every
+//! `A` source (`TileA`): micro-panels read in place, packed, or read out
+//! of the SYRK's `B` pack.
+//!
+//! **`unsafe`** lives in two places here. `avx512_tile` uses `std::arch`
+//! intrinsics, called only through `tile` when `isa` reports AVX-512;
+//! its loads are bounded by two length checks on entry and its `C` access
+//! by the lane mask, each with a SAFETY comment. `isa_dispatch!` calls the
+//! `#[target_feature]` builds of each kernel body behind the same check.
+//!
+//! None of the three shortcuts changes a bit. The tile accumulates
 //! `acc = fma(a, b, acc)` from `+0`, and an exact-zero `B` entry times a
 //! finite `A` entry adds `±0` exactly, a no-op on any sum but an underflowed
 //! `−0`: skipping `B`'s leading and trailing zero rows (a triangular factor's
 //! zero triangle) is exact up to the sign of such a zero, and an `A`
-//! micro-panel holding an `∞` or NaN takes the full range so `∞·0 = NaN`
-//! still lands where it did. Reading `A` in place changes only where the
-//! loads come from. Folding `β` into the first store performs the
+//! micro-panel holding an `∞` or NaN in any of its rows takes the full range
+//! so `∞·0 = NaN` still lands where it did. Reading `A` in place changes only
+//! where the loads come from. Folding `β` into the first store performs the
 //! operations the separate fill or scale pass did, in the same order.
 //!
 //! Packing reads the operands *through* their transpose flags, so a
@@ -41,13 +58,16 @@
 //! thread: ranks and service workers are the only threads.
 //!
 //! `syrk` is a *symmetry-aware* instance of the same loop structure: the
-//! Gram matrix `AᵀA` is computed by the identical packed microkernel sweep
-//! with `op(A) = Aᵀ` and `op(B) = A`, except that micro-tiles lying entirely
+//! Gram matrix `AᵀA` is computed by the identical packed tile sweep with
+//! `op(A) = Aᵀ` and `op(B) = A`, except that micro-tiles lying entirely
 //! below the diagonal are **skipped** (their values are recovered by the
 //! final mirror, which a Cholesky in the upper triangle does without). Each
 //! tile contracts over its two panels' nonzero bands. Every computed element
 //! accumulates in the order the full gemm would use, so the result is
-//! bitwise `gemm(1, Aᵀ, A)` at roughly half the tile arithmetic.
+//! bitwise `gemm(1, Aᵀ, A)` at roughly half the tile arithmetic. The same
+//! body gives the Cholesky's trailing update (`C −= AᵀA`), the Gram of a
+//! matrix's rows (`A·Aᵀ`), and the rank-k append's Gram of `[B; triu(R)]`,
+//! packed straight from `B` and `R`.
 //!
 //! Determinism: for every `C[i, j]` the contraction is accumulated in
 //! ascending-`k` order — KC blocks outermost-to-innermost, then ascending
@@ -63,28 +83,33 @@
 //! transposed into thread-local scratch), its columns for the left-side
 //! ones — each element running exactly the operation sequence of the oracle
 //! loop nest in `crate::trsm`, so the diagonal solves are the oracle's bits.
-//! A right upper solve of a few rows is that oracle loop, at vector speed.
-//! `trsm::trmm_upper_upper` runs on the microkernel here too.
+//! At 32, most of a 128-wide solve's flops are `gemm`. A right upper solve
+//! of a few rows is that oracle loop, at vector speed; a left solve of a few
+//! columns runs per column (`left_column`), `dot_lanes` products over the
+//! solved rows and the oracle's substitution within 8-row blocks.
+//! `trsm::trmm_upper_upper` runs on the tile here too, over 8-row panels of
+//! `U₂`, into a separate output or in place over `U₁`.
 //!
 //! Every kernel body is written once, `#[inline(always)]`, and compiled per
 //! instruction set (scalar, AVX2, AVX-512) by `isa_dispatch!`, which
-//! `blas1` and `cholesky` use as well. The microkernel's `f64::mul_add` is a
-//! correctly rounded fma on every ISA; every other body multiplies, then adds
-//! or subtracts, never fused. So every ISA rounds every element identically.
+//! `blas1` and `cholesky` use as well. The tile's `f64::mul_add` (and
+//! `vfmadd` in `avx512_tile`) is a correctly rounded fma on every ISA, as
+//! is the Cholesky's fused sweep; every other body multiplies, then adds or
+//! subtracts, never fused. So every ISA rounds every element identically.
 
 use super::Backend;
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
 use crate::workspace::{recycle_local_vec, take_local_vec};
 
-/// Microkernel tile height (rows of `C` held in registers).
-pub const MR: usize = 4;
-/// Microkernel tile width (columns of `C` held in registers). With MR = 4
-/// this makes eight independent zmm accumulator chains on AVX-512 — enough
-/// to cover the fma latency.
+/// Tile height (rows of `C` held in registers).
+pub const MR: usize = 8;
+/// Tile width (columns of `C` held in registers). With MR = 8 this makes
+/// sixteen independent zmm accumulator chains on AVX-512, which cover the
+/// fma latency on both fma ports.
 pub const NR: usize = 16;
-/// Contraction block: one packed `A` micro-panel (`MR × KC`) plus one packed
-/// `B` micro-panel (`KC × NR`) stay resident in L1.
+/// Contraction block: one `A` micro-panel (`MR × KC`) plus one packed `B`
+/// micro-panel (`KC × NR`) stay resident in L1.
 pub const KC: usize = 256;
 /// Row block: the packed `MC × KC` `A` block targets L2.
 pub const MC: usize = 128;
@@ -93,7 +118,7 @@ pub const NC: usize = 512;
 /// Triangular-solve block width: diagonal blocks this size are solved in
 /// lanes with the oracle's per-element sequence, everything else is blocked
 /// `gemm`. The width fixes where the `gemm` sums start, so it fixes the bits.
-pub const TRSM_NB: usize = 64;
+pub const TRSM_NB: usize = 32;
 
 /// The blocked backend (unit struct: all state is per-call, with pack
 /// buffers borrowed from the thread-local workspace arena).
@@ -108,71 +133,61 @@ fn op_shape(a: MatRef<'_>, t: Trans) -> (usize, usize) {
     }
 }
 
-/// Packs `op(A)[row0 .. row0+mc, k0 .. k0+kc]` into MR-tall micro-panels:
-/// panel `ip` holds rows `ip·MR ..` as `kc` consecutive MR-vectors
-/// (zero-padded past `mc`). `gemm` packs only `op(A) = Aᵀ` and the ragged
-/// last micro-panel of an untransposed `A`, whose full panels it reads in
-/// place; the SYRK fallback and `trmm_upper_upper` pack their operands whole.
-fn pack_a(a: MatRef<'_>, ta: Trans, row0: usize, mc: usize, k0: usize, kc: usize, buf: &mut [f64]) {
-    let panels = mc.div_ceil(MR);
-    debug_assert!(buf.len() >= panels * kc * MR);
-    for ip in 0..panels {
-        let i0 = ip * MR;
-        let mr = MR.min(mc - i0);
-        let panel = &mut buf[ip * kc * MR..(ip + 1) * kc * MR];
-        if mr < MR {
-            panel.fill(0.0);
-        }
-        match ta {
-            Trans::No => {
-                for r in 0..mr {
-                    let src = &a.row(row0 + i0 + r)[k0..k0 + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * MR + r] = v;
-                    }
-                }
-            }
-            Trans::Yes => {
-                // Column `i` of op(A) is row `i` of the stored matrix, so a
-                // packed K-slab is a contiguous run of each stored row.
-                for (kk, chunk) in panel.chunks_exact_mut(MR).enumerate().take(kc) {
-                    let src = &a.row(k0 + kk)[row0 + i0..row0 + i0 + mr];
-                    chunk[..mr].copy_from_slice(src);
-                }
-            }
+/// An operand read `k`-row by `k`-row for packing: `op(M)` of a stored
+/// matrix, or the rank-k append's stack `[B; triu(R)]` — the rows of `B`,
+/// then those of `R` with zeros left of its diagonal, whose strict lower
+/// triangle is never read.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    Op(MatRef<'a>, Trans),
+    Stacked(MatRef<'a>, MatRef<'a>),
+}
+
+impl Rows<'_> {
+    /// `(k, n)`: the operand's rows and columns.
+    fn shape(self) -> (usize, usize) {
+        match self {
+            Rows::Op(m, t) => op_shape(m, t),
+            Rows::Stacked(b, r) => (b.rows() + r.rows(), b.cols()),
         }
     }
 }
 
-/// Packs `op(B)[k0 .. k0+kc, col0 .. col0+nc]` into NR-wide micro-panels:
-/// panel `jp` holds columns `jp·NR ..` as `kc` consecutive NR-vectors
-/// (zero-padded past `nc`).
-fn pack_b(b: MatRef<'_>, tb: Trans, k0: usize, kc: usize, col0: usize, nc: usize, buf: &mut [f64]) {
-    let panels = nc.div_ceil(NR);
-    debug_assert!(buf.len() >= panels * kc * NR);
-    for jp in 0..panels {
-        let j0 = jp * NR;
-        let nr = NR.min(nc - j0);
-        let panel = &mut buf[jp * kc * NR..(jp + 1) * kc * NR];
-        if nr < NR {
+/// Packs rows `k0 .. k0+kc`, columns `col0 .. col0+nc` of `src` into
+/// `W`-wide panels: panel `jp` holds columns `jp·W ..` as `kc` consecutive
+/// `W`-vectors (zero-padded past `nc`). `W = NR` packs a gemm's `op(B)`;
+/// `W = MR` packs `op(A)` as `op(A)ᵀ`'s columns, `MR`-tall micro-panels.
+/// `gemm` packs only a transposed `A` and the ragged last micro-panel of an
+/// untransposed one, whose full panels it reads in place.
+fn pack<const W: usize>(src: Rows<'_>, k0: usize, kc: usize, col0: usize, nc: usize, buf: &mut [f64]) {
+    debug_assert!(buf.len() >= nc.div_ceil(W) * kc * W);
+    for jp in 0..nc.div_ceil(W) {
+        let (j0, w) = (jp * W, W.min(nc - jp * W));
+        let c0 = col0 + j0;
+        let panel = &mut buf[jp * kc * W..(jp + 1) * kc * W];
+        if w < W {
             panel.fill(0.0);
         }
-        match tb {
-            Trans::No => {
-                for (kk, chunk) in panel.chunks_exact_mut(NR).enumerate().take(kc) {
-                    let src = &b.row(k0 + kk)[col0 + j0..col0 + j0 + nr];
-                    chunk[..nr].copy_from_slice(src);
-                }
+        let chunks = panel.chunks_exact_mut(W).take(kc).enumerate();
+        match src {
+            Rows::Op(m, Trans::No) => {
+                chunks.for_each(|(kk, chunk)| chunk[..w].copy_from_slice(&m.row(k0 + kk)[c0..c0 + w]));
             }
-            Trans::Yes => {
-                // Row `p` of op(B) is column `p` of the stored matrix.
-                for c in 0..nr {
-                    let src = &b.row(col0 + j0 + c)[k0..k0 + kc];
-                    for (kk, &v) in src.iter().enumerate() {
-                        panel[kk * NR + c] = v;
+            // Row `p` of op(M) is column `p` of the stored matrix.
+            Rows::Op(m, Trans::Yes) => {
+                for c in 0..w {
+                    for (kk, &v) in m.row(c0 + c)[k0..k0 + kc].iter().enumerate() {
+                        panel[kk * W + c] = v;
                     }
                 }
             }
+            Rows::Stacked(b, r) => chunks.for_each(|(kk, chunk)| match (k0 + kk).checked_sub(b.rows()) {
+                None => chunk[..w].copy_from_slice(&b.row(k0 + kk)[c0..c0 + w]),
+                Some(i) => {
+                    chunk[..w].copy_from_slice(&r.row(i)[c0..c0 + w]);
+                    chunk[..i.saturating_sub(c0).min(w)].fill(0.0);
+                }
+            }),
         }
     }
 }
@@ -270,53 +285,141 @@ macro_rules! isa_dispatch {
 }
 pub(crate) use isa_dispatch;
 
-/// The register-tiled inner product: an `MR × NR` accumulator tile over one
-/// packed A panel and one packed B panel. On AVX-512 each accumulator row is
-/// two zmm registers, eight independent fma chains for the tile; on AVX2 the
-/// tile is the whole ymm register file, so operand loads spill.
-///
-/// The loop has [`microkernel_body_rows`]' shape: panels sliced to exactly
-/// `kc` steps, no `.take(kc)`, the `MR` values destructured. Inlined into
-/// `block_product`, the `.take(kc)` form kept `acc` in memory, storing every
-/// accumulator to the stack on every `k` step.
-#[inline(always)]
-fn microkernel_body(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] {
-    let mut acc = [[0.0f64; NR]; MR];
-    let (apanel, bpanel) = (&apanel[..kc * MR], &bpanel[..kc * NR]);
-    for (a, b) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        let [x0, x1, x2, x3]: [f64; MR] = a.try_into().unwrap();
-        let b: &[f64; NR] = b.try_into().unwrap();
-        for (acc_row, ar) in acc.iter_mut().zip([x0, x1, x2, x3]) {
-            for c in 0..NR {
-                acc_row[c] = ar.mul_add(b[c], acc_row[c]);
-            }
+/// The `A` side of one tile: row `r`'s entry at `k` is `rows[r][k · step]`
+/// — a packed micro-panel (`step = MR`), one derived from a packed `B` panel
+/// (`step = NR`), or `MR` rows of `A` read in place (`step = 1`).
+#[derive(Clone, Copy)]
+struct TileA<'a> {
+    rows: [&'a [f64]; MR],
+    step: usize,
+}
+
+impl<'a> TileA<'a> {
+    /// The `MR` interleaved rows of a packed micro-panel with `step` values
+    /// per `k` step, starting at `off` within each step.
+    fn packed(panel: &'a [f64], off: usize, step: usize) -> TileA<'a> {
+        TileA {
+            rows: std::array::from_fn(|r| panel.get(off + r..).unwrap_or_default()),
+            step,
         }
     }
-    acc
+}
+
+/// How a finished tile lands in its `C` block.
+#[derive(Clone, Copy)]
+enum Write {
+    /// `C = acc`.
+    Copy,
+    /// `C = β·C + α·acc`: `C + α·acc` at `β = 1`, and `0 + α·acc` at
+    /// `β = 0`, which never reads `C`.
+    Scale { alpha: f64, beta: f64 },
+}
+
+/// One register tile: `acc[r][c]`, an fma chain from `+0` over `k` in
+/// ascending order, `acc = fma(a_rk, b_kc, acc)` — the packed `B` panel
+/// holds `b_kc` at `bpanel[k · NR + c]` — written into `c` (`mr × nr`, at
+/// most `MR × NR`) as `write` says, element by element. On AVX-512 this is
+/// [`avx512_tile`]; elsewhere the portable [`tile_body`].
+fn tile(which: Isa, kc: usize, a: TileA<'_>, bpanel: &[f64], c: MatMut<'_>, write: Write) {
+    match which {
+        // SAFETY: `isa()` (and `Isa::available`) report `Avx512` only on a
+        // CPU that has `avx512f`.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { avx512_tile(kc, a, bpanel, c, write) },
+        _ => tile_portable(which, kc, a, bpanel, c, write),
+    }
+}
+
+/// The portable tile, compiled per ISA: four rows per pass over `k`, since
+/// a `4 × NR` tile is the whole AVX2 register file. Every element runs the
+/// same fma chain as in [`avx512_tile`], so the bits agree.
+#[inline(always)]
+fn tile_body(kc: usize, a: TileA<'_>, bpanel: &[f64], mut c: MatMut<'_>, write: Write) {
+    debug_assert!(kc == 0 || a.rows.iter().all(|row| row.len() > (kc - 1) * a.step));
+    let mut acc = [[0.0f64; NR]; MR];
+    for (half, pass) in acc.chunks_exact_mut(MR / 2).enumerate() {
+        let mut h = [[0.0f64; NR]; MR / 2];
+        let [r0, r1, r2, r3] = std::array::from_fn(|r| a.rows[half * MR / 2 + r].iter().step_by(a.step));
+        let rows = r0.zip(r1).zip(r2).zip(r3);
+        for (b, (((&x0, &x1), &x2), &x3)) in bpanel[..kc * NR].chunks_exact(NR).zip(rows) {
+            let b: &[f64; NR] = b.try_into().unwrap();
+            for (h_row, x) in h.iter_mut().zip([x0, x1, x2, x3]) {
+                for c in 0..NR {
+                    h_row[c] = x.mul_add(b[c], h_row[c]);
+                }
+            }
+        }
+        pass.copy_from_slice(&h);
+    }
+    for (r, acc_row) in acc.iter().enumerate().take(c.rows()) {
+        let tile = c.row_mut(r).iter_mut().zip(acc_row);
+        match write {
+            Write::Copy => tile.for_each(|(cv, &av)| *cv = av),
+            Write::Scale { alpha, beta: 1.0 } => tile.for_each(|(cv, &av)| *cv += alpha * av),
+            Write::Scale { alpha, beta: 0.0 } => tile.for_each(|(cv, &av)| *cv = 0.0 + alpha * av),
+            Write::Scale { alpha, beta } => tile.for_each(|(cv, &av)| *cv = beta * *cv + alpha * av),
+        }
+    }
 }
 
 isa_dispatch! {
-    fn microkernel(kc: usize, apanel: &[f64], bpanel: &[f64]) -> [[f64; NR]; MR] => microkernel_body
+    fn tile_portable(kc: usize, a: TileA<'_>, bpanel: &[f64], c: MatMut<'_>, write: Write) => tile_body
 }
 
-/// The tile body over `op(A) = A` read in place: `arows` are the `MR` rows
-/// of the micro-panel over one `k` range, so each `k` step broadcasts one
-/// entry per row as the packed body does, without the `pack_a` transpose.
-/// Same ascending-`k` accumulation, identical bits. The destructuring pins
-/// `MR = 4`, and the zipped iterators keep the loop free of bounds checks.
-#[inline(always)]
-fn microkernel_body_rows(arows: [&[f64]; MR], bpanel: &[f64]) -> [[f64; NR]; MR] {
-    let mut acc = [[0.0f64; NR]; MR];
-    let [a0, a1, a2, a3] = arows;
-    for ((((b, &x0), &x1), &x2), &x3) in bpanel.chunks_exact(NR).zip(a0).zip(a1).zip(a2).zip(a3) {
-        let b: &[f64; NR] = b.try_into().unwrap();
-        for (acc_row, ar) in acc.iter_mut().zip([x0, x1, x2, x3]) {
-            for c in 0..NR {
-                acc_row[c] = ar.mul_add(b[c], acc_row[c]);
+/// The AVX-512 tile: each row of `acc` is two zmm registers, sixteen
+/// independent fma chains in all, and a `k` step is two `B` loads, eight
+/// broadcasts of `A` and sixteen `vfmadd`s, with the accumulators in
+/// registers throughout. The write is [`tile_body`]'s, lane by lane — a
+/// multiply, then an add, never fused — under a mask of the tile's `nr`
+/// columns, so `C` is read and written only inside the block.
+///
+/// # Safety
+///
+/// Requires the `avx512f` CPU feature.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn avx512_tile(kc: usize, a: TileA<'_>, bpanel: &[f64], mut c: MatMut<'_>, write: Write) {
+    use std::arch::x86_64::*;
+    let (mr, nr) = (c.rows(), c.cols());
+    assert!(mr <= MR && nr <= NR && bpanel.len() >= kc * NR);
+    assert!(kc == 0 || a.rows.iter().all(|row| row.len() > (kc - 1) * a.step));
+    let (bp, ap) = (bpanel.as_ptr(), a.rows.map(<[f64]>::as_ptr));
+    let mut acc = [[_mm512_setzero_pd(); 2]; MR];
+    for k in 0..kc {
+        // SAFETY: `k·NR + NR ≤ kc·NR ≤ bpanel.len()` (asserted above).
+        let (b0, b1) = unsafe { (_mm512_loadu_pd(bp.add(k * NR)), _mm512_loadu_pd(bp.add(k * NR + 8))) };
+        for (acc_row, &row) in acc.iter_mut().zip(&ap) {
+            // SAFETY: `k·step` is inside every `A` row (asserted above).
+            let x = _mm512_set1_pd(unsafe { *row.add(k * a.step) });
+            *acc_row = [_mm512_fmadd_pd(x, b0, acc_row[0]), _mm512_fmadd_pd(x, b1, acc_row[1])];
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate().take(mr) {
+        let dst = c.row_mut(r).as_mut_ptr();
+        for (h, &v) in acc_row.iter().enumerate().take(nr.div_ceil(8)) {
+            let mask = (0xffu32 >> (8 - (nr - 8 * h).min(8))) as __mmask8;
+            // SAFETY: lanes outside `mask` are neither loaded nor stored, and
+            // those inside are columns `8h..nr` of row `r` of `c`.
+            unsafe {
+                let p = dst.add(8 * h);
+                let out = match write {
+                    Write::Copy => v,
+                    Write::Scale { alpha, beta } => {
+                        let av = _mm512_mul_pd(_mm512_set1_pd(alpha), v);
+                        if beta == 1.0 {
+                            _mm512_add_pd(_mm512_maskz_loadu_pd(mask, p), av)
+                        } else if beta == 0.0 {
+                            _mm512_add_pd(_mm512_setzero_pd(), av)
+                        } else {
+                            let bc = _mm512_mul_pd(_mm512_set1_pd(beta), _mm512_maskz_loadu_pd(mask, p));
+                            _mm512_add_pd(bc, av)
+                        }
+                    }
+                };
+                _mm512_mask_storeu_pd(p, mask, out);
             }
         }
     }
-    acc
 }
 
 /// The `k` rows `[lo, hi)` of a packed `B` micro-panel outside which every
@@ -338,48 +441,16 @@ fn nonfinite(v: &[f64]) -> u64 {
     v.iter().fold(0, |bits, &x| bits | (x - x).to_bits())
 }
 
-/// The syrk specialization of the tile body: the `A` operand is read
-/// *directly out of the packed `B` buffer* — for `AᵀA` both packed operands
-/// hold the same columns of `A` over the same `k` range, so the `MR`-tall
-/// micro-panel at output-row offset `a_off` inside `apanel` (an NR-wide
-/// panel of the B pack) is `MR` **contiguous** values per `k` step. Same
-/// loads and order as [`microkernel_body`], identical bits, and no `pack_a`
-/// pass: the Gram kernel packs once.
-#[inline(always)]
-fn microkernel_body_packed_b(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] {
-    debug_assert!(a_off + MR <= NR);
-    let mut acc = [[0.0f64; NR]; MR];
-    let a_iter = apanel.chunks_exact(NR);
-    let b_iter = bpanel.chunks_exact(NR);
-    for (a, b) in a_iter.zip(b_iter).take(kc) {
-        let a: &[f64; MR] = a[a_off..a_off + MR].try_into().unwrap();
-        let b: &[f64; NR] = b.try_into().unwrap();
-        for r in 0..MR {
-            let ar = a[r];
-            for c in 0..NR {
-                acc[r][c] = ar.mul_add(b[c], acc[r][c]);
-            }
-        }
-    }
-    acc
-}
-
-isa_dispatch! {
-    fn microkernel_packed_b(kc: usize, apanel: &[f64], a_off: usize, bpanel: &[f64]) -> [[f64; NR]; MR] =>
-        microkernel_body_packed_b
-}
-
 /// Multiplies one row block of `op(A)` — its first `arows.rows()` rows (a
-/// multiple of `MR`) read in place, the rest the micro-panels `pack_a`
+/// multiple of `MR`) read in place, the rest the micro-panels `pack`
 /// wrote into `apack` — against the packed `B` block, and stores
 /// `beta · cblk + alpha ·` the product into `cblk` (`0 + alpha ·` the
-/// product at `beta = 0`, which never reads `cblk`) with each tile's
-/// accumulators still in registers. The tiles against `B` panel `jp`
-/// contract over `bands[jp]` only, except for `A` micro-panels that hold an
-/// `∞` or NaN.
-#[inline(always)]
+/// product at `beta = 0`, which never reads `cblk`), one [`tile`] at a
+/// time. The tiles against `B` panel `jp` contract over `bands[jp]` only,
+/// except for `A` micro-panels that hold an `∞` or NaN.
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS block-product shape
-fn block_product_body(
+fn block_product(
+    which: Isa,
     alpha: f64,
     beta: f64,
     arows: MatRef<'_>,
@@ -391,6 +462,7 @@ fn block_product_body(
 ) {
     let (mc, nc, in_place) = (cblk.rows(), cblk.cols(), arows.rows() / MR);
     let banded = bands.iter().any(|&(lo, hi)| hi - lo < kc);
+    let write = Write::Scale { alpha, beta };
     for ip in 0..mc.div_ceil(MR) {
         let (i0, mr) = (ip * MR, MR.min(mc - ip * MR));
         let rows: Option<[&[f64]; MR]> = (ip < in_place).then(|| std::array::from_fn(|r| arows.row(i0 + r)));
@@ -403,36 +475,17 @@ fn block_product_body(
             } == 0;
         for (jp, &band) in bands.iter().enumerate() {
             let (j0, (lo, hi)) = (jp * NR, if finite { band } else { (0, kc) });
-            let bpanel = &bpack[(jp * kc + lo) * NR..];
-            let acc = match rows {
-                Some(rows) => microkernel_body_rows(rows.map(|row| &row[lo..hi]), bpanel),
-                None => microkernel_body(hi - lo, &apanel[lo * MR..], bpanel),
+            let a = match rows {
+                Some(rows) => TileA {
+                    rows: rows.map(|row| &row[lo..hi]),
+                    step: 1,
+                },
+                None => TileA::packed(apanel, lo * MR, MR),
             };
-            for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                let tile = cblk.row_mut(i0 + r)[j0..nc.min(j0 + NR)].iter_mut().zip(acc_row);
-                if beta == 1.0 {
-                    tile.for_each(|(cv, &av)| *cv += alpha * av);
-                } else if beta == 0.0 {
-                    tile.for_each(|(cv, &av)| *cv = 0.0 + alpha * av);
-                } else {
-                    tile.for_each(|(cv, &av)| *cv = beta * *cv + alpha * av);
-                }
-            }
+            let c = cblk.rb_mut().sub(i0, j0, mr, NR.min(nc - j0));
+            tile(which, hi - lo, a, &bpack[(jp * kc + lo) * NR..], c, write);
         }
     }
-}
-
-isa_dispatch! {
-    fn block_product(
-        alpha: f64,
-        beta: f64,
-        arows: MatRef<'_>,
-        apack: &[f64],
-        bpack: &[f64],
-        bands: &[(usize, usize)],
-        kc: usize,
-        cblk: MatMut<'_>,
-    ) => block_product_body
 }
 
 /// The [`nonzero_band`] of each packed `kc`-row panel of `bpack` — or all
@@ -452,16 +505,21 @@ isa_dispatch! {
     fn syrk_bands(bpack: &[f64], kc: usize, bands: &mut [(usize, usize)]) => syrk_bands_body
 }
 
-/// The syrk row-block product: the micro-tiles of `cblk` that touch or lie
-/// above the diagonal, the `A` micro-panels **derived from the packed `B`
-/// buffer** (see [`microkernel_body_packed_b`]). `arow0` is `cblk`'s first
-/// row *within the packed column range* (`i0 − jc`), `MR`-aligned so every
-/// tile's `A` slice stays inside one `NR` panel. A tile contracts over the
-/// intersection of its two panels' [`syrk_bands`], so it and its mirror
-/// image sum the same terms in the same order.
+/// The syrk row-block product: `cblk = beta · cblk + alpha · AᵀA` on the
+/// micro-tiles
+/// that touch or lie above the diagonal, the `A` micro-panels **read out of
+/// the packed `B` buffer** — for `AᵀA` both packed operands hold the same
+/// columns of `A` over the same `k` range, so a tile's `A` rows are `MR`
+/// contiguous values of an `NR`-wide panel per `k` step, and the Gram
+/// kernel packs once. `arow0` is `cblk`'s first row *within the packed
+/// column range* (`i0 − jc`), `MR`-aligned so every tile's `A` slice stays
+/// inside one `NR` panel. A tile contracts over the intersection of its two
+/// panels' [`syrk_bands`], so it and its mirror image sum the same terms in
+/// the same order.
 #[allow(clippy::too_many_arguments)] // mirrors the BLIS block-product shape
 fn block_product_packed_b(
     which: Isa,
+    (alpha, beta): (f64, f64),
     bpack: &[f64],
     bands: &[(usize, usize)],
     arow0: usize,
@@ -478,17 +536,18 @@ fn block_product_packed_b(
         // panel's last column.
         for ip in 0..(col0 + j0 + nr).saturating_sub(row0).div_ceil(MR).min(mc.div_ceil(MR)) {
             let i0 = ip * MR;
-            let mr = MR.min(mc - i0);
             let (acol, ap) = (arow0 + i0, (arow0 + i0) / NR);
             let (lo, hi) = (bands[ap].0.max(bands[jp].0), bands[ap].1.min(bands[jp].1));
-            let (apanel, bpanel) = (&bpack[(ap * kc + lo) * NR..], &bpack[(jp * kc + lo) * NR..]);
-            let acc = microkernel_packed_b(which, hi.max(lo) - lo, apanel, acol % NR, bpanel);
-            for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                let dst = &mut cblk.row_mut(i0 + r)[j0..j0 + nr];
-                for (cv, &av) in dst.iter_mut().zip(acc_row) {
-                    *cv += av;
-                }
-            }
+            let a = TileA::packed(&bpack[(ap * kc + lo) * NR..], acol % NR, NR);
+            let c = cblk.rb_mut().sub(i0, j0, MR.min(mc - i0), nr);
+            tile(
+                which,
+                hi.max(lo) - lo,
+                a,
+                &bpack[(jp * kc + lo) * NR..],
+                c,
+                Write::Scale { alpha, beta },
+            );
         }
     }
 }
@@ -538,7 +597,7 @@ fn gemm_with_isa(
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(b, tb, pc, kc, jc, nc, &mut bpack);
+            pack::<NR>(Rows::Op(b, tb), pc, kc, jc, nc, &mut bpack);
             let bpack = &bpack[..nc.div_ceil(NR) * kc * NR];
             for (band, panel) in bands.iter_mut().zip(bpack.chunks_exact(kc * NR)) {
                 *band = nonzero_band(panel, kc);
@@ -550,13 +609,20 @@ fn gemm_with_isa(
                 let mc = MC.min(m - i0);
                 // An untransposed `A` is read in place, all but a ragged
                 // last micro-panel; a transposed one is packed whole.
-                let arows = match ta {
-                    Trans::No => a.sub(i0, pc, mc / MR * MR, kc),
-                    Trans::Yes => a.sub(0, 0, 0, 0),
+                let (arows, at) = match ta {
+                    Trans::No => (a.sub(i0, pc, mc / MR * MR, kc), Trans::Yes),
+                    Trans::Yes => (a.sub(0, 0, 0, 0), Trans::No),
                 };
                 let len = (mc - arows.rows()).div_ceil(MR) * MR * kc;
                 let mut apack = if len > 0 { take_local_vec(len) } else { Vec::new() };
-                pack_a(a, ta, i0 + arows.rows(), mc - arows.rows(), pc, kc, &mut apack);
+                pack::<MR>(
+                    Rows::Op(a, at),
+                    pc,
+                    kc,
+                    i0 + arows.rows(),
+                    mc - arows.rows(),
+                    &mut apack,
+                );
                 let cblk = c.rb_mut().sub(i0, jc, mc, nc);
                 block_product(which, alpha, beta, arows, &apack, bpack, bands, kc, cblk);
                 if len > 0 {
@@ -570,19 +636,24 @@ fn gemm_with_isa(
     recycle_local_vec(bpack);
 }
 
-/// The symmetry-aware blocked SYRK body: adds `AᵀA` into `c`, computing
-/// only micro-tiles that touch or lie above the diagonal, then, with
-/// `mirror`, copying the upper triangle onto the lower one. From a zero
-/// `c`, every computed element is bitwise what
-/// [`gemm_with_isa`]`(which, 1, Aᵀ, A, 0, c)` produces (same packing, KC
-/// blocking and ascending-`k` order; skipping zero rows beside finite
-/// panels moves at most the sign of an underflowed zero sum) at ≈half the
-/// tile arithmetic. Each KC block lands as one `c += acc` per tile, so
-/// adding KC-row panels one call each is bitwise one call over all of them.
-fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>, mirror: bool) {
-    let (k, n) = (a.rows(), a.cols()); // contraction over rows; output n × n
+/// The symmetry-aware blocked SYRK body: `c = beta · c + alpha · op(A)ᵀ·op(A)`
+/// (`alpha` is `±1`, `beta` is 0 or 1, and `beta = 0` never reads `c`),
+/// computing only micro-tiles that touch or lie above the diagonal, then,
+/// with `mirror`, copying the upper triangle onto the lower one. Every
+/// computed element is bitwise what
+/// [`gemm_with_isa`]`(which, alpha, op(A)ᵀ, op(A), beta, c)` produces (same
+/// packing, KC blocking and ascending-`k` order; skipping zero rows beside
+/// finite panels moves at most the sign of an underflowed zero sum) at
+/// ≈half the tile arithmetic. Each later KC block lands as one
+/// `c += alpha · acc` per tile, so adding KC-row panels one call each is
+/// bitwise one call over all of them.
+fn syrk_with_isa(which: Isa, alpha: f64, x: Rows<'_>, beta: f64, mut c: MatMut<'_>, mirror: bool) {
+    let (k, n) = x.shape(); // contraction over the rows of X; output n × n
     assert_eq!((c.rows(), c.cols()), (n, n), "syrk output must be n x n");
     if n == 0 || k == 0 {
+        if beta == 0.0 {
+            (0..n).for_each(|i| c.row_mut(i)[i..].fill(0.0));
+        }
         return;
     }
 
@@ -595,9 +666,11 @@ fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>, mirror: bool)
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            pack_b(a, Trans::No, pc, kc, jc, nc, &mut bpack);
+            pack::<NR>(x, pc, kc, jc, nc, &mut bpack);
             let bpack = &bpack[..nc.div_ceil(NR) * kc * NR];
             syrk_bands(which, bpack, kc, &mut bands[..nc.div_ceil(NR)]);
+            // β folds into the first KC block's store; later blocks add.
+            let beta = if pc == 0 { beta } else { 1.0 };
 
             // Row blocks that hold this column block's part of the upper
             // triangle (`MC` divides `NC`, so none straddles `jc + nc`).
@@ -607,16 +680,16 @@ fn syrk_add_with_isa(which: Isa, a: MatRef<'_>, mut c: MatMut<'_>, mirror: bool)
                 if i0 >= jc && i0 + mc <= jc + nc {
                     // The output rows of this block are columns the B pack
                     // already holds: derive the A micro-panels from it and
-                    // skip the pack_a pass entirely. This is the whole
+                    // skip the `A` pack entirely. This is the whole
                     // kernel whenever n ≤ NC — every CholeskyQR panel width.
-                    block_product_packed_b(which, bpack, &bands, i0 - jc, kc, cblk, (i0, jc));
+                    block_product_packed_b(which, (alpha, beta), bpack, &bands, i0 - jc, kc, cblk, (i0, jc));
                 } else {
                     // Row block outside the packed column range (n > NC),
                     // wholly on the computed side: every tile, packed A.
                     let mut apack = take_local_vec(mc.div_ceil(MR) * MR * kc);
-                    pack_a(a, Trans::Yes, i0, mc, pc, kc, &mut apack);
-                    let (arows, bands) = (a.sub(0, 0, 0, 0), &[(0, kc); NC / NR][..nc.div_ceil(NR)]);
-                    block_product(which, 1.0, 1.0, arows, &apack, bpack, bands, kc, cblk);
+                    pack::<MR>(x, pc, kc, i0, mc, &mut apack);
+                    let (arows, bands) = (MatRef::from_slice(&[], 0, 0), &[(0, kc); NC / NR][..nc.div_ceil(NR)]);
+                    block_product(which, alpha, beta, arows, &apack, bpack, bands, kc, cblk);
                     recycle_local_vec(apack);
                 }
             }
@@ -799,14 +872,70 @@ fn trsm_right_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>
     recycle_local_vec(lanes);
 }
 
+/// Below this many columns, where a `gemm` update would multiply mostly the
+/// padding of its `NR`-wide `B` panel, a left solve runs one column at a
+/// time in [`left_column`].
+const FEW_COLS: usize = 4;
+
+/// Rows per diagonal block of [`left_column`]: its dependent chains are
+/// the in-block substitutions, so the blocks are short.
+const COLUMN_NB: usize = 8;
+
+/// `T·x = b` in place for one contiguous column `x`, over [`COLUMN_NB`]-row
+/// blocks in solve order (top-down for lower `t`, bottom-up for upper). A
+/// block's rows first subtract their dot products with the solved part of
+/// `x` — each `blas1::dot_lanes`' 8-lane split, and independent of the
+/// block's other rows, so they overlap — then run the
+/// oracle's substitution over the block itself: subtract `t_ik · x_k` over
+/// the block's solved rows in ascending `k`, skipping exact-zero `t_ik`,
+/// and divide by `t_ii`. The oracle's own order is one dependent chain of
+/// `n²/2` subtractions, since each row sums the most recent solution first.
+#[inline(always)]
+fn left_column_body(t: MatRef<'_>, upper: bool, x: &mut [f64]) {
+    let n = t.rows();
+    let nblocks = n.div_ceil(COLUMN_NB);
+    for step in 0..nblocks {
+        let i0 = COLUMN_NB * if upper { nblocks - 1 - step } else { step };
+        let i1 = n.min(i0 + COLUMN_NB);
+        let solved = if upper { i1..n } else { 0..i0 };
+        for i in i0..i1 {
+            x[i] -= crate::blas1::dot_lanes_body(&t.row(i)[solved.clone()], &x[solved.clone()]);
+        }
+        for s in 0..i1 - i0 {
+            let i = if upper { i1 - 1 - s } else { i0 + s };
+            let (row, mut acc) = (t.row(i), x[i]);
+            for k in if upper { i + 1..i1 } else { i0..i } {
+                if row[k] != 0.0 {
+                    acc -= row[k] * x[k];
+                }
+            }
+            x[i] = acc / row[i];
+        }
+    }
+}
+
+isa_dispatch! {
+    fn left_column(t: MatRef<'_>, upper: bool, x: &mut [f64]) => left_column_body
+}
+
 /// The blocked left solve: `L·X = B` for lower `t` (`upper` false, row
 /// blocks top-down) or `U·X = B` for upper `t` (bottom-up), over
 /// [`TRSM_NB`]-tall row blocks — a `gemm` update from the solved rows, then
-/// [`left_solve`] on the diagonal block.
+/// [`left_solve`] on the diagonal block. A solve of fewer than [`FEW_COLS`]
+/// columns is [`left_column`] per column instead.
 fn trsm_left_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>) {
     let n = t.rows();
     assert_eq!(t.cols(), n, "triangular factor must be square");
     assert_eq!(b.rows(), n, "rhs height must match triangular dimension");
+    if b.cols() < FEW_COLS {
+        let mut x = take_local_vec(n);
+        for c in 0..b.cols() {
+            x.iter_mut().enumerate().for_each(|(i, v)| *v = b.at(i, c));
+            left_column(which, t, upper, &mut x);
+            x.iter().enumerate().for_each(|(i, &v)| b.set(i, c, v));
+        }
+        return recycle_local_vec(x);
+    }
     let nblocks = n.div_ceil(TRSM_NB);
     for step in 0..nblocks {
         let i0 = TRSM_NB * if upper { nblocks - 1 - step } else { step };
@@ -831,12 +960,14 @@ fn trsm_left_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>)
 /// zeros left of the diagonal, `U₁` in `NR`-column panels with structural
 /// zeros below it), and the tile at rows `i0..`, columns `j0..` contracts
 /// only over `k ∈ [i0, j0 + NR)`, where its terms can be nonzero, in one
-/// pass. Tiles below the diagonal and the strict lower triangle are written
-/// as zeros. For finite operands this is the oracle's fma chain bit for bit:
+/// pass. Tiles below the diagonal are skipped, and the strict lower
+/// triangle is written as zeros. For finite operands this is the oracle's fma chain bit for bit:
 /// it starts at `+0`, takes `acc = fma(u2_ik, u1_kj, acc)` in ascending `k`,
 /// and only ever adds an exact zero where the oracle skips a term — a no-op
-/// unless an underflow has left the sum at `−0`.
-pub(crate) fn trmm_upper_upper_with_isa(which: Isa, u2: MatRef<'_>, u1: MatRef<'_>, mut out: MatMut<'_>) {
+/// unless an underflow has left the sum at `−0`. With `u1` `None`, `out`
+/// holds `U₁` on entry and is overwritten in place: `U₁` is packed whole
+/// before any tile is written.
+pub(crate) fn trmm_upper_upper_with_isa(which: Isa, u2: MatRef<'_>, u1: Option<MatRef<'_>>, mut out: MatMut<'_>) {
     let n = u2.rows();
     let (mpanels, npanels) = (n.div_ceil(MR), n.div_ceil(NR));
     let mut apack = take_local_vec(mpanels * n * MR);
@@ -847,7 +978,7 @@ pub(crate) fn trmm_upper_upper_with_isa(which: Isa, u2: MatRef<'_>, u1: MatRef<'
     for ip in 0..mpanels {
         let (i0, mr) = (ip * MR, MR.min(n - ip * MR));
         let panel = &mut apack[(ip * n + i0) * MR..(ip + 1) * n * MR];
-        pack_a(u2, Trans::No, i0, mr, i0, n - i0, panel);
+        pack::<MR>(Rows::Op(u2, Trans::Yes), i0, n - i0, i0, mr, panel);
         for r in 1..mr {
             for k in 0..r {
                 panel[k * MR + r] = 0.0;
@@ -857,7 +988,7 @@ pub(crate) fn trmm_upper_upper_with_isa(which: Isa, u2: MatRef<'_>, u1: MatRef<'
     for jp in 0..npanels {
         let (j0, nr) = (jp * NR, NR.min(n - jp * NR));
         let panel = &mut bpack[jp * n * NR..(jp * n + j0 + nr) * NR];
-        pack_b(u1, Trans::No, 0, j0 + nr, j0, nr, panel);
+        pack::<NR>(Rows::Op(u1.unwrap_or(out.rb()), Trans::No), 0, j0 + nr, j0, nr, panel);
         for c in 0..nr {
             for k in j0 + c + 1..j0 + nr {
                 panel[k * NR + c] = 0.0;
@@ -866,19 +997,15 @@ pub(crate) fn trmm_upper_upper_with_isa(which: Isa, u2: MatRef<'_>, u1: MatRef<'
     }
     for ip in 0..mpanels {
         let (i0, mr) = (ip * MR, MR.min(n - ip * MR));
-        for jp in 0..npanels {
+        let a = TileA::packed(&apack[(ip * n + i0) * MR..], 0, MR);
+        for jp in (i0 / NR)..npanels {
             let (j0, nr) = (jp * NR, NR.min(n - jp * NR));
-            let (kend, ak, bk) = (n.min(j0 + NR), (ip * n + i0) * MR, (jp * n + i0) * NR);
-            let acc = match i0 < kend {
-                true => microkernel(which, kend - i0, &apack[ak..], &bpack[bk..]),
-                false => [[0.0; NR]; MR],
-            };
-            for (r, acc_row) in acc.iter().enumerate().take(mr) {
-                for (c, v) in out.row_mut(i0 + r)[j0..j0 + nr].iter_mut().enumerate() {
-                    *v = if j0 + c >= i0 + r { acc_row[c] } else { 0.0 };
-                }
-            }
+            let (kend, c) = (n.min(j0 + NR), out.rb_mut().sub(i0, j0, mr, nr));
+            tile(which, kend - i0, a, &bpack[(jp * n + i0) * NR..], c, Write::Copy);
         }
+    }
+    for i in 0..n {
+        out.row_mut(i)[..i].fill(0.0);
     }
     recycle_local_vec(bpack);
     recycle_local_vec(apack);
@@ -894,14 +1021,23 @@ impl Backend for Blocked {
     }
 
     fn syrk_add(&self, a: MatRef<'_>, c: MatMut<'_>) {
-        syrk_add_with_isa(isa(), a, c, true);
+        syrk_with_isa(isa(), 1.0, Rows::Op(a, Trans::No), 1.0, c, true);
     }
 
-    fn syrk_upper_into(&self, a: MatRef<'_>, mut c: MatMut<'_>) {
-        for i in 0..c.rows() {
-            c.row_mut(i)[i..].fill(0.0);
-        }
-        syrk_add_with_isa(isa(), a, c, false);
+    fn syrk_upper_into(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        syrk_with_isa(isa(), 1.0, Rows::Op(a, Trans::No), 0.0, c, false);
+    }
+
+    fn gram_rows_upper_into(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        syrk_with_isa(isa(), 1.0, Rows::Op(a, Trans::Yes), 0.0, c, false);
+    }
+
+    fn stacked_gram_upper_into(&self, b: MatRef<'_>, r: MatRef<'_>, c: MatMut<'_>) {
+        syrk_with_isa(isa(), 1.0, Rows::Stacked(b, r), 0.0, c, false);
+    }
+
+    fn syrk_sub_upper(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        syrk_with_isa(isa(), -1.0, Rows::Op(a, Trans::No), 1.0, c, false);
     }
 
     fn trsm_right_lower_trans(&self, l: MatRef<'_>, b: MatMut<'_>) {
@@ -922,7 +1058,7 @@ impl Backend for Blocked {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::matrix::Matrix;
 
@@ -953,7 +1089,14 @@ mod tests {
             ] {
                 let a = filled(m, n, 8 + m as u64);
                 let mut via_syrk = Matrix::zeros(n, n);
-                syrk_add_with_isa(which, a.as_ref(), via_syrk.as_mut(), true);
+                syrk_with_isa(
+                    which,
+                    1.0,
+                    Rows::Op(a.as_ref(), Trans::No),
+                    1.0,
+                    via_syrk.as_mut(),
+                    true,
+                );
                 let mut via_gemm = Matrix::zeros(n, n);
                 gemm_with_isa(
                     which,
@@ -988,11 +1131,18 @@ mod tests {
             for &(m, n) in &[(3 * KC + 37, 64usize), (2 * KC + 1, NR + 3), (KC + 5, NC + 9)] {
                 let a = filled(m, n, 5 + m as u64);
                 let mut whole = Matrix::zeros(n, n);
-                syrk_add_with_isa(which, a.as_ref(), whole.as_mut(), true);
+                syrk_with_isa(which, 1.0, Rows::Op(a.as_ref(), Trans::No), 1.0, whole.as_mut(), true);
                 let mut summed = Matrix::zeros(n, n);
                 for i0 in (0..m).step_by(KC) {
                     let rows = KC.min(m - i0);
-                    syrk_add_with_isa(which, a.as_ref().sub(i0, 0, rows, n), summed.as_mut(), true);
+                    syrk_with_isa(
+                        which,
+                        1.0,
+                        Rows::Op(a.as_ref().sub(i0, 0, rows, n), Trans::No),
+                        1.0,
+                        summed.as_mut(),
+                        true,
+                    );
                 }
                 assert_eq!(
                     summed, whole,
@@ -1012,7 +1162,7 @@ mod tests {
             let a = filled(m, n, 21);
             let want = crate::syrk::syrk(a.as_ref());
             let mut got = Matrix::zeros(n, n);
-            syrk_add_with_isa(which, a.as_ref(), got.as_mut(), true);
+            syrk_with_isa(which, 1.0, Rows::Op(a.as_ref(), Trans::No), 1.0, got.as_mut(), true);
             for i in 0..n {
                 for j in 0..n {
                     let (g, w) = (got.get(i, j), want.get(i, j));
@@ -1029,7 +1179,7 @@ mod tests {
     /// block boundary the `first`-block formula can produce.
     #[test]
     fn syrk_row_block_skip_boundaries() {
-        // The last entry exceeds NC, exercising the pack_a fallback for row
+        // The last entry exceeds NC, exercising the packed-`A` fallback for row
         // blocks outside the packed column range.
         for n in [MC - 1, MC, MC + 1, 2 * MC + 3, 3 * MC, NC + NR + 4] {
             let a = filled(19, n, 31 + n as u64);
@@ -1220,7 +1370,7 @@ mod tests {
             let a = special(k, n, 3);
             agree(&format!("syrk {k}x{n}"), &|which| {
                 let mut c = Matrix::zeros(n, n);
-                syrk_add_with_isa(which, a.as_ref(), c.as_mut(), true);
+                syrk_with_isa(which, 1.0, Rows::Op(a.as_ref(), Trans::No), 1.0, c.as_mut(), true);
                 c
             });
         }
@@ -1232,7 +1382,7 @@ mod tests {
             let (u2, u1) = (upper(4), upper(5));
             agree(&format!("trmm n={n}"), &|which| {
                 let mut out = Matrix::zeros(n, n);
-                trmm_upper_upper_with_isa(which, u2.as_ref(), u1.as_ref(), out.as_mut());
+                trmm_upper_upper_with_isa(which, u2.as_ref(), Some(u1.as_ref()), out.as_mut());
                 out
             });
         }
@@ -1240,7 +1390,8 @@ mod tests {
 
     /// The diagonal-block solves are the oracle loop nests bit for bit under
     /// every ISA, at every block order and at row counts on and off the lane
-    /// width. One entry of `B` is infinite, so a term the left solves skip
+    /// width (left solves of [`FEW_COLS`] columns or more: fewer take the
+    /// column path). One entry of `B` is infinite, so a term the left solves skip
     /// (an exact-zero coefficient) would show as a NaN if it were taken.
     #[test]
     fn diagonal_solves_are_bitwise_the_oracle_under_every_isa() {
@@ -1259,6 +1410,9 @@ mod tests {
                     crate::trsm::trsm_right_upper(u.as_ref(), want.as_mut());
                     trsm_right_with_isa(which, u.as_ref(), true, got.as_mut());
                     assert_bits(&got, &want, &format!("right upper {what}"));
+                    if m < FEW_COLS {
+                        continue; // the column path; see `few_columns_left_solve_…`
+                    }
                     let b = b.transposed();
                     let (mut want, mut got) = (b.clone(), b.clone());
                     crate::trsm::trsm_left_lower(l.as_ref(), want.as_mut());
@@ -1332,8 +1486,15 @@ mod tests {
             via_gemm.as_mut(),
         );
         let (mut mirrored, mut upper) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
-        syrk_add_with_isa(which, p.as_ref(), mirrored.as_mut(), true);
-        syrk_add_with_isa(which, p.as_ref(), upper.as_mut(), false);
+        syrk_with_isa(
+            which,
+            1.0,
+            Rows::Op(p.as_ref(), Trans::No),
+            1.0,
+            mirrored.as_mut(),
+            true,
+        );
+        syrk_with_isa(which, 1.0, Rows::Op(p.as_ref(), Trans::No), 1.0, upper.as_mut(), false);
         assert_bits(&mirrored, &via_gemm, &format!("{which:?} {what} mirrored"));
         for i in 0..n {
             for j in 0..i {
@@ -1356,6 +1517,43 @@ mod tests {
         }
     }
 
+    /// The append's Gram packs straight from `B` and `R` and is bitwise the
+    /// SYRK of the materialized stack `[B; triu(R)]` under every ISA, NaN in
+    /// `R`'s strict lower triangle unread — `Blocked` and the trait's
+    /// default (which builds the stack) alike — at widths on both sides of
+    /// `NR`, `MC` and `NC` (the last packs its `A` rows too).
+    #[test]
+    fn stacked_gram_is_bitwise_the_gram_of_the_stack_under_every_isa() {
+        for (k, n) in [(1, 1), (3, 17), (64, 128), (KC + 3, 40), (5, NC + 9)] {
+            let stack = stacked(k, n, 9 + n as u64);
+            let (b, r) = (
+                stack.view(0, 0, k, n),
+                Matrix::from_fn(n, n, |i, j| match j < i {
+                    true => f64::NAN,
+                    false => stack.get(k + i, j),
+                }),
+            );
+            let mut default = Matrix::zeros(n, n);
+            super::super::Naive.stacked_gram_upper_into(b, r.as_ref(), default.as_mut());
+            let mut naive = Matrix::zeros(n, n);
+            super::super::Naive.syrk_upper_into(stack.as_ref(), naive.as_mut());
+            assert_bits(&default, &naive, &format!("default {k}+{n}x{n}"));
+            for which in Isa::available() {
+                let (mut want, mut got) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+                syrk_with_isa(
+                    which,
+                    1.0,
+                    Rows::Op(stack.as_ref(), Trans::No),
+                    0.0,
+                    want.as_mut(),
+                    true,
+                );
+                syrk_with_isa(which, 1.0, Rows::Stacked(b, r.as_ref()), 0.0, got.as_mut(), true);
+                assert_bits(&got, &want, &format!("{which:?} {k}+{n}x{n}"));
+            }
+        }
+    }
+
     /// A zero row of one panel is not skipped beside a panel holding an `∞`
     /// in that row: `∞·0 = NaN` lands where the gemm puts it.
     #[test]
@@ -1368,7 +1566,7 @@ mod tests {
             p.set(k + 40, 2, f64::INFINITY);
             assert_syrk_is_its_gemm(which, &p, "∞ in a zero row");
             let mut upper = Matrix::zeros(n, n);
-            syrk_add_with_isa(which, p.as_ref(), upper.as_mut(), false);
+            syrk_with_isa(which, 1.0, Rows::Op(p.as_ref(), Trans::No), 1.0, upper.as_mut(), false);
             assert!(upper.get(2, 20).is_nan(), "{which:?}: ∞·0 must reach (2, 20)");
         }
     }
@@ -1416,6 +1614,227 @@ mod tests {
                         solve(which, t.as_ref(), upper, got.as_mut());
                         assert_bits(&got, &first, &format!("{name} {which:?} n={n} m={m}"));
                     }
+                }
+            }
+        }
+    }
+
+    /// `Blocked` with every kernel on one instruction set, for the per-ISA
+    /// tests of the kernels above the trait (`cholesky`, `update`).
+    #[derive(Debug)]
+    pub(crate) struct BlockedOn(pub(crate) Isa);
+
+    impl Backend for BlockedOn {
+        fn name(&self) -> &'static str {
+            "blocked-on"
+        }
+        fn gemm(&self, alpha: f64, a: MatRef<'_>, ta: Trans, b: MatRef<'_>, tb: Trans, beta: f64, c: MatMut<'_>) {
+            gemm_with_isa(self.0, alpha, a, ta, b, tb, beta, c);
+        }
+        fn syrk_add(&self, a: MatRef<'_>, c: MatMut<'_>) {
+            syrk_with_isa(self.0, 1.0, Rows::Op(a, Trans::No), 1.0, c, true);
+        }
+        fn syrk_sub_upper(&self, a: MatRef<'_>, c: MatMut<'_>) {
+            syrk_with_isa(self.0, -1.0, Rows::Op(a, Trans::No), 1.0, c, false);
+        }
+        fn trsm_right_lower_trans(&self, l: MatRef<'_>, b: MatMut<'_>) {
+            trsm_right_with_isa(self.0, l, false, b);
+        }
+        fn trsm_right_upper(&self, u: MatRef<'_>, b: MatMut<'_>) {
+            trsm_right_with_isa(self.0, u, true, b);
+        }
+        fn trsm_left_lower(&self, l: MatRef<'_>, b: MatMut<'_>) {
+            trsm_left_with_isa(self.0, l, false, b);
+        }
+        fn trsm_left_upper(&self, u: MatRef<'_>, b: MatMut<'_>) {
+            trsm_left_with_isa(self.0, u, true, b);
+        }
+    }
+
+    /// The 8-row tile is the element-wise reference bit for bit under every
+    /// ISA where its shape shows: row counts off a multiple of `MR`, so the
+    /// last micro-panel is packed beside in-place ones, or is the only one,
+    /// on both sides of the in-place/packed boundary and of `MC`, a
+    /// transposed (wholly packed) `A`, and `β ∈ {0, 1, 0.5}`. `B` is upper
+    /// triangular, so its panels' zero rows are skipped beside finite
+    /// micro-panels, and `A` holds an `∞` in one half of one micro-panel,
+    /// in a column those zero rows meet: the whole micro-panel takes the
+    /// full `k` range, so `∞·0 = NaN` lands in that row.
+    #[test]
+    fn eight_row_tile_is_bitwise_the_reference_under_every_isa() {
+        for m in [1, 5, MR - 1, MR + 1, MR + 4, 2 * MR + 3, MC - 3, MC + 5] {
+            for (k, n) in [(MR + 3, NR + 5), (40, 2 * NR), (KC + 9, 3 * NR + 1)] {
+                let opb = Matrix::from_fn(k, n, |p, j| if p > j { 0.0 } else { filled(k, n, 3).get(p, j) });
+                let mut opa = filled(m, k, 4);
+                let (row, col) = ((m - 1).min(MR / 2 + 1), k - 1);
+                opa.set(row, col, f64::INFINITY);
+                for beta in [0.0, 1.0, 0.5] {
+                    for ta in [Trans::No, Trans::Yes] {
+                        let c0 = Matrix::from_fn(m, n, |i, j| if (i + j) % 3 == 0 { -0.0 } else { 0.25 });
+                        let mut want = c0.clone();
+                        reference_gemm(-1.5, &opa, &opb, beta, &mut want);
+                        assert!(want.get(row, 0).is_nan() || k - 1 == 0, "∞·0 must reach row {row}");
+                        let a = if ta == Trans::No { opa.clone() } else { opa.transposed() };
+                        for which in Isa::available() {
+                            let mut got = c0.clone();
+                            gemm_with_isa(which, -1.5, a.as_ref(), ta, opb.as_ref(), Trans::No, beta, got.as_mut());
+                            assert_bits(&got, &want, &format!("{which:?} {m}x{k}x{n} β={beta} {ta:?}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The SYRK tile reads its `A` rows out of the packed `B` panel at an
+    /// offset `acol % NR` of `0` or `MR`; widths with `n % MR` of 0 and 4
+    /// end the triangle on a full or a half-empty tile, and an `∞` in one
+    /// half of a micro-panel makes every band full, as the gemm takes them.
+    /// Each form is its gemm bit for bit under every ISA.
+    #[test]
+    fn syrk_tile_pairs_are_bitwise_their_gemm_under_every_isa() {
+        for which in Isa::available() {
+            for n in [MR, MR + 4, 2 * NR, 2 * NR + 4, MC + 4, MC + 8] {
+                for k in [3, MR + 1, 70] {
+                    let p = stacked(k, n, 5 + n as u64);
+                    assert_syrk_is_its_gemm(which, &p, &format!("[B; R] {k}+{n}x{n}"));
+                    let mut half = p.clone();
+                    half.set(k + n - 1, MR / 2 + 1, f64::NAN);
+                    assert_syrk_is_its_gemm(which, &half, &format!("NaN in one half {k}+{n}x{n}"));
+                }
+            }
+        }
+    }
+
+    /// The column path of the left solves, element by element: per
+    /// `COLUMN_NB` block in solve order, each row subtracts its
+    /// `blas1::dot_lanes` with the solved part, then the block runs the
+    /// oracle's substitution over its own rows.
+    fn reference_left_column(t: &Matrix, upper: bool, x: &mut [f64]) {
+        let n = t.rows();
+        let starts: Vec<usize> = (0..n).step_by(COLUMN_NB).collect();
+        let order: Vec<usize> = if upper {
+            starts.into_iter().rev().collect()
+        } else {
+            starts
+        };
+        for i0 in order {
+            let i1 = n.min(i0 + COLUMN_NB);
+            let solved = if upper { i1..n } else { 0..i0 };
+            for i in i0..i1 {
+                x[i] -= crate::blas1::dot_lanes(&t.as_ref().row(i)[solved.clone()], &x[solved.clone()]);
+            }
+            let rows: Vec<usize> = if upper {
+                (i0..i1).rev().collect()
+            } else {
+                (i0..i1).collect()
+            };
+            for i in rows {
+                let mut acc = x[i];
+                let inner = if upper { i + 1..i1 } else { i0..i };
+                for k in inner {
+                    if t.get(i, k) != 0.0 {
+                        acc -= t.get(i, k) * x[k];
+                    }
+                }
+                x[i] = acc / t.get(i, i);
+            }
+        }
+    }
+
+    /// A left solve of fewer than [`FEW_COLS`] columns is the column path bit
+    /// for bit under every ISA, column by column, and agrees with the oracle
+    /// within rounding (its dot products sum in another order, so it cannot
+    /// be the oracle's bits: the oracle's own order is one dependent chain).
+    #[test]
+    fn few_columns_left_solve_is_the_column_path_under_every_isa() {
+        for n in [1, 7, 8, 9, 31, 32, 33, 64, 65, 128, 130, 193] {
+            for upper in [false, true] {
+                let t = triangle(n, upper, 21 + n as u64);
+                for cols in 1..FEW_COLS {
+                    let b = filled(n, cols, 9 + cols as u64);
+                    let mut want = b.clone();
+                    for c in 0..cols {
+                        let mut x: Vec<f64> = (0..n).map(|i| b.get(i, c)).collect();
+                        reference_left_column(&t, upper, &mut x);
+                        (0..n).for_each(|i| want.set(i, c, x[i]));
+                    }
+                    let mut oracle = b.clone();
+                    match upper {
+                        true => crate::trsm::trsm_left_upper(t.as_ref(), oracle.as_mut()),
+                        false => crate::trsm::trsm_left_lower(t.as_ref(), oracle.as_mut()),
+                    }
+                    for (g, w) in want.data().iter().zip(oracle.data()) {
+                        assert!(
+                            (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
+                            "n={n} upper={upper}: {g} vs {w}"
+                        );
+                    }
+                    for which in Isa::available() {
+                        let mut got = b.clone();
+                        trsm_left_with_isa(which, t.as_ref(), upper, got.as_mut());
+                        assert_bits(&got, &want, &format!("{which:?} n={n} upper={upper} cols={cols}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The triangular tier on the tile — both blocked upper solves (their
+    /// few-rows and column paths included) and `trmm_upper_upper` — gives
+    /// the same bits under every ISA, and agrees with the `Naive` oracle
+    /// within rounding, at orders on both sides of the solve blocks and the
+    /// Cholesky's (`cholesky`'s tests do `potrf_upper`).
+    #[test]
+    fn triangular_tier_agrees_across_isas_and_with_naive() {
+        let isas = Isa::available();
+        for n in [1, 31, 32, 33, 64, 65, 127, 128, 130, 193] {
+            let (u, u2) = (triangle(n, true, 40 + n as u64), triangle(n, true, 41 + n as u64));
+            type Run<'a> = Box<dyn Fn(Isa) -> Matrix + 'a>;
+            let solve = |upper_rhs: (usize, usize), run: fn(Isa, MatRef<'_>, MatMut<'_>)| -> Run<'_> {
+                let (u, b) = (u.clone(), filled(upper_rhs.0, upper_rhs.1, 43));
+                Box::new(move |which| {
+                    let mut x = b.clone();
+                    run(which, u.as_ref(), x.as_mut());
+                    x
+                })
+            };
+            let mut cases: Vec<(String, Run<'_>, Matrix)> = Vec::new();
+            let naive = |f: fn(MatRef<'_>, MatMut<'_>), rows: usize, cols: usize| {
+                let mut x = filled(rows, cols, 43);
+                f(u.as_ref(), x.as_mut());
+                x
+            };
+            for rows in [1, 3, 64] {
+                let right = solve((rows, n), |w, u, b| trsm_right_with_isa(w, u, true, b));
+                cases.push((
+                    format!("right upper {rows} rows"),
+                    right,
+                    naive(crate::trsm::trsm_right_upper, rows, n),
+                ));
+                let left = solve((n, rows), |w, u, b| trsm_left_with_isa(w, u, true, b));
+                cases.push((
+                    format!("left upper {rows} cols"),
+                    left,
+                    naive(crate::trsm::trsm_left_upper, n, rows),
+                ));
+            }
+            let trmm: Run<'_> = Box::new(|which| {
+                let mut out = Matrix::zeros(n, n);
+                trmm_upper_upper_with_isa(which, u2.as_ref(), Some(u.as_ref()), out.as_mut());
+                out
+            });
+            let clean = |m: &Matrix| Matrix::from_fn(n, n, |i, j| if j < i { 0.0 } else { m.get(i, j) });
+            let want = crate::gemm::matmul(clean(&u2).as_ref(), Trans::No, clean(&u).as_ref(), Trans::No);
+            cases.push(("trmm_upper_upper".into(), trmm, want));
+            for (name, run, want) in &cases {
+                let first = run(isas[0]);
+                let scale = want.data().iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                for (g, w) in first.data().iter().zip(want.data()) {
+                    assert!((g - w).abs() <= 1e-10 * scale, "{name} n={n}: {g} vs Naive {w}");
+                }
+                for &which in &isas[1..] {
+                    assert_bits(&run(which), &first, &format!("{name} {which:?} n={n}"));
                 }
             }
         }

@@ -91,6 +91,40 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
         self.syrk_into(a, c);
     }
 
+    /// Writes the upper triangle of the Gram matrix of the stack
+    /// `[B; triu(R)]` into `c` — the rows of `B`, then those of `R` with
+    /// zeros left of its diagonal (its strict lower triangle is not read) —
+    /// bitwise [`Backend::syrk_upper_into`] of that stack, which the default
+    /// builds; `Blocked` packs straight from `B` and `R`. The strict lower
+    /// triangle of `c` is left unspecified.
+    fn stacked_gram_upper_into(&self, b: MatRef<'_>, r: MatRef<'_>, c: MatMut<'_>) {
+        let mut stack = Matrix::zeros(b.rows() + r.rows(), b.cols());
+        let (mut top, mut bottom) = stack.as_mut().split_rows(b.rows());
+        top.copy_from(b);
+        for i in 0..r.rows() {
+            bottom.row_mut(i)[i..].copy_from_slice(&r.row(i)[i..]);
+        }
+        self.syrk_upper_into(stack.as_ref(), c);
+    }
+
+    /// Writes the upper triangle of `A·Aᵀ`, the Gram matrix of `A`'s rows,
+    /// into `c`, bitwise the one `gemm(1, A, Aᵀ, 0, c)` writes; the strict
+    /// lower triangle is left unspecified (`Blocked` computes only the tiles
+    /// on or above the diagonal).
+    fn gram_rows_upper_into(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        self.gemm(1.0, a, Trans::No, a, Trans::Yes, 0.0, c);
+    }
+
+    /// `C ← C − AᵀA` on the upper triangle of `c`, the strict lower
+    /// triangle left unspecified: the trailing update of a Cholesky in the
+    /// upper triangle. Bitwise the upper triangle of
+    /// `gemm(−1, Aᵀ, A, 1, c)`, which is the default (and `Naive`'s);
+    /// `Blocked` computes only the tiles that touch or lie above the
+    /// diagonal.
+    fn syrk_sub_upper(&self, a: MatRef<'_>, c: MatMut<'_>) {
+        self.gemm(-1.0, a, Trans::Yes, a, Trans::No, 1.0, c);
+    }
+
     /// Returns the full symmetric Gram matrix `AᵀA` as a fresh allocation
     /// (convenience wrapper over [`Backend::syrk_into`]).
     fn syrk(&self, a: MatRef<'_>) -> Matrix {

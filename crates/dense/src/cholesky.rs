@@ -1,11 +1,16 @@
 //! Cholesky factorization and triangular inversion.
 //!
-//! Three kernels, each one body over views and a caller [`Workspace`]:
+//! Three kernels, each one body over views (the two recursions also take a
+//! caller [`Workspace`]):
 //!
 //! * [`potrf`] — blocked right-looking Cholesky, `A = LLᵀ` (lower factor),
 //!   in place: a mirror around its upper-triangle form `potrf_upper`
 //!   (`A = UᵀU`, `U = Lᵀ`, crate private), which the rank-k updates call
-//!   with no mirror pass.
+//!   with no mirror pass. Block rows are 32 deep: each is one lane sweep
+//!   (diagonal block and the panel right of it), and the trailing update is
+//!   one SYRK on the backend ([`Backend::syrk_sub_upper`]), so at order 128
+//!   most of the flops run on the `Blocked` tile. It needs no scratch and
+//!   takes no workspace.
 //! * [`trtri_lower`] — recursive lower-triangular inverse `Y = L⁻¹`.
 //! * [`cholinv`] — the paper's Algorithm 2: a *joint* recursion computing
 //!   `L` and `Y = L⁻¹` together. This is the sequential kernel executed
@@ -21,10 +26,14 @@
 //! cases — put independent elements side by side in SIMD lanes: the entries
 //! right of each pivot of `U` (a column of `L` is a contiguous row of `U`),
 //! the entries of each row of the inverse. Each element runs the
-//! operation sequence of the plain loop form — multiply, then add or
-//! subtract, never fused, in the same order — so the factors are that
-//! loop's bits on every instruction set (the tests keep the loops as the
-//! reference), and a breakdown reports the same index and pivot.
+//! operation sequence of the plain loop form, in the same order, so a
+//! breakdown reports the same index and pivot. At order `n ≤ 32` — every
+//! `cholinv` base case — that is multiply, then add or subtract, never
+//! fused, so the factors are the loop's bits on every instruction set (the
+//! tests keep the loops as the reference). Past one block the Cholesky's
+//! sweep fuses each subtraction into one fma, which halves its
+//! instructions; its bits then depend on the blocking, and every
+//! instruction set still gives the same ones.
 //!
 //! All routines report failure (a non-positive pivot, i.e. a numerically
 //! non-SPD input) through [`CholeskyError`] instead of panicking — the
@@ -64,8 +73,8 @@ impl std::error::Error for CholeskyError {}
 const RECURSION_NB: usize = 32;
 
 /// Unblocked upper Cholesky of the block row `a` (`nb × w`, `w ≥ nb`) in
-/// place; see [`potrf_lanes_body`].
-fn potrf_unblocked(which: Isa, a: MatMut<'_>, index_offset: usize) -> Result<(), CholeskyError> {
+/// place; see [`potrf_lanes_body`]. `fused` picks the fused sweep.
+fn potrf_unblocked(which: Isa, a: MatMut<'_>, index_offset: usize, fused: bool) -> Result<(), CholeskyError> {
     // Chaos faultpoint at the pivot site: an injected breakdown is
     // indistinguishable from a genuine loss of positive-definiteness to
     // everything upstream (suppressed inside SPMD regions; see
@@ -76,7 +85,11 @@ fn potrf_unblocked(which: Isa, a: MatMut<'_>, index_offset: usize) -> Result<(),
             pivot: f64::NEG_INFINITY,
         });
     });
-    potrf_lanes(which, a).map_err(|(j, pivot)| CholeskyError {
+    match fused {
+        true => potrf_lanes_fused(which, a),
+        false => potrf_lanes(which, a),
+    }
+    .map_err(|(j, pivot)| CholeskyError {
         index: index_offset + j,
         pivot,
     })
@@ -87,96 +100,124 @@ fn potrf_unblocked(which: Isa, a: MatMut<'_>, index_offset: usize) -> Result<(),
 /// `U = Lᵀ`; returns the failing row and its pivot. It reads the upper
 /// triangle of the leading `nb × nb` block and the panel `A₁₂` right of it,
 /// and leaves `U₁₁` and `U₁₂ = U₁₁⁻ᵀ·A₁₂` there. The entries `i ≥ j` of row
-/// `j` advance as lanes, up to 32 at a time in registers, through the
+/// `j` advance as lanes, up to 64 at a time in registers, through the
 /// sequence the loop form gave each element — `s ← a_ji`, `s −= u_ki · u_kj`
 /// for ascending `k < j` — and then the pivot `d = s_jj` is checked,
 /// `u_jj = √d` and `u_ji = s_ji / u_jj`. That is also the sequence the
 /// blocked right solve gives the panel (`X·L₁₁ᵀ = A₂₁` on the lower form).
+/// With `FUSED` each subtraction is one fma, `s = fma(−u_ki, u_kj, s)`,
+/// rounded once: twice the lanes per instruction, with the same order; and
+/// the row is scaled by `1/u_jj` as LAPACK's `dpotf2` does, a multiply per
+/// entry where a divide would cost more than the sweep.
 ///
-/// Groups are laid from the end of the row leftwards, each as wide as the
-/// lanes it has left (a power of two, at most 32). A group may reach left
-/// of the pivot into the strict lower triangle, whose values are junk: those
-/// lanes compute unused values there.
+/// The row is swept in column chunks of [`SWEEP_CHUNK`], every row's part
+/// of one chunk before the next, so the rows a lane group reads stay in L1;
+/// a row's pivot is taken in the chunk that holds its diagonal entry. Each
+/// element still sees its own sequence in order. Within a chunk, groups are
+/// laid from its end leftwards, each as wide as the lanes it has left (a
+/// power of two, at most 64). A group may reach left of the pivot into the
+/// strict lower triangle, whose values are junk: those lanes compute unused
+/// values there.
 #[inline(always)]
-fn potrf_lanes_body(mut a: MatMut<'_>) -> Result<(), (usize, f64)> {
-    for j in 0..a.rows() {
-        let mut end = a.cols();
-        while end > j {
-            let w = end - j;
-            let fit = if w > 16 { 32 } else { w.next_power_of_two() };
-            let g = if fit <= end { fit } else { 1 << w.ilog2() };
-            match g {
-                32 => chol_lanes::<32>(a.rb_mut(), j, end - g),
-                16 => chol_lanes::<16>(a.rb_mut(), j, end - g),
-                8 => chol_lanes::<8>(a.rb_mut(), j, end - g),
-                4 => chol_lanes::<4>(a.rb_mut(), j, end - g),
-                2 => chol_lanes::<2>(a.rb_mut(), j, end - g),
-                _ => chol_lanes::<1>(a.rb_mut(), j, end - g),
+fn potrf_lanes_body<const FUSED: bool>(mut a: MatMut<'_>) -> Result<(), (usize, f64)> {
+    let w = a.cols();
+    for c0 in (0..w).step_by(SWEEP_CHUNK) {
+        let c1 = w.min(c0 + SWEEP_CHUNK);
+        for j in 0..a.rows().min(c1) {
+            // A row whose pivot lies in an earlier chunk keeps its finished
+            // entries there: its groups start inside this chunk.
+            let (lo, floor) = if j < c0 { (c0, c0) } else { (j, 0) };
+            let mut end = c1;
+            while end > lo {
+                let w = end - lo;
+                let fit = if w > 32 { 64 } else { w.next_power_of_two() };
+                let g = if end - floor >= fit { fit } else { 1 << w.ilog2() };
+                match g {
+                    64 => chol_lanes::<64, FUSED>(a.rb_mut(), j, end - g),
+                    32 => chol_lanes::<32, FUSED>(a.rb_mut(), j, end - g),
+                    16 => chol_lanes::<16, FUSED>(a.rb_mut(), j, end - g),
+                    8 => chol_lanes::<8, FUSED>(a.rb_mut(), j, end - g),
+                    4 => chol_lanes::<4, FUSED>(a.rb_mut(), j, end - g),
+                    2 => chol_lanes::<2, FUSED>(a.rb_mut(), j, end - g),
+                    _ => chol_lanes::<1, FUSED>(a.rb_mut(), j, end - g),
+                }
+                end -= g;
             }
-            end = end.saturating_sub(g);
-        }
-        let row = a.row_mut(j);
-        let d = row[j];
-        if d <= 0.0 || !d.is_finite() {
-            return Err((j, d));
-        }
-        let ljj = d.sqrt();
-        row[j] = ljj;
-        for v in &mut row[j + 1..] {
-            *v /= ljj;
+            let row = &mut a.row_mut(j)[..c1];
+            if j >= c0 {
+                let d = row[j];
+                if d <= 0.0 || !d.is_finite() {
+                    return Err((j, d));
+                }
+                row[j] = d.sqrt();
+            }
+            let (ljj, first) = (row[j], lo.max(j + 1));
+            if FUSED {
+                // LAPACK's scaling: one reciprocal, then a multiply per entry,
+                // since a divide per entry costs more than the sweep.
+                let inv = 1.0 / ljj;
+                row[first..].iter_mut().for_each(|v| *v *= inv);
+            } else {
+                row[first..].iter_mut().for_each(|v| *v /= ljj);
+            }
         }
     }
     Ok(())
 }
 
+/// Columns per chunk of the Cholesky lane sweep.
+const SWEEP_CHUNK: usize = 64;
+
 /// Lanes `i..i + G` of row `j`: `s −= u_ki · u_kj` over the finished rows
 /// `k < j`, with the `G` sums in registers.
 #[inline(always)]
-fn chol_lanes<const G: usize>(mut a: MatMut<'_>, j: usize, i: usize) {
+fn chol_lanes<const G: usize, const FUSED: bool>(mut a: MatMut<'_>, j: usize, i: usize) {
     let mut acc = [0.0f64; G];
     acc.copy_from_slice(&a.row(j)[i..i + G]);
     for k in 0..j {
         let lk = a.row(k);
         let (ljk, lik) = (lk[j], &lk[i..i + G]);
         for l in 0..G {
-            acc[l] -= lik[l] * ljk;
+            acc[l] = if FUSED {
+                (-lik[l]).mul_add(ljk, acc[l])
+            } else {
+                acc[l] - lik[l] * ljk
+            };
         }
     }
     a.row_mut(j)[i..i + G].copy_from_slice(&acc);
 }
 
 isa_dispatch! {
-    fn potrf_lanes(a: MatMut<'_>) -> Result<(), (usize, f64)> => potrf_lanes_body
+    fn potrf_lanes(a: MatMut<'_>) -> Result<(), (usize, f64)> => potrf_lanes_body::<false>
 }
 
-/// Block rows and columns of the blocked Cholesky forms.
-const NB: usize = 64;
+isa_dispatch! {
+    fn potrf_lanes_fused(a: MatMut<'_>) -> Result<(), (usize, f64)> => potrf_lanes_body::<true>
+}
+
+/// Block rows of the blocked Cholesky: small enough that most of its flops
+/// are the trailing SYRKs, and the block order of the `cholinv` base case,
+/// so a Cholesky of order `n ≤ NB` is one lane sweep.
+const NB: usize = RECURSION_NB;
 
 /// The blocked right-looking loop of `potrf_upper`, which leaves junk in
 /// the strict lower triangle: per block row, one lane sweep factors the
-/// diagonal block and solves the panel right of it, then the trailing
-/// update `A₂₂ ← A₂₂ − U₁₂ᵀ·U₁₂` runs on `backend`. `U₁₂` and `A₂₂` are
-/// disjoint views, so the loop needs no scratch.
+/// diagonal block and solves the panel right of it (`U₁₂ = U₁₁⁻ᵀ·A₁₂`, the
+/// panel's columns in lanes; fused when `n > NB`, so an order of at most
+/// `NB` — every `cholinv` base case — keeps the loop form's bits), then
+/// the trailing update
+/// `A₂₂ ← A₂₂ − U₁₂ᵀ·U₁₂` is one [`Backend::syrk_sub_upper`]. `U₁₂` and
+/// `A₂₂` are disjoint views, so the loop needs no scratch.
 fn potrf_rows(which: Isa, mut a: MatMut<'_>, backend: &dyn Backend) -> Result<(), CholeskyError> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "Cholesky input must be square");
     for k in (0..n).step_by(NB) {
         let (nb, rest) = (NB.min(n - k), n - k - NB.min(n - k));
-        potrf_unblocked(which, a.rb_mut().sub(k, k, nb, n - k), k)?;
+        potrf_unblocked(which, a.rb_mut().sub(k, k, nb, n - k), k, n > NB)?;
         if rest > 0 {
             let (top, bottom) = a.rb_mut().split_rows(k + nb);
-            let u12 = top.rb().sub(k, k + nb, nb, rest);
-            // The whole block in one gemm; the next block row reads only
-            // its upper triangle.
-            backend.gemm(
-                -1.0,
-                u12,
-                Trans::Yes,
-                u12,
-                Trans::No,
-                1.0,
-                bottom.sub(0, k + nb, rest, rest),
-            );
+            backend.syrk_sub_upper(top.rb().sub(k, k + nb, nb, rest), bottom.sub(0, k + nb, rest, rest));
         }
     }
     Ok(())
@@ -197,8 +238,8 @@ pub(crate) fn potrf_upper(mut a: MatMut<'_>, backend: &dyn Backend) -> Result<()
 /// triangle of `a` (strict upper triangle zeroed). The lower triangle is
 /// mirrored up, factored by `potrf_upper`'s loop and mirrored back; each
 /// mirror stores along rows and loads down columns, since strided stores
-/// cost more. `_ws` is unused: the loop needs no scratch.
-pub fn potrf(mut a: MatMut<'_>, backend: &dyn Backend, _ws: &mut Workspace) -> Result<(), CholeskyError> {
+/// cost more. The loop needs no scratch, so it takes no workspace.
+pub fn potrf(mut a: MatMut<'_>, backend: &dyn Backend) -> Result<(), CholeskyError> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "Cholesky input must be square");
     for j in 0..n {
@@ -363,7 +404,7 @@ fn cholinv_at(
     let n = a.rows();
     if n <= RECURSION_NB {
         l.copy_from(a);
-        potrf(l.rb_mut(), backend, ws).map_err(|e| CholeskyError {
+        potrf(l.rb_mut(), backend).map_err(|e| CholeskyError {
             index: index_offset + e.index,
             ..e
         })?;
@@ -436,28 +477,6 @@ mod tests {
                     s -= a.at(i, k) * a.at(j, k);
                 }
                 a.set(i, j, s / ljj);
-            }
-        }
-        zero_strict_upper(a);
-        Ok(())
-    }
-
-    /// The blocked lower Cholesky [`super::potrf_upper`]'s loop replaced,
-    /// spelled as it was: the loop form on each 64-block, the blocked right
-    /// solve `X·L₁₁ᵀ = A₂₁` for the panel, and a trailing gemm from a copy of
-    /// `L₂₁`.
-    fn potrf_blocked_reference(mut a: MatMut<'_>) -> Result<(), CholeskyError> {
-        let (n, backend) = (a.rows(), BackendKind::Blocked.get());
-        for k in (0..n).step_by(64) {
-            let nb = 64.min(n - k);
-            potrf_unblocked_reference(a.rb_mut().sub(k, k, nb, nb), k)?;
-            if k + nb < n {
-                let rest = n - k - nb;
-                let (diag, below) = a.rb_mut().sub(k, k, n - k, nb).split_rows(nb);
-                backend.trsm_right_lower_trans(diag.rb(), below);
-                let l21 = Matrix::from_view(a.rb().sub(k + nb, k, rest, nb));
-                let a22 = a.rb_mut().sub(k + nb, k + nb, rest, rest);
-                backend.gemm(-1.0, l21.as_ref(), Trans::No, l21.as_ref(), Trans::Yes, 1.0, a22);
             }
         }
         zero_strict_upper(a);
@@ -538,7 +557,7 @@ mod tests {
                 let a = spd_with_upper_junk(n);
                 let (mut want, mut got) = (a.clone(), a.transposed());
                 potrf_unblocked_reference(want.as_mut(), 3).unwrap();
-                super::potrf_unblocked(which, got.as_mut(), 3).unwrap();
+                super::potrf_unblocked(which, got.as_mut(), 3, false).unwrap();
                 assert_upper_is_transposed(&got, &want, &format!("{which:?} potrf n={n}"));
                 let mut l = want;
                 for i in 0..n {
@@ -597,7 +616,7 @@ mod tests {
                 let mut a = spd_with_upper_junk(n);
                 a.set(i, j, v);
                 let want = potrf_unblocked_reference(a.clone().as_mut(), 11).unwrap_err();
-                let got = super::potrf_unblocked(which, a.transposed().as_mut(), 11).unwrap_err();
+                let got = super::potrf_unblocked(which, a.transposed().as_mut(), 11, false).unwrap_err();
                 assert!(
                     got.index == want.index && same_bits(got.pivot, want.pivot),
                     "{which:?} n={n}, {v} at ({i},{j}): {got:?} vs {want:?}"
@@ -606,36 +625,55 @@ mod tests {
         }
     }
 
-    /// The blocked loop in the upper triangle is the blocked lower Cholesky
-    /// transposed, bit for bit under every instruction set, at every size up
-    /// to one past two blocks, without reading the strict lower triangle;
-    /// `potrf` and `potrf_upper` give those bits too.
+    /// The blocked loop in the upper triangle gives the same bits under
+    /// every instruction set (its trailing SYRKs on the same one), reads no
+    /// strict-lower entry, agrees with the `Naive` backend's lower Cholesky
+    /// within rounding, and at order `n ≤ NB` is one lane sweep, the loop
+    /// form's bits transposed; `potrf` is `potrf_upper` transposed, bit for
+    /// bit.
     #[test]
-    fn upper_cholesky_is_the_blocked_lower_one_transposed_under_every_isa() {
-        let backend = BackendKind::Blocked.get();
-        for which in Isa::available() {
-            for n in sizes() {
-                let a = spd(n);
-                let mut want = a.clone();
-                potrf_blocked_reference(want.as_mut()).unwrap();
+    fn upper_cholesky_agrees_across_isas_and_with_naive() {
+        use crate::backend::blocked::tests::BlockedOn;
+        let isas = Isa::available();
+        for n in [1, 31, 32, 33, 64, 65, 127, 128, 130, 193] {
+            let a = spd(n);
+            let mut want = a.clone();
+            potrf_unblocked_reference(want.as_mut(), 0).unwrap();
+            let mut naive = a.clone();
+            super::potrf(naive.as_mut(), BackendKind::Naive.get()).unwrap();
+            let run = |which: Isa| {
                 let mut got = a.transposed();
                 for i in 0..n {
                     got.as_mut().row_mut(i)[..i].fill(f64::NAN);
                 }
-                super::potrf_rows(which, got.as_mut(), backend).unwrap();
-                assert_upper_is_transposed(&got, &want, &format!("{which:?} n={n}"));
+                super::potrf_rows(which, got.as_mut(), &BlockedOn(which)).unwrap();
+                got
+            };
+            let first = run(isas[0]);
+            for i in 0..n {
+                for j in i..n {
+                    let (g, w) = (first.get(i, j), naive.get(j, i));
+                    assert!(
+                        (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
+                        "n={n} ({i},{j}): {g} vs Naive {w}"
+                    );
+                }
             }
-        }
-        let mut ws = Workspace::new();
-        for n in [5, 64, 130, 193] {
-            let a = spd(n);
-            let mut want = a.clone();
-            potrf_blocked_reference(want.as_mut()).unwrap();
+            if n <= super::NB {
+                assert_upper_is_transposed(&first, &want, &format!("n={n} against the loop form"));
+            }
+            for &which in &isas[1..] {
+                assert_upper_is_transposed(&run(which), &first.transposed(), &format!("{which:?} n={n}"));
+            }
+            let backend = BackendKind::Blocked.get();
             let (mut lower, mut upper) = (spd_with_upper_junk(n), a.transposed());
-            super::potrf(lower.as_mut(), backend, &mut ws).unwrap();
-            assert_bits(&lower, &want, &format!("potrf n={n}"));
+            super::potrf(lower.as_mut(), backend).unwrap();
             super::potrf_upper(upper.as_mut(), backend).unwrap();
-            assert_bits(&upper, &want.transposed(), &format!("potrf_upper n={n}"));
+            assert_bits(
+                &lower,
+                &upper.transposed(),
+                &format!("potrf is potrf_upper transposed, n={n}"),
+            );
         }
     }
 
@@ -677,7 +715,7 @@ mod tests {
         );
         let mut run = |ws: &mut Workspace| {
             let mut p = a.clone();
-            super::potrf(p.as_mut(), backend, ws).unwrap();
+            super::potrf(p.as_mut(), backend).unwrap();
             super::trtri_lower(p.as_ref(), inv.as_mut(), backend, ws);
             super::cholinv(a.as_ref(), l.as_mut(), y.as_mut(), backend, ws).unwrap();
         };

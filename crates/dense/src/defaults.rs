@@ -12,7 +12,7 @@ use crate::workspace::Workspace;
 
 /// [`cholesky::potrf`]: factors `A = LLᵀ` in place.
 pub fn potrf(a: MatMut<'_>) -> Result<(), CholeskyError> {
-    cholesky::potrf(a, BackendKind::default_kind().get(), &mut Workspace::new())
+    cholesky::potrf(a, BackendKind::default_kind().get())
 }
 
 /// [`cholesky::trtri_lower`]: returns `Y = L⁻¹`.

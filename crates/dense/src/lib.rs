@@ -56,7 +56,8 @@
 //! Backend, &mut Workspace)`: operands and results are [`MatRef`]/[`MatMut`]
 //! views (an output's contents on entry are ignored), every temporary comes
 //! from the caller's [`Workspace`], and a warm call allocates nothing
-//! ([`trsm::trmm_upper_upper`], with no backend argument, takes just the
+//! ([`cholesky::potrf`], which needs no scratch, takes no workspace, and
+//! [`trsm::trmm_upper_upper`], with no backend argument, takes just the
 //! views). There are no `_with` / `_ws` / `_into` twins; CI counts them.
 //! The thread-local arena ([`workspace::with_thread_local`]) serves
 //! `Blocked`'s pack buffers and solve lanes, `trmm_upper_upper`'s packs and

@@ -8,8 +8,11 @@
 //!
 //! The five solves are the oracle loop nests: `backend::Naive` forwards to
 //! them, and the `Blocked` backend's diagonal-block solves reproduce their
-//! bits. [`trmm_upper_upper`] is the exception — it runs on the blocked
-//! backend's packed microkernel, whichever backend the caller uses.
+//! bits (its left solves of fewer than four columns run per column, with
+//! dot products over the solved rows, and agree within rounding: the
+//! oracle's upper left solve is one dependent chain per column).
+//! [`trmm_upper_upper`] is the exception — it runs on the blocked
+//! backend's 8-row tile, whichever backend the caller uses.
 
 use crate::matrix::{MatMut, MatRef};
 
@@ -164,7 +167,7 @@ pub fn trsm_left_lower_trans(u: MatRef<'_>, mut b: MatMut<'_>) {
 /// `n³/3` flops) and by the streaming updates, which hand it arena storage.
 ///
 /// Unlike the solves above this is not a loop nest: it runs on the blocked
-/// backend's packed microkernel (pack buffers from the thread-local arena).
+/// backend's 8-row tile (pack buffers from the thread-local arena).
 /// For finite operands each element is the fma chain `acc = fma(u2_ik,
 /// u1_kj, acc)` from `+0` over ascending `k`, skipping zero `u2_ik`.
 pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>, out: MatMut<'_>) {
@@ -172,7 +175,7 @@ pub fn trmm_upper_upper(u2: MatRef<'_>, u1: MatRef<'_>, out: MatMut<'_>) {
     assert_eq!(u2.cols(), n);
     assert_eq!((u1.rows(), u1.cols()), (n, n));
     assert_eq!((out.rows(), out.cols()), (n, n));
-    crate::backend::blocked::trmm_upper_upper_with_isa(crate::backend::blocked::isa(), u2, u1, out);
+    crate::backend::blocked::trmm_upper_upper_with_isa(crate::backend::blocked::isa(), u2, Some(u1), out);
 }
 
 #[cfg(test)]
@@ -293,9 +296,10 @@ mod tests {
     }
 
     /// The packed product is the fused row-axpy loop bit for bit under every
-    /// instruction set: NaN below the diagonals (never read as values),
-    /// exact zeros inside the triangles (the loop skips those terms), and a
-    /// NaN-filled output (every element is written).
+    /// instruction set, into a separate output and in place over `U₁`: NaN
+    /// below the diagonals (never read as values), exact zeros inside the
+    /// triangles (the loop skips those terms), and a NaN-filled output
+    /// (every element is written).
     #[test]
     fn trmm_is_bitwise_the_loop_it_replaced_under_every_isa() {
         use crate::backend::blocked::{trmm_upper_upper_with_isa, Isa};
@@ -312,13 +316,16 @@ mod tests {
                 let mut want = Matrix::from_fn(n, n, |_, _| f64::NAN);
                 let mut got = want.clone();
                 trmm_upper_upper_reference(u2.as_ref(), u1.as_ref(), want.as_mut());
-                trmm_upper_upper_with_isa(which, u2.as_ref(), u1.as_ref(), got.as_mut());
-                for (k, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+                trmm_upper_upper_with_isa(which, u2.as_ref(), Some(u1.as_ref()), got.as_mut());
+                let mut in_place = u1.clone();
+                trmm_upper_upper_with_isa(which, u2.as_ref(), None, in_place.as_mut());
+                for (k, ((g, w), p)) in got.data().iter().zip(want.data()).zip(in_place.data()).enumerate() {
                     assert_eq!(
                         g.to_bits(),
                         w.to_bits(),
                         "{which:?} n={n}: element {k} is {g}, the loop gave {w}"
                     );
+                    assert_eq!(p.to_bits(), w.to_bits(), "{which:?} n={n}: element {k} in place");
                 }
             }
         }

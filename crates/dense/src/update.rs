@@ -8,7 +8,7 @@
 //!
 //! * [`rank_k_append`] — given `R` with `RᵀR = AᵀA` and a block `B` of `k`
 //!   new rows, replaces `R` by `R'` with `R'ᵀR' = RᵀR + BᵀB`: one blocked
-//!   SYRK over the stacked panel `[B; R]`, re-factored by `potrf_upper`.
+//!   SYRK over the stack `[B; R]`, re-factored by `potrf_upper`.
 //!   Cost `O(kn² + n³)` — independent of the row count `m` already folded in.
 //! * [`rank_k_downdate`] — removes `k` previously appended rows, in panels
 //!   of at most `n` rows, by the block downdate:
@@ -38,17 +38,20 @@
 //! caller's [`Workspace`] arena; the `Blocked` solves and the triangular
 //! product draw theirs from the thread-local arena).
 //!
-//! Besides the level-3 `gemm` / SYRK, a step spends its time in the
-//! triangular tier: the two Cholesky calls of a downdate panel and the one
-//! of an append, the `W = B·R⁻¹` solve, and the `Lᵀ·R` product
-//! ([`trmm_upper_upper`]). Those run their independent elements in SIMD
-//! lanes with the scalar loops' operation order, so an update's bits do
-//! not depend on the instruction set.
+//! Every step of both chains runs on the `Blocked` backend's 8-row tile
+//! where its flops are: the Grams (`[B; R]`'s packed straight from `B` and
+//! `R`, `W·Wᵀ` and `WᵀW` as upper-triangle SYRKs), the Cholesky's trailing
+//! updates, the off-diagonal blocks of the `W = B·R⁻¹` solve, and the
+//! `Lᵀ·R` product ([`trmm_upper_upper`]), which the last downdate panel
+//! writes straight into `r`. The rest — the Cholesky's 32-row block
+//! sweeps and the solve's diagonal blocks — runs independent elements in
+//! SIMD lanes in the loop form's order, so an update's bits do not depend
+//! on the instruction set.
 
+use crate::backend::blocked::{isa, trmm_upper_upper_with_isa};
 use crate::backend::Backend;
 use crate::cholesky::{potrf_upper, CholeskyError};
-use crate::gemm::Trans;
-use crate::matrix::{MatMut, MatRef};
+use crate::matrix::{MatMut, MatRef, Matrix};
 use crate::trsm::trmm_upper_upper;
 use crate::workspace::Workspace;
 
@@ -129,10 +132,12 @@ fn check_block(order: usize, b: MatRef<'_>) -> Result<(), UpdateError> {
 /// Appends `k = b.rows()` rows to the factorization: replaces the upper
 /// triangular `r` by `R'` with `R'ᵀR' = RᵀR + BᵀB`.
 ///
-/// The updated Gram matrix is one backend SYRK over the stacked arena panel
-/// `[B; R]` (only `r`'s upper triangle is read), re-factored with
-/// `potrf_upper`. `R` goes below `B` so each packed column panel of the
-/// stack ends in `R`'s zero triangle, which the SYRK tiles skip. On success
+/// The updated Gram matrix is one backend SYRK over the stack `[B; R]`
+/// ([`Backend::stacked_gram_upper_into`], which reads only `r`'s upper
+/// triangle and, on `Blocked`, packs straight from `b` and `r`),
+/// re-factored with `potrf_upper`. `R` goes below `B` so each packed column
+/// panel of the stack ends in `R`'s zero triangle, which the SYRK tiles
+/// skip. On success
 /// `r` holds `R'` (upper triangular, positive diagonal); on error `r` is
 /// left **unchanged**. All scratch comes from `ws` — warm calls perform zero
 /// heap allocations.
@@ -148,19 +153,8 @@ pub fn rank_k_append(
     if b.rows() == 0 {
         return Ok(());
     }
-    let mut panel = ws.take_matrix_stale(b.rows() + n, n);
-    {
-        let (mut top, mut bottom) = panel.as_mut().split_rows(b.rows());
-        top.copy_from(b);
-        for i in 0..n {
-            let row = bottom.row_mut(i);
-            row[..i].fill(0.0);
-            row[i..].copy_from_slice(&r.row(i)[i..]);
-        }
-    }
     let mut g = ws.take_matrix_stale(n, n);
-    backend.syrk_upper_into(panel.as_ref(), g.as_mut());
-    ws.recycle(panel);
+    backend.stacked_gram_upper_into(b, r.rb(), g.as_mut());
     let factored = potrf_upper(g.as_mut(), backend);
     if factored.is_ok() {
         // R' = Lᵀ, written back transactionally only on success.
@@ -194,26 +188,45 @@ pub fn rank_k_downdate(
     if b.rows() == 0 || n == 0 {
         return Ok(1.0);
     }
-    let mut current = ws.take_copy(r.rb());
-    let mut next = ws.take_matrix_stale(n, n);
-    let least_alpha_sq = (0..b.rows()).step_by(n).try_fold(1.0_f64, |least, first| {
+    // Each panel's factor `Lᵀ` multiplies the factor so far: into arena
+    // scratch while panels remain, and straight into `r` (in place, for a
+    // one-panel block) for the last, after which nothing can fail — so `r`
+    // changes only once every panel has succeeded.
+    let (mut done, mut least_alpha_sq): (Option<Matrix>, f64) = (None, 1.0);
+    for first in (0..b.rows()).step_by(n) {
         let panel = b.sub(first, 0, n.min(b.rows() - first), n);
-        let alpha_sq =
-            downdate_panel(current.as_ref(), panel, next.as_mut(), backend, ws).map_err(|(row, deficiency)| {
-                UpdateError::DowndateIndefinite {
+        let from = done.as_ref().map_or(r.rb(), Matrix::as_ref);
+        let (alpha_sq, s) = match downdate_panel(from, panel, backend, ws) {
+            Ok(factored) => factored,
+            Err((row, deficiency)) => {
+                if let Some(m) = done {
+                    ws.recycle(m);
+                }
+                return Err(UpdateError::DowndateIndefinite {
                     row: first + row,
                     deficiency,
+                });
+            }
+        };
+        least_alpha_sq = least_alpha_sq.min(alpha_sq);
+        match (first + n >= b.rows(), done.take()) {
+            (true, None) => trmm_upper_upper_with_isa(isa(), s.as_ref(), None, r.rb_mut()),
+            (true, Some(prev)) => {
+                trmm_upper_upper(s.as_ref(), prev.as_ref(), r.rb_mut());
+                ws.recycle(prev);
+            }
+            (false, prev) => {
+                let mut next = ws.take_matrix_stale(n, n);
+                trmm_upper_upper(s.as_ref(), prev.as_ref().map_or(r.rb(), Matrix::as_ref), next.as_mut());
+                if let Some(m) = prev {
+                    ws.recycle(m);
                 }
-            })?;
-        std::mem::swap(&mut current, &mut next);
-        Ok(least.min(alpha_sq))
-    });
-    if least_alpha_sq.is_ok() {
-        r.copy_from(current.as_ref());
+                done = Some(next);
+            }
+        }
+        ws.recycle(s);
     }
-    ws.recycle(next);
-    ws.recycle(current);
-    least_alpha_sq
+    Ok(least_alpha_sq)
 }
 
 /// `G ← I − G` on the upper triangle, the one `potrf_upper` reads.
@@ -227,23 +240,23 @@ fn identity_minus(mut g: MatMut<'_>) {
     }
 }
 
-/// One panel (`k ≤ n` rows) of the block downdate: writes the shrunk factor
-/// `Lᵀ·R` into `out` and returns the panel's smallest `α²`, or the offending
-/// row and its pivot. A breakdown in the second Cholesky (`S`, which is
-/// positive definite exactly when `T` is) can only be rounding at `α² ≈ 0`;
-/// it is attributed to the row whose pivot was smallest.
+/// One panel (`k ≤ n` rows) of the block downdate: returns the panel's
+/// smallest `α²` and, in arena scratch, the factor `Lᵀ` of `S = I − WᵀW`
+/// that the shrunk factor `Lᵀ·R` takes, or the offending row and its pivot.
+/// A breakdown in the second Cholesky (`S`, which is positive definite
+/// exactly when `T` is) can only be rounding at `α² ≈ 0`; it is attributed
+/// to the row whose pivot was smallest.
 fn downdate_panel(
     r: MatRef<'_>,
     b: MatRef<'_>,
-    out: MatMut<'_>,
     backend: &dyn Backend,
     ws: &mut Workspace,
-) -> Result<f64, (usize, f64)> {
+) -> Result<(f64, Matrix), (usize, f64)> {
     let (n, k) = (r.rows(), b.rows());
     let mut w = ws.take_copy(b);
     backend.trsm_right_upper(r, w.as_mut());
     let mut t = ws.take_matrix_stale(k, k);
-    backend.gemm(1.0, w.as_ref(), Trans::No, w.as_ref(), Trans::Yes, 0.0, t.as_mut());
+    backend.gram_rows_upper_into(w.as_ref(), t.as_mut());
     identity_minus(t.as_mut());
     let mut s = ws.take_matrix_stale(n, n);
     let result = potrf_upper(t.as_mut(), backend)
@@ -259,13 +272,17 @@ fn downdate_panel(
             backend.syrk_upper_into(w.as_ref(), s.as_mut());
             identity_minus(s.as_mut());
             potrf_upper(s.as_mut(), backend).map_err(|e| (row, e.pivot))?;
-            trmm_upper_upper(s.as_ref(), r, out);
             Ok(alpha_sq)
         });
-    ws.recycle(s);
     ws.recycle(t);
     ws.recycle(w);
-    result
+    match result {
+        Ok(alpha_sq) => Ok((alpha_sq, s)),
+        Err(e) => {
+            ws.recycle(s);
+            Err(e)
+        }
+    }
 }
 
 #[cfg(test)]

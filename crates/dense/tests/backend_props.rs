@@ -577,7 +577,7 @@ fn block_downdate_breakdown_in_the_second_cholesky_is_typed_and_transactional() 
                 let mut t = Matrix::zeros(1, 1);
                 backend.gemm(1.0, w.as_ref(), Trans::No, w.as_ref(), Trans::Yes, 0.0, t.as_mut());
                 t.set(0, 0, 1.0 - t.get(0, 0));
-                let first_stage_passes = potrf(t.as_mut(), backend, &mut ws).is_ok();
+                let first_stage_passes = potrf(t.as_mut(), backend).is_ok();
 
                 let mut r = Matrix::identity(n);
                 let outcome = rank_k_downdate(r.as_mut(), row.as_ref(), backend, &mut ws);
