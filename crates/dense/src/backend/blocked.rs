@@ -84,9 +84,10 @@
 //! ones — each element running exactly the operation sequence of the oracle
 //! loop nest in `crate::trsm`, so the diagonal solves are the oracle's bits.
 //! At 32, most of a 128-wide solve's flops are `gemm`. A right upper solve
-//! of a few rows is that oracle loop, at vector speed; a left solve of a few
-//! columns runs per column (`left_column`), `dot_lanes` products over the
-//! solved rows and the oracle's substitution within 8-row blocks.
+//! of a few rows is that oracle loop, at vector speed; an upper left solve
+//! of one column (`upper_column`) runs 8-lane dot products over the solved
+//! rows and the oracle's substitution within 8-row blocks, and agrees with
+//! the oracle within rounding.
 //! `trsm::trmm_upper_upper` runs on the tile here too, over 8-row panels of
 //! `U₂`, into a separate output or in place over `U₁`.
 //!
@@ -100,7 +101,7 @@
 use super::Backend;
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef};
-use crate::workspace::{recycle_local_vec, take_local_vec};
+use crate::workspace::{recycle_local_vec, take_local_vec, Workspace};
 
 /// Tile height (rows of `C` held in registers).
 pub const MR: usize = 8;
@@ -872,42 +873,40 @@ fn trsm_right_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>
     recycle_local_vec(lanes);
 }
 
-/// Below this many columns, where a `gemm` update would multiply mostly the
-/// padding of its `NR`-wide `B` panel, a left solve runs one column at a
-/// time in [`left_column`].
-const FEW_COLS: usize = 4;
-
-/// Rows per diagonal block of [`left_column`]: its dependent chains are
-/// the in-block substitutions, so the blocks are short.
+/// Rows per diagonal block of [`upper_column`], short for its dependent chains.
 const COLUMN_NB: usize = 8;
 
-/// `T·x = b` in place for one contiguous column `x`, over [`COLUMN_NB`]-row
-/// blocks in solve order (top-down for lower `t`, bottom-up for upper). A
-/// block's rows first subtract their dot products with the solved part of
-/// `x` — each `blas1::dot_lanes`' 8-lane split, and independent of the
-/// block's other rows, so they overlap — then run the
-/// oracle's substitution over the block itself: subtract `t_ik · x_k` over
-/// the block's solved rows in ascending `k`, skipping exact-zero `t_ik`,
-/// and divide by `t_ii`. The oracle's own order is one dependent chain of
-/// `n²/2` subtractions, since each row sums the most recent solution first.
+/// `U·x = b` in place for one contiguous column `x`, over [`COLUMN_NB`]-row
+/// blocks bottom-up. Each row of a block first subtracts its dot product
+/// with the solved part of `x` (8 lanes, then the tail in order; the rows
+/// overlap), then the block runs the oracle's substitution. An exact-zero
+/// `u_ik`'s term is `+0` (a bit mask keeps the loop vectorized), which no
+/// sum tells from the oracle's skip, so an `∞` in `x` spreads only where
+/// the oracle spreads it. The sums are not the oracle's bits: its order is
+/// one dependent chain of `n²/2` subtractions, each row summing the most
+/// recent solution first.
 #[inline(always)]
-fn left_column_body(t: MatRef<'_>, upper: bool, x: &mut [f64]) {
-    let n = t.rows();
-    let nblocks = n.div_ceil(COLUMN_NB);
-    for step in 0..nblocks {
-        let i0 = COLUMN_NB * if upper { nblocks - 1 - step } else { step };
+fn upper_column_body(u: MatRef<'_>, x: &mut [f64]) {
+    let term = |r: f64, s: f64| f64::from_bits((r * s).to_bits() & ((r != 0.0) as u64).wrapping_neg());
+    let n = u.rows();
+    for i0 in (0..n.div_ceil(COLUMN_NB)).rev().map(|b| b * COLUMN_NB) {
         let i1 = n.min(i0 + COLUMN_NB);
-        let solved = if upper { i1..n } else { 0..i0 };
-        for i in i0..i1 {
-            x[i] -= crate::blas1::dot_lanes_body(&t.row(i)[solved.clone()], &x[solved.clone()]);
-        }
-        for s in 0..i1 - i0 {
-            let i = if upper { i1 - 1 - s } else { i0 + s };
-            let (row, mut acc) = (t.row(i), x[i]);
-            for k in if upper { i + 1..i1 } else { i0..i } {
-                if row[k] != 0.0 {
-                    acc -= row[k] * x[k];
+        let (head, solved) = x.split_at_mut(i1);
+        let whole = solved.len() / 8 * 8;
+        for (i, xi) in (i0..i1).zip(&mut head[i0..]) {
+            let (row, mut lanes) = (&u.row(i)[i1..], [0.0f64; 8]);
+            for (r, s) in row.chunks_exact(8).zip(solved.chunks_exact(8)) {
+                for l in 0..8 {
+                    lanes[l] += term(r[l], s[l]);
                 }
+            }
+            let tail = (whole..row.len()).fold(0.0, |t, k| t + term(row[k], solved[k]));
+            *xi -= lanes.iter().sum::<f64>() + tail;
+        }
+        for i in (i0..i1).rev() {
+            let (row, mut acc) = (u.row(i), x[i]);
+            for k in i + 1..i1 {
+                acc -= term(row[k], x[k]);
             }
             x[i] = acc / row[i];
         }
@@ -915,25 +914,24 @@ fn left_column_body(t: MatRef<'_>, upper: bool, x: &mut [f64]) {
 }
 
 isa_dispatch! {
-    fn left_column(t: MatRef<'_>, upper: bool, x: &mut [f64]) => left_column_body
+    fn upper_column(u: MatRef<'_>, x: &mut [f64]) => upper_column_body
 }
 
 /// The blocked left solve: `L·X = B` for lower `t` (`upper` false, row
 /// blocks top-down) or `U·X = B` for upper `t` (bottom-up), over
 /// [`TRSM_NB`]-tall row blocks — a `gemm` update from the solved rows, then
-/// [`left_solve`] on the diagonal block. A solve of fewer than [`FEW_COLS`]
-/// columns is [`left_column`] per column instead.
+/// [`left_solve`] on the diagonal block. An upper solve of one column (the
+/// back substitution `R·x = Qᵀb`) is [`upper_column`], where the `gemm`
+/// update would multiply mostly the padding of its `NR`-wide `B` panel.
 fn trsm_left_with_isa(which: Isa, t: MatRef<'_>, upper: bool, mut b: MatMut<'_>) {
     let n = t.rows();
     assert_eq!(t.cols(), n, "triangular factor must be square");
     assert_eq!(b.rows(), n, "rhs height must match triangular dimension");
-    if b.cols() < FEW_COLS {
+    if upper && b.cols() == 1 {
         let mut x = take_local_vec(n);
-        for c in 0..b.cols() {
-            x.iter_mut().enumerate().for_each(|(i, v)| *v = b.at(i, c));
-            left_column(which, t, upper, &mut x);
-            x.iter().enumerate().for_each(|(i, &v)| b.set(i, c, v));
-        }
+        x.iter_mut().enumerate().for_each(|(i, v)| *v = b.at(i, 0));
+        upper_column(which, t, &mut x);
+        x.iter().enumerate().for_each(|(i, &v)| b.set(i, 0, v));
         return recycle_local_vec(x);
     }
     let nblocks = n.div_ceil(TRSM_NB);
@@ -1032,7 +1030,7 @@ impl Backend for Blocked {
         syrk_with_isa(isa(), 1.0, Rows::Op(a, Trans::Yes), 0.0, c, false);
     }
 
-    fn stacked_gram_upper_into(&self, b: MatRef<'_>, r: MatRef<'_>, c: MatMut<'_>) {
+    fn stacked_gram_upper_into(&self, b: MatRef<'_>, r: MatRef<'_>, c: MatMut<'_>, _ws: &mut Workspace) {
         syrk_with_isa(isa(), 1.0, Rows::Stacked(b, r), 0.0, c, false);
     }
 
@@ -1390,8 +1388,8 @@ pub(crate) mod tests {
 
     /// The diagonal-block solves are the oracle loop nests bit for bit under
     /// every ISA, at every block order and at row counts on and off the lane
-    /// width (left solves of [`FEW_COLS`] columns or more: fewer take the
-    /// column path). One entry of `B` is infinite, so a term the left solves skip
+    /// width (but an upper left solve of one column: that takes
+    /// [`upper_column`]). One entry of `B` is infinite, so a term the left solves skip
     /// (an exact-zero coefficient) would show as a NaN if it were taken.
     #[test]
     fn diagonal_solves_are_bitwise_the_oracle_under_every_isa() {
@@ -1410,14 +1408,14 @@ pub(crate) mod tests {
                     crate::trsm::trsm_right_upper(u.as_ref(), want.as_mut());
                     trsm_right_with_isa(which, u.as_ref(), true, got.as_mut());
                     assert_bits(&got, &want, &format!("right upper {what}"));
-                    if m < FEW_COLS {
-                        continue; // the column path; see `few_columns_left_solve_…`
-                    }
                     let b = b.transposed();
                     let (mut want, mut got) = (b.clone(), b.clone());
                     crate::trsm::trsm_left_lower(l.as_ref(), want.as_mut());
                     trsm_left_with_isa(which, l.as_ref(), false, got.as_mut());
                     assert_bits(&got, &want, &format!("left lower {what}"));
+                    if m == 1 {
+                        continue; // the column path; see `one_column_upper_left_solve_…`
+                    }
                     let (mut want, mut got) = (b.clone(), b.clone());
                     crate::trsm::trsm_left_upper(u.as_ref(), want.as_mut());
                     trsm_left_with_isa(which, u.as_ref(), true, got.as_mut());
@@ -1534,7 +1532,7 @@ pub(crate) mod tests {
                 }),
             );
             let mut default = Matrix::zeros(n, n);
-            super::super::Naive.stacked_gram_upper_into(b, r.as_ref(), default.as_mut());
+            super::super::Naive.stacked_gram_upper_into(b, r.as_ref(), default.as_mut(), &mut Workspace::new());
             let mut naive = Matrix::zeros(n, n);
             super::super::Naive.syrk_upper_into(stack.as_ref(), naive.as_mut());
             assert_bits(&default, &naive, &format!("default {k}+{n}x{n}"));
@@ -1706,82 +1704,92 @@ pub(crate) mod tests {
         }
     }
 
-    /// The column path of the left solves, element by element: per
-    /// `COLUMN_NB` block in solve order, each row subtracts its
-    /// `blas1::dot_lanes` with the solved part, then the block runs the
-    /// oracle's substitution over its own rows.
-    fn reference_left_column(t: &Matrix, upper: bool, x: &mut [f64]) {
-        let n = t.rows();
-        let starts: Vec<usize> = (0..n).step_by(COLUMN_NB).collect();
-        let order: Vec<usize> = if upper {
-            starts.into_iter().rev().collect()
-        } else {
-            starts
-        };
-        for i0 in order {
+    /// [`upper_column`] element by element: per `COLUMN_NB` block bottom-up,
+    /// each row subtracts its 8-lane dot product with the solved part
+    /// (`blas1::dot_lanes`' split, exact-zero coefficients' terms taken as
+    /// `+0`), then the block runs the oracle's substitution over its own rows.
+    fn reference_upper_column(u: &Matrix, x: &mut [f64]) {
+        let n = u.rows();
+        for i0 in (0..n).step_by(COLUMN_NB).rev() {
             let i1 = n.min(i0 + COLUMN_NB);
-            let solved = if upper { i1..n } else { 0..i0 };
             for i in i0..i1 {
-                x[i] -= crate::blas1::dot_lanes(&t.as_ref().row(i)[solved.clone()], &x[solved.clone()]);
-            }
-            let rows: Vec<usize> = if upper {
-                (i0..i1).rev().collect()
-            } else {
-                (i0..i1).collect()
-            };
-            for i in rows {
-                let mut acc = x[i];
-                let inner = if upper { i + 1..i1 } else { i0..i };
-                for k in inner {
-                    if t.get(i, k) != 0.0 {
-                        acc -= t.get(i, k) * x[k];
+                let (mut lanes, mut tail) = ([0.0f64; 8], 0.0);
+                let whole = i1 + (n - i1) / 8 * 8;
+                for k in i1..n {
+                    let term = if u.get(i, k) == 0.0 { 0.0 } else { u.get(i, k) * x[k] };
+                    match k < whole {
+                        true => lanes[(k - i1) % 8] += term,
+                        false => tail += term,
                     }
                 }
-                x[i] = acc / t.get(i, i);
+                x[i] -= lanes.iter().sum::<f64>() + tail;
+            }
+            for i in (i0..i1).rev() {
+                let mut acc = x[i];
+                for k in i + 1..i1 {
+                    if u.get(i, k) != 0.0 {
+                        acc -= u.get(i, k) * x[k];
+                    }
+                }
+                x[i] = acc / u.get(i, i);
             }
         }
     }
 
-    /// A left solve of fewer than [`FEW_COLS`] columns is the column path bit
-    /// for bit under every ISA, column by column, and agrees with the oracle
-    /// within rounding (its dot products sum in another order, so it cannot
-    /// be the oracle's bits: the oracle's own order is one dependent chain).
+    /// An upper left solve of one column is [`upper_column`] bit for bit
+    /// under every ISA, and agrees with the oracle: within rounding where
+    /// the oracle is finite (the dot products sum in another order, so it
+    /// cannot be the oracle's bits: the oracle's own order is one dependent
+    /// chain), and exactly where it is not. In the second case `B` holds
+    /// `∞` in its last row `p` and `−0` in row `q = p/2`, and `U`'s columns
+    /// `p` and `q` are exact zeros above the diagonal but at `u_qp`: the
+    /// skipped terms keep every row but `p` and `q` finite, as the oracle
+    /// does, where a taken `0·∞` would be NaN.
     #[test]
-    fn few_columns_left_solve_is_the_column_path_under_every_isa() {
+    fn one_column_upper_left_solve_is_the_column_path_under_every_isa() {
         for n in [1, 7, 8, 9, 31, 32, 33, 64, 65, 128, 130, 193] {
-            for upper in [false, true] {
-                let t = triangle(n, upper, 21 + n as u64);
-                for cols in 1..FEW_COLS {
-                    let b = filled(n, cols, 9 + cols as u64);
-                    let mut want = b.clone();
-                    for c in 0..cols {
-                        let mut x: Vec<f64> = (0..n).map(|i| b.get(i, c)).collect();
-                        reference_left_column(&t, upper, &mut x);
-                        (0..n).for_each(|i| want.set(i, c, x[i]));
+            let (p, q) = (n - 1, (n - 1) / 2);
+            let finite = (triangle(n, true, 21 + n as u64), filled(n, 1, 9));
+            let mut u = finite.0.clone();
+            for i in 0..p {
+                u.set(i, p, if i == q { 0.75 } else { 0.0 });
+                if i < q {
+                    u.set(i, q, 0.0);
+                }
+            }
+            let mut b = finite.1.clone();
+            b.set(q, 0, -0.0);
+            b.set(p, 0, f64::INFINITY);
+            for (kind, (u, b)) in [("finite", finite), ("∞ and zeros", (u, b))] {
+                let what = format!("n={n} {kind}");
+                let mut want = b.clone();
+                reference_upper_column(&u, want.data_mut());
+                let mut oracle = b.clone();
+                crate::trsm::trsm_left_upper(u.as_ref(), oracle.as_mut());
+                for (i, (g, w)) in want.data().iter().zip(oracle.data()).enumerate() {
+                    match w.is_finite() {
+                        true => assert!((g - w).abs() <= 1e-12 * (1.0 + w.abs()), "{what} row {i}: {g} vs {w}"),
+                        false => assert!(
+                            g.to_bits() == w.to_bits() || g.is_nan() && w.is_nan(),
+                            "{what} row {i}: {g} vs {w}"
+                        ),
                     }
-                    let mut oracle = b.clone();
-                    match upper {
-                        true => crate::trsm::trsm_left_upper(t.as_ref(), oracle.as_mut()),
-                        false => crate::trsm::trsm_left_lower(t.as_ref(), oracle.as_mut()),
-                    }
-                    for (g, w) in want.data().iter().zip(oracle.data()) {
-                        assert!(
-                            (g - w).abs() <= 1e-12 * (1.0 + w.abs()),
-                            "n={n} upper={upper}: {g} vs {w}"
-                        );
-                    }
-                    for which in Isa::available() {
-                        let mut got = b.clone();
-                        trsm_left_with_isa(which, t.as_ref(), upper, got.as_mut());
-                        assert_bits(&got, &want, &format!("{which:?} n={n} upper={upper} cols={cols}"));
-                    }
+                }
+                if kind != "finite" {
+                    let infinite: Vec<usize> = (0..n).filter(|&i| !oracle.get(i, 0).is_finite()).collect();
+                    assert_eq!(infinite, if p == q { vec![p] } else { vec![q, p] }, "{what}");
+                }
+                for which in Isa::available() {
+                    let mut got = b.clone();
+                    trsm_left_with_isa(which, u.as_ref(), true, got.as_mut());
+                    assert_bits(&got, &want, &format!("{which:?} {what}"));
                 }
             }
         }
     }
 
     /// The triangular tier on the tile — both blocked upper solves (their
-    /// few-rows and column paths included) and `trmm_upper_upper` — gives
+    /// few-rows and one-column paths included) and `trmm_upper_upper` — gives
     /// the same bits under every ISA, and agrees with the `Naive` oracle
     /// within rounding, at orders on both sides of the solve blocks and the
     /// Cholesky's (`cholesky`'s tests do `potrf_upper`).

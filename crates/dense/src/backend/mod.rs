@@ -44,6 +44,7 @@ pub use blocked::Blocked;
 
 use crate::gemm::Trans;
 use crate::matrix::{MatMut, MatRef, Matrix};
+use crate::workspace::Workspace;
 
 /// A sequential-kernel implementation: the BLAS-3 surface the distributed
 /// algorithms compute with.
@@ -95,16 +96,17 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// `[B; triu(R)]` into `c` — the rows of `B`, then those of `R` with
     /// zeros left of its diagonal (its strict lower triangle is not read) —
     /// bitwise [`Backend::syrk_upper_into`] of that stack, which the default
-    /// builds; `Blocked` packs straight from `B` and `R`. The strict lower
-    /// triangle of `c` is left unspecified.
-    fn stacked_gram_upper_into(&self, b: MatRef<'_>, r: MatRef<'_>, c: MatMut<'_>) {
-        let mut stack = Matrix::zeros(b.rows() + r.rows(), b.cols());
+    /// builds in `ws`; `Blocked` packs straight from `B` and `R`. The strict
+    /// lower triangle of `c` is left unspecified.
+    fn stacked_gram_upper_into(&self, b: MatRef<'_>, r: MatRef<'_>, c: MatMut<'_>, ws: &mut Workspace) {
+        let mut stack = ws.take_matrix(b.rows() + r.rows(), b.cols());
         let (mut top, mut bottom) = stack.as_mut().split_rows(b.rows());
         top.copy_from(b);
         for i in 0..r.rows() {
             bottom.row_mut(i)[i..].copy_from_slice(&r.row(i)[i..]);
         }
         self.syrk_upper_into(stack.as_ref(), c);
+        ws.recycle(stack);
     }
 
     /// Writes the upper triangle of `A·Aᵀ`, the Gram matrix of `A`'s rows,

@@ -46,7 +46,7 @@ isa_dispatch! {
 }
 
 #[inline(always)]
-pub(crate) fn dot_lanes_body(x: &[f64], y: &[f64]) -> f64 {
+fn dot_lanes_body(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
     const LANES: usize = 8;
     let chunks = x.len() / LANES;

@@ -8,9 +8,9 @@
 //!
 //! The five solves are the oracle loop nests: `backend::Naive` forwards to
 //! them, and the `Blocked` backend's diagonal-block solves reproduce their
-//! bits (its left solves of fewer than four columns run per column, with
-//! dot products over the solved rows, and agree within rounding: the
-//! oracle's upper left solve is one dependent chain per column).
+//! bits (its upper left solve of one column runs dot products over the
+//! solved rows, and agrees within rounding: the oracle's upper left solve
+//! is one dependent chain per column).
 //! [`trmm_upper_upper`] is the exception — it runs on the blocked
 //! backend's 8-row tile, whichever backend the caller uses.
 

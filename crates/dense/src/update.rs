@@ -139,8 +139,8 @@ fn check_block(order: usize, b: MatRef<'_>) -> Result<(), UpdateError> {
 /// panel of the stack ends in `R`'s zero triangle, which the SYRK tiles
 /// skip. On success
 /// `r` holds `R'` (upper triangular, positive diagonal); on error `r` is
-/// left **unchanged**. All scratch comes from `ws` — warm calls perform zero
-/// heap allocations.
+/// left **unchanged**. All scratch, a built stack included, comes from
+/// `ws`: warm calls on `Blocked` perform zero heap allocations.
 pub fn rank_k_append(
     mut r: MatMut<'_>,
     b: MatRef<'_>,
@@ -154,7 +154,7 @@ pub fn rank_k_append(
         return Ok(());
     }
     let mut g = ws.take_matrix_stale(n, n);
-    backend.stacked_gram_upper_into(b, r.rb(), g.as_mut());
+    backend.stacked_gram_upper_into(b, r.rb(), g.as_mut(), ws);
     let factored = potrf_upper(g.as_mut(), backend);
     if factored.is_ok() {
         // R' = Lᵀ, written back transactionally only on success.
@@ -333,19 +333,31 @@ mod tests {
     #[test]
     fn append_is_warm_allocation_free_across_block_sizes() {
         // n = 96 takes two block rows of the blocked Cholesky (a trailing
-        // gemm), n = 32 one.
-        for &n in &[32usize, 96] {
-            let a = well_conditioned(2 * n, n, 5);
-            let b = gaussian_matrix(8, n, 6);
-            let mut r = r_of(&a);
-            let backend = BackendKind::default_kind().get();
-            let mut ws = Workspace::new();
-            rank_k_append(r.as_mut(), b.as_ref(), backend, &mut ws).unwrap();
-            let cold = ws.heap_allocations();
-            for _ in 0..3 {
+        // gemm), n = 32 one. `Naive` builds the stack `[B; R]` in the arena.
+        for kind in BackendKind::ALL {
+            for &n in &[32usize, 96] {
+                let a = well_conditioned(2 * n, n, 5);
+                let b = gaussian_matrix(8, n, 6);
+                let mut r = r_of(&a);
+                let backend = kind.get();
+                let mut ws = Workspace::new();
                 rank_k_append(r.as_mut(), b.as_ref(), backend, &mut ws).unwrap();
+                let (cold, takes) = (ws.heap_allocations(), ws.takes());
+                for _ in 0..3 {
+                    rank_k_append(r.as_mut(), b.as_ref(), backend, &mut ws).unwrap();
+                }
+                assert_eq!(
+                    ws.heap_allocations(),
+                    cold,
+                    "{kind}: warm appends draw from the arena (n={n})"
+                );
+                let per_append = match kind {
+                    BackendKind::Blocked => 1, // the Gram
+                    BackendKind::Naive => 2,   // the Gram and the stack
+                };
+                assert_eq!(ws.takes() - takes, 3 * per_append, "{kind}: arena takes (n={n})");
+                assert_eq!(ws.takes(), ws.recycles(), "{kind}: arena stays balanced (n={n})");
             }
-            assert_eq!(ws.heap_allocations(), cold, "warm appends draw from the arena (n={n})");
         }
     }
 
